@@ -21,7 +21,10 @@ import (
 // segment under a live System and checks the failure surfaces at the top
 // of the client stack — System.Query, through engine, server, and client
 // wrapping — still errors.Is-matchable as storage.ErrCorruptSegment.
-func TestCorruptSegmentSurvivesClientStack(t *testing.T) {
+// diskOrdersSystem encrypts a 300-row table onto 512-byte disk pages behind
+// a ~2-page block cache, so every query reads the segment files.
+func diskOrdersSystem(t *testing.T) (*System, Options) {
+	t.Helper()
 	db := NewDatabase()
 	db.MustCreateTable("orders",
 		Col("o_id", Int), Col("o_cust", String), Col("o_total", Int))
@@ -33,13 +36,18 @@ func TestCorruptSegmentSurvivesClientStack(t *testing.T) {
 	opts.Backend = "disk"
 	opts.DataDir = t.TempDir()
 	opts.PageBytes = 512
-	opts.BlockCacheBytes = 1024 // ~2 pages: reads after corruption hit disk
+	opts.BlockCacheBytes = 1024
 	sys, err := Encrypt(db, Workload{
 		"totals": "SELECT o_cust, SUM(o_total) FROM orders GROUP BY o_cust",
 	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sys, opts
+}
+
+func TestCorruptSegmentSurvivesClientStack(t *testing.T) {
+	sys, opts := diskOrdersSystem(t)
 	defer sys.Close()
 
 	if _, err := sys.Query("SELECT o_cust, SUM(o_total) FROM orders GROUP BY o_cust"); err != nil {
@@ -81,6 +89,23 @@ func TestCorruptSegmentSurvivesClientStack(t *testing.T) {
 	var se *storage.SegmentError
 	if !errors.As(err, &se) {
 		t.Fatalf("top-level error lost the *SegmentError detail: %v", err)
+	}
+}
+
+// TestClosedBackendSurvivesClientStack: a query that reaches a disk table
+// after System.Close fails as storage.ErrClosed at the top of the stack —
+// not as a corruption report about segment files that are intact.
+func TestClosedBackendSurvivesClientStack(t *testing.T) {
+	sys, _ := diskOrdersSystem(t)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := sys.Query("SELECT o_cust, SUM(o_total) FROM orders GROUP BY o_cust")
+	if !errors.Is(err, storage.ErrClosed) {
+		t.Fatalf("query after Close: %v, want an error wrapping storage.ErrClosed", err)
+	}
+	if errors.Is(err, storage.ErrCorruptSegment) {
+		t.Fatalf("query after Close blames a healthy segment: %v", err)
 	}
 }
 

@@ -165,6 +165,10 @@ type SegmentMeta struct {
 // Callers test with errors.Is.
 var ErrCorruptSegment = errors.New("storage: corrupt segment")
 
+// ErrClosed is returned (wrapped) by a Scan or Fetch that needs the medium
+// after Close: the data is intact, the handle is gone.
+var ErrClosed = errors.New("storage: backend closed")
+
 // SegmentError is the typed error for a damaged segment file. It wraps
 // ErrCorruptSegment and records where and why the segment failed.
 type SegmentError struct {

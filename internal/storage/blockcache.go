@@ -13,6 +13,12 @@ import (
 // page's on-disk size, so the capacity is comparable to the file size and
 // "table larger than the cache" means what it says.
 //
+// A cached page is the [][]value.Value decodePage built: row cuts of one
+// value arena whose Bytes and Str cells point into the page's raw buffer.
+// Evicting a page only drops the cache's reference; batches handed out
+// earlier keep the arena and buffer alive, so nothing here may ever be
+// recycled.
+//
 // The cache is not internally synchronized: diskStore guards every access
 // with its own mutex (shard workers scan concurrently).
 type blockCache struct {

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -45,22 +46,38 @@ import (
 // report the bytes those misses read — the number the engine charges in
 // place of the in-memory resident-byte approximation (Paged() == true).
 //
+// A decoded page is its raw buffer plus one value arena (decodePage): the
+// rows Scan and Fetch return are cuts of the arena whose Bytes and Str
+// cells point into the page image. They are read-only (Backend.Scan's
+// contract) and stay valid after the cache evicts the page — nothing is
+// pooled or reused, the garbage collector frees a page when its last row
+// goes.
+//
+// mu guards the page directory, the tail page, the block cache and the
+// counters — not I/O or decoding on the read side. A read snapshots its
+// page's directory entry and probes the cache under mu, reads, checksums
+// and decodes the page unlocked (sealed pages are immutable), and re-locks
+// to insert and count it, so concurrent sessions and shard workers decode
+// in parallel. Writes (Append, Flush, Close) hold mu throughout.
+//
 // Every integrity failure — bad magic or geometry, truncated or
 // checksum-corrupt page, undecodable row, a row count short of the
-// metadata — returns a *SegmentError wrapping ErrCorruptSegment.
+// metadata — returns a *SegmentError wrapping ErrCorruptSegment; a read
+// that needs the file after Close returns ErrClosed.
 type diskStore struct {
 	path     string
-	f        *os.File
 	pageSize int
+	ncols    int // Schema.Cols, the decoder's arena sizing
 
 	mu       sync.Mutex
+	f        *os.File        // nil once closed
 	dir      []pageMeta      // sealed pages, in file order
 	nflushed int             // rows held by sealed pages
 	tail     [][]value.Value // rows not yet in a sealed page (decoded)
 	tailBuf  []byte          // their encoded payload
 	tailOff  int64           // file offset the tail page writes to
 	cache    *blockCache
-	io       IOStats
+	io       IOStats // PageReads, BytesRead; IO() adds the cache's hit/miss
 }
 
 // pageMeta locates one sealed page.
@@ -100,7 +117,7 @@ func createDiskStore(cfg BackendConfig, meta *SegmentMeta) (*diskStore, error) {
 		return nil, err
 	}
 	ds := &diskStore{
-		path: path, f: f, pageSize: cfg.pageBytes(),
+		path: path, f: f, pageSize: cfg.pageBytes(), ncols: len(meta.Schema.Cols),
 		tailOff: int64(cfg.pageBytes()),
 		cache:   newBlockCache(cfg.cacheBytes()),
 	}
@@ -126,6 +143,7 @@ func openDiskStore(path string, cfg BackendConfig) (*diskStore, *SegmentMeta, er
 		f.Close()
 		return nil, nil, err
 	}
+	ds.ncols = len(meta.Schema.Cols)
 	ds.cache = newBlockCache(cfg.cacheBytes())
 	if err := ds.buildDir(); err != nil {
 		f.Close()
@@ -256,38 +274,6 @@ func appendRow(dst []byte, row []value.Value) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeRowAt decodes the row frame starting at b[pos], returning the row
-// and the next position.
-func decodeRowAt(b []byte, pos int) ([]value.Value, int, error) {
-	if pos+4 > len(b) {
-		return nil, 0, fmt.Errorf("truncated row length")
-	}
-	n := int(binary.BigEndian.Uint32(b[pos : pos+4]))
-	pos += 4
-	if pos+n > len(b) {
-		return nil, 0, fmt.Errorf("row frame (%d bytes) past end of page", n)
-	}
-	end := pos + n
-	var row []value.Value
-	for pos < end {
-		if b[pos] == pageTagBool {
-			if pos+2 > end {
-				return nil, 0, fmt.Errorf("truncated bool")
-			}
-			row = append(row, value.NewBool(b[pos+1] != 0))
-			pos += 2
-			continue
-		}
-		v, used, err := wire.DecodeValue(b[pos:end])
-		if err != nil {
-			return nil, 0, err
-		}
-		row = append(row, v)
-		pos += used
-	}
-	return row, end, nil
-}
-
 // --- writes ---
 
 func (ds *diskStore) Append(row []value.Value) error {
@@ -396,7 +382,9 @@ func (ds *diskStore) Paged() bool { return true }
 func (ds *diskStore) IO() IOStats {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	return ds.io
+	io := ds.io
+	io.CacheHits, io.CacheMisses = ds.cache.hits, ds.cache.misses
+	return io
 }
 
 // pageAt returns the directory position of the sealed page holding row id.
@@ -406,86 +394,164 @@ func (ds *diskStore) pageAt(id int) int {
 	})
 }
 
-// readPage returns the decoded rows of sealed page pi, via the block
-// cache; the second result is the physical bytes this call read (the
-// page's size on a miss, 0 on a hit). Callers hold ds.mu.
-func (ds *diskStore) readPage(pi int) ([][]value.Value, int64, error) {
-	if rows := ds.cache.get(pi); rows != nil {
-		return rows, 0, nil
-	}
+// sealedPage returns the decoded rows of the sealed page holding row id and
+// that page's directory entry, via the block cache; the last result before
+// the error is the physical bytes this call read (the page's size on a
+// miss, 0 on a hit). The load between the two locked sections runs
+// unlocked (see diskStore): two callers that miss on the same page each
+// read it — both are real reads and both are counted.
+func (ds *diskStore) sealedPage(id int) ([][]value.Value, pageMeta, int64, error) {
+	ds.mu.Lock()
+	pi := ds.pageAt(id)
 	pm := ds.dir[pi]
+	rows := ds.cache.get(pi)
+	f := ds.f // Close nils the field; the load must not read it unlocked
+	ds.mu.Unlock()
+	if rows != nil {
+		return rows, pm, 0, nil
+	}
+	rows, err := loadPage(f, ds.path, pm, ds.ncols)
+	if err != nil {
+		return nil, pm, 0, err
+	}
+	ds.mu.Lock()
+	ds.cache.put(pi, rows, pm.physLen)
+	ds.io.PageReads++
+	ds.io.BytesRead += pm.physLen
+	ds.mu.Unlock()
+	return rows, pm, pm.physLen, nil
+}
+
+// loadPage reads the page image pm locates and decodes it. It touches no
+// diskStore state, so callers run it without ds.mu.
+func loadPage(f *os.File, path string, pm pageMeta, ncols int) ([][]value.Value, error) {
 	raw := make([]byte, pm.physLen)
-	if _, err := ds.f.ReadAt(raw, pm.off); err != nil {
-		return nil, 0, corruptf(ds.path, pm.off, "unreadable page: %v", err)
+	err := os.ErrClosed // also what ReadAt reports when Close wins the race with it
+	if f != nil {
+		_, err = f.ReadAt(raw, pm.off)
+	}
+	switch {
+	case errors.Is(err, os.ErrClosed):
+		return nil, fmt.Errorf("storage: segment %s: %w", path, ErrClosed)
+	case err != nil:
+		return nil, corruptf(path, pm.off, "unreadable page: %v", err)
+	}
+	return decodePage(raw, path, pm, ncols)
+}
+
+// decodePage verifies a page image against its directory entry and checksum
+// and decodes its rows in a constant number of allocations: the rows are
+// full-slice cuts of one value arena sized nrows × ncols (a row that has
+// more values than the schema promises makes append regrow the arena; rows
+// cut earlier keep the old one), Bytes cells are sub-slices of raw and Str
+// cells sub-slices of one string copy of the payload. The rows therefore
+// alias raw for as long as any of them is reachable — raw must never be
+// written again, and the rows are read-only (Backend.Scan's contract).
+func decodePage(raw []byte, path string, pm pageMeta, ncols int) ([][]value.Value, error) {
+	if len(raw) < pageHeaderLen {
+		return nil, corruptf(path, pm.off, "truncated page header")
 	}
 	nrows := int(binary.BigEndian.Uint32(raw[0:4]))
 	used := int(binary.BigEndian.Uint32(raw[4:8]))
 	sum := binary.BigEndian.Uint32(raw[8:12])
 	if nrows != pm.nrows || pageHeaderLen+used > len(raw) {
-		return nil, 0, corruptf(ds.path, pm.off, "page header changed shape (%d rows, %d bytes)", nrows, used)
+		return nil, corruptf(path, pm.off, "page header changed shape (%d rows, %d bytes)", nrows, used)
 	}
 	payload := raw[pageHeaderLen : pageHeaderLen+used]
 	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, 0, corruptf(ds.path, pm.off, "page checksum mismatch")
+		return nil, corruptf(path, pm.off, "page checksum mismatch")
 	}
-	rows := make([][]value.Value, 0, nrows)
+	// A row frame is at least its 4-byte length and a value at least one
+	// byte, so the payload size bounds both allocations whatever the header
+	// claims.
+	rows := make([][]value.Value, 0, min(nrows, used/4))
+	arena := make([]value.Value, 0, min(nrows*ncols, used))
+	dec := wire.NewDecoder(payload)
 	pos := 0
 	for r := 0; r < nrows; r++ {
-		row, next, err := decodeRowAt(payload, pos)
+		start := len(arena)
+		end, err := decodeRow(&dec, payload, pos, &arena)
 		if err != nil {
-			return nil, 0, corruptf(ds.path, pm.off+int64(pageHeaderLen+pos), "row %d: %v", pm.first+r, err)
+			return nil, corruptf(path, pm.off+int64(pageHeaderLen+pos), "row %d: %v", pm.first+r, err)
 		}
-		rows = append(rows, row)
-		pos = next
+		rows = append(rows, arena[start:len(arena):len(arena)])
+		pos = end
 	}
 	if pos != used {
-		return nil, 0, corruptf(ds.path, pm.off, "page has %d trailing payload bytes", used-pos)
+		return nil, corruptf(path, pm.off, "page has %d trailing payload bytes", used-pos)
 	}
-	ds.cache.put(pi, rows, pm.physLen)
-	ds.io.PageReads++
-	ds.io.BytesRead += pm.physLen
-	return rows, pm.physLen, nil
+	return rows, nil
+}
+
+// decodeRow appends the values of the row frame at payload[pos:] to arena
+// and returns the position after the frame.
+func decodeRow(dec *wire.Decoder, payload []byte, pos int, arena *[]value.Value) (int, error) {
+	if pos+4 > len(payload) {
+		return 0, fmt.Errorf("truncated row length")
+	}
+	n := int(binary.BigEndian.Uint32(payload[pos : pos+4]))
+	pos += 4
+	if pos+n > len(payload) {
+		return 0, fmt.Errorf("row frame (%d bytes) past end of page", n)
+	}
+	end := pos + n
+	for pos < end {
+		if payload[pos] == pageTagBool {
+			if pos+2 > end {
+				return 0, fmt.Errorf("truncated bool")
+			}
+			*arena = append(*arena, value.NewBool(payload[pos+1] != 0))
+			pos += 2
+			continue
+		}
+		v, used, err := dec.Value(pos, end)
+		if err != nil {
+			return 0, err
+		}
+		*arena = append(*arena, v)
+		pos += used
+	}
+	return end, nil
 }
 
 func (ds *diskStore) Scan(lo, hi int) ([][]value.Value, int64, error) {
+	// One snapshot of the sealed/tail boundary and of the tail rows: pages
+	// sealed while the loop below runs unlocked only move rows this call
+	// already holds.
 	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	n := ds.nflushed + len(ds.tail)
+	nflushed := ds.nflushed
+	n := nflushed + len(ds.tail)
 	if lo < 0 || hi > n || lo > hi {
+		ds.mu.Unlock()
 		return nil, 0, fmt.Errorf("storage: scan [%d,%d) out of range (%d rows)", lo, hi, n)
 	}
+	var tail [][]value.Value
+	if hi > nflushed {
+		tail = ds.tail[max(lo, nflushed)-nflushed : hi-nflushed]
+	}
+	ds.mu.Unlock()
+
 	out := make([][]value.Value, 0, hi-lo)
 	var phys int64
-	for id := lo; id < hi && id < ds.nflushed; {
-		pi := ds.pageAt(id)
-		pm := ds.dir[pi]
-		rows, p, err := ds.readPage(pi)
+	for id := lo; id < hi && id < nflushed; {
+		rows, pm, p, err := ds.sealedPage(id)
 		if err != nil {
 			return nil, 0, err
 		}
 		phys += p
-		end := pm.first + pm.nrows
-		if end > hi {
-			end = hi
-		}
+		end := min(pm.first+pm.nrows, hi)
 		out = append(out, rows[id-pm.first:end-pm.first]...)
 		id = end
 	}
-	if hi > ds.nflushed {
-		start := lo
-		if start < ds.nflushed {
-			start = ds.nflushed
-		}
-		out = append(out, ds.tail[start-ds.nflushed:hi-ds.nflushed]...)
-	}
-	ds.mirrorIO(phys)
-	return out, phys, nil
+	return append(out, tail...), phys, nil
 }
 
 func (ds *diskStore) Fetch(ids []int32) ([][]value.Value, int64, error) {
 	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	n := ds.nflushed + len(ds.tail)
+	nflushed := ds.nflushed
+	tail := ds.tail
+	ds.mu.Unlock()
+	n := nflushed + len(tail)
 	out := make([][]value.Value, len(ids))
 	var phys int64
 	for i, id32 := range ids {
@@ -493,25 +559,16 @@ func (ds *diskStore) Fetch(ids []int32) ([][]value.Value, int64, error) {
 		if id < 0 || id >= n {
 			return nil, 0, fmt.Errorf("storage: fetch id %d out of range (%d rows)", id, n)
 		}
-		if id >= ds.nflushed {
-			out[i] = ds.tail[id-ds.nflushed]
+		if id >= nflushed {
+			out[i] = tail[id-nflushed]
 			continue
 		}
-		pi := ds.pageAt(id)
-		rows, p, err := ds.readPage(pi)
+		rows, pm, p, err := ds.sealedPage(id)
 		if err != nil {
 			return nil, 0, err
 		}
 		phys += p
-		out[i] = rows[id-ds.dir[pi].first]
+		out[i] = rows[id-pm.first]
 	}
-	ds.mirrorIO(phys)
 	return out, phys, nil
-}
-
-// mirrorIO folds the cache's hit/miss counters into the IO snapshot (the
-// cache mutates under ds.mu, so a plain copy is race-free).
-func (ds *diskStore) mirrorIO(int64) {
-	ds.io.CacheHits = ds.cache.hits
-	ds.io.CacheMisses = ds.cache.misses
 }

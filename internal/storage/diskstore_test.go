@@ -10,7 +10,7 @@ import (
 	"repro/internal/value"
 )
 
-func diskCatalog(t *testing.T, cfg BackendConfig) (*Catalog, string) {
+func diskCatalog(t testing.TB, cfg BackendConfig) (*Catalog, string) {
 	t.Helper()
 	dir := t.TempDir()
 	cfg.Kind = BackendDisk
@@ -50,7 +50,7 @@ func fixtureRow(i int) []value.Value {
 	}
 }
 
-func loadFixture(t *testing.T, cat *Catalog, n int) *Table {
+func loadFixture(t testing.TB, cat *Catalog, n int) *Table {
 	t.Helper()
 	tb, err := cat.Create(fixtureSchema())
 	if err != nil {
@@ -81,20 +81,32 @@ func sameRows(t *testing.T, got, want *Table) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range w {
-		if len(g[i]) != len(w[i]) {
-			t.Fatalf("row %d: %d values, want %d", i, len(g[i]), len(w[i]))
+	if d := diffRows(g, w); d != "" {
+		t.Fatal(d)
+	}
+}
+
+// diffRows describes the first difference between two batches ("" when
+// they hold the same values of the same kinds).
+func diffRows(got, want [][]value.Value) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			return fmt.Sprintf("row %d: %d values, want %d", i, len(got[i]), len(want[i]))
 		}
-		for j := range w[i] {
-			if g[i][j].IsNull() && w[i][j].IsNull() {
+		for j := range want[i] {
+			g, w := got[i][j], want[i][j]
+			if g.IsNull() && w.IsNull() {
 				continue // SQL NULL != NULL; storage-wise they are the same
 			}
-			if g[i][j].K != w[i][j].K || !value.Equal(g[i][j], w[i][j]) {
-				t.Fatalf("row %d col %d: %v (kind %v), want %v (kind %v)",
-					i, j, g[i][j], g[i][j].K, w[i][j], w[i][j].K)
+			if g.K != w.K || !value.Equal(g, w) {
+				return fmt.Sprintf("row %d col %d: %v (kind %v), want %v (kind %v)", i, j, g, g.K, w, w.K)
 			}
 		}
 	}
+	return ""
 }
 
 // TestDiskStoreMatchesMem: the disk backend stores and returns exactly what
@@ -382,5 +394,55 @@ func TestParseBackendKind(t *testing.T) {
 	}
 	if BackendDisk.String() != "disk" || BackendMem.String() != "mem" {
 		t.Error("BackendKind.String wrong")
+	}
+}
+
+// benchDiskTable loads 20 000 fixture rows (164 8 KiB pages, 1.3 MB) behind
+// a 128 KiB block cache: the table is 10× the cache, so sequential scans
+// and scattered fetches miss on nearly every page.
+func benchDiskTable(b *testing.B) *Table {
+	b.Helper()
+	const rows, cache = 20000, 128 << 10
+	cat, dir := diskCatalog(b, BackendConfig{CacheBytes: cache})
+	b.Cleanup(func() { cat.Close() })
+	tb := loadFixture(b, cat, rows)
+	if err := tb.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if fi, err := os.Stat(segPath(dir, "orders")); err != nil || fi.Size() < 8*cache {
+		b.Fatalf("segment must be at least 8x the cache (size %v, err %v)", fi, err)
+	}
+	return tb
+}
+
+// BenchmarkDiskScanThrash: whole-table scans through a thrashing cache —
+// per-op cost is 164 page reads, checksums and decodes.
+func BenchmarkDiskScanThrash(b *testing.B) {
+	tb := benchDiskTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, phys, err := tb.ScanRows(0, tb.NumRows())
+		if err != nil || len(rows) != tb.NumRows() || phys == 0 {
+			b.Fatalf("%d rows, %d bytes, err %v", len(rows), phys, err)
+		}
+	}
+}
+
+// BenchmarkDiskFetchCold: 256 ids spread over the whole table, the access
+// path's shape at its worst — every page is read and decoded for 1.6 rows of it.
+func BenchmarkDiskFetchCold(b *testing.B) {
+	tb := benchDiskTable(b)
+	ids := make([]int32, 256)
+	for i := range ids {
+		ids[i] = int32(i * (tb.NumRows() / len(ids)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, phys, err := tb.FetchRows(ids)
+		if err != nil || len(rows) != len(ids) || phys == 0 {
+			b.Fatalf("%d rows, %d bytes, err %v", len(rows), phys, err)
+		}
 	}
 }

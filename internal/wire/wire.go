@@ -61,54 +61,112 @@ func AppendValue(dst []byte, v value.Value) ([]byte, error) {
 	return dst, fmt.Errorf("wire: cannot frame value of kind %v", v.K)
 }
 
-// DecodeValue decodes one framed value from b, returning it and the number
-// of bytes consumed.
-func DecodeValue(b []byte) (value.Value, int, error) {
+// parseFrame validates the frame at the head of b: its tag, the 8-byte
+// scalar of an Int, Date or Float frame, and its length — a Str or Bytes
+// payload is b[5:n]. It is the one frame parser; DecodeValue and
+// Decoder.Value differ only in how they materialize a payload.
+func parseFrame(b []byte) (tag byte, x uint64, n int, err error) {
 	if len(b) == 0 {
-		return value.Value{}, 0, fmt.Errorf("wire: empty input")
+		return 0, 0, 0, fmt.Errorf("wire: empty input")
 	}
-	switch b[0] {
+	switch tag = b[0]; tag {
 	case tagNull:
-		return value.NewNull(), 1, nil
+		return tag, 0, 1, nil
 	case tagInt, tagDate, tagFloat:
 		if len(b) < 9 {
-			return value.Value{}, 0, fmt.Errorf("wire: truncated integer")
+			return 0, 0, 0, fmt.Errorf("wire: truncated integer")
 		}
-		x := binary.BigEndian.Uint64(b[1:9])
-		switch b[0] {
-		case tagDate:
-			return value.NewDate(int64(x)), 9, nil
-		case tagFloat:
-			return value.NewFloat(bitsFloat(x)), 9, nil
-		default:
-			return value.NewInt(int64(x)), 9, nil
-		}
+		return tag, binary.BigEndian.Uint64(b[1:9]), 9, nil
 	case tagStr, tagBytes:
 		if len(b) < 5 {
-			return value.Value{}, 0, fmt.Errorf("wire: truncated length")
+			return 0, 0, 0, fmt.Errorf("wire: truncated length")
 		}
 		n := int(binary.BigEndian.Uint32(b[1:5]))
 		if len(b) < 5+n {
-			return value.Value{}, 0, fmt.Errorf("wire: truncated payload (need %d bytes)", n)
+			return 0, 0, 0, fmt.Errorf("wire: truncated payload (need %d bytes)", n)
 		}
-		if b[0] == tagStr {
-			return value.NewStr(string(b[5 : 5+n])), 5 + n, nil
-		}
-		return value.NewBytes(append([]byte(nil), b[5:5+n]...)), 5 + n, nil
+		return tag, 0, 5 + n, nil
 	}
-	return value.Value{}, 0, fmt.Errorf("wire: unknown tag %d", b[0])
+	return 0, 0, 0, fmt.Errorf("wire: unknown tag %d", b[0])
 }
 
-// DecodeAll decodes a concatenation of framed values.
+// scalar builds the value of a Null, Int, Date or Float frame.
+func scalar(tag byte, x uint64) value.Value {
+	switch tag {
+	case tagInt:
+		return value.NewInt(int64(x))
+	case tagDate:
+		return value.NewDate(int64(x))
+	case tagFloat:
+		return value.NewFloat(bitsFloat(x))
+	}
+	return value.NewNull()
+}
+
+// DecodeValue decodes one framed value from b, returning it and the number
+// of bytes consumed. The value owns its payload: b may be reused.
+func DecodeValue(b []byte) (value.Value, int, error) {
+	tag, x, n, err := parseFrame(b)
+	switch {
+	case err != nil:
+		return value.Value{}, 0, err
+	case tag == tagStr:
+		return value.NewStr(string(b[5:n])), n, nil
+	case tag == tagBytes:
+		return value.NewBytes(append([]byte(nil), b[5:n]...)), n, nil
+	}
+	return scalar(tag, x), n, nil
+}
+
+// Decoder decodes framed values out of one buffer without copying their
+// payloads: Bytes values are sub-slices of the buffer (capacity-limited, so
+// an append cannot reach a neighbour) and Str values sub-slices of a single
+// string(buf) made when the first Str frame is met. The values alias the
+// buffer for as long as they live — the caller must never write to it again
+// and must treat the values as read-only.
+type Decoder struct {
+	buf []byte
+	str string
+}
+
+// NewDecoder returns a Decoder over buf.
+func NewDecoder(buf []byte) Decoder { return Decoder{buf: buf} }
+
+// Value decodes the frame at buf[pos:end] (a frame may not run past end),
+// returning the value and the number of bytes consumed.
+func (d *Decoder) Value(pos, end int) (value.Value, int, error) {
+	tag, x, n, err := parseFrame(d.buf[pos:end])
+	switch {
+	case err != nil:
+		return value.Value{}, 0, err
+	case tag == tagStr:
+		if d.str == "" {
+			d.str = string(d.buf)
+		}
+		return value.NewStr(d.str[pos+5 : pos+n]), n, nil
+	case tag == tagBytes:
+		return value.NewBytes(d.buf[pos+5 : pos+n : pos+n]), n, nil
+	}
+	return scalar(tag, x), n, nil
+}
+
+// DecodeAll decodes a concatenation of framed values. The values alias b
+// (see Decoder): the one caller folds a GROUP_CONCAT blob and drops them.
 func DecodeAll(b []byte) ([]value.Value, error) {
-	var out []value.Value
-	for len(b) > 0 {
-		v, n, err := DecodeValue(b)
+	count := 0
+	for pos := 0; pos < len(b); count++ {
+		_, _, n, err := parseFrame(b[pos:])
 		if err != nil {
 			return nil, err
 		}
+		pos += n
+	}
+	out := make([]value.Value, 0, count)
+	d := NewDecoder(b)
+	for pos := 0; pos < len(b); {
+		v, n, _ := d.Value(pos, len(b)) // validated by the counting pass
 		out = append(out, v)
-		b = b[n:]
+		pos += n
 	}
 	return out, nil
 }

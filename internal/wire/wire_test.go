@@ -83,3 +83,56 @@ func TestAppendValueUnknownKind(t *testing.T) {
 		t.Fatal("unknown kind framed silently")
 	}
 }
+
+// TestDecoderAliasesDecodeValueCopies pins the two forms of the one value
+// decoder: Decoder.Value and DecodeAll point into the buffer (capacity-
+// limited), DecodeValue owns its payload.
+func TestDecoderAliasesDecodeValueCopies(t *testing.T) {
+	var buf []byte
+	for _, v := range []value.Value{value.NewBytes([]byte("abc")), value.NewStr("hello"), value.NewInt(7), value.NewStr(""), value.NewBytes(nil)} {
+		buf, _ = AppendValue(buf, v)
+	}
+	owned, n, err := DecodeValue(buf)
+	if err != nil || n != 8 {
+		t.Fatalf("DecodeValue: n=%d err=%v", n, err)
+	}
+	vals, err := DecodeAll(buf)
+	if err != nil || len(vals) != 5 {
+		t.Fatalf("DecodeAll: %d values, err %v", len(vals), err)
+	}
+	if &vals[0].B[0] != &buf[5] || cap(vals[0].B) != 3 {
+		t.Errorf("DecodeAll Bytes value does not alias the blob with a limited capacity (cap %d)", cap(vals[0].B))
+	}
+	if vals[1].S != "hello" || vals[2].I != 7 || vals[3].K != value.Str || vals[3].S != "" || vals[4].K != value.Bytes || len(vals[4].B) != 0 {
+		t.Errorf("DecodeAll values wrong: %v", vals)
+	}
+	buf[5] = 'X' // the blob is dead to its owner; only the aliasing form may see this
+	if string(owned.B) != "abc" || string(vals[0].B) != "Xbc" {
+		t.Errorf("after overwriting the buffer: DecodeValue %q (want abc), DecodeAll %q (want Xbc)", owned.B, vals[0].B)
+	}
+	// A frame may not run past the end the caller gives.
+	d := NewDecoder(buf)
+	if _, _, err := d.Value(8, 12); err == nil {
+		t.Error("string frame cut by end decoded")
+	}
+	if _, err := DecodeAll(buf[:len(buf)-1]); err == nil {
+		t.Error("truncated blob decoded")
+	}
+}
+
+// TestDecodeAllAllocs: one slice and one string for the whole blob, however
+// many values it frames.
+func TestDecodeAllAllocs(t *testing.T) {
+	var buf []byte
+	for i := 0; i < 2000; i++ {
+		buf, _ = AppendValue(buf, value.NewBytes([]byte{byte(i), 1, 2, 3, 4, 5, 6, 7}))
+		buf, _ = AppendValue(buf, value.NewStr("s"))
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if vals, err := DecodeAll(buf); err != nil || len(vals) != 4000 {
+			t.Fatalf("%d values, err %v", len(vals), err)
+		}
+	}); n > 2 {
+		t.Errorf("DecodeAll of 4000 values: %.0f allocations, want 2", n)
+	}
+}
