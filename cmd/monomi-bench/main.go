@@ -39,7 +39,7 @@ func main() {
 	bits := flag.Int("paillier", 512, "Paillier modulus bits (paper: 1024)")
 	maxK := flag.Int("maxk", 4, "maximum designer subset size for fig8")
 	par := flag.Int("parallelism", 0, "sharded-execution workers (0 = GOMAXPROCS, 1 = sequential)")
-	batch := flag.Int("batchsize", 0, "streamed-execution batch size for suite experiments (0 = materialized)")
+	batch := flag.Int("batchsize", 0, "execution batch size in rows for suite experiments (0 = unbounded: one batch per worker)")
 	stream := flag.Bool("streamwire", false, "stream encrypted result batches to the client mid-scan (suite experiments)")
 	joinRows := flag.Int("joinrows", 50000, "probe-side rows for the join scenario (-exp join)")
 	streamRows := flag.Int("streamrows", 60000, "input rows for the grouped+DISTINCT streamed-wire scenario (-exp stream)")

@@ -33,7 +33,7 @@ func main() {
 	masterKey := flag.String("masterkey", "monomi-default-master-key", "master key (clients must use the same)")
 	bits := flag.Int("paillier", 512, "Paillier modulus bits (paper: 1024)")
 	par := flag.Int("parallelism", 0, "sharded-execution workers (0 = GOMAXPROCS)")
-	batch := flag.Int("batchsize", 64, "streamed-execution batch size (0 = materialized)")
+	batch := flag.Int("batchsize", 64, "execution batch size in rows (0 = unbounded: one batch per worker)")
 	maxConns := flag.Int("maxconns", 64, "concurrent session cap (0 = unlimited)")
 	maxInFlight := flag.Int("maxinflight", 16, "concurrent query cap (0 = unlimited)")
 	queryWait := flag.Duration("querywait", 0, "how long a query may wait for an in-flight slot (0 = fail fast)")

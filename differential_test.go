@@ -107,9 +107,25 @@ type diffQuery struct {
 	ordered bool
 }
 
+// breakerShapes are the blocks whose trees run through a child tree or a
+// pipeline breaker other than grouping: uncorrelated and correlated
+// IN / EXISTS / scalar subqueries, a derived table, and a multi-key sort
+// with no LIMIT. genQueries appends them to every generated list, so they
+// meet batch boundaries, shard seams, both wires and both backends.
+var breakerShapes = []diffQuery{
+	{"SELECT s_id, s_price FROM sales WHERE s_cat IN (SELECT c_name FROM cats WHERE c_tier < 3) ORDER BY s_id", true},
+	{"SELECT c_tier, c_region FROM cats WHERE c_tier IN (SELECT s_qty FROM sales WHERE s_cat = c_name) ORDER BY c_tier", true},
+	{"SELECT c_tier, c_region FROM cats WHERE EXISTS (SELECT 1 FROM sales WHERE s_qty < 12 AND s_price > 600) ORDER BY c_tier", true},
+	{"SELECT c_tier, c_region FROM cats WHERE EXISTS (SELECT 1 FROM sales WHERE s_cat = c_name AND s_qty < 3) ORDER BY c_tier", true},
+	{"SELECT s_id, s_price FROM sales WHERE s_qty = (SELECT MAX(s_qty) FROM sales) ORDER BY s_id", true},
+	{"SELECT c_tier, c_region FROM cats WHERE c_tier < (SELECT COUNT(*) FROM sales WHERE s_cat = c_name AND s_qty < 2) ORDER BY c_tier", true},
+	{"SELECT cat, total FROM (SELECT s_cat AS cat, SUM(s_price) AS total FROM sales GROUP BY s_cat) t WHERE total > 20000 ORDER BY cat", true},
+	{"SELECT s_id, s_qty, s_price FROM sales WHERE s_price >= 250 ORDER BY s_qty DESC, s_price, s_id", true},
+}
+
 // genQueries derives random filters over the sales schema and splices them
 // into aggregate/projection templates covering filters, GROUP BY, ORDER BY,
-// and SUM/COUNT/AVG/MIN/MAX.
+// and SUM/COUNT/AVG/MIN/MAX, followed by the fixed breakerShapes.
 func genQueries(rng *rand.Rand, n int) []diffQuery {
 	pred := func() string {
 		var conjs []string
@@ -155,7 +171,7 @@ func genQueries(rng *rand.Rand, n int) []diffQuery {
 				"SELECT s_cat, MIN(s_price), MAX(s_price) FROM sales WHERE %s GROUP BY s_cat ORDER BY s_cat", p), true})
 		}
 	}
-	return out
+	return append(out, breakerShapes...)
 }
 
 // canonicalRows renders result rows for comparison: floats rounded so the
@@ -219,10 +235,11 @@ func TestDifferentialRandomQueries(t *testing.T) {
 }
 
 // genJoinQueries splices random sales filters into multi-table templates:
-// equi-join projection, join + GROUP BY, join + ORDER BY .. LIMIT, cross
-// join, and a NULL-sensitive join (the cats table carries NULL and
-// duplicate join keys, so every equi-join exercises both). ORDER BY keys
-// are chosen to impose a total order wherever row order is asserted.
+// equi-join projection with a post-join ORDER BY, join + GROUP BY, join +
+// ORDER BY .. LIMIT, cross join, a NULL-sensitive join (the cats table
+// carries NULL and duplicate join keys, so every equi-join exercises both),
+// and post-join DISTINCT with and without a sort. ORDER BY keys are chosen
+// to impose a total order wherever row order is asserted.
 func genJoinQueries(rng *rand.Rand, n int) []diffQuery {
 	pred := func() string {
 		switch rng.Intn(4) {
@@ -258,7 +275,12 @@ func genJoinQueries(rng *rand.Rand, n int) []diffQuery {
 				"SELECT s_cat, c_tier FROM sales, cats WHERE s_cat = c_name AND %s AND c_tier >= 0 ORDER BY s_cat, c_tier LIMIT 40", p), true})
 		}
 	}
-	return out
+	// Post-join DISTINCT: behind a sort, and in first-occurrence order.
+	return append(out,
+		diffQuery{fmt.Sprintf(
+			"SELECT DISTINCT c_region, s_cat FROM sales, cats WHERE s_cat = c_name AND %s ORDER BY c_region, s_cat", pred()), true},
+		diffQuery{fmt.Sprintf(
+			"SELECT DISTINCT c_tier, s_qty FROM sales, cats WHERE s_cat = c_name AND %s", pred()), false})
 }
 
 // TestDifferentialJoinQueries runs the multi-table grid: every generated

@@ -38,7 +38,7 @@ func main() {
 	opts := monomi.DefaultOptions()
 	opts.PaillierBits = 512 // quick demo; the paper uses 1024
 	opts.Parallelism = 0    // sharded execution across all cores (1 = sequential)
-	opts.BatchSize = 1024   // stream scans batch-at-a-time (0 = materialized)
+	opts.BatchSize = 1024   // move 1024 rows per pull (0 = unbounded batches)
 	sys, err := monomi.Encrypt(db, monomi.Workload{
 		"customer-totals": "SELECT o_cust, SUM(o_total) FROM orders GROUP BY o_cust",
 		"big-orders":      "SELECT o_id FROM orders WHERE o_total > 100",

@@ -65,8 +65,8 @@ type Client struct {
 	// streamed wire's batch-decryption workers; values < 1 mean GOMAXPROCS,
 	// 1 forces sequential execution.
 	Parallelism int
-	// BatchSize > 0 streams eligible local queries batch-at-a-time through
-	// those engines (0 = materialized); it mirrors the server-side knob.
+	// BatchSize bounds the rows one pull moves through those engines'
+	// pipelines (0 = unbounded); it mirrors the server-side knob.
 	BatchSize int
 	// StreamWire switches remote execution to the streamed wire protocol:
 	// the server frames encrypted batches mid-scan and the client decodes
@@ -77,7 +77,8 @@ type Client struct {
 	StreamWire bool
 	// ParseHook, when set, is called once per SQL string the client
 	// actually hands to the parser — parse-cache hits skip it. Tests use it
-	// to assert repeated queries parse once.
+	// to assert repeated queries parse once. It runs with the parse cache
+	// locked, so it must not call back into the Client.
 	ParseHook func(sql string)
 
 	exec      Executor
@@ -173,18 +174,12 @@ func (c *Client) Query(sql string, params map[string]value.Value) (*Result, erro
 
 // parse resolves SQL through the parse cache.
 func (c *Client) parse(sql string) (*ast.Query, error) {
-	if q, ok := c.parsed.get(sql); ok {
-		return q, nil
-	}
-	if c.ParseHook != nil {
-		c.ParseHook(sql)
-	}
-	q, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	c.parsed.put(sql, q)
-	return q, nil
+	return c.parsed.getOrParse(sql, func() (*ast.Query, error) {
+		if c.ParseHook != nil {
+			c.ParseHook(sql)
+		}
+		return sqlparser.Parse(sql)
+	})
 }
 
 // Execute plans and runs a query AST, going through the plan cache: the

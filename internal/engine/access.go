@@ -37,126 +37,46 @@ import (
 // indexes matter and safely below the region where a scan's locality wins.
 const indexRowCost = 4
 
-// rowSource is the row supply of one single-table scan: the whole table
-// (ids == nil), or an index-restricted ascending row-id list.
-type rowSource struct {
-	t   *storage.Table
-	ids []int32 // nil = every row; else ascending ids, superset of matches
-}
-
-// n returns the number of scannable rows.
-func (s *rowSource) n() int {
-	if s.ids == nil {
-		return s.t.NumRows()
-	}
-	return len(s.ids)
-}
-
-// rowID maps a scan position to the global table row id — the stability
-// tiebreaker streamed top-N ranks by. Positions are monotone in row id
-// either way, so per-shard candidates stay comparable across shard counts.
-func (s *rowSource) rowID(pos int) int {
-	if s.ids == nil {
-		return pos
-	}
-	return int(s.ids[pos])
-}
-
-// newSourceIterator streams src's rows at positions [lo,hi) in batches:
-// the plain telescoping scan for a full source, the id-list scan for an
-// index-restricted one.
-func newSourceIterator(st *Stats, src *rowSource, lo, hi, size int) batchIterator {
-	if src.ids == nil {
-		return newScanIterator(st, src.t, lo, hi, size)
-	}
-	return &idScanIterator{st: st, t: src.t, ids: src.ids[lo:hi], off: lo, size: size}
-}
-
-// idScanIterator streams the rows named by an ascending id list, charging
-// bytes in proportion to the rows actually fetched — the model-visible
-// saving of an index scan. The byte prefix telescopes over id positions, so
-// draining k of the table's n rows charges exactly t.Bytes*k/n at any batch
-// size and shard count, and an early-exited scan charges only what it read.
-type idScanIterator struct {
-	st     *Stats
-	t      *storage.Table
-	ids    []int32 // restricted to positions [off, off+len)
-	off    int     // global position of ids[0] in the full id list
-	size   int
-	pos    int
-	closed bool
-}
-
-// bytePrefix is the scan-byte charge for fetching the first p listed rows.
-func (it *idScanIterator) bytePrefix(p int) int64 {
-	return it.t.Bytes * int64(p) / int64(it.t.NumRows())
-}
-
-func (it *idScanIterator) next() ([][]value.Value, error) {
-	if it.closed || it.pos >= len(it.ids) {
-		return nil, nil
-	}
-	end := it.pos + it.size
-	if end > len(it.ids) {
-		end = len(it.ids)
-	}
-	b, phys, err := it.t.FetchRows(it.ids[it.pos:end])
-	if err != nil {
-		return nil, err
-	}
-	if it.t.Paged() {
-		it.st.BytesScanned += phys
-	} else {
-		it.st.BytesScanned += it.bytePrefix(it.off+end) - it.bytePrefix(it.off+it.pos)
-	}
-	it.st.RowsScanned += int64(end - it.pos)
-	it.st.RowsStreamed += int64(end - it.pos)
-	it.st.BatchesStreamed++
-	it.pos = end
-	return b, nil
-}
-
-func (it *idScanIterator) close() { it.closed = true }
-
-// indexSource chooses the access path for a single-table scan: every
-// index-answerable WHERE conjunct contributes its ascending id list, and
-// the lists are intersected (each is a superset of its conjunct's matches,
-// so the intersection is a superset of the rows where the whole AND can
-// hold) before the residual filter. The intersection is used when it beats
-// the cost rule, else the full table. Index stats are charged here, once,
-// on the resolving context — resolution happens before any sharding.
-func (c *execCtx) indexSource(q *ast.Query, t *storage.Table, refName string) *rowSource {
-	full := &rowSource{t: t}
+// accessPath chooses the access path of a single-table block's scan and
+// installs it on p. Every index-answerable WHERE conjunct contributes its
+// ascending id list, and the lists are intersected (each is a superset of
+// its conjunct's matches, so the intersection is a superset of the rows
+// where the whole AND can hold) before the residual filter; the
+// intersection replaces the full scan when it beats the cost rule. A block
+// left on the full table may instead scan in an ordered index's emission
+// order and drop its sort (orderedEmission). Index stats are charged here,
+// once, on the resolving context — resolution happens before any sharding.
+func (c *execCtx) accessPath(q *ast.Query, p *pipeline, refName string) {
+	t := p.src.t
 	n := t.NumRows()
-	if !c.useIdx || q.Where == nil || n == 0 {
-		return full
-	}
-	if q.Hint != nil && q.Hint.Path == ast.AccessScan {
-		return full
-	}
 	var ids []int32
 	var lookups int64
 	found := false
-	for _, e := range ast.Conjuncts(q.Where) {
-		cids, clk, ok := c.sargIDs(t, refName, e)
-		if !ok {
-			continue
-		}
-		lookups += clk
-		if !found {
-			ids, found = cids, true
-		} else {
-			ids = intersectIDs(ids, cids)
-		}
-		if len(ids) == 0 {
-			break // the AND can match nothing; later conjuncts can't grow it
+	if q.Hint == nil || q.Hint.Path != ast.AccessScan {
+		for _, e := range ast.Conjuncts(q.Where) {
+			cids, clk, ok := c.sargIDs(t, refName, e)
+			if !ok {
+				continue
+			}
+			lookups += clk
+			if !found {
+				ids, found = cids, true
+			} else {
+				ids = intersectIDs(ids, cids)
+			}
+			if len(ids) == 0 {
+				break // the AND can match nothing; later conjuncts can't grow it
+			}
 		}
 	}
-	if !found || len(ids)*indexRowCost >= n {
-		return full
+	if found && len(ids)*indexRowCost < n {
+		c.chargeIndex(lookups, int64(n-len(ids)))
+		p.src.ids = ids
+		return
 	}
-	c.chargeIndex(lookups, int64(n-len(ids)))
-	return &rowSource{t: t, ids: ids}
+	if ids, ok := c.orderedEmission(q, t, refName); ok {
+		p.src.ids, p.ordered = ids, true
+	}
 }
 
 // intersectIDs merges two ascending id lists into their intersection
@@ -393,66 +313,10 @@ func colOpConst(c *execCtx, t *storage.Table, refName string, x *ast.BinaryExpr)
 	return col, lit, op, true
 }
 
-// execIndexed is the materialized-mode index hook: a single-table,
-// subquery-free query whose WHERE restricts through an index — or whose
-// single-key ORDER BY an ordered index can emit pre-sorted — materializes
-// only the fetched rows and skips the full scan (and, for ordered emission,
-// the sort). Streaming mode resolves its own source inside execStreamed.
-func (c *execCtx) execIndexed(q *ast.Query, outer *env) (*relation, bool, error) {
-	if !c.useIdx || outer != nil || len(q.From) != 1 || q.From[0].Sub != nil || streamBlocked(q) {
-		return nil, false, nil
-	}
-	f := &q.From[0]
-	t, err := c.eng.Cat.Table(f.Name)
-	if err != nil {
-		// Let the materialized path report the unknown table consistently.
-		return nil, false, nil
-	}
-	refName := f.RefName()
-	ordered := false
-	src := c.indexSource(q, t, refName)
-	ids := src.ids
-	if ids == nil {
-		if ids, ordered = c.orderedEmission(q, t, refName); !ordered {
-			return nil, false, nil
-		}
-	}
-	rows, phys, err := t.FetchRows(ids)
-	if err != nil {
-		return nil, true, err
-	}
-	if t.Paged() {
-		c.stats.BytesScanned += phys
-	} else if n := t.NumRows(); n > 0 {
-		c.stats.BytesScanned += t.Bytes * int64(len(ids)) / int64(n)
-	}
-	c.stats.RowsScanned += int64(len(ids))
-	rel := &relation{cols: tableLayout(t, refName).cols, rows: rows}
-	if q.Where != nil {
-		if rel, err = c.filter(rel, q.Where, outer); err != nil {
-			return nil, true, err
-		}
-	}
-	if c.isGrouped(q) {
-		out, err := c.execGrouped(q, rel, outer)
-		return out, true, err
-	}
-	qq := q
-	if ordered {
-		// The emission already is the sort order; strip ORDER BY so
-		// execProject's stable sort (a no-op here) never reorders.
-		cp := *q
-		cp.OrderBy = nil
-		qq = &cp
-	}
-	out, err := c.execProject(qq, rel, outer)
-	return out, true, err
-}
-
 // orderedEmission serves a single-key ORDER BY on a bare indexed column
 // from the ordered index: rows emit in exactly the stable-sort order
 // (NULLS first ascending, last descending, row id breaking ties), so the
-// materialized sort disappears. Grouped and DISTINCT queries order their
+// sort breaker disappears. Grouped and DISTINCT queries order their
 // own outputs and are excluded; multi-key ORDER BY cannot use a one-column
 // run (a later key reorders within equal-prefix groups).
 func (c *execCtx) orderedEmission(q *ast.Query, t *storage.Table, refName string) ([]int32, bool) {
@@ -497,8 +361,8 @@ func (c *execCtx) indexedBuild(right *relation, rightKeys []ast.Expr) *joinBuild
 	if ix == nil {
 		return nil
 	}
-	// The build side was already scan-charged by execFrom; the saving here
-	// is the skipped map construction, recorded as one lookup.
+	// The build side was already scan-charged when it was drained; the
+	// saving here is the skipped map construction, recorded as one lookup.
 	c.chargeIndex(1, 0)
 	return &joinBuild{cols: right.cols, rows: right.rows, ix: ix}
 }

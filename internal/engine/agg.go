@@ -229,20 +229,9 @@ type groupSet struct {
 // newGroupSet creates an empty groupSet.
 func newGroupSet() *groupSet { return &groupSet{m: make(map[string]*aggGroup)} }
 
-// accumulateGroups folds rows [lo,hi) of in into a fresh groupSet,
-// evaluating GROUP BY keys and aggregate arguments on c.
-func (c *execCtx) accumulateGroups(q *ast.Query, specs []aggSpec, in *relation, outer *env, lo, hi int) (*groupSet, error) {
-	gs := newGroupSet()
-	if err := c.accumulateRows(q, specs, gs, in, in.rows[lo:hi], outer); err != nil {
-		return nil, err
-	}
-	return gs, nil
-}
-
-// accumulateRows folds one slice of rows into gs. rel supplies only the
-// column layout for name resolution — the rows themselves arrive in the
-// slice, which lets the streaming path feed batches whose relation is
-// never materialized (rel.rows stays nil there).
+// accumulateRows folds one batch of rows into gs, evaluating GROUP BY keys
+// and aggregate arguments on c. rel supplies the column layout for name
+// resolution.
 func (c *execCtx) accumulateRows(q *ast.Query, specs []aggSpec, gs *groupSet, rel *relation, rows [][]value.Value, outer *env) error {
 	for _, row := range rows {
 		en := &env{rel: rel, row: row, outer: outer, ctx: c}
@@ -297,40 +286,6 @@ func (c *execCtx) accumulateRows(q *ast.Query, specs []aggSpec, gs *groupSet, re
 	return nil
 }
 
-// groupingExprs gathers the expressions the accumulation loop evaluates per
-// row: GROUP BY keys and aggregate arguments.
-func groupingExprs(q *ast.Query, specs []aggSpec) []ast.Expr {
-	out := append([]ast.Expr(nil), q.GroupBy...)
-	for _, sp := range specs {
-		if sp.agg != nil {
-			if !sp.agg.Star {
-				out = append(out, sp.agg.Arg)
-			}
-			continue
-		}
-		out = append(out, sp.udf.Args...)
-	}
-	return out
-}
-
-// buildGroups accumulates in's rows into groups, sharding across workers
-// when the context allows. Shard partials merge in shard order into fresh
-// states created on c, so order-sensitive UDF states observe their inputs
-// in the original row order and capture c's stats for Result.
-func (c *execCtx) buildGroups(q *ast.Query, specs []aggSpec, in *relation, outer *env) (*groupSet, error) {
-	shards := c.shardCount(len(in.rows))
-	if shards <= 1 || !parallelSafe(outer, groupingExprs(q, specs)...) {
-		return c.accumulateGroups(q, specs, in, outer, 0, len(in.rows))
-	}
-	parts, err := shardedCollect(c, shards, len(in.rows), func(sc *execCtx, lo, hi int) (*groupSet, error) {
-		return sc.accumulateGroups(q, specs, in, outer, lo, hi)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.mergeGroupParts(specs, parts)
-}
-
 // mergeGroupParts folds per-shard groupSets — in shard order, so group
 // first-appearance order and order-sensitive aggregate states match a
 // sequential scan — into fresh states created on c (whose stats the UDF
@@ -375,10 +330,10 @@ func specsHaveUDF(specs []aggSpec) bool {
 // UDF aggregates are present. The AggState contract requires Result to
 // tolerate concurrent invocation across distinct states (the server's
 // Paillier UDF accumulates its stats atomically for exactly this). Errors
-// surface in group order, matching the sequential loop. Streamed grouped
-// emission calls this one output batch of groups at a time, so the
-// Paillier work both fans across workers and is never performed for
-// groups a LIMIT cuts off.
+// surface in group order, matching the sequential loop. Grouped emission
+// calls this one output batch of groups at a time, so the Paillier work
+// both fans across workers and is never performed for groups a LIMIT cuts
+// off.
 func (c *execCtx) resolveAggResults(specs []aggSpec, groups *groupSet, lo, hi int) ([]map[string]value.Value, error) {
 	n := hi - lo
 	out := make([]map[string]value.Value, n)
@@ -452,136 +407,81 @@ func groupEnv(c *execCtx, in *relation, grp *aggGroup, aggVals map[string]value.
 	return en
 }
 
-// finalizeGroup turns one resolved group into its output row on en —
-// HAVING filter then projection; keep=false means HAVING dropped the
-// group. Shared by the materialized finisher and the streamed emitter so
-// the two grouped paths cannot diverge.
-func finalizeGroup(en *env, q *ast.Query) ([]value.Value, bool, error) {
-	if q.Having != nil {
-		ok, err := evalBool(en, q.Having)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-	}
-	vals, err := projectRow(en, q)
-	if err != nil {
-		return nil, false, err
-	}
-	return vals, true, nil
-}
-
-// execGrouped handles the aggregation path: GROUP BY (possibly empty =
-// single group), aggregate computation, HAVING, projection, ORDER BY.
-func (c *execCtx) execGrouped(q *ast.Query, in *relation, outer *env) (*relation, error) {
-	specs := c.collectAggSpecs(q)
-	groups, err := c.buildGroups(q, specs, in, outer)
-	if err != nil {
-		return nil, err
-	}
-	return c.finishGrouped(q, specs, groups, in, outer)
-}
-
-// finishGrouped turns accumulated groups into output rows: aggregate
-// finalization, HAVING, projection, ORDER BY. in supplies the column
-// layout for name resolution; its rows are never touched (each group's
-// environment row is the group's retained firstRow), so the streaming path
-// passes a relation with nil rows.
-func (c *execCtx) finishGrouped(q *ast.Query, specs []aggSpec, groups *groupSet, in *relation, outer *env) (*relation, error) {
-	aliases := aliasMap(q)
-
-	if err := c.ensureGroup(q, specs, groups); err != nil {
-		return nil, err
-	}
-
-	// Finalize all groups' aggregates first — in parallel across groups
-	// when UDF aggregates make it worthwhile (the per-group Paillier work
-	// the ROADMAP flags); HAVING/projection below stay sequential, where
-	// subqueries and outer references remain legal.
-	resolved, err := c.resolveAggResults(specs, groups, 0, len(groups.order))
-	if err != nil {
-		return nil, err
-	}
-
-	outCols := projectionCols(q)
-	outRows := make([]keyedRow, 0, len(groups.order))
-	for gi, key := range groups.order {
-		grp := groups.m[key]
-		aggVals := resolved[gi]
-		en := groupEnv(c, in, grp, aggVals, aliases, outer)
-		vals, keep, err := finalizeGroup(en, q)
-		if err != nil {
-			return nil, err
-		}
-		if !keep {
-			continue
-		}
-		k := keyedRow{row: vals}
-		if len(q.OrderBy) > 0 {
-			k.keys = make([]value.Value, len(q.OrderBy))
-			for i, o := range q.OrderBy {
-				v, err := eval(en, o.Expr)
-				if err != nil {
-					return nil, err
-				}
-				k.keys[i] = v
-			}
-		}
-		outRows = append(outRows, k)
-	}
-	sortKeyed(outRows, q.OrderBy)
-	rows := make([][]value.Value, len(outRows))
-	for i, k := range outRows {
-		rows[i] = k.row
-	}
-	return &relation{cols: outCols, rows: rows}, nil
-}
-
-// groupEmitter streams grouped emission: once accumulation has completed,
-// the finished groups finalize and emit in output batches instead of all
-// at once — each next() call resolves one batch worth of groups
-// (resolveAggResults fans their Paillier Result work across workers),
-// applies HAVING, and projects the survivors. The materialized grouped
-// result never exists, TimeToFirstBatch for a grouped stream is
-// O(accumulation + one batch of finalization) rather than O(accumulation
-// + all finalization), and a LIMIT that stops pulling leaves the
-// remaining groups' (expensive, crypto-heavy) finalization unperformed.
-// Emission requires no ORDER BY: group first-appearance order is the
-// contract, exactly as the materialized path emits without a sort.
+// groupEmitter is the grouped breaker. Its first pull accumulates: every
+// chain of the block folds its batches into a groupSet (one per shard,
+// merged in shard order through AggState.Merge, so group first-appearance
+// order and order-sensitive aggregate states match a sequential scan).
+// From then on the finished groups finalize and emit in output batches —
+// each next() resolves one batch worth of groups (resolveAggResults fans
+// their Paillier Result work across workers), applies HAVING, and projects
+// the survivors, appending the ORDER BY keys when the block sorts. So the
+// whole grouped result never exists at once unless a sort needs it,
+// time-to-first-batch is O(accumulation + one batch of finalization), and
+// a LIMIT that stops pulling leaves the remaining groups' (expensive,
+// crypto-heavy) finalization unperformed.
 type groupEmitter struct {
 	c       *execCtx
 	q       *ast.Query
-	specs   []aggSpec
-	groups  *groupSet
-	in      *relation // column layout for GROUP BY references; rows nil
-	outer   *env
+	p       *pipeline
+	chain   func(sc *execCtx, lo, hi int) batchIterator // the block's rows over a source range
+	shards  int
+	order   []ast.OrderItem
 	aliases map[string]ast.Expr
-	size    int
+	specs   []aggSpec
+	groups  *groupSet // nil until accumulated
 	pos     int
 	closed  bool
 }
 
-// newGroupEmitter prepares batch emission over the accumulated groups.
-func (c *execCtx) newGroupEmitter(q *ast.Query, specs []aggSpec, groups *groupSet, in *relation, outer *env) (*groupEmitter, error) {
-	if err := c.ensureGroup(q, specs, groups); err != nil {
-		return nil, err
+// accumulate runs the block's chains to exhaustion into g.groups.
+func (g *groupEmitter) accumulate() error {
+	c, p := g.c, g.p
+	g.specs = c.collectAggSpecs(g.q)
+	fold := func(sc *execCtx, lo, hi int) (*groupSet, error) {
+		gs := newGroupSet()
+		it := g.chain(sc, lo, hi)
+		defer it.close()
+		for {
+			b, err := it.next()
+			if err != nil {
+				return nil, err
+			}
+			if b == nil {
+				return gs, nil
+			}
+			if err := sc.accumulateRows(g.q, g.specs, gs, p.joined, b, p.outer); err != nil {
+				return nil, err
+			}
+		}
 	}
-	size := c.batch
-	if size <= 0 {
-		size = DefaultBatchSize
+	var err error
+	n := p.src.n()
+	if g.shards > 1 {
+		var parts []*groupSet
+		if parts, err = shardedCollectBounds(c, shardStreamBounds(n, g.shards, c.batch), fold); err == nil {
+			g.groups, err = c.mergeGroupParts(g.specs, parts)
+		}
+	} else {
+		g.groups, err = fold(c, 0, n)
 	}
-	return &groupEmitter{
-		c: c, q: q, specs: specs, groups: groups, in: in, outer: outer,
-		aliases: aliasMap(q), size: size,
-	}, nil
+	if err != nil {
+		return err
+	}
+	return c.ensureGroup(g.q, g.specs, g.groups)
 }
 
 func (g *groupEmitter) next() ([][]value.Value, error) {
-	for !g.closed && g.pos < len(g.groups.order) {
-		lo := g.pos
-		hi := lo + g.size
-		if hi > len(g.groups.order) {
-			hi = len(g.groups.order)
+	if g.closed {
+		return nil, nil
+	}
+	if g.groups == nil {
+		if err := g.accumulate(); err != nil {
+			g.closed = true
+			return nil, err
 		}
+	}
+	for g.pos < len(g.groups.order) {
+		lo, hi := g.pos, batchEnd(g.pos, len(g.groups.order), g.c.batch)
 		g.pos = hi
 		resolved, err := g.c.resolveAggResults(g.specs, g.groups, lo, hi)
 		if err != nil {
@@ -590,19 +490,26 @@ func (g *groupEmitter) next() ([][]value.Value, error) {
 		out := make([][]value.Value, 0, hi-lo)
 		for gi := lo; gi < hi; gi++ {
 			grp := g.groups.m[g.groups.order[gi]]
-			en := groupEnv(g.c, g.in, grp, resolved[gi-lo], g.aliases, g.outer)
-			vals, keep, err := finalizeGroup(en, g.q)
+			en := groupEnv(g.c, g.p.joined, grp, resolved[gi-lo], g.aliases, g.p.outer)
+			if g.q.Having != nil {
+				ok, err := evalBool(en, g.q.Having)
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					continue
+				}
+			}
+			vals, err := projectRow(en, g.q, g.order)
 			if err != nil {
 				return nil, err
 			}
-			if keep {
-				out = append(out, vals)
-			}
+			out = append(out, vals)
 		}
 		// Release the emitted groups: a shipped batch must not stay
 		// pinned (nor its accumulator states — for Paillier aggregates
 		// the per-group state is the expensive part) until the stream
-		// ends, mirroring sliceIterator's release-on-emit contract.
+		// ends, mirroring cutFrame's release-on-emit.
 		for gi := lo; gi < hi; gi++ {
 			delete(g.groups.m, g.groups.order[gi])
 		}

@@ -3,24 +3,26 @@
 // groups, and sorts — extended with user-defined functions (UDFs) so the
 // untrusted server can operate on ciphertexts (PAILLIER_SUM, GROUP_CONCAT).
 //
-// The executor has two modes. The materialized mode (each operator
-// produces a full relation) handles everything: comma joins with hash-join
-// extraction, correlated and uncorrelated subqueries (with automatic
-// decorrelation of equality-correlated EXISTS/IN/scalar-aggregate
-// subqueries), GROUP BY/HAVING, DISTINCT, ORDER BY and LIMIT. The
-// streaming mode (Engine.BatchSize > 0; see stream.go) runs single-table
-// scan → filter → projection/aggregation pipelines batch-at-a-time without
-// materializing intermediates — in the spirit of vectorized analytical
-// scan engines such as Polynesia's — and falls back to the materialized
-// operators for everything else. Both modes shard their row loops across
-// Engine.Parallelism workers (see parallel.go) and produce byte-identical
-// results. The engine reports byte-accurate scan statistics that the
-// MONOMI cost model converts to simulated I/O time.
+// A query block runs exactly one way. open (this file) turns it into a
+// tree of pull-based batch iterators (stream.go),
+//
+//	source → filter → probe… → residual → project | group → sort → distinct → limit
+//
+// and every consumer is a drain of such a tree: Execute collects it into a
+// Result, ExecuteStream (stream_api.go) hands it out batch by batch,
+// subqueries (subquery.go, incl. decorrelation of equality-correlated
+// EXISTS/IN/scalar-aggregate subqueries), derived tables and hash-join
+// build sides drain a child tree. Large sources shard: Engine.Parallelism
+// workers each run their own chain over a contiguous row range and the
+// outputs recombine in shard order (parallel.go, stream_shard.go), so rows
+// are byte-identical at every parallelism level and batch size. The engine
+// reports byte-accurate scan statistics that the MONOMI cost model converts
+// to simulated I/O time.
 package engine
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"strings"
 	"sync/atomic"
 
@@ -29,13 +31,9 @@ import (
 	"repro/internal/value"
 )
 
-// Stats accumulates execution statistics for one query.
-//
-// A row is RowsScanned exactly once no matter which path reads it: the
-// materialized scan charges the whole table up front, while a streamed scan
-// charges batch by batch as it is pulled — and a streamed pipeline that
-// falls back to a materialized operator mid-query (ORDER BY, DISTINCT)
-// hands over the already-charged rows without re-scanning them.
+// Stats accumulates execution statistics for one query. Scans charge batch
+// by batch as they are pulled, so an early-exited query charges only what
+// it read and a row is RowsScanned exactly once.
 type Stats struct {
 	BytesScanned       int64 // heap-table bytes read by sequential scans
 	ExtraBytes         int64 // bytes read outside tables (Paillier pack files)
@@ -43,8 +41,7 @@ type Stats struct {
 	RowsOut            int64 // rows in the final result
 	UDFNanos           int64 // wall time spent inside crypto UDFs
 	SubqueryRuns       int64 // number of subquery executions (incl. decorrelated)
-	RowsStreamed       int64 // rows that entered a batch pipeline from a streamed scan
-	BatchesStreamed    int64 // batches emitted by streamed scans
+	BatchesStreamed    int64 // batches pulled from table scans
 	IndexLookups       int64 // secondary-index probes (point, range, IN element, build)
 	RowsSkippedByIndex int64 // rows an index scan avoided reading vs the full scan
 }
@@ -57,7 +54,6 @@ func (s *Stats) Add(o Stats) {
 	s.RowsOut += o.RowsOut
 	s.UDFNanos += o.UDFNanos
 	s.SubqueryRuns += o.SubqueryRuns
-	s.RowsStreamed += o.RowsStreamed
 	s.BatchesStreamed += o.BatchesStreamed
 	s.IndexLookups += o.IndexLookups
 	s.RowsSkippedByIndex += o.RowsSkippedByIndex
@@ -73,7 +69,6 @@ func (s *Stats) Sub(o Stats) {
 	s.RowsOut -= o.RowsOut
 	s.UDFNanos -= o.UDFNanos
 	s.SubqueryRuns -= o.SubqueryRuns
-	s.RowsStreamed -= o.RowsStreamed
 	s.BatchesStreamed -= o.BatchesStreamed
 	s.IndexLookups -= o.IndexLookups
 	s.RowsSkippedByIndex -= o.RowsSkippedByIndex
@@ -101,21 +96,22 @@ func (r *Result) Bytes() int64 {
 
 // Engine executes queries against a catalog.
 //
-// Parallelism sets the worker count for sharded execution: scans, filters,
-// hash-join probes, projection, and grouped aggregation are partitioned
-// into contiguous row-range shards executed concurrently, with per-shard
-// aggregation states combined by AggState.Merge. Values < 1 mean
-// GOMAXPROCS; 1 forces the fully sequential path.
+// Parallelism sets the worker count for sharded execution: a large source
+// is split into contiguous row ranges, each worker runs its own scan →
+// filter → probe → project (or grouped-accumulation) chain over one range,
+// and per-shard rows or aggregation states (AggState.Merge) recombine in
+// shard order. Values < 1 mean GOMAXPROCS; 1 runs everything on the
+// calling goroutine.
 //
-// BatchSize enables the streaming batch-at-a-time pipeline (see stream.go):
-// values > 0 run eligible single-table queries as scan → filter →
-// projection/aggregation over row batches of that size without
-// materializing intermediates (1 degenerates to row-at-a-time streaming);
-// 0, the default, keeps every operator materialized. Results are
-// byte-identical either way. Both knobs must not be changed while queries
-// are in flight; concurrent Execute calls on one engine are otherwise safe
-// (execution state is per-call, and catalogs are read-only during
-// execution).
+// BatchSize bounds the rows one pull moves through the tree: scans read
+// that many rows at a time, join probes and grouped emission cap their
+// output batches at it, and a LIMIT stops pulling — and charging — at the
+// next batch boundary. 0, the default, means unbounded: one batch per
+// shard. Rows are byte-identical at every value; only memory, time to the
+// first batch and early-exit granularity change. Both knobs must not be
+// changed while queries are in flight; concurrent Execute calls on one
+// engine are otherwise safe (execution state is per-call, and catalogs are
+// read-only during execution).
 type Engine struct {
 	Cat         *storage.Catalog
 	Parallelism int
@@ -192,23 +188,15 @@ func (e *Engine) IsAggUDF(name string) bool {
 	return ok
 }
 
-// Execute runs q with the given parameter bindings.
+// Execute runs q with the given parameter bindings: it drains the tree
+// ExecuteStream returns into one Result.
 func (e *Engine) Execute(q *ast.Query, params map[string]value.Value) (*Result, error) {
-	ctx := &execCtx{
-		eng: e, params: params, stats: &Stats{},
-		subq:   make(map[*ast.Query]*subqPlan),
-		par:    e.effectiveParallelism(),
-		batch:  e.BatchSize,
-		useIdx: e.UseIndexes,
-	}
-	rel, err := ctx.execQuery(q, nil)
+	c := e.newCtx(params)
+	rel, err := c.execQuery(q, nil)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Rows: rel.rows, Stats: *ctx.stats}
-	for _, c := range rel.cols {
-		res.Cols = append(res.Cols, c.name)
-	}
+	res := &Result{Cols: colNames(rel.cols), Rows: rel.rows, Stats: *c.stats}
 	res.Stats.RowsOut = int64(len(res.Rows))
 	return res, nil
 }
@@ -218,10 +206,22 @@ type execCtx struct {
 	eng    *Engine
 	params map[string]value.Value
 	stats  *Stats
-	subq   map[*ast.Query]*subqPlan
-	par    int  // worker count for sharded loops (1 = sequential)
-	batch  int  // streamed-scan batch size (<= 0 = materialized)
-	useIdx bool // cost-based index access paths enabled (access.go)
+	subq   map[*ast.Query]*subqPlan // created by the first planSubquery
+	par    int                      // worker count for sharded chains (1 = sequential)
+	batch  int                      // rows per batch; math.MaxInt for BatchSize 0
+	useIdx bool                     // cost-based index access paths enabled (access.go)
+}
+
+// newCtx creates the context of one top-level execution.
+func (e *Engine) newCtx(params map[string]value.Value) *execCtx {
+	batch := e.BatchSize
+	if batch <= 0 {
+		batch = math.MaxInt
+	}
+	return &execCtx{
+		eng: e, params: params, stats: &Stats{},
+		par: e.effectiveParallelism(), batch: batch, useIdx: e.UseIndexes,
+	}
 }
 
 // colInfo names one relation column.
@@ -230,12 +230,24 @@ type colInfo struct {
 	name  string
 }
 
-// relation is a materialized set of rows with named columns.
+// colNames lists the bare column names of a layout.
+func colNames(cols []colInfo) []string {
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = c.name
+	}
+	return names
+}
+
+// relation is a set of rows with named columns. Most relations are
+// layout-only (rows nil): they name the columns of rows that stream through
+// the tree in batches. Drained ones — a subquery's result, a join build
+// side — carry their rows.
 type relation struct {
 	cols []colInfo
 	rows [][]value.Value
-	// base is non-nil only for an unfiltered base-table scan (rows aliases
-	// the table's rows 1:1); join builds may then use the table's indexes.
+	// base is non-nil only for an unfiltered base-table build side (rows
+	// are the table's rows 1:1); the join may then use the table's indexes.
 	base *storage.Table
 }
 
@@ -258,118 +270,316 @@ func (r *relation) indexOf(table, col string) (int, error) {
 	return found, nil
 }
 
-// execQuery runs a full SELECT and returns its output relation. outer is the
-// enclosing row environment for correlated subqueries (nil at top level).
-func (c *execCtx) execQuery(q *ast.Query, outer *env) (*relation, error) {
-	// Streaming batch-at-a-time path (BatchSize > 0, base tables,
-	// subquery-free); not handled means fall through to the materialized
-	// operators. deduped reports that the streamed path already applied
-	// DISTINCT (the streaming seen-set emission), so the materialized
-	// keep-bitmap pass below must not run again.
-	out, handled, deduped, err := c.execStreamed(q, outer)
-	if err != nil {
-		return nil, err
-	}
-	if !handled {
-		// Materialized-mode index hook: a single-table query whose WHERE
-		// restricts through an index (or whose ORDER BY an ordered index
-		// can emit pre-sorted) fetches only the listed rows (access.go).
-		out, handled, err = c.execIndexed(q, outer)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if !handled {
-		joined, err := c.execSource(q, outer)
-		if err != nil {
-			return nil, err
-		}
-
-		// Aggregate or project.
-		if c.isGrouped(q) {
-			out, err = c.execGrouped(q, joined, outer)
-		} else {
-			out, err = c.execProject(q, joined, outer)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	if q.Distinct && !deduped {
-		out = c.distinct(out)
-	}
-	if q.Limit >= 0 && len(out.rows) > q.Limit {
-		out.rows = out.rows[:q.Limit]
-	}
-	return out, nil
-}
-
-// execSource materializes the FROM/WHERE portion of a query: scans, joins,
-// and all filters — the relation that feeds aggregation or projection. The
-// decorrelator also uses it directly to bucket inner rows for EXISTS.
-func (c *execCtx) execSource(q *ast.Query, outer *env) (*relation, error) {
-	rels := make([]*relation, len(q.From))
-	for i, f := range q.From {
-		r, err := c.execFrom(&f, outer)
-		if err != nil {
-			return nil, err
-		}
-		rels[i] = r
-	}
-	if len(rels) == 0 {
-		return nil, fmt.Errorf("engine: query with empty FROM")
-	}
-
-	joined, residual, err := c.joinAll(q, rels, outer)
-	if err != nil {
-		return nil, err
-	}
-
-	// Residual filters (multi-table non-equi predicates, subqueries).
-	if len(residual) > 0 {
-		joined, err = c.filter(joined, ast.AndAll(residual), outer)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return joined, nil
-}
-
-// execFrom materializes one FROM entry.
-func (c *execCtx) execFrom(f *ast.TableRef, outer *env) (*relation, error) {
-	if f.Sub != nil {
-		sub, err := c.execQuery(f.Sub, outer)
-		if err != nil {
-			return nil, err
-		}
-		// Re-qualify the derived table's columns under its alias.
-		cols := make([]colInfo, len(sub.cols))
-		for i, col := range sub.cols {
-			cols[i] = colInfo{table: f.RefName(), name: col.name}
-		}
-		return &relation{cols: cols, rows: sub.rows}, nil
-	}
-	t, err := c.eng.Cat.Table(f.Name)
-	if err != nil {
-		return nil, err
-	}
-	n := t.NumRows()
-	rows, phys, err := t.ScanRows(0, n)
-	if err != nil {
-		return nil, err
-	}
-	if t.Paged() {
-		c.stats.BytesScanned += phys
-	} else {
-		c.stats.BytesScanned += t.Bytes
-	}
-	c.stats.RowsScanned += int64(n)
+// tableLayout builds the column layout of one base table scanned under the
+// given alias.
+func tableLayout(t *storage.Table, ref string) *relation {
 	cols := make([]colInfo, len(t.Schema.Cols))
 	for i, col := range t.Schema.Cols {
-		cols[i] = colInfo{table: f.RefName(), name: col.Name}
+		cols[i] = colInfo{table: ref, name: col.Name}
 	}
-	return &relation{cols: cols, rows: rows, base: t}, nil
+	return &relation{cols: cols}
+}
+
+// execQuery drains q's tree into a relation — how Execute, subqueries and
+// derived tables consume a query block. outer is the enclosing row
+// environment for correlated subqueries (nil at top level).
+func (c *execCtx) execQuery(q *ast.Query, outer *env) (*relation, error) {
+	it, err := c.open(q, outer)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := drain(it)
+	if err != nil {
+		return nil, err
+	}
+	return &relation{cols: projectionCols(q), rows: rows}, nil
+}
+
+// open builds the iterator tree of one query block — the only place an
+// operator is chosen. The FROM/WHERE front comes from prepare; what follows
+// depends only on the block's clauses:
+//
+//   - a grouped block accumulates every chain into group states and emits
+//     finished groups (groupEmitter), otherwise each chain ends in a
+//     projection;
+//   - ORDER BY adds the sort breaker (bounded to the LIMIT when nothing
+//     dedups after it), unless an ordered index already emits in that order;
+//   - DISTINCT adds the seen-set, LIMIT the countdown.
+//
+// A block that may shard runs one chain per worker, with a per-shard
+// DISTINCT or bounded-sort pre-pass so only candidates cross the merger. A
+// LIMIT that can stop the scan early (no sort, no grouping in front of it)
+// keeps the block on one chain: only the global row prefix matters, so one
+// early-exiting chain is the least work and leaves the charged scan
+// independent of the Parallelism knob. When a clause evaluates a subquery,
+// the subquery-free front still shards and everything after it consumes the
+// merged stream on this context (pipeline.rows).
+func (c *execCtx) open(q *ast.Query, outer *env) (batchIterator, error) {
+	p, err := c.prepare(q, outer, true)
+	if err != nil {
+		return nil, err
+	}
+	var order []ast.OrderItem
+	if !p.ordered {
+		order = q.OrderBy
+	}
+	sorts, grouped := len(order) > 0, c.isGrouped(q)
+	keep := -1 // rows the sort must keep; DISTINCT dedups after it, so no bound
+	if !q.Distinct {
+		keep = q.Limit
+	}
+	shards := c.shards(p)
+	if q.Limit >= 0 && !sorts && !grouped {
+		shards = 1
+	}
+	chain := p.chain
+	if p.subq {
+		front := shards
+		shards = 1
+		chain = func(*execCtx, int, int) batchIterator { return c.rows(p, front) }
+	}
+	aliases := aliasMap(q)
+
+	var it batchIterator
+	if grouped {
+		it = &groupEmitter{c: c, q: q, p: p, chain: chain, shards: shards, order: order, aliases: aliases}
+	} else {
+		it = c.stream(p, shards, func(sc *execCtx, lo, hi int) batchIterator {
+			var it batchIterator = &projectIterator{
+				in: chain(sc, lo, hi), q: q, order: order,
+				rel: p.joined, aliases: aliases, outer: outer, c: sc,
+			}
+			// A shard's pre-pass: only candidates cross the merger.
+			switch {
+			case shards > 1 && sorts && keep >= 0:
+				it = &sortIterator{in: it, order: order, k: keep, size: math.MaxInt}
+			case shards > 1 && !sorts && q.Distinct:
+				it = &distinctIterator{in: it}
+			}
+			return it
+		})
+	}
+	if sorts {
+		it = &sortIterator{in: it, order: order, k: keep, final: true, size: c.batch}
+	}
+	if q.Distinct {
+		it = &distinctIterator{in: it}
+	}
+	if q.Limit >= 0 {
+		it = &limitIterator{in: it, remaining: q.Limit}
+	}
+	return it, nil
+}
+
+// pipeline is the prepared FROM/WHERE of one query block: the probe-side
+// row source (FROM entry 0 — the greedy join order always grows from it),
+// its own filter, the join steps with their build sides drained and
+// hashed, and the post-join predicates. It is read-only once prepared, so
+// any number of workers can assemble independent chains over disjoint
+// ranges of the source.
+type pipeline struct {
+	src      *rowSource
+	layout   *relation // src's columns
+	filter   ast.Expr  // predicates on src alone
+	steps    []joinStep
+	residual ast.Expr  // post-join predicates
+	joined   *relation // columns after the last step
+	outer    *env
+	// seqPred replaces residual when that contains a subquery: subquery
+	// plans memoize on the preparing context and their evaluation is not
+	// synchronized, so it is applied after the shards merge, on that
+	// context (rows).
+	seqPred ast.Expr
+	// subq: some clause of the block — seqPred or the SELECT list, GROUP
+	// BY, HAVING, ORDER BY — evaluates a subquery.
+	subq bool
+	// ordered: src already emits in the block's ORDER BY order.
+	ordered bool
+}
+
+// prepare resolves q's FROM entries and classifies its WHERE (planJoin)
+// into the pipeline open builds chains from: predicates on the source
+// alone, join steps, and the residual — where every conjunct with a
+// subquery lands, so the front stays subquery-free. Derived tables and join
+// build sides are drained here — their scan charges precede the first
+// batch, exactly as a hash join cannot probe before its builds finish.
+// access allows a single-table block to restrict or order its scan through
+// an index.
+func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, error) {
+	if len(q.From) == 0 {
+		return nil, fmt.Errorf("engine: query with empty FROM")
+	}
+	src, layout, err := c.fromSource(&q.From[0], outer)
+	if err != nil {
+		return nil, err
+	}
+	p := &pipeline{src: src, layout: layout, joined: layout, outer: outer}
+	if len(q.From) == 1 && (q.Where == nil || !ast.HasSubquery(q.Where)) {
+		// Nothing to classify: the whole WHERE filters the one table.
+		p.filter = q.Where
+		p.subq = selectHasSubquery(q)
+		if access && c.useIdx && !p.subq && outer == nil && src.t != nil {
+			c.accessPath(q, p, q.From[0].RefName())
+		}
+		return p, nil
+	}
+
+	srcs := make([]*rowSource, len(q.From))
+	rels := make([]*relation, len(q.From))
+	refNames := make([]string, len(q.From))
+	srcs[0], rels[0] = src, layout
+	for i := range q.From {
+		refNames[i] = q.From[i].RefName()
+		if i > 0 {
+			if srcs[i], rels[i], err = c.fromSource(&q.From[i], outer); err != nil {
+				return nil, err
+			}
+		}
+	}
+	plan, err := planJoin(q, refNames, rels)
+	if err != nil {
+		return nil, err
+	}
+	p.filter = ast.AndAll(plan.perTable[0])
+	// planJoin leaves every conjunct that contains a subquery residual.
+	if p.residual = ast.AndAll(plan.residual); p.residual != nil && ast.HasSubquery(p.residual) {
+		p.residual, p.seqPred = nil, p.residual
+	}
+	p.subq = p.seqPred != nil || selectHasSubquery(q)
+	p.steps = plan.steps
+	cols := layout.cols
+	for i := range p.steps {
+		st := &p.steps[i]
+		// The build side is its own scan → filter chain, drained.
+		bp := &pipeline{
+			src: srcs[st.next], layout: rels[st.next], joined: rels[st.next],
+			filter: ast.AndAll(plan.perTable[st.next]), outer: outer,
+		}
+		right, err := c.drainSource(bp)
+		if err != nil {
+			return nil, err
+		}
+		if bp.filter == nil {
+			right.base = bp.src.t
+		}
+		st.probe = &relation{cols: cols}
+		if len(st.leftKeys) == 0 {
+			st.right = right.rows
+		} else if st.build, err = c.buildJoinMap(right, st.rightKeys, outer); err != nil {
+			return nil, err
+		}
+		cols = append(cols[:len(cols):len(cols)], right.cols...)
+	}
+	p.joined = &relation{cols: cols}
+	return p, nil
+}
+
+// fromSource resolves one FROM entry to its row source and column layout:
+// a base table, or a derived table's child tree drained into memory and
+// re-qualified under its alias.
+func (c *execCtx) fromSource(f *ast.TableRef, outer *env) (*rowSource, *relation, error) {
+	if f.Sub == nil {
+		t, err := c.eng.Cat.Table(f.Name)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &rowSource{t: t}, tableLayout(t, f.RefName()), nil
+	}
+	sub, err := c.execQuery(f.Sub, outer)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range sub.cols {
+		sub.cols[i].table = f.RefName()
+	}
+	return &rowSource{rows: sub.rows}, &relation{cols: sub.cols}, nil
+}
+
+// chain assembles the front of the tree over source positions [lo,hi),
+// evaluating on sc (so a shard context accumulates its own stats):
+//
+//	scan ─batch─▶ filter ─▶ probe₁ ─▶ … ─▶ probeₙ ─▶ residual
+//
+// The join output — often the largest intermediate of a query — never
+// exists as a whole, and the first joined batch is available after one
+// probe batch instead of after the full probe scan.
+func (p *pipeline) chain(sc *execCtx, lo, hi int) batchIterator {
+	var it batchIterator = &scanIterator{st: sc.stats, src: p.src, pos: lo, hi: hi, size: sc.batch}
+	if p.filter != nil {
+		it = &filterIterator{in: it, rel: p.layout, pred: p.filter, outer: p.outer, c: sc}
+	}
+	for i := range p.steps {
+		it = &probeIterator{in: it, step: &p.steps[i], outer: p.outer, c: sc}
+	}
+	if p.residual != nil {
+		it = &filterIterator{in: it, rel: p.joined, pred: p.residual, outer: p.outer, c: sc}
+	}
+	return it
+}
+
+// shards decides how many chains p's source splits into. A correlated
+// block stays on one chain: evaluation can escape into the enclosing
+// scope, whose stats and subquery plans are not synchronized — and it
+// re-opens per outer row anyway, where sharding would multiply goroutines.
+func (c *execCtx) shards(p *pipeline) int {
+	if p.outer != nil {
+		return 1
+	}
+	return c.shardCount(p.src.n())
+}
+
+// stream runs mk over the whole of p's source: as one chain on c, or as
+// one chain per shard behind the shard-order merger.
+func (c *execCtx) stream(p *pipeline, shards int, mk func(sc *execCtx, lo, hi int) batchIterator) batchIterator {
+	n := p.src.n()
+	if shards <= 1 {
+		return mk(c, 0, n)
+	}
+	return newShardedStream(c, mk, shardStreamBounds(n, shards, c.batch))
+}
+
+// rows streams the block's complete FROM/WHERE output on c: the chains,
+// merged, then the predicate that evaluates subqueries.
+func (c *execCtx) rows(p *pipeline, shards int) batchIterator {
+	it := c.stream(p, shards, p.chain)
+	if p.seqPred != nil {
+		it = &filterIterator{in: it, rel: p.joined, pred: p.seqPred, outer: p.outer, c: c}
+	}
+	return it
+}
+
+// drainSource materializes p's FROM/WHERE rows, unprojected — what a join
+// build side or an EXISTS bucketing needs.
+func (c *execCtx) drainSource(p *pipeline) (*relation, error) {
+	rows, err := drain(c.rows(p, c.shards(p)))
+	if err != nil {
+		return nil, err
+	}
+	return &relation{cols: p.joined.cols, rows: rows}, nil
+}
+
+// selectHasSubquery reports whether a clause of q other than WHERE
+// contains a subquery.
+func selectHasSubquery(q *ast.Query) bool {
+	if q.Having != nil && ast.HasSubquery(q.Having) {
+		return true
+	}
+	for _, p := range q.Projections {
+		if ast.HasSubquery(p.Expr) {
+			return true
+		}
+	}
+	for _, g := range q.GroupBy {
+		if ast.HasSubquery(g) {
+			return true
+		}
+	}
+	for _, o := range q.OrderBy {
+		if ast.HasSubquery(o.Expr) {
+			return true
+		}
+	}
+	return false
 }
 
 // isGrouped reports whether the query needs the aggregation path.
@@ -412,126 +622,6 @@ func distinctKey(row []value.Value) string {
 	return b.String()
 }
 
-// distinct removes duplicate rows, preserving first occurrence order. Large
-// inputs dedup in parallel with partitioned seen-sets: row-range workers
-// render every row's key, then one worker per key-hash partition marks the
-// first occurrence of each key it owns (a key lives entirely in one
-// partition, so no two workers touch the same keep slot), and the survivors
-// collect in row order — byte-identical to the sequential pass.
-func (c *execCtx) distinct(r *relation) *relation {
-	n := len(r.rows)
-	shards := c.shardCount(n)
-	if shards <= 1 {
-		seen := make(map[string]bool, n)
-		out := r.rows[:0:0]
-		for _, row := range r.rows {
-			k := distinctKey(row)
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, row)
-			}
-		}
-		return &relation{cols: r.cols, rows: out}
-	}
-
-	keys := make([]string, n)
-	partIDs := make([]int32, n)
-	bounds := shardBounds(n, shards)
-	// Keys are pure renders of row values; no stats, no env — plain
-	// worker fan-out suffices (errors impossible). Each key is hashed to
-	// its partition once, here, so the partition pass below is an integer
-	// compare per row instead of a rehash per (row, worker).
-	_ = parallelDo(shards, func(s int) error {
-		for i := bounds[s][0]; i < bounds[s][1]; i++ {
-			keys[i] = distinctKey(r.rows[i])
-			partIDs[i] = int32(joinPartition(keys[i], shards))
-		}
-		return nil
-	})
-	keep := make([]bool, n)
-	_ = parallelDo(shards, func(p int) error {
-		seen := make(map[string]bool, n/shards+1)
-		for i, id := range partIDs {
-			if id != int32(p) {
-				continue
-			}
-			k := keys[i]
-			if !seen[k] {
-				seen[k] = true
-				keep[i] = true
-			}
-		}
-		return nil
-	})
-	out := r.rows[:0:0]
-	for i, row := range r.rows {
-		if keep[i] {
-			out = append(out, row)
-		}
-	}
-	return &relation{cols: r.cols, rows: out}
-}
-
-// execProject handles the non-aggregated path: projection, ORDER BY, LIMIT.
-func (c *execCtx) execProject(q *ast.Query, in *relation, outer *env) (*relation, error) {
-	outCols := projectionCols(q)
-	aliases := aliasMap(q)
-	nOrder := len(q.OrderBy)
-	projectShard := func(sc *execCtx, out []keyedRow, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			en := &env{rel: in, row: in.rows[i], outer: outer, aliases: aliases, ctx: sc}
-			vals, err := projectRow(en, q)
-			if err != nil {
-				return err
-			}
-			k := keyedRow{row: vals}
-			if nOrder > 0 {
-				k.keys = make([]value.Value, nOrder)
-				for j, o := range q.OrderBy {
-					v, err := eval(en, o.Expr)
-					if err != nil {
-						return err
-					}
-					k.keys[j] = v
-				}
-			}
-			out[i-lo] = k
-		}
-		return nil
-	}
-
-	outRows := make([]keyedRow, len(in.rows))
-	shards := c.shardCount(len(in.rows))
-	if shards > 1 && parallelSafe(outer, projectionExprs(q)...) {
-		if _, err := shardedCollect(c, shards, len(in.rows), func(sc *execCtx, lo, hi int) (struct{}, error) {
-			return struct{}{}, projectShard(sc, outRows[lo:hi], lo, hi)
-		}); err != nil {
-			return nil, err
-		}
-	} else if err := projectShard(c, outRows, 0, len(in.rows)); err != nil {
-		return nil, err
-	}
-	sortKeyed(outRows, q.OrderBy)
-	rows := make([][]value.Value, len(outRows))
-	for i, k := range outRows {
-		rows[i] = k.row
-	}
-	return &relation{cols: outCols, rows: rows}, nil
-}
-
-// projectionExprs gathers every expression execProject evaluates per row:
-// the SELECT list plus ORDER BY keys (which may expand SELECT aliases).
-func projectionExprs(q *ast.Query) []ast.Expr {
-	var out []ast.Expr
-	for _, p := range q.Projections {
-		out = append(out, p.Expr)
-	}
-	for _, o := range q.OrderBy {
-		out = append(out, o.Expr)
-	}
-	return out
-}
-
 // projectionCols derives output column names from the SELECT list.
 func projectionCols(q *ast.Query) []colInfo {
 	cols := make([]colInfo, len(q.Projections))
@@ -549,24 +639,31 @@ func projectionCols(q *ast.Query) []colInfo {
 	return cols
 }
 
-// aliasMap exposes SELECT-list aliases to HAVING/ORDER BY resolution.
+// aliasMap exposes SELECT-list aliases to HAVING/ORDER BY resolution (nil
+// when the list has none).
 func aliasMap(q *ast.Query) map[string]ast.Expr {
-	m := make(map[string]ast.Expr)
+	var m map[string]ast.Expr
 	for _, p := range q.Projections {
 		if p.Alias != "" {
+			if m == nil {
+				m = make(map[string]ast.Expr)
+			}
 			m[p.Alias] = p.Expr
 		}
 	}
 	return m
 }
 
-// projectRow evaluates the SELECT list for one input row or group.
-func projectRow(en *env, q *ast.Query) ([]value.Value, error) {
-	vals := make([]value.Value, len(q.Projections))
+// projectRow evaluates the SELECT list for one input row or group,
+// followed — for a block that sorts — by its ORDER BY key values in the
+// same slice, where the sort breaker finds and finally strips them.
+func projectRow(en *env, q *ast.Query, order []ast.OrderItem) ([]value.Value, error) {
+	vals := make([]value.Value, len(q.Projections), len(q.Projections)+len(order))
 	for i, p := range q.Projections {
 		// SELECT * expands all input columns; only valid un-aggregated.
 		if cr, ok := p.Expr.(*ast.ColumnRef); ok && cr.Column == "*" {
-			return append([]value.Value(nil), en.row...), nil
+			vals = append(make([]value.Value, 0, len(en.row)+len(order)), en.row...)
+			break
 		}
 		v, err := eval(en, p.Expr)
 		if err != nil {
@@ -574,32 +671,12 @@ func projectRow(en *env, q *ast.Query) ([]value.Value, error) {
 		}
 		vals[i] = v
 	}
-	return vals, nil
-}
-
-// keyedRow pairs a projected output row with its ORDER BY key values.
-type keyedRow struct {
-	row  []value.Value
-	keys []value.Value
-}
-
-// sortKeyed sorts projected rows by their ORDER BY key values.
-func sortKeyed(rows []keyedRow, order []ast.OrderItem) {
-	if len(order) == 0 {
-		return
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k, o := range order {
-			cmp := value.Compare(a.keys[k], b.keys[k])
-			if cmp == 0 {
-				continue
-			}
-			if o.Desc {
-				return cmp > 0
-			}
-			return cmp < 0
+	for _, o := range order {
+		v, err := eval(en, o.Expr)
+		if err != nil {
+			return nil, err
 		}
-		return false
-	})
+		vals = append(vals, v)
+	}
+	return vals, nil
 }

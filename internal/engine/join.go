@@ -9,16 +9,16 @@ import (
 	"repro/internal/value"
 )
 
-// Join planning and execution. planJoin classifies the WHERE conjuncts of a
-// comma-join FROM into per-table filters, hash-join edges, and residual
-// predicates, then fixes the greedy join order; the materialized executor
-// (joinAll) and the streamed-probe pipeline (stream.go) both execute the
-// same plan, so their outputs are byte-identical by construction.
+// Join planning and the hash-join build. planJoin classifies the WHERE
+// conjuncts of a comma-join FROM into per-table filters, hash-join edges,
+// and residual predicates, then fixes the greedy join order; prepare
+// (engine.go) drains each step's build side and the probe side streams
+// through probeIterators (stream.go).
 //
 // The hash-join build side is partitioned by key hash across workers into
 // per-partition maps — no global lock, and a key's row list is always in
 // build-side row order regardless of worker count — while the probe side
-// shards by contiguous row ranges like every other row loop (parallel.go).
+// shards by contiguous row ranges like every other chain (parallel.go).
 
 // joinStep is one step of the greedy join order: attach FROM index next to
 // the accumulated relation. Empty key lists mean a cross join; otherwise
@@ -28,6 +28,11 @@ type joinStep struct {
 	next      int
 	leftKeys  []ast.Expr
 	rightKeys []ast.Expr
+
+	// Filled in by prepare once the build side has been drained.
+	probe *relation       // columns of the incoming (probe-side) rows
+	build *joinBuild      // hash step: the partitioned build side
+	right [][]value.Value // cross step: the whole right side
 }
 
 // joinPlan is the classified FROM/WHERE of one query block.
@@ -45,9 +50,7 @@ type joinEdge struct {
 }
 
 // planJoin classifies q's WHERE conjuncts and derives the join order. rels
-// supply only column layouts (for unqualified-column resolution); their
-// rows are never touched, so the streaming path can plan with layout-only
-// relations.
+// supply only column layouts (for unqualified-column resolution).
 func planJoin(q *ast.Query, refNames []string, rels []*relation) (*joinPlan, error) {
 	plan := &joinPlan{perTable: make([][]ast.Expr, len(rels))}
 	var edges []joinEdge
@@ -174,53 +177,6 @@ func asJoinEdge(e ast.Expr, refNames []string, rels []*relation) (joinEdge, bool
 	return joinEdge{expr: be, lt: lt, rt: rt}, true
 }
 
-// joinAll combines the FROM relations using hash joins extracted from the
-// WHERE clause. It returns the joined relation and the residual predicates
-// that could not be applied as single-table filters or equi-join conditions
-// (multi-table inequality predicates, predicates containing subqueries).
-func (c *execCtx) joinAll(q *ast.Query, rels []*relation, outer *env) (*relation, []ast.Expr, error) {
-	refNames := make([]string, len(q.From))
-	for i := range q.From {
-		refNames[i] = q.From[i].RefName()
-	}
-	plan, err := planJoin(q, refNames, rels)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Apply single-table filters before joining.
-	for i, preds := range plan.perTable {
-		if len(preds) == 0 {
-			continue
-		}
-		filtered, err := c.filter(rels[i], ast.AndAll(preds), outer)
-		if err != nil {
-			return nil, nil, err
-		}
-		rels[i] = filtered
-	}
-
-	cur := rels[0]
-	for _, st := range plan.steps {
-		if len(st.leftKeys) == 0 {
-			cur, err = c.crossJoin(cur, rels[st.next])
-			if err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		build, err := c.buildJoinMap(rels[st.next], st.rightKeys, outer)
-		if err != nil {
-			return nil, nil, err
-		}
-		cur, err = c.probeJoin(cur, build, st.leftKeys, outer)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return cur, plan.residual, nil
-}
-
 // resolveTable maps a column reference to its FROM index, or -1 (outer
 // ref). An unqualified name that resolves in more than one FROM relation is
 // an error (standard SQL ambiguity semantics) — binding it silently to the
@@ -270,40 +226,6 @@ func sideTable(e ast.Expr, refNames []string, rels []*relation) (int, error) {
 	return idx, nil
 }
 
-// filter applies a predicate to a relation, sharding across workers when
-// the predicate is subquery-free and the relation is large enough. Shard
-// outputs concatenate in shard order, preserving row order.
-func (c *execCtx) filter(r *relation, pred ast.Expr, outer *env) (*relation, error) {
-	filterShard := func(sc *execCtx, lo, hi int) ([][]value.Value, error) {
-		var out [][]value.Value
-		for _, row := range r.rows[lo:hi] {
-			en := &env{rel: r, row: row, outer: outer, ctx: sc}
-			ok, err := evalBool(en, pred)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, row)
-			}
-		}
-		return out, nil
-	}
-
-	shards := c.shardCount(len(r.rows))
-	if shards <= 1 || !parallelSafe(outer, pred) {
-		out, err := filterShard(c, 0, len(r.rows))
-		if err != nil {
-			return nil, err
-		}
-		return &relation{cols: r.cols, rows: out}, nil
-	}
-	out, err := c.shardedRows(shards, len(r.rows), filterShard)
-	if err != nil {
-		return nil, err
-	}
-	return &relation{cols: r.cols, rows: out}, nil
-}
-
 // joinBuild is a hash-join build side: either a materialized map
 // partitioned by key hash, or (ix != nil) the base table's hash index
 // serving lookups directly, with no map ever built. Each partition map is
@@ -349,8 +271,9 @@ func joinPartition(key string, n int) int {
 	return int(h % uint32(n))
 }
 
-// buildJoinMap hashes the build side of one join. When the keys are
-// subquery-free and the relation is large enough, construction is sharded
+// buildJoinMap hashes the build side of one join. When the block is
+// uncorrelated (join keys never contain subqueries: planJoin leaves those
+// conjuncts residual) and the relation is large enough, construction is sharded
 // in two lock-free phases: contiguous row-range workers evaluate every
 // row's key and its partition id (NULL keys get partition -1 and are
 // skipped), then one worker per partition collects the rows it owns,
@@ -361,7 +284,7 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 	}
 	n := len(right.rows)
 	shards := c.shardCount(n)
-	if shards <= 1 || !parallelSafe(outer, rightKeys...) {
+	if shards <= 1 || outer != nil {
 		m := make(map[string][][]value.Value, n)
 		for _, row := range right.rows {
 			en := &env{rel: right, row: row, outer: outer, ctx: c}
@@ -414,48 +337,6 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 	return &joinBuild{cols: right.cols, parts: parts}, nil
 }
 
-// probeJoin probes the accumulated relation against a materialized build.
-// The probe side shards by contiguous row ranges when the keys are
-// subquery-free; per-shard outputs concatenate in shard order, matching
-// the sequential emit order.
-func (c *execCtx) probeJoin(left *relation, build *joinBuild, leftKeys []ast.Expr, outer *env) (*relation, error) {
-	cols := append(append([]colInfo(nil), left.cols...), build.cols...)
-	probeShard := func(sc *execCtx, lo, hi int) ([][]value.Value, error) {
-		var out [][]value.Value
-		for _, lrow := range left.rows[lo:hi] {
-			en := &env{rel: left, row: lrow, outer: outer, ctx: sc}
-			key, null, err := joinKey(en, leftKeys)
-			if err != nil {
-				return nil, err
-			}
-			if null {
-				continue
-			}
-			for _, rrow := range build.lookup(key) {
-				combined := make([]value.Value, 0, len(lrow)+len(rrow))
-				combined = append(combined, lrow...)
-				combined = append(combined, rrow...)
-				out = append(out, combined)
-			}
-		}
-		return out, nil
-	}
-
-	shards := c.shardCount(len(left.rows))
-	if shards <= 1 || !parallelSafe(outer, leftKeys...) {
-		out, err := probeShard(c, 0, len(left.rows))
-		if err != nil {
-			return nil, err
-		}
-		return &relation{cols: cols, rows: out}, nil
-	}
-	out, err := c.shardedRows(shards, len(left.rows), probeShard)
-	if err != nil {
-		return nil, err
-	}
-	return &relation{cols: cols, rows: out}, nil
-}
-
 // joinKey evaluates key expressions into a composite hash key.
 func joinKey(en *env, keys []ast.Expr) (string, bool, error) {
 	var b strings.Builder
@@ -471,56 +352,4 @@ func joinKey(en *env, keys []ast.Expr) (string, bool, error) {
 		b.WriteByte(0)
 	}
 	return b.String(), false, nil
-}
-
-// maxJoinPrealloc caps a join operator's output preallocation, in rows.
-// The exact cross-product size len(left)*len(right) can overflow int — and
-// even in range it can demand a multi-GB allocation before a single row
-// exists — so large outputs start at the cap and grow.
-const maxJoinPrealloc = 1 << 16
-
-// crossPrealloc sizes the output buffer for an l×r cross product. The
-// overflow check divides instead of multiplying: l*r itself can wrap all
-// the way back into small positive values (or exactly 0) for huge inputs.
-func crossPrealloc(l, r int) int {
-	if l == 0 || r == 0 {
-		return 0
-	}
-	if l > maxJoinPrealloc/r {
-		return maxJoinPrealloc
-	}
-	return l * r
-}
-
-// crossJoin produces the Cartesian product of two relations, sharding the
-// outer (left) loop by contiguous row ranges; shard outputs concatenate in
-// shard order, so row order matches the sequential nested loop.
-func (c *execCtx) crossJoin(left, right *relation) (*relation, error) {
-	cols := append(append([]colInfo(nil), left.cols...), right.cols...)
-	crossShard := func(sc *execCtx, lo, hi int) ([][]value.Value, error) {
-		out := make([][]value.Value, 0, crossPrealloc(hi-lo, len(right.rows)))
-		for _, l := range left.rows[lo:hi] {
-			for _, r := range right.rows {
-				combined := make([]value.Value, 0, len(l)+len(r))
-				combined = append(combined, l...)
-				combined = append(combined, r...)
-				out = append(out, combined)
-			}
-		}
-		return out, nil
-	}
-
-	shards := c.shardCount(len(left.rows))
-	if shards <= 1 {
-		out, err := crossShard(c, 0, len(left.rows))
-		if err != nil {
-			return nil, err
-		}
-		return &relation{cols: cols, rows: out}, nil
-	}
-	out, err := c.shardedRows(shards, len(left.rows), crossShard)
-	if err != nil {
-		return nil, err
-	}
-	return &relation{cols: cols, rows: out}, nil
 }

@@ -3,27 +3,28 @@ package engine
 import (
 	"runtime"
 	"sync"
-
-	"repro/internal/ast"
-	"repro/internal/value"
 )
 
-// Sharded execution. The engine parallelizes its row-at-a-time hot loops —
-// filtering, hash-join probing, projection, and grouped aggregation — by
-// partitioning the input relation into contiguous row-range shards executed
-// by a worker pool. Shards accumulate into shard-local state (stats, group
-// maps, output buffers) that is merged back in shard order, so the output —
-// row order, group first-appearance order, and first-error choice — is
-// byte-identical to the sequential path, with one carve-out: SUM/AVG over
-// Float columns associates the float additions per shard rather than in
-// one left fold, so those aggregates can differ from the sequential result
-// in the last ULP (deterministically, for a fixed shard count).
+// Sharded execution. The engine parallelizes a query block by partitioning
+// its source into contiguous row-range shards, each run as its own iterator
+// chain — scan, filter, hash-join probes, projection or grouped
+// accumulation — by one worker. Shards accumulate into shard-local state
+// (stats, group maps, output batches) that is merged back in shard order,
+// so the output — row order, group first-appearance order, and first-error
+// choice — is byte-identical to the sequential path, with one carve-out:
+// SUM/AVG over Float columns associates the float additions per shard
+// rather than in one left fold, so those aggregates can differ from the
+// sequential result in the last ULP (deterministically, for a fixed shard
+// count).
 //
-// Expressions containing subqueries opt a loop out of sharding: subquery
-// plans are memoized lazily on the execution context and their evaluation
-// is not synchronized. Everything else an expression can touch during
-// evaluation (relations, params, the catalog, registered UDFs) is read-only
-// while a query runs.
+// Evaluating a subquery is not synchronized — its plan is memoized lazily
+// on the execution context — so it never happens on a shard: a predicate,
+// SELECT list or grouping that contains one runs on the opening context,
+// over the merged output of the (still sharded) subquery-free front, and a
+// block evaluated under an outer row environment does not shard at all
+// (execCtx.shards). Everything else an expression can touch during
+// evaluation (params, the catalog, registered UDFs, drained build sides) is
+// read-only while a query runs.
 
 // minShardRows is the smallest row range worth a goroutine; relations
 // smaller than two shards' worth always run sequentially.
@@ -89,12 +90,10 @@ func parallelDo(shards int, fn func(shard int) error) error {
 
 // shardCtx creates a child context for one shard: it shares the engine and
 // params (both read-only during execution), accumulates stats locally, and
-// never spawns nested shards. It gets its own subquery-plan map, though
-// parallelSafe guards keep subqueries off sharded loops entirely. The
-// batch size carries over so streamed shard workers pull the same batches
-// a sequential stream would.
+// never spawns nested shards. The batch size carries over so shard workers
+// pull the same batches a sequential chain would.
 func (c *execCtx) shardCtx() *execCtx {
-	return &execCtx{eng: c.eng, params: c.params, stats: &Stats{}, subq: make(map[*ast.Query]*subqPlan), par: 1, batch: c.batch, useIdx: c.useIdx}
+	return &execCtx{eng: c.eng, params: c.params, stats: &Stats{}, par: 1, batch: c.batch, useIdx: c.useIdx}
 }
 
 // shardedCollect splits n input rows into shards, runs fn over each shard
@@ -106,9 +105,8 @@ func shardedCollect[T any](c *execCtx, shards, n int, fn func(sc *execCtx, lo, h
 }
 
 // shardedCollectBounds is shardedCollect over caller-supplied shard
-// ranges — how streaming loops pin their shards to the scan's batch grid
-// (shardStreamBounds), so per-batch statistics stay identical to a
-// sequential stream at every parallelism level.
+// ranges — how grouped accumulation pins its shards to the scan's batch
+// grid (shardStreamBounds).
 func shardedCollectBounds[T any](c *execCtx, bounds [][2]int, fn func(sc *execCtx, lo, hi int) (T, error)) ([]T, error) {
 	shards := len(bounds)
 	parts := make([]T, shards)
@@ -130,52 +128,4 @@ func shardedCollectBounds[T any](c *execCtx, bounds [][2]int, fn func(sc *execCt
 		c.stats.Add(st)
 	}
 	return parts, nil
-}
-
-// shardedRows is shardedCollect for row-producing shards, concatenating
-// the per-shard outputs in shard order (preserving input row order).
-func (c *execCtx) shardedRows(shards, n int, fn func(sc *execCtx, lo, hi int) ([][]value.Value, error)) ([][]value.Value, error) {
-	return c.shardedRowsBounds(shardBounds(n, shards), fn)
-}
-
-// shardedRowsBounds is shardedRows over caller-supplied shard ranges.
-func (c *execCtx) shardedRowsBounds(bounds [][2]int, fn func(sc *execCtx, lo, hi int) ([][]value.Value, error)) ([][]value.Value, error) {
-	parts, err := shardedCollectBounds(c, bounds, fn)
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([][]value.Value, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
-}
-
-// parallelSafe reports whether a row loop evaluating the given expressions
-// may be sharded. Two things force the sequential path:
-//
-//   - a non-nil outer environment: evaluation can escape into the
-//     enclosing scope (alias fallback expands outer SELECT expressions on
-//     the enclosing context), whose stats and subquery plans are not
-//     synchronized — and naive correlated subqueries re-enter per outer
-//     row anyway, where nested sharding would multiply goroutines;
-//   - a subquery in any expression: subquery planning memoizes state on
-//     the shared context.
-func parallelSafe(outer *env, exprs ...ast.Expr) bool {
-	if outer != nil {
-		return false
-	}
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		if ast.HasSubquery(e) {
-			return false
-		}
-	}
-	return true
 }

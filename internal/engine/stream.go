@@ -8,122 +8,151 @@ import (
 	"repro/internal/value"
 )
 
-// Streaming batch-at-a-time execution. When Engine.BatchSize > 0, queries
-// whose source is a single base-table scan run through a pull-based
-// (Volcano-style, vectorized) pipeline of fixed-size row batches instead of
-// materializing each operator's full output:
+// The operators. Every query block executes as a tree of pull-based
+// (Volcano-style, vectorized) batch iterators that open (engine.go)
+// assembles:
 //
-//	scan ──batch──▶ filter ──batch──▶ project ──batch──▶ sink
+//	scan ─▶ filter ─▶ probe… ─▶ residual ─▶ project ─▶ sort ─▶ distinct ─▶ limit
+//	                                      └▶ group ───┘
 //
-// Only the final result is materialized; the filtered intermediate that the
-// materialized path allocates never exists. Grouped aggregation consumes
-// the scan→filter stream directly — each batch folds into the per-group
-// AggState accumulators (the same states sharded execution merges with
-// AggState.Merge) — so a TPC-H-Q1-shaped scan streams end to end, crypto
-// UDFs included. LIMIT without ORDER BY stops pulling as soon as enough
-// rows have been produced, cutting the scan (and its charged I/O bytes)
-// short.
+// The front of the tree — scan through residual, the "chain" — is built per
+// worker over a contiguous range of the source (pipeline.chain), so a large
+// source runs as Parallelism independent chains whose outputs recombine in
+// shard order: row batches through the shard-order merger
+// (stream_shard.go), group states through AggState.Merge (agg.go). Sort,
+// grouped accumulation, DISTINCT and the hash-join builds are the pipeline
+// breakers; they do their blocking work on the first pull, so a stream that
+// is closed — or LIMIT-0'd — before anyone reads it does nothing.
 //
-// Streaming composes with sharded execution: each worker runs its own
-// iterator chain over its contiguous row range, pulling and pushing batches
-// independently, and the per-shard outputs (row batches or group states)
-// recombine in shard order exactly as the materialized sharded path does.
-// Workers are joined before the query returns — early exit can never leak a
-// goroutine, because no iterator owns one.
-//
-// Multi-table queries stream through the probe side of their joins: the
-// build sides (every table the greedy join order attaches) materialize
-// into partitioned hash tables, and table 0's scan streams through the
-// probe chain one batch at a time (see joinStreamPlan.chain), feeding projection or
-// grouped aggregation without the join output ever existing as a whole.
-//
-// DISTINCT without ORDER BY streams too: a seen-set filter over the
-// projected stream emits each row's first occurrence batch-at-a-time
-// (distinctIterator sequentially; streamDistinct's per-shard pre-dedup +
-// shard-order replay when sharded), replacing the materialized keep-bitmap
-// pass. Operators with no streaming form fall back to the materialized
-// engine: full ORDER BY sorts (except streamed top-N) and (correlated)
-// subqueries. ORDER BY over a single-table scan still streams the
-// scan→filter front of the pipeline and materializes only the survivors
-// ("partial" streaming); everything else — FROM subqueries, any subquery
-// expression, correlated evaluation under a non-nil outer env — takes the
-// fully materialized path. Sharded streaming loops pin their shard bounds
-// to the sequential scan's batch grid (shardStreamBounds), so per-batch
-// statistics — not just results — are identical at every parallelism
-// level. Results are byte-identical to the materialized path at every
-// batch size and parallelism level, with the same single carve-out
-// documented in parallel.go: SUM/AVG over Float columns may differ in the
-// last ULP when sharded, because per-shard partial sums regroup the float
-// additions (batching alone does not reorder them).
+// A batch holds at most Engine.BatchSize rows (scans read that many, probes
+// and group emission cap their output at it); batches shrink through
+// filters and are never re-compacted, so a batch is only guaranteed
+// non-empty. With BatchSize 0 the bound is infinite — one batch per shard.
+// Sharded loops pin their shard bounds to the sequential scan's batch grid
+// (shardStreamBounds) whenever the grid has a cell per worker, so per-batch
+// statistics — not just rows — are then identical at every parallelism
+// level. Rows are byte-identical at every batch size and parallelism level,
+// with the single carve-out documented in parallel.go: SUM/AVG over Float
+// columns may differ in the last ULP when sharded, because per-shard
+// partial sums regroup the float additions.
 
-// DefaultBatchSize is the batch size callers that just want streaming
+// DefaultBatchSize is the batch size callers that just want bounded batches
 // should use: large enough to amortize per-batch overhead, small enough
-// that a pipeline's working set stays cache-resident.
+// that a pipeline's working set stays cache-resident. It is also the frame
+// size ResultStream cuts an unbounded-batch result into.
 const DefaultBatchSize = 1024
 
-// batchIterator is the pull interface of the streaming pipeline. next
-// returns the next batch of rows, or nil when the stream is exhausted;
-// batches shrink through filters and are never re-compacted, so a batch is
-// only guaranteed non-empty. close releases the stream early (LIMIT
-// cut-off); next after close returns nil. Iterators are single-goroutine:
-// a chain is pulled only by the worker that built it.
+// batchIterator is the pull interface of the tree. next returns the next
+// batch of rows, or nil when the stream is exhausted. close releases the
+// stream early (LIMIT cut-off, abandoned ResultStream); next after close
+// returns nil. Iterators are single-goroutine: a chain is pulled only by
+// the worker that built it. A returned batch belongs to the caller, but
+// the rows in it may alias table storage and are read-only.
 type batchIterator interface {
 	next() ([][]value.Value, error)
 	close()
 }
 
-// scanIterator streams a table's rows [lo,hi) in fixed-size batches,
-// pulled from the storage backend one batch at a time and charging scan
-// statistics as the batches are actually pulled: rows per batch, and bytes
-// either as the backend's real physical page reads (paged backends) or as
-// the cumulative difference of the table's row-proportional byte prefix,
-// so per-batch charges telescope to exactly t.Bytes for a full in-memory
-// scan at any batch size and shard count, while an early-exited scan
-// charges only what it read.
-type scanIterator struct {
-	st        *Stats
-	t         *storage.Table
-	lo, hi    int // scanned row-id range
-	tableRows int
-	bytes     int64 // total table heap bytes
-	size      int   // batch size
-	pos       int   // next row id to pull
-	closed    bool
+// batchEnd is the end of the batch that starts at pos in [pos,hi): size
+// rows further, or hi. Written subtraction-first because an unbounded size
+// is math.MaxInt.
+func batchEnd(pos, hi, size int) int {
+	if hi-pos > size {
+		return pos + size
+	}
+	return hi
 }
 
-func newScanIterator(st *Stats, t *storage.Table, lo, hi, size int) *scanIterator {
-	return &scanIterator{
-		st: st, t: t, lo: lo, hi: hi, pos: lo,
-		tableRows: t.NumRows(), bytes: t.Bytes, size: size,
+// drain pulls a stream to exhaustion and closes it, which joins any shard
+// workers behind it: nothing a drained tree started outlives the drain.
+func drain(it batchIterator) ([][]value.Value, error) {
+	defer it.close()
+	var out [][]value.Value
+	for {
+		b, err := it.next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return out, nil
+		}
+		if out == nil {
+			// Cap the slice: a scan batch aliases the table's own row
+			// slice, so a later append must copy rather than grow into it.
+			out = b[:len(b):len(b)]
+		} else {
+			out = append(out, b...)
+		}
 	}
 }
 
-// bytePrefix is the scan-byte charge for the table's first n rows.
-func (it *scanIterator) bytePrefix(n int) int64 {
-	return it.bytes * int64(n) / int64(it.tableRows)
+// rowSource is the row supply of one FROM entry: a base table — all of it
+// or, when ids is non-nil, exactly the listed rows in list order (an
+// index-restricted ascending id list, or an ordered index's emission
+// order) — or a derived table's drained child tree.
+type rowSource struct {
+	t    *storage.Table // nil for a derived table
+	ids  []int32
+	rows [][]value.Value // derived table rows
+}
+
+// n returns the number of positions a scan of the source covers.
+func (s *rowSource) n() int {
+	switch {
+	case s.t == nil:
+		return len(s.rows)
+	case s.ids != nil:
+		return len(s.ids)
+	}
+	return s.t.NumRows()
+}
+
+// scanIterator streams source positions [pos,hi) in batches, pulled from
+// the storage backend one batch at a time and charged as they are pulled:
+// rows per batch, and bytes either as the backend's real physical page
+// reads (paged backends) or as the difference of the table's
+// row-proportional byte prefix over positions — so the charges telescope to
+// exactly t.Bytes·k/n for k of the table's n rows at any batch size and
+// shard count (t.Bytes for a full scan), while an early-exited scan charges
+// only what it read. A derived table's rows were charged by the child tree
+// that produced them.
+type scanIterator struct {
+	st      *Stats
+	src     *rowSource
+	pos, hi int
+	size    int
+	closed  bool
 }
 
 func (it *scanIterator) next() ([][]value.Value, error) {
 	if it.closed || it.pos >= it.hi {
 		return nil, nil
 	}
-	end := it.pos + it.size
-	if end > it.hi {
-		end = it.hi
+	lo, end := it.pos, batchEnd(it.pos, it.hi, it.size)
+	it.pos = end
+	t := it.src.t
+	if t == nil {
+		return it.src.rows[lo:end:end], nil
 	}
-	b, phys, err := it.t.ScanRows(it.pos, end)
+	var b [][]value.Value
+	var phys int64
+	var err error
+	if it.src.ids != nil {
+		b, phys, err = t.FetchRows(it.src.ids[lo:end])
+	} else {
+		b, phys, err = t.ScanRows(lo, end)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if it.t.Paged() {
+	if t.Paged() {
 		it.st.BytesScanned += phys
 	} else {
-		it.st.BytesScanned += it.bytePrefix(end) - it.bytePrefix(it.pos)
+		n := int64(t.NumRows())
+		it.st.BytesScanned += t.Bytes*int64(end)/n - t.Bytes*int64(lo)/n
 	}
-	it.st.RowsScanned += int64(len(b))
-	it.st.RowsStreamed += int64(len(b))
+	it.st.RowsScanned += int64(end - lo)
 	it.st.BatchesStreamed++
-	it.pos = end
 	return b, nil
 }
 
@@ -165,10 +194,86 @@ func (it *filterIterator) next() ([][]value.Value, error) {
 
 func (it *filterIterator) close() { it.in.close() }
 
-// projectIterator evaluates the SELECT list for each row of a batch.
+// probeIterator expands each probe-side batch through one join step: hash
+// probe against the step's build, or cross join against its whole right
+// side. Each probe row extends with its matching build rows in build-side
+// row order, and output batches are capped at the batch size: a probe row
+// with a large fanout (duplicate build keys, or a cross join's whole right
+// side) is emitted across as many batches as it takes, with the expansion
+// position carried between next calls. The cap is what keeps a join's wire
+// frames and the consumer's working set batch-sized even when the join
+// output is far larger than its input.
+type probeIterator struct {
+	in    batchIterator
+	step  *joinStep
+	outer *env
+	c     *execCtx
+
+	// Expansion state carried across next calls.
+	batch   [][]value.Value // input batch being consumed
+	bi      int             // next input row in batch
+	lrow    []value.Value   // probe row whose matches are mid-emission
+	matches [][]value.Value // its remaining build rows start at mi
+	mi      int
+}
+
+func (it *probeIterator) next() ([][]value.Value, error) {
+	var out [][]value.Value
+	for {
+		// Drain the in-flight expansion first.
+		for it.mi < len(it.matches) {
+			if len(out) >= it.c.batch {
+				return out, nil
+			}
+			rrow := it.matches[it.mi]
+			it.mi++
+			combined := make([]value.Value, 0, len(it.lrow)+len(rrow))
+			combined = append(combined, it.lrow...)
+			combined = append(combined, rrow...)
+			out = append(out, combined)
+		}
+		if it.bi >= len(it.batch) {
+			// Consumed: let the input batch go before pulling the next one —
+			// the previous join step's whole output, when batches are
+			// unbounded — rather than pin it while downstream works on out.
+			it.batch = nil
+			b, err := it.in.next()
+			if err != nil {
+				return nil, err
+			}
+			if b == nil {
+				return out, nil // nil when nothing is pending
+			}
+			it.batch, it.bi = b, 0
+			continue
+		}
+		lrow := it.batch[it.bi]
+		it.bi++
+		if it.step.build == nil {
+			it.lrow, it.matches, it.mi = lrow, it.step.right, 0
+			continue
+		}
+		en := &env{rel: it.step.probe, row: lrow, outer: it.outer, ctx: it.c}
+		key, null, err := joinKey(en, it.step.leftKeys)
+		if err != nil {
+			return nil, err
+		}
+		if null {
+			continue
+		}
+		it.lrow, it.matches, it.mi = lrow, it.step.build.lookup(key), 0
+	}
+}
+
+func (it *probeIterator) close() { it.in.close() }
+
+// projectIterator evaluates the SELECT list for each row of a batch. When
+// the block sorts, every output row carries its ORDER BY key values after
+// the projected cells (projectRow) for the sort breaker downstream.
 type projectIterator struct {
 	in      batchIterator
 	q       *ast.Query
+	order   []ast.OrderItem
 	rel     *relation
 	aliases map[string]ast.Expr
 	outer   *env
@@ -183,50 +288,22 @@ func (it *projectIterator) next() ([][]value.Value, error) {
 	out := make([][]value.Value, len(b))
 	for i, row := range b {
 		en := &env{rel: it.rel, row: row, outer: it.outer, aliases: it.aliases, ctx: it.c}
-		vals, err := projectRow(en, it.q)
-		if err != nil {
+		if out[i], err = projectRow(en, it.q, it.order); err != nil {
 			return nil, err
 		}
-		out[i] = vals
 	}
 	return out, nil
 }
 
 func (it *projectIterator) close() { it.in.close() }
 
-// dedupBatch filters b down to the rows whose dedup key is not yet in
-// seen, marking the survivors. keys, when non-nil, supplies the rows'
-// pre-rendered keys (keys[i] belongs to b[i]); otherwise keys render
-// here. Returns the surviving rows and their keys in a fresh slice
-// (never aliasing b's backing array). Every streaming dedup — the
-// sequential distinctIterator, the sharded producer's local pre-dedup,
-// the merger's and streamDistinct's global first-occurrence filters —
-// goes through this one loop.
-func dedupBatch(seen map[string]bool, b [][]value.Value, keys []string) ([][]value.Value, []string) {
-	kept := b[:0:0]
-	var keptKeys []string
-	for i, row := range b {
-		var k string
-		if keys != nil {
-			k = keys[i]
-		} else {
-			k = distinctKey(row)
-		}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		kept = append(kept, row)
-		keptKeys = append(keptKeys, k)
-	}
-	return kept, keptKeys
-}
-
-// distinctIterator streams DISTINCT: a seen-set over the projected rows
-// emits only each row's first occurrence, batch-at-a-time — the streaming
-// replacement for the materialized keep-bitmap pass (engine.distinct) on
-// single-consumer pipelines. Batches the dedup empties entirely are
-// skipped, like filterIterator's.
+// distinctIterator is DISTINCT: a seen-set over the rows emits only each
+// row's first occurrence, batch-at-a-time. Batches the dedup empties
+// entirely are skipped, like filterIterator's. A sharded block runs it
+// twice — once at the end of every worker's chain (within one shard only a
+// key's first occurrence can be globally first, so the rest never cross the
+// merger) and once over the merged stream, where shard order makes the
+// survivors exactly the sequential scan's first occurrences.
 type distinctIterator struct {
 	in   batchIterator
 	seen map[string]bool
@@ -241,7 +318,13 @@ func (it *distinctIterator) next() ([][]value.Value, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		out, _ := dedupBatch(it.seen, b, nil)
+		var out [][]value.Value
+		for _, row := range b {
+			if k := distinctKey(row); !it.seen[k] {
+				it.seen[k] = true
+				out = append(out, row)
+			}
+		}
 		if len(out) > 0 {
 			return out, nil
 		}
@@ -250,630 +333,122 @@ func (it *distinctIterator) next() ([][]value.Value, error) {
 
 func (it *distinctIterator) close() { it.in.close() }
 
-// lazyIterator defers building its inner iterator to the first pull, so a
-// stream whose production has an expensive up-front phase (grouped
-// accumulation, a top-N scan) performs no work if the consumer closes it —
-// or LIMIT-0s it — before reading.
-type lazyIterator struct {
-	mk     func() (batchIterator, error)
-	it     batchIterator
-	err    error
-	closed bool
+// limitIterator is the LIMIT countdown: it stops pulling — and closes its
+// input, cancelling any shard workers and cutting the scan and its charged
+// I/O short — the moment enough rows have been emitted.
+type limitIterator struct {
+	in        batchIterator
+	remaining int
 }
 
-func (l *lazyIterator) next() ([][]value.Value, error) {
-	if l.err != nil || l.closed {
-		return nil, l.err
-	}
-	if l.it == nil {
-		l.it, l.err = l.mk()
-		if l.err != nil {
-			return nil, l.err
-		}
-	}
-	return l.it.next()
-}
-
-func (l *lazyIterator) close() {
-	l.closed = true
-	if l.it != nil {
-		l.it.close()
-	}
-}
-
-// sliceIterator chunks an already-materialized row set into batches,
-// releasing each chunk's row pointers as it is emitted so a consumed
-// prefix (and the ciphertext blobs it references) is collectable before
-// the stream ends.
-type sliceIterator struct {
-	rows [][]value.Value
-	size int
-	pos  int
-}
-
-func (it *sliceIterator) next() ([][]value.Value, error) {
-	if it.pos >= len(it.rows) {
+func (it *limitIterator) next() ([][]value.Value, error) {
+	if it.remaining == 0 {
+		it.in.close()
 		return nil, nil
 	}
-	end := it.pos + it.size
-	if end > len(it.rows) {
-		end = len(it.rows)
+	b, err := it.in.next()
+	if err != nil || b == nil {
+		return nil, err
 	}
-	b := make([][]value.Value, end-it.pos)
-	copy(b, it.rows[it.pos:end])
-	for i := it.pos; i < end; i++ {
-		it.rows[i] = nil
+	if len(b) >= it.remaining {
+		b = b[:it.remaining]
+		it.remaining = 0
+		it.in.close()
+	} else {
+		it.remaining -= len(b)
 	}
-	it.pos = end
 	return b, nil
 }
 
-func (it *sliceIterator) close() { it.pos = len(it.rows) }
+func (it *limitIterator) close() { it.in.close() }
 
-// probeIterator expands each probe-side batch through one join step: hash
-// probe against a partitioned materialized build (build != nil) or cross
-// join (cross != nil). Each probe row extends with its matching build rows
-// in build-side row order — exactly the materialized probe's emit order —
-// but output batches are capped at the pipeline batch size: a probe row
-// with a large fanout (duplicate build keys, or a cross join's whole right
-// side) is emitted across as many batches as it takes, with the expansion
-// position carried between next calls. The cap is what keeps a streamed
-// join's wire frames and the consumer's working set batch-sized even when
-// the join output is far larger than its input.
-type probeIterator struct {
-	in    batchIterator
-	rel   *relation  // layout of the incoming (probe-side) rows
-	keys  []ast.Expr // probe key expressions (hash step)
-	build *joinBuild // hash step: partitioned build side
-	cross *relation  // cross step: full build side
-	outer *env
-	c     *execCtx
-
-	// Expansion state carried across next calls.
-	batch   [][]value.Value // input batch being consumed
-	bi      int             // next input row in batch
-	lrow    []value.Value   // probe row whose matches are mid-emission
-	matches [][]value.Value // its remaining build rows start at mi
-	mi      int
+// cutFrame takes the first size rows off buf as a batch. A partial cut
+// copies the frame out and clears it in buf, so a batch the consumer has
+// shipped (and the ciphertext blobs it references) is collectable before
+// the stream ends; the final cut hands the remainder over whole.
+func cutFrame(buf [][]value.Value, size int) (frame, rest [][]value.Value) {
+	if len(buf) <= size {
+		return buf, nil
+	}
+	frame = make([][]value.Value, size)
+	copy(frame, buf)
+	clear(buf[:size])
+	return frame, buf[size:]
 }
 
-func (it *probeIterator) next() ([][]value.Value, error) {
-	target := it.c.batch
-	if target <= 0 {
-		target = DefaultBatchSize
+// frameIterator re-cuts a stream into batches of exactly size rows (the
+// last may be short), whatever sizes arrive.
+type frameIterator struct {
+	in   batchIterator
+	size int
+	buf  [][]value.Value
+	eof  bool
+}
+
+func (it *frameIterator) next() ([][]value.Value, error) {
+	for !it.eof && len(it.buf) < it.size {
+		b, err := it.in.next()
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case b == nil:
+			it.eof = true
+		case len(it.buf) == 0:
+			it.buf = b
+		default:
+			it.buf = append(it.buf, b...)
+		}
+	}
+	if len(it.buf) == 0 {
+		return nil, nil
 	}
 	var out [][]value.Value
-	for {
-		// Drain the in-flight expansion first.
-		for it.mi < len(it.matches) {
-			if len(out) >= target {
-				return out, nil
-			}
-			rrow := it.matches[it.mi]
-			it.mi++
-			combined := make([]value.Value, 0, len(it.lrow)+len(rrow))
-			combined = append(combined, it.lrow...)
-			combined = append(combined, rrow...)
-			out = append(out, combined)
-		}
-		if it.bi >= len(it.batch) {
-			b, err := it.in.next()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				if len(out) > 0 {
-					return out, nil
-				}
-				return nil, nil
-			}
-			it.batch, it.bi = b, 0
-			continue
-		}
-		lrow := it.batch[it.bi]
-		it.bi++
-		if it.cross != nil {
-			it.lrow, it.matches, it.mi = lrow, it.cross.rows, 0
-			continue
-		}
-		en := &env{rel: it.rel, row: lrow, outer: it.outer, ctx: it.c}
-		key, null, err := joinKey(en, it.keys)
-		if err != nil {
-			return nil, err
-		}
-		if null {
-			continue
-		}
-		it.lrow, it.matches, it.mi = lrow, it.build.lookup(key), 0
-	}
-}
-
-func (it *probeIterator) close() { it.in.close() }
-
-// joinStreamPlan is the shared, read-only state of one streamed join:
-// the probe table (table 0 — the probe side of every step, since the
-// greedy order always grows from it), the join plan, the filtered and
-// materialized build sides (hash partitions or cross buffers), and the
-// layouts. Once prepared, any number of workers can assemble independent
-// iterator chains over disjoint probe-row ranges.
-type joinStreamPlan struct {
-	q      *ast.Query
-	t0     *storage.Table
-	plan   *joinPlan
-	rels   []*relation  // rels[0] is layout-only; rows stream
-	builds []*joinBuild // one per plan step; nil for cross steps
-	joined *relation    // joined layout (residual/grouping evaluation)
-}
-
-// prepareJoinStream plans a multi-table q and materializes every build
-// side (charging the build-side scans and filters on c, with sharded
-// builds). The caller must have verified stream eligibility (batch size,
-// base tables, no subqueries) and that every FROM table exists.
-func (c *execCtx) prepareJoinStream(q *ast.Query, outer *env) (*joinStreamPlan, error) {
-	refNames := make([]string, len(q.From))
-	for i := range q.From {
-		refNames[i] = q.From[i].RefName()
-	}
-	t0, err := c.eng.Cat.Table(q.From[0].Name)
-	if err != nil {
-		return nil, err
-	}
-	rels := make([]*relation, len(q.From))
-	cols0 := make([]colInfo, len(t0.Schema.Cols))
-	for i, col := range t0.Schema.Cols {
-		cols0[i] = colInfo{table: refNames[0], name: col.Name}
-	}
-	rels[0] = &relation{cols: cols0} // layout only; rows stream
-	for i := 1; i < len(q.From); i++ {
-		r, err := c.execFrom(&q.From[i], outer)
-		if err != nil {
-			return nil, err
-		}
-		rels[i] = r
-	}
-
-	plan, err := planJoin(q, refNames, rels)
-	if err != nil {
-		return nil, err
-	}
-	// Build-side single-table filters apply materialized; table 0's run
-	// inside the stream.
-	for i := 1; i < len(rels); i++ {
-		if len(plan.perTable[i]) == 0 {
-			continue
-		}
-		filtered, err := c.filter(rels[i], ast.AndAll(plan.perTable[i]), outer)
-		if err != nil {
-			return nil, err
-		}
-		rels[i] = filtered
-	}
-
-	jp := &joinStreamPlan{q: q, t0: t0, plan: plan, rels: rels}
-	cols := append([]colInfo(nil), rels[0].cols...)
-	for _, st := range plan.steps {
-		var build *joinBuild
-		if len(st.leftKeys) > 0 {
-			build, err = c.buildJoinMap(rels[st.next], st.rightKeys, outer)
-			if err != nil {
-				return nil, err
-			}
-		}
-		jp.builds = append(jp.builds, build)
-		cols = append(cols[:len(cols):len(cols)], rels[st.next].cols...)
-	}
-	jp.joined = &relation{cols: cols}
-	return jp, nil
-}
-
-// chain assembles one streamed-probe pipeline over probe rows [lo,hi),
-// evaluating on sc (so a shard context accumulates its own stats):
-//
-//	scan(t0) ─batch─▶ filter ─▶ probe₁ ─▶ … ─▶ probeₙ ─▶ residual ─▶ project
-//
-// The pipeline executes exactly the joinAll plan, so rows and row order
-// are byte-identical to the materialized path; what changes is that the
-// join output — often the largest intermediate of the query — never
-// exists as a whole, and the first joined batch is available after one
-// probe batch instead of after the full probe scan.
-func (jp *joinStreamPlan) chain(sc *execCtx, outer *env, lo, hi int, project bool) batchIterator {
-	var it batchIterator = newScanIterator(sc.stats, jp.t0, lo, hi, sc.batch)
-	if len(jp.plan.perTable[0]) > 0 {
-		it = &filterIterator{in: it, rel: jp.rels[0], pred: ast.AndAll(jp.plan.perTable[0]), outer: outer, c: sc}
-	}
-	cols := jp.rels[0].cols
-	for si, st := range jp.plan.steps {
-		probeLayout := &relation{cols: cols}
-		if jp.builds[si] == nil {
-			it = &probeIterator{in: it, rel: probeLayout, cross: jp.rels[st.next], outer: outer, c: sc}
-		} else {
-			it = &probeIterator{in: it, rel: probeLayout, keys: st.leftKeys, build: jp.builds[si], outer: outer, c: sc}
-		}
-		cols = append(cols[:len(cols):len(cols)], jp.rels[st.next].cols...)
-	}
-	if len(jp.plan.residual) > 0 {
-		it = &filterIterator{in: it, rel: jp.joined, pred: ast.AndAll(jp.plan.residual), outer: outer, c: sc}
-	}
-	if project {
-		it = &projectIterator{in: it, q: jp.q, rel: jp.joined, aliases: aliasMap(jp.q), outer: outer, c: sc}
-	}
-	return it
-}
-
-// execJoinStreamed is the batch-mode entry for multi-table queries: the
-// join input streams through the probe pipeline, composing with sharding
-// exactly like single-table streaming — the build sides are prepared once
-// and each worker runs its own chain over a contiguous probe-row range,
-// with per-shard outputs (row batches or group states) recombining in
-// shard order. Grouped queries fold each joined batch straight into the
-// accumulation states (the join output is never materialized); non-grouped
-// queries drain with LIMIT early exit (a limit forces the one sequential
-// chain, as in streamRows); DISTINCT without ORDER BY streams through the
-// per-shard dedup of streamDistinct. ORDER BY shapes fall back to the
-// materialized operators.
-func (c *execCtx) execJoinStreamed(q *ast.Query, outer *env) (*relation, bool, bool, error) {
-	for i := range q.From {
-		if _, err := c.eng.Cat.Table(q.From[i].Name); err != nil {
-			// Let the materialized path report the unknown table
-			// consistently.
-			return nil, false, false, nil
-		}
-	}
-	grouped := c.isGrouped(q)
-	if !grouped && len(q.OrderBy) > 0 {
-		return nil, false, false, nil
-	}
-	jp, err := c.prepareJoinStream(q, outer)
-	if err != nil {
-		return nil, true, false, err
-	}
-	n := jp.t0.NumRows()
-	// Eligibility already guarantees parallelSafe: outer is nil and no
-	// clause contains a subquery.
-	shards := c.shardCount(n)
-
-	if grouped {
-		specs := c.collectAggSpecs(q)
-		groups, err := c.streamGroups(specs, n, func(sc *execCtx, gs *groupSet, lo, hi int) error {
-			return sc.accumulateJoinStream(q, specs, gs, jp, outer, lo, hi)
-		})
-		if err != nil {
-			return nil, true, false, err
-		}
-		out, err := c.finishGrouped(q, specs, groups, jp.joined, outer)
-		return out, true, false, err
-	}
-
-	if q.Distinct {
-		rows, err := c.streamDistinct(q, n, func(sc *execCtx, lo, hi int) batchIterator {
-			return jp.chain(sc, outer, lo, hi, true)
-		})
-		if err != nil {
-			return nil, true, true, err
-		}
-		return &relation{cols: projectionCols(q), rows: rows}, true, true, nil
-	}
-
-	if shards <= 1 || q.Limit >= 0 {
-		rows, err := drainLimit(jp.chain(c, outer, 0, n, true), q.Limit)
-		if err != nil {
-			return nil, true, false, err
-		}
-		return &relation{cols: projectionCols(q), rows: rows}, true, false, nil
-	}
-	rows, err := c.shardedRowsBounds(shardStreamBounds(n, shards, c.batch), func(sc *execCtx, lo, hi int) ([][]value.Value, error) {
-		return drainLimit(jp.chain(sc, outer, lo, hi, true), -1)
-	})
-	if err != nil {
-		return nil, true, false, err
-	}
-	return &relation{cols: projectionCols(q), rows: rows}, true, false, nil
-}
-
-// accumulateJoinStream pulls one shard's join chain over probe rows
-// [lo,hi) and folds each joined batch into gs.
-func (c *execCtx) accumulateJoinStream(q *ast.Query, specs []aggSpec, gs *groupSet, jp *joinStreamPlan, outer *env, lo, hi int) error {
-	it := jp.chain(c, outer, lo, hi, false)
-	for {
-		b, err := it.next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		if err := c.accumulateRows(q, specs, gs, jp.joined, b, outer); err != nil {
-			return err
-		}
-	}
-}
-
-// streamPipeline assembles scan → [filter] → [project] over src's rows at
-// positions [lo,hi), evaluating on c (so a shard context accumulates its
-// own stats). src may be the whole table or an index-restricted id list —
-// the residual filter re-applies the full WHERE either way.
-func (c *execCtx) streamPipeline(q *ast.Query, src *rowSource, layout *relation, aliases map[string]ast.Expr, outer *env, lo, hi int, project bool) batchIterator {
-	var it batchIterator = newSourceIterator(c.stats, src, lo, hi, c.batch)
-	if q.Where != nil {
-		it = &filterIterator{in: it, rel: layout, pred: q.Where, outer: outer, c: c}
-	}
-	if project {
-		it = &projectIterator{in: it, q: q, rel: layout, aliases: aliases, outer: outer, c: c}
-	}
-	return it
-}
-
-// drainLimit pulls a stream to completion, or until limit rows (limit < 0 =
-// unlimited) have been produced — the early exit that lets LIMIT stop the
-// scan partway through the table.
-func drainLimit(it batchIterator, limit int) ([][]value.Value, error) {
-	var out [][]value.Value
-	for {
-		if limit >= 0 && len(out) >= limit {
-			it.close()
-			return out[:limit], nil
-		}
-		b, err := it.next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return out, nil
-		}
-		out = append(out, b...)
-	}
-}
-
-// streamBlocked reports whether any clause of q contains a subquery, which
-// forces the materialized path (subquery planning memoizes state on the
-// execution context; see parallelSafe).
-func streamBlocked(q *ast.Query) bool {
-	exprs := []ast.Expr{q.Where, q.Having}
-	for _, p := range q.Projections {
-		exprs = append(exprs, p.Expr)
-	}
-	exprs = append(exprs, q.GroupBy...)
-	for _, o := range q.OrderBy {
-		exprs = append(exprs, o.Expr)
-	}
-	for _, e := range exprs {
-		if e != nil && ast.HasSubquery(e) {
-			return true
-		}
-	}
-	return false
-}
-
-// tableLayout builds the column layout of one base table scanned under the
-// given alias — the relation whose rows stream instead of materializing.
-func tableLayout(t *storage.Table, ref string) *relation {
-	cols := make([]colInfo, len(t.Schema.Cols))
-	for i, col := range t.Schema.Cols {
-		cols[i] = colInfo{table: ref, name: col.Name}
-	}
-	return &relation{cols: cols}
-}
-
-// execStreamed attempts the batch-at-a-time path for q. It reports
-// handled=false when the query is not streamable (the caller then runs the
-// materialized path); the relation it returns is the pre-LIMIT output,
-// exactly like execGrouped/execProject return it. deduped=true means
-// DISTINCT was already applied in-stream (streamDistinct), so the caller
-// must skip the materialized dedup pass.
-func (c *execCtx) execStreamed(q *ast.Query, outer *env) (*relation, bool, bool, error) {
-	if c.batch <= 0 || outer != nil || len(q.From) == 0 || streamBlocked(q) {
-		return nil, false, false, nil
-	}
-	for i := range q.From {
-		if q.From[i].Sub != nil {
-			return nil, false, false, nil
-		}
-	}
-	if len(q.From) > 1 {
-		return c.execJoinStreamed(q, outer)
-	}
-	f := &q.From[0]
-	t, err := c.eng.Cat.Table(f.Name)
-	if err != nil {
-		// Let the materialized path report the unknown table consistently.
-		return nil, false, false, nil
-	}
-	layout := tableLayout(t, f.RefName())
-	// Access-path selection: the scan may restrict through an index
-	// (access.go); ids are ascending, so every downstream order-sensitive
-	// stage (grouped first-encounter order, DISTINCT first occurrence,
-	// top-N stability) sees table order, byte-identical to the full scan.
-	src := c.indexSource(q, t, f.RefName())
-
-	if c.isGrouped(q) {
-		out, err := c.execGroupedStream(q, src, layout, outer)
-		return out, true, false, err
-	}
-
-	if len(q.OrderBy) == 0 && !q.Distinct {
-		rows, err := c.streamProject(q, src, layout, outer)
-		if err != nil {
-			return nil, true, false, err
-		}
-		return &relation{cols: projectionCols(q), rows: rows}, true, false, nil
-	}
-
-	// DISTINCT without ORDER BY: fully streamed dedup — the seen-set
-	// emission of streamDistinct replaces the materialize-then-bitmap
-	// pass, with LIMIT counting deduplicated rows.
-	if q.Distinct && len(q.OrderBy) == 0 {
-		aliases := aliasMap(q)
-		rows, err := c.streamDistinct(q, src.n(), func(sc *execCtx, lo, hi int) batchIterator {
-			return sc.streamPipeline(q, src, layout, aliases, outer, lo, hi, true)
-		})
-		if err != nil {
-			return nil, true, true, err
-		}
-		return &relation{cols: projectionCols(q), rows: rows}, true, true, nil
-	}
-
-	// ORDER BY ... LIMIT k without DISTINCT: streamed top-N. A bounded
-	// heap over the scan→filter stream keeps only the best k rows, so the
-	// full sort input is never materialized.
-	if len(q.OrderBy) > 0 && q.Limit >= 0 && !q.Distinct {
-		out, err := c.streamTopN(q, src, layout, outer)
-		return out, true, false, err
-	}
-
-	// Mid-query fallback: ORDER BY (with or without DISTINCT) needs the
-	// materialized sort. The scan→filter front of the pipeline still
-	// streams; only its survivors are materialized and handed to the
-	// materialized projector. The scan iterator has already charged
-	// BytesScanned/RowsScanned, so the drained relation must NOT go back
-	// through execFrom — that would double-count the scan.
-	rows, err := c.streamRows(q, src, layout, nil, outer, false, -1)
-	if err != nil {
-		return nil, true, false, err
-	}
-	out, err := c.execProject(q, &relation{cols: layout.cols, rows: rows}, outer)
-	return out, true, false, err
-}
-
-// streamDistinct drains a projecting pipeline through streaming dedup.
-// Sequentially, one seen-set filters the stream inline. Sharded, each
-// worker drops its own shard's re-occurrences (only a shard's first
-// occurrence of a key can be globally first) and returns the surviving
-// candidates with their rendered keys; the candidates then replay in shard
-// order through one global seen-set, so the kept rows — and their order —
-// are exactly the sequential scan's first occurrences. A LIMIT counts
-// deduplicated output rows and forces the sequential drain, as in
-// streamRows.
-func (c *execCtx) streamDistinct(q *ast.Query, n int, mkChain func(sc *execCtx, lo, hi int) batchIterator) ([][]value.Value, error) {
-	shards := c.shardCount(n)
-	if shards <= 1 || q.Limit >= 0 {
-		return drainLimit(&distinctIterator{in: mkChain(c, 0, n)}, q.Limit)
-	}
-	type part struct {
-		rows [][]value.Value
-		keys []string
-	}
-	parts, err := shardedCollectBounds(c, shardStreamBounds(n, shards, c.batch), func(sc *execCtx, lo, hi int) (part, error) {
-		it := mkChain(sc, lo, hi)
-		defer it.close()
-		seen := make(map[string]bool)
-		var p part
-		for {
-			b, err := it.next()
-			if err != nil {
-				return part{}, err
-			}
-			if b == nil {
-				return p, nil
-			}
-			kept, keys := dedupBatch(seen, b, nil)
-			p.rows = append(p.rows, kept...)
-			p.keys = append(p.keys, keys...)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool)
-	var out [][]value.Value
-	for _, p := range parts {
-		kept, _ := dedupBatch(seen, p.rows, p.keys)
-		out = append(out, kept...)
-	}
+	out, it.buf = cutFrame(it.buf, it.size)
 	return out, nil
 }
 
-// streamProject runs the fully streamed non-grouped pipeline: scan →
-// filter → project, with LIMIT early exit.
-func (c *execCtx) streamProject(q *ast.Query, src *rowSource, layout *relation, outer *env) ([][]value.Value, error) {
-	return c.streamRows(q, src, layout, aliasMap(q), outer, true, q.Limit)
+func (it *frameIterator) close() {
+	it.eof, it.buf = true, nil
+	it.in.close()
 }
 
-// streamRows drains the (optionally projecting) pipeline over the whole
-// table, sharding the row range across workers when it is large enough.
-// Each worker pulls batches over its own contiguous range on its own shard
-// context; the per-shard outputs concatenate in shard order, so row order —
-// and therefore the final result — is byte-identical to a sequential
-// stream and to the materialized path. A limit forces the sequential
-// drain: only the global row-prefix matters, so one early-exiting stream
-// is the least work possible, whereas sharding would make every worker
-// scan for up to limit rows of its own range (most of them discarded) and
-// leave the charged scan stats varying with the Parallelism knob.
-func (c *execCtx) streamRows(q *ast.Query, src *rowSource, layout *relation, aliases map[string]ast.Expr, outer *env, project bool, limit int) ([][]value.Value, error) {
-	n := src.n()
-	shards := c.shardCount(n)
-	if shards <= 1 || limit >= 0 {
-		return drainLimit(c.streamPipeline(q, src, layout, aliases, outer, 0, n, project), limit)
-	}
-	return c.shardedRowsBounds(shardStreamBounds(n, shards, c.batch), func(sc *execCtx, lo, hi int) ([][]value.Value, error) {
-		return drainLimit(sc.streamPipeline(q, src, layout, aliases, outer, lo, hi, project), limit)
-	})
+// The sort breaker. Its input rows carry their ORDER BY key values in
+// their last len(order) cells; it ranks them by those keys with arrival
+// order as the final tiebreaker — a stable sort — and, when only the first
+// k rows can ever be emitted (ORDER BY … LIMIT k), keeps just the k best in
+// a bounded heap instead of the whole input. A sharded block runs the
+// bounded form twice: each worker's chain ends in a pre-pass that forwards
+// its shard's k best, still keyed and in rank order, and the final pass
+// over the merged stream — where shard order is arrival order — keeps the
+// global k. The final pass strips the key cells and emits in batches.
+
+// seqRow is one sort candidate: a keyed row and its arrival sequence.
+type seqRow struct {
+	row []value.Value
+	seq int
 }
 
-// execGroupedStream feeds grouped aggregation from the scan→filter stream:
-// each batch folds into the per-group accumulation states, so the filtered
-// input relation is never materialized.
-func (c *execCtx) execGroupedStream(q *ast.Query, src *rowSource, layout *relation, outer *env) (*relation, error) {
-	specs := c.collectAggSpecs(q)
-	groups, err := c.streamGroups(specs, src.n(), func(sc *execCtx, gs *groupSet, lo, hi int) error {
-		return sc.accumulateStream(q, specs, gs, layout, outer, lo, hi, src)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.finishGrouped(q, specs, groups, layout, outer)
+type sortIterator struct {
+	in    batchIterator
+	order []ast.OrderItem
+	k     int  // >= 0: keep only the k first-ranked rows; < 0: all
+	final bool // strip keys, emit size-row batches (else: one keyed batch)
+	size  int
+
+	rows   []seqRow // bounded: max-heap, root = worst kept row
+	seen   int
+	sorted bool
+	out    [][]value.Value
 }
 
-// streamGroups runs the sharded grouped-stream protocol over n input rows:
-// acc folds one contiguous row range into a fresh groupSet on a shard
-// context, and the per-shard sets merge in shard order through the same
-// AggState.Merge path the materialized sharded engine uses. Callers must
-// already have established parallel safety (nil outer env, subquery-free
-// clauses — the streaming eligibility gate).
-func (c *execCtx) streamGroups(specs []aggSpec, n int, acc func(sc *execCtx, gs *groupSet, lo, hi int) error) (*groupSet, error) {
-	shards := c.shardCount(n)
-	if shards <= 1 {
-		gs := newGroupSet()
-		if err := acc(c, gs, 0, n); err != nil {
-			return nil, err
-		}
-		return gs, nil
-	}
-	parts, err := shardedCollectBounds(c, shardStreamBounds(n, shards, c.batch), func(sc *execCtx, lo, hi int) (*groupSet, error) {
-		gs := newGroupSet()
-		if err := acc(sc, gs, lo, hi); err != nil {
-			return nil, err
-		}
-		return gs, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c.mergeGroupParts(specs, parts)
-}
-
-// Streamed top-N: ORDER BY ... LIMIT k over a streamed scan keeps only
-// the k best rows in a bounded heap instead of materializing and sorting
-// the whole filtered input. Rows are ranked by the ORDER BY keys with the
-// global scan position as the final tiebreaker, which reproduces exactly
-// the stable sort + truncate of the materialized path: equal-key rows keep
-// their input order. Sharded execution collects a per-shard top-k (global
-// positions stay comparable across contiguous shards) and merges the
-// candidates with one final k-truncated sort, so results are byte-identical
-// at every shard count. Only the k winners are projected.
-
-// topNRow is one candidate: its ORDER BY key values, the input row (still
-// unprojected), and its global scan position.
-type topNRow struct {
-	keys []value.Value
-	row  []value.Value
-	seq  int
-}
-
-// topNLess is the total order of the streamed top-N: ORDER BY keys first
-// (Desc flips), global scan position as tiebreaker.
-func topNLess(order []ast.OrderItem, a, b *topNRow) bool {
-	for i, o := range order {
-		cmp := value.Compare(a.keys[i], b.keys[i])
+// less is the sort's total order: ORDER BY keys first (Desc flips),
+// arrival sequence as tiebreaker.
+func (s *sortIterator) less(a, b *seqRow) bool {
+	nk := len(s.order)
+	ka, kb := a.row[len(a.row)-nk:], b.row[len(b.row)-nk:]
+	for i, o := range s.order {
+		cmp := value.Compare(ka[i], kb[i])
 		if cmp == 0 {
 			continue
 		}
@@ -885,160 +460,86 @@ func topNLess(order []ast.OrderItem, a, b *topNRow) bool {
 	return a.seq < b.seq
 }
 
-// topNHeap is a bounded max-heap of the k best rows seen so far; the root
-// is the worst kept row, so admission is one comparison against it.
-type topNHeap struct {
-	order []ast.OrderItem
-	k     int
-	rows  []topNRow
-}
-
-// admit offers one candidate. A full heap replaces its root only when the
+// admit offers one row. A full heap replaces its root only when the
 // candidate ranks strictly before it.
-func (h *topNHeap) admit(cand topNRow) {
-	if h.k <= 0 {
-		return
-	}
-	if len(h.rows) < h.k {
-		h.rows = append(h.rows, cand)
-		h.siftUp(len(h.rows) - 1)
-		return
-	}
-	if topNLess(h.order, &cand, &h.rows[0]) {
-		h.rows[0] = cand
-		h.siftDown(0)
+func (s *sortIterator) admit(row []value.Value) {
+	cand := seqRow{row: row, seq: s.seen}
+	s.seen++
+	switch {
+	case s.k < 0:
+		s.rows = append(s.rows, cand)
+	case len(s.rows) < s.k:
+		s.rows = append(s.rows, cand)
+		s.siftUp(len(s.rows) - 1)
+	case s.k > 0 && s.less(&cand, &s.rows[0]):
+		s.rows[0] = cand
+		s.siftDown(0)
 	}
 }
 
-func (h *topNHeap) siftUp(i int) {
+func (s *sortIterator) siftUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !topNLess(h.order, &h.rows[p], &h.rows[i]) {
+		if !s.less(&s.rows[p], &s.rows[i]) {
 			return
 		}
-		h.rows[p], h.rows[i] = h.rows[i], h.rows[p]
+		s.rows[p], s.rows[i] = s.rows[i], s.rows[p]
 		i = p
 	}
 }
 
-func (h *topNHeap) siftDown(i int) {
-	n := len(h.rows)
+func (s *sortIterator) siftDown(i int) {
+	n := len(s.rows)
 	for {
 		worst := i
-		for _, ch := range []int{2*i + 1, 2*i + 2} {
-			if ch < n && topNLess(h.order, &h.rows[worst], &h.rows[ch]) {
+		for _, ch := range [2]int{2*i + 1, 2*i + 2} {
+			if ch < n && s.less(&s.rows[worst], &s.rows[ch]) {
 				worst = ch
 			}
 		}
 		if worst == i {
 			return
 		}
-		h.rows[i], h.rows[worst] = h.rows[worst], h.rows[i]
+		s.rows[i], s.rows[worst] = s.rows[worst], s.rows[i]
 		i = worst
 	}
 }
 
-// streamTopN runs the bounded-heap ORDER BY ... LIMIT pipeline. The scan
-// streams (charging stats per batch) and filtering happens inline so each
-// surviving row keeps its global position for the stability tiebreak.
-func (c *execCtx) streamTopN(q *ast.Query, src *rowSource, layout *relation, outer *env) (*relation, error) {
-	k := q.Limit
-	n := src.n()
-	aliases := aliasMap(q)
-	collect := func(sc *execCtx, lo, hi int) ([]topNRow, error) {
-		h := &topNHeap{order: q.OrderBy, k: k}
-		it := newSourceIterator(sc.stats, src, lo, hi, sc.batch)
-		pos := lo
+func (s *sortIterator) next() ([][]value.Value, error) {
+	if !s.sorted {
+		s.sorted = true
 		for {
-			b, err := it.next()
+			b, err := s.in.next()
 			if err != nil {
 				return nil, err
 			}
 			if b == nil {
-				return h.rows, nil
+				break
 			}
 			for _, row := range b {
-				// The tiebreaker is the global table row id, not the scan
-				// position: an index-restricted source skips rows but keeps
-				// id order, so stability matches the full scan exactly.
-				seq := src.rowID(pos)
-				pos++
-				if q.Where != nil {
-					// Filter env carries no aliases, matching filterIterator
-					// (WHERE cannot reference SELECT aliases).
-					fen := &env{rel: layout, row: row, outer: outer, ctx: sc}
-					ok, err := evalBool(fen, q.Where)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						continue
-					}
-				}
-				if k == 0 {
-					continue // LIMIT 0 still scans (stats match), keeps nothing
-				}
-				en := &env{rel: layout, row: row, outer: outer, aliases: aliases, ctx: sc}
-				keys := make([]value.Value, len(q.OrderBy))
-				for i, o := range q.OrderBy {
-					v, err := eval(en, o.Expr)
-					if err != nil {
-						return nil, err
-					}
-					keys[i] = v
-				}
-				h.admit(topNRow{keys: keys, row: row, seq: seq})
+				s.admit(row)
 			}
 		}
-	}
-
-	shards := c.shardCount(n)
-	var cands []topNRow
-	if shards <= 1 {
-		var err error
-		cands, err = collect(c, 0, n)
-		if err != nil {
-			return nil, err
+		sort.Slice(s.rows, func(i, j int) bool { return s.less(&s.rows[i], &s.rows[j]) })
+		strip := 0
+		if s.final {
+			strip = len(s.order)
 		}
-	} else {
-		parts, err := shardedCollectBounds(c, shardStreamBounds(n, shards, c.batch), collect)
-		if err != nil {
-			return nil, err
+		s.out = make([][]value.Value, len(s.rows))
+		for i, r := range s.rows {
+			s.out[i] = r.row[:len(r.row)-strip]
 		}
-		for _, p := range parts {
-			cands = append(cands, p...)
-		}
+		s.rows = nil
 	}
-	sort.Slice(cands, func(i, j int) bool { return topNLess(q.OrderBy, &cands[i], &cands[j]) })
-	if len(cands) > k {
-		cands = cands[:k]
+	if len(s.out) == 0 {
+		return nil, nil
 	}
-	rows := make([][]value.Value, len(cands))
-	for i := range cands {
-		en := &env{rel: layout, row: cands[i].row, outer: outer, aliases: aliases, ctx: c}
-		vals, err := projectRow(en, q)
-		if err != nil {
-			return nil, err
-		}
-		rows[i] = vals
-	}
-	return &relation{cols: projectionCols(q), rows: rows}, nil
+	var b [][]value.Value
+	b, s.out = cutFrame(s.out, s.size)
+	return b, nil
 }
 
-// accumulateStream pulls the scan→filter pipeline over [lo,hi) and folds
-// each batch into gs.
-func (c *execCtx) accumulateStream(q *ast.Query, specs []aggSpec, gs *groupSet, layout *relation, outer *env, lo, hi int, src *rowSource) error {
-	it := c.streamPipeline(q, src, layout, nil, outer, lo, hi, false)
-	for {
-		b, err := it.next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		if err := c.accumulateRows(q, specs, gs, layout, b, outer); err != nil {
-			return err
-		}
-	}
+func (s *sortIterator) close() {
+	s.sorted, s.rows, s.out = true, nil, nil
+	s.in.close()
 }

@@ -5,44 +5,18 @@ import (
 	"repro/internal/value"
 )
 
-// Public streaming execution API. ExecuteStream is the pull counterpart of
-// Execute: the same query semantics (projection, grouping, DISTINCT, ORDER
-// BY, LIMIT — byte-identical rows), delivered as an incremental sequence of
-// row batches instead of one materialized Result. It is the engine-side
-// half of the streamed wire protocol: the server pulls batches from a
-// ResultStream and frames each one onto the wire as it is produced, so for
-// pipeline-eligible queries the first batch crosses the trust boundary
-// while the scan is still running.
+// Public streaming execution API. ExecuteStream returns the tree Execute
+// drains: the same rows in the same order, delivered as an incremental
+// sequence of row batches instead of one Result. It is the engine-side half
+// of the streamed wire protocol: the server pulls batches from a
+// ResultStream and frames each one onto the wire as it is produced.
 //
-// Delivery modes, chosen per query shape (all subquery-free, over base
-// tables, with a nil outer scope — the eligibility gate):
-//
-//   - Pipelined rows: a non-grouped query with no ORDER BY (the common
-//     RemoteSQL fetch shape) runs the iterator chain of stream.go, one
-//     batch per Next call, with LIMIT counting the stream down and closing
-//     the scan early. A single-table query streams scan → filter →
-//     project; a multi-table query streams the probe side of its joins
-//     against build sides materialized before the first batch; DISTINCT
-//     streams through a seen-set that emits first occurrences. When the
-//     input is large enough, production shards: Parallelism workers each
-//     run their own chain over a batch-aligned row range and a merger
-//     emits the per-shard queues strictly in shard order (stream_shard.go)
-//     — same rows, same order, one consumer, many producers.
-//   - Grouped emission: a grouped query with no ORDER BY accumulates to
-//     completion first (sharded, AggState.Merge in shard order), then
-//     finalizes and emits completed groups in output batches (agg.go's
-//     groupEmitter), fanning each batch's crypto-heavy Result work across
-//     workers — so time-to-first-batch is accumulation + one batch of
-//     finalization, not + all of it, and a LIMIT skips the unconsumed
-//     groups' Paillier work entirely.
-//   - Streamed top-N: ORDER BY … LIMIT runs the (sharded) bounded-heap
-//     collection of stream.go on the first pull and emits the k winners in
-//     batches; the full sort input never materializes, though the first
-//     batch still requires the whole scan (a sort cannot emit early).
-//   - Fallback: every other shape (full ORDER BY sorts, subqueries,
-//     derived tables) executes through Execute — including its sharded and
-//     batch-streamed internal paths — and the finished rows are emitted in
-//     batch-size chunks, released as they are consumed.
+// What the first batch waits for follows from the tree (stream.go), not
+// from a mode: a block without a breaker delivers while its scan is still
+// running (join build sides are drained before the first batch — a hash
+// join cannot probe earlier); a grouped block delivers after accumulation
+// plus one batch of finalization; a sorted block after its whole input. A
+// LIMIT closes the producers the moment it is satisfied.
 //
 // A ResultStream has exactly one consumer; its Close cancels any producer
 // workers, waits for them to exit, and folds the stats of the work they
@@ -53,245 +27,43 @@ import (
 // Next until it returns nil (stream exhausted) and must call Close if it
 // abandons the stream early.
 type ResultStream struct {
-	cols  []string
-	ctx   *execCtx
-	next  func() ([][]value.Value, error)
-	close func()
-	done  bool
+	cols []string
+	ctx  *execCtx
+	it   batchIterator
+	done bool
 }
 
 // ExecuteStream starts q and returns its result as a batch stream. The
-// column names are available immediately; batches arrive via Next. The
-// batch size is Engine.BatchSize (DefaultBatchSize if unset), and the
-// pipelined mode additionally requires BatchSize > 0 — with BatchSize 0
-// every query takes the materialized fallback, chunked for delivery.
+// column names are available immediately; batches arrive via Next, at most
+// Engine.BatchSize rows each. With BatchSize 0 the tree moves one unbounded
+// batch per shard and the stream cuts its output into DefaultBatchSize-row
+// frames, so a consumer still sees — and a server still ships — bounded
+// batches.
 func (e *Engine) ExecuteStream(q *ast.Query, params map[string]value.Value) (*ResultStream, error) {
-	ctx := &execCtx{
-		eng: e, params: params, stats: &Stats{},
-		subq:   make(map[*ast.Query]*subqPlan),
-		par:    e.effectiveParallelism(),
-		batch:  e.BatchSize,
-		useIdx: e.UseIndexes,
-	}
-	if s, ok := ctx.pipelinedStream(q); ok {
-		return s, nil
-	}
-	// Fallback: run to completion through the full executor (sharded and
-	// internally streamed as configured), then chunk the finished rows.
-	res, err := e.Execute(q, params)
+	c := e.newCtx(params)
+	it, err := c.open(q, nil)
 	if err != nil {
 		return nil, err
 	}
-	*ctx.stats = res.Stats
-	// RowsOut accumulates as batches are emitted (Next), mirroring the
-	// pipelined path; reset the materialized total to avoid double count.
-	ctx.stats.RowsOut = 0
-	size := e.BatchSize
-	if size <= 0 {
-		size = DefaultBatchSize
+	if e.BatchSize <= 0 {
+		it = &frameIterator{in: it, size: DefaultBatchSize}
 	}
-	// sliceIterator releases each chunk's row pointers as it is emitted:
-	// once the consumer has shipped a chunk, the stream must not pin it
-	// (or the ciphertext blobs it references) until the end.
-	si := &sliceIterator{rows: res.Rows, size: size}
-	return &ResultStream{cols: res.Cols, ctx: ctx, next: si.next, close: si.close}, nil
-}
-
-// pipelinedStream dispatches q to its incremental delivery mode (see the
-// package comment above): pipelined rows, grouped emission, or streamed
-// top-N. ok=false means the caller must take the materialized fallback.
-func (c *execCtx) pipelinedStream(q *ast.Query) (*ResultStream, bool) {
-	if c.batch <= 0 || len(q.From) == 0 || streamBlocked(q) {
-		return nil, false
-	}
-	for i := range q.From {
-		if q.From[i].Sub != nil {
-			return nil, false
-		}
-	}
-	for i := range q.From {
-		if _, err := c.eng.Cat.Table(q.From[i].Name); err != nil {
-			// Let the fallback path report the unknown table consistently.
-			return nil, false
-		}
-	}
-	grouped := c.isGrouped(q)
-	if len(q.OrderBy) > 0 {
-		// Full sorts fall back; ORDER BY … LIMIT over one table streams as
-		// top-N (the grouped and DISTINCT variants still need the
-		// materialized sort over their finished output).
-		if grouped || q.Distinct || q.Limit < 0 || len(q.From) != 1 {
-			return nil, false
-		}
-		return c.topNStream(q), true
-	}
-	if grouped {
-		return c.groupedStream(q), true
-	}
-	return c.rowStream(q)
-}
-
-// newLimitedStream wraps a pipeline iterator in the public ResultStream,
-// applying the LIMIT countdown: the producer is closed — cancelling any
-// sharded workers — the moment enough rows have been emitted.
-func (c *execCtx) newLimitedStream(q *ast.Query, it batchIterator) *ResultStream {
-	remaining := q.Limit // < 0 = unlimited
-	var names []string
-	for _, ci := range projectionCols(q) {
-		names = append(names, ci.name)
-	}
-	s := &ResultStream{cols: names, ctx: c, close: it.close}
-	s.next = func() ([][]value.Value, error) {
-		if remaining == 0 {
-			it.close()
-			return nil, nil
-		}
-		b, err := it.next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		if remaining > 0 {
-			if len(b) >= remaining {
-				b = b[:remaining]
-				remaining = 0
-				it.close()
-			} else {
-				remaining -= len(b)
-			}
-		}
-		return b, nil
-	}
-	return s
-}
-
-// rowStream builds the non-grouped pipelined producer: scan → filter →
-// [probe… → residual →] project [→ distinct], sharded across Parallelism
-// workers through the shard-order merger when the input is large enough.
-// For a multi-table q the build sides materialize here, before the first
-// Next: their scan charges are part of time-to-first-batch, exactly as a
-// real hash join cannot probe before its builds finish. A planning or
-// build error falls back and surfaces identically from the materialized
-// executor.
-func (c *execCtx) rowStream(q *ast.Query) (*ResultStream, bool) {
-	var n int
-	var mkChain func(sc *execCtx, lo, hi int) batchIterator
-	if len(q.From) == 1 {
-		t, _ := c.eng.Cat.Table(q.From[0].Name)
-		layout := tableLayout(t, q.From[0].RefName())
-		aliases := aliasMap(q)
-		src := c.indexSource(q, t, q.From[0].RefName())
-		n = src.n()
-		mkChain = func(sc *execCtx, lo, hi int) batchIterator {
-			return sc.streamPipeline(q, src, layout, aliases, nil, lo, hi, true)
-		}
-	} else {
-		jp, err := c.prepareJoinStream(q, nil)
-		if err != nil {
-			return nil, false
-		}
-		n = jp.t0.NumRows()
-		mkChain = func(sc *execCtx, lo, hi int) batchIterator {
-			return jp.chain(sc, nil, lo, hi, true)
-		}
-	}
-	var it batchIterator
-	if shards := c.shardCount(n); shards > 1 {
-		it = newShardedStream(c, mkChain, shardStreamBounds(n, shards, c.batch), q.Limit, q.Distinct)
-	} else {
-		it = mkChain(c, 0, n)
-		if q.Distinct {
-			it = &distinctIterator{in: it}
-		}
-	}
-	return c.newLimitedStream(q, it), true
-}
-
-// groupedStream builds the grouped-emission producer: the (sharded)
-// accumulation runs on the first pull, then the completed groups finalize
-// and emit in batches. DISTINCT over grouped output dedups the emitted
-// batches in-stream.
-func (c *execCtx) groupedStream(q *ast.Query) *ResultStream {
-	var it batchIterator = &lazyIterator{mk: func() (batchIterator, error) {
-		return c.accumulateGroupedStream(q)
-	}}
-	if q.Distinct {
-		it = &distinctIterator{in: it}
-	}
-	return c.newLimitedStream(q, it)
-}
-
-// accumulateGroupedStream runs grouped accumulation for q — the sharded
-// scan→filter[→probe…] stream folding into per-shard groupSets merged in
-// shard order — and returns the batch emitter over the finished groups.
-func (c *execCtx) accumulateGroupedStream(q *ast.Query) (batchIterator, error) {
-	specs := c.collectAggSpecs(q)
-	var groups *groupSet
-	var layout *relation
-	var err error
-	if len(q.From) == 1 {
-		t, _ := c.eng.Cat.Table(q.From[0].Name)
-		layout = tableLayout(t, q.From[0].RefName())
-		src := c.indexSource(q, t, q.From[0].RefName())
-		groups, err = c.streamGroups(specs, src.n(), func(sc *execCtx, gs *groupSet, lo, hi int) error {
-			return sc.accumulateStream(q, specs, gs, layout, nil, lo, hi, src)
-		})
-	} else {
-		var jp *joinStreamPlan
-		jp, err = c.prepareJoinStream(q, nil)
-		if err != nil {
-			return nil, err
-		}
-		layout = jp.joined
-		groups, err = c.streamGroups(specs, jp.t0.NumRows(), func(sc *execCtx, gs *groupSet, lo, hi int) error {
-			return sc.accumulateJoinStream(q, specs, gs, jp, nil, lo, hi)
-		})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return c.newGroupEmitter(q, specs, groups, layout, nil)
-}
-
-// topNStream builds the ORDER BY … LIMIT producer: the sharded bounded-
-// heap collection of streamTopN runs on the first pull and the k winners
-// emit in batches.
-func (c *execCtx) topNStream(q *ast.Query) *ResultStream {
-	t, _ := c.eng.Cat.Table(q.From[0].Name)
-	layout := tableLayout(t, q.From[0].RefName())
-	src := c.indexSource(q, t, q.From[0].RefName())
-	size := c.batch
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	it := &lazyIterator{mk: func() (batchIterator, error) {
-		rel, err := c.streamTopN(q, src, layout, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &sliceIterator{rows: rel.rows, size: size}, nil
-	}}
-	return c.newLimitedStream(q, it)
+	return &ResultStream{cols: colNames(projectionCols(q)), ctx: c, it: it}, nil
 }
 
 // Cols returns the result's column names (available before any batch).
 func (s *ResultStream) Cols() []string { return s.cols }
 
 // Next returns the next non-empty batch of rows, or nil when the stream is
-// exhausted. Rows are delivered in exactly the order Execute would have
-// returned them.
+// exhausted. Rows are delivered in exactly the order Execute returns them.
 func (s *ResultStream) Next() ([][]value.Value, error) {
 	if s.done {
 		return nil, nil
 	}
-	b, err := s.next()
-	if err != nil {
-		s.done = true
-		s.close()
+	b, err := s.it.next()
+	if err != nil || b == nil {
+		s.Close()
 		return nil, err
-	}
-	if b == nil {
-		s.done = true
-		return nil, nil
 	}
 	s.ctx.stats.RowsOut += int64(len(b))
 	return b, nil
@@ -302,14 +74,12 @@ func (s *ResultStream) Next() ([][]value.Value, error) {
 func (s *ResultStream) Close() {
 	if !s.done {
 		s.done = true
-		s.close()
+		s.it.close()
 	}
 }
 
 // Stats returns a snapshot of the execution statistics accumulated so far:
-// scan charges grow batch by batch on the pipelined path, so a consumer
-// can convert partial progress into simulated time mid-stream. After the
-// stream is exhausted the snapshot equals the Stats a materialized Execute
-// of the same query would report (modulo RowsOut counting only emitted
-// rows).
+// scan charges grow batch by batch, so a consumer can convert partial
+// progress into simulated time mid-stream. After the stream is exhausted
+// the snapshot equals the Stats Execute reports for the same query.
 func (s *ResultStream) Stats() Stats { return *s.ctx.stats }

@@ -180,9 +180,6 @@ func TestStreamTopNMatchesMaterialized(t *testing.T) {
 				if g, w := renderResult(t, got), renderResult(t, want); g != w {
 					t.Errorf("bs=%d p=%d top-N diverges on %s\ngot:\n%s\nwant:\n%s", bs, p, sql, g, w)
 				}
-				if got.Stats.RowsStreamed == 0 {
-					t.Errorf("bs=%d p=%d %s: top-N did not stream its scan", bs, p, sql)
-				}
 			}
 		}
 	}

@@ -6,23 +6,21 @@ import (
 	"repro/internal/value"
 )
 
-// Sharded production of a single result stream. ExecuteStream has exactly
-// one consumer, but nothing forces it to have one producer: a
-// pipeline-eligible query's iterator chain evaluates rows [lo,hi)
-// independently of every other range, so the stream's batches can be
-// produced by Parallelism workers — each running its own chain over a
-// contiguous row range — and emitted through one merger that drains the
-// per-shard queues strictly in shard order. Concatenating shard outputs in
-// shard order is the same contract Execute's sharded batch mode honors, so
-// the merged stream carries exactly the rows, in exactly the order, the
-// sequential one-puller stream emits.
+// The shard-order merger. A block's chains evaluate source ranges
+// independently of each other, so its batches can be produced by
+// Parallelism workers — each running its own chain over a contiguous range
+// — and emitted through one merger that drains the per-shard queues
+// strictly in shard order. Shard order is row order, so the merged stream
+// carries exactly the rows, in exactly the order, the one-chain stream
+// emits.
 //
-// Shard ranges are aligned to batch-size multiples (shardStreamBounds), so
-// every worker's scan batches coincide with the sequential scan's batch
-// grid: for single-table chains the merged stream reproduces the
-// sequential stream's batch *frames* too, not just its rows. (Streamed
-// join probes may split an expansion at a shard seam, so only their rows —
-// not their frame boundaries — are pinned.)
+// Shard ranges are aligned to batch-size multiples (shardStreamBounds)
+// whenever the batch grid has a cell per worker, so every worker's scan
+// batches coincide with the sequential scan's batch grid: for single-table
+// chains the merged stream then reproduces the sequential stream's batch
+// *frames* too, not just its rows. (Join probes may split an expansion at
+// a shard seam, so only their rows — not their frame boundaries — are
+// pinned.)
 //
 // Accounting is shard-merged, never racily added: each worker accumulates
 // into its own shard context and attaches a cumulative Stats snapshot to
@@ -35,41 +33,35 @@ import (
 // emitted (so TimeToFirstBatch stays batch-proportional at every
 // parallelism level), and a drained stream's totals telescope to the
 // sequential charges.
-//
-// A LIMIT bounds readahead two ways: each worker stops after producing
-// `limit` output rows of its own range (a row past its shard's first
-// `limit` can never be within the global first `limit`), and the consumer
-// cancels all workers the moment the global countdown hits zero. With
-// selective filters the scan work each worker performs before the cancel
-// lands is inherently timing-dependent; only the emitted rows — and for a
-// drained stream, the folded totals — are deterministic.
 
 // shardStreamBuffer is the per-shard channel capacity: enough readahead to
 // keep a worker busy while the merger drains an earlier shard, small
-// enough that an abandoned or limited stream never buffers more than a few
-// batches per worker.
+// enough that an abandoned stream never buffers more than a few batches
+// per worker.
 const shardStreamBuffer = 2
 
-// shardMsg is one producer→merger message: a batch (with dedup keys in
-// distinct mode) plus the worker's cumulative stats at send time.
+// shardMsg is one producer→merger message: a batch plus the worker's
+// cumulative stats at send time.
 type shardMsg struct {
 	rows [][]value.Value
-	keys []string // distinct mode: rows[i]'s dedup key
 	cum  Stats
 	err  error
 }
 
-// shardStreamBounds splits n rows into at most `shards` contiguous ranges
-// whose boundaries fall on multiples of the batch size, so each shard's
-// scan batches land on the same grid a sequential scan uses (the final
-// shard keeps the short tail batch).
+// shardStreamBounds splits n rows into `shards` contiguous ranges. When
+// the sequential scan's batch grid has at least one cell per worker the
+// boundaries fall on multiples of the batch size, so each shard's scan
+// batches land on the same grid a sequential scan uses (the final shard
+// keeps the short tail batch). A coarser grid — down to the single cell of
+// an unbounded batch — would leave workers idle, so the range then splits
+// evenly and only rows, not batch boundaries, match the sequential scan.
 func shardStreamBounds(n, shards, size int) [][2]int {
-	if size <= 0 {
-		size = DefaultBatchSize
+	nb := 0 // scan batches on the sequential grid
+	if n > 0 {
+		nb = (n-1)/size + 1
 	}
-	nb := (n + size - 1) / size // scan batches on the sequential grid
-	if shards > nb {
-		shards = nb
+	if nb < shards {
+		return shardBounds(n, shards)
 	}
 	out := make([][2]int, shards)
 	blo := 0
@@ -90,11 +82,11 @@ func shardStreamBounds(n, shards, size int) [][2]int {
 // so a stream that is closed (or LIMIT-0-satisfied) before anyone reads it
 // never spawns a goroutine.
 type shardedStream struct {
-	c        *execCtx
-	mkChain  func(sc *execCtx, lo, hi int) batchIterator
-	bounds   [][2]int
-	limit    int  // per-worker production cap (< 0 = unlimited)
-	distinct bool // local pre-dedup in workers, global seen-set in merger
+	c *execCtx
+	// mkChain assembles an independent iterator chain over [lo,hi)
+	// evaluating on the given shard context.
+	mkChain func(sc *execCtx, lo, hi int) batchIterator
+	bounds  [][2]int
 
 	started bool
 	chans   []chan shardMsg
@@ -105,18 +97,12 @@ type shardedStream struct {
 	wg      sync.WaitGroup
 	stop    sync.Once
 
-	cur  int
-	seen map[string]bool // distinct mode: global first-occurrence filter
+	cur int
 }
 
-// newShardedStream builds the producer pool over the given (batch-aligned)
-// bounds. mkChain must assemble an independent iterator chain over [lo,hi)
-// evaluating on the given shard context.
-func newShardedStream(c *execCtx, mkChain func(sc *execCtx, lo, hi int) batchIterator, bounds [][2]int, limit int, distinct bool) *shardedStream {
-	return &shardedStream{
-		c: c, mkChain: mkChain, bounds: bounds, limit: limit, distinct: distinct,
-		done: make(chan struct{}),
-	}
+// newShardedStream builds the producer pool over the given bounds.
+func newShardedStream(c *execCtx, mkChain func(sc *execCtx, lo, hi int) batchIterator, bounds [][2]int) *shardedStream {
+	return &shardedStream{c: c, mkChain: mkChain, bounds: bounds, done: make(chan struct{})}
 }
 
 func (ss *shardedStream) start() {
@@ -124,9 +110,6 @@ func (ss *shardedStream) start() {
 	ss.scs = make([]*execCtx, len(ss.bounds))
 	ss.folded = make([]Stats, len(ss.bounds))
 	ss.settled = make([]bool, len(ss.bounds))
-	if ss.distinct {
-		ss.seen = make(map[string]bool)
-	}
 	for w := range ss.bounds {
 		ch := make(chan shardMsg, shardStreamBuffer)
 		sc := ss.c.shardCtx()
@@ -137,20 +120,12 @@ func (ss *shardedStream) start() {
 }
 
 // produce is one worker: it pulls its chain and pushes batches until the
-// range is exhausted, its production cap is met, or the merger cancels.
+// range is exhausted or the merger cancels.
 func (ss *shardedStream) produce(w int, sc *execCtx, ch chan<- shardMsg) {
 	defer ss.wg.Done()
 	defer close(ch)
 	it := ss.mkChain(sc, ss.bounds[w][0], ss.bounds[w][1])
 	defer it.close()
-	var localSeen map[string]bool
-	if ss.distinct {
-		localSeen = make(map[string]bool)
-	}
-	if ss.limit == 0 {
-		return // LIMIT 0: nothing can ever be emitted
-	}
-	produced := 0
 	for {
 		select {
 		case <-ss.done:
@@ -158,52 +133,22 @@ func (ss *shardedStream) produce(w int, sc *execCtx, ch chan<- shardMsg) {
 		default:
 		}
 		b, err := it.next()
-		if err != nil {
-			select {
-			case ch <- shardMsg{cum: *sc.stats, err: err}:
-			case <-ss.done:
-			}
+		if b == nil && err == nil {
 			return
-		}
-		if b == nil {
-			return
-		}
-		var keys []string
-		if ss.distinct {
-			// Local pre-dedup: within one shard only a key's first
-			// occurrence can be globally first — later ones are duplicates
-			// no matter what earlier shards hold, so they never cross the
-			// channel. The survivors carry their rendered keys so the
-			// merger's global pass is a map lookup, not a re-render.
-			b, keys = dedupBatch(localSeen, b, nil)
-			if len(b) == 0 {
-				continue // charges ride the next message (or the residual fold)
-			}
-		}
-		if ss.limit >= 0 {
-			if rem := ss.limit - produced; len(b) > rem {
-				b = b[:rem]
-				if keys != nil {
-					keys = keys[:rem]
-				}
-			}
 		}
 		select {
-		case ch <- shardMsg{rows: b, keys: keys, cum: *sc.stats}:
-			produced += len(b)
+		case ch <- shardMsg{rows: b, cum: *sc.stats, err: err}:
 		case <-ss.done:
 			return
 		}
-		if ss.limit >= 0 && produced >= ss.limit {
+		if err != nil {
 			return
 		}
 	}
 }
 
 // next merges: drain shard 0's queue to completion, then shard 1's, and so
-// on — shard order is row order. Distinct mode filters each batch through
-// the global seen-set; because shards are consumed strictly in order, the
-// survivors are exactly the sequential scan's first occurrences.
+// on — shard order is row order.
 func (ss *shardedStream) next() ([][]value.Value, error) {
 	if !ss.started {
 		ss.started = true
@@ -217,17 +162,7 @@ func (ss *shardedStream) next() ([][]value.Value, error) {
 			continue
 		}
 		ss.fold(ss.cur, msg.cum)
-		if msg.err != nil {
-			return nil, msg.err
-		}
-		rows := msg.rows
-		if ss.distinct {
-			rows, _ = dedupBatch(ss.seen, rows, msg.keys)
-			if len(rows) == 0 {
-				continue
-			}
-		}
-		return rows, nil
+		return msg.rows, msg.err
 	}
 	return nil, nil
 }

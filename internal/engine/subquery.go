@@ -13,7 +13,10 @@ import (
 // conjuncts (`inner.col = outer.col`) are decorrelated into a single grouped
 // execution plus a hash lookup per outer row — the same rewrite modern
 // optimizers perform. Anything else falls back to naive per-row execution
-// (which is what makes the paper's Q21 the slow case at scale).
+// (which is what makes the paper's Q21 the slow case at scale). Every one of
+// these executions drains the subquery's own iterator tree (execQuery; the
+// EXISTS bucketing drains just its FROM/WHERE front, drainSource), on the
+// context and goroutine of the row that asked.
 
 type subqMode int
 
@@ -206,9 +209,12 @@ func (c *execCtx) planSubquery(sub *ast.Query, en *env, mode subqMode) (*subqPla
 		return p, nil
 	}
 	p := &subqPlan{mode: mode}
+	if c.subq == nil {
+		c.subq = make(map[*ast.Query]*subqPlan)
+	}
 	c.subq[sub] = p
 
-	free := c.freeColumns(sub)
+	free := freeColumns(sub, c.eng)
 	if len(free) == 0 {
 		p.uncorr = true
 		c.stats.SubqueryRuns++
@@ -351,11 +357,15 @@ func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, free map[string]bool)
 		if len(sub.GroupBy) > 0 || sub.Having != nil {
 			return errNoDecorrelate
 		}
-		// Materialize the inner join with only inner predicates, then
+		// Drain the inner FROM with only the inner predicates, then
 		// bucket its rows by the correlation key.
 		inq := sub.Clone()
 		inq.Where = ast.AndAll(innerPreds)
-		rel, err := c.execSource(inq, nil)
+		src, err := c.prepare(inq, nil, false)
+		if err != nil {
+			return err
+		}
+		rel, err := c.drainSource(src)
 		if err != nil {
 			return err
 		}
@@ -479,7 +489,7 @@ func exprHasFree(e ast.Expr, free map[string]bool) bool {
 		return true
 	}
 	for _, s := range ast.Subqueries(e) {
-		for f := range freeOf(s, nil) {
+		for f := range freeColumns(s, nil) {
 			if free[f] {
 				return true
 			}
@@ -490,14 +500,9 @@ func exprHasFree(e ast.Expr, free map[string]bool) bool {
 
 // freeColumns computes the column references in sub that cannot be resolved
 // by sub's own FROM tables (i.e. correlated references to enclosing scopes).
-// Keys are the rendered SQL of the reference.
-func (c *execCtx) freeColumns(sub *ast.Query) map[string]bool {
-	return freeOfWithCat(sub, c.eng)
-}
-
-func freeOf(sub *ast.Query, eng *Engine) map[string]bool { return freeOfWithCat(sub, eng) }
-
-func freeOfWithCat(sub *ast.Query, eng *Engine) map[string]bool {
+// Keys are the rendered SQL of the reference. Without an engine (nil) base
+// tables contribute no column names, so only qualified references resolve.
+func freeColumns(sub *ast.Query, eng *Engine) map[string]bool {
 	refNames := make(map[string]bool)
 	innerCols := make(map[string]bool)
 	for i := range sub.From {
@@ -548,7 +553,7 @@ func freeOfWithCat(sub *ast.Query, eng *Engine) map[string]bool {
 			}
 		})
 		for _, s := range ast.Subqueries(e) {
-			for f := range freeOfWithCat(s, eng) {
+			for f := range freeColumns(s, eng) {
 				// A free column of the nested subquery might still resolve
 				// against *this* query's tables.
 				parts := strings.SplitN(f, ".", 2)

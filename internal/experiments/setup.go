@@ -53,8 +53,8 @@ type Config struct {
 	// the client's local operators, and the plaintext baseline; 0 means
 	// GOMAXPROCS, 1 forces sequential execution.
 	Parallelism int
-	// BatchSize streams eligible scans batch-at-a-time on the same three
-	// engines when > 0; 0 keeps materialized execution.
+	// BatchSize bounds the execution batches of the same three engines;
+	// 0 is unbounded (one batch per worker).
 	BatchSize int
 	// StreamWire ships encrypted results to the client as framed batches
 	// mid-scan, decrypted by Parallelism workers (results identical to the
@@ -179,9 +179,9 @@ func (b *Bench) SetParallelism(p int) {
 	b.Engine.Parallelism = p
 }
 
-// SetBatchSize sets the streamed-execution batch size on the encrypted
+// SetBatchSize sets the execution batch size on the encrypted
 // client/server pair and the plaintext baseline engine (see
-// Config.BatchSize; 0 = materialized). Not safe while queries are in
+// Config.BatchSize; 0 = unbounded). Not safe while queries are in
 // flight.
 func (b *Bench) SetBatchSize(bs int) {
 	b.Client.Srv.SetBatchSize(bs)

@@ -52,12 +52,10 @@ func (s *Server) packingHomSum(store *packing.Store, rowIDs []int) (*packing.Sum
 //
 // Parallelism is the worker count for sharded query execution and batched
 // Paillier multiplication; values < 1 mean GOMAXPROCS, 1 forces sequential
-// execution. BatchSize > 0 streams eligible remote scans batch-at-a-time
-// through the embedded engine's pipeline — the common RemoteSQL shape, a
-// single-table scan with encrypted filters feeding PAILLIER_SUM /
-// GROUP_CONCAT aggregation, streams end to end — while 0 keeps execution
-// materialized. Set both via their setters so the embedded engine stays in
-// sync.
+// execution. BatchSize bounds the rows one pull moves through the embedded
+// engine's pipeline (0 = unbounded, one batch per worker; see
+// engine.Engine). Set both via their setters so the embedded engine stays
+// in sync.
 type Server struct {
 	DB          *enc.DB
 	Engine      *engine.Engine
@@ -85,8 +83,8 @@ func (s *Server) SetParallelism(p int) {
 	s.Engine.Parallelism = p
 }
 
-// SetBatchSize sets the streamed-scan batch size for the server and its
-// engine (0 = materialized execution).
+// SetBatchSize sets the execution batch size for the server and its
+// engine (0 = unbounded).
 func (s *Server) SetBatchSize(b int) {
 	s.BatchSize = b
 	s.Engine.BatchSize = b

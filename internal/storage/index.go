@@ -3,6 +3,7 @@ package storage
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/value"
 )
@@ -80,9 +81,10 @@ type Index struct {
 	post map[string][]int32
 
 	// OrderedIndex state.
-	run   []ordEntry
-	dirty bool    // run has unsorted suffix
-	nulls []int32 // rows with NULL key, ascending
+	run    []ordEntry
+	dirty  bool       // run has unsorted suffix
+	sortMu sync.Mutex // serializes the lazy sort: the first lookups may come from several sessions at once
+	nulls  []int32    // rows with NULL key, ascending
 }
 
 func newIndex(col string, kind IndexKind) *Index {
@@ -167,6 +169,8 @@ func (ix *Index) PostingsKey(hashKey string) []int32 {
 // loads stay O(n) per insert; the first lookup after a batch of inserts
 // pays one O(n log n) sort.
 func (ix *Index) ensureSorted() {
+	ix.sortMu.Lock()
+	defer ix.sortMu.Unlock()
 	if !ix.dirty {
 		return
 	}

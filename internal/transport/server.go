@@ -504,11 +504,16 @@ func (s *session) runQuery(job *queryJob) {
 	}
 
 	// Admission: the global in-flight slot, waited for at most QueryWait.
+	// The slot is held while the query works, not while its reply is
+	// written: a client that has read the reply must find the slot free.
+	release := func() {}
 	if s.srv.inflight != nil {
 		if !s.acquireSlot(job) {
 			return
 		}
-		defer func() { <-s.srv.inflight }()
+		var once sync.Once
+		release = func() { once.Do(func() { <-s.srv.inflight }) }
+		defer release()
 	}
 
 	q := job.q
@@ -524,6 +529,7 @@ func (s *session) runQuery(job *queryJob) {
 
 	cw := &chunkWriter{sess: s, qid: job.qid}
 	st, err := s.srv.backend.ExecuteStreamCtx(job.ctx, q, job.params, cw)
+	release()
 	atomic.AddInt64(&s.srv.queries, 1)
 	if job.stmt {
 		atomic.AddInt64(&s.srv.stmtExecs, 1)

@@ -43,30 +43,24 @@
 // worker count is Options.Parallelism (default GOMAXPROCS; 1 forces the
 // sequential path) and can be changed later with System.SetParallelism.
 //
-// # Streaming batch-at-a-time execution
+// # Batch-at-a-time execution
 //
-// Options.BatchSize > 0 additionally streams eligible scans: a
-// single-table query — the shape of most RemoteSQL the planner ships to
-// the untrusted server, and of the local residual queries — executes as a
-// pull pipeline of fixed-size row batches, scan → filter →
-// projection/aggregation, without materializing the filtered intermediate
-// relation. Grouped aggregation (including the crypto UDFs) folds each
-// batch straight into its per-group states, LIMIT stops the scan as soon
-// as enough rows are produced, and streaming composes with sharding: every
-// worker streams its own row range and the per-shard partials merge
-// exactly as in materialized sharded execution. Multi-table queries stream
-// the probe side of their joins: build sides materialize into partitioned
-// hash tables (sharded by key hash, no global lock) and the first table's
-// scan flows through the probe chain batch-at-a-time, so the join output
-// is never materialized whole. DISTINCT streams through a
-// first-occurrence seen-set (per-shard pre-dedup when sharded). Full
-// ORDER BY sorts and subqueries fall back to the materialized operators
-// (ORDER BY still streams the scan→filter front; ORDER BY with LIMIT runs
-// a streamed bounded-heap top-N). Results are byte-identical to materialized
-// execution at every ⟨BatchSize, Parallelism⟩ combination, with the same
-// float SUM/AVG last-ULP caveat above — it comes from sharding, not from
-// batching. 0 (the default) keeps the materialized executor; the knob can
-// be changed later with System.SetBatchSize.
+// Every query block — the RemoteSQL the planner ships to the untrusted
+// server, the local residual queries, their subqueries and derived tables
+// — executes one way, as a pull pipeline of row batches: scan → filter →
+// hash-join probes → projection or grouped aggregation, then the sort,
+// DISTINCT and LIMIT stages the block asks for. Grouped aggregation
+// (including the crypto UDFs) folds each batch straight into its per-group
+// states, multi-table queries stream the probe side of their joins against
+// build sides hashed up front, LIMIT stops the scan as soon as enough rows
+// are produced, ORDER BY with LIMIT keeps a bounded heap, and every worker
+// of a sharded query runs its own pipeline over its own row range.
+// Options.BatchSize bounds the rows one pull moves: smaller batches mean
+// less memory, an earlier first batch and finer LIMIT early exit; 0 (the
+// default) is unbounded — one batch per worker. Results are byte-identical
+// at every ⟨BatchSize, Parallelism⟩ combination, with the same float
+// SUM/AVG last-ULP caveat above — it comes from sharding, not from
+// batching. The knob can be changed later with System.SetBatchSize.
 //
 // # Streamed wire protocol
 //
@@ -257,18 +251,19 @@ type Options struct {
 	// over Float columns, which may differ in the last ULP (see the
 	// package doc).
 	Parallelism int
-	// BatchSize is the streamed-execution batch size on both sides of the
-	// split: when > 0, eligible single-table queries run as a
-	// batch-at-a-time pipeline (scan → filter → projection/aggregation)
-	// instead of materializing every operator's output, on the untrusted
-	// server's encrypted scans and the trusted client's local residual
-	// queries alike. 0 (the default) keeps the fully materialized
-	// executor; 1 streams row-at-a-time (correct but slow — useful only
-	// for testing); 1024 is a good general-purpose size. Results are
-	// byte-identical to materialized execution at every
-	// ⟨BatchSize, Parallelism⟩ combination — streaming never changes rows,
-	// row order, or encodings; the float SUM/AVG last-ULP caveat on
-	// Parallelism is the only exception and is independent of BatchSize.
+	// BatchSize bounds the rows one pull moves through the execution
+	// pipeline on both sides of the split — the untrusted server's
+	// encrypted scans and the trusted client's local residual queries
+	// alike: scans read that many rows at a time, joins and grouped
+	// emission cap their output batches at it, and a LIMIT stops the scan
+	// at the next batch boundary. 0 (the default) is unbounded: one batch
+	// per worker, the fastest setting measured on the TPC-H suite; 1024 is
+	// a good bounded size when memory or time to the first row matters; 1
+	// moves a row at a time (correct but slow — useful only for testing).
+	// Results are byte-identical at every ⟨BatchSize, Parallelism⟩
+	// combination — batching never changes rows, row order, or encodings;
+	// the float SUM/AVG last-ULP caveat on Parallelism is the only
+	// exception and is independent of BatchSize.
 	BatchSize int
 	// PaillierPool precomputes Paillier encryption randomness (the
 	// plaintext-independent r^N mod N² blinding factors) on background
@@ -284,9 +279,9 @@ type Options struct {
 	// merging in batch order — so the first plaintext row exists after one
 	// batch instead of after the whole scan (Rows.TimeToFirstRow). Results
 	// are byte-identical to the materialized wire. Combine with BatchSize
-	// > 0: with 0, the wire still streams but the server can only frame
-	// batches once its materialized execution finishes. Off by default;
-	// toggle later with System.SetStreamWire.
+	// > 0: with 0 the server's pipeline moves one unbounded batch per
+	// worker, so the first frame leaves when a whole shard is done. Off by
+	// default; toggle later with System.SetStreamWire.
 	StreamWire bool
 	// Indexes maintains secondary indexes over the encrypted tables — a
 	// DET hash index (equality, IN, hash-join builds) and an OPE ordered
@@ -471,9 +466,9 @@ func (s *System) SetParallelism(p int) {
 	s.plain.Parallelism = p
 }
 
-// SetBatchSize changes the streamed-execution batch size on the server,
-// the client's local operators, and the plaintext baseline engine (see
-// Options.BatchSize; 0 = materialized). It must not be called while
+// SetBatchSize changes the execution batch size on the server, the
+// client's local operators, and the plaintext baseline engine (see
+// Options.BatchSize; 0 = unbounded). It must not be called while
 // queries are in flight. On a remote System only the client-side knob
 // moves — the remote server's batch size is fixed by its own flags.
 func (s *System) SetBatchSize(b int) {
