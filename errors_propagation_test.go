@@ -9,12 +9,23 @@ package monomi
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/ast"
+	"repro/internal/client"
+	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/transport"
+	"repro/internal/value"
+	"repro/internal/wire"
 )
 
 // TestCorruptSegmentSurvivesClientStack corrupts a disk-backed encrypted
@@ -145,4 +156,148 @@ func TestRejectErrorSurvivesClientStack(t *testing.T) {
 	if !IsRejected(wrapped) {
 		t.Fatalf("IsRejected lost through %%w wrapping: %v", wrapped)
 	}
+}
+
+// corruptingExecutor stands where the untrusted server does and replaces the
+// last cell of the last result row — on either wire — before the client sees
+// it.
+type corruptingExecutor struct {
+	inner client.Executor
+	bad   value.Value
+}
+
+func (e *corruptingExecutor) Execute(q *ast.Query, params map[string]value.Value) (*server.Response, error) {
+	resp, err := e.inner.Execute(q, params)
+	if err != nil || len(resp.Result.Rows) == 0 {
+		return resp, err
+	}
+	rows := append([][]value.Value(nil), resp.Result.Rows...)
+	last := append([]value.Value(nil), rows[len(rows)-1]...)
+	last[len(last)-1] = e.bad
+	rows[len(rows)-1] = last
+	out := *resp
+	res := *resp.Result
+	res.Rows = rows
+	out.Result = &res
+	return &out, nil
+}
+
+func (e *corruptingExecutor) ExecuteStream(q *ast.Query, params map[string]value.Value, w io.Writer) (*server.StreamStats, error) {
+	resp, err := e.Execute(q, params)
+	if err != nil {
+		return nil, err
+	}
+	bw, err := wire.NewBatchWriter(w, resp.Result.Cols)
+	if err != nil {
+		return nil, err
+	}
+	// Several batches, so the streamed wire's decode workers each get some
+	// and the corrupted row is in the last.
+	for rows := resp.Result.Rows; len(rows) > 0; {
+		n := min(len(rows), 300)
+		if err := bw.WriteBatch(rows[:n]); err != nil {
+			return nil, err
+		}
+		rows = rows[n:]
+	}
+	if err := bw.Close(); err != nil {
+		return nil, err
+	}
+	return &server.StreamStats{ServerTime: resp.ServerTime, WireBytes: bw.BytesWritten()}, nil
+}
+
+// TestMalformedConcatSurvivesClientStack: a GROUP_CONCAT cell that is not a
+// decodable blob used to fold to a silent NULL. It must fail the query with
+// an error wrapping client.ErrMalformedResult that names the output — on both
+// wires, from the last decode worker's row range or batch — and leave no
+// goroutine of the streamed pipeline or the decode fan-out behind.
+func TestMalformedConcatSurvivesClientStack(t *testing.T) {
+	db := NewDatabase()
+	db.MustCreateTable("orders", Col("o_id", Int), Col("o_total", Int))
+	for i := 0; i < 2500; i++ { // 2 500 groups: past the parallel-decode threshold
+		db.MustInsert("orders", i, 10+i%90)
+	}
+	opts := DefaultOptions()
+	opts.PaillierBits = 256
+	opts.Parallelism = 4
+	const sql = "SELECT o_id, SUM(o_total) FROM orders GROUP BY o_id"
+	sys, err := Encrypt(db, Workload{"totals": sql}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.client.Greedy = true // push the GROUP BY, so sums ship as GROUP_CONCAT
+	rows, err := sys.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rows.PlanText, "(concat)") {
+		t.Fatalf("fixture no longer ships a group_concat output:\n%s", rows.PlanText)
+	}
+
+	before := runtime.NumGoroutine()
+	for name, bad := range map[string]value.Value{
+		"non-bytes cell":   value.NewInt(7),
+		"undecodable blob": value.NewBytes([]byte{0xff, 0xff, 0xff}),
+	} {
+		sys.client.SetExecutor(&corruptingExecutor{inner: sys.client.Srv, bad: bad})
+		for _, stream := range []bool{false, true} {
+			sys.SetStreamWire(stream)
+			_, err := sys.Query(sql)
+			if !errors.Is(err, client.ErrMalformedResult) {
+				t.Fatalf("%s, stream=%v: %v, want an error wrapping client.ErrMalformedResult", name, stream, err)
+			}
+			if !strings.Contains(err.Error(), "output a0") {
+				t.Errorf("%s, stream=%v: error does not name the output: %v", name, stream, err)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines before the failing queries, %d after", before, n)
+	}
+}
+
+// TestConcurrentQ1OneClient runs TPC-H Q1 — a shipped-rows result wide enough
+// to fan out over the decode workers — from two goroutines on one System, so
+// the race detector sees the shared decrypt cache, the key store's resolver
+// and the per-worker cipher scratch under real contention.
+func TestConcurrentQ1OneClient(t *testing.T) {
+	db, err := TPCH(0.0005, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.PaillierBits = 256
+	opts.Parallelism = 2
+	sys, err := Encrypt(db, Workload{"q1": mustTPCH(1)}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	want, err := sys.Query(mustTPCH(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				got, err := sys.Query(mustTPCH(1))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got.Data, want.Data) {
+					t.Errorf("concurrent Q1 returned different rows:\n got  %v\n want %v", got.Data, want.Data)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -7,9 +7,8 @@ import (
 	"repro/internal/value"
 )
 
-// decryptCacheShards is the lock-striping factor: the streamed wire fans
-// batch decryption across Options.Parallelism workers that all consult the
-// cache, so entries stripe across mutex-guarded shards (capacity split
+// decryptCacheShards is the lock-striping factor: decode workers all consult
+// the cache, so entries stripe across mutex-guarded shards (capacity split
 // evenly) instead of funneling through one lock.
 const decryptCacheShards = 8
 
@@ -22,11 +21,22 @@ type decryptCache struct {
 	shards []*dcShard
 }
 
+// cacheKey identifies one cached decryption: the key label's id, the
+// plaintext kind the hit must have (two items of a join group share a label
+// but may decrypt to different kinds), and the ciphertext — an integer for
+// DET integers, bytes otherwise.
+type cacheKey struct {
+	i     int64
+	label uint32
+	kind  value.Kind
+	b     string
+}
+
 type dcShard struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[string]value.Value
-	keys     []string
+	entries  map[cacheKey]value.Value
+	keys     []cacheKey
 	rng      *rand.Rand
 }
 
@@ -48,43 +58,52 @@ func newDecryptCache(capacity int) *decryptCache {
 		}
 		c.shards[i] = &dcShard{
 			capacity: n,
-			entries:  make(map[string]value.Value, n),
+			entries:  make(map[cacheKey]value.Value, n),
 			rng:      rand.New(rand.NewSource(0x5eed + int64(i))),
 		}
 	}
 	return c
 }
 
-// shard stripes a key with FNV-1a.
-func (c *decryptCache) shard(key string) *dcShard {
+// shard stripes a ciphertext by a multiplicative hash of its integer, or of
+// its last eight bytes (an OPE ciphertext's leading bytes barely vary).
+func (c *decryptCache) shard(label uint32, cv value.Value) *dcShard {
 	if len(c.shards) == 1 {
 		return c.shards[0]
 	}
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
+	h := uint64(cv.I)
+	b := cv.B
+	if len(b) > 8 {
+		b = b[len(b)-8:]
 	}
-	return c.shards[h%uint32(len(c.shards))]
+	for _, x := range b {
+		h = h<<8 | uint64(x)
+	}
+	h = (h ^ uint64(label)) * 0x9e3779b97f4a7c15
+	return c.shards[(h>>32)%uint64(len(c.shards))]
 }
 
-func (c *decryptCache) get(key string) (value.Value, bool) {
-	s := c.shard(key)
+// get probes for the plaintext of ciphertext cv under (label, kind). The key
+// is built inside the index expression so a bytes ciphertext is compared in
+// place: a probe allocates nothing.
+func (c *decryptCache) get(label uint32, kind value.Kind, cv value.Value) (value.Value, bool) {
+	s := c.shard(label, cv)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.entries[key]
+	v, ok := s.entries[cacheKey{cv.I, label, kind, string(cv.B)}]
+	s.mu.Unlock()
 	return v, ok
 }
 
-func (c *decryptCache) put(key string, v value.Value) {
-	s := c.shard(key)
+func (c *decryptCache) put(label uint32, kind value.Kind, cv, pv value.Value) {
+	s := c.shard(label, cv)
+	key := cacheKey{cv.I, label, kind, string(cv.B)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.capacity <= 0 {
 		return
 	}
 	if _, exists := s.entries[key]; exists {
-		s.entries[key] = v
+		s.entries[key] = pv
 		return
 	}
 	if len(s.keys) >= s.capacity {
@@ -94,7 +113,7 @@ func (c *decryptCache) put(key string, v value.Value) {
 	} else {
 		s.keys = append(s.keys, key)
 	}
-	s.entries[key] = v
+	s.entries[key] = pv
 }
 
 // Len reports the number of cached entries (for tests).

@@ -22,7 +22,6 @@ import (
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/value"
-	"repro/internal/wire"
 )
 
 // Executor is where RemoteSQL runs: the in-process *server.Server, or a
@@ -62,18 +61,20 @@ type Client struct {
 	Greedy bool
 	// Parallelism is the worker count for the local engines that run the
 	// plan's residual operators over decrypted temp tables, and for the
-	// streamed wire's batch-decryption workers; values < 1 mean GOMAXPROCS,
-	// 1 forces sequential execution.
+	// result decoder (row ranges of a materialized result, whole batches of
+	// a streamed one); values < 1 mean GOMAXPROCS, 1 forces sequential
+	// execution.
 	Parallelism int
 	// BatchSize bounds the rows one pull moves through those engines'
 	// pipelines (0 = unbounded); it mirrors the server-side knob.
 	BatchSize int
 	// StreamWire switches remote execution to the streamed wire protocol:
 	// the server frames encrypted batches mid-scan and the client decodes
-	// each arriving batch on a pool of Parallelism decrypt workers, merging
-	// decrypted rows in batch order — results are byte-identical to the
-	// materialized wire, but the first plaintext row exists long before the
-	// server's scan completes (Result.TimeToFirstRow).
+	// each arriving batch on a pool of Parallelism workers running the
+	// materialized wire's decoder, merging decrypted rows in batch order —
+	// results are byte-identical to the materialized wire, but the first
+	// plaintext row exists long before the server's scan completes
+	// (Result.TimeToFirstRow).
 	StreamWire bool
 	// ParseHook, when set, is called once per SQL string the client
 	// actually hands to the parser — parse-cache hits skip it. Tests use it
@@ -312,9 +313,9 @@ func (c *Client) runPlan(plan *planner.Plan, cat *storage.Catalog, res *Result, 
 				return err
 			}
 			res.ClientTime += sub.ClientTime
-			tbl := storage.NewTable(resultSchema(sp.Name, r.Cols, r.Rows))
-			for _, row := range r.Rows {
-				tbl.MustInsert(row)
+			tbl, err := storage.NewTableFromRows(resultSchema(sp.Name, r.Cols, r.Rows), r.Rows)
+			if err != nil {
+				return err
 			}
 			cat.Put(tbl)
 		} else if sp.Plan.Remote != nil && sp.Plan.Remote.Name != sp.Name {
@@ -335,49 +336,61 @@ func (c *Client) runPlan(plan *planner.Plan, cat *storage.Catalog, res *Result, 
 }
 
 // runRemote sends one RemoteSQL to the server and decrypts its output into
-// a temp table — over the streamed wire (concurrent per-batch decryption
+// a temp table — over the streamed wire (concurrent per-batch decoding
 // overlapping the server's scan) when StreamWire is set, else over the
-// materialized wire.
+// materialized wire. Both hand their rows to the part's decoder.
 func (c *Client) runRemote(part *planner.RemotePart, cat *storage.Catalog, res *Result, ec *execCtx) error {
-	if c.StreamWire {
-		return c.runRemoteStreamed(part, cat, res, ec)
-	}
-	q := c.resolveHomGroups(part.Query)
-	resp, err := c.execRemote(part, q, ec)
+	dec, err := c.newDecoder(part)
 	if err != nil {
 		return fmt.Errorf("client: remote %s: %w", part.Name, err)
+	}
+	run := c.runRemoteMaterialized
+	if c.StreamWire {
+		run = c.runRemoteStreamed
+	}
+	rows, err := run(part, dec, res, ec)
+	if err != nil {
+		return fmt.Errorf("client: remote %s: %w", part.Name, err)
+	}
+	start := time.Now()
+	tbl, err := storage.NewTableFromRows(remoteSchema(part), rows)
+	if err != nil {
+		return fmt.Errorf("client: remote %s: %w", part.Name, err)
+	}
+	res.ClientTime += time.Since(start)
+	cat.Put(tbl)
+	return nil
+}
+
+// runRemoteMaterialized executes one RemoteSQL over the materialized wire:
+// the whole encrypted result arrives, then one decode pass runs over it.
+func (c *Client) runRemoteMaterialized(part *planner.RemotePart, dec *decoder, res *Result, ec *execCtx) ([][]value.Value, error) {
+	resp, err := c.execRemote(part, c.resolveHomGroups(part.Query), ec)
+	if err != nil {
+		return nil, err
 	}
 	res.ServerTime += resp.ServerTime
 	res.TransferTime += c.Cfg.TransferTime(resp.WireBytes)
 	res.WireBytes += resp.WireBytes
 
 	if len(resp.Result.Cols) != len(part.Outputs) {
-		return fmt.Errorf("client: remote %s returned %d columns, plan expects %d",
-			part.Name, len(resp.Result.Cols), len(part.Outputs))
+		return nil, fmt.Errorf("server returned %d columns, plan expects %d",
+			len(resp.Result.Cols), len(part.Outputs))
 	}
 
 	start := time.Now()
-	schema := remoteSchema(part)
-	tbl := storage.NewTable(schema)
-	for _, row := range resp.Result.Rows {
-		out := make([]value.Value, len(part.Outputs))
-		for i := range part.Outputs {
-			v, err := c.decodeOutput(&part.Outputs[i], row[i], res)
-			if err != nil {
-				return fmt.Errorf("client: output %s: %w", part.Outputs[i].Name, err)
-			}
-			out[i] = v
-		}
-		tbl.MustInsert(out)
+	rows, decrypts, err := dec.decode(resp.Result.Rows, c.parallelism())
+	if err != nil {
+		return nil, err
 	}
+	res.Decrypts += decrypts
 	res.ClientTime += time.Since(start)
 	if res.TimeToFirstRow == 0 {
 		// Materialized wire: nothing is visible before everything arrived
 		// and the decode pass ran.
 		res.TimeToFirstRow = resp.ServerTime + c.Cfg.TransferTime(resp.WireBytes) + time.Since(start)
 	}
-	cat.Put(tbl)
-	return nil
+	return rows, nil
 }
 
 // remoteSchema builds the temp-table schema for one remote part.
@@ -388,112 +401,6 @@ func remoteSchema(part *planner.RemotePart) storage.Schema {
 	}
 	return schema
 }
-
-// decodeOutput converts one server value into its plaintext form.
-func (c *Client) decodeOutput(o *planner.Output, v value.Value, res *Result) (value.Value, error) {
-	switch o.Mode {
-	case planner.OutPlain:
-		return v, nil
-	case planner.OutDecrypt:
-		return c.cachedDecrypt(o.Item, v, res)
-	case planner.OutConcatAgg:
-		if v.IsNull() {
-			return value.NewNull(), nil
-		}
-		vals, err := wire.DecodeAll(v.B)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return c.foldConcat(o, vals, res)
-	case planner.OutHomSum:
-		return c.decodeHomSum(o, v, res)
-	}
-	return value.Value{}, fmt.Errorf("unknown output mode %v", o.Mode)
-}
-
-// foldConcat decrypts each GROUP_CONCAT element and folds with o.Agg.
-func (c *Client) foldConcat(o *planner.Output, vals []value.Value, res *Result) (value.Value, error) {
-	var acc value.Value
-	count := 0
-	for _, cv := range vals {
-		if cv.IsNull() {
-			continue
-		}
-		pv, err := c.cachedDecrypt(o.Item, cv, res)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if count == 0 {
-			acc = pv
-		} else {
-			switch o.Agg {
-			case ast.AggSum:
-				acc = value.Add(acc, pv)
-			case ast.AggMin:
-				if value.Compare(pv, acc) < 0 {
-					acc = pv
-				}
-			case ast.AggMax:
-				if value.Compare(pv, acc) > 0 {
-					acc = pv
-				}
-			case ast.AggCount:
-				// handled by count below
-			}
-		}
-		count++
-	}
-	if o.Agg == ast.AggCount {
-		return value.NewInt(int64(count)), nil
-	}
-	if count == 0 {
-		// Conditional sums concat NULL for non-matching rows; if any rows
-		// arrived at all, SUM(CASE ... ELSE 0) is 0, not NULL.
-		if o.Agg == ast.AggSum && len(vals) > 0 {
-			return value.NewInt(0), nil
-		}
-		return value.NewNull(), nil
-	}
-	return acc, nil
-}
-
-// decodeHomSum finishes grouped homomorphic addition for one group.
-func (c *Client) decodeHomSum(o *planner.Output, v value.Value, res *Result) (value.Value, error) {
-	if v.IsNull() {
-		return value.NewNull(), nil
-	}
-	meta, ok := c.meta[o.HomTable]
-	if !ok {
-		return value.Value{}, fmt.Errorf("no encrypted table metadata for %s", o.HomTable)
-	}
-	group, slot := meta.FindGroupColumn(homItemColumnName(o))
-	if group == nil {
-		return value.Value{}, fmt.Errorf("no ciphertext group packs %s on %s", o.HomExpr, o.HomTable)
-	}
-	pk := c.Keys.Paillier()
-	sum, err := packing.DecodeSumResult(v.B, pk.CiphertextSize())
-	if err != nil {
-		return value.Value{}, err
-	}
-	if sum.Product == nil && len(sum.Partials) == 0 {
-		if sum.SawRows {
-			// Rows existed but none matched a conditional sum: 0.
-			return value.NewInt(0), nil
-		}
-		// SQL SUM over an empty relation is NULL.
-		return value.NewNull(), nil
-	}
-	sums, decrypts, err := packing.ClientSums(pk, group.Layout, sum, c.packCache)
-	if err != nil {
-		return value.Value{}, err
-	}
-	res.Decrypts += int64(decrypts)
-	return value.NewInt(sums[slot]), nil
-}
-
-// homItemColumnName renders the encrypted column name the group metadata
-// indexes HOM items by.
-func homItemColumnName(o *planner.Output) string { return o.HomExpr }
 
 // resolveHomGroups replaces @hom: placeholders in PAILLIER_SUM calls with
 // the actual ciphertext-group names from the encrypted DB's metadata.
@@ -534,25 +441,6 @@ func (c *Client) resolveHomGroups(q *ast.Query) *ast.Query {
 		out.Having = fix(out.Having)
 	}
 	return out
-}
-
-// cachedDecrypt decrypts one value through the decryption cache (512
-// entries, random eviction, §8.1).
-func (c *Client) cachedDecrypt(it *enc.Item, v value.Value, res *Result) (value.Value, error) {
-	if v.IsNull() {
-		return value.NewNull(), nil
-	}
-	key := it.KeyLabel() + "\x00" + v.HashKey()
-	if pv, ok := c.cache.get(key); ok {
-		return pv, nil
-	}
-	pv, err := c.Keys.DecryptValue(it, v)
-	if err != nil {
-		return value.Value{}, err
-	}
-	res.Decrypts++
-	c.cache.put(key, pv)
-	return pv, nil
 }
 
 // preExecuteScalarSubqueries finds comparisons against uncorrelated scalar

@@ -1,19 +1,13 @@
 package client
 
 // Streamed-wire consumption: the client half of the end-to-end pipeline.
-// runRemoteStreamed connects the server's ExecuteStream to a pool of
-// decrypt workers through an in-process pipe carrying the framed batch
-// protocol of internal/wire: the server frames encrypted batches mid-scan,
-// a reader goroutine decodes frames as they arrive, Options.Parallelism
-// workers decrypt batches concurrently (the decryption cache and the pack
-// plaintext cache are sharded-mutex safe), and the main loop merges
-// decrypted batches strictly in batch order into the temp table — so rows,
-// row order, and encodings are byte-identical to the materialized wire.
-// The server side of the stream may now be produced by its own worker pool
-// (the engine's sharded single-stream production): the protocol is
-// unchanged and batch order is still authoritative, but batches can arrive
-// at a burstier cadence — another reason the decode pool pulls from a
-// buffered frame queue rather than pacing itself on the wire.
+// runRemoteStreamed connects the server's ExecuteStream to the part's decoder
+// through an in-process pipe carrying the framed batch protocol of
+// internal/wire: the server frames encrypted batches mid-scan, a reader
+// goroutine parses frames as they arrive, and Parallelism workers decode whole
+// batches concurrently, each with its own copy of the decoder the materialized
+// wire uses; the caller merges their output in batch order — so rows, row
+// order, and encodings are byte-identical to the materialized wire.
 //
 // Error/abandon handling is symmetric: a server error poisons the pipe and
 // surfaces at the reader; a client-side decode error closes the pipe,
@@ -22,24 +16,22 @@ package client
 //
 // Accounting: ServerTime is the server's time-to-last-batch, TransferTime
 // charges the framed bytes on the simulated link, and ClientTime sums the
-// workers' measured decode time (the CPU the client actually spent, the
-// quantity the paper's cost model tracks — wall-clock overlap is the point
-// of the pipeline). Decrypts may differ slightly from the materialized
-// wire: concurrent workers can race to decrypt the same repeated
-// ciphertext before one of them has cached it. The decrypted values are
-// identical either way.
+// workers' measured decode time (CPU spent, not elapsed: wall-clock overlap
+// with the server's scan is the point of the pipeline). Decrypts may differ
+// slightly from the materialized wire: the two split a result into decode
+// ranges differently, and concurrent workers can race to decrypt the same
+// repeated ciphertext before one of them has cached it. The decrypted values
+// are identical either way.
 
 import (
 	"fmt"
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/planner"
 	"repro/internal/server"
-	"repro/internal/storage"
 	"repro/internal/value"
 	"repro/internal/wire"
 )
@@ -52,24 +44,22 @@ func (c *Client) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// decodedBatch is one batch after decryption, or the error that stopped it.
-type decodedBatch struct {
-	rows [][]value.Value
-	err  error
-}
-
-// decodeJob pairs an encrypted batch with the promise its decoded form is
-// delivered on.
-type decodeJob struct {
-	rows [][]value.Value
-	out  chan decodedBatch
+// streamBatch is one batch on its way through the decode workers: encrypted
+// rows in, plaintext rows (or the error that stopped them) out once done is
+// closed, with the decryptions and time its worker spent.
+type streamBatch struct {
+	rows     [][]value.Value
+	decrypts int64
+	took     time.Duration
+	err      error
+	done     chan struct{}
 }
 
 // runRemoteStreamed executes one RemoteSQL over the streamed wire. On the
 // template fast path (ec != nil) the part's encrypted parameter bindings
 // ride along, and a statement-capable executor streams via the part's
 // server-side prepared statement.
-func (c *Client) runRemoteStreamed(part *planner.RemotePart, cat *storage.Catalog, res *Result, ec *execCtx) error {
+func (c *Client) runRemoteStreamed(part *planner.RemotePart, dec *decoder, res *Result, ec *execCtx) ([][]value.Value, error) {
 	q := c.resolveHomGroups(part.Query)
 	pr, pw := io.Pipe()
 
@@ -98,48 +88,45 @@ func (c *Client) runRemoteStreamed(part *planner.RemotePart, cat *storage.Catalo
 		pr.CloseWithError(err)
 		<-srvDone
 		if srvErr != nil {
-			err = srvErr
+			return srvErr
 		}
-		return fmt.Errorf("client: remote %s: %w", part.Name, err)
+		return err
 	}
 
 	br, err := wire.NewBatchReader(pr)
 	if err != nil {
-		return fail(err)
+		return nil, fail(err)
 	}
 	if len(br.Cols()) != len(part.Outputs) {
-		return fail(fmt.Errorf("stream has %d columns, plan expects %d",
+		return nil, fail(fmt.Errorf("stream has %d columns, plan expects %d",
 			len(br.Cols()), len(part.Outputs)))
 	}
 
-	// Decrypt workers: each decodes whole batches on a private scratch
-	// Result (the caches underneath are concurrency-safe) and fulfills the
-	// batch's promise; summed counters merge after the join.
+	// Decode workers: each decodes whole batches with its own copy of the
+	// part's decoder (the caches underneath are concurrency-safe).
 	workers := c.parallelism()
-	jobs := make(chan decodeJob, workers)
-	ordered := make(chan chan decodedBatch, 2*workers)
-	var decrypts, decodeNanos int64
+	jobs := make(chan *streamBatch, workers)
+	ordered := make(chan *streamBatch, 2*workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scratch := &Result{}
-			for j := range jobs {
+			d := dec.clone()
+			for b := range jobs {
 				t0 := time.Now()
-				rows, err := c.decodeBatch(part, j.rows, scratch)
-				atomic.AddInt64(&decodeNanos, time.Since(t0).Nanoseconds())
-				j.out <- decodedBatch{rows: rows, err: err}
+				b.rows, b.decrypts, b.err = d.decode(b.rows, 1)
+				b.took = time.Since(t0)
+				close(b.done)
 			}
-			atomic.AddInt64(&decrypts, scratch.Decrypts)
 		}()
 	}
 
 	// Reader: pulls frames off the wire in arrival order, queueing each
-	// batch's promise so the merge below sees batch order regardless of
-	// which worker finishes first. firstBatchAt marks the wall moment the
-	// first encrypted batch left the wire — the client-side decode clock
-	// for TimeToFirstRow starts there, not at query start, so the (real,
+	// batch for the merge below as well, so it sees batch order regardless
+	// of which worker finishes first. firstBatchAt marks the wall moment the
+	// first encrypted batch left the wire — the client-side decode clock for
+	// TimeToFirstRow starts there, not at query start, so the (real,
 	// in-process) server execution isn't counted twice on top of its
 	// simulated charge.
 	var firstFrameBytes int64
@@ -150,90 +137,66 @@ func (c *Client) runRemoteStreamed(part *planner.RemotePart, cat *storage.Catalo
 		defer close(ordered)
 		for {
 			rows, err := br.Next()
-			if err != nil {
+			if err != nil || rows == nil {
 				readErr <- err
-				return
-			}
-			if rows == nil {
-				readErr <- nil
 				return
 			}
 			if firstFrameBytes == 0 {
 				firstFrameBytes = br.BytesRead() // header + first batch frame
 				firstBatchAt = time.Now()
 			}
-			ch := make(chan decodedBatch, 1)
-			ordered <- ch
-			jobs <- decodeJob{rows: rows, out: ch}
+			b := &streamBatch{rows: rows, done: make(chan struct{})}
+			ordered <- b
+			jobs <- b
 		}
 	}()
 
-	// Merge: insert decoded batches in batch order. On a decode error,
+	// Merge: collect decoded batches in batch order. On a decode error,
 	// poison the pipe (aborting the server scan) but keep draining so the
 	// reader and every worker exit before we return.
-	tbl := storage.NewTable(remoteSchema(part))
+	var rows [][]value.Value
 	var decodeErr error
-	var firstRowWall time.Duration
-	inserted := 0
-	for ch := range ordered {
-		d := <-ch
+	var decodeTime, firstRowWall time.Duration
+	var decrypts int64
+	for b := range ordered {
+		<-b.done
+		decodeTime += b.took
+		decrypts += b.decrypts
 		if decodeErr != nil {
 			continue
 		}
-		if d.err != nil {
-			decodeErr = d.err
-			pr.CloseWithError(d.err)
+		if b.err != nil {
+			decodeErr = b.err
+			pr.CloseWithError(b.err)
 			continue
 		}
-		if inserted == 0 && len(d.rows) > 0 {
+		if len(rows) == 0 && len(b.rows) > 0 {
 			firstRowWall = time.Since(firstBatchAt)
 		}
-		for _, row := range d.rows {
-			tbl.MustInsert(row)
-		}
-		inserted += len(d.rows)
+		rows = append(rows, b.rows...)
 	}
 	wg.Wait()
 	rerr := <-readErr
 	<-srvDone
 
 	if decodeErr != nil {
-		return fmt.Errorf("client: remote %s: %w", part.Name, decodeErr)
+		return nil, decodeErr
 	}
 	if srvErr != nil {
-		return fmt.Errorf("client: remote %s: %w", part.Name, srvErr)
+		return nil, srvErr
 	}
 	if rerr != nil {
-		return fmt.Errorf("client: remote %s: %w", part.Name, rerr)
+		return nil, rerr
 	}
 
 	res.ServerTime += sstats.ServerTime
 	res.TransferTime += c.Cfg.TransferTime(sstats.WireBytes)
 	res.WireBytes += sstats.WireBytes
-	res.ClientTime += time.Duration(decodeNanos)
+	res.ClientTime += decodeTime
 	res.Decrypts += decrypts
 	if res.TimeToFirstRow == 0 {
 		res.TimeToFirstRow = sstats.TimeToFirstBatch +
 			c.Cfg.TransferTime(firstFrameBytes) + firstRowWall
 	}
-	cat.Put(tbl)
-	return nil
-}
-
-// decodeBatch converts one encrypted batch into plaintext rows, counting
-// decryptions on the worker's scratch Result.
-func (c *Client) decodeBatch(part *planner.RemotePart, rows [][]value.Value, scratch *Result) ([][]value.Value, error) {
-	out := make([][]value.Value, len(rows))
-	for i, row := range rows {
-		vals := make([]value.Value, len(part.Outputs))
-		for j := range part.Outputs {
-			v, err := c.decodeOutput(&part.Outputs[j], row[j], scratch)
-			if err != nil {
-				return nil, fmt.Errorf("output %s: %w", part.Outputs[j].Name, err)
-			}
-			vals[j] = v
-		}
-		out[i] = vals
-	}
-	return out, nil
+	return rows, nil
 }

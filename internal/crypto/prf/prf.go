@@ -55,13 +55,24 @@ func MustNew(key []byte) *PRF {
 	return p
 }
 
+// Scratch is the AES block one Eval64 works in. The block cipher sits behind
+// an interface, so a block declared inside the call escapes to the heap every
+// time; a caller evaluating in a loop (a Feistel network, a column of
+// ciphertexts) keeps one Scratch and passes it to Eval64In instead.
+type Scratch [16]byte
+
 // Eval64 evaluates the PRF on (tweak, x) and returns a uint64.
 func (p *PRF) Eval64(tweak uint32, x uint64) uint64 {
-	var in, out [16]byte
-	binary.BigEndian.PutUint32(in[0:], tweak)
-	binary.BigEndian.PutUint64(in[8:], x)
-	p.block.Encrypt(out[:], in[:])
-	return binary.BigEndian.Uint64(out[:8])
+	var s Scratch
+	return p.Eval64In(&s, tweak, x)
+}
+
+// Eval64In is Eval64 computed in the caller's scratch block.
+func (p *PRF) Eval64In(s *Scratch, tweak uint32, x uint64) uint64 {
+	binary.BigEndian.PutUint64(s[0:], uint64(tweak)<<32)
+	binary.BigEndian.PutUint64(s[8:], x)
+	p.block.Encrypt(s[:], s[:])
+	return binary.BigEndian.Uint64(s[:8])
 }
 
 // EvalBytes evaluates the PRF on arbitrary bytes (CBC-MAC style) and returns
@@ -105,8 +116,9 @@ func (p *PRF) Perm256(tweak uint32) (perm, inv [256]byte) {
 	for i := 0; i < 256; i++ {
 		perm[i] = byte(i)
 	}
+	var s Scratch
 	for i := 255; i > 0; i-- {
-		j := int(p.Eval64(tweak, uint64(i)) % uint64(i+1))
+		j := int(p.Eval64In(&s, tweak, uint64(i)) % uint64(i+1))
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	for i := 0; i < 256; i++ {

@@ -251,17 +251,22 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 		}
 	}
 
-	// Encrypt row items.
+	// Encrypt row items, each resolved to its cipher and source column once.
+	ciphers := make([]Cipher, len(rowItems))
+	srcCol := make([]int, len(rowItems))
+	for i := range rowItems {
+		ciphers[i] = ks.Cipher(&rowItems[i])
+		srcCol[i] = colOf[rowItems[i].Key()]
+	}
 	for rowID, row := range res.Rows {
 		out := make([]value.Value, 0, len(schema.Cols))
 		if meta.HasRowID {
 			out = append(out, value.NewInt(int64(rowID)))
 		}
-		for i := range rowItems {
-			it := &rowItems[i]
-			cv, err := ks.EncryptValue(it, row[colOf[it.Key()]])
+		for i := range ciphers {
+			cv, err := ciphers[i].Encrypt(row[srcCol[i]])
 			if err != nil {
-				return fmt.Errorf("item %s: %w", it.Key(), err)
+				return fmt.Errorf("item %s: %w", rowItems[i].Key(), err)
 			}
 			out = append(out, cv)
 		}

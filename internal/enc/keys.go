@@ -22,10 +22,7 @@ type KeyStore struct {
 	paillier *paillier.Key
 
 	mu     sync.Mutex
-	dets   map[string]*det.Scheme
-	opes   map[string]*ope.Scheme
-	rnds   map[string]*rnd.Scheme
-	srches map[string]*search.Scheme
+	labels map[string]*Cipher // by Item.KeyLabel: the label's derived scheme and id
 	ppool  *paillier.Pool
 }
 
@@ -36,14 +33,7 @@ func NewKeyStore(master []byte, paillierBits int) (*KeyStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &KeyStore{
-		master:   master,
-		paillier: pk,
-		dets:     make(map[string]*det.Scheme),
-		opes:     make(map[string]*ope.Scheme),
-		rnds:     make(map[string]*rnd.Scheme),
-		srches:   make(map[string]*search.Scheme),
-	}, nil
+	return &KeyStore{master: master, paillier: pk, labels: make(map[string]*Cipher)}, nil
 }
 
 // Paillier returns the store's Paillier keypair.
@@ -76,95 +66,106 @@ func (ks *KeyStore) Close() {
 	}
 }
 
-// Det returns the DET scheme for an item.
-func (ks *KeyStore) Det(it *Item) *det.Scheme {
+// derive returns the cipher prototype for the item's key label — scheme
+// instance and label id, no plaintext kind — deriving the subkey on first use.
+func (ks *KeyStore) derive(it *Item) *Cipher {
+	label := it.KeyLabel()
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	label := it.KeyLabel()
-	s, ok := ks.dets[label]
-	if !ok {
-		s = det.MustNew(prf.DeriveKey(ks.master, label))
-		ks.dets[label] = s
+	c, ok := ks.labels[label]
+	if ok {
+		return c
 	}
-	return s
-}
-
-// Ope returns the OPE scheme for an item.
-func (ks *KeyStore) Ope(it *Item) *ope.Scheme {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	label := it.KeyLabel()
-	s, ok := ks.opes[label]
-	if !ok {
-		s = ope.MustNew(prf.DeriveKey(ks.master, label))
-		ks.opes[label] = s
-	}
-	return s
-}
-
-// Rnd returns the RND scheme for an item.
-func (ks *KeyStore) Rnd(it *Item) (*rnd.Scheme, error) {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	label := it.KeyLabel()
-	s, ok := ks.rnds[label]
-	if !ok {
+	c = &Cipher{Label: uint32(len(ks.labels)), scheme: it.Scheme}
+	key := prf.DeriveKey(ks.master, label)
+	switch it.Scheme {
+	case DET:
+		c.det = det.MustNew(key)
+	case OPE:
+		c.ope = ope.MustNew(key)
+	case RND:
 		var err error
-		s, err = rnd.New(prf.DeriveKey(ks.master, label))
-		if err != nil {
-			return nil, err
+		if c.rnd, err = rnd.New(key); err != nil {
+			panic(err) // a derived key always has the cipher's key size
 		}
-		ks.rnds[label] = s
+	case SEARCH:
+		c.srch = search.MustNew(key)
 	}
-	return s, nil
+	ks.labels[label] = c
+	return c
 }
 
 // Search returns the SEARCH scheme for an item.
-func (ks *KeyStore) Search(it *Item) *search.Scheme {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	label := it.KeyLabel()
-	s, ok := ks.srches[label]
-	if !ok {
-		s = search.MustNew(prf.DeriveKey(ks.master, label))
-		ks.srches[label] = s
-	}
-	return s
+func (ks *KeyStore) Search(it *Item) *search.Scheme { return ks.derive(it).srch }
+
+// Cipher is an item resolved against the key store once — scheme instance
+// derived, plaintext kind and key label looked up — so a loop over a column
+// of values pays none of that per value. A Cipher carries the scratch block
+// its DET integer rounds run in: each goroutine works on its own copy.
+type Cipher struct {
+	// Label is the dense id of the item's key label within this KeyStore:
+	// two Ciphers share a subkey exactly when their Labels are equal.
+	Label uint32
+	// Kind is the plaintext kind Decrypt produces.
+	Kind value.Kind
+
+	scheme Scheme // selects which of the scheme instances below is set
+	det    *det.Scheme
+	ope    *ope.Scheme
+	rnd    *rnd.Scheme
+	srch   *search.Scheme
+	sc     prf.Scratch
+}
+
+// Cipher resolves an item for bulk encryption or decryption.
+func (ks *KeyStore) Cipher(it *Item) Cipher {
+	c := *ks.derive(it)
+	c.Kind = it.PlainKind
+	return c
 }
 
 // EncryptValue encrypts one plaintext value under an item's scheme,
 // producing the server-side representation. HOM items are handled by the
 // pack store, not here.
 func (ks *KeyStore) EncryptValue(it *Item, v value.Value) (value.Value, error) {
+	c := ks.Cipher(it)
+	return c.Encrypt(v)
+}
+
+// DecryptValue inverts EncryptValue using the item's recorded plaintext
+// kind.
+func (ks *KeyStore) DecryptValue(it *Item, cv value.Value) (value.Value, error) {
+	c := ks.Cipher(it)
+	return c.Decrypt(cv)
+}
+
+// Encrypt is KeyStore.EncryptValue for the resolved item.
+func (c *Cipher) Encrypt(v value.Value) (value.Value, error) {
 	if v.IsNull() {
 		return value.NewNull(), nil
 	}
-	switch it.Scheme {
+	switch c.scheme {
 	case DET:
 		switch v.K {
 		case value.Int, value.Date, value.Bool:
-			return value.NewInt(int64(ks.Det(it).EncryptInt64(v.AsInt()))), nil
+			return value.NewInt(int64(c.det.EncryptUint64In(&c.sc, uint64(v.AsInt())))), nil
 		case value.Str:
-			return value.NewBytes(ks.Det(it).EncryptString(v.S)), nil
+			return value.NewBytes(c.det.EncryptString(v.S)), nil
 		case value.Bytes:
-			return value.NewBytes(ks.Det(it).EncryptBytes(v.B)), nil
+			return value.NewBytes(c.det.EncryptBytes(v.B)), nil
 		}
 		return value.Value{}, fmt.Errorf("enc: DET cannot encrypt %v", v.K)
 	case OPE:
 		if !v.IsNumeric() {
 			return value.Value{}, fmt.Errorf("enc: OPE requires numeric plaintext, got %v", v.K)
 		}
-		c, err := ks.Ope(it).Encrypt(v.AsInt())
+		ct, err := c.ope.Encrypt(v.AsInt())
 		if err != nil {
 			return value.Value{}, err
 		}
-		return value.NewBytes(c), nil
+		return value.NewBytes(ct), nil
 	case RND:
-		s, err := ks.Rnd(it)
-		if err != nil {
-			return value.Value{}, err
-		}
-		ct, err := s.Encrypt(encodePlain(v))
+		ct, err := c.rnd.Encrypt(encodePlain(v))
 		if err != nil {
 			return value.Value{}, err
 		}
@@ -173,53 +174,48 @@ func (ks *KeyStore) EncryptValue(it *Item, v value.Value) (value.Value, error) {
 		if v.K != value.Str {
 			return value.Value{}, fmt.Errorf("enc: SEARCH requires string plaintext, got %v", v.K)
 		}
-		return value.NewBytes(ks.Search(it).EncryptText(v.S)), nil
+		return value.NewBytes(c.srch.EncryptText(v.S)), nil
 	}
-	return value.Value{}, fmt.Errorf("enc: cannot encrypt under %v", it.Scheme)
+	return value.Value{}, fmt.Errorf("enc: cannot encrypt under %v", c.scheme)
 }
 
-// DecryptValue inverts EncryptValue using the item's recorded plaintext
-// kind.
-func (ks *KeyStore) DecryptValue(it *Item, cv value.Value) (value.Value, error) {
+// Decrypt is KeyStore.DecryptValue for the resolved item.
+func (c *Cipher) Decrypt(cv value.Value) (value.Value, error) {
 	if cv.IsNull() {
 		return value.NewNull(), nil
 	}
-	switch it.Scheme {
+	switch c.scheme {
 	case DET:
-		switch it.PlainKind {
+		switch c.Kind {
 		case value.Int, value.Bool:
-			return value.NewInt(ks.Det(it).DecryptInt64(uint64(cv.AsInt()))), nil
+			return value.NewInt(int64(c.det.DecryptUint64In(&c.sc, uint64(cv.AsInt())))), nil
 		case value.Date:
-			return value.NewDate(ks.Det(it).DecryptInt64(uint64(cv.AsInt()))), nil
+			return value.NewDate(int64(c.det.DecryptUint64In(&c.sc, uint64(cv.AsInt())))), nil
 		case value.Str:
-			return value.NewStr(ks.Det(it).DecryptString(cv.B)), nil
+			return value.NewStr(c.det.DecryptString(cv.B)), nil
 		case value.Bytes:
-			return value.NewBytes(ks.Det(it).DecryptBytes(cv.B)), nil
+			return value.NewBytes(c.det.DecryptBytes(cv.B)), nil
 		}
-		return value.Value{}, fmt.Errorf("enc: DET cannot decrypt to %v", it.PlainKind)
+		return value.Value{}, fmt.Errorf("enc: DET cannot decrypt to %v", c.Kind)
 	case OPE:
-		x, err := ks.Ope(it).Decrypt(cv.B)
+		x, err := c.ope.Decrypt(cv.B)
 		if err != nil {
 			return value.Value{}, err
 		}
-		if it.PlainKind == value.Date {
+		if c.Kind == value.Date {
 			return value.NewDate(x), nil
 		}
 		return value.NewInt(x), nil
 	case RND:
-		s, err := ks.Rnd(it)
+		pt, err := c.rnd.Decrypt(cv.B)
 		if err != nil {
 			return value.Value{}, err
 		}
-		pt, err := s.Decrypt(cv.B)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return decodePlain(it.PlainKind, pt)
+		return decodePlain(c.Kind, pt)
 	case SEARCH:
 		return value.Value{}, fmt.Errorf("enc: SEARCH blobs are not decryptable (store a RND/DET copy)")
 	}
-	return value.Value{}, fmt.Errorf("enc: cannot decrypt %v", it.Scheme)
+	return value.Value{}, fmt.Errorf("enc: cannot decrypt %v", c.scheme)
 }
 
 // encodePlain serializes a plaintext value for RND encryption.

@@ -8,7 +8,9 @@ import (
 	"sync"
 
 	"repro/internal/crypto/paillier"
+	"repro/internal/enc"
 	"repro/internal/packing"
+	"repro/internal/value"
 )
 
 type cache struct {
@@ -62,4 +64,33 @@ func rwRead(mu *sync.RWMutex, key *paillier.PublicKey, cs []*big.Int) *big.Int {
 	mu.RLock()
 	defer mu.RUnlock()
 	return key.ProductCipher(cs) // want `\(paillier\.PublicKey\)\.ProductCipher called while holding mu`
+}
+
+// resolveUnderLock resolves an item's cipher and decrypts a column with it
+// inside the critical section: key derivation plus a cipher call per value.
+func resolveUnderLock(mu *sync.Mutex, ks *enc.KeyStore, it *enc.Item, col []value.Value) error {
+	mu.Lock()
+	defer mu.Unlock()
+	c := ks.Cipher(it) // want `\(enc\.KeyStore\)\.Cipher called while holding mu`
+	var err error
+	for i := range col {
+		if col[i], err = c.Decrypt(col[i]); err != nil { // want `\(enc\.Cipher\)\.Decrypt called while holding mu`
+			return err
+		}
+	}
+	return nil
+}
+
+// resolveThenLock resolves and decrypts first and publishes under the lock.
+// No finding.
+func resolveThenLock(mu *sync.Mutex, ks *enc.KeyStore, it *enc.Item, cv value.Value, dst *value.Value) error {
+	c := ks.Cipher(it)
+	pv, err := c.Decrypt(cv)
+	if err != nil {
+		return err
+	}
+	mu.Lock()
+	*dst = pv
+	mu.Unlock()
+	return nil
 }

@@ -14,7 +14,7 @@ import (
 //  1. import the keyed scheme packages (crypto/det, crypto/ope,
 //     crypto/rnd, crypto/prf) — holding a scheme object means holding a
 //     derived key;
-//  2. reference a trusted-only symbol (enc.KeyStore, enc.NewKeyStore,
+//  2. reference a trusted-only symbol (enc.KeyStore, enc.Cipher, enc.NewKeyStore,
 //     enc.EncryptDatabase, paillier.Key, paillier.GenerateKey, the
 //     Paillier randomness Pool, packing.ClientSums/BuildStore/PlainCache,
 //     search's keyed Scheme — search.Match on public trapdoors is fine);
@@ -61,6 +61,7 @@ var bannedImports = []string{
 var trustedOnly = map[string]map[string]bool{
 	"repro/internal/enc": {
 		"KeyStore":          true,
+		"Cipher":            true,
 		"NewKeyStore":       true,
 		"EncryptDatabase":   true,
 		"EncryptDatabaseOn": true,

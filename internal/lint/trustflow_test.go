@@ -33,3 +33,11 @@ func TestTrustflowScopedToUntrusted(t *testing.T) {
 		t.Errorf("unexpected diagnostic on trusted path:\n  %s", d)
 	}
 }
+
+// TestTrustflowRejectsCipherResolverOnServer: the per-item resolver
+// (enc.KeyStore.Cipher) and the enc.Cipher it returns — the entry points of
+// bulk encryption and the client's batch decoder — stay out of reach of
+// internal/server.
+func TestTrustflowRejectsCipherResolverOnServer(t *testing.T) {
+	linttest.Run(t, "testdata/trustflow/resolver", "repro/internal/server/lintfixture", lint.Trustflow)
+}

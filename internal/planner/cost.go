@@ -53,26 +53,19 @@ func ProfileCostModel(ks *enc.KeyStore, cfg netsim.Config) *CostModel {
 	m := DefaultCostModel(cfg)
 	m.HomCipherBytes = ks.Paillier().CiphertextSize()
 
-	it := enc.ColumnItem("prof", "x", enc.DET, value.Int)
-	det := ks.Det(&it)
-	m.DetInt = timeOp(2000, func(i int) { det.DecryptInt64(uint64(i)) })
-
-	itS := enc.ColumnItem("prof", "s", enc.DET, value.Str)
-	detS := ks.Det(&itS)
-	ct := detS.EncryptString("sixteen byte str")
-	m.DetStr = timeOp(1000, func(i int) { detS.DecryptBytes(ct) })
-
-	itO := enc.ColumnItem("prof", "o", enc.OPE, value.Int)
-	opeS := ks.Ope(&itO)
-	oct := opeS.MustEncrypt(123456)
-	m.Ope = timeOp(200, func(i int) { opeS.Decrypt(oct) }) //nolint:errcheck
-
-	itR := enc.ColumnItem("prof", "r", enc.RND, value.Int)
-	rnd, err := ks.Rnd(&itR)
-	if err == nil {
-		rct, _ := rnd.Encrypt(make([]byte, 8))
-		m.Rnd = timeOp(2000, func(i int) { rnd.Decrypt(rct) }) //nolint:errcheck
+	// One decryption of a representative value through the resolved cipher
+	// the client's decoder uses.
+	prof := func(scheme enc.Scheme, v value.Value, n int, into *float64) {
+		it := enc.ColumnItem("prof", "x", scheme, v.K)
+		c := ks.Cipher(&it)
+		if ct, err := c.Encrypt(v); err == nil {
+			*into = timeOp(n, func(int) { c.Decrypt(ct) }) //nolint:errcheck
+		}
 	}
+	prof(enc.DET, value.NewInt(123456), 2000, &m.DetInt)
+	prof(enc.DET, value.NewStr("sixteen byte str"), 1000, &m.DetStr)
+	prof(enc.OPE, value.NewInt(123456), 200, &m.Ope)
+	prof(enc.RND, value.NewInt(123456), 2000, &m.Rnd)
 
 	pk := ks.Paillier()
 	hct, err := pk.EncryptInt64(42)

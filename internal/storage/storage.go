@@ -118,6 +118,31 @@ func NewTable(s Schema) *Table {
 	return newTableOn(s, newMemStore())
 }
 
+// NewTableFromRows builds an in-memory table that takes ownership of rows, in
+// one pass: arity is checked and sizes are accounted, but no column
+// statistics, interning dictionaries or key index are maintained — the shape
+// of a client temp table, which is scanned once and never planned over.
+func NewTableFromRows(s Schema, rows [][]value.Value) (*Table, error) {
+	t := &Table{Schema: s, ColBytes: make([]int64, len(s.Cols)), be: &memStore{rows: rows}, nrows: len(rows)}
+	t.meta = make([]colMeta, len(s.Cols))
+	t.dicts = make([]*internDict, len(s.Cols))
+	for _, row := range rows {
+		if len(row) != len(s.Cols) {
+			return nil, fmt.Errorf("storage: table %s: row has %d values, schema has %d columns",
+				s.Name, len(row), len(s.Cols))
+		}
+		for i := range row {
+			t.ColBytes[i] += int64(row[i].Size())
+		}
+	}
+	for _, n := range t.ColBytes {
+		t.Bytes += n
+	}
+	t.Bytes += int64(len(rows)) * rowOverhead
+	t.RawBytes = t.Bytes
+	return t, nil
+}
+
 // newTableOn wires the logical table state over a physical backend.
 func newTableOn(s Schema, be Backend) *Table {
 	t := &Table{Schema: s, ColBytes: make([]int64, len(s.Cols)), be: be}

@@ -68,7 +68,8 @@
 // untrusted server frames encrypted result batches onto the wire while its
 // scan is still running (internal/wire's header/batch/end framing), and
 // the trusted client decodes each arriving batch on a pool of Parallelism
-// decrypt workers, merging decrypted rows in batch order. The decryption
+// workers — each running the batch decoder the materialized wire runs over
+// its whole result — merging decrypted rows in batch order. The decryption
 // cache and the Paillier pack cache are sharded-mutex concurrent, so the
 // workers share them without serializing. Multi-table RemoteSQL pipelines
 // the same way: the server hash-joins the encrypted tables (shared-key
