@@ -10,16 +10,13 @@
 //	monomi-bench -exp fig9            # Figure 9: space budgets
 //	monomi-bench -exp table2          # Table 2: server space
 //	monomi-bench -exp table3          # Table 3: security census
-//	monomi-bench -exp join            # streamed hash-join probe scenario
-//	monomi-bench -exp stream          # grouped + DISTINCT streamed-wire scenario
-//	monomi-bench -exp concurrent      # multi-client served deployment over loopback TCP
-//	monomi-bench -exp repeat          # warm-vs-cold repeated-query hot path
 //	monomi-bench -exp index           # secondary-index selectivity sweep vs full scans
 //	monomi-bench -exp backend         # mem vs disk storage backend, cold vs warm block cache
 //	monomi-bench -exp all
 //
-// -json <file> additionally writes the index/repeat/concurrent/backend
-// scenario results as a machine-readable JSON array.
+// -json <file> additionally writes the index/backend scenario results as a
+// machine-readable JSON array. The end-to-end workloads (scans, subqueries,
+// the served deployment, the prepared hot path) live in `go run ./bench`.
 package main
 
 import (
@@ -33,7 +30,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig4|fig5|fig7|fig8|fig9|table2|table3|stats|join|stream|concurrent|repeat|index|backend|all")
+	exp := flag.String("exp", "all", "experiment: fig4|fig5|fig7|fig8|fig9|table2|table3|stats|index|backend|all")
 	sf := flag.Float64("sf", 0.002, "TPC-H scale factor")
 	seed := flag.Int64("seed", 1, "data generator seed")
 	bits := flag.Int("paillier", 512, "Paillier modulus bits (paper: 1024)")
@@ -41,20 +38,13 @@ func main() {
 	par := flag.Int("parallelism", 0, "sharded-execution workers (0 = GOMAXPROCS, 1 = sequential)")
 	batch := flag.Int("batchsize", 0, "execution batch size in rows for suite experiments (0 = unbounded: one batch per worker)")
 	stream := flag.Bool("streamwire", false, "stream encrypted result batches to the client mid-scan (suite experiments)")
-	joinRows := flag.Int("joinrows", 50000, "probe-side rows for the join scenario (-exp join)")
-	streamRows := flag.Int("streamrows", 60000, "input rows for the grouped+DISTINCT streamed-wire scenario (-exp stream)")
-	clients := flag.Int("clients", 8, "maximum concurrent remote clients for the served-deployment scenario (-exp concurrent)")
-	concRows := flag.Int("concrows", 20000, "input rows for the served-deployment scenario (-exp concurrent)")
-	repeatRows := flag.Int("repeatrows", 20000, "input rows for the repeated-query scenario (-exp repeat)")
-	repeatIters := flag.Int("repeatiters", 30, "timed executions per mode for the repeated-query scenario (-exp repeat)")
-	repeatPool := flag.Bool("paillierpool", true, "precompute Paillier randomness in a background pool (-exp repeat)")
 	indexRows := flag.Int("indexrows", 200000, "table rows for the index selectivity sweep (-exp index)")
 	indexIters := flag.Int("indexiters", 7, "timed executions per sweep point (-exp index)")
 	backendRows := flag.Int("backendrows", 20000, "table rows for the storage-backend scenario (-exp backend)")
 	backendIters := flag.Int("backenditers", 6, "timed executions per backend (-exp backend)")
 	pageBytes := flag.Int("pagebytes", 4096, "disk-backend page size in bytes (-exp backend)")
 	cacheBytes := flag.Int64("cachebytes", 128<<10, "disk-backend block-cache budget in bytes (-exp backend)")
-	jsonPath := flag.String("json", "", "write index/repeat/concurrent results to this file as JSON")
+	jsonPath := flag.String("json", "", "write index/backend results to this file as JSON")
 	flag.Parse()
 
 	sink := newJSONSink(*jsonPath)
@@ -119,22 +109,6 @@ func main() {
 			fmt.Println(summary)
 		case "stats":
 			fmt.Println(suite.Stats().String())
-		case "join":
-			if err := joinScenario(*joinRows, *par, *batch); err != nil {
-				log.Fatal(err)
-			}
-		case "stream":
-			if err := streamScenario(*streamRows, *par, *batch); err != nil {
-				log.Fatal(err)
-			}
-		case "concurrent":
-			if err := concurrentScenario(*concRows, *clients, *par, *batch, sink); err != nil {
-				log.Fatal(err)
-			}
-		case "repeat":
-			if err := repeatScenario(*repeatRows, *repeatIters, *par, *batch, *repeatPool, sink); err != nil {
-				log.Fatal(err)
-			}
 		case "index":
 			if err := indexScenario(*indexRows, *indexIters, *par, *batch, sink); err != nil {
 				log.Fatal(err)

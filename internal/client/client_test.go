@@ -425,3 +425,17 @@ func TestDecryptCache(t *testing.T) {
 		t.Error("zero-capacity cache stores nothing")
 	}
 }
+
+func TestLocalSubqueryShipsTablesSeparately(t *testing.T) {
+	f := newFixture(t)
+	// i_price * i_qty > o2.o_total joins the subquery's two tables and
+	// cannot run on the server, so each table ships on its own and the
+	// pushable join i_order = o2.o_id runs locally too: its columns must
+	// be fetched even though no other clause reads them.
+	res := f.checkQuery(t, `SELECT o_id FROM orders o WHERE EXISTS (
+		SELECT 1 FROM orders o2, items WHERE i_order = o2.o_id
+		AND i_price * i_qty > o2.o_total AND o2.o_cust = o.o_cust) ORDER BY o_id`, nil)
+	if !strings.Contains(res.Plan.Local.SQL(), "o2_f") {
+		t.Errorf("expected per-table fetches:\n%s", res.Plan.Describe())
+	}
+}

@@ -243,7 +243,7 @@ type joinBuild struct {
 // lookup returns the build rows matching one (non-NULL) probe key.
 func (b *joinBuild) lookup(key string) [][]value.Value {
 	if b.ix != nil {
-		// Single-key joinKey renders HashKey + one separator byte; the
+		// Single-key exprKey renders HashKey + one separator byte; the
 		// index posts under the bare HashKey.
 		ids := b.ix.PostingsKey(key[:len(key)-1])
 		if len(ids) == 0 {
@@ -288,7 +288,7 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 		m := make(map[string][][]value.Value, n)
 		for _, row := range right.rows {
 			en := &env{rel: right, row: row, outer: outer, ctx: c}
-			key, null, err := joinKey(en, rightKeys)
+			key, null, err := exprKey(en, rightKeys)
 			if err != nil {
 				return nil, err
 			}
@@ -305,7 +305,7 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 	if _, err := shardedCollect(c, shards, n, func(sc *execCtx, lo, hi int) (struct{}, error) {
 		for i := lo; i < hi; i++ {
 			en := &env{rel: right, row: right.rows[i], outer: outer, ctx: sc}
-			key, null, err := joinKey(en, rightKeys)
+			key, null, err := exprKey(en, rightKeys)
 			if err != nil {
 				return struct{}{}, err
 			}
@@ -337,8 +337,10 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 	return &joinBuild{cols: right.cols, parts: parts}, nil
 }
 
-// joinKey evaluates key expressions into a composite hash key.
-func joinKey(en *env, keys []ast.Expr) (string, bool, error) {
+// exprKey evaluates key expressions into a composite equality key: each
+// value's HashKey followed by a separator byte. null reports a NULL
+// component — SQL equality never matches it, so callers skip the row.
+func exprKey(en *env, keys []ast.Expr) (key string, null bool, err error) {
 	var b strings.Builder
 	for _, k := range keys {
 		v, err := eval(en, k)
@@ -352,4 +354,17 @@ func joinKey(en *env, keys []ast.Expr) (string, bool, error) {
 		b.WriteByte(0)
 	}
 	return b.String(), false, nil
+}
+
+// rowKey is exprKey over values already computed: the same key bytes.
+func rowKey(vals []value.Value) (key string, null bool) {
+	var b strings.Builder
+	for _, v := range vals {
+		if v.IsNull() {
+			return "", true
+		}
+		b.WriteString(v.HashKey())
+		b.WriteByte(0)
+	}
+	return b.String(), false
 }

@@ -254,7 +254,7 @@ func (it *probeIterator) next() ([][]value.Value, error) {
 			continue
 		}
 		en := &env{rel: it.step.probe, row: lrow, outer: it.outer, ctx: it.c}
-		key, null, err := joinKey(en, it.step.leftKeys)
+		key, null, err := exprKey(en, it.step.leftKeys)
 		if err != nil {
 			return nil, err
 		}

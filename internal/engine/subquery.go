@@ -65,7 +65,7 @@ func (c *execCtx) scalarSubquery(en *env, sub *ast.Query) (value.Value, error) {
 	if p.uncorr {
 		return p.scalarVal, nil
 	}
-	key, null, err := outerKey(en, p.outerKeys)
+	key, null, err := exprKey(en, p.outerKeys)
 	if err != nil {
 		return value.Value{}, err
 	}
@@ -121,7 +121,7 @@ func (c *execCtx) evalIn(en *env, x *ast.InExpr) (value.Value, error) {
 	case p.uncorr:
 		member = p.inSet[lhs.HashKey()]
 	default:
-		key, null, err := outerKey(en, p.outerKeys)
+		key, null, err := exprKey(en, p.outerKeys)
 		if err != nil {
 			return value.Value{}, err
 		}
@@ -150,7 +150,7 @@ func (c *execCtx) evalExists(en *env, x *ast.ExistsExpr) (bool, error) {
 	case p.uncorr:
 		found = p.existsVal
 	default:
-		key, null, err := outerKey(en, p.outerKeys)
+		key, null, err := exprKey(en, p.outerKeys)
 		if err != nil {
 			return false, err
 		}
@@ -184,23 +184,6 @@ func (c *execCtx) evalExists(en *env, x *ast.ExistsExpr) (bool, error) {
 func (c *execCtx) runNaive(sub *ast.Query, en *env) (*relation, error) {
 	c.stats.SubqueryRuns++
 	return c.execQuery(sub, en)
-}
-
-// outerKey evaluates the outer-side correlation key for the current row.
-func outerKey(en *env, keys []ast.Expr) (string, bool, error) {
-	var b strings.Builder
-	for _, k := range keys {
-		v, err := eval(en, k)
-		if err != nil {
-			return "", false, err
-		}
-		if v.IsNull() {
-			return "", true, nil
-		}
-		b.WriteString(v.HashKey())
-		b.WriteByte(0)
-	}
-	return b.String(), false, nil
 }
 
 // planSubquery prepares (once) the execution strategy for a subquery.
@@ -373,7 +356,7 @@ func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, free map[string]bool)
 		p.buckets = make(map[string][][]value.Value)
 		for _, row := range rel.rows {
 			en := &env{rel: rel, row: row, ctx: c}
-			key, null, err := outerKey(en, innerKeys)
+			key, null, err := exprKey(en, innerKeys)
 			if err != nil {
 				return err
 			}
@@ -406,20 +389,9 @@ func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, free map[string]bool)
 		p.scalarMap = make(map[string]value.Value, len(rel.rows))
 		nk := len(innerKeys)
 		for _, row := range rel.rows {
-			var b strings.Builder
-			null := false
-			for _, v := range row[len(row)-nk:] {
-				if v.IsNull() {
-					null = true
-					break
-				}
-				b.WriteString(v.HashKey())
-				b.WriteByte(0)
+			if key, null := rowKey(row[len(row)-nk:]); !null {
+				p.scalarMap[key] = row[0]
 			}
-			if null {
-				continue
-			}
-			p.scalarMap[b.String()] = row[0]
 		}
 		p.outerKeys = outerKeys
 		c.stats.SubqueryRuns++
@@ -441,20 +413,10 @@ func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, free map[string]bool)
 		p.inMap = make(map[string]map[string]bool)
 		nk := len(innerKeys)
 		for _, row := range rel.rows {
-			var b strings.Builder
-			null := false
-			for _, v := range row[len(row)-nk:] {
-				if v.IsNull() {
-					null = true
-					break
-				}
-				b.WriteString(v.HashKey())
-				b.WriteByte(0)
-			}
+			key, null := rowKey(row[len(row)-nk:])
 			if null || row[0].IsNull() {
 				continue
 			}
-			key := b.String()
 			set := p.inMap[key]
 			if set == nil {
 				set = make(map[string]bool)

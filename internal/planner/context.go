@@ -147,25 +147,6 @@ func (ctx *Context) newScope(q *ast.Query) (*scope, error) {
 	return s, nil
 }
 
-// resolve maps a column reference to its base table name, or "" if it is a
-// derived-table or unresolvable (outer) reference.
-func (s *scope) resolve(c *ast.ColumnRef) (table string, ok bool) {
-	if c.Table != "" {
-		for _, e := range s.entries {
-			if e.ref == c.Table {
-				return e.table, e.info.Has(c.Column)
-			}
-		}
-		return "", false
-	}
-	for _, e := range s.entries {
-		if e.info.Has(c.Column) {
-			return e.table, true
-		}
-	}
-	return "", false
-}
-
 // kindOf returns the plaintext kind of a column reference.
 func (s *scope) kindOf(c *ast.ColumnRef) value.Kind {
 	if c.Table != "" {
@@ -182,23 +163,6 @@ func (s *scope) kindOf(c *ast.ColumnRef) value.Kind {
 		}
 	}
 	return value.Null
-}
-
-// singleTable returns the one base table an expression's columns all belong
-// to, or "" if they span tables, hit derived tables, or there are none.
-func (s *scope) singleTable(e ast.Expr) string {
-	table := ""
-	for _, c := range ast.Columns(e) {
-		t, ok := s.resolve(c)
-		if !ok || t == "" {
-			return ""
-		}
-		if table != "" && table != t {
-			return ""
-		}
-		table = t
-	}
-	return table
 }
 
 // stripQualifiers clones e with table qualifiers removed, the canonical
@@ -221,72 +185,11 @@ func (ctx *Context) findItem(table string, e ast.Expr, scheme enc.Scheme) (*enc.
 // IsUncorrelated reports whether every column a subquery references
 // resolves within its own FROM tables.
 func IsUncorrelated(ctx *Context, sub *ast.Query) bool {
-	inner, err := ctx.newScope(sub)
-	if err != nil {
-		return false
-	}
 	free := false
-	check := func(e ast.Expr) {
-		collectRefsFree(ctx, e, inner, &free)
-	}
-	for _, p := range sub.Projections {
-		check(p.Expr)
-	}
-	check(sub.Where)
-	for _, k := range sub.GroupBy {
-		check(k)
-	}
-	check(sub.Having)
+	collectQueryRefs(ctx, sub, nil, func(en *scopeEntry, _ string) {
+		if en == nil {
+			free = true
+		}
+	})
 	return !free
-}
-
-// collectRefsFree sets *free when a reference fails to resolve in the
-// given scope chain (descending into nested subqueries with their scopes).
-func collectRefsFree(ctx *Context, e ast.Expr, s *scope, free *bool) {
-	if e == nil || *free {
-		return
-	}
-	switch x := e.(type) {
-	case *ast.ColumnRef:
-		if x.Column == "*" {
-			return
-		}
-		if _, ok := s.entryFor(x); !ok {
-			*free = true
-		}
-		return
-	case *ast.SubqueryExpr:
-		collectQueryRefsFree(ctx, x.Sub, s, free)
-		return
-	case *ast.ExistsExpr:
-		collectQueryRefsFree(ctx, x.Sub, s, free)
-		return
-	case *ast.InExpr:
-		collectRefsFree(ctx, x.E, s, free)
-		for _, l := range x.List {
-			collectRefsFree(ctx, l, s, free)
-		}
-		if x.Sub != nil {
-			collectQueryRefsFree(ctx, x.Sub, s, free)
-		}
-		return
-	}
-	ast.VisitChildren(e, func(c ast.Expr) { collectRefsFree(ctx, c, s, free) })
-}
-
-func collectQueryRefsFree(ctx *Context, q *ast.Query, outer *scope, free *bool) {
-	inner, err := ctx.newScope(q)
-	if err != nil {
-		*free = true
-		return
-	}
-	s := inner.chain(outer)
-	for _, p := range q.Projections {
-		collectRefsFree(ctx, p.Expr, s, free)
-	}
-	collectRefsFree(ctx, q.Where, s, free)
-	for _, k := range q.GroupBy {
-		collectRefsFree(ctx, k, s, free)
-	}
-	collectRefsFree(ctx, q.Having, s, free)
 }

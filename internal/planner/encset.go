@@ -14,6 +14,10 @@ import (
 // — an OPE column for half of an OR clause cannot avoid fetching the whole
 // table — so both the designer and the runtime planner enumerate subsets at
 // unit granularity instead of the full power set of items.
+//
+// A predicate's items come from running REWRITESERVER itself (rewrite.go)
+// against the candidate design; candidateValue and candidateSum below *are*
+// that design: the item each value or aggregate would be encrypted as.
 
 // Unit is one independently-toggleable group of encrypted items.
 type Unit struct {
@@ -39,7 +43,7 @@ func (ctx *Context) ExtractUnits(q *ast.Query) ([]Unit, error) {
 	// WHERE conjuncts: one unit each (top-level conjunctions are separate
 	// units; anything inside an OR lives or dies as a whole).
 	for i, c := range ast.Conjuncts(q.Where) {
-		items, ok := ctx.candidatePred(s, c)
+		items, ok := ctx.predEncSet(s, c)
 		add(fmt.Sprintf("where:%d", i), items, ok)
 		// Subqueries inside the conjunct contribute their own units
 		// (their fetch filters benefit even when the conjunct itself
@@ -54,19 +58,8 @@ func (ctx *Context) ExtractUnits(q *ast.Query) ([]Unit, error) {
 	}
 
 	// GROUP BY unit: DET for every key.
-	if len(q.GroupBy) > 0 {
-		var items []enc.Item
-		ok := true
-		for _, k := range q.GroupBy {
-			it, kok := ctx.candidateValue(s, k, enc.DET)
-			if !kok {
-				ok = false
-				break
-			}
-			items = append(items, it)
-		}
-		add("groupby", items, ok)
-	}
+	keys, ok := ctx.candidateKeys(s, q.GroupBy)
+	add("groupby", keys, ok)
 
 	// Aggregates.
 	aggs := queryAggregates(q)
@@ -120,7 +113,7 @@ func (ctx *Context) extractSubqueryUnits(sub *ast.Query, outer *scope, prefix st
 	s := inner.chain(outer)
 	var units []Unit
 	for i, c := range ast.Conjuncts(sub.Where) {
-		if items, ok := ctx.candidatePred(s, c); ok && len(items) > 0 {
+		if items, ok := ctx.predEncSet(s, c); ok && len(items) > 0 {
 			units = append(units, Unit{ID: fmt.Sprintf("%s/sub:%d", prefix, i), Items: dedupItems(items)})
 		}
 		for _, nested := range ast.Subqueries(c) {
@@ -152,22 +145,23 @@ func (ctx *Context) extractSubqueryUnits(sub *ast.Query, outer *scope, prefix st
 	}
 	// DET items of the subquery's group keys let its GROUP BY run on the
 	// server when the subquery is planned as an independent query.
-	if len(sub.GroupBy) > 0 {
-		var keys []enc.Item
-		kok := true
-		for _, k := range sub.GroupBy {
-			it, o := ctx.candidateValue(s, k, enc.DET)
-			if !o {
-				kok = false
-				break
-			}
-			keys = append(keys, it)
-		}
-		if kok {
-			units = append(units, Unit{ID: prefix + "/sub:groupby", Items: dedupItems(keys)})
-		}
+	if keys, kok := ctx.candidateKeys(s, sub.GroupBy); kok && len(keys) > 0 {
+		units = append(units, Unit{ID: prefix + "/sub:groupby", Items: dedupItems(keys)})
 	}
 	return units, nil
+}
+
+// candidateKeys proposes a DET item for every GROUP BY key.
+func (ctx *Context) candidateKeys(s *scope, keys []ast.Expr) ([]enc.Item, bool) {
+	var items []enc.Item
+	for _, k := range keys {
+		it, ok := ctx.candidateValue(s, k, enc.DET)
+		if !ok {
+			return nil, false
+		}
+		items = append(items, it)
+	}
+	return items, true
 }
 
 // aggSet partitions a query's aggregates.
@@ -212,8 +206,7 @@ func queryAggregates(q *ast.Query) aggSet {
 // sumArgExpr unwraps SUM(CASE WHEN p THEN e ELSE 0 END) to e; otherwise
 // returns the argument itself.
 func sumArgExpr(a *ast.AggExpr) ast.Expr {
-	if c, p := caseSumShape(a.Arg); c != nil {
-		_ = p
+	if c, _ := caseSumShape(a.Arg); c != nil {
 		return c
 	}
 	return a.Arg
@@ -241,7 +234,7 @@ func (ctx *Context) candidateSum(s *scope, a *ast.AggExpr) ([]enc.Item, bool) {
 	arg := a.Arg
 	var items []enc.Item
 	if e, p := caseSumShape(arg); e != nil {
-		predItems, ok := ctx.candidatePred(s, p)
+		predItems, ok := ctx.predEncSet(s, p)
 		if !ok {
 			return nil, false
 		}
@@ -323,206 +316,19 @@ func (ctx *Context) candidateValue(s *scope, e ast.Expr, scheme enc.Scheme) (enc
 	return it, true
 }
 
-// candidatePred mirrors rewritePred, returning the items that would make
-// the predicate server-evaluable.
-func (ctx *Context) candidatePred(s *scope, e ast.Expr) ([]enc.Item, bool) {
-	switch x := e.(type) {
-	case *ast.Literal:
-		return nil, x.Val.K == value.Bool
-
-	case *ast.BinaryExpr:
-		switch x.Op {
-		case ast.OpAnd, ast.OpOr:
-			l, ok := ctx.candidatePred(s, x.Left)
-			if !ok {
-				return nil, false
-			}
-			r, ok := ctx.candidatePred(s, x.Right)
-			if !ok {
-				return nil, false
-			}
-			return append(l, r...), true
-		case ast.OpEq, ast.OpNe:
-			if items, ok := ctx.candidateCompare(s, x, enc.DET); ok {
-				return items, true
-			}
-			return ctx.candidateWholePred(s, e)
-		case ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe:
-			if items, ok := ctx.candidateCompare(s, x, enc.OPE); ok {
-				return items, true
-			}
-			return ctx.candidateWholePred(s, e)
-		}
-		return nil, false
-
-	case *ast.UnaryExpr:
-		if x.Neg {
-			return nil, false
-		}
-		return ctx.candidatePred(s, x.E)
-
-	case *ast.BetweenExpr:
-		if _, lok := constVal(x.Lo); !lok {
-			return nil, false
-		}
-		if _, hok := constVal(x.Hi); !hok {
-			return nil, false
-		}
-		if it, ok := ctx.candidateValue(s, x.E, enc.OPE); ok {
-			return []enc.Item{it}, true
-		}
-		return ctx.candidateWholePred(s, e)
-
-	case *ast.InExpr:
-		if x.Sub != nil {
-			return ctx.candidateInSubquery(s, x)
-		}
-		for _, item := range x.List {
-			if _, ok := constVal(item); !ok {
-				return nil, false
-			}
-		}
-		if it, ok := ctx.candidateValue(s, x.E, enc.DET); ok {
-			return []enc.Item{it}, true
-		}
-		return nil, false
-
-	case *ast.LikeExpr:
-		if _, ok := patternWord(x.Pattern); !ok {
-			return nil, false
-		}
-		if it, ok := ctx.candidateValue(s, x.E, enc.SEARCH); ok {
-			return []enc.Item{it}, true
-		}
-		return nil, false
-
-	case *ast.IsNullExpr:
-		if it, ok := ctx.candidateValue(s, x.E, enc.DET); ok {
-			return []enc.Item{it}, true
-		}
-		return nil, false
-
-	case *ast.ExistsExpr:
-		return ctx.candidateExists(s, x.Sub)
-	}
-	return nil, false
+// predEncSet is a predicate's EncSet: the items REWRITESERVER uses to make
+// it server-evaluable when every candidate item exists.
+func (ctx *Context) predEncSet(s *scope, e ast.Expr) ([]enc.Item, bool) {
+	_, used, ok := rewriter{ctx: ctx, candidate: true}.rewritePred(s, e)
+	return derefItems(used), ok
 }
 
-// candidateCompare proposes items for a binary comparison.
-func (ctx *Context) candidateCompare(s *scope, x *ast.BinaryExpr, scheme enc.Scheme) ([]enc.Item, bool) {
-	_, lok := constVal(x.Left)
-	_, rok := constVal(x.Right)
-	// A scalar subquery side behaves like a constant: the client computes
-	// it first and re-plans with the literal substituted (multi-round
-	// execution, §8.2's "intermediate results several times").
-	if _, ok := x.Left.(*ast.SubqueryExpr); ok {
-		lok = true
+func derefItems(ptrs []*enc.Item) []enc.Item {
+	out := make([]enc.Item, len(ptrs))
+	for i, it := range ptrs {
+		out[i] = *it
 	}
-	if _, ok := x.Right.(*ast.SubqueryExpr); ok {
-		rok = true
-	}
-	switch {
-	case lok && rok:
-		return nil, false
-	case lok || rok:
-		side := x.Left
-		if lok {
-			side = x.Right
-		}
-		if ast.HasAggregate(side) {
-			return nil, false // HAVING SUM(..) > c is never directly pushable
-		}
-		if it, ok := ctx.candidateValue(s, side, scheme); ok {
-			return []enc.Item{it}, true
-		}
-		return nil, false
-	default:
-		lcr, lok := x.Left.(*ast.ColumnRef)
-		rcr, rok := x.Right.(*ast.ColumnRef)
-		if scheme != enc.DET || !lok || !rok {
-			return nil, false
-		}
-		lit, ok := ctx.candidateValue(s, lcr, enc.DET)
-		if !ok {
-			return nil, false
-		}
-		rit, ok := ctx.candidateValue(s, rcr, enc.DET)
-		if !ok {
-			return nil, false
-		}
-		if lit.KeyLabel() != rit.KeyLabel() {
-			return nil, false // no join group registered for this pair
-		}
-		return []enc.Item{lit, rit}, true
-	}
-}
-
-// candidateWholePred proposes a DET-encrypted precomputed boolean for a
-// single-table predicate (§5.1).
-func (ctx *Context) candidateWholePred(s *scope, e ast.Expr) ([]enc.Item, bool) {
-	if ast.HasSubquery(e) || ast.HasAggregate(e) {
-		return nil, false
-	}
-	entry := s.singleEntry(e)
-	if entry == nil {
-		return nil, false
-	}
-	// Every non-column leaf must be constant for per-row precomputation.
-	it := enc.Item{Table: entry.table, Expr: stripQualifiers(e), Scheme: enc.DET, PlainKind: value.Bool}
-	return []enc.Item{it}, true
-}
-
-// candidateExists proposes items for pushing a whole EXISTS subquery.
-func (ctx *Context) candidateExists(outer *scope, sub *ast.Query) ([]enc.Item, bool) {
-	if len(sub.GroupBy) > 0 || sub.Having != nil {
-		return nil, false
-	}
-	inner, err := ctx.newScope(sub)
-	if err != nil {
-		return nil, false
-	}
-	for _, en := range inner.entries {
-		if en.table == "" {
-			return nil, false
-		}
-	}
-	s := inner.chain(outer)
-	var items []enc.Item
-	for _, c := range ast.Conjuncts(sub.Where) {
-		ci, ok := ctx.candidatePred(s, c)
-		if !ok {
-			return nil, false
-		}
-		items = append(items, ci...)
-	}
-	return items, true
-}
-
-// candidateInSubquery proposes items for pushing e IN (subquery).
-func (ctx *Context) candidateInSubquery(s *scope, x *ast.InExpr) ([]enc.Item, bool) {
-	lhsIt, ok := ctx.candidateValue(s, x.E, enc.DET)
-	if !ok {
-		return nil, false
-	}
-	sub := x.Sub
-	if len(sub.Projections) != 1 || len(sub.GroupBy) > 0 || sub.Having != nil {
-		// Aggregated IN subqueries (Q18) are handled by pre-filtering and
-		// client-side evaluation, not direct pushdown.
-		return nil, false
-	}
-	items, ok := ctx.candidateExists(s, sub)
-	if !ok {
-		return nil, false
-	}
-	inner, err := ctx.newScope(sub)
-	if err != nil {
-		return nil, false
-	}
-	projIt, ok := ctx.candidateValue(inner.chain(s), sub.Projections[0].Expr, enc.DET)
-	if !ok || projIt.KeyLabel() != lhsIt.KeyLabel() {
-		return nil, false
-	}
-	return append(items, lhsIt, projIt), true
+	return out
 }
 
 // inferKind derives the plaintext kind of an expression.

@@ -25,10 +25,9 @@ import (
 
 // genState carries naming counters through one plan generation.
 type genState struct {
-	ctx     *Context
-	nTemp   int
-	used    *enc.Design // items actually used (BestSet accumulator)
-	failure error
+	ctx   *Context
+	nTemp int
+	used  *enc.Design // items actually used (BestSet accumulator)
 }
 
 func (g *genState) tempName() string {
@@ -68,66 +67,42 @@ func (g *genState) genQuery(q *ast.Query) (*Plan, error) {
 	// Derived tables that survived flattening (grouped subqueries like
 	// Q17's avg-per-part) become subplans; their aliases resolve locally.
 	plan := &Plan{}
-	localOnly := make(map[string]bool) // FROM refs evaluated locally
-	aliasToTemp := make(map[string]string)
-	var remoteFrom []ast.TableRef
+	var remoteFrom, temps []ast.TableRef
 	for i := range q.From {
 		f := &q.From[i]
-		if f.Sub != nil {
-			sub, err := g.genQuery(f.Sub)
-			if err != nil {
-				return nil, err
-			}
-			name := g.tempName()
-			plan.Subplans = append(plan.Subplans, &Subplan{Name: name, Plan: sub})
-			localOnly[f.RefName()] = true
-			aliasToTemp[f.RefName()] = name
+		if f.Sub == nil {
+			remoteFrom = append(remoteFrom, ast.TableRef{Name: f.Name, Alias: f.RefName()})
 			continue
 		}
-		remoteFrom = append(remoteFrom, ast.TableRef{Name: f.Name, Alias: f.RefName()})
+		sub, err := g.genQuery(f.Sub)
+		if err != nil {
+			return nil, err
+		}
+		name := g.tempName()
+		plan.Subplans = append(plan.Subplans, &Subplan{Name: name, Plan: sub})
+		temps = append(temps, ast.TableRef{Name: name, Alias: f.RefName()})
 	}
 
-	// Classify WHERE conjuncts: pushable to the server, or local.
-	var pushed []ast.Expr
-	var local []ast.Expr
+	// Classify WHERE conjuncts: those REWRITESERVER translates move to the
+	// server; the rest (anything over a derived table, unpushable
+	// subqueries) stay in the residual.
+	var pushed, local []ast.Expr
 	for _, c := range ast.Conjuncts(q.Where) {
-		if touchesLocalRef(c, localOnly) || ast.HasSubquery(c) {
-			// Subquery predicates and predicates over local derived
-			// tables are evaluated client-side. (Fully-pushable EXISTS/IN
-			// are the exception, handled below.)
-			if !ast.HasSubquery(c) || touchesLocalRef(c, localOnly) {
-				local = append(local, c)
-				continue
-			}
-			if sc, ok := ctx.rewritePred(s, c); ok {
-				pushed = append(pushed, sc)
-				g.notePredItems(s, c)
-				continue
-			}
-			local = append(local, c)
-			continue
-		}
-		if sc, ok := ctx.rewritePred(s, c); ok {
+		if sc, items, ok := ctx.rewritePred(s, c); ok {
 			pushed = append(pushed, sc)
-			g.notePredItems(s, c)
+			g.note(items...)
 			continue
 		}
 		local = append(local, c)
 	}
 
 	// Decide server vs. client grouping.
-	grouped := len(q.GroupBy) > 0 || len(queryAggregates(q).sums) > 0 ||
-		len(queryAggregates(q).minmax) > 0 || len(queryAggregates(q).counts) > 0 ||
-		hasAnyAggregate(q)
-	serverGroup := false
-	if grouped && len(local) == 0 && len(localOnly) == 0 {
-		serverGroup = g.canServerGroup(s, q)
+	if hasAnyAggregate(q) && len(local) == 0 && len(temps) == 0 {
+		if sums, ok := g.canServerGroup(s, q); ok {
+			return g.genServerGrouped(plan, s, q, remoteFrom, pushed, sums)
+		}
 	}
-
-	if serverGroup {
-		return g.genServerGrouped(plan, s, q, remoteFrom, pushed)
-	}
-	return g.genClientResidual(plan, s, q, remoteFrom, pushed, local, aliasToTemp, localOnly)
+	return g.genClientResidual(plan, s, q, remoteFrom, pushed, local, temps)
 }
 
 // hasAnyAggregate reports whether the query needs an aggregation phase.
@@ -137,55 +112,39 @@ func hasAnyAggregate(q *ast.Query) bool {
 			return true
 		}
 	}
+	for _, o := range q.OrderBy {
+		if ast.HasAggregate(o.Expr) {
+			return true
+		}
+	}
 	return q.Having != nil || len(q.GroupBy) > 0
 }
 
-// touchesLocalRef reports whether an expression references a FROM entry
-// that is evaluated locally (derived-table subplan).
-func touchesLocalRef(e ast.Expr, localOnly map[string]bool) bool {
-	if len(localOnly) == 0 {
-		return false
-	}
-	found := false
-	ast.Walk(e, func(x ast.Expr) {
-		if c, ok := x.(*ast.ColumnRef); ok && c.Table != "" && localOnly[c.Table] {
-			found = true
-		}
-	})
-	return found
-}
-
-// notePredItems records the items a pushed predicate used (re-running the
-// candidate collector; the rewrite itself already validated feasibility).
-func (g *genState) notePredItems(s *scope, c ast.Expr) {
-	if items, ok := g.ctx.candidatePred(s, c); ok {
-		for i := range items {
-			g.note(&items[i])
-		}
-	}
-}
-
 // canServerGroup checks Algorithm 1's lines 14-21: every GROUP BY key has
-// a DET form and every aggregate has a server representation.
-func (g *genState) canServerGroup(s *scope, q *ast.Query) bool {
+// a DET form and every aggregate has a server representation. It returns
+// the representations chosen for the query's SUMs, in queryAggregates order.
+func (g *genState) canServerGroup(s *scope, q *ast.Query) ([]*sumRep, bool) {
 	ctx := g.ctx
 	for _, k := range q.GroupBy {
 		if _, _, ok := ctx.rewriteValue(s, k, enc.DET); !ok {
-			return false
+			return nil, false
 		}
 	}
 	aggs := queryAggregates(q)
+	var sums []*sumRep
 	for _, a := range aggs.sums {
-		if _, ok := g.sumRepresentation(s, a); !ok {
-			return false
+		rep, ok := g.sumRepresentation(s, a)
+		if !ok {
+			return nil, false
 		}
+		sums = append(sums, rep)
 	}
 	for _, a := range aggs.minmax {
 		if _, _, ok := ctx.rewriteValue(s, a.Arg, enc.OPE); !ok {
 			// MIN/MAX can also ride GROUP_CONCAT if a decryptable form
 			// exists.
 			if _, _, ok := ctx.rewriteValue(s, a.Arg, anySchemes...); !ok {
-				return false
+				return nil, false
 			}
 		}
 	}
@@ -195,12 +154,12 @@ func (g *genState) canServerGroup(s *scope, q *ast.Query) bool {
 		}
 		if a.Distinct {
 			if _, _, ok := ctx.rewriteValue(s, a.Arg, enc.DET); !ok {
-				return false
+				return nil, false
 			}
 			continue
 		}
 		if _, _, ok := ctx.rewriteValue(s, a.Arg, anySchemes...); !ok {
-			return false
+			return nil, false
 		}
 	}
 	// Non-aggregate projection/having/order expressions must be functions
@@ -209,21 +168,12 @@ func (g *genState) canServerGroup(s *scope, q *ast.Query) bool {
 	for _, k := range q.GroupBy {
 		keySQL[k.SQL()] = true
 	}
-	check := func(e ast.Expr) bool { return coveredByKeys(e, keySQL) }
-	for _, p := range q.Projections {
-		if !check(p.Expr) {
-			return false
+	for _, e := range clauseExprs(q, nil) {
+		if !coveredByKeys(e, keySQL) {
+			return nil, false
 		}
 	}
-	if q.Having != nil && !check(q.Having) {
-		return false
-	}
-	for _, o := range q.OrderBy {
-		if !check(o.Expr) {
-			return false
-		}
-	}
-	return true
+	return sums, true
 }
 
 // coveredByKeys reports whether every column reference in e sits beneath a
@@ -268,6 +218,7 @@ type sumRep struct {
 	arg      ast.Expr   // unwrapped argument (single-table expression)
 	cond     ast.Expr   // optional rewritten condition (conditional sums)
 	item     *enc.Item  // HOM item (homsum) or decryptable item (concat)
+	encArg   ast.Expr   // concat: the argument's encrypted column
 	homTable string
 	entryRef string // FROM alias owning the argument
 }
@@ -276,34 +227,34 @@ type sumRep struct {
 // addition when a HOM item is available; GROUP_CONCAT of a decryptable
 // encryption otherwise; and plain server arithmetic for constant summands
 // (SUM(CASE WHEN p THEN 1 ELSE 0 END) is a conditional count — the count
-// is no more revealing than COUNT(*)).
+// is no more revealing than COUNT(*)). The items it reads are noted as they
+// are chosen, also when the block then falls back to client grouping.
 func (g *genState) sumRepresentation(s *scope, a *ast.AggExpr) (*sumRep, bool) {
 	ctx := g.ctx
-	arg := a.Arg
-	var cond ast.Expr
-	if e, p := caseSumShape(arg); e != nil {
-		pc, ok := ctx.rewritePred(s, p)
+	rep := &sumRep{mode: OutPlain, arg: a.Arg}
+	if e, p := caseSumShape(a.Arg); e != nil {
+		cond, items, ok := ctx.rewritePred(s, p)
 		if !ok {
 			return nil, false
 		}
-		cond = pc
-		arg = e
-		g.notePredItems(s, p)
+		g.note(items...)
+		rep.cond, rep.arg = cond, e
 	}
-	if lit, ok := arg.(*ast.Literal); ok && lit.Val.IsNumeric() {
-		return &sumRep{mode: OutPlain, arg: arg, cond: cond}, true
+	if lit, ok := rep.arg.(*ast.Literal); ok && lit.Val.IsNumeric() {
+		return rep, true
 	}
-	entry := s.singleEntry(arg)
+	entry := s.singleEntry(rep.arg)
 	if entry == nil {
 		return nil, false
 	}
-	if it, ok := ctx.findItem(entry.table, arg, enc.HOM); ok {
-		g.note(it)
-		return &sumRep{mode: OutHomSum, arg: arg, cond: cond, item: it, homTable: entry.table, entryRef: entry.ref}, true
+	rep.entryRef = entry.ref
+	if it, ok := ctx.findItem(entry.table, rep.arg, enc.HOM); ok {
+		rep.mode, rep.item, rep.homTable = OutHomSum, it, entry.table
+	} else if sv, it, ok := ctx.rewriteValue(s, rep.arg, enc.DET, enc.RND); ok {
+		rep.mode, rep.item, rep.encArg = OutConcatAgg, it, sv
+	} else {
+		return nil, false
 	}
-	if _, it, ok := ctx.rewriteValue(s, arg, enc.DET, enc.RND); ok {
-		g.note(it)
-		return &sumRep{mode: OutConcatAgg, arg: arg, cond: cond, item: it, entryRef: entry.ref}, true
-	}
-	return nil, false
+	g.note(rep.item)
+	return rep, true
 }

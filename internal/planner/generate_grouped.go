@@ -13,7 +13,7 @@ import (
 // (Algorithm 1 lines 14-26): the RemoteSQL groups by DET keys and computes
 // each aggregate's server representation; the client decrypts one row per
 // group and applies HAVING/ORDER BY/LIMIT locally.
-func (g *genState) genServerGrouped(plan *Plan, s *scope, q *ast.Query, remoteFrom []ast.TableRef, pushed []ast.Expr) (*Plan, error) {
+func (g *genState) genServerGrouped(plan *Plan, s *scope, q *ast.Query, remoteFrom []ast.TableRef, pushed []ast.Expr, sums []*sumRep) (*Plan, error) {
 	ctx := g.ctx
 	remote := ast.NewQuery()
 	remote.From = remoteFrom
@@ -47,11 +47,8 @@ func (g *genState) genServerGrouped(plan *Plan, s *scope, q *ast.Query, remoteFr
 		mapping[srcSQL] = out.Name
 	}
 
-	for _, a := range aggs.sums {
-		rep, ok := g.sumRepresentation(s, a)
-		if !ok {
-			return nil, fmt.Errorf("planner: sum %s lost its server form", a.SQL())
-		}
+	for i, a := range aggs.sums {
+		rep := sums[i]
 		switch rep.mode {
 		case OutPlain:
 			// Constant summand: the server sums literals guarded by the
@@ -81,14 +78,10 @@ func (g *genState) genServerGrouped(plan *Plan, s *scope, q *ast.Query, remoteFr
 				Mode: OutHomSum, HomTable: rep.homTable, HomExpr: homExpr, Kind: value.Int,
 			})
 		case OutConcatAgg:
-			encArg, _, ok := ctx.rewriteValue(s, rep.arg, enc.DET, enc.RND)
-			if !ok {
-				return nil, fmt.Errorf("planner: concat arg %s lost its form", rep.arg.SQL())
-			}
-			arg := encArg
+			arg := rep.encArg
 			if rep.cond != nil {
 				arg = &ast.CaseExpr{
-					Whens: []ast.CaseWhen{{Cond: rep.cond, Then: encArg}},
+					Whens: []ast.CaseWhen{{Cond: rep.cond, Then: arg}},
 					Else:  &ast.Literal{Val: value.NewNull()},
 				}
 			}
@@ -189,7 +182,7 @@ func (g *genState) genServerGrouped(plan *Plan, s *scope, q *ast.Query, remoteFr
 	}
 	if q.Having != nil {
 		h := substituteMapped(q.Having, mapping)
-		h, err := g.localizeSubqueries(plan, h, s)
+		h, err := g.localize(plan, h, s, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -5,199 +5,129 @@ import (
 	"sort"
 
 	"repro/internal/ast"
+	"repro/internal/enc"
 )
+
+// The client-side half of Algorithm 1 (lines 27-44): whatever REWRITESERVER
+// could not move to the server runs in a residual query over decrypted temp
+// tables. Three pieces, each written once and shared by the main block and
+// by every locally-evaluated subquery: fetch adds one decryptable column to
+// a RemoteSQL part, localize rewrites an expression to read temp columns,
+// and localQuery rebuilds a block clause by clause with it.
 
 // genClientResidual builds the plan when part of the query must run on the
 // client: the RemoteSQL fetches the (filtered, joined) encrypted rows the
 // residual needs, and the client decrypts them and runs the rest of the
-// query — local filters, grouping, HAVING, ORDER BY — over the temp table
-// (Algorithm 1 lines 27-44).
+// query — local filters, grouping, HAVING, ORDER BY — over the temp tables.
+// temps are the derived tables' subplan results, in FROM order.
 func (g *genState) genClientResidual(plan *Plan, s *scope, q *ast.Query,
-	remoteFrom []ast.TableRef, pushed []ast.Expr, local []ast.Expr,
-	aliasToTemp map[string]string, localOnly map[string]bool) (*Plan, error) {
+	remoteFrom []ast.TableRef, pushed, local []ast.Expr, temps []ast.TableRef) (*Plan, error) {
 
-	main := make(map[*scopeEntry]bool)
+	// Base-table entries reach the residual through the main fetch.
+	fetched := make(map[*scopeEntry]bool)
 	for i := range s.entries {
-		e := &s.entries[i]
-		if e.table != "" && !localOnly[e.ref] {
-			main[e] = true
+		if s.entries[i].table != "" {
+			fetched[&s.entries[i]] = true
 		}
-	}
-
-	// Columns the residual needs from the main fetch.
-	needed := make(map[string][2]string) // "ref__col" -> (ref, col)
-	note := func(entry *scopeEntry, col string) {
-		if main[entry] {
-			needed[entry.ref+"__"+col] = [2]string{entry.ref, col}
-		}
-	}
-	for _, p := range q.Projections {
-		collectRefs(g.ctx, p.Expr, s, note)
-	}
-	for _, k := range q.GroupBy {
-		collectRefs(g.ctx, k, s, note)
-	}
-	collectRefs(g.ctx, q.Having, s, note)
-	for _, o := range q.OrderBy {
-		collectRefs(g.ctx, o.Expr, s, note)
-	}
-	for _, c := range local {
-		collectRefs(g.ctx, c, s, note)
 	}
 
 	// A query over only derived tables (all subplans) has no main fetch.
-	if len(remoteFrom) == 0 {
-		return g.finishResidualLocalOnly(plan, s, q, local, aliasToTemp, main)
-	}
-
-	// Main RemoteSQL: join + pushed filters, projecting the needed columns.
-	remote := ast.NewQuery()
-	remote.From = remoteFrom
-	remote.Where = ast.AndAll(pushed)
-	part := &RemotePart{Name: g.tempName(), Query: remote}
-	names := make([]string, 0, len(needed))
-	for n := range needed {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		rc := needed[n]
-		colExpr := &ast.ColumnRef{Table: rc[0], Column: rc[1]}
-		sv, it, ok := g.ctx.rewriteValue(s, colExpr, anySchemes...)
-		if !ok {
-			return nil, fmt.Errorf("planner: no decryptable encryption of %s.%s", rc[0], rc[1])
+	from := temps
+	if len(remoteFrom) > 0 {
+		// Main RemoteSQL: join + pushed filters, projecting the columns
+		// the residual reads.
+		remote := ast.NewQuery()
+		remote.From = remoteFrom
+		remote.Where = ast.AndAll(pushed)
+		part := &RemotePart{Name: g.tempName(), Query: remote}
+		var cols [][2]string // (ref, col)
+		for en, m := range neededCols(g.ctx, s, fetched, clauseExprs(q, local)) {
+			for col := range m {
+				cols = append(cols, [2]string{en.ref, col})
+			}
 		}
-		g.note(it)
-		remote.Projections = append(remote.Projections, ast.SelectItem{Expr: sv, Alias: n})
-		part.Outputs = append(part.Outputs, Output{Name: n, Mode: OutDecrypt, Item: it, Kind: it.PlainKind})
-	}
-	if len(remote.Projections) == 0 {
-		// Residual references no main columns (e.g. SELECT COUNT(*) with
-		// all filters pushed): fetch some column so rows can be counted.
-		for i := range s.entries {
-			en := &s.entries[i]
-			if !main[en] || len(en.info.Cols) == 0 {
-				continue
+		sort.Slice(cols, func(i, j int) bool {
+			return cols[i][0]+"__"+cols[i][1] < cols[j][0]+"__"+cols[j][1]
+		})
+		for _, c := range cols {
+			if err := g.fetch(part, s, c[0], c[1]); err != nil {
+				return nil, err
 			}
-			col := en.info.Cols[0].Name
-			sv, it, ok := g.ctx.rewriteValue(s, &ast.ColumnRef{Table: en.ref, Column: col}, anySchemes...)
-			if !ok {
-				continue
-			}
-			g.note(it)
-			name := en.ref + "__" + col
-			remote.Projections = append(remote.Projections, ast.SelectItem{Expr: sv, Alias: name})
-			part.Outputs = append(part.Outputs, Output{Name: name, Mode: OutDecrypt, Item: it, Kind: it.PlainKind})
-			break
 		}
 		if len(remote.Projections) == 0 {
-			return nil, fmt.Errorf("planner: residual plan needs at least one fetched column")
+			// Residual references no main columns (e.g. SELECT COUNT(*)
+			// with all filters pushed): fetch some column so rows can be
+			// counted.
+			err := fmt.Errorf("planner: residual plan needs at least one fetched column")
+			for i := 0; i < len(s.entries) && err != nil; i++ {
+				if en := &s.entries[i]; fetched[en] && len(en.info.Cols) > 0 {
+					err = g.fetch(part, s, en.ref, en.info.Cols[0].Name)
+				}
+			}
+			if err != nil {
+				return nil, err
+			}
 		}
+		plan.Remote = part
+		from = append([]ast.TableRef{{Name: part.Name}}, temps...)
 	}
-	plan.Remote = part
 
-	// Build the residual local query.
-	lq := ast.NewQuery()
-	lq.From = []ast.TableRef{{Name: part.Name}}
-	for ref, temp := range aliasToTemp {
-		lq.From = append(lq.From, ast.TableRef{Name: temp, Alias: ref})
-	}
-	lq.Distinct = q.Distinct
-	lq.Limit = q.Limit
 	var err error
-	for _, p := range q.Projections {
-		e, terr := g.transformLocalExpr(plan, p.Expr, s, main)
-		if terr != nil {
-			return nil, terr
-		}
-		lq.Projections = append(lq.Projections, ast.SelectItem{Expr: e, Alias: p.Alias})
-	}
-	var localT []ast.Expr
-	for _, c := range local {
-		e, terr := g.transformLocalExpr(plan, c, s, main)
-		if terr != nil {
-			return nil, terr
-		}
-		localT = append(localT, e)
-	}
-	lq.Where = ast.AndAll(localT)
-	for _, k := range q.GroupBy {
-		e, terr := g.transformLocalExpr(plan, k, s, main)
-		if terr != nil {
-			return nil, terr
-		}
-		lq.GroupBy = append(lq.GroupBy, e)
-	}
-	if q.Having != nil {
-		lq.Having, err = g.transformLocalExpr(plan, q.Having, s, main)
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, o := range q.OrderBy {
-		e, terr := g.transformLocalExpr(plan, o.Expr, s, main)
-		if terr != nil {
-			return nil, terr
-		}
-		lq.OrderBy = append(lq.OrderBy, ast.OrderItem{Expr: e, Desc: o.Desc})
-	}
-	plan.Local = lq
-	return plan, nil
+	plan.Local, err = g.localQuery(plan, q, local, from, s, fetched)
+	return plan, err
 }
 
-// finishResidualLocalOnly builds the residual query when every FROM entry
-// is a locally-materialized derived table.
-func (g *genState) finishResidualLocalOnly(plan *Plan, s *scope, q *ast.Query,
-	local []ast.Expr, aliasToTemp map[string]string, main map[*scopeEntry]bool) (*Plan, error) {
-	lq := ast.NewQuery()
-	for ref, temp := range aliasToTemp {
-		lq.From = append(lq.From, ast.TableRef{Name: temp, Alias: ref})
+// fetch projects ref.col from a RemoteSQL part under whichever decryptable
+// encryption the design has; it arrives in the temp table as ref__col.
+func (g *genState) fetch(part *RemotePart, s *scope, ref, col string) error {
+	sv, it, ok := g.ctx.rewriteValue(s, &ast.ColumnRef{Table: ref, Column: col}, anySchemes...)
+	if !ok {
+		return fmt.Errorf("planner: no decryptable encryption of %s.%s", ref, col)
 	}
-	lq.Distinct = q.Distinct
-	lq.Limit = q.Limit
+	g.note(it)
+	name := ref + "__" + col
+	part.Query.Projections = append(part.Query.Projections, ast.SelectItem{Expr: sv, Alias: name})
+	part.Outputs = append(part.Outputs, Output{Name: name, Mode: OutDecrypt, Item: it, Kind: it.PlainKind})
+	return nil
+}
+
+// clauseExprs lists the expressions of a query block, with where standing
+// in for its WHERE conjuncts.
+func clauseExprs(q *ast.Query, where []ast.Expr) []ast.Expr {
+	var out []ast.Expr
 	for _, p := range q.Projections {
-		e, err := g.transformLocalExpr(plan, p.Expr, s, main)
-		if err != nil {
-			return nil, err
-		}
-		lq.Projections = append(lq.Projections, ast.SelectItem{Expr: e, Alias: p.Alias})
+		out = append(out, p.Expr)
 	}
-	var localT []ast.Expr
-	for _, c := range local {
-		e, err := g.transformLocalExpr(plan, c, s, main)
-		if err != nil {
-			return nil, err
-		}
-		localT = append(localT, e)
-	}
-	lq.Where = ast.AndAll(localT)
-	for _, k := range q.GroupBy {
-		e, err := g.transformLocalExpr(plan, k, s, main)
-		if err != nil {
-			return nil, err
-		}
-		lq.GroupBy = append(lq.GroupBy, e)
-	}
-	if q.Having != nil {
-		h, err := g.transformLocalExpr(plan, q.Having, s, main)
-		if err != nil {
-			return nil, err
-		}
-		lq.Having = h
-	}
+	out = append(out, where...)
+	out = append(out, q.GroupBy...)
+	out = append(out, q.Having)
 	for _, o := range q.OrderBy {
-		e, err := g.transformLocalExpr(plan, o.Expr, s, main)
-		if err != nil {
-			return nil, err
-		}
-		lq.OrderBy = append(lq.OrderBy, ast.OrderItem{Expr: e, Desc: o.Desc})
+		out = append(out, o.Expr)
 	}
-	plan.Local = lq
-	return plan, nil
+	return out
+}
+
+// neededCols maps each entry of own to those of its columns the expressions
+// (nested subqueries included) reference.
+func neededCols(ctx *Context, s *scope, own map[*scopeEntry]bool, exprs []ast.Expr) map[*scopeEntry]map[string]bool {
+	out := make(map[*scopeEntry]map[string]bool)
+	for _, e := range exprs {
+		collectRefs(ctx, e, s, func(en *scopeEntry, col string) {
+			if !own[en] {
+				return
+			}
+			if out[en] == nil {
+				out[en] = make(map[string]bool)
+			}
+			out[en][col] = true
+		})
+	}
+	return out
 }
 
 // collectRefs walks an expression (descending into subqueries with chained
-// scopes) and reports every column reference with its resolved entry.
+// scopes) and reports every column reference with its resolved entry — nil
+// for a reference that resolves nowhere in the scope chain.
 func collectRefs(ctx *Context, e ast.Expr, s *scope, fn func(*scopeEntry, string)) {
 	if e == nil {
 		return
@@ -207,9 +137,11 @@ func collectRefs(ctx *Context, e ast.Expr, s *scope, fn func(*scopeEntry, string
 		if x.Column == "*" {
 			return
 		}
-		if entry, ok := s.entryFor(x); ok {
-			fn(entry, x.Column)
+		entry, ok := s.entryFor(x)
+		if !ok {
+			entry = nil
 		}
+		fn(entry, x.Column)
 		return
 	case *ast.SubqueryExpr:
 		collectQueryRefs(ctx, x.Sub, s, fn)
@@ -231,23 +163,17 @@ func collectRefs(ctx *Context, e ast.Expr, s *scope, fn func(*scopeEntry, string
 }
 
 // collectQueryRefs applies collectRefs to every clause of a subquery, with
-// the subquery's scope chained over the enclosing one.
+// the subquery's scope chained over the enclosing one. A FROM list that
+// does not resolve reports one unresolved reference.
 func collectQueryRefs(ctx *Context, q *ast.Query, outer *scope, fn func(*scopeEntry, string)) {
 	inner, err := ctx.newScope(q)
 	if err != nil {
+		fn(nil, "")
 		return
 	}
 	s := inner.chain(outer)
-	for _, p := range q.Projections {
-		collectRefs(ctx, p.Expr, s, fn)
-	}
-	collectRefs(ctx, q.Where, s, fn)
-	for _, k := range q.GroupBy {
-		collectRefs(ctx, k, s, fn)
-	}
-	collectRefs(ctx, q.Having, s, fn)
-	for _, o := range q.OrderBy {
-		collectRefs(ctx, o.Expr, s, fn)
+	for _, e := range clauseExprs(q, []ast.Expr{q.Where}) {
+		collectRefs(ctx, e, s, fn)
 	}
 	for i := range q.From {
 		if q.From[i].Sub != nil {
@@ -256,159 +182,90 @@ func collectQueryRefs(ctx *Context, q *ast.Query, outer *scope, fn func(*scopeEn
 	}
 }
 
-// transformLocalExpr rewrites an expression for the residual query:
-// references to main-fetch entries become `ref__col` temp columns, and
-// subqueries are localized (their base tables replaced by sub-fetch temps).
-func (g *genState) transformLocalExpr(plan *Plan, e ast.Expr, s *scope, main map[*scopeEntry]bool) (ast.Expr, error) {
-	if e == nil {
-		return nil, nil
+// localize rewrites an expression for the residual query: a column of an
+// entry in fetched reads its `ref__col` temp column, and subqueries are
+// localized (their base tables replaced by sub-fetch temps).
+func (g *genState) localize(plan *Plan, e ast.Expr, s *scope, fetched map[*scopeEntry]bool) (ast.Expr, error) {
+	var err error
+	sub := func(q *ast.Query) *ast.Query {
+		if err != nil {
+			return nil
+		}
+		var out *ast.Query
+		out, err = g.localizeSub(plan, q, s, fetched)
+		return out
 	}
-	switch x := e.(type) {
-	case *ast.ColumnRef:
-		if entry, ok := s.entryFor(x); ok && main[entry] {
-			return &ast.ColumnRef{Column: entry.ref + "__" + x.Column}, nil
-		}
-		return x.Clone(), nil
-	case *ast.SubqueryExpr:
-		sub, err := g.localizeSub(plan, x.Sub, s, main, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.SubqueryExpr{Sub: sub}, nil
-	case *ast.ExistsExpr:
-		sub, err := g.localizeSub(plan, x.Sub, s, main, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.ExistsExpr{Sub: sub, Not: x.Not}, nil
-	case *ast.InExpr:
-		n := &ast.InExpr{Not: x.Not}
-		var err error
-		n.E, err = g.transformLocalExpr(plan, x.E, s, main)
-		if err != nil {
-			return nil, err
-		}
-		for _, l := range x.List {
-			le, err := g.transformLocalExpr(plan, l, s, main)
-			if err != nil {
-				return nil, err
+	out := ast.RewriteExpr(e, func(x ast.Expr) ast.Expr {
+		switch c := x.(type) {
+		case *ast.ColumnRef:
+			if entry, ok := s.entryFor(c); ok && fetched[entry] {
+				return &ast.ColumnRef{Column: entry.ref + "__" + c.Column}
 			}
-			n.List = append(n.List, le)
-		}
-		if x.Sub != nil {
-			n.Sub, err = g.localizeSub(plan, x.Sub, s, main, nil)
-			if err != nil {
-				return nil, err
+		case *ast.SubqueryExpr:
+			return &ast.SubqueryExpr{Sub: sub(c.Sub)}
+		case *ast.ExistsExpr:
+			return &ast.ExistsExpr{Sub: sub(c.Sub), Not: c.Not}
+		case *ast.InExpr:
+			if c.Sub != nil {
+				return &ast.InExpr{E: c.E, List: c.List, Sub: sub(c.Sub), Not: c.Not}
 			}
 		}
-		return n, nil
-	case *ast.BinaryExpr:
-		l, err := g.transformLocalExpr(plan, x.Left, s, main)
-		if err != nil {
-			return nil, err
-		}
-		r, err := g.transformLocalExpr(plan, x.Right, s, main)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.BinaryExpr{Op: x.Op, Left: l, Right: r}, nil
-	case *ast.UnaryExpr:
-		inner, err := g.transformLocalExpr(plan, x.E, s, main)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.UnaryExpr{Neg: x.Neg, E: inner}, nil
-	case *ast.FuncCall:
-		n := &ast.FuncCall{Name: x.Name}
-		for _, a := range x.Args {
-			ae, err := g.transformLocalExpr(plan, a, s, main)
-			if err != nil {
-				return nil, err
-			}
-			n.Args = append(n.Args, ae)
-		}
-		return n, nil
-	case *ast.AggExpr:
-		if x.Arg == nil {
-			return x.Clone(), nil
-		}
-		arg, err := g.transformLocalExpr(plan, x.Arg, s, main)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.AggExpr{Func: x.Func, Arg: arg, Distinct: x.Distinct}, nil
-	case *ast.CaseExpr:
-		n := &ast.CaseExpr{}
-		for _, w := range x.Whens {
-			c, err := g.transformLocalExpr(plan, w.Cond, s, main)
-			if err != nil {
-				return nil, err
-			}
-			t, err := g.transformLocalExpr(plan, w.Then, s, main)
-			if err != nil {
-				return nil, err
-			}
-			n.Whens = append(n.Whens, ast.CaseWhen{Cond: c, Then: t})
-		}
-		if x.Else != nil {
-			var err error
-			n.Else, err = g.transformLocalExpr(plan, x.Else, s, main)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return n, nil
-	case *ast.BetweenExpr:
-		eE, err := g.transformLocalExpr(plan, x.E, s, main)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := g.transformLocalExpr(plan, x.Lo, s, main)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := g.transformLocalExpr(plan, x.Hi, s, main)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.BetweenExpr{E: eE, Lo: lo, Hi: hi, Not: x.Not}, nil
-	case *ast.LikeExpr:
-		inner, err := g.transformLocalExpr(plan, x.E, s, main)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.LikeExpr{E: inner, Pattern: x.Pattern, Not: x.Not}, nil
-	case *ast.IsNullExpr:
-		inner, err := g.transformLocalExpr(plan, x.E, s, main)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.IsNullExpr{E: inner, Not: x.Not}, nil
-	}
-	return e.Clone(), nil
+		return nil
+	})
+	return out, err
 }
 
-// localizeSubqueries transforms the subqueries of a standalone expression
-// (used for HAVING under server grouping, where main refs are already
-// substituted by temp columns).
-func (g *genState) localizeSubqueries(plan *Plan, e ast.Expr, s *scope) (ast.Expr, error) {
-	return g.transformLocalExpr(plan, e, s, map[*scopeEntry]bool{})
+// localQuery builds the client-side form of block q over the temp tables in
+// from: every clause localized, with where (the conjuncts that did not move
+// to a server) as its WHERE.
+func (g *genState) localQuery(plan *Plan, q *ast.Query, where []ast.Expr, from []ast.TableRef,
+	s *scope, fetched map[*scopeEntry]bool) (*ast.Query, error) {
+
+	var err error
+	loc := func(e ast.Expr) ast.Expr {
+		if err != nil {
+			return nil
+		}
+		var out ast.Expr
+		out, err = g.localize(plan, e, s, fetched)
+		return out
+	}
+	lq := ast.NewQuery()
+	lq.From = from
+	lq.Distinct = q.Distinct
+	lq.Limit = q.Limit
+	for _, p := range q.Projections {
+		lq.Projections = append(lq.Projections, ast.SelectItem{Expr: loc(p.Expr), Alias: p.Alias})
+	}
+	kept := make([]ast.Expr, len(where))
+	for i, c := range where {
+		kept[i] = loc(c)
+	}
+	lq.Where = ast.AndAll(kept)
+	for _, k := range q.GroupBy {
+		lq.GroupBy = append(lq.GroupBy, loc(k))
+	}
+	lq.Having = loc(q.Having)
+	for _, o := range q.OrderBy {
+		lq.OrderBy = append(lq.OrderBy, ast.OrderItem{Expr: loc(o.Expr), Desc: o.Desc})
+	}
+	return lq, err
 }
 
 // localizeSub plans the client-side evaluation of one subquery: its base
 // tables are fetched by sub-plans (with the server applying every
 // non-correlated predicate it can), and the subquery is rewritten to run
-// over the temp tables.
-func (g *genState) localizeSub(plan *Plan, sub *ast.Query, outer *scope, outerMain map[*scopeEntry]bool, outerRenames map[*scopeEntry]string) (*ast.Query, error) {
+// over the temp tables. outerFetched are the enclosing blocks' entries that
+// already live in temp tables (correlated references read those).
+func (g *genState) localizeSub(plan *Plan, sub *ast.Query, outer *scope, outerFetched map[*scopeEntry]bool) (*ast.Query, error) {
 	ctx := g.ctx
 
 	// An uncorrelated subquery is an independent query: recurse the whole
 	// of Algorithm 1 on it, so it gets its own split plan — server-side
 	// grouping, PAILLIER_SUM, and §5.4 pre-filtering included. This is how
 	// Q18's IN-subquery keeps its aggregation on the server.
-	if IsUncorrelated(ctx, sub) && (len(sub.GroupBy) > 0 || sub.Having != nil || hasAnyAggregate(sub)) {
-		subPlan, err := g.genQuery(sub)
-		if err == nil {
+	if IsUncorrelated(ctx, sub) && hasAnyAggregate(sub) {
+		if subPlan, err := g.genQuery(sub); err == nil {
 			name := g.tempName()
 			plan.Subplans = append(plan.Subplans, &Subplan{Name: name, Plan: subPlan})
 			out := ast.NewQuery()
@@ -425,336 +282,105 @@ func (g *genState) localizeSub(plan *Plan, sub *ast.Query, outer *scope, outerMa
 		return nil, err
 	}
 	chained := inner.chain(outer)
-
-	// Nested derived tables inside locally-evaluated subqueries stay rare
-	// (TPC-H has none after flattening); plan them recursively.
-	for i := range sub.From {
-		if sub.From[i].Sub != nil {
-			return nil, fmt.Errorf("planner: derived table inside local subquery %s unsupported", sub.From[i].RefName())
+	fetched := make(map[*scopeEntry]bool, len(outerFetched)+len(inner.entries))
+	for en := range outerFetched {
+		fetched[en] = true
+	}
+	own := make(map[*scopeEntry]bool, len(inner.entries))
+	for i := range inner.entries {
+		// Nested derived tables inside locally-evaluated subqueries stay
+		// rare (TPC-H has none after flattening).
+		if inner.entries[i].table == "" {
+			return nil, fmt.Errorf("planner: derived table inside local subquery %s unsupported", inner.entries[i].ref)
 		}
+		own[&inner.entries[i]], fetched[&inner.entries[i]] = true, true
 	}
 
-	// Partition the subquery's conjuncts: pushable into the fetch (only
-	// inner references, rewritable) vs. kept (correlated or unrewritable).
-	var pushed []ast.Expr
-	var kept []ast.Expr
-	var keptOrig []ast.Expr
+	// Run REWRITESERVER once per conjunct over the subquery's own tables
+	// (unchained scope: a correlated reference fails to resolve).
+	type conjunct struct {
+		orig, server ast.Expr // server is nil when the rewrite failed
+		items        []*enc.Item
+	}
+	var conjs []conjunct
+	// One fetch carries the subquery's join unless a conjunct the server
+	// cannot evaluate joins two of its own tables; then every table ships
+	// separately and the joins run locally.
+	joint := true
 	for _, c := range ast.Conjuncts(sub.Where) {
+		cj := conjunct{orig: c}
 		if !ast.HasSubquery(c) {
-			if sc, ok := ctx.rewritePred(inner, c); ok { // unchained: outer refs fail
-				pushed = append(pushed, sc)
-				g.notePredItems(inner, c)
-				continue
-			}
+			cj.server, cj.items, _ = ctx.rewritePred(inner, c)
 		}
-		keptOrig = append(keptOrig, c)
+		if cj.server == nil && len(neededCols(ctx, chained, own, []ast.Expr{c})) >= 2 {
+			joint = false
+		}
+		conjs = append(conjs, cj)
 	}
 
-	// Can the fetch include the join, or must tables ship separately?
-	jointJoin := true
-	for _, c := range keptOrig {
-		n := 0
-		seen := map[*scopeEntry]bool{}
-		collectRefs(ctx, c, chained, func(en *scopeEntry, col string) {
-			for i := range inner.entries {
-				if en == &inner.entries[i] && !seen[en] {
-					seen[en] = true
-					n++
-				}
-			}
-		})
-		if n >= 2 {
-			jointJoin = false // an unpushable inner join predicate
+	var groups [][]*scopeEntry // the tables of each fetch
+	for i := range inner.entries {
+		if en := &inner.entries[i]; joint && i > 0 {
+			groups[0] = append(groups[0], en)
+		} else {
+			groups = append(groups, []*scopeEntry{en})
 		}
 	}
 
-	// Columns of the subquery's own tables that the local evaluation needs.
-	neededByEntry := make(map[*scopeEntry]map[string]bool)
-	isInner := func(en *scopeEntry) bool {
-		for i := range inner.entries {
-			if en == &inner.entries[i] {
-				return true
-			}
+	// Partition the conjuncts: pushed into a fetch (the joint fetch takes
+	// every rewritten one, a per-table fetch those over its table alone)
+	// vs. kept for the local query (correlated, unrewritable, or a join
+	// between separately shipped tables). pushedTo is keyed by a fetch's
+	// first table.
+	pushedTo := make(map[*scopeEntry][]ast.Expr)
+	var kept []ast.Expr
+	for _, cj := range conjs {
+		target := inner.singleEntry(cj.orig)
+		if joint && len(groups) > 0 {
+			target = groups[0][0]
 		}
-		return false
-	}
-	note := func(en *scopeEntry, col string) {
-		if !isInner(en) {
-			return
+		if cj.server == nil || target == nil {
+			kept = append(kept, cj.orig)
+			continue
 		}
-		m := neededByEntry[en]
-		if m == nil {
-			m = make(map[string]bool)
-			neededByEntry[en] = m
-		}
-		m[col] = true
-	}
-	for _, p := range sub.Projections {
-		collectRefs(ctx, p.Expr, chained, note)
-	}
-	for _, k := range sub.GroupBy {
-		collectRefs(ctx, k, chained, note)
-	}
-	collectRefs(ctx, sub.Having, chained, note)
-	for _, c := range keptOrig {
-		collectRefs(ctx, c, chained, note)
+		pushedTo[target] = append(pushedTo[target], cj.server)
+		g.note(cj.items...)
 	}
 
-	// Build the fetch(es).
-	out := ast.NewQuery()
-	// Renames seen by this subquery's body: its own fetched entries plus
-	// every enclosing localized subquery's renames (nested correlation).
-	renames := make(map[*scopeEntry]string, len(outerRenames)+2)
-	for k, v := range outerRenames {
-		renames[k] = v
-	}
-	if jointJoin && len(inner.entries) >= 1 {
+	// Build the fetch(es), each projecting the columns of its tables that
+	// the local evaluation reads.
+	needed := neededCols(ctx, chained, own, clauseExprs(sub, kept))
+	var from []ast.TableRef
+	for _, grp := range groups {
 		remote := ast.NewQuery()
-		for i := range sub.From {
-			remote.From = append(remote.From, ast.TableRef{Name: sub.From[i].Name, Alias: sub.From[i].RefName()})
-		}
-		remote.Where = ast.AndAll(pushed)
+		remote.Where = ast.AndAll(pushedTo[grp[0]])
 		part := &RemotePart{Name: g.tempName(), Query: remote}
-		var entryOrder []*scopeEntry
-		for i := range inner.entries {
-			entryOrder = append(entryOrder, &inner.entries[i])
-		}
-		added := 0
-		for _, en := range entryOrder {
-			cols := sortedKeys(neededByEntry[en])
-			for _, col := range cols {
-				sv, it, ok := ctx.rewriteValue(inner, &ast.ColumnRef{Table: en.ref, Column: col}, anySchemes...)
-				if !ok {
-					return nil, fmt.Errorf("planner: no decryptable encryption of %s.%s", en.ref, col)
+		for _, en := range grp {
+			remote.From = append(remote.From, ast.TableRef{Name: en.table, Alias: en.ref})
+			for _, col := range sortedKeys(needed[en]) {
+				if err := g.fetch(part, inner, en.ref, col); err != nil {
+					return nil, err
 				}
-				g.note(it)
-				name := en.ref + "__" + col
-				remote.Projections = append(remote.Projections, ast.SelectItem{Expr: sv, Alias: name})
-				part.Outputs = append(part.Outputs, Output{Name: name, Mode: OutDecrypt, Item: it, Kind: it.PlainKind})
-				added++
 			}
-			renames[en] = en.ref + "__"
 		}
-		if added == 0 {
+		if len(remote.Projections) == 0 {
 			// EXISTS(SELECT 1 ...) needs at least one column to count rows.
-			en := entryOrder[0]
-			ti := en.info
-			col := ti.Cols[0].Name
-			sv, it, ok := ctx.rewriteValue(inner, &ast.ColumnRef{Table: en.ref, Column: col}, anySchemes...)
-			if !ok {
-				return nil, fmt.Errorf("planner: no decryptable encryption of %s.%s", en.ref, col)
+			if err := g.fetch(part, inner, grp[0].ref, grp[0].info.Cols[0].Name); err != nil {
+				return nil, err
 			}
-			g.note(it)
-			name := en.ref + "__" + col
-			remote.Projections = append(remote.Projections, ast.SelectItem{Expr: sv, Alias: name})
-			part.Outputs = append(part.Outputs, Output{Name: name, Mode: OutDecrypt, Item: it, Kind: it.PlainKind})
 		}
 		plan.Subplans = append(plan.Subplans, &Subplan{Name: part.Name, Plan: &Plan{Remote: part}})
-		out.From = []ast.TableRef{{Name: part.Name}}
-	} else {
-		// Per-table fetches; unpushable join predicates run locally.
-		for i := range inner.entries {
-			en := &inner.entries[i]
-			remote := ast.NewQuery()
-			remote.From = []ast.TableRef{{Name: en.table, Alias: en.ref}}
-			// Push the single-table subset of pushed conjuncts for this
-			// entry; re-derive from the originals for safety.
-			var tPush []ast.Expr
-			for _, c := range ast.Conjuncts(sub.Where) {
-				if ast.HasSubquery(c) {
-					continue
-				}
-				single := inner.singleEntry(c)
-				if single != en {
-					continue
-				}
-				if sc, ok := ctx.rewritePred(inner, c); ok {
-					tPush = append(tPush, sc)
-				}
-			}
-			remote.Where = ast.AndAll(tPush)
-			part := &RemotePart{Name: g.tempName(), Query: remote}
-			cols := sortedKeys(neededByEntry[en])
-			if len(cols) == 0 {
-				cols = []string{en.info.Cols[0].Name}
-			}
-			for _, col := range cols {
-				sv, it, ok := ctx.rewriteValue(inner, &ast.ColumnRef{Table: en.ref, Column: col}, anySchemes...)
-				if !ok {
-					return nil, fmt.Errorf("planner: no decryptable encryption of %s.%s", en.ref, col)
-				}
-				g.note(it)
-				name := en.ref + "__" + col
-				remote.Projections = append(remote.Projections, ast.SelectItem{Expr: sv, Alias: name})
-				part.Outputs = append(part.Outputs, Output{Name: name, Mode: OutDecrypt, Item: it, Kind: it.PlainKind})
-			}
-			plan.Subplans = append(plan.Subplans, &Subplan{Name: part.Name, Plan: &Plan{Remote: part}})
-			out.From = append(out.From, ast.TableRef{Name: part.Name, Alias: en.ref + "_f"})
-			renames[en] = en.ref + "__"
-			// Those conjuncts pushed per-table must not be re-kept.
-			_ = tPush
+		ref := ast.TableRef{Name: part.Name}
+		if !joint {
+			ref.Alias = grp[0].ref + "_f"
 		}
-		// Re-partition: with per-table fetches, multi-table pushed
-		// conjuncts were not pushed after all; keep them locally.
-		kept = kept[:0]
-		keptOrig = keptOrig[:0]
-		for _, c := range ast.Conjuncts(sub.Where) {
-			if ast.HasSubquery(c) {
-				keptOrig = append(keptOrig, c)
-				continue
-			}
-			single := inner.singleEntry(c)
-			if single != nil {
-				if _, ok := ctx.rewritePred(inner, c); ok {
-					continue // pushed per-table
-				}
-			}
-			keptOrig = append(keptOrig, c)
-		}
+		from = append(from, ref)
 	}
 
-	// Rewrite the subquery body over the temp table(s): inner refs take
-	// their ref__col names, outer-main refs take the outer renaming, and
-	// nested subqueries localize recursively.
-	renameFn := func(e ast.Expr) (ast.Expr, error) {
-		return g.transformLocalRenamed(plan, e, chained, outerMain, renames)
-	}
-	for _, p := range sub.Projections {
-		e, err := renameFn(p.Expr)
-		if err != nil {
-			return nil, err
-		}
-		out.Projections = append(out.Projections, ast.SelectItem{Expr: e, Alias: p.Alias})
-	}
-	for _, c := range keptOrig {
-		e, err := renameFn(c)
-		if err != nil {
-			return nil, err
-		}
-		kept = append(kept, e)
-	}
-	out.Where = ast.AndAll(kept)
-	for _, k := range sub.GroupBy {
-		e, err := renameFn(k)
-		if err != nil {
-			return nil, err
-		}
-		out.GroupBy = append(out.GroupBy, e)
-	}
-	if sub.Having != nil {
-		h, err := renameFn(sub.Having)
-		if err != nil {
-			return nil, err
-		}
-		out.Having = h
-	}
-	for _, o := range sub.OrderBy {
-		e, err := renameFn(o.Expr)
-		if err != nil {
-			return nil, err
-		}
-		out.OrderBy = append(out.OrderBy, ast.OrderItem{Expr: e, Desc: o.Desc})
-	}
-	out.Distinct = sub.Distinct
-	out.Limit = sub.Limit
-	return out, nil
-}
-
-// transformLocalRenamed is transformLocalExpr extended with per-entry
-// rename prefixes for a localized subquery's own tables.
-func (g *genState) transformLocalRenamed(plan *Plan, e ast.Expr, s *scope,
-	outerMain map[*scopeEntry]bool, renames map[*scopeEntry]string) (ast.Expr, error) {
-	if e == nil {
-		return nil, nil
-	}
-	switch x := e.(type) {
-	case *ast.ColumnRef:
-		if entry, ok := s.entryFor(x); ok {
-			if prefix, ok := renames[entry]; ok {
-				return &ast.ColumnRef{Column: prefix + x.Column}, nil
-			}
-			if outerMain[entry] {
-				return &ast.ColumnRef{Column: entry.ref + "__" + x.Column}, nil
-			}
-		}
-		return x.Clone(), nil
-	case *ast.SubqueryExpr:
-		sub, err := g.localizeSub(plan, x.Sub, s, outerMain, renames)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.SubqueryExpr{Sub: sub}, nil
-	case *ast.ExistsExpr:
-		sub, err := g.localizeSub(plan, x.Sub, s, outerMain, renames)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.ExistsExpr{Sub: sub, Not: x.Not}, nil
-	case *ast.InExpr:
-		n := &ast.InExpr{Not: x.Not}
-		var err error
-		n.E, err = g.transformLocalRenamed(plan, x.E, s, outerMain, renames)
-		if err != nil {
-			return nil, err
-		}
-		for _, l := range x.List {
-			le, err := g.transformLocalRenamed(plan, l, s, outerMain, renames)
-			if err != nil {
-				return nil, err
-			}
-			n.List = append(n.List, le)
-		}
-		if x.Sub != nil {
-			n.Sub, err = g.localizeSub(plan, x.Sub, s, outerMain, renames)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return n, nil
-	}
-	// Generic recursion via transformLocalExpr shape: rebuild children.
-	var firstErr error
-	out := ast.RewriteExpr(e, func(x ast.Expr) ast.Expr {
-		if firstErr != nil {
-			return nil
-		}
-		switch c := x.(type) {
-		case *ast.ColumnRef:
-			if entry, ok := s.entryFor(c); ok {
-				if prefix, ok := renames[entry]; ok {
-					return &ast.ColumnRef{Column: prefix + c.Column}
-				}
-				if outerMain[entry] {
-					return &ast.ColumnRef{Column: entry.ref + "__" + c.Column}
-				}
-			}
-		case *ast.SubqueryExpr:
-			sub, err := g.localizeSub(plan, c.Sub, s, outerMain, renames)
-			if err != nil {
-				firstErr = err
-				return nil
-			}
-			return &ast.SubqueryExpr{Sub: sub}
-		case *ast.ExistsExpr:
-			sub, err := g.localizeSub(plan, c.Sub, s, outerMain, renames)
-			if err != nil {
-				firstErr = err
-				return nil
-			}
-			return &ast.ExistsExpr{Sub: sub, Not: c.Not}
-		case *ast.InExpr:
-			if c.Sub != nil {
-				sub, err := g.localizeSub(plan, c.Sub, s, outerMain, renames)
-				if err != nil {
-					firstErr = err
-					return nil
-				}
-				return &ast.InExpr{E: c.E, List: c.List, Sub: sub, Not: c.Not}
-			}
-		}
-		return nil
-	})
-	return out, firstErr
+	// Rewrite the subquery body over the temp table(s): fetched refs, its
+	// own and the enclosing blocks', take their ref__col names, and nested
+	// subqueries localize recursively.
+	return g.localQuery(plan, sub, kept, from, chained, fetched)
 }
 
 // planOutputCols derives the output column names of a completed plan.

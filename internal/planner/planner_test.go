@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -124,6 +126,55 @@ func TestUnitItemsMatchOperations(t *testing.T) {
 	if units[0].Items[0].Scheme != enc.OPE {
 		t.Errorf("between should want OPE, got %v", units[0].Items[0].Scheme)
 	}
+
+	// A unit's items are what the rewriter reports when it runs against a
+	// design that has them: one traversal, two item sources.
+	for _, sql := range []string{
+		`SELECT o_id FROM orders WHERE o_total BETWEEN 10 AND 90`,
+		`SELECT o_id FROM orders, items WHERE o_id = i_order AND i_tag LIKE '%word%' AND (o_total > 100 OR o_cust = 'ca')`,
+		`SELECT o_id FROM orders WHERE o_id IN (SELECT i_order FROM items WHERE i_qty = 3)`,
+		`SELECT o_id FROM orders WHERE EXISTS (SELECT 1 FROM items WHERE i_order = o_id AND i_qty IN (1, 2))`,
+	} {
+		q := prep(t, sql)
+		units, err := ctx.ExtractUnits(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := ctx.newScope(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range ast.Conjuncts(q.Where) {
+			_, used, ok := ctx.rewritePred(s, c)
+			if !ok {
+				t.Fatalf("%s: conjunct %d not rewritable under the rich design", sql, i)
+			}
+			var unit *Unit
+			for j := range units {
+				if units[j].ID == fmt.Sprintf("where:%d", i) {
+					unit = &units[j]
+				}
+			}
+			if unit == nil {
+				t.Fatalf("%s: no unit for conjunct %d", sql, i)
+			}
+			want := itemKeys(unit.Items)
+			got := itemKeys(dedupItems(derefItems(used)))
+			if got != want {
+				t.Errorf("%s: conjunct %d: rewriter used %s, unit has %s", sql, i, got, want)
+			}
+		}
+	}
+}
+
+// itemKeys renders an item set canonically.
+func itemKeys(items []enc.Item) string {
+	keys := make([]string, len(items))
+	for i := range items {
+		keys[i] = items[i].Key()
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, " ")
 }
 
 func TestJoinUnitRequiresSharedGroup(t *testing.T) {
@@ -169,6 +220,87 @@ func TestGenerateGreedyPushesEverything(t *testing.T) {
 	}
 	if len(plan.UsedItems) == 0 {
 		t.Error("plan should record its BestSet items")
+	}
+}
+
+// Every item a plan reports must exist in the design it was generated
+// against: the rewriter reports what it read, nothing it might have.
+func TestUsedItemsSubsetOfDesign(t *testing.T) {
+	rich := testContext(t)
+	// The §5.1 precomputed boolean of o_total > 100, and no OPE(o_total).
+	pc, err := sqlparser.ParseExpr("o_total > 100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcItem := enc.ExprItem("orders", pc, enc.DET, value.Bool)
+	precomp := &enc.Design{GroupedAddition: true, MultiRowPacking: true}
+	bare := &enc.Design{}
+	for _, it := range rich.Design.Items {
+		if it.Scheme == enc.DET {
+			bare.Add(it)
+		}
+		if it.Scheme != enc.OPE {
+			precomp.Add(it)
+		}
+	}
+	precomp.Add(pcItem)
+
+	queries := []string{
+		`SELECT o_cust, SUM(o_total) AS s FROM orders WHERE o_total > 100 GROUP BY o_cust ORDER BY s DESC`,
+		`SELECT o_id FROM orders WHERE o_total > 100 AND o_cust = 'ca'`,
+		`SELECT o_id FROM orders WHERE o_total BETWEEN 10 AND 90 AND o_cust IS NULL`,
+		`SELECT o_id FROM orders, items WHERE o_id = i_order AND i_tag LIKE '%word%'`,
+		`SELECT o_cust, SUM(CASE WHEN o_total > 100 THEN o_total ELSE 0 END), COUNT(*), MAX(o_total) FROM orders GROUP BY o_cust`,
+		`SELECT o_id FROM orders WHERE EXISTS (SELECT 1 FROM items WHERE i_order = o_id AND i_qty = 3)`,
+		`SELECT o_id FROM orders WHERE o_id IN (SELECT i_order FROM items WHERE i_qty > 2)`,
+		`SELECT o_id FROM orders WHERE o_total > (SELECT SUM(i_qty) FROM items WHERE i_order = o_id AND i_tag LIKE '%word%')`,
+		`SELECT COUNT(*) FROM orders WHERE o_total > 100`,
+	}
+	for name, d := range map[string]*enc.Design{"rich": rich.Design, "bare": bare, "precomputed": precomp} {
+		ctx := rich.WithDesign(d)
+		for _, sql := range queries {
+			plan, err := ctx.Generate(prep(t, sql))
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, sql, err)
+			}
+			usesPC := false
+			for i := range plan.UsedItems {
+				it := &plan.UsedItems[i]
+				if _, ok := d.Find(it.Table, it.ExprSQL(), it.Scheme); !ok {
+					t.Errorf("%s: %s: plan reports %s, which the design does not have\n%s", name, sql, it.Key(), plan.Describe())
+				}
+				usesPC = usesPC || it.Key() == pcItem.Key()
+			}
+			pushedPC := false
+			for _, part := range plan.AllParts() {
+				pushedPC = pushedPC || strings.Contains(part.Query.SQL(), pcItem.ColumnName())
+			}
+			if pushedPC && !usesPC {
+				t.Errorf("%s: %s: plan filters on %s but does not report %s", name, sql, pcItem.ColumnName(), pcItem.Key())
+			}
+			if name == "precomputed" && strings.Contains(sql, "WHERE o_total > 100") && !pushedPC {
+				t.Errorf("%s: %s: precomputed predicate not pushed\n%s", name, sql, plan.Describe())
+			}
+		}
+	}
+}
+
+// Derived tables reach the residual FROM in the query's FROM order, every
+// time (it used to be a map iteration).
+func TestResidualFromOrderDeterministic(t *testing.T) {
+	ctx := testContext(t)
+	q := prep(t, `SELECT a.c, a.m, b.n FROM
+		(SELECT o_cust AS c, MAX(o_total) AS m FROM orders GROUP BY o_cust) a,
+		(SELECT o_cust AS c, COUNT(*) AS n FROM orders GROUP BY o_cust) b
+		WHERE a.c = b.c`)
+	for i := 0; i < 40; i++ {
+		plan, err := ctx.Generate(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.Local.SQL(); !strings.Contains(got, "FROM r1 a, r3 b") {
+			t.Fatalf("generation %d: residual FROM out of order: %s", i, got)
+		}
 	}
 }
 
@@ -274,28 +406,34 @@ func TestRewritePredForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		sql  string
-		want string // substring expected in the rewritten predicate
+		sql   string
+		want  string // substring expected in the rewritten predicate
+		items string // keys of the items the rewrite reports
 	}{
-		{"o_cust = 'ca'", "o_cust_det"},
-		{"o_total > 100", "o_total_ope"},
-		{"o_total BETWEEN 10 AND 20", "o_total_ope"},
-		{"o_cust IN ('a','b')", "o_cust_det"},
-		{"i_tag LIKE '%word%'", "search_match"},
-		{"o_id = i_order", "i_order_det"},
+		{"o_cust = 'ca'", "o_cust_det", "orders|o_cust|DET"},
+		{"o_total > 100", "o_total_ope", "orders|o_total|OPE"},
+		{"o_total BETWEEN 10 AND 20", "o_total_ope", "orders|o_total|OPE"},
+		{"o_cust IN ('a','b')", "o_cust_det", "orders|o_cust|DET"},
+		{"i_tag LIKE '%word%'", "search_match", "items|i_tag|SEARCH"},
+		{"o_id = i_order", "i_order_det", "items|i_order|DET orders|o_id|DET"},
+		{"o_cust = 'ca' OR NOT o_total > 100", "o_total_ope", "orders|o_cust|DET orders|o_total|OPE"},
+		{"i_tag IS NULL", "i_tag_det", "items|i_tag|DET"},
 	}
 	for _, c := range cases {
 		e, err := sqlparser.ParseExpr(c.sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, ok := ctx.rewritePred(s, e)
+		out, used, ok := ctx.rewritePred(s, e)
 		if !ok {
 			t.Errorf("rewrite %q failed", c.sql)
 			continue
 		}
 		if !strings.Contains(out.SQL(), c.want) {
 			t.Errorf("rewrite %q = %s, want %q inside", c.sql, out.SQL(), c.want)
+		}
+		if got := itemKeys(derefItems(used)); got != c.items {
+			t.Errorf("rewrite %q used %s, want %s", c.sql, got, c.items)
 		}
 	}
 	// Negative cases: not rewritable with this design.
@@ -309,8 +447,8 @@ func TestRewritePredForms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := ctx.rewritePred(s, e); ok {
-			t.Errorf("rewrite %q should fail", bad)
+		if _, used, ok := ctx.rewritePred(s, e); ok || used != nil {
+			t.Errorf("rewrite %q should fail and report no items (%v)", bad, used)
 		}
 	}
 }
