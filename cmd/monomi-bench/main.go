@@ -37,7 +37,6 @@ func main() {
 	maxK := flag.Int("maxk", 4, "maximum designer subset size for fig8")
 	par := flag.Int("parallelism", 0, "sharded-execution workers (0 = GOMAXPROCS, 1 = sequential)")
 	batch := flag.Int("batchsize", 0, "execution batch size in rows for suite experiments (0 = unbounded: one batch per worker)")
-	stream := flag.Bool("streamwire", false, "stream encrypted result batches to the client mid-scan (suite experiments)")
 	indexRows := flag.Int("indexrows", 200000, "table rows for the index selectivity sweep (-exp index)")
 	indexIters := flag.Int("indexiters", 7, "timed executions per sweep point (-exp index)")
 	backendRows := flag.Int("backendrows", 20000, "table rows for the storage-backend scenario (-exp backend)")
@@ -63,7 +62,6 @@ func main() {
 		for _, b := range []*experiments.Bench{suite.Monomi, suite.Greedy, suite.CryptDB} {
 			b.SetParallelism(*par)
 			b.SetBatchSize(*batch)
-			b.SetStreamWire(*stream)
 		}
 	}
 

@@ -10,7 +10,7 @@ import (
 // built on the in-memory backend and on the disk backend (paged segment
 // files behind a block cache far smaller than the tables) must produce
 // byte-identical results to each other and to plaintext, across
-// parallelism × batch size × wire × deployment. The backends share row-id
+// parallelism × batch size × deployment. The backends share row-id
 // assignment and feed the same sharded producer, so nothing above the
 // storage seam may observe which one holds the rows — only the charged I/O
 // (real page reads vs the resident-byte approximation) differs.
@@ -31,31 +31,27 @@ func TestDifferentialBackendInvariance(t *testing.T) {
 		for _, bs := range diffBatchSizes {
 			mem.SetBatchSize(bs)
 			disk.SetBatchSize(bs)
-			for _, sw := range diffStreamWire {
-				mem.SetStreamWire(sw)
-				disk.SetStreamWire(sw)
-				for _, q := range queries {
-					plain, err := mem.QueryPlaintext(q.sql)
-					if err != nil {
-						t.Fatalf("p=%d bs=%d sw=%v plaintext %s: %v", par, bs, sw, q.sql, err)
-					}
-					m, err := mem.Query(q.sql)
-					if err != nil {
-						t.Fatalf("p=%d bs=%d sw=%v mem %s: %v", par, bs, sw, q.sql, err)
-					}
-					d, err := disk.Query(q.sql)
-					if err != nil {
-						t.Fatalf("p=%d bs=%d sw=%v disk %s: %v", par, bs, sw, q.sql, err)
-					}
-					want := canonicalRows(t, plain.Data, q.ordered)
-					gm := canonicalRows(t, m.Data, q.ordered)
-					gd := canonicalRows(t, d.Data, q.ordered)
-					if strings.Join(gd, "\n") != strings.Join(gm, "\n") {
-						t.Errorf("p=%d bs=%d sw=%v %s: disk diverges from mem:\n%v\nvs\n%v", par, bs, sw, q.sql, gd, gm)
-					}
-					if strings.Join(gd, "\n") != strings.Join(want, "\n") {
-						t.Errorf("p=%d bs=%d sw=%v %s: disk diverges from plaintext:\n%v\nvs\n%v", par, bs, sw, q.sql, gd, want)
-					}
+			for _, q := range queries {
+				plain, err := mem.QueryPlaintext(q.sql)
+				if err != nil {
+					t.Fatalf("p=%d bs=%d plaintext %s: %v", par, bs, q.sql, err)
+				}
+				m, err := mem.Query(q.sql)
+				if err != nil {
+					t.Fatalf("p=%d bs=%d mem %s: %v", par, bs, q.sql, err)
+				}
+				d, err := disk.Query(q.sql)
+				if err != nil {
+					t.Fatalf("p=%d bs=%d disk %s: %v", par, bs, q.sql, err)
+				}
+				want := canonicalRows(t, plain.Data, q.ordered)
+				gm := canonicalRows(t, m.Data, q.ordered)
+				gd := canonicalRows(t, d.Data, q.ordered)
+				if strings.Join(gd, "\n") != strings.Join(gm, "\n") {
+					t.Errorf("p=%d bs=%d %s: disk diverges from mem:\n%v\nvs\n%v", par, bs, q.sql, gd, gm)
+				}
+				if strings.Join(gd, "\n") != strings.Join(want, "\n") {
+					t.Errorf("p=%d bs=%d %s: disk diverges from plaintext:\n%v\nvs\n%v", par, bs, q.sql, gd, want)
 				}
 			}
 		}
@@ -78,14 +74,13 @@ func TestDifferentialBackendInvariance(t *testing.T) {
 
 // TestDifferentialBackendServed is the deployment axis: the disk-backed
 // system served over real TCP (transport sessions, wire codec, admission
-// control) must match the mem-backed system's in-process results.
+// control), its client consuming the framed stream, must match the
+// mem-backed system's in-process results at every ⟨parallelism, batch size⟩
+// — single-table, subquery and join shapes alike.
 func TestDifferentialBackendServed(t *testing.T) {
 	mem := diffSystemBackend(t, "mem")
 	disk := diffSystemBackend(t, "disk")
 	t.Cleanup(func() { mem.Close(); disk.Close() })
-	disk.SetParallelism(2)
-	disk.SetBatchSize(64)
-	disk.SetStreamWire(true)
 
 	srv, err := disk.Serve("127.0.0.1:0", ServeConfig{})
 	if err != nil {
@@ -99,19 +94,31 @@ func TestDifferentialBackendServed(t *testing.T) {
 	defer remote.Close()
 
 	queries := genQueries(rand.New(rand.NewSource(diffSeed+8)), 10)
-	for _, q := range queries {
+	queries = append(queries, genJoinQueries(rand.New(rand.NewSource(diffSeed+9)), 5)...)
+	want := make([][]string, len(queries))
+	for i, q := range queries {
 		m, err := mem.Query(q.sql)
 		if err != nil {
 			t.Fatalf("mem %s: %v", q.sql, err)
 		}
-		r, err := remote.Query(q.sql)
-		if err != nil {
-			t.Fatalf("served disk %s: %v", q.sql, err)
-		}
-		gm := canonicalRows(t, m.Data, q.ordered)
-		gr := canonicalRows(t, r.Data, q.ordered)
-		if strings.Join(gr, "\n") != strings.Join(gm, "\n") {
-			t.Errorf("%s: served disk diverges from in-process mem:\n%v\nvs\n%v", q.sql, gr, gm)
+		want[i] = canonicalRows(t, m.Data, q.ordered)
+	}
+	for _, par := range []int{1, 2, 4} {
+		disk.SetParallelism(par) // the served engine
+		remote.SetParallelism(par)
+		for _, bs := range diffBatchSizes {
+			disk.SetBatchSize(bs)
+			remote.SetBatchSize(bs)
+			for i, q := range queries {
+				r, err := remote.Query(q.sql)
+				if err != nil {
+					t.Fatalf("p=%d bs=%d served disk %s: %v", par, bs, q.sql, err)
+				}
+				gr := canonicalRows(t, r.Data, q.ordered)
+				if strings.Join(gr, "\n") != strings.Join(want[i], "\n") {
+					t.Errorf("p=%d bs=%d %s: served disk diverges from in-process mem:\n%v\nvs\n%v", par, bs, q.sql, gr, want[i])
+				}
+			}
 		}
 	}
 	if st := disk.Stats(); st.PageReads == 0 {

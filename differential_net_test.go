@@ -2,17 +2,18 @@ package monomi
 
 // Network differential: the same plaintext-vs-encrypted grid as
 // differential_test.go, but with the encrypted path executing its
-// RemoteSQL over real loopback TCP (System.Serve + System.ConnectRemote).
-// Two properties are pinned at every ⟨parallelism, batch size, wire mode⟩
-// point:
+// RemoteSQL over real loopback TCP (System.Serve + System.ConnectRemote),
+// where the client consumes the framed stream. Two properties are pinned at
+// every ⟨parallelism, batch size⟩ point:
 //
 //   - rows: the remote encrypted result equals the plaintext engine's
-//     result (and therefore the in-process encrypted result);
-//   - frames: with the streamed wire, the bytes the remote client feeds
-//     its decrypt pipeline — the concatenated transport data-frame
-//     payloads — are byte-identical to the in-process stream, query by
-//     query. The transport carries the wire.Batch* framing verbatim; this
-//     is the check that keeps it honest.
+//     result and, order verbatim, the in-process System's result — the two
+//     hand-offs against each other;
+//   - frames: the bytes the remote client feeds its decrypt pipeline — the
+//     concatenated transport data-frame payloads — are byte-identical to
+//     what the server's ExecuteStream writes for the same RemoteSQL, query
+//     by query. The transport carries the wire.Batch* framing verbatim;
+//     this is the check that keeps it honest.
 
 import (
 	"bytes"
@@ -28,11 +29,19 @@ import (
 	"repro/internal/value"
 )
 
+// recordedStream is one RemoteSQL a client streamed and the bytes it got.
+type recordedStream struct {
+	q      *ast.Query
+	params map[string]value.Value
+	frames []byte
+}
+
 // recordingExec interposes on a client's Executor and keeps a copy of
-// every result stream it carries.
+// every result stream it carries. It offers no statements, so a remote
+// client behind it ships every RemoteSQL in full.
 type recordingExec struct {
-	inner  client.Executor
-	frames [][]byte
+	inner   client.Executor
+	streams []recordedStream
 }
 
 func (r *recordingExec) Execute(q *ast.Query, params map[string]value.Value) (*server.Response, error) {
@@ -42,22 +51,8 @@ func (r *recordingExec) Execute(q *ast.Query, params map[string]value.Value) (*s
 func (r *recordingExec) ExecuteStream(q *ast.Query, params map[string]value.Value, w io.Writer) (*server.StreamStats, error) {
 	var buf bytes.Buffer
 	st, err := r.inner.ExecuteStream(q, params, io.MultiWriter(w, &buf))
-	r.frames = append(r.frames, buf.Bytes())
+	r.streams = append(r.streams, recordedStream{q, params, buf.Bytes()})
 	return st, err
-}
-
-func (r *recordingExec) reset() { r.frames = nil }
-
-// netShapes covers every producer shape the stream can take: plain scan,
-// DISTINCT, GROUP BY (incl. Paillier aggregation), join probe, and
-// ORDER BY … LIMIT.
-var netShapes = []string{
-	"SELECT s_id, s_price FROM sales WHERE s_price >= 300",
-	"SELECT DISTINCT s_cat FROM sales WHERE s_qty < 40",
-	"SELECT s_cat, SUM(s_price), COUNT(*) FROM sales GROUP BY s_cat",
-	"SELECT s_cat, SUM(s_qty) FROM sales WHERE s_price >= 200 GROUP BY s_cat",
-	"SELECT s_id, c_region, c_tier FROM sales, cats WHERE s_cat = c_name AND s_qty < 30",
-	"SELECT s_id, s_price FROM sales WHERE s_qty < 45 ORDER BY s_price DESC, s_id LIMIT 23",
 }
 
 func TestNetworkDifferential(t *testing.T) {
@@ -73,13 +68,10 @@ func TestNetworkDifferential(t *testing.T) {
 	}
 	defer remote.Close()
 
-	// Interpose stream recorders on both deployments. The remote client's
-	// recorder sees exactly the concatenated data-frame payloads its
-	// transport connection delivered.
-	recLocal := &recordingExec{inner: sys.client.Executor()}
-	sys.client.SetExecutor(recLocal)
-	recRemote := &recordingExec{inner: remote.client.Executor()}
-	remote.client.SetExecutor(recRemote)
+	// The recorder sees exactly the concatenated data-frame payloads the
+	// remote client's transport connection delivered.
+	rec := &recordingExec{inner: remote.client.Executor()}
+	remote.client.SetExecutor(rec)
 
 	for _, par := range []int{1, 2, 4} {
 		sys.SetParallelism(par) // server + in-process client
@@ -87,62 +79,84 @@ func TestNetworkDifferential(t *testing.T) {
 		for _, bs := range diffBatchSizes {
 			sys.SetBatchSize(bs)
 			remote.SetBatchSize(bs)
-			for _, sw := range diffStreamWire {
-				sys.SetStreamWire(sw)
-				remote.SetStreamWire(sw)
-				for _, sql := range netShapes {
-					plain, err := sys.QueryPlaintext(sql)
-					if err != nil {
-						t.Fatalf("p=%d bs=%d sw=%v plaintext %s: %v", par, bs, sw, sql, err)
-					}
-					recLocal.reset()
-					local, err := sys.Query(sql)
-					if err != nil {
-						t.Fatalf("p=%d bs=%d sw=%v in-process %s: %v", par, bs, sw, sql, err)
-					}
-					recRemote.reset()
-					res, err := remote.Query(sql)
-					if err != nil {
-						t.Fatalf("p=%d bs=%d sw=%v remote %s: %v", par, bs, sw, sql, err)
-					}
+			for _, sql := range shardedStreamShapes {
+				plain, err := sys.QueryPlaintext(sql)
+				if err != nil {
+					t.Fatalf("p=%d bs=%d plaintext %s: %v", par, bs, sql, err)
+				}
+				local, err := sys.Query(sql)
+				if err != nil {
+					t.Fatalf("p=%d bs=%d in-process %s: %v", par, bs, sql, err)
+				}
+				rec.streams = nil
+				res, err := remote.Query(sql)
+				if err != nil {
+					t.Fatalf("p=%d bs=%d remote %s: %v", par, bs, sql, err)
+				}
 
-					// Rows: remote == plaintext (order asserted only where
-					// the query imposes one; the streamed shapes pin order
-					// anyway via the in-process comparison below).
-					ordered := strings.Contains(sql, "ORDER BY")
-					want := canonicalRows(t, plain.Data, ordered)
-					got := canonicalRows(t, res.Data, ordered)
-					if strings.Join(got, "\n") != strings.Join(want, "\n") {
-						t.Errorf("p=%d bs=%d sw=%v %s: remote result diverges from plaintext\n%v\nvs\n%v",
-							par, bs, sw, sql, got, want)
-					}
-					// Rows: remote == in-process encrypted, order verbatim.
-					inproc := canonicalRows(t, local.Data, true)
-					verbatim := canonicalRows(t, res.Data, true)
-					if strings.Join(verbatim, "\n") != strings.Join(inproc, "\n") {
-						t.Errorf("p=%d bs=%d sw=%v %s: remote result diverges from in-process",
-							par, bs, sw, sql)
-					}
+				// Rows: remote == plaintext (order asserted only where the
+				// query imposes one; the in-process comparison below pins
+				// order anyway).
+				ordered := strings.Contains(sql, "ORDER BY")
+				want := canonicalRows(t, plain.Data, ordered)
+				got := canonicalRows(t, res.Data, ordered)
+				if strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Errorf("p=%d bs=%d %s: remote result diverges from plaintext\n%v\nvs\n%v",
+						par, bs, sql, got, want)
+				}
+				// Rows: remote == in-process encrypted, order verbatim.
+				inproc := canonicalRows(t, local.Data, true)
+				verbatim := canonicalRows(t, res.Data, true)
+				if strings.Join(verbatim, "\n") != strings.Join(inproc, "\n") {
+					t.Errorf("p=%d bs=%d %s: remote result diverges from in-process", par, bs, sql)
+				}
 
-					// Frames: streamed wire only (the materialized wire has
-					// no in-process frames to compare against).
-					if !sw {
-						continue
+				// Frames: what crossed the socket == what the server's
+				// ExecuteStream writes for the same RemoteSQL.
+				if len(rec.streams) == 0 {
+					t.Errorf("p=%d bs=%d %s: remote client streamed nothing", par, bs, sql)
+				}
+				for i, rs := range rec.streams {
+					var ref bytes.Buffer
+					if _, err := sys.client.Srv.ExecuteStream(rs.q, rs.params, &ref); err != nil {
+						t.Fatalf("p=%d bs=%d %s: reference stream %d: %v", par, bs, sql, i, err)
 					}
-					if len(recRemote.frames) != len(recLocal.frames) {
-						t.Errorf("p=%d bs=%d sw=%v %s: %d remote streams vs %d in-process",
-							par, bs, sw, sql, len(recRemote.frames), len(recLocal.frames))
-						continue
-					}
-					for i := range recLocal.frames {
-						if !bytes.Equal(recRemote.frames[i], recLocal.frames[i]) {
-							t.Errorf("p=%d bs=%d sw=%v %s: stream %d differs over the wire (%d vs %d bytes)",
-								par, bs, sw, sql, i, len(recRemote.frames[i]), len(recLocal.frames[i]))
-						}
+					if !bytes.Equal(rs.frames, ref.Bytes()) {
+						t.Errorf("p=%d bs=%d %s: stream %d differs over the wire (%d vs %d bytes)",
+							par, bs, sql, i, len(rs.frames), ref.Len())
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestNetworkTimeToFirstRow: a ConnectRemote client decodes batches as they
+// arrive, so against a bounded-batch server its first plaintext row exists
+// long before the scan's last batch has been produced and shipped.
+func TestNetworkTimeToFirstRow(t *testing.T) {
+	sys := diffSystem(t)
+	sys.SetBatchSize(16)
+	srv, err := sys.Serve("127.0.0.1:0", ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	remote, err := sys.ConnectRemote(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	res, err := remote.Query("SELECT s_id, s_price FROM sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Data) != diffRows {
+		t.Fatalf("full scan returned %d rows, want %d", len(res.Data), diffRows)
+	}
+	if res.TimeToFirstRow <= 0 || res.TimeToFirstRow >= res.ServerTime+res.TransferTime {
+		t.Errorf("TimeToFirstRow %.6fs, want below ServerTime + TransferTime = %.6fs",
+			res.TimeToFirstRow, res.ServerTime+res.TransferTime)
 	}
 }
 
@@ -154,15 +168,14 @@ func TestNetworkConcurrentClients(t *testing.T) {
 	sys := diffSystem(t)
 	sys.SetParallelism(2)
 	sys.SetBatchSize(64)
-	sys.SetStreamWire(true)
 	srv, err := sys.Serve("127.0.0.1:0", ServeConfig{MaxInFlight: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	want := make([][]string, len(netShapes))
-	for i, sql := range netShapes {
+	want := make([][]string, len(shardedStreamShapes))
+	for i, sql := range shardedStreamShapes {
 		plain, err := sys.QueryPlaintext(sql)
 		if err != nil {
 			t.Fatal(err)
@@ -184,7 +197,7 @@ func TestNetworkConcurrentClients(t *testing.T) {
 		go func(id int, remote *System) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				for i, sql := range netShapes {
+				for i, sql := range shardedStreamShapes {
 					res, err := remote.Query(sql)
 					if err != nil {
 						errs <- fmt.Errorf("client %d: %s: %w", id, sql, err)

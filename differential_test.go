@@ -12,11 +12,12 @@ import (
 // Differential property test: a seeded random query generator runs the same
 // queries through the plaintext engine and the encrypted split-execution
 // path and requires identical results — crossing parallelism levels with
-// engine streaming on/off and the streamed wire on/off, so the sharded
-// engine, the AggState merge path, the batched Paillier aggregation, the
-// batch-at-a-time scan pipeline, and the streamed wire protocol (server
-// framing batches mid-scan, client decrypting them on concurrent workers)
-// are all exercised against the sequential materialized baseline.
+// batch sizes, so the sharded engine, the AggState merge path, the batched
+// Paillier aggregation and the batch-at-a-time scan pipeline are all
+// exercised against the sequential unbounded baseline. The Systems here are
+// in process, so results are handed over as rows; the framed stream a remote
+// client consumes is crossed with the same axes in differential_net_test.go
+// and differential_backend_test.go.
 
 const (
 	diffRows    = 260 // enough rows that sharding kicks in (minShardRows*2 per shard)
@@ -28,11 +29,6 @@ const (
 // size small enough that diffRows spans several batches, exercising
 // batch-boundary filters inside every generated query.
 var diffBatchSizes = []int{0, 64}
-
-// diffStreamWire crosses the materialized wire with the streamed wire
-// (server frames encrypted batches mid-scan; client decrypts them on
-// Parallelism workers, merging in batch order).
-var diffStreamWire = []bool{false, true}
 
 // diffSystem builds sales(s_id, s_cat, s_qty, s_price, s_date) — plus
 // cats(c_name, c_region, c_tier), a dimension table joining on s_cat =
@@ -74,7 +70,7 @@ func diffSystemBackend(t testing.TB, backend string) *System {
 			tier++
 		}
 	}
-	// NULL join keys must match nothing on either wire.
+	// NULL join keys must match nothing.
 	db.MustInsert("cats", nil, "nowhere", tier)
 	db.MustInsert("cats", nil, "nowhere", tier+1)
 	opts := DefaultOptions()
@@ -111,7 +107,7 @@ type diffQuery struct {
 // pipeline breaker other than grouping: uncorrelated and correlated
 // IN / EXISTS / scalar subqueries, a derived table, and a multi-key sort
 // with no LIMIT. genQueries appends them to every generated list, so they
-// meet batch boundaries, shard seams, both wires and both backends.
+// meet batch boundaries, shard seams, both hand-offs and both backends.
 var breakerShapes = []diffQuery{
 	{"SELECT s_id, s_price FROM sales WHERE s_cat IN (SELECT c_name FROM cats WHERE c_tier < 3) ORDER BY s_id", true},
 	{"SELECT c_tier, c_region FROM cats WHERE c_tier IN (SELECT s_qty FROM sales WHERE s_cat = c_name) ORDER BY c_tier", true},
@@ -207,26 +203,23 @@ func TestDifferentialRandomQueries(t *testing.T) {
 		sys.SetParallelism(par)
 		for _, bs := range diffBatchSizes {
 			sys.SetBatchSize(bs)
-			for _, sw := range diffStreamWire {
-				sys.SetStreamWire(sw)
-				for _, q := range queries {
-					plain, err := sys.QueryPlaintext(q.sql)
-					if err != nil {
-						t.Fatalf("p=%d bs=%d sw=%v plaintext %s: %v", par, bs, sw, q.sql, err)
-					}
-					enc, err := sys.Query(q.sql)
-					if err != nil {
-						t.Fatalf("p=%d bs=%d sw=%v encrypted %s: %v", par, bs, sw, q.sql, err)
-					}
-					want := canonicalRows(t, plain.Data, q.ordered)
-					got := canonicalRows(t, enc.Data, q.ordered)
-					if len(got) != len(want) {
-						t.Fatalf("p=%d bs=%d sw=%v %s: %d rows, plaintext %d", par, bs, sw, q.sql, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Errorf("p=%d bs=%d sw=%v %s\nrow %d: encrypted %q, plaintext %q", par, bs, sw, q.sql, i, got[i], want[i])
-						}
+			for _, q := range queries {
+				plain, err := sys.QueryPlaintext(q.sql)
+				if err != nil {
+					t.Fatalf("p=%d bs=%d plaintext %s: %v", par, bs, q.sql, err)
+				}
+				enc, err := sys.Query(q.sql)
+				if err != nil {
+					t.Fatalf("p=%d bs=%d encrypted %s: %v", par, bs, q.sql, err)
+				}
+				want := canonicalRows(t, plain.Data, q.ordered)
+				got := canonicalRows(t, enc.Data, q.ordered)
+				if len(got) != len(want) {
+					t.Fatalf("p=%d bs=%d %s: %d rows, plaintext %d", par, bs, q.sql, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("p=%d bs=%d %s\nrow %d: encrypted %q, plaintext %q", par, bs, q.sql, i, got[i], want[i])
 					}
 				}
 			}
@@ -285,10 +278,9 @@ func genJoinQueries(rng *rand.Rand, n int) []diffQuery {
 
 // TestDifferentialJoinQueries runs the multi-table grid: every generated
 // join query through the plaintext engine and the encrypted split path,
-// across Parallelism × BatchSize × StreamWire — exercising the sharded
-// partitioned hash-join build, the sharded probe and cross join, the
-// streamed-probe pipeline, and the streamed wire shipping joined encrypted
-// batches mid-probe.
+// across Parallelism × BatchSize — exercising the sharded partitioned
+// hash-join build, the sharded probe and cross join, and the streamed-probe
+// pipeline.
 func TestDifferentialJoinQueries(t *testing.T) {
 	sys := diffSystem(t)
 	queries := genJoinQueries(rand.New(rand.NewSource(diffSeed+3)), 15)
@@ -296,26 +288,23 @@ func TestDifferentialJoinQueries(t *testing.T) {
 		sys.SetParallelism(par)
 		for _, bs := range diffBatchSizes {
 			sys.SetBatchSize(bs)
-			for _, sw := range diffStreamWire {
-				sys.SetStreamWire(sw)
-				for _, q := range queries {
-					plain, err := sys.QueryPlaintext(q.sql)
-					if err != nil {
-						t.Fatalf("p=%d bs=%d sw=%v plaintext %s: %v", par, bs, sw, q.sql, err)
-					}
-					enc, err := sys.Query(q.sql)
-					if err != nil {
-						t.Fatalf("p=%d bs=%d sw=%v encrypted %s: %v", par, bs, sw, q.sql, err)
-					}
-					want := canonicalRows(t, plain.Data, q.ordered)
-					got := canonicalRows(t, enc.Data, q.ordered)
-					if len(got) != len(want) {
-						t.Fatalf("p=%d bs=%d sw=%v %s: %d rows, plaintext %d", par, bs, sw, q.sql, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Errorf("p=%d bs=%d sw=%v %s\nrow %d: encrypted %q, plaintext %q", par, bs, sw, q.sql, i, got[i], want[i])
-						}
+			for _, q := range queries {
+				plain, err := sys.QueryPlaintext(q.sql)
+				if err != nil {
+					t.Fatalf("p=%d bs=%d plaintext %s: %v", par, bs, q.sql, err)
+				}
+				enc, err := sys.Query(q.sql)
+				if err != nil {
+					t.Fatalf("p=%d bs=%d encrypted %s: %v", par, bs, q.sql, err)
+				}
+				want := canonicalRows(t, plain.Data, q.ordered)
+				got := canonicalRows(t, enc.Data, q.ordered)
+				if len(got) != len(want) {
+					t.Fatalf("p=%d bs=%d %s: %d rows, plaintext %d", par, bs, q.sql, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("p=%d bs=%d %s\nrow %d: encrypted %q, plaintext %q", par, bs, q.sql, i, got[i], want[i])
 					}
 				}
 			}
@@ -325,16 +314,15 @@ func TestDifferentialJoinQueries(t *testing.T) {
 
 // TestDifferentialParallelismInvariance pins the encrypted results
 // themselves across execution modes: integer aggregates must be
-// byte-identical whether computed sequentially, sharded, streamed, shipped
-// over the streamed wire, or all at once — every ⟨parallelism, batch size,
-// wire⟩ combination against the sequential materialized baseline.
+// byte-identical whether computed sequentially, sharded, batched, or all at
+// once — every ⟨parallelism, batch size⟩ combination against the sequential
+// unbounded baseline.
 func TestDifferentialParallelismInvariance(t *testing.T) {
 	sys := diffSystem(t)
 	queries := genQueries(rand.New(rand.NewSource(diffSeed+2)), 12)
 	base := make([][]string, len(queries))
 	sys.SetParallelism(1)
 	sys.SetBatchSize(0)
-	sys.SetStreamWire(false)
 	for i, q := range queries {
 		res, err := sys.Query(q.sql)
 		if err != nil {
@@ -345,82 +333,79 @@ func TestDifferentialParallelismInvariance(t *testing.T) {
 	for _, par := range []int{1, 2, 4} {
 		sys.SetParallelism(par)
 		for _, bs := range diffBatchSizes {
-			for _, sw := range diffStreamWire {
-				if par == 1 && bs == 0 && !sw {
-					continue // the baseline itself
+			if par == 1 && bs == 0 {
+				continue // the baseline itself
+			}
+			sys.SetBatchSize(bs)
+			for i, q := range queries {
+				res, err := sys.Query(q.sql)
+				if err != nil {
+					t.Fatalf("p=%d bs=%d %s: %v", par, bs, q.sql, err)
 				}
-				sys.SetBatchSize(bs)
-				sys.SetStreamWire(sw)
-				for i, q := range queries {
-					res, err := sys.Query(q.sql)
-					if err != nil {
-						t.Fatalf("p=%d bs=%d sw=%v %s: %v", par, bs, sw, q.sql, err)
-					}
-					got := canonicalRows(t, res.Data, true)
-					if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
-						t.Errorf("p=%d bs=%d sw=%v %s diverges from sequential materialized:\n%v\nvs\n%v", par, bs, sw, q.sql, got, base[i])
-					}
+				got := canonicalRows(t, res.Data, true)
+				if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
+					t.Errorf("p=%d bs=%d %s diverges from sequential unbounded:\n%v\nvs\n%v", par, bs, q.sql, got, base[i])
 				}
 			}
 		}
 	}
 }
 
-// TestDifferentialShardedStream is the sharded-single-stream dimension of
-// the grid: with the streamed wire the server-side producer is now
-// sharded (per-worker row ranges feeding a shard-order merger), and the
-// engine streams DISTINCT and grouped emission — so every shape the
-// producer can take {plain scan, DISTINCT, GROUP BY (incl. Paillier
-// aggregates), join probe, ORDER BY…LIMIT} must be byte-identical to the
-// sequential one-puller baseline across p 1/2/4 × bs 0/64 × StreamWire.
-// Row order is asserted verbatim (ordered=true for every shape): the
-// stream contract pins order even where SQL would not.
+// shardedStreamShapes covers every shape the server's sharded producer can
+// take: plain scan, DISTINCT, GROUP BY (incl. Paillier aggregation), join
+// probe, ORDER BY … LIMIT, and LIMIT across shards. The network
+// differential runs the same list over the framed stream.
+var shardedStreamShapes = []string{
+	// plain scan → filter → project (the sharded merger's home shape)
+	"SELECT s_id, s_price FROM sales WHERE s_price >= 300",
+	// streaming DISTINCT (seen-set emission; server-side and in the
+	// client's local residual engine)
+	"SELECT DISTINCT s_cat FROM sales WHERE s_qty < 40",
+	"SELECT DISTINCT s_cat, s_qty FROM sales WHERE s_price >= 500",
+	// grouped emission (Paillier sums finalize batch-at-a-time)
+	"SELECT s_cat, SUM(s_price), COUNT(*) FROM sales GROUP BY s_cat",
+	"SELECT s_cat, SUM(s_qty) FROM sales WHERE s_price >= 200 GROUP BY s_cat",
+	// streamed join probe through the sharded producer
+	"SELECT s_id, c_region, c_tier FROM sales, cats WHERE s_cat = c_name AND s_qty < 30",
+	// streamed top-N production
+	"SELECT s_id, s_price FROM sales WHERE s_qty < 45 ORDER BY s_price DESC, s_id LIMIT 23",
+	// LIMIT across sharded producers (batch boundary and mid-batch)
+	"SELECT s_id FROM sales WHERE s_price >= 100 LIMIT 64",
+	"SELECT s_id FROM sales LIMIT 70",
+	"SELECT s_id FROM sales LIMIT 0",
+}
+
+// TestDifferentialShardedStream is the sharded-producer dimension of the
+// grid: the server's engine runs per-worker row ranges feeding a shard-order
+// merger, and streams DISTINCT and grouped emission — so every shape in
+// shardedStreamShapes must be byte-identical to the sequential one-puller
+// baseline across p 1/2/4 × bs 0/64. Row order is asserted verbatim
+// (ordered=true for every shape): the stream contract pins order even where
+// SQL would not.
 func TestDifferentialShardedStream(t *testing.T) {
 	sys := diffSystem(t)
-	shapes := []string{
-		// plain scan → filter → project (the sharded merger's home shape)
-		"SELECT s_id, s_price FROM sales WHERE s_price >= 300",
-		// streaming DISTINCT (seen-set emission; server-side and in the
-		// client's local residual engine)
-		"SELECT DISTINCT s_cat FROM sales WHERE s_qty < 40",
-		"SELECT DISTINCT s_cat, s_qty FROM sales WHERE s_price >= 500",
-		// grouped emission (Paillier sums finalize batch-at-a-time)
-		"SELECT s_cat, SUM(s_price), COUNT(*) FROM sales GROUP BY s_cat",
-		"SELECT s_cat, SUM(s_qty) FROM sales WHERE s_price >= 200 GROUP BY s_cat",
-		// streamed join probe through the sharded producer
-		"SELECT s_id, c_region, c_tier FROM sales, cats WHERE s_cat = c_name AND s_qty < 30",
-		// streamed top-N production
-		"SELECT s_id, s_price FROM sales WHERE s_qty < 45 ORDER BY s_price DESC, s_id LIMIT 23",
-		// LIMIT across sharded producers (batch boundary and mid-batch)
-		"SELECT s_id FROM sales WHERE s_price >= 100 LIMIT 64",
-		"SELECT s_id FROM sales LIMIT 70",
-		"SELECT s_id FROM sales LIMIT 0",
-	}
-	base := make([][]string, len(shapes))
+	base := make([][]string, len(shardedStreamShapes))
 	for _, bs := range diffBatchSizes {
 		sys.SetBatchSize(bs)
-		for _, sw := range diffStreamWire {
-			sys.SetStreamWire(sw)
-			sys.SetParallelism(1) // the sequential one-puller baseline
-			for i, sql := range shapes {
+		sys.SetParallelism(1) // the sequential one-puller baseline
+		for i, sql := range shardedStreamShapes {
+			res, err := sys.Query(sql)
+			if err != nil {
+				t.Fatalf("baseline bs=%d %s: %v", bs, sql, err)
+			}
+			base[i] = canonicalRows(t, res.Data, true)
+		}
+		for _, par := range []int{2, 4} {
+			sys.SetParallelism(par)
+			for i, sql := range shardedStreamShapes {
 				res, err := sys.Query(sql)
 				if err != nil {
-					t.Fatalf("baseline bs=%d sw=%v %s: %v", bs, sw, sql, err)
+					t.Fatalf("p=%d bs=%d %s: %v", par, bs, sql, err)
 				}
-				base[i] = canonicalRows(t, res.Data, true)
-			}
-			for _, par := range []int{2, 4} {
-				sys.SetParallelism(par)
-				for i, sql := range shapes {
-					res, err := sys.Query(sql)
-					if err != nil {
-						t.Fatalf("p=%d bs=%d sw=%v %s: %v", par, bs, sw, sql, err)
-					}
-					got := canonicalRows(t, res.Data, true)
-					if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
-						t.Errorf("p=%d bs=%d sw=%v %s diverges from sequential puller:\n%v\nvs\n%v",
-							par, bs, sw, sql, got, base[i])
-					}
+				got := canonicalRows(t, res.Data, true)
+				if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
+					t.Errorf("p=%d bs=%d %s diverges from sequential puller:\n%v\nvs\n%v",
+						par, bs, sql, got, base[i])
 				}
 			}
 		}
@@ -431,8 +416,8 @@ func TestDifferentialShardedStream(t *testing.T) {
 // the same queries with secondary indexes off (every scan reads the whole
 // table) and on (DET hash probes, OPE range probes, ordered emission,
 // index-served join builds — whenever the cost rule picks them) must be
-// byte-identical, across parallelism × batch size × wire. The index-off
-// sequential materialized run is the baseline.
+// byte-identical, across parallelism × batch size. The index-off sequential
+// unbounded run is the baseline.
 func TestDifferentialIndexInvariance(t *testing.T) {
 	sys := diffSystem(t)
 	queries := genQueries(rand.New(rand.NewSource(diffSeed+4)), 12)
@@ -440,7 +425,6 @@ func TestDifferentialIndexInvariance(t *testing.T) {
 	sys.SetIndexes(false)
 	sys.SetParallelism(1)
 	sys.SetBatchSize(0)
-	sys.SetStreamWire(false)
 	base := make([][]string, len(queries))
 	plainBase := make([][]string, len(queries))
 	for i, q := range queries {
@@ -460,31 +444,28 @@ func TestDifferentialIndexInvariance(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			sys.SetParallelism(par)
 			for _, bs := range diffBatchSizes {
+				if !idx && par == 1 && bs == 0 {
+					continue // the baseline itself
+				}
 				sys.SetBatchSize(bs)
-				for _, sw := range diffStreamWire {
-					if !idx && par == 1 && bs == 0 && !sw {
-						continue // the baseline itself
+				for i, q := range queries {
+					res, err := sys.Query(q.sql)
+					if err != nil {
+						t.Fatalf("idx=%v p=%d bs=%d %s: %v", idx, par, bs, q.sql, err)
 					}
-					sys.SetStreamWire(sw)
-					for i, q := range queries {
-						res, err := sys.Query(q.sql)
-						if err != nil {
-							t.Fatalf("idx=%v p=%d bs=%d sw=%v %s: %v", idx, par, bs, sw, q.sql, err)
-						}
-						got := canonicalRows(t, res.Data, true)
-						if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
-							t.Errorf("idx=%v p=%d bs=%d sw=%v %s diverges from index-off baseline:\n%v\nvs\n%v",
-								idx, par, bs, sw, q.sql, got, base[i])
-						}
-						p, err := sys.QueryPlaintext(q.sql)
-						if err != nil {
-							t.Fatalf("idx=%v plaintext %s: %v", idx, q.sql, err)
-						}
-						pg := canonicalRows(t, p.Data, true)
-						if strings.Join(pg, "\n") != strings.Join(plainBase[i], "\n") {
-							t.Errorf("idx=%v p=%d bs=%d sw=%v plaintext %s diverges:\n%v\nvs\n%v",
-								idx, par, bs, sw, q.sql, pg, plainBase[i])
-						}
+					got := canonicalRows(t, res.Data, true)
+					if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
+						t.Errorf("idx=%v p=%d bs=%d %s diverges from index-off baseline:\n%v\nvs\n%v",
+							idx, par, bs, q.sql, got, base[i])
+					}
+					p, err := sys.QueryPlaintext(q.sql)
+					if err != nil {
+						t.Fatalf("idx=%v plaintext %s: %v", idx, q.sql, err)
+					}
+					pg := canonicalRows(t, p.Data, true)
+					if strings.Join(pg, "\n") != strings.Join(plainBase[i], "\n") {
+						t.Errorf("idx=%v p=%d bs=%d plaintext %s diverges:\n%v\nvs\n%v",
+							idx, par, bs, q.sql, pg, plainBase[i])
 					}
 				}
 			}

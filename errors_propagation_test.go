@@ -191,7 +191,7 @@ func (e *corruptingExecutor) ExecuteStream(q *ast.Query, params map[string]value
 	if err != nil {
 		return nil, err
 	}
-	// Several batches, so the streamed wire's decode workers each get some
+	// Several batches, so a remote client's decode workers each get some
 	// and the corrupted row is in the last.
 	for rows := resp.Result.Rows; len(rows) > 0; {
 		n := min(len(rows), 300)
@@ -208,9 +208,10 @@ func (e *corruptingExecutor) ExecuteStream(q *ast.Query, params map[string]value
 
 // TestMalformedConcatSurvivesClientStack: a GROUP_CONCAT cell that is not a
 // decodable blob used to fold to a silent NULL. It must fail the query with
-// an error wrapping client.ErrMalformedResult that names the output — on both
-// wires, from the last decode worker's row range or batch — and leave no
-// goroutine of the streamed pipeline or the decode fan-out behind.
+// an error wrapping client.ErrMalformedResult that names the output — on an
+// in-process and on a remote-built client, from the last decode worker's row
+// range or batch — and leave no goroutine of the streamed pipeline or the
+// decode fan-out behind.
 func TestMalformedConcatSurvivesClientStack(t *testing.T) {
 	db := NewDatabase()
 	db.MustCreateTable("orders", Col("o_id", Int), Col("o_total", Int))
@@ -240,15 +241,17 @@ func TestMalformedConcatSurvivesClientStack(t *testing.T) {
 		"non-bytes cell":   value.NewInt(7),
 		"undecodable blob": value.NewBytes([]byte{0xff, 0xff, 0xff}),
 	} {
-		sys.client.SetExecutor(&corruptingExecutor{inner: sys.client.Srv, bad: bad})
-		for _, stream := range []bool{false, true} {
-			sys.SetStreamWire(stream)
-			_, err := sys.Query(sql)
+		corrupt := &corruptingExecutor{inner: sys.client.Srv, bad: bad}
+		sys.client.SetExecutor(corrupt) // in process: Execute's rows
+		remote := client.NewRemote(sys.keys, corrupt, sys.encDB.Meta, sys.client.Ctx, sys.net)
+		remote.Greedy, remote.Parallelism = true, opts.Parallelism // remote-built: ExecuteStream's frames
+		for dep, cl := range map[string]*client.Client{"in-process": sys.client, "remote": remote} {
+			_, err := cl.Query(sql, nil)
 			if !errors.Is(err, client.ErrMalformedResult) {
-				t.Fatalf("%s, stream=%v: %v, want an error wrapping client.ErrMalformedResult", name, stream, err)
+				t.Fatalf("%s, %s: %v, want an error wrapping client.ErrMalformedResult", name, dep, err)
 			}
 			if !strings.Contains(err.Error(), "output a0") {
-				t.Errorf("%s, stream=%v: error does not name the output: %v", name, stream, err)
+				t.Errorf("%s, %s: error does not name the output: %v", name, dep, err)
 			}
 		}
 	}

@@ -26,10 +26,11 @@ import (
 
 // Executor is where RemoteSQL runs: the in-process *server.Server, or a
 // transport connection dialed to a remote monomi-server (which speaks the
-// same two calls over the socket). The client is agnostic — it plans,
-// ships RemoteSQL to whichever executor it holds, and decrypts what comes
-// back; the streamed call writes the identical framed batch protocol to w
-// in both deployments.
+// same two calls over the socket). The client plans, ships RemoteSQL to the
+// executor it holds, and decrypts what comes back; which call it makes is
+// fixed by how it was built — a client over an in-process server (New) takes
+// the rows Execute hands over, a client built by NewRemote consumes the
+// framed batches ExecuteStream writes to w as they arrive (see runRemote).
 type Executor interface {
 	Execute(q *ast.Query, params map[string]value.Value) (*server.Response, error)
 	ExecuteStream(q *ast.Query, params map[string]value.Value, w io.Writer) (*server.StreamStats, error)
@@ -37,9 +38,9 @@ type Executor interface {
 
 // StmtExecutor is the optional prepared-statement extension of Executor: a
 // transport connection that can register a RemoteSQL once server-side and
-// re-execute it with only fresh parameters on the wire. The in-process
-// server doesn't bother (there is no wire to save); the client probes with
-// a type assertion and falls back to Execute.
+// re-execute it with only fresh parameters on the wire. Only a NewRemote
+// client uses it (in process there is no wire to save); it probes with a
+// type assertion and falls back to ExecuteStream.
 type StmtExecutor interface {
 	PrepareStmt(q *ast.Query) (uint64, error)
 	ExecuteStmt(id uint64, params map[string]value.Value) (*server.Response, error)
@@ -61,21 +62,13 @@ type Client struct {
 	Greedy bool
 	// Parallelism is the worker count for the local engines that run the
 	// plan's residual operators over decrypted temp tables, and for the
-	// result decoder (row ranges of a materialized result, whole batches of
+	// result decoder (row ranges of a handed-over result, whole batches of
 	// a streamed one); values < 1 mean GOMAXPROCS, 1 forces sequential
 	// execution.
 	Parallelism int
 	// BatchSize bounds the rows one pull moves through those engines'
 	// pipelines (0 = unbounded); it mirrors the server-side knob.
 	BatchSize int
-	// StreamWire switches remote execution to the streamed wire protocol:
-	// the server frames encrypted batches mid-scan and the client decodes
-	// each arriving batch on a pool of Parallelism workers running the
-	// materialized wire's decoder, merging decrypted rows in batch order —
-	// results are byte-identical to the materialized wire, but the first
-	// plaintext row exists long before the server's scan completes
-	// (Result.TimeToFirstRow).
-	StreamWire bool
 	// ParseHook, when set, is called once per SQL string the client
 	// actually hands to the parser — parse-cache hits skip it. Tests use it
 	// to assert repeated queries parse once. It runs with the parse cache
@@ -92,7 +85,8 @@ type Client struct {
 
 // New creates a client over an in-process server. ctx must be built over
 // the plaintext schema with the same design the server's database was
-// encrypted under.
+// encrypted under. Its RemoteSQL results are handed over as rows (Execute),
+// also through an executor interposed with SetExecutor.
 func New(keys *enc.KeyStore, srv *server.Server, ctx *planner.Context, cfg netsim.Config) *Client {
 	c := &Client{
 		Keys: keys, Srv: srv, Ctx: ctx, Cfg: cfg,
@@ -113,7 +107,10 @@ func New(keys *enc.KeyStore, srv *server.Server, ctx *planner.Context, cfg netsi
 // run, which the remote deployment re-derives from the same master key,
 // schema, and workload; the client needs it to resolve Paillier
 // ciphertext-group names and pack layouts. Everything else — planning,
-// decryption, residual execution — is identical to the in-process client.
+// decryption, residual execution — is identical to the in-process client,
+// except that results arrive as framed batches (ExecuteStream, or
+// ExecuteStmtStream when exec is a StmtExecutor) and are decoded as they
+// arrive.
 func NewRemote(keys *enc.KeyStore, exec Executor, meta map[string]*enc.TableMeta, ctx *planner.Context, cfg netsim.Config) *Client {
 	c := &Client{
 		Keys: keys, Ctx: ctx, Cfg: cfg,
@@ -151,10 +148,9 @@ type Result struct {
 	Decrypts     int64 // individual decryption operations performed
 	// TimeToFirstRow is when the first decrypted row of the first remote
 	// result became available at the client: simulated server time to the
-	// first batch + simulated transfer of its frame + measured decode time.
-	// On the materialized wire the whole result precedes the first row, so
-	// it degenerates to server + transfer + first decode pass; the streamed
-	// wire's headline win is this number dropping from O(scan) to O(batch).
+	// first batch + simulated transfer of its frame + measured decode time
+	// on a remote-built client, O(batch). In process the whole result
+	// precedes the first row: server + transfer + the decode pass.
 	TimeToFirstRow time.Duration
 }
 
@@ -336,17 +332,18 @@ func (c *Client) runPlan(plan *planner.Plan, cat *storage.Catalog, res *Result, 
 }
 
 // runRemote sends one RemoteSQL to the server and decrypts its output into
-// a temp table — over the streamed wire (concurrent per-batch decoding
-// overlapping the server's scan) when StreamWire is set, else over the
-// materialized wire. Both hand their rows to the part's decoder.
+// a temp table. The deployment picks the hand-off: a client over an
+// in-process server takes the engine's rows as they are; a client built by
+// NewRemote consumes the framed batch stream, decoding batches while the
+// server is still producing (stream.go). Both run the part's decoder.
 func (c *Client) runRemote(part *planner.RemotePart, cat *storage.Catalog, res *Result, ec *execCtx) error {
 	dec, err := c.newDecoder(part)
 	if err != nil {
 		return fmt.Errorf("client: remote %s: %w", part.Name, err)
 	}
-	run := c.runRemoteMaterialized
-	if c.StreamWire {
-		run = c.runRemoteStreamed
+	run := c.runRemoteStreamed
+	if c.Srv != nil {
+		run = c.runRemoteInProcess
 	}
 	rows, err := run(part, dec, res, ec)
 	if err != nil {
@@ -362,10 +359,12 @@ func (c *Client) runRemote(part *planner.RemotePart, cat *storage.Catalog, res *
 	return nil
 }
 
-// runRemoteMaterialized executes one RemoteSQL over the materialized wire:
-// the whole encrypted result arrives, then one decode pass runs over it.
-func (c *Client) runRemoteMaterialized(part *planner.RemotePart, dec *decoder, res *Result, ec *execCtx) ([][]value.Value, error) {
-	resp, err := c.execRemote(part, c.resolveHomGroups(part.Query), ec)
+// runRemoteInProcess executes one RemoteSQL on the in-process server: the
+// whole encrypted result is handed over unframed, then one decode pass runs
+// over it. WireBytes is what the paper's transfer model charges for those
+// rows (value sizes + 4 B/row), not a count of framed bytes.
+func (c *Client) runRemoteInProcess(part *planner.RemotePart, dec *decoder, res *Result, ec *execCtx) ([][]value.Value, error) {
+	resp, err := c.exec.Execute(c.resolveHomGroups(part.Query), ec.encParams())
 	if err != nil {
 		return nil, err
 	}
@@ -386,8 +385,8 @@ func (c *Client) runRemoteMaterialized(part *planner.RemotePart, dec *decoder, r
 	res.Decrypts += decrypts
 	res.ClientTime += time.Since(start)
 	if res.TimeToFirstRow == 0 {
-		// Materialized wire: nothing is visible before everything arrived
-		// and the decode pass ran.
+		// Nothing is visible before everything arrived and the decode pass
+		// ran.
 		res.TimeToFirstRow = resp.ServerTime + c.Cfg.TransferTime(resp.WireBytes) + time.Since(start)
 	}
 	return rows, nil

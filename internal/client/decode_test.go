@@ -71,15 +71,17 @@ func eventsFixture(t testing.TB) *fixture {
 	return &fixture{cat: cat, client: New(ks, server.New(db, cfg), ctx, cfg), plain: engine.New(cat)}
 }
 
-// TestWiresDecodeIdentically pins the one decoder behind both wires: at every
-// Parallelism, for results below, at and above the inline threshold, with
-// NULLs, DET-string, RND and OPE columns and conditional-sum concats whose
-// elements are NULL, the streamed wire — whose workers decode whole batches,
-// here 64-row ones and the unbounded setting's 1 024-row frames — returns the
-// materialized wire's rows — same values, same kinds, same order — and both
-// match the plaintext engine.
+// TestWiresDecodeIdentically pins the one decoder behind both hand-offs, as
+// two clients over one server: at every Parallelism, for results below, at
+// and above the inline threshold, with NULLs, DET-string, RND and OPE columns
+// and conditional-sum concats whose elements are NULL, the remote-built
+// client — whose workers decode whole batches, here 64-row ones and the
+// unbounded setting's 1 024-row frames — returns the in-process client's rows
+// — same values, same kinds, same order — and both match the plaintext
+// engine.
 func TestWiresDecodeIdentically(t *testing.T) {
 	f := eventsFixture(t)
+	r := f.remote(nil)
 	var queries []string
 	for _, n := range decodeRowCounts {
 		queries = append(queries, fmt.Sprintf(`SELECT e_id, e_name, e_val, e_day FROM events WHERE e_id < %d`, n))
@@ -91,18 +93,17 @@ func TestWiresDecodeIdentically(t *testing.T) {
 	for _, sql := range queries {
 		var want [][]value.Value
 		for _, p := range []int{1, 2, 4} {
-			f.client.Parallelism = p
+			f.client.Parallelism, r.client.Parallelism = p, p
 			for _, w := range []struct {
-				stream bool
-				batch  int
-			}{{false, 0}, {true, 0}, {true, 64}} {
-				f.client.StreamWire = w.stream
+				via   *fixture
+				batch int
+			}{{f, 0}, {r, 0}, {r, 64}} {
 				f.client.Srv.SetBatchSize(w.batch)
-				got := f.checkQuery(t, sql, nil).Rows
+				got := w.via.checkQuery(t, sql, nil).Rows
 				if want == nil {
 					want = got
 				} else if !reflect.DeepEqual(got, want) {
-					t.Fatalf("p=%d stream=%v batch=%d: rows differ from p=1 materialized\n%s", p, w.stream, w.batch, sql)
+					t.Fatalf("p=%d remote=%v batch=%d: rows differ from p=1 in-process\n%s", p, w.via == r, w.batch, sql)
 				}
 			}
 		}

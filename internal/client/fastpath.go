@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/planner"
-	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -181,24 +180,6 @@ func (c *Client) executeTemplate(cp *cachedPlan, vals map[string]value.Value) (*
 	}
 	r, err := c.finishPlan(cp.tmpl.Plan, cat, res, ec)
 	return r, true, err
-}
-
-// execRemote ships one RemoteSQL to the executor. On the template path
-// with a statement-capable executor it uses a server-side prepared
-// statement for the part — registered once per cache entry — so only the
-// fresh encrypted parameters cross the wire.
-func (c *Client) execRemote(part *planner.RemotePart, q *ast.Query, ec *execCtx) (*server.Response, error) {
-	if se, id, ok := c.stmtFor(part, q, ec); ok {
-		resp, err := se.ExecuteStmt(id, ec.encParams())
-		if err == nil {
-			return resp, nil
-		}
-		// The handle may be stale (server dropped the statement); forget it
-		// and re-execute in full — a second error then reports the real
-		// query failure.
-		c.dropStmt(part, ec)
-	}
-	return c.exec.Execute(q, ec.encParams())
 }
 
 // stmtFor returns (and lazily registers) the prepared-statement handle for

@@ -1,27 +1,29 @@
 package client
 
-// Streamed-wire consumption: the client half of the end-to-end pipeline.
-// runRemoteStreamed connects the server's ExecuteStream to the part's decoder
-// through an in-process pipe carrying the framed batch protocol of
-// internal/wire: the server frames encrypted batches mid-scan, a reader
-// goroutine parses frames as they arrive, and Parallelism workers decode whole
-// batches concurrently, each with its own copy of the decoder the materialized
-// wire uses; the caller merges their output in batch order — so rows, row
-// order, and encodings are byte-identical to the materialized wire.
+// The remote client's result consumption: the client half of the end-to-end
+// pipeline. runRemoteStreamed connects the executor's ExecuteStream (or
+// ExecuteStmtStream) to the part's decoder through a pipe carrying the framed
+// batch protocol of internal/wire: the server frames encrypted batches
+// mid-scan, a reader goroutine parses frames as they arrive, and Parallelism
+// workers decode whole batches concurrently, each with its own copy of the
+// decoder the in-process hand-off runs over its whole result; the caller
+// merges their output in batch order — so rows, row order, and encodings are
+// identical to what an in-process client produces.
 //
 // Error/abandon handling is symmetric: a server error poisons the pipe and
 // surfaces at the reader; a client-side decode error closes the pipe,
 // which aborts the server's scan mid-stream. Either way every goroutine is
 // joined before returning.
 //
-// Accounting: ServerTime is the server's time-to-last-batch, TransferTime
-// charges the framed bytes on the simulated link, and ClientTime sums the
-// workers' measured decode time (CPU spent, not elapsed: wall-clock overlap
-// with the server's scan is the point of the pipeline). Decrypts may differ
-// slightly from the materialized wire: the two split a result into decode
-// ranges differently, and concurrent workers can race to decrypt the same
-// repeated ciphertext before one of them has cached it. The decrypted values
-// are identical either way.
+// Accounting: ServerTime is the server's time-to-last-batch, WireBytes and
+// TransferTime charge the framed bytes (header, batch and end frames — more
+// than the in-process hand-off's value sizes + 4 B/row for the same rows),
+// and ClientTime sums the workers' measured decode time (CPU spent, not
+// elapsed: wall-clock overlap with the server's scan is the point of the
+// pipeline). Decrypts may differ slightly from the in-process hand-off: the
+// two split a result into decode ranges differently, and concurrent workers
+// can race to decrypt the same repeated ciphertext before one of them has
+// cached it. The decrypted values are identical either way.
 
 import (
 	"fmt"
@@ -55,12 +57,39 @@ type streamBatch struct {
 	done     chan struct{}
 }
 
-// runRemoteStreamed executes one RemoteSQL over the streamed wire. On the
+// runRemoteStreamed executes one RemoteSQL on a remote-built client. On the
 // template fast path (ec != nil) the part's encrypted parameter bindings
 // ride along, and a statement-capable executor streams via the part's
-// server-side prepared statement.
+// server-side prepared statement. A statement stream that fails before its
+// header arrived may have hit a stale handle (the server dropped the
+// statement, or an eviction's CloseStmt raced this execution): the handle is
+// forgotten and the query runs once in full, so a second error reports the
+// real failure. A failure after the header is returned as is.
 func (c *Client) runRemoteStreamed(part *planner.RemotePart, dec *decoder, res *Result, ec *execCtx) ([][]value.Value, error) {
 	q := c.resolveHomGroups(part.Query)
+	if se, id, ok := c.stmtFor(part, q, ec); ok {
+		rows, started, err := c.consumeStream(part, dec, res, func(w io.Writer) (*server.StreamStats, error) {
+			return se.ExecuteStmtStream(id, ec.encParams(), w)
+		})
+		if err == nil {
+			return rows, nil
+		}
+		c.dropStmt(part, ec)
+		if started {
+			return nil, err
+		}
+	}
+	rows, _, err := c.consumeStream(part, dec, res, func(w io.Writer) (*server.StreamStats, error) {
+		return c.exec.ExecuteStream(q, ec.encParams(), w)
+	})
+	return rows, err
+}
+
+// consumeStream runs produce against a pipe and decodes the framed batches
+// it writes. The bool reports that the stream's header was read, i.e. that
+// the failure (if any) came after the server began answering.
+func (c *Client) consumeStream(part *planner.RemotePart, dec *decoder, res *Result,
+	produce func(io.Writer) (*server.StreamStats, error)) ([][]value.Value, bool, error) {
 	pr, pw := io.Pipe()
 
 	// Producer: the untrusted server frames batches into the pipe as its
@@ -70,17 +99,7 @@ func (c *Client) runRemoteStreamed(part *planner.RemotePart, dec *decoder, res *
 	srvDone := make(chan struct{})
 	go func() {
 		defer close(srvDone)
-		if se, id, ok := c.stmtFor(part, q, ec); ok {
-			sstats, srvErr = se.ExecuteStmtStream(id, ec.encParams(), pw)
-			if srvErr != nil {
-				// Stale handle or query failure: forget the handle; the
-				// error surfaces to the caller, and the next execution
-				// re-registers or reports the real failure.
-				c.dropStmt(part, ec)
-			}
-		} else {
-			sstats, srvErr = c.exec.ExecuteStream(q, ec.encParams(), pw)
-		}
+		sstats, srvErr = produce(pw)
 		pw.CloseWithError(srvErr) // nil = clean EOF after the end frame
 	}()
 
@@ -95,10 +114,10 @@ func (c *Client) runRemoteStreamed(part *planner.RemotePart, dec *decoder, res *
 
 	br, err := wire.NewBatchReader(pr)
 	if err != nil {
-		return nil, fail(err)
+		return nil, false, fail(err)
 	}
 	if len(br.Cols()) != len(part.Outputs) {
-		return nil, fail(fmt.Errorf("stream has %d columns, plan expects %d",
+		return nil, true, fail(fmt.Errorf("stream has %d columns, plan expects %d",
 			len(br.Cols()), len(part.Outputs)))
 	}
 
@@ -180,13 +199,13 @@ func (c *Client) runRemoteStreamed(part *planner.RemotePart, dec *decoder, res *
 	<-srvDone
 
 	if decodeErr != nil {
-		return nil, decodeErr
+		return nil, true, decodeErr
 	}
 	if srvErr != nil {
-		return nil, srvErr
+		return nil, true, srvErr
 	}
 	if rerr != nil {
-		return nil, rerr
+		return nil, true, rerr
 	}
 
 	res.ServerTime += sstats.ServerTime
@@ -198,5 +217,5 @@ func (c *Client) runRemoteStreamed(part *planner.RemotePart, dec *decoder, res *
 		res.TimeToFirstRow = sstats.TimeToFirstBatch +
 			c.Cfg.TransferTime(firstFrameBytes) + firstRowWall
 	}
-	return rows, nil
+	return rows, true, nil
 }

@@ -4,16 +4,16 @@ import (
 	"testing"
 )
 
-// End-to-end streamed-wire tests: the full split-execution path with
-// StreamWire on — server framing encrypted batches mid-scan, client
+// End-to-end tests of the remote-built client: the full split-execution path
+// over the framed stream — server framing encrypted batches mid-scan, client
 // decrypting them on concurrent workers — must agree with the plaintext
 // engine on every scheme (DET, OPE, HOM packing, SEARCH, GROUP_CONCAT
 // folds) and plan shape (pushed filters, joins with multiple remote parts,
 // grouped aggregation). Run under -race in CI, this is also the thread
 //-safety proof for the sharded decryption and pack caches.
 
-// streamWireQueries exercises every decode mode the wire can carry.
-var streamWireQueries = []string{
+// remoteQueries exercises every decode mode the wire can carry.
+var remoteQueries = []string{
 	`SELECT o_id, o_cust FROM orders WHERE o_total > 100`,
 	`SELECT o_id FROM orders WHERE o_cust = 'alice'`,
 	`SELECT o_cust, SUM(o_total) AS s FROM orders GROUP BY o_cust ORDER BY s DESC`,
@@ -27,15 +27,15 @@ var streamWireQueries = []string{
 	`SELECT COUNT(*) FROM orders WHERE o_date < date '1996-06-01'`,
 }
 
-func TestStreamWireMatchesPlaintext(t *testing.T) {
+func TestRemoteClientMatchesPlaintext(t *testing.T) {
 	f := newFixture(t)
-	f.client.StreamWire = true
+	r := f.remote(nil)
 	for _, p := range []int{1, 4} {
-		f.client.Parallelism = p
+		r.client.Parallelism = p
 		for _, bs := range []int{0, 2} {
 			f.client.Srv.SetBatchSize(bs)
-			for _, sql := range streamWireQueries {
-				res := f.checkQuery(t, sql, nil)
+			for _, sql := range remoteQueries {
+				res := r.checkQuery(t, sql, nil)
 				if res.WireBytes <= 0 {
 					t.Errorf("p=%d bs=%d %s: no wire bytes accounted", p, bs, sql)
 				}
@@ -47,31 +47,31 @@ func TestStreamWireMatchesPlaintext(t *testing.T) {
 	}
 }
 
-// TestStreamWireResultsIdenticalToMaterialized pins the wire protocols
-// against each other: same rows, same order, same server charge.
-func TestStreamWireResultsIdenticalToMaterialized(t *testing.T) {
+// TestRemoteResultsIdenticalToInProcess pins the two hand-offs against each
+// other, as two clients over one server: same rows, same order, same server
+// charge.
+func TestRemoteResultsIdenticalToInProcess(t *testing.T) {
 	f := newFixture(t)
-	f.client.Parallelism = 2
+	r := f.remote(nil)
+	f.client.Parallelism, r.client.Parallelism = 2, 2
 	f.client.Srv.SetBatchSize(2)
-	for _, sql := range streamWireQueries {
-		f.client.StreamWire = false
+	for _, sql := range remoteQueries {
 		want, err := f.client.Query(sql, nil)
 		if err != nil {
-			t.Fatalf("materialized %s: %v", sql, err)
+			t.Fatalf("in-process %s: %v", sql, err)
 		}
-		f.client.StreamWire = true
-		got, err := f.client.Query(sql, nil)
+		got, err := r.client.Query(sql, nil)
 		if err != nil {
 			t.Fatalf("streamed %s: %v", sql, err)
 		}
 		w := canonicalRows(want.Rows, true)
 		g := canonicalRows(got.Rows, true)
 		if len(w) != len(g) {
-			t.Fatalf("%s: streamed %d rows, materialized %d", sql, len(g), len(w))
+			t.Fatalf("%s: streamed %d rows, in-process %d", sql, len(g), len(w))
 		}
 		for i := range w {
 			if w[i] != g[i] {
-				t.Errorf("%s row %d: streamed %s, materialized %s", sql, i, g[i], w[i])
+				t.Errorf("%s row %d: streamed %s, in-process %s", sql, i, g[i], w[i])
 			}
 		}
 		// ServerTime equality is asserted at the server layer for scan-only

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 )
 
 // PublicKey is the public half of a Paillier keypair: (N, G) plus the
@@ -38,9 +37,6 @@ type Key struct {
 	Lambda  *big.Int // lcm(p-1, q-1) (private)
 	Mu      *big.Int // (L(G^Lambda mod N²))⁻¹ mod N (private)
 	randSrc io.Reader
-
-	pmu  sync.RWMutex
-	pool *Pool // optional precomputed blinding factors (see pool.go)
 }
 
 // Public returns the shareable public half of the keypair.
@@ -106,16 +102,9 @@ func (k *Key) Encrypt(m *big.Int) (*big.Int, error) {
 	if m.Sign() < 0 || m.Cmp(k.N) >= 0 {
 		return nil, fmt.Errorf("paillier: plaintext out of range [0, N)")
 	}
-	// The blinding factor r^N mod N² (r uniform in Z*_N) is plaintext-
-	// independent; take a precomputed one when a pool is attached and
-	// stocked, else compute inline.
-	rn := k.pooledFactor()
-	if rn == nil {
-		var err error
-		rn, err = k.blindingFactor()
-		if err != nil {
-			return nil, err
-		}
+	rn, err := k.blindingFactor()
+	if err != nil {
+		return nil, err
 	}
 	// c = g^m * r^N mod N². With g = N+1, g^m = 1 + m*N (mod N²).
 	gm := new(big.Int).Mul(m, k.N)
@@ -124,6 +113,22 @@ func (k *Key) Encrypt(m *big.Int) (*big.Int, error) {
 	c := new(big.Int).Mul(gm, rn)
 	c.Mod(c, k.N2)
 	return c, nil
+}
+
+// blindingFactor computes r^N mod N² for a fresh uniform r ∈ Z*_N.
+func (k *Key) blindingFactor() (*big.Int, error) {
+	var r *big.Int
+	for {
+		var err error
+		r, err = rand.Int(k.randSrc, k.N)
+		if err != nil {
+			return nil, err
+		}
+		if r.Sign() > 0 && new(big.Int).GCD(nil, nil, r, k.N).Cmp(big.NewInt(1)) == 0 {
+			break
+		}
+	}
+	return new(big.Int).Exp(r, k.N, k.N2), nil
 }
 
 // EncryptInt64 encrypts a non-negative small integer.

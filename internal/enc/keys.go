@@ -23,7 +23,6 @@ type KeyStore struct {
 
 	mu     sync.Mutex
 	labels map[string]*Cipher // by Item.KeyLabel: the label's derived scheme and id
-	ppool  *paillier.Pool
 }
 
 // NewKeyStore creates a key store with the given master secret and Paillier
@@ -39,32 +38,10 @@ func NewKeyStore(master []byte, paillierBits int) (*KeyStore, error) {
 // Paillier returns the store's Paillier keypair.
 func (ks *KeyStore) Paillier() *paillier.Key { return ks.paillier }
 
-// EnablePaillierPool attaches a background randomness pool to the Paillier
-// key: workers goroutines precompute the r^N mod N² blinding factors so
-// hot-path encryptions skip the modular exponentiation. Callers that enable
-// the pool own its lifetime and must call Close to join the workers.
-func (ks *KeyStore) EnablePaillierPool(capacity, workers int) {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	if ks.ppool != nil {
-		return
-	}
-	ks.ppool = paillier.NewPool(ks.paillier, capacity, workers)
-	ks.paillier.UsePool(ks.ppool)
-}
-
-// Close stops any background workers the store started (currently the
-// Paillier randomness pool). Safe to call when nothing was enabled.
-func (ks *KeyStore) Close() {
-	ks.mu.Lock()
-	p := ks.ppool
-	ks.ppool = nil
-	ks.mu.Unlock()
-	if p != nil {
-		ks.paillier.UsePool(nil)
-		p.Close()
-	}
-}
+// Close has nothing to release: a KeyStore starts no goroutines and holds no
+// handles. The method stays because the benchmark's layer harness
+// (bench/layers.go), whose files are frozen, closes the key store it built.
+func (ks *KeyStore) Close() {}
 
 // derive returns the cipher prototype for the item's key label — scheme
 // instance and label id, no plaintext kind — deriving the subkey on first use.

@@ -56,10 +56,6 @@ type Config struct {
 	// BatchSize bounds the execution batches of the same three engines;
 	// 0 is unbounded (one batch per worker).
 	BatchSize int
-	// StreamWire ships encrypted results to the client as framed batches
-	// mid-scan, decrypted by Parallelism workers (results identical to the
-	// materialized wire; time-to-first-row drops to O(batch)).
-	StreamWire bool
 }
 
 // MonomiConfig is the full system at the given scale.
@@ -166,7 +162,6 @@ func Setup(cfg Config) (*Bench, error) {
 	}
 	b.SetParallelism(cfg.Parallelism)
 	b.SetBatchSize(cfg.BatchSize)
-	b.SetStreamWire(cfg.StreamWire)
 	return b, nil
 }
 
@@ -187,13 +182,6 @@ func (b *Bench) SetBatchSize(bs int) {
 	b.Client.Srv.SetBatchSize(bs)
 	b.Client.BatchSize = bs
 	b.Engine.BatchSize = bs
-}
-
-// SetStreamWire toggles the streamed wire protocol on the encrypted
-// client/server pair (see Config.StreamWire). Not safe while queries are
-// in flight.
-func (b *Bench) SetStreamWire(on bool) {
-	b.Client.StreamWire = on
 }
 
 // PlainResult is a plaintext-baseline execution with simulated timings.

@@ -15,8 +15,8 @@ import (
 //     crypto/rnd, crypto/prf) — holding a scheme object means holding a
 //     derived key;
 //  2. reference a trusted-only symbol (enc.KeyStore, enc.Cipher, enc.NewKeyStore,
-//     enc.EncryptDatabase, paillier.Key, paillier.GenerateKey, the
-//     Paillier randomness Pool, packing.ClientSums/BuildStore/PlainCache,
+//     enc.EncryptDatabase, paillier.Key, paillier.GenerateKey,
+//     packing.ClientSums/BuildStore/PlainCache,
 //     search's keyed Scheme — search.Match on public trapdoors is fine);
 //  3. declare any variable, field, parameter or result whose type
 //     transitively contains a trusted-only type — the rule that catches
@@ -69,8 +69,6 @@ var trustedOnly = map[string]map[string]bool{
 	"repro/internal/crypto/paillier": {
 		"Key":         true,
 		"GenerateKey": true,
-		"Pool":        true,
-		"NewPool":     true,
 	},
 	"repro/internal/crypto/det": {
 		"Scheme": true, "New": true, "MustNew": true,

@@ -26,12 +26,6 @@ type Config struct {
 	DiskBytesPerSec float64
 	// ServerRowNanos is per-row CPU cost of scan/join/aggregate processing.
 	ServerRowNanos float64
-	// ServerCores bounds how far CPU work can parallelize on the simulated
-	// server: WallTime divides a serial CPU charge by min(workers,
-	// ServerCores). 0 means no core limit (the charge divides by the full
-	// worker count). Disk throughput is NOT scaled by cores — the array's
-	// sequential bandwidth is an aggregate figure shared by all workers.
-	ServerCores int
 }
 
 // Default returns the configuration used by the experiments: the paper's
@@ -43,7 +37,6 @@ func Default() Config {
 		CompressionRatio: 1.0,
 		DiskBytesPerSec:  120e6,
 		ServerRowNanos:   100,
-		ServerCores:      16,
 	}
 }
 
@@ -70,25 +63,4 @@ func (c Config) RowTime(n int64) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(n) * c.ServerRowNanos)
-}
-
-// WallTime converts a serially-accumulated CPU charge into the wall-clock
-// time of `workers` workers sharing it: the charge divides by
-// min(workers, ServerCores). The engine's stats always accumulate serial
-// charges (per-shard work sums, it never overlaps in the accounting), so
-// the serial figure is what a one-core server would take and WallTime is
-// what the sharded execution actually delivers — the number a real
-// multi-core deployment's clock shows. Scan I/O should stay serial (the
-// disk array is shared); apply WallTime to CPU components only.
-func (c Config) WallTime(cpu time.Duration, workers int) time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
-	if c.ServerCores > 0 && workers > c.ServerCores {
-		workers = c.ServerCores
-	}
-	if workers == 1 || cpu <= 0 {
-		return cpu
-	}
-	return cpu / time.Duration(workers)
 }

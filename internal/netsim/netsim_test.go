@@ -36,34 +36,6 @@ func TestScanTime(t *testing.T) {
 	}
 }
 
-func TestWallTimeDividesByWorkers(t *testing.T) {
-	cfg := Default()
-	serial := 8 * time.Second
-	if got := cfg.WallTime(serial, 4); got != 2*time.Second {
-		t.Errorf("WallTime(8s, 4) = %v, want 2s", got)
-	}
-	if got := cfg.WallTime(serial, 1); got != serial {
-		t.Errorf("WallTime at one worker = %v, want the serial charge", got)
-	}
-	if got := cfg.WallTime(serial, 0); got != serial {
-		t.Errorf("WallTime(workers=0) = %v, want the serial charge", got)
-	}
-}
-
-func TestWallTimeCoreBound(t *testing.T) {
-	cfg := Default()
-	cfg.ServerCores = 2
-	serial := 8 * time.Second
-	// More workers than cores: the division saturates at the core count.
-	if got := cfg.WallTime(serial, 16); got != 4*time.Second {
-		t.Errorf("WallTime(8s, 16 workers, 2 cores) = %v, want 4s", got)
-	}
-	cfg.ServerCores = 0 // unbounded
-	if got := cfg.WallTime(serial, 16); got != serial/16 {
-		t.Errorf("WallTime with no core limit = %v, want %v", got, serial/16)
-	}
-}
-
 func TestRowTime(t *testing.T) {
 	cfg := Default()
 	if cfg.RowTime(1e6) != time.Duration(1e6*cfg.ServerRowNanos) {

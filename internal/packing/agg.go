@@ -225,8 +225,8 @@ const plainCacheShards = 8
 // ciphertext reaches the client once per group that touches it (e.g. Q1's
 // four groups interleave within packs); one decryption recovers every slot,
 // so caching by ciphertext collapses the repeats. Safe for concurrent use:
-// entries stripe across mutex-guarded shards, so the streamed wire's
-// parallel batch decoders share one cache without serializing on it.
+// entries stripe across mutex-guarded shards, so the client's parallel
+// decode workers share one cache without serializing on it.
 type PlainCache struct {
 	shards [plainCacheShards]plainShard
 }

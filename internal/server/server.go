@@ -108,10 +108,7 @@ func (s *Server) parallelism() int {
 type Response struct {
 	Result     *engine.Result
 	ServerTime time.Duration // simulated scan I/O + CPU + measured UDF time (serial charge)
-	// WallServerTime is the wall-clock counterpart: CPU components divided
-	// across min(Parallelism, netsim cores), scan I/O serial (shared disk).
-	WallServerTime time.Duration
-	WireBytes      int64 // result size on the wire
+	WireBytes  int64         // result size on the wire
 }
 
 // Execute runs one RemoteSQL query over the encrypted data.
@@ -121,10 +118,9 @@ func (s *Server) Execute(q *ast.Query, params map[string]value.Value) (*Response
 		return nil, err
 	}
 	return &Response{
-		Result:         res,
-		ServerTime:     s.simulatedTime(res.Stats),
-		WallServerTime: s.simulatedWallTime(res.Stats),
-		WireBytes:      res.Bytes(),
+		Result:     res,
+		ServerTime: s.simulatedTime(res.Stats),
+		WireBytes:  res.Bytes(),
 	}, nil
 }
 

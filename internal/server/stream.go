@@ -45,11 +45,6 @@ type StreamStats struct {
 	// abandoned stream, only what was actually scanned). The charge is
 	// serial: per-shard work sums, it never overlaps in the accounting.
 	ServerTime time.Duration
-	// WallServerTime is the wall-clock counterpart of ServerTime: scan I/O
-	// stays serial (the disk array is shared) but the CPU components divide
-	// across min(Parallelism, netsim cores) — the time a multi-core
-	// deployment's clock actually shows (netsim.Config.WallTime).
-	WallServerTime time.Duration
 	// FirstFrameBytes is the wire size of the header plus the first batch
 	// frame (what must cross the link before the client can start
 	// decrypting).
@@ -85,10 +80,7 @@ func (s *Server) ExecuteStreamCtx(ctx context.Context, q *ast.Query, params map[
 		return st, err
 	}
 	defer es.Close()
-	defer func() {
-		st.ServerTime = s.simulatedTime(es.Stats())
-		st.WallServerTime = s.simulatedWallTime(es.Stats())
-	}()
+	defer func() { st.ServerTime = s.simulatedTime(es.Stats()) }()
 	bw, err := wire.NewBatchWriter(w, es.Cols())
 	if err != nil {
 		return st, err
@@ -133,14 +125,4 @@ func (s *Server) simulatedTime(stats engine.Stats) time.Duration {
 	return s.Cfg.ScanTime(stats.BytesScanned+stats.ExtraBytes) +
 		s.Cfg.RowTime(stats.RowsScanned) +
 		time.Duration(stats.UDFNanos)
-}
-
-// simulatedWallTime is simulatedTime with the CPU components divided
-// across the server's workers (netsim.Config.WallTime): scan I/O stays
-// serial — the disk array's throughput is shared — while per-row CPU and
-// measured UDF time parallelize up to the simulated core count.
-func (s *Server) simulatedWallTime(stats engine.Stats) time.Duration {
-	cpu := s.Cfg.RowTime(stats.RowsScanned) + time.Duration(stats.UDFNanos)
-	return s.Cfg.ScanTime(stats.BytesScanned+stats.ExtraBytes) +
-		s.Cfg.WallTime(cpu, s.parallelism())
 }

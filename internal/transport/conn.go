@@ -183,10 +183,9 @@ func materialize(buf *bytes.Buffer, st *server.StreamStats) (*server.Response, e
 		res.Rows = append(res.Rows, rows...)
 	}
 	return &server.Response{
-		Result:         res,
-		ServerTime:     st.ServerTime,
-		WallServerTime: st.WallServerTime,
-		WireBytes:      st.WireBytes,
+		Result:     res,
+		ServerTime: st.ServerTime,
+		WireBytes:  st.WireBytes,
 	}, nil
 }
 

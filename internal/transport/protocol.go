@@ -28,7 +28,7 @@
 //	hello-ok:   0xC2  u16 version | u64 session id
 //	reject:     0xC3  u16 code | message      (connection-level; closes)
 //	data:       0xC6  u64 qid | stream bytes  (a chunk of the result stream)
-//	done:       0xC7  u64 qid | 7 × u64 stats
+//	done:       0xC7  u64 qid | 6 × u64 stats
 //	error:      0xC8  u64 qid | u16 code | message
 //	prepare-ok: 0xCA  u64 stmt id
 //
@@ -75,7 +75,7 @@ import (
 // Protocol identity.
 const (
 	protoMagic   = "MNM1"
-	protoVersion = 1
+	protoVersion = 2 // 2: the done frame carries six stats words (1 had seven)
 )
 
 // Frame tags. Disjoint from wire's value tags (0–5) and stream-frame tags
@@ -419,8 +419,8 @@ func parseCancel(p []byte) (uint64, error) {
 func donePayload(qid uint64, st *server.StreamStats) []byte {
 	b := binary.BigEndian.AppendUint64(nil, qid)
 	for _, v := range [...]uint64{
-		uint64(st.TimeToFirstBatch), uint64(st.ServerTime), uint64(st.WallServerTime),
-		uint64(st.FirstFrameBytes), uint64(st.WireBytes), uint64(st.Batches), uint64(st.Rows),
+		uint64(st.TimeToFirstBatch), uint64(st.ServerTime), uint64(st.FirstFrameBytes),
+		uint64(st.WireBytes), uint64(st.Batches), uint64(st.Rows),
 	} {
 		b = binary.BigEndian.AppendUint64(b, v)
 	}
@@ -428,7 +428,7 @@ func donePayload(qid uint64, st *server.StreamStats) []byte {
 }
 
 func parseDone(p []byte) (qid uint64, st *server.StreamStats, err error) {
-	if len(p) != 8+7*8 {
+	if len(p) != 8+6*8 {
 		return 0, nil, fmt.Errorf("transport: malformed done frame")
 	}
 	qid = binary.BigEndian.Uint64(p)
@@ -436,10 +436,9 @@ func parseDone(p []byte) (qid uint64, st *server.StreamStats, err error) {
 	return qid, &server.StreamStats{
 		TimeToFirstBatch: time.Duration(u(0)),
 		ServerTime:       time.Duration(u(1)),
-		WallServerTime:   time.Duration(u(2)),
-		FirstFrameBytes:  int64(u(3)),
-		WireBytes:        int64(u(4)),
-		Batches:          int64(u(5)),
-		Rows:             int64(u(6)),
+		FirstFrameBytes:  int64(u(2)),
+		WireBytes:        int64(u(3)),
+		Batches:          int64(u(4)),
+		Rows:             int64(u(5)),
 	}, nil
 }

@@ -7,9 +7,11 @@ package transport
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/sqlparser"
 )
 
@@ -60,6 +62,19 @@ func TestBadHello(t *testing.T) {
 		t.Fatalf("bad magic code = %v, want CodeProtocol", re.Code)
 	}
 	expectClosed(t, c)
+
+	// A version-1 peer (seven-word done frames) is refused at the handshake
+	// with the version error, not left to mis-parse a done frame later.
+	c1 := rawDial(t, s)
+	if err := writeFrame(c1, frameHello, []byte(protoMagic+"\x00\x01")); err != nil {
+		t.Fatal(err)
+	}
+	if tag, payload, err := readFrame(c1); err != nil || tag != frameReject {
+		t.Fatalf("version-1 hello: tag=%#x err=%v", tag, err)
+	} else if re := parseReject(payload); re.Code != CodeProtocol || !strings.Contains(re.Msg, "protocol version 1") {
+		t.Fatalf("version-1 hello reply = %v, want the protocol-version error", re)
+	}
+	expectClosed(t, c1)
 
 	// Wrong first frame entirely.
 	c2 := rawDial(t, s)
@@ -210,6 +225,7 @@ func FuzzParseFrames(f *testing.F) {
 	f.Add(rejectPayload(CodeConnRejected, "full"))
 	f.Add(errorPayload(4, CodeQueryError, "boom"))
 	f.Add(cancelPayload(4))
+	f.Add(donePayload(4, &server.StreamStats{ServerTime: time.Second, WireBytes: 1 << 20, Batches: 3, Rows: 2048}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		parseHello(data)
 		parseHelloOK(data)

@@ -8,7 +8,7 @@ package wire
 //	end:    0xA3 | u64 total rows
 //
 // Values inside a batch reuse the per-value tags of wire.go (the same
-// encoding GROUP_CONCAT blobs use), so the streamed and materialized wire
+// encoding GROUP_CONCAT blobs use), so the stream and the blobs inside it
 // speak one value vocabulary. The end frame carries the total row count as
 // an integrity check: a reader that sees end with a mismatched count — or
 // EOF with no end frame — reports a truncated stream instead of returning

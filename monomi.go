@@ -62,30 +62,27 @@
 // SUM/AVG last-ULP caveat above — it comes from sharding, not from
 // batching. The knob can be changed later with System.SetBatchSize.
 //
-// # Streamed wire protocol
+// # Result hand-off
 //
-// Options.StreamWire extends the pipeline across the trust boundary: the
-// untrusted server frames encrypted result batches onto the wire while its
-// scan is still running (internal/wire's header/batch/end framing), and
-// the trusted client decodes each arriving batch on a pool of Parallelism
-// workers — each running the batch decoder the materialized wire runs over
-// its whole result — merging decrypted rows in batch order. The decryption
-// cache and the Paillier pack cache are sharded-mutex concurrent, so the
-// workers share them without serializing. Multi-table RemoteSQL pipelines
-// the same way: the server hash-joins the encrypted tables (shared-key
-// DET join groups) and ships joined batches mid-probe, so join-heavy
-// queries see their first plaintext row after build + one batch. The
-// server-side stream is itself produced by Parallelism workers (disjoint
-// row ranges feeding a shard-order merger, byte-identical to a sequential
-// stream), grouped queries ship finalized groups batch-at-a-time once
-// accumulation ends, and DISTINCT ships first occurrences as the scan
-// discovers them. Results are byte-identical to
-// the materialized wire; what changes is latency shape — the first
-// plaintext row is available after one batch instead of after the whole
-// scan (Rows.TimeToFirstRow) — and peak client memory, since encrypted
-// batches are dropped as soon as they are decrypted instead of the whole
-// intermediate result being held alongside the decoded table. Toggle later
-// with System.SetStreamWire.
+// How a RemoteSQL result crosses the trust boundary is a property of the
+// deployment, not an option:
+//
+//   - In process (the System Encrypt returns): the server's engine hands
+//     its encrypted rows to the client as they are, and one decode pass runs
+//     over them on Parallelism workers. Rows.WireBytes is what the paper's
+//     transfer model charges for those rows — value sizes + 4 B per row.
+//   - Remote (a System from ConnectRemote): the server frames encrypted
+//     batches onto the socket while its scan is still running
+//     (internal/wire's header/batch/end framing) and the client decodes each
+//     arriving batch on a pool of Parallelism workers, merging decrypted
+//     rows in batch order. The first plaintext row exists after one batch
+//     (Rows.TimeToFirstRow; give the server a bounded BatchSize) and no
+//     whole encrypted result is buffered. Rows.WireBytes counts the framed
+//     bytes.
+//
+// Results — rows, row order, encodings — are identical either way. The two
+// WireBytes figures are not the same count: on tpch-scan's twelve queries
+// the in-process model reads 535 KB/query and the framed stream 617.
 //
 // # Remote deployment
 //
@@ -94,10 +91,10 @@
 // address — many concurrent client sessions, per-query cancellation, and
 // admission control (connection cap, in-flight query cap) — and
 // System.ConnectRemote dials it, returning a System whose queries plan and
-// decrypt locally but execute their RemoteSQL over the socket. The wire
-// carries exactly the in-process stream bytes (the internal/wire batch
-// framing, chunked into transport frames), so results, row order, and
-// encodings are identical to the in-process path in every mode. The
+// decrypt locally but execute their RemoteSQL over the socket. The socket
+// carries exactly the bytes the server's ExecuteStream writes (the
+// internal/wire batch framing, chunked into transport frames), so results,
+// row order, and encodings are identical to the in-process System's. The
 // cmd/monomi-server binary is a standalone deployment of Serve:
 //
 //	monomi-server -addr :7077 -sf 0.002            # untrusted host
@@ -266,24 +263,6 @@ type Options struct {
 	// the float SUM/AVG last-ULP caveat on Parallelism is the only
 	// exception and is independent of BatchSize.
 	BatchSize int
-	// PaillierPool precomputes Paillier encryption randomness (the
-	// plaintext-independent r^N mod N² blinding factors) on background
-	// goroutines, so hot-path HOM encryptions — database encryption and
-	// per-execution parameter rebinding — cost one multiply instead of a
-	// modular exponentiation. Ciphertexts are byte-compatible with unpooled
-	// encryption. Off by default; when enabled, call System.Close to join
-	// the pool workers.
-	PaillierPool bool
-	// StreamWire streams results across the trust boundary: the untrusted
-	// server frames encrypted batches onto the wire mid-scan and the
-	// trusted client decrypts each arriving batch on Parallelism workers,
-	// merging in batch order — so the first plaintext row exists after one
-	// batch instead of after the whole scan (Rows.TimeToFirstRow). Results
-	// are byte-identical to the materialized wire. Combine with BatchSize
-	// > 0: with 0 the server's pipeline moves one unbounded batch per
-	// worker, so the first frame leaves when a whole shard is done. Off by
-	// default; toggle later with System.SetStreamWire.
-	StreamWire bool
 	// Indexes maintains secondary indexes over the encrypted tables — a
 	// DET hash index (equality, IN, hash-join builds) and an OPE ordered
 	// index (ranges, BETWEEN, prefix ORDER BY) per column carrying those
@@ -298,7 +277,7 @@ type Options struct {
 	// "mem" keeps rows in memory (the original layout); "disk" loads each
 	// encrypted table into an append-only paged segment file under DataDir,
 	// read back through an LRU block cache. Results are byte-identical
-	// across backends at every ⟨Parallelism, BatchSize, wire, deployment⟩
+	// across backends at every ⟨Parallelism, BatchSize, deployment⟩
 	// combination; what changes is the charged I/O — a disk-backed scan
 	// charges its real page reads (block-cache misses) instead of the
 	// resident-byte approximation.
@@ -353,9 +332,9 @@ type System struct {
 	// conn is the dialed transport session when this System came from
 	// ConnectRemote (nil for in-process deployments).
 	conn *transport.Conn
-	// ownsKeys marks the System that created the key store (Encrypt);
-	// remote Systems share it and must not tear it down on Close.
-	ownsKeys bool
+	// ownsCatalog marks the System that created the encrypted catalog
+	// (Encrypt); remote Systems share it and must not tear it down on Close.
+	ownsCatalog bool
 }
 
 // Encrypt runs the designer over the workload, encrypts the database, and
@@ -377,9 +356,6 @@ func Encrypt(db *Database, workload Workload, opts Options) (*System, error) {
 	ks, err := enc.NewKeyStore(opts.MasterKey, opts.PaillierBits)
 	if err != nil {
 		return nil, err
-	}
-	if opts.PaillierPool {
-		ks.EnablePaillierPool(128, 2)
 	}
 	cost := planner.DefaultCostModel(net)
 	if opts.ProfileCosts {
@@ -416,11 +392,10 @@ func Encrypt(db *Database, workload Workload, opts Options) (*System, error) {
 	cl := client.New(ks, srv, dres.Context, net)
 	sys := &System{
 		db: db, keys: ks, design: dres, encDB: encDB, client: cl,
-		plain: engine.New(db.cat), net: net, ownsKeys: true,
+		plain: engine.New(db.cat), net: net, ownsCatalog: true,
 	}
 	sys.SetParallelism(opts.Parallelism)
 	sys.SetBatchSize(opts.BatchSize)
-	sys.SetStreamWire(opts.StreamWire)
 	sys.SetIndexes(opts.Indexes)
 	return sys, nil
 }
@@ -478,13 +453,6 @@ func (s *System) SetBatchSize(b int) {
 	}
 	s.client.BatchSize = b
 	s.plain.BatchSize = b
-}
-
-// SetStreamWire toggles the streamed wire protocol for remote execution
-// (see Options.StreamWire). It must not be called while queries are in
-// flight.
-func (s *System) SetStreamWire(on bool) {
-	s.client.StreamWire = on
 }
 
 // SetIndexes toggles secondary-index access paths on the server's engine,
@@ -557,7 +525,6 @@ func (s *System) remoteSystem(conn *transport.Conn) *System {
 	cl.Greedy = s.client.Greedy
 	cl.Parallelism = s.client.Parallelism
 	cl.BatchSize = s.client.BatchSize
-	cl.StreamWire = s.client.StreamWire
 	return &System{
 		db: s.db, keys: s.keys, design: s.design, encDB: s.encDB,
 		client: cl, plain: s.plain, net: s.net, conn: conn,
@@ -565,19 +532,15 @@ func (s *System) remoteSystem(conn *transport.Conn) *System {
 }
 
 // Close releases the System's resources: cached plans (and their remote
-// prepared-statement handles), the Paillier randomness pool workers (if
-// Options.PaillierPool enabled them — only on the System that Encrypt
-// returned, since remote Systems share its key store), and the network
-// session, if any.
+// prepared-statement handles), the encrypted catalog's disk-backed tables
+// (only on the System that Encrypt returned — remote Systems share it), and
+// the network session, if any.
 func (s *System) Close() error {
 	s.client.Close()
-	if s.ownsKeys {
-		s.keys.Close()
+	if s.ownsCatalog && s.encDB != nil {
 		// The encrypted catalog may hold disk-backed tables; flush their
 		// segment metadata and release the file handles.
-		if s.encDB != nil {
-			s.encDB.Cat.Close()
-		}
+		s.encDB.Cat.Close()
 	}
 	if s.conn != nil {
 		return s.conn.Close()
@@ -600,9 +563,9 @@ type Rows struct {
 	TransferTime float64
 	ClientTime   float64
 	// TimeToFirstRow is when the first decrypted row of the first remote
-	// result was available at the client, in seconds. On the streamed wire
-	// it is O(batch); on the materialized wire the whole result (server
-	// scan + transfer + decode) precedes it.
+	// result was available at the client, in seconds. On a remote System it
+	// is O(batch); in process the whole result (server scan + transfer +
+	// decode) precedes it.
 	TimeToFirstRow float64
 	WireBytes      int64
 	PlanText       string

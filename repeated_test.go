@@ -9,10 +9,10 @@ import (
 // Differential test for the repeated-query fast path: the same
 // parameterized shapes executed over and over with different values —
 // prepared statements and ad-hoc SQL, warm plan cache and cold — must stay
-// byte-identical to the plaintext engine at every
-// ⟨parallelism, batch size, wire⟩ combination, in-process and over the
-// transport (where warm prepared executions additionally run server-side
-// registered statements by id instead of re-shipping SQL).
+// byte-identical to the plaintext engine at every ⟨parallelism, batch size⟩
+// combination, in-process (rows handed over) and over the transport (framed
+// stream; warm prepared executions additionally run server-side registered
+// statements by id instead of re-shipping SQL).
 
 // repShape is a parameterized query plus its ad-hoc textual form and the
 // i-th parameter binding.
@@ -97,79 +97,74 @@ func TestDifferentialRepeatedQueries(t *testing.T) {
 		for _, bs := range diffBatchSizes {
 			sys.SetBatchSize(bs)
 			rem.SetBatchSize(bs)
-			for _, sw := range diffStreamWire {
-				sys.SetStreamWire(sw)
-				rem.SetStreamWire(sw)
-				for _, d := range []struct {
-					name string
-					s    *System
-				}{{"inproc", sys}, {"wire", rem}} {
-					for si, sh := range shapes {
-						tag := fmt.Sprintf("p=%d bs=%d sw=%v %s shape=%d", par, bs, sw, d.name, si)
-						stmt, err := d.s.Prepare(sh.sql)
-						if err != nil {
-							t.Fatalf("%s prepare: %v", tag, err)
-						}
-						d.s.ResetPlanCache()
-						var coldRows []string
-						for i := 0; i < reps; i++ {
-							plain, err := sys.QueryPlaintext(sh.adhoc(i))
-							if err != nil {
-								t.Fatalf("%s plaintext i=%d: %v", tag, i, err)
-							}
-							want := canonicalRows(t, plain.Data, sh.ordered)
-
-							prep, err := stmt.Query(sh.params(i))
-							if err != nil {
-								t.Fatalf("%s prepared i=%d: %v", tag, i, err)
-							}
-							got := canonicalRows(t, prep.Data, sh.ordered)
-							if strings.Join(got, "\n") != strings.Join(want, "\n") {
-								t.Fatalf("%s prepared i=%d diverges from plaintext:\n%v\nvs\n%v", tag, i, got, want)
-							}
-							if i == 0 {
-								coldRows = got
-								if prep.PlanCacheHit {
-									t.Errorf("%s: cold execution reported a plan-cache hit", tag)
-								}
-							} else if !prep.PlanCacheHit {
-								t.Errorf("%s i=%d: warm prepared execution missed the plan cache", tag, i)
-							}
-
-							adhoc, err := d.s.Query(sh.adhoc(i))
-							if err != nil {
-								t.Fatalf("%s adhoc i=%d: %v", tag, i, err)
-							}
-							got = canonicalRows(t, adhoc.Data, sh.ordered)
-							if strings.Join(got, "\n") != strings.Join(want, "\n") {
-								t.Fatalf("%s adhoc i=%d diverges from plaintext:\n%v\nvs\n%v", tag, i, got, want)
-							}
-						}
-						// The uncached path must agree with the warm one:
-						// re-run binding 0 cold and compare to the cached
-						// execution's rows.
-						d.s.ResetPlanCache()
-						again, err := stmt.Query(sh.params(0))
-						if err != nil {
-							t.Fatalf("%s cold rerun: %v", tag, err)
-						}
-						got := canonicalRows(t, again.Data, sh.ordered)
-						if strings.Join(got, "\n") != strings.Join(coldRows, "\n") {
-							t.Fatalf("%s: cold rerun diverges from first execution:\n%v\nvs\n%v", tag, got, coldRows)
-						}
-						stmt.Close()
+			for _, d := range []struct {
+				name string
+				s    *System
+			}{{"inproc", sys}, {"wire", rem}} {
+				for si, sh := range shapes {
+					tag := fmt.Sprintf("p=%d bs=%d %s shape=%d", par, bs, d.name, si)
+					stmt, err := d.s.Prepare(sh.sql)
+					if err != nil {
+						t.Fatalf("%s prepare: %v", tag, err)
 					}
+					d.s.ResetPlanCache()
+					var coldRows []string
+					for i := 0; i < reps; i++ {
+						plain, err := sys.QueryPlaintext(sh.adhoc(i))
+						if err != nil {
+							t.Fatalf("%s plaintext i=%d: %v", tag, i, err)
+						}
+						want := canonicalRows(t, plain.Data, sh.ordered)
+
+						prep, err := stmt.Query(sh.params(i))
+						if err != nil {
+							t.Fatalf("%s prepared i=%d: %v", tag, i, err)
+						}
+						got := canonicalRows(t, prep.Data, sh.ordered)
+						if strings.Join(got, "\n") != strings.Join(want, "\n") {
+							t.Fatalf("%s prepared i=%d diverges from plaintext:\n%v\nvs\n%v", tag, i, got, want)
+						}
+						if i == 0 {
+							coldRows = got
+							if prep.PlanCacheHit {
+								t.Errorf("%s: cold execution reported a plan-cache hit", tag)
+							}
+						} else if !prep.PlanCacheHit {
+							t.Errorf("%s i=%d: warm prepared execution missed the plan cache", tag, i)
+						}
+
+						adhoc, err := d.s.Query(sh.adhoc(i))
+						if err != nil {
+							t.Fatalf("%s adhoc i=%d: %v", tag, i, err)
+						}
+						got = canonicalRows(t, adhoc.Data, sh.ordered)
+						if strings.Join(got, "\n") != strings.Join(want, "\n") {
+							t.Fatalf("%s adhoc i=%d diverges from plaintext:\n%v\nvs\n%v", tag, i, got, want)
+						}
+					}
+					// The uncached path must agree with the warm one:
+					// re-run binding 0 cold and compare to the cached
+					// execution's rows.
+					d.s.ResetPlanCache()
+					again, err := stmt.Query(sh.params(0))
+					if err != nil {
+						t.Fatalf("%s cold rerun: %v", tag, err)
+					}
+					got := canonicalRows(t, again.Data, sh.ordered)
+					if strings.Join(got, "\n") != strings.Join(coldRows, "\n") {
+						t.Fatalf("%s: cold rerun diverges from first execution:\n%v\nvs\n%v", tag, got, coldRows)
+					}
+					stmt.Close()
 				}
 			}
 		}
 	}
 }
 
-// TestRepeatedQueryPaillierPool runs the repeated grid's HOM-heavy shape on
-// a pooled System and checks results and plan-cache accounting: pooled
-// randomness must not change any decrypted value (ciphertexts stay
-// byte-compatible), and the stats counters must add up.
-func TestRepeatedQueryPaillierPool(t *testing.T) {
+// TestRepeatedQueryPlanCacheStats runs the repeated grid's HOM-heavy shape
+// through a prepared statement and checks results and the facade's
+// plan-cache accounting: the counters must add up.
+func TestRepeatedQueryPlanCacheStats(t *testing.T) {
 	db := NewDatabase()
 	db.MustCreateTable("ev", Col("e_id", Int), Col("e_grp", Int), Col("e_val", Int))
 	for i := 0; i < 150; i++ {
@@ -178,7 +173,6 @@ func TestRepeatedQueryPaillierPool(t *testing.T) {
 	opts := DefaultOptions()
 	opts.PaillierBits = 256
 	opts.SpaceBudget = 0
-	opts.PaillierPool = true
 	sys, err := Encrypt(db, Workload{
 		"sum": "SELECT e_grp, SUM(e_val) FROM ev WHERE e_val < 40 GROUP BY e_grp",
 	}, opts)
@@ -204,7 +198,7 @@ func TestRepeatedQueryPaillierPool(t *testing.T) {
 		got := canonicalRows(t, res.Data, true)
 		want := canonicalRows(t, plain.Data, true)
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Fatalf("hi=%d pooled result diverges from plaintext:\n%v\nvs\n%v", hi, got, want)
+			t.Fatalf("hi=%d result diverges from plaintext:\n%v\nvs\n%v", hi, got, want)
 		}
 	}
 	st := sys.PlanCacheStats()
