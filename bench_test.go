@@ -31,6 +31,11 @@ const (
 	benchBits = 512
 )
 
+// benchBase is the run-wide configuration every experiment here is given.
+func benchBase(sf tpch.ScaleFactor) experiments.Config {
+	return experiments.Config{SF: sf, Seed: benchSeed, PaillierBits: benchBits}
+}
+
 var benchSuite = struct {
 	once  sync.Once
 	suite *experiments.Suite
@@ -40,7 +45,7 @@ var benchSuite = struct {
 func suite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	benchSuite.once.Do(func() {
-		benchSuite.suite, benchSuite.err = experiments.NewSuite(benchSF, benchSeed, benchBits)
+		benchSuite.suite, benchSuite.err = experiments.NewSuite(benchBase(benchSF))
 	})
 	if benchSuite.err != nil {
 		b.Fatal(benchSuite.err)
@@ -201,7 +206,7 @@ func BenchmarkParallelism_TPCHGroupedAggPlain(b *testing.B) {
 func BenchmarkFigure5_CumulativeTechniques(b *testing.B) {
 	reclaim()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5(0.0005, benchSeed, benchBits, 0); err != nil {
+		if _, err := experiments.Figure5(benchBase(0.0005)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -276,7 +281,7 @@ func releaseSuite() {
 func BenchmarkFigureZ8_DesignerSubsets(b *testing.B) {
 	releaseSuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.EstimateSweep(benchSF, benchSeed, benchBits, 2); err != nil {
+		if _, err := experiments.EstimateSweep(benchBase(benchSF), 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -288,7 +293,7 @@ func BenchmarkFigureZ8_DesignerSubsets(b *testing.B) {
 func BenchmarkFigureZ9_SpaceBudgets(b *testing.B) {
 	releaseSuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure9(0.0005, benchSeed, benchBits, 0); err != nil {
+		if _, err := experiments.Figure9(benchBase(0.0005)); err != nil {
 			b.Fatal(err)
 		}
 	}

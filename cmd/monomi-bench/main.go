@@ -36,7 +36,7 @@ func main() {
 	bits := flag.Int("paillier", 512, "Paillier modulus bits (paper: 1024)")
 	maxK := flag.Int("maxk", 4, "maximum designer subset size for fig8")
 	par := flag.Int("parallelism", 0, "sharded-execution workers (0 = GOMAXPROCS, 1 = sequential)")
-	batch := flag.Int("batchsize", 0, "execution batch size in rows for suite experiments (0 = unbounded: one batch per worker)")
+	batch := flag.Int("batchsize", 0, "execution batch size in rows (0 = unbounded: one batch per worker)")
 	indexRows := flag.Int("indexrows", 200000, "table rows for the index selectivity sweep (-exp index)")
 	indexIters := flag.Int("indexiters", 7, "timed executions per sweep point (-exp index)")
 	backendRows := flag.Int("backendrows", 20000, "table rows for the storage-backend scenario (-exp backend)")
@@ -48,20 +48,19 @@ func main() {
 
 	sink := newJSONSink(*jsonPath)
 
-	scale := tpch.ScaleFactor(*sf)
+	base := experiments.Config{
+		SF: tpch.ScaleFactor(*sf), Seed: *seed, PaillierBits: *bits,
+		Parallelism: *par, BatchSize: *batch,
+	}
 	needSuite := map[string]bool{"fig4": true, "fig7": true, "table2": true, "table3": true, "stats": true, "all": true}
 
 	var suite *experiments.Suite
 	if needSuite[*exp] {
 		fmt.Fprintf(os.Stderr, "setting up CryptDB+Client / Execution-Greedy / MONOMI at SF %g...\n", *sf)
 		var err error
-		suite, err = experiments.NewSuite(scale, *seed, *bits)
+		suite, err = experiments.NewSuite(base)
 		if err != nil {
 			log.Fatal(err)
-		}
-		for _, b := range []*experiments.Bench{suite.Monomi, suite.Greedy, suite.CryptDB} {
-			b.SetParallelism(*par)
-			b.SetBatchSize(*batch)
 		}
 	}
 
@@ -74,7 +73,7 @@ func main() {
 			}
 			fmt.Println(fig.String())
 		case "fig5":
-			fig, err := experiments.Figure5(scale, *seed, *bits, *par)
+			fig, err := experiments.Figure5(base)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -87,13 +86,13 @@ func main() {
 			}
 			fmt.Println(experiments.FormatFigure7(rows))
 		case "fig8":
-			fig, err := experiments.Figure8(scale, *seed, *bits, *maxK)
+			fig, err := experiments.Figure8(base, *maxK)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Println(fig.String())
 		case "fig9":
-			fig, err := experiments.Figure9(scale, *seed, *bits, *par)
+			fig, err := experiments.Figure9(base)
 			if err != nil {
 				log.Fatal(err)
 			}

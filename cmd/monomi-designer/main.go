@@ -9,10 +9,8 @@ import (
 	"log"
 	"sort"
 
+	"repro/internal/deploy"
 	"repro/internal/designer"
-	"repro/internal/enc"
-	"repro/internal/netsim"
-	"repro/internal/planner"
 	"repro/internal/tpch"
 )
 
@@ -28,25 +26,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ks, err := enc.NewKeyStore([]byte("monomi-designer"), *bits)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cost := planner.DefaultCostModel(netsim.Default())
-	cost.HomCipherBytes = ks.Paillier().CiphertextSize()
-
 	labeled := map[string]string{}
 	for _, qn := range tpch.SupportedQueries() {
 		labeled[fmt.Sprintf("Q%02d", qn)] = tpch.Queries[qn]
 	}
-	w, err := designer.ParseWorkload(labeled)
-	if err != nil {
-		log.Fatal(err)
-	}
 	opts := designer.MonomiOptions()
 	opts.SpaceBudget = *budget
 	opts.SpaceGreedy = *spaceGreedy
-	res, err := designer.Run(cat, w, ks, cost, opts)
+	res, err := deploy.Design(cat, labeled, deploy.Spec{
+		MasterKey: []byte("monomi-designer"), PaillierBits: *bits, Designer: opts,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -70,8 +70,8 @@ func TestNetworkDifferential(t *testing.T) {
 
 	// The recorder sees exactly the concatenated data-frame payloads the
 	// remote client's transport connection delivered.
-	rec := &recordingExec{inner: remote.client.Executor()}
-	remote.client.SetExecutor(rec)
+	rec := &recordingExec{inner: remote.dep.Client.Executor()}
+	remote.dep.Client.SetExecutor(rec)
 
 	for _, par := range []int{1, 2, 4} {
 		sys.SetParallelism(par) // server + in-process client
@@ -118,7 +118,7 @@ func TestNetworkDifferential(t *testing.T) {
 				}
 				for i, rs := range rec.streams {
 					var ref bytes.Buffer
-					if _, err := sys.client.Srv.ExecuteStream(rs.q, rs.params, &ref); err != nil {
+					if _, err := sys.dep.Client.Srv.ExecuteStream(rs.q, rs.params, &ref); err != nil {
 						t.Fatalf("p=%d bs=%d %s: reference stream %d: %v", par, bs, sql, i, err)
 					}
 					if !bytes.Equal(rs.frames, ref.Bytes()) {

@@ -227,7 +227,7 @@ func TestMalformedConcatSurvivesClientStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	sys.client.Greedy = true // push the GROUP BY, so sums ship as GROUP_CONCAT
+	sys.dep.Client.Greedy = true // push the GROUP BY, so sums ship as GROUP_CONCAT
 	rows, err := sys.Query(sql)
 	if err != nil {
 		t.Fatal(err)
@@ -241,11 +241,11 @@ func TestMalformedConcatSurvivesClientStack(t *testing.T) {
 		"non-bytes cell":   value.NewInt(7),
 		"undecodable blob": value.NewBytes([]byte{0xff, 0xff, 0xff}),
 	} {
-		corrupt := &corruptingExecutor{inner: sys.client.Srv, bad: bad}
-		sys.client.SetExecutor(corrupt) // in process: Execute's rows
-		remote := client.NewRemote(sys.keys, corrupt, sys.encDB.Meta, sys.client.Ctx, sys.net)
+		corrupt := &corruptingExecutor{inner: sys.dep.Client.Srv, bad: bad}
+		sys.dep.Client.SetExecutor(corrupt) // in process: Execute's rows
+		remote := client.NewRemote(sys.dep.Keys, corrupt, sys.dep.DB.Meta, sys.dep.Client.Ctx, sys.dep.Net)
 		remote.Greedy, remote.Parallelism = true, opts.Parallelism // remote-built: ExecuteStream's frames
-		for dep, cl := range map[string]*client.Client{"in-process": sys.client, "remote": remote} {
+		for dep, cl := range map[string]*client.Client{"in-process": sys.dep.Client, "remote": remote} {
 			_, err := cl.Query(sql, nil)
 			if !errors.Is(err, client.ErrMalformedResult) {
 				t.Fatalf("%s, %s: %v, want an error wrapping client.ErrMalformedResult", name, dep, err)

@@ -191,7 +191,6 @@ func TestClientPreparedParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stmt.Close()
 	for i, lo := range []int64{10, 77, 250, 900, 10} {
 		res, err := stmt.Execute(map[string]value.Value{"lo": value.NewInt(lo)})
 		if err != nil {

@@ -38,9 +38,3 @@ func (s *Stmt) SQL() string { return s.sql }
 func (s *Stmt) Execute(params map[string]value.Value) (*Result, error) {
 	return s.c.Execute(s.q, params)
 }
-
-// Close releases the statement. Plans and server-side handles belong to
-// the client's plan cache (shared across statements with the same shape),
-// so there is nothing statement-local to free; Close exists for driver-
-// style symmetry.
-func (s *Stmt) Close() error { return nil }

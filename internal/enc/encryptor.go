@@ -84,21 +84,15 @@ func (db *DB) TotalBytes() int64 {
 // the design becomes one encrypted table (one or more encrypted copies per
 // column, §7) plus optional ciphertext files for the HOM groups.
 func EncryptDatabase(plain *storage.Catalog, design *Design, ks *KeyStore) (*DB, error) {
-	return EncryptDatabaseParallel(plain, design, ks, 0)
+	return EncryptDatabaseOn(plain, design, ks, 0, storage.BackendConfig{})
 }
 
-// EncryptDatabaseParallel is EncryptDatabase with an explicit worker count
-// for the encryption-time expression scans over the plaintext tables
-// (0 = GOMAXPROCS, 1 = sequential).
-func EncryptDatabaseParallel(plain *storage.Catalog, design *Design, ks *KeyStore, par int) (*DB, error) {
-	return EncryptDatabaseOn(plain, design, ks, par, storage.BackendConfig{})
-}
-
-// EncryptDatabaseOn is EncryptDatabaseParallel with an explicit storage
-// backend for the encrypted catalog: the zero config keeps the encrypted
-// tables in memory, a disk config loads them straight into paged segment
-// files (flushed table by table, so the load never holds more than the
-// block cache resident).
+// EncryptDatabaseOn is EncryptDatabase with an explicit worker count for
+// the encryption-time expression scans over the plaintext tables (0 =
+// GOMAXPROCS, 1 = sequential) and an explicit storage backend for the
+// encrypted catalog: the zero config keeps the encrypted tables in memory,
+// a disk config loads them straight into paged segment files (flushed table
+// by table, so the load never holds more than the block cache resident).
 func EncryptDatabaseOn(plain *storage.Catalog, design *Design, ks *KeyStore, par int, cfg storage.BackendConfig) (*DB, error) {
 	eng := engine.New(plain)
 	eng.Parallelism = par

@@ -3,12 +3,11 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
-	"repro/internal/designer"
-	"repro/internal/enc"
-	"repro/internal/netsim"
+	"repro/internal/deploy"
 	"repro/internal/planner"
 	"repro/internal/sqlparser"
 	"repro/internal/tpch"
@@ -34,102 +33,59 @@ type Fig8Result struct {
 	Rows []Fig8Row
 }
 
-// Figure8 runs the sweep for k = 0..maxK plus k = all.
-func Figure8(sf tpch.ScaleFactor, seed int64, bits int, maxK int) (*Fig8Result, error) {
-	all := tpch.SupportedQueries()
+// fig8Config is the MONOMI configuration Figure 8 designs from a query
+// subset: unconstrained space, as in the paper's §8.5. An empty subset still
+// runs the designer, which then returns the baseline-only design.
+func fig8Config(base Config, subset []int) Config {
+	cfg := base.under(MonomiConfig(base.SF))
+	cfg.Designer.SpaceBudget = 0
+	cfg.Queries = append([]int{}, subset...)
+	return cfg
+}
 
-	// estimate builds a design from the subset and sums the §6.4 cost of
-	// the best plan for every workload query under that design.
-	estimate := func(subset []int) (float64, error) {
-		cfg := MonomiConfig(sf)
-		cfg.Seed = seed
-		cfg.PaillierBits = bits
-		cfg.Designer.SpaceBudget = 0 // unconstrained, as in the paper's §8.5
-		ctx, err := designContext(cfg, subset)
-		if err != nil {
-			return 0, err
-		}
-		total := 0.0
-		for _, qn := range all {
-			q, err := sqlparser.Parse(tpch.Queries[qn])
-			if err != nil {
-				return 0, err
-			}
-			prepared, err := planner.Prepare(q, nil)
-			if err != nil {
-				return 0, err
-			}
-			plan, err := ctx.BestPlan(prepared)
-			if err != nil {
-				return 0, err
-			}
-			total += plan.EstTotal()
-		}
-		return total, nil
-	}
-
-	// Greedy forward selection of the best k queries.
-	var chosen []int
-	res := &Fig8Result{}
-	for k := 0; k <= maxK; k++ {
-		if k > 0 {
-			bestQ, bestEst := -1, math.Inf(1)
-			for _, qn := range all {
-				if contains(chosen, qn) {
-					continue
-				}
-				est, err := estimate(append(append([]int{}, chosen...), qn))
-				if err != nil {
-					continue
-				}
-				if est < bestEst {
-					bestEst = est
-					bestQ = qn
-				}
-			}
-			if bestQ < 0 {
-				return nil, fmt.Errorf("figure8: no feasible addition at k=%d", k)
-			}
-			chosen = append(chosen, bestQ)
-		}
-		est, err := estimate(chosen)
-		if err != nil {
-			return nil, err
-		}
-		rt, err := measureWorkload(sf, seed, bits, chosen, all)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, Fig8Row{
-			K: k, Chosen: append([]int{}, chosen...), Estimate: est, Runtime: rt,
-		})
-	}
-	// k = all.
-	est, err := estimate(all)
+// Figure8 runs the sweep for k = 0..maxK plus k = all: EstimateSweep picks
+// the subsets and costs them, then each row's design is built and the full
+// workload measured on it. Both columns come from one assembler spec, so
+// they are costed under one cost model at every Paillier width.
+func Figure8(base Config, maxK int) (*Fig8Result, error) {
+	rows, err := EstimateSweep(base, maxK)
 	if err != nil {
 		return nil, err
 	}
-	rt, err := measureWorkload(sf, seed, bits, all, all)
-	if err != nil {
-		return nil, err
+	for i := range rows {
+		b, err := Setup(fig8Config(base, rows[i].Chosen))
+		if err != nil {
+			return nil, err
+		}
+		for _, qn := range tpch.SupportedQueries() {
+			r, err := b.RunEncrypted(qn)
+			if err != nil {
+				return nil, fmt.Errorf("Q%d: %w", qn, err)
+			}
+			rows[i].Runtime += r.Total()
+		}
 	}
-	res.Rows = append(res.Rows, Fig8Row{K: len(all), Chosen: all, Estimate: est, Runtime: rt})
-	return res, nil
+	return &Fig8Result{Rows: rows}, nil
 }
 
 // EstimateSweep is Figure 8's designer-side half: greedy forward selection
 // of the best k input queries by full-workload cost estimate, without
-// building the encrypted systems (the measurement half is measureWorkload).
-// Used by the benchmark harness, where repeated full system builds exceed
-// modest memory limits.
-func EstimateSweep(sf tpch.ScaleFactor, seed int64, bits int, maxK int) ([]Fig8Row, error) {
+// building the encrypted systems (Figure8 adds the measurement half).
+// Used on its own by the benchmark harness, where repeated full system
+// builds exceed modest memory limits.
+func EstimateSweep(base Config, maxK int) ([]Fig8Row, error) {
 	all := tpch.SupportedQueries()
+	// The design half only reads the catalog, so one serves every estimate.
+	cat, err := tpch.Generate(base.SF, base.Seed)
+	if err != nil {
+		return nil, err
+	}
+	// estimate runs the assembler's design half on the subset (no
+	// encryption) and sums the §6.4 cost of the best plan for every workload
+	// query under that design.
 	estimate := func(subset []int) (float64, error) {
-		cfg := MonomiConfig(sf)
-		cfg.Seed = seed
-		cfg.PaillierBits = bits
-		cfg.Designer.SpaceBudget = 0
-		ctx, err := designContext(cfg, subset)
+		cfg := fig8Config(base, subset)
+		dres, err := deploy.Design(cat, cfg.workload(), cfg.spec())
 		if err != nil {
 			return 0, err
 		}
@@ -143,7 +99,7 @@ func EstimateSweep(sf tpch.ScaleFactor, seed int64, bits int, maxK int) ([]Fig8R
 			if err != nil {
 				return 0, err
 			}
-			plan, err := ctx.BestPlan(prepared)
+			plan, err := dres.Context.BestPlan(prepared)
 			if err != nil {
 				return 0, err
 			}
@@ -157,7 +113,7 @@ func EstimateSweep(sf tpch.ScaleFactor, seed int64, bits int, maxK int) ([]Fig8R
 		if k > 0 {
 			bestQ, bestEst := -1, math.Inf(1)
 			for _, qn := range all {
-				if contains(chosen, qn) {
+				if slices.Contains(chosen, qn) {
 					continue
 				}
 				est, err := estimate(append(append([]int{}, chosen...), qn))
@@ -186,82 +142,6 @@ func EstimateSweep(sf tpch.ScaleFactor, seed int64, bits int, maxK int) ([]Fig8R
 	}
 	rows = append(rows, Fig8Row{K: len(all), Chosen: all, Estimate: est})
 	return rows, nil
-}
-
-// designContext runs the designer on a workload subset and returns the
-// planning context bound to the resulting design (no encryption).
-func designContext(cfg Config, subset []int) (*planner.Context, error) {
-	cat, err := tpch.Generate(cfg.SF, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	ks, err := enc.NewKeyStore([]byte("monomi-experiments"), cfg.PaillierBits)
-	if err != nil {
-		return nil, err
-	}
-	net := cfg.Net
-	if net == (netsim.Config{}) {
-		net = netsim.Default()
-	}
-	cost := planner.DefaultCostModel(net)
-	labeled := make(map[string]string, len(subset))
-	for _, qn := range subset {
-		labeled[fmt.Sprintf("Q%02d", qn)] = tpch.Queries[qn]
-	}
-	if len(subset) == 0 {
-		// k=0: baseline-only design.
-		base := planner.NewContext(cat, &enc.Design{}, ks, cost)
-		base.JoinGroups = planner.BuildJoinGroups(base, nil)
-		d := designer.BaselineDesign(cat, base.JoinGroups, false)
-		ctx := base.WithDesign(d)
-		ctx.EnablePrefilter = true
-		return ctx, nil
-	}
-	w, err := designer.ParseWorkload(labeled)
-	if err != nil {
-		return nil, err
-	}
-	dres, err := designer.Run(cat, w, ks, cost, cfg.Designer)
-	if err != nil {
-		return nil, err
-	}
-	dres.Context.EnablePrefilter = true
-	return dres.Context, nil
-}
-
-// measureWorkload builds the encrypted system for a designer subset and
-// measures the total runtime of the full workload.
-func measureWorkload(sf tpch.ScaleFactor, seed int64, bits int, subset, all []int) (time.Duration, error) {
-	cfg := MonomiConfig(sf)
-	cfg.Seed = seed
-	cfg.PaillierBits = bits
-	cfg.Designer.SpaceBudget = 0
-	cfg.Queries = subset
-	if len(subset) == 0 {
-		cfg.Queries = []int{} // designer still runs; baseline-only design
-	}
-	b, err := Setup(cfg)
-	if err != nil {
-		return 0, err
-	}
-	var total time.Duration
-	for _, qn := range all {
-		r, err := b.RunEncrypted(qn)
-		if err != nil {
-			return 0, fmt.Errorf("Q%d: %w", qn, err)
-		}
-		total += r.Total()
-	}
-	return total, nil
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders Figure 8.

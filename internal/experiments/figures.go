@@ -77,31 +77,23 @@ func (r *Fig4Result) String() string {
 
 // Suite shares the three standard benches plus timing helpers.
 type Suite struct {
-	SF           tpch.ScaleFactor
-	Seed         int64
-	PaillierBits int
-
 	Monomi  *Bench
 	Greedy  *Bench
 	CryptDB *Bench
 }
 
-// NewSuite stands up the three standard configurations.
-func NewSuite(sf tpch.ScaleFactor, seed int64, paillierBits int) (*Suite, error) {
-	s := &Suite{SF: sf, Seed: seed, PaillierBits: paillierBits}
-	mk := func(c Config) (*Bench, error) {
-		c.Seed = seed
-		c.PaillierBits = paillierBits
-		return Setup(c)
-	}
+// NewSuite stands up the three standard configurations under base's scale,
+// seed, key width and execution knobs.
+func NewSuite(base Config) (*Suite, error) {
+	s := &Suite{}
 	var err error
-	if s.Monomi, err = mk(MonomiConfig(sf)); err != nil {
+	if s.Monomi, err = Setup(base.under(MonomiConfig(base.SF))); err != nil {
 		return nil, fmt.Errorf("monomi: %w", err)
 	}
-	if s.Greedy, err = mk(ExecutionGreedyConfig(sf)); err != nil {
+	if s.Greedy, err = Setup(base.under(ExecutionGreedyConfig(base.SF))); err != nil {
 		return nil, fmt.Errorf("greedy: %w", err)
 	}
-	if s.CryptDB, err = mk(CryptDBClientConfig(sf)); err != nil {
+	if s.CryptDB, err = Setup(base.under(CryptDBClientConfig(base.SF))); err != nil {
 		return nil, fmt.Errorf("cryptdb: %w", err)
 	}
 	return s, nil
@@ -148,8 +140,8 @@ var Fig5Levels = []string{
 }
 
 // levelConfig builds the configuration for one cumulative level.
-func levelConfig(level int, sf tpch.ScaleFactor, seed int64, bits int) Config {
-	cfg := Config{SF: sf, Seed: seed, PaillierBits: bits, GreedyExecution: true, DisablePrefilter: true}
+func levelConfig(level int, base Config) Config {
+	cfg := base.under(Config{GreedyExecution: true, DisablePrefilter: true})
 	cfg.Name = Fig5Levels[level]
 	cfg.Designer.AllItems = true
 	cfg.Designer.NoPrecomputation = true
@@ -181,15 +173,11 @@ type Fig5Result struct {
 	PerQuery map[int][]time.Duration // query -> per-level time
 }
 
-// Figure5 runs every query at every cumulative level. par is the
-// sharded-execution worker count for every level's system (0 =
-// GOMAXPROCS, 1 = sequential).
-func Figure5(sf tpch.ScaleFactor, seed int64, bits, par int) (*Fig5Result, error) {
+// Figure5 runs every query at every cumulative level.
+func Figure5(base Config) (*Fig5Result, error) {
 	res := &Fig5Result{Levels: Fig5Levels, PerQuery: make(map[int][]time.Duration)}
 	for level := range Fig5Levels {
-		cfg := levelConfig(level, sf, seed, bits)
-		cfg.Parallelism = par
-		b, err := Setup(cfg)
+		b, err := Setup(levelConfig(level, base))
 		if err != nil {
 			return nil, fmt.Errorf("level %q: %w", Fig5Levels[level], err)
 		}

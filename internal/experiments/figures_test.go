@@ -24,7 +24,7 @@ func testSuite(t *testing.T) *Suite {
 	suiteCache.Lock()
 	defer suiteCache.Unlock()
 	if suiteCache.s == nil {
-		s, err := NewSuite(testSF, testSeed, 512)
+		s, err := NewSuite(Config{SF: testSF, Seed: testSeed, PaillierBits: 512})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,19 +18,11 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/client"
+	"repro/internal/deploy"
 	"repro/internal/designer"
-	"repro/internal/enc"
-	"repro/internal/engine"
-	"repro/internal/netsim"
-	"repro/internal/planner"
-	"repro/internal/server"
-	"repro/internal/sqlparser"
-	"repro/internal/storage"
 	"repro/internal/tpch"
-	"repro/internal/value"
 )
 
 // Config selects a system configuration to benchmark.
@@ -47,8 +39,6 @@ type Config struct {
 	// Queries restricts the designer's input workload (Figure 8); nil
 	// means all supported queries.
 	Queries []int
-	// Net overrides the simulated link/disk; zero value uses Default.
-	Net netsim.Config
 	// Parallelism is the sharded-execution worker count for the server,
 	// the client's local operators, and the plaintext baseline; 0 means
 	// GOMAXPROCS, 1 forces sequential execution.
@@ -94,38 +84,32 @@ func CryptDBClientConfig(sf tpch.ScaleFactor) Config {
 	}
 }
 
-// Bench is a fully constructed system under test.
-type Bench struct {
-	Config Config
-	Plain  *storage.Catalog
-	Engine *engine.Engine // plaintext engine (the unencrypted baseline)
-	Keys   *enc.KeyStore
-	Design *designer.Result
-	DB     *enc.DB
-	Client *client.Client
-	Net    netsim.Config
+// under returns system configuration c with base's run-wide values (scale,
+// seed, key width, execution knobs), so they reach every system an
+// experiment builds.
+func (base Config) under(c Config) Config {
+	c.SF, c.Seed, c.PaillierBits = base.SF, base.Seed, base.PaillierBits
+	c.Parallelism, c.BatchSize = base.Parallelism, base.BatchSize
+	return c
 }
 
-// Setup generates data, runs the designer, encrypts the database, and
-// stands up the client/server pair.
-func Setup(cfg Config) (*Bench, error) {
-	if cfg.PaillierBits == 0 {
-		cfg.PaillierBits = 1024
+// spec is what the harness passes the assembler: its own master key, no
+// secondary indexes (the §8 figures measure the paper's full-scan system),
+// pre-filtering per configuration.
+func (cfg Config) spec() deploy.Spec {
+	return deploy.Spec{
+		MasterKey:       []byte("monomi-experiments"),
+		PaillierBits:    cfg.PaillierBits,
+		Designer:        cfg.Designer,
+		GreedyExecution: cfg.GreedyExecution,
+		Prefilter:       !cfg.DisablePrefilter,
+		Parallelism:     cfg.Parallelism,
+		BatchSize:       cfg.BatchSize,
 	}
-	if cfg.Net == (netsim.Config{}) {
-		cfg.Net = netsim.Default()
-	}
-	cat, err := tpch.Generate(cfg.SF, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	ks, err := enc.NewKeyStore([]byte("monomi-experiments"), cfg.PaillierBits)
-	if err != nil {
-		return nil, err
-	}
-	cost := planner.DefaultCostModel(cfg.Net)
-	cost.HomCipherBytes = ks.Paillier().CiphertextSize()
+}
 
+// workload labels the designer's input queries (cfg.Queries, or all).
+func (cfg Config) workload() map[string]string {
 	qnums := cfg.Queries
 	if qnums == nil {
 		qnums = tpch.SupportedQueries()
@@ -134,89 +118,34 @@ func Setup(cfg Config) (*Bench, error) {
 	for _, qn := range qnums {
 		labeled[fmt.Sprintf("Q%02d", qn)] = tpch.Queries[qn]
 	}
-	w, err := designer.ParseWorkload(labeled)
+	return labeled
+}
+
+// Bench is a fully constructed system under test: the assembled deployment
+// and the configuration that produced it.
+type Bench struct {
+	Config Config
+	*deploy.Deployment
+}
+
+// Setup generates data, runs the designer, encrypts the database, and
+// stands up the client/server pair.
+func Setup(cfg Config) (*Bench, error) {
+	cat, err := tpch.Generate(cfg.SF, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	dres, err := designer.Run(cat, w, ks, cost, cfg.Designer)
+	dep, err := deploy.Build(cat, cfg.workload(), cfg.spec())
 	if err != nil {
 		return nil, err
 	}
-	db, err := enc.EncryptDatabaseParallel(cat, dres.Design, ks, cfg.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	srv := server.New(db, cfg.Net)
-	dres.Context.EnablePrefilter = !cfg.DisablePrefilter
-	cl := client.New(ks, srv, dres.Context, cfg.Net)
-	cl.Greedy = cfg.GreedyExecution
-	b := &Bench{
-		Config: cfg,
-		Plain:  cat,
-		Engine: engine.New(cat),
-		Keys:   ks,
-		Design: dres,
-		DB:     db,
-		Client: cl,
-		Net:    cfg.Net,
-	}
-	b.SetParallelism(cfg.Parallelism)
-	b.SetBatchSize(cfg.BatchSize)
-	return b, nil
-}
-
-// SetParallelism sets the sharded-execution worker count on the encrypted
-// client/server pair and the plaintext baseline engine (see
-// Config.Parallelism). Not safe while queries are in flight.
-func (b *Bench) SetParallelism(p int) {
-	b.Client.Srv.SetParallelism(p)
-	b.Client.Parallelism = p
-	b.Engine.Parallelism = p
-}
-
-// SetBatchSize sets the execution batch size on the encrypted
-// client/server pair and the plaintext baseline engine (see
-// Config.BatchSize; 0 = unbounded). Not safe while queries are in
-// flight.
-func (b *Bench) SetBatchSize(bs int) {
-	b.Client.Srv.SetBatchSize(bs)
-	b.Client.BatchSize = bs
-	b.Engine.BatchSize = bs
-}
-
-// PlainResult is a plaintext-baseline execution with simulated timings.
-type PlainResult struct {
-	Cols       []string
-	Rows       [][]value.Value
-	ServerTime time.Duration
-	Transfer   time.Duration
-	Total      time.Duration
-	CPUTime    time.Duration // measured executor CPU (Figure 7 denominator)
+	return &Bench{Config: cfg, Deployment: dep}, nil
 }
 
 // RunPlain executes a TPC-H query on the unencrypted database, modeling the
 // same disk and link.
-func (b *Bench) RunPlain(qn int) (*PlainResult, error) {
-	q, err := sqlparser.Parse(tpch.Queries[qn])
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res, err := b.Engine.Execute(q, nil)
-	if err != nil {
-		return nil, err
-	}
-	cpu := time.Since(start)
-	serverTime := b.Net.ScanTime(res.Stats.BytesScanned) + b.Net.RowTime(res.Stats.RowsScanned)
-	transfer := b.Net.TransferTime(res.Bytes())
-	return &PlainResult{
-		Cols:       res.Cols,
-		Rows:       res.Rows,
-		ServerTime: serverTime,
-		Transfer:   transfer,
-		Total:      serverTime + transfer,
-		CPUTime:    cpu,
-	}, nil
+func (b *Bench) RunPlain(qn int) (*deploy.PlainResult, error) {
+	return b.ExecutePlain(tpch.Queries[qn])
 }
 
 // RunEncrypted executes a TPC-H query through the split client/server path.

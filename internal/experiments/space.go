@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/designer"
 	"repro/internal/tpch"
 )
 
@@ -76,17 +75,12 @@ type Fig9Result struct {
 
 // Figure9 builds the three designs and measures every query, flagging those
 // whose runtime moved by more than 10% (the paper plots Q1, Q6, Q14, Q18).
-// par is the sharded-execution worker count for each system (0 =
-// GOMAXPROCS, 1 = sequential).
-func Figure9(sf tpch.ScaleFactor, seed int64, bits, par int) (*Fig9Result, error) {
+func Figure9(base Config) (*Fig9Result, error) {
 	mk := func(budget float64, greedy bool) (*Bench, error) {
-		cfg := MonomiConfig(sf)
-		cfg.Seed = seed
-		cfg.PaillierBits = bits
+		cfg := base.under(MonomiConfig(base.SF))
 		cfg.Designer.SpaceBudget = budget
 		cfg.Designer.SpaceGreedy = greedy
 		cfg.Name = fmt.Sprintf("S=%.1f greedy=%v", budget, greedy)
-		cfg.Parallelism = par
 		return Setup(cfg)
 	}
 	s2, err := mk(2.0, false)
@@ -163,5 +157,3 @@ func (d DesignerStats) String() string {
 	return fmt.Sprintf("Designer: %d ILP variables, %d constraints, %d B&B nodes, %s setup",
 		d.Vars, d.Constraints, d.Nodes, d.Elapsed.Round(time.Millisecond))
 }
-
-var _ = designer.Options{} // keep the import for documentation references

@@ -15,7 +15,8 @@ import (
 //     crypto/rnd, crypto/prf) — holding a scheme object means holding a
 //     derived key;
 //  2. reference a trusted-only symbol (enc.KeyStore, enc.Cipher, enc.NewKeyStore,
-//     enc.EncryptDatabase, paillier.Key, paillier.GenerateKey,
+//     enc.EncryptDatabase and EncryptDatabaseOn — the only two loaders —
+//     paillier.Key, paillier.GenerateKey,
 //     packing.ClientSums/BuildStore/PlainCache,
 //     search's keyed Scheme — search.Match on public trapdoors is fine);
 //  3. declare any variable, field, parameter or result whose type

@@ -3,8 +3,6 @@ package planner
 import (
 	"math"
 
-	"time"
-
 	"repro/internal/ast"
 	"repro/internal/enc"
 	"repro/internal/netsim"
@@ -12,9 +10,9 @@ import (
 )
 
 // CostModel implements §6.4: plan cost = server execution time + network
-// transfer time + client post-processing (decryption) time. Per-operation
-// decryption costs are profiled with the real schemes when the client
-// starts (the paper runs a profiler "when MONOMI is first launched").
+// transfer time + client post-processing (decryption) time. The paper
+// profiles the per-operation costs "when MONOMI is first launched"; here they
+// are constants, so every host re-deriving a design (internal/deploy) agrees.
 type CostModel struct {
 	Cfg netsim.Config
 
@@ -33,7 +31,7 @@ type CostModel struct {
 }
 
 // DefaultCostModel returns calibrated constants for a modern x86 core with
-// a 1,024-bit Paillier modulus; use ProfileCostModel for measured values.
+// a 1,024-bit Paillier modulus.
 func DefaultCostModel(cfg netsim.Config) *CostModel {
 	return &CostModel{
 		Cfg:            cfg,
@@ -45,43 +43,6 @@ func DefaultCostModel(cfg netsim.Config) *CostModel {
 		HomMul:         5e-6,
 		HomCipherBytes: 256,
 	}
-}
-
-// ProfileCostModel measures the per-operation costs with the key store's
-// actual schemes (§6.4's startup profiler).
-func ProfileCostModel(ks *enc.KeyStore, cfg netsim.Config) *CostModel {
-	m := DefaultCostModel(cfg)
-	m.HomCipherBytes = ks.Paillier().CiphertextSize()
-
-	// One decryption of a representative value through the resolved cipher
-	// the client's decoder uses.
-	prof := func(scheme enc.Scheme, v value.Value, n int, into *float64) {
-		it := enc.ColumnItem("prof", "x", scheme, v.K)
-		c := ks.Cipher(&it)
-		if ct, err := c.Encrypt(v); err == nil {
-			*into = timeOp(n, func(int) { c.Decrypt(ct) }) //nolint:errcheck
-		}
-	}
-	prof(enc.DET, value.NewInt(123456), 2000, &m.DetInt)
-	prof(enc.DET, value.NewStr("sixteen byte str"), 1000, &m.DetStr)
-	prof(enc.OPE, value.NewInt(123456), 200, &m.Ope)
-	prof(enc.RND, value.NewInt(123456), 2000, &m.Rnd)
-
-	pk := ks.Paillier()
-	hct, err := pk.EncryptInt64(42)
-	if err == nil {
-		m.HomDec = timeOp(20, func(i int) { pk.Decrypt(hct) }) //nolint:errcheck
-		m.HomMul = timeOp(200, func(i int) { pk.AddCipher(hct, hct) })
-	}
-	return m
-}
-
-func timeOp(n int, f func(int)) float64 {
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		f(i)
-	}
-	return time.Since(start).Seconds() / float64(n)
 }
 
 // decCost returns the client cost of producing one plaintext value from an

@@ -110,16 +110,13 @@ package monomi
 
 import (
 	"crypto/tls"
+	"errors"
 	"fmt"
+	"sync/atomic"
 
-	"repro/internal/ast"
 	"repro/internal/client"
+	"repro/internal/deploy"
 	"repro/internal/designer"
-	"repro/internal/enc"
-	"repro/internal/engine"
-	"repro/internal/netsim"
-	"repro/internal/planner"
-	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/tpch"
 	"repro/internal/transport"
@@ -235,9 +232,6 @@ type Options struct {
 	// NetBitsPerSec / DiskBytesPerSec configure the simulated link & disk.
 	NetBitsPerSec   float64
 	DiskBytesPerSec float64
-	// ProfileCosts measures real per-op decryption costs at startup
-	// (§6.4's profiler) instead of using calibrated defaults.
-	ProfileCosts bool
 	// Parallelism is the worker count for sharded query execution on both
 	// sides of the split: the untrusted server partitions its scans,
 	// filters, joins, and grouped aggregation into contiguous row-range
@@ -322,111 +316,45 @@ func DefaultOptions() Options {
 
 // System is an encrypted deployment: untrusted server + trusted client.
 type System struct {
-	db     *Database
-	keys   *enc.KeyStore
-	design *designer.Result
-	encDB  *enc.DB
-	client *client.Client
-	plain  *engine.Engine
-	net    netsim.Config
+	// dep is the assembled deployment (internal/deploy); a System from
+	// ConnectRemote holds a Remote view of the one Encrypt built.
+	dep *deploy.Deployment
 	// conn is the dialed transport session when this System came from
-	// ConnectRemote (nil for in-process deployments).
+	// ConnectRemote; nil marks the System Encrypt returned, which owns the
+	// encrypted catalog.
 	conn *transport.Conn
-	// ownsCatalog marks the System that created the encrypted catalog
-	// (Encrypt); remote Systems share it and must not tear it down on Close.
-	ownsCatalog bool
 }
 
 // Encrypt runs the designer over the workload, encrypts the database, and
-// returns a ready System.
+// returns a ready System: internal/deploy's Build under MONOMI's designer
+// options, indexes per Options.Indexes, §5.4 pre-filtering on.
 func Encrypt(db *Database, workload Workload, opts Options) (*System, error) {
 	if len(opts.MasterKey) == 0 {
 		return nil, fmt.Errorf("monomi: MasterKey must be set")
 	}
-	if opts.PaillierBits == 0 {
-		opts.PaillierBits = 1024
-	}
-	net := netsim.Default()
-	if opts.NetBitsPerSec > 0 {
-		net.NetBitsPerSec = opts.NetBitsPerSec
-	}
-	if opts.DiskBytesPerSec > 0 {
-		net.DiskBytesPerSec = opts.DiskBytesPerSec
-	}
-	ks, err := enc.NewKeyStore(opts.MasterKey, opts.PaillierBits)
-	if err != nil {
-		return nil, err
-	}
-	cost := planner.DefaultCostModel(net)
-	if opts.ProfileCosts {
-		cost = planner.ProfileCostModel(ks, net)
-	}
-	cost.HomCipherBytes = ks.Paillier().CiphertextSize()
-
-	w, err := designer.ParseWorkload(workload)
+	becfg, err := opts.backendConfig()
 	if err != nil {
 		return nil, err
 	}
 	dopts := designer.MonomiOptions()
 	dopts.SpaceBudget = opts.SpaceBudget
 	dopts.SpaceGreedy = opts.SpaceGreedy
-	dres, err := designer.Run(db.cat, w, ks, cost, dopts)
+	dep, err := deploy.Build(db.cat, workload, deploy.Spec{
+		MasterKey:       opts.MasterKey,
+		PaillierBits:    opts.PaillierBits,
+		NetBitsPerSec:   opts.NetBitsPerSec,
+		DiskBytesPerSec: opts.DiskBytesPerSec,
+		Designer:        dopts,
+		Backend:         becfg,
+		Prefilter:       true,
+		Indexes:         opts.Indexes,
+		Parallelism:     opts.Parallelism,
+		BatchSize:       opts.BatchSize,
+	})
 	if err != nil {
 		return nil, err
 	}
-	becfg, err := opts.backendConfig()
-	if err != nil {
-		return nil, err
-	}
-	encDB, err := enc.EncryptDatabaseOn(db.cat, dres.Design, ks, opts.Parallelism, becfg)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Indexes {
-		if err := buildPlainIndexes(db.cat, dres.Design); err != nil {
-			return nil, err
-		}
-	}
-	srv := server.New(encDB, net)
-	dres.Context.EnablePrefilter = true
-	cl := client.New(ks, srv, dres.Context, net)
-	sys := &System{
-		db: db, keys: ks, design: dres, encDB: encDB, client: cl,
-		plain: engine.New(db.cat), net: net, ownsCatalog: true,
-	}
-	sys.SetParallelism(opts.Parallelism)
-	sys.SetBatchSize(opts.BatchSize)
-	sys.SetIndexes(opts.Indexes)
-	return sys, nil
-}
-
-// buildPlainIndexes mirrors the encrypted tables' secondary indexes onto
-// the plaintext baseline: every base column the design encrypts with DET
-// gets a hash index, every OPE column an ordered index — so plaintext-vs-
-// encrypted comparisons measure encryption overhead, not index presence.
-func buildPlainIndexes(cat *storage.Catalog, design *enc.Design) error {
-	for _, it := range design.Items {
-		cr, ok := it.Expr.(*ast.ColumnRef)
-		if !ok {
-			continue // precomputed expressions have no plaintext column
-		}
-		t, err := cat.Table(it.Table)
-		if err != nil {
-			continue
-		}
-		switch it.Scheme {
-		case enc.DET:
-			_, err = t.EnsureIndex(cr.Column, storage.HashIndex)
-		case enc.OPE:
-			_, err = t.EnsureIndex(cr.Column, storage.OrderedIndex)
-		default:
-			continue
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return &System{dep: dep}, nil
 }
 
 // SetParallelism changes the worker count for sharded execution on the
@@ -434,26 +362,14 @@ func buildPlainIndexes(cat *storage.Catalog, design *enc.Design) error {
 // (see Options.Parallelism). It must not be called while queries are in
 // flight. On a remote System (ConnectRemote) only the client-side knob
 // moves — the remote server's parallelism is fixed by its own flags.
-func (s *System) SetParallelism(p int) {
-	if s.client.Srv != nil {
-		s.client.Srv.SetParallelism(p)
-	}
-	s.client.Parallelism = p
-	s.plain.Parallelism = p
-}
+func (s *System) SetParallelism(p int) { s.dep.SetParallelism(p) }
 
 // SetBatchSize changes the execution batch size on the server, the
 // client's local operators, and the plaintext baseline engine (see
 // Options.BatchSize; 0 = unbounded). It must not be called while
 // queries are in flight. On a remote System only the client-side knob
 // moves — the remote server's batch size is fixed by its own flags.
-func (s *System) SetBatchSize(b int) {
-	if s.client.Srv != nil {
-		s.client.Srv.SetBatchSize(b)
-	}
-	s.client.BatchSize = b
-	s.plain.BatchSize = b
-}
+func (s *System) SetBatchSize(b int) { s.dep.SetBatchSize(b) }
 
 // SetIndexes toggles secondary-index access paths on the server's engine,
 // the planner's cost model, and the plaintext baseline engine (see
@@ -462,16 +378,7 @@ func (s *System) SetBatchSize(b int) {
 // It must not be called while queries are in flight. On a remote System
 // only the client-side planner moves — the remote server's engine setting
 // is fixed by its own flags.
-func (s *System) SetIndexes(on bool) {
-	if s.client.Srv != nil {
-		s.client.Srv.SetIndexes(on)
-	}
-	if s.client.Ctx != nil {
-		s.client.Ctx.Indexes = on
-	}
-	s.client.ResetPlanCache()
-	s.plain.UseIndexes = on
-}
+func (s *System) SetIndexes(on bool) { s.dep.SetIndexes(on) }
 
 // ServeConfig tunes a network deployment of the untrusted server: MaxConns
 // caps concurrent sessions (the C+1th connection is rejected with a typed
@@ -490,10 +397,10 @@ type Server = transport.Server
 // crosses this boundary: sessions execute RemoteSQL over ciphertexts and
 // stream encrypted batches back, exactly as the in-process path does.
 func (s *System) Serve(addr string, cfg ServeConfig) (*Server, error) {
-	if s.client.Srv == nil {
+	if s.dep.Client.Srv == nil {
 		return nil, fmt.Errorf("monomi: this System is itself a remote connection; Serve needs the deployment that holds the data")
 	}
-	return transport.Listen(s.client.Srv, addr, cfg)
+	return transport.Listen(s.dep.Client.Srv, addr, cfg)
 }
 
 // ConnectRemote dials a monomi-server and returns a System whose queries
@@ -507,7 +414,7 @@ func (s *System) ConnectRemote(addr string) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.remoteSystem(conn), nil
+	return &System{dep: s.dep.Remote(conn), conn: conn}, nil
 }
 
 // ConnectRemoteTLS is ConnectRemote over TLS; cfg must trust the server's
@@ -517,18 +424,7 @@ func (s *System) ConnectRemoteTLS(addr string, cfg *tls.Config) (*System, error)
 	if err != nil {
 		return nil, err
 	}
-	return s.remoteSystem(conn), nil
-}
-
-func (s *System) remoteSystem(conn *transport.Conn) *System {
-	cl := client.NewRemote(s.keys, conn, s.encDB.Meta, s.client.Ctx, s.net)
-	cl.Greedy = s.client.Greedy
-	cl.Parallelism = s.client.Parallelism
-	cl.BatchSize = s.client.BatchSize
-	return &System{
-		db: s.db, keys: s.keys, design: s.design, encDB: s.encDB,
-		client: cl, plain: s.plain, net: s.net, conn: conn,
-	}
+	return &System{dep: s.dep.Remote(conn), conn: conn}, nil
 }
 
 // Close releases the System's resources: cached plans (and their remote
@@ -536,15 +432,13 @@ func (s *System) remoteSystem(conn *transport.Conn) *System {
 // (only on the System that Encrypt returned — remote Systems share it), and
 // the network session, if any.
 func (s *System) Close() error {
-	s.client.Close()
-	if s.ownsCatalog && s.encDB != nil {
-		// The encrypted catalog may hold disk-backed tables; flush their
-		// segment metadata and release the file handles.
-		s.encDB.Cat.Close()
-	}
+	s.dep.Client.Close()
 	if s.conn != nil {
 		return s.conn.Close()
 	}
+	// The encrypted catalog may hold disk-backed tables; flush their
+	// segment metadata and release the file handles.
+	s.dep.DB.Cat.Close()
 	return nil
 }
 
@@ -580,7 +474,7 @@ func (r *Rows) Total() float64 { return r.ServerTime + r.TransferTime + r.Client
 
 // Query executes SQL through the encrypted split-execution path.
 func (s *System) Query(sql string) (*Rows, error) {
-	res, err := s.client.Query(sql, nil)
+	res, err := s.dep.Client.Query(sql, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -588,8 +482,9 @@ func (s *System) Query(sql string) (*Rows, error) {
 }
 
 func rowsFromResult(res *client.Result) *Rows {
-	out := &Rows{
+	return &Rows{
 		Cols:           res.Cols,
+		Data:           rowsData(res.Rows),
 		ServerTime:     res.ServerTime.Seconds(),
 		TransferTime:   res.TransferTime.Seconds(),
 		ClientTime:     res.ClientTime.Seconds(),
@@ -598,14 +493,19 @@ func rowsFromResult(res *client.Result) *Rows {
 		PlanText:       res.Plan.Describe(),
 		PlanCacheHit:   res.PlanCacheHit,
 	}
-	for _, row := range res.Rows {
+}
+
+// rowsData converts engine rows into the facade's Go values.
+func rowsData(rows [][]value.Value) [][]any {
+	var data [][]any
+	for _, row := range rows {
 		vals := make([]any, len(row))
 		for i, v := range row {
 			vals[i] = fromValue(v)
 		}
-		out.Data = append(out.Data, vals)
+		data = append(data, vals)
 	}
-	return out
+	return data
 }
 
 // Stmt is a prepared statement bound to a System: parse once, execute many
@@ -614,13 +514,17 @@ func rowsFromResult(res *client.Result) *Rows {
 // parameters are re-encrypted), and on a remote System the RemoteSQL is
 // registered server-side once and re-executed by statement id.
 type Stmt struct {
-	st *client.Stmt
+	st     *client.Stmt
+	closed atomic.Bool
 }
+
+// ErrStmtClosed is what Stmt.Query returns once the statement is closed.
+var ErrStmtClosed = errors.New("monomi: statement is closed")
 
 // Prepare parses a SQL query for repeated execution. Parameters appear in
 // the SQL as :name placeholders.
 func (s *System) Prepare(sql string) (*Stmt, error) {
-	st, err := s.client.Prepare(sql)
+	st, err := s.dep.Client.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -631,6 +535,9 @@ func (s *System) Prepare(sql string) (*Stmt, error) {
 // may be int, int64, float64, string, bool, []byte, or nil (NULL); use
 // DateParam for date-typed parameters.
 func (st *Stmt) Query(params map[string]any) (*Rows, error) {
+	if st.closed.Load() {
+		return nil, ErrStmtClosed
+	}
 	vals := make(map[string]value.Value, len(params))
 	for name, v := range params {
 		cv, err := paramValue(v)
@@ -649,8 +556,13 @@ func (st *Stmt) Query(params map[string]any) (*Rows, error) {
 // SQL returns the statement's source text.
 func (st *Stmt) SQL() string { return st.st.SQL() }
 
-// Close releases the statement.
-func (st *Stmt) Close() error { return st.st.Close() }
+// Close ends the statement's life: later Query calls return ErrStmtClosed.
+// Cached plans and server-side handles belong to the System's plan cache
+// (shared across statements of one shape); System.Close releases those.
+func (st *Stmt) Close() error {
+	st.closed.Store(true)
+	return nil
+}
 
 // DateParam converts a "YYYY-MM-DD" string into a date-typed parameter
 // value for Stmt.Query.
@@ -695,14 +607,14 @@ type PlanCacheStats struct {
 
 // PlanCacheStats returns the trusted client's plan-cache counters.
 func (s *System) PlanCacheStats() PlanCacheStats {
-	st := s.client.PlanCacheStats()
+	st := s.dep.Client.PlanCacheStats()
 	return PlanCacheStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Size: st.Size}
 }
 
 // ResetPlanCache drops every cached plan and parsed query, forcing
 // subsequent executions to plan from scratch (counters are kept).
 // Benchmarks use it to compare cold planning against the warm fast path.
-func (s *System) ResetPlanCache() { s.client.ResetPlanCache() }
+func (s *System) ResetPlanCache() { s.dep.Client.ResetPlanCache() }
 
 // Stats reports the untrusted server's cumulative access-path and storage
 // counters.
@@ -753,14 +665,14 @@ func (st Stats) InternRatio() float64 {
 // footprint (shared metadata) is still reported.
 func (s *System) Stats() Stats {
 	st := Stats{
-		EncBytes:    s.encDB.Cat.TotalBytes(),
-		EncRawBytes: s.encDB.Cat.TotalRawBytes(),
+		EncBytes:    s.dep.DB.Cat.TotalBytes(),
+		EncRawBytes: s.dep.DB.Cat.TotalRawBytes(),
 	}
-	io := s.encDB.Cat.IO()
+	io := s.dep.DB.Cat.IO()
 	st.PageReads, st.CacheHits = io.PageReads, io.CacheHits
 	st.CacheMisses, st.PageBytesRead = io.CacheMisses, io.BytesRead
-	if s.client.Srv != nil {
-		st.IndexLookups, st.RowsSkippedByIndex = s.client.Srv.Engine.IndexStats()
+	if s.dep.Client.Srv != nil {
+		st.IndexLookups, st.RowsSkippedByIndex = s.dep.Client.Srv.Engine.IndexStats()
 	}
 	return st
 }
@@ -768,27 +680,16 @@ func (s *System) Stats() Stats {
 // QueryPlaintext executes SQL directly on the plaintext database (the
 // unencrypted baseline used for comparisons).
 func (s *System) QueryPlaintext(sql string) (*Rows, error) {
-	q, err := parseSQL(sql)
+	res, err := s.dep.ExecutePlain(sql)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.plain.Execute(q, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := &Rows{
-		Cols:       res.Cols,
-		ServerTime: s.net.ScanTime(res.Stats.BytesScanned).Seconds() + s.net.RowTime(res.Stats.RowsScanned).Seconds(),
-	}
-	out.TransferTime = s.net.TransferTime(res.Bytes()).Seconds()
-	for _, row := range res.Rows {
-		vals := make([]any, len(row))
-		for i, v := range row {
-			vals[i] = fromValue(v)
-		}
-		out.Data = append(out.Data, vals)
-	}
-	return out, nil
+	return &Rows{
+		Cols:         res.Cols,
+		Data:         rowsData(res.Rows),
+		ServerTime:   res.ServerTime.Seconds(),
+		TransferTime: res.Transfer.Seconds(),
+	}, nil
 }
 
 // SchemeCensus describes one column's encryption in the design.
@@ -803,7 +704,7 @@ type SchemeCensus struct {
 // report of §8.7 derives from this).
 func (s *System) Design() []SchemeCensus {
 	var out []SchemeCensus
-	for _, it := range s.design.Design.Items {
+	for _, it := range s.dep.Design.Design.Items {
 		out = append(out, SchemeCensus{
 			Table:      it.Table,
 			Expr:       it.ExprSQL(),
@@ -816,8 +717,8 @@ func (s *System) Design() []SchemeCensus {
 
 // DesignStats reports the designer's ILP size and estimated footprint.
 func (s *System) DesignStats() (vars, constraints int, plainBytes, encBytes int64) {
-	return s.design.Vars, s.design.Constraints,
-		s.db.cat.TotalBytes(), s.encDB.TotalBytes()
+	return s.dep.Design.Vars, s.dep.Design.Constraints,
+		s.dep.Plain.TotalBytes(), s.dep.DB.TotalBytes()
 }
 
 // --- conversions ---

@@ -1,9 +1,14 @@
 package monomi
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/enc"
+	"repro/internal/experiments"
 )
 
 func exampleDB(t testing.TB) *Database {
@@ -158,6 +163,65 @@ func TestFacadeTPCH(t *testing.T) {
 	}
 }
 
+// TestFacadeMatchesExperimentHarness holds the two facades over the one
+// assembler to each other: monomi.Encrypt under DefaultOptions and
+// experiments.Setup(MonomiConfig), given the same master key, key width,
+// data and workload labels, must choose the same design, and — once the one
+// spec value they pass differently on purpose (secondary indexes; both
+// prefilter) is set equal — the same plans.
+func TestFacadeMatchesExperimentHarness(t *testing.T) {
+	const sf, seed, bits = 0.0005, 7, 256
+	cfg := experiments.MonomiConfig(sf)
+	cfg.Seed, cfg.PaillierBits = seed, bits
+	bench, err := experiments.Setup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := TPCH(sf, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload := Workload{}
+	for _, qn := range TPCHQueries() {
+		workload[fmt.Sprintf("Q%02d", qn)] = mustTPCH(qn)
+	}
+	opts := DefaultOptions()
+	opts.MasterKey = []byte("monomi-experiments")
+	opts.PaillierBits = bits
+	sys, err := Encrypt(db, workload, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+
+	keys := func(items []enc.Item) string {
+		out := make([]string, len(items))
+		for i := range items {
+			out[i] = items[i].Key()
+		}
+		sort.Strings(out)
+		return strings.Join(out, "\n")
+	}
+	if got, want := keys(sys.dep.Design.Design.Items), keys(bench.Design.Design.Items); got != want {
+		t.Fatalf("Encrypt and experiments.Setup chose different designs:\n%s\nvs\n%s", got, want)
+	}
+	sys.SetIndexes(false) // the harness measures the paper's full-scan system
+	for _, qn := range []int{1, 6, 18} {
+		rows, err := sys.Query(mustTPCH(qn))
+		if err != nil {
+			t.Fatalf("Q%d facade: %v", qn, err)
+		}
+		res, err := bench.RunEncrypted(qn)
+		if err != nil {
+			t.Fatalf("Q%d harness: %v", qn, err)
+		}
+		if got, want := rows.PlanText, res.Plan.Describe(); got != want {
+			t.Errorf("Q%d plans differ:\n%s\nvs\n%s", qn, got, want)
+		}
+	}
+}
+
 func mustTPCH(n int) string {
 	q, ok := TPCHQuery(n)
 	if !ok {
@@ -295,6 +359,11 @@ func TestFacadeStatsIndexedInParams(t *testing.T) {
 			}
 			prev = st.IndexLookups
 		}
-		stmt.Close()
+		if err := stmt.Close(); err != nil {
+			t.Fatalf("%s close: %v", d.name, err)
+		}
+		if _, err := stmt.Query(map[string]any{"a": "ruby", "b": "topaz"}); !errors.Is(err, ErrStmtClosed) {
+			t.Errorf("%s: Query after Close = %v, want ErrStmtClosed", d.name, err)
+		}
 	}
 }

@@ -1,12 +1,6 @@
 package monomi
 
-import (
-	"repro/internal/ast"
-	"repro/internal/sqlparser"
-)
-
-// parseSQL parses one SELECT statement.
-func parseSQL(sql string) (*ast.Query, error) { return sqlparser.Parse(sql) }
+import "repro/internal/sqlparser"
 
 // ValidateSQL reports whether the dialect accepts the statement, returning
 // the parse error if not. Useful for pre-flighting workload files.
