@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/crypto/ope"
 	"repro/internal/enc"
 	"repro/internal/engine"
 	"repro/internal/netsim"
@@ -318,6 +319,61 @@ func TestNonCiphertextCell(t *testing.T) {
 	_, _, err = dec.decode([][]value.Value{{value.NewStr("x")}}, 1)
 	if !errors.Is(err, ErrMalformedResult) || !strings.Contains(err.Error(), "output a") {
 		t.Fatalf("error %v, want ErrMalformedResult naming output a", err)
+	}
+}
+
+// TestNonOPECiphertextCell: sixteen bytes that are no OPE ciphertext under the
+// column's key — a flipped bit, another column's ciphertext — used to decrypt
+// to some plaintext. They fail the decode with ope.ErrNotCiphertext naming
+// the output, as a plain cell or inside a GROUP_CONCAT blob, whichever worker
+// meets them; no row comes back.
+func TestNonOPECiphertextCell(t *testing.T) {
+	ks, err := enc.NewKeyStore([]byte("k"), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := enc.ColumnItem("t", "a", enc.OPE, value.Int)
+	other := enc.ColumnItem("t", "b", enc.OPE, value.Int)
+	good, err := ks.EncryptValue(&it, value.NewInt(9131))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := value.NewBytes(append([]byte(nil), good.B...))
+	flipped.B[15] ^= 1
+	foreign, err := ks.EncryptValue(&other, value.NewInt(9131))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]value.Value{"flipped bit": flipped, "another column's ciphertext": foreign} {
+		for _, mode := range []planner.OutputMode{planner.OutDecrypt, planner.OutConcatAgg} {
+			part := &planner.RemotePart{Name: "r0", Outputs: []planner.Output{
+				{Name: "a", Mode: mode, Item: &it, Agg: ast.AggMax, Kind: value.Int},
+			}}
+			cell := func(v value.Value) []value.Value {
+				if mode == planner.OutConcatAgg {
+					blob, _ := wire.AppendValue(nil, good)
+					blob, _ = wire.AppendValue(blob, v)
+					return []value.Value{value.NewBytes(blob)}
+				}
+				return []value.Value{v}
+			}
+			for _, p := range []int{1, 4} {
+				rows := make([][]value.Value, 2*parallelDecodeRows)
+				for i := range rows {
+					rows[i] = cell(good)
+				}
+				rows[len(rows)-1] = cell(bad) // the last worker's range
+				c := &Client{Keys: ks, Parallelism: p, cache: newDecryptCache(512)}
+				dec, err := c.newDecoder(part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _, err = dec.decode(rows, p)
+				if !errors.Is(err, ope.ErrNotCiphertext) || !strings.Contains(err.Error(), "output a") {
+					t.Fatalf("%s, mode %v, p=%d: error %v, want ope.ErrNotCiphertext naming output a", name, mode, p, err)
+				}
+			}
+		}
 	}
 }
 

@@ -13,15 +13,31 @@
 //     stream-XOR over the two halves, giving a length-preserving strong
 //     pseudorandom permutation over {0,1}^8n for n ≥ 2; 1-byte inputs use a
 //     keyed byte permutation; empty input maps to itself.
+//
+// The byte permutation is a property of the key, so a Scheme builds it and
+// its inverse on the first one-byte value (255 PRF calls) and keeps them:
+// flag columns such as l_returnflag are one byte in every row.
 package det
 
 import (
+	"sync"
+
 	"repro/internal/crypto/prf"
 )
 
-// Scheme is a deterministic encryption key for one column.
+// Scheme is a deterministic encryption key for one column. It is shared by
+// pointer: client decode workers use one Scheme from several goroutines.
 type Scheme struct {
 	f *prf.PRF
+
+	permOnce  sync.Once
+	perm, inv [256]byte // the one-byte permutation; read through bytePerm
+}
+
+// bytePerm returns the keyed one-byte permutation and its inverse, built once.
+func (s *Scheme) bytePerm() (perm, inv *[256]byte) {
+	s.permOnce.Do(func() { s.perm, s.inv = s.f.Perm256(0x5eed) })
+	return &s.perm, &s.inv
 }
 
 // feistelRounds for the integer FFX network. 10 rounds of a balanced
@@ -100,7 +116,7 @@ func (s *Scheme) EncryptBytes(pt []byte) []byte {
 	case n == 0:
 		return out
 	case n == 1:
-		perm, _ := s.f.Perm256(0x5eed)
+		perm, _ := s.bytePerm()
 		out[0] = perm[out[0]]
 		return out
 	}
@@ -130,7 +146,7 @@ func (s *Scheme) DecryptBytes(ct []byte) []byte {
 	case n == 0:
 		return out
 	case n == 1:
-		_, inv := s.f.Perm256(0x5eed)
+		_, inv := s.bytePerm()
 		out[0] = inv[out[0]]
 		return out
 	}

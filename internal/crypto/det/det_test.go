@@ -2,6 +2,7 @@ package det
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -111,4 +112,39 @@ func TestCiphertextSizeIsLengthPreserving(t *testing.T) {
 	if CiphertextSize(10) != 10 || CiphertextSize(0) != 0 {
 		t.Error("DET is length-preserving")
 	}
+}
+
+// TestOneBytePermutationSharedScheme: the one-byte permutation is built once
+// per Scheme, on first use. Eight goroutines race to that first use on one
+// fresh Scheme, encrypting and decrypting every byte; each sees the
+// permutation a scheme of its own computes (run under -race).
+func TestOneBytePermutationSharedScheme(t *testing.T) {
+	ref := scheme()
+	want, _ := ref.f.Perm256(0x5eed)
+	s := scheme()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 256; i++ {
+				b := byte(i + 31*g)
+				var ct []byte
+				if g%2 == 0 {
+					ct = s.EncryptBytes([]byte{b})
+				} else { // the decrypt side may be the one that builds it
+					ct = []byte{want[b]}
+				}
+				if len(ct) != 1 || ct[0] != want[b] {
+					t.Errorf("goroutine %d: Enc(%#x) = %x, want %#x", g, b, ct, want[b])
+					return
+				}
+				if pt := s.DecryptBytes(ct); len(pt) != 1 || pt[0] != b {
+					t.Errorf("goroutine %d: Dec(Enc(%#x)) = %x", g, b, pt)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -106,7 +106,23 @@ func TestCiphertextSize(t *testing.T) {
 
 func BenchmarkEncrypt(b *testing.B) {
 	s := scheme()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.MustEncrypt(int64(i % 100000))
+	}
+}
+
+func BenchmarkDecrypt(b *testing.B) {
+	s := scheme()
+	cts := make([][]byte, 1000)
+	for i := range cts {
+		cts[i] = s.MustEncrypt(int64(7919 * i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Decrypt(cts[i%len(cts)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

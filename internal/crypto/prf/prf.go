@@ -55,19 +55,14 @@ func MustNew(key []byte) *PRF {
 	return p
 }
 
-// Scratch is the AES block one Eval64 works in. The block cipher sits behind
-// an interface, so a block declared inside the call escapes to the heap every
-// time; a caller evaluating in a loop (a Feistel network, a column of
-// ciphertexts) keeps one Scratch and passes it to Eval64In instead.
+// Scratch is the AES block one Eval64In works in. The block cipher sits
+// behind an interface, so a block declared inside the call would escape to
+// the heap every time; a caller evaluating in a loop (a Feistel network, an
+// OPE walk, a column of ciphertexts) keeps one Scratch and passes it in.
 type Scratch [16]byte
 
-// Eval64 evaluates the PRF on (tweak, x) and returns a uint64.
-func (p *PRF) Eval64(tweak uint32, x uint64) uint64 {
-	var s Scratch
-	return p.Eval64In(&s, tweak, x)
-}
-
-// Eval64In is Eval64 computed in the caller's scratch block.
+// Eval64In evaluates the PRF on (tweak, x) in the caller's scratch block and
+// returns a uint64.
 func (p *PRF) Eval64In(s *Scratch, tweak uint32, x uint64) uint64 {
 	binary.BigEndian.PutUint64(s[0:], uint64(tweak)<<32)
 	binary.BigEndian.PutUint64(s[8:], x)

@@ -1,9 +1,11 @@
 package enc
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/crypto/ope"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -124,9 +126,18 @@ func TestEncryptDecryptValueAllSchemes(t *testing.T) {
 		t.Error("SEARCH decryption should fail")
 	}
 	// Scheme/type mismatches fail.
-	ope := ColumnItem("t", "d", OPE, value.Int)
-	if _, err := ks.EncryptValue(&ope, value.NewStr("no")); err == nil {
+	opeIt := ColumnItem("t", "d", OPE, value.Int)
+	if _, err := ks.EncryptValue(&opeIt, value.NewStr("no")); err == nil {
 		t.Error("OPE over strings should fail")
+	}
+	// Sixteen bytes that are no OPE ciphertext are a typed error, not a value.
+	cv, err = ks.EncryptValue(&opeIt, value.NewInt(123456))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cv.B[0] ^= 0x20
+	if pv, err := ks.DecryptValue(&opeIt, cv); !errors.Is(err, ope.ErrNotCiphertext) {
+		t.Errorf("corrupted OPE cell decrypts to %v, %v; want ope.ErrNotCiphertext", pv, err)
 	}
 }
 

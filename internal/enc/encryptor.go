@@ -2,7 +2,7 @@ package enc
 
 import (
 	"fmt"
-	"math/big"
+	"math/bits"
 
 	"repro/internal/ast"
 	"repro/internal/engine"
@@ -152,7 +152,7 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 
 	// Padding absorbs the carry of summing every row (§5.3): the paper
 	// assumes ~2^27 rows; we size it from the actual table.
-	padBits := big.NewInt(int64(len(res.Rows))+1).BitLen() + 1
+	padBits := bits.Len64(uint64(len(res.Rows))+1) + 1
 
 	// Measure each HOM item's value width.
 	homBits := make([]int, len(homItems))
@@ -168,7 +168,7 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 			if x < 0 {
 				return fmt.Errorf("HOM item %s: negative value %d not packable", homItems[j].Key(), x)
 			}
-			if b := big.NewInt(x).BitLen(); b > maxBits {
+			if b := bits.Len64(uint64(x)); b > maxBits {
 				maxBits = b
 			}
 		}
@@ -246,11 +246,14 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 	}
 
 	// Encrypt row items, each resolved to its cipher and source column once.
+	// DET and OPE columns encrypt each distinct plaintext once (loadMemo).
 	ciphers := make([]Cipher, len(rowItems))
 	srcCol := make([]int, len(rowItems))
+	memos := make([]*loadMemo, len(rowItems))
 	for i := range rowItems {
 		ciphers[i] = ks.Cipher(&rowItems[i])
 		srcCol[i] = colOf[rowItems[i].Key()]
+		memos[i] = newLoadMemo(rowItems[i].Scheme)
 	}
 	for rowID, row := range res.Rows {
 		out := make([]value.Value, 0, len(schema.Cols))
@@ -258,7 +261,7 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 			out = append(out, value.NewInt(int64(rowID)))
 		}
 		for i := range ciphers {
-			cv, err := ciphers[i].Encrypt(row[srcCol[i]])
+			cv, err := memos[i].encrypt(&ciphers[i], row[srcCol[i]])
 			if err != nil {
 				return fmt.Errorf("item %s: %w", rowItems[i].Key(), err)
 			}
@@ -306,6 +309,65 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 		meta.Groups = append(meta.Groups, &GroupMeta{Name: gname, Items: gItems, Layout: layout})
 	}
 	return nil
+}
+
+// loadMemoCap bounds the distinct plaintexts one column's loadMemo holds; past
+// it the memo keeps answering for what it has and stops growing. Sized on the
+// benchmark's TPC-H SF 0.01 load, where the columns that repeat are far below
+// it (l_shipdate and the other dates ~2 500 distinct values in 60 000 rows,
+// l_partkey 2 000, l_quantity 50, l_discount 11, the flags 2–3) and the ones
+// above it (l_orderkey 15 000, prices, comments) repeat little or not at all:
+// a full memo costs a key and a 64-byte cell per entry and is dropped with
+// the table.
+const loadMemoCap = 4096
+
+// loadMemo holds, for one DET or OPE column of one bulk load, the ciphertext
+// of each distinct plaintext seen so far. Both schemes are deterministic by
+// definition — the server sees equal ciphertexts for equal plaintexts either
+// way — so reusing a ciphertext changes no stored byte; RND and SEARCH
+// columns get none (a nil *loadMemo encrypts directly). It is keyed on
+// what the cipher reads, the integer behind Int, Date and Bool or the string,
+// and lives in encryptTable's frame: no shared state, no lock. Memoised Bytes
+// cells of different rows share a backing array, which storage never writes
+// through.
+type loadMemo struct {
+	ints map[int64]value.Value
+	strs map[string]value.Value
+}
+
+// newLoadMemo returns an empty memo for a column of a deterministic scheme,
+// nil for any other.
+func newLoadMemo(s Scheme) *loadMemo {
+	if s != DET && s != OPE {
+		return nil
+	}
+	return &loadMemo{ints: make(map[int64]value.Value), strs: make(map[string]value.Value)}
+}
+
+// encrypt is c.Encrypt(v), answered from the memo when v was seen before.
+func (m *loadMemo) encrypt(c *Cipher, v value.Value) (value.Value, error) {
+	if m != nil {
+		switch v.K {
+		case value.Int, value.Date, value.Bool:
+			return memoise(m.ints, v.I, c, v)
+		case value.Str:
+			return memoise(m.strs, v.S, c, v)
+		}
+	}
+	return c.Encrypt(v)
+}
+
+// memoise is loadMemo.encrypt for one of its maps: failed encryptions are
+// returned and not remembered.
+func memoise[K comparable](memo map[K]value.Value, k K, c *Cipher, v value.Value) (value.Value, error) {
+	if cv, ok := memo[k]; ok {
+		return cv, nil
+	}
+	cv, err := c.Encrypt(v)
+	if err == nil && len(memo) < loadMemoCap {
+		memo[k] = cv
+	}
+	return cv, err
 }
 
 // encryptedKey maps the plaintext table's primary key onto the encrypted

@@ -78,7 +78,8 @@ func (ks *KeyStore) Search(it *Item) *search.Scheme { return ks.derive(it).srch 
 // Cipher is an item resolved against the key store once — scheme instance
 // derived, plaintext kind and key label looked up — so a loop over a column
 // of values pays none of that per value. A Cipher carries the scratch block
-// its DET integer rounds run in: each goroutine works on its own copy.
+// its DET integer rounds and OPE walks run in: each goroutine works on its
+// own copy.
 type Cipher struct {
 	// Label is the dense id of the item's key label within this KeyStore:
 	// two Ciphers share a subkey exactly when their Labels are equal.
@@ -136,11 +137,11 @@ func (c *Cipher) Encrypt(v value.Value) (value.Value, error) {
 		if !v.IsNumeric() {
 			return value.Value{}, fmt.Errorf("enc: OPE requires numeric plaintext, got %v", v.K)
 		}
-		ct, err := c.ope.Encrypt(v.AsInt())
-		if err != nil {
+		ct := new([ope.CiphertextSize]byte)
+		if err := c.ope.EncryptIn(&c.sc, ct, v.AsInt()); err != nil {
 			return value.Value{}, err
 		}
-		return value.NewBytes(ct), nil
+		return value.NewBytes(ct[:]), nil
 	case RND:
 		ct, err := c.rnd.Encrypt(encodePlain(v))
 		if err != nil {
@@ -175,7 +176,7 @@ func (c *Cipher) Decrypt(cv value.Value) (value.Value, error) {
 		}
 		return value.Value{}, fmt.Errorf("enc: DET cannot decrypt to %v", c.Kind)
 	case OPE:
-		x, err := c.ope.Decrypt(cv.B)
+		x, err := c.ope.DecryptIn(&c.sc, cv.B)
 		if err != nil {
 			return value.Value{}, err
 		}
