@@ -73,6 +73,48 @@ func TestSubqueriesNotDescended(t *testing.T) {
 	}
 }
 
+// TestWalkStatementReachesEveryClause: one column per clause, at three
+// nesting depths (a derived table, a subquery in WHERE, a subquery inside
+// that one's HAVING), and every one is visited.
+func TestWalkStatementReachesEveryClause(t *testing.T) {
+	deep := NewQuery()
+	deep.Projections = []SelectItem{{Expr: col("deep_sel")}}
+	deep.From = []TableRef{{Name: "u"}}
+	sub := NewQuery()
+	sub.Projections = []SelectItem{{Expr: col("sub_sel")}}
+	sub.From = []TableRef{{Name: "t"}}
+	sub.Having = &BinaryExpr{Op: OpGt, Left: &AggExpr{Func: AggSum, Arg: col("sub_agg")}, Right: &SubqueryExpr{Sub: deep}}
+	derived := NewQuery()
+	derived.Projections = []SelectItem{{Expr: col("derived_sel"), Alias: "d"}}
+	derived.From = []TableRef{{Name: "v"}}
+	derived.Where = &IsNullExpr{E: col("derived_where")}
+	q := NewQuery()
+	q.Projections = []SelectItem{{Expr: &CaseExpr{Whens: []CaseWhen{{Cond: col("sel_when"), Then: lit(1)}}, Else: col("sel_else")}}}
+	q.From = []TableRef{{Name: "t"}, {Sub: derived, Alias: "x"}}
+	q.Where = &BinaryExpr{Op: OpAnd,
+		Left:  &InExpr{E: col("in_lhs"), Sub: sub},
+		Right: &BetweenExpr{E: col("where"), Lo: lit(1), Hi: lit(2)}}
+	q.GroupBy = []Expr{col("group")}
+	q.Having = &LikeExpr{E: col("having"), Pattern: "a%"}
+	q.OrderBy = []OrderItem{{Expr: &FuncCall{Name: "f", Args: []Expr{col("order")}}}}
+
+	seen := map[string]bool{}
+	WalkStatement(q, func(e Expr) {
+		if c, ok := e.(*ColumnRef); ok {
+			seen[c.Column] = true
+		}
+	})
+	for _, want := range []string{"deep_sel", "sub_sel", "sub_agg", "derived_sel", "derived_where",
+		"sel_when", "sel_else", "in_lhs", "where", "group", "having", "order"} {
+		if !seen[want] {
+			t.Errorf("WalkStatement never visited column %s", want)
+		}
+	}
+	if len(seen) != 12 {
+		t.Errorf("visited %d distinct columns, want 12: %v", len(seen), seen)
+	}
+}
+
 func TestAggregateDetection(t *testing.T) {
 	agg := &AggExpr{Func: AggSum, Arg: col("v")}
 	e := &BinaryExpr{Op: OpGt, Left: agg, Right: lit(10)}

@@ -55,6 +55,34 @@ func Walk(e Expr, fn func(Expr)) {
 	VisitChildren(e, func(c Expr) { Walk(c, fn) })
 }
 
+// WalkStatement applies fn to every expression node of the whole statement
+// q: each clause of q and, unlike Walk, of every subquery and derived table
+// nested in it at any depth.
+func WalkStatement(q *Query, fn func(Expr)) {
+	walk := func(e Expr) {
+		Walk(e, fn)
+		for _, sub := range Subqueries(e) {
+			WalkStatement(sub, fn)
+		}
+	}
+	for i := range q.From {
+		if sub := q.From[i].Sub; sub != nil {
+			WalkStatement(sub, fn)
+		}
+	}
+	for _, p := range q.Projections {
+		walk(p.Expr)
+	}
+	walk(q.Where)
+	for _, g := range q.GroupBy {
+		walk(g)
+	}
+	walk(q.Having)
+	for _, o := range q.OrderBy {
+		walk(o.Expr)
+	}
+}
+
 // Subqueries returns all subqueries directly referenced by e (IN, EXISTS,
 // scalar), at any expression depth but without recursing into the
 // subqueries themselves.

@@ -353,11 +353,13 @@ func (c *execCtx) indexedBuild(right *relation, rightKeys []ast.Expr) *joinBuild
 	if !ok {
 		return nil
 	}
+	// The layout names the key column; its position there is not its schema
+	// position once the scan is pruned to the statement's columns.
 	ci, err := right.indexOf(cr.Table, cr.Column)
-	if err != nil || ci < 0 || ci >= len(right.base.Schema.Cols) {
+	if err != nil || ci < 0 {
 		return nil
 	}
-	ix := right.base.Index(right.base.Schema.Cols[ci].Name, storage.HashIndex)
+	ix := right.base.Index(right.cols[ci].name, storage.HashIndex)
 	if ix == nil {
 		return nil
 	}

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/ast"
@@ -191,7 +192,7 @@ func (e *Engine) IsAggUDF(name string) bool {
 // Execute runs q with the given parameter bindings: it drains the tree
 // ExecuteStream returns into one Result.
 func (e *Engine) Execute(q *ast.Query, params map[string]value.Value) (*Result, error) {
-	c := e.newCtx(params)
+	c := e.newCtx(q, params)
 	rel, err := c.execQuery(q, nil)
 	if err != nil {
 		return nil, err
@@ -210,10 +211,11 @@ type execCtx struct {
 	par    int                      // worker count for sharded chains (1 = sequential)
 	batch  int                      // rows per batch; math.MaxInt for BatchSize 0
 	useIdx bool                     // cost-based index access paths enabled (access.go)
+	stmt   *stmtCols                // the statement's column set, shared with shard contexts
 }
 
-// newCtx creates the context of one top-level execution.
-func (e *Engine) newCtx(params map[string]value.Value) *execCtx {
+// newCtx creates the context of one top-level execution of q.
+func (e *Engine) newCtx(q *ast.Query, params map[string]value.Value) *execCtx {
 	batch := e.BatchSize
 	if batch <= 0 {
 		batch = math.MaxInt
@@ -221,7 +223,50 @@ func (e *Engine) newCtx(params map[string]value.Value) *execCtx {
 	return &execCtx{
 		eng: e, params: params, stats: &Stats{},
 		par: e.effectiveParallelism(), batch: batch, useIdx: e.UseIndexes,
+		stmt: &stmtCols{root: q},
 	}
+}
+
+// stmtCols is the set of column names a statement references anywhere —
+// every clause of every block, subqueries and derived tables included. A
+// paged base table is scanned with just the columns in it (fromSource):
+// pruning by bare name across the whole statement keeps every table that
+// could resolve a reference, qualified or not, able to, so name resolution,
+// ambiguity errors and correlation see what full-width layouts showed them.
+// The set is collected on first use, so a statement over in-memory tables
+// never computes it.
+type stmtCols struct {
+	root  *ast.Query
+	once  sync.Once
+	all   bool // some clause names `*`
+	names map[string]bool
+}
+
+// positions returns the ascending schema positions of t's columns that the
+// statement references: nil when it names `*` (every column), and an
+// empty, non-nil list when it names none of t's (COUNT(*) needs no cell).
+func (s *stmtCols) positions(t *storage.Table) []int {
+	s.once.Do(func() {
+		s.names = make(map[string]bool)
+		ast.WalkStatement(s.root, func(e ast.Expr) {
+			if cr, ok := e.(*ast.ColumnRef); ok {
+				if cr.Column == "*" {
+					s.all = true
+				}
+				s.names[cr.Column] = true
+			}
+		})
+	})
+	if s.all {
+		return nil
+	}
+	pos := []int{}
+	for i, col := range t.Schema.Cols {
+		if s.names[col.Name] {
+			pos = append(pos, i)
+		}
+	}
+	return pos
 }
 
 // colInfo names one relation column.
@@ -271,11 +316,19 @@ func (r *relation) indexOf(table, col string) (int, error) {
 }
 
 // tableLayout builds the column layout of one base table scanned under the
-// given alias.
-func tableLayout(t *storage.Table, ref string) *relation {
-	cols := make([]colInfo, len(t.Schema.Cols))
-	for i, col := range t.Schema.Cols {
-		cols[i] = colInfo{table: ref, name: col.Name}
+// given alias: the columns at schema positions pos, or all of them when pos
+// is nil.
+func tableLayout(t *storage.Table, ref string, pos []int) *relation {
+	if pos == nil {
+		cols := make([]colInfo, len(t.Schema.Cols))
+		for i, col := range t.Schema.Cols {
+			cols[i] = colInfo{table: ref, name: col.Name}
+		}
+		return &relation{cols: cols}
+	}
+	cols := make([]colInfo, len(pos))
+	for i, ci := range pos {
+		cols[i] = colInfo{table: ref, name: t.Schema.Cols[ci].Name}
 	}
 	return &relation{cols: cols}
 }
@@ -476,14 +529,21 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 
 // fromSource resolves one FROM entry to its row source and column layout:
 // a base table, or a derived table's child tree drained into memory and
-// re-qualified under its alias.
+// re-qualified under its alias. A paged base table supplies only the
+// columns the statement references — its rows are decoded per scan, so
+// every column left out is work not done — while an in-memory table's rows
+// already exist and are handed out whole: narrowing them would copy.
 func (c *execCtx) fromSource(f *ast.TableRef, outer *env) (*rowSource, *relation, error) {
 	if f.Sub == nil {
 		t, err := c.eng.Cat.Table(f.Name)
 		if err != nil {
 			return nil, nil, err
 		}
-		return &rowSource{t: t}, tableLayout(t, f.RefName()), nil
+		var cols []int
+		if t.Paged() {
+			cols = c.stmt.positions(t)
+		}
+		return &rowSource{t: t, cols: cols}, tableLayout(t, f.RefName(), cols), nil
 	}
 	sub, err := c.execQuery(f.Sub, outer)
 	if err != nil {

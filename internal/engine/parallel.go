@@ -91,9 +91,11 @@ func parallelDo(shards int, fn func(shard int) error) error {
 // shardCtx creates a child context for one shard: it shares the engine and
 // params (both read-only during execution), accumulates stats locally, and
 // never spawns nested shards. The batch size carries over so shard workers
-// pull the same batches a sequential chain would.
+// pull the same batches a sequential chain would, and the statement's
+// column set so a block opened on a worker lays its tables out as the
+// opening context does.
 func (c *execCtx) shardCtx() *execCtx {
-	return &execCtx{eng: c.eng, params: c.params, stats: &Stats{}, par: 1, batch: c.batch, useIdx: c.useIdx}
+	return &execCtx{eng: c.eng, params: c.params, stats: &Stats{}, par: 1, batch: c.batch, useIdx: c.useIdx, stmt: c.stmt}
 }
 
 // shardedCollect splits n input rows into shards, runs fn over each shard

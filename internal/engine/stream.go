@@ -89,10 +89,13 @@ func drain(it batchIterator) ([][]value.Value, error) {
 // rowSource is the row supply of one FROM entry: a base table — all of it
 // or, when ids is non-nil, exactly the listed rows in list order (an
 // index-restricted ascending id list, or an ordered index's emission
-// order) — or a derived table's drained child tree.
+// order) — or a derived table's drained child tree. A base table's rows
+// carry the cells at schema positions cols, in that order; nil means whole
+// rows.
 type rowSource struct {
 	t    *storage.Table // nil for a derived table
 	ids  []int32
+	cols []int
 	rows [][]value.Value // derived table rows
 }
 
@@ -138,9 +141,9 @@ func (it *scanIterator) next() ([][]value.Value, error) {
 	var phys int64
 	var err error
 	if it.src.ids != nil {
-		b, phys, err = t.FetchRows(it.src.ids[lo:end])
+		b, phys, err = t.FetchCols(it.src.ids[lo:end], it.src.cols)
 	} else {
-		b, phys, err = t.ScanRows(lo, end)
+		b, phys, err = t.ScanCols(lo, end, it.src.cols)
 	}
 	if err != nil {
 		return nil, err

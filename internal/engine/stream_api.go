@@ -40,7 +40,7 @@ type ResultStream struct {
 // frames, so a consumer still sees — and a server still ships — bounded
 // batches.
 func (e *Engine) ExecuteStream(q *ast.Query, params map[string]value.Value) (*ResultStream, error) {
-	c := e.newCtx(params)
+	c := e.newCtx(q, params)
 	it, err := c.open(q, nil)
 	if err != nil {
 		return nil, err

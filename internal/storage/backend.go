@@ -26,12 +26,14 @@ type Backend interface {
 	// canonicalized (interning) and validated by the Table.
 	Append(row []value.Value) error
 	// Scan returns the rows with ids in [lo, hi) in id order, plus the
-	// physical bytes read. The returned batch may alias backend memory and
-	// must be treated as read-only.
-	Scan(lo, hi int) ([][]value.Value, int64, error)
-	// Fetch returns the rows named by an ascending id list, in list order,
-	// plus the physical bytes read.
-	Fetch(ids []int32) ([][]value.Value, int64, error)
+	// physical bytes read. cols names the schema positions to materialize,
+	// ascending: each returned row holds exactly those cells, in that order
+	// (empty: rows of no cells); nil means every column. The returned batch
+	// may alias backend memory and must be treated as read-only.
+	Scan(lo, hi int, cols []int) ([][]value.Value, int64, error)
+	// Fetch returns the rows named by an id list, in list order, projected
+	// onto cols as Scan's are, plus the physical bytes read.
+	Fetch(ids []int32, cols []int) ([][]value.Value, int64, error)
 	// NumRows is the stored row count.
 	NumRows() int
 	// Paged reports whether Scan/Fetch byte counts are real medium reads
@@ -46,6 +48,37 @@ type Backend interface {
 	// IO returns cumulative physical-read counters (zero for in-memory
 	// backends).
 	IO() IOStats
+}
+
+// rowBatch collects the rows of one Scan or Fetch call. Projected rows are
+// cut from a single arena sized for the call — rows × wanted columns, one
+// allocation — and capped, so appending to a row cannot reach the next.
+type rowBatch struct {
+	rows  [][]value.Value
+	arena []value.Value
+}
+
+func newRowBatch(nrows, width int) rowBatch {
+	return rowBatch{rows: make([][]value.Value, 0, nrows), arena: make([]value.Value, 0, nrows*width)}
+}
+
+// cut adds arena[start:], the cells appended since, as the next row.
+func (b *rowBatch) cut(start int) {
+	b.rows = append(b.rows, b.arena[start:len(b.arena):len(b.arena)])
+}
+
+// add adds a decoded row: itself when cols is nil, else a copy of its cols
+// cells.
+func (b *rowBatch) add(row []value.Value, cols []int) {
+	if cols == nil {
+		b.rows = append(b.rows, row)
+		return
+	}
+	start := len(b.arena)
+	for _, c := range cols {
+		b.arena = append(b.arena, row[c])
+	}
+	b.cut(start)
 }
 
 // BackendKind selects a Table's physical row store.
@@ -97,7 +130,8 @@ type BackendConfig struct {
 	Dir string
 	// PageBytes is the segment page size (0 = DefaultPageBytes).
 	PageBytes int
-	// CacheBytes is the block-cache capacity in bytes (0 = DefaultCacheBytes).
+	// CacheBytes is the block-cache capacity in bytes (0 = DefaultCacheBytes):
+	// the page images one table keeps resident.
 	CacheBytes int64
 }
 

@@ -1,13 +1,16 @@
 package storage
 
-// Tests of the page decoder (decodePage) and of the disk store's read-side
-// lock scope: corruption typing at the decoder, concurrent readers against
-// an in-memory twin, the lifetime of batches that alias an evicted page,
-// and the per-page allocation count.
+// Tests of the disk store's read path — page verification (verifyPage), the
+// projected row decoder (appendCols) — and of its read-side lock scope:
+// corruption typing at the verifier, projected reads against the projection
+// of all-column reads, concurrent readers against an in-memory twin, the
+// lifetime of batches that alias an evicted page, and the per-page
+// allocation count.
 
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -20,15 +23,33 @@ import (
 	"repro/internal/value"
 )
 
-// pageImage is one sealed page as it sits in the file.
-type pageImage struct {
+// rawPage is one sealed page as it sits in the file.
+type rawPage struct {
 	pm    pageMeta
 	raw   []byte
 	ncols int
 }
 
+// decodeAll verifies a raw page and decodes every cell of every row: the
+// whole read path of one page, all columns.
+func decodeAll(raw []byte, pm pageMeta, ncols int) ([][]value.Value, error) {
+	img, err := verifyPage(raw, "p.seg", pm, ncols)
+	if err != nil {
+		return nil, err
+	}
+	b := newRowBatch(len(img.rows), ncols)
+	for r := range img.rows {
+		start := len(b.arena)
+		if b.arena, err = img.appendCols(b.arena, r, nil); err != nil {
+			return nil, err
+		}
+		b.cut(start)
+	}
+	return b.rows, nil
+}
+
 // sealedPages reads every sealed page of a disk table back as raw images.
-func sealedPages(t testing.TB, tb *Table) []pageImage {
+func sealedPages(t testing.TB, tb *Table) []rawPage {
 	t.Helper()
 	if err := tb.Flush(); err != nil {
 		t.Fatal(err)
@@ -36,20 +57,20 @@ func sealedPages(t testing.TB, tb *Table) []pageImage {
 	ds := tb.be.(*diskStore)
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	var out []pageImage
+	var out []rawPage
 	for _, pm := range ds.dir {
 		raw := make([]byte, pm.physLen)
 		if _, err := ds.f.ReadAt(raw, pm.off); err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, pageImage{pm: pm, raw: raw, ncols: ds.ncols})
+		out = append(out, rawPage{pm: pm, raw: raw, ncols: ds.ncols})
 	}
 	return out
 }
 
 // realPages are the images the decoder tests mutate: fixture pages (every
 // kind, Bool and NULL included) and an oversized single-row page.
-func realPages(t testing.TB) []pageImage {
+func realPages(t testing.TB) []rawPage {
 	t.Helper()
 	cat, _ := diskCatalog(t, BackendConfig{PageBytes: 512})
 	t.Cleanup(func() { cat.Close() })
@@ -86,7 +107,7 @@ func mustCorrupt(t *testing.T, err error, what string) *SegmentError {
 // decodes exactly the original rows.
 func TestDecodePageDamage(t *testing.T) {
 	for pi, p := range realPages(t) {
-		want, err := decodePage(append([]byte(nil), p.raw...), "p.seg", p.pm, p.ncols)
+		want, err := decodeAll(append([]byte(nil), p.raw...), p.pm, p.ncols)
 		if err != nil {
 			t.Fatalf("page %d: pristine image fails: %v", pi, err)
 		}
@@ -94,7 +115,7 @@ func TestDecodePageDamage(t *testing.T) {
 			t.Fatalf("page %d: %d rows, directory says %d", pi, len(want), p.pm.nrows)
 		}
 		check := func(raw []byte, what string) bool {
-			got, err := decodePage(raw, "p.seg", p.pm, p.ncols)
+			got, err := decodeAll(raw, p.pm, p.ncols)
 			if err != nil {
 				mustCorrupt(t, err, what)
 				return false
@@ -133,8 +154,8 @@ func pageOf(nrows int, payload []byte) []byte {
 
 // TestDecodePageCorruptionTable drives each check behind the checksum with
 // a hand-built payload whose checksum is valid, and the ones in front of it
-// with a damaged header; reasons and offsets are what readPage reported
-// before the decoder was rewritten.
+// with a damaged header; reasons and offsets are what readPage and then
+// decodePage reported before verification was split from decoding.
 func TestDecodePageCorruptionTable(t *testing.T) {
 	row := func(frames ...byte) []byte {
 		return append(binary.BigEndian.AppendUint32(nil, uint32(len(frames))), frames...)
@@ -171,10 +192,12 @@ func TestDecodePageCorruptionTable(t *testing.T) {
 		{"integer cut by the row frame", pageOf(2, cat(good, row(intv[:5]...))), 4096 + hdr + 15, "row 101: wire: truncated integer"},
 		{"string runs into the next row", pageOf(2, cat(row(3, 0, 0, 0, 9, 'a'), good)), 4096 + hdr, "row 100: wire: truncated payload (need 9 bytes)"},
 		{"unknown tag", pageOf(2, cat(good, row(99))), 4096 + hdr + 15, "row 101: wire: unknown tag 99"},
+		{"row one value short", pageOf(2, cat(good, row(intv...))), 4096 + hdr + 15, "row 101: 1 values, schema has 2 columns"},
+		{"row one value long", pageOf(2, cat(row(append(intv, 0, pageTagBool, 1)...), good)), 4096 + hdr, "row 100: 3 values, schema has 2 columns"},
 		{"trailing payload", pageOf(2, cat(good, good, []byte{0})), 4096, "page has 1 trailing payload bytes"},
 		{"fewer rows than payload", pageOf(2, cat(good, good, good)), 4096, "page has 15 trailing payload bytes"},
 	} {
-		_, err := decodePage(c.raw, "p.seg", pm, 2)
+		_, err := verifyPage(c.raw, "p.seg", pm, 2)
 		if err == nil {
 			t.Errorf("%s: decoded cleanly", c.name)
 			continue
@@ -185,15 +208,11 @@ func TestDecodePageCorruptionTable(t *testing.T) {
 		}
 	}
 
-	// A header that lies about the row count cannot size the allocations:
-	// the payload bounds them, and the rows decode into a regrown arena.
-	rows, err := decodePage(pageOf(2, cat(good, good)), "p.seg", pm, 1)
-	if err != nil || len(rows) != 2 || len(rows[1]) != 2 || rows[0][0].I != 7 || rows[0][1].K != value.Bool || rows[1][1].I != 1 {
-		t.Fatalf("undersized arena: rows %v, err %v", rows, err)
-	}
+	// A header that lies about the row count cannot size the allocation: the
+	// payload bounds it.
 	huge := pageMeta{off: 4096, nrows: 1 << 31}
-	if _, err := decodePage(pageOf(1<<31, cat(good, good)), "p.seg", huge, 1<<20); err == nil {
-		t.Fatal("2^31-row header over a 30-byte payload decoded cleanly")
+	if _, err := verifyPage(pageOf(1<<31, cat(good, good)), "p.seg", huge, 2); err == nil {
+		t.Fatal("2^31-row header over a 30-byte payload verified cleanly")
 	} else {
 		mustCorrupt(t, err, "huge row count")
 	}
@@ -201,8 +220,9 @@ func TestDecodePageCorruptionTable(t *testing.T) {
 
 // FuzzDecodePage mutates real page images, with the directory's row count
 // alongside; restamp rewrites the checksum so mutations reach the row and
-// value checks behind it. The decoder must fail typed or return the row
-// count it was promised, and never panic.
+// value checks behind it. Verification must fail typed or yield the row
+// count it was promised, every row of the promised arity, and neither it
+// nor the decoder may panic.
 func FuzzDecodePage(f *testing.F) {
 	for _, p := range realPages(f) {
 		f.Add(p.raw, uint16(p.pm.nrows), uint8(p.ncols), false)
@@ -215,7 +235,7 @@ func FuzzDecodePage(f *testing.F) {
 			}
 		}
 		pm := pageMeta{off: 512, physLen: int64(len(raw)), first: 3, nrows: int(nrows)}
-		rows, err := decodePage(raw, "p.seg", pm, int(ncols))
+		rows, err := decodeAll(raw, pm, int(ncols))
 		if err != nil {
 			mustCorrupt(t, err, "fuzzed page")
 			return
@@ -226,6 +246,9 @@ func FuzzDecodePage(f *testing.F) {
 		// What decoded re-frames: every value is of a kind the page codec
 		// writes.
 		for _, row := range rows {
+			if len(row) != int(ncols) {
+				t.Fatalf("verified row has %d values, want %d", len(row), ncols)
+			}
 			if _, err := appendRow(nil, row); err != nil {
 				t.Fatalf("decoded row does not re-encode: %v", err)
 			}
@@ -233,9 +256,113 @@ func FuzzDecodePage(f *testing.F) {
 	})
 }
 
+// projectRows is the reference projection: the cols cells of each row.
+func projectRows(rows [][]value.Value, cols []int) [][]value.Value {
+	if cols == nil {
+		return rows
+	}
+	out := make([][]value.Value, len(rows))
+	for i, row := range rows {
+		out[i] = make([]value.Value, len(cols))
+		for k, c := range cols {
+			out[i][k] = row[c]
+		}
+	}
+	return out
+}
+
+// TestDiskStoreProjectedReads: for random ascending column subsets — the
+// empty one (COUNT(*)), Bool and Str columns among them — a projected Scan
+// or Fetch returns exactly the projection of the all-columns result, on
+// both backends, over ranges that straddle pages, reach into the unsealed
+// tail page and cross an oversized-row page, and for id lists in any order.
+func TestDiskStoreProjectedReads(t *testing.T) {
+	cat, _ := diskCatalog(t, BackendConfig{PageBytes: 512, CacheBytes: 2048})
+	defer cat.Close()
+	fixture := loadFixture(t, cat, 203)
+	big, err := cat.Create(Schema{Name: "big", Cols: []Column{{Name: "id", Type: TInt}, {Name: "ok", Type: TBool}, {Name: "body", Type: TBytes}, {Name: "tag", Type: TStr}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		n := 5
+		if i%9 == 4 {
+			n = 700 // alone on an oversized page
+		}
+		big.MustInsert([]value.Value{value.NewInt(int64(i)), value.NewBool(i%3 == 0), value.NewBytes(make([]byte, n)), value.NewStr(fmt.Sprint("t", i))})
+	}
+	mem := loadFixture(t, NewCatalog(), 203)
+
+	rng := rand.New(rand.NewSource(7))
+	for _, tb := range []*Table{fixture, big, mem} {
+		if ds, ok := tb.be.(*diskStore); ok {
+			oversized := false
+			for _, pm := range ds.dir {
+				oversized = oversized || pm.physLen > 512
+			}
+			if len(ds.tail) == 0 || len(ds.dir) < 5 || oversized != (tb == big) {
+				t.Fatalf("%s: fixture lost its shape: %d sealed pages, %d tail rows, oversized %v", tb.Schema.Name, len(ds.dir), len(ds.tail), oversized)
+			}
+		}
+		n, ncols := tb.NumRows(), len(tb.Schema.Cols)
+		for round := 0; round < 300; round++ {
+			cols := []int{} // round 0: no column at all
+			for c := 0; c < ncols && round > 0; c++ {
+				if rng.Intn(2) == 0 {
+					cols = append(cols, c)
+				}
+			}
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo+1)
+			if round%10 == 1 {
+				lo, hi = 0, n // everything, tail included
+			}
+			all, _, err := tb.ScanRows(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := tb.ScanCols(lo, hi, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := diffRows(got, projectRows(all, cols)); d != "" {
+				t.Fatalf("%s: scan [%d,%d) of columns %v: %s", tb.Schema.Name, lo, hi, cols, d)
+			}
+
+			ids := make([]int32, rng.Intn(30))
+			for i := range ids {
+				ids[i] = int32(rng.Intn(n))
+			}
+			if len(ids) > 0 && round%2 == 0 {
+				ids[0] = int32(n - 1) // a tail row
+			}
+			all, _, err = tb.FetchRows(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err = tb.FetchCols(ids, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := diffRows(got, projectRows(all, cols)); d != "" {
+				t.Fatalf("%s: fetch %v of columns %v: %s", tb.Schema.Name, ids, cols, d)
+			}
+		}
+		// Not a projection: out of order, repeated, past the schema.
+		for _, cols := range [][]int{{1, 0}, {2, 2}, {ncols}, {-1}} {
+			if _, _, err := tb.ScanCols(0, 1, cols); err == nil {
+				t.Errorf("%s: ScanCols accepted columns %v", tb.Schema.Name, cols)
+			}
+			if _, _, err := tb.FetchCols([]int32{0}, cols); err == nil {
+				t.Errorf("%s: FetchCols accepted columns %v", tb.Schema.Name, cols)
+			}
+		}
+	}
+}
+
 // TestDiskStoreConcurrentReaders: 8 goroutines mix random Scan ranges and
-// Fetch lists over a cache far smaller than the table while a writer keeps
-// appending, each result checked against an in-memory twin. Page loads run
+// Fetch lists, all-column and projected, over a cache far smaller than the
+// table while a writer keeps appending, each result checked against an in-memory twin. Page loads run
 // outside the store's mutex, so this is the test -race has to pass; the
 // counters must still add up exactly.
 func TestDiskStoreConcurrentReaders(t *testing.T) {
@@ -255,21 +382,22 @@ func TestDiskStoreConcurrentReaders(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g) + 1))
 			for r := 0; r < rounds; r++ {
 				n := ds.NumRows()
+				cols := [][]int{nil, {1, 4, 5}, {0}, {}}[r/2%4]
 				var got, want [][]value.Value
 				var phys int64
 				var err error
 				if r%2 == 0 {
 					lo := rng.Intn(n)
 					hi := lo + rng.Intn(min(n-lo, 200)+1)
-					got, phys, err = ds.Scan(lo, hi)
-					want, _, _ = twin.Scan(lo, hi)
+					got, phys, err = ds.Scan(lo, hi, cols)
+					want, _, _ = twin.Scan(lo, hi, cols)
 				} else {
 					ids := make([]int32, 0, 40)
 					for id := rng.Intn(100); id < n && len(ids) < cap(ids); id += 1 + rng.Intn(150) {
 						ids = append(ids, int32(id))
 					}
-					got, phys, err = ds.Fetch(ids)
-					want, _, _ = twin.Fetch(ids)
+					got, phys, err = ds.Fetch(ids, cols)
+					want, _, _ = twin.Fetch(ids, cols)
 				}
 				if err != nil {
 					t.Errorf("reader %d round %d: %v", g, r, err)
@@ -313,8 +441,9 @@ func TestDiskStoreConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestDiskStoreBatchOutlivesEviction: a batch aliases its page's buffer and
-// arena; evicting the page (and collecting) must not disturb it.
+// TestDiskStoreBatchOutlivesEviction: a batch's Bytes and Str cells alias
+// its pages' images; evicting the pages (and collecting) must not disturb
+// it.
 func TestDiskStoreBatchOutlivesEviction(t *testing.T) {
 	cat, _ := diskCatalog(t, BackendConfig{PageBytes: 512, CacheBytes: 1024})
 	defer cat.Close()
@@ -344,10 +473,11 @@ func TestDiskStoreBatchOutlivesEviction(t *testing.T) {
 }
 
 // TestDiskStoreColdScanAllocs: a cold single-page Scan allocates a small
-// constant — raw buffer, arena, row cuts, one string, the cache entry, the
-// result — whether the page holds 3 rows or 150.
+// constant — raw buffer, row offsets, one string, the cache entry and its
+// list element, the result and its arena — whether the page holds 3 rows or
+// 150, all columns or two.
 func TestDiskStoreColdScanAllocs(t *testing.T) {
-	coldScanAllocs := func(pageBytes int) (allocs float64, rowsPerPage int) {
+	coldScanAllocs := func(pageBytes int, cols []int) (allocs float64, rowsPerPage int) {
 		// A 1-byte cache admits each page alone and evicts it on the next
 		// insert, so alternating between two pages keeps every scan cold.
 		cat, _ := diskCatalog(t, BackendConfig{PageBytes: pageBytes, CacheBytes: 1})
@@ -358,20 +488,22 @@ func TestDiskStoreColdScanAllocs(t *testing.T) {
 		allocs = testing.AllocsPerRun(50, func() {
 			pm := dir[i%2]
 			i++
-			if _, phys, err := tb.ScanRows(pm.first, pm.first+pm.nrows); err != nil || phys != pm.physLen {
+			if _, phys, err := tb.ScanCols(pm.first, pm.first+pm.nrows, cols); err != nil || phys != pm.physLen {
 				t.Fatalf("scan: phys %d, err %v", phys, err)
 			}
 		})
 		return allocs, dir[0].nrows
 	}
-	few, fewRows := coldScanAllocs(256)
-	many, manyRows := coldScanAllocs(8192)
-	if manyRows < 20*fewRows {
-		t.Fatalf("fixture: %d vs %d rows per page", fewRows, manyRows)
-	}
-	if few > 8 || many > few+1 {
-		t.Errorf("cold single-page scan: %.0f allocs at %d rows/page, %.0f at %d rows/page; want a constant <= 8",
-			few, fewRows, many, manyRows)
+	for _, cols := range [][]int{nil, {0, 4}} {
+		few, fewRows := coldScanAllocs(256, cols)
+		many, manyRows := coldScanAllocs(8192, cols)
+		if manyRows < 20*fewRows {
+			t.Fatalf("fixture: %d vs %d rows per page", fewRows, manyRows)
+		}
+		if few > 8 || many > few+1 {
+			t.Errorf("cold single-page scan of columns %v: %.0f allocs at %d rows/page, %.0f at %d rows/page; want a constant <= 8",
+				cols, few, fewRows, many, manyRows)
+		}
 	}
 }
 

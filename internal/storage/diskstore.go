@@ -41,33 +41,45 @@ import (
 // or on Flush (the tail page is rewritten in place until it seals), so an
 // encryption-time bulk load writes each page roughly once.
 //
-// Reads go through an LRU block cache of decoded pages with hit/miss
+// Reads go through an LRU block cache of verified page images with hit/miss
 // counters; a cache miss is exactly one physical page read, and Scan/Fetch
 // report the bytes those misses read — the number the engine charges in
 // place of the in-memory resident-byte approximation (Paged() == true).
 //
-// A decoded page is its raw buffer plus one value arena (decodePage): the
-// rows Scan and Fetch return are cuts of the arena whose Bytes and Str
-// cells point into the page image. They are read-only (Backend.Scan's
-// contract) and stay valid after the cache evicts the page — nothing is
-// pooled or reused, the garbage collector frees a page when its last row
-// goes.
+// The read path is split in two. Loading a page (a miss) reads it, checks
+// its checksum and bounds-checks every row and value frame once
+// (verifyPage); the cache keeps that image, raw bytes and row offsets.
+// Serving rows from an image — on a hit as on a miss — decodes only what
+// the caller asked for: Scan and Fetch take the schema positions to
+// materialize and cut exactly those cells, stepping over the frames in
+// between, into one value arena per call sized rows × wanted columns
+// (appendCols; nil positions mean every column). Fetch decodes the rows it
+// was asked for, not their pages. So a hit is not free, it costs a decode
+// as narrow as the query; and a query that reads 4 of 24 columns never
+// builds the other 20.
+//
+// The rows Scan and Fetch return are read-only (Backend.Scan's contract):
+// their Bytes and Str cells point into the page image. They stay valid
+// after the cache evicts the page — images are immutable and nothing is
+// pooled or reused, the garbage collector frees a page's buffer when the
+// last cell pointing into it goes.
 //
 // mu guards the page directory, the tail page, the block cache and the
-// counters — not I/O or decoding on the read side. A read snapshots its
-// page's directory entry and probes the cache under mu, reads, checksums
-// and decodes the page unlocked (sealed pages are immutable), and re-locks
-// to insert and count it, so concurrent sessions and shard workers decode
-// in parallel. Writes (Append, Flush, Close) hold mu throughout.
+// counters — not I/O, verification or decoding on the read side. A read
+// snapshots its page's directory entry and probes the cache under mu,
+// reads and verifies the page unlocked (sealed pages are immutable),
+// re-locks to insert and count it, and decodes unlocked again, so
+// concurrent sessions and shard workers load and decode in parallel.
+// Writes (Append, Flush, Close) hold mu throughout.
 //
 // Every integrity failure — bad magic or geometry, truncated or
-// checksum-corrupt page, undecodable row, a row count short of the
-// metadata — returns a *SegmentError wrapping ErrCorruptSegment; a read
+// checksum-corrupt page, undecodable row, a row of the wrong arity, a row
+// count short of the metadata — returns a *SegmentError wrapping ErrCorruptSegment; a read
 // that needs the file after Close returns ErrClosed.
 type diskStore struct {
 	path     string
 	pageSize int
-	ncols    int // Schema.Cols, the decoder's arena sizing
+	ncols    int // Schema.Cols: every stored row's arity
 
 	mu       sync.Mutex
 	f        *os.File        // nil once closed
@@ -394,37 +406,52 @@ func (ds *diskStore) pageAt(id int) int {
 	})
 }
 
-// sealedPage returns the decoded rows of the sealed page holding row id and
-// that page's directory entry, via the block cache; the last result before
-// the error is the physical bytes this call read (the page's size on a
-// miss, 0 on a hit). The load between the two locked sections runs
+// pageImage is a sealed page as the block cache holds it: the payload of the
+// page's raw buffer, verified once at load (verifyPage) and immutable from
+// then on, plus where each row starts. Nothing is decoded ahead of a read:
+// Scan and Fetch cut the cells a query wants out of the image on every
+// call, hit or miss (appendCols).
+//
+// dec is shared by every reader of the image. That is safe because
+// verification walked every frame with it: a page with Str cells already
+// has its string copy, and the decoder writes nothing further.
+type pageImage struct {
+	payload []byte       // the checksummed row frames
+	dec     wire.Decoder // over payload
+	rows    []uint32     // payload offset of each row frame (its length prefix)
+}
+
+// sealedPage returns the verified image of the sealed page holding row id
+// and that page's directory entry, via the block cache; the last result
+// before the error is the physical bytes this call read (the page's size on
+// a miss, 0 on a hit). The load between the two locked sections runs
 // unlocked (see diskStore): two callers that miss on the same page each
 // read it — both are real reads and both are counted.
-func (ds *diskStore) sealedPage(id int) ([][]value.Value, pageMeta, int64, error) {
+func (ds *diskStore) sealedPage(id int) (pageImage, pageMeta, int64, error) {
 	ds.mu.Lock()
 	pi := ds.pageAt(id)
 	pm := ds.dir[pi]
-	rows := ds.cache.get(pi)
+	img, ok := ds.cache.get(pi)
 	f := ds.f // Close nils the field; the load must not read it unlocked
 	ds.mu.Unlock()
-	if rows != nil {
-		return rows, pm, 0, nil
+	if ok {
+		return img, pm, 0, nil
 	}
-	rows, err := loadPage(f, ds.path, pm, ds.ncols)
+	img, err := loadPage(f, ds.path, pm, ds.ncols)
 	if err != nil {
-		return nil, pm, 0, err
+		return pageImage{}, pm, 0, err
 	}
 	ds.mu.Lock()
-	ds.cache.put(pi, rows, pm.physLen)
+	ds.cache.put(pi, img, pm.physLen)
 	ds.io.PageReads++
 	ds.io.BytesRead += pm.physLen
 	ds.mu.Unlock()
-	return rows, pm, pm.physLen, nil
+	return img, pm, pm.physLen, nil
 }
 
-// loadPage reads the page image pm locates and decodes it. It touches no
+// loadPage reads the page image pm locates and verifies it. It touches no
 // diskStore state, so callers run it without ds.mu.
-func loadPage(f *os.File, path string, pm pageMeta, ncols int) ([][]value.Value, error) {
+func loadPage(f *os.File, path string, pm pageMeta, ncols int) (pageImage, error) {
 	raw := make([]byte, pm.physLen)
 	err := os.ErrClosed // also what ReadAt reports when Close wins the race with it
 	if f != nil {
@@ -432,89 +459,150 @@ func loadPage(f *os.File, path string, pm pageMeta, ncols int) ([][]value.Value,
 	}
 	switch {
 	case errors.Is(err, os.ErrClosed):
-		return nil, fmt.Errorf("storage: segment %s: %w", path, ErrClosed)
+		return pageImage{}, fmt.Errorf("storage: segment %s: %w", path, ErrClosed)
 	case err != nil:
-		return nil, corruptf(path, pm.off, "unreadable page: %v", err)
+		return pageImage{}, corruptf(path, pm.off, "unreadable page: %v", err)
 	}
-	return decodePage(raw, path, pm, ncols)
+	return verifyPage(raw, path, pm, ncols)
 }
 
-// decodePage verifies a page image against its directory entry and checksum
-// and decodes its rows in a constant number of allocations: the rows are
-// full-slice cuts of one value arena sized nrows × ncols (a row that has
-// more values than the schema promises makes append regrow the arena; rows
-// cut earlier keep the old one), Bytes cells are sub-slices of raw and Str
-// cells sub-slices of one string copy of the payload. The rows therefore
-// alias raw for as long as any of them is reachable — raw must never be
-// written again, and the rows are read-only (Backend.Scan's contract).
-func decodePage(raw []byte, path string, pm pageMeta, ncols int) ([][]value.Value, error) {
+// verifyPage checks a raw page against its directory entry and checksum,
+// then walks every row frame and every value frame in it once: each must
+// lie inside its parent and each row must hold ncols values. What it
+// returns can therefore be cut by position without further checks failing.
+// The image aliases raw, which must never be written again.
+func verifyPage(raw []byte, path string, pm pageMeta, ncols int) (pageImage, error) {
 	if len(raw) < pageHeaderLen {
-		return nil, corruptf(path, pm.off, "truncated page header")
+		return pageImage{}, corruptf(path, pm.off, "truncated page header")
 	}
 	nrows := int(binary.BigEndian.Uint32(raw[0:4]))
 	used := int(binary.BigEndian.Uint32(raw[4:8]))
 	sum := binary.BigEndian.Uint32(raw[8:12])
 	if nrows != pm.nrows || pageHeaderLen+used > len(raw) {
-		return nil, corruptf(path, pm.off, "page header changed shape (%d rows, %d bytes)", nrows, used)
+		return pageImage{}, corruptf(path, pm.off, "page header changed shape (%d rows, %d bytes)", nrows, used)
 	}
-	payload := raw[pageHeaderLen : pageHeaderLen+used]
+	payload := raw[pageHeaderLen : pageHeaderLen+used : pageHeaderLen+used]
 	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, corruptf(path, pm.off, "page checksum mismatch")
+		return pageImage{}, corruptf(path, pm.off, "page checksum mismatch")
 	}
-	// A row frame is at least its 4-byte length and a value at least one
-	// byte, so the payload size bounds both allocations whatever the header
-	// claims.
-	rows := make([][]value.Value, 0, min(nrows, used/4))
-	arena := make([]value.Value, 0, min(nrows*ncols, used))
-	dec := wire.NewDecoder(payload)
+	// A row frame is at least its 4-byte length, so the payload size bounds
+	// the allocation whatever the header claims.
+	img := pageImage{payload: payload, dec: wire.NewDecoder(payload), rows: make([]uint32, 0, min(nrows, used/4))}
 	pos := 0
 	for r := 0; r < nrows; r++ {
-		start := len(arena)
-		end, err := decodeRow(&dec, payload, pos, &arena)
+		end, err := img.verifyRow(pos, ncols)
 		if err != nil {
-			return nil, corruptf(path, pm.off+int64(pageHeaderLen+pos), "row %d: %v", pm.first+r, err)
+			return pageImage{}, corruptf(path, pm.off+int64(pageHeaderLen+pos), "row %d: %v", pm.first+r, err)
 		}
-		rows = append(rows, arena[start:len(arena):len(arena)])
+		img.rows = append(img.rows, uint32(pos))
 		pos = end
 	}
 	if pos != used {
-		return nil, corruptf(path, pm.off, "page has %d trailing payload bytes", used-pos)
+		return pageImage{}, corruptf(path, pm.off, "page has %d trailing payload bytes", used-pos)
 	}
-	return rows, nil
+	return img, nil
 }
 
-// decodeRow appends the values of the row frame at payload[pos:] to arena
-// and returns the position after the frame.
-func decodeRow(dec *wire.Decoder, payload []byte, pos int, arena *[]value.Value) (int, error) {
-	if pos+4 > len(payload) {
+// verifyRow bounds-checks the row frame at payload[pos:] and every value
+// frame in it, and returns the position after the row.
+func (img *pageImage) verifyRow(pos, ncols int) (int, error) {
+	if pos+4 > len(img.payload) {
 		return 0, fmt.Errorf("truncated row length")
 	}
-	n := int(binary.BigEndian.Uint32(payload[pos : pos+4]))
+	n := int(binary.BigEndian.Uint32(img.payload[pos : pos+4]))
 	pos += 4
-	if pos+n > len(payload) {
+	if pos+n > len(img.payload) {
 		return 0, fmt.Errorf("row frame (%d bytes) past end of page", n)
 	}
 	end := pos + n
-	for pos < end {
-		if payload[pos] == pageTagBool {
-			if pos+2 > end {
-				return 0, fmt.Errorf("truncated bool")
-			}
-			*arena = append(*arena, value.NewBool(payload[pos+1] != 0))
-			pos += 2
-			continue
-		}
-		v, used, err := dec.Value(pos, end)
+	nvals := 0
+	for ; pos < end; nvals++ {
+		used, err := img.skip(pos, end)
 		if err != nil {
 			return 0, err
 		}
-		*arena = append(*arena, v)
 		pos += used
+	}
+	if nvals != ncols {
+		return 0, fmt.Errorf("%d values, schema has %d columns", nvals, ncols)
 	}
 	return end, nil
 }
 
-func (ds *diskStore) Scan(lo, hi int) ([][]value.Value, int64, error) {
+// skip validates the frame at payload[pos:end) — the page codec's Bool tag
+// or a wire frame — and returns its length.
+func (img *pageImage) skip(pos, end int) (int, error) {
+	if img.payload[pos] == pageTagBool {
+		if pos+2 > end {
+			return 0, fmt.Errorf("truncated bool")
+		}
+		return 2, nil
+	}
+	return img.dec.Skip(pos, end)
+}
+
+// value decodes the frame skip validated at payload[pos:end). Bytes and Str
+// cells are sub-slices of the image, never copies.
+func (img *pageImage) value(pos, end int) (value.Value, int, error) {
+	if img.payload[pos] == pageTagBool {
+		return value.NewBool(img.payload[pos+1] != 0), 2, nil
+	}
+	return img.dec.Value(pos, end)
+}
+
+// appendCols appends to arena the cells of the image's row r at the
+// ascending schema positions cols (nil: every cell), stepping over the
+// frames in between and stopping at the last one wanted.
+func (img *pageImage) appendCols(arena []value.Value, r int, cols []int) ([]value.Value, error) {
+	pos := int(img.rows[r])
+	end := pos + 4 + int(binary.BigEndian.Uint32(img.payload[pos:pos+4]))
+	pos += 4
+	for col, k := 0, 0; pos < end && (cols == nil || k < len(cols)); col++ {
+		if cols != nil && cols[k] != col {
+			used, err := img.skip(pos, end)
+			if err != nil {
+				return nil, err
+			}
+			pos += used
+			continue
+		}
+		v, used, err := img.value(pos, end)
+		if err != nil {
+			return nil, err
+		}
+		arena = append(arena, v)
+		pos += used
+		k++
+	}
+	return arena, nil
+}
+
+// addSealed appends to b the cols cells of sealed rows [id, end), all on the
+// page holding id, and returns the physical bytes read.
+func (ds *diskStore) addSealed(b *rowBatch, id, end int, cols []int) (int64, error) {
+	img, pm, phys, err := ds.sealedPage(id)
+	if err != nil {
+		return 0, err
+	}
+	for ; id < end && id < pm.first+pm.nrows; id++ {
+		start := len(b.arena)
+		if b.arena, err = img.appendCols(b.arena, id-pm.first, cols); err != nil {
+			return 0, corruptf(ds.path, pm.off, "row %d: %v", id, err)
+		}
+		b.cut(start)
+	}
+	return phys, nil
+}
+
+// width is the number of cells a row projected onto cols has.
+func (ds *diskStore) width(cols []int) int {
+	if cols == nil {
+		return ds.ncols
+	}
+	return len(cols)
+}
+
+func (ds *diskStore) Scan(lo, hi int, cols []int) ([][]value.Value, int64, error) {
 	// One snapshot of the sealed/tail boundary and of the tail rows: pages
 	// sealed while the loop below runs unlocked only move rows this call
 	// already holds.
@@ -531,44 +619,43 @@ func (ds *diskStore) Scan(lo, hi int) ([][]value.Value, int64, error) {
 	}
 	ds.mu.Unlock()
 
-	out := make([][]value.Value, 0, hi-lo)
+	b := newRowBatch(hi-lo, ds.width(cols))
 	var phys int64
-	for id := lo; id < hi && id < nflushed; {
-		rows, pm, p, err := ds.sealedPage(id)
+	for id, end := lo, min(hi, nflushed); id < end; id = lo + len(b.rows) { // a page per turn
+		p, err := ds.addSealed(&b, id, end, cols)
 		if err != nil {
 			return nil, 0, err
 		}
 		phys += p
-		end := min(pm.first+pm.nrows, hi)
-		out = append(out, rows[id-pm.first:end-pm.first]...)
-		id = end
 	}
-	return append(out, tail...), phys, nil
+	for _, row := range tail {
+		b.add(row, cols)
+	}
+	return b.rows, phys, nil
 }
 
-func (ds *diskStore) Fetch(ids []int32) ([][]value.Value, int64, error) {
+func (ds *diskStore) Fetch(ids []int32, cols []int) ([][]value.Value, int64, error) {
 	ds.mu.Lock()
 	nflushed := ds.nflushed
 	tail := ds.tail
 	ds.mu.Unlock()
 	n := nflushed + len(tail)
-	out := make([][]value.Value, len(ids))
+	b := newRowBatch(len(ids), ds.width(cols))
 	var phys int64
-	for i, id32 := range ids {
+	for _, id32 := range ids {
 		id := int(id32)
 		if id < 0 || id >= n {
 			return nil, 0, fmt.Errorf("storage: fetch id %d out of range (%d rows)", id, n)
 		}
 		if id >= nflushed {
-			out[i] = tail[id-nflushed]
+			b.add(tail[id-nflushed], cols)
 			continue
 		}
-		rows, pm, p, err := ds.sealedPage(id)
+		p, err := ds.addSealed(&b, id, id+1, cols)
 		if err != nil {
 			return nil, 0, err
 		}
 		phys += p
-		out[i] = rows[id-pm.first]
 	}
-	return out, phys, nil
+	return b.rows, phys, nil
 }

@@ -416,21 +416,30 @@ func benchDiskTable(b *testing.B) *Table {
 }
 
 // BenchmarkDiskScanThrash: whole-table scans through a thrashing cache —
-// per-op cost is 164 page reads, checksums and decodes.
+// per-op cost is 164 page reads, checksums and frame walks, plus decoding
+// every column (all) or two of the fixture's seven (projected: id, blob).
 func BenchmarkDiskScanThrash(b *testing.B) {
 	tb := benchDiskTable(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, phys, err := tb.ScanRows(0, tb.NumRows())
-		if err != nil || len(rows) != tb.NumRows() || phys == 0 {
-			b.Fatalf("%d rows, %d bytes, err %v", len(rows), phys, err)
-		}
+	for _, c := range []struct {
+		name string
+		cols []int
+	}{{"all", nil}, {"projected", []int{0, 4}}} {
+		cols := c.cols
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, phys, err := tb.ScanCols(0, tb.NumRows(), cols)
+				if err != nil || len(rows) != tb.NumRows() || phys == 0 {
+					b.Fatalf("%d rows, %d bytes, err %v", len(rows), phys, err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkDiskFetchCold: 256 ids spread over the whole table, the access
-// path's shape at its worst — every page is read and decoded for 1.6 rows of it.
+// path's shape at its worst — every page is read and verified for 1.6 rows
+// of it, and only those rows are decoded.
 func BenchmarkDiskFetchCold(b *testing.B) {
 	tb := benchDiskTable(b)
 	ids := make([]int32, 256)

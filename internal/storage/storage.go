@@ -190,7 +190,7 @@ func OpenTable(path string, cfg BackendConfig) (*Table, error) {
 		if hi > nrows {
 			hi = nrows
 		}
-		rows, _, err := ds.Scan(lo, hi)
+		rows, _, err := ds.Scan(lo, hi, nil)
 		if err != nil {
 			ds.Close()
 			return nil, err
@@ -283,19 +283,52 @@ func (t *Table) keyVals(row []value.Value) []value.Value {
 // physical bytes the backend read to serve them (0 for in-memory tables).
 // The batch may alias backend memory and must be treated as read-only.
 func (t *Table) ScanRows(lo, hi int) ([][]value.Value, int64, error) {
-	return t.be.Scan(lo, hi)
+	return t.be.Scan(lo, hi, nil)
 }
 
-// FetchRows returns the rows named by an ascending id list, plus the
+// FetchRows returns the rows named by an id list, in list order, plus the
 // physical bytes read (the access path's row-source shape).
 func (t *Table) FetchRows(ids []int32) ([][]value.Value, int64, error) {
-	return t.be.Fetch(ids)
+	return t.be.Fetch(ids, nil)
+}
+
+// ScanCols is ScanRows projected: every returned row holds the cells at the
+// schema positions cols, which must ascend (nil: every column, ScanRows). A
+// paged backend decodes only those cells; an in-memory one copies them, so
+// callers that want whole rows of an in-memory table pass nil.
+func (t *Table) ScanCols(lo, hi int, cols []int) ([][]value.Value, int64, error) {
+	if err := t.checkCols(cols); err != nil {
+		return nil, 0, err
+	}
+	return t.be.Scan(lo, hi, cols)
+}
+
+// FetchCols is FetchRows projected as ScanCols is.
+func (t *Table) FetchCols(ids []int32, cols []int) ([][]value.Value, int64, error) {
+	if err := t.checkCols(cols); err != nil {
+		return nil, 0, err
+	}
+	return t.be.Fetch(ids, cols)
+}
+
+// checkCols rejects a projection that is not a strictly ascending list of
+// schema positions — the order the backends' one forward walk relies on.
+func (t *Table) checkCols(cols []int) error {
+	prev := -1
+	for _, c := range cols {
+		if c <= prev || c >= len(t.Schema.Cols) {
+			return fmt.Errorf("storage: table %s: projection %v is not ascending positions below %d",
+				t.Schema.Name, cols, len(t.Schema.Cols))
+		}
+		prev = c
+	}
+	return nil
 }
 
 // Row returns one row by id, panicking on out-of-range ids; for tests and
 // fixtures (queries go through ScanRows/FetchRows and get byte accounting).
 func (t *Table) Row(id int) []value.Value {
-	rows, _, err := t.be.Fetch([]int32{int32(id)})
+	rows, _, err := t.be.Fetch([]int32{int32(id)}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -338,8 +371,8 @@ func (t *Table) segmentMeta() *SegmentMeta {
 }
 
 // EnsureIndex builds (or returns) the index of the given kind over the
-// named column, backfilling existing rows with chunked backend scans.
-// Later Inserts maintain it.
+// named column, backfilling existing rows with chunked backend scans of
+// that one column. Later Inserts maintain it.
 func (t *Table) EnsureIndex(col string, kind IndexKind) (*Index, error) {
 	ci := t.Schema.ColIndex(col)
 	if ci < 0 {
@@ -355,12 +388,12 @@ func (t *Table) EnsureIndex(col string, kind IndexKind) (*Index, error) {
 		if hi > t.nrows {
 			hi = t.nrows
 		}
-		rows, _, err := t.be.Scan(lo, hi)
+		rows, _, err := t.be.Scan(lo, hi, []int{ci})
 		if err != nil {
 			return nil, err
 		}
 		for k, row := range rows {
-			ix.add(row[ci], int32(lo+k))
+			ix.add(row[0], int32(lo+k))
 		}
 	}
 	if t.indexes == nil {

@@ -124,6 +124,10 @@ func DecodeValue(b []byte) (value.Value, int, error) {
 // string(buf) made when the first Str frame is met. The values alias the
 // buffer for as long as they live — the caller must never write to it again
 // and must treat the values as read-only.
+//
+// The string copy is the decoder's only mutable state: once every frame of
+// the buffer has been through Value or Skip, neither method writes to the
+// Decoder again and concurrent readers may share it.
 type Decoder struct {
 	buf []byte
 	str string
@@ -148,6 +152,17 @@ func (d *Decoder) Value(pos, end int) (value.Value, int, error) {
 		return value.NewBytes(d.buf[pos+5 : pos+n : pos+n]), n, nil
 	}
 	return scalar(tag, x), n, nil
+}
+
+// Skip validates the frame at buf[pos:end] exactly as Value does and returns
+// its length without building the value — how a reader steps over a frame
+// it does not want.
+func (d *Decoder) Skip(pos, end int) (int, error) {
+	tag, _, n, err := parseFrame(d.buf[pos:end])
+	if tag == tagStr && d.str == "" {
+		d.str = string(d.buf)
+	}
+	return n, err
 }
 
 // DecodeAll decodes a concatenation of framed values. The values alias b

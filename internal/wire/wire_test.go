@@ -136,3 +136,45 @@ func TestDecodeAllAllocs(t *testing.T) {
 		t.Errorf("DecodeAll of 4000 values: %.0f allocations, want 2", n)
 	}
 }
+
+// TestDecoderSkipMirrorsValue: Skip accepts and rejects exactly the frames
+// Value does, with the same lengths and errors, and a buffer walked once by
+// Skip alone decodes its strings afterwards without another allocation —
+// the string copy was made on the way.
+func TestDecoderSkipMirrorsValue(t *testing.T) {
+	var buf []byte
+	for _, v := range []value.Value{value.NewNull(), value.NewInt(-4), value.NewStr("hello"), value.NewDate(19950101),
+		value.NewFloat(2.5), value.NewBytes([]byte("abc")), value.NewStr("")} {
+		buf, _ = AppendValue(buf, v)
+	}
+	buf = append(buf, 99) // unknown tag
+	for end := 0; end <= len(buf); end++ {
+		skip, val := NewDecoder(buf), NewDecoder(buf)
+		for pos := 0; pos < end; {
+			n, serr := skip.Skip(pos, end)
+			_, m, verr := val.Value(pos, end)
+			if (serr == nil) != (verr == nil) || (serr != nil && serr.Error() != verr.Error()) || n != m {
+				t.Fatalf("frame at %d of buf[:%d]: Skip says (%d, %v), Value says (%d, %v)", pos, end, n, serr, m, verr)
+			}
+			if serr != nil {
+				break
+			}
+			pos += n
+		}
+	}
+	d := NewDecoder(buf)
+	for pos := 0; pos < len(buf)-1; {
+		n, err := d.Skip(pos, len(buf)-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos += n
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if v, _, err := d.Value(10, len(buf)); err != nil || v.S != "hello" {
+			t.Fatalf("%v, err %v", v, err)
+		}
+	}); n != 0 {
+		t.Errorf("Value on a Str frame after a full Skip walk: %.0f allocations, want 0", n)
+	}
+}

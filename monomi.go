@@ -282,8 +282,11 @@ type Options struct {
 	// PageBytes is the disk backend's segment page size
 	// (0 = storage.DefaultPageBytes).
 	PageBytes int
-	// BlockCacheBytes is the disk backend's block-cache capacity
-	// (0 = storage.DefaultCacheBytes).
+	// BlockCacheBytes is the disk backend's block-cache capacity, per table
+	// (0 = storage.DefaultCacheBytes). The cache holds verified page images
+	// — raw bytes, not decoded rows — so this is the bytes it keeps
+	// resident; rows are decoded from an image on every read, only the
+	// columns the query names.
 	BlockCacheBytes int64
 }
 
