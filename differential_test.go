@@ -422,6 +422,14 @@ func TestDifferentialIndexInvariance(t *testing.T) {
 	sys := diffSystem(t)
 	queries := genQueries(rand.New(rand.NewSource(diffSeed+4)), 12)
 	queries = append(queries, genJoinQueries(rand.New(rand.NewSource(diffSeed+5)), 5)...)
+	// Single-table blocks whose WHERE holds a sargable conjunct and a
+	// subquery: planned at open like any block, so they reach the index
+	// access paths (hash probe, ordered range) they used to be kept from.
+	queries = append(queries,
+		diffQuery{"SELECT s_id, s_price FROM sales WHERE s_cat = 'bock' AND s_qty = (SELECT MAX(s_qty) FROM sales) ORDER BY s_id", true},
+		diffQuery{"SELECT s_id, s_qty FROM sales WHERE s_price BETWEEN 100 AND 180 AND s_cat IN (SELECT c_name FROM cats WHERE c_tier < 3) ORDER BY s_id", true},
+		diffQuery{"SELECT s_id FROM sales WHERE s_cat = 'ale' AND s_qty < 5 AND EXISTS (SELECT 1 FROM cats WHERE c_name = s_cat AND c_tier < s_qty) ORDER BY s_id", true},
+	)
 	sys.SetIndexes(false)
 	sys.SetParallelism(1)
 	sys.SetBatchSize(0)

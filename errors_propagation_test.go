@@ -7,6 +7,7 @@ package monomi
 // a single %v anywhere in the chain would silently break these matches.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -100,6 +101,74 @@ func TestCorruptSegmentSurvivesClientStack(t *testing.T) {
 	var se *storage.SegmentError
 	if !errors.As(err, &se) {
 		t.Fatalf("top-level error lost the *SegmentError detail: %v", err)
+	}
+}
+
+// TestCorruptSegmentUnderSubquerySurvivesClientStack corrupts the table a
+// decorrelatable EXISTS drains — the subquery reaches the server whole, as
+// RemoteSQL — and checks the failure of that drain is the statement's
+// error, errors.Is-matchable as storage.ErrCorruptSegment at the top of the
+// client stack and naming the inner table's segment. The engine used to
+// read any failed drain as "not decorrelatable" and re-run the subquery
+// naively for every outer row. A failed statement reports no engine.Stats,
+// so SubqueryRuns ≤ 1 is pinned where it can be read (internal/engine,
+// TestSubqueryDecorrelateErrorIsTheStatements); here the bound is physical:
+// one failed statement reads at most one pass over the corrupted segment.
+func TestCorruptSegmentUnderSubquerySurvivesClientStack(t *testing.T) {
+	db := NewDatabase()
+	db.MustCreateTable("orders", Col("o_id", Int), Col("o_cust", String), Col("o_total", Int))
+	for i := 0; i < 300; i++ {
+		db.MustInsert("orders", i, fmt.Sprintf("cust-%d", i%7), 10+i%90)
+	}
+	db.MustCreateTable("cust", Col("c_name", String), Col("c_tier", Int))
+	for i := 0; i < 9; i++ {
+		db.MustInsert("cust", fmt.Sprintf("cust-%d", i), i)
+	}
+	opts := DefaultOptions()
+	opts.PaillierBits = 256
+	opts.Backend = "disk"
+	opts.DataDir = t.TempDir()
+	opts.PageBytes = 512
+	opts.BlockCacheBytes = 1024
+	const sql = "SELECT c_name FROM cust WHERE EXISTS (SELECT 1 FROM orders WHERE o_cust = c_name AND o_total > 95) ORDER BY c_name"
+	sys, err := Encrypt(db, Workload{"exists": sql}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	res, err := sys.Query(sql)
+	if err != nil {
+		t.Fatalf("pre-corruption query: %v", err)
+	}
+	if len(res.Data) != 6 || !strings.Contains(res.PlanText, "EXISTS (SELECT") {
+		t.Fatalf("fixture drifted: %d rows, plan:\n%s", len(res.Data), res.PlanText)
+	}
+
+	seg := filepath.Join(opts.DataDir, "orders.seg")
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(seg, os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, 64), fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	before := sys.Stats().PageReads
+	_, err = sys.Query(sql)
+	if !errors.Is(err, storage.ErrCorruptSegment) {
+		t.Fatalf("query over a corrupted inner table: %v, want an error wrapping storage.ErrCorruptSegment", err)
+	}
+	var se *storage.SegmentError
+	if !errors.As(err, &se) || filepath.Base(se.Path) != "orders.seg" {
+		t.Fatalf("error does not name the inner table's segment: %v", err)
+	}
+	if reads, pass := sys.Stats().PageReads-before, fi.Size()/int64(opts.PageBytes); reads > pass {
+		t.Errorf("failed statement read %d pages; one pass over orders.seg is %d", reads, pass)
 	}
 }
 

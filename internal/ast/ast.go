@@ -235,27 +235,7 @@ type Query struct {
 	GroupBy     []Expr
 	Having      Expr
 	OrderBy     []OrderItem
-	Limit       int         // -1 when absent
-	Hint        *AccessHint // planner access-path annotation; nil = engine decides
-}
-
-// Access-path hint values.
-const (
-	// AccessScan tells the engine to skip index resolution for this block.
-	AccessScan = "scan"
-	// AccessIndex records that the planner expects an index to pay off; the
-	// engine still applies its own cost rule with exact cardinalities.
-	AccessIndex = "index"
-)
-
-// AccessHint is the planner's advisory index-vs-scan annotation. It rides
-// the AST only — SQL rendering ignores it, so a hint never crosses the wire
-// (a remote server re-derives its own access path from exact index
-// cardinalities) — and it can never change results, only which physical
-// path produces them.
-type AccessHint struct {
-	Path   string // AccessScan or AccessIndex
-	Column string // the column whose index the planner costed (informational)
+	Limit       int // -1 when absent
 }
 
 // NewQuery returns an empty query with Limit unset.
@@ -269,10 +249,6 @@ func (q *Query) Clone() *Query {
 	c := &Query{
 		Distinct: q.Distinct,
 		Limit:    q.Limit,
-	}
-	if q.Hint != nil {
-		h := *q.Hint
-		c.Hint = &h
 	}
 	for _, p := range q.Projections {
 		c.Projections = append(c.Projections, SelectItem{Expr: cloneExpr(p.Expr), Alias: p.Alias})

@@ -55,32 +55,43 @@ func Walk(e Expr, fn func(Expr)) {
 	VisitChildren(e, func(c Expr) { Walk(c, fn) })
 }
 
+// EachExpr calls fn on the root expression of every clause of this block —
+// SELECT list, WHERE, GROUP BY, HAVING, ORDER BY, in that order — and of no
+// other block: FROM's derived tables and the subqueries the clauses name are
+// their own blocks.
+func (q *Query) EachExpr(fn func(Expr)) {
+	for _, p := range q.Projections {
+		fn(p.Expr)
+	}
+	if q.Where != nil {
+		fn(q.Where)
+	}
+	for _, g := range q.GroupBy {
+		fn(g)
+	}
+	if q.Having != nil {
+		fn(q.Having)
+	}
+	for _, o := range q.OrderBy {
+		fn(o.Expr)
+	}
+}
+
 // WalkStatement applies fn to every expression node of the whole statement
 // q: each clause of q and, unlike Walk, of every subquery and derived table
 // nested in it at any depth.
 func WalkStatement(q *Query, fn func(Expr)) {
-	walk := func(e Expr) {
-		Walk(e, fn)
-		for _, sub := range Subqueries(e) {
-			WalkStatement(sub, fn)
-		}
-	}
 	for i := range q.From {
 		if sub := q.From[i].Sub; sub != nil {
 			WalkStatement(sub, fn)
 		}
 	}
-	for _, p := range q.Projections {
-		walk(p.Expr)
-	}
-	walk(q.Where)
-	for _, g := range q.GroupBy {
-		walk(g)
-	}
-	walk(q.Having)
-	for _, o := range q.OrderBy {
-		walk(o.Expr)
-	}
+	q.EachExpr(func(e Expr) {
+		Walk(e, fn)
+		for _, sub := range Subqueries(e) {
+			WalkStatement(sub, fn)
+		}
+	})
 }
 
 // Subqueries returns all subqueries directly referenced by e (IN, EXISTS,

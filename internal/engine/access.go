@@ -24,12 +24,7 @@ import (
 //
 // Selection is cost-based with exact cardinalities: the index knows the
 // true posting/range size k before any row is read, and the scan reads n
-// rows, so the index wins iff k*indexRowCost < n. The planner's
-// AccessHint is advisory — "scan" suppresses index resolution (it encodes
-// a planner decision that the stats said the index cannot pay off), while
-// "index" still passes through this cost rule, so a stale hint from a
-// cached plan can never change results or regress below the scan path by
-// more than the probe cost.
+// rows, so the index wins iff k*indexRowCost < n.
 
 // indexRowCost is the charged cost ratio of an index row fetch to a
 // sequential scan row: index access is random, so the crossover sits at
@@ -52,21 +47,19 @@ func (c *execCtx) accessPath(q *ast.Query, p *pipeline, refName string) {
 	var ids []int32
 	var lookups int64
 	found := false
-	if q.Hint == nil || q.Hint.Path != ast.AccessScan {
-		for _, e := range ast.Conjuncts(q.Where) {
-			cids, clk, ok := c.sargIDs(t, refName, e)
-			if !ok {
-				continue
-			}
-			lookups += clk
-			if !found {
-				ids, found = cids, true
-			} else {
-				ids = intersectIDs(ids, cids)
-			}
-			if len(ids) == 0 {
-				break // the AND can match nothing; later conjuncts can't grow it
-			}
+	for _, e := range ast.Conjuncts(q.Where) {
+		cids, clk, ok := c.sargIDs(t, refName, e)
+		if !ok {
+			continue
+		}
+		lookups += clk
+		if !found {
+			ids, found = cids, true
+		} else {
+			ids = intersectIDs(ids, cids)
+		}
+		if len(ids) == 0 {
+			break // the AND can match nothing; later conjuncts can't grow it
 		}
 	}
 	if found && len(ids)*indexRowCost < n {
@@ -366,5 +359,5 @@ func (c *execCtx) indexedBuild(right *relation, rightKeys []ast.Expr) *joinBuild
 	// The build side was already scan-charged when it was drained; the
 	// saving here is the skipped map construction, recorded as one lookup.
 	c.chargeIndex(1, 0)
-	return &joinBuild{cols: right.cols, rows: right.rows, ix: ix}
+	return &joinBuild{layout: &relation{cols: right.cols}, rows: right.rows, ix: ix}
 }

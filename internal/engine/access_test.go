@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ast"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -235,32 +234,27 @@ func TestIndexCharging(t *testing.T) {
 	}
 }
 
-// TestAccessHintScan checks the planner's negative hint: AccessScan
-// suppresses index resolution even for a selective probe. An AccessIndex
-// hint stays advisory — the engine still takes the index only when its own
-// cost rule agrees.
-func TestAccessHintScan(t *testing.T) {
+// TestAccessPathBesideSubquery: a single-table block whose WHERE holds a
+// sargable conjunct and a subquery is an ordinary block — the conjunct
+// restricts the scan through its index, the subquery filters what is
+// fetched — and returns what the full scan returns.
+func TestAccessPathBesideSubquery(t *testing.T) {
 	e := accessFixture(t)
-	e.UseIndexes = true
-	q, err := sqlparser.Parse(`SELECT e_id FROM ev WHERE e_cat = 'ale'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Hint = &ast.AccessHint{Path: ast.AccessScan}
-	res, err := e.Execute(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.IndexLookups != 0 || res.Stats.RowsScanned != 600 {
-		t.Errorf("AccessScan hint did not suppress the index: %+v", res.Stats)
-	}
-	q.Hint = &ast.AccessHint{Path: ast.AccessIndex, Column: "e_cat"}
-	res, err = e.Execute(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.IndexLookups != 1 {
-		t.Errorf("AccessIndex hint: %+v", res.Stats)
+	for _, sql := range []string{
+		`SELECT e_id FROM ev WHERE e_cat = 'ale' AND e_val > (SELECT AVG(e_val) FROM ev)`,
+		`SELECT e_id FROM ev WHERE e_cat = 'bock' AND EXISTS (SELECT 1 FROM dim WHERE d_cat = e_cat AND d_w < e_opt)`,
+		`SELECT e_id, (SELECT MAX(d_w) FROM dim WHERE d_cat = e_cat) FROM ev WHERE e_val BETWEEN 100 AND 150`,
+	} {
+		e.UseIndexes = false
+		want := run(t, e, sql, nil)
+		e.UseIndexes = true
+		got := run(t, e, sql, nil)
+		if renderAccess(got) != renderAccess(want) {
+			t.Errorf("%s diverges with indexes on:\n%s\nvs\n%s", sql, renderAccess(got), renderAccess(want))
+		}
+		if got.Stats.RowsSkippedByIndex == 0 || got.Stats.RowsScanned >= want.Stats.RowsScanned {
+			t.Errorf("%s did not take the index: %+v", sql, got.Stats)
+		}
 	}
 }
 

@@ -16,12 +16,13 @@ type aggSpec struct {
 	udf *ast.FuncCall // aggregate UDF call; nil for builtins
 }
 
-// collectAggSpecs finds every distinct aggregate mentioned in the
-// projections, HAVING, and ORDER BY of a grouped query.
+// collectAggSpecs finds every distinct aggregate the clauses of a grouped
+// query mention (its projections, HAVING and ORDER BY, where aggregates can
+// legally appear).
 func (c *execCtx) collectAggSpecs(q *ast.Query) []aggSpec {
 	seen := make(map[string]bool)
 	var specs []aggSpec
-	visit := func(e ast.Expr) {
+	q.EachExpr(func(e ast.Expr) {
 		ast.Walk(e, func(x ast.Expr) {
 			switch n := x.(type) {
 			case *ast.AggExpr:
@@ -40,16 +41,7 @@ func (c *execCtx) collectAggSpecs(q *ast.Query) []aggSpec {
 				}
 			}
 		})
-	}
-	for _, p := range q.Projections {
-		visit(p.Expr)
-	}
-	if q.Having != nil {
-		visit(q.Having)
-	}
-	for _, o := range q.OrderBy {
-		visit(o.Expr)
-	}
+	})
 	return specs
 }
 
@@ -423,7 +415,6 @@ type groupEmitter struct {
 	c       *execCtx
 	q       *ast.Query
 	p       *pipeline
-	chain   func(sc *execCtx, lo, hi int) batchIterator // the block's rows over a source range
 	shards  int
 	order   []ast.OrderItem
 	aliases map[string]ast.Expr
@@ -439,7 +430,7 @@ func (g *groupEmitter) accumulate() error {
 	g.specs = c.collectAggSpecs(g.q)
 	fold := func(sc *execCtx, lo, hi int) (*groupSet, error) {
 		gs := newGroupSet()
-		it := g.chain(sc, lo, hi)
+		it := p.chain(sc, lo, hi)
 		defer it.close()
 		for {
 			b, err := it.next()

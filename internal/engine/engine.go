@@ -10,14 +10,14 @@
 //
 // and every consumer is a drain of such a tree: Execute collects it into a
 // Result, ExecuteStream (stream_api.go) hands it out batch by batch,
-// subqueries (subquery.go, incl. decorrelation of equality-correlated
-// EXISTS/IN/scalar-aggregate subqueries), derived tables and hash-join
-// build sides drain a child tree. Large sources shard: Engine.Parallelism
-// workers each run their own chain over a contiguous row range and the
-// outputs recombine in shard order (parallel.go, stream_shard.go), so rows
-// are byte-identical at every parallelism level and batch size. The engine
-// reports byte-accurate scan statistics that the MONOMI cost model converts
-// to simulated I/O time.
+// subqueries (subquery.go: planned when their block opens, an uncorrelated
+// or equality-correlated EXISTS/IN/scalar one drained once and probed like a
+// join), derived tables and hash-join build sides drain a child tree. Large
+// sources shard: Engine.Parallelism workers each run their own chain over a
+// contiguous row range and the outputs recombine in shard order (parallel.go,
+// stream_shard.go), so rows are byte-identical at every parallelism level
+// and batch size. The engine reports byte-accurate scan statistics that the
+// MONOMI cost model converts to simulated I/O time.
 package engine
 
 import (
@@ -207,7 +207,7 @@ type execCtx struct {
 	eng    *Engine
 	params map[string]value.Value
 	stats  *Stats
-	subq   map[*ast.Query]*subqPlan // created by the first planSubquery
+	subq   map[*ast.Query]*subqPlan // written only from open (planSubquery); shards read it
 	par    int                      // worker count for sharded chains (1 = sequential)
 	batch  int                      // rows per batch; math.MaxInt for BatchSize 0
 	useIdx bool                     // cost-based index access paths enabled (access.go)
@@ -364,10 +364,20 @@ func (c *execCtx) execQuery(q *ast.Query, outer *env) (*relation, error) {
 // LIMIT that can stop the scan early (no sort, no grouping in front of it)
 // keeps the block on one chain: only the global row prefix matters, so one
 // early-exiting chain is the least work and leaves the charged scan
-// independent of the Parallelism knob. When a clause evaluates a subquery,
-// the subquery-free front still shards and everything after it consumes the
-// merged stream on this context (pipeline.rows).
+// independent of the Parallelism knob.
+//
+// The subqueries the block's clauses name are planned here, before anything
+// else (planBlock): their plans are complete and immutable by the time the
+// first chain exists, so a block with subqueries shards like any other. A
+// block opened under an outer row is being re-opened beneath a naive
+// subquery, whose planning already covered it (planBeneath) — it may be
+// running on a shard worker and writes no plan.
 func (c *execCtx) open(q *ast.Query, outer *env) (batchIterator, error) {
+	if outer == nil {
+		if err := c.planBlock(q); err != nil {
+			return nil, err
+		}
+	}
 	p, err := c.prepare(q, outer, true)
 	if err != nil {
 		return nil, err
@@ -385,21 +395,15 @@ func (c *execCtx) open(q *ast.Query, outer *env) (batchIterator, error) {
 	if q.Limit >= 0 && !sorts && !grouped {
 		shards = 1
 	}
-	chain := p.chain
-	if p.subq {
-		front := shards
-		shards = 1
-		chain = func(*execCtx, int, int) batchIterator { return c.rows(p, front) }
-	}
 	aliases := aliasMap(q)
 
 	var it batchIterator
 	if grouped {
-		it = &groupEmitter{c: c, q: q, p: p, chain: chain, shards: shards, order: order, aliases: aliases}
+		it = &groupEmitter{c: c, q: q, p: p, shards: shards, order: order, aliases: aliases}
 	} else {
 		it = c.stream(p, shards, func(sc *execCtx, lo, hi int) batchIterator {
 			var it batchIterator = &projectIterator{
-				in: chain(sc, lo, hi), q: q, order: order,
+				in: p.chain(sc, lo, hi), q: q, order: order,
 				rel: p.joined, aliases: aliases, outer: outer, c: sc,
 			}
 			// A shard's pre-pass: only candidates cross the merger.
@@ -427,9 +431,10 @@ func (c *execCtx) open(q *ast.Query, outer *env) (batchIterator, error) {
 // pipeline is the prepared FROM/WHERE of one query block: the probe-side
 // row source (FROM entry 0 — the greedy join order always grows from it),
 // its own filter, the join steps with their build sides drained and
-// hashed, and the post-join predicates. It is read-only once prepared, so
-// any number of workers can assemble independent chains over disjoint
-// ranges of the source.
+// hashed, and the post-join predicates. It is read-only once prepared — as
+// are the plans of the subqueries its predicates name — so any number of
+// workers can assemble independent chains over disjoint ranges of the
+// source.
 type pipeline struct {
 	src      *rowSource
 	layout   *relation // src's columns
@@ -438,24 +443,16 @@ type pipeline struct {
 	residual ast.Expr  // post-join predicates
 	joined   *relation // columns after the last step
 	outer    *env
-	// seqPred replaces residual when that contains a subquery: subquery
-	// plans memoize on the preparing context and their evaluation is not
-	// synchronized, so it is applied after the shards merge, on that
-	// context (rows).
-	seqPred ast.Expr
-	// subq: some clause of the block — seqPred or the SELECT list, GROUP
-	// BY, HAVING, ORDER BY — evaluates a subquery.
-	subq bool
 	// ordered: src already emits in the block's ORDER BY order.
 	ordered bool
 }
 
 // prepare resolves q's FROM entries and classifies its WHERE (planJoin)
 // into the pipeline open builds chains from: predicates on the source
-// alone, join steps, and the residual — where every conjunct with a
-// subquery lands, so the front stays subquery-free. Derived tables and join
-// build sides are drained here — their scan charges precede the first
-// batch, exactly as a hash join cannot probe before its builds finish.
+// alone, join steps, and the residual — where every conjunct of a join that
+// names a subquery lands. Derived tables and join build sides are drained
+// here — their scan charges precede the first batch, exactly as a hash join
+// cannot probe before its builds finish.
 // access allows a single-table block to restrict or order its scan through
 // an index.
 func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, error) {
@@ -467,11 +464,10 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 		return nil, err
 	}
 	p := &pipeline{src: src, layout: layout, joined: layout, outer: outer}
-	if len(q.From) == 1 && (q.Where == nil || !ast.HasSubquery(q.Where)) {
+	if len(q.From) == 1 {
 		// Nothing to classify: the whole WHERE filters the one table.
 		p.filter = q.Where
-		p.subq = selectHasSubquery(q)
-		if access && c.useIdx && !p.subq && outer == nil && src.t != nil {
+		if access && c.useIdx && outer == nil && src.t != nil {
 			c.accessPath(q, p, q.From[0].RefName())
 		}
 		return p, nil
@@ -493,12 +489,7 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 	if err != nil {
 		return nil, err
 	}
-	p.filter = ast.AndAll(plan.perTable[0])
-	// planJoin leaves every conjunct that contains a subquery residual.
-	if p.residual = ast.AndAll(plan.residual); p.residual != nil && ast.HasSubquery(p.residual) {
-		p.residual, p.seqPred = nil, p.residual
-	}
-	p.subq = p.seqPred != nil || selectHasSubquery(q)
+	p.filter, p.residual = ast.AndAll(plan.perTable[0]), ast.AndAll(plan.residual)
 	p.steps = plan.steps
 	cols := layout.cols
 	for i := range p.steps {
@@ -511,9 +502,6 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 		right, err := c.drainSource(bp)
 		if err != nil {
 			return nil, err
-		}
-		if bp.filter == nil {
-			right.base = bp.src.t
 		}
 		st.probe = &relation{cols: cols}
 		if len(st.leftKeys) == 0 {
@@ -578,9 +566,9 @@ func (p *pipeline) chain(sc *execCtx, lo, hi int) batchIterator {
 }
 
 // shards decides how many chains p's source splits into. A correlated
-// block stays on one chain: evaluation can escape into the enclosing
-// scope, whose stats and subquery plans are not synchronized — and it
-// re-opens per outer row anyway, where sharding would multiply goroutines.
+// block stays on one chain: it re-opens per outer row, where sharding would
+// multiply goroutines, and its evaluation reaches into the enclosing row's
+// environment, whose context belongs to the worker evaluating that row.
 func (c *execCtx) shards(p *pipeline) int {
 	if p.outer != nil {
 		return 1
@@ -598,48 +586,19 @@ func (c *execCtx) stream(p *pipeline, shards int, mk func(sc *execCtx, lo, hi in
 	return newShardedStream(c, mk, shardStreamBounds(n, shards, c.batch))
 }
 
-// rows streams the block's complete FROM/WHERE output on c: the chains,
-// merged, then the predicate that evaluates subqueries.
-func (c *execCtx) rows(p *pipeline, shards int) batchIterator {
-	it := c.stream(p, shards, p.chain)
-	if p.seqPred != nil {
-		it = &filterIterator{in: it, rel: p.joined, pred: p.seqPred, outer: p.outer, c: c}
-	}
-	return it
-}
-
 // drainSource materializes p's FROM/WHERE rows, unprojected — what a join
-// build side or an EXISTS bucketing needs.
+// build side or a decorrelated EXISTS hashes. An unfiltered base table
+// drains to its own rows 1:1, which lets the build use the table's indexes.
 func (c *execCtx) drainSource(p *pipeline) (*relation, error) {
-	rows, err := drain(c.rows(p, c.shards(p)))
+	rows, err := drain(c.stream(p, c.shards(p), p.chain))
 	if err != nil {
 		return nil, err
 	}
-	return &relation{cols: p.joined.cols, rows: rows}, nil
-}
-
-// selectHasSubquery reports whether a clause of q other than WHERE
-// contains a subquery.
-func selectHasSubquery(q *ast.Query) bool {
-	if q.Having != nil && ast.HasSubquery(q.Having) {
-		return true
+	rel := &relation{cols: p.joined.cols, rows: rows}
+	if p.filter == nil && len(p.steps) == 0 {
+		rel.base = p.src.t
 	}
-	for _, p := range q.Projections {
-		if ast.HasSubquery(p.Expr) {
-			return true
-		}
-	}
-	for _, g := range q.GroupBy {
-		if ast.HasSubquery(g) {
-			return true
-		}
-	}
-	for _, o := range q.OrderBy {
-		if ast.HasSubquery(o.Expr) {
-			return true
-		}
-	}
-	return false
+	return rel, nil
 }
 
 // isGrouped reports whether the query needs the aggregation path.

@@ -234,10 +234,10 @@ func sideTable(e ast.Expr, refNames []string, rels []*relation) (int, error) {
 // independent of the partition count — and a posting list is ascending row
 // ids, which is the same order.
 type joinBuild struct {
-	cols  []colInfo
-	parts []map[string][][]value.Value
-	rows  [][]value.Value // index-backed build: the base relation's rows
-	ix    *storage.Index  // non-nil = lookups resolve through the index
+	layout *relation // columns of the build rows
+	parts  []map[string][][]value.Value
+	rows   [][]value.Value // index-backed build: the base relation's rows
+	ix     *storage.Index  // non-nil = lookups resolve through the index
 }
 
 // lookup returns the build rows matching one (non-NULL) probe key.
@@ -297,7 +297,7 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 			}
 			m[key] = append(m[key], row)
 		}
-		return &joinBuild{cols: right.cols, parts: []map[string][][]value.Value{m}}, nil
+		return &joinBuild{layout: &relation{cols: right.cols}, parts: []map[string][][]value.Value{m}}, nil
 	}
 
 	keys := make([]string, n)
@@ -334,7 +334,7 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 	}); err != nil {
 		return nil, err
 	}
-	return &joinBuild{cols: right.cols, parts: parts}, nil
+	return &joinBuild{layout: &relation{cols: right.cols}, parts: parts}, nil
 }
 
 // exprKey evaluates key expressions into a composite equality key: each

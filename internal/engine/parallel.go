@@ -17,14 +17,13 @@ import (
 // sequential result in the last ULP (deterministically, for a fixed shard
 // count).
 //
-// Evaluating a subquery is not synchronized — its plan is memoized lazily
-// on the execution context — so it never happens on a shard: a predicate,
-// SELECT list or grouping that contains one runs on the opening context,
-// over the merged output of the (still sharded) subquery-free front, and a
-// block evaluated under an outer row environment does not shard at all
-// (execCtx.shards). Everything else an expression can touch during
-// evaluation (params, the catalog, registered UDFs, drained build sides) is
-// read-only while a query runs.
+// Everything an expression can touch during evaluation is read-only while a
+// chain runs: params, the catalog, registered UDFs, drained build sides, and
+// the subquery plans — open plans a block's subqueries before its first
+// chain exists (subquery.go), so a predicate, SELECT list or grouping that
+// names one evaluates on any shard, and a naive subquery re-opens per outer
+// row on the worker that holds the row. Only a block evaluated under an
+// outer row environment does not shard (execCtx.shards).
 
 // minShardRows is the smallest row range worth a goroutine; relations
 // smaller than two shards' worth always run sequentially.
@@ -88,14 +87,14 @@ func parallelDo(shards int, fn func(shard int) error) error {
 	return nil
 }
 
-// shardCtx creates a child context for one shard: it shares the engine and
-// params (both read-only during execution), accumulates stats locally, and
-// never spawns nested shards. The batch size carries over so shard workers
-// pull the same batches a sequential chain would, and the statement's
-// column set so a block opened on a worker lays its tables out as the
-// opening context does.
+// shardCtx creates a child context for one shard: it shares the engine,
+// params and subquery plans (all read-only while chains run), accumulates
+// stats locally, and never spawns nested shards. The batch size carries over
+// so shard workers pull the same batches a sequential chain would, and the
+// statement's column set so a block opened on a worker lays its tables out
+// as the opening context does.
 func (c *execCtx) shardCtx() *execCtx {
-	return &execCtx{eng: c.eng, params: c.params, stats: &Stats{}, par: 1, batch: c.batch, useIdx: c.useIdx, stmt: c.stmt}
+	return &execCtx{eng: c.eng, params: c.params, stats: &Stats{}, subq: c.subq, par: 1, batch: c.batch, useIdx: c.useIdx, stmt: c.stmt}
 }
 
 // shardedCollect splits n input rows into shards, runs fn over each shard

@@ -1,22 +1,34 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/value"
 )
 
-// Subquery execution. Uncorrelated subqueries are executed once and cached.
-// Correlated subqueries whose correlation is expressed as top-level equality
-// conjuncts (`inner.col = outer.col`) are decorrelated into a single grouped
-// execution plus a hash lookup per outer row — the same rewrite modern
-// optimizers perform. Anything else falls back to naive per-row execution
-// (which is what makes the paper's Q21 the slow case at scale). Every one of
-// these executions drains the subquery's own iterator tree (execQuery; the
-// EXISTS bucketing drains just its FROM/WHERE front, drainSource), on the
-// context and goroutine of the row that asked.
+// Subquery execution. A subquery's plan is a property of the block that
+// names it: open plans every subquery of its block (planBlock) once, on the
+// opening context, before the block's first chain exists, and the plan never
+// changes afterwards — so the block's chains evaluate IN, EXISTS and scalar
+// subqueries on any shard worker with no synchronization. The plan memo
+// (execCtx.subq) is written only from open and what open calls; shard
+// contexts share it read-only.
+//
+// There are two strategies. A subquery that is uncorrelated, or whose
+// correlation is top-level equality conjuncts (`inner.col = outer.col`), has
+// its inner side drained exactly once — with the correlation removed, the
+// same rewrite modern optimizers perform — and hashed on its correlation
+// key into the structure hash joins use (joinBuild): evaluating it is a
+// join probe, key → lookup → first row (scalar) / non-empty (IN, whose
+// membership column is one more key) / any row passing the residual
+// (EXISTS). Anything else is naive: re-opened for every outer row that asks,
+// on that row's context and goroutine (which is what makes the paper's Q21
+// the slow case at scale) — and because those re-opens plan nothing,
+// planning a naive subquery plans every block beneath it too (planBeneath).
 
 type subqMode int
 
@@ -26,57 +38,58 @@ const (
 	subqExists
 )
 
-// subqPlan is the cached strategy + results for one subquery AST node.
+// subqPlan is the strategy of one subquery AST node, immutable once
+// planSubquery has stored it.
 type subqPlan struct {
-	mode  subqMode
 	naive bool
 
-	// Uncorrelated results.
-	uncorr    bool
-	scalarVal value.Value
-	inSet     map[string]bool
-	existsVal bool
+	// The hashed inner side. outerKeys evaluate in the outer row's
+	// environment (none when uncorrelated: every inner row is under the
+	// empty key); residual is EXISTS's remaining correlated predicate,
+	// evaluated over each candidate row of the build.
+	build     *joinBuild
+	outerKeys []ast.Expr
+	residual  ast.Expr
+}
 
-	// Decorrelated state.
-	outerKeys []ast.Expr                 // evaluated in the outer env
-	scalarMap map[string]value.Value     // scalar: key -> value
-	inMap     map[string]map[string]bool // in: key -> set of member values
-	buckets   map[string][][]value.Value // exists: key -> candidate rows
-	bucketRel *relation                  // column layout of bucket rows
-	residual  ast.Expr                   // extra correlated predicate (exists)
+// probe returns the inner rows filed under the outer row's correlation key
+// followed by member (IN's left-hand side, rendered as exprKey renders a
+// key component); none when a correlation key is NULL.
+func (p *subqPlan) probe(en *env, member string) ([][]value.Value, error) {
+	key, null, err := exprKey(en, p.outerKeys)
+	if err != nil || null {
+		return nil, err
+	}
+	return p.build.lookup(key + member), nil
+}
+
+// planned returns the plan the opening of sub's block stored.
+func (c *execCtx) planned(sub *ast.Query) (*subqPlan, error) {
+	if p := c.subq[sub]; p != nil {
+		return p, nil
+	}
+	return nil, fmt.Errorf("engine: subquery evaluated outside an open block: %s", sub.SQL())
 }
 
 // scalarSubquery evaluates a scalar subquery for the current row.
 func (c *execCtx) scalarSubquery(en *env, sub *ast.Query) (value.Value, error) {
-	p, err := c.planSubquery(sub, en, subqScalar)
+	p, err := c.planned(sub)
 	if err != nil {
 		return value.Value{}, err
 	}
+	var rows [][]value.Value
 	if p.naive {
-		rel, err := c.runNaive(sub, en)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if len(rel.rows) == 0 {
-			return value.NewNull(), nil
-		}
-		return rel.rows[0][0], nil
+		rows, err = c.runNaive(sub, en)
+	} else {
+		rows, err = p.probe(en, "")
 	}
-	if p.uncorr {
-		return p.scalarVal, nil
-	}
-	key, null, err := exprKey(en, p.outerKeys)
 	if err != nil {
 		return value.Value{}, err
 	}
-	if null {
+	if len(rows) == 0 {
 		return value.NewNull(), nil
 	}
-	v, ok := p.scalarMap[key]
-	if !ok {
-		return value.NewNull(), nil
-	}
-	return v, nil
+	return rows[0][0], nil
 }
 
 // evalIn evaluates e IN (...) including list and subquery forms.
@@ -101,171 +114,180 @@ func (c *execCtx) evalIn(en *env, x *ast.InExpr) (value.Value, error) {
 		return value.NewBool(x.Not), nil
 	}
 
-	p, err := c.planSubquery(x.Sub, en, subqIn)
+	p, err := c.planned(x.Sub)
 	if err != nil {
 		return value.Value{}, err
 	}
 	var member bool
-	switch {
-	case p.naive:
-		rel, err := c.runNaive(x.Sub, en)
+	if p.naive {
+		rows, err := c.runNaive(x.Sub, en)
 		if err != nil {
 			return value.Value{}, err
 		}
-		for _, row := range rel.rows {
+		for _, row := range rows {
 			if value.Equal(lhs, row[0]) {
 				member = true
 				break
 			}
 		}
-	case p.uncorr:
-		member = p.inSet[lhs.HashKey()]
-	default:
-		key, null, err := exprKey(en, p.outerKeys)
+	} else {
+		rows, err := p.probe(en, lhs.HashKey()+"\x00")
 		if err != nil {
 			return value.Value{}, err
 		}
-		if !null {
-			member = p.inMap[key][lhs.HashKey()]
-		}
+		member = len(rows) > 0
 	}
 	return value.NewBool(member != x.Not), nil
 }
 
-// evalExists evaluates EXISTS (...) for the current row (negation is the
-// caller's job).
+// evalExists evaluates [NOT] EXISTS (...) for the current row.
 func (c *execCtx) evalExists(en *env, x *ast.ExistsExpr) (bool, error) {
-	p, err := c.planSubquery(x.Sub, en, subqExists)
+	p, err := c.planned(x.Sub)
 	if err != nil {
 		return false, err
 	}
-	var found bool
-	switch {
-	case p.naive:
-		rel, err := c.runNaive(x.Sub, en)
-		if err != nil {
-			return false, err
-		}
-		found = len(rel.rows) > 0
-	case p.uncorr:
-		found = p.existsVal
-	default:
-		key, null, err := exprKey(en, p.outerKeys)
-		if err != nil {
-			return false, err
-		}
-		if null {
-			break
-		}
-		rows := p.buckets[key]
-		if p.residual == nil {
-			found = len(rows) > 0
-			break
-		}
+	var rows [][]value.Value
+	if p.naive {
+		rows, err = c.runNaive(x.Sub, en)
+	} else {
+		rows, err = p.probe(en, "")
+	}
+	if err != nil {
+		return false, err
+	}
+	found := len(rows) > 0
+	if p.residual != nil {
+		found = false
 		for _, row := range rows {
-			inner := &env{rel: p.bucketRel, row: row, outer: en, ctx: c}
-			ok, err := evalBool(inner, p.residual)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				found = true
+			inner := &env{rel: p.build.layout, row: row, outer: en, ctx: c}
+			if found, err = evalBool(inner, p.residual); err != nil || found {
 				break
 			}
 		}
 	}
-	if x.Not {
-		return !found, nil
-	}
-	return found, nil
+	return found != x.Not, err
 }
 
 // runNaive executes the subquery afresh for the current outer row.
-func (c *execCtx) runNaive(sub *ast.Query, en *env) (*relation, error) {
+func (c *execCtx) runNaive(sub *ast.Query, en *env) ([][]value.Value, error) {
 	c.stats.SubqueryRuns++
-	return c.execQuery(sub, en)
+	rel, err := c.execQuery(sub, en)
+	if err != nil {
+		return nil, err
+	}
+	return rel.rows, nil
 }
 
-// planSubquery prepares (once) the execution strategy for a subquery.
-func (c *execCtx) planSubquery(sub *ast.Query, en *env, mode subqMode) (*subqPlan, error) {
-	if p, ok := c.subq[sub]; ok {
-		return p, nil
+// planBlock plans every subquery the clauses of q name. open calls it for a
+// block opened at top level (no outer row): always on the statement's
+// opening context, before the block has a chain.
+func (c *execCtx) planBlock(q *ast.Query) (err error) {
+	q.EachExpr(func(e ast.Expr) {
+		if err == nil {
+			err = c.planExpr(e)
+		}
+	})
+	return err
+}
+
+// planExpr plans the subqueries e names.
+func (c *execCtx) planExpr(e ast.Expr) (err error) {
+	ast.Walk(e, func(x ast.Expr) {
+		if err != nil {
+			return
+		}
+		switch s := x.(type) {
+		case *ast.InExpr:
+			if s.Sub != nil {
+				err = c.planSubquery(s.Sub, subqIn)
+			}
+		case *ast.ExistsExpr:
+			err = c.planSubquery(s.Sub, subqExists)
+		case *ast.SubqueryExpr:
+			err = c.planSubquery(s.Sub, subqScalar)
+		}
+	})
+	return err
+}
+
+// planBeneath plans what a naive subquery re-opens for every outer row: the
+// blocks of its derived tables and the subqueries of its own clauses. Those
+// opens happen under an outer row, on whichever worker evaluates it, and
+// must find every plan in place. A base table that does not resolve fails
+// here, as it fails a subquery that is drained at planning.
+func (c *execCtx) planBeneath(q *ast.Query) error {
+	for i := range q.From {
+		var err error
+		if f := &q.From[i]; f.Sub != nil {
+			err = c.planBeneath(f.Sub)
+		} else {
+			_, err = c.eng.Cat.Table(f.Name)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	p := &subqPlan{mode: mode}
+	return c.planBlock(q)
+}
+
+// planSubquery chooses and prepares sub's strategy. Only the analysis may
+// choose naive (errNoDecorrelate); an inner side that fails to run is the
+// statement's error.
+func (c *execCtx) planSubquery(sub *ast.Query, mode subqMode) error {
+	if c.subq[sub] != nil {
+		return nil
+	}
+	p := &subqPlan{}
+	var inner *relation
+	var keys []ast.Expr
+	var err error
+	if free := freeColumns(sub, c.eng); len(free) > 0 {
+		inner, keys, err = c.decorrelate(p, sub, free, mode)
+	} else if inner, err = c.execQuery(sub, nil); err == nil && mode == subqIn {
+		keys = resultKeys(inner, 0, true)
+	}
+	switch {
+	case errors.Is(err, errNoDecorrelate):
+		p.naive = true
+		err = c.planBeneath(sub)
+	case err == nil:
+		c.stats.SubqueryRuns++
+		p.build, err = c.buildJoinMap(inner, keys, nil)
+	}
+	if err != nil {
+		return err
+	}
 	if c.subq == nil {
 		c.subq = make(map[*ast.Query]*subqPlan)
 	}
 	c.subq[sub] = p
-
-	free := freeColumns(sub, c.eng)
-	if len(free) == 0 {
-		p.uncorr = true
-		c.stats.SubqueryRuns++
-		rel, err := c.execQuery(sub, nil)
-		if err != nil {
-			return nil, err
-		}
-		switch mode {
-		case subqScalar:
-			if len(rel.rows) == 0 {
-				p.scalarVal = value.NewNull()
-			} else {
-				p.scalarVal = rel.rows[0][0]
-			}
-		case subqIn:
-			p.inSet = make(map[string]bool, len(rel.rows))
-			for _, row := range rel.rows {
-				if !row[0].IsNull() {
-					p.inSet[row[0].HashKey()] = true
-				}
-			}
-		case subqExists:
-			p.existsVal = len(rel.rows) > 0
-		}
-		return p, nil
-	}
-
-	// Correlated: attempt decorrelation via equality conjuncts.
-	if err := c.decorrelate(p, sub, free); err != nil {
-		p.naive = true
-	}
-	return p, nil
+	return nil
 }
 
-var errNoDecorrelate = fmt.Errorf("engine: subquery not decorrelatable")
+var errNoDecorrelate = errors.New("engine: subquery not decorrelatable")
 
-// innerColumns returns the set of unqualified column names resolvable by
-// sub's own FROM tables.
-func (c *execCtx) innerColumns(sub *ast.Query) map[string]bool {
-	inner := make(map[string]bool)
-	for i := range sub.From {
-		f := &sub.From[i]
-		if f.Sub != nil {
-			for _, p := range f.Sub.Projections {
-				name := p.Alias
-				if name == "" {
-					if cr, ok := p.Expr.(*ast.ColumnRef); ok {
-						name = cr.Column
-					}
-				}
-				if name != "" {
-					inner[name] = true
-				}
-			}
-			continue
-		}
-		if t, err := c.eng.Cat.Table(f.Name); err == nil {
-			for _, col := range t.Schema.Cols {
-				inner[col.Name] = true
-			}
-		}
+// resultKeys relabels a drained result's columns $0, $1, … and returns the
+// join keys over it: cells 1..nk — where decorrelate appends the correlation
+// keys — then, for IN, the membership cell 0.
+func resultKeys(rel *relation, nk int, member bool) []ast.Expr {
+	for i := range rel.cols {
+		rel.cols[i] = colInfo{name: "$" + strconv.Itoa(i)}
 	}
-	return inner
+	keys := make([]ast.Expr, 0, nk+1)
+	for i := 1; i <= nk; i++ {
+		keys = append(keys, &ast.ColumnRef{Column: rel.cols[i].name})
+	}
+	if member {
+		keys = append(keys, &ast.ColumnRef{Column: rel.cols[0].name})
+	}
+	return keys
 }
 
-// decorrelate builds hash-lookup state for an equality-correlated subquery.
-func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, free map[string]bool) error {
-	inner := c.innerColumns(sub)
+// decorrelate drains the inner side of an equality-correlated subquery with
+// its correlation removed and returns it with the keys to hash it on; the
+// outer half of the correlation goes on p.
+func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, free map[string]bool, mode subqMode) (*relation, []ast.Expr, error) {
+	_, inner := fromScope(sub, c.eng)
 	isFree := func(col *ast.ColumnRef) bool { return free[col.SQL()] }
 	onlyFree := func(e ast.Expr) bool {
 		cols := ast.Columns(e)
@@ -291,27 +313,18 @@ func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, free map[string]bool)
 		return !ast.HasSubquery(e)
 	}
 
-	// Free columns may only appear in WHERE (not projections, GROUP BY...).
+	// Free columns may only appear in WHERE, and the block must not group:
+	// the rewrite regroups (scalar) or ungroups (IN, EXISTS) it.
+	if len(sub.GroupBy) > 0 || sub.Having != nil {
+		return nil, nil, errNoDecorrelate
+	}
 	for _, pr := range sub.Projections {
 		if exprHasFree(pr.Expr, free) {
-			return errNoDecorrelate
+			return nil, nil, errNoDecorrelate
 		}
-	}
-	for _, g := range sub.GroupBy {
-		if exprHasFree(g, free) {
-			return errNoDecorrelate
-		}
-	}
-	if sub.Having != nil && exprHasFree(sub.Having, free) {
-		return errNoDecorrelate
 	}
 
-	var (
-		innerPreds   []ast.Expr
-		corrResidual []ast.Expr
-		outerKeys    []ast.Expr
-		innerKeys    []ast.Expr
-	)
+	var innerPreds, corrResidual, outerKeys, innerKeys []ast.Expr
 	for _, conj := range ast.Conjuncts(sub.Where) {
 		if !exprHasFree(conj, free) {
 			innerPreds = append(innerPreds, conj)
@@ -331,112 +344,44 @@ func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, free map[string]bool)
 		}
 		corrResidual = append(corrResidual, conj)
 	}
-	if len(outerKeys) == 0 {
-		return errNoDecorrelate
+	if len(outerKeys) == 0 || (len(corrResidual) > 0 && mode != subqExists) {
+		return nil, nil, errNoDecorrelate
 	}
+	p.outerKeys, p.residual = outerKeys, ast.AndAll(corrResidual)
 
-	switch p.mode {
-	case subqExists:
-		if len(sub.GroupBy) > 0 || sub.Having != nil {
-			return errNoDecorrelate
+	// The inner side is sub with its correlation removed (a shallow copy:
+	// execution never writes an AST).
+	inq := *sub
+	inq.Where = ast.AndAll(innerPreds)
+	if mode == subqExists {
+		// The unprojected FROM/WHERE front, hashed on the inner half of the
+		// correlation. It does not pass through open, so what its WHERE —
+		// inner predicates and residual — names is planned here.
+		if err := c.planExpr(sub.Where); err != nil {
+			return nil, nil, err
 		}
-		// Drain the inner FROM with only the inner predicates, then
-		// bucket its rows by the correlation key.
-		inq := sub.Clone()
-		inq.Where = ast.AndAll(innerPreds)
-		src, err := c.prepare(inq, nil, false)
+		src, err := c.prepare(&inq, nil, false)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		rel, err := c.drainSource(src)
-		if err != nil {
-			return err
-		}
-		p.bucketRel = rel
-		p.buckets = make(map[string][][]value.Value)
-		for _, row := range rel.rows {
-			en := &env{rel: rel, row: row, ctx: c}
-			key, null, err := exprKey(en, innerKeys)
-			if err != nil {
-				return err
-			}
-			if null {
-				continue
-			}
-			p.buckets[key] = append(p.buckets[key], row)
-		}
-		p.residual = ast.AndAll(corrResidual)
-		p.outerKeys = outerKeys
-		c.stats.SubqueryRuns++
-		return nil
-
-	case subqScalar:
-		if len(corrResidual) > 0 || len(sub.GroupBy) > 0 || sub.Having != nil {
-			return errNoDecorrelate
-		}
-		// Regroup the subquery by its correlation keys: one aggregate row
-		// per distinct outer key.
-		inq := sub.Clone()
-		inq.Where = ast.AndAll(cloneAll(innerPreds))
-		inq.GroupBy = cloneAll(innerKeys)
-		for _, k := range innerKeys {
-			inq.Projections = append(inq.Projections, ast.SelectItem{Expr: k.Clone()})
-		}
-		rel, err := c.execQuery(inq, nil)
-		if err != nil {
-			return err
-		}
-		p.scalarMap = make(map[string]value.Value, len(rel.rows))
-		nk := len(innerKeys)
-		for _, row := range rel.rows {
-			if key, null := rowKey(row[len(row)-nk:]); !null {
-				p.scalarMap[key] = row[0]
-			}
-		}
-		p.outerKeys = outerKeys
-		c.stats.SubqueryRuns++
-		return nil
-
-	case subqIn:
-		if len(corrResidual) > 0 || len(sub.GroupBy) > 0 || sub.Having != nil {
-			return errNoDecorrelate
-		}
-		inq := sub.Clone()
-		inq.Where = ast.AndAll(cloneAll(innerPreds))
-		for _, k := range innerKeys {
-			inq.Projections = append(inq.Projections, ast.SelectItem{Expr: k.Clone()})
-		}
-		rel, err := c.execQuery(inq, nil)
-		if err != nil {
-			return err
-		}
-		p.inMap = make(map[string]map[string]bool)
-		nk := len(innerKeys)
-		for _, row := range rel.rows {
-			key, null := rowKey(row[len(row)-nk:])
-			if null || row[0].IsNull() {
-				continue
-			}
-			set := p.inMap[key]
-			if set == nil {
-				set = make(map[string]bool)
-				p.inMap[key] = set
-			}
-			set[row[0].HashKey()] = true
-		}
-		p.outerKeys = outerKeys
-		c.stats.SubqueryRuns++
-		return nil
+		return rel, innerKeys, err
 	}
-	return errNoDecorrelate
-}
-
-func cloneAll(es []ast.Expr) []ast.Expr {
-	out := make([]ast.Expr, len(es))
-	for i, e := range es {
-		out[i] = e.Clone()
+	// Scalar and IN run the block with the correlation keys appended to its
+	// SELECT list; the scalar also regroups by them — one aggregate row per
+	// distinct key.
+	inq.Projections = inq.Projections[:len(inq.Projections):len(inq.Projections)]
+	for _, k := range innerKeys {
+		inq.Projections = append(inq.Projections, ast.SelectItem{Expr: k})
 	}
-	return out
+	if mode == subqScalar {
+		inq.GroupBy = innerKeys
+	}
+	rel, err := c.execQuery(&inq, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rel, resultKeys(rel, len(innerKeys), mode == subqIn), nil
 }
 
 // exprHasFree reports whether e mentions any free (outer) column.
@@ -460,89 +405,64 @@ func exprHasFree(e ast.Expr, free map[string]bool) bool {
 	return found
 }
 
-// freeColumns computes the column references in sub that cannot be resolved
-// by sub's own FROM tables (i.e. correlated references to enclosing scopes).
-// Keys are the rendered SQL of the reference. Without an engine (nil) base
-// tables contribute no column names, so only qualified references resolve.
-func freeColumns(sub *ast.Query, eng *Engine) map[string]bool {
-	refNames := make(map[string]bool)
-	innerCols := make(map[string]bool)
+// fromScope returns what sub's own FROM resolves: the names its entries are
+// addressed by, and the unqualified column names they supply. Without an
+// engine (nil) base tables contribute no column names.
+func fromScope(sub *ast.Query, eng *Engine) (refNames, cols map[string]bool) {
+	refNames, cols = make(map[string]bool), make(map[string]bool)
 	for i := range sub.From {
 		f := &sub.From[i]
 		refNames[f.RefName()] = true
 		switch {
 		case f.Sub != nil:
-			for _, p := range f.Sub.Projections {
-				name := p.Alias
-				if name == "" {
-					if cr, ok := p.Expr.(*ast.ColumnRef); ok {
-						name = cr.Column
-					}
-				}
-				if name != "" {
-					innerCols[name] = true
-				}
+			for _, col := range projectionCols(f.Sub) {
+				cols[col.name] = true
 			}
 		case eng != nil:
 			if t, err := eng.Cat.Table(f.Name); err == nil {
 				for _, col := range t.Schema.Cols {
-					innerCols[col.Name] = true
+					cols[col.Name] = true
 				}
 			}
 		}
 	}
+	return refNames, cols
+}
 
+// freeColumns computes the column references in sub that cannot be resolved
+// by sub's own FROM tables (i.e. correlated references to enclosing scopes).
+// Keys are the rendered SQL of the reference. Without an engine (nil) only
+// qualified references resolve.
+func freeColumns(sub *ast.Query, eng *Engine) map[string]bool {
+	refNames, innerCols := fromScope(sub, eng)
 	free := make(map[string]bool)
-	checkCol := func(col *ast.ColumnRef) {
-		if col.Column == "*" {
-			return
-		}
-		if col.Table != "" {
-			if !refNames[col.Table] {
-				free[col.SQL()] = true
-			}
-			return
-		}
-		if !innerCols[col.Column] {
-			free[col.SQL()] = true
-		}
-	}
-	var visitExpr func(e ast.Expr)
-	visitExpr = func(e ast.Expr) {
+	sub.EachExpr(func(e ast.Expr) {
 		ast.Walk(e, func(x ast.Expr) {
-			if col, ok := x.(*ast.ColumnRef); ok {
-				checkCol(col)
+			col, ok := x.(*ast.ColumnRef)
+			if !ok || col.Column == "*" {
+				return
+			}
+			if col.Table != "" {
+				if !refNames[col.Table] {
+					free[col.SQL()] = true
+				}
+			} else if !innerCols[col.Column] {
+				free[col.SQL()] = true
 			}
 		})
 		for _, s := range ast.Subqueries(e) {
 			for f := range freeColumns(s, eng) {
 				// A free column of the nested subquery might still resolve
 				// against *this* query's tables.
-				parts := strings.SplitN(f, ".", 2)
-				if len(parts) == 2 {
-					if !refNames[parts[0]] {
+				if table, _, qualified := strings.Cut(f, "."); qualified {
+					if !refNames[table] {
 						free[f] = true
 					}
-				} else if !innerCols[parts[0]] {
+				} else if !innerCols[f] {
 					free[f] = true
 				}
 			}
 		}
-	}
-	for _, p := range sub.Projections {
-		visitExpr(p.Expr)
-	}
-	if sub.Where != nil {
-		visitExpr(sub.Where)
-	}
-	for _, g := range sub.GroupBy {
-		visitExpr(g)
-	}
-	if sub.Having != nil {
-		visitExpr(sub.Having)
-	}
-	for _, o := range sub.OrderBy {
-		visitExpr(o.Expr)
-	}
+	})
 	return free
 }

@@ -17,11 +17,10 @@ import (
 // The crossover uses the same random-access penalty as the engine
 // (engine.indexRowCost): an index row fetch costs IndexRowCost sequential
 // rows, so the index wins iff sel*IndexRowCost < 1. The planner annotates
-// the part (RemotePart.Access) and sets an advisory AccessHint on the
-// remote query; the engine re-checks with exact posting counts, so a
-// mis-estimate here can cost performance but never correctness. The hint
-// rides the AST only — it does not render into SQL, and a remote server
-// derives its own access path.
+// the part (RemotePart.Access, which Describe prints) and costs it
+// accordingly; the engine chooses its own access path from exact posting
+// counts, so a mis-estimate here can cost performance but never
+// correctness.
 
 // IndexRowCost is the planner's charged ratio of an index row fetch to a
 // sequential scan row, mirroring the engine's cost rule.
@@ -29,8 +28,7 @@ const IndexRowCost = 4
 
 // annotateAccess picks the access path for one single-table RemoteSQL part
 // and returns the factor to apply to its scan-byte estimate (1 = full
-// scan). It records the decision on the part and, when an index is chosen,
-// hints the query.
+// scan). It records the decision on the part.
 func (e *estimator) annotateAccess(part *RemotePart, s *scope, conjuncts []ast.Expr) float64 {
 	col, sel, ok := e.bestIndexConjunct(s, conjuncts)
 	if !ok || sel*IndexRowCost >= 1 {
@@ -38,7 +36,6 @@ func (e *estimator) annotateAccess(part *RemotePart, s *scope, conjuncts []ast.E
 		return 1
 	}
 	part.Access = fmt.Sprintf("index(%s) est-sel=%.3g", col, sel)
-	part.Query.Hint = &ast.AccessHint{Path: ast.AccessIndex, Column: col}
 	return sel * IndexRowCost
 }
 

@@ -3,14 +3,11 @@ package planner
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/ast"
 )
 
 // TestAccessAnnotationEquality checks that with Context.Indexes on, a
 // selective DET equality conjunct is costed as an index probe: the part is
-// annotated and the remote query carries an advisory AccessIndex hint —
-// which must not leak into the rendered SQL.
+// annotated, and the annotation must not leak into the rendered SQL.
 func TestAccessAnnotationEquality(t *testing.T) {
 	ctx := testContext(t)
 	ctx.Indexes = true
@@ -25,12 +22,8 @@ func TestAccessAnnotationEquality(t *testing.T) {
 	if !strings.HasPrefix(plan.Remote.Access, "index(o_cust_det") {
 		t.Errorf("Access = %q, want index(o_cust_det...)", plan.Remote.Access)
 	}
-	h := plan.Remote.Query.Hint
-	if h == nil || h.Path != ast.AccessIndex || h.Column != "o_cust_det" {
-		t.Errorf("Hint = %+v, want AccessIndex on o_cust_det", h)
-	}
 	if sql := plan.Remote.Query.SQL(); strings.Contains(sql, "index") || strings.Contains(sql, "hint") {
-		t.Errorf("hint leaked into SQL: %s", sql)
+		t.Errorf("annotation leaked into SQL: %s", sql)
 	}
 	if !strings.Contains(plan.Describe(), "access index(") {
 		t.Errorf("Describe misses access line:\n%s", plan.Describe())
@@ -38,8 +31,7 @@ func TestAccessAnnotationEquality(t *testing.T) {
 }
 
 // TestAccessAnnotationOff checks the default: with Context.Indexes off, no
-// part is annotated and no hint is attached, so designer and experiment
-// cost figures are untouched.
+// part is annotated, so designer and experiment cost figures are untouched.
 func TestAccessAnnotationOff(t *testing.T) {
 	ctx := testContext(t)
 	q := prep(t, `SELECT o_id FROM orders WHERE o_cust = 'ca'`)
@@ -50,14 +42,11 @@ func TestAccessAnnotationOff(t *testing.T) {
 	if plan.Remote.Access != "" {
 		t.Errorf("Access = %q, want empty with Indexes off", plan.Remote.Access)
 	}
-	if plan.Remote.Query.Hint != nil {
-		t.Errorf("Hint = %+v, want nil with Indexes off", plan.Remote.Query.Hint)
-	}
 }
 
 // TestAccessScanForUnselective checks the crossover: a bare comparison
 // (estimated selectivity 1/3, above the 1/IndexRowCost crossover) is
-// costed as a scan with no hint.
+// costed as a scan.
 func TestAccessScanForUnselective(t *testing.T) {
 	ctx := testContext(t)
 	ctx.Indexes = true
@@ -68,9 +57,6 @@ func TestAccessScanForUnselective(t *testing.T) {
 	}
 	if plan.Remote.Access != "scan" {
 		t.Errorf("Access = %q, want scan", plan.Remote.Access)
-	}
-	if plan.Remote.Query.Hint != nil {
-		t.Errorf("Hint = %+v, want nil for a scan", plan.Remote.Query.Hint)
 	}
 }
 
@@ -108,19 +94,5 @@ func TestAccessLowersServerCost(t *testing.T) {
 	if planOn.EstServer >= planOff.EstServer {
 		t.Errorf("EstServer with index %g, without %g — index costing did not lower it",
 			planOn.EstServer, planOff.EstServer)
-	}
-}
-
-// TestAccessHintSurvivesClone checks the hint rides plan-template cloning
-// (the plan cache rebinds parameters on cloned queries).
-func TestAccessHintSurvivesClone(t *testing.T) {
-	q := &ast.Query{Hint: &ast.AccessHint{Path: ast.AccessIndex, Column: "x_det"}}
-	c := q.Clone()
-	if c.Hint == nil || c.Hint.Column != "x_det" {
-		t.Fatalf("Clone dropped hint: %+v", c.Hint)
-	}
-	c.Hint.Column = "y_det"
-	if q.Hint.Column != "x_det" {
-		t.Error("Clone aliased the hint")
 	}
 }
