@@ -26,7 +26,8 @@ import (
 
 // Executor is where RemoteSQL runs: the in-process *server.Server, or a
 // transport connection dialed to a remote monomi-server (which speaks the
-// same two calls over the socket). The client plans, ships RemoteSQL to the
+// same two calls over the socket, each as one query frame carrying the
+// RemoteSQL and its parameters). The client plans, ships RemoteSQL to the
 // executor it holds, and decrypts what comes back; which call it makes is
 // fixed by how it was built — a client over an in-process server (New) takes
 // the rows Execute hands over, a client built by NewRemote consumes the
@@ -36,11 +37,9 @@ type Executor interface {
 	ExecuteStream(q *ast.Query, params map[string]value.Value, w io.Writer) (*server.StreamStats, error)
 }
 
-// StmtExecutor is the optional prepared-statement extension of Executor: a
-// transport connection that can register a RemoteSQL once server-side and
-// re-execute it with only fresh parameters on the wire. Only a NewRemote
-// client uses it (in process there is no wire to save); it probes with a
-// type assertion and falls back to ExecuteStream.
+// StmtExecutor is retired: no product type implements it and no client
+// consults it — every RemoteSQL travels as a query frame. It stays declared
+// only because the frozen bench/layers.go names it (ROADMAP item 9(a)).
 type StmtExecutor interface {
 	PrepareStmt(q *ast.Query) (uint64, error)
 	ExecuteStmt(id uint64, params map[string]value.Value) (*server.Response, error)
@@ -97,7 +96,6 @@ func New(keys *enc.KeyStore, srv *server.Server, ctx *planner.Context, cfg netsi
 		plans:     newPlanCache(defaultPlanCacheCap),
 		parsed:    newParseCache(defaultParseCacheCap),
 	}
-	c.plans.onEvict = c.releaseStmts
 	return c
 }
 
@@ -108,9 +106,8 @@ func New(keys *enc.KeyStore, srv *server.Server, ctx *planner.Context, cfg netsi
 // schema, and workload; the client needs it to resolve Paillier
 // ciphertext-group names and pack layouts. Everything else — planning,
 // decryption, residual execution — is identical to the in-process client,
-// except that results arrive as framed batches (ExecuteStream, or
-// ExecuteStmtStream when exec is a StmtExecutor) and are decoded as they
-// arrive.
+// except that results arrive as framed batches (ExecuteStream, the only
+// call it makes) and are decoded as they arrive.
 func NewRemote(keys *enc.KeyStore, exec Executor, meta map[string]*enc.TableMeta, ctx *planner.Context, cfg netsim.Config) *Client {
 	c := &Client{
 		Keys: keys, Ctx: ctx, Cfg: cfg,
@@ -121,7 +118,6 @@ func NewRemote(keys *enc.KeyStore, exec Executor, meta map[string]*enc.TableMeta
 		plans:     newPlanCache(defaultPlanCacheCap),
 		parsed:    newParseCache(defaultParseCacheCap),
 	}
-	c.plans.onEvict = c.releaseStmts
 	return c
 }
 
@@ -209,12 +205,7 @@ func (c *Client) executeCold(q *ast.Query, params map[string]value.Value) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	res.Plan = plan
-	cat := storage.NewCatalog()
-	if err := c.runPlan(plan, cat, res, nil); err != nil {
-		return nil, err
-	}
-	return c.finishPlan(plan, cat, res, nil)
+	return c.run(plan, res, nil)
 }
 
 // makePlan generates the plan for a prepared query under the client's
@@ -234,29 +225,36 @@ func (c *Client) makePlan(prepared *ast.Query) (*planner.Plan, error) {
 // ExecutePlan runs an already-generated plan (used by the experiment
 // harness to execute a specific configuration's plan).
 func (c *Client) ExecutePlan(plan *planner.Plan) (*Result, error) {
-	res := &Result{Plan: plan}
+	return c.run(plan, &Result{}, nil)
+}
+
+// run is the one plan runner: it executes plan's subplans and remote parts
+// into a fresh temp-table catalog, then the final local query, into res. ec
+// carries the execution's parameter bindings on the template path (nil =
+// literals are inline).
+func (c *Client) run(plan *planner.Plan, res *Result, ec *execCtx) (*Result, error) {
+	res.Plan = plan
 	cat := storage.NewCatalog()
-	if err := c.runPlan(plan, cat, res, nil); err != nil {
+	if err := c.runPlan(plan, cat, res, ec); err != nil {
 		return nil, err
 	}
-	return c.finishPlan(plan, cat, res, nil)
+	return c.finishPlan(plan, cat, res, ec)
 }
 
 // PlanCacheStats snapshots the plan cache's hit/miss/eviction counters.
 func (c *Client) PlanCacheStats() PlanCacheStats { return c.plans.stats() }
 
-// Close releases client-held server resources: remote prepared-statement
-// handles acquired by cached plans. The client remains usable (caches
-// refill on demand).
+// Close drops the client's cached plans; it holds no server-side resource.
+// The client remains usable (the cache refills on demand). System.Close and
+// bench call it when they tear a deployment down.
 func (c *Client) Close() error {
 	c.plans.purge()
 	return nil
 }
 
-// ResetPlanCache drops every cached plan (closing any remote prepared-
-// statement handles) and the parse cache, forcing subsequent executions
-// down the cold path. Benchmarks use it to measure cold planning cost;
-// counters are not reset.
+// ResetPlanCache drops every cached plan and the parse cache, forcing
+// subsequent executions down the cold path. Benchmarks use it to measure
+// cold planning cost; counters are not reset.
 func (c *Client) ResetPlanCache() {
 	c.plans.purge()
 	c.parsed.clear()

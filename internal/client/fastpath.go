@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/planner"
-	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -37,7 +36,6 @@ const (
 type execCtx struct {
 	encp   map[string]value.Value // remote-side (":cpN") encrypted bindings
 	localp map[string]value.Value // local-engine (":lpN") plaintext bindings
-	entry  *cachedPlan            // owning cache entry (prepared-stmt handles)
 }
 
 func (ec *execCtx) localParams() map[string]value.Value {
@@ -102,7 +100,7 @@ func (c *Client) executeKeyed(key string, shape *ast.Query, vals map[string]valu
 		return c.fillAndRun(e, shape, vals)
 	}
 	<-e.done
-	if e.plan != nil && e.plan.tmpl != nil {
+	if e.plan != nil {
 		c.plans.hits.Add(1)
 		res, ok, err := c.executeTemplate(e.plan, vals)
 		if ok {
@@ -137,100 +135,32 @@ func (c *Client) fillAndRun(e *planEntry, shape *ast.Query, vals map[string]valu
 		c.plans.abandon(e)
 		return nil, err
 	}
-	var cp *cachedPlan
+	var tmpl *planner.Template
 	if !subbed {
-		if tmpl, ok := planner.Parameterize(plan, slots); ok {
-			cp = &cachedPlan{tmpl: tmpl}
-		}
+		tmpl, _ = planner.Parameterize(plan, slots)
 	}
-	if cp != nil {
-		c.plans.fill(e, cp)
-		if tres, ok, err := c.executeTemplate(cp, vals); ok {
+	c.plans.fill(e, tmpl) // nil: negative, shape known uncacheable
+	if tmpl != nil {
+		if tres, ok, err := c.executeTemplate(tmpl, vals); ok {
 			if tres != nil {
 				tres.PlanCacheHit = false // the leader planned; not a hit
 			}
 			return tres, err
 		}
 		// Rebind refused right after parameterizing: run the concrete plan.
-	} else {
-		c.plans.fill(e, &cachedPlan{}) // negative: shape known uncacheable
 	}
-	res.Plan = plan
-	cat := storage.NewCatalog()
-	if err := c.runPlan(plan, cat, res, nil); err != nil {
-		return nil, err
-	}
-	return c.finishPlan(plan, cat, res, nil)
+	return c.run(plan, res, nil)
 }
 
 // executeTemplate runs one execution of a cached template: rebind the
 // parameter values (deterministic re-encryption per site) and run the
 // shared plan. ok=false means the rebind failed and the caller should plan
 // from scratch.
-func (c *Client) executeTemplate(cp *cachedPlan, vals map[string]value.Value) (*Result, bool, error) {
-	encp, localp, err := cp.tmpl.Rebind(c.Keys, vals)
+func (c *Client) executeTemplate(tmpl *planner.Template, vals map[string]value.Value) (*Result, bool, error) {
+	encp, localp, err := tmpl.Rebind(c.Keys, vals)
 	if err != nil {
 		return nil, false, err
 	}
-	ec := &execCtx{encp: encp, localp: localp, entry: cp}
-	res := &Result{Plan: cp.tmpl.Plan, PlanCacheHit: true}
-	cat := storage.NewCatalog()
-	if err := c.runPlan(cp.tmpl.Plan, cat, res, ec); err != nil {
-		return nil, true, err
-	}
-	r, err := c.finishPlan(cp.tmpl.Plan, cat, res, ec)
-	return r, true, err
-}
-
-// stmtFor returns (and lazily registers) the prepared-statement handle for
-// a remote part of a cached plan.
-func (c *Client) stmtFor(part *planner.RemotePart, q *ast.Query, ec *execCtx) (StmtExecutor, uint64, bool) {
-	if ec == nil || ec.entry == nil {
-		return nil, 0, false
-	}
-	se, ok := c.exec.(StmtExecutor)
-	if !ok {
-		return nil, 0, false
-	}
-	cp := ec.entry
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if id, ok := cp.stmts[part.Name]; ok {
-		return se, id, true
-	}
-	id, err := se.PrepareStmt(q)
-	if err != nil {
-		return nil, 0, false
-	}
-	if cp.stmts == nil {
-		cp.stmts = make(map[string]uint64)
-	}
-	cp.stmts[part.Name] = id
-	return se, id, true
-}
-
-// dropStmt forgets a stale statement handle.
-func (c *Client) dropStmt(part *planner.RemotePart, ec *execCtx) {
-	if ec == nil || ec.entry == nil {
-		return
-	}
-	ec.entry.mu.Lock()
-	delete(ec.entry.stmts, part.Name)
-	ec.entry.mu.Unlock()
-}
-
-// releaseStmts closes a cached plan's remote statement handles when the
-// entry leaves the cache.
-func (c *Client) releaseStmts(cp *cachedPlan) {
-	se, ok := c.exec.(StmtExecutor)
-	if !ok {
-		return
-	}
-	cp.mu.Lock()
-	stmts := cp.stmts
-	cp.stmts = nil
-	cp.mu.Unlock()
-	for _, id := range stmts {
-		_ = se.CloseStmt(id)
-	}
+	res, err := c.run(tmpl.Plan, &Result{PlanCacheHit: true}, &execCtx{encp: encp, localp: localp})
+	return res, true, err
 }

@@ -28,24 +28,15 @@ type PlanCacheStats struct {
 	Size      int   // entries currently cached (incl. negative entries)
 }
 
-// cachedPlan is one filled cache entry: the reusable template (nil for a
-// negative entry — shape known uncacheable) plus any server-side prepared
-// statement handles acquired for its remote parts.
-type cachedPlan struct {
-	tmpl *planner.Template
-
-	mu    sync.Mutex
-	stmts map[string]uint64 // remote part name -> transport statement id
-}
-
 // planEntry is a cache slot. done closes when the filling goroutine
-// finishes planning; waiters block on it and then read plan (nil plan after
-// done means the fill failed or the shape is uncacheable).
+// finishes planning; waiters block on it and then read plan, the shape's
+// reusable template (nil after done means the fill failed, or the shape is
+// uncacheable — a negative entry).
 type planEntry struct {
 	key  string
 	elem *list.Element
 	done chan struct{}
-	plan *cachedPlan
+	plan *planner.Template
 }
 
 type planCache struct {
@@ -57,10 +48,6 @@ type planCache struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-
-	// onEvict, when set, runs outside the cache lock for each evicted
-	// filled entry (the client uses it to close remote prepared statements).
-	onEvict func(*cachedPlan)
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -84,45 +71,27 @@ func (pc *planCache) acquire(key string) (e *planEntry, leader bool) {
 	e = &planEntry{key: key, done: make(chan struct{})}
 	e.elem = pc.lru.PushFront(e)
 	pc.entries[key] = e
-	evicted := pc.evictLocked()
+	pc.evictLocked()
 	pc.mu.Unlock()
-	for _, ev := range evicted {
-		if pc.onEvict != nil && ev.plan != nil {
-			pc.onEvict(ev.plan)
-		}
-	}
 	return e, true
 }
 
-// evictLocked drops LRU entries until the cache fits its capacity,
-// returning the filled entries dropped so the caller can run onEvict
-// outside the lock. Pending (unfilled) entries can be evicted too — their
-// leader still closes done, the entry just no longer lives in the map.
-func (pc *planCache) evictLocked() []*planEntry {
-	var out []*planEntry
+// evictLocked drops LRU entries until the cache fits its capacity. Pending
+// (unfilled) entries can be evicted too — their leader still closes done,
+// the entry just no longer lives in the map.
+func (pc *planCache) evictLocked() {
 	for pc.cap > 0 && pc.lru.Len() > pc.cap {
 		back := pc.lru.Back()
-		if back == nil {
-			break
-		}
 		ev := back.Value.(*planEntry)
 		pc.lru.Remove(back)
 		delete(pc.entries, ev.key)
 		pc.evictions.Add(1)
-		select {
-		case <-ev.done:
-			out = append(out, ev)
-		default:
-			// still pending; its leader will fill it, but nobody new can
-			// find it — it is garbage once the waiters drain
-		}
 	}
-	return out
 }
 
-// fill publishes the leader's planning outcome (plan == nil for a failed or
-// uncacheable fill) and wakes waiters.
-func (pc *planCache) fill(e *planEntry, plan *cachedPlan) {
+// fill publishes the leader's planning outcome (plan == nil for an
+// uncacheable shape) and wakes waiters.
+func (pc *planCache) fill(e *planEntry, plan *planner.Template) {
 	e.plan = plan
 	close(e.done)
 }
@@ -151,28 +120,13 @@ func (pc *planCache) stats() PlanCacheStats {
 	}
 }
 
-// purge empties the cache, running onEvict for every filled entry (used on
-// Close to release remote prepared statements).
+// purge empties the cache. Pending entries' leaders still close done; the
+// entries just no longer live in the map.
 func (pc *planCache) purge() {
 	pc.mu.Lock()
-	var filled []*planEntry
-	for _, e := range pc.entries {
-		select {
-		case <-e.done:
-			if e.plan != nil {
-				filled = append(filled, e)
-			}
-		default:
-		}
-	}
 	pc.entries = make(map[string]*planEntry)
 	pc.lru.Init()
 	pc.mu.Unlock()
-	for _, e := range filled {
-		if pc.onEvict != nil {
-			pc.onEvict(e.plan)
-		}
-	}
 }
 
 // parseCache is a bounded SQL-string → parsed-AST cache. Cached ASTs are

@@ -3,11 +3,8 @@ package client
 // Prepared statements, client side. A Stmt pins one parsed query AST; each
 // Execute routes through the plan cache, so the first execution of a
 // parameter-kind combination plans and caches a template, and later ones
-// rebind only. When the executor is a transport connection, each cached
-// plan additionally registers its RemoteSQL server-side once (PREPARE
-// frame) and re-executes it by statement id with only fresh encrypted
-// parameters on the wire; those handles belong to the plan-cache entry and
-// close when it evicts or the client closes.
+// rebind only. Preparation is entirely client-side: the server holds no
+// statement, and a remote client ships each execution's RemoteSQL in full.
 
 import (
 	"repro/internal/ast"

@@ -1,14 +1,14 @@
 package client
 
 // The remote client's result consumption: the client half of the end-to-end
-// pipeline. runRemoteStreamed connects the executor's ExecuteStream (or
-// ExecuteStmtStream) to the part's decoder through a pipe carrying the framed
-// batch protocol of internal/wire: the server frames encrypted batches
-// mid-scan, a reader goroutine parses frames as they arrive, and Parallelism
-// workers decode whole batches concurrently, each with its own copy of the
-// decoder the in-process hand-off runs over its whole result; the caller
-// merges their output in batch order — so rows, row order, and encodings are
-// identical to what an in-process client produces.
+// pipeline. runRemoteStreamed connects the executor's ExecuteStream to the
+// part's decoder through a pipe carrying the framed batch protocol of
+// internal/wire: the server frames encrypted batches mid-scan, a reader
+// goroutine parses frames as they arrive, and Parallelism workers decode
+// whole batches concurrently, each with its own copy of the decoder the
+// in-process hand-off runs over its whole result; the caller merges their
+// output in batch order — so rows, row order, and encodings are identical to
+// what an in-process client produces.
 //
 // Error/abandon handling is symmetric: a server error poisons the pipe and
 // surfaces at the reader; a client-side decode error closes the pipe,
@@ -57,39 +57,20 @@ type streamBatch struct {
 	done     chan struct{}
 }
 
-// runRemoteStreamed executes one RemoteSQL on a remote-built client. On the
-// template fast path (ec != nil) the part's encrypted parameter bindings
-// ride along, and a statement-capable executor streams via the part's
-// server-side prepared statement. A statement stream that fails before its
-// header arrived may have hit a stale handle (the server dropped the
-// statement, or an eviction's CloseStmt raced this execution): the handle is
-// forgotten and the query runs once in full, so a second error reports the
-// real failure. A failure after the header is returned as is.
+// runRemoteStreamed executes one RemoteSQL on a remote-built client: the
+// whole query — text and, on the template fast path (ec != nil), the part's
+// encrypted parameter bindings — goes out on every execution.
 func (c *Client) runRemoteStreamed(part *planner.RemotePart, dec *decoder, res *Result, ec *execCtx) ([][]value.Value, error) {
 	q := c.resolveHomGroups(part.Query)
-	if se, id, ok := c.stmtFor(part, q, ec); ok {
-		rows, started, err := c.consumeStream(part, dec, res, func(w io.Writer) (*server.StreamStats, error) {
-			return se.ExecuteStmtStream(id, ec.encParams(), w)
-		})
-		if err == nil {
-			return rows, nil
-		}
-		c.dropStmt(part, ec)
-		if started {
-			return nil, err
-		}
-	}
-	rows, _, err := c.consumeStream(part, dec, res, func(w io.Writer) (*server.StreamStats, error) {
+	return c.consumeStream(part, dec, res, func(w io.Writer) (*server.StreamStats, error) {
 		return c.exec.ExecuteStream(q, ec.encParams(), w)
 	})
-	return rows, err
 }
 
 // consumeStream runs produce against a pipe and decodes the framed batches
-// it writes. The bool reports that the stream's header was read, i.e. that
-// the failure (if any) came after the server began answering.
+// it writes.
 func (c *Client) consumeStream(part *planner.RemotePart, dec *decoder, res *Result,
-	produce func(io.Writer) (*server.StreamStats, error)) ([][]value.Value, bool, error) {
+	produce func(io.Writer) (*server.StreamStats, error)) ([][]value.Value, error) {
 	pr, pw := io.Pipe()
 
 	// Producer: the untrusted server frames batches into the pipe as its
@@ -114,10 +95,10 @@ func (c *Client) consumeStream(part *planner.RemotePart, dec *decoder, res *Resu
 
 	br, err := wire.NewBatchReader(pr)
 	if err != nil {
-		return nil, false, fail(err)
+		return nil, fail(err)
 	}
 	if len(br.Cols()) != len(part.Outputs) {
-		return nil, true, fail(fmt.Errorf("stream has %d columns, plan expects %d",
+		return nil, fail(fmt.Errorf("stream has %d columns, plan expects %d",
 			len(br.Cols()), len(part.Outputs)))
 	}
 
@@ -199,13 +180,13 @@ func (c *Client) consumeStream(part *planner.RemotePart, dec *decoder, res *Resu
 	<-srvDone
 
 	if decodeErr != nil {
-		return nil, true, decodeErr
+		return nil, decodeErr
 	}
 	if srvErr != nil {
-		return nil, true, srvErr
+		return nil, srvErr
 	}
 	if rerr != nil {
-		return nil, true, rerr
+		return nil, rerr
 	}
 
 	res.ServerTime += sstats.ServerTime
@@ -217,5 +198,5 @@ func (c *Client) consumeStream(part *planner.RemotePart, dec *decoder, res *Resu
 		res.TimeToFirstRow = sstats.TimeToFirstBatch +
 			c.Cfg.TransferTime(firstFrameBytes) + firstRowWall
 	}
-	return rows, true, nil
+	return rows, nil
 }

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/engine"
+	"repro/internal/planner"
 	"repro/internal/server"
 	"repro/internal/value"
 	"repro/internal/wire"
@@ -319,118 +320,12 @@ func decodeQID(p []byte) uint64 {
 	return q
 }
 
-// PrepareStmt registers q as a server-side prepared statement and returns
-// its id. The query's literals are hoisted exactly as Execute would hoist
-// them and shipped once as the statement's fixed parameters; later
-// ExecuteStmt calls ship only per-execution parameters. Statement ids come
-// from the session's query-id sequence, so error frames are unambiguous.
-func (c *Conn) PrepareStmt(q *ast.Query) (uint64, error) {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	if err := c.poisoned(); err != nil {
-		return 0, err
-	}
-	c.nextQID++
-	id := c.nextQID
-	hq, hoisted, order := hoistLiterals(q)
-	payload, err := queryPayload(id, hq.SQL(), hoisted, order)
-	if err != nil {
-		return 0, err
-	}
-	if err := c.writeFrame(framePrepare, payload); err != nil {
-		return 0, err
-	}
-	for {
-		tag, payload, err := readFrame(c.conn)
-		if err != nil {
-			err = fmt.Errorf("transport: connection lost mid-prepare: %w", err)
-			c.poison(err)
-			c.conn.Close()
-			return 0, err
-		}
-		switch tag {
-		case framePrepareOK:
-			okID, err := parsePrepareOK(payload)
-			if err != nil {
-				return 0, c.protocolFail(err.Error())
-			}
-			if okID != id {
-				continue
-			}
-			return id, nil
-		case frameData, frameDone:
-			continue // late frames from a cancelled predecessor
-		case frameError:
-			errID, re, perr := parseError(payload)
-			if perr != nil {
-				return 0, c.protocolFail(perr.Error())
-			}
-			if errID != id {
-				continue
-			}
-			return 0, re
-		default:
-			return 0, c.protocolFail(fmt.Sprintf("unexpected frame %#x", tag))
-		}
-	}
-}
-
-// ExecuteStmt runs a prepared statement to completion and materializes the
-// result — the statement counterpart of Execute.
-func (c *Conn) ExecuteStmt(id uint64, params map[string]value.Value) (*server.Response, error) {
-	var buf bytes.Buffer
-	st, err := c.ExecuteStmtStream(id, params, &buf)
-	if err != nil {
-		return nil, err
-	}
-	return materialize(&buf, st)
-}
-
-// ExecuteStmtStream runs a prepared statement, writing the framed batch
-// stream to w as data frames arrive.
-func (c *Conn) ExecuteStmtStream(id uint64, params map[string]value.Value, w io.Writer) (*server.StreamStats, error) {
-	return c.ExecuteStmtStreamCtx(context.Background(), id, params, w)
-}
-
-// ExecuteStmtStreamCtx is ExecuteStmtStream with cancellation.
-func (c *Conn) ExecuteStmtStreamCtx(ctx context.Context, id uint64, params map[string]value.Value, w io.Writer) (*server.StreamStats, error) {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	if err := c.poisoned(); err != nil {
-		return nil, err
-	}
-	c.nextQID++
-	qid := c.nextQID
-	names := make([]string, 0, len(params))
-	for name := range params {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	payload, err := execStmtPayload(qid, id, params, names)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.writeFrame(frameExecStmt, payload); err != nil {
-		return nil, err
-	}
-	return c.awaitResult(ctx, qid, w)
-}
-
-// CloseStmt releases a server-side prepared statement. Fire-and-forget:
-// the server deletes the statement when the frame arrives; executions
-// already decoded keep their resolved statement and finish normally.
-func (c *Conn) CloseStmt(id uint64) error {
-	if err := c.poisoned(); err != nil {
-		return err
-	}
-	return c.writeFrame(frameCloseStmt, closeStmtPayload(id))
-}
-
-// buildQueryPayload renders q for the wire: every literal hoisted to a
-// :tpN parameter (ciphertext byte strings have no SQL spelling), merged
-// with the caller's own parameters.
+// buildQueryPayload renders q for the wire: every literal, at any depth,
+// hoisted to a :tpN parameter (ciphertext byte strings have no SQL
+// spelling), merged with the caller's own parameters. The client's plan
+// cache normalizes query shapes with the same planner.HoistLiterals.
 func buildQueryPayload(qid uint64, q *ast.Query, params map[string]value.Value) ([]byte, error) {
-	hq, hoisted, order := hoistLiterals(q)
+	hq, hoisted, order := planner.HoistLiterals(q, "tp")
 	for name := range params {
 		if strings.HasPrefix(name, "tp") {
 			if _, clash := hoisted[name]; clash {

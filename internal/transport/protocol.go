@@ -14,34 +14,24 @@
 //
 // with client→server tags
 //
-//	hello:      0xC1  magic "MNM1" + u16 version
-//	query:      0xC4  u64 qid | u32 sql len | sql | u32 nparams |
-//	                  nparams × (u32 name len | name | wire-framed value)
-//	cancel:     0xC5  u64 qid
-//	prepare:    0xC9  u64 stmt id | u32 sql len | sql | u32 nparams | ...
-//	                  (same layout as query: the fixed hoisted literals)
-//	exec-stmt:  0xCB  u64 qid | u64 stmt id | u32 nparams | ...
-//	close-stmt: 0xCC  u64 stmt id             (fire and forget)
+//	hello:    0xC1  magic "MNM1" + u16 version
+//	query:    0xC4  u64 qid | u32 sql len | sql | u32 nparams |
+//	                nparams × (u32 name len | name | wire-framed value)
+//	cancel:   0xC5  u64 qid
 //
 // and server→client tags
 //
-//	hello-ok:   0xC2  u16 version | u64 session id
-//	reject:     0xC3  u16 code | message      (connection-level; closes)
-//	data:       0xC6  u64 qid | stream bytes  (a chunk of the result stream)
-//	done:       0xC7  u64 qid | 6 × u64 stats
-//	error:      0xC8  u64 qid | u16 code | message
-//	prepare-ok: 0xCA  u64 stmt id
+//	hello-ok: 0xC2  u16 version | u64 session id
+//	reject:   0xC3  u16 code | message      (connection-level; closes)
+//	data:     0xC6  u64 qid | stream bytes  (a chunk of the result stream)
+//	done:     0xC7  u64 qid | 6 × u64 stats
+//	error:    0xC8  u64 qid | u16 code | message
 //
-// Prepared statements (PREPARE/EXECUTE): a prepare frame registers a
-// parameterized query under a client-chosen statement id — the server
-// parses it once, stores the AST with the prepare-time parameter values
-// (the hoisted ciphertext constants), and acks with prepare-ok. Each
-// exec-stmt frame then re-executes the stored statement with only the
-// fresh per-execution parameters on the wire, merged over the fixed ones.
-// Statement ids are drawn from the same per-session sequence as query ids,
-// so an error frame's id field is never ambiguous. Executing an unknown or
-// closed id fails that execution with CodeUnknownStmt; the session
-// survives.
+// The query frame is the only request: every execution ships its
+// RemoteSQL text and parameters, and the server keeps no per-statement
+// state between queries. Any other tag after the handshake — the retired
+// statement tags 0xC9–0xCC included — is a protocol error that closes the
+// session.
 //
 // A query's result is the existing internal/wire batch stream
 // (header/batch/end frames), carried verbatim as the concatenated payloads
@@ -55,9 +45,9 @@
 // SQL (byte-string literals have no SQL spelling here), so the query frame
 // ships the AST with every literal hoisted into a named parameter: SQL
 // text with :p references plus the literal values in the wire value
-// encoding (params.go). The server parses the text and the engine resolves
-// the parameters at evaluation time — the same mechanism user-supplied
-// parameters already use.
+// encoding (buildQueryPayload, via planner.HoistLiterals). The server parses
+// the text and the engine resolves the parameters at evaluation time — the
+// same mechanism user-supplied parameters already use.
 package transport
 
 import (
@@ -75,24 +65,20 @@ import (
 // Protocol identity.
 const (
 	protoMagic   = "MNM1"
-	protoVersion = 2 // 2: the done frame carries six stats words (1 had seven)
+	protoVersion = 3 // 3: no statement frames (2 had them; 1 had seven done-frame words)
 )
 
 // Frame tags. Disjoint from wire's value tags (0–5) and stream-frame tags
 // (0xA1–0xA3) so a desynchronized reader fails on the first byte.
 const (
-	frameHello     byte = 0xC1
-	frameHelloOK   byte = 0xC2
-	frameReject    byte = 0xC3
-	frameQuery     byte = 0xC4
-	frameCancel    byte = 0xC5
-	frameData      byte = 0xC6
-	frameDone      byte = 0xC7
-	frameError     byte = 0xC8
-	framePrepare   byte = 0xC9
-	framePrepareOK byte = 0xCA
-	frameExecStmt  byte = 0xCB
-	frameCloseStmt byte = 0xCC
+	frameHello   byte = 0xC1
+	frameHelloOK byte = 0xC2
+	frameReject  byte = 0xC3
+	frameQuery   byte = 0xC4
+	frameCancel  byte = 0xC5
+	frameData    byte = 0xC6
+	frameDone    byte = 0xC7
+	frameError   byte = 0xC8
 )
 
 // Sanity bounds: frames announcing more are corrupt, and rejecting them
@@ -122,10 +108,6 @@ const (
 	CodeProtocol Code = 5
 	// CodeShutdown: the server is shutting down.
 	CodeShutdown Code = 6
-	// CodeUnknownStmt: an exec-stmt frame named a statement id this session
-	// never prepared (or already closed). Fails the execution, not the
-	// session.
-	CodeUnknownStmt Code = 7
 )
 
 func (c Code) String() string {
@@ -142,8 +124,6 @@ func (c Code) String() string {
 		return "protocol error"
 	case CodeShutdown:
 		return "server shutting down"
-	case CodeUnknownStmt:
-		return "unknown prepared statement"
 	}
 	return fmt.Sprintf("code %d", uint16(c))
 }
@@ -264,9 +244,13 @@ func parseError(p []byte) (qid uint64, e *RejectError, err error) {
 		&RejectError{Code: Code(binary.BigEndian.Uint16(p[8:])), Msg: string(p[10:])}, nil
 }
 
-// appendParams encodes a parameter set in slot order:
-// u32 count | count × (u32 name len | name | wire-framed value).
-func appendParams(b []byte, params map[string]value.Value, order []string) ([]byte, error) {
+// queryPayload frames one query: id, parameterized SQL text, and the
+// parameter values in slot order, each as
+// u32 name len | name | wire-framed value.
+func queryPayload(qid uint64, sql string, params map[string]value.Value, order []string) ([]byte, error) {
+	b := binary.BigEndian.AppendUint64(nil, qid)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(sql)))
+	b = append(b, sql...)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(order)))
 	var err error
 	for _, name := range order {
@@ -279,55 +263,8 @@ func appendParams(b []byte, params map[string]value.Value, order []string) ([]by
 	return b, nil
 }
 
-// decodeParams decodes an appendParams-encoded set, returning the unread
-// remainder. Decoded byte strings are copied — the decoded values outlive
-// the frame's scratch payload.
-func decodeParams(p []byte) (params map[string]value.Value, rest []byte, err error) {
-	if len(p) < 4 {
-		return nil, nil, fmt.Errorf("missing parameter count")
-	}
-	np := binary.BigEndian.Uint32(p)
-	p = p[4:]
-	if np > maxQueryParams {
-		return nil, nil, fmt.Errorf("parameter count exceeds limit")
-	}
-	if np > 0 {
-		params = make(map[string]value.Value, np)
-	}
-	for i := uint32(0); i < np; i++ {
-		if len(p) < 4 {
-			return nil, nil, fmt.Errorf("truncated parameter name length")
-		}
-		ln := binary.BigEndian.Uint32(p)
-		p = p[4:]
-		if uint32(len(p)) < ln {
-			return nil, nil, fmt.Errorf("parameter name overruns payload")
-		}
-		name := string(p[:ln])
-		p = p[ln:]
-		v, n, err := wire.DecodeValue(p)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bad parameter value: %w", err)
-		}
-		if v.K == value.Bytes {
-			v.B = append([]byte(nil), v.B...)
-		}
-		params[name] = v
-		p = p[n:]
-	}
-	return params, p, nil
-}
-
-// queryPayload frames one query: id, parameterized SQL text, and the
-// hoisted literal values. The prepare frame reuses the layout (the id is a
-// statement id and the values are the fixed prepare-time constants).
-func queryPayload(qid uint64, sql string, params map[string]value.Value, order []string) ([]byte, error) {
-	b := binary.BigEndian.AppendUint64(nil, qid)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(sql)))
-	b = append(b, sql...)
-	return appendParams(b, params, order)
-}
-
+// parseQuery decodes a query frame. Decoded byte strings are copied — the
+// parameter values outlive the frame's scratch payload.
 func parseQuery(p []byte) (qid uint64, sql string, params map[string]value.Value, err error) {
 	fail := func(what string) (uint64, string, map[string]value.Value, error) {
 		return 0, "", nil, fmt.Errorf("transport: malformed query frame: %s", what)
@@ -336,72 +273,49 @@ func parseQuery(p []byte) (qid uint64, sql string, params map[string]value.Value
 		return fail("short header")
 	}
 	qid = binary.BigEndian.Uint64(p)
-	p = p[8:]
-	n := binary.BigEndian.Uint32(p)
-	p = p[4:]
+	n := binary.BigEndian.Uint32(p[8:])
+	p = p[12:]
 	if uint32(len(p)) < n {
 		return fail("sql length overruns payload")
 	}
 	sql = string(p[:n])
 	p = p[n:]
-	params, p, perr := decodeParams(p)
-	if perr != nil {
-		return fail(perr.Error())
+	if len(p) < 4 {
+		return fail("missing parameter count")
+	}
+	np := binary.BigEndian.Uint32(p)
+	p = p[4:]
+	if np > maxQueryParams {
+		return fail("parameter count exceeds limit")
+	}
+	if np > 0 {
+		params = make(map[string]value.Value, np)
+	}
+	for i := uint32(0); i < np; i++ {
+		if len(p) < 4 {
+			return fail("truncated parameter name length")
+		}
+		ln := binary.BigEndian.Uint32(p)
+		p = p[4:]
+		if uint32(len(p)) < ln {
+			return fail("parameter name overruns payload")
+		}
+		name := string(p[:ln])
+		p = p[ln:]
+		v, vn, err := wire.DecodeValue(p)
+		if err != nil {
+			return fail("bad parameter value: " + err.Error())
+		}
+		if v.K == value.Bytes {
+			v.B = append([]byte(nil), v.B...)
+		}
+		params[name] = v
+		p = p[vn:]
 	}
 	if len(p) != 0 {
 		return fail("trailing bytes")
 	}
 	return qid, sql, params, nil
-}
-
-// prepareOKPayload acks a prepare frame.
-func prepareOKPayload(stmtID uint64) []byte {
-	return binary.BigEndian.AppendUint64(nil, stmtID)
-}
-
-func parsePrepareOK(p []byte) (uint64, error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("transport: malformed prepare-ok frame")
-	}
-	return binary.BigEndian.Uint64(p), nil
-}
-
-// execStmtPayload frames one execution of a prepared statement: the query
-// id, the statement id, and only the per-execution parameters.
-func execStmtPayload(qid, stmtID uint64, params map[string]value.Value, order []string) ([]byte, error) {
-	b := binary.BigEndian.AppendUint64(nil, qid)
-	b = binary.BigEndian.AppendUint64(b, stmtID)
-	return appendParams(b, params, order)
-}
-
-func parseExecStmt(p []byte) (qid, stmtID uint64, params map[string]value.Value, err error) {
-	fail := func(what string) (uint64, uint64, map[string]value.Value, error) {
-		return 0, 0, nil, fmt.Errorf("transport: malformed exec-stmt frame: %s", what)
-	}
-	if len(p) < 20 {
-		return fail("short header")
-	}
-	qid = binary.BigEndian.Uint64(p)
-	stmtID = binary.BigEndian.Uint64(p[8:])
-	params, rest, perr := decodeParams(p[16:])
-	if perr != nil {
-		return fail(perr.Error())
-	}
-	if len(rest) != 0 {
-		return fail("trailing bytes")
-	}
-	return qid, stmtID, params, nil
-}
-
-func closeStmtPayload(stmtID uint64) []byte {
-	return binary.BigEndian.AppendUint64(nil, stmtID)
-}
-
-func parseCloseStmt(p []byte) (uint64, error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("transport: malformed close-stmt frame")
-	}
-	return binary.BigEndian.Uint64(p), nil
 }
 
 func cancelPayload(qid uint64) []byte {

@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ast"
 	"repro/internal/server"
 	"repro/internal/sqlparser"
 	"repro/internal/value"
@@ -85,8 +84,6 @@ type ServerStats struct {
 	RejectedQs    int64 // queries refused by the in-flight cap
 	Cancelled     int64 // queries aborted by a cancel frame
 	Errors        int64 // queries that failed (parse or execution)
-	Prepared      int64 // statements registered by prepare frames
-	StmtExecs     int64 // executions that ran via a prepared statement
 }
 
 // SessionStats is one session's accounting: every counter reflects only
@@ -97,8 +94,6 @@ type SessionStats struct {
 	Rejected  int64 // refused by the in-flight cap
 	Cancelled int64
 	Errors    int64
-	Prepared  int64 // statements this session registered
-	StmtExecs int64 // executions that ran via a prepared statement
 	Rows      int64 // result rows shipped (sum of done-frame Rows)
 	Batches   int64 // result batches shipped
 	WireBytes int64 // framed result-stream bytes shipped (the wire.Batch* bytes)
@@ -124,7 +119,6 @@ type Server struct {
 	acceptErr error
 
 	accepted, rejectedConns, queries, rejectedQs, cancelled, errors int64
-	prepared, stmtExecs                                             int64
 }
 
 // Listen starts a server on addr (e.g. "127.0.0.1:0" or ":7077").
@@ -188,8 +182,6 @@ func (s *Server) Stats() ServerStats {
 		RejectedQs:    atomic.LoadInt64(&s.rejectedQs),
 		Cancelled:     atomic.LoadInt64(&s.cancelled),
 		Errors:        atomic.LoadInt64(&s.errors),
-		Prepared:      atomic.LoadInt64(&s.prepared),
-		StmtExecs:     atomic.LoadInt64(&s.stmtExecs),
 	}
 }
 
@@ -254,25 +246,14 @@ func (s *Server) dropSession(sess *session) {
 	s.mu.Unlock()
 }
 
-// queryJob is one decoded query frame queued for the session executor.
-// Statement executions carry the stored statement's already-parsed AST in
-// q (resolved at frame-decode time, so a close-stmt frame racing behind
-// the exec frame cannot invalidate it) and leave sql empty.
+// queryJob is one decoded query frame queued for the session executor,
+// which parses its SQL.
 type queryJob struct {
 	qid    uint64
 	sql    string
-	q      *ast.Query
-	stmt   bool
 	params map[string]value.Value
 	ctx    context.Context
 	cancel context.CancelFunc
-}
-
-// preparedStmt is one registered statement: the parsed query and its fixed
-// prepare-time parameter values (the hoisted ciphertext constants).
-type preparedStmt struct {
-	q      *ast.Query
-	params map[string]value.Value
 }
 
 // session is one accepted connection.
@@ -289,9 +270,6 @@ type session struct {
 	pmu     sync.Mutex
 	pending map[uint64]*queryJob
 
-	stmu  sync.Mutex
-	stmts map[uint64]*preparedStmt
-
 	jobs chan *queryJob
 
 	smu   sync.Mutex
@@ -304,7 +282,6 @@ func newSession(s *Server, conn net.Conn, id uint64) *session {
 		srv: s, conn: conn, id: id,
 		ctx: ctx, cancel: cancel,
 		pending: make(map[uint64]*queryJob),
-		stmts:   make(map[uint64]*preparedStmt),
 		jobs:    make(chan *queryJob, s.cfg.QueryQueue),
 	}
 }
@@ -386,80 +363,6 @@ func (s *session) run() {
 				job.cancel()
 			}
 			s.pmu.Unlock()
-		case framePrepare:
-			// Prepare is handled inline on the read loop (parse only — no
-			// execution), so the ack is ordered before any later frame's
-			// effect and an immediately following exec-stmt always resolves.
-			id, sql, params, err := parseQuery(payload)
-			if err != nil {
-				s.writeFrame(frameError, errorPayload(id, CodeProtocol, err.Error()))
-				return
-			}
-			q, perr := sqlparser.Parse(sql)
-			if perr != nil {
-				// A bad statement fails the prepare, not the session.
-				s.countError()
-				s.writeFrame(frameError, errorPayload(id, CodeQueryError, perr.Error()))
-				continue
-			}
-			s.stmu.Lock()
-			s.stmts[id] = &preparedStmt{q: q, params: params}
-			s.stmu.Unlock()
-			atomic.AddInt64(&s.srv.prepared, 1)
-			s.smu.Lock()
-			s.stats.Prepared++
-			s.smu.Unlock()
-			if s.writeFrame(framePrepareOK, prepareOKPayload(id)) != nil {
-				return
-			}
-		case frameExecStmt:
-			qid, stmtID, params, err := parseExecStmt(payload)
-			if err != nil {
-				s.writeFrame(frameError, errorPayload(qid, CodeProtocol, err.Error()))
-				return
-			}
-			s.stmu.Lock()
-			ps, ok := s.stmts[stmtID]
-			s.stmu.Unlock()
-			if !ok {
-				// Unknown or closed id fails this execution with a clean
-				// error frame; the session stays healthy.
-				s.countError()
-				s.writeFrame(frameError, errorPayload(qid, CodeUnknownStmt,
-					fmt.Sprintf("statement %d is not prepared on this session", stmtID)))
-				continue
-			}
-			merged := ps.params
-			if len(params) > 0 {
-				merged = make(map[string]value.Value, len(ps.params)+len(params))
-				for k, v := range ps.params {
-					merged[k] = v
-				}
-				for k, v := range params {
-					merged[k] = v
-				}
-			}
-			qctx, qcancel := context.WithCancel(s.ctx)
-			job := &queryJob{qid: qid, q: ps.q, stmt: true, params: merged, ctx: qctx, cancel: qcancel}
-			s.pmu.Lock()
-			s.pending[qid] = job
-			s.pmu.Unlock()
-			select {
-			case s.jobs <- job:
-			case <-s.ctx.Done():
-				qcancel()
-				return
-			}
-		case frameCloseStmt:
-			id, err := parseCloseStmt(payload)
-			if err != nil {
-				s.writeFrame(frameError, errorPayload(0, CodeProtocol, err.Error()))
-				return
-			}
-			// Unknown id is benign (idempotent close).
-			s.stmu.Lock()
-			delete(s.stmts, id)
-			s.stmu.Unlock()
 		default:
 			s.writeFrame(frameError, errorPayload(0, CodeProtocol,
 				fmt.Sprintf("unexpected frame %#x", tag)))
@@ -516,27 +419,17 @@ func (s *session) runQuery(job *queryJob) {
 		defer release()
 	}
 
-	q := job.q
-	if q == nil {
-		var err error
-		q, err = sqlparser.Parse(job.sql)
-		if err != nil {
-			s.countError()
-			s.writeFrame(frameError, errorPayload(job.qid, CodeQueryError, err.Error()))
-			return
-		}
+	q, err := sqlparser.Parse(job.sql)
+	if err != nil {
+		s.countError()
+		s.writeFrame(frameError, errorPayload(job.qid, CodeQueryError, err.Error()))
+		return
 	}
 
 	cw := &chunkWriter{sess: s, qid: job.qid}
 	st, err := s.srv.backend.ExecuteStreamCtx(job.ctx, q, job.params, cw)
 	release()
 	atomic.AddInt64(&s.srv.queries, 1)
-	if job.stmt {
-		atomic.AddInt64(&s.srv.stmtExecs, 1)
-		s.smu.Lock()
-		s.stats.StmtExecs++
-		s.smu.Unlock()
-	}
 	if err != nil {
 		code := CodeQueryError
 		if job.ctx.Err() != nil {

@@ -28,6 +28,7 @@ import (
 	"repro/internal/enc"
 	"repro/internal/engine"
 	"repro/internal/netsim"
+	"repro/internal/planner"
 	"repro/internal/server"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
@@ -179,7 +180,7 @@ func TestParamsAndLiterals(t *testing.T) {
 	// Frame-level round-trip of a query no SQL text can express: a bytes
 	// literal (what every DET/OPE ciphertext constant is).
 	raw := sqlparser.MustParse(`SELECT k FROM t WHERE s = 'placeholder'`)
-	hq, params, order := hoistLiterals(raw)
+	hq, params, order := planner.HoistLiterals(raw, "tp")
 	params[order[0]] = value.NewBytes([]byte{0x00, 0xff, 0x10, 0x20})
 	payload, err := queryPayload(7, hq.SQL(), params, order)
 	if err != nil {
@@ -198,26 +199,18 @@ func TestParamsAndLiterals(t *testing.T) {
 }
 
 // TestConcurrentSessions is the stress test: many sessions, each running a
-// mix of query shapes concurrently, with exact per-session accounting and
-// no cross-session bleed. Run with -race.
+// mix of parameterized query shapes concurrently with its own parameter
+// values, with exact per-session accounting and no cross-session bleed.
+// Run with -race.
 func TestConcurrentSessions(t *testing.T) {
 	backend := testBackend(t, 400)
 	s := startServer(t, backend, Config{})
 
 	shapes := []string{
-		`SELECT k, v FROM t WHERE v >= 50`,
-		`SELECT DISTINCT s FROM t`,
-		`SELECT k, COUNT(*) FROM t GROUP BY k`,
-		`SELECT v FROM t ORDER BY v DESC LIMIT 25`,
-	}
-	// Expected streams, computed once in-process.
-	want := make([][]byte, len(shapes))
-	for i, sql := range shapes {
-		var buf bytes.Buffer
-		if _, err := backend.ExecuteStream(sqlparser.MustParse(sql), nil, &buf); err != nil {
-			t.Fatal(err)
-		}
-		want[i] = buf.Bytes()
+		`SELECT k, v FROM t WHERE v >= :lo`,
+		`SELECT DISTINCT s FROM t WHERE v >= :lo`,
+		`SELECT k, COUNT(*) FROM t WHERE v >= :lo GROUP BY k`,
+		`SELECT v FROM t WHERE v >= :lo ORDER BY v DESC LIMIT 25`,
 	}
 
 	const clients = 8
@@ -233,13 +226,18 @@ func TestConcurrentSessions(t *testing.T) {
 		go func(id int, c *Conn) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				shape := (id + r) % len(shapes)
-				var buf bytes.Buffer
-				if _, err := c.ExecuteStream(sqlparser.MustParse(shapes[shape]), nil, &buf); err != nil {
+				q := sqlparser.MustParse(shapes[(id+r)%len(shapes)])
+				params := map[string]value.Value{"lo": value.NewInt(int64(id*40 + r))}
+				var want, buf bytes.Buffer
+				if _, err := backend.ExecuteStream(q, params, &want); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := c.ExecuteStream(q, params, &buf); err != nil {
 					errs <- fmt.Errorf("client %d round %d: %w", id, r, err)
 					return
 				}
-				if !bytes.Equal(buf.Bytes(), want[shape]) {
+				if !bytes.Equal(buf.Bytes(), want.Bytes()) {
 					errs <- fmt.Errorf("client %d round %d: stream differs (cross-session bleed?)", id, r)
 					return
 				}
@@ -270,6 +268,106 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 	if got := s.Stats().Queries; got != clients*rounds {
 		t.Fatalf("server counted %d queries, want %d", got, clients*rounds)
+	}
+}
+
+// TestPreparedConcurrentClients: several sessions each parse one
+// parameterized statement once — what a client-side prepared statement
+// holds — and re-execute it concurrently with their own :lo values, on the
+// materialized path. Every execution ships as a query frame; results must
+// match the in-process server and must not bleed across sessions. Run with
+// -race.
+func TestPreparedConcurrentClients(t *testing.T) {
+	backend := testBackend(t, 200)
+	s := startServer(t, backend, Config{})
+
+	const clients = 6
+	const rounds = 5
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		c := dialTest(t, s)
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			q := sqlparser.MustParse(fmt.Sprintf(`SELECT v FROM t WHERE k = %d AND v >= :lo ORDER BY v`, id%7))
+			for r := 0; r < rounds; r++ {
+				params := map[string]value.Value{"lo": value.NewInt(int64(id*10 + r*20))}
+				got, err := c.Execute(q, params)
+				if err != nil {
+					errs <- fmt.Errorf("client %d round %d: %w", id, r, err)
+					return
+				}
+				want, err := backend.Execute(q, params)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if len(got.Result.Rows) != len(want.Result.Rows) {
+					errs <- fmt.Errorf("client %d round %d: %d rows, want %d (cross-session bleed?)",
+						id, r, len(got.Result.Rows), len(want.Result.Rows))
+					return
+				}
+				for j := range want.Result.Rows {
+					if value.Compare(want.Result.Rows[j][0], got.Result.Rows[j][0]) != 0 {
+						errs <- fmt.Errorf("client %d round %d row %d: %v, want %v",
+							id, r, j, got.Result.Rows[j][0], want.Result.Rows[j][0])
+						return
+					}
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Queries; got != clients*rounds {
+		t.Errorf("server Queries = %d, want %d", got, clients*rounds)
+	}
+}
+
+// TestRepeatedQueryAccounting: one Conn runs the same parameterized
+// RemoteSQL — a hoisted literal plus fresh :cpN values, the shape a cached
+// client plan sends — N times. Each stream is byte-identical to the
+// in-process one, the server counts exactly N queries, and the session's
+// accounting equals the Conn's, field by field.
+func TestRepeatedQueryAccounting(t *testing.T) {
+	backend := testBackend(t, 300)
+	s := startServer(t, backend, Config{})
+	c := dialTest(t, s)
+
+	q := sqlparser.MustParse(`SELECT v, s FROM t WHERE k = 3 AND v >= :cp0 AND v < :cp1 ORDER BY v`)
+	const n = 12
+	before := s.Stats().Queries
+	for i := 0; i < n; i++ {
+		params := map[string]value.Value{"cp0": value.NewInt(int64(i * 20)), "cp1": value.NewInt(int64(i*20 + 150))}
+		var want, got bytes.Buffer
+		if _, err := backend.ExecuteStream(q, params, &want); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ExecuteStream(q, params, &got); err != nil {
+			t.Fatalf("execution %d: %v", i, err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Fatalf("execution %d: remote stream differs from in-process", i)
+		}
+	}
+	if got := s.Stats().Queries - before; got != n {
+		t.Errorf("server counted %d queries, want %d", got, n)
+	}
+	cs := c.Stats()
+	ss, ok := s.SessionStats(c.SessionID())
+	if !ok {
+		t.Fatal("no server stats for the session")
+	}
+	if cs.Queries != n || ss.Queries != cs.Queries || ss.Rows != cs.Rows ||
+		ss.Batches != cs.Batches || ss.WireBytes != cs.WireBytes {
+		t.Fatalf("accounting diverges: server %+v, client %+v", ss, cs)
+	}
+	if cs.Rows == 0 {
+		t.Fatal("the repeated query returned no rows")
 	}
 }
 

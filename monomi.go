@@ -430,10 +430,9 @@ func (s *System) ConnectRemoteTLS(addr string, cfg *tls.Config) (*System, error)
 	return &System{dep: s.dep.Remote(conn), conn: conn}, nil
 }
 
-// Close releases the System's resources: cached plans (and their remote
-// prepared-statement handles), the encrypted catalog's disk-backed tables
-// (only on the System that Encrypt returned — remote Systems share it), and
-// the network session, if any.
+// Close releases the System's resources: cached plans, the encrypted
+// catalog's disk-backed tables (only on the System that Encrypt returned —
+// remote Systems share it), and the network session, if any.
 func (s *System) Close() error {
 	s.dep.Client.Close()
 	if s.conn != nil {
@@ -514,8 +513,8 @@ func rowsData(rows [][]value.Value) [][]any {
 // Stmt is a prepared statement bound to a System: parse once, execute many
 // times with different parameter values. Repeated executions of the same
 // parameter-kind combination reuse a cached plan template (only the
-// parameters are re-encrypted), and on a remote System the RemoteSQL is
-// registered server-side once and re-executed by statement id.
+// parameters are re-encrypted). Preparation is client-side only: on a
+// remote System every execution ships its RemoteSQL as one query frame.
 type Stmt struct {
 	st     *client.Stmt
 	closed atomic.Bool
@@ -560,8 +559,8 @@ func (st *Stmt) Query(params map[string]any) (*Rows, error) {
 func (st *Stmt) SQL() string { return st.st.SQL() }
 
 // Close ends the statement's life: later Query calls return ErrStmtClosed.
-// Cached plans and server-side handles belong to the System's plan cache
-// (shared across statements of one shape); System.Close releases those.
+// Cached plans belong to the System's plan cache (shared across statements
+// of one shape); System.Close drops those.
 func (st *Stmt) Close() error {
 	st.closed.Store(true)
 	return nil
@@ -601,18 +600,10 @@ func paramValue(v any) (value.Value, error) {
 }
 
 // PlanCacheStats reports the client plan cache's counters.
-type PlanCacheStats struct {
-	Hits      int64 // executions that reused a cached template
-	Misses    int64 // executions that planned from scratch
-	Evictions int64 // entries dropped under capacity pressure
-	Size      int   // entries currently cached
-}
+type PlanCacheStats = client.PlanCacheStats
 
 // PlanCacheStats returns the trusted client's plan-cache counters.
-func (s *System) PlanCacheStats() PlanCacheStats {
-	st := s.dep.Client.PlanCacheStats()
-	return PlanCacheStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Size: st.Size}
-}
+func (s *System) PlanCacheStats() PlanCacheStats { return s.dep.Client.PlanCacheStats() }
 
 // ResetPlanCache drops every cached plan and parsed query, forcing
 // subsequent executions to plan from scratch (counters are kept).
