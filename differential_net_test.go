@@ -19,12 +19,15 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ast"
 	"repro/internal/client"
+	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/value"
 )
@@ -37,21 +40,31 @@ type recordedStream struct {
 }
 
 // recordingExec interposes on a client's Executor and keeps a copy of
-// every result stream it carries. It offers no statements, so a remote
-// client behind it ships every RemoteSQL in full.
+// every result stream it carries, and the engine counters each successful
+// execution reported: the handed-over result's on an in-process client, the
+// done frame's on a remote one. It offers no statements, so a remote client
+// behind it ships every RemoteSQL in full.
 type recordingExec struct {
 	inner   client.Executor
 	streams []recordedStream
+	stats   []engine.Stats
 }
 
 func (r *recordingExec) Execute(q *ast.Query, params map[string]value.Value) (*server.Response, error) {
-	return r.inner.Execute(q, params)
+	resp, err := r.inner.Execute(q, params)
+	if err == nil {
+		r.stats = append(r.stats, resp.Result.Stats)
+	}
+	return resp, err
 }
 
 func (r *recordingExec) ExecuteStream(q *ast.Query, params map[string]value.Value, w io.Writer) (*server.StreamStats, error) {
 	var buf bytes.Buffer
 	st, err := r.inner.ExecuteStream(q, params, io.MultiWriter(w, &buf))
 	r.streams = append(r.streams, recordedStream{q, params, buf.Bytes()})
+	if err == nil {
+		r.stats = append(r.stats, st.Stats)
+	}
 	return st, err
 }
 
@@ -131,12 +144,14 @@ func TestNetworkDifferential(t *testing.T) {
 	}
 }
 
-// TestNetworkTimeToFirstRow: a ConnectRemote client decodes batches as they
-// arrive, so against a bounded-batch server its first plaintext row exists
-// long before the scan's last batch has been produced and shipped.
-func TestNetworkTimeToFirstRow(t *testing.T) {
+// TestNetworkServerTimeFromCounts: the untrusted server reports counts, and
+// the trusted client prices them with the testbed model. For UDF-free
+// queries the counts a remote client receives in the done frame are the ones
+// the in-process hand-off sees, so the two clients' modelled ServerTime agree
+// to the nanosecond, and each is netsim's ServerTime of those counts.
+func TestNetworkServerTimeFromCounts(t *testing.T) {
 	sys := diffSystem(t)
-	sys.SetBatchSize(16)
+	sys.SetParallelism(1)
 	srv, err := sys.Serve("127.0.0.1:0", ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -147,16 +162,48 @@ func TestNetworkTimeToFirstRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	res, err := remote.Query("SELECT s_id, s_price FROM sales")
-	if err != nil {
-		t.Fatal(err)
+	remote.SetParallelism(1)
+
+	local := &recordingExec{inner: sys.dep.Client.Executor()}
+	sys.dep.Client.SetExecutor(local)
+	far := &recordingExec{inner: remote.dep.Client.Executor()}
+	remote.dep.Client.SetExecutor(far)
+	priced := func(stats []engine.Stats) (d time.Duration, udf bool) {
+		for _, st := range stats {
+			d += sys.dep.Net.ServerTime(st.BytesScanned+st.ExtraBytes, st.RowsScanned, time.Duration(st.UDFNanos))
+			udf = udf || st.UDFNanos != 0
+		}
+		return d, udf
 	}
-	if len(res.Data) != diffRows {
-		t.Fatalf("full scan returned %d rows, want %d", len(res.Data), diffRows)
+
+	compared := 0
+	for _, sql := range shardedStreamShapes {
+		local.stats, far.stats, far.streams = nil, nil, nil
+		want, err := sys.dep.Client.Query(sql, nil)
+		if err != nil {
+			t.Fatalf("in-process %s: %v", sql, err)
+		}
+		got, err := remote.dep.Client.Query(sql, nil)
+		if err != nil {
+			t.Fatalf("remote %s: %v", sql, err)
+		}
+		wantPriced, wantUDF := priced(local.stats)
+		gotPriced, gotUDF := priced(far.stats)
+		if want.ServerTime != wantPriced || got.ServerTime != gotPriced {
+			t.Errorf("%s: ServerTime in-process %v remote %v, netsim of the counts %v and %v",
+				sql, want.ServerTime, got.ServerTime, wantPriced, gotPriced)
+		}
+		if wantUDF || gotUDF {
+			continue // measured UDF wall differs between two executions
+		}
+		compared++
+		if want.ServerTime != got.ServerTime || !reflect.DeepEqual(local.stats, far.stats) {
+			t.Errorf("%s: in-process ServerTime %v from %+v, remote %v from %+v",
+				sql, want.ServerTime, local.stats, got.ServerTime, far.stats)
+		}
 	}
-	if res.TimeToFirstRow <= 0 || res.TimeToFirstRow >= res.ServerTime+res.TransferTime {
-		t.Errorf("TimeToFirstRow %.6fs, want below ServerTime + TransferTime = %.6fs",
-			res.TimeToFirstRow, res.ServerTime+res.TransferTime)
+	if compared < len(shardedStreamShapes)/2 {
+		t.Fatalf("only %d of %d shapes ran without a crypto UDF", compared, len(shardedStreamShapes))
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/client"
+	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/transport"
@@ -272,7 +273,34 @@ func (e *corruptingExecutor) ExecuteStream(q *ast.Query, params map[string]value
 	if err := bw.Close(); err != nil {
 		return nil, err
 	}
-	return &server.StreamStats{ServerTime: resp.ServerTime, WireBytes: bw.BytesWritten()}, nil
+	return &server.StreamStats{Stats: resp.Result.Stats, WireBytes: bw.BytesWritten()}, nil
+}
+
+// TestNegativeSubstringSurvivesClientStack: SUBSTRING with a negative
+// length used to slice out of range and panic in the trusted client's local
+// engine. It must fail the query with engine.ErrNegativeSubstringLength —
+// in process and over a served deployment, whose session keeps serving.
+func TestNegativeSubstringSurvivesClientStack(t *testing.T) {
+	sys := exampleSystem(t)
+	srv, err := sys.Serve("127.0.0.1:0", ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	remote, err := sys.ConnectRemote(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	for name, s := range map[string]*System{"in-process": sys, "remote": remote} {
+		if _, err := s.Query(`SELECT substring(o_cust, 2, -1) FROM orders`); !errors.Is(err, engine.ErrNegativeSubstringLength) {
+			t.Errorf("%s: err = %v, want engine.ErrNegativeSubstringLength", name, err)
+		}
+		rows, err := s.Query(`SELECT substring(o_cust, 2, 3) FROM orders WHERE o_id = 1`)
+		if err != nil || len(rows.Data) != 1 || rows.Data[0][0] != "lic" {
+			t.Errorf("%s: after the error, substring(o_cust, 2, 3) = %v, %v", name, rows, err)
+		}
+	}
 }
 
 // TestMalformedConcatSurvivesClientStack: a GROUP_CONCAT cell that is not a

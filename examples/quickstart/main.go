@@ -74,8 +74,8 @@ func main() {
 	for _, r := range rows.Data {
 		fmt.Printf("  %-8v %v\n", r[0], r[1])
 	}
-	fmt.Printf("\nSimulated latency: server %.3fs + network %.3fs + client %.3fs (wire %d B)\n",
-		rows.ServerTime, rows.TransferTime, rows.ClientTime, rows.WireBytes)
+	fmt.Printf("\nMeasured: %.3fs wall, of it %.3fs client decrypt + local; %d B from the server\n",
+		rows.Total(), rows.ClientTime, rows.WireBytes)
 
 	// Sanity: identical to the plaintext baseline.
 	plainRows, err := sys.QueryPlaintext(sql)

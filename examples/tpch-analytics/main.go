@@ -39,8 +39,8 @@ func main() {
 	fmt.Printf("Designer ILP: %d variables, %d constraints; space %.2fx plaintext\n\n",
 		vars, cons, float64(encBytes)/float64(plain))
 
-	fmt.Printf("%-5s %12s %12s %9s   breakdown (server/net/client)\n",
-		"query", "plaintext", "encrypted", "slowdown")
+	fmt.Printf("%-5s %12s %12s %9s %10s %10s\n",
+		"query", "plaintext", "encrypted", "slowdown", "client", "wire KB")
 	for _, qn := range []int{1, 3, 5, 6, 11, 12, 14, 18, 19} {
 		sql, _ := monomi.TPCHQuery(qn)
 		p, err := sys.QueryPlaintext(sql)
@@ -51,9 +51,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("Q%d encrypted: %v", qn, err)
 		}
-		fmt.Printf("Q%-4d %11.3fs %11.3fs %8.2fx   %.3f/%.3f/%.3f\n",
+		fmt.Printf("Q%-4d %11.3fs %11.3fs %8.2fx %9.3fs %10.1f\n",
 			qn, p.Total(), e.Total(), e.Total()/p.Total(),
-			e.ServerTime, e.TransferTime, e.ClientTime)
+			e.ClientTime, float64(e.WireBytes)/1024)
 	}
-	fmt.Println("\n(The per-query shapes mirror Figure 4; absolute times depend on the simulated disk/link.)")
+	fmt.Println("\n(Measured wall time in this process; the paper's Figure 4 models a disk and a 10 Mbit/s link: go run ./cmd/monomi-bench -exp fig4.)")
 }

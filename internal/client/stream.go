@@ -15,10 +15,10 @@ package client
 // which aborts the server's scan mid-stream. Either way every goroutine is
 // joined before returning.
 //
-// Accounting: ServerTime is the server's time-to-last-batch, WireBytes and
-// TransferTime charge the framed bytes (header, batch and end frames — more
-// than the in-process hand-off's value sizes + 4 B/row for the same rows),
-// and ClientTime sums the workers' measured decode time (CPU spent, not
+// Accounting: the server's engine.Stats arrive with the stream's end, WireBytes
+// counts the framed bytes (header, batch and end frames — more than the
+// in-process hand-off's value sizes + 4 B/row for the same rows), and
+// ClientTime sums the workers' measured decode time (CPU spent, not
 // elapsed: wall-clock overlap with the server's scan is the point of the
 // pipeline). Decrypts may differ slightly from the in-process hand-off: the
 // two split a result into decode ranges differently, and concurrent workers
@@ -124,13 +124,7 @@ func (c *Client) consumeStream(part *planner.RemotePart, dec *decoder, res *Resu
 
 	// Reader: pulls frames off the wire in arrival order, queueing each
 	// batch for the merge below as well, so it sees batch order regardless
-	// of which worker finishes first. firstBatchAt marks the wall moment the
-	// first encrypted batch left the wire — the client-side decode clock for
-	// TimeToFirstRow starts there, not at query start, so the (real,
-	// in-process) server execution isn't counted twice on top of its
-	// simulated charge.
-	var firstFrameBytes int64
-	var firstBatchAt time.Time
+	// of which worker finishes first.
 	readErr := make(chan error, 1)
 	go func() {
 		defer close(jobs)
@@ -140,10 +134,6 @@ func (c *Client) consumeStream(part *planner.RemotePart, dec *decoder, res *Resu
 			if err != nil || rows == nil {
 				readErr <- err
 				return
-			}
-			if firstFrameBytes == 0 {
-				firstFrameBytes = br.BytesRead() // header + first batch frame
-				firstBatchAt = time.Now()
 			}
 			b := &streamBatch{rows: rows, done: make(chan struct{})}
 			ordered <- b
@@ -156,7 +146,7 @@ func (c *Client) consumeStream(part *planner.RemotePart, dec *decoder, res *Resu
 	// reader and every worker exit before we return.
 	var rows [][]value.Value
 	var decodeErr error
-	var decodeTime, firstRowWall time.Duration
+	var decodeTime time.Duration
 	var decrypts int64
 	for b := range ordered {
 		<-b.done
@@ -169,9 +159,6 @@ func (c *Client) consumeStream(part *planner.RemotePart, dec *decoder, res *Resu
 			decodeErr = b.err
 			pr.CloseWithError(b.err)
 			continue
-		}
-		if len(rows) == 0 && len(b.rows) > 0 {
-			firstRowWall = time.Since(firstBatchAt)
 		}
 		rows = append(rows, b.rows...)
 	}
@@ -189,14 +176,8 @@ func (c *Client) consumeStream(part *planner.RemotePart, dec *decoder, res *Resu
 		return nil, rerr
 	}
 
-	res.ServerTime += sstats.ServerTime
-	res.TransferTime += c.Cfg.TransferTime(sstats.WireBytes)
-	res.WireBytes += sstats.WireBytes
+	c.charge(res, sstats.Stats, sstats.WireBytes)
 	res.ClientTime += decodeTime
 	res.Decrypts += decrypts
-	if res.TimeToFirstRow == 0 {
-		res.TimeToFirstRow = sstats.TimeToFirstBatch +
-			c.Cfg.TransferTime(firstFrameBytes) + firstRowWall
-	}
 	return rows, nil
 }

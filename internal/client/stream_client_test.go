@@ -39,9 +39,6 @@ func TestRemoteClientMatchesPlaintext(t *testing.T) {
 				if res.WireBytes <= 0 {
 					t.Errorf("p=%d bs=%d %s: no wire bytes accounted", p, bs, sql)
 				}
-				if res.Plan.Remote != nil && res.TimeToFirstRow <= 0 {
-					t.Errorf("p=%d bs=%d %s: TimeToFirstRow not populated", p, bs, sql)
-				}
 			}
 		}
 	}
@@ -74,9 +71,10 @@ func TestRemoteResultsIdenticalToInProcess(t *testing.T) {
 				t.Errorf("%s row %d: streamed %s, in-process %s", sql, i, g[i], w[i])
 			}
 		}
-		// ServerTime equality is asserted at the server layer for scan-only
-		// queries; here UDF nanos are measured wall time and legitimately
-		// differ between the two executions.
+		// ServerTime equality is asserted over a real socket for UDF-free
+		// queries (root TestNetworkServerTimeFromCounts); here UDF nanos are
+		// measured wall time and legitimately differ between the two
+		// executions.
 		if got.ServerTime <= 0 {
 			t.Errorf("%s: streamed ServerTime not charged", sql)
 		}

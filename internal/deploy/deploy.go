@@ -26,11 +26,8 @@ import (
 // Spec carries the values the callers vary; everything else about a
 // deployment follows from the catalog, the workload and these.
 type Spec struct {
-	MasterKey    []byte // derives every column key
-	PaillierBits int    // HOM modulus width (0 = the paper's 1,024)
-	// NetBitsPerSec / DiskBytesPerSec, when positive, override netsim.Default.
-	NetBitsPerSec   float64
-	DiskBytesPerSec float64
+	MasterKey       []byte // derives every column key
+	PaillierBits    int    // HOM modulus width (0 = the paper's 1,024)
 	Designer        designer.Options
 	Backend         storage.BackendConfig // encrypted row store (zero = in memory)
 	GreedyExecution bool                  // no runtime planner (§8.3 Execution-Greedy)
@@ -58,14 +55,7 @@ func Design(cat *storage.Catalog, workload map[string]string, spec Spec) (*desig
 	if err != nil {
 		return nil, err
 	}
-	net := netsim.Default()
-	if spec.NetBitsPerSec > 0 {
-		net.NetBitsPerSec = spec.NetBitsPerSec
-	}
-	if spec.DiskBytesPerSec > 0 {
-		net.DiskBytesPerSec = spec.DiskBytesPerSec
-	}
-	cost := planner.DefaultCostModel(net)
+	cost := planner.DefaultCostModel(netsim.Default())
 	cost.HomCipherBytes = ks.Paillier().CiphertextSize()
 	w, err := designer.ParseWorkload(workload)
 	if err != nil {
@@ -217,7 +207,7 @@ func (d *Deployment) ExecutePlain(sql string) (*PlainResult, error) {
 		return nil, err
 	}
 	cpu := time.Since(start)
-	serverTime := d.Net.ScanTime(res.Stats.BytesScanned) + d.Net.RowTime(res.Stats.RowsScanned)
+	serverTime := d.Net.ServerTime(res.Stats.BytesScanned, res.Stats.RowsScanned, 0)
 	transfer := d.Net.TransferTime(res.Bytes())
 	return &PlainResult{
 		Cols: res.Cols, Rows: res.Rows,

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -400,6 +401,36 @@ func TestSubstring(t *testing.T) {
 	res := run(t, e, `SELECT substring(i_tag from 1 for 3) FROM items WHERE i_order = 2`, nil)
 	if res.Rows[0][0].S != "red" {
 		t.Errorf("substring = %v", res.Rows[0][0])
+	}
+}
+
+// TestSubstringEdges: a negative length is a typed error, not a slice panic
+// (including one that overflows start+n); a NULL argument yields NULL; a
+// length or start past the end clamps.
+func TestSubstringEdges(t *testing.T) {
+	e := fixture(t)
+	for _, sql := range []string{
+		`SELECT substring(i_tag, 2, -1) FROM items`,
+		`SELECT substring(i_tag, 3, -9223372036854775807) FROM items`,
+	} {
+		if _, err := e.Execute(sqlparser.MustParse(sql), nil); !errors.Is(err, ErrNegativeSubstringLength) {
+			t.Errorf("%s: err = %v, want ErrNegativeSubstringLength", sql, err)
+		}
+	}
+	for sql, want := range map[string]value.Value{
+		`SELECT substring(i_tag, 2, NULL) FROM items WHERE i_order = 2`:                value.NewNull(),
+		`SELECT substring(i_tag, NULL, 2) FROM items WHERE i_order = 2`:                value.NewNull(),
+		`SELECT substring(i_tag, 1, 9223372036854775807) FROM items WHERE i_order = 2`: value.NewStr("red gadget"),
+		`SELECT substring(i_tag, 2, 9223372036854775807) FROM items WHERE i_order = 2`: value.NewStr("ed gadget"),
+		`SELECT substring(i_tag, 12, 2) FROM items WHERE i_order = 2`:                  value.NewStr(""),
+	} {
+		res, err := e.Execute(sqlparser.MustParse(sql), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if got := res.Rows[0][0]; got.IsNull() != want.IsNull() || got.S != want.S {
+			t.Errorf("%s = %v, want %v", sql, got, want)
+		}
 	}
 }
 

@@ -1,12 +1,17 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/value"
 )
+
+// ErrNegativeSubstringLength is SUBSTRING(s, from, n) with n < 0, which SQL
+// (and Postgres) reject rather than read as an empty string.
+var ErrNegativeSubstringLength = errors.New("engine: negative substring length not allowed")
 
 // env is the evaluation environment for one row (or one group).
 type env struct {
@@ -314,8 +319,10 @@ func evalFunc(en *env, x *ast.FuncCall) (value.Value, error) {
 		if len(args) < 2 {
 			return value.Value{}, fmt.Errorf("engine: substring expects at least 2 arguments")
 		}
-		if args[0].IsNull() {
-			return value.NewNull(), nil
+		for _, a := range args {
+			if a.IsNull() {
+				return value.NewNull(), nil
+			}
 		}
 		s := args[0].S
 		from := int(args[1].AsInt()) // 1-based
@@ -328,8 +335,12 @@ func evalFunc(en *env, x *ast.FuncCall) (value.Value, error) {
 		}
 		end := len(s)
 		if len(args) >= 3 {
-			if n := int(args[2].AsInt()); start+n < end {
-				end = start + n
+			n := args[2].AsInt()
+			if n < 0 {
+				return value.Value{}, ErrNegativeSubstringLength
+			}
+			if n < int64(end-start) {
+				end = start + int(n)
 			}
 		}
 		return value.NewStr(s[start:end]), nil

@@ -79,7 +79,8 @@ func (s *ResultStream) Close() {
 }
 
 // Stats returns a snapshot of the execution statistics accumulated so far:
-// scan charges grow batch by batch, so a consumer can convert partial
-// progress into simulated time mid-stream. After the stream is exhausted
-// the snapshot equals the Stats Execute reports for the same query.
+// scan counters grow batch by batch, so a snapshot taken after a batch
+// counts the work done before that batch could ship (how pipelining is
+// judged). After the stream is exhausted the snapshot equals the Stats
+// Execute reports for the same query.
 func (s *ResultStream) Stats() Stats { return *s.ctx.stats }

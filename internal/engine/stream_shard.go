@@ -29,10 +29,10 @@ import (
 // whose batches never shipped — trailing filtered-out scans, an abandoned
 // stream's in-flight readahead) once the worker has provably exited. The
 // consumer goroutine is therefore the only writer of the stream's Stats,
-// mid-stream snapshots charge exactly the work whose output has been
-// emitted (so TimeToFirstBatch stays batch-proportional at every
-// parallelism level), and a drained stream's totals telescope to the
-// sequential charges.
+// mid-stream snapshots count exactly the work whose output has been
+// emitted (so the first batch's RowsScanned stays batch-proportional at
+// every parallelism level), and a drained stream's totals telescope to the
+// sequential counts.
 
 // shardStreamBuffer is the per-shard channel capacity: enough readahead to
 // keep a worker busy while the merger drains an earlier shard, small

@@ -11,6 +11,11 @@
 // components (bignum arithmetic, AES) use real CPU time so that, e.g.,
 // Paillier decryption being expensive — the fact that drives the planner's
 // client-vs-server aggregation choice — is real, not assumed.
+//
+// The model is an evaluation device (the paper's Fig. 4 quantity), not a
+// runtime property: the untrusted server and the wire report only counts
+// (bytes and rows scanned, measured UDF time, wire bytes), and this
+// package prices them where a modelled figure is wanted.
 package netsim
 
 import "time"
@@ -55,6 +60,14 @@ func (c Config) ScanTime(n int64) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(n) / c.DiskBytesPerSec * float64(time.Second))
+}
+
+// ServerTime prices one server execution from its counts: bytesRead off
+// disk (table bytes plus Paillier pack files), rowsScanned, and the measured
+// crypto-UDF time, charged serially. The server itself reports only the
+// counts; this is the one place the testbed model turns them into time.
+func (c Config) ServerTime(bytesRead, rowsScanned int64, udf time.Duration) time.Duration {
+	return c.ScanTime(bytesRead) + c.RowTime(rowsScanned) + udf
 }
 
 // RowTime is the server CPU time to process n rows.

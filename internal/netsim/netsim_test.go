@@ -45,3 +45,15 @@ func TestRowTime(t *testing.T) {
 		t.Error("zero rows cost nothing")
 	}
 }
+
+func TestServerTimeSumsItsTerms(t *testing.T) {
+	cfg := Default()
+	udf := 7 * time.Millisecond
+	want := cfg.ScanTime(3e6) + cfg.RowTime(40000) + udf
+	if got := cfg.ServerTime(3e6, 40000, udf); got != want {
+		t.Errorf("ServerTime = %v, want %v", got, want)
+	}
+	if cfg.ServerTime(0, 0, 0) != 0 {
+		t.Error("no work costs nothing")
+	}
+}

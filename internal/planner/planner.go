@@ -56,9 +56,9 @@ func hideable(it *enc.Item) bool {
 	return it.Scheme != enc.DET && it.Scheme != enc.RND
 }
 
-// hiddenSignature canonically names the hideable-item set a unit-enabling
-// assignment removes, so equivalent assignments plan only once.
-func hiddenSignature(units []Unit, enabled func(int) bool) string {
+// hiddenItems is the set of hideable item keys a unit-enabling assignment
+// removes: those claimed by a disabled unit and by no enabled one.
+func hiddenItems(units []Unit, enabled func(int) bool) map[string]bool {
 	hidden := make(map[string]bool)
 	for i := range units {
 		if !enabled(i) {
@@ -76,6 +76,12 @@ func hiddenSignature(units []Unit, enabled func(int) bool) string {
 			}
 		}
 	}
+	return hidden
+}
+
+// hiddenSignature canonically names a hidden-item set, so assignments that
+// hide the same items plan only once.
+func hiddenSignature(hidden map[string]bool) string {
 	keys := make([]string, 0, len(hidden))
 	for k := range hidden {
 		keys = append(keys, k)
@@ -84,25 +90,8 @@ func hiddenSignature(units []Unit, enabled func(int) bool) string {
 	return strings.Join(keys, ";")
 }
 
-// trialDesign hides the items claimed exclusively by disabled units.
-func trialDesign(d *enc.Design, units []Unit, enabled func(int) bool) *enc.Design {
-	hidden := make(map[string]bool)
-	for i := range units {
-		if !enabled(i) {
-			for j := range units[i].Items {
-				if hideable(&units[i].Items[j]) {
-					hidden[units[i].Items[j].Key()] = true
-				}
-			}
-		}
-	}
-	for i := range units {
-		if enabled(i) {
-			for _, it := range units[i].Items {
-				delete(hidden, it.Key())
-			}
-		}
-	}
+// trialDesign is d without the hidden items.
+func trialDesign(d *enc.Design, hidden map[string]bool) *enc.Design {
 	trial := &enc.Design{
 		GroupedAddition: d.GroupedAddition,
 		MultiRowPacking: d.MultiRowPacking,
@@ -152,12 +141,13 @@ func (ctx *Context) BestPlan(q *ast.Query) (*Plan, error) {
 		}
 		// Distinct masks can induce the same trial design (units whose
 		// items are all non-hideable); plan each design once.
-		sig := hiddenSignature(units, enabled)
+		hidden := hiddenItems(units, enabled)
+		sig := hiddenSignature(hidden)
 		if seen[sig] {
 			continue
 		}
 		seen[sig] = true
-		plan, err := ctx.planWith(q, units, enabled)
+		plan, err := ctx.planWith(q, hidden)
 		if err != nil {
 			continue
 		}
@@ -172,10 +162,9 @@ func (ctx *Context) BestPlan(q *ast.Query) (*Plan, error) {
 	return best, nil
 }
 
-// planWith generates and costs one plan for a unit-enabling assignment.
-func (ctx *Context) planWith(q *ast.Query, units []Unit, enabled func(int) bool) (*Plan, error) {
-	trial := trialDesign(ctx.Design, units, enabled)
-	tctx := ctx.WithDesign(trial)
+// planWith generates and costs one plan over the design minus hidden.
+func (ctx *Context) planWith(q *ast.Query, hidden map[string]bool) (*Plan, error) {
+	tctx := ctx.WithDesign(trialDesign(ctx.Design, hidden))
 	plan, err := tctx.Generate(q)
 	if err != nil {
 		return nil, err
@@ -234,12 +223,13 @@ func (ctx *Context) Candidates(q *ast.Query, units []Unit) []Candidate {
 					full |= 1 << uint(i)
 				}
 			}
-			sig := hiddenSignature(units, enabled)
+			hidden := hiddenItems(units, enabled)
+			sig := hiddenSignature(hidden)
 			if seen[sig] {
 				continue
 			}
 			seen[sig] = true
-			plan, err := ctx.planWith(q, units, enabled)
+			plan, err := ctx.planWith(q, hidden)
 			if err != nil {
 				continue
 			}

@@ -76,8 +76,8 @@ func TestPaillierSumUDF(t *testing.T) {
 	if total != 10+20+30+40 {
 		t.Errorf("total = %d", total)
 	}
-	if resp.ServerTime <= 0 || resp.WireBytes <= 0 {
-		t.Error("timing accounting missing")
+	if resp.Result.Stats.UDFNanos <= 0 || resp.Result.Stats.ExtraBytes <= 0 || resp.WireBytes <= 0 {
+		t.Errorf("work accounting missing: %+v, %d wire bytes", resp.Result.Stats, resp.WireBytes)
 	}
 }
 

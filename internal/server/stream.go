@@ -8,22 +8,18 @@ package server
 // (Figure 1's "send encrypted intermediate results to the client" without
 // the wait). The stream the server pulls may itself be produced by
 // Parallelism workers behind the engine's shard-order merger; nothing here
-// changes, because the engine folds each worker's charges into the
+// changes, because the engine folds each worker's counters into the
 // stream's statistics only as their batches are emitted — the Stats
-// snapshot taken after a batch is framed remains single-writer and
-// reflects exactly the work whose output has shipped. The simulated cost
-// model charges accordingly: each batch leaves the server at the simulated
-// time its share of scan I/O, per-row CPU, and crypto-UDF work completes,
-// so TimeToFirstBatch is O(batch) for pipeline-eligible queries — now
-// including streamed DISTINCT (seen-set emission) and grouped queries
-// (batch-at-a-time group finalization after accumulation) — while
-// ServerTime remains time-to-last-batch: for a drained stream, exactly
-// the materialized Execute's charge at every parallelism level.
+// snapshot taken after a batch is framed remains single-writer and counts
+// exactly the work whose output has shipped. Pipelining shows in those
+// counts: a scan, join or streamed DISTINCT ships its first batch while
+// RowsScanned is still below the table's size, and a grouped query, which
+// must scan everything first, finalizes and ships its groups a batch at a
+// time. A drained stream's Stats equal the materialized Execute's.
 
 import (
 	"context"
 	"io"
-	"time"
 
 	"repro/internal/ast"
 	"repro/internal/engine"
@@ -31,24 +27,12 @@ import (
 	"repro/internal/wire"
 )
 
-// StreamStats reports the timing and size of one streamed execution.
+// StreamStats reports the work and size of one streamed execution.
 type StreamStats struct {
-	// TimeToFirstBatch is the simulated server-side time at which the
-	// first batch had been produced and framed — the earliest moment any
-	// result data could leave the server. For a pipeline-eligible scan it
-	// is far below ServerTime; for materialized-fallback shapes the first
-	// batch only exists once the whole result does.
-	TimeToFirstBatch time.Duration
-	// ServerTime is time-to-last-batch: the simulated scan I/O + per-row
-	// CPU + measured crypto-UDF time of the work performed (for a drained
-	// stream, identical to Execute's ServerTime for the same query; for an
-	// abandoned stream, only what was actually scanned). The charge is
-	// serial: per-shard work sums, it never overlaps in the accounting.
-	ServerTime time.Duration
-	// FirstFrameBytes is the wire size of the header plus the first batch
-	// frame (what must cross the link before the client can start
-	// decrypting).
-	FirstFrameBytes int64
+	// Stats counts the work performed: for a drained stream, identical to
+	// Execute's Result.Stats for the same query (crypto-UDF wall aside); for
+	// an abandoned stream, only what was actually scanned.
+	Stats engine.Stats
 	// WireBytes is the total framed size of the stream.
 	WireBytes int64
 	// Batches counts the batch frames written.
@@ -80,7 +64,7 @@ func (s *Server) ExecuteStreamCtx(ctx context.Context, q *ast.Query, params map[
 		return st, err
 	}
 	defer es.Close()
-	defer func() { st.ServerTime = s.simulatedTime(es.Stats()) }()
+	defer func() { st.Stats = es.Stats() }()
 	bw, err := wire.NewBatchWriter(w, es.Cols())
 	if err != nil {
 		return st, err
@@ -102,27 +86,6 @@ func (s *Server) ExecuteStreamCtx(ctx context.Context, q *ast.Query, params map[
 		}
 		st.Batches++
 		st.Rows += int64(len(rows))
-		if st.Batches == 1 {
-			st.TimeToFirstBatch = s.simulatedTime(es.Stats())
-			st.FirstFrameBytes = bw.BytesWritten()
-		}
 	}
-	if err := bw.Close(); err != nil {
-		return st, err
-	}
-	if st.Batches == 0 {
-		// Empty result: the end frame is the first thing that can ship.
-		st.TimeToFirstBatch = s.simulatedTime(es.Stats())
-		st.FirstFrameBytes = bw.BytesWritten()
-	}
-	return st, nil
-}
-
-// simulatedTime converts engine statistics into the simulated server time
-// of the cost model: scan I/O + per-row CPU + measured crypto-UDF time —
-// the same formula Execute charges, applied to a mid-stream snapshot.
-func (s *Server) simulatedTime(stats engine.Stats) time.Duration {
-	return s.Cfg.ScanTime(stats.BytesScanned+stats.ExtraBytes) +
-		s.Cfg.RowTime(stats.RowsScanned) +
-		time.Duration(stats.UDFNanos)
+	return st, bw.Close()
 }

@@ -6,10 +6,13 @@ import (
 	"io"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/ast"
 	"repro/internal/enc"
+	"repro/internal/engine"
 	"repro/internal/netsim"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
@@ -69,10 +72,40 @@ func drainWire(t testing.TB, r io.Reader) ([]string, [][]value.Value) {
 	}
 }
 
+// firstBatch pulls q's first batch straight from the server's engine and
+// reports its size and the engine's counters at that moment: the work done
+// before the first batch could ship, which is what pipelining is judged by.
+func firstBatch(t testing.TB, srv *Server, q *ast.Query) (int, engine.Stats) {
+	t.Helper()
+	es, err := srv.Engine.ExecuteStream(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer es.Close()
+	b, err := es.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(b), es.Stats()
+}
+
+// sameWork checks a drained stream counted the work Execute counted. UDF
+// nanos are measured wall time, so where a crypto UDF runs (udf) the two
+// executions legitimately differ in that one counter.
+func sameWork(t testing.TB, what string, streamed, materialized engine.Stats, udf bool) {
+	t.Helper()
+	if udf {
+		streamed.UDFNanos, materialized.UDFNanos = 0, 0
+	}
+	if streamed != materialized {
+		t.Errorf("%s: drained stream counted %+v, Execute %+v", what, streamed, materialized)
+	}
+}
+
 // TestExecuteStreamMatchesExecute: the streamed wire must carry exactly
 // the rows the materialized Execute returns — same columns, same order,
 // same encodings — across plain scans, crypto-UDF aggregation, and empty
-// results, and its drained ServerTime must equal Execute's.
+// results, and its drained Stats must equal Execute's.
 func TestExecuteStreamMatchesExecute(t *testing.T) {
 	srv, _ := fixture(t)
 	srv.SetBatchSize(2)
@@ -116,21 +149,14 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 		if st.Rows != int64(len(rows)) {
 			t.Errorf("%s: StreamStats.Rows = %d, shipped %d", sql, st.Rows, len(rows))
 		}
-		// UDF nanos are measured wall time, not simulated, so the two
-		// executions of a crypto-aggregate query legitimately differ;
-		// scan-only charges must match exactly.
-		if !strings.Contains(sql, "paillier_sum") && !strings.Contains(sql, "group_concat") &&
-			st.ServerTime != want.ServerTime {
-			t.Errorf("%s: streamed ServerTime %v != materialized %v", sql, st.ServerTime, want.ServerTime)
-		}
+		sameWork(t, sql, st.Stats, want.Result.Stats, strings.Contains(sql, "paillier_sum"))
 	}
 }
 
 // TestTimeToFirstBatchBeatsServerTime is the pipelining acceptance test:
-// with streaming enabled and netsim charging per batch, the first
-// encrypted batch leaves the server long before the simulated scan
-// completes — TimeToFirstBatch < ServerTime, by roughly the batch/table
-// ratio.
+// the first encrypted batch is ready after one batch of the scan, not after
+// the whole table — judged by the engine's RowsScanned at that moment — and
+// the drained stream counts exactly the materialized Execute's work.
 func TestTimeToFirstBatchBeatsServerTime(t *testing.T) {
 	const rows = 4000
 	srv := bigFixture(t, rows)
@@ -144,24 +170,15 @@ func TestTimeToFirstBatchBeatsServerTime(t *testing.T) {
 	if st.Batches < rows/64 {
 		t.Fatalf("stream produced %d batches over %d rows at batch 64", st.Batches, rows)
 	}
-	if st.TimeToFirstBatch <= 0 || st.ServerTime <= 0 {
-		t.Fatalf("timings not charged: ttfb=%v server=%v", st.TimeToFirstBatch, st.ServerTime)
+	n, first := firstBatch(t, srv, q)
+	if n != 64 || first.RowsScanned != 64 {
+		t.Fatalf("first batch of %d rows after scanning %d, want 64 after 64: no pipelining", n, first.RowsScanned)
 	}
-	if st.TimeToFirstBatch >= st.ServerTime {
-		t.Fatalf("TimeToFirstBatch %v >= ServerTime %v: no pipelining", st.TimeToFirstBatch, st.ServerTime)
-	}
-	if st.TimeToFirstBatch > st.ServerTime/8 {
-		t.Errorf("TimeToFirstBatch %v is not batch-proportional (ServerTime %v)",
-			st.TimeToFirstBatch, st.ServerTime)
-	}
-	// Drained, the streamed ServerTime equals the materialized charge.
 	want, err := srv.Execute(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ServerTime != want.ServerTime {
-		t.Errorf("streamed ServerTime %v != materialized %v", st.ServerTime, want.ServerTime)
-	}
+	sameWork(t, "scan", st.Stats, want.Result.Stats, false)
 }
 
 // joinBigFixture extends bigFixture with a dimension table whose DET join
@@ -219,10 +236,10 @@ func joinBigFixture(t testing.TB, rows int) *Server {
 
 // TestJoinTimeToFirstBatchBeatsServerTime is the multi-table pipelining
 // acceptance test (the join-layer mirror of the single-table one above):
-// with the streamed hash-join probe, the first joined encrypted batch
-// leaves the server long before the simulated probe scan completes —
-// TimeToFirstBatch < ServerTime — and the drained stream carries exactly
-// the rows the materialized Execute returns.
+// with the streamed hash-join probe, the first joined encrypted batch is
+// ready after the build side and one batch of the probe scan, not after the
+// whole probe table — and the drained stream carries exactly the rows, and
+// counts exactly the work, of the materialized Execute.
 func TestJoinTimeToFirstBatchBeatsServerTime(t *testing.T) {
 	const rows = 4000
 	srv := joinBigFixture(t, rows)
@@ -239,15 +256,14 @@ func TestJoinTimeToFirstBatchBeatsServerTime(t *testing.T) {
 	if st.Batches < rows/64 {
 		t.Fatalf("stream produced %d batches over %d rows at batch 64", st.Batches, rows)
 	}
-	if st.TimeToFirstBatch <= 0 || st.ServerTime <= 0 {
-		t.Fatalf("timings not charged: ttfb=%v server=%v", st.TimeToFirstBatch, st.ServerTime)
+	n, first := firstBatch(t, srv, q)
+	if n == 0 || first.RowsScanned >= rows {
+		t.Fatalf("first joined batch of %d rows after scanning %d of %d probe rows: join probe is not pipelined",
+			n, first.RowsScanned, rows)
 	}
-	if st.TimeToFirstBatch >= st.ServerTime {
-		t.Fatalf("TimeToFirstBatch %v >= ServerTime %v: join probe is not pipelined", st.TimeToFirstBatch, st.ServerTime)
-	}
-	if st.TimeToFirstBatch > st.ServerTime/8 {
-		t.Errorf("TimeToFirstBatch %v is not batch-proportional (ServerTime %v)",
-			st.TimeToFirstBatch, st.ServerTime)
+	if first.RowsScanned > 97+rows/8 {
+		t.Errorf("first joined batch after scanning %d rows: not batch-proportional (97 build + %d probe rows)",
+			first.RowsScanned, rows)
 	}
 	want, err := srv.Execute(q, nil)
 	if err != nil {
@@ -264,9 +280,7 @@ func TestJoinTimeToFirstBatchBeatsServerTime(t *testing.T) {
 			}
 		}
 	}
-	if st.ServerTime != want.ServerTime {
-		t.Errorf("streamed ServerTime %v != materialized %v", st.ServerTime, want.ServerTime)
-	}
+	sameWork(t, "join", st.Stats, want.Result.Stats, false)
 }
 
 // TestExecuteStreamAbandoned: a client that stops reading mid-stream (its
@@ -304,8 +318,8 @@ func TestExecuteStreamAbandoned(t *testing.T) {
 		if st.Rows >= rows {
 			t.Fatalf("abandoned stream still shipped all %d rows", st.Rows)
 		}
-		if st.ServerTime <= 0 {
-			t.Error("abandoned stream charged no server time")
+		if st.Stats.RowsScanned <= 0 || st.Stats.RowsScanned >= rows {
+			t.Errorf("abandoned stream counted %d of %d rows scanned, want the work done so far", st.Stats.RowsScanned, rows)
 		}
 	}
 	var after int
@@ -355,13 +369,29 @@ func groupedFixture(t testing.TB, rows, groups int) *Server {
 	return New(db, netsim.Default())
 }
 
+// countedSum wraps a PAILLIER_SUM state to count its Result calls: the
+// expensive modular products a grouped query's finalization performs.
+type countedSum struct {
+	engine.AggState
+	results *atomic.Int64
+}
+
+func (c *countedSum) Merge(other engine.AggState) error {
+	return c.AggState.Merge(other.(*countedSum).AggState)
+}
+
+func (c *countedSum) Result() (value.Value, error) {
+	c.results.Add(1)
+	return c.AggState.Result()
+}
+
 // TestGroupedTimeToFirstBatchBeatsServerTime is the grouped-emission
-// acceptance test (the ROADMAP's "TimeToFirstBatch ≈ ServerTime for
-// grouped queries" gap): with streamed grouped emission, the first batch
-// of finalized groups — each carrying expensive Paillier Result work —
-// leaves the server after one batch of finalization, not after all of it,
-// so TimeToFirstBatch < ServerTime at last. The drained stream must still
-// carry exactly the rows Execute returns.
+// acceptance test: with streamed grouped emission, the first batch of
+// finalized groups — each carrying expensive Paillier Result work — is
+// ready after one batch of finalization, not after all of it: when it is
+// pulled, exactly one batch's worth of PAILLIER_SUM Result calls has run.
+// The drained stream must still carry exactly the rows, and count the work,
+// Execute does.
 func TestGroupedTimeToFirstBatchBeatsServerTime(t *testing.T) {
 	const rows, groups = 1800, 600
 	srv := groupedFixture(t, rows, groups)
@@ -380,23 +410,17 @@ func TestGroupedTimeToFirstBatchBeatsServerTime(t *testing.T) {
 	if st.Batches < groups/32 {
 		t.Fatalf("grouped stream produced %d batches over %d groups at batch 32", st.Batches, groups)
 	}
-	if st.TimeToFirstBatch <= 0 || st.ServerTime <= 0 {
-		t.Fatalf("timings not charged: ttfb=%v server=%v", st.TimeToFirstBatch, st.ServerTime)
+	// The accumulation (full scan) is shared; what pipelines is the
+	// 600-group Paillier finalization, one 32-group batch at a time.
+	var results atomic.Int64
+	srv.Engine.RegisterAgg("paillier_sum", func(es *engine.Stats) engine.AggState {
+		return &countedSum{AggState: srv.newPaillierSum(es), results: &results}
+	})
+	n, _ := firstBatch(t, srv, q)
+	if got := results.Load(); n != 32 || got != 32 {
+		t.Fatalf("first grouped batch of %d rows after %d of %d PAILLIER_SUM finalizations, want 32 after 32",
+			n, got, groups)
 	}
-	if st.TimeToFirstBatch >= st.ServerTime {
-		t.Fatalf("TimeToFirstBatch %v >= ServerTime %v: grouped emission is not pipelined",
-			st.TimeToFirstBatch, st.ServerTime)
-	}
-	// The accumulation (full scan) is shared; the gap comes from the
-	// 600-group Paillier finalization arriving one 32-group batch at a
-	// time. Even with measured-time jitter the first batch must land well
-	// inside the first half of the stream's work.
-	if st.TimeToFirstBatch > st.ServerTime/2 {
-		t.Errorf("TimeToFirstBatch %v is not finalization-batch-proportional (ServerTime %v)",
-			st.TimeToFirstBatch, st.ServerTime)
-	}
-	t.Logf("grouped paillier stream: TimeToFirstBatch=%v ServerTime=%v (%d groups, batch 32)",
-		st.TimeToFirstBatch, st.ServerTime, groups)
 	want, err := srv.Execute(q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -412,14 +436,15 @@ func TestGroupedTimeToFirstBatchBeatsServerTime(t *testing.T) {
 			}
 		}
 	}
+	sameWork(t, "grouped", st.Stats, want.Result.Stats, true)
 }
 
 // TestDistinctTimeToFirstBatchBeatsServerTime: streamed DISTINCT emits
 // first occurrences as the scan discovers them (seen-set, not a
 // materialized keep-bitmap), so the first encrypted batch of distinct
-// rows leaves the server batch-proportionally early — at parallelism 4,
-// where the sharded producer feeds the merger, with drained charges equal
-// to the materialized execution's.
+// rows is ready after a batch-proportional share of the scan — at
+// parallelism 4, where the sharded producer feeds the merger, with drained
+// counters equal to the materialized execution's.
 func TestDistinctTimeToFirstBatchBeatsServerTime(t *testing.T) {
 	const rows = 4000
 	srv := bigFixture(t, rows)
@@ -434,23 +459,19 @@ func TestDistinctTimeToFirstBatchBeatsServerTime(t *testing.T) {
 	if st.Rows != 97 { // b = i % 97
 		t.Fatalf("DISTINCT stream shipped %d rows, want 97", st.Rows)
 	}
-	if st.TimeToFirstBatch <= 0 || st.TimeToFirstBatch >= st.ServerTime {
-		t.Fatalf("TimeToFirstBatch %v vs ServerTime %v: streamed DISTINCT is not pipelined",
-			st.TimeToFirstBatch, st.ServerTime)
+	n, first := firstBatch(t, srv, q)
+	if n == 0 || first.RowsScanned >= rows {
+		t.Fatalf("first DISTINCT batch of %d rows after scanning %d of %d: streamed DISTINCT is not pipelined",
+			n, first.RowsScanned, rows)
 	}
-	if st.TimeToFirstBatch > st.ServerTime/8 {
-		t.Errorf("TimeToFirstBatch %v is not batch-proportional (ServerTime %v)",
-			st.TimeToFirstBatch, st.ServerTime)
+	if first.RowsScanned > rows/8 {
+		t.Errorf("first DISTINCT batch after scanning %d of %d rows: not batch-proportional", first.RowsScanned, rows)
 	}
-	t.Logf("streamed DISTINCT at p=4: TimeToFirstBatch=%v ServerTime=%v (%d rows, batch 64)",
-		st.TimeToFirstBatch, st.ServerTime, rows)
 	want, err := srv.Execute(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ServerTime != want.ServerTime {
-		t.Errorf("drained sharded DISTINCT ServerTime %v != materialized %v", st.ServerTime, want.ServerTime)
-	}
+	sameWork(t, "sharded DISTINCT", st.Stats, want.Result.Stats, false)
 	_, rowsGot := drainWire(t, &buf)
 	if len(rowsGot) != len(want.Result.Rows) {
 		t.Fatalf("stream has %d rows, Execute has %d", len(rowsGot), len(want.Result.Rows))
@@ -495,9 +516,10 @@ func TestShardedWireStreamMatchesSequential(t *testing.T) {
 				t.Errorf("p=%d %s: wire stream differs from sequential puller (%d vs %d bytes)",
 					p, sql, got.Len(), seq.Len())
 			}
-			if st.ServerTime != seqSt.ServerTime || st.Batches != seqSt.Batches {
-				t.Errorf("p=%d %s: stream stats (%v, %d batches) != sequential (%v, %d)",
-					p, sql, st.ServerTime, st.Batches, seqSt.ServerTime, seqSt.Batches)
+			if st.Stats.BytesScanned != seqSt.Stats.BytesScanned || st.Stats.RowsScanned != seqSt.Stats.RowsScanned ||
+				st.Batches != seqSt.Batches {
+				t.Errorf("p=%d %s: stream stats (%+v, %d batches) != sequential (%+v, %d)",
+					p, sql, st.Stats, st.Batches, seqSt.Stats, seqSt.Batches)
 			}
 		}
 	}

@@ -172,7 +172,7 @@ func materialize(buf *bytes.Buffer, st *server.StreamStats) (*server.Response, e
 	if err != nil {
 		return nil, fmt.Errorf("transport: decoding result stream: %w", err)
 	}
-	res := &engine.Result{Cols: br.Cols()}
+	res := &engine.Result{Cols: br.Cols(), Stats: st.Stats}
 	for {
 		rows, err := br.Next()
 		if err != nil {
@@ -183,11 +183,7 @@ func materialize(buf *bytes.Buffer, st *server.StreamStats) (*server.Response, e
 		}
 		res.Rows = append(res.Rows, rows...)
 	}
-	return &server.Response{
-		Result:     res,
-		ServerTime: st.ServerTime,
-		WireBytes:  st.WireBytes,
-	}, nil
+	return &server.Response{Result: res, WireBytes: st.WireBytes}, nil
 }
 
 // ExecuteStream runs one RemoteSQL on the remote server, writing the

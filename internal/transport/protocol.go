@@ -1,9 +1,7 @@
 // Package transport is MONOMI's real network layer: the request/response
 // protocol a remote trusted client speaks to the untrusted server over TCP
-// (optionally TLS). Everything before this package ran in-process with
-// netsim charging simulated time; transport keeps that cost model (the
-// server still reports simulated scan/CPU charges in its stats frame) but
-// moves the bytes over an actual socket, with sessions multiplexing many
+// (optionally TLS). It moves the same result stream an in-process server
+// hands over across an actual socket, with sessions multiplexing many
 // concurrent clients onto server.ExecuteStreamCtx, per-query context
 // cancellation, and admission control (connection cap, in-flight query
 // cap).
@@ -24,7 +22,8 @@
 //	hello-ok: 0xC2  u16 version | u64 session id
 //	reject:   0xC3  u16 code | message      (connection-level; closes)
 //	data:     0xC6  u64 qid | stream bytes  (a chunk of the result stream)
-//	done:     0xC7  u64 qid | 6 × u64 stats
+//	done:     0xC7  u64 qid | 9 × u64 engine.Stats |
+//	                u64 wire bytes | u64 batches | u64 rows
 //	error:    0xC8  u64 qid | u16 code | message
 //
 // The query frame is the only request: every execution ships its
@@ -38,8 +37,9 @@
 // of its data frames — the transport never re-frames result rows, so the
 // streamed bytes are byte-identical to what server.ExecuteStream writes
 // in-process, and the client feeds them to the same wire.BatchReader. The
-// done frame carries the server's StreamStats (simulated times, wire
-// size), preserving the netsim accounting across the real socket.
+// done frame carries the server's StreamStats — the engine's work counters
+// and the stream's size, no durations — so a remote client sees exactly
+// the counts an in-process one does.
 //
 // Queries containing ciphertext constants do not render to re-parsable
 // SQL (byte-string literals have no SQL spelling here), so the query frame
@@ -55,7 +55,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/server"
 	"repro/internal/value"
@@ -65,7 +64,7 @@ import (
 // Protocol identity.
 const (
 	protoMagic   = "MNM1"
-	protoVersion = 3 // 3: no statement frames (2 had them; 1 had seven done-frame words)
+	protoVersion = 4 // 4: done frame carries engine.Stats (3 had modelled times; 2 had statement frames)
 )
 
 // Frame tags. Disjoint from wire's value tags (0–5) and stream-frame tags
@@ -329,30 +328,34 @@ func parseCancel(p []byte) (uint64, error) {
 	return binary.BigEndian.Uint64(p), nil
 }
 
+// doneWords lists, in wire order, the StreamStats words a done frame
+// carries: the engine's counters, then the stream's size.
+func doneWords(st *server.StreamStats) []*int64 {
+	e := &st.Stats
+	return []*int64{
+		&e.BytesScanned, &e.ExtraBytes, &e.RowsScanned, &e.RowsOut, &e.UDFNanos,
+		&e.SubqueryRuns, &e.BatchesStreamed, &e.IndexLookups, &e.RowsSkippedByIndex,
+		&st.WireBytes, &st.Batches, &st.Rows,
+	}
+}
+
 // donePayload frames a completed query's StreamStats.
 func donePayload(qid uint64, st *server.StreamStats) []byte {
 	b := binary.BigEndian.AppendUint64(nil, qid)
-	for _, v := range [...]uint64{
-		uint64(st.TimeToFirstBatch), uint64(st.ServerTime), uint64(st.FirstFrameBytes),
-		uint64(st.WireBytes), uint64(st.Batches), uint64(st.Rows),
-	} {
-		b = binary.BigEndian.AppendUint64(b, v)
+	for _, w := range doneWords(st) {
+		b = binary.BigEndian.AppendUint64(b, uint64(*w))
 	}
 	return b
 }
 
 func parseDone(p []byte) (qid uint64, st *server.StreamStats, err error) {
-	if len(p) != 8+6*8 {
+	st = &server.StreamStats{}
+	words := doneWords(st)
+	if len(p) != 8+8*len(words) {
 		return 0, nil, fmt.Errorf("transport: malformed done frame")
 	}
-	qid = binary.BigEndian.Uint64(p)
-	u := func(i int) uint64 { return binary.BigEndian.Uint64(p[8+8*i:]) }
-	return qid, &server.StreamStats{
-		TimeToFirstBatch: time.Duration(u(0)),
-		ServerTime:       time.Duration(u(1)),
-		FirstFrameBytes:  int64(u(2)),
-		WireBytes:        int64(u(3)),
-		Batches:          int64(u(4)),
-		Rows:             int64(u(5)),
-	}, nil
+	for i, w := range words {
+		*w = int64(binary.BigEndian.Uint64(p[8+8*i:]))
+	}
+	return binary.BigEndian.Uint64(p), st, nil
 }

@@ -7,13 +7,16 @@ package transport
 
 import (
 	"bytes"
+	"math/rand"
 	"net"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/sqlparser"
 	"repro/internal/value"
@@ -92,6 +95,19 @@ func TestBadHello(t *testing.T) {
 		t.Fatalf("version-2 hello reply = %v, want the protocol-version error", re)
 	}
 	expectClosed(t, c3)
+
+	// And a version-3 peer, whose done frames carried modelled durations
+	// where version 4 carries the engine's counters.
+	c4 := rawDial(t, s)
+	if err := writeFrame(c4, frameHello, []byte(protoMagic+"\x00\x03")); err != nil {
+		t.Fatal(err)
+	}
+	if tag, payload, err := readFrame(c4); err != nil || tag != frameReject {
+		t.Fatalf("version-3 hello: tag=%#x err=%v", tag, err)
+	} else if re := parseReject(payload); re.Code != CodeProtocol || !strings.Contains(re.Msg, "protocol version 3") {
+		t.Fatalf("version-3 hello reply = %v, want the protocol-version error", re)
+	}
+	expectClosed(t, c4)
 
 	// Wrong first frame entirely.
 	c2 := rawDial(t, s)
@@ -408,7 +424,11 @@ func FuzzParseFrames(f *testing.F) {
 	f.Add(rejectPayload(CodeConnRejected, "full"))
 	f.Add(errorPayload(4, CodeQueryError, "boom"))
 	f.Add(cancelPayload(4))
-	f.Add(donePayload(4, &server.StreamStats{ServerTime: time.Second, WireBytes: 1 << 20, Batches: 3, Rows: 2048}))
+	f.Add(donePayload(4, &server.StreamStats{
+		Stats: engine.Stats{BytesScanned: 1 << 22, ExtraBytes: 4096, RowsScanned: 60000, RowsOut: 2048,
+			UDFNanos: 3e6, SubqueryRuns: 1, BatchesStreamed: 59, IndexLookups: 2, RowsSkippedByIndex: 512},
+		WireBytes: 1 << 20, Batches: 3, Rows: 2048,
+	}))
 	retired := retiredFrames(f)
 	retired[0xCA] = make([]byte, 8) // prepare-ok: stmt id
 	for _, tag := range []byte{0xC9, 0xCA, 0xCB, 0xCC} {
@@ -426,4 +446,34 @@ func FuzzParseFrames(f *testing.F) {
 		parseCancel(data)
 		parseDone(data)
 	})
+}
+
+// TestDoneRoundTrip: a done frame carries every StreamStats counter — each
+// engine.Stats field included, so a counter added to the engine without a
+// wire word fails here — and parseDone reads back exactly what donePayload
+// wrote.
+func TestDoneRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Int64:
+				f.SetInt(rng.Int63() - rng.Int63())
+			case reflect.Struct:
+				fill(f)
+			default:
+				t.Fatalf("StreamStats field %s of kind %v has no done-frame encoding", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+	}
+	for i := 0; i < 100; i++ {
+		var want server.StreamStats
+		fill(reflect.ValueOf(&want).Elem())
+		qid := rng.Uint64()
+		gotQID, got, err := parseDone(donePayload(qid, &want))
+		if err != nil || gotQID != qid || !reflect.DeepEqual(*got, want) {
+			t.Fatalf("done frame round trip: qid %d -> %d, %+v -> %+v (err %v)", qid, gotQID, want, got, err)
+		}
+	}
 }

@@ -50,28 +50,25 @@ type Config struct {
 	// QueryWait is how long a query may wait for an in-flight slot before
 	// being rejected. 0 = fail fast: reject immediately when saturated.
 	QueryWait time.Duration
-	// HandshakeTimeout bounds the hello exchange (default 5s).
-	HandshakeTimeout time.Duration
 	// WriteTimeout bounds each frame write, so a peer that stops reading
 	// cannot pin a session goroutine forever (default 30s; the session
 	// closes on expiry).
 	WriteTimeout time.Duration
 	// TLS, when set, wraps accepted connections in server-side TLS.
 	TLS *tls.Config
-	// QueryQueue is the per-session pipeline depth: queries decoded but
-	// not yet executing (default 16). The read loop blocks past it.
-	QueryQueue int
 }
 
+const (
+	// handshakeTimeout bounds the hello exchange.
+	handshakeTimeout = 5 * time.Second
+	// queryQueue is the per-session pipeline depth: queries decoded but not
+	// yet executing. The read loop blocks past it.
+	queryQueue = 16
+)
+
 func (c Config) withDefaults() Config {
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 5 * time.Second
-	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 30 * time.Second
-	}
-	if c.QueryQueue <= 0 {
-		c.QueryQueue = 16
 	}
 	return c
 }
@@ -282,7 +279,7 @@ func newSession(s *Server, conn net.Conn, id uint64) *session {
 		srv: s, conn: conn, id: id,
 		ctx: ctx, cancel: cancel,
 		pending: make(map[uint64]*queryJob),
-		jobs:    make(chan *queryJob, s.cfg.QueryQueue),
+		jobs:    make(chan *queryJob, queryQueue),
 	}
 }
 
@@ -373,7 +370,7 @@ func (s *session) run() {
 
 // handshake validates the client hello within the handshake deadline.
 func (s *session) handshake() error {
-	s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.HandshakeTimeout))
+	s.conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	defer s.conn.SetReadDeadline(time.Time{})
 	tag, payload, err := readFrame(s.conn)
 	if err != nil {

@@ -113,8 +113,8 @@ func TestStreamByteIdentity(t *testing.T) {
 			t.Errorf("%s: remote stream differs from in-process (%d vs %d bytes)",
 				sql, got.Len(), want.Len())
 		}
-		if gotSt.Rows != wantSt.Rows || gotSt.Batches != wantSt.Batches ||
-			gotSt.WireBytes != wantSt.WireBytes {
+		// The done frame carries every counter: the engine's work included.
+		if *gotSt != *wantSt {
 			t.Errorf("%s: stats diverge: remote %+v, in-process %+v", sql, gotSt, wantSt)
 		}
 	}
@@ -150,8 +150,9 @@ func TestExecuteMaterialized(t *testing.T) {
 			}
 		}
 	}
-	if got.ServerTime <= 0 || got.WireBytes <= 0 {
-		t.Error("simulated accounting missing from remote response")
+	if got.Result.Stats != want.Result.Stats || got.WireBytes <= 0 {
+		t.Errorf("remote response counted %+v (%d wire bytes), in-process %+v",
+			got.Result.Stats, got.WireBytes, want.Result.Stats)
 	}
 }
 

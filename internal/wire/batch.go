@@ -141,12 +141,11 @@ func (bw *BatchWriter) RowsWritten() int64 { return bw.rows }
 // BatchReader decodes a result stream from r, validating framing as it
 // goes: truncated or corrupt frames return errors, never short results.
 type BatchReader struct {
-	r     io.Reader
-	hdr   ResultHeader
-	buf   []byte
-	bytes int64
-	rows  int64
-	done  bool
+	r    io.Reader
+	hdr  ResultHeader
+	buf  []byte
+	rows int64
+	done bool
 }
 
 // NewBatchReader reads the header frame (blocking until the producer has
@@ -261,9 +260,6 @@ func (br *BatchReader) readBatch() ([][]value.Value, error) {
 	return rows, nil
 }
 
-// BytesRead reports the framed bytes consumed so far.
-func (br *BatchReader) BytesRead() int64 { return br.bytes }
-
 // RowsRead reports the rows decoded so far.
 func (br *BatchReader) RowsRead() int64 { return br.rows }
 
@@ -298,9 +294,7 @@ func (br *BatchReader) readN(n int) ([]byte, error) {
 		br.buf = make([]byte, n)
 	}
 	b := br.buf[:n]
-	m, err := io.ReadFull(br.r, b)
-	br.bytes += int64(m)
-	if err != nil {
+	if _, err := io.ReadFull(br.r, b); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			err = io.EOF
 		}

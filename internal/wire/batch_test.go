@@ -82,9 +82,6 @@ func TestBatchRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if br.BytesRead() != int64(len(wireBytes)) {
-		t.Errorf("BytesRead = %d, stream is %d", br.BytesRead(), len(wireBytes))
-	}
 	// Next after the end frame keeps returning nil.
 	if b, err := br.Next(); b != nil || err != nil {
 		t.Errorf("post-end Next = (%v, %v)", b, err)

@@ -76,9 +76,8 @@
 //     (internal/wire's header/batch/end framing) and the client decodes each
 //     arriving batch on a pool of Parallelism workers, merging decrypted
 //     rows in batch order. The first plaintext row exists after one batch
-//     (Rows.TimeToFirstRow; give the server a bounded BatchSize) and no
-//     whole encrypted result is buffered. Rows.WireBytes counts the framed
-//     bytes.
+//     (give the server a bounded BatchSize) and no whole encrypted result
+//     is buffered. Rows.WireBytes counts the framed bytes.
 //
 // Results — rows, row order, encodings — are identical either way. The two
 // WireBytes figures are not the same count: on tpch-scan's twelve queries
@@ -113,6 +112,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/deploy"
@@ -229,9 +229,6 @@ type Options struct {
 	SpaceBudget float64
 	// SpaceGreedy uses the §8.6 heuristic instead of the ILP.
 	SpaceGreedy bool
-	// NetBitsPerSec / DiskBytesPerSec configure the simulated link & disk.
-	NetBitsPerSec   float64
-	DiskBytesPerSec float64
 	// Parallelism is the worker count for sharded query execution on both
 	// sides of the split: the untrusted server partitions its scans,
 	// filters, joins, and grouped aggregation into contiguous row-range
@@ -307,7 +304,8 @@ func (o Options) backendConfig() (storage.BackendConfig, error) {
 }
 
 // DefaultOptions returns the paper's configuration: 1,024-bit Paillier,
-// S=2 space budget, 10 Mbit/s link.
+// S=2 space budget (the designer's cost model assumes the paper's 10 Mbit/s
+// link).
 func DefaultOptions() Options {
 	return Options{
 		MasterKey:    []byte("monomi-default-master-key"),
@@ -343,16 +341,14 @@ func Encrypt(db *Database, workload Workload, opts Options) (*System, error) {
 	dopts.SpaceBudget = opts.SpaceBudget
 	dopts.SpaceGreedy = opts.SpaceGreedy
 	dep, err := deploy.Build(db.cat, workload, deploy.Spec{
-		MasterKey:       opts.MasterKey,
-		PaillierBits:    opts.PaillierBits,
-		NetBitsPerSec:   opts.NetBitsPerSec,
-		DiskBytesPerSec: opts.DiskBytesPerSec,
-		Designer:        dopts,
-		Backend:         becfg,
-		Prefilter:       true,
-		Indexes:         opts.Indexes,
-		Parallelism:     opts.Parallelism,
-		BatchSize:       opts.BatchSize,
+		MasterKey:    opts.MasterKey,
+		PaillierBits: opts.PaillierBits,
+		Designer:     dopts,
+		Backend:      becfg,
+		Prefilter:    true,
+		Indexes:      opts.Indexes,
+		Parallelism:  opts.Parallelism,
+		BatchSize:    opts.BatchSize,
 	})
 	if err != nil {
 		return nil, err
@@ -454,47 +450,45 @@ type Rows struct {
 	Cols []string
 	Data [][]any
 
-	// Timing breakdown (simulated server/network, measured client).
-	ServerTime   float64 // seconds
-	TransferTime float64
-	ClientTime   float64
-	// TimeToFirstRow is when the first decrypted row of the first remote
-	// result was available at the client, in seconds. On a remote System it
-	// is O(batch); in process the whole result (server scan + transfer +
-	// decode) precedes it.
-	TimeToFirstRow float64
-	WireBytes      int64
-	PlanText       string
+	// ClientTime is the measured trusted-side work, in seconds: decryption
+	// and the residual local operators.
+	ClientTime float64
+	WireBytes  int64
+	PlanText   string
 	// PlanCacheHit reports that this execution reused a cached plan
 	// template (rebinding only the parameters) instead of planning from
 	// scratch.
 	PlanCacheHit bool
+
+	wall float64
 }
 
-// Total returns the end-to-end simulated latency in seconds.
-func (r *Rows) Total() float64 { return r.ServerTime + r.TransferTime + r.ClientTime }
+// Total returns the measured wall time, in seconds, of the call that
+// produced the rows.
+func (r *Rows) Total() float64 { return r.wall }
 
 // Query executes SQL through the encrypted split-execution path.
 func (s *System) Query(sql string) (*Rows, error) {
+	start := time.Now()
 	res, err := s.dep.Client.Query(sql, nil)
 	if err != nil {
 		return nil, err
 	}
-	return rowsFromResult(res), nil
+	return rowsFromResult(res, start), nil
 }
 
-func rowsFromResult(res *client.Result) *Rows {
-	return &Rows{
-		Cols:           res.Cols,
-		Data:           rowsData(res.Rows),
-		ServerTime:     res.ServerTime.Seconds(),
-		TransferTime:   res.TransferTime.Seconds(),
-		ClientTime:     res.ClientTime.Seconds(),
-		TimeToFirstRow: res.TimeToFirstRow.Seconds(),
-		WireBytes:      res.WireBytes,
-		PlanText:       res.Plan.Describe(),
-		PlanCacheHit:   res.PlanCacheHit,
+// rowsFromResult converts a client result for a call that began at start.
+func rowsFromResult(res *client.Result, start time.Time) *Rows {
+	r := &Rows{
+		Cols:         res.Cols,
+		Data:         rowsData(res.Rows),
+		ClientTime:   res.ClientTime.Seconds(),
+		WireBytes:    res.WireBytes,
+		PlanText:     res.Plan.Describe(),
+		PlanCacheHit: res.PlanCacheHit,
 	}
+	r.wall = time.Since(start).Seconds()
+	return r
 }
 
 // rowsData converts engine rows into the facade's Go values.
@@ -537,6 +531,7 @@ func (s *System) Prepare(sql string) (*Stmt, error) {
 // may be int, int64, float64, string, bool, []byte, or nil (NULL); use
 // DateParam for date-typed parameters.
 func (st *Stmt) Query(params map[string]any) (*Rows, error) {
+	start := time.Now()
 	if st.closed.Load() {
 		return nil, ErrStmtClosed
 	}
@@ -552,7 +547,7 @@ func (st *Stmt) Query(params map[string]any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rowsFromResult(res), nil
+	return rowsFromResult(res, start), nil
 }
 
 // SQL returns the statement's source text.
@@ -674,16 +669,14 @@ func (s *System) Stats() Stats {
 // QueryPlaintext executes SQL directly on the plaintext database (the
 // unencrypted baseline used for comparisons).
 func (s *System) QueryPlaintext(sql string) (*Rows, error) {
+	start := time.Now()
 	res, err := s.dep.ExecutePlain(sql)
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{
-		Cols:         res.Cols,
-		Data:         rowsData(res.Rows),
-		ServerTime:   res.ServerTime.Seconds(),
-		TransferTime: res.Transfer.Seconds(),
-	}, nil
+	r := &Rows{Cols: res.Cols, Data: rowsData(res.Rows)}
+	r.wall = time.Since(start).Seconds()
+	return r, nil
 }
 
 // SchemeCensus describes one column's encryption in the design.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/enc"
 	"repro/internal/experiments"
@@ -73,6 +74,34 @@ func TestFacadeQueryMatchesPlaintext(t *testing.T) {
 	}
 	if encRes.PlanText == "" || encRes.Total() <= 0 {
 		t.Error("timings and plan text should be populated")
+	}
+}
+
+// TestRowsTotalIsMeasuredWall: Rows.Total is the wall time of the call that
+// produced the rows — on the encrypted path, a prepared statement and the
+// plaintext baseline alike — so it fits inside a clock read around the call
+// and holds the measured client work.
+func TestRowsTotalIsMeasuredWall(t *testing.T) {
+	sys := exampleSystem(t)
+	stmt, err := sys.Prepare(`SELECT o_id FROM orders WHERE o_cust = :c`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sql = `SELECT o_cust, SUM(o_total) FROM orders GROUP BY o_cust`
+	for name, call := range map[string]func() (*Rows, error){
+		"Query":          func() (*Rows, error) { return sys.Query(sql) },
+		"Stmt.Query":     func() (*Rows, error) { return stmt.Query(map[string]any{"c": "alice"}) },
+		"QueryPlaintext": func() (*Rows, error) { return sys.QueryPlaintext(sql) },
+	} {
+		start := time.Now()
+		rows, err := call()
+		outer := time.Since(start).Seconds()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rows.Total() <= 0 || rows.Total() > outer || rows.ClientTime > rows.Total() {
+			t.Errorf("%s: Total %.6fs, ClientTime %.6fs, call took %.6fs", name, rows.Total(), rows.ClientTime, outer)
+		}
 	}
 }
 
