@@ -8,7 +8,8 @@
 // Remote clients connect with System.ConnectRemote after building their
 // own System from the identical -masterkey / -sf / -seed / -paillier
 // configuration. Admission control is -maxconns / -maxinflight /
-// -querywait; per-session accounting is logged on shutdown.
+// -querywait; on shutdown the server-wide session and query totals are
+// logged.
 //
 //	monomi-server -addr :7077 -sf 0.002 -parallelism 4 -batchsize 64
 package main

@@ -207,6 +207,43 @@ func TestNetworkServerTimeFromCounts(t *testing.T) {
 	}
 }
 
+// TestNotOverNullConnective: the differential grid cannot see a NULL-logic
+// bug, because both twins share one evaluator, so this pins SQL's answer.
+// cats has 12 rows: 2 'ale', 2 with a NULL name. NOT (c_name = 'ale' OR
+// c_tier > 100) is NULL, not TRUE, on the NULL names (NULL OR FALSE is
+// NULL), so 8 rows count — on the plaintext twin, in process, and over the
+// wire.
+func TestNotOverNullConnective(t *testing.T) {
+	sys := diffSystem(t)
+	srv, err := sys.Serve("127.0.0.1:0", ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	remote, err := sys.ConnectRemote(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	for sql, want := range map[string]int64{
+		"SELECT COUNT(*) FROM cats WHERE NOT (c_name = 'ale' OR c_tier > 100)":  8,
+		"SELECT COUNT(*) FROM cats WHERE NOT (c_name = 'ale' AND c_tier < 100)": 8,
+		"SELECT COUNT(*) FROM cats WHERE c_name = 'ale' OR c_tier > 100":        2,
+	} {
+		for name, query := range map[string]func(string) (*Rows, error){
+			"plaintext": sys.QueryPlaintext, "in-process": sys.Query, "remote": remote.Query,
+		} {
+			res, err := query(sql)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, sql, err)
+			}
+			if got := res.Data[0][0]; got != want {
+				t.Errorf("%s %s = %v, want %d", name, sql, got, want)
+			}
+		}
+	}
+}
+
 // TestNetworkConcurrentClients runs the encrypted mixed-shape workload
 // from several remote trusted clients at once against one served
 // deployment (run with -race): results must match the plaintext engine

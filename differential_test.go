@@ -117,6 +117,45 @@ var breakerShapes = []diffQuery{
 	{"SELECT c_tier, c_region FROM cats WHERE c_tier < (SELECT COUNT(*) FROM sales WHERE s_cat = c_name AND s_qty < 2) ORDER BY c_tier", true},
 	{"SELECT cat, total FROM (SELECT s_cat AS cat, SUM(s_price) AS total FROM sales GROUP BY s_cat) t WHERE total > 20000 ORDER BY cat", true},
 	{"SELECT s_id, s_qty, s_price FROM sales WHERE s_price >= 250 ORDER BY s_qty DESC, s_price, s_id", true},
+	// Literals inside GROUP BY / ORDER BY subqueries are hoisted by the plan
+	// cache and must be bound back.
+	{"SELECT c_name, c_tier FROM cats ORDER BY (SELECT COUNT(*) FROM sales WHERE s_qty < 5 AND s_cat = c_name), c_tier", true},
+	{"SELECT c_tier, COUNT(*) FROM cats GROUP BY c_tier, (SELECT COUNT(*) FROM sales WHERE s_qty < 5 AND s_cat = c_name) ORDER BY c_tier", true},
+	// Flattening a derived table rewrites only references that name it: not
+	// its own WHERE, not a nested block's own column, and once per block.
+	{"SELECT d.s_id FROM (SELECT s_id, s_qty AS s_price FROM sales WHERE s_price > 900) d ORDER BY d.s_id", true},
+	{"SELECT d.s_id FROM (SELECT s_id, s_price AS c_tier FROM sales) d WHERE EXISTS (SELECT 1 FROM cats WHERE c_tier = 3) ORDER BY d.s_id", true},
+	{"SELECT d.s_id FROM (SELECT s_id, s_qty AS s_price, s_price AS s_qty FROM sales) d WHERE d.s_id < 50 AND EXISTS (SELECT 1 FROM cats WHERE c_tier = d.s_qty) ORDER BY d.s_id", true},
+}
+
+// TestDerivedTableScope: derived tables referenced from nested blocks in the
+// ways flattening must prove safe or leave to a subplan — a qualified
+// reference substituted under another binding of the base table, a nested
+// block that re-binds the alias, a base-table name a nested block binds
+// again, a multi-table derived table — and two derived tables exporting one
+// name match the plaintext engine.
+func TestDerivedTableScope(t *testing.T) {
+	sys := diffSystem(t)
+	for _, sql := range []string{
+		"SELECT d.s_id, c_tier FROM (SELECT s_id, s_cat FROM sales) d, (SELECT c_name AS s_cat, c_tier FROM cats) e WHERE d.s_cat = e.s_cat ORDER BY d.s_id, c_tier",
+		"SELECT d.s_id FROM (SELECT s_id, s_qty AS q FROM sales) d WHERE EXISTS (SELECT 1 FROM sales s2 WHERE s2.s_id = d.s_id + 1 AND s2.s_price < d.q * 20) ORDER BY d.s_id",
+		"SELECT d.s_id FROM (SELECT s_id, s_price AS c_tier FROM sales) d WHERE EXISTS (SELECT 1 FROM cats d WHERE d.c_tier = 3) ORDER BY d.s_id",
+		"SELECT d.s_id FROM (SELECT s_id, s_qty AS q FROM sales) d WHERE EXISTS (SELECT 1 FROM sales WHERE sales.s_id = d.s_id + 1 AND s_price < d.q * 20) ORDER BY d.s_id",
+		"SELECT d.s_id FROM (SELECT s_id, c_tier AS t FROM sales, cats WHERE s_cat = c_name) d WHERE EXISTS (SELECT 1 FROM cats c2 WHERE c2.c_tier = d.t + 1) ORDER BY d.s_id, d.t",
+	} {
+		plain, err := sys.QueryPlaintext(sql)
+		if err != nil {
+			t.Fatalf("plaintext %s: %v", sql, err)
+		}
+		enc, err := sys.Query(sql)
+		if err != nil {
+			t.Fatalf("encrypted %s: %v", sql, err)
+		}
+		want, got := canonicalRows(t, plain.Data, true), canonicalRows(t, enc.Data, true)
+		if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: encrypted %d rows, plaintext %d", sql, len(got), len(want))
+		}
+	}
 }
 
 // genQueries derives random filters over the sales schema and splices them

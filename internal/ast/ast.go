@@ -9,6 +9,7 @@
 package ast
 
 import (
+	"strconv"
 	"strings"
 
 	"repro/internal/value"
@@ -483,30 +484,7 @@ func (e *IsNullExpr) SQL() string {
 
 // SQL renders the interval literal.
 func (e *IntervalExpr) SQL() string {
-	n := e.N
-	return "interval '" + itoa(n) + "' " + e.Unit
-}
-
-func itoa(n int64) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return "interval '" + strconv.FormatInt(e.N, 10) + "' " + e.Unit
 }
 
 // SQL renders the full query.
@@ -567,7 +545,7 @@ func (q *Query) SQL() string {
 		}
 	}
 	if q.Limit >= 0 {
-		b.WriteString(" LIMIT " + itoa(int64(q.Limit)))
+		b.WriteString(" LIMIT " + strconv.Itoa(q.Limit))
 	}
 	return b.String()
 }

@@ -129,21 +129,6 @@ func TestAggregateDetection(t *testing.T) {
 	}
 }
 
-func TestEqualExprCanonicalizesParens(t *testing.T) {
-	a := &BinaryExpr{Op: OpMul, Left: col("a"), Right: col("b")}
-	b := &BinaryExpr{Op: OpMul, Left: col("a"), Right: col("b")}
-	if !EqualExpr(a, b) {
-		t.Error("structurally equal expressions must compare equal")
-	}
-	c := &BinaryExpr{Op: OpMul, Left: col("b"), Right: col("a")}
-	if EqualExpr(a, c) {
-		t.Error("operand order matters")
-	}
-	if !EqualExpr(nil, nil) || EqualExpr(a, nil) {
-		t.Error("nil handling")
-	}
-}
-
 func TestRewriteExprBottomUp(t *testing.T) {
 	e := &BinaryExpr{Op: OpAdd, Left: col("x"), Right: &BinaryExpr{Op: OpMul, Left: col("x"), Right: lit(2)}}
 	out := RewriteExpr(e, func(x Expr) Expr {

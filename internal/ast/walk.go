@@ -1,6 +1,10 @@
 package ast
 
 // Traversal and structural utilities used by the engine and the planner.
+// Walk, RewriteExpr, EachExpr and RewriteExprs stay inside one block.
+// EachBlock is the one whole-statement walk (every block once, parents
+// first); WalkStatement, RewriteStatement and every whole-statement pass are
+// built on it rather than on a recursion of their own.
 
 // VisitChildren calls fn on each direct child expression of e. Subqueries
 // are not descended into; callers that care use Subqueries.
@@ -77,21 +81,76 @@ func (q *Query) EachExpr(fn func(Expr)) {
 	}
 }
 
-// WalkStatement applies fn to every expression node of the whole statement
-// q: each clause of q and, unlike Walk, of every subquery and derived table
-// nested in it at any depth.
-func WalkStatement(q *Query, fn func(Expr)) {
+// RewriteExprs replaces the root expression of every clause of this block
+// with RewriteExpr(root, fn), in place — the clauses EachExpr visits, and no
+// other block's.
+func (q *Query) RewriteExprs(fn func(Expr) Expr) {
+	for i := range q.Projections {
+		q.Projections[i].Expr = RewriteExpr(q.Projections[i].Expr, fn)
+	}
+	q.Where = RewriteExpr(q.Where, fn)
+	for i := range q.GroupBy {
+		q.GroupBy[i] = RewriteExpr(q.GroupBy[i], fn)
+	}
+	q.Having = RewriteExpr(q.Having, fn)
+	for i := range q.OrderBy {
+		q.OrderBy[i].Expr = RewriteExpr(q.OrderBy[i].Expr, fn)
+	}
+}
+
+// EachBlock calls fn once for every block of the statement q, parents
+// first and depth first: q (enclosing nil), then its derived tables, then the
+// IN / EXISTS / scalar subqueries of its SELECT list, WHERE, GROUP BY, HAVING
+// and ORDER BY at any expression depth, each with the block holding it. A
+// block's nested blocks are looked up after fn returns, so fn may rewrite the
+// block's clauses in place (RewriteExpr keeps subquery pointers).
+func EachBlock(q *Query, fn func(block, enclosing *Query)) {
+	eachBlock(q, nil, fn)
+}
+
+func eachBlock(q, enclosing *Query, fn func(block, enclosing *Query)) {
+	fn(q, enclosing)
 	for i := range q.From {
 		if sub := q.From[i].Sub; sub != nil {
-			WalkStatement(sub, fn)
+			eachBlock(sub, q, fn)
 		}
 	}
 	q.EachExpr(func(e Expr) {
-		Walk(e, fn)
-		for _, sub := range Subqueries(e) {
-			WalkStatement(sub, fn)
-		}
+		Walk(e, func(x Expr) {
+			if sub := subquery(x); sub != nil {
+				eachBlock(sub, q, fn)
+			}
+		})
 	})
+}
+
+// subquery returns the block an IN / EXISTS / scalar subquery node holds, or
+// nil for any other node.
+func subquery(e Expr) *Query {
+	switch s := e.(type) {
+	case *InExpr:
+		return s.Sub
+	case *ExistsExpr:
+		return s.Sub
+	case *SubqueryExpr:
+		return s.Sub
+	}
+	return nil
+}
+
+// WalkStatement applies fn to every expression node of the whole statement
+// q: each clause of every block EachBlock yields.
+func WalkStatement(q *Query, fn func(Expr)) {
+	EachBlock(q, func(b, _ *Query) {
+		b.EachExpr(func(e Expr) { Walk(e, fn) })
+	})
+}
+
+// RewriteStatement applies RewriteExprs(fn) to every block of q, in
+// EachBlock order. q is rewritten in place, so the caller must own it (Clone
+// a query that is shared).
+func RewriteStatement(q *Query, fn func(Expr) Expr) {
+	EachBlock(q, func(b, _ *Query) { b.RewriteExprs(fn) })
 }
 
 // Subqueries returns all subqueries directly referenced by e (IN, EXISTS,
@@ -100,15 +159,8 @@ func WalkStatement(q *Query, fn func(Expr)) {
 func Subqueries(e Expr) []*Query {
 	var out []*Query
 	Walk(e, func(x Expr) {
-		switch s := x.(type) {
-		case *InExpr:
-			if s.Sub != nil {
-				out = append(out, s.Sub)
-			}
-		case *ExistsExpr:
-			out = append(out, s.Sub)
-		case *SubqueryExpr:
-			out = append(out, s.Sub)
+		if sub := subquery(x); sub != nil {
+			out = append(out, sub)
 		}
 	})
 	return out
@@ -167,17 +219,6 @@ func AndAll(es []Expr) Expr {
 		}
 	}
 	return out
-}
-
-// EqualExpr reports structural equality of two expressions. The planner
-// uses it to match precomputed-expression columns against query
-// sub-expressions, so it compares by rendered SQL, which canonicalizes
-// parenthesization.
-func EqualExpr(a, b Expr) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	return a.SQL() == b.SQL()
 }
 
 // Aggregates returns all aggregate expressions in e (outside subqueries).

@@ -401,43 +401,35 @@ func remoteSchema(part *planner.RemotePart) storage.Schema {
 }
 
 // resolveHomGroups replaces @hom: placeholders in PAILLIER_SUM calls with
-// the actual ciphertext-group names from the encrypted DB's metadata.
+// the actual ciphertext-group names from the encrypted DB's metadata, in
+// every block of a copy of q.
 func (c *Client) resolveHomGroups(q *ast.Query) *ast.Query {
 	out := q.Clone()
-	var fix func(e ast.Expr) ast.Expr
-	fix = func(e ast.Expr) ast.Expr {
-		return ast.RewriteExpr(e, func(x ast.Expr) ast.Expr {
-			f, ok := x.(*ast.FuncCall)
-			if !ok || f.Name != "paillier_sum" || len(f.Args) != 2 {
-				return nil
-			}
-			lit, ok := f.Args[0].(*ast.Literal)
-			if !ok || lit.Val.K != value.Str {
-				return nil
-			}
-			table, exprSQL, ok := planner.ParseHomPlaceholder(lit.Val.S)
-			if !ok {
-				return nil
-			}
-			meta, ok := c.meta[table]
-			if !ok {
-				return nil
-			}
-			group, _ := meta.FindGroupColumn(exprSQL)
-			if group == nil {
-				return nil
-			}
-			return &ast.FuncCall{Name: "paillier_sum", Args: []ast.Expr{
-				&ast.Literal{Val: value.NewStr(group.Name)}, f.Args[1],
-			}}
-		})
-	}
-	for i := range out.Projections {
-		out.Projections[i].Expr = fix(out.Projections[i].Expr)
-	}
-	if out.Having != nil {
-		out.Having = fix(out.Having)
-	}
+	ast.RewriteStatement(out, func(x ast.Expr) ast.Expr {
+		f, ok := x.(*ast.FuncCall)
+		if !ok || f.Name != "paillier_sum" || len(f.Args) != 2 {
+			return nil
+		}
+		lit, ok := f.Args[0].(*ast.Literal)
+		if !ok || lit.Val.K != value.Str {
+			return nil
+		}
+		table, exprSQL, ok := planner.ParseHomPlaceholder(lit.Val.S)
+		if !ok {
+			return nil
+		}
+		meta, ok := c.meta[table]
+		if !ok {
+			return nil
+		}
+		group, _ := meta.FindGroupColumn(exprSQL)
+		if group == nil {
+			return nil
+		}
+		return &ast.FuncCall{Name: "paillier_sum", Args: []ast.Expr{
+			&ast.Literal{Val: value.NewStr(group.Name)}, f.Args[1],
+		}}
+	})
 	return out
 }
 
@@ -460,7 +452,7 @@ func (c *Client) preExecuteScalarSubqueries(q *ast.Query, res *Result) (bool, er
 			}
 			rewriteSide := func(side ast.Expr) ast.Expr {
 				sq, ok := side.(*ast.SubqueryExpr)
-				if !ok || !c.isUncorrelated(sq.Sub) {
+				if !ok || !planner.IsUncorrelated(c.Ctx, sq.Sub) {
 					return side
 				}
 				sub, err := c.Execute(sq.Sub, nil)
@@ -488,26 +480,13 @@ func (c *Client) preExecuteScalarSubqueries(q *ast.Query, res *Result) (bool, er
 		})
 		return out, firstErr
 	}
-	var err error
-	if q.Where != nil {
-		q.Where, err = replace(q.Where)
-		if err != nil {
-			return changed, err
-		}
-	}
-	if q.Having != nil {
-		q.Having, err = replace(q.Having)
-		if err != nil {
+	for _, clause := range []*ast.Expr{&q.Where, &q.Having} {
+		var err error
+		if *clause, err = replace(*clause); err != nil {
 			return changed, err
 		}
 	}
 	return changed, nil
-}
-
-// isUncorrelated reports whether the subquery references only its own
-// tables.
-func (c *Client) isUncorrelated(sub *ast.Query) bool {
-	return planner.IsUncorrelated(c.Ctx, sub)
 }
 
 // resultSchema derives a temp-table schema from a local result.

@@ -22,9 +22,11 @@ import (
 )
 
 // shapeParamPrefix names the parameter slots literal hoisting creates for
-// the cache key (":qpN"). Caller parameters may not use the prefix — such
-// queries bypass the cache.
-const shapeParamPrefix = "qp"
+// the cache key (":$qpN"). The SQL lexer cannot produce a `$` in a parameter
+// name, so a statement's own parameter never collides with a slot (an
+// unbound one stays an error instead of taking a literal's value); caller
+// parameter maps may not use the prefix — such queries bypass the cache.
+const shapeParamPrefix = "$qp"
 
 const (
 	defaultPlanCacheCap  = 256

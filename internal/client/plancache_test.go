@@ -196,6 +196,21 @@ func TestClientPreparedParams(t *testing.T) {
 	}
 }
 
+// TestUnboundParamNotTakenFromSlot: a statement's own parameter is never
+// bound from a hoisted literal's slot, whatever it is named — left unbound,
+// it fails the query on the cold and the cached path alike.
+func TestUnboundParamNotTakenFromSlot(t *testing.T) {
+	f := newFixture(t)
+	for _, name := range []string{"qp0", "qp1", "lo"} {
+		sql := "SELECT o_id FROM orders WHERE o_total >= 50 AND o_total < :" + name
+		for i := 0; i < 2; i++ {
+			if res, err := f.client.Query(sql, nil); err == nil {
+				t.Fatalf("%s (execution %d): %d rows, want an unbound-parameter error", sql, i, len(res.Rows))
+			}
+		}
+	}
+}
+
 // TestUncacheableShapeNegativeEntry: a scalar-subquery query substitutes a
 // computed constant into the outer plan, which rebinding cannot reproduce —
 // the shape must be cached negatively (every execution a miss) and stay

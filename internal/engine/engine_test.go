@@ -434,6 +434,58 @@ func TestSubstringEdges(t *testing.T) {
 	}
 }
 
+// TestThreeValuedConnectives: AND / OR over TRUE, FALSE and NULL follow
+// SQL's truth tables (NULL, not FALSE, where the other side does not decide),
+// so NOT over them stays NULL; the deciding left side short-circuits (the
+// right side would fail), and an undecided left side does not.
+func TestThreeValuedConnectives(t *testing.T) {
+	e := fixture(t)
+	truth := map[string]string{"T": "(1 = 1)", "F": "(1 = 0)", "N": "(NULL = 1)"}
+	render := func(v value.Value) string {
+		switch {
+		case v.IsNull():
+			return "N"
+		case v.AsBool():
+			return "T"
+		}
+		return "F"
+	}
+	and := map[string]string{"TT": "T", "TF": "F", "TN": "N", "FT": "F", "FF": "F", "FN": "F", "NT": "N", "NF": "F", "NN": "N"}
+	or := map[string]string{"TT": "T", "TF": "T", "TN": "T", "FT": "T", "FF": "F", "FN": "N", "NT": "T", "NF": "N", "NN": "N"}
+	negate := map[string]string{"T": "F", "F": "T", "N": "N"}
+	for pair, wantAnd := range and {
+		l, r := truth[pair[:1]], truth[pair[1:]]
+		sql := fmt.Sprintf(`SELECT %[1]s AND %[2]s, %[1]s OR %[2]s, NOT (%[1]s AND %[2]s), NOT (%[1]s OR %[2]s) FROM items WHERE i_order = 2`, l, r)
+		row := run(t, e, sql, nil).Rows[0]
+		got := render(row[0]) + render(row[1]) + render(row[2]) + render(row[3])
+		want := wantAnd + or[pair] + negate[wantAnd] + negate[or[pair]]
+		if got != want {
+			t.Errorf("%s %s: AND, OR, NOT AND, NOT OR = %s, want %s", pair[:1], pair[1:], got, want)
+		}
+	}
+	// A NULL OR FALSE under NOT filters the row out.
+	if res := run(t, e, `SELECT i_order FROM items WHERE NOT ((NULL = 1) OR (1 = 0))`, nil); len(res.Rows) != 0 {
+		t.Errorf("NOT (NULL OR FALSE) kept %d rows", len(res.Rows))
+	}
+	const fails = `substring(i_tag, 2, -1) = 'x'`
+	for _, sql := range []string{
+		`SELECT i_order FROM items WHERE (1 = 0) AND ` + fails,
+		`SELECT i_order FROM items WHERE (1 = 1) OR ` + fails,
+	} {
+		if _, err := e.Execute(sqlparser.MustParse(sql), nil); err != nil {
+			t.Errorf("%s: deciding left side did not short-circuit: %v", sql, err)
+		}
+	}
+	for _, sql := range []string{
+		`SELECT i_order FROM items WHERE (NULL = 1) AND ` + fails,
+		`SELECT i_order FROM items WHERE (NULL = 1) OR ` + fails,
+	} {
+		if _, err := e.Execute(sqlparser.MustParse(sql), nil); !errors.Is(err, ErrNegativeSubstringLength) {
+			t.Errorf("%s: err = %v, want the right side evaluated", sql, err)
+		}
+	}
+}
+
 func TestUnknownColumnError(t *testing.T) {
 	e := fixture(t)
 	q := sqlparser.MustParse(`SELECT nope FROM orders`)

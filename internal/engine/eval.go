@@ -181,35 +181,8 @@ func eval(en *env, e ast.Expr) (value.Value, error) {
 // evalBinary handles arithmetic, comparison, and boolean connectives,
 // including date±interval arithmetic.
 func evalBinary(en *env, x *ast.BinaryExpr) (value.Value, error) {
-	// Short-circuit booleans with SQL three-valued logic approximated as
-	// NULL==false (adequate for TPC-H, which is NULL-free).
-	switch x.Op {
-	case ast.OpAnd:
-		l, err := evalBool(en, x.Left)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if !l {
-			return value.NewBool(false), nil
-		}
-		r, err := evalBool(en, x.Right)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.NewBool(r), nil
-	case ast.OpOr:
-		l, err := evalBool(en, x.Left)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if l {
-			return value.NewBool(true), nil
-		}
-		r, err := evalBool(en, x.Right)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.NewBool(r), nil
+	if x.Op == ast.OpAnd || x.Op == ast.OpOr {
+		return evalConnective(en, x)
 	}
 
 	// Date ± interval.
@@ -265,6 +238,32 @@ func evalBinary(en *env, x *ast.BinaryExpr) (value.Value, error) {
 		return value.NewBool(cmp >= 0), nil
 	}
 	return value.Value{}, fmt.Errorf("engine: bad operator %v", x.Op)
+}
+
+// evalConnective evaluates AND / OR in SQL's three-valued logic: the
+// operator's dominant value (false for AND, true for OR) on either side
+// decides, and short-circuits when it is on the left; otherwise a NULL on
+// either side makes the result NULL, so a NOT above it stays NULL rather than
+// turning a filtered-out row into a kept one. Non-boolean values read as
+// false, as in evalBool.
+func evalConnective(en *env, x *ast.BinaryExpr) (value.Value, error) {
+	dominant := x.Op == ast.OpOr
+	unknown := false
+	for _, side := range [2]ast.Expr{x.Left, x.Right} {
+		v, err := eval(en, side)
+		if err != nil {
+			return value.Value{}, err
+		}
+		if v.IsNull() {
+			unknown = true
+		} else if v.AsBool() == dominant {
+			return value.NewBool(dominant), nil
+		}
+	}
+	if unknown {
+		return value.NewNull(), nil
+	}
+	return value.NewBool(!dominant), nil
 }
 
 // evalBool evaluates a predicate; NULL counts as false.

@@ -147,6 +147,30 @@ func (ctx *Context) newScope(q *ast.Query) (*scope, error) {
 	return s, nil
 }
 
+// blockScopes calls fn for every block of q, in ast.EachBlock order, with
+// its scope chained over its enclosing block's (outer for q itself). A block
+// whose FROM list does not resolve gets a nil scope, and the blocks nested in
+// it are skipped.
+func (ctx *Context) blockScopes(q *ast.Query, outer *scope, fn func(b *ast.Query, s *scope)) {
+	scopes := make(map[*ast.Query]*scope)
+	ast.EachBlock(q, func(b, up *ast.Query) {
+		parent := outer
+		if up != nil {
+			if parent = scopes[up]; parent == nil {
+				return // nested in a block that did not resolve
+			}
+		}
+		inner, err := ctx.newScope(b)
+		if err != nil {
+			fn(b, nil)
+			return
+		}
+		s := inner.chain(parent)
+		scopes[b] = s
+		fn(b, s)
+	})
+}
+
 // kindOf returns the plaintext kind of a column reference.
 func (s *scope) kindOf(c *ast.ColumnRef) value.Kind {
 	if c.Table != "" {

@@ -125,61 +125,43 @@ func neededCols(ctx *Context, s *scope, own map[*scopeEntry]bool, exprs []ast.Ex
 	return out
 }
 
-// collectRefs walks an expression (descending into subqueries with chained
-// scopes) and reports every column reference with its resolved entry — nil
-// for a reference that resolves nowhere in the scope chain.
+// collectRefs reports every column reference of an expression, subqueries
+// included, with its resolved entry — nil for a reference that resolves
+// nowhere in the scope chain.
 func collectRefs(ctx *Context, e ast.Expr, s *scope, fn func(*scopeEntry, string)) {
-	if e == nil {
-		return
+	blockRefs(e, s, fn)
+	for _, sub := range ast.Subqueries(e) {
+		collectQueryRefs(ctx, sub, s, fn)
 	}
-	switch x := e.(type) {
-	case *ast.ColumnRef:
-		if x.Column == "*" {
+}
+
+// collectQueryRefs reports every column reference of every block of q, each
+// resolved through the block's scope chained over its enclosing blocks'
+// (outer for q). A FROM list that does not resolve reports one unresolved
+// reference.
+func collectQueryRefs(ctx *Context, q *ast.Query, outer *scope, fn func(*scopeEntry, string)) {
+	ctx.blockScopes(q, outer, func(b *ast.Query, s *scope) {
+		if s == nil {
+			fn(nil, "")
 			return
 		}
-		entry, ok := s.entryFor(x)
+		b.EachExpr(func(e ast.Expr) { blockRefs(e, s, fn) })
+	})
+}
+
+// blockRefs reports the column references of e outside its subqueries.
+func blockRefs(e ast.Expr, s *scope, fn func(*scopeEntry, string)) {
+	ast.Walk(e, func(x ast.Expr) {
+		c, ok := x.(*ast.ColumnRef)
+		if !ok || c.Column == "*" {
+			return
+		}
+		entry, ok := s.entryFor(c)
 		if !ok {
 			entry = nil
 		}
-		fn(entry, x.Column)
-		return
-	case *ast.SubqueryExpr:
-		collectQueryRefs(ctx, x.Sub, s, fn)
-		return
-	case *ast.ExistsExpr:
-		collectQueryRefs(ctx, x.Sub, s, fn)
-		return
-	case *ast.InExpr:
-		collectRefs(ctx, x.E, s, fn)
-		for _, l := range x.List {
-			collectRefs(ctx, l, s, fn)
-		}
-		if x.Sub != nil {
-			collectQueryRefs(ctx, x.Sub, s, fn)
-		}
-		return
-	}
-	ast.VisitChildren(e, func(c ast.Expr) { collectRefs(ctx, c, s, fn) })
-}
-
-// collectQueryRefs applies collectRefs to every clause of a subquery, with
-// the subquery's scope chained over the enclosing one. A FROM list that
-// does not resolve reports one unresolved reference.
-func collectQueryRefs(ctx *Context, q *ast.Query, outer *scope, fn func(*scopeEntry, string)) {
-	inner, err := ctx.newScope(q)
-	if err != nil {
-		fn(nil, "")
-		return
-	}
-	s := inner.chain(outer)
-	for _, e := range clauseExprs(q, []ast.Expr{q.Where}) {
-		collectRefs(ctx, e, s, fn)
-	}
-	for i := range q.From {
-		if q.From[i].Sub != nil {
-			collectQueryRefs(ctx, q.From[i].Sub, s, fn)
-		}
-	}
+		fn(entry, c.Column)
+	})
 }
 
 // localize rewrites an expression for the residual query: a column of an

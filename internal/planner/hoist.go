@@ -22,60 +22,21 @@ import (
 
 // HoistLiterals returns a copy of q with every literal replaced by a
 // parameter reference :<prefix>N, the parameter values, and their slot
-// order (deterministic: query traversal order).
+// order (deterministic: ast.EachBlock order, and clause order within a
+// block).
 func HoistLiterals(q *ast.Query, prefix string) (*ast.Query, map[string]value.Value, []string) {
-	h := &hoister{prefix: prefix, params: make(map[string]value.Value)}
-	out := h.query(q.Clone())
-	return out, h.params, h.order
-}
-
-type hoister struct {
-	prefix string
-	params map[string]value.Value
-	order  []string
-	n      int
-}
-
-func (h *hoister) query(q *ast.Query) *ast.Query {
-	if q == nil {
-		return nil
-	}
-	for i := range q.Projections {
-		q.Projections[i].Expr = h.expr(q.Projections[i].Expr)
-	}
-	for i := range q.From {
-		q.From[i].Sub = h.query(q.From[i].Sub)
-	}
-	q.Where = h.expr(q.Where)
-	for i := range q.GroupBy {
-		q.GroupBy[i] = h.expr(q.GroupBy[i])
-	}
-	q.Having = h.expr(q.Having)
-	for i := range q.OrderBy {
-		q.OrderBy[i].Expr = h.expr(q.OrderBy[i].Expr)
-	}
-	return q
-}
-
-func (h *hoister) expr(e ast.Expr) ast.Expr {
-	return ast.RewriteExpr(e, func(x ast.Expr) ast.Expr {
-		switch n := x.(type) {
-		case *ast.Literal:
-			name := h.prefix + strconv.Itoa(h.n)
-			h.n++
-			h.params[name] = n.Val
-			h.order = append(h.order, name)
-			return &ast.Param{Name: name}
-		case *ast.SubqueryExpr:
-			return &ast.SubqueryExpr{Sub: h.query(n.Sub)}
-		case *ast.ExistsExpr:
-			return &ast.ExistsExpr{Sub: h.query(n.Sub), Not: n.Not}
-		case *ast.InExpr:
-			if n.Sub != nil {
-				n.Sub = h.query(n.Sub)
-			}
-			return n
+	out := q.Clone()
+	params := make(map[string]value.Value)
+	var order []string
+	ast.RewriteStatement(out, func(x ast.Expr) ast.Expr {
+		lit, ok := x.(*ast.Literal)
+		if !ok {
+			return nil
 		}
-		return nil
+		name := prefix + strconv.Itoa(len(order))
+		params[name] = lit.Val
+		order = append(order, name)
+		return &ast.Param{Name: name}
 	})
+	return out, params, order
 }

@@ -35,59 +35,35 @@ func BuildJoinGroups(ctx *Context, queries []*ast.Query) map[string]string {
 		}
 	}
 
-	var visitQuery func(q *ast.Query, outer *scope)
-	visitExpr := func(e ast.Expr, s *scope) {
-		ast.Walk(e, func(x ast.Expr) {
-			b, ok := x.(*ast.BinaryExpr)
-			if !ok || b.Op != ast.OpEq {
-				return
-			}
-			lcr, lok := b.Left.(*ast.ColumnRef)
-			rcr, rok := b.Right.(*ast.ColumnRef)
-			if !lok || !rok {
-				return
-			}
-			le, lok := s.entryFor(lcr)
-			re, rok := s.entryFor(rcr)
-			if !lok || !rok || le.table == "" || re.table == "" {
-				return
-			}
-			lid := le.table + "." + lcr.Column
-			rid := re.table + "." + rcr.Column
-			if lid != rid {
-				union(lid, rid)
-			}
-		})
-	}
-	visitQuery = func(q *ast.Query, outer *scope) {
-		inner, err := ctx.newScope(q)
-		if err != nil {
-			return
-		}
-		s := inner.chain(outer)
-		if q.Where != nil {
-			visitExpr(q.Where, s)
-			ast.Walk(q.Where, func(x ast.Expr) {
-				for _, sub := range ast.Subqueries(x) {
-					visitQuery(sub, s)
-				}
-			})
-		}
-		if q.Having != nil {
-			ast.Walk(q.Having, func(x ast.Expr) {
-				for _, sub := range ast.Subqueries(x) {
-					visitQuery(sub, s)
-				}
-			})
-		}
-		for i := range q.From {
-			if q.From[i].Sub != nil {
-				visitQuery(q.From[i].Sub, s)
-			}
-		}
-	}
+	// Every block's WHERE equalities, resolved through its scope chained
+	// over its enclosing blocks'.
 	for _, q := range queries {
-		visitQuery(q, nil)
+		ctx.blockScopes(q, nil, func(b *ast.Query, s *scope) {
+			if s == nil {
+				return
+			}
+			ast.Walk(b.Where, func(x ast.Expr) {
+				eq, ok := x.(*ast.BinaryExpr)
+				if !ok || eq.Op != ast.OpEq {
+					return
+				}
+				lcr, lok := eq.Left.(*ast.ColumnRef)
+				rcr, rok := eq.Right.(*ast.ColumnRef)
+				if !lok || !rok {
+					return
+				}
+				le, lok := s.entryFor(lcr)
+				re, rok := s.entryFor(rcr)
+				if !lok || !rok || le.table == "" || re.table == "" {
+					return
+				}
+				lid := le.table + "." + lcr.Column
+				rid := re.table + "." + rcr.Column
+				if lid != rid {
+					union(lid, rid)
+				}
+			})
+		})
 	}
 
 	// Collapse to root names; only multi-member groups matter.

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/value"
@@ -17,7 +18,14 @@ import (
 //  3. rewrite AVG(x) into SUM(x)/COUNT(*) so a HOM sum plus a plain count
 //     covers averages,
 //  4. flatten simple derived tables (the SELECT-only wrappers TPC-H Q7/8/9
-//     use) into the parent query.
+//     use) into the parent query, and name the bare columns of those that
+//     stay,
+//  5. inline SELECT-list aliases that HAVING and ORDER BY name.
+//
+// Passes 1–3 rewrite every clause of every block once (ast.RewriteStatement);
+// pass 5 rewrites each block's own HAVING and ORDER BY (ast.EachBlock); pass
+// 4 touches only the references that provably name the derived table it
+// removes (flattenDerived).
 
 // Prepare applies all passes, returning a transformed clone.
 func Prepare(q *ast.Query, params map[string]value.Value) (*ast.Query, error) {
@@ -45,111 +53,70 @@ func PrepareTagged(q *ast.Query, params map[string]value.Value) (*ast.Query, []B
 	if err != nil {
 		return nil, nil, err
 	}
-	mapQueryExprs(out, foldConstants)
-	mapQueryExprs(out, rewriteAvg)
+	ast.RewriteStatement(out, foldConstant)
+	ast.RewriteStatement(out, lowerAvg)
 	if err := flattenDerived(out); err != nil {
 		return nil, nil, err
 	}
+	nameDerivedColumns(out)
 	resolveAliases(out)
 	return out, slots, nil
 }
 
+// nameDerivedColumns aliases every bare column a surviving derived table
+// projects by its name (SELECT s_id → SELECT s_id AS s_id), so the subplan
+// that runs it emits the column under the name its enclosing block uses
+// rather than under a temp column's.
+func nameDerivedColumns(q *ast.Query) {
+	ast.EachBlock(q, func(b, _ *ast.Query) {
+		for _, f := range b.From {
+			if f.Sub == nil {
+				continue
+			}
+			for i, p := range f.Sub.Projections {
+				if cr, ok := p.Expr.(*ast.ColumnRef); ok && p.Alias == "" {
+					f.Sub.Projections[i].Alias = cr.Column
+				}
+			}
+		}
+	})
+}
+
 // resolveAliases inlines SELECT-list aliases referenced from HAVING and
 // ORDER BY (e.g. ORDER BY revenue DESC), so the planner reasons about the
-// underlying expressions. Applied per block, recursively.
+// underlying expressions: each block's own aliases, in its own HAVING and
+// ORDER BY.
 func resolveAliases(q *ast.Query) {
-	aliases := make(map[string]ast.Expr)
-	for _, p := range q.Projections {
-		if p.Alias == "" {
-			continue
+	ast.EachBlock(q, func(b, _ *ast.Query) {
+		var aliases map[string]ast.Expr
+		for _, p := range b.Projections {
+			if p.Alias == "" {
+				continue
+			}
+			if cr, ok := p.Expr.(*ast.ColumnRef); ok && cr.Column == p.Alias {
+				continue
+			}
+			if aliases == nil {
+				aliases = make(map[string]ast.Expr)
+			}
+			aliases[p.Alias] = p.Expr
 		}
-		if cr, ok := p.Expr.(*ast.ColumnRef); ok && cr.Column == p.Alias {
-			continue
+		if aliases == nil {
+			return
 		}
-		aliases[p.Alias] = p.Expr
-	}
-	subst := func(e ast.Expr) ast.Expr {
-		return ast.RewriteExpr(e, func(x ast.Expr) ast.Expr {
+		subst := func(x ast.Expr) ast.Expr {
 			if cr, ok := x.(*ast.ColumnRef); ok && cr.Table == "" {
 				if repl, ok := aliases[cr.Column]; ok {
 					return repl.Clone()
 				}
 			}
 			return nil
-		})
-	}
-	if len(aliases) > 0 {
-		if q.Having != nil {
-			q.Having = subst(q.Having)
 		}
-		for i := range q.OrderBy {
-			q.OrderBy[i].Expr = subst(q.OrderBy[i].Expr)
+		b.Having = ast.RewriteExpr(b.Having, subst)
+		for i := range b.OrderBy {
+			b.OrderBy[i].Expr = ast.RewriteExpr(b.OrderBy[i].Expr, subst)
 		}
-	}
-	for i := range q.From {
-		if q.From[i].Sub != nil {
-			resolveAliases(q.From[i].Sub)
-		}
-	}
-	visit := func(e ast.Expr) {
-		ast.Walk(e, func(x ast.Expr) {
-			for _, s := range ast.Subqueries(x) {
-				resolveAliases(s)
-			}
-		})
-	}
-	for _, p := range q.Projections {
-		visit(p.Expr)
-	}
-	if q.Where != nil {
-		visit(q.Where)
-	}
-	if q.Having != nil {
-		visit(q.Having)
-	}
-}
-
-// mapQueryExprs rewrites every expression of q (and nested subqueries) with
-// fn.
-func mapQueryExprs(q *ast.Query, fn func(ast.Expr) ast.Expr) {
-	rewrite := func(e ast.Expr) ast.Expr {
-		if e == nil {
-			return nil
-		}
-		return fn(e)
-	}
-	for i := range q.Projections {
-		q.Projections[i].Expr = rewrite(q.Projections[i].Expr)
-	}
-	q.Where = rewrite(q.Where)
-	for i := range q.GroupBy {
-		q.GroupBy[i] = rewrite(q.GroupBy[i])
-	}
-	q.Having = rewrite(q.Having)
-	for i := range q.OrderBy {
-		q.OrderBy[i].Expr = rewrite(q.OrderBy[i].Expr)
-	}
-	for i := range q.From {
-		if q.From[i].Sub != nil {
-			mapQueryExprs(q.From[i].Sub, fn)
-		}
-	}
-	// Recurse into expression subqueries.
-	visit := func(e ast.Expr) {
-		if e == nil {
-			return
-		}
-		ast.Walk(e, func(x ast.Expr) {
-			for _, s := range ast.Subqueries(x) {
-				mapQueryExprs(s, fn)
-			}
-		})
-	}
-	for _, p := range q.Projections {
-		visit(p.Expr)
-	}
-	visit(q.Where)
-	visit(q.Having)
+	})
 }
 
 // bindParams replaces Param nodes with literal values, stamping each bound
@@ -160,147 +127,231 @@ func mapQueryExprs(q *ast.Query, fn func(ast.Expr) ast.Expr) {
 func bindParams(q *ast.Query, params map[string]value.Value) ([]BoundSlot, error) {
 	var missing error
 	var slots []BoundSlot
-	mapQueryExprs(q, func(e ast.Expr) ast.Expr {
-		return ast.RewriteExpr(e, func(x ast.Expr) ast.Expr {
-			if p, ok := x.(*ast.Param); ok {
-				if v, ok := params[p.Name]; ok {
-					tag := p.Name + "\x00" + fmt.Sprint(len(slots))
-					slots = append(slots, BoundSlot{Tag: tag, Param: p.Name})
-					return &ast.Literal{Val: v, Src: tag}
-				}
-				if missing == nil {
-					missing = fmt.Errorf("planner: unbound parameter :%s", p.Name)
-				}
+	ast.RewriteStatement(q, func(x ast.Expr) ast.Expr {
+		if p, ok := x.(*ast.Param); ok {
+			if v, ok := params[p.Name]; ok {
+				tag := p.Name + "\x00" + fmt.Sprint(len(slots))
+				slots = append(slots, BoundSlot{Tag: tag, Param: p.Name})
+				return &ast.Literal{Val: v, Src: tag}
 			}
-			return nil
-		})
+			if missing == nil {
+				missing = fmt.Errorf("planner: unbound parameter :%s", p.Name)
+			}
+		}
+		return nil
 	})
 	return slots, missing
 }
 
-// foldConstants evaluates constant subexpressions bottom-up.
-func foldConstants(e ast.Expr) ast.Expr {
-	return ast.RewriteExpr(e, func(x ast.Expr) ast.Expr {
-		switch n := x.(type) {
-		case *ast.BinaryExpr:
-			// date ± interval with a literal date folds to a date literal.
-			if iv, ok := n.Right.(*ast.IntervalExpr); ok && (n.Op == ast.OpAdd || n.Op == ast.OpSub) {
-				if l, ok := n.Left.(*ast.Literal); ok && (l.Val.K == value.Date || l.Val.K == value.Int) {
-					k := iv.N
-					if n.Op == ast.OpSub {
-						k = -k
-					}
-					return &ast.Literal{Val: value.NewDate(value.AddInterval(l.Val.AsInt(), k, iv.Unit))}
+// foldConstant evaluates one constant node whose operands are already
+// folded (ast.RewriteExpr works bottom-up).
+func foldConstant(x ast.Expr) ast.Expr {
+	switch n := x.(type) {
+	case *ast.BinaryExpr:
+		// date ± interval with a literal date folds to a date literal.
+		if iv, ok := n.Right.(*ast.IntervalExpr); ok && (n.Op == ast.OpAdd || n.Op == ast.OpSub) {
+			if l, ok := n.Left.(*ast.Literal); ok && (l.Val.K == value.Date || l.Val.K == value.Int) {
+				k := iv.N
+				if n.Op == ast.OpSub {
+					k = -k
 				}
-				return nil
-			}
-			l, lok := n.Left.(*ast.Literal)
-			r, rok := n.Right.(*ast.Literal)
-			if !lok || !rok {
-				return nil
-			}
-			switch n.Op {
-			case ast.OpAdd:
-				return &ast.Literal{Val: value.Add(l.Val, r.Val)}
-			case ast.OpSub:
-				return &ast.Literal{Val: value.Sub(l.Val, r.Val)}
-			case ast.OpMul:
-				return &ast.Literal{Val: value.Mul(l.Val, r.Val)}
-			case ast.OpDiv:
-				return &ast.Literal{Val: value.Div(l.Val, r.Val)}
+				return &ast.Literal{Val: value.NewDate(value.AddInterval(l.Val.AsInt(), k, iv.Unit))}
 			}
 			return nil
-		case *ast.UnaryExpr:
-			if !n.Neg {
-				return nil
-			}
-			if l, ok := n.E.(*ast.Literal); ok {
-				return &ast.Literal{Val: value.Neg(l.Val)}
-			}
+		}
+		l, lok := n.Left.(*ast.Literal)
+		r, rok := n.Right.(*ast.Literal)
+		if !lok || !rok {
+			return nil
+		}
+		switch n.Op {
+		case ast.OpAdd:
+			return &ast.Literal{Val: value.Add(l.Val, r.Val)}
+		case ast.OpSub:
+			return &ast.Literal{Val: value.Sub(l.Val, r.Val)}
+		case ast.OpMul:
+			return &ast.Literal{Val: value.Mul(l.Val, r.Val)}
+		case ast.OpDiv:
+			return &ast.Literal{Val: value.Div(l.Val, r.Val)}
 		}
 		return nil
-	})
-}
-
-// rewriteAvg lowers AVG(x) to SUM(x)/COUNT(*). Valid on NULL-free data
-// (TPC-H); it lets the planner cover averages with a HOM sum and a plain
-// count.
-func rewriteAvg(e ast.Expr) ast.Expr {
-	return ast.RewriteExpr(e, func(x ast.Expr) ast.Expr {
-		if a, ok := x.(*ast.AggExpr); ok && a.Func == ast.AggAvg && !a.Distinct {
-			return &ast.BinaryExpr{
-				Op:    ast.OpDiv,
-				Left:  &ast.AggExpr{Func: ast.AggSum, Arg: a.Arg},
-				Right: &ast.AggExpr{Func: ast.AggCount, Star: true},
-			}
+	case *ast.UnaryExpr:
+		if !n.Neg {
+			return nil
 		}
-		return nil
-	})
-}
-
-// flattenDerived merges simple derived tables (projection/join/filter only)
-// into the parent query, substituting the subquery's projection expressions
-// for references to its output columns.
-func flattenDerived(q *ast.Query) error {
-	for i := 0; i < len(q.From); i++ {
-		f := q.From[i]
-		if f.Sub == nil {
-			continue
+		if l, ok := n.E.(*ast.Literal); ok {
+			return &ast.Literal{Val: value.Neg(l.Val)}
 		}
-		sub := f.Sub
-		if !flattenable(sub) {
-			continue
-		}
-		// alias -> projection expression
-		subs := make(map[string]ast.Expr)
-		for _, p := range sub.Projections {
-			name := p.Alias
-			if name == "" {
-				if cr, ok := p.Expr.(*ast.ColumnRef); ok {
-					name = cr.Column
-				} else {
-					return fmt.Errorf("planner: derived table %s has unnamed projection %s", f.RefName(), p.Expr.SQL())
-				}
-			}
-			subs[name] = p.Expr
-		}
-		alias := f.RefName()
-		replace := func(e ast.Expr) ast.Expr {
-			return ast.RewriteExpr(e, func(x ast.Expr) ast.Expr {
-				cr, ok := x.(*ast.ColumnRef)
-				if !ok {
-					return nil
-				}
-				if cr.Table != "" && cr.Table != alias {
-					return nil
-				}
-				if repl, ok := subs[cr.Column]; ok {
-					return repl.Clone()
-				}
-				return nil
-			})
-		}
-		mapQueryExprs(q, replace)
-		// Splice the subquery's FROM and WHERE into the parent.
-		newFrom := append([]ast.TableRef{}, q.From[:i]...)
-		newFrom = append(newFrom, sub.From...)
-		newFrom = append(newFrom, q.From[i+1:]...)
-		q.From = newFrom
-		q.Where = ast.AndAll([]ast.Expr{q.Where, sub.Where})
-		i += len(sub.From) - 1
 	}
 	return nil
 }
 
+// lowerAvg lowers AVG(x) to SUM(x)/COUNT(*). Valid on NULL-free data
+// (TPC-H); it lets the planner cover averages with a HOM sum and a plain
+// count.
+func lowerAvg(x ast.Expr) ast.Expr {
+	if a, ok := x.(*ast.AggExpr); ok && a.Func == ast.AggAvg && !a.Distinct {
+		return &ast.BinaryExpr{
+			Op:    ast.OpDiv,
+			Left:  &ast.AggExpr{Func: ast.AggSum, Arg: a.Arg},
+			Right: &ast.AggExpr{Func: ast.AggCount, Star: true},
+		}
+	}
+	return nil
+}
+
+// flattenDerived merges a simple derived table (projection/join/filter
+// only) that is its parent's only FROM entry — the SELECT-only wrappers of
+// TPC-H Q7/8/9/22 — into the parent: each reference to one of its output
+// columns becomes the projection expression it names, and its FROM and
+// WHERE become the parent's. Prepare has no catalog, so it replaces only
+// references that provably name the derived table: unqualified and
+// alias-qualified ones in the parent's own clauses, and alias-qualified ones
+// in the blocks nested in them unless a block on the way re-binds the alias
+// — never anything inside the derived block. flatSites refuses what it
+// cannot prove, and the planner runs the derived table as a subplan.
+func flattenDerived(q *ast.Query) error {
+	if len(q.From) != 1 || q.From[0].Sub == nil || !flattenable(q.From[0].Sub) {
+		return nil
+	}
+	sub, alias, sole := q.From[0].Sub, q.From[0].RefName(), ""
+	if len(sub.From) == 1 {
+		sole = sub.From[0].RefName()
+	}
+	cols := make(map[string]ast.Expr, len(sub.Projections))
+	for _, p := range sub.Projections {
+		name := p.Alias
+		if name == "" {
+			cr, ok := p.Expr.(*ast.ColumnRef)
+			if !ok {
+				return fmt.Errorf("planner: derived table %s has unnamed projection %s", alias, p.Expr.SQL())
+			}
+			name = cr.Column
+		}
+		cols[name] = p.Expr
+	}
+	sites, ok := flatSites(q, cols, sole)
+	if !ok {
+		return nil
+	}
+	q.RewriteExprs(func(x ast.Expr) ast.Expr {
+		if cr, ok := x.(*ast.ColumnRef); ok && (cr.Table == "" || cr.Table == alias) {
+			if e, ok := cols[cr.Column]; ok {
+				return e.Clone()
+			}
+		}
+		return nil
+	})
+	for _, b := range sites {
+		b.RewriteExprs(func(x ast.Expr) ast.Expr {
+			if cr, ok := x.(*ast.ColumnRef); ok && cr.Table == alias {
+				if e, ok := cols[cr.Column]; ok {
+					return qualify(e, sole)
+				}
+			}
+			return nil
+		})
+	}
+	q.From = sub.From
+	q.Where = ast.AndAll([]ast.Expr{q.Where, sub.Where})
+	return nil
+}
+
+// flatSites decides whether q's derived table, with output columns cols and
+// only FROM name sole ("" when it has several), can be flattened, and
+// returns the blocks nested in q's clauses whose alias-qualified references
+// to it flattening rewrites. It refuses when q's own clauses name `*`, when
+// a nested block names an output column unqualified (it may be that block's
+// own column), and when an expression substituted into a nested block could
+// be captured there: it holds a subquery, an unqualified column of a
+// multi-table derived table, or a qualifier that a block on the way binds
+// again.
+func flatSites(q *ast.Query, cols map[string]ast.Expr, sole string) (sites []*ast.Query, ok bool) {
+	sub, alias := q.From[0].Sub, q.From[0].RefName()
+	ok = true
+	q.EachExpr(func(e ast.Expr) {
+		ast.Walk(e, func(x ast.Expr) {
+			if cr, isCol := x.(*ast.ColumnRef); isCol && cr.Column == "*" {
+				ok = false
+			}
+		})
+	})
+	// bound maps q and every block nested in its clauses to the FROM names
+	// the nested blocks down to it bind.
+	bound := map[*ast.Query][]string{q: nil}
+	ast.EachBlock(q, func(b, up *ast.Query) {
+		outer, visible := bound[up]
+		if !ok || !visible || b == sub {
+			return
+		}
+		names := slices.Clip(outer)
+		for _, f := range b.From {
+			names = append(names, f.RefName())
+		}
+		bound[b] = names
+		shadowed := slices.Contains(names, alias)
+		site := false
+		b.EachExpr(func(e ast.Expr) {
+			ast.Walk(e, func(x ast.Expr) {
+				cr, isCol := x.(*ast.ColumnRef)
+				if !isCol {
+					return
+				}
+				repl, isOut := cols[cr.Column]
+				switch {
+				case !isOut || (cr.Table != "" && (cr.Table != alias || shadowed)):
+				case cr.Table == "" || capturable(repl, sole, names):
+					ok = false
+				default:
+					site = true
+				}
+			})
+		})
+		if site {
+			sites = append(sites, b)
+		}
+	})
+	return sites, ok
+}
+
+// capturable reports whether e, substituted into a block where the FROM
+// names in bound are in scope, might resolve differently than in the derived
+// table it came from. Unqualified columns count as qualified by sole.
+func capturable(e ast.Expr, sole string, bound []string) bool {
+	if ast.HasSubquery(e) {
+		return true
+	}
+	for _, c := range ast.Columns(e) {
+		t := c.Table
+		if t == "" {
+			t = sole
+		}
+		if t == "" || slices.Contains(bound, t) {
+			return true
+		}
+	}
+	return false
+}
+
+// qualify clones e with its unqualified columns qualified by ref.
+func qualify(e ast.Expr, ref string) ast.Expr {
+	return ast.RewriteExpr(e.Clone(), func(x ast.Expr) ast.Expr {
+		if c, ok := x.(*ast.ColumnRef); ok && c.Table == "" {
+			return &ast.ColumnRef{Table: ref, Column: c.Column}
+		}
+		return nil
+	})
+}
+
 // flattenable reports whether a derived table is a pure
-// select/project/join block.
+// select/project/join block that names its output columns.
 func flattenable(sub *ast.Query) bool {
 	if len(sub.GroupBy) > 0 || sub.Having != nil || sub.Distinct ||
 		sub.Limit >= 0 || len(sub.OrderBy) > 0 {
 		return false
 	}
 	for _, p := range sub.Projections {
-		if ast.HasAggregate(p.Expr) {
+		if cr, ok := p.Expr.(*ast.ColumnRef); (ok && cr.Column == "*") || ast.HasAggregate(p.Expr) {
 			return false
 		}
 	}

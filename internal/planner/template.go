@@ -104,39 +104,38 @@ func (t *Template) parameterizePlan(p *Plan, srcOf map[string]string) bool {
 }
 
 // liftQuery replaces tagged literals with parameter nodes, recording a
-// rebind site per occurrence. In remote queries the literal must carry its
-// encrypting item (a tagged plaintext constant in RemoteSQL has no sound
-// rebind story); in local queries it must not.
+// rebind site per occurrence, in every block of q (the template's own
+// clone). In remote queries the literal must carry its encrypting item (a
+// tagged plaintext constant in RemoteSQL has no sound rebind story); in
+// local queries it must not.
 func (t *Template) liftQuery(q *ast.Query, remote bool, srcOf map[string]string, ok *bool) {
-	mapQueryExprs(q, func(e ast.Expr) ast.Expr {
-		return ast.RewriteExpr(e, func(x ast.Expr) ast.Expr {
-			lit, isLit := x.(*ast.Literal)
-			if !isLit || lit.Src == "" {
-				return nil
-			}
-			src, known := srcOf[lit.Src]
-			if !known {
+	ast.RewriteStatement(q, func(x ast.Expr) ast.Expr {
+		lit, isLit := x.(*ast.Literal)
+		if !isLit || lit.Src == "" {
+			return nil
+		}
+		src, known := srcOf[lit.Src]
+		if !known {
+			*ok = false
+			return nil
+		}
+		if remote {
+			it, _ := lit.EncBy.(*enc.Item)
+			if it == nil {
 				*ok = false
 				return nil
 			}
-			if remote {
-				it, _ := lit.EncBy.(*enc.Item)
-				if it == nil {
-					*ok = false
-					return nil
-				}
-				name := fmt.Sprintf("cp%d", len(t.Enc))
-				t.Enc = append(t.Enc, EncSite{Tag: lit.Src, SrcParam: src, Param: name, Item: it})
-				return &ast.Param{Name: name}
-			}
-			if lit.EncBy != nil {
-				*ok = false
-				return nil
-			}
-			name := fmt.Sprintf("lp%d", len(t.Local))
-			t.Local = append(t.Local, LocalSite{Tag: lit.Src, SrcParam: src, Param: name})
+			name := fmt.Sprintf("cp%d", len(t.Enc))
+			t.Enc = append(t.Enc, EncSite{Tag: lit.Src, SrcParam: src, Param: name, Item: it})
 			return &ast.Param{Name: name}
-		})
+		}
+		if lit.EncBy != nil {
+			*ok = false
+			return nil
+		}
+		name := fmt.Sprintf("lp%d", len(t.Local))
+		t.Local = append(t.Local, LocalSite{Tag: lit.Src, SrcParam: src, Param: name})
+		return &ast.Param{Name: name}
 	})
 }
 

@@ -110,8 +110,7 @@ type Server struct {
 	inflight chan struct{} // nil = unlimited
 
 	mu        sync.Mutex
-	sessions  map[uint64]*session
-	stats     map[uint64]*SessionStats // retained after session close
+	sessions  map[uint64]*session // live sessions only
 	nextSID   uint64
 	acceptErr error
 
@@ -143,7 +142,6 @@ func Serve(backend *server.Server, ln net.Listener, cfg Config) *Server {
 		ctx:      ctx,
 		cancel:   cancel,
 		sessions: make(map[uint64]*session),
-		stats:    make(map[uint64]*SessionStats),
 	}
 	if cfg.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInFlight)
@@ -182,15 +180,19 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
-// SessionStats returns the accounting for one session (live or closed).
+// SessionStats returns the accounting for one live session; a closed
+// session's is gone with it (ok false), so the server holds nothing per
+// connection it no longer serves.
 func (s *Server) SessionStats(id uint64) (SessionStats, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.stats[id]
+	sess, ok := s.sessions[id]
+	s.mu.Unlock()
 	if !ok {
 		return SessionStats{}, false
 	}
-	return *st, true
+	sess.smu.Lock()
+	defer sess.smu.Unlock()
+	return sess.stats, true
 }
 
 func (s *Server) acceptLoop() {
@@ -229,7 +231,6 @@ func (s *Server) acceptLoop() {
 		s.nextSID++
 		sess := newSession(s, conn, s.nextSID)
 		s.sessions[sess.id] = sess
-		s.stats[sess.id] = &sess.stats
 		s.mu.Unlock()
 		atomic.AddInt64(&s.accepted, 1)
 		s.wg.Add(1)

@@ -541,6 +541,48 @@ func TestDisconnectMidStreamNoLeak(t *testing.T) {
 	}
 }
 
+// TestClosedSessionsLeaveNothing: a server holds per-connection state only
+// while the connection lives. 200 dial / query / close cycles leave no
+// session registered, and a closed session's accounting is gone (ok false)
+// while a live one's is exact.
+func TestClosedSessionsLeaveNothing(t *testing.T) {
+	s := startServer(t, testBackend(t, 100), Config{})
+	q := sqlparser.MustParse(`SELECT k FROM t WHERE v < 10`)
+	var closed []uint64
+	for i := 0; i < 200; i++ {
+		c, err := Dial(s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ExecuteStream(q, nil, &bytes.Buffer{}); err != nil {
+			t.Fatal(err)
+		}
+		if ss, ok := s.SessionStats(c.SessionID()); !ok || ss.Queries != 1 || ss.Rows != 10 {
+			t.Fatalf("live session %d: stats %+v ok=%v, want Queries=1 Rows=10", c.SessionID(), ss, ok)
+		}
+		closed = append(closed, c.SessionID())
+		c.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		live := len(s.sessions)
+		s.mu.Unlock()
+		if live == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 200 closed sessions still registered", live)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, id := range closed {
+		if ss, ok := s.SessionStats(id); ok {
+			t.Fatalf("closed session %d still has stats %+v", id, ss)
+		}
+	}
+}
+
 // TestServerCloseJoins: Close with live sessions tears everything down and
 // joins every goroutine.
 func TestServerCloseJoins(t *testing.T) {
