@@ -126,6 +126,46 @@ var breakerShapes = []diffQuery{
 	{"SELECT d.s_id FROM (SELECT s_id, s_qty AS s_price FROM sales WHERE s_price > 900) d ORDER BY d.s_id", true},
 	{"SELECT d.s_id FROM (SELECT s_id, s_price AS c_tier FROM sales) d WHERE EXISTS (SELECT 1 FROM cats WHERE c_tier = 3) ORDER BY d.s_id", true},
 	{"SELECT d.s_id FROM (SELECT s_id, s_qty AS s_price, s_price AS s_qty FROM sales) d WHERE d.s_id < 50 AND EXISTS (SELECT 1 FROM cats WHERE c_tier = d.s_qty) ORDER BY d.s_id", true},
+	// Three-valued IN: cats' c_tier > 6 rows hold NULL names, c_tier < 5
+	// rows none, so the NOT IN forms over the first keep no row.
+	{"SELECT s_id FROM sales WHERE s_cat IN (SELECT c_name FROM cats WHERE c_tier > 6) ORDER BY s_id", true},
+	{"SELECT s_id FROM sales WHERE s_cat NOT IN (SELECT c_name FROM cats WHERE c_tier > 6) ORDER BY s_id", true},
+	{"SELECT s_id FROM sales WHERE NOT (s_cat IN (SELECT c_name FROM cats WHERE c_tier > 6)) ORDER BY s_id", true},
+	{"SELECT s_id FROM sales WHERE s_cat NOT IN (SELECT c_name FROM cats WHERE c_tier < 5) ORDER BY s_id", true},
+	{"SELECT s_id FROM sales WHERE s_qty NOT IN (1, 2, NULL) ORDER BY s_id", true},
+	{"SELECT c_tier FROM cats WHERE c_name NOT IN ('ale', 'bock') ORDER BY c_tier", true},
+	// keyFilterShapes, whose subqueries the client evaluates over key-filtered
+	// fetches; cats' NULL names are NULL keys.
+	keyFilterShapes[0], keyFilterShapes[1], keyFilterShapes[2], keyFilterShapes[3],
+}
+
+// keyFilterShapes restrict a fetched part by another temp table's keys: an
+// IN-subquery (cats by one sales category), a correlated EXISTS, NOT EXISTS
+// and scalar subquery (sales by the names of cats' south and nowhere rows:
+// bock, cider, export and two NULLs). The s_qty arithmetic has no
+// encryption, so each subquery runs on the client; the other filters run on
+// the server, so each key set names a fraction of its column and is worth
+// sending.
+var keyFilterShapes = []diffQuery{
+	{"SELECT c_tier, c_region FROM cats WHERE c_name IN (SELECT s_cat FROM sales WHERE s_cat = 'bock' AND s_qty * 20 > s_price) ORDER BY c_tier", true},
+	{"SELECT c_tier FROM cats WHERE c_region IN ('south', 'nowhere') AND EXISTS (SELECT 1 FROM sales WHERE s_cat = c_name AND s_qty * 20 > s_price) ORDER BY c_tier", true},
+	{"SELECT c_tier FROM cats WHERE c_region IN ('south', 'nowhere') AND NOT EXISTS (SELECT 1 FROM sales WHERE s_cat = c_name AND s_qty * 30 > s_price + 600) ORDER BY c_tier", true},
+	{"SELECT c_tier, c_region FROM cats WHERE c_region IN ('south', 'nowhere') AND c_tier * 40 < (SELECT SUM(s_qty) FROM sales WHERE s_cat = c_name AND s_qty * 2 > s_price) ORDER BY c_tier", true},
+}
+
+// TestDifferentialKeyFilterShapes: each key-filter shape plans a filter and
+// sends keys, so the grid above crosses real filtered executions.
+func TestDifferentialKeyFilterShapes(t *testing.T) {
+	sys := diffSystem(t)
+	for _, q := range keyFilterShapes {
+		rows, err := sys.Query(q.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", q.sql, err)
+		}
+		if !strings.Contains(rows.PlanText, "key filter") || rows.KeyBytes <= 0 {
+			t.Errorf("%s: KeyBytes %d, plan:\n%s", q.sql, rows.KeyBytes, rows.PlanText)
+		}
+	}
 }
 
 // TestDerivedTableScope: derived tables referenced from nested blocks in the

@@ -147,7 +147,10 @@ type Result struct {
 	TransferTime time.Duration
 	ClientTime   time.Duration // measured decrypt + local execution
 	WireBytes    int64
-	Decrypts     int64 // individual decryption operations performed
+	// KeyBytes counts the key-filter ciphertexts sent with RemoteSQL (the
+	// other direction of the wire; WireBytes counts results only).
+	KeyBytes int64
+	Decrypts int64 // individual decryption operations performed
 }
 
 // Total is the end-to-end modelled latency (see ServerTime).
@@ -227,7 +230,12 @@ func (c *Client) makePlan(prepared *ast.Query) (*planner.Plan, error) {
 		c.Ctx.CostPlan(plan)
 		return plan, nil
 	}
-	return c.Ctx.BestPlan(prepared)
+	plan, err := c.Ctx.BestPlan(prepared)
+	if err != nil {
+		return nil, err
+	}
+	c.Ctx.AttachKeyFilters(plan)
+	return plan, nil
 }
 
 // ExecutePlan runs an already-generated plan (used by the experiment
@@ -301,64 +309,118 @@ func (c *Client) finishPlan(plan *planner.Plan, cat *storage.Catalog, res *Resul
 	return res, nil
 }
 
-// runPlan executes subplans and the remote part, materializing temp tables.
+// runPlan materializes the plan's temp tables: its subplans in order, then
+// its remote part — except that a step whose remote part carries a key
+// filter waits until the filter's source table exists (Q17 runs r0 before
+// the sub-fetch r1 that r0's keys restrict).
 func (c *Client) runPlan(plan *planner.Plan, cat *storage.Catalog, res *Result, ec *execCtx) error {
-	for _, sp := range plan.Subplans {
-		if err := c.runPlan(sp.Plan, cat, res, ec); err != nil {
+	n := len(plan.Subplans) + 1
+	var doneBuf [16]bool // a plan of up to 15 subplans allocates nothing here
+	done := doneBuf[:]
+	if n > len(doneBuf) {
+		done = make([]bool, n)
+	}
+	done = done[:n]
+	for left := n; left > 0; {
+		ran := false
+		for i := range done {
+			if done[i] || !sourceReady(stepPart(plan, i), cat) {
+				continue
+			}
+			if err := c.runStep(plan, i, cat, res, ec); err != nil {
+				return err
+			}
+			done[i], ran = true, true
+			left--
+		}
+		if !ran {
+			return fmt.Errorf("client: key filters of the plan wait on each other")
+		}
+	}
+	return nil
+}
+
+// stepPart is the remote part step i of runPlan executes itself: a subplan's
+// part when the subplan has no local query, the plan's own part last.
+func stepPart(plan *planner.Plan, i int) *planner.RemotePart {
+	if i == len(plan.Subplans) {
+		return plan.Remote
+	}
+	if sp := plan.Subplans[i].Plan; sp.Local == nil {
+		return sp.Remote
+	}
+	return nil
+}
+
+// runStep runs step i of runPlan: subplan i, or the plan's remote part.
+func (c *Client) runStep(plan *planner.Plan, i int, cat *storage.Catalog, res *Result, ec *execCtx) error {
+	if i == len(plan.Subplans) {
+		if plan.Remote == nil {
+			return nil
+		}
+		return c.runRemote(plan.Remote, cat, res, ec)
+	}
+	sp := plan.Subplans[i]
+	if err := c.runPlan(sp.Plan, cat, res, ec); err != nil {
+		return err
+	}
+	// A subplan with a local query materializes under its own name.
+	if sp.Plan.Local != nil {
+		sub := &Result{}
+		r, err := c.finishPlan(sp.Plan, cat, sub, ec)
+		if err != nil {
 			return err
 		}
-		// A subplan with a local query materializes under its own name.
-		if sp.Plan.Local != nil {
-			sub := &Result{}
-			r, err := c.finishPlan(sp.Plan, cat, sub, ec)
-			if err != nil {
-				return err
-			}
-			res.ClientTime += sub.ClientTime
-			tbl, err := storage.NewTableFromRows(resultSchema(sp.Name, r.Cols, r.Rows), r.Rows)
-			if err != nil {
-				return err
-			}
-			cat.Put(tbl)
-		} else if sp.Plan.Remote != nil && sp.Plan.Remote.Name != sp.Name {
-			// Rename the remote temp to the subplan's name.
-			t, err := cat.Table(sp.Plan.Remote.Name)
-			if err != nil {
-				return err
-			}
-			t.Schema.Name = sp.Name
-			cat.Drop(sp.Plan.Remote.Name)
-			cat.Put(t)
+		res.ClientTime += sub.ClientTime
+		tbl, err := storage.NewTableFromRows(resultSchema(sp.Name, r.Cols, r.Rows), r.Rows)
+		if err != nil {
+			return err
 		}
+		cat.Put(tbl)
+	} else if sp.Plan.Remote != nil && sp.Plan.Remote.Name != sp.Name {
+		// Rename the remote temp to the subplan's name.
+		t, err := cat.Table(sp.Plan.Remote.Name)
+		if err != nil {
+			return err
+		}
+		t.Schema.Name = sp.Name
+		cat.Drop(sp.Plan.Remote.Name)
+		cat.Put(t)
 	}
-	if plan.Remote == nil {
-		return nil
-	}
-	return c.runRemote(plan.Remote, cat, res, ec)
+	return nil
 }
 
 // runRemote sends one RemoteSQL to the server and decrypts its output into
 // a temp table. The deployment picks the hand-off: a client over an
 // in-process server takes the engine's rows as they are; a client built by
 // NewRemote consumes the framed batch stream, decoding batches while the
-// server is still producing (stream.go). Both run the part's decoder.
+// server is still producing (stream.go). Both run the part's decoder, and
+// both send the same query: the part's, restricted by its key filter's keys
+// when it has one (keyfilter.go) — with no keys, nothing is sent.
 func (c *Client) runRemote(part *planner.RemotePart, cat *storage.Catalog, res *Result, ec *execCtx) error {
+	fail := func(err error) error { return fmt.Errorf("client: remote %s: %w", part.Name, err) }
 	dec, err := c.newDecoder(part)
 	if err != nil {
-		return fmt.Errorf("client: remote %s: %w", part.Name, err)
+		return fail(err)
 	}
-	run := c.runRemoteStreamed
-	if c.Srv != nil {
-		run = c.runRemoteInProcess
+	q, params := c.resolveHomGroups(part.Query), ec.encParams()
+	var rows [][]value.Value
+	if q, params, err = c.applyKeyFilter(part, q, params, cat, res); err != nil {
+		return fail(err)
 	}
-	rows, err := run(part, dec, res, ec)
-	if err != nil {
-		return fmt.Errorf("client: remote %s: %w", part.Name, err)
+	if q != nil {
+		run := c.runRemoteStreamed
+		if c.Srv != nil {
+			run = c.runRemoteInProcess
+		}
+		if rows, err = run(part, q, params, dec, res); err != nil {
+			return fail(err)
+		}
 	}
 	start := time.Now()
 	tbl, err := storage.NewTableFromRows(remoteSchema(part), rows)
 	if err != nil {
-		return fmt.Errorf("client: remote %s: %w", part.Name, err)
+		return fail(err)
 	}
 	res.ClientTime += time.Since(start)
 	cat.Put(tbl)
@@ -369,8 +431,8 @@ func (c *Client) runRemote(part *planner.RemotePart, cat *storage.Catalog, res *
 // whole encrypted result is handed over unframed, then one decode pass runs
 // over it. WireBytes is what the paper's transfer model charges for those
 // rows (value sizes + 4 B/row), not a count of framed bytes.
-func (c *Client) runRemoteInProcess(part *planner.RemotePart, dec *decoder, res *Result, ec *execCtx) ([][]value.Value, error) {
-	resp, err := c.exec.Execute(c.resolveHomGroups(part.Query), ec.encParams())
+func (c *Client) runRemoteInProcess(part *planner.RemotePart, q *ast.Query, params map[string]value.Value, dec *decoder, res *Result) ([][]value.Value, error) {
+	resp, err := c.exec.Execute(q, params)
 	if err != nil {
 		return nil, err
 	}
@@ -464,6 +526,7 @@ func (c *Client) preExecuteScalarSubqueries(q *ast.Query, res *Result) (bool, er
 				res.TransferTime += sub.TransferTime
 				res.ClientTime += sub.ClientTime
 				res.WireBytes += sub.WireBytes
+				res.KeyBytes += sub.KeyBytes
 				res.Decrypts += sub.Decrypts
 				if len(sub.Rows) == 0 {
 					return &ast.Literal{Val: value.NewNull()}

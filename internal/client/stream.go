@@ -32,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ast"
 	"repro/internal/planner"
 	"repro/internal/server"
 	"repro/internal/value"
@@ -58,12 +59,11 @@ type streamBatch struct {
 }
 
 // runRemoteStreamed executes one RemoteSQL on a remote-built client: the
-// whole query — text and, on the template fast path (ec != nil), the part's
-// encrypted parameter bindings — goes out on every execution.
-func (c *Client) runRemoteStreamed(part *planner.RemotePart, dec *decoder, res *Result, ec *execCtx) ([][]value.Value, error) {
-	q := c.resolveHomGroups(part.Query)
+// whole query — text and its encrypted parameter bindings — goes out on
+// every execution.
+func (c *Client) runRemoteStreamed(part *planner.RemotePart, q *ast.Query, params map[string]value.Value, dec *decoder, res *Result) ([][]value.Value, error) {
 	return c.consumeStream(part, dec, res, func(w io.Writer) (*server.StreamStats, error) {
-		return c.exec.ExecuteStream(q, ec.encParams(), w)
+		return c.exec.ExecuteStream(q, params, w)
 	})
 }
 

@@ -50,17 +50,24 @@ type subqPlan struct {
 	build     *joinBuild
 	outerKeys []ast.Expr
 	residual  ast.Expr
+
+	// sets describes an IN set per correlation key (the exprKey of the outer
+	// keys; "" when uncorrelated): whether it has any member and whether one
+	// is NULL — what three-valued IN needs beyond a membership probe.
+	sets map[string]inSet
 }
 
-// probe returns the inner rows filed under the outer row's correlation key
-// followed by member (IN's left-hand side, rendered as exprKey renders a
-// key component); none when a correlation key is NULL.
-func (p *subqPlan) probe(en *env, member string) ([][]value.Value, error) {
+// inSet is what evalIn knows of one IN set besides its non-NULL members.
+type inSet struct{ any, null bool }
+
+// probe returns the inner rows filed under the outer row's correlation key;
+// none when a correlation key is NULL.
+func (p *subqPlan) probe(en *env) ([][]value.Value, error) {
 	key, null, err := exprKey(en, p.outerKeys)
 	if err != nil || null {
 		return nil, err
 	}
-	return p.build.lookup(key + member), nil
+	return p.build.lookup(key), nil
 }
 
 // planned returns the plan the opening of sub's block stored.
@@ -81,7 +88,7 @@ func (c *execCtx) scalarSubquery(en *env, sub *ast.Query) (value.Value, error) {
 	if p.naive {
 		rows, err = c.runNaive(sub, en)
 	} else {
-		rows, err = p.probe(en, "")
+		rows, err = p.probe(en)
 	}
 	if err != nil {
 		return value.Value{}, err
@@ -92,52 +99,76 @@ func (c *execCtx) scalarSubquery(en *env, sub *ast.Query) (value.Value, error) {
 	return rows[0][0], nil
 }
 
-// evalIn evaluates e IN (...) including list and subquery forms.
+// evalIn evaluates e [NOT] IN (...), list or subquery, in SQL's three-valued
+// logic: TRUE when the left side equals a member; otherwise NULL when the
+// left side is NULL or the set holds a NULL (either could have matched), and
+// FALSE when neither is — FALSE also for a NULL left side against the empty
+// set. NOT swaps TRUE and FALSE and keeps NULL.
 func (c *execCtx) evalIn(en *env, x *ast.InExpr) (value.Value, error) {
 	lhs, err := eval(en, x.E)
 	if err != nil {
 		return value.Value{}, err
 	}
-	if lhs.IsNull() {
+	member, unknown, err := c.inMember(en, x, lhs)
+	switch {
+	case err != nil:
+		return value.Value{}, err
+	case member:
+		return value.NewBool(!x.Not), nil
+	case unknown:
 		return value.NewNull(), nil
 	}
-	if x.Sub == nil {
-		for _, item := range x.List {
-			v, err := eval(en, item)
-			if err != nil {
-				return value.Value{}, err
-			}
-			if value.Equal(lhs, v) {
-				return value.NewBool(!x.Not), nil
-			}
-		}
-		return value.NewBool(x.Not), nil
-	}
+	return value.NewBool(x.Not), nil
+}
 
+// inMember reports whether lhs is a member of x's set, and when it is not,
+// whether the answer is unknown (NULL) rather than FALSE.
+func (c *execCtx) inMember(en *env, x *ast.InExpr, lhs value.Value) (member, unknown bool, err error) {
+	if x.Sub == nil {
+		return inValues(lhs, len(x.List), func(i int) (value.Value, error) { return eval(en, x.List[i]) })
+	}
 	p, err := c.planned(x.Sub)
 	if err != nil {
-		return value.Value{}, err
+		return false, false, err
 	}
-	var member bool
 	if p.naive {
 		rows, err := c.runNaive(x.Sub, en)
 		if err != nil {
-			return value.Value{}, err
+			return false, false, err
 		}
-		for _, row := range rows {
-			if value.Equal(lhs, row[0]) {
-				member = true
-				break
-			}
-		}
-	} else {
-		rows, err := p.probe(en, lhs.HashKey()+"\x00")
-		if err != nil {
-			return value.Value{}, err
-		}
-		member = len(rows) > 0
+		return inValues(lhs, len(rows), func(i int) (value.Value, error) { return rows[i][0], nil })
 	}
-	return value.NewBool(member != x.Not), nil
+	key, null, err := exprKey(en, p.outerKeys)
+	if err != nil || null {
+		return false, false, err // a NULL correlation key selects the empty set
+	}
+	set := p.sets[key]
+	if lhs.IsNull() {
+		return false, set.any, nil
+	}
+	if len(p.build.lookup(key+lhs.HashKey()+"\x00")) > 0 {
+		return true, false, nil
+	}
+	return false, set.null, nil
+}
+
+// inValues is inMember over a set of n values, the i-th produced by at.
+func inValues(lhs value.Value, n int, at func(i int) (value.Value, error)) (member, unknown bool, err error) {
+	if lhs.IsNull() {
+		return false, n > 0, nil
+	}
+	for i := 0; i < n; i++ {
+		v, err := at(i)
+		if err != nil {
+			return false, false, err
+		}
+		if v.IsNull() {
+			unknown = true
+		} else if value.Equal(lhs, v) {
+			return true, false, nil
+		}
+	}
+	return false, unknown, nil
 }
 
 // evalExists evaluates [NOT] EXISTS (...) for the current row.
@@ -150,7 +181,7 @@ func (c *execCtx) evalExists(en *env, x *ast.ExistsExpr) (bool, error) {
 	if p.naive {
 		rows, err = c.runNaive(x.Sub, en)
 	} else {
-		rows, err = p.probe(en, "")
+		rows, err = p.probe(en)
 	}
 	if err != nil {
 		return false, err
@@ -252,6 +283,9 @@ func (c *execCtx) planSubquery(sub *ast.Query, mode subqMode) error {
 		err = c.planBeneath(sub)
 	case err == nil:
 		c.stats.SubqueryRuns++
+		if mode == subqIn {
+			p.sets = inSets(inner, len(keys)-1)
+		}
 		p.build, err = c.buildJoinMap(inner, keys, nil)
 	}
 	if err != nil {
@@ -265,6 +299,24 @@ func (c *execCtx) planSubquery(sub *ast.Query, mode subqMode) error {
 }
 
 var errNoDecorrelate = errors.New("engine: subquery not decorrelatable")
+
+// inSets records, per correlation key, whether an IN set is non-empty and
+// whether it holds a NULL member, from the relation resultKeys laid out:
+// the member in cell 0, the nk correlation keys after it.
+func inSets(rel *relation, nk int) map[string]inSet {
+	sets := make(map[string]inSet)
+	for _, row := range rel.rows {
+		key, null := rowKey(row[1 : nk+1])
+		if null {
+			continue
+		}
+		s := sets[key]
+		s.any = true
+		s.null = s.null || row[0].IsNull()
+		sets[key] = s
+	}
+	return sets
+}
 
 // resultKeys relabels a drained result's columns $0, $1, … and returns the
 // join keys over it: cells 1..nk — where decorrelate appends the correlation

@@ -16,7 +16,11 @@ import (
 // the designer chose and, for each supported TPC-H query, the plan the client
 // executed and the items that plan reports as used. testdata/plans.golden was
 // rendered before internal/planner was restructured; a planner change that
-// means to keep behaviour must keep it byte for byte.
+// means to keep behaviour must keep it byte for byte. It changes by design
+// when a plan gains or loses a key filter (a "key filter" line under a
+// MONOMI RemoteSQL): the pass that attaches them runs after the plan is
+// chosen and alters nothing else, so every other line — the greedy
+// configurations' sections and every "used" section — must still match.
 
 func sortedItemKeys(items []enc.Item) string {
 	keys := make([]string, len(items))

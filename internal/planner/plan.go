@@ -69,6 +69,9 @@ type RemotePart struct {
 	// Access is the costed access path ("scan" or "index(col) est-sel=…"),
 	// filled by costPlan when Context.Indexes is on; empty otherwise.
 	Access string
+	// KeyFilter, when set, restricts the part to the keys of another temp
+	// table at run time (keyfilter.go).
+	KeyFilter *KeyFilter
 }
 
 // Plan is a split client/server execution plan.
@@ -131,6 +134,9 @@ func (p *Plan) describe(b *strings.Builder, depth int) {
 		fmt.Fprintf(b, "%sRemoteSQL [%s]: %s\n", ind, p.Remote.Name, p.Remote.Query.SQL())
 		if p.Remote.Access != "" {
 			fmt.Fprintf(b, "%s  access %s\n", ind, p.Remote.Access)
+		}
+		if kf := p.Remote.KeyFilter; kf != nil {
+			fmt.Fprintf(b, "%s  key filter %s IN %s.%s\n", ind, kf.Column, kf.Source, kf.SourceColumn)
 		}
 		for _, o := range p.Remote.Outputs {
 			fmt.Fprintf(b, "%s  out %s (%s)\n", ind, o.Name, o.Mode)
