@@ -114,8 +114,9 @@ func BenchmarkParallelism_TPCHGroupedAgg(b *testing.B) {
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			s.Monomi.SetParallelism(p)
-			// Warm the client's decryption caches so the first level
-			// measured does not pay the cold decrypts alone.
+			// Run once untimed so the first level measured does not pay
+			// the cold parse, plan and template fill alone (decryption
+			// memos live for one decode, so there is nothing else to warm).
 			if _, err := s.Monomi.RunEncrypted(1); err != nil {
 				b.Fatal(err)
 			}
@@ -144,8 +145,7 @@ func BenchmarkStreaming_TPCHGroupedAgg(b *testing.B) {
 	}{{"materialized", 0}, {"streamed", 1024}} {
 		b.Run(mode.name, func(b *testing.B) {
 			s.Monomi.SetBatchSize(mode.batch)
-			// Warm the client's decryption caches (see the parallelism
-			// benchmark above).
+			// Run once untimed (see the parallelism benchmark above).
 			if _, err := s.Monomi.RunEncrypted(1); err != nil {
 				b.Fatal(err)
 			}

@@ -363,8 +363,8 @@ func TestMalformedConcatSurvivesClientStack(t *testing.T) {
 
 // TestConcurrentQ1OneClient runs TPC-H Q1 — a shipped-rows result wide enough
 // to fan out over the decode workers — from two goroutines on one System, so
-// the race detector sees the shared decrypt cache, the key store's resolver
-// and the per-worker cipher scratch under real contention.
+// the race detector sees the shared compiled template, the key store's
+// resolver and the per-worker cipher scratch and memos under real contention.
 func TestConcurrentQ1OneClient(t *testing.T) {
 	db, err := TPCH(0.0005, 1)
 	if err != nil {

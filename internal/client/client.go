@@ -2,9 +2,9 @@
 // library / client ODBC driver" of Figure 1): the only component holding
 // decryption keys. It plans each query with the runtime planner, sends
 // RemoteSQL to the untrusted server, decrypts the intermediate results
-// (with the paper's 512-entry decryption cache), executes the residual
-// local operators with the embedded engine, and returns plaintext rows as
-// if the application had queried an ordinary SQL database.
+// (memo.go), executes the residual local operators with the embedded engine,
+// and returns plaintext rows as if the application had queried an ordinary
+// SQL database.
 package client
 
 import (
@@ -76,7 +76,6 @@ type Client struct {
 
 	exec      Executor
 	meta      map[string]*enc.TableMeta
-	cache     *decryptCache
 	packCache *packing.PlainCache
 	plans     *planCache
 	parsed    *parseCache
@@ -91,7 +90,6 @@ func New(keys *enc.KeyStore, srv *server.Server, ctx *planner.Context, cfg netsi
 		Keys: keys, Srv: srv, Ctx: ctx, Cfg: cfg,
 		exec:      srv,
 		meta:      srv.DB.Meta,
-		cache:     newDecryptCache(512),
 		packCache: packing.NewPlainCache(),
 		plans:     newPlanCache(defaultPlanCacheCap),
 		parsed:    newParseCache(defaultParseCacheCap),
@@ -113,7 +111,6 @@ func NewRemote(keys *enc.KeyStore, exec Executor, meta map[string]*enc.TableMeta
 		Keys: keys, Ctx: ctx, Cfg: cfg,
 		exec:      exec,
 		meta:      meta,
-		cache:     newDecryptCache(512),
 		packCache: packing.NewPlainCache(),
 		plans:     newPlanCache(defaultPlanCacheCap),
 		parsed:    newParseCache(defaultParseCacheCap),
@@ -151,6 +148,9 @@ type Result struct {
 	// other direction of the wire; WireBytes counts results only).
 	KeyBytes int64
 	Decrypts int64 // individual decryption operations performed
+	// PlanText is Plan.Describe(), rendered when the plan was compiled: once
+	// per cached template.
+	PlanText string
 }
 
 // Total is the end-to-end modelled latency (see ServerTime).
@@ -164,20 +164,19 @@ func (c *Client) charge(r *Result, st engine.Stats, wireBytes int64) {
 	r.WireBytes += wireBytes
 }
 
-// Query parses, plans, and executes a SQL query with parameters. Parsed
-// ASTs are cached by SQL string, so a repeated query string reaches the
-// parser once (the cached AST is treated as read-only — every downstream
-// pass clones before mutating).
+// Query parses, plans, and executes a SQL query with parameters. The parse
+// cache keeps each SQL string's read-only AST and plan-cache shape, so a
+// repeated string reaches the parser and the literal hoist once.
 func (c *Client) Query(sql string, params map[string]value.Value) (*Result, error) {
-	q, err := c.parse(sql)
+	s, err := c.parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return c.Execute(q, params)
+	return c.execute(s, params)
 }
 
 // parse resolves SQL through the parse cache.
-func (c *Client) parse(sql string) (*ast.Query, error) {
+func (c *Client) parse(sql string) (*shape, error) {
 	return c.parsed.getOrParse(sql, func() (*ast.Query, error) {
 		if c.ParseHook != nil {
 			c.ParseHook(sql)
@@ -186,19 +185,13 @@ func (c *Client) parse(sql string) (*ast.Query, error) {
 	})
 }
 
-// Execute plans and runs a query AST, going through the plan cache: the
-// query is normalized to its shape (literals hoisted to parameter slots)
-// and a cached template for that shape executes by re-encrypting the
-// parameters alone (see fastpath.go).
+// Execute plans and runs a query AST through the plan cache (fastpath.go):
+// its shape's cached template executes by re-encrypting the parameters alone.
 func (c *Client) Execute(q *ast.Query, params map[string]value.Value) (*Result, error) {
-	if key, shape, vals, ok := c.shapeKey(q, params); ok {
-		return c.executeKeyed(key, shape, vals)
-	}
-	return c.executeCold(q, params)
+	return c.execute(newShape(q), params)
 }
 
-// executeCold plans and runs a query from scratch, bypassing the plan
-// cache (the pre-fast-path Execute).
+// executeCold plans and runs a query from scratch, bypassing the plan cache.
 func (c *Client) executeCold(q *ast.Query, params map[string]value.Value) (*Result, error) {
 	prepared, err := planner.Prepare(q, params)
 	if err != nil {
@@ -216,7 +209,7 @@ func (c *Client) executeCold(q *ast.Query, params map[string]value.Value) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	return c.run(plan, res, nil)
+	return c.runPlanned(plan, res)
 }
 
 // makePlan generates the plan for a prepared query under the client's
@@ -241,20 +234,87 @@ func (c *Client) makePlan(prepared *ast.Query) (*planner.Plan, error) {
 // ExecutePlan runs an already-generated plan (used by the experiment
 // harness to execute a specific configuration's plan).
 func (c *Client) ExecutePlan(plan *planner.Plan) (*Result, error) {
-	return c.run(plan, &Result{}, nil)
+	return c.runPlanned(plan, &Result{})
 }
 
-// run is the one plan runner: it executes plan's subplans and remote parts
-// into a fresh temp-table catalog, then the final local query, into res. ec
-// carries the execution's parameter bindings on the template path (nil =
-// literals are inline).
-func (c *Client) run(plan *planner.Plan, res *Result, ec *execCtx) (*Result, error) {
-	res.Plan = plan
-	cat := storage.NewCatalog()
-	if err := c.runPlan(plan, cat, res, ec); err != nil {
+// runPlanned compiles and runs an uncached plan (literals inline).
+func (c *Client) runPlanned(plan *planner.Plan, res *Result) (*Result, error) {
+	cp, err := c.compile(plan)
+	if err != nil {
 		return nil, err
 	}
-	return c.finishPlan(plan, cat, res, ec)
+	return c.run(cp, res, execCtx{})
+}
+
+// compiled is a plan made ready to run. A cached template's is built once,
+// when its plan-cache entry fills, and shared by every execution: each
+// decodes on clones of the decoders and reads the rest.
+type compiled struct {
+	plan   *planner.Plan
+	tmpl   *planner.Template // nil for a plan run once
+	text   string            // plan.Describe()
+	parts  map[*planner.RemotePart]compiledPart
+	direct bool // directResult(plan)
+}
+
+type compiledPart struct {
+	dec *decoder   // executions decode on clones
+	q   *ast.Query // the part's query, HOM groups resolved
+}
+
+func (c *Client) compile(plan *planner.Plan) (*compiled, error) {
+	cp := &compiled{plan: plan, text: plan.Describe(), parts: make(map[*planner.RemotePart]compiledPart), direct: directResult(plan)}
+	for _, part := range plan.AllParts() {
+		dec, err := c.newDecoder(part)
+		if err != nil {
+			return nil, fmt.Errorf("client: remote %s: %w", part.Name, err)
+		}
+		cp.parts[part] = compiledPart{dec: dec, q: c.resolveHomGroups(part.Query)}
+	}
+	return cp, nil
+}
+
+// directResult reports whether plan's decoded remote rows are its result: its
+// local query is absent or re-selects its part's outputs in order — bare,
+// part-qualified or self-aliased — with no other clause. Such a plan builds
+// no temp table for the part and runs no local engine.
+func directResult(plan *planner.Plan) bool {
+	r, l := plan.Remote, plan.Local
+	if r == nil || l == nil {
+		return r != nil
+	}
+	if l.Distinct || l.Where != nil || l.GroupBy != nil || l.Having != nil || l.OrderBy != nil || l.Limit >= 0 ||
+		len(l.From) != 1 || l.From[0].Sub != nil || l.From[0].Name != r.Name || len(l.Projections) != len(r.Outputs) {
+		return false
+	}
+	for i, p := range l.Projections {
+		name := r.Outputs[i].Name
+		ref, ok := p.Expr.(*ast.ColumnRef)
+		if !ok || ref.Column != name || (ref.Table != "" && ref.Table != l.From[0].RefName()) || (p.Alias != "" && p.Alias != name) {
+			return false
+		}
+		for _, o := range r.Outputs[:i] {
+			if o.Name == name {
+				return false // the engine would resolve both to the first
+			}
+		}
+	}
+	return true
+}
+
+// run is the one plan runner: it executes cp's subplans and remote parts
+// into a fresh temp-table catalog, then the final local query (unless the
+// plan is direct), into res, with the execution's parameter bindings ec.
+func (c *Client) run(cp *compiled, res *Result, ec execCtx) (*Result, error) {
+	res.Plan, res.PlanText = cp.plan, cp.text
+	cat := storage.NewCatalog()
+	if err := c.runPlan(cp, cp.plan, cat, res, ec); err != nil {
+		return nil, err
+	}
+	if cp.direct {
+		return res, nil
+	}
+	return c.finishPlan(cp.plan, cat, res, ec)
 }
 
 // PlanCacheStats snapshots the plan cache's hit/miss/eviction counters.
@@ -276,30 +336,14 @@ func (c *Client) ResetPlanCache() {
 	c.parsed.clear()
 }
 
-// finishPlan executes the plan's final local query. ec carries the
-// execution's parameter bindings on the template fast path (nil = cold
-// path, literals are inline).
-func (c *Client) finishPlan(plan *planner.Plan, cat *storage.Catalog, res *Result, ec *execCtx) (*Result, error) {
-	if plan.Local == nil {
-		t, err := cat.Table(plan.Remote.Name)
-		if err != nil {
-			return nil, err
-		}
-		for _, col := range t.Schema.Cols {
-			res.Cols = append(res.Cols, col.Name)
-		}
-		rows, _, err := t.ScanRows(0, t.NumRows())
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = rows
-		return res, nil
-	}
+// finishPlan executes the plan's final local query with the execution's
+// local parameter bindings.
+func (c *Client) finishPlan(plan *planner.Plan, cat *storage.Catalog, res *Result, ec execCtx) (*Result, error) {
 	start := time.Now()
 	eng := engine.New(cat)
 	eng.Parallelism = c.Parallelism
 	eng.BatchSize = c.BatchSize
-	out, err := eng.Execute(plan.Local, ec.localParams())
+	out, err := eng.Execute(plan.Local, ec.localp)
 	if err != nil {
 		return nil, fmt.Errorf("client: local query: %w", err)
 	}
@@ -313,7 +357,7 @@ func (c *Client) finishPlan(plan *planner.Plan, cat *storage.Catalog, res *Resul
 // its remote part — except that a step whose remote part carries a key
 // filter waits until the filter's source table exists (Q17 runs r0 before
 // the sub-fetch r1 that r0's keys restrict).
-func (c *Client) runPlan(plan *planner.Plan, cat *storage.Catalog, res *Result, ec *execCtx) error {
+func (c *Client) runPlan(cp *compiled, plan *planner.Plan, cat *storage.Catalog, res *Result, ec execCtx) error {
 	n := len(plan.Subplans) + 1
 	var doneBuf [16]bool // a plan of up to 15 subplans allocates nothing here
 	done := doneBuf[:]
@@ -327,7 +371,7 @@ func (c *Client) runPlan(plan *planner.Plan, cat *storage.Catalog, res *Result, 
 			if done[i] || !sourceReady(stepPart(plan, i), cat) {
 				continue
 			}
-			if err := c.runStep(plan, i, cat, res, ec); err != nil {
+			if err := c.runStep(cp, plan, i, cat, res, ec); err != nil {
 				return err
 			}
 			done[i], ran = true, true
@@ -353,15 +397,15 @@ func stepPart(plan *planner.Plan, i int) *planner.RemotePart {
 }
 
 // runStep runs step i of runPlan: subplan i, or the plan's remote part.
-func (c *Client) runStep(plan *planner.Plan, i int, cat *storage.Catalog, res *Result, ec *execCtx) error {
+func (c *Client) runStep(cp *compiled, plan *planner.Plan, i int, cat *storage.Catalog, res *Result, ec execCtx) error {
 	if i == len(plan.Subplans) {
 		if plan.Remote == nil {
 			return nil
 		}
-		return c.runRemote(plan.Remote, cat, res, ec)
+		return c.runRemote(cp, plan.Remote, cat, res, ec)
 	}
 	sp := plan.Subplans[i]
-	if err := c.runPlan(sp.Plan, cat, res, ec); err != nil {
+	if err := c.runPlan(cp, sp.Plan, cat, res, ec); err != nil {
 		return err
 	}
 	// A subplan with a local query materializes under its own name.
@@ -391,31 +435,37 @@ func (c *Client) runStep(plan *planner.Plan, i int, cat *storage.Catalog, res *R
 }
 
 // runRemote sends one RemoteSQL to the server and decrypts its output into
-// a temp table. The deployment picks the hand-off: a client over an
-// in-process server takes the engine's rows as they are; a client built by
-// NewRemote consumes the framed batch stream, decoding batches while the
-// server is still producing (stream.go). Both run the part's decoder, and
-// both send the same query: the part's, restricted by its key filter's keys
-// when it has one (keyfilter.go) — with no keys, nothing is sent.
-func (c *Client) runRemote(part *planner.RemotePart, cat *storage.Catalog, res *Result, ec *execCtx) error {
+// a temp table, or into res when it is a direct plan's result. The deployment
+// picks the hand-off: a client over an in-process server takes the engine's
+// rows as they are; a client built by NewRemote consumes the framed batch
+// stream, decoding batches while the server is still producing (stream.go).
+// Both run clones of the part's decoder, and both send the same query: the
+// part's, restricted by its key filter's keys when it has one (keyfilter.go)
+// — with no keys, nothing is sent.
+func (c *Client) runRemote(cp *compiled, part *planner.RemotePart, cat *storage.Catalog, res *Result, ec execCtx) error {
 	fail := func(err error) error { return fmt.Errorf("client: remote %s: %w", part.Name, err) }
-	dec, err := c.newDecoder(part)
+	p := cp.parts[part]
+	q, params, err := c.applyKeyFilter(part, p.q, ec.encp, cat, res)
 	if err != nil {
 		return fail(err)
 	}
-	q, params := c.resolveHomGroups(part.Query), ec.encParams()
 	var rows [][]value.Value
-	if q, params, err = c.applyKeyFilter(part, q, params, cat, res); err != nil {
-		return fail(err)
-	}
 	if q != nil {
 		run := c.runRemoteStreamed
 		if c.Srv != nil {
 			run = c.runRemoteInProcess
 		}
-		if rows, err = run(part, q, params, dec, res); err != nil {
+		if rows, err = run(part, q, params, p.dec, res); err != nil {
 			return fail(err)
 		}
+	}
+	if cp.direct && part == cp.plan.Remote {
+		res.Cols = make([]string, len(part.Outputs))
+		for i, o := range part.Outputs {
+			res.Cols[i] = o.Name
+		}
+		res.Rows = rows
+		return nil
 	}
 	start := time.Now()
 	tbl, err := storage.NewTableFromRows(remoteSchema(part), rows)
@@ -444,7 +494,7 @@ func (c *Client) runRemoteInProcess(part *planner.RemotePart, q *ast.Query, para
 	}
 
 	start := time.Now()
-	rows, decrypts, err := dec.decode(resp.Result.Rows, c.parallelism())
+	rows, decrypts, err := dec.clone().decode(resp.Result.Rows, c.parallelism())
 	if err != nil {
 		return nil, err
 	}

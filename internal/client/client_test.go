@@ -402,30 +402,6 @@ func TestTimingsPopulated(t *testing.T) {
 	}
 }
 
-func TestDecryptCache(t *testing.T) {
-	ct := func(i int64) value.Value { return value.NewInt(100 + i) }
-	c := newDecryptCache(2)
-	c.put(0, value.Int, ct(1), value.NewInt(1))
-	c.put(0, value.Int, ct(2), value.NewInt(2))
-	c.put(0, value.Int, ct(3), value.NewInt(3)) // evicts one of 1/2
-	if c.Len() != 2 {
-		t.Errorf("len = %d", c.Len())
-	}
-	if v, ok := c.get(0, value.Int, ct(3)); !ok || v.AsInt() != 3 {
-		t.Error("newest entry must be present")
-	}
-	// Overwrite existing key does not grow.
-	c.put(0, value.Int, ct(3), value.NewInt(4))
-	if c.Len() != 2 {
-		t.Errorf("len after overwrite = %d", c.Len())
-	}
-	zero := newDecryptCache(0)
-	zero.put(0, value.Int, ct(1), value.NewInt(1))
-	if zero.Len() != 0 {
-		t.Error("zero-capacity cache stores nothing")
-	}
-}
-
 func TestLocalSubqueryShipsTablesSeparately(t *testing.T) {
 	f := newFixture(t)
 	// i_price * i_qty > o2.o_total joins the subquery's two tables and

@@ -2,8 +2,9 @@ package client
 
 // Result decoding: the one routine that turns server rows into plaintext
 // rows, for both wires. A RemotePart's outputs are resolved once into column
-// decoders (cipher derived, Paillier group located), so nothing inside the
-// row loop renders a label, takes the key store's lock or builds a string.
+// decoders (cipher derived, Paillier group located) — once per cached
+// template — so nothing inside the row loop renders a label, takes a lock or
+// builds a string.
 
 import (
 	"errors"
@@ -31,12 +32,13 @@ const parallelDecodeRows = 1024
 type colDecoder struct {
 	out   *planner.Output
 	ciph  enc.Cipher     // OutDecrypt, OutConcatAgg
+	memo  memo           // OutDecrypt, OutConcatAgg
 	group *enc.GroupMeta // OutHomSum: the ciphertext group and the slot in it
 	slot  int
 }
 
-// decoder decodes the batches of one RemotePart. Its ciphers carry scratch
-// state: a second goroutine works on a clone.
+// decoder decodes the batches of one RemotePart. Its ciphers and memos are
+// scratch state: every goroutine decodes on its own clone.
 type decoder struct {
 	c    *Client
 	cols []colDecoder
@@ -50,7 +52,7 @@ func (c *Client) newDecoder(part *planner.RemotePart) (*decoder, error) {
 	for j := range part.Outputs {
 		o := &part.Outputs[j]
 		col := &d.cols[j]
-		col.out = o
+		col.out, col.memo = o, newMemo(o)
 		var err error
 		switch o.Mode {
 		case planner.OutPlain:
@@ -76,7 +78,8 @@ func (c *Client) newDecoder(part *planner.RemotePart) (*decoder, error) {
 // decode converts one batch of server rows into plaintext rows cut from one
 // arena and reports the decryptions performed, splitting a large batch into
 // one row range per worker. Input row i becomes output row i whichever worker
-// decodes it, so row order does not depend on workers.
+// decodes it, so row order does not depend on workers. d must be the calling
+// goroutine's clone.
 func (d *decoder) decode(rows [][]value.Value, workers int) ([][]value.Value, int64, error) {
 	w := len(d.cols)
 	arena := make([]value.Value, len(rows)*w)
@@ -107,10 +110,14 @@ func (d *decoder) decode(rows [][]value.Value, workers int) ([][]value.Value, in
 	return out, n, errors.Join(errs...)
 }
 
-// clone copies the decoder for another goroutine: each Cipher carries the
-// scratch its rounds run in.
+// clone copies the decoder for another goroutine, with empty memos: each
+// Cipher carries the scratch its rounds run in.
 func (d *decoder) clone() *decoder {
-	return &decoder{c: d.c, cols: append([]colDecoder(nil), d.cols...)}
+	cols := append([]colDecoder(nil), d.cols...)
+	for i := range cols {
+		cols[i].memo = newMemo(cols[i].out)
+	}
+	return &decoder{c: d.c, cols: cols}
 }
 
 // decodeRange decodes rows into out on the calling goroutine. It walks row by
@@ -138,7 +145,7 @@ func (d *decoder) decodeRange(rows, out [][]value.Value) (int64, error) {
 func (d *decoder) decodeCell(col *colDecoder, v value.Value, n *int64) (value.Value, error) {
 	switch col.out.Mode {
 	case planner.OutDecrypt:
-		return d.decrypt(&col.ciph, v, n)
+		return d.decrypt(col, v, n)
 	case planner.OutConcatAgg:
 		if v.IsNull() {
 			return value.NewNull(), nil
@@ -157,25 +164,24 @@ func (d *decoder) decodeCell(col *colDecoder, v value.Value, n *int64) (value.Va
 	return v, nil // OutPlain
 }
 
-// decrypt decrypts one value through the decryption cache (512 entries,
-// random eviction, §8.1).
-func (d *decoder) decrypt(ciph *enc.Cipher, cv value.Value, n *int64) (value.Value, error) {
+// decrypt decrypts one value of col through col's memo.
+func (d *decoder) decrypt(col *colDecoder, cv value.Value, n *int64) (value.Value, error) {
 	if cv.IsNull() {
 		return value.NewNull(), nil
 	}
-	// Ciphertexts are integers or bytes; the cache key holds nothing else.
+	// Ciphertexts are integers or bytes; the memo keys on nothing else.
 	if cv.K != value.Int && cv.K != value.Bytes {
 		return value.Value{}, fmt.Errorf("%w: ciphertext cell of kind %v", ErrMalformedResult, cv.K)
 	}
-	if pv, ok := d.c.cache.get(ciph.Label, ciph.Kind, cv); ok {
+	if pv, ok := col.memo.get(cv); ok {
 		return pv, nil
 	}
-	pv, err := ciph.Decrypt(cv)
+	pv, err := col.ciph.Decrypt(cv)
 	if err != nil {
 		return value.Value{}, err
 	}
 	*n++
-	d.c.cache.put(ciph.Label, ciph.Kind, cv, pv)
+	col.memo.put(cv, pv)
 	return pv, nil
 }
 
@@ -189,7 +195,7 @@ func (d *decoder) foldConcat(col *colDecoder, vals []value.Value, n *int64) (val
 		if cv.IsNull() {
 			continue
 		}
-		pv, err := d.decrypt(&col.ciph, cv, n)
+		pv, err := d.decrypt(col, cv, n)
 		if err != nil {
 			return value.Value{}, err
 		}

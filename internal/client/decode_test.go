@@ -179,7 +179,7 @@ func TestDecodeUnit(t *testing.T) {
 	}
 	for _, n := range decodeRowCounts {
 		for _, p := range []int{1, 2, 4} {
-			c := &Client{Keys: ks, Parallelism: p, cache: newDecryptCache(512)}
+			c := &Client{Keys: ks, Parallelism: p}
 			dec, err := c.newDecoder(part)
 			if err != nil {
 				t.Fatal(err)
@@ -197,7 +197,7 @@ func TestDecodeUnit(t *testing.T) {
 				}
 			}
 			// RND ciphertexts never repeat, so every row costs at least one
-			// decryption; the cache absorbs most of the rest.
+			// decryption; the memos absorb most of the rest.
 			if decrypts < int64(n) || decrypts > int64(n)*4 {
 				t.Errorf("n=%d p=%d: %d decrypts", n, p, decrypts)
 			}
@@ -207,8 +207,8 @@ func TestDecodeUnit(t *testing.T) {
 
 // TestDecryptCacheKeyedByPlainKind: two items of one join group share a key
 // label, hence ciphertexts, but not necessarily a plaintext kind. A hit for
-// one must not hand the other a value of the wrong kind (the string-keyed
-// cache did).
+// one must not hand the other a value of the wrong kind (the client-wide
+// string-keyed cache did; each column's memo cannot).
 func TestDecryptCacheKeyedByPlainKind(t *testing.T) {
 	ks, err := enc.NewKeyStore([]byte("k"), 256)
 	if err != nil {
@@ -225,7 +225,7 @@ func TestDecryptCacheKeyedByPlainKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Client{Keys: ks, Parallelism: 1, cache: newDecryptCache(512)}
+	c := &Client{Keys: ks, Parallelism: 1}
 	dec, err := c.newDecoder(part)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestMalformedConcatCell(t *testing.T) {
 				rows[i] = []value.Value{value.NewNull()}
 			}
 			rows[len(rows)-1] = []value.Value{bad} // the last worker's range
-			c := &Client{Keys: ks, Parallelism: p, cache: newDecryptCache(512)}
+			c := &Client{Keys: ks, Parallelism: p}
 			dec, err := c.newDecoder(part)
 			if err != nil {
 				t.Fatal(err)
@@ -311,7 +311,7 @@ func TestNonCiphertextCell(t *testing.T) {
 	part := &planner.RemotePart{Name: "r0", Outputs: []planner.Output{
 		{Name: "a", Mode: planner.OutDecrypt, Item: &it, Kind: value.Int},
 	}}
-	c := &Client{Keys: ks, cache: newDecryptCache(512)}
+	c := &Client{Keys: ks}
 	dec, err := c.newDecoder(part)
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +363,7 @@ func TestNonOPECiphertextCell(t *testing.T) {
 					rows[i] = cell(good)
 				}
 				rows[len(rows)-1] = cell(bad) // the last worker's range
-				c := &Client{Keys: ks, Parallelism: p, cache: newDecryptCache(512)}
+				c := &Client{Keys: ks, Parallelism: p}
 				dec, err := c.newDecoder(part)
 				if err != nil {
 					t.Fatal(err)
@@ -418,7 +418,7 @@ func q1Shape(b *testing.B, ks *enc.KeyStore, n int, ints bool) (*planner.RemoteP
 // BenchmarkDecodeRemote measures the client's result decoder on Q1's shape:
 // 60 000 rows × 6 DET columns (as shipped, and all-integer), and a 100-row
 // result that decodes inline. ns/cell and allocs/cell are per decoded cell;
-// the decrypt cache stays warm across iterations as it does across queries.
+// every iteration decodes on a fresh clone, as every query does.
 func BenchmarkDecodeRemote(b *testing.B) {
 	ks, err := enc.NewKeyStore([]byte("bench-master-key"), 256)
 	if err != nil {
@@ -431,7 +431,7 @@ func BenchmarkDecodeRemote(b *testing.B) {
 	}{{"q1-60k", 60000, false}, {"int-60k", 60000, true}, {"int-100", 100, true}} {
 		b.Run(tc.name, func(b *testing.B) {
 			part, rows := q1Shape(b, ks, tc.rows, tc.ints)
-			c := &Client{Keys: ks, cache: newDecryptCache(512)}
+			c := &Client{Keys: ks}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -439,7 +439,7 @@ func BenchmarkDecodeRemote(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := dec.decode(rows, c.parallelism()); err != nil {
+				if _, _, err := dec.clone().decode(rows, c.parallelism()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -448,7 +448,7 @@ func BenchmarkDecodeRemote(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/cells, "ns/cell")
 			b.ReportMetric(float64(testing.AllocsPerRun(1, func() {
 				dec, _ := c.newDecoder(part)
-				dec.decode(rows, c.parallelism()) //nolint:errcheck
+				dec.clone().decode(rows, c.parallelism()) //nolint:errcheck
 			}))/float64(tc.rows*len(part.Outputs)), "allocs/cell")
 		})
 	}

@@ -13,7 +13,8 @@ package client
 // produces never depend on whether its plan was cached.
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/ast"
@@ -34,64 +35,65 @@ const (
 )
 
 // execCtx carries one execution's parameter bindings through the plan
-// runner. nil = cold path: plan queries carry inline literals.
+// runner. The zero value is the cold path's: plan queries carry inline
+// literals.
 type execCtx struct {
 	encp   map[string]value.Value // remote-side (":cpN") encrypted bindings
 	localp map[string]value.Value // local-engine (":lpN") plaintext bindings
 }
 
-func (ec *execCtx) localParams() map[string]value.Value {
-	if ec == nil {
-		return nil
-	}
-	return ec.localp
+// shape is a statement's hoisted form, its hoisted values and the key prefix
+// they make, built once per parse-cache entry and per Stmt: an execution
+// appends only the planner mode and its parameters' kinds.
+type shape struct {
+	q       *ast.Query // the statement as parsed
+	hoisted *ast.Query
+	vals    map[string]value.Value
+	key     string
 }
 
-func (ec *execCtx) encParams() map[string]value.Value {
-	if ec == nil {
-		return nil
+func newShape(q *ast.Query) *shape {
+	hoisted, vals, order := planner.HoistLiterals(q, shapeParamPrefix)
+	var b strings.Builder
+	b.WriteString(hoisted.SQL())
+	for _, name := range order {
+		b.WriteByte(0)
+		b.WriteByte(byte(vals[name].K))
 	}
-	return ec.encp
+	return &shape{q: q, hoisted: hoisted, vals: vals, key: b.String()}
 }
 
-// shapeKey normalizes a query to its cache key, shape AST, and merged
-// parameter values. ok=false means the query can't go through the cache
-// (caller parameter names collide with the hoist prefix).
-func (c *Client) shapeKey(q *ast.Query, params map[string]value.Value) (string, *ast.Query, map[string]value.Value, bool) {
+// execute runs s through the plan cache, unless a caller parameter's name
+// collides with the hoist prefix.
+func (c *Client) execute(s *shape, params map[string]value.Value) (*Result, error) {
+	var buf [8]string
+	names := buf[:0]
 	for name := range params {
 		if strings.HasPrefix(name, shapeParamPrefix) {
-			return "", nil, nil, false
+			return c.executeCold(s.q, params)
 		}
+		names = append(names, name)
 	}
-	shape, hoisted, order := planner.HoistLiterals(q, shapeParamPrefix)
-	vals := make(map[string]value.Value, len(hoisted)+len(params))
-	for k, v := range hoisted {
-		vals[k] = v
-	}
-	for k, v := range params {
-		vals[k] = v
-	}
+	slices.Sort(names)
 	var b strings.Builder
-	b.WriteString(shape.SQL())
+	b.Grow(len(s.key) + 7 + 16*len(params))
+	b.WriteString(s.key)
 	if c.Greedy {
 		b.WriteString("\x00greedy")
 	}
-	for _, name := range order {
-		b.WriteByte(0)
-		b.WriteByte(byte(hoisted[name].K))
-	}
-	names := make([]string, 0, len(params))
-	for name := range params {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	for _, name := range names {
 		b.WriteByte(0)
 		b.WriteString(name)
 		b.WriteByte('=')
 		b.WriteByte(byte(params[name].K))
 	}
-	return b.String(), shape, vals, true
+	vals := params
+	if len(s.vals) > 0 {
+		vals = make(map[string]value.Value, len(s.vals)+len(params))
+		maps.Copy(vals, s.vals)
+		maps.Copy(vals, params)
+	}
+	return c.executeKeyed(b.String(), s.hoisted, vals)
 }
 
 // executeKeyed runs one execution through the plan cache.
@@ -117,8 +119,8 @@ func (c *Client) executeKeyed(key string, shape *ast.Query, vals map[string]valu
 }
 
 // fillAndRun is the cache-miss leader: plan the shape, parameterize into a
-// template if sound, publish the entry, and execute. Cacheable shapes
-// execute through the template (identical code path to a warm hit);
+// template if sound, compile it, publish the entry, and execute. Cacheable
+// shapes execute through the template (identical code path to a warm hit);
 // uncacheable ones run their concrete plan and leave a negative entry.
 func (c *Client) fillAndRun(e *planEntry, shape *ast.Query, vals map[string]value.Value) (*Result, error) {
 	prepared, slots, err := planner.PrepareTagged(shape, vals)
@@ -141,9 +143,17 @@ func (c *Client) fillAndRun(e *planEntry, shape *ast.Query, vals map[string]valu
 	if !subbed {
 		tmpl, _ = planner.Parameterize(plan, slots)
 	}
-	c.plans.fill(e, tmpl) // nil: negative, shape known uncacheable
+	var cp *compiled
 	if tmpl != nil {
-		if tres, ok, err := c.executeTemplate(tmpl, vals); ok {
+		if cp, err = c.compile(tmpl.Plan); err != nil {
+			c.plans.abandon(e)
+			return nil, err
+		}
+		cp.tmpl = tmpl
+	}
+	c.plans.fill(e, cp) // nil: negative, shape known uncacheable
+	if cp != nil {
+		if tres, ok, err := c.executeTemplate(cp, vals); ok {
 			if tres != nil {
 				tres.PlanCacheHit = false // the leader planned; not a hit
 			}
@@ -151,18 +161,18 @@ func (c *Client) fillAndRun(e *planEntry, shape *ast.Query, vals map[string]valu
 		}
 		// Rebind refused right after parameterizing: run the concrete plan.
 	}
-	return c.run(plan, res, nil)
+	return c.runPlanned(plan, res)
 }
 
 // executeTemplate runs one execution of a cached template: rebind the
 // parameter values (deterministic re-encryption per site) and run the
-// shared plan. ok=false means the rebind failed and the caller should plan
-// from scratch.
-func (c *Client) executeTemplate(tmpl *planner.Template, vals map[string]value.Value) (*Result, bool, error) {
-	encp, localp, err := tmpl.Rebind(c.Keys, vals)
+// shared compiled plan. ok=false means the rebind failed and the caller
+// should plan from scratch.
+func (c *Client) executeTemplate(cp *compiled, vals map[string]value.Value) (*Result, bool, error) {
+	encp, localp, err := cp.tmpl.Rebind(c.Keys, vals)
 	if err != nil {
 		return nil, false, err
 	}
-	res, err := c.run(tmpl.Plan, &Result{PlanCacheHit: true}, &execCtx{encp: encp, localp: localp})
+	res, err := c.run(cp, &Result{PlanCacheHit: true}, execCtx{encp: encp, localp: localp})
 	return res, true, err
 }

@@ -4,16 +4,17 @@ package client
 // a filter runs after its source temp table exists (runPlan); the runner then
 // collects the source column's distinct non-NULL keys, encrypts each under the
 // part's DET key item, and appends `key_det IN (:kf0, …)` to this execution's
-// copy of the RemoteSQL — the plan, and a cached template, keep the part's
-// query as it is. A key list is sent only when its bytes are fewer than the
-// result bytes it is estimated to save: the part's estimated result times
-// the share of the column's distinct values the list leaves out. A list
+// copy of the RemoteSQL's top block — the plan, and a cached template, keep
+// the part's query as it is. A key list is sent only when its bytes are fewer
+// than the result bytes it is estimated to save: the part's estimated result
+// times the share of the column's distinct values the list leaves out. A list
 // naming nearly every value (TPC-H Q20's parts and suppliers) saves nothing
 // and stays home. An empty list means no row of the part can reach the
 // residual, so the part is not sent either.
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 
 	"repro/internal/ast"
@@ -52,16 +53,15 @@ func (c *Client) applyKeyFilter(part *planner.RemotePart, q *ast.Query, params m
 	}
 	list := make([]ast.Expr, len(keys))
 	bound := make(map[string]value.Value, len(params)+len(keys))
-	for name, v := range params {
-		bound[name] = v
-	}
+	maps.Copy(bound, params)
 	for i, k := range keys {
 		name := "kf" + strconv.Itoa(i)
 		list[i] = &ast.Param{Name: name}
 		bound[name] = k
 	}
-	q.Where = ast.AndAll([]ast.Expr{q.Where, &ast.InExpr{E: kf.Target.Clone(), List: list}})
-	return q, bound, nil
+	fq := *q // the rest of q is shared read-only
+	fq.Where = ast.AndAll([]ast.Expr{q.Where, &ast.InExpr{E: kf.Target.Clone(), List: list}})
+	return &fq, bound, nil
 }
 
 // filterKeys encrypts the distinct non-NULL keys of part's filter source

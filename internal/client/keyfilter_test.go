@@ -3,6 +3,7 @@ package client
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -118,7 +119,8 @@ const (
 		SELECT 1 FROM line WHERE l_ord = o_id AND l_qty * 2 > l_price) ORDER BY o_id`
 )
 
-// kfExec forwards to a server and logs each RemoteSQL it receives.
+// kfExec forwards to a server and logs each RemoteSQL it receives, followed
+// by its parameter bindings in name order.
 type kfExec struct {
 	srv *server.Server
 
@@ -126,19 +128,24 @@ type kfExec struct {
 	sqls []string
 }
 
-func (e *kfExec) log(q *ast.Query) {
+func (e *kfExec) log(q *ast.Query, params map[string]value.Value) {
+	bound := make([]string, 0, len(params))
+	for name, v := range params {
+		bound = append(bound, name+"="+v.String())
+	}
+	sort.Strings(bound)
 	e.mu.Lock()
-	e.sqls = append(e.sqls, q.SQL())
+	e.sqls = append(e.sqls, q.SQL()+" "+strings.Join(bound, ","))
 	e.mu.Unlock()
 }
 
 func (e *kfExec) Execute(q *ast.Query, params map[string]value.Value) (*server.Response, error) {
-	e.log(q)
+	e.log(q, params)
 	return e.srv.Execute(q, params)
 }
 
 func (e *kfExec) ExecuteStream(q *ast.Query, params map[string]value.Value, w io.Writer) (*server.StreamStats, error) {
-	e.log(q)
+	e.log(q, params)
 	return e.srv.ExecuteStream(q, params, w)
 }
 

@@ -1,15 +1,12 @@
 package client
 
-// The plan cache backs the repeated-query fast path: plans are cached per
-// query *shape* (SQL with every literal hoisted into a parameter slot, plus
-// the parameter kinds, plus the planner mode), so the second execution of a
-// shape skips parse/prepare/rewrite/costing entirely and only re-encrypts
-// parameters. Entries fill under a single-flight protocol — when N
-// goroutines miss the same key simultaneously, one plans and the rest wait
-// for its template — and evict LRU under capacity pressure. A shape that
-// planning proves untemplatable (see planner.Parameterize) is cached
-// negatively so later executions skip the parameterization attempt and go
-// straight to a full plan.
+// The plan cache backs the repeated-query fast path: compiled templates are
+// cached per query shape (fastpath.go), so the second execution of a shape
+// skips parse/prepare/rewrite/costing and only re-encrypts parameters.
+// Entries fill under a single-flight protocol — when N goroutines miss the
+// same key simultaneously, one plans and the rest wait for its template — and
+// evict LRU under capacity pressure. A shape that planning proves
+// untemplatable (see planner.Parameterize) is cached negatively.
 
 import (
 	"container/list"
@@ -17,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ast"
-	"repro/internal/planner"
 )
 
 // PlanCacheStats is a point-in-time snapshot of the plan cache's counters.
@@ -30,13 +26,13 @@ type PlanCacheStats struct {
 
 // planEntry is a cache slot. done closes when the filling goroutine
 // finishes planning; waiters block on it and then read plan, the shape's
-// reusable template (nil after done means the fill failed, or the shape is
+// compiled template (nil after done means the fill failed, or the shape is
 // uncacheable — a negative entry).
 type planEntry struct {
 	key  string
 	elem *list.Element
 	done chan struct{}
-	plan *planner.Template
+	plan *compiled
 }
 
 type planCache struct {
@@ -91,7 +87,7 @@ func (pc *planCache) evictLocked() {
 
 // fill publishes the leader's planning outcome (plan == nil for an
 // uncacheable shape) and wakes waiters.
-func (pc *planCache) fill(e *planEntry, plan *planner.Template) {
+func (pc *planCache) fill(e *planEntry, plan *compiled) {
 	e.plan = plan
 	close(e.done)
 }
@@ -129,46 +125,47 @@ func (pc *planCache) purge() {
 	pc.mu.Unlock()
 }
 
-// parseCache is a bounded SQL-string → parsed-AST cache. Cached ASTs are
+// parseCache is a bounded SQL-string → parsed-shape cache. Cached ASTs are
 // shared and treated as read-only: every consumer (hoisting, preparation)
 // clones before mutating.
 type parseCache struct {
 	mu  sync.Mutex
 	cap int
-	m   map[string]*ast.Query
+	m   map[string]*shape
 }
 
 func newParseCache(capacity int) *parseCache {
-	return &parseCache{cap: capacity, m: make(map[string]*ast.Query)}
+	return &parseCache{cap: capacity, m: make(map[string]*shape)}
 }
 
-// getOrParse returns sql's cached AST, parsing and caching it on a miss.
-// The lock is held across the parse (~15 µs), so concurrent callers on one
-// cold string share a single parse instead of each running their own.
-func (pc *parseCache) getOrParse(sql string, parse func() (*ast.Query, error)) (*ast.Query, error) {
+// getOrParse returns sql's cached shape, parsing and normalizing it on a
+// miss. The lock is held across the parse (~15 µs), so concurrent callers on
+// one cold string share a single parse instead of each running their own.
+func (pc *parseCache) getOrParse(sql string, parse func() (*ast.Query, error)) (*shape, error) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if q, ok := pc.m[sql]; ok {
-		return q, nil
+	if s, ok := pc.m[sql]; ok {
+		return s, nil
 	}
 	q, err := parse()
 	if err != nil {
 		return nil, err
 	}
 	if len(pc.m) >= pc.cap {
-		// Arbitrary-member eviction, like the decryption cache: Go map
-		// iteration order serves as the random draw.
+		// Arbitrary-member eviction: Go map iteration order serves as the
+		// random draw.
 		for k := range pc.m {
 			delete(pc.m, k)
 			break
 		}
 	}
-	pc.m[sql] = q
-	return q, nil
+	s := newShape(q)
+	pc.m[sql] = s
+	return s, nil
 }
 
 func (pc *parseCache) clear() {
 	pc.mu.Lock()
-	pc.m = make(map[string]*ast.Query)
+	pc.m = make(map[string]*shape)
 	pc.mu.Unlock()
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/planner"
 	"repro/internal/value"
 )
 
@@ -17,9 +16,9 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	pc := newPlanCache(2)
 	// fill a, b; touch a; insert c → b (LRU) must evict.
 	ea, _ := pc.acquire("a")
-	pc.fill(ea, &planner.Template{})
+	pc.fill(ea, &compiled{})
 	eb, _ := pc.acquire("b")
-	pc.fill(eb, &planner.Template{})
+	pc.fill(eb, &compiled{})
 	if e, leader := pc.acquire("a"); leader {
 		t.Fatal("a should be cached")
 	} else if e.plan == nil {

@@ -20,10 +20,8 @@ package client
 // in-process hand-off's value sizes + 4 B/row for the same rows), and
 // ClientTime sums the workers' measured decode time (CPU spent, not
 // elapsed: wall-clock overlap with the server's scan is the point of the
-// pipeline). Decrypts may differ slightly from the in-process hand-off: the
-// two split a result into decode ranges differently, and concurrent workers
-// can race to decrypt the same repeated ciphertext before one of them has
-// cached it. The decrypted values are identical either way.
+// pipeline). Decrypts may differ from the in-process hand-off — each
+// worker's memos see only its batches — but the decrypted values cannot.
 
 import (
 	"fmt"
@@ -58,19 +56,10 @@ type streamBatch struct {
 	done     chan struct{}
 }
 
-// runRemoteStreamed executes one RemoteSQL on a remote-built client: the
-// whole query — text and its encrypted parameter bindings — goes out on
-// every execution.
+// runRemoteStreamed executes one RemoteSQL on a remote-built client — the
+// whole query, text and encrypted parameter bindings, goes out on every
+// execution — and decodes the framed batches ExecuteStream writes to a pipe.
 func (c *Client) runRemoteStreamed(part *planner.RemotePart, q *ast.Query, params map[string]value.Value, dec *decoder, res *Result) ([][]value.Value, error) {
-	return c.consumeStream(part, dec, res, func(w io.Writer) (*server.StreamStats, error) {
-		return c.exec.ExecuteStream(q, params, w)
-	})
-}
-
-// consumeStream runs produce against a pipe and decodes the framed batches
-// it writes.
-func (c *Client) consumeStream(part *planner.RemotePart, dec *decoder, res *Result,
-	produce func(io.Writer) (*server.StreamStats, error)) ([][]value.Value, error) {
 	pr, pw := io.Pipe()
 
 	// Producer: the untrusted server frames batches into the pipe as its
@@ -80,7 +69,7 @@ func (c *Client) consumeStream(part *planner.RemotePart, dec *decoder, res *Resu
 	srvDone := make(chan struct{})
 	go func() {
 		defer close(srvDone)
-		sstats, srvErr = produce(pw)
+		sstats, srvErr = c.exec.ExecuteStream(q, params, pw)
 		pw.CloseWithError(srvErr) // nil = clean EOF after the end frame
 	}()
 
@@ -102,8 +91,8 @@ func (c *Client) consumeStream(part *planner.RemotePart, dec *decoder, res *Resu
 			len(br.Cols()), len(part.Outputs)))
 	}
 
-	// Decode workers: each decodes whole batches with its own copy of the
-	// part's decoder (the caches underneath are concurrency-safe).
+	// Decode workers: each decodes whole batches with its own clone of the
+	// part's decoder, whose memos span the batches that worker decodes.
 	workers := c.parallelism()
 	jobs := make(chan *streamBatch, workers)
 	ordered := make(chan *streamBatch, 2*workers)

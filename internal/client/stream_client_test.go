@@ -10,7 +10,7 @@ import (
 // engine on every scheme (DET, OPE, HOM packing, SEARCH, GROUP_CONCAT
 // folds) and plan shape (pushed filters, joins with multiple remote parts,
 // grouped aggregation). Run under -race in CI, this is also the thread
-//-safety proof for the sharded decryption and pack caches.
+//-safety proof for the per-worker decoder clones and the shared pack cache.
 
 // remoteQueries exercises every decode mode the wire can carry.
 var remoteQueries = []string{

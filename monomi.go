@@ -489,7 +489,7 @@ func rowsFromResult(res *client.Result, start time.Time) *Rows {
 		ClientTime:   res.ClientTime.Seconds(),
 		WireBytes:    res.WireBytes,
 		KeyBytes:     res.KeyBytes,
-		PlanText:     res.Plan.Describe(),
+		PlanText:     res.PlanText,
 		PlanCacheHit: res.PlanCacheHit,
 	}
 	r.wall = time.Since(start).Seconds()

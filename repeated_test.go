@@ -209,3 +209,100 @@ func TestRepeatedQueryPlanCacheStats(t *testing.T) {
 		t.Errorf("expected >=1 plan-cache miss, got %+v", st)
 	}
 }
+
+// TestDifferentialHotpathShapes runs the hotpath benchmark's three prepared
+// statements — a DET point lookup, an OPE range and a grouped sum folded on
+// the client — over the repeated grid. Their residuals only re-select what
+// was decrypted, so the client returns the decoded rows without running its
+// engine: the in-process and remote results must match the plaintext
+// engine's rows, and their columns must match each other's and the cold
+// execution's, at every parallelism and batch size.
+func TestDifferentialHotpathShapes(t *testing.T) {
+	db := NewDatabase()
+	db.MustCreateTable("ev", Col("e_id", Int), Col("e_grp", Int), Col("e_val", Int))
+	for i := 0; i < 3000; i++ {
+		db.MustInsert("ev", i, i%100, 7919*i%1000)
+	}
+	opts := DefaultOptions()
+	opts.PaillierBits = 256
+	shapes := []struct {
+		sql    string
+		params func(i int) map[string]any
+	}{
+		{"SELECT e_id, e_val FROM ev WHERE e_id = :id", func(i int) map[string]any { return map[string]any{"id": 37 * i} }},
+		{"SELECT e_id, e_val FROM ev WHERE e_val BETWEEN :lo AND :hi", func(i int) map[string]any {
+			return map[string]any{"lo": 90 * i, "hi": 90*i + 19}
+		}},
+		{"SELECT SUM(e_val), COUNT(*) FROM ev WHERE e_grp = :g", func(i int) map[string]any { return map[string]any{"g": 7 * i} }},
+	}
+	literal := func(sql string, params map[string]any) string {
+		for name, v := range params {
+			sql = strings.ReplaceAll(sql, ":"+name, fmt.Sprint(v))
+		}
+		return sql
+	}
+	workload := Workload{}
+	for i, sh := range shapes {
+		workload[fmt.Sprint("q", i)] = literal(sh.sql, sh.params(1))
+	}
+	sys, err := Encrypt(db, workload, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	srv, err := sys.Serve("127.0.0.1:0", ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rem, err := sys.ConnectRemote(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rem.Close()
+
+	cols := make([][]string, len(shapes)) // the first execution's, per shape
+	for _, par := range []int{1, 2, 4} {
+		sys.SetParallelism(par)
+		rem.SetParallelism(par)
+		for _, bs := range diffBatchSizes {
+			sys.SetBatchSize(bs)
+			rem.SetBatchSize(bs)
+			for si, sh := range shapes {
+				near, err := sys.Prepare(sh.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				far, err := rem.Prepare(sh.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 3; i++ {
+					tag := fmt.Sprintf("p=%d bs=%d shape=%d i=%d", par, bs, si, i)
+					plain, err := sys.QueryPlaintext(literal(sh.sql, sh.params(i)))
+					if err != nil {
+						t.Fatalf("%s plaintext: %v", tag, err)
+					}
+					want := strings.Join(canonicalRows(t, plain.Data, false), "\n")
+					for _, st := range []*Stmt{near, far} {
+						got, err := st.Query(sh.params(i))
+						if err != nil {
+							t.Fatalf("%s: %v", tag, err)
+						}
+						if g := strings.Join(canonicalRows(t, got.Data, false), "\n"); g != want {
+							t.Fatalf("%s remote=%v diverges from plaintext:\n%s\nvs\n%s", tag, st == far, g, want)
+						}
+						if cols[si] == nil {
+							cols[si] = got.Cols
+						}
+						if fmt.Sprint(got.Cols) != fmt.Sprint(cols[si]) || len(got.Cols) != len(plain.Cols) {
+							t.Fatalf("%s remote=%v: columns %v, want %v", tag, st == far, got.Cols, cols[si])
+						}
+					}
+				}
+				near.Close()
+				far.Close()
+			}
+		}
+	}
+}
