@@ -193,7 +193,7 @@ func (c *Client) Execute(q *ast.Query, params map[string]value.Value) (*Result, 
 
 // executeCold plans and runs a query from scratch, bypassing the plan cache.
 func (c *Client) executeCold(q *ast.Query, params map[string]value.Value) (*Result, error) {
-	prepared, err := planner.Prepare(q, params)
+	prepared, _, err := c.Ctx.Prepare(q, params)
 	if err != nil {
 		return nil, err
 	}

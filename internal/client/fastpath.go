@@ -123,7 +123,7 @@ func (c *Client) executeKeyed(key string, shape *ast.Query, vals map[string]valu
 // shapes execute through the template (identical code path to a warm hit);
 // uncacheable ones run their concrete plan and leave a negative entry.
 func (c *Client) fillAndRun(e *planEntry, shape *ast.Query, vals map[string]value.Value) (*Result, error) {
-	prepared, slots, err := planner.PrepareTagged(shape, vals)
+	prepared, slots, err := c.Ctx.Prepare(shape, vals)
 	if err != nil {
 		c.plans.abandon(e)
 		return nil, err

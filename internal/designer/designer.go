@@ -109,7 +109,7 @@ func Run(cat *storage.Catalog, w *Workload, ks *enc.KeyStore, cost *planner.Cost
 	// Prepare queries and infer join groups from their equi-joins.
 	prepared := make([]*ast.Query, len(w.Queries))
 	for i, q := range w.Queries {
-		p, err := planner.Prepare(q, nil)
+		p, _, err := base.Prepare(q, nil)
 		if err != nil {
 			return nil, fmt.Errorf("designer: prepare %s: %w", w.Labels[i], err)
 		}

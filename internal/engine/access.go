@@ -41,14 +41,14 @@ const indexRowCost = 4
 // left on the full table may instead scan in an ordered index's emission
 // order and drop its sort (orderedEmission). Index stats are charged here,
 // once, on the resolving context — resolution happens before any sharding.
-func (c *execCtx) accessPath(q *ast.Query, p *pipeline, refName string) {
+func (c *execCtx) accessPath(q *ast.Query, p *pipeline) {
 	t := p.src.t
 	n := t.NumRows()
 	var ids []int32
 	var lookups int64
 	found := false
 	for _, e := range ast.Conjuncts(q.Where) {
-		cids, clk, ok := c.sargIDs(t, refName, e)
+		cids, clk, ok := c.sargIDs(t, e)
 		if !ok {
 			continue
 		}
@@ -67,7 +67,7 @@ func (c *execCtx) accessPath(q *ast.Query, p *pipeline, refName string) {
 		p.src.ids = ids
 		return
 	}
-	if ids, ok := c.orderedEmission(q, t, refName); ok {
+	if ids, ok := c.orderedEmission(q, t); ok {
 		p.src.ids, p.ordered = ids, true
 	}
 }
@@ -106,10 +106,10 @@ func (c *execCtx) chargeIndex(lookups, skipped int64) {
 // sargIDs resolves one WHERE conjunct against t's indexes. ok=true means
 // ids (never nil) is an ascending superset of the rows where the conjunct
 // can hold, obtained with the returned number of index probes.
-func (c *execCtx) sargIDs(t *storage.Table, refName string, e ast.Expr) ([]int32, int64, bool) {
+func (c *execCtx) sargIDs(t *storage.Table, e ast.Expr) ([]int32, int64, bool) {
 	switch x := e.(type) {
 	case *ast.BinaryExpr:
-		col, lit, op, ok := colOpConst(c, t, refName, x)
+		col, lit, op, ok := colOpConst(c, x)
 		if !ok || isNaN(lit) {
 			return nil, 0, false
 		}
@@ -161,7 +161,7 @@ func (c *execCtx) sargIDs(t *storage.Table, refName string, e ast.Expr) ([]int32
 		if x.Not {
 			return nil, 0, false
 		}
-		col, ok := bareCol(t, refName, x.E)
+		col, ok := bareCol(x.E)
 		if !ok {
 			return nil, 0, false
 		}
@@ -192,7 +192,7 @@ func (c *execCtx) sargIDs(t *storage.Table, refName string, e ast.Expr) ([]int32
 		if x.Not || x.Sub != nil {
 			return nil, 0, false
 		}
-		col, ok := bareCol(t, refName, x.E)
+		col, ok := bareCol(x.E)
 		if !ok {
 			return nil, 0, false
 		}
@@ -244,17 +244,12 @@ func isNaN(v value.Value) bool {
 	return v.K == value.Float && math.IsNaN(v.F)
 }
 
-// bareCol resolves e as a reference to one of t's columns (optionally
-// qualified by the scan's alias) and returns the schema column name.
-func bareCol(t *storage.Table, refName string, e ast.Expr) (string, bool) {
+// bareCol returns the column e names when it is a column reference: resolve
+// bound every name of a single-table block opened with no outer row to its
+// one table.
+func bareCol(e ast.Expr) (string, bool) {
 	cr, ok := e.(*ast.ColumnRef)
 	if !ok || cr.Column == "*" {
-		return "", false
-	}
-	if cr.Table != "" && cr.Table != refName {
-		return "", false
-	}
-	if t.Schema.ColIndex(cr.Column) < 0 {
 		return "", false
 	}
 	return cr.Column, true
@@ -274,17 +269,17 @@ func (c *execCtx) constVal(e ast.Expr) (value.Value, bool) {
 
 // colOpConst decomposes a comparison into (indexable column, constant,
 // operator), flipping `const op col` into the mirrored `col op' const`.
-func colOpConst(c *execCtx, t *storage.Table, refName string, x *ast.BinaryExpr) (string, value.Value, ast.BinOp, bool) {
+func colOpConst(c *execCtx, x *ast.BinaryExpr) (string, value.Value, ast.BinOp, bool) {
 	if !x.Op.IsComparison() || x.Op == ast.OpNe {
 		return "", value.Value{}, 0, false
 	}
-	if col, ok := bareCol(t, refName, x.Left); ok {
+	if col, ok := bareCol(x.Left); ok {
 		if lit, ok := c.constVal(x.Right); ok {
 			return col, lit, x.Op, true
 		}
 		return "", value.Value{}, 0, false
 	}
-	col, ok := bareCol(t, refName, x.Right)
+	col, ok := bareCol(x.Right)
 	if !ok {
 		return "", value.Value{}, 0, false
 	}
@@ -312,11 +307,11 @@ func colOpConst(c *execCtx, t *storage.Table, refName string, x *ast.BinaryExpr)
 // sort breaker disappears. Grouped and DISTINCT queries order their
 // own outputs and are excluded; multi-key ORDER BY cannot use a one-column
 // run (a later key reorders within equal-prefix groups).
-func (c *execCtx) orderedEmission(q *ast.Query, t *storage.Table, refName string) ([]int32, bool) {
+func (c *execCtx) orderedEmission(q *ast.Query, t *storage.Table) ([]int32, bool) {
 	if len(q.OrderBy) != 1 || q.Distinct || c.isGrouped(q) {
 		return nil, false
 	}
-	col, ok := bareCol(t, refName, q.OrderBy[0].Expr)
+	col, ok := bareCol(q.OrderBy[0].Expr)
 	if !ok {
 		return nil, false
 	}

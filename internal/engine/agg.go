@@ -390,9 +390,9 @@ func (c *execCtx) ensureGroup(q *ast.Query, specs []aggSpec, groups *groupSet) e
 
 // groupEnv builds the evaluation environment for one finalized group:
 // the group's retained first row for GROUP BY column references, its
-// resolved aggregate values, and the SELECT-list aliases.
-func groupEnv(c *execCtx, in *relation, grp *aggGroup, aggVals map[string]value.Value, aliases map[string]ast.Expr, outer *env) *env {
-	en := &env{rel: in, row: grp.firstRow, outer: outer, aggs: aggVals, aliases: aliases, ctx: c}
+// resolved aggregate values.
+func groupEnv(c *execCtx, in *relation, grp *aggGroup, aggVals map[string]value.Value, outer *env) *env {
+	en := &env{rel: in, row: grp.firstRow, outer: outer, aggs: aggVals, ctx: c}
 	if grp.firstRow == nil {
 		en.rel = nil
 	}
@@ -412,16 +412,15 @@ func groupEnv(c *execCtx, in *relation, grp *aggGroup, aggVals map[string]value.
 // a LIMIT that stops pulling leaves the remaining groups' (expensive,
 // crypto-heavy) finalization unperformed.
 type groupEmitter struct {
-	c       *execCtx
-	q       *ast.Query
-	p       *pipeline
-	shards  int
-	order   []ast.OrderItem
-	aliases map[string]ast.Expr
-	specs   []aggSpec
-	groups  *groupSet // nil until accumulated
-	pos     int
-	closed  bool
+	c      *execCtx
+	q      *ast.Query
+	p      *pipeline
+	shards int
+	order  []ast.OrderItem
+	specs  []aggSpec
+	groups *groupSet // nil until accumulated
+	pos    int
+	closed bool
 }
 
 // accumulate runs the block's chains to exhaustion into g.groups.
@@ -481,7 +480,7 @@ func (g *groupEmitter) next() ([][]value.Value, error) {
 		out := make([][]value.Value, 0, hi-lo)
 		for gi := lo; gi < hi; gi++ {
 			grp := g.groups.m[g.groups.order[gi]]
-			en := groupEnv(g.c, g.p.joined, grp, resolved[gi-lo], g.aliases, g.p.outer)
+			en := groupEnv(g.c, g.p.joined, grp, resolved[gi-lo], g.p.outer)
 			if g.q.Having != nil {
 				ok, err := evalBool(en, g.q.Having)
 				if err != nil {

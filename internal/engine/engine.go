@@ -193,6 +193,9 @@ func (e *Engine) IsAggUDF(name string) bool {
 // ExecuteStream returns into one Result.
 func (e *Engine) Execute(q *ast.Query, params map[string]value.Value) (*Result, error) {
 	c := e.newCtx(q, params)
+	if err := c.resolve(q); err != nil {
+		return nil, err
+	}
 	rel, err := c.execQuery(q, nil)
 	if err != nil {
 		return nil, err
@@ -212,6 +215,56 @@ type execCtx struct {
 	batch  int                      // rows per batch; math.MaxInt for BatchSize 0
 	useIdx bool                     // cost-based index access paths enabled (access.go)
 	stmt   *stmtCols                // the statement's column set, shared with shard contexts
+	// aliased maps each block whose HAVING or ORDER BY names a SELECT-list
+	// alias to its copy with the aliased expressions substituted
+	// (ast.WithAliases); nil when no block does. Shard contexts share it
+	// read-only.
+	aliased map[*ast.Query]*ast.Query
+}
+
+// schema is the catalog as the name resolver sees it.
+type schema storage.Catalog
+
+// HasColumn reports whether base table table has column col.
+func (s *schema) HasColumn(table, col string) (bool, error) {
+	t, err := (*storage.Catalog)(s).Table(table)
+	if err != nil {
+		return false, err
+	}
+	return t.Schema.ColIndex(col) >= 0, nil
+}
+
+// names is the catalog the statement's names resolve against.
+func (c *execCtx) names() ast.Catalog { return (*schema)(c.eng.Cat) }
+
+// resolve binds every name of statement q once, before the first row, so a
+// name error never depends on the data (ast.Bind), and records the blocks
+// whose HAVING or ORDER BY read a SELECT alias (block). Evaluation then only
+// searches row layouts.
+func (c *execCtx) resolve(q *ast.Query) error {
+	return ast.Bind(q, nil, c.names(), func(cr *ast.ColumnRef, b ast.Binding) error {
+		switch {
+		case b.Block == nil:
+			return fmt.Errorf("engine: %w %s", ast.ErrUnknownColumn, cr.SQL())
+		case b.Alias != nil && c.aliased[b.Block] == nil:
+			bound, err := ast.WithAliases(b.Block)
+			if c.aliased == nil {
+				c.aliased = make(map[*ast.Query]*ast.Query)
+			}
+			c.aliased[b.Block] = bound
+			return err
+		}
+		return nil
+	})
+}
+
+// block returns q as resolve bound it: with its SELECT aliases substituted
+// in HAVING and ORDER BY when it names one.
+func (c *execCtx) block(q *ast.Query) *ast.Query {
+	if b := c.aliased[q]; b != nil {
+		return b
+	}
+	return q
 }
 
 // newCtx creates the context of one top-level execution of q.
@@ -230,9 +283,9 @@ func (e *Engine) newCtx(q *ast.Query, params map[string]value.Value) *execCtx {
 // stmtCols is the set of column names a statement references anywhere —
 // every clause of every block, subqueries and derived tables included. A
 // paged base table is scanned with just the columns in it (fromSource):
-// pruning by bare name across the whole statement keeps every table that
-// could resolve a reference, qualified or not, able to, so name resolution,
-// ambiguity errors and correlation see what full-width layouts showed them.
+// pruning by bare name across the whole statement keeps in every layout
+// each column a reference could bind to, qualified or not, so the per-row
+// layout search finds what resolve bound against the full schema.
 // The set is collected on first use, so a statement over in-memory tables
 // never computes it.
 type stmtCols struct {
@@ -296,8 +349,9 @@ type relation struct {
 	base *storage.Table
 }
 
-// indexOf resolves a (possibly qualified) column name. It returns -1 if the
-// column is absent, and an error only on ambiguity.
+// indexOf finds a (possibly qualified) column in the layout: the per-row
+// search eval does once resolve has bound the statement's names. It returns
+// -1 if the column is absent, and an error only on ambiguity.
 func (r *relation) indexOf(table, col string) (int, error) {
 	found := -1
 	for i, c := range r.cols {
@@ -308,7 +362,7 @@ func (r *relation) indexOf(table, col string) (int, error) {
 			continue
 		}
 		if found >= 0 {
-			return -1, fmt.Errorf("engine: ambiguous column %s", col)
+			return -1, fmt.Errorf("engine: %w %s", ast.ErrAmbiguousColumn, col)
 		}
 		found = i
 	}
@@ -373,6 +427,7 @@ func (c *execCtx) execQuery(q *ast.Query, outer *env) (*relation, error) {
 // subquery, whose planning already covered it (planBeneath) — it may be
 // running on a shard worker and writes no plan.
 func (c *execCtx) open(q *ast.Query, outer *env) (batchIterator, error) {
+	q = c.block(q)
 	if outer == nil {
 		if err := c.planBlock(q); err != nil {
 			return nil, err
@@ -395,16 +450,15 @@ func (c *execCtx) open(q *ast.Query, outer *env) (batchIterator, error) {
 	if q.Limit >= 0 && !sorts && !grouped {
 		shards = 1
 	}
-	aliases := aliasMap(q)
 
 	var it batchIterator
 	if grouped {
-		it = &groupEmitter{c: c, q: q, p: p, shards: shards, order: order, aliases: aliases}
+		it = &groupEmitter{c: c, q: q, p: p, shards: shards, order: order}
 	} else {
 		it = c.stream(p, shards, func(sc *execCtx, lo, hi int) batchIterator {
 			var it batchIterator = &projectIterator{
 				in: p.chain(sc, lo, hi), q: q, order: order,
-				rel: p.joined, aliases: aliases, outer: outer, c: sc,
+				rel: p.joined, outer: outer, c: sc,
 			}
 			// A shard's pre-pass: only candidates cross the merger.
 			switch {
@@ -468,24 +522,20 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 		// Nothing to classify: the whole WHERE filters the one table.
 		p.filter = q.Where
 		if access && c.useIdx && outer == nil && src.t != nil {
-			c.accessPath(q, p, q.From[0].RefName())
+			c.accessPath(q, p)
 		}
 		return p, nil
 	}
 
 	srcs := make([]*rowSource, len(q.From))
 	rels := make([]*relation, len(q.From))
-	refNames := make([]string, len(q.From))
 	srcs[0], rels[0] = src, layout
-	for i := range q.From {
-		refNames[i] = q.From[i].RefName()
-		if i > 0 {
-			if srcs[i], rels[i], err = c.fromSource(&q.From[i], outer); err != nil {
-				return nil, err
-			}
+	for i := 1; i < len(q.From); i++ {
+		if srcs[i], rels[i], err = c.fromSource(&q.From[i], outer); err != nil {
+			return nil, err
 		}
 	}
-	plan, err := planJoin(q, refNames, rels)
+	plan, err := planJoin(q, c.names())
 	if err != nil {
 		return nil, err
 	}
@@ -641,36 +691,13 @@ func distinctKey(row []value.Value) string {
 	return b.String()
 }
 
-// projectionCols derives output column names from the SELECT list.
+// projectionCols names a block's output columns (ast.OutputName).
 func projectionCols(q *ast.Query) []colInfo {
 	cols := make([]colInfo, len(q.Projections))
 	for i, p := range q.Projections {
-		name := p.Alias
-		if name == "" {
-			if cr, ok := p.Expr.(*ast.ColumnRef); ok {
-				name = cr.Column
-			} else {
-				name = p.Expr.SQL()
-			}
-		}
-		cols[i] = colInfo{name: name}
+		cols[i] = colInfo{name: ast.OutputName(p)}
 	}
 	return cols
-}
-
-// aliasMap exposes SELECT-list aliases to HAVING/ORDER BY resolution (nil
-// when the list has none).
-func aliasMap(q *ast.Query) map[string]ast.Expr {
-	var m map[string]ast.Expr
-	for _, p := range q.Projections {
-		if p.Alias != "" {
-			if m == nil {
-				m = make(map[string]ast.Expr)
-			}
-			m[p.Alias] = p.Expr
-		}
-	}
-	return m
 }
 
 // projectRow evaluates the SELECT list for one input row or group,

@@ -15,15 +15,16 @@ var ErrNegativeSubstringLength = errors.New("engine: negative substring length n
 
 // env is the evaluation environment for one row (or one group).
 type env struct {
-	rel     *relation              // current relation; nil in pure-agg envs
-	row     []value.Value          // current row of rel
-	outer   *env                   // enclosing query's env (correlation)
-	aggs    map[string]value.Value // aggregate SQL -> value for the group
-	aliases map[string]ast.Expr    // SELECT-list aliases (HAVING/ORDER BY)
-	ctx     *execCtx
+	rel   *relation              // current relation; nil in pure-agg envs
+	row   []value.Value          // current row of rel
+	outer *env                   // enclosing query's env (correlation)
+	aggs  map[string]value.Value // aggregate SQL -> value for the group
+	ctx   *execCtx
 }
 
-// lookup resolves a column reference, walking outward for correlated refs.
+// lookup finds a column reference's value in the row layouts, walking
+// outward for correlated refs. resolve has bound the name already; this is
+// the per-row search for where it sits.
 func (en *env) lookup(table, col string) (value.Value, bool, error) {
 	for e := en; e != nil; e = e.outer {
 		if e.rel == nil {
@@ -62,17 +63,7 @@ func eval(en *env, e ast.Expr) (value.Value, error) {
 		if ok {
 			return v, nil
 		}
-		// Alias fallback for HAVING/ORDER BY referencing SELECT aliases.
-		if x.Table == "" {
-			for e2 := en; e2 != nil; e2 = e2.outer {
-				if e2.aliases != nil {
-					if ae, ok := e2.aliases[x.Column]; ok {
-						return eval(e2, ae)
-					}
-				}
-			}
-		}
-		return value.Value{}, fmt.Errorf("engine: unknown column %s", x.SQL())
+		return value.Value{}, fmt.Errorf("engine: %w %s", ast.ErrUnknownColumn, x.SQL())
 
 	case *ast.AggExpr:
 		if en.aggs != nil {

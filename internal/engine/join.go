@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/ast"
@@ -49,25 +49,22 @@ type joinEdge struct {
 	lt, rt int // FROM index of each side
 }
 
-// planJoin classifies q's WHERE conjuncts and derives the join order. rels
-// supply only column layouts (for unqualified-column resolution).
-func planJoin(q *ast.Query, refNames []string, rels []*relation) (*joinPlan, error) {
-	plan := &joinPlan{perTable: make([][]ast.Expr, len(rels))}
+// planJoin classifies q's WHERE conjuncts and derives the join order. A
+// column binds to one of q's FROM entries or, correlated, to none of them
+// (ast.Scope with no parent).
+func planJoin(q *ast.Query, cat ast.Catalog) (*joinPlan, error) {
+	s := &ast.Scope{Block: q, Cat: cat}
+	n := len(q.From)
+	plan := &joinPlan{perTable: make([][]ast.Expr, n)}
 	var edges []joinEdge
 	for _, e := range ast.Conjuncts(q.Where) {
 		if ast.HasSubquery(e) {
 			plan.residual = append(plan.residual, e)
 			continue
 		}
-		tables := map[int]bool{}
-		for _, col := range ast.Columns(e) {
-			idx, err := resolveTable(col, refNames, rels)
-			if err != nil {
-				return nil, err
-			}
-			if idx >= 0 {
-				tables[idx] = true
-			}
+		tables, err := entries(s, e)
+		if err != nil {
+			return nil, err
 		}
 		switch {
 		case len(tables) == 0:
@@ -75,11 +72,9 @@ func planJoin(q *ast.Query, refNames []string, rels []*relation) (*joinPlan, err
 			// residual so correlated envs resolve.
 			plan.residual = append(plan.residual, e)
 		case len(tables) == 1:
-			for idx := range tables {
-				plan.perTable[idx] = append(plan.perTable[idx], e)
-			}
+			plan.perTable[tables[0]] = append(plan.perTable[tables[0]], e)
 		default:
-			if edge, ok := asJoinEdge(e, refNames, rels); ok {
+			if edge, ok := asJoinEdge(s, e); ok {
 				edges = append(edges, edge)
 				continue
 			}
@@ -95,7 +90,7 @@ func planJoin(q *ast.Query, refNames []string, rels []*relation) (*joinPlan, err
 	// connected by at least one usable edge; cross join as a last resort.
 	joinedSet := map[int]bool{0: true}
 	used := make([]bool, len(edges))
-	for len(joinedSet) < len(rels) {
+	for len(joinedSet) < n {
 		next := -1
 		for i, e := range edges {
 			if used[i] {
@@ -112,7 +107,7 @@ func planJoin(q *ast.Query, refNames []string, rels []*relation) (*joinPlan, err
 		}
 		if next < 0 {
 			// No connecting edge: cross join the lowest unjoined table.
-			for i := range rels {
+			for i := 0; i < n; i++ {
 				if !joinedSet[i] {
 					next = i
 					break
@@ -161,69 +156,39 @@ func planJoin(q *ast.Query, refNames []string, rels []*relation) (*joinPlan, err
 // equality where one side mixes tables (a.x = a.y + b.z) is NOT an edge —
 // the mixed side cannot be evaluated against a single relation — and must
 // stay a residual predicate.
-func asJoinEdge(e ast.Expr, refNames []string, rels []*relation) (joinEdge, bool) {
+func asJoinEdge(s *ast.Scope, e ast.Expr) (joinEdge, bool) {
 	be, ok := e.(*ast.BinaryExpr)
 	if !ok || be.Op != ast.OpEq {
 		return joinEdge{}, false
 	}
-	lt, err := sideTable(be.Left, refNames, rels)
-	if err != nil || lt < 0 {
+	lt, err := entries(s, be.Left)
+	if err != nil || len(lt) != 1 {
 		return joinEdge{}, false
 	}
-	rt, err := sideTable(be.Right, refNames, rels)
-	if err != nil || rt < 0 || rt == lt {
+	rt, err := entries(s, be.Right)
+	if err != nil || len(rt) != 1 || rt[0] == lt[0] {
 		return joinEdge{}, false
 	}
-	return joinEdge{expr: be, lt: lt, rt: rt}, true
+	return joinEdge{expr: be, lt: lt[0], rt: rt[0]}, true
 }
 
-// resolveTable maps a column reference to its FROM index, or -1 (outer
-// ref). An unqualified name that resolves in more than one FROM relation is
-// an error (standard SQL ambiguity semantics) — binding it silently to the
-// first match would filter or join the wrong table.
-func resolveTable(col *ast.ColumnRef, refNames []string, rels []*relation) (int, error) {
-	if col.Column == "*" {
-		return -1, nil
-	}
-	if col.Table != "" {
-		for i, n := range refNames {
-			if n == col.Table {
-				return i, nil
-			}
-		}
-		return -1, nil
-	}
-	found := -1
-	for i, r := range rels {
-		if idx, err := r.indexOf("", col.Column); err == nil && idx >= 0 {
-			if found >= 0 {
-				return -1, fmt.Errorf("engine: column reference is ambiguous: %s (in %s and %s)",
-					col.Column, refNames[found], refNames[i])
-			}
-			found = i
-		}
-	}
-	return found, nil
-}
-
-// sideTable returns the single FROM index an expression references, or -1
-// when it references none or mixes several.
-func sideTable(e ast.Expr, refNames []string, rels []*relation) (int, error) {
-	idx := -1
+// entries lists the FROM indexes of s's block that e's columns bind to, each
+// once, in order of first reference.
+func entries(s *ast.Scope, e ast.Expr) ([]int, error) {
+	var out []int
 	for _, col := range ast.Columns(e) {
-		t, err := resolveTable(col, refNames, rels)
-		if err != nil {
-			return -1, err
-		}
-		if t < 0 {
+		if col.Column == "*" {
 			continue
 		}
-		if idx >= 0 && idx != t {
-			return -1, nil
+		b, err := s.Resolve(col)
+		if err != nil {
+			return nil, err
 		}
-		idx = t
+		if b.Block != nil && !slices.Contains(out, b.Entry) {
+			out = append(out, b.Entry)
+		}
 	}
-	return idx, nil
+	return out, nil
 }
 
 // joinBuild is a hash-join build side: either a materialized map

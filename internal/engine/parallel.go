@@ -94,7 +94,7 @@ func parallelDo(shards int, fn func(shard int) error) error {
 // statement's column set so a block opened on a worker lays its tables out
 // as the opening context does.
 func (c *execCtx) shardCtx() *execCtx {
-	return &execCtx{eng: c.eng, params: c.params, stats: &Stats{}, subq: c.subq, par: 1, batch: c.batch, useIdx: c.useIdx, stmt: c.stmt}
+	return &execCtx{eng: c.eng, params: c.params, stats: &Stats{}, subq: c.subq, par: 1, batch: c.batch, useIdx: c.useIdx, stmt: c.stmt, aliased: c.aliased}
 }
 
 // shardedCollect splits n input rows into shards, runs fn over each shard

@@ -274,13 +274,12 @@ func (it *probeIterator) close() { it.in.close() }
 // the block sorts, every output row carries its ORDER BY key values after
 // the projected cells (projectRow) for the sort breaker downstream.
 type projectIterator struct {
-	in      batchIterator
-	q       *ast.Query
-	order   []ast.OrderItem
-	rel     *relation
-	aliases map[string]ast.Expr
-	outer   *env
-	c       *execCtx
+	in    batchIterator
+	q     *ast.Query
+	order []ast.OrderItem
+	rel   *relation
+	outer *env
+	c     *execCtx
 }
 
 func (it *projectIterator) next() ([][]value.Value, error) {
@@ -290,7 +289,7 @@ func (it *projectIterator) next() ([][]value.Value, error) {
 	}
 	out := make([][]value.Value, len(b))
 	for i, row := range b {
-		en := &env{rel: it.rel, row: row, outer: it.outer, aliases: it.aliases, ctx: it.c}
+		en := &env{rel: it.rel, row: row, outer: it.outer, ctx: it.c}
 		if out[i], err = projectRow(en, it.q, it.order); err != nil {
 			return nil, err
 		}

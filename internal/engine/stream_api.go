@@ -41,6 +41,9 @@ type ResultStream struct {
 // batches.
 func (e *Engine) ExecuteStream(q *ast.Query, params map[string]value.Value) (*ResultStream, error) {
 	c := e.newCtx(q, params)
+	if err := c.resolve(q); err != nil {
+		return nil, err
+	}
 	it, err := c.open(q, nil)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/value"
@@ -244,18 +243,14 @@ func (c *execCtx) planExpr(e ast.Expr) (err error) {
 // planBeneath plans what a naive subquery re-opens for every outer row: the
 // blocks of its derived tables and the subqueries of its own clauses. Those
 // opens happen under an outer row, on whichever worker evaluates it, and
-// must find every plan in place. A base table that does not resolve fails
-// here, as it fails a subquery that is drained at planning.
+// must find every plan in place. (Its names and tables resolved with the
+// statement's, before any row.)
 func (c *execCtx) planBeneath(q *ast.Query) error {
 	for i := range q.From {
-		var err error
 		if f := &q.From[i]; f.Sub != nil {
-			err = c.planBeneath(f.Sub)
-		} else {
-			_, err = c.eng.Cat.Table(f.Name)
-		}
-		if err != nil {
-			return err
+			if err := c.planBeneath(f.Sub); err != nil {
+				return err
+			}
 		}
 	}
 	return c.planBlock(q)
@@ -272,8 +267,8 @@ func (c *execCtx) planSubquery(sub *ast.Query, mode subqMode) error {
 	var inner *relation
 	var keys []ast.Expr
 	var err error
-	if free := freeColumns(sub, c.eng); len(free) > 0 {
-		inner, keys, err = c.decorrelate(p, sub, free, mode)
+	if ast.Correlated(sub, c.names()) {
+		inner, keys, err = c.decorrelate(p, sub, mode)
 	} else if inner, err = c.execQuery(sub, nil); err == nil && mode == subqIn {
 		keys = resultKeys(inner, 0, true)
 	}
@@ -337,58 +332,49 @@ func resultKeys(rel *relation, nk int, member bool) []ast.Expr {
 
 // decorrelate drains the inner side of an equality-correlated subquery with
 // its correlation removed and returns it with the keys to hash it on; the
-// outer half of the correlation goes on p.
-func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, free map[string]bool, mode subqMode) (*relation, []ast.Expr, error) {
-	_, inner := fromScope(sub, c.eng)
-	isFree := func(col *ast.ColumnRef) bool { return free[col.SQL()] }
-	onlyFree := func(e ast.Expr) bool {
+// outer half of the correlation goes on p. A column is free when it binds
+// outside sub (ast.Scope with no parent).
+func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, mode subqMode) (*relation, []ast.Expr, error) {
+	s := &ast.Scope{Block: sub, Cat: c.names()}
+	// only reports whether e names no subquery and only free columns (at
+	// least one) or, !free, only columns of sub's own FROM.
+	only := func(e ast.Expr, free bool) bool {
 		cols := ast.Columns(e)
-		if len(cols) == 0 {
-			return false
-		}
 		for _, col := range cols {
-			if !isFree(col) {
+			b, err := s.Resolve(col)
+			if err != nil || (b.Block == nil) != free {
 				return false
 			}
 		}
-		return !ast.HasSubquery(e)
-	}
-	onlyInner := func(e ast.Expr) bool {
-		for _, col := range ast.Columns(e) {
-			if isFree(col) {
-				return false
-			}
-			if col.Table == "" && !inner[col.Column] {
-				return false
-			}
-		}
-		return !ast.HasSubquery(e)
+		return (len(cols) > 0 || !free) && !ast.HasSubquery(e)
 	}
 
-	// Free columns may only appear in WHERE, and the block must not group:
-	// the rewrite regroups (scalar) or ungroups (IN, EXISTS) it.
-	if len(sub.GroupBy) > 0 || sub.Having != nil {
-		return nil, nil, errNoDecorrelate
+	// Free columns may only appear in WHERE — not in another clause, nor in
+	// a derived table, whose rows would depend on the outer row — and the
+	// block must not group: the rewrite regroups (scalar) or ungroups (IN,
+	// EXISTS) it.
+	free := len(sub.GroupBy) > 0 || sub.Having != nil
+	for _, f := range sub.From {
+		free = free || (f.Sub != nil && ast.Correlated(f.Sub, c.names()))
 	}
-	for _, pr := range sub.Projections {
-		if exprHasFree(pr.Expr, free) {
-			return nil, nil, errNoDecorrelate
-		}
+	sub.EachExpr(func(e ast.Expr) { free = free || (e != sub.Where && s.Outside(e)) })
+	if free {
+		return nil, nil, errNoDecorrelate
 	}
 
 	var innerPreds, corrResidual, outerKeys, innerKeys []ast.Expr
 	for _, conj := range ast.Conjuncts(sub.Where) {
-		if !exprHasFree(conj, free) {
+		if !s.Outside(conj) {
 			innerPreds = append(innerPreds, conj)
 			continue
 		}
 		if be, ok := conj.(*ast.BinaryExpr); ok && be.Op == ast.OpEq {
 			switch {
-			case onlyFree(be.Left) && onlyInner(be.Right):
+			case only(be.Left, true) && only(be.Right, false):
 				outerKeys = append(outerKeys, be.Left)
 				innerKeys = append(innerKeys, be.Right)
 				continue
-			case onlyFree(be.Right) && onlyInner(be.Left):
+			case only(be.Right, true) && only(be.Left, false):
 				outerKeys = append(outerKeys, be.Right)
 				innerKeys = append(innerKeys, be.Left)
 				continue
@@ -401,9 +387,9 @@ func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, free map[string]bool,
 	}
 	p.outerKeys, p.residual = outerKeys, ast.AndAll(corrResidual)
 
-	// The inner side is sub with its correlation removed (a shallow copy:
-	// execution never writes an AST).
-	inq := *sub
+	// The inner side is sub as resolve bound it with its correlation removed
+	// (a shallow copy: execution never writes an AST).
+	inq := *c.block(sub)
 	inq.Where = ast.AndAll(innerPreds)
 	if mode == subqExists {
 		// The unprojected FROM/WHERE front, hashed on the inner half of the
@@ -434,87 +420,4 @@ func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, free map[string]bool,
 		return nil, nil, err
 	}
 	return rel, resultKeys(rel, len(innerKeys), mode == subqIn), nil
-}
-
-// exprHasFree reports whether e mentions any free (outer) column.
-func exprHasFree(e ast.Expr, free map[string]bool) bool {
-	found := false
-	ast.Walk(e, func(x ast.Expr) {
-		if col, ok := x.(*ast.ColumnRef); ok && free[col.SQL()] {
-			found = true
-		}
-	})
-	if found {
-		return true
-	}
-	for _, s := range ast.Subqueries(e) {
-		for f := range freeColumns(s, nil) {
-			if free[f] {
-				return true
-			}
-		}
-	}
-	return found
-}
-
-// fromScope returns what sub's own FROM resolves: the names its entries are
-// addressed by, and the unqualified column names they supply. Without an
-// engine (nil) base tables contribute no column names.
-func fromScope(sub *ast.Query, eng *Engine) (refNames, cols map[string]bool) {
-	refNames, cols = make(map[string]bool), make(map[string]bool)
-	for i := range sub.From {
-		f := &sub.From[i]
-		refNames[f.RefName()] = true
-		switch {
-		case f.Sub != nil:
-			for _, col := range projectionCols(f.Sub) {
-				cols[col.name] = true
-			}
-		case eng != nil:
-			if t, err := eng.Cat.Table(f.Name); err == nil {
-				for _, col := range t.Schema.Cols {
-					cols[col.Name] = true
-				}
-			}
-		}
-	}
-	return refNames, cols
-}
-
-// freeColumns computes the column references in sub that cannot be resolved
-// by sub's own FROM tables (i.e. correlated references to enclosing scopes).
-// Keys are the rendered SQL of the reference. Without an engine (nil) only
-// qualified references resolve.
-func freeColumns(sub *ast.Query, eng *Engine) map[string]bool {
-	refNames, innerCols := fromScope(sub, eng)
-	free := make(map[string]bool)
-	sub.EachExpr(func(e ast.Expr) {
-		ast.Walk(e, func(x ast.Expr) {
-			col, ok := x.(*ast.ColumnRef)
-			if !ok || col.Column == "*" {
-				return
-			}
-			if col.Table != "" {
-				if !refNames[col.Table] {
-					free[col.SQL()] = true
-				}
-			} else if !innerCols[col.Column] {
-				free[col.SQL()] = true
-			}
-		})
-		for _, s := range ast.Subqueries(e) {
-			for f := range freeColumns(s, eng) {
-				// A free column of the nested subquery might still resolve
-				// against *this* query's tables.
-				if table, _, qualified := strings.Cut(f, "."); qualified {
-					if !refNames[table] {
-						free[f] = true
-					}
-				} else if !innerCols[f] {
-					free[f] = true
-				}
-			}
-		}
-	})
-	return free
 }

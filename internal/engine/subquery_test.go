@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sqlparser"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -190,6 +191,39 @@ func TestSubqueryDecorrelateErrorIsTheStatements(t *testing.T) {
 		if c.stats.SubqueryRuns > 1 || calls.Load() != 10 {
 			t.Errorf("SubqueryRuns = %d, boom calls = %d: the failed drain was retried: %s",
 				c.stats.SubqueryRuns, calls.Load(), sql)
+		}
+	}
+}
+
+// TestCorrelationOutsideWhere: a subquery that reads the outer row outside
+// its WHERE — in a derived table, which sees the block enclosing the
+// subquery, or in its ORDER BY — runs per outer row. Decorrelating it ran
+// that clause with no outer row and failed on the outer column.
+func TestCorrelationOutsideWhere(t *testing.T) {
+	cat := storage.NewCatalog()
+	for _, tb := range []struct{ name, col string }{{"t", "b"}, {"u", "c"}} {
+		tab, err := cat.Create(storage.Schema{Name: tb.name, Cols: []storage.Column{{Name: "a", Type: storage.TInt}, {Name: tb.col, Type: storage.TInt}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 5; i++ {
+			v := 10 - i // t.b
+			if tb.name == "u" {
+				v = 2 * i // u.c
+			}
+			tab.MustInsert([]value.Value{value.NewInt(i), value.NewInt(v)})
+		}
+	}
+	e := New(cat)
+	for _, sql := range []string{
+		"SELECT a FROM t WHERE EXISTS (SELECT 1 FROM (SELECT c FROM u WHERE c = t.b - 6) d WHERE d.c = t.a + 4)",
+		"SELECT a FROM t WHERE a IN (SELECT d.c - 4 FROM (SELECT c FROM u WHERE c = t.b - 6) d WHERE d.c = t.a + 4)",
+		"SELECT a FROM t WHERE 1 = (SELECT COUNT(*) FROM (SELECT c FROM u WHERE c = t.b - 6) d WHERE d.c = t.a + 4)",
+		"SELECT a FROM t WHERE a IN (SELECT u.a FROM u WHERE u.c = t.b - 10 ORDER BY t.b)",
+		"SELECT a FROM t WHERE 0 = (SELECT MAX(c) FROM u WHERE u.a = t.a ORDER BY t.b)",
+	} {
+		if res := run(t, e, sql, nil); fmt.Sprint(res.Rows) != "[[0]]" {
+			t.Errorf("%s = %v, want [[0]]", sql, res.Rows)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/deploy"
-	"repro/internal/planner"
 	"repro/internal/sqlparser"
 	"repro/internal/tpch"
 )
@@ -95,7 +94,7 @@ func EstimateSweep(base Config, maxK int) ([]Fig8Row, error) {
 			if err != nil {
 				return 0, err
 			}
-			prepared, err := planner.Prepare(q, nil)
+			prepared, _, err := dres.Context.Prepare(q, nil)
 			if err != nil {
 				return 0, err
 			}

@@ -59,7 +59,7 @@ func (e *estimator) bestIndexConjunct(s *scope, conjuncts []ast.Expr) (string, f
 // sargableCol reports the indexed column a conjunct can probe: `=`/`IN`
 // need a DET hash index, ranges an OPE ordered index.
 func (e *estimator) sargableCol(s *scope, c ast.Expr) (string, bool) {
-	if s.singleEntry(c) == nil {
+	if singleEntry(s, c) == nil {
 		return "", false
 	}
 	switch x := c.(type) {

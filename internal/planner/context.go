@@ -104,89 +104,76 @@ func NewContext(cat *storage.Catalog, design *enc.Design, keys *enc.KeyStore, co
 	return ctx
 }
 
-// scope resolves column references within one query block: alias -> table.
-// parent chains to the enclosing block for correlated subqueries.
-type scope struct {
-	ctx     *Context
-	entries []scopeEntry
-	parent  *scope
+// scope is one block's names as the planner sees them: the resolver's
+// (ast.Scope) over the plaintext schema. A name binds to a FROM entry
+// (*ast.TableRef, bind); a base table's entry gives its columns their kinds
+// (Context.Tables, kindOf).
+type scope = ast.Scope
+
+// tables is the plaintext schema as the name resolver sees it. A name with
+// an encrypted-column suffix resolves to its base column (TableInfo.Has), so
+// the cost model can read RemoteSQL against plaintext statistics.
+type tables map[string]*TableInfo
+
+// HasColumn reports whether the named table has column col.
+func (t tables) HasColumn(table, col string) (bool, error) {
+	info, ok := t[table]
+	if !ok {
+		return false, fmt.Errorf("planner: unknown table %s", table)
+	}
+	return info.Has(col), nil
 }
 
-type scopeEntry struct {
-	ref   string // alias or table name used in the query
-	table string // underlying base table ("" for derived tables)
-	info  *TableInfo
-}
-
-// newScope builds the resolution scope for a query's FROM list. Derived
-// tables resolve to a synthetic TableInfo built from their projections.
-func (ctx *Context) newScope(q *ast.Query) (*scope, error) {
-	s := &scope{ctx: ctx}
-	for i := range q.From {
-		f := &q.From[i]
-		if f.Sub != nil {
-			info := &TableInfo{Name: f.RefName()}
-			for _, p := range f.Sub.Projections {
-				name := p.Alias
-				if name == "" {
-					if cr, ok := p.Expr.(*ast.ColumnRef); ok {
-						name = cr.Column
-					}
-				}
-				info.Cols = append(info.Cols, storage.Column{Name: name, Type: storage.TInt})
-			}
-			s.entries = append(s.entries, scopeEntry{ref: f.RefName(), info: info})
-			continue
-		}
-		info, ok := ctx.Tables[f.Name]
-		if !ok {
+// newScope builds the scope of block q, chained to parent (nil for a block
+// that sees no enclosing one).
+func (ctx *Context) newScope(q *ast.Query, parent *scope) (*scope, error) {
+	for _, f := range q.From {
+		if _, ok := ctx.Tables[f.Name]; f.Sub == nil && !ok {
 			return nil, fmt.Errorf("planner: unknown table %s", f.Name)
 		}
-		s.entries = append(s.entries, scopeEntry{ref: f.RefName(), table: f.Name, info: info})
 	}
-	return s, nil
+	return &scope{Block: q, Parent: parent, Cat: tables(ctx.Tables)}, nil
 }
 
-// blockScopes calls fn for every block of q, in ast.EachBlock order, with
-// its scope chained over its enclosing block's (outer for q itself). A block
-// whose FROM list does not resolve gets a nil scope, and the blocks nested in
-// it are skipped.
-func (ctx *Context) blockScopes(q *ast.Query, outer *scope, fn func(b *ast.Query, s *scope)) {
-	scopes := make(map[*ast.Query]*scope)
-	ast.EachBlock(q, func(b, up *ast.Query) {
-		parent := outer
-		if up != nil {
-			if parent = scopes[up]; parent == nil {
-				return // nested in a block that did not resolve
-			}
-		}
-		inner, err := ctx.newScope(b)
-		if err != nil {
-			fn(b, nil)
-			return
-		}
-		s := inner.chain(parent)
-		scopes[b] = s
-		fn(b, s)
-	})
+// bind returns the FROM entry c binds to through s's chain, nil when it
+// binds nowhere or does not resolve.
+func bind(s *scope, c *ast.ColumnRef) *ast.TableRef {
+	b, err := s.Resolve(c)
+	if err != nil {
+		return nil
+	}
+	return entry(b)
 }
 
-// kindOf returns the plaintext kind of a column reference.
-func (s *scope) kindOf(c *ast.ColumnRef) value.Kind {
-	if c.Table != "" {
-		for _, e := range s.entries {
-			if e.ref == c.Table {
-				return e.info.Kind(c.Column)
-			}
-		}
+// entry is the FROM entry a binding names (nil for none or an alias).
+func entry(b ast.Binding) *ast.TableRef {
+	if b.Block == nil || b.Entry < 0 {
+		return nil
+	}
+	return &b.Block.From[b.Entry]
+}
+
+// kindOf returns the plaintext kind of a column reference: its base table
+// column's, Int for a derived table's, Null when it does not bind.
+func (ctx *Context) kindOf(s *scope, c *ast.ColumnRef) value.Kind {
+	switch f := bind(s, c); {
+	case f == nil:
 		return value.Null
+	case f.Sub != nil:
+		return value.Int
+	default:
+		return ctx.Tables[f.Name].Kind(c.Column)
 	}
-	for _, e := range s.entries {
-		if k := e.info.Kind(c.Column); k != value.Null {
-			return k
-		}
-	}
-	return value.Null
+}
+
+// eachRef calls fn with every column e names, nested blocks included, and
+// the FROM entry it binds to. Context.Prepare resolved every name, so none
+// fails here.
+func eachRef(s *scope, e ast.Expr, fn func(*ast.TableRef, string)) {
+	_ = s.BindExpr(e, func(c *ast.ColumnRef, b ast.Binding) error {
+		fn(entry(b), c.Column)
+		return nil
+	})
 }
 
 // stripQualifiers clones e with table qualifiers removed, the canonical
@@ -209,11 +196,5 @@ func (ctx *Context) findItem(table string, e ast.Expr, scheme enc.Scheme) (*enc.
 // IsUncorrelated reports whether every column a subquery references
 // resolves within its own FROM tables.
 func IsUncorrelated(ctx *Context, sub *ast.Query) bool {
-	free := false
-	collectQueryRefs(ctx, sub, nil, func(en *scopeEntry, _ string) {
-		if en == nil {
-			free = true
-		}
-	})
-	return !free
+	return !ast.Correlated(sub, tables(ctx.Tables))
 }

@@ -180,9 +180,9 @@ func (e *estimator) sideNDV(s *scope, l, r ast.Expr) int64 {
 func (e *estimator) exprNDV(s *scope, x ast.Expr) int64 {
 	switch n := x.(type) {
 	case *ast.ColumnRef:
-		if entry, ok := s.entryFor(n); ok && entry.table != "" {
+		if entry := bind(s, n); entry != nil && entry.Sub == nil {
 			base, _ := StripEncSuffix(n.Column)
-			return e.ctx.Stats.Table(entry.table).Col(base).NDV
+			return e.ctx.Stats.Table(entry.Name).Col(base).NDV
 		}
 	case *ast.FuncCall:
 		if n.Name == "extract_year" {
@@ -204,9 +204,9 @@ func (e *estimator) joinEstimate(s *scope, from []ast.TableRef, conjuncts []ast.
 	perTable := make(map[string]float64)
 	cross := 1.0
 	for _, c := range conjuncts {
-		entry := s.singleEntry(c)
+		entry := singleEntry(s, c)
 		if entry != nil {
-			perTable[entry.ref] = orDefault(perTable[entry.ref], 1) * e.selectivity(s, c)
+			perTable[entry.RefName()] = orDefault(perTable[entry.RefName()], 1) * e.selectivity(s, c)
 			continue
 		}
 		if b, ok := c.(*ast.BinaryExpr); ok && b.Op == ast.OpEq {

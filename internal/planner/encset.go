@@ -29,7 +29,7 @@ type Unit struct {
 // (parameters bound, constants folded, AVG lowered, derived tables
 // flattened).
 func (ctx *Context) ExtractUnits(q *ast.Query) ([]Unit, error) {
-	s, err := ctx.newScope(q)
+	s, err := ctx.newScope(q, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -106,11 +106,10 @@ func (ctx *Context) ExtractUnits(q *ast.Query) ([]Unit, error) {
 // conjuncts form units (pushable into the sub-fetch or the server-side
 // EXISTS), qualified by the parent unit id.
 func (ctx *Context) extractSubqueryUnits(sub *ast.Query, outer *scope, prefix string) ([]Unit, error) {
-	inner, err := ctx.newScope(sub)
+	s, err := ctx.newScope(sub, outer)
 	if err != nil {
 		return nil, err
 	}
-	s := inner.chain(outer)
 	var units []Unit
 	for i, c := range ast.Conjuncts(sub.Where) {
 		if items, ok := ctx.predEncSet(s, c); ok && len(items) > 0 {
@@ -276,7 +275,7 @@ func prefilterTarget(q *ast.Query) (ast.Expr, bool) {
 // under the given scheme (creating precomputed-expression items for
 // compound single-table expressions).
 func (ctx *Context) candidateValue(s *scope, e ast.Expr, scheme enc.Scheme) (enc.Item, bool) {
-	entry := s.singleEntry(e)
+	entry := singleEntry(s, e)
 	if entry == nil {
 		return enc.Item{}, false
 	}
@@ -290,7 +289,7 @@ func (ctx *Context) candidateValue(s *scope, e ast.Expr, scheme enc.Scheme) (enc
 		// columns with negative values (c_acctbal) cannot be HOM items.
 		if scheme == enc.HOM {
 			if cr, ok := e.(*ast.ColumnRef); ok {
-				if ctx.Stats.Table(entry.table).Col(cr.Column).Min < 0 {
+				if ctx.Stats.Table(entry.Name).Col(cr.Column).Min < 0 {
 					return enc.Item{}, false
 				}
 			}
@@ -301,14 +300,14 @@ func (ctx *Context) candidateValue(s *scope, e ast.Expr, scheme enc.Scheme) (enc
 		}
 	}
 	it := enc.Item{
-		Table:     entry.table,
+		Table:     entry.Name,
 		Expr:      stripQualifiers(e),
 		Scheme:    scheme,
 		PlainKind: kind,
 	}
 	if scheme == enc.DET {
 		if cr, ok := it.Expr.(*ast.ColumnRef); ok {
-			if g, ok := ctx.joinGroup(entry.table, cr.Column); ok {
+			if g, ok := ctx.joinGroup(entry.Name, cr.Column); ok {
 				it.JoinGroup = g
 			}
 		}
@@ -335,7 +334,7 @@ func derefItems(ptrs []*enc.Item) []enc.Item {
 func (ctx *Context) inferKind(s *scope, e ast.Expr) value.Kind {
 	switch x := e.(type) {
 	case *ast.ColumnRef:
-		return s.kindOfChained(x)
+		return ctx.kindOf(s, x)
 	case *ast.Literal:
 		return x.Val.K
 	case *ast.BinaryExpr:
@@ -378,16 +377,6 @@ func (ctx *Context) inferKind(s *scope, e ast.Expr) value.Kind {
 		return value.Int
 	}
 	return value.Int
-}
-
-// kindOfChained resolves a column kind walking outer scopes.
-func (s *scope) kindOfChained(c *ast.ColumnRef) value.Kind {
-	for cur := s; cur != nil; cur = cur.parent {
-		if k := cur.kindOf(c); k != value.Null {
-			return k
-		}
-	}
-	return value.Null
 }
 
 // joinGroup looks up the registered join group for table.col.

@@ -59,7 +59,7 @@ func (ctx *Context) Generate(q *ast.Query) (*Plan, error) {
 // genQuery plans one query block.
 func (g *genState) genQuery(q *ast.Query) (*Plan, error) {
 	ctx := g.ctx
-	s, err := ctx.newScope(q)
+	s, err := ctx.newScope(q, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -243,13 +243,13 @@ func (g *genState) sumRepresentation(s *scope, a *ast.AggExpr) (*sumRep, bool) {
 	if lit, ok := rep.arg.(*ast.Literal); ok && lit.Val.IsNumeric() {
 		return rep, true
 	}
-	entry := s.singleEntry(rep.arg)
+	entry := singleEntry(s, rep.arg)
 	if entry == nil {
 		return nil, false
 	}
-	rep.entryRef = entry.ref
-	if it, ok := ctx.findItem(entry.table, rep.arg, enc.HOM); ok {
-		rep.mode, rep.item, rep.homTable = OutHomSum, it, entry.table
+	rep.entryRef = entry.RefName()
+	if it, ok := ctx.findItem(entry.Name, rep.arg, enc.HOM); ok {
+		rep.mode, rep.item, rep.homTable = OutHomSum, it, entry.Name
 	} else if sv, it, ok := ctx.rewriteValue(s, rep.arg, enc.DET, enc.RND); ok {
 		rep.mode, rep.item, rep.encArg = OutConcatAgg, it, sv
 	} else {

@@ -193,6 +193,9 @@ func (g *genState) genServerGrouped(plan *Plan, s *scope, q *ast.Query, remoteFr
 	}
 	// Hoist localized-subquery subplans built for HAVING.
 	plan.Local = local
+	if err := unshadow(local); err != nil {
+		return nil, err
+	}
 	return plan, nil
 }
 
@@ -218,12 +221,12 @@ func ParseHomPlaceholder(s string) (table, exprSQL string, ok bool) {
 // prefilterM estimates m, the per-row maximum of e (§5.4 uses the column's
 // max collected during setup).
 func (g *genState) prefilterM(s *scope, e ast.Expr) int64 {
-	entry := s.singleEntry(e)
+	entry := singleEntry(s, e)
 	if entry == nil {
 		return 0
 	}
 	if cr, ok := e.(*ast.ColumnRef); ok {
-		return g.ctx.Stats.Table(entry.table).Col(cr.Column).Max
+		return g.ctx.Stats.Table(entry.Name).Col(cr.Column).Max
 	}
 	return 0
 }

@@ -24,10 +24,10 @@ func (g *genState) genClientResidual(plan *Plan, s *scope, q *ast.Query,
 	remoteFrom []ast.TableRef, pushed, local []ast.Expr, temps []ast.TableRef) (*Plan, error) {
 
 	// Base-table entries reach the residual through the main fetch.
-	fetched := make(map[*scopeEntry]bool)
-	for i := range s.entries {
-		if s.entries[i].table != "" {
-			fetched[&s.entries[i]] = true
+	fetched := make(map[*ast.TableRef]bool)
+	for i := range q.From {
+		if q.From[i].Sub == nil {
+			fetched[&q.From[i]] = true
 		}
 	}
 
@@ -41,9 +41,9 @@ func (g *genState) genClientResidual(plan *Plan, s *scope, q *ast.Query,
 		remote.Where = ast.AndAll(pushed)
 		part := &RemotePart{Name: g.tempName(), Query: remote}
 		var cols [][2]string // (ref, col)
-		for en, m := range neededCols(g.ctx, s, fetched, clauseExprs(q, local)) {
+		for en, m := range neededCols(s, fetched, clauseExprs(q, local)) {
 			for col := range m {
-				cols = append(cols, [2]string{en.ref, col})
+				cols = append(cols, [2]string{en.RefName(), col})
 			}
 		}
 		sort.Slice(cols, func(i, j int) bool {
@@ -59,9 +59,9 @@ func (g *genState) genClientResidual(plan *Plan, s *scope, q *ast.Query,
 			// with all filters pushed): fetch some column so rows can be
 			// counted.
 			err := fmt.Errorf("planner: residual plan needs at least one fetched column")
-			for i := 0; i < len(s.entries) && err != nil; i++ {
-				if en := &s.entries[i]; fetched[en] && len(en.info.Cols) > 0 {
-					err = g.fetch(part, s, en.ref, en.info.Cols[0].Name)
+			for i := 0; i < len(q.From) && err != nil; i++ {
+				if en := &q.From[i]; fetched[en] && len(g.ctx.Tables[en.Name].Cols) > 0 {
+					err = g.fetch(part, s, en.RefName(), g.ctx.Tables[en.Name].Cols[0].Name)
 				}
 			}
 			if err != nil {
@@ -109,10 +109,10 @@ func clauseExprs(q *ast.Query, where []ast.Expr) []ast.Expr {
 
 // neededCols maps each entry of own to those of its columns the expressions
 // (nested subqueries included) reference.
-func neededCols(ctx *Context, s *scope, own map[*scopeEntry]bool, exprs []ast.Expr) map[*scopeEntry]map[string]bool {
-	out := make(map[*scopeEntry]map[string]bool)
+func neededCols(s *scope, own map[*ast.TableRef]bool, exprs []ast.Expr) map[*ast.TableRef]map[string]bool {
+	out := make(map[*ast.TableRef]map[string]bool)
 	for _, e := range exprs {
-		collectRefs(ctx, e, s, func(en *scopeEntry, col string) {
+		eachRef(s, e, func(en *ast.TableRef, col string) {
 			if !own[en] {
 				return
 			}
@@ -125,49 +125,10 @@ func neededCols(ctx *Context, s *scope, own map[*scopeEntry]bool, exprs []ast.Ex
 	return out
 }
 
-// collectRefs reports every column reference of an expression, subqueries
-// included, with its resolved entry — nil for a reference that resolves
-// nowhere in the scope chain.
-func collectRefs(ctx *Context, e ast.Expr, s *scope, fn func(*scopeEntry, string)) {
-	blockRefs(e, s, fn)
-	for _, sub := range ast.Subqueries(e) {
-		collectQueryRefs(ctx, sub, s, fn)
-	}
-}
-
-// collectQueryRefs reports every column reference of every block of q, each
-// resolved through the block's scope chained over its enclosing blocks'
-// (outer for q). A FROM list that does not resolve reports one unresolved
-// reference.
-func collectQueryRefs(ctx *Context, q *ast.Query, outer *scope, fn func(*scopeEntry, string)) {
-	ctx.blockScopes(q, outer, func(b *ast.Query, s *scope) {
-		if s == nil {
-			fn(nil, "")
-			return
-		}
-		b.EachExpr(func(e ast.Expr) { blockRefs(e, s, fn) })
-	})
-}
-
-// blockRefs reports the column references of e outside its subqueries.
-func blockRefs(e ast.Expr, s *scope, fn func(*scopeEntry, string)) {
-	ast.Walk(e, func(x ast.Expr) {
-		c, ok := x.(*ast.ColumnRef)
-		if !ok || c.Column == "*" {
-			return
-		}
-		entry, ok := s.entryFor(c)
-		if !ok {
-			entry = nil
-		}
-		fn(entry, c.Column)
-	})
-}
-
 // localize rewrites an expression for the residual query: a column of an
 // entry in fetched reads its `ref__col` temp column, and subqueries are
 // localized (their base tables replaced by sub-fetch temps).
-func (g *genState) localize(plan *Plan, e ast.Expr, s *scope, fetched map[*scopeEntry]bool) (ast.Expr, error) {
+func (g *genState) localize(plan *Plan, e ast.Expr, s *scope, fetched map[*ast.TableRef]bool) (ast.Expr, error) {
 	var err error
 	sub := func(q *ast.Query) *ast.Query {
 		if err != nil {
@@ -180,8 +141,8 @@ func (g *genState) localize(plan *Plan, e ast.Expr, s *scope, fetched map[*scope
 	out := ast.RewriteExpr(e, func(x ast.Expr) ast.Expr {
 		switch c := x.(type) {
 		case *ast.ColumnRef:
-			if entry, ok := s.entryFor(c); ok && fetched[entry] {
-				return &ast.ColumnRef{Column: entry.ref + "__" + c.Column}
+			if entry := bind(s, c); entry != nil && fetched[entry] {
+				return &ast.ColumnRef{Column: entry.RefName() + "__" + c.Column}
 			}
 		case *ast.SubqueryExpr:
 			return &ast.SubqueryExpr{Sub: sub(c.Sub)}
@@ -201,7 +162,7 @@ func (g *genState) localize(plan *Plan, e ast.Expr, s *scope, fetched map[*scope
 // from: every clause localized, with where (the conjuncts that did not move
 // to a server) as its WHERE.
 func (g *genState) localQuery(plan *Plan, q *ast.Query, where []ast.Expr, from []ast.TableRef,
-	s *scope, fetched map[*scopeEntry]bool) (*ast.Query, error) {
+	s *scope, fetched map[*ast.TableRef]bool) (*ast.Query, error) {
 
 	var err error
 	loc := func(e ast.Expr) ast.Expr {
@@ -231,7 +192,40 @@ func (g *genState) localQuery(plan *Plan, q *ast.Query, where []ast.Expr, from [
 	for _, o := range q.OrderBy {
 		lq.OrderBy = append(lq.OrderBy, ast.OrderItem{Expr: loc(o.Expr), Desc: o.Desc})
 	}
-	return lq, err
+	if err != nil {
+		return nil, err
+	}
+	return lq, unshadow(lq)
+}
+
+// unshadow qualifies every bare column of a residual block's HAVING and ORDER
+// BY that one of the block's SELECT aliases would capture — there the
+// resolver binds an alias first — with the block's FROM entry, so the
+// residual reads the temp column the planner meant. Prepare inlined the
+// user's aliases already, so a capture means a user alias is spelled like a
+// temp column (SELECT g AS k0, SUM(x) AS a0 … ORDER BY g). A block reading
+// several temp tables refuses such a plan.
+func unshadow(lq *ast.Query) (err error) {
+	qualify := func(x ast.Expr) ast.Expr {
+		cr, ok := x.(*ast.ColumnRef)
+		if !ok {
+			return nil
+		}
+		a, aerr := ast.Alias(lq, cr)
+		if same, isCol := a.(*ast.ColumnRef); aerr == nil && (a == nil || (isCol && same.Column == cr.Column)) {
+			return nil
+		}
+		if len(lq.From) != 1 {
+			err = fmt.Errorf("planner: alias %s hides a residual column", cr.Column)
+			return nil
+		}
+		return &ast.ColumnRef{Table: lq.From[0].RefName(), Column: cr.Column}
+	}
+	lq.Having = ast.RewriteExpr(lq.Having, qualify)
+	for i := range lq.OrderBy {
+		lq.OrderBy[i].Expr = ast.RewriteExpr(lq.OrderBy[i].Expr, qualify)
+	}
+	return err
 }
 
 // localizeSub plans the client-side evaluation of one subquery: its base
@@ -239,7 +233,7 @@ func (g *genState) localQuery(plan *Plan, q *ast.Query, where []ast.Expr, from [
 // non-correlated predicate it can), and the subquery is rewritten to run
 // over the temp tables. outerFetched are the enclosing blocks' entries that
 // already live in temp tables (correlated references read those).
-func (g *genState) localizeSub(plan *Plan, sub *ast.Query, outer *scope, outerFetched map[*scopeEntry]bool) (*ast.Query, error) {
+func (g *genState) localizeSub(plan *Plan, sub *ast.Query, outer *scope, outerFetched map[*ast.TableRef]bool) (*ast.Query, error) {
 	ctx := g.ctx
 
 	// An uncorrelated subquery is an independent query: recurse the whole
@@ -259,27 +253,33 @@ func (g *genState) localizeSub(plan *Plan, sub *ast.Query, outer *scope, outerFe
 		}
 	}
 
-	inner, err := ctx.newScope(sub)
+	// inner resolves the subquery's names, correlated ones included; alone
+	// is its own FROM only, so REWRITESERVER cannot push a correlated
+	// conjunct into a fetch.
+	inner, err := ctx.newScope(sub, outer)
 	if err != nil {
 		return nil, err
 	}
-	chained := inner.chain(outer)
-	fetched := make(map[*scopeEntry]bool, len(outerFetched)+len(inner.entries))
+	alone, err := ctx.newScope(sub, nil)
+	if err != nil {
+		return nil, err
+	}
+	fetched := make(map[*ast.TableRef]bool, len(outerFetched)+len(sub.From))
 	for en := range outerFetched {
 		fetched[en] = true
 	}
-	own := make(map[*scopeEntry]bool, len(inner.entries))
-	for i := range inner.entries {
+	own := make(map[*ast.TableRef]bool, len(sub.From))
+	for i := range sub.From {
 		// Nested derived tables inside locally-evaluated subqueries stay
 		// rare (TPC-H has none after flattening).
-		if inner.entries[i].table == "" {
-			return nil, fmt.Errorf("planner: derived table inside local subquery %s unsupported", inner.entries[i].ref)
+		if sub.From[i].Sub != nil {
+			return nil, fmt.Errorf("planner: derived table inside local subquery %s unsupported", sub.From[i].RefName())
 		}
-		own[&inner.entries[i]], fetched[&inner.entries[i]] = true, true
+		own[&sub.From[i]], fetched[&sub.From[i]] = true, true
 	}
 
 	// Run REWRITESERVER once per conjunct over the subquery's own tables
-	// (unchained scope: a correlated reference fails to resolve).
+	// (alone: a correlated reference fails to resolve).
 	type conjunct struct {
 		orig, server ast.Expr // server is nil when the rewrite failed
 		items        []*enc.Item
@@ -292,20 +292,20 @@ func (g *genState) localizeSub(plan *Plan, sub *ast.Query, outer *scope, outerFe
 	for _, c := range ast.Conjuncts(sub.Where) {
 		cj := conjunct{orig: c}
 		if !ast.HasSubquery(c) {
-			cj.server, cj.items, _ = ctx.rewritePred(inner, c)
+			cj.server, cj.items, _ = ctx.rewritePred(alone, c)
 		}
-		if cj.server == nil && len(neededCols(ctx, chained, own, []ast.Expr{c})) >= 2 {
+		if cj.server == nil && len(neededCols(inner, own, []ast.Expr{c})) >= 2 {
 			joint = false
 		}
 		conjs = append(conjs, cj)
 	}
 
-	var groups [][]*scopeEntry // the tables of each fetch
-	for i := range inner.entries {
-		if en := &inner.entries[i]; joint && i > 0 {
+	var groups [][]*ast.TableRef // the tables of each fetch
+	for i := range sub.From {
+		if en := &sub.From[i]; joint && i > 0 {
 			groups[0] = append(groups[0], en)
 		} else {
-			groups = append(groups, []*scopeEntry{en})
+			groups = append(groups, []*ast.TableRef{en})
 		}
 	}
 
@@ -314,10 +314,10 @@ func (g *genState) localizeSub(plan *Plan, sub *ast.Query, outer *scope, outerFe
 	// vs. kept for the local query (correlated, unrewritable, or a join
 	// between separately shipped tables). pushedTo is keyed by a fetch's
 	// first table.
-	pushedTo := make(map[*scopeEntry][]ast.Expr)
+	pushedTo := make(map[*ast.TableRef][]ast.Expr)
 	var kept []ast.Expr
 	for _, cj := range conjs {
-		target := inner.singleEntry(cj.orig)
+		target := singleEntry(inner, cj.orig)
 		if joint && len(groups) > 0 {
 			target = groups[0][0]
 		}
@@ -331,30 +331,30 @@ func (g *genState) localizeSub(plan *Plan, sub *ast.Query, outer *scope, outerFe
 
 	// Build the fetch(es), each projecting the columns of its tables that
 	// the local evaluation reads.
-	needed := neededCols(ctx, chained, own, clauseExprs(sub, kept))
+	needed := neededCols(inner, own, clauseExprs(sub, kept))
 	var from []ast.TableRef
 	for _, grp := range groups {
 		remote := ast.NewQuery()
 		remote.Where = ast.AndAll(pushedTo[grp[0]])
 		part := &RemotePart{Name: g.tempName(), Query: remote}
 		for _, en := range grp {
-			remote.From = append(remote.From, ast.TableRef{Name: en.table, Alias: en.ref})
+			remote.From = append(remote.From, ast.TableRef{Name: en.Name, Alias: en.RefName()})
 			for _, col := range sortedKeys(needed[en]) {
-				if err := g.fetch(part, inner, en.ref, col); err != nil {
+				if err := g.fetch(part, inner, en.RefName(), col); err != nil {
 					return nil, err
 				}
 			}
 		}
 		if len(remote.Projections) == 0 {
 			// EXISTS(SELECT 1 ...) needs at least one column to count rows.
-			if err := g.fetch(part, inner, grp[0].ref, grp[0].info.Cols[0].Name); err != nil {
+			if err := g.fetch(part, inner, grp[0].RefName(), ctx.Tables[grp[0].Name].Cols[0].Name); err != nil {
 				return nil, err
 			}
 		}
 		plan.Subplans = append(plan.Subplans, &Subplan{Name: part.Name, Plan: &Plan{Remote: part}})
 		ref := ast.TableRef{Name: part.Name}
 		if !joint {
-			ref.Alias = grp[0].ref + "_f"
+			ref.Alias = grp[0].RefName() + "_f"
 		}
 		from = append(from, ref)
 	}
@@ -362,7 +362,7 @@ func (g *genState) localizeSub(plan *Plan, sub *ast.Query, outer *scope, outerFe
 	// Rewrite the subquery body over the temp table(s): fetched refs, its
 	// own and the enclosing blocks', take their ref__col names, and nested
 	// subqueries localize recursively.
-	return g.localQuery(plan, sub, kept, from, chained, fetched)
+	return g.localQuery(plan, sub, kept, from, inner, fetched)
 }
 
 // planOutputCols derives the output column names of a completed plan.
@@ -370,15 +370,7 @@ func planOutputCols(p *Plan) []string {
 	if p.Local != nil {
 		var out []string
 		for _, pr := range p.Local.Projections {
-			name := pr.Alias
-			if name == "" {
-				if cr, ok := pr.Expr.(*ast.ColumnRef); ok {
-					name = cr.Column
-				} else {
-					name = pr.Expr.SQL()
-				}
-			}
-			out = append(out, name)
+			out = append(out, ast.OutputName(pr))
 		}
 		return out
 	}

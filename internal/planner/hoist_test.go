@@ -71,7 +71,7 @@ func FuzzHoistBind(f *testing.F) {
 		}
 		want, werr := Prepare(q, nil)
 		shape, vals, order := HoistLiterals(q, "$h")
-		got, _, gerr := PrepareTagged(shape, vals)
+		got, _, gerr := prepareTagged(shape, vals, nil)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("%s\nprepared: %v\nhoisted and bound: %v", sql, werr, gerr)
 		}

@@ -35,13 +35,18 @@ func BuildJoinGroups(ctx *Context, queries []*ast.Query) map[string]string {
 		}
 	}
 
-	// Every block's WHERE equalities, resolved through its scope chained
-	// over its enclosing blocks'.
+	// Every block's WHERE equalities between two base-table columns, each
+	// bound by the resolver.
 	for _, q := range queries {
-		ctx.blockScopes(q, nil, func(b *ast.Query, s *scope) {
-			if s == nil {
-				return
+		// A name that fails to bind joins nothing.
+		base := make(map[*ast.ColumnRef]string) // column -> its base table
+		_ = ast.Bind(q, nil, tables(ctx.Tables), func(c *ast.ColumnRef, b ast.Binding) error {
+			if b.Block != nil && b.Entry >= 0 && b.Block.From[b.Entry].Sub == nil {
+				base[c] = b.Block.From[b.Entry].Name
 			}
+			return nil
+		})
+		ast.EachBlock(q, func(b, _ *ast.Query) {
 			ast.Walk(b.Where, func(x ast.Expr) {
 				eq, ok := x.(*ast.BinaryExpr)
 				if !ok || eq.Op != ast.OpEq {
@@ -49,16 +54,11 @@ func BuildJoinGroups(ctx *Context, queries []*ast.Query) map[string]string {
 				}
 				lcr, lok := eq.Left.(*ast.ColumnRef)
 				rcr, rok := eq.Right.(*ast.ColumnRef)
-				if !lok || !rok {
+				if !lok || !rok || base[lcr] == "" || base[rcr] == "" {
 					return
 				}
-				le, lok := s.entryFor(lcr)
-				re, rok := s.entryFor(rcr)
-				if !lok || !rok || le.table == "" || re.table == "" {
-					return
-				}
-				lid := le.table + "." + lcr.Column
-				rid := re.table + "." + rcr.Column
+				lid := base[lcr] + "." + lcr.Column
+				rid := base[rcr] + "." + rcr.Column
 				if lid != rid {
 					union(lid, rid)
 				}

@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"fmt"
+
 	"repro/internal/ast"
 	"repro/internal/enc"
 )
@@ -43,16 +45,18 @@ func (ctx *Context) AttachKeyFilters(p *Plan) {
 		return
 	}
 	lv := newFilterLevel(ctx, p)
-	ast.EachBlock(p.Local, func(b, enclosing *ast.Query) {
+	// A residual that does not resolve gets no filter; the engine reports it.
+	if err := ast.Bind(p.Local, nil, lv, func(c *ast.ColumnRef, b ast.Binding) error {
+		lv.bound[c] = b
+		return nil
+	}); err != nil {
+		return
+	}
+	ast.EachBlock(p.Local, func(b, _ *ast.Query) {
 		for i := range b.From {
 			if f := &b.From[i]; f.Sub == nil {
 				lv.reads[f.Name]++
-			} else {
-				lv.derived[f.Sub] = true
 			}
-		}
-		if !lv.derived[b] {
-			lv.outer[b] = enclosing
 		}
 	})
 	ast.EachBlock(p.Local, func(b, _ *ast.Query) {
@@ -70,24 +74,21 @@ type filterTemp struct {
 }
 
 // filterLevel is the key-filter analysis of one plan level: the temp tables
-// its residual reads, how many FROM entries read each, and each block's
-// enclosing block (nil for the residual itself and for derived tables, which
-// cannot see outer columns).
+// its residual reads, how many FROM entries read each, and what each column
+// reference of the residual binds to.
 type filterLevel struct {
-	ctx     *Context
-	temps   map[string]*filterTemp
-	reads   map[string]int
-	outer   map[*ast.Query]*ast.Query
-	derived map[*ast.Query]bool
+	ctx   *Context
+	temps map[string]*filterTemp
+	reads map[string]int
+	bound map[*ast.ColumnRef]ast.Binding
 }
 
 func newFilterLevel(ctx *Context, p *Plan) *filterLevel {
 	lv := &filterLevel{
-		ctx:     ctx,
-		temps:   make(map[string]*filterTemp),
-		reads:   make(map[string]int),
-		outer:   make(map[*ast.Query]*ast.Query),
-		derived: make(map[*ast.Query]bool),
+		ctx:   ctx,
+		temps: make(map[string]*filterTemp),
+		reads: make(map[string]int),
+		bound: make(map[*ast.ColumnRef]ast.Binding),
 	}
 	add := func(name string, sub *Plan) {
 		t := &filterTemp{cols: make(map[string]bool)}
@@ -108,6 +109,16 @@ func newFilterLevel(ctx *Context, p *Plan) *filterLevel {
 	return lv
 }
 
+// HasColumn reports whether the level's temp table has column col: the
+// residual's names resolve against the level's temp tables.
+func (lv *filterLevel) HasColumn(table, col string) (bool, error) {
+	t := lv.temps[table]
+	if t == nil {
+		return false, fmt.Errorf("planner: no temp table %s", table)
+	}
+	return t.cols[col], nil
+}
+
 // consider attaches the filter one WHERE conjunct of block b implies, if any.
 func (lv *filterLevel) consider(b *ast.Query, conj ast.Expr) {
 	switch x := conj.(type) {
@@ -120,7 +131,7 @@ func (lv *filterLevel) consider(b *ast.Query, conj ast.Expr) {
 		if !ok {
 			return
 		}
-		if src, ok := lv.resolveIn(x.Sub, s); ok && src != "" {
+		if src, blk := lv.resolve(s); blk == x.Sub && src != "" {
 			lv.attach(b, p, src, s.Column)
 		}
 	case *ast.BinaryExpr:
@@ -130,7 +141,7 @@ func (lv *filterLevel) consider(b *ast.Query, conj ast.Expr) {
 			return
 		}
 		for _, pair := range [2][2]*ast.ColumnRef{{l, r}, {r, l}} {
-			if src, _ := lv.resolve(b, pair[1]); src != "" {
+			if src, _ := lv.resolve(pair[1]); src != "" {
 				lv.attach(b, pair[0], src, pair[1].Column)
 			}
 		}
@@ -141,7 +152,7 @@ func (lv *filterLevel) consider(b *ast.Query, conj ast.Expr) {
 // FROM entry is the table's only reader, the table is a remote part's output
 // with a DET key column p and no filter yet, and src does not depend on it.
 func (lv *filterLevel) attach(b *ast.Query, p *ast.ColumnRef, src, srcCol string) {
-	target, blk := lv.resolve(b, p)
+	target, blk := lv.resolve(p)
 	if blk != b || target == src || lv.reads[target] != 1 {
 		return
 	}
@@ -167,44 +178,15 @@ func (lv *filterLevel) attach(b *ast.Query, p *ast.ColumnRef, src, srcCol string
 	}
 }
 
-// resolve finds the temp table a column reference in block b reads, looking
-// outward through enclosing blocks as the engine does; blk is the block whose
-// FROM holds it. An empty name means it does not resolve to a temp table
-// unambiguously.
-func (lv *filterLevel) resolve(b *ast.Query, c *ast.ColumnRef) (name string, blk *ast.Query) {
-	for blk = b; blk != nil; blk = lv.outer[blk] {
-		name, ok := lv.resolveIn(blk, c)
-		if !ok {
-			return "", nil
-		}
-		if name != "" {
-			return name, blk
-		}
+// resolve returns the temp table a column reference of the residual reads
+// and blk, the block whose FROM holds it; an empty name when it binds to a
+// derived table, an alias or nothing.
+func (lv *filterLevel) resolve(c *ast.ColumnRef) (name string, blk *ast.Query) {
+	b := lv.bound[c]
+	if b.Block == nil || b.Entry < 0 || b.Block.From[b.Entry].Sub != nil {
+		return "", nil
 	}
-	return "", nil
-}
-
-// resolveIn resolves c against block b's own FROM: the temp table holding it
-// ("" when none does), or ok=false when the answer is unknown — an ambiguous
-// name, or a derived table whose columns this analysis does not track.
-func (lv *filterLevel) resolveIn(b *ast.Query, c *ast.ColumnRef) (name string, ok bool) {
-	for i := range b.From {
-		f := &b.From[i]
-		if c.Table != "" && f.RefName() != c.Table {
-			continue
-		}
-		t := lv.temps[f.Name]
-		if f.Sub != nil || t == nil {
-			return "", false
-		}
-		if t.cols[c.Column] {
-			if name != "" {
-				return "", false
-			}
-			name = f.Name
-		}
-	}
-	return name, true
+	return b.Block.From[b.Entry].Name, b.Block
 }
 
 // detKeyColumn returns the RemoteSQL expression and DET item behind part's

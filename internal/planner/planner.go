@@ -279,7 +279,7 @@ func (ctx *Context) costPlan(p *Plan) {
 func (e *estimator) costPart(part *RemotePart, prefilter bool) (server, transfer, client float64) {
 	ctx := e.ctx
 	q := part.Query
-	s, err := ctx.newScope(q)
+	s, err := ctx.newScope(q, nil)
 	if err != nil {
 		return 0, 0, 0
 	}
@@ -287,7 +287,7 @@ func (e *estimator) costPart(part *RemotePart, prefilter bool) (server, transfer
 	inputRows := e.joinEstimate(s, q.From, conjuncts)
 	coverage := 1.0
 	for _, c := range conjuncts {
-		if entry := s.singleEntry(c); entry != nil {
+		if entry := singleEntry(s, c); entry != nil {
 			coverage *= e.selectivity(s, c)
 		}
 	}

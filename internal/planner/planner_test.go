@@ -140,7 +140,7 @@ func TestUnitItemsMatchOperations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := ctx.newScope(q)
+		s, err := ctx.newScope(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,8 +367,19 @@ func TestPrepareResolvesAliases(t *testing.T) {
 	}
 }
 
+// ctxPrep is prep through Context.Prepare, which resolves names and
+// flattens derived tables against the schema.
+func ctxPrep(t *testing.T, sql string) *ast.Query {
+	t.Helper()
+	q, _, err := testContext(t).Prepare(sqlparser.MustParse(sql), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 func TestPrepareFlattensDerived(t *testing.T) {
-	q := prep(t, `SELECT x, SUM(v) FROM (SELECT o_cust AS x, o_total AS v FROM orders WHERE o_total > 5) t GROUP BY x`)
+	q := ctxPrep(t, `SELECT x, SUM(v) FROM (SELECT o_cust AS x, o_total AS v FROM orders WHERE o_total > 5) t GROUP BY x`)
 	if len(q.From) != 1 || q.From[0].Sub != nil {
 		t.Fatalf("derived table not flattened: %s", q.SQL())
 	}
@@ -378,7 +389,7 @@ func TestPrepareFlattensDerived(t *testing.T) {
 }
 
 func TestPrepareKeepsGroupedDerived(t *testing.T) {
-	q := prep(t, `SELECT m FROM (SELECT MAX(o_total) AS m FROM orders GROUP BY o_cust) t`)
+	q := ctxPrep(t, `SELECT m FROM (SELECT MAX(o_total) AS m FROM orders GROUP BY o_cust) t`)
 	if q.From[0].Sub == nil {
 		t.Error("grouped derived table must not flatten")
 	}
@@ -401,7 +412,7 @@ func TestBindParams(t *testing.T) {
 func TestRewritePredForms(t *testing.T) {
 	ctx := testContext(t)
 	q := prep(t, `SELECT o_id FROM orders, items WHERE o_id = i_order`)
-	s, err := ctx.newScope(q)
+	s, err := ctx.newScope(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package planner
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/value"
@@ -24,16 +23,29 @@ import (
 //
 // Passes 1–3 rewrite every clause of every block once (ast.RewriteStatement);
 // pass 5 rewrites each block's own HAVING and ORDER BY (ast.EachBlock); pass
-// 4 touches only the references that provably name the derived table it
+// 4 touches only the references the resolver binds to the derived table it
 // removes (flattenDerived).
 
-// Prepare applies all passes, returning a transformed clone.
+// Prepare applies the passes that need no schema, returning a transformed
+// clone: it checks no name and flattens no derived table (Context.Prepare
+// does both).
 func Prepare(q *ast.Query, params map[string]value.Value) (*ast.Query, error) {
-	out, _, err := PrepareTagged(q, params)
+	out, _, err := prepareTagged(q, params, nil)
 	return out, err
 }
 
-// BoundSlot records one parameter occurrence bound by PrepareTagged: Tag is
+// Prepare resolves every name of q against the context's tables — an
+// unknown or ambiguous one is ast.ErrUnknownColumn / ast.ErrAmbiguousColumn
+// before anything is planned or sent — and applies all passes with
+// plan-cache provenance (prepareTagged).
+func (ctx *Context) Prepare(q *ast.Query, params map[string]value.Value) (*ast.Query, []BoundSlot, error) {
+	if err := ast.Resolve(q, tables(ctx.Tables)); err != nil {
+		return nil, nil, err
+	}
+	return prepareTagged(q, params, tables(ctx.Tables))
+}
+
+// BoundSlot records one parameter occurrence bound by prepareTagged: Tag is
 // the unique provenance tag stamped on the bound literal (Literal.Src),
 // Param the parameter it was bound from. A plan template is sound for a
 // query shape only if every bound occurrence survives planning as a
@@ -44,10 +56,10 @@ type BoundSlot struct {
 	Param string
 }
 
-// PrepareTagged is Prepare with plan-cache provenance: every literal bound
+// prepareTagged is Prepare with plan-cache provenance: every literal bound
 // from a parameter carries a unique per-occurrence Src tag, and the full
 // occurrence list is returned for the template coverage check.
-func PrepareTagged(q *ast.Query, params map[string]value.Value) (*ast.Query, []BoundSlot, error) {
+func prepareTagged(q *ast.Query, params map[string]value.Value, cat ast.Catalog) (*ast.Query, []BoundSlot, error) {
 	out := q.Clone()
 	slots, err := bindParams(out, params)
 	if err != nil {
@@ -55,11 +67,11 @@ func PrepareTagged(q *ast.Query, params map[string]value.Value) (*ast.Query, []B
 	}
 	ast.RewriteStatement(out, foldConstant)
 	ast.RewriteStatement(out, lowerAvg)
-	if err := flattenDerived(out); err != nil {
+	flattenDerived(out, cat)
+	nameDerivedColumns(out)
+	if err := resolveAliases(out); err != nil {
 		return nil, nil, err
 	}
-	nameDerivedColumns(out)
-	resolveAliases(out)
 	return out, slots, nil
 }
 
@@ -85,38 +97,20 @@ func nameDerivedColumns(q *ast.Query) {
 // resolveAliases inlines SELECT-list aliases referenced from HAVING and
 // ORDER BY (e.g. ORDER BY revenue DESC), so the planner reasons about the
 // underlying expressions: each block's own aliases, in its own HAVING and
-// ORDER BY.
-func resolveAliases(q *ast.Query) {
+// ORDER BY, by the resolver's rule (ast.WithAliases), cloned so no two
+// clauses share a node.
+func resolveAliases(q *ast.Query) (err error) {
 	ast.EachBlock(q, func(b, _ *ast.Query) {
-		var aliases map[string]ast.Expr
-		for _, p := range b.Projections {
-			if p.Alias == "" {
-				continue
-			}
-			if cr, ok := p.Expr.(*ast.ColumnRef); ok && cr.Column == p.Alias {
-				continue
-			}
-			if aliases == nil {
-				aliases = make(map[string]ast.Expr)
-			}
-			aliases[p.Alias] = p.Expr
+		bound, berr := ast.WithAliases(b)
+		if err == nil {
+			err = berr
 		}
-		if aliases == nil {
-			return
-		}
-		subst := func(x ast.Expr) ast.Expr {
-			if cr, ok := x.(*ast.ColumnRef); ok && cr.Table == "" {
-				if repl, ok := aliases[cr.Column]; ok {
-					return repl.Clone()
-				}
-			}
-			return nil
-		}
-		b.Having = ast.RewriteExpr(b.Having, subst)
-		for i := range b.OrderBy {
-			b.OrderBy[i].Expr = ast.RewriteExpr(b.OrderBy[i].Expr, subst)
+		if bound != b {
+			c := bound.Clone()
+			b.Having, b.OrderBy = c.Having, c.OrderBy
 		}
 	})
+	return err
 }
 
 // bindParams replaces Param nodes with literal values, stamping each bound
@@ -202,135 +196,69 @@ func lowerAvg(x ast.Expr) ast.Expr {
 
 // flattenDerived merges a simple derived table (projection/join/filter
 // only) that is its parent's only FROM entry — the SELECT-only wrappers of
-// TPC-H Q7/8/9/22 — into the parent: each reference to one of its output
-// columns becomes the projection expression it names, and its FROM and
-// WHERE become the parent's. Prepare has no catalog, so it replaces only
-// references that provably name the derived table: unqualified and
-// alias-qualified ones in the parent's own clauses, and alias-qualified ones
-// in the blocks nested in them unless a block on the way re-binds the alias
-// — never anything inside the derived block. flatSites refuses what it
-// cannot prove, and the planner runs the derived table as a subplan.
-func flattenDerived(q *ast.Query) error {
-	if len(q.From) != 1 || q.From[0].Sub == nil || !flattenable(q.From[0].Sub) {
-		return nil
+// TPC-H Q7/8/9/22 — into the parent: every reference the resolver binds to
+// one of its outputs becomes the projection expression (qualified by the
+// derived table's only FROM name in a nested block), and its FROM and WHERE
+// become the parent's. The result is bound again and kept only if each
+// substituted column binds to the FROM entry it bound to in the derived
+// table; otherwise, and without a catalog, the planner runs the derived
+// table as a subplan.
+func flattenDerived(q *ast.Query, cat ast.Catalog) {
+	if cat == nil || len(q.From) != 1 || q.From[0].Sub == nil || !flattenable(q.From[0].Sub) {
+		return
 	}
-	sub, alias, sole := q.From[0].Sub, q.From[0].RefName(), ""
+	flat := q.Clone()
+	sub, sole := flat.From[0].Sub, ""
 	if len(sub.From) == 1 {
 		sole = sub.From[0].RefName()
 	}
-	cols := make(map[string]ast.Expr, len(sub.Projections))
-	for _, p := range sub.Projections {
-		name := p.Alias
-		if name == "" {
-			cr, ok := p.Expr.(*ast.ColumnRef)
-			if !ok {
-				return fmt.Errorf("planner: derived table %s has unnamed projection %s", alias, p.Expr.SQL())
-			}
-			name = cr.Column
+	own := make(map[*ast.ColumnRef]bool) // in the parent's own clauses
+	star := false                        // would expand to other columns
+	flat.EachExpr(func(e ast.Expr) {
+		for _, c := range ast.Columns(e) {
+			own[c], star = true, star || c.Column == "*"
 		}
-		cols[name] = p.Expr
-	}
-	sites, ok := flatSites(q, cols, sole)
-	if !ok {
-		return nil
-	}
-	q.RewriteExprs(func(x ast.Expr) ast.Expr {
-		if cr, ok := x.(*ast.ColumnRef); ok && (cr.Table == "" || cr.Table == alias) {
-			if e, ok := cols[cr.Column]; ok {
-				return e.Clone()
-			}
+	})
+	moved := make(map[*ast.ColumnRef]bool) // bound to the derived table
+	entry := make(map[*ast.ColumnRef]int)  // bound inside it, to entry
+	if star || ast.Bind(flat, nil, cat, func(c *ast.ColumnRef, b ast.Binding) error {
+		if b.Block == flat && b.Entry == 0 {
+			moved[c] = true
+		} else if b.Block == sub {
+			entry[c] = b.Entry
 		}
 		return nil
-	})
-	for _, b := range sites {
-		b.RewriteExprs(func(x ast.Expr) ast.Expr {
-			if cr, ok := x.(*ast.ColumnRef); ok && cr.Table == alias {
-				if e, ok := cols[cr.Column]; ok {
-					return qualify(e, sole)
+	}) != nil {
+		return
+	}
+	want := make(map[*ast.ColumnRef]int) // substituted, to bind to entry
+	ast.RewriteStatement(flat, func(x ast.Expr) ast.Expr {
+		c, ok := x.(*ast.ColumnRef)
+		for i := 0; ok && moved[c] && i < len(sub.Projections); i++ {
+			if e := sub.Projections[i].Expr; ast.OutputName(sub.Projections[i]) == c.Column {
+				repl := e.Clone()
+				if !own[c] && sole != "" {
+					repl = qualify(e, sole)
 				}
+				from := ast.Columns(e)
+				for j, rc := range ast.Columns(repl) {
+					want[rc] = entry[from[j]]
+				}
+				return repl
 			}
-			return nil
-		})
-	}
-	q.From = sub.From
-	q.Where = ast.AndAll([]ast.Expr{q.Where, sub.Where})
-	return nil
-}
-
-// flatSites decides whether q's derived table, with output columns cols and
-// only FROM name sole ("" when it has several), can be flattened, and
-// returns the blocks nested in q's clauses whose alias-qualified references
-// to it flattening rewrites. It refuses when q's own clauses name `*`, when
-// a nested block names an output column unqualified (it may be that block's
-// own column), and when an expression substituted into a nested block could
-// be captured there: it holds a subquery, an unqualified column of a
-// multi-table derived table, or a qualifier that a block on the way binds
-// again.
-func flatSites(q *ast.Query, cols map[string]ast.Expr, sole string) (sites []*ast.Query, ok bool) {
-	sub, alias := q.From[0].Sub, q.From[0].RefName()
-	ok = true
-	q.EachExpr(func(e ast.Expr) {
-		ast.Walk(e, func(x ast.Expr) {
-			if cr, isCol := x.(*ast.ColumnRef); isCol && cr.Column == "*" {
-				ok = false
-			}
-		})
+		}
+		return nil
 	})
-	// bound maps q and every block nested in its clauses to the FROM names
-	// the nested blocks down to it bind.
-	bound := map[*ast.Query][]string{q: nil}
-	ast.EachBlock(q, func(b, up *ast.Query) {
-		outer, visible := bound[up]
-		if !ok || !visible || b == sub {
-			return
+	flat.From = sub.From
+	flat.Where = ast.AndAll([]ast.Expr{flat.Where, sub.Where})
+	if ast.Bind(flat, nil, cat, func(c *ast.ColumnRef, b ast.Binding) error {
+		if e, ok := want[c]; ok && (b.Block != flat || b.Entry != e) {
+			return fmt.Errorf("planner: flattened %s binds elsewhere", c.SQL())
 		}
-		names := slices.Clip(outer)
-		for _, f := range b.From {
-			names = append(names, f.RefName())
-		}
-		bound[b] = names
-		shadowed := slices.Contains(names, alias)
-		site := false
-		b.EachExpr(func(e ast.Expr) {
-			ast.Walk(e, func(x ast.Expr) {
-				cr, isCol := x.(*ast.ColumnRef)
-				if !isCol {
-					return
-				}
-				repl, isOut := cols[cr.Column]
-				switch {
-				case !isOut || (cr.Table != "" && (cr.Table != alias || shadowed)):
-				case cr.Table == "" || capturable(repl, sole, names):
-					ok = false
-				default:
-					site = true
-				}
-			})
-		})
-		if site {
-			sites = append(sites, b)
-		}
-	})
-	return sites, ok
-}
-
-// capturable reports whether e, substituted into a block where the FROM
-// names in bound are in scope, might resolve differently than in the derived
-// table it came from. Unqualified columns count as qualified by sole.
-func capturable(e ast.Expr, sole string, bound []string) bool {
-	if ast.HasSubquery(e) {
-		return true
+		return nil
+	}) == nil {
+		*q = *flat
 	}
-	for _, c := range ast.Columns(e) {
-		t := c.Table
-		if t == "" {
-			t = sole
-		}
-		if t == "" || slices.Contains(bound, t) {
-			return true
-		}
-	}
-	return false
 }
 
 // qualify clones e with its unqualified columns qualified by ref.
@@ -344,14 +272,14 @@ func qualify(e ast.Expr, ref string) ast.Expr {
 }
 
 // flattenable reports whether a derived table is a pure
-// select/project/join block that names its output columns.
+// select/project/join block whose outputs are per-row expressions.
 func flattenable(sub *ast.Query) bool {
 	if len(sub.GroupBy) > 0 || sub.Having != nil || sub.Distinct ||
 		sub.Limit >= 0 || len(sub.OrderBy) > 0 {
 		return false
 	}
 	for _, p := range sub.Projections {
-		if cr, ok := p.Expr.(*ast.ColumnRef); (ok && cr.Column == "*") || ast.HasAggregate(p.Expr) {
+		if cr, ok := p.Expr.(*ast.ColumnRef); (ok && cr.Column == "*") || ast.HasAggregate(p.Expr) || ast.HasSubquery(p.Expr) {
 			return false
 		}
 	}

@@ -51,40 +51,13 @@ func (ctx *Context) rewriteValue(s *scope, e ast.Expr, schemes ...enc.Scheme) (a
 	return rewriter{ctx: ctx}.rewriteValue(s, e, schemes...)
 }
 
-// chain links a scope to an enclosing one for correlated subqueries.
-func (s *scope) chain(parent *scope) *scope {
-	c := *s
-	c.parent = parent
-	return &c
-}
-
-// entryFor finds the scope entry resolving a column, walking outward.
-func (s *scope) entryFor(c *ast.ColumnRef) (*scopeEntry, bool) {
-	for cur := s; cur != nil; cur = cur.parent {
-		if c.Table != "" {
-			for i := range cur.entries {
-				if cur.entries[i].ref == c.Table {
-					return &cur.entries[i], cur.entries[i].info.Has(c.Column)
-				}
-			}
-			continue
-		}
-		for i := range cur.entries {
-			if cur.entries[i].info.Has(c.Column) {
-				return &cur.entries[i], true
-			}
-		}
-	}
-	return nil, false
-}
-
 // singleEntry returns the one scope entry all of e's columns resolve to,
 // or nil (multi-table expressions, derived tables, no columns).
-func (s *scope) singleEntry(e ast.Expr) *scopeEntry {
-	var entry *scopeEntry
+func singleEntry(s *scope, e ast.Expr) *ast.TableRef {
+	var entry *ast.TableRef
 	for _, c := range ast.Columns(e) {
-		en, ok := s.entryFor(c)
-		if !ok || en == nil || en.table == "" {
+		en := bind(s, c)
+		if en == nil || en.Sub != nil {
 			return nil
 		}
 		if entry != nil && entry != en {
@@ -138,9 +111,9 @@ func (r rewriter) encrypt(it *enc.Item, c ast.Expr) (ast.Expr, bool) {
 // belong to entry) under scheme. The candidate design proposes one for any
 // per-row expression of a suitable kind; aggregates and subqueries are not
 // per-row.
-func (r rewriter) item(s *scope, entry *scopeEntry, e ast.Expr, scheme enc.Scheme) (*enc.Item, bool) {
+func (r rewriter) item(s *scope, entry *ast.TableRef, e ast.Expr, scheme enc.Scheme) (*enc.Item, bool) {
 	if !r.candidate {
-		return r.ctx.findItem(entry.table, e, scheme)
+		return r.ctx.findItem(entry.Name, e, scheme)
 	}
 	if ast.HasAggregate(e) || ast.HasSubquery(e) {
 		return nil, false
@@ -153,13 +126,13 @@ func (r rewriter) item(s *scope, entry *scopeEntry, e ast.Expr, scheme enc.Schem
 // under one of the preferred schemes (tried in order). Returns the server
 // expression and the item that encrypts it.
 func (r rewriter) rewriteValue(s *scope, e ast.Expr, schemes ...enc.Scheme) (ast.Expr, *enc.Item, bool) {
-	entry := s.singleEntry(e)
+	entry := singleEntry(s, e)
 	if entry == nil {
 		return nil, nil, false
 	}
 	for _, scheme := range schemes {
 		if it, ok := r.item(s, entry, e, scheme); ok {
-			return &ast.ColumnRef{Table: entry.ref, Column: it.ColumnName()}, it, true
+			return &ast.ColumnRef{Table: entry.RefName(), Column: it.ColumnName()}, it, true
 		}
 	}
 	return nil, nil, false
@@ -368,19 +341,17 @@ func (r rewriter) rewriteSubquery(outer *scope, q *ast.Query, needProj bool) (ou
 	if len(q.GroupBy) > 0 || q.Having != nil || len(q.OrderBy) > 0 || q.Distinct {
 		return nil, nil, nil, false
 	}
-	inner, err := r.ctx.newScope(q)
+	s, err := r.ctx.newScope(q, outer)
 	if err != nil {
 		return nil, nil, nil, false
 	}
 	out = ast.NewQuery()
-	for i := range inner.entries {
-		en := &inner.entries[i]
-		if en.table == "" {
+	for _, f := range q.From {
+		if f.Sub != nil {
 			return nil, nil, nil, false // derived tables do not push into EXISTS
 		}
-		out.From = append(out.From, ast.TableRef{Name: en.table, Alias: en.ref})
+		out.From = append(out.From, ast.TableRef{Name: f.Name, Alias: f.RefName()})
 	}
-	s := inner.chain(outer)
 	if q.Where != nil {
 		if out.Where, items, ok = r.rewritePred(s, q.Where); !ok {
 			return nil, nil, nil, false

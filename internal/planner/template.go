@@ -10,7 +10,7 @@ package planner
 // the local residual). Executing a cached shape is then Rebind + run; no
 // parsing, no rewriting, no costing.
 //
-// Soundness rests on provenance tags: PrepareTagged stamps every bound
+// Soundness rests on provenance tags: Context.Prepare stamps every bound
 // literal occurrence with a unique Literal.Src, the rewriter propagates the
 // tag through encryption (encConst), and Parameterize refuses to build a
 // template unless every occurrence survives planning as a rebindable site.
@@ -56,7 +56,7 @@ type Template struct {
 
 // Parameterize converts a freshly generated plan into a template. It deep-
 // clones the plan tree, replaces every provenance-tagged literal with a
-// parameter node, and checks coverage: every slot PrepareTagged bound must
+// parameter node, and checks coverage: every slot Context.Prepare bound must
 // reappear at one or more sites. Returns ok=false when the shape is not
 // soundly templatable; the caller then runs (and caches nothing for) the
 // concrete plan.
