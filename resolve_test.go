@@ -3,9 +3,13 @@ package monomi
 import (
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/client"
+	"repro/internal/server"
+	"repro/internal/value"
 )
 
 // Name resolution, differentially: the plaintext engine, the split plan in
@@ -111,19 +115,21 @@ func TestDifferentialNameResolution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		local := &countingExec{Executor: sys.dep.Client.Executor()}
+		sys.dep.Client.SetExecutor(local)
 		paths := []struct {
 			name  string
 			query func(string) (*Rows, error)
 		}{{"plaintext", sys.QueryPlaintext}, {"in-process", sys.Query}, {"remote", remote.Query}}
 		for _, c := range nameCases {
 			for _, p := range paths {
-				served := srv.Stats().Queries
+				sent := srv.Stats().Queries + int64(local.n)
 				rows, err := p.query(c.sql)
 				switch {
 				case c.err != nil && !errors.Is(err, c.err):
 					t.Errorf("%s %s %s: err %v, want %v", backend, p.name, c.sql, err, c.err)
-				case c.err != nil && srv.Stats().Queries != served:
-					t.Errorf("%s %s %s: %d RemoteSQL sent before the error", backend, p.name, c.sql, srv.Stats().Queries-served)
+				case c.err != nil && srv.Stats().Queries+int64(local.n) != sent:
+					t.Errorf("%s %s %s: RemoteSQL sent before the error", backend, p.name, c.sql)
 				case c.err == nil && err != nil:
 					t.Errorf("%s %s %s: %v", backend, p.name, c.sql, err)
 				case c.err == nil && rowsText(rows.Data) != c.rows:
@@ -131,10 +137,29 @@ func TestDifferentialNameResolution(t *testing.T) {
 				}
 			}
 		}
+		if local.n == 0 || srv.Stats().Queries == 0 {
+			t.Fatalf("%s: no RemoteSQL counted (in process %d, served %d)", backend, local.n, srv.Stats().Queries)
+		}
 		remote.Close()
 		srv.Close()
 		sys.Close()
 	}
+}
+
+// countingExec counts the RemoteSQL an in-process client sends.
+type countingExec struct {
+	client.Executor
+	n int
+}
+
+func (e *countingExec) Execute(q *ast.Query, params map[string]value.Value) (*server.Response, error) {
+	e.n++
+	return e.Executor.Execute(q, params)
+}
+
+func (e *countingExec) ExecuteStream(q *ast.Query, params map[string]value.Value, w io.Writer) (*server.StreamStats, error) {
+	e.n++
+	return e.Executor.ExecuteStream(q, params, w)
 }
 
 // rowsText renders rows as [[v v] [v v]].
