@@ -203,7 +203,7 @@ func (g *genState) localQuery(plan *Plan, q *ast.Query, where []ast.Expr, from [
 // resolver binds an alias first — with the block's FROM entry, so the
 // residual reads the temp column the planner meant. Prepare inlined the
 // user's aliases already, so a capture means a user alias is spelled like a
-// temp column (SELECT g AS k0, SUM(x) AS a0 … ORDER BY g). A block reading
+// temp column (SELECT g AS a0, SUM(x) AS k0 … ORDER BY g). A block reading
 // several temp tables refuses such a plan.
 func unshadow(lq *ast.Query) (err error) {
 	qualify := func(x ast.Expr) ast.Expr {
