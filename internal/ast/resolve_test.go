@@ -222,8 +222,9 @@ func tpchCatalog(tb testing.TB) columns {
 	return out
 }
 
-// FuzzResolve: resolution never panics, and a Clone resolves to the same
-// bindings and the same error.
+// FuzzResolve: resolution never panics, a Clone resolves to the same
+// bindings and the same error, and a statement that resolves binds every
+// name it holds once, to an entry or an alias.
 func FuzzResolve(f *testing.F) {
 	for _, n := range tpch.SupportedQueries() {
 		f.Add(tpch.Queries[n])
@@ -251,8 +252,26 @@ func FuzzResolve(f *testing.F) {
 		if got != again || fmt.Sprint(gerr) != fmt.Sprint(aerr) {
 			t.Fatalf("%s\nbinds %s (%v)\nclone %s (%v)", sql, got, gerr, again, aerr)
 		}
-		if gerr == nil && ast.Resolve(q, cat) == nil && ast.Correlated(q, cat) {
-			t.Fatalf("%s: a statement that resolves is correlated", sql)
+		if ast.Resolve(q, cat) != nil {
+			return
+		}
+		// A statement that resolves binds each of its names once, to a FROM
+		// entry of a block or to an alias.
+		refs, binds := 0, 0
+		ast.WalkStatement(q, func(e ast.Expr) {
+			if c, ok := e.(*ast.ColumnRef); ok && c.Column != "*" {
+				refs++
+			}
+		})
+		_ = ast.Bind(q, nil, cat, func(c *ast.ColumnRef, b ast.Binding) error {
+			binds++
+			if b.Block == nil || b.Entry >= len(b.Block.From) || (b.Entry < 0) != (b.Alias != nil) {
+				t.Fatalf("%s: %s bound to %+v", sql, c.SQL(), b)
+			}
+			return nil
+		})
+		if binds != refs {
+			t.Fatalf("%s: %d bindings for %d names", sql, binds, refs)
 		}
 	})
 }

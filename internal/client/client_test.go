@@ -242,7 +242,7 @@ func TestServerGroupByWithHomSum(t *testing.T) {
 	// aggregation (the paper's Q18 effect), so force the greedy plan to
 	// verify the server-grouped path end to end.
 	q := sqlparser.MustParse(`SELECT o_cust, SUM(o_total) AS s FROM orders GROUP BY o_cust ORDER BY s DESC`)
-	prepared, err := planner.Prepare(q, nil)
+	prepared, _, err := f.client.Ctx.Prepare(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -266,7 +266,7 @@ func TestKeyFilterOffOverBudget(t *testing.T) {
 	}
 
 	q := sqlparser.MustParse(kfIn)
-	prepared, err := planner.Prepare(q, nil)
+	prepared, _, err := f.client.Ctx.Prepare(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,7 +313,7 @@ func TestDirectResultMatchesEngine(t *testing.T) {
 		{orders, `SELECT o_id, o_cust FROM orders WHERE o_total > 50`, nil},
 		{orders, `SELECT o_cust, o_total FROM orders o WHERE o.o_date < date '1996-06-01'`, nil},
 	} {
-		q, err := planner.Prepare(sqlparser.MustParse(tc.sql), tc.params)
+		q, _, err := tc.f.client.Ctx.Prepare(sqlparser.MustParse(tc.sql), tc.params)
 		if err != nil {
 			t.Fatal(err)
 		}

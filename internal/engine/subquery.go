@@ -353,11 +353,12 @@ func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, mode subqMode) (*rela
 	// a derived table, whose rows would depend on the outer row — and the
 	// block must not group: the rewrite regroups (scalar) or ungroups (IN,
 	// EXISTS) it.
+	blk := c.block(sub) // as resolve bound it: an ORDER BY alias is no outer name
 	free := len(sub.GroupBy) > 0 || sub.Having != nil
 	for _, f := range sub.From {
 		free = free || (f.Sub != nil && ast.Correlated(f.Sub, c.names()))
 	}
-	sub.EachExpr(func(e ast.Expr) { free = free || (e != sub.Where && s.Outside(e)) })
+	blk.EachExpr(func(e ast.Expr) { free = free || (e != blk.Where && s.Outside(e)) })
 	if free {
 		return nil, nil, errNoDecorrelate
 	}
@@ -389,7 +390,7 @@ func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, mode subqMode) (*rela
 
 	// The inner side is sub as resolve bound it with its correlation removed
 	// (a shallow copy: execution never writes an AST).
-	inq := *c.block(sub)
+	inq := *blk
 	inq.Where = ast.AndAll(innerPreds)
 	if mode == subqExists {
 		// The unprojected FROM/WHERE front, hashed on the inner half of the

@@ -226,4 +226,10 @@ func TestCorrelationOutsideWhere(t *testing.T) {
 			t.Errorf("%s = %v, want [[0]]", sql, res.Rows)
 		}
 	}
+	// An ORDER BY naming the subquery's own alias reads no outer row: the
+	// subquery is still decorrelated, run once.
+	sql := "SELECT a FROM t WHERE a IN (SELECT u.a AS k FROM u WHERE u.c = t.b - 10 ORDER BY k)"
+	if res := run(t, e, sql, nil); fmt.Sprint(res.Rows) != "[[0]]" || res.Stats.SubqueryRuns != 1 {
+		t.Errorf("%s = %v in %d subquery runs, want [[0]] in 1", sql, res.Rows, res.Stats.SubqueryRuns)
+	}
 }

@@ -15,28 +15,21 @@ type TableInfo struct {
 	Cols []storage.Column
 }
 
-// Kind returns a column's plaintext value kind, or Null if absent. Names
-// carrying encrypted-column suffixes (x_det, x_ope, ...) resolve to their
-// base column so the cost model can resolve RemoteSQL queries against
-// plaintext statistics; plaintext queries never use such names.
+// Kind returns a column's plaintext value kind, or Null if absent. A name
+// carrying an encrypted-column suffix (x_det, x_ope, ...) that is no column
+// of its own has its base column's kind, so the cost model can read
+// RemoteSQL against plaintext statistics (encTables).
 func (ti *TableInfo) Kind(col string) value.Kind {
-	for _, c := range ti.Cols {
-		if c.Name == col {
-			return colKind(c.Type)
-		}
-	}
-	if base, ok := StripEncSuffix(col); ok {
+	base, _ := StripEncSuffix(col)
+	for _, name := range [2]string{col, base} {
 		for _, c := range ti.Cols {
-			if c.Name == base {
+			if c.Name == name {
 				return colKind(c.Type)
 			}
 		}
 	}
 	return value.Null
 }
-
-// Has reports whether the table has the named column.
-func (ti *TableInfo) Has(col string) bool { return ti.Kind(col) != value.Null }
 
 // StripEncSuffix removes a trailing encrypted-column suffix, reporting
 // whether one was present.
@@ -110,9 +103,8 @@ func NewContext(cat *storage.Catalog, design *enc.Design, keys *enc.KeyStore, co
 // (Context.Tables, kindOf).
 type scope = ast.Scope
 
-// tables is the plaintext schema as the name resolver sees it. A name with
-// an encrypted-column suffix resolves to its base column (TableInfo.Has), so
-// the cost model can read RemoteSQL against plaintext statistics.
+// tables is the plaintext schema as the name resolver sees it for a user
+// statement: a name must be a schema column exactly, as in the engine.
 type tables map[string]*TableInfo
 
 // HasColumn reports whether the named table has column col.
@@ -121,7 +113,24 @@ func (t tables) HasColumn(table, col string) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("planner: unknown table %s", table)
 	}
-	return info.Has(col), nil
+	for _, c := range info.Cols {
+		if c.Name == col {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// encTables is tables as the cost model reads RemoteSQL through it: an
+// encrypted column's name also stands for its base column (TableInfo.Kind).
+type encTables map[string]*TableInfo
+
+// HasColumn reports whether the named table has column col or its base.
+func (t encTables) HasColumn(table, col string) (bool, error) {
+	if _, err := tables(t).HasColumn(table, ""); err != nil {
+		return false, err
+	}
+	return t[table].Kind(col) != value.Null, nil
 }
 
 // newScope builds the scope of block q, chained to parent (nil for a block
@@ -164,16 +173,6 @@ func (ctx *Context) kindOf(s *scope, c *ast.ColumnRef) value.Kind {
 	default:
 		return ctx.Tables[f.Name].Kind(c.Column)
 	}
-}
-
-// eachRef calls fn with every column e names, nested blocks included, and
-// the FROM entry it binds to. Context.Prepare resolved every name, so none
-// fails here.
-func eachRef(s *scope, e ast.Expr, fn func(*ast.TableRef, string)) {
-	_ = s.BindExpr(e, func(c *ast.ColumnRef, b ast.Binding) error {
-		fn(entry(b), c.Column)
-		return nil
-	})
 }
 
 // stripQualifiers clones e with table qualifiers removed, the canonical

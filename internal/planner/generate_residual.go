@@ -112,14 +112,15 @@ func clauseExprs(q *ast.Query, where []ast.Expr) []ast.Expr {
 func neededCols(s *scope, own map[*ast.TableRef]bool, exprs []ast.Expr) map[*ast.TableRef]map[string]bool {
 	out := make(map[*ast.TableRef]map[string]bool)
 	for _, e := range exprs {
-		eachRef(s, e, func(en *ast.TableRef, col string) {
-			if !own[en] {
-				return
+		// Context.Prepare resolved every name, so none fails here.
+		_ = s.BindExpr(e, func(c *ast.ColumnRef, b ast.Binding) error {
+			if en := entry(b); own[en] {
+				if out[en] == nil {
+					out[en] = make(map[string]bool)
+				}
+				out[en][c.Column] = true
 			}
-			if out[en] == nil {
-				out[en] = make(map[string]bool)
-			}
-			out[en][col] = true
+			return nil
 		})
 	}
 	return out

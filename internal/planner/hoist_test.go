@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/sqlparser"
+	"repro/internal/storage"
 	"repro/internal/tpch"
 )
 
@@ -51,12 +52,35 @@ func BenchmarkHoistLiterals(b *testing.B) {
 
 var hoistSink *ast.Query
 
+// hoistContext is a planning context over the TPC-H schema and the seeds'
+// sales and cats tables: enough for Context.Prepare to resolve the seeds'
+// names and flatten their derived tables.
+func hoistContext(tb testing.TB) *Context {
+	cat, err := tpch.Generate(0.0005, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, s := range []storage.Schema{
+		{Name: "sales", Cols: []storage.Column{{Name: "s_id", Type: storage.TInt}, {Name: "s_cat", Type: storage.TStr},
+			{Name: "s_qty", Type: storage.TInt}, {Name: "s_price", Type: storage.TInt}, {Name: "s_date", Type: storage.TDate}}},
+		{Name: "cats", Cols: []storage.Column{{Name: "c_name", Type: storage.TStr}, {Name: "c_region", Type: storage.TStr},
+			{Name: "c_tier", Type: storage.TInt}}},
+	} {
+		if _, err := cat.Create(s); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return NewContext(cat, nil, nil, nil)
+}
+
 // FuzzHoistBind: for any statement the parser accepts, hoisting its literals
 // and binding them back (what a plan-cache miss does) prepares to the same
-// SQL as preparing the statement itself, or both fail; neither panics. The
-// hoisted shape holds no literal, one slot per occurrence, and hoisting is
-// deterministic. The prefix is one the lexer cannot produce, so a
-// statement's own parameters never collide with a slot.
+// SQL as preparing the statement itself, or both fail; neither panics. Both
+// go through Context.Prepare, so names are resolved and derived tables
+// flattened with the literals hoisted. The hoisted shape holds no literal,
+// one slot per occurrence, and hoisting is deterministic. The prefix is one
+// the lexer cannot produce, so a statement's own parameters never collide
+// with a slot.
 func FuzzHoistBind(f *testing.F) {
 	for _, n := range tpch.SupportedQueries() {
 		f.Add(tpch.Queries[n])
@@ -64,14 +88,15 @@ func FuzzHoistBind(f *testing.F) {
 	for _, sql := range hoistSeeds {
 		f.Add(sql)
 	}
+	ctx := hoistContext(f)
 	f.Fuzz(func(t *testing.T, sql string) {
 		q, err := sqlparser.Parse(sql)
 		if err != nil {
 			return
 		}
-		want, werr := Prepare(q, nil)
+		want, _, werr := ctx.Prepare(q, nil)
 		shape, vals, order := HoistLiterals(q, "$h")
-		got, _, gerr := prepareTagged(shape, vals, nil)
+		got, _, gerr := ctx.Prepare(shape, vals)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("%s\nprepared: %v\nhoisted and bound: %v", sql, werr, gerr)
 		}

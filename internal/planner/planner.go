@@ -283,6 +283,7 @@ func (e *estimator) costPart(part *RemotePart, prefilter bool) (server, transfer
 	if err != nil {
 		return 0, 0, 0
 	}
+	s.Cat = encTables(ctx.Tables)
 	conjuncts := ast.Conjuncts(q.Where)
 	inputRows := e.joinEstimate(s, q.From, conjuncts)
 	coverage := 1.0

@@ -80,13 +80,15 @@ func testContext(t testing.TB) *Context {
 	return ctx
 }
 
+// prep parses sql and prepares it as the client does, against
+// testContext's tables.
 func prep(t testing.TB, sql string) *ast.Query {
 	t.Helper()
 	q, err := sqlparser.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Prepare(q, nil)
+	p, _, err := testContext(t).Prepare(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,19 +369,8 @@ func TestPrepareResolvesAliases(t *testing.T) {
 	}
 }
 
-// ctxPrep is prep through Context.Prepare, which resolves names and
-// flattens derived tables against the schema.
-func ctxPrep(t *testing.T, sql string) *ast.Query {
-	t.Helper()
-	q, _, err := testContext(t).Prepare(sqlparser.MustParse(sql), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
-}
-
 func TestPrepareFlattensDerived(t *testing.T) {
-	q := ctxPrep(t, `SELECT x, SUM(v) FROM (SELECT o_cust AS x, o_total AS v FROM orders WHERE o_total > 5) t GROUP BY x`)
+	q := prep(t, `SELECT x, SUM(v) FROM (SELECT o_cust AS x, o_total AS v FROM orders WHERE o_total > 5) t GROUP BY x`)
 	if len(q.From) != 1 || q.From[0].Sub != nil {
 		t.Fatalf("derived table not flattened: %s", q.SQL())
 	}
@@ -389,22 +380,23 @@ func TestPrepareFlattensDerived(t *testing.T) {
 }
 
 func TestPrepareKeepsGroupedDerived(t *testing.T) {
-	q := ctxPrep(t, `SELECT m FROM (SELECT MAX(o_total) AS m FROM orders GROUP BY o_cust) t`)
+	q := prep(t, `SELECT m FROM (SELECT MAX(o_total) AS m FROM orders GROUP BY o_cust) t`)
 	if q.From[0].Sub == nil {
 		t.Error("grouped derived table must not flatten")
 	}
 }
 
 func TestBindParams(t *testing.T) {
+	ctx := testContext(t)
 	raw := sqlparser.MustParse(`SELECT o_id FROM orders WHERE o_cust = :1`)
-	q, err := Prepare(raw, map[string]value.Value{"1": value.NewStr("ca")})
+	q, _, err := ctx.Prepare(raw, map[string]value.Value{"1": value.NewStr("ca")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(q.SQL(), "'ca'") {
 		t.Errorf("param not bound: %s", q.SQL())
 	}
-	if _, err := Prepare(raw, nil); err == nil {
+	if _, _, err := ctx.Prepare(raw, nil); err == nil {
 		t.Error("unbound param must fail")
 	}
 }

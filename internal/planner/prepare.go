@@ -27,8 +27,10 @@ import (
 // removes (flattenDerived).
 
 // Prepare applies the passes that need no schema, returning a transformed
-// clone: it checks no name and flattens no derived table (Context.Prepare
-// does both).
+// clone: it checks no name and flattens no derived table. It is not the
+// product's prepare (Context.Prepare is) and is kept only for the frozen
+// benchmark harness's front-end probe, which is to move onto
+// Context.Prepare; then this goes.
 func Prepare(q *ast.Query, params map[string]value.Value) (*ast.Query, error) {
 	out, _, err := prepareTagged(q, params, nil)
 	return out, err

@@ -19,7 +19,8 @@ import (
 // any RemoteSQL is sent — or returns the same rows in the same order.
 
 // nameSystem builds t(a, b) = (i, 10-i) and u(a, c) = (i, 2i) for i = 0..4,
-// h(a, b) = (1,5),(1,5),(2,9) and an empty e(a, c), encrypted on the given
+// h(a, b) = (1,5),(1,5),(2,9), an empty e(a, c) and v(a_det) = 7, 8 (a schema
+// column spelled like an encryption of t.a), encrypted on the given
 // backend.
 func nameSystem(t *testing.T, backend string) *System {
 	t.Helper()
@@ -35,6 +36,9 @@ func nameSystem(t *testing.T, backend string) *System {
 	db.MustInsert("h", 1, 5)
 	db.MustInsert("h", 2, 9)
 	db.MustCreateTable("e", Col("a", Int), Col("c", Int))
+	db.MustCreateTable("v", Col("a_det", Int))
+	db.MustInsert("v", 7)
+	db.MustInsert("v", 8)
 	opts := DefaultOptions()
 	opts.PaillierBits = 256
 	opts.SpaceBudget = 0
@@ -49,6 +53,7 @@ func nameSystem(t *testing.T, backend string) *System {
 		"uc": "SELECT u.a, c FROM t, u WHERE t.a = u.a AND c > 2",
 		"hs": "SELECT a, SUM(b) FROM h GROUP BY a",
 		"ec": "SELECT c FROM e WHERE a = 1",
+		"va": "SELECT a_det FROM v WHERE a_det = 7",
 	}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +84,9 @@ var nameCases = []struct {
 	{sql: "SELECT c FROM e WHERE zz = 1", err: ast.ErrUnknownColumn},
 	{sql: "SELECT b FROM t WHERE b > 100 ORDER BY zz", err: ast.ErrUnknownColumn},
 	{sql: "SELECT c FROM e, t WHERE a = 1", err: ast.ErrAmbiguousColumn},
+	// ... also when it is spelled like an encrypted column.
+	{sql: "SELECT b_ope FROM t", err: ast.ErrUnknownColumn},
+	{sql: "SELECT a FROM t WHERE b_det = 6", err: ast.ErrUnknownColumn},
 	// ... also in a naive subquery no outer row reaches.
 	{sql: "SELECT a FROM e WHERE a < (SELECT COUNT(*) FROM t WHERE t.b < e.c AND zz = 1)", err: ast.ErrUnknownColumn},
 	{sql: "SELECT a FROM e WHERE EXISTS (SELECT 1 FROM t WHERE b > c AND t.zz = 1)", err: ast.ErrUnknownColumn},
@@ -99,6 +107,8 @@ var nameCases = []struct {
 	{sql: "SELECT a AS t__b, b AS t__a FROM t WHERE b > a ORDER BY t__a", rows: "[[4 6] [3 7] [2 8] [1 9] [0 10]]"},
 	{sql: "SELECT a AS a FROM t WHERE a < 2 ORDER BY a DESC", rows: "[[1] [0]]"},
 	{sql: "SELECT COUNT(*) FROM e", rows: "[[0]]"},
+	// A schema column spelled like another's encryption is its own name.
+	{sql: "SELECT a_det FROM t, v WHERE a = 1 ORDER BY a_det", rows: "[[7] [8]]"},
 }
 
 // TestDifferentialNameResolution runs nameCases through the plaintext
