@@ -41,7 +41,7 @@ func main() {
 	tlsCert := flag.String("tls-cert", "", "TLS certificate file (with -tls-key; empty = plain TCP)")
 	tlsKey := flag.String("tls-key", "", "TLS private key file")
 	backend := flag.String("backend", "mem", "storage backend for the encrypted tables: mem or disk")
-	dataDir := flag.String("data", "", "segment-file directory for -backend disk")
+	dataDir := flag.String("data", "", "segment-file directory for -backend disk (rewritten at every start)")
 	flag.Parse()
 
 	sys, err := buildSystem(*sf, *seed, *masterKey, *bits, *par, *batch, *backend, *dataDir)

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -67,8 +68,8 @@ func TestCorruptSegmentSurvivesClientStack(t *testing.T) {
 		t.Fatalf("pre-corruption query: %v", err)
 	}
 
-	// Smash a 64-byte run in the middle of every encrypted segment: far
-	// past the header and metadata pages, inside scanned data pages.
+	// Smash a 64-byte run in the middle of every encrypted segment, inside
+	// scanned data pages.
 	segs, err := filepath.Glob(filepath.Join(opts.DataDir, "*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segment files in %s (err=%v)", opts.DataDir, err)
@@ -187,6 +188,33 @@ func TestClosedBackendSurvivesClientStack(t *testing.T) {
 	}
 	if errors.Is(err, storage.ErrCorruptSegment) {
 		t.Fatalf("query after Close blames a healthy segment: %v", err)
+	}
+}
+
+// TestSystemCloseReturnsCatalogError: System.Close reports the encrypted
+// catalog's Close error instead of dropping it. The failing table's segment
+// is /dev/full, so writing its tail page fails with ENOSPC.
+func TestSystemCloseReturnsCatalogError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	sys, _ := diskOrdersSystem(t)
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "full.seg")); err != nil {
+		t.Fatal(err)
+	}
+	full, err := storage.NewCatalogWith(storage.BackendConfig{Kind: storage.BackendDisk, Dir: dir}).
+		Create(storage.Schema{Name: "full", Cols: []storage.Column{{Name: "x", Type: storage.TInt}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.MustInsert([]value.Value{value.NewInt(1)})
+	sys.dep.DB.Cat.Put(full)
+	if err := sys.Close(); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Close over a full medium: %v, want ENOSPC", err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
 

@@ -39,7 +39,7 @@ type Executor interface {
 
 // StmtExecutor is retired: no product type implements it and no client
 // consults it — every RemoteSQL travels as a query frame. It stays declared
-// only because the frozen bench/layers.go names it (ROADMAP item 9(a)).
+// only because the frozen bench/layers.go names it (ROADMAP item 11(a)).
 type StmtExecutor interface {
 	PrepareStmt(q *ast.Query) (uint64, error)
 	ExecuteStmt(id uint64, params map[string]value.Value) (*server.Response, error)
@@ -229,12 +229,6 @@ func (c *Client) makePlan(prepared *ast.Query) (*planner.Plan, error) {
 	}
 	c.Ctx.AttachKeyFilters(plan)
 	return plan, nil
-}
-
-// ExecutePlan runs an already-generated plan (used by the experiment
-// harness to execute a specific configuration's plan).
-func (c *Client) ExecutePlan(plan *planner.Plan) (*Result, error) {
-	return c.runPlanned(plan, &Result{})
 }
 
 // runPlanned compiles and runs an uncached plan (literals inline).

@@ -254,7 +254,7 @@ func TestServerGroupByWithHomSum(t *testing.T) {
 		!strings.Contains(plan.Remote.Query.SQL(), "paillier_sum") {
 		t.Fatalf("greedy plan should push GROUP BY with PAILLIER_SUM:\n%s", plan.Describe())
 	}
-	got, err := f.client.ExecutePlan(plan)
+	got, err := f.client.runPlanned(plan, &Result{})
 	if err != nil {
 		t.Fatal(err)
 	}

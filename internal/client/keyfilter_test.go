@@ -284,7 +284,7 @@ func TestKeyFilterOffOverBudget(t *testing.T) {
 	}
 	exec = &kfExec{srv: f.client.Srv}
 	f.client.SetExecutor(exec)
-	res, err := f.client.ExecutePlan(plan)
+	res, err := f.client.runPlanned(plan, &Result{})
 	if err != nil {
 		t.Fatal(err)
 	}

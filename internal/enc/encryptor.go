@@ -271,8 +271,8 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 			return err
 		}
 	}
-	// Persist the loaded rows and segment metadata (schema, index specs,
-	// row count); a no-op for the in-memory backend.
+	// Write the loaded rows out to the segment; a no-op for the in-memory
+	// backend.
 	if err := encTable.Flush(); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package enc
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -103,9 +104,9 @@ func checkLoadedRows(t *testing.T, what string, cat *storage.Catalog, ks *KeySto
 
 // TestBulkLoadMatchesRowByRow: the memo is invisible. Every DET and OPE cell
 // of a bulk load — duplicates, NULLs, more distinct ids than loadMemoCap —
-// is the cell EncryptValue produces on its own, in memory and after a disk
-// segment is flushed, closed and reopened (memoised Bytes cells of different
-// rows share one backing array on the way in).
+// is the cell EncryptValue produces on its own, in memory and read cold
+// from a flushed disk segment (memoised Bytes cells of different rows share
+// one backing array on the way in).
 func TestBulkLoadMatchesRowByRow(t *testing.T) {
 	cat, n := loadFixture(t)
 	ks := testKeyStore(t)
@@ -130,19 +131,26 @@ func TestBulkLoadMatchesRowByRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ddb.Cat.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := storage.OpenTable(filepath.Join(dir, "t.seg"), cfg)
+	defer ddb.Cat.Close()
+	dt, err := ddb.Cat.Table("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	rows, _, err = re.ScanRows(0, n)
+	rows, phys, err := dt.ScanRows(0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkLoadedRows(t, "disk, reopened", cat, ks, ddb.Meta["t"], rows)
+	// Cold: every sealed page — all of the file but the tail page, which
+	// the store still holds in memory — comes from the segment, none from
+	// the block cache.
+	fi, err := os.Stat(filepath.Join(dir, "t.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() < 4*cfg.CacheBytes || phys < fi.Size()-int64(cfg.PageBytes) {
+		t.Fatalf("scan read %d of the segment's %d bytes; want a cold read of a table larger than the cache", phys, fi.Size())
+	}
+	checkLoadedRows(t, "disk, cold", cat, ks, ddb.Meta["t"], rows)
 }
 
 // TestBulkLoadNeverMemoisesRandomised: the property the memo must not touch.

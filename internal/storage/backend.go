@@ -40,10 +40,10 @@ type Backend interface {
 	// (true: the engine charges them; false: the engine charges the
 	// resident-byte approximation).
 	Paged() bool
-	// Flush persists buffered rows and the given table metadata. A no-op
-	// for in-memory backends.
-	Flush(meta *SegmentMeta) error
-	// Close flushes and releases the backend's resources.
+	// Flush writes buffered rows to the medium. A no-op for in-memory
+	// backends.
+	Flush() error
+	// Close releases the backend's resources (Table.Close flushes first).
 	Close() error
 	// IO returns cumulative physical-read counters (zero for in-memory
 	// backends).
@@ -176,31 +176,14 @@ func (s IOStats) HitRate() float64 {
 	return float64(s.CacheHits) / float64(total)
 }
 
-// IndexSpec names one secondary index for segment metadata, so a reopened
-// table rebuilds exactly the indexes it was closed with.
-type IndexSpec struct {
-	Col  string    `json:"col"`
-	Kind IndexKind `json:"kind"`
-}
-
-// SegmentMeta is the durable table metadata a paged backend persists
-// alongside the rows: the schema (with its unique key), the secondary
-// indexes to rebuild on open, and the row count (a reopen that finds fewer
-// rows than the metadata promises knows the segment was truncated).
-type SegmentMeta struct {
-	Schema  Schema      `json:"schema"`
-	Indexes []IndexSpec `json:"indexes,omitempty"`
-	Rows    int         `json:"rows"`
-}
-
-// ErrCorruptSegment is the sentinel every segment-integrity failure wraps:
-// bad magic, version or geometry mismatch, truncated page, checksum
-// mismatch, undecodable row, or a row count short of the metadata.
-// Callers test with errors.Is.
+// ErrCorruptSegment is the sentinel every segment-integrity failure of a
+// page read wraps: truncated page, checksum mismatch, undecodable row, or a
+// row of the wrong arity. Callers test with errors.Is.
 var ErrCorruptSegment = errors.New("storage: corrupt segment")
 
 // ErrClosed is returned (wrapped) by a Scan or Fetch that needs the medium
-// after Close: the data is intact, the handle is gone.
+// after Close, and by a Table's Insert or Flush after its Close: the data
+// is intact, the handle is gone.
 var ErrClosed = errors.New("storage: backend closed")
 
 // SegmentError is the typed error for a damaged segment file. It wraps

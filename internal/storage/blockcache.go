@@ -71,13 +71,3 @@ func (c *blockCache) put(idx int, img pageImage, bytes int64) {
 		c.used -= p.bytes
 	}
 }
-
-// drop removes a page (the tail page is re-read after being rewritten).
-func (c *blockCache) drop(idx int) {
-	if el, ok := c.pages[idx]; ok {
-		p := el.Value.(*cachedPage)
-		c.ll.Remove(el)
-		delete(c.pages, p.idx)
-		c.used -= p.bytes
-	}
-}

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -16,27 +15,24 @@ import (
 )
 
 // diskStore is the paged disk backend: one append-only segment file per
-// table.
+// table. A segment is scratch for one run — created empty, written, read
+// back by the same process, never reopened — so it holds data pages only;
+// the schema and the page directory live in memory.
 //
 // Segment layout:
 //
 //	offset 0              ┌──────────────────────────────────────────┐
-//	                      │ magic "MONOSEG1" (8) │ version u32       │
-//	                      │ pageSize u32 │ metaLen u32 │ meta JSON   │
-//	                      │ (schema, index specs, row count)  … pad  │
-//	offset pageSize       ├──────────────────────────────────────────┤
 //	                      │ page 0: nrows u32 │ used u32 │ crc32 u32 │
 //	                      │   row: len u32 │ value frames …          │
 //	                      │   row: len u32 │ value frames …   … pad  │
-//	offset pageSize*2     ├──────────────────────────────────────────┤
+//	offset pageSize       ├──────────────────────────────────────────┤
 //	                      │ page 1: …                                │
 //	                      └──────────────────────────────────────────┘
 //
 // Pages are fixed-size (pageSize); a single row too large for one page
-// gets an oversized page of exactly header+row bytes, so page offsets stay
-// derivable by one forward header walk. Values use the wire encoding
-// (internal/wire) except Bool, which the wire flattens into Int — the page
-// codec adds a local tag so every column kind round-trips. Rows are
+// gets an oversized page of exactly header+row bytes. Values use the wire
+// encoding (internal/wire) except Bool, which the wire flattens into Int —
+// the page codec adds a local tag so every column kind round-trips. Rows are
 // buffered in an in-memory tail page and written out when the page fills
 // or on Flush (the tail page is rewritten in place until it seals), so an
 // encryption-time bulk load writes each page roughly once.
@@ -72,10 +68,10 @@ import (
 // concurrent sessions and shard workers load and decode in parallel.
 // Writes (Append, Flush, Close) hold mu throughout.
 //
-// Every integrity failure — bad magic or geometry, truncated or
-// checksum-corrupt page, undecodable row, a row of the wrong arity, a row
-// count short of the metadata — returns a *SegmentError wrapping ErrCorruptSegment; a read
-// that needs the file after Close returns ErrClosed.
+// Every integrity failure of a page read — a truncated or checksum-corrupt
+// page, an undecodable row, a row of the wrong arity — returns a
+// *SegmentError wrapping ErrCorruptSegment; a read that needs the file
+// after Close returns ErrClosed.
 type diskStore struct {
 	path     string
 	pageSize int
@@ -101,10 +97,7 @@ type pageMeta struct {
 }
 
 const (
-	segMagic      = "MONOSEG1"
-	segVersion    = 1
-	segHeaderLen  = 8 + 4 + 4 + 4 // magic, version, pageSize, metaLen
-	pageHeaderLen = 4 + 4 + 4     // nrows, used, crc32
+	pageHeaderLen = 4 + 4 + 4 // nrows, used, crc32
 	// pageTagBool is the page codec's local tag for Bool values: the wire
 	// encoding (reused for every other kind) flattens Bool into Int, which
 	// must not survive a round trip through the row store.
@@ -114,151 +107,25 @@ const (
 // segPath is the segment file of a table.
 func segPath(dir, table string) string { return filepath.Join(dir, table+".seg") }
 
-// createDiskStore starts an empty segment file, writing the header and the
-// initial metadata.
-func createDiskStore(cfg BackendConfig, meta *SegmentMeta) (*diskStore, error) {
+// createDiskStore starts an empty segment file for a table of schema s. The
+// file is scratch for this run: O_TRUNC discards whatever an earlier run
+// left under the same name, and nothing ever reopens it.
+func createDiskStore(cfg BackendConfig, s Schema) (*diskStore, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("storage: disk backend needs BackendConfig.Dir")
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	path := segPath(cfg.Dir, meta.Schema.Name)
+	path := segPath(cfg.Dir, s.Name)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	ds := &diskStore{
-		path: path, f: f, pageSize: cfg.pageBytes(), ncols: len(meta.Schema.Cols),
-		tailOff: int64(cfg.pageBytes()),
-		cache:   newBlockCache(cfg.cacheBytes()),
-	}
-	if err := ds.writeMeta(meta); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return ds, nil
-}
-
-// openDiskStore opens an existing segment, verifies its geometry and every
-// page checksum (the directory walk reads only headers; checksums verify
-// lazily as pages are read, and the caller's rebuild scan reads them all),
-// and returns the store plus the persisted metadata.
-func openDiskStore(path string, cfg BackendConfig) (*diskStore, *SegmentMeta, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	ds := &diskStore{path: path, f: f}
-	meta, err := ds.readHeader()
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	ds.ncols = len(meta.Schema.Cols)
-	ds.cache = newBlockCache(cfg.cacheBytes())
-	if err := ds.buildDir(); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if ds.nflushed != meta.Rows {
-		off := int64(ds.pageSize)
-		if n := len(ds.dir); n > 0 {
-			off = ds.dir[n-1].off
-		}
-		f.Close()
-		return nil, nil, corruptf(path, off, "segment holds %d rows, metadata promises %d (truncated?)", ds.nflushed, meta.Rows)
-	}
-	return ds, meta, nil
-}
-
-// writeMeta serializes the table metadata into the header area. The header
-// region is the first page; metadata that outgrows it is a configuration
-// error, not data corruption.
-func (ds *diskStore) writeMeta(meta *SegmentMeta) error {
-	body, err := json.Marshal(meta)
-	if err != nil {
-		return err
-	}
-	if segHeaderLen+len(body) > ds.pageSize {
-		return fmt.Errorf("storage: segment %s: metadata (%d bytes) exceeds page size %d", ds.path, len(body), ds.pageSize)
-	}
-	buf := make([]byte, 0, segHeaderLen+len(body))
-	buf = append(buf, segMagic...)
-	buf = binary.BigEndian.AppendUint32(buf, segVersion)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(ds.pageSize))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, body...)
-	_, err = ds.f.WriteAt(buf, 0)
-	return err
-}
-
-// readHeader parses the segment header and metadata.
-func (ds *diskStore) readHeader() (*SegmentMeta, error) {
-	hdr := make([]byte, segHeaderLen)
-	if _, err := ds.f.ReadAt(hdr, 0); err != nil {
-		return nil, corruptf(ds.path, 0, "short header: %v", err)
-	}
-	if string(hdr[:8]) != segMagic {
-		return nil, corruptf(ds.path, 0, "bad magic %q", hdr[:8])
-	}
-	if v := binary.BigEndian.Uint32(hdr[8:12]); v != segVersion {
-		return nil, corruptf(ds.path, 8, "unsupported version %d", v)
-	}
-	ds.pageSize = int(binary.BigEndian.Uint32(hdr[12:16]))
-	if ds.pageSize < segHeaderLen+pageHeaderLen || ds.pageSize > 1<<26 {
-		return nil, corruptf(ds.path, 12, "implausible page size %d", ds.pageSize)
-	}
-	metaLen := int(binary.BigEndian.Uint32(hdr[16:20]))
-	if segHeaderLen+metaLen > ds.pageSize {
-		return nil, corruptf(ds.path, 16, "metadata length %d exceeds page size %d", metaLen, ds.pageSize)
-	}
-	body := make([]byte, metaLen)
-	if _, err := ds.f.ReadAt(body, segHeaderLen); err != nil {
-		return nil, corruptf(ds.path, segHeaderLen, "short metadata: %v", err)
-	}
-	meta := &SegmentMeta{}
-	if err := json.Unmarshal(body, meta); err != nil {
-		return nil, corruptf(ds.path, segHeaderLen, "undecodable metadata: %v", err)
-	}
-	return meta, nil
-}
-
-// buildDir walks the page headers from the first data offset to the end of
-// the file, reconstructing the page directory.
-func (ds *diskStore) buildDir() error {
-	fi, err := ds.f.Stat()
-	if err != nil {
-		return err
-	}
-	size := fi.Size()
-	off := int64(ds.pageSize)
-	for off < size {
-		hdr := make([]byte, pageHeaderLen)
-		if off+pageHeaderLen > size {
-			return corruptf(ds.path, off, "truncated page header")
-		}
-		if _, err := ds.f.ReadAt(hdr, off); err != nil {
-			return corruptf(ds.path, off, "unreadable page header: %v", err)
-		}
-		nrows := int(binary.BigEndian.Uint32(hdr[0:4]))
-		used := int(binary.BigEndian.Uint32(hdr[4:8]))
-		physLen := int64(ds.pageSize)
-		if int64(pageHeaderLen+used) > physLen {
-			physLen = int64(pageHeaderLen + used)
-		}
-		if off+physLen > size {
-			return corruptf(ds.path, off, "truncated page: %d payload bytes past end of file", off+physLen-size)
-		}
-		if nrows == 0 || used == 0 {
-			return corruptf(ds.path, off, "empty page (%d rows, %d bytes)", nrows, used)
-		}
-		ds.dir = append(ds.dir, pageMeta{off: off, physLen: physLen, first: ds.nflushed, nrows: nrows})
-		ds.nflushed += nrows
-		off += physLen
-	}
-	ds.tailOff = off
-	return nil
+	return &diskStore{
+		path: path, f: f, pageSize: cfg.pageBytes(), ncols: len(s.Cols),
+		cache: newBlockCache(cfg.cacheBytes()),
+	}, nil
 }
 
 // --- value codec (wire encoding + a Bool tag) ---
@@ -342,9 +209,6 @@ func (ds *diskStore) sealTail() error {
 	if err != nil {
 		return err
 	}
-	// The partial tail may have been written by an earlier Flush and cached
-	// by a read since; it just changed shape.
-	ds.cache.drop(len(ds.dir))
 	ds.dir = append(ds.dir, pageMeta{off: ds.tailOff, physLen: physLen, first: ds.nflushed, nrows: len(ds.tail)})
 	ds.nflushed += len(ds.tail)
 	ds.tailOff += physLen
@@ -353,17 +217,16 @@ func (ds *diskStore) sealTail() error {
 	return nil
 }
 
-func (ds *diskStore) Flush(meta *SegmentMeta) error {
+func (ds *diskStore) Flush() error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	// The partial tail page is written in place but stays open in memory:
 	// later appends extend it and rewrite the same offset.
-	if len(ds.tail) > 0 {
-		if _, err := ds.writeTailPage(); err != nil {
-			return err
-		}
+	if len(ds.tail) == 0 {
+		return nil
 	}
-	return ds.writeMeta(meta)
+	_, err := ds.writeTailPage()
+	return err
 }
 
 func (ds *diskStore) Close() error {

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/value"
@@ -148,98 +148,11 @@ func TestDiskStoreMatchesMem(t *testing.T) {
 	}
 }
 
-// TestDiskStoreReopen: write, close, reopen — rows, accounting, interning,
-// key uniqueness, and both secondary indexes all survive the round trip.
-func TestDiskStoreReopen(t *testing.T) {
-	cat, dir := diskCatalog(t, BackendConfig{PageBytes: 512, CacheBytes: 8192})
-	orig := loadFixture(t, cat, 260)
-	mem := loadFixture(t, NewCatalog(), 260)
-	origBytes, origRaw := orig.Bytes, orig.RawBytes
-	if err := cat.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenTable(filepath.Join(dir, "orders.seg"), BackendConfig{PageBytes: 512, CacheBytes: 8192})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	sameRows(t, re, mem)
-	if re.Bytes != origBytes || re.RawBytes != origRaw {
-		t.Errorf("accounting rebuilt as %d/%d, want %d/%d", re.Bytes, re.RawBytes, origBytes, origRaw)
-	}
-	// Index specs persisted and rebuilt.
-	if re.Index("region", HashIndex) == nil || re.Index("day", OrderedIndex) == nil {
-		t.Fatalf("indexes not rebuilt: %v", re.Indexes())
-	}
-	probe := value.NewStr("north")
-	if g, w := re.Index("region", HashIndex).Postings(probe), mem.Index("region", HashIndex).Postings(probe); fmt.Sprint(g) != fmt.Sprint(w) {
-		t.Errorf("rebuilt postings diverge: %v vs %v", g, w)
-	}
-	lo, hi := value.NewDate(20130805), value.NewDate(20130810)
-	if g, w := re.Index("day", OrderedIndex).Range(&lo, &hi, true, true), mem.Index("day", OrderedIndex).Range(&lo, &hi, true, true); fmt.Sprint(g) != fmt.Sprint(w) {
-		t.Errorf("rebuilt range diverges: %v vs %v", g, w)
-	}
-	// Key uniqueness survives: a duplicate id is rejected, a fresh one
-	// appends and is readable.
-	if !re.HasKey() {
-		t.Fatal("key index not rebuilt")
-	}
-	if err := re.Insert(fixtureRow(7)); err == nil {
-		t.Fatal("duplicate key accepted after reopen")
-	}
-	if err := re.Insert(fixtureRow(260)); err != nil {
-		t.Fatal(err)
-	}
-	if got := re.Row(260)[0].AsInt(); got != 260 {
-		t.Fatalf("appended row id = %d", got)
-	}
-	// Column stats rebuilt for the planner.
-	if cm := re.ColMeta(0); cm.NDV != 261 || !cm.HasNum || cm.Min != 0 || cm.Max != 260 {
-		t.Errorf("id ColMeta = %+v", cm)
-	}
-	if cm := re.ColMeta(1); cm.NDV != 3 {
-		t.Errorf("region NDV = %d, want 3", cm.NDV)
-	}
-}
-
-// TestDiskStoreReopenAppendReopen: rows appended after a reopen persist
-// through a second close/reopen cycle (the reopened tail starts a fresh
-// page).
-func TestDiskStoreReopenAppendReopen(t *testing.T) {
-	cfg := BackendConfig{PageBytes: 512}
-	cat, dir := diskCatalog(t, cfg)
-	loadFixture(t, cat, 50)
-	if err := cat.Close(); err != nil {
-		t.Fatal(err)
-	}
-	seg := filepath.Join(dir, "orders.seg")
-
-	re, err := OpenTable(seg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 50; i < 120; i++ {
-		re.MustInsert(fixtureRow(i))
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re2, err := OpenTable(seg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re2.Close()
-	mem := loadFixture(t, NewCatalog(), 120)
-	sameRows(t, re2, mem)
-}
-
 // TestDiskStoreOversizedRow: a row larger than the page size gets its own
-// oversized page and round-trips.
+// oversized page and round-trips through a cold read.
 func TestDiskStoreOversizedRow(t *testing.T) {
-	cfg := BackendConfig{PageBytes: 256}
-	cat, dir := diskCatalog(t, cfg)
+	cat, _ := diskCatalog(t, BackendConfig{PageBytes: 256, CacheBytes: 256})
+	defer cat.Close()
 	s := Schema{Name: "big", Cols: []Column{{Name: "id", Type: TInt}, {Name: "body", Type: TBytes}}}
 	tb, err := cat.Create(s)
 	if err != nil {
@@ -252,45 +165,55 @@ func TestDiskStoreOversizedRow(t *testing.T) {
 	tb.MustInsert([]value.Value{value.NewInt(1), value.NewBytes([]byte("small"))})
 	tb.MustInsert([]value.Value{value.NewInt(2), value.NewBytes(big)})
 	tb.MustInsert([]value.Value{value.NewInt(3), value.NewBytes([]byte("after"))})
-	if err := cat.Close(); err != nil {
+	if err := tb.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenTable(filepath.Join(dir, "big.seg"), cfg)
+	rows, phys, err := tb.ScanRows(0, tb.NumRows())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if re.NumRows() != 3 {
-		t.Fatalf("rows = %d", re.NumRows())
+	if len(rows) != 3 || phys < int64(len(big)) {
+		t.Fatalf("cold scan: %d rows, %d bytes read", len(rows), phys)
 	}
-	if got := re.Row(1)[1]; len(got.B) != len(big) || got.B[1999] != big[1999] {
+	if got := rows[1][1]; len(got.B) != len(big) || got.B[1999] != big[1999] {
 		t.Fatalf("oversized row damaged: %d bytes", len(got.B))
 	}
-	if got := re.Row(2)[1]; string(got.B) != "after" {
+	if got := rows[2][1]; string(got.B) != "after" {
 		t.Fatalf("row after oversized page = %q", got.B)
 	}
 }
 
-// TestDiskStoreTruncated: a segment cut short fails to open with the typed
-// corruption error.
-func TestDiskStoreTruncated(t *testing.T) {
-	cfg := BackendConfig{PageBytes: 512}
-	cat, dir := diskCatalog(t, cfg)
-	loadFixture(t, cat, 200)
-	if err := cat.Close(); err != nil {
+// coldFixture loads 200 fixture rows onto 512-byte pages behind a 2-page
+// block cache and flushes them: nothing has been read yet, so a scan reads
+// every sealed page from the segment file.
+func coldFixture(t *testing.T) (*Table, string) {
+	t.Helper()
+	cat, dir := diskCatalog(t, BackendConfig{PageBytes: 512, CacheBytes: 1024})
+	t.Cleanup(func() { cat.Close() })
+	tb := loadFixture(t, cat, 200)
+	if err := tb.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(dir, "orders.seg")
+	if io := tb.IO(); io.PageReads != 0 {
+		t.Fatalf("fixture already read %d pages", io.PageReads)
+	}
+	return tb, segPath(dir, "orders")
+}
+
+// TestDiskStoreTruncated: a cold scan of a segment cut short fails with the
+// typed corruption error naming the segment.
+func TestDiskStoreTruncated(t *testing.T) {
+	tb, seg := coldFixture(t)
 	fi, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(seg, fi.Size()-300); err != nil {
+	if err := os.Truncate(seg, fi.Size()/2); err != nil {
 		t.Fatal(err)
 	}
-	_, err = OpenTable(seg, cfg)
+	_, _, err = tb.ScanRows(0, tb.NumRows())
 	if err == nil {
-		t.Fatal("truncated segment opened cleanly")
+		t.Fatal("truncated segment scanned cleanly")
 	}
 	if !errors.Is(err, ErrCorruptSegment) {
 		t.Fatalf("error %v does not wrap ErrCorruptSegment", err)
@@ -301,44 +224,55 @@ func TestDiskStoreTruncated(t *testing.T) {
 	}
 }
 
-// TestDiskStoreCorrupted: a flipped payload byte fails the page checksum
-// during rebuild-on-open with the typed corruption error.
+// TestDiskStoreCorrupted: a flipped payload byte fails the page checksum of
+// a cold scan with the typed corruption error.
 func TestDiskStoreCorrupted(t *testing.T) {
-	cfg := BackendConfig{PageBytes: 512}
-	cat, dir := diskCatalog(t, cfg)
-	loadFixture(t, cat, 200)
-	if err := cat.Close(); err != nil {
-		t.Fatal(err)
-	}
-	seg := filepath.Join(dir, "orders.seg")
+	tb, seg := coldFixture(t)
 	f, err := os.OpenFile(seg, os.O_RDWR, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one byte inside the payload of the second data page.
-	if _, err := f.WriteAt([]byte{0xff}, 512+512+pageHeaderLen+20); err != nil {
+	// Flip one byte inside the payload of the second page.
+	if _, err := f.WriteAt([]byte{0xff}, 512+pageHeaderLen+20); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	_, err = OpenTable(seg, cfg)
-	if err == nil {
-		t.Fatal("corrupted segment opened cleanly")
-	}
+	_, _, err = tb.ScanRows(0, tb.NumRows())
 	if !errors.Is(err, ErrCorruptSegment) {
 		t.Fatalf("error %v does not wrap ErrCorruptSegment", err)
+	}
+	var se *SegmentError
+	if !errors.As(err, &se) || se.Offset != 512 || !strings.Contains(se.Reason, "checksum") {
+		t.Fatalf("error %v is not a checksum failure of the page at offset 512", err)
 	}
 }
 
-// TestDiskStoreBadMagic: a file that is not a segment is rejected.
-func TestDiskStoreBadMagic(t *testing.T) {
-	dir := t.TempDir()
-	seg := filepath.Join(dir, "orders.seg")
-	if err := os.WriteFile(seg, []byte("definitely not a MONOSEG1 file, just text"), 0o644); err != nil {
+// TestDiskStoreClosedTakesNoWrites: after Close, Insert and Flush fail as
+// ErrClosed and the table's row count stays what the backend holds — also
+// once the tail page would have sealed onto the closed file — and a second
+// Close is a no-op, not a re-flush of the tail page.
+func TestDiskStoreClosedTakesNoWrites(t *testing.T) {
+	cat, _ := diskCatalog(t, BackendConfig{PageBytes: 512})
+	tb := loadFixture(t, cat, 10)
+	if err := cat.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := OpenTable(seg, BackendConfig{})
-	if !errors.Is(err, ErrCorruptSegment) {
-		t.Fatalf("error %v does not wrap ErrCorruptSegment", err)
+	for i := 10; i < 40; i++ { // several pages' worth
+		if err := tb.Insert(fixtureRow(i)); !errors.Is(err, ErrClosed) {
+			t.Fatalf("insert %d after Close: %v, want ErrClosed", i, err)
+		}
+	}
+	if err := tb.Flush(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("flush after Close: %v, want ErrClosed", err)
+	}
+	if err := cat.Flush(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("catalog flush after Close: %v, want ErrClosed", err)
+	}
+	if n, held := tb.NumRows(), tb.be.NumRows(); n != 10 || held != 10 {
+		t.Fatalf("NumRows = %d, backend holds %d, want 10", n, held)
+	}
+	if err := cat.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
 

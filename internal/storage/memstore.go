@@ -51,7 +51,7 @@ func (m *memStore) NumRows() int { return len(m.rows) }
 
 func (m *memStore) Paged() bool { return false }
 
-func (m *memStore) Flush(*SegmentMeta) error { return nil }
+func (m *memStore) Flush() error { return nil }
 
 func (m *memStore) Close() error { return nil }
 

@@ -101,14 +101,15 @@ type Table struct {
 	indexes map[indexTag]*Index
 	dicts   []*internDict // per column; nil entries for non-internable types
 	key     *keyIndex     // Schema.Key uniqueness, nil if keyless
+	closed  bool          // Close ran: no more writes
 }
 
 // rowOverhead models per-row header cost (Postgres-like tuple header).
 const rowOverhead = 24
 
-// backfillChunk is the scan batch size for index backfills and
-// rebuild-on-open: large enough to amortize page reads, small enough that
-// a backfill never materializes the whole table.
+// backfillChunk is the scan batch size for index backfills: large enough
+// to amortize page reads, small enough that a backfill never materializes
+// the whole table.
 const backfillChunk = 4096
 
 // NewTable creates an empty in-memory table with the given schema. If the
@@ -170,64 +171,15 @@ func newTableOn(s Schema, be Backend) *Table {
 	return t
 }
 
-// OpenTable reopens a disk-backed table from its segment file, rebuilding
-// all derived state — interning accounting, column statistics, the unique
-// key index, and every secondary index named in the segment metadata — by
-// replaying the stored rows in id order (the replay is deterministic, so
-// the rebuilt accounting equals the insert-time accounting). Any damage —
-// truncation, checksum mismatch, or a duplicate key that insert-time
-// enforcement would have rejected — fails with an error wrapping
-// ErrCorruptSegment.
-func OpenTable(path string, cfg BackendConfig) (*Table, error) {
-	ds, meta, err := openDiskStore(path, cfg)
-	if err != nil {
-		return nil, err
-	}
-	t := newTableOn(meta.Schema, ds)
-	nrows := ds.NumRows()
-	for lo := 0; lo < nrows; lo += backfillChunk {
-		hi := lo + backfillChunk
-		if hi > nrows {
-			hi = nrows
-		}
-		rows, _, err := ds.Scan(lo, hi, nil)
-		if err != nil {
-			ds.Close()
-			return nil, err
-		}
-		for k, row := range rows {
-			if err := t.accountRow(row, false); err != nil {
-				ds.Close()
-				return nil, corruptf(path, -1, "row %d: %v", lo+k, err)
-			}
-		}
-	}
-	for _, spec := range meta.Indexes {
-		if _, err := t.EnsureIndex(spec.Col, spec.Kind); err != nil {
-			ds.Close()
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
 // Insert appends a row, validating arity, enforcing the unique key,
-// interning repeated string/bytes values, accounting resident and raw
-// size, maintaining column statistics and every secondary index, and
-// storing the row in the backend.
+// interning repeated string/bytes values (canonicalizing row values in
+// place), accounting resident and raw size, maintaining column statistics
+// and every secondary index, and storing the row in the backend. After
+// Close it fails with ErrClosed and changes nothing.
 func (t *Table) Insert(row []value.Value) error {
-	if err := t.accountRow(row, true); err != nil {
-		return err
+	if t.closed {
+		return fmt.Errorf("storage: table %s: insert: %w", t.Schema.Name, ErrClosed)
 	}
-	return t.be.Append(row)
-}
-
-// accountRow runs the full derived-state maintenance for the row taking id
-// t.nrows: arity and key checks, interning (canonicalizing row values in
-// place when canon is true), size accounting, column statistics, and index
-// maintenance. Insert follows it with a backend append; rebuild-on-open
-// replays it over rows the backend already holds.
-func (t *Table) accountRow(row []value.Value, canon bool) error {
 	if len(row) != len(t.Schema.Cols) {
 		return fmt.Errorf("storage: table %s: row has %d values, schema has %d columns",
 			t.Schema.Name, len(row), len(t.Schema.Cols))
@@ -248,11 +200,7 @@ func (t *Table) accountRow(row []value.Value, canon bool) error {
 		t.RawBytes += int64(v.Size())
 		sz := int64(v.Size())
 		if d := t.dicts[i]; d != nil && !v.IsNull() {
-			cv, csz := d.add(v)
-			sz = csz
-			if canon {
-				row[i] = cv
-			}
+			row[i], sz = d.add(v)
 		}
 		t.ColBytes[i] += sz
 		t.Bytes += sz
@@ -267,7 +215,7 @@ func (t *Table) accountRow(row []value.Value, canon bool) error {
 	for tag, ix := range t.indexes {
 		ix.add(row[t.Schema.ColIndex(tag.col)], id)
 	}
-	return nil
+	return t.be.Append(row)
 }
 
 // keyVals extracts the key column values of a row for error messages.
@@ -346,28 +294,26 @@ func (t *Table) IO() IOStats { return t.be.IO() }
 // ColMeta returns the insert-time statistics of column ci.
 func (t *Table) ColMeta(ci int) ColMeta { return t.meta[ci].snapshot() }
 
-// Flush persists buffered rows and current table metadata (schema, index
-// specs, row count) to the backend; a no-op for in-memory tables.
+// Flush writes buffered rows to the backend; a no-op for in-memory
+// tables. After Close it fails with ErrClosed.
 func (t *Table) Flush() error {
-	return t.be.Flush(t.segmentMeta())
+	if t.closed {
+		return fmt.Errorf("storage: table %s: flush: %w", t.Schema.Name, ErrClosed)
+	}
+	return t.be.Flush()
 }
 
-// Close flushes and releases the backend.
+// Close flushes and releases the backend. Closing twice is a no-op.
 func (t *Table) Close() error {
-	if err := t.Flush(); err != nil {
-		t.be.Close()
-		return err
+	if t.closed {
+		return nil
 	}
-	return t.be.Close()
-}
-
-// segmentMeta snapshots the durable metadata a paged backend persists.
-func (t *Table) segmentMeta() *SegmentMeta {
-	m := &SegmentMeta{Schema: t.Schema, Rows: t.nrows}
-	for _, ix := range t.Indexes() {
-		m.Indexes = append(m.Indexes, IndexSpec{Col: ix.Col, Kind: ix.Kind})
+	err := t.Flush()
+	t.closed = true
+	if cerr := t.be.Close(); err == nil {
+		err = cerr
 	}
-	return m
+	return err
 }
 
 // EnsureIndex builds (or returns) the index of the given kind over the
@@ -482,7 +428,7 @@ func (c *Catalog) Create(s Schema) (*Table, error) {
 	}
 	var t *Table
 	if c.cfg.Kind == BackendDisk {
-		ds, err := createDiskStore(c.cfg, &SegmentMeta{Schema: s})
+		ds, err := createDiskStore(c.cfg, s)
 		if err != nil {
 			return nil, err
 		}
@@ -527,7 +473,7 @@ func (c *Catalog) Names() []string {
 	return names
 }
 
-// Flush persists every table's buffered rows and metadata.
+// Flush writes every table's buffered rows to its backend.
 func (c *Catalog) Flush() error {
 	for _, name := range c.Names() {
 		if err := c.tables[name].Flush(); err != nil {

@@ -274,7 +274,8 @@ type Options struct {
 	// resident-byte approximation.
 	Backend string
 	// DataDir is where the disk backend places its segment files
-	// (required when Backend is "disk").
+	// (required when Backend is "disk"). They are scratch for one run:
+	// Encrypt truncates any left there under the same table names.
 	DataDir string
 	// PageBytes is the disk backend's segment page size
 	// (0 = storage.DefaultPageBytes).
@@ -434,10 +435,9 @@ func (s *System) Close() error {
 	if s.conn != nil {
 		return s.conn.Close()
 	}
-	// The encrypted catalog may hold disk-backed tables; flush their
-	// segment metadata and release the file handles.
-	s.dep.DB.Cat.Close()
-	return nil
+	// The encrypted catalog may hold disk-backed tables: write their tail
+	// pages and release the file handles.
+	return s.dep.DB.Cat.Close()
 }
 
 // IsRejected reports whether err is a server admission-control rejection
