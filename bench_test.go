@@ -131,57 +131,6 @@ func BenchmarkParallelism_TPCHGroupedAgg(b *testing.B) {
 	s.Monomi.SetParallelism(0)
 }
 
-// BenchmarkStreaming_TPCHGroupedAgg runs encrypted TPC-H Q1 with the
-// streaming batch-at-a-time pipeline off and on: with streaming the
-// server's RemoteSQL scan pulls lineitem in row batches that feed the
-// encrypted filter and per-group aggregation states directly, and the
-// client's residual grouped aggregation streams its temp-table scan the
-// same way.
-func BenchmarkStreaming_TPCHGroupedAgg(b *testing.B) {
-	s := suite(b)
-	for _, mode := range []struct {
-		name  string
-		batch int
-	}{{"materialized", 0}, {"streamed", 1024}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s.Monomi.SetBatchSize(mode.batch)
-			// Run once untimed (see the parallelism benchmark above).
-			if _, err := s.Monomi.RunEncrypted(1); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Monomi.RunEncrypted(1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	s.Monomi.SetBatchSize(0)
-}
-
-// BenchmarkStreaming_TPCHGroupedAggPlain is the plaintext counterpart,
-// isolating the engine's streamed scan/aggregate pipeline from the
-// crypto.
-func BenchmarkStreaming_TPCHGroupedAggPlain(b *testing.B) {
-	s := suite(b)
-	for _, mode := range []struct {
-		name  string
-		batch int
-	}{{"materialized", 0}, {"streamed", 1024}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s.Monomi.SetBatchSize(mode.batch)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Monomi.RunPlain(1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	s.Monomi.SetBatchSize(0)
-}
-
 // BenchmarkParallelism_TPCHGroupedAggPlain is the plaintext counterpart,
 // isolating the engine's sharded scan/aggregate loops from the crypto.
 func BenchmarkParallelism_TPCHGroupedAggPlain(b *testing.B) {

@@ -36,7 +36,6 @@ func main() {
 	bits := flag.Int("paillier", 512, "Paillier modulus bits (paper: 1024)")
 	maxK := flag.Int("maxk", 4, "maximum designer subset size for fig8")
 	par := flag.Int("parallelism", 0, "sharded-execution workers (0 = GOMAXPROCS, 1 = sequential)")
-	batch := flag.Int("batchsize", 0, "execution batch size in rows (0 = unbounded: one batch per worker)")
 	indexRows := flag.Int("indexrows", 200000, "table rows for the index selectivity sweep (-exp index)")
 	indexIters := flag.Int("indexiters", 7, "timed executions per sweep point (-exp index)")
 	backendRows := flag.Int("backendrows", 20000, "table rows for the storage-backend scenario (-exp backend)")
@@ -50,7 +49,7 @@ func main() {
 
 	base := experiments.Config{
 		SF: tpch.ScaleFactor(*sf), Seed: *seed, PaillierBits: *bits,
-		Parallelism: *par, BatchSize: *batch,
+		Parallelism: *par,
 	}
 	needSuite := map[string]bool{"fig4": true, "fig7": true, "table2": true, "table3": true, "stats": true, "all": true}
 
@@ -107,11 +106,11 @@ func main() {
 		case "stats":
 			fmt.Println(suite.Stats().String())
 		case "index":
-			if err := indexScenario(*indexRows, *indexIters, *par, *batch, sink); err != nil {
+			if err := indexScenario(*indexRows, *indexIters, *par, sink); err != nil {
 				log.Fatal(err)
 			}
 		case "backend":
-			if err := backendScenario(*backendRows, *backendIters, *par, *batch, *pageBytes, *cacheBytes, sink); err != nil {
+			if err := backendScenario(*backendRows, *backendIters, *par, *pageBytes, *cacheBytes, sink); err != nil {
 				log.Fatal(err)
 			}
 		default:

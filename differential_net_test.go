@@ -4,7 +4,7 @@ package monomi
 // differential_test.go, but with the encrypted path executing its
 // RemoteSQL over real loopback TCP (System.Serve + System.ConnectRemote),
 // where the client consumes the framed stream. Two properties are pinned at
-// every ⟨parallelism, batch size⟩ point:
+// every parallelism level:
 //
 //   - rows: the remote encrypted result equals the plaintext engine's
 //     result and, order verbatim, the in-process System's result — the two
@@ -89,55 +89,51 @@ func TestNetworkDifferential(t *testing.T) {
 	for _, par := range []int{1, 2, 4} {
 		sys.SetParallelism(par) // server + in-process client
 		remote.SetParallelism(par)
-		for _, bs := range diffBatchSizes {
-			sys.SetBatchSize(bs)
-			remote.SetBatchSize(bs)
-			for _, sql := range shardedStreamShapes {
-				plain, err := sys.QueryPlaintext(sql)
-				if err != nil {
-					t.Fatalf("p=%d bs=%d plaintext %s: %v", par, bs, sql, err)
-				}
-				local, err := sys.Query(sql)
-				if err != nil {
-					t.Fatalf("p=%d bs=%d in-process %s: %v", par, bs, sql, err)
-				}
-				rec.streams = nil
-				res, err := remote.Query(sql)
-				if err != nil {
-					t.Fatalf("p=%d bs=%d remote %s: %v", par, bs, sql, err)
-				}
+		for _, sql := range shardedStreamShapes {
+			plain, err := sys.QueryPlaintext(sql)
+			if err != nil {
+				t.Fatalf("p=%d plaintext %s: %v", par, sql, err)
+			}
+			local, err := sys.Query(sql)
+			if err != nil {
+				t.Fatalf("p=%d in-process %s: %v", par, sql, err)
+			}
+			rec.streams = nil
+			res, err := remote.Query(sql)
+			if err != nil {
+				t.Fatalf("p=%d remote %s: %v", par, sql, err)
+			}
 
-				// Rows: remote == plaintext (order asserted only where the
-				// query imposes one; the in-process comparison below pins
-				// order anyway).
-				ordered := strings.Contains(sql, "ORDER BY")
-				want := canonicalRows(t, plain.Data, ordered)
-				got := canonicalRows(t, res.Data, ordered)
-				if strings.Join(got, "\n") != strings.Join(want, "\n") {
-					t.Errorf("p=%d bs=%d %s: remote result diverges from plaintext\n%v\nvs\n%v",
-						par, bs, sql, got, want)
-				}
-				// Rows: remote == in-process encrypted, order verbatim.
-				inproc := canonicalRows(t, local.Data, true)
-				verbatim := canonicalRows(t, res.Data, true)
-				if strings.Join(verbatim, "\n") != strings.Join(inproc, "\n") {
-					t.Errorf("p=%d bs=%d %s: remote result diverges from in-process", par, bs, sql)
-				}
+			// Rows: remote == plaintext (order asserted only where the
+			// query imposes one; the in-process comparison below pins
+			// order anyway).
+			ordered := strings.Contains(sql, "ORDER BY")
+			want := canonicalRows(t, plain.Data, ordered)
+			got := canonicalRows(t, res.Data, ordered)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("p=%d %s: remote result diverges from plaintext\n%v\nvs\n%v",
+					par, sql, got, want)
+			}
+			// Rows: remote == in-process encrypted, order verbatim.
+			inproc := canonicalRows(t, local.Data, true)
+			verbatim := canonicalRows(t, res.Data, true)
+			if strings.Join(verbatim, "\n") != strings.Join(inproc, "\n") {
+				t.Errorf("p=%d %s: remote result diverges from in-process", par, sql)
+			}
 
-				// Frames: what crossed the socket == what the server's
-				// ExecuteStream writes for the same RemoteSQL.
-				if len(rec.streams) == 0 {
-					t.Errorf("p=%d bs=%d %s: remote client streamed nothing", par, bs, sql)
+			// Frames: what crossed the socket == what the server's
+			// ExecuteStream writes for the same RemoteSQL.
+			if len(rec.streams) == 0 {
+				t.Errorf("p=%d %s: remote client streamed nothing", par, sql)
+			}
+			for i, rs := range rec.streams {
+				var ref bytes.Buffer
+				if _, err := sys.dep.Client.Srv.ExecuteStream(rs.q, rs.params, &ref); err != nil {
+					t.Fatalf("p=%d %s: reference stream %d: %v", par, sql, i, err)
 				}
-				for i, rs := range rec.streams {
-					var ref bytes.Buffer
-					if _, err := sys.dep.Client.Srv.ExecuteStream(rs.q, rs.params, &ref); err != nil {
-						t.Fatalf("p=%d bs=%d %s: reference stream %d: %v", par, bs, sql, i, err)
-					}
-					if !bytes.Equal(rs.frames, ref.Bytes()) {
-						t.Errorf("p=%d bs=%d %s: stream %d differs over the wire (%d vs %d bytes)",
-							par, bs, sql, i, len(rs.frames), ref.Len())
-					}
+				if !bytes.Equal(rs.frames, ref.Bytes()) {
+					t.Errorf("p=%d %s: stream %d differs over the wire (%d vs %d bytes)",
+						par, sql, i, len(rs.frames), ref.Len())
 				}
 			}
 		}
@@ -251,7 +247,6 @@ func TestNotOverNullConnective(t *testing.T) {
 func TestNetworkConcurrentClients(t *testing.T) {
 	sys := diffSystem(t)
 	sys.SetParallelism(2)
-	sys.SetBatchSize(64)
 	srv, err := sys.Serve("127.0.0.1:0", ServeConfig{MaxInFlight: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -11,24 +11,20 @@ import (
 
 // Differential property test: a seeded random query generator runs the same
 // queries through the plaintext engine and the encrypted split-execution
-// path and requires identical results — crossing parallelism levels with
-// batch sizes, so the sharded engine, the AggState merge path, the batched
-// Paillier aggregation and the batch-at-a-time scan pipeline are all
-// exercised against the sequential unbounded baseline. The Systems here are
-// in process, so results are handed over as rows; the framed stream a remote
-// client consumes is crossed with the same axes in differential_net_test.go
-// and differential_backend_test.go.
+// path and requires identical results — across parallelism levels, so the
+// sharded engine, the AggState merge path and the batched Paillier
+// aggregation are all exercised against the sequential baseline. The
+// Systems here are in process, so results are handed over as rows; the
+// framed stream a remote client consumes is crossed with the same axes in
+// differential_net_test.go and differential_backend_test.go. Small batches
+// at batch boundaries are the engine's own sweep (internal/engine
+// tree_test.go).
 
 const (
 	diffRows    = 260 // enough rows that sharding kicks in (minShardRows*2 per shard)
 	diffQueries = 24  // random queries per template set
 	diffSeed    = 20130826
 )
-
-// diffBatchSizes crosses materialized execution (0) with a streamed batch
-// size small enough that diffRows spans several batches, exercising
-// batch-boundary filters inside every generated query.
-var diffBatchSizes = []int{0, 64}
 
 // diffSystem builds sales(s_id, s_cat, s_qty, s_price, s_date) — plus
 // cats(c_name, c_region, c_tier), a dimension table joining on s_cat =
@@ -107,7 +103,7 @@ type diffQuery struct {
 // pipeline breaker other than grouping: uncorrelated and correlated
 // IN / EXISTS / scalar subqueries, a derived table, and a multi-key sort
 // with no LIMIT. genQueries appends them to every generated list, so they
-// meet batch boundaries, shard seams, both hand-offs and both backends.
+// meet shard seams, both hand-offs and both backends.
 var breakerShapes = []diffQuery{
 	{"SELECT s_id, s_price FROM sales WHERE s_cat IN (SELECT c_name FROM cats WHERE c_tier < 3) ORDER BY s_id", true},
 	{"SELECT c_tier, c_region FROM cats WHERE c_tier IN (SELECT s_qty FROM sales WHERE s_cat = c_name) ORDER BY c_tier", true},
@@ -280,26 +276,23 @@ func TestDifferentialRandomQueries(t *testing.T) {
 	queries := genQueries(rand.New(rand.NewSource(diffSeed+1)), diffQueries)
 	for _, par := range []int{1, 2, 4} {
 		sys.SetParallelism(par)
-		for _, bs := range diffBatchSizes {
-			sys.SetBatchSize(bs)
-			for _, q := range queries {
-				plain, err := sys.QueryPlaintext(q.sql)
-				if err != nil {
-					t.Fatalf("p=%d bs=%d plaintext %s: %v", par, bs, q.sql, err)
-				}
-				enc, err := sys.Query(q.sql)
-				if err != nil {
-					t.Fatalf("p=%d bs=%d encrypted %s: %v", par, bs, q.sql, err)
-				}
-				want := canonicalRows(t, plain.Data, q.ordered)
-				got := canonicalRows(t, enc.Data, q.ordered)
-				if len(got) != len(want) {
-					t.Fatalf("p=%d bs=%d %s: %d rows, plaintext %d", par, bs, q.sql, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("p=%d bs=%d %s\nrow %d: encrypted %q, plaintext %q", par, bs, q.sql, i, got[i], want[i])
-					}
+		for _, q := range queries {
+			plain, err := sys.QueryPlaintext(q.sql)
+			if err != nil {
+				t.Fatalf("p=%d plaintext %s: %v", par, q.sql, err)
+			}
+			enc, err := sys.Query(q.sql)
+			if err != nil {
+				t.Fatalf("p=%d encrypted %s: %v", par, q.sql, err)
+			}
+			want := canonicalRows(t, plain.Data, q.ordered)
+			got := canonicalRows(t, enc.Data, q.ordered)
+			if len(got) != len(want) {
+				t.Fatalf("p=%d %s: %d rows, plaintext %d", par, q.sql, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("p=%d %s\nrow %d: encrypted %q, plaintext %q", par, q.sql, i, got[i], want[i])
 				}
 			}
 		}
@@ -357,34 +350,30 @@ func genJoinQueries(rng *rand.Rand, n int) []diffQuery {
 
 // TestDifferentialJoinQueries runs the multi-table grid: every generated
 // join query through the plaintext engine and the encrypted split path,
-// across Parallelism × BatchSize — exercising the sharded partitioned
-// hash-join build, the sharded probe and cross join, and the streamed-probe
-// pipeline.
+// across Parallelism — exercising the sharded partitioned hash-join build,
+// the sharded probe and cross join, and the streamed-probe pipeline.
 func TestDifferentialJoinQueries(t *testing.T) {
 	sys := diffSystem(t)
 	queries := genJoinQueries(rand.New(rand.NewSource(diffSeed+3)), 15)
 	for _, par := range []int{1, 2, 4} {
 		sys.SetParallelism(par)
-		for _, bs := range diffBatchSizes {
-			sys.SetBatchSize(bs)
-			for _, q := range queries {
-				plain, err := sys.QueryPlaintext(q.sql)
-				if err != nil {
-					t.Fatalf("p=%d bs=%d plaintext %s: %v", par, bs, q.sql, err)
-				}
-				enc, err := sys.Query(q.sql)
-				if err != nil {
-					t.Fatalf("p=%d bs=%d encrypted %s: %v", par, bs, q.sql, err)
-				}
-				want := canonicalRows(t, plain.Data, q.ordered)
-				got := canonicalRows(t, enc.Data, q.ordered)
-				if len(got) != len(want) {
-					t.Fatalf("p=%d bs=%d %s: %d rows, plaintext %d", par, bs, q.sql, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("p=%d bs=%d %s\nrow %d: encrypted %q, plaintext %q", par, bs, q.sql, i, got[i], want[i])
-					}
+		for _, q := range queries {
+			plain, err := sys.QueryPlaintext(q.sql)
+			if err != nil {
+				t.Fatalf("p=%d plaintext %s: %v", par, q.sql, err)
+			}
+			enc, err := sys.Query(q.sql)
+			if err != nil {
+				t.Fatalf("p=%d encrypted %s: %v", par, q.sql, err)
+			}
+			want := canonicalRows(t, plain.Data, q.ordered)
+			got := canonicalRows(t, enc.Data, q.ordered)
+			if len(got) != len(want) {
+				t.Fatalf("p=%d %s: %d rows, plaintext %d", par, q.sql, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("p=%d %s\nrow %d: encrypted %q, plaintext %q", par, q.sql, i, got[i], want[i])
 				}
 			}
 		}
@@ -393,15 +382,13 @@ func TestDifferentialJoinQueries(t *testing.T) {
 
 // TestDifferentialParallelismInvariance pins the encrypted results
 // themselves across execution modes: integer aggregates must be
-// byte-identical whether computed sequentially, sharded, batched, or all at
-// once — every ⟨parallelism, batch size⟩ combination against the sequential
-// unbounded baseline.
+// byte-identical whether computed sequentially or sharded — every
+// parallelism level against the sequential baseline.
 func TestDifferentialParallelismInvariance(t *testing.T) {
 	sys := diffSystem(t)
 	queries := genQueries(rand.New(rand.NewSource(diffSeed+2)), 12)
 	base := make([][]string, len(queries))
 	sys.SetParallelism(1)
-	sys.SetBatchSize(0)
 	for i, q := range queries {
 		res, err := sys.Query(q.sql)
 		if err != nil {
@@ -411,20 +398,17 @@ func TestDifferentialParallelismInvariance(t *testing.T) {
 	}
 	for _, par := range []int{1, 2, 4} {
 		sys.SetParallelism(par)
-		for _, bs := range diffBatchSizes {
-			if par == 1 && bs == 0 {
-				continue // the baseline itself
+		if par == 1 {
+			continue // the baseline itself
+		}
+		for i, q := range queries {
+			res, err := sys.Query(q.sql)
+			if err != nil {
+				t.Fatalf("p=%d %s: %v", par, q.sql, err)
 			}
-			sys.SetBatchSize(bs)
-			for i, q := range queries {
-				res, err := sys.Query(q.sql)
-				if err != nil {
-					t.Fatalf("p=%d bs=%d %s: %v", par, bs, q.sql, err)
-				}
-				got := canonicalRows(t, res.Data, true)
-				if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
-					t.Errorf("p=%d bs=%d %s diverges from sequential unbounded:\n%v\nvs\n%v", par, bs, q.sql, got, base[i])
-				}
+			got := canonicalRows(t, res.Data, true)
+			if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
+				t.Errorf("p=%d %s diverges from sequential:\n%v\nvs\n%v", par, q.sql, got, base[i])
 			}
 		}
 	}
@@ -448,7 +432,7 @@ var shardedStreamShapes = []string{
 	"SELECT s_id, c_region, c_tier FROM sales, cats WHERE s_cat = c_name AND s_qty < 30",
 	// streamed top-N production
 	"SELECT s_id, s_price FROM sales WHERE s_qty < 45 ORDER BY s_price DESC, s_id LIMIT 23",
-	// LIMIT across sharded producers (batch boundary and mid-batch)
+	// LIMIT across sharded producers
 	"SELECT s_id FROM sales WHERE s_price >= 100 LIMIT 64",
 	"SELECT s_id FROM sales LIMIT 70",
 	"SELECT s_id FROM sales LIMIT 0",
@@ -458,34 +442,31 @@ var shardedStreamShapes = []string{
 // grid: the server's engine runs per-worker row ranges feeding a shard-order
 // merger, and streams DISTINCT and grouped emission — so every shape in
 // shardedStreamShapes must be byte-identical to the sequential one-puller
-// baseline across p 1/2/4 × bs 0/64. Row order is asserted verbatim
+// baseline at p 2 and 4. Row order is asserted verbatim
 // (ordered=true for every shape): the stream contract pins order even where
 // SQL would not.
 func TestDifferentialShardedStream(t *testing.T) {
 	sys := diffSystem(t)
 	base := make([][]string, len(shardedStreamShapes))
-	for _, bs := range diffBatchSizes {
-		sys.SetBatchSize(bs)
-		sys.SetParallelism(1) // the sequential one-puller baseline
+	sys.SetParallelism(1) // the sequential one-puller baseline
+	for i, sql := range shardedStreamShapes {
+		res, err := sys.Query(sql)
+		if err != nil {
+			t.Fatalf("baseline %s: %v", sql, err)
+		}
+		base[i] = canonicalRows(t, res.Data, true)
+	}
+	for _, par := range []int{2, 4} {
+		sys.SetParallelism(par)
 		for i, sql := range shardedStreamShapes {
 			res, err := sys.Query(sql)
 			if err != nil {
-				t.Fatalf("baseline bs=%d %s: %v", bs, sql, err)
+				t.Fatalf("p=%d %s: %v", par, sql, err)
 			}
-			base[i] = canonicalRows(t, res.Data, true)
-		}
-		for _, par := range []int{2, 4} {
-			sys.SetParallelism(par)
-			for i, sql := range shardedStreamShapes {
-				res, err := sys.Query(sql)
-				if err != nil {
-					t.Fatalf("p=%d bs=%d %s: %v", par, bs, sql, err)
-				}
-				got := canonicalRows(t, res.Data, true)
-				if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
-					t.Errorf("p=%d bs=%d %s diverges from sequential puller:\n%v\nvs\n%v",
-						par, bs, sql, got, base[i])
-				}
+			got := canonicalRows(t, res.Data, true)
+			if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
+				t.Errorf("p=%d %s diverges from sequential puller:\n%v\nvs\n%v",
+					par, sql, got, base[i])
 			}
 		}
 	}
@@ -495,8 +476,8 @@ func TestDifferentialShardedStream(t *testing.T) {
 // the same queries with secondary indexes off (every scan reads the whole
 // table) and on (DET hash probes, OPE range probes, ordered emission,
 // index-served join builds — whenever the cost rule picks them) must be
-// byte-identical, across parallelism × batch size. The index-off sequential
-// unbounded run is the baseline.
+// byte-identical, across parallelism. The index-off sequential run is the
+// baseline.
 func TestDifferentialIndexInvariance(t *testing.T) {
 	sys := diffSystem(t)
 	queries := genQueries(rand.New(rand.NewSource(diffSeed+4)), 12)
@@ -511,7 +492,6 @@ func TestDifferentialIndexInvariance(t *testing.T) {
 	)
 	sys.SetIndexes(false)
 	sys.SetParallelism(1)
-	sys.SetBatchSize(0)
 	base := make([][]string, len(queries))
 	plainBase := make([][]string, len(queries))
 	for i, q := range queries {
@@ -530,30 +510,27 @@ func TestDifferentialIndexInvariance(t *testing.T) {
 		sys.SetIndexes(idx)
 		for _, par := range []int{1, 4} {
 			sys.SetParallelism(par)
-			for _, bs := range diffBatchSizes {
-				if !idx && par == 1 && bs == 0 {
-					continue // the baseline itself
+			if !idx && par == 1 {
+				continue // the baseline itself
+			}
+			for i, q := range queries {
+				res, err := sys.Query(q.sql)
+				if err != nil {
+					t.Fatalf("idx=%v p=%d %s: %v", idx, par, q.sql, err)
 				}
-				sys.SetBatchSize(bs)
-				for i, q := range queries {
-					res, err := sys.Query(q.sql)
-					if err != nil {
-						t.Fatalf("idx=%v p=%d bs=%d %s: %v", idx, par, bs, q.sql, err)
-					}
-					got := canonicalRows(t, res.Data, true)
-					if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
-						t.Errorf("idx=%v p=%d bs=%d %s diverges from index-off baseline:\n%v\nvs\n%v",
-							idx, par, bs, q.sql, got, base[i])
-					}
-					p, err := sys.QueryPlaintext(q.sql)
-					if err != nil {
-						t.Fatalf("idx=%v plaintext %s: %v", idx, q.sql, err)
-					}
-					pg := canonicalRows(t, p.Data, true)
-					if strings.Join(pg, "\n") != strings.Join(plainBase[i], "\n") {
-						t.Errorf("idx=%v p=%d bs=%d plaintext %s diverges:\n%v\nvs\n%v",
-							idx, par, bs, q.sql, pg, plainBase[i])
-					}
+				got := canonicalRows(t, res.Data, true)
+				if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
+					t.Errorf("idx=%v p=%d %s diverges from index-off baseline:\n%v\nvs\n%v",
+						idx, par, q.sql, got, base[i])
+				}
+				p, err := sys.QueryPlaintext(q.sql)
+				if err != nil {
+					t.Fatalf("idx=%v plaintext %s: %v", idx, q.sql, err)
+				}
+				pg := canonicalRows(t, p.Data, true)
+				if strings.Join(pg, "\n") != strings.Join(plainBase[i], "\n") {
+					t.Errorf("idx=%v p=%d plaintext %s diverges:\n%v\nvs\n%v",
+						idx, par, q.sql, pg, plainBase[i])
 				}
 			}
 		}

@@ -65,9 +65,6 @@ type Client struct {
 	// a streamed one); values < 1 mean GOMAXPROCS, 1 forces sequential
 	// execution.
 	Parallelism int
-	// BatchSize bounds the rows one pull moves through those engines'
-	// pipelines (0 = unbounded); it mirrors the server-side knob.
-	BatchSize int
 	// ParseHook, when set, is called once per SQL string the client
 	// actually hands to the parser — parse-cache hits skip it. Tests use it
 	// to assert repeated queries parse once. It runs with the parse cache
@@ -336,7 +333,6 @@ func (c *Client) finishPlan(plan *planner.Plan, cat *storage.Catalog, res *Resul
 	start := time.Now()
 	eng := engine.New(cat)
 	eng.Parallelism = c.Parallelism
-	eng.BatchSize = c.BatchSize
 	out, err := eng.Execute(plan.Local, ec.localp)
 	if err != nil {
 		return nil, fmt.Errorf("client: local query: %w", err)

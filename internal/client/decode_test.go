@@ -76,10 +76,9 @@ func eventsFixture(t testing.TB) *fixture {
 // two clients over one server: at every Parallelism, for results below, at
 // and above the inline threshold, with NULLs, DET-string, RND and OPE columns
 // and conditional-sum concats whose elements are NULL, the remote-built
-// client — whose workers decode whole batches, here 64-row ones and the
-// unbounded setting's 1 024-row frames — returns the in-process client's rows
-// — same values, same kinds, same order — and both match the plaintext
-// engine.
+// client — whose workers decode whole 1 024-row frames, two of them for the
+// widest result — returns the in-process client's rows — same values, same
+// kinds, same order — and both match the plaintext engine.
 func TestWiresDecodeIdentically(t *testing.T) {
 	f := eventsFixture(t)
 	r := f.remote(nil)
@@ -95,16 +94,12 @@ func TestWiresDecodeIdentically(t *testing.T) {
 		var want [][]value.Value
 		for _, p := range []int{1, 2, 4} {
 			f.client.Parallelism, r.client.Parallelism = p, p
-			for _, w := range []struct {
-				via   *fixture
-				batch int
-			}{{f, 0}, {r, 0}, {r, 64}} {
-				f.client.Srv.SetBatchSize(w.batch)
-				got := w.via.checkQuery(t, sql, nil).Rows
+			for _, via := range []*fixture{f, r} {
+				got := via.checkQuery(t, sql, nil).Rows
 				if want == nil {
 					want = got
 				} else if !reflect.DeepEqual(got, want) {
-					t.Fatalf("p=%d remote=%v batch=%d: rows differ from p=1 in-process\n%s", p, w.via == r, w.batch, sql)
+					t.Fatalf("p=%d remote=%v: rows differ from p=1 in-process\n%s", p, via == r, sql)
 				}
 			}
 		}

@@ -32,13 +32,10 @@ func TestRemoteClientMatchesPlaintext(t *testing.T) {
 	r := f.remote(nil)
 	for _, p := range []int{1, 4} {
 		r.client.Parallelism = p
-		for _, bs := range []int{0, 2} {
-			f.client.Srv.SetBatchSize(bs)
-			for _, sql := range remoteQueries {
-				res := r.checkQuery(t, sql, nil)
-				if res.WireBytes <= 0 {
-					t.Errorf("p=%d bs=%d %s: no wire bytes accounted", p, bs, sql)
-				}
+		for _, sql := range remoteQueries {
+			res := r.checkQuery(t, sql, nil)
+			if res.WireBytes <= 0 {
+				t.Errorf("p=%d %s: no wire bytes accounted", p, sql)
 			}
 		}
 	}
@@ -51,7 +48,6 @@ func TestRemoteResultsIdenticalToInProcess(t *testing.T) {
 	f := newFixture(t)
 	r := f.remote(nil)
 	f.client.Parallelism, r.client.Parallelism = 2, 2
-	f.client.Srv.SetBatchSize(2)
 	for _, sql := range remoteQueries {
 		want, err := f.client.Query(sql, nil)
 		if err != nil {

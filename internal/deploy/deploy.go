@@ -35,10 +35,9 @@ type Spec struct {
 	// Indexes builds secondary indexes over the encrypted tables, mirrors
 	// them onto the plaintext baseline and lets the planner cost them.
 	Indexes bool
-	// Parallelism (0 = GOMAXPROCS; also drives the bulk load) and BatchSize
-	// (0 = unbounded) are the knobs the three Set methods below apply.
+	// Parallelism (0 = GOMAXPROCS; also drives the bulk load) is the
+	// worker count SetParallelism applies.
 	Parallelism int
-	BatchSize   int
 }
 
 // Design is the set-up phase up to the physical design: derive the keys,
@@ -105,7 +104,6 @@ func Build(cat *storage.Catalog, workload map[string]string, spec Spec) (*Deploy
 		DB: db, Client: cl, Net: net,
 	}
 	d.SetParallelism(spec.Parallelism)
-	d.SetBatchSize(spec.BatchSize)
 	d.SetIndexes(spec.Indexes)
 	return d, nil
 }
@@ -146,31 +144,20 @@ func (d *Deployment) Remote(conn *transport.Conn) *Deployment {
 	cl := client.NewRemote(d.Keys, conn, d.DB.Meta, d.Client.Ctx, d.Net)
 	cl.Greedy = d.Client.Greedy
 	cl.Parallelism = d.Client.Parallelism
-	cl.BatchSize = d.Client.BatchSize
 	r := *d
 	r.Client = cl
 	return &r
 }
 
 // SetParallelism sets the sharded-execution worker count on the server, the
-// client's local operators and the plaintext baseline engine. Like the other
-// two setters it is not safe while queries are in flight.
+// client's local operators and the plaintext baseline engine. Like
+// SetIndexes it is not safe while queries are in flight.
 func (d *Deployment) SetParallelism(p int) {
 	if d.Client.Srv != nil {
 		d.Client.Srv.SetParallelism(p)
 	}
 	d.Client.Parallelism = p
 	d.Engine.Parallelism = p
-}
-
-// SetBatchSize sets the execution batch size (0 = unbounded) on the same
-// three engines.
-func (d *Deployment) SetBatchSize(b int) {
-	if d.Client.Srv != nil {
-		d.Client.Srv.SetBatchSize(b)
-	}
-	d.Client.BatchSize = b
-	d.Engine.BatchSize = b
 }
 
 // SetIndexes toggles secondary-index access paths on the server's engine,

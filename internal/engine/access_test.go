@@ -125,14 +125,14 @@ var accessShapes = []string{
 }
 
 // TestAccessPathEquivalence pins every shape's result across UseIndexes ×
-// Parallelism × BatchSize against the index-off sequential materialized
+// Parallelism × batchSize against the index-off sequential materialized
 // baseline — the engine-level version of the byte-identity contract.
 func TestAccessPathEquivalence(t *testing.T) {
 	e := accessFixture(t)
 	base := make(map[string]string)
 	e.UseIndexes = false
 	e.Parallelism = 1
-	e.BatchSize = 0
+	e.batchSize = 0
 	for _, sql := range accessShapes {
 		base[sql] = renderAccess(run(t, e, sql, nil))
 	}
@@ -141,7 +141,7 @@ func TestAccessPathEquivalence(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			e.Parallelism = par
 			for _, bs := range []int{0, 32} {
-				e.BatchSize = bs
+				e.batchSize = bs
 				for _, sql := range accessShapes {
 					got := renderAccess(run(t, e, sql, nil))
 					if got != base[sql] {
@@ -163,7 +163,7 @@ func TestAccessPathStreaming(t *testing.T) {
 	e := accessFixture(t)
 	e.UseIndexes = false
 	e.Parallelism = 1
-	e.BatchSize = 0
+	e.batchSize = 0
 	base := make(map[string]string)
 	for _, sql := range accessShapes {
 		base[sql] = renderAccess(run(t, e, sql, nil))
@@ -172,7 +172,7 @@ func TestAccessPathStreaming(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		e.Parallelism = par
 		for _, bs := range []int{16, 128} {
-			e.BatchSize = bs
+			e.batchSize = bs
 			for _, sql := range accessShapes {
 				q, err := sqlparser.Parse(sql)
 				if err != nil {

@@ -104,19 +104,18 @@ func (r *Result) Bytes() int64 {
 // shard order. Values < 1 mean GOMAXPROCS; 1 runs everything on the
 // calling goroutine.
 //
-// BatchSize bounds the rows one pull moves through the tree: scans read
-// that many rows at a time, join probes and grouped emission cap their
-// output batches at it, and a LIMIT stops pulling — and charging — at the
-// next batch boundary. 0, the default, means unbounded: one batch per
-// shard. Rows are byte-identical at every value; only memory, time to the
-// first batch and early-exit granularity change. Both knobs must not be
-// changed while queries are in flight; concurrent Execute calls on one
-// engine are otherwise safe (execution state is per-call, and catalogs are
-// read-only during execution).
+// The rows one pull moves through the tree follow from how the result is
+// consumed, not from a knob: Execute drains one unbounded batch per shard,
+// an ExecuteStream execution moves DefaultBatchSize rows per pull, and a
+// block whose LIMIT can stop its scan reads at most DefaultBatchSize rows
+// per pull on either path. Rows are byte-identical at every batch size;
+// only memory, time to the first batch and early-exit granularity change.
+// The knobs must not be changed while queries are in flight; concurrent
+// Execute calls on one engine are otherwise safe (execution state is
+// per-call, and catalogs are read-only during execution).
 type Engine struct {
 	Cat         *storage.Catalog
 	Parallelism int
-	BatchSize   int
 	// UseIndexes enables cost-based access-path selection (see access.go):
 	// single-table scans may restrict through a secondary index and join
 	// builds may serve probes from a hash index. Off by default — results
@@ -126,6 +125,9 @@ type Engine struct {
 	UseIndexes bool
 	scalars    map[string]ScalarUDF
 	aggs       map[string]AggUDFFactory
+	// batchSize, when positive, replaces the batch rule above on every
+	// path; tests set it to sweep small batches over small fixtures.
+	batchSize int
 
 	// Cumulative index counters across every query this engine executed.
 	// The monomi layer surfaces these: per-query engine Stats never cross
@@ -192,7 +194,7 @@ func (e *Engine) IsAggUDF(name string) bool {
 // Execute runs q with the given parameter bindings: it drains the tree
 // ExecuteStream returns into one Result.
 func (e *Engine) Execute(q *ast.Query, params map[string]value.Value) (*Result, error) {
-	c := e.newCtx(q, params)
+	c := e.newCtx(q, params, math.MaxInt)
 	if err := c.resolve(q); err != nil {
 		return nil, err
 	}
@@ -212,7 +214,7 @@ type execCtx struct {
 	stats  *Stats
 	subq   map[*ast.Query]*subqPlan // written only from open (planSubquery); shards read it
 	par    int                      // worker count for sharded chains (1 = sequential)
-	batch  int                      // rows per batch; math.MaxInt for BatchSize 0
+	batch  int                      // rows per batch; math.MaxInt when draining
 	useIdx bool                     // cost-based index access paths enabled (access.go)
 	stmt   *stmtCols                // the statement's column set, shared with shard contexts
 	// aliased maps each block whose HAVING or ORDER BY names a SELECT-list
@@ -267,11 +269,11 @@ func (c *execCtx) block(q *ast.Query) *ast.Query {
 	return q
 }
 
-// newCtx creates the context of one top-level execution of q.
-func (e *Engine) newCtx(q *ast.Query, params map[string]value.Value) *execCtx {
-	batch := e.BatchSize
-	if batch <= 0 {
-		batch = math.MaxInt
+// newCtx creates the context of one top-level execution of q that moves
+// batch rows per pull, unless the engine's test override says otherwise.
+func (e *Engine) newCtx(q *ast.Query, params map[string]value.Value, batch int) *execCtx {
+	if e.batchSize > 0 {
+		batch = e.batchSize
 	}
 	return &execCtx{
 		eng: e, params: params, stats: &Stats{},
@@ -416,9 +418,10 @@ func (c *execCtx) execQuery(q *ast.Query, outer *env) (*relation, error) {
 // A block that may shard runs one chain per worker, with a per-shard
 // DISTINCT or bounded-sort pre-pass so only candidates cross the merger. A
 // LIMIT that can stop the scan early (no sort, no grouping in front of it)
-// keeps the block on one chain: only the global row prefix matters, so one
-// early-exiting chain is the least work and leaves the charged scan
-// independent of the Parallelism knob.
+// keeps the block on one chain that reads at most DefaultBatchSize rows per
+// pull: only the global row prefix matters, so one early-exiting chain is
+// the least work, and the charged scan is independent of the Parallelism
+// knob and of whether the result is drained or streamed.
 //
 // The subqueries the block's clauses name are planned here, before anything
 // else (planBlock): their plans are complete and immutable by the time the
@@ -448,7 +451,7 @@ func (c *execCtx) open(q *ast.Query, outer *env) (batchIterator, error) {
 	}
 	shards := c.shards(p)
 	if q.Limit >= 0 && !sorts && !grouped {
-		shards = 1
+		shards, p.batch = 1, min(p.batch, DefaultBatchSize)
 	}
 
 	var it batchIterator
@@ -497,6 +500,7 @@ type pipeline struct {
 	residual ast.Expr  // post-join predicates
 	joined   *relation // columns after the last step
 	outer    *env
+	batch    int // rows a chain's scan reads and its probes emit per pull
 	// ordered: src already emits in the block's ORDER BY order.
 	ordered bool
 }
@@ -517,7 +521,7 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 	if err != nil {
 		return nil, err
 	}
-	p := &pipeline{src: src, layout: layout, joined: layout, outer: outer}
+	p := &pipeline{src: src, layout: layout, joined: layout, outer: outer, batch: c.batch}
 	if len(q.From) == 1 {
 		// Nothing to classify: the whole WHERE filters the one table.
 		p.filter = q.Where
@@ -547,7 +551,7 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 		// The build side is its own scan → filter chain, drained.
 		bp := &pipeline{
 			src: srcs[st.next], layout: rels[st.next], joined: rels[st.next],
-			filter: ast.AndAll(plan.perTable[st.next]), outer: outer,
+			filter: ast.AndAll(plan.perTable[st.next]), outer: outer, batch: c.batch,
 		}
 		right, err := c.drainSource(bp)
 		if err != nil {
@@ -602,12 +606,12 @@ func (c *execCtx) fromSource(f *ast.TableRef, outer *env) (*rowSource, *relation
 // exists as a whole, and the first joined batch is available after one
 // probe batch instead of after the full probe scan.
 func (p *pipeline) chain(sc *execCtx, lo, hi int) batchIterator {
-	var it batchIterator = &scanIterator{st: sc.stats, src: p.src, pos: lo, hi: hi, size: sc.batch}
+	var it batchIterator = &scanIterator{st: sc.stats, src: p.src, pos: lo, hi: hi, size: p.batch}
 	if p.filter != nil {
 		it = &filterIterator{in: it, rel: p.layout, pred: p.filter, outer: p.outer, c: sc}
 	}
 	for i := range p.steps {
-		it = &probeIterator{in: it, step: &p.steps[i], outer: p.outer, c: sc}
+		it = &probeIterator{in: it, step: &p.steps[i], outer: p.outer, c: sc, size: p.batch}
 	}
 	if p.residual != nil {
 		it = &filterIterator{in: it, rel: p.joined, pred: p.residual, outer: p.outer, c: sc}

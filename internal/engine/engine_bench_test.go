@@ -117,7 +117,7 @@ func BenchmarkHashJoinProbe200k(b *testing.B) {
 
 // Streamed-vs-materialized benchmarks: the same scan-shaped queries with
 // the batch-at-a-time pipeline off (materialized intermediates) and on
-// (BatchSize = DefaultBatchSize), at sequential and sharded parallelism.
+// (batchSize = DefaultBatchSize), at sequential and sharded parallelism.
 // Streaming wins by skipping the materialized filter output and, for
 // LIMIT, by stopping the scan early; results are byte-identical either
 // way (see stream_test.go).
@@ -132,7 +132,7 @@ func benchStreamLevels(b *testing.B, sql string, rows int) {
 	}{{"materialized", 0}, {"streamed", DefaultBatchSize}} {
 		for _, p := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/p=%d", mode.name, p), func(b *testing.B) {
-				e.Parallelism, e.BatchSize = p, mode.batch
+				e.Parallelism, e.batchSize = p, mode.batch
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := e.Execute(q, nil); err != nil {
@@ -247,7 +247,7 @@ func BenchmarkStreamJoinProbe200k(b *testing.B) {
 			batch int
 		}{{"materialized", 0}, {"streamed", DefaultBatchSize}} {
 			b.Run(fmt.Sprintf("%s/%s", sh.name, mode.name), func(b *testing.B) {
-				e.Parallelism, e.BatchSize = 1, mode.batch
+				e.Parallelism, e.batchSize = 1, mode.batch
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := e.Execute(q, nil); err != nil {

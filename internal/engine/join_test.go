@@ -73,7 +73,7 @@ func renderJoinRows(res *Result) []string {
 	return out
 }
 
-// joinModeQueries are the shapes the ⟨Parallelism, BatchSize⟩ grid pins:
+// joinModeQueries are the shapes the ⟨Parallelism, batchSize⟩ grid pins:
 // equi-join, residual-filtered join, grouped join, cross join (grouped and
 // projected), LIMIT early exit, and a three-table chain via a derived
 // self-reference of dims.
@@ -91,7 +91,7 @@ var joinModeQueries = []string{
 }
 
 // TestJoinModesByteIdentical pins every join query's rows across the
-// ⟨Parallelism, BatchSize⟩ grid against the sequential materialized
+// ⟨Parallelism, batchSize⟩ grid against the sequential materialized
 // baseline: the sharded partitioned build, the sharded probe, the sharded
 // cross join, the partitioned DISTINCT dedup, and the streamed-probe
 // pipeline must all emit byte-identical rows in identical order.
@@ -99,7 +99,7 @@ func TestJoinModesByteIdentical(t *testing.T) {
 	e := joinFixture(t, 500, 40)
 	for qi, sql := range joinModeQueries {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.BatchSize = 1, 0
+		e.Parallelism, e.batchSize = 1, 0
 		base, err := e.Execute(q, nil)
 		if err != nil {
 			t.Fatalf("q%d baseline: %v", qi, err)
@@ -110,7 +110,7 @@ func TestJoinModesByteIdentical(t *testing.T) {
 				if par == 1 && bs == 0 {
 					continue
 				}
-				e.Parallelism, e.BatchSize = par, bs
+				e.Parallelism, e.batchSize = par, bs
 				res, err := e.Execute(q, nil)
 				if err != nil {
 					t.Fatalf("q%d p=%d bs=%d: %v", qi, par, bs, err)
@@ -133,7 +133,7 @@ func TestJoinModesByteIdentical(t *testing.T) {
 func TestMixedSideEqualityIsResidual(t *testing.T) {
 	e := fixture(t)
 	for _, bs := range []int{0, 2} {
-		e.BatchSize = bs
+		e.batchSize = bs
 		res := run(t, e, `SELECT o_id, i_tag FROM orders, items
 			WHERE o_id = i_order AND o_total = i_price + o_id + 59`, nil)
 		if len(res.Rows) != 1 {
@@ -144,7 +144,7 @@ func TestMixedSideEqualityIsResidual(t *testing.T) {
 		}
 	}
 	// Mirror image: the mixed side on the left of the equality.
-	e.BatchSize = 0
+	e.batchSize = 0
 	res := run(t, e, `SELECT o_id, i_tag FROM orders, items
 		WHERE o_id = i_order AND i_price + o_id + 59 = o_total`, nil)
 	if len(res.Rows) != 1 || res.Rows[0][1].S != "green gadget" {
@@ -173,7 +173,7 @@ func TestAmbiguousColumnReference(t *testing.T) {
 	}
 	e := New(cat)
 	for _, bs := range []int{0, 4} {
-		e.BatchSize = bs
+		e.batchSize = bs
 		q := sqlparser.MustParse(`SELECT v_t1 FROM t1, t2 WHERE k = 1`)
 		_, err := e.Execute(q, nil)
 		if err == nil || !strings.Contains(err.Error(), "ambiguous") {
@@ -181,7 +181,7 @@ func TestAmbiguousColumnReference(t *testing.T) {
 		}
 	}
 	// Qualified references stay legal.
-	e.BatchSize = 0
+	e.batchSize = 0
 	res := run(t, e, `SELECT v_t1, v_t2 FROM t1, t2 WHERE t1.k = t2.k`, nil)
 	if len(res.Rows) != 2 {
 		t.Fatalf("qualified join rows = %d, want 2", len(res.Rows))
@@ -210,7 +210,7 @@ func TestCrossJoinNestedLoopOrder(t *testing.T) {
 	e := New(cat)
 	for _, par := range []int{1, 4} {
 		for _, bs := range []int{0, 1000} {
-			e.Parallelism, e.BatchSize = par, bs
+			e.Parallelism, e.batchSize = par, bs
 			out := run(t, e, `SELECT lv, rv FROM l, r`, nil)
 			if len(out.Rows) != nl*nr {
 				t.Fatalf("p=%d bs=%d: rows = %d, want %d", par, bs, len(out.Rows), nl*nr)
@@ -234,14 +234,14 @@ func TestJoinExecuteStreamMatchesExecute(t *testing.T) {
 	e := joinFixture(t, 500, 40)
 	for qi, sql := range joinModeQueries {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.BatchSize = 1, 0
+		e.Parallelism, e.batchSize = 1, 0
 		want, err := e.Execute(q, nil)
 		if err != nil {
 			t.Fatalf("q%d: %v", qi, err)
 		}
 		for _, bs := range []int{0, 7, 64} {
 			for _, p := range []int{1, 4} {
-				e.Parallelism, e.BatchSize = p, bs
+				e.Parallelism, e.batchSize = p, bs
 				s, err := e.ExecuteStream(q, nil)
 				if err != nil {
 					t.Fatalf("q%d bs=%d p=%d: %v", qi, bs, p, err)
@@ -262,7 +262,7 @@ func TestJoinExecuteStreamMatchesExecute(t *testing.T) {
 func TestJoinStreamIncremental(t *testing.T) {
 	const facts = 5000
 	e := joinFixture(t, facts, 40)
-	e.Parallelism, e.BatchSize = 1, 64
+	e.Parallelism, e.batchSize = 1, 64
 	q := sqlparser.MustParse(`SELECT f_id, d_name FROM facts, dims WHERE f_dim = d_id`)
 	s, err := e.ExecuteStream(q, nil)
 	if err != nil {
@@ -315,7 +315,7 @@ func TestJoinStreamIncremental(t *testing.T) {
 func TestJoinStreamBatchCap(t *testing.T) {
 	const bs = 32
 	e := joinFixture(t, 200, 40) // dims: 81 rows ≫ bs, so one probe row overflows a batch
-	e.Parallelism, e.BatchSize = 1, bs
+	e.Parallelism, e.batchSize = 1, bs
 	s, err := e.ExecuteStream(sqlparser.MustParse(`SELECT f_id, d_name FROM facts, dims`), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -128,7 +129,7 @@ var pagedQueries = []string{
 }
 
 // TestPagedMatchesMem runs every shape on both catalogs across the
-// ⟨Parallelism, BatchSize, UseIndexes⟩ grid, materialized and streamed.
+// ⟨Parallelism, batchSize, UseIndexes⟩ grid, materialized and streamed.
 func TestPagedMatchesMem(t *testing.T) {
 	mem, disk := pagedEngines(t)
 	for _, sql := range pagedQueries {
@@ -140,7 +141,7 @@ func TestPagedMatchesMem(t *testing.T) {
 			for _, batch := range []int{0, 7} {
 				for _, idx := range []bool{false, true} {
 					for _, e := range []*Engine{mem, disk} {
-						e.Parallelism, e.BatchSize, e.UseIndexes = par, batch, idx
+						e.Parallelism, e.batchSize, e.UseIndexes = par, batch, idx
 					}
 					want, err := mem.Execute(q, nil)
 					if err != nil {
@@ -226,7 +227,7 @@ func TestPagedLayoutIsPruned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", c.sql, err)
 		}
-		src, layout, err := disk.newCtx(q, nil).fromSource(&q.From[0], nil)
+		src, layout, err := disk.newCtx(q, nil, math.MaxInt).fromSource(&q.From[0], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +246,7 @@ func TestPagedLayoutIsPruned(t *testing.T) {
 				t.Errorf("%q: layout column %d is %s, position %d is %s", c.sql, i, got, ci, want)
 			}
 		}
-		mc := mem.newCtx(q, nil)
+		mc := mem.newCtx(q, nil, math.MaxInt)
 		src, layout, err = mc.fromSource(&q.From[0], nil)
 		if err != nil {
 			t.Fatal(err)

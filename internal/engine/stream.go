@@ -24,10 +24,11 @@ import (
 // breakers; they do their blocking work on the first pull, so a stream that
 // is closed — or LIMIT-0'd — before anyone reads it does nothing.
 //
-// A batch holds at most Engine.BatchSize rows (scans read that many, probes
-// and group emission cap their output at it); batches shrink through
-// filters and are never re-compacted, so a batch is only guaranteed
-// non-empty. With BatchSize 0 the bound is infinite — one batch per shard.
+// A batch holds at most the execution's batch size in rows (scans read that
+// many, probes and group emission cap their output at it); batches shrink
+// through filters and are never re-compacted, so a batch is only guaranteed
+// non-empty. A drain's bound is infinite — one batch per shard; a stream's,
+// and an early-exiting LIMIT's, is DefaultBatchSize (Engine).
 // Sharded loops pin their shard bounds to the sequential scan's batch grid
 // (shardStreamBounds) whenever the grid has a cell per worker, so per-batch
 // statistics — not just rows — are then identical at every parallelism
@@ -36,10 +37,10 @@ import (
 // columns may differ in the last ULP when sharded, because per-shard
 // partial sums regroup the float additions.
 
-// DefaultBatchSize is the batch size callers that just want bounded batches
-// should use: large enough to amortize per-batch overhead, small enough
-// that a pipeline's working set stays cache-resident. It is also the frame
-// size ResultStream cuts an unbounded-batch result into.
+// DefaultBatchSize is the bound of every bounded batch — a stream's pulls
+// and frames, an early-exiting LIMIT's scan: large enough to amortize
+// per-batch overhead, small enough that a pipeline's working set stays
+// cache-resident.
 const DefaultBatchSize = 1024
 
 // batchIterator is the pull interface of the tree. next returns the next
@@ -211,6 +212,7 @@ type probeIterator struct {
 	step  *joinStep
 	outer *env
 	c     *execCtx
+	size  int // output rows per batch at most
 
 	// Expansion state carried across next calls.
 	batch   [][]value.Value // input batch being consumed
@@ -225,7 +227,7 @@ func (it *probeIterator) next() ([][]value.Value, error) {
 	for {
 		// Drain the in-flight expansion first.
 		for it.mi < len(it.matches) {
-			if len(out) >= it.c.batch {
+			if len(out) >= it.size {
 				return out, nil
 			}
 			rrow := it.matches[it.mi]

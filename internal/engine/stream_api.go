@@ -34,13 +34,15 @@ type ResultStream struct {
 }
 
 // ExecuteStream starts q and returns its result as a batch stream. The
-// column names are available immediately; batches arrive via Next, at most
-// Engine.BatchSize rows each. With BatchSize 0 the tree moves one unbounded
-// batch per shard and the stream cuts its output into DefaultBatchSize-row
-// frames, so a consumer still sees — and a server still ships — bounded
-// batches.
+// column names are available immediately; batches arrive via Next. The
+// whole execution — subqueries, derived tables and join builds included —
+// moves DefaultBatchSize rows per pull, so a block without a breaker ships
+// its first batch after one scan batch per shard and an abandoned stream
+// stops its scan within a few batches; the stream re-cuts its output into
+// exactly DefaultBatchSize-row frames (the last may be short), the frames a
+// server ships.
 func (e *Engine) ExecuteStream(q *ast.Query, params map[string]value.Value) (*ResultStream, error) {
-	c := e.newCtx(q, params)
+	c := e.newCtx(q, params, DefaultBatchSize)
 	if err := c.resolve(q); err != nil {
 		return nil, err
 	}
@@ -48,7 +50,7 @@ func (e *Engine) ExecuteStream(q *ast.Query, params map[string]value.Value) (*Re
 	if err != nil {
 		return nil, err
 	}
-	if e.BatchSize <= 0 {
+	if e.batchSize <= 0 {
 		it = &frameIterator{in: it, size: DefaultBatchSize}
 	}
 	return &ResultStream{cols: colNames(projectionCols(q)), ctx: c, it: it}, nil

@@ -37,11 +37,11 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 	registerMySum(e)
 	for _, sql := range streamQueries {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.BatchSize = 1, 0
+		e.Parallelism, e.batchSize = 1, 0
 		want, seqErr := e.Execute(q, nil)
 		for _, bs := range []int{0, 7, 64} {
 			for _, p := range []int{1, 4} {
-				e.Parallelism, e.BatchSize = p, bs
+				e.Parallelism, e.batchSize = p, bs
 				s, err := e.ExecuteStream(q, nil)
 				if err != nil {
 					if seqErr == nil {
@@ -71,7 +71,7 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 // engine-side half of time-to-first-batch < time-to-last-batch.
 func TestExecuteStreamIncremental(t *testing.T) {
 	e := parallelFixture(t, 5000)
-	e.Parallelism, e.BatchSize = 1, 64
+	e.Parallelism, e.batchSize = 1, 64
 	s, err := e.ExecuteStream(sqlparser.MustParse(`SELECT f_id, f_val FROM facts`), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestExecuteStreamIncremental(t *testing.T) {
 // no goroutines, nothing can leak.
 func TestExecuteStreamEarlyClose(t *testing.T) {
 	e := parallelFixture(t, 10000)
-	e.Parallelism, e.BatchSize = 4, 32
+	e.Parallelism, e.batchSize = 4, 32
 	s, err := e.ExecuteStream(sqlparser.MustParse(`SELECT f_id FROM facts WHERE f_val >= 0`), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestExecuteStreamEarlyClose(t *testing.T) {
 // delivery, early scan exit, and LIMIT 0.
 func TestExecuteStreamLimit(t *testing.T) {
 	e := parallelFixture(t, 10000)
-	e.Parallelism, e.BatchSize = 1, 32
+	e.Parallelism, e.batchSize = 1, 32
 	s, err := e.ExecuteStream(sqlparser.MustParse(`SELECT f_id FROM facts LIMIT 5`), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -165,14 +165,14 @@ func TestStreamTopNMatchesMaterialized(t *testing.T) {
 	}
 	for _, sql := range queries {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.BatchSize = 1, 0
+		e.Parallelism, e.batchSize = 1, 0
 		want, err := e.Execute(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, bs := range []int{1, 16, 256} {
 			for _, p := range []int{1, 2, 4} {
-				e.Parallelism, e.BatchSize = p, bs
+				e.Parallelism, e.batchSize = p, bs
 				got, err := e.Execute(q, nil)
 				if err != nil {
 					t.Fatalf("bs=%d p=%d %s: %v", bs, p, sql, err)
@@ -195,7 +195,7 @@ func TestStreamTopNStats(t *testing.T) {
 	q := sqlparser.MustParse(`SELECT f_id FROM facts ORDER BY f_val LIMIT 7`)
 	for _, bs := range []int{8, 512} {
 		for _, p := range []int{1, 4} {
-			e.Parallelism, e.BatchSize = p, bs
+			e.Parallelism, e.batchSize = p, bs
 			res, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -219,14 +219,14 @@ func TestParallelGroupFinalization(t *testing.T) {
 	// ~100 distinct f_dim groups: enough for every worker to own a range.
 	q := sqlparser.MustParse(
 		`SELECT f_dim, my_sum(f_val), COUNT(*) FROM facts GROUP BY f_dim ORDER BY f_dim`)
-	e.Parallelism, e.BatchSize = 1, 0
+	e.Parallelism, e.batchSize = 1, 0
 	want, err := e.Execute(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 4, 16} {
 		for _, bs := range []int{0, 64} {
-			e.Parallelism, e.BatchSize = p, bs
+			e.Parallelism, e.batchSize = p, bs
 			got, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatal(err)

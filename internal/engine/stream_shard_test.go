@@ -89,7 +89,7 @@ func TestShardedStreamMatchesSequentialPuller(t *testing.T) {
 		q := sqlparser.MustParse(sql)
 		multiTable := len(q.From) > 1
 		for _, bs := range []int{7, 64} {
-			e.Parallelism, e.BatchSize = 1, bs
+			e.Parallelism, e.batchSize = 1, bs
 			s, err := e.ExecuteStream(q, nil)
 			if err != nil {
 				t.Fatalf("bs=%d p=1 %s: %v", bs, sql, err)
@@ -149,7 +149,7 @@ func TestShardedStreamStatsNoDoubleCount(t *testing.T) {
 	} {
 		q := sqlparser.MustParse(sql)
 		for _, p := range []int{1, 4} {
-			e.Parallelism, e.BatchSize = p, 64
+			e.Parallelism, e.batchSize = p, 64
 			s, err := e.ExecuteStream(q, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -182,7 +182,7 @@ func TestShardedStreamStatsNoDoubleCount(t *testing.T) {
 func TestShardedStreamCloseNoLeak(t *testing.T) {
 	const rows = 8000
 	e := parallelFixture(t, rows)
-	e.Parallelism, e.BatchSize = 4, 32
+	e.Parallelism, e.batchSize = 4, 32
 	queries := []string{
 		`SELECT f_id FROM facts WHERE f_val >= 0`,
 		`SELECT DISTINCT f_tag, f_dim FROM facts`,
@@ -244,7 +244,7 @@ func TestShardedStreamLimit(t *testing.T) {
 	} {
 		sql := fmt.Sprintf(`SELECT f_id FROM facts LIMIT %d`, tc.limit)
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.BatchSize = 4, 64
+		e.Parallelism, e.batchSize = 4, 64
 		s, err := e.ExecuteStream(q, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -305,7 +305,7 @@ func TestGroupedStreamLazyFinalization(t *testing.T) {
 	var results int64
 	e.RegisterAgg("counted_sum", func(st *Stats) AggState { return &countingUDF{results: &results} })
 	q := sqlparser.MustParse(`SELECT f_dim, counted_sum(f_val) FROM facts GROUP BY f_dim`)
-	e.Parallelism, e.BatchSize = 4, 8
+	e.Parallelism, e.batchSize = 4, 8
 
 	s, err := e.ExecuteStream(q, nil)
 	if err != nil {
@@ -353,7 +353,7 @@ func TestShardedStreamError(t *testing.T) {
 		return args[0], nil
 	})
 	q := sqlparser.MustParse(`SELECT explode(f_id) FROM facts`)
-	e.BatchSize = 16
+	e.batchSize = 16
 	e.Parallelism = 1
 	s, err := e.ExecuteStream(q, nil)
 	if err != nil {
@@ -395,7 +395,7 @@ func TestShardedStreamError(t *testing.T) {
 // TestShardStreamBoundsCoarseGrid is the regression for the collapsed
 // grid: a batch size ≥ rows÷shards used to leave fewer batch cells than
 // workers and clip the shard count to them — down to one shard, i.e. a
-// silently sequential run, for a batch ≥ the table (and for BatchSize 0).
+// silently sequential run, for a batch ≥ the table (and for batchSize 0).
 // A coarse grid must split evenly instead; a fine one stays batch-aligned.
 func TestShardStreamBoundsCoarseGrid(t *testing.T) {
 	for _, tc := range []struct{ n, shards, size int }{
@@ -430,7 +430,7 @@ func TestShardStreamBoundsCoarseGrid(t *testing.T) {
 	} {
 		q := sqlparser.MustParse(sql)
 		for _, bs := range []int{rows, 100000, 0} {
-			e.BatchSize, e.Parallelism = bs, 1
+			e.batchSize, e.Parallelism = bs, 1
 			want, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatal(err)

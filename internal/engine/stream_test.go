@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -50,11 +51,11 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 	registerMySum(e)
 	for _, sql := range streamQueries {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.BatchSize = 1, 0
+		e.Parallelism, e.batchSize = 1, 0
 		want, seqErr := e.Execute(q, nil)
 		for _, bs := range []int{1, 7, 64, DefaultBatchSize} {
 			for _, p := range []int{1, 2, 4} {
-				e.Parallelism, e.BatchSize = p, bs
+				e.Parallelism, e.batchSize = p, bs
 				res, err := e.Execute(q, nil)
 				if (err == nil) != (seqErr == nil) {
 					t.Fatalf("bs=%d p=%d err=%v, materialized err=%v\n%s", bs, p, err, seqErr, sql)
@@ -77,14 +78,14 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 func TestStreamedFullScanStats(t *testing.T) {
 	e := parallelFixture(t, 2000)
 	q := sqlparser.MustParse(`SELECT f_dim, SUM(f_val) FROM facts WHERE f_val > 250 GROUP BY f_dim`)
-	e.Parallelism, e.BatchSize = 1, 0
+	e.Parallelism, e.batchSize = 1, 0
 	want, err := e.Execute(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bs := range []int{1, 3, 64, 1024, 5000} {
 		for _, p := range []int{1, 2, 4} {
-			e.Parallelism, e.BatchSize = p, bs
+			e.Parallelism, e.batchSize = p, bs
 			res, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -120,7 +121,7 @@ func TestStreamFallbackNoDoubleCount(t *testing.T) {
 	} {
 		q := sqlparser.MustParse(sql)
 		for _, p := range []int{1, 4} {
-			e.Parallelism, e.BatchSize = p, 64
+			e.Parallelism, e.batchSize = p, 64
 			res, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
@@ -168,7 +169,7 @@ func TestStreamEmptyTable(t *testing.T) {
 		q := sqlparser.MustParse(tc.sql)
 		for _, bs := range []int{0, 1, 8} {
 			for _, p := range []int{1, 4} {
-				e.Parallelism, e.BatchSize = p, bs
+				e.Parallelism, e.batchSize = p, bs
 				res, err := e.Execute(q, nil)
 				if err != nil {
 					t.Fatalf("bs=%d p=%d %s: %v", bs, p, tc.sql, err)
@@ -197,13 +198,13 @@ func TestStreamBatchBoundaryFilters(t *testing.T) {
 		`SELECT SUM(f_val) FROM facts WHERE f_id BETWEEN 47 AND 48`,
 	} {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.BatchSize = 1, 0
+		e.Parallelism, e.batchSize = 1, 0
 		want, err := e.Execute(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range []int{1, 4} {
-			e.Parallelism, e.BatchSize = p, bs
+			e.Parallelism, e.batchSize = p, bs
 			res, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatalf("p=%d %s: %v", p, sql, err)
@@ -216,48 +217,74 @@ func TestStreamBatchBoundaryFilters(t *testing.T) {
 }
 
 // TestStreamLimitEarlyExit checks that LIMIT without ORDER BY stops the
-// pipeline partway through the table: the streamed scan must charge fewer
-// rows/bytes than a full materialized scan.
+// pipeline partway through the table: one batch satisfies LIMIT 5, so the
+// scan charges exactly one batch — under a 32-row override, and by the
+// batch rule's DefaultBatchSize with none — whether the block is drained or
+// streamed. A limit keeps the block on one chain even at p=4 (only the
+// global prefix matters), so the charged work is the sequential run's.
 func TestStreamLimitEarlyExit(t *testing.T) {
 	const rows = 10000
 	e := parallelFixture(t, rows)
+	tbl, _ := e.Cat.Table("facts")
 	q := sqlparser.MustParse(`SELECT f_id FROM facts LIMIT 5`)
-
-	e.Parallelism, e.BatchSize = 1, 32
-	res, err := e.Execute(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("LIMIT 5 returned %d rows", len(res.Rows))
-	}
-	for i, row := range res.Rows {
-		if row[0].AsInt() != int64(i) {
-			t.Fatalf("row %d = %v, want %d (row order broken)", i, row[0], i)
+	for _, bs := range []int{32, 0} {
+		want := int64(bs)
+		if bs == 0 {
+			want = DefaultBatchSize
+		}
+		for _, p := range []int{1, 4} {
+			e.batchSize, e.Parallelism = bs, p
+			res, err := e.Execute(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := e.ExecuteStream(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for path, r := range map[string]*Result{"Execute": res, "ExecuteStream": drainStream(t, s)} {
+				at := fmt.Sprintf("bs=%d p=%d %s", bs, p, path)
+				if len(r.Rows) != 5 {
+					t.Fatalf("%s: LIMIT 5 returned %d rows", at, len(r.Rows))
+				}
+				for i, row := range r.Rows {
+					if row[0].AsInt() != int64(i) {
+						t.Fatalf("%s: row %d = %v, want %d (row order broken)", at, i, row[0], i)
+					}
+				}
+				if r.Stats.RowsScanned != want {
+					t.Errorf("%s: early exit scanned %d rows, want one %d-row batch", at, r.Stats.RowsScanned, want)
+				}
+				if r.Stats.BytesScanned >= tbl.Bytes {
+					t.Errorf("%s: early exit charged a full scan: %d bytes", at, r.Stats.BytesScanned)
+				}
+			}
 		}
 	}
-	// One batch satisfies the limit; a second pull never happens.
-	if res.Stats.RowsScanned != 32 {
-		t.Errorf("sequential early exit scanned %d rows, want 32", res.Stats.RowsScanned)
-	}
-	tbl, _ := e.Cat.Table("facts")
-	if res.Stats.BytesScanned >= tbl.Bytes {
-		t.Errorf("early exit charged a full scan: %d bytes", res.Stats.BytesScanned)
-	}
+}
 
-	// A limit forces the sequential drain even at p=4 (only the global
-	// prefix matters), so the scan work and charged stats are identical
-	// to the sequential run.
-	e.Parallelism = 4
-	res, err = e.Execute(q, nil)
+// TestStreamFirstBatchDefault pins the batch rule for a stream at default
+// settings: a filtered 100 000-row scan at p=2 ships its first batch after
+// one scan batch per worker, not after a whole shard, and closing the
+// stream then stops the scan within the workers' readahead.
+func TestStreamFirstBatchDefault(t *testing.T) {
+	const rows = 100000
+	e := parallelFixture(t, rows)
+	e.Parallelism = 2
+	s, err := e.ExecuteStream(sqlparser.MustParse(`SELECT f_id FROM facts WHERE f_val >= 0`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 5 || res.Rows[4][0].AsInt() != 4 {
-		t.Fatalf("p=4 LIMIT 5 returned wrong rows: %v", res.Rows)
+	b, err := s.Next()
+	if err != nil || len(b) != DefaultBatchSize {
+		t.Fatalf("first batch: %d rows, err %v", len(b), err)
 	}
-	if res.Stats.RowsScanned != 32 {
-		t.Errorf("p=4 early exit scanned %d rows, want 32 (same as sequential)", res.Stats.RowsScanned)
+	if n := s.Stats().RowsScanned; n > 2*DefaultBatchSize {
+		t.Errorf("first batch after %d rows scanned, want at most %d", n, 2*DefaultBatchSize)
+	}
+	s.Close()
+	if n := s.Stats().RowsScanned; n >= rows/4 {
+		t.Errorf("abandoned stream scanned %d of %d rows, want under a quarter", n, rows)
 	}
 }
 
@@ -268,7 +295,7 @@ func TestStreamLimitEarlyExit(t *testing.T) {
 // stragglers).
 func TestStreamLimitNoGoroutineLeak(t *testing.T) {
 	e := parallelFixture(t, 5000)
-	e.Parallelism, e.BatchSize = 4, 8
+	e.Parallelism, e.batchSize = 4, 8
 	queries := []string{
 		`SELECT f_id FROM facts LIMIT 3`,
 		`SELECT f_id FROM facts WHERE f_val > 500 LIMIT 9`,
@@ -308,12 +335,12 @@ func TestStreamParamsAndScalarUDF(t *testing.T) {
 	})
 	q := sqlparser.MustParse(`SELECT f_id, twice(f_val) FROM facts WHERE f_val > :cut`)
 	params := map[string]value.Value{"cut": value.NewInt(800)}
-	e.Parallelism, e.BatchSize = 1, 0
+	e.Parallelism, e.batchSize = 1, 0
 	want, err := e.Execute(q, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Parallelism, e.BatchSize = 4, 32
+	e.Parallelism, e.batchSize = 4, 32
 	got, err := e.Execute(q, params)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -68,7 +69,7 @@ func TestSubqueryBlocksShard(t *testing.T) {
 	e := parallelFixture(t, 600)
 	for _, sql := range subqueryShapes {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.BatchSize = 1, 0
+		e.Parallelism, e.batchSize = 1, 0
 		want, err := e.Execute(q, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
@@ -77,7 +78,7 @@ func TestSubqueryBlocksShard(t *testing.T) {
 			t.Errorf("%s: no subquery run counted", sql)
 		}
 		for _, bs := range []int{0, 64} {
-			e.Parallelism, e.BatchSize = 4, bs
+			e.Parallelism, e.batchSize = 4, bs
 			got, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatalf("p=4 bs=%d %s: %v", bs, sql, err)
@@ -153,7 +154,7 @@ func TestSubqueryPlannedAtOpen(t *testing.T) {
 	}
 	// A statement without subqueries creates no memo.
 	q := sqlparser.MustParse(`SELECT f_dim, SUM(f_val) FROM facts, dims WHERE f_dim = d_id GROUP BY f_dim`)
-	c := e.newCtx(q, nil)
+	c := e.newCtx(q, nil, math.MaxInt)
 	if _, err := c.execQuery(q, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestSubqueryDecorrelateErrorIsTheStatements(t *testing.T) {
 	} {
 		calls.Store(0)
 		q := sqlparser.MustParse(sql)
-		c := e.newCtx(q, nil)
+		c := e.newCtx(q, nil, math.MaxInt)
 		_, err := c.open(q, nil)
 		if err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Fatalf("open err = %v, want boom: %s", err, sql)

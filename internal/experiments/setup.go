@@ -43,9 +43,6 @@ type Config struct {
 	// the client's local operators, and the plaintext baseline; 0 means
 	// GOMAXPROCS, 1 forces sequential execution.
 	Parallelism int
-	// BatchSize bounds the execution batches of the same three engines;
-	// 0 is unbounded (one batch per worker).
-	BatchSize int
 }
 
 // MonomiConfig is the full system at the given scale.
@@ -85,11 +82,11 @@ func CryptDBClientConfig(sf tpch.ScaleFactor) Config {
 }
 
 // under returns system configuration c with base's run-wide values (scale,
-// seed, key width, execution knobs), so they reach every system an
+// seed, key width, parallelism), so they reach every system an
 // experiment builds.
 func (base Config) under(c Config) Config {
 	c.SF, c.Seed, c.PaillierBits = base.SF, base.Seed, base.PaillierBits
-	c.Parallelism, c.BatchSize = base.Parallelism, base.BatchSize
+	c.Parallelism = base.Parallelism
 	return c
 }
 
@@ -104,7 +101,6 @@ func (cfg Config) spec() deploy.Spec {
 		GreedyExecution: cfg.GreedyExecution,
 		Prefilter:       !cfg.DisablePrefilter,
 		Parallelism:     cfg.Parallelism,
-		BatchSize:       cfg.BatchSize,
 	}
 }
 

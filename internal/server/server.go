@@ -52,15 +52,11 @@ func (s *Server) packingHomSum(store *packing.Store, rowIDs []int) (*packing.Sum
 //
 // Parallelism is the worker count for sharded query execution and batched
 // Paillier multiplication; values < 1 mean GOMAXPROCS, 1 forces sequential
-// execution. BatchSize bounds the rows one pull moves through the embedded
-// engine's pipeline (0 = unbounded, one batch per worker; see
-// engine.Engine). Set both via their setters so the embedded engine stays
-// in sync.
+// execution. Set it via SetParallelism so the embedded engine stays in sync.
 type Server struct {
 	DB          *enc.DB
 	Engine      *engine.Engine
 	Parallelism int
-	BatchSize   int
 
 	// homInFlight counts concurrently running grouped homomorphic sums
 	// (see packingHomSum).
@@ -85,13 +81,6 @@ func New(db *enc.DB, cfg netsim.Config) *Server {
 func (s *Server) SetParallelism(p int) {
 	s.Parallelism = p
 	s.Engine.Parallelism = p
-}
-
-// SetBatchSize sets the execution batch size for the server and its
-// engine (0 = unbounded).
-func (s *Server) SetBatchSize(b int) {
-	s.BatchSize = b
-	s.Engine.BatchSize = b
 }
 
 // SetIndexes turns the engine's secondary-index access paths on or off.

@@ -15,7 +15,9 @@ package server
 // counts: a scan, join or streamed DISTINCT ships its first batch while
 // RowsScanned is still below the table's size, and a grouped query, which
 // must scan everything first, finalizes and ships its groups a batch at a
-// time. A drained stream's Stats equal the materialized Execute's.
+// time. A drained stream's Stats equal the materialized Execute's on every
+// counter but BatchesStreamed: the stream pulls 1 024-row batches, Execute
+// one batch per shard.
 
 import (
 	"context"
@@ -30,8 +32,9 @@ import (
 // StreamStats reports the work and size of one streamed execution.
 type StreamStats struct {
 	// Stats counts the work performed: for a drained stream, identical to
-	// Execute's Result.Stats for the same query (crypto-UDF wall aside); for
-	// an abandoned stream, only what was actually scanned.
+	// Execute's Result.Stats for the same query (crypto-UDF wall and
+	// BatchesStreamed aside); for an abandoned stream, only what was
+	// actually scanned.
 	Stats engine.Stats
 	// WireBytes is the total framed size of the stream.
 	WireBytes int64
@@ -63,8 +66,12 @@ func (s *Server) ExecuteStreamCtx(ctx context.Context, q *ast.Query, params map[
 	if err != nil {
 		return st, err
 	}
-	defer es.Close()
-	defer func() { st.Stats = es.Stats() }()
+	// Close first: it folds in the work shard workers did after the last
+	// batch this loop pulled, which a stream stopped early has not seen.
+	defer func() {
+		es.Close()
+		st.Stats = es.Stats()
+	}()
 	bw, err := wire.NewBatchWriter(w, es.Cols())
 	if err != nil {
 		return st, err

@@ -69,8 +69,7 @@ func (h *heapSampler) deltaMB() float64 {
 
 func benchWirePeakHeap(b *testing.B, sql string, streamed bool) {
 	const rows = 200000
-	srv := bigFixture(b, rows)
-	srv.SetBatchSize(1024)
+	srv := bigFixture(b, rows, 97)
 	q := sqlparser.MustParse(sql)
 	var peakMB float64
 	var sink int64

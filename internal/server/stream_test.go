@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -21,8 +22,8 @@ import (
 )
 
 // bigFixture encrypts a scan-heavy table (DET columns only, so setup stays
-// fast) for streaming-latency tests.
-func bigFixture(t testing.TB, rows int) *Server {
+// fast) for streaming-latency tests: a = i, b = i % mod.
+func bigFixture(t testing.TB, rows, mod int) *Server {
 	t.Helper()
 	cat := storage.NewCatalog()
 	tbl, err := cat.Create(storage.Schema{
@@ -36,7 +37,7 @@ func bigFixture(t testing.TB, rows int) *Server {
 		t.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
-		tbl.MustInsert([]value.Value{value.NewInt(int64(i)), value.NewInt(int64(i % 97))})
+		tbl.MustInsert([]value.Value{value.NewInt(int64(i)), value.NewInt(int64(i % mod))})
 	}
 	ks, err := enc.NewKeyStore([]byte("stream-test"), 256)
 	if err != nil {
@@ -89,11 +90,14 @@ func firstBatch(t testing.TB, srv *Server, q *ast.Query) (int, engine.Stats) {
 	return len(b), es.Stats()
 }
 
-// sameWork checks a drained stream counted the work Execute counted. UDF
-// nanos are measured wall time, so where a crypto UDF runs (udf) the two
-// executions legitimately differ in that one counter.
+// sameWork checks a drained stream counted the work Execute counted, on
+// every counter but BatchesStreamed: the stream pulls 1 024-row batches,
+// Execute one batch per shard. UDF nanos are measured wall time, so where a
+// crypto UDF runs (udf) the two executions legitimately differ in that
+// counter too.
 func sameWork(t testing.TB, what string, streamed, materialized engine.Stats, udf bool) {
 	t.Helper()
+	streamed.BatchesStreamed, materialized.BatchesStreamed = 0, 0
 	if udf {
 		streamed.UDFNanos, materialized.UDFNanos = 0, 0
 	}
@@ -108,7 +112,6 @@ func sameWork(t testing.TB, what string, streamed, materialized engine.Stats, ud
 // results, and its drained Stats must equal Execute's.
 func TestExecuteStreamMatchesExecute(t *testing.T) {
 	srv, _ := fixture(t)
-	srv.SetBatchSize(2)
 	group := srv.DB.Meta["t"].Groups[0]
 	queries := []string{
 		`SELECT k_det, row_id FROM t`,
@@ -158,21 +161,21 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 // the whole table — judged by the engine's RowsScanned at that moment — and
 // the drained stream counts exactly the materialized Execute's work.
 func TestTimeToFirstBatchBeatsServerTime(t *testing.T) {
-	const rows = 4000
-	srv := bigFixture(t, rows)
-	srv.SetBatchSize(64)
+	const rows, batch = 8000, engine.DefaultBatchSize
+	srv := bigFixture(t, rows, 97)
 	q := sqlparser.MustParse(`SELECT a_det, b_det FROM big`)
 	var buf bytes.Buffer
 	st, err := srv.ExecuteStream(q, nil, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Batches < rows/64 {
-		t.Fatalf("stream produced %d batches over %d rows at batch 64", st.Batches, rows)
+	if st.Batches < rows/batch {
+		t.Fatalf("stream produced %d batches over %d rows at batch %d", st.Batches, rows, batch)
 	}
 	n, first := firstBatch(t, srv, q)
-	if n != 64 || first.RowsScanned != 64 {
-		t.Fatalf("first batch of %d rows after scanning %d, want 64 after 64: no pipelining", n, first.RowsScanned)
+	if n != batch || first.RowsScanned != batch {
+		t.Fatalf("first batch of %d rows after scanning %d, want %d after %d: no pipelining",
+			n, first.RowsScanned, batch, batch)
 	}
 	want, err := srv.Execute(q, nil)
 	if err != nil {
@@ -241,9 +244,8 @@ func joinBigFixture(t testing.TB, rows int) *Server {
 // whole probe table — and the drained stream carries exactly the rows, and
 // counts exactly the work, of the materialized Execute.
 func TestJoinTimeToFirstBatchBeatsServerTime(t *testing.T) {
-	const rows = 4000
+	const rows, batch = 24000, engine.DefaultBatchSize
 	srv := joinBigFixture(t, rows)
-	srv.SetBatchSize(64)
 	q := sqlparser.MustParse(`SELECT a_det, d_tag_det FROM big, dim WHERE b_det = d_id_det`)
 	var buf bytes.Buffer
 	st, err := srv.ExecuteStream(q, nil, &buf)
@@ -253,8 +255,8 @@ func TestJoinTimeToFirstBatchBeatsServerTime(t *testing.T) {
 	if st.Rows != rows {
 		t.Fatalf("join stream shipped %d rows, want %d (every probe row matches one dim row)", st.Rows, rows)
 	}
-	if st.Batches < rows/64 {
-		t.Fatalf("stream produced %d batches over %d rows at batch 64", st.Batches, rows)
+	if st.Batches < rows/batch {
+		t.Fatalf("stream produced %d batches over %d rows at batch %d", st.Batches, rows, batch)
 	}
 	n, first := firstBatch(t, srv, q)
 	if n == 0 || first.RowsScanned >= rows {
@@ -287,9 +289,9 @@ func TestJoinTimeToFirstBatchBeatsServerTime(t *testing.T) {
 // LIMIT satisfied) closes the pipe; the server's scan must abort promptly,
 // charge only the work done, and leave no goroutine behind.
 func TestExecuteStreamAbandoned(t *testing.T) {
-	const rows = 8000
-	srv := bigFixture(t, rows)
-	srv.SetBatchSize(16)
+	const rows = 50000
+	srv := bigFixture(t, rows, 97)
+	srv.SetParallelism(4)
 	q := sqlparser.MustParse(`SELECT a_det FROM big`)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
@@ -333,6 +335,65 @@ func TestExecuteStreamAbandoned(t *testing.T) {
 	}
 	if after > before+2 {
 		t.Fatalf("goroutines grew from %d to %d: abandoned streams leak", before, after)
+	}
+}
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestAbandonedStreamStats: a stream the server stops early — its writer
+// fails, or its context is cancelled, after the first batch — must still
+// report all the work its shard workers did, readahead whose batches never
+// shipped included. A counting filter sees each scanned row exactly once,
+// so RowsScanned must equal its count.
+func TestAbandonedStreamStats(t *testing.T) {
+	const rows = 50000
+	srv := bigFixture(t, rows, 97)
+	srv.SetParallelism(4)
+	var evaluated atomic.Int64
+	srv.Engine.RegisterScalar("counted", func(*engine.Stats, []value.Value) (value.Value, error) {
+		evaluated.Add(1)
+		return value.NewInt(1), nil
+	})
+	q := sqlparser.MustParse(`SELECT a_det FROM big WHERE counted(a_det) = 1`)
+	// Each frame is one Write: the header, then one per batch.
+	stops := map[string]func(cancel func()) io.Writer{
+		"writer fails": func(func()) io.Writer {
+			frames := 0
+			return writerFunc(func(p []byte) (int, error) {
+				if frames++; frames > 2 {
+					return 0, fmt.Errorf("consumer gone")
+				}
+				return len(p), nil
+			})
+		},
+		"ctx cancelled": func(cancel func()) io.Writer {
+			frames := 0
+			return writerFunc(func(p []byte) (int, error) {
+				if frames++; frames == 2 {
+					cancel()
+				}
+				return len(p), nil
+			})
+		},
+	}
+	for name, stop := range stops {
+		evaluated.Store(0)
+		ctx, cancel := context.WithCancel(context.Background())
+		st, err := srv.ExecuteStreamCtx(ctx, q, nil, stop(cancel))
+		cancel()
+		if err == nil {
+			t.Fatalf("%s: stopped stream returned no error", name)
+		}
+		if st.Batches == 0 || st.Stats.RowsScanned >= rows {
+			t.Errorf("%s: %d batches, %d of %d rows scanned: the stream did not stop early",
+				name, st.Batches, st.Stats.RowsScanned, rows)
+		}
+		if n := evaluated.Load(); st.Stats.RowsScanned != n {
+			t.Errorf("%s: StreamStats counts %d rows scanned, the filter evaluated %d", name, st.Stats.RowsScanned, n)
+		}
 	}
 }
 
@@ -393,9 +454,8 @@ func (c *countedSum) Result() (value.Value, error) {
 // The drained stream must still carry exactly the rows, and count the work,
 // Execute does.
 func TestGroupedTimeToFirstBatchBeatsServerTime(t *testing.T) {
-	const rows, groups = 1800, 600
+	const rows, groups, batch = 5000, 2500, engine.DefaultBatchSize
 	srv := groupedFixture(t, rows, groups)
-	srv.SetBatchSize(32)
 	group := srv.DB.Meta["grp"].Groups[0]
 	q := sqlparser.MustParse(
 		`SELECT g_det, paillier_sum('` + group.Name + `', row_id) FROM grp GROUP BY g_det`)
@@ -407,19 +467,19 @@ func TestGroupedTimeToFirstBatchBeatsServerTime(t *testing.T) {
 	if st.Rows != groups {
 		t.Fatalf("grouped stream shipped %d rows, want %d groups", st.Rows, groups)
 	}
-	if st.Batches < groups/32 {
-		t.Fatalf("grouped stream produced %d batches over %d groups at batch 32", st.Batches, groups)
+	if st.Batches < groups/batch {
+		t.Fatalf("grouped stream produced %d batches over %d groups at batch %d", st.Batches, groups, batch)
 	}
 	// The accumulation (full scan) is shared; what pipelines is the
-	// 600-group Paillier finalization, one 32-group batch at a time.
+	// 2 500-group Paillier finalization, one batch of groups at a time.
 	var results atomic.Int64
 	srv.Engine.RegisterAgg("paillier_sum", func(es *engine.Stats) engine.AggState {
 		return &countedSum{AggState: srv.newPaillierSum(es), results: &results}
 	})
 	n, _ := firstBatch(t, srv, q)
-	if got := results.Load(); n != 32 || got != 32 {
-		t.Fatalf("first grouped batch of %d rows after %d of %d PAILLIER_SUM finalizations, want 32 after 32",
-			n, got, groups)
+	if got := results.Load(); n != batch || got != batch {
+		t.Fatalf("first grouped batch of %d rows after %d of %d PAILLIER_SUM finalizations, want %d after %d",
+			n, got, groups, batch, batch)
 	}
 	want, err := srv.Execute(q, nil)
 	if err != nil {
@@ -446,9 +506,8 @@ func TestGroupedTimeToFirstBatchBeatsServerTime(t *testing.T) {
 // parallelism 4, where the sharded producer feeds the merger, with drained
 // counters equal to the materialized execution's.
 func TestDistinctTimeToFirstBatchBeatsServerTime(t *testing.T) {
-	const rows = 4000
-	srv := bigFixture(t, rows)
-	srv.SetBatchSize(64)
+	const rows, distinct = 16000, 4000
+	srv := bigFixture(t, rows, distinct)
 	srv.SetParallelism(4)
 	q := sqlparser.MustParse(`SELECT DISTINCT b_det FROM big`)
 	var buf bytes.Buffer
@@ -456,8 +515,8 @@ func TestDistinctTimeToFirstBatchBeatsServerTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Rows != 97 { // b = i % 97
-		t.Fatalf("DISTINCT stream shipped %d rows, want 97", st.Rows)
+	if st.Rows != distinct {
+		t.Fatalf("DISTINCT stream shipped %d rows, want %d", st.Rows, distinct)
 	}
 	n, first := firstBatch(t, srv, q)
 	if n == 0 || first.RowsScanned >= rows {
@@ -490,8 +549,7 @@ func TestDistinctTimeToFirstBatchBeatsServerTime(t *testing.T) {
 // grid, so even frame boundaries coincide).
 func TestShardedWireStreamMatchesSequential(t *testing.T) {
 	const rows = 4000
-	srv := bigFixture(t, rows)
-	srv.SetBatchSize(64)
+	srv := bigFixture(t, rows, 97)
 	for _, sql := range []string{
 		`SELECT a_det, b_det FROM big`,
 		`SELECT a_det FROM big WHERE b_det = 13`,

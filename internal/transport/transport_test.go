@@ -59,7 +59,6 @@ func testBackend(tb testing.TB, rows int) *server.Server {
 	}
 	srv := server.New(&enc.DB{Cat: cat}, netsim.Default())
 	srv.SetParallelism(2)
-	srv.SetBatchSize(64)
 	return srv
 }
 
@@ -391,9 +390,9 @@ func gateUDF(backend *server.Server, free int64) (release func()) {
 // the server aborts the scan, accounts the cancellation, and the session
 // remains usable for the next query.
 func TestCancelFrame(t *testing.T) {
-	backend := testBackend(t, 2000)
+	backend := testBackend(t, 8000)
 	// First ~2 batches flow freely, then the scan wedges until released.
-	release := gateUDF(backend, 160)
+	release := gateUDF(backend, 2*engine.DefaultBatchSize)
 	s := startServer(t, backend, Config{})
 	c := dialTest(t, s)
 

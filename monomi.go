@@ -55,12 +55,13 @@
 // build sides hashed up front, LIMIT stops the scan as soon as enough rows
 // are produced, ORDER BY with LIMIT keeps a bounded heap, and every worker
 // of a sharded query runs its own pipeline over its own row range.
-// Options.BatchSize bounds the rows one pull moves: smaller batches mean
-// less memory, an earlier first batch and finer LIMIT early exit; 0 (the
-// default) is unbounded — one batch per worker. Results are byte-identical
-// at every ⟨BatchSize, Parallelism⟩ combination, with the same float
-// SUM/AVG last-ULP caveat above — it comes from sharding, not from
-// batching. The knob can be changed later with System.SetBatchSize.
+// How many rows one pull moves follows from how the result is consumed,
+// not from an option: a result drained whole (the in-process hand-off, the
+// local residuals, subqueries, derived tables, join builds) moves one batch
+// per worker; a served stream moves 1 024 rows per pull; and a LIMIT that
+// can stop its scan (no sort or grouping before it) reads 1 024 rows per
+// pull on either path. Batching never changes rows, row order or
+// encodings.
 //
 // # Result hand-off
 //
@@ -75,9 +76,10 @@
 //     batches onto the socket while its scan is still running
 //     (internal/wire's header/batch/end framing) and the client decodes each
 //     arriving batch on a pool of Parallelism workers, merging decrypted
-//     rows in batch order. The first plaintext row exists after one batch
-//     (give the server a bounded BatchSize) and no whole encrypted result
-//     is buffered. Rows.WireBytes counts the framed bytes.
+//     rows in batch order. The first plaintext row exists after one
+//     1 024-row batch and no whole encrypted result is buffered; a query
+//     the client abandons stops the server's scan within a few batches.
+//     Rows.WireBytes counts the framed bytes.
 //
 // Results — rows, row order, encodings — are identical either way. The two
 // WireBytes figures are not the same count: on tpch-scan's twelve queries
@@ -240,20 +242,6 @@ type Options struct {
 	// over Float columns, which may differ in the last ULP (see the
 	// package doc).
 	Parallelism int
-	// BatchSize bounds the rows one pull moves through the execution
-	// pipeline on both sides of the split — the untrusted server's
-	// encrypted scans and the trusted client's local residual queries
-	// alike: scans read that many rows at a time, joins and grouped
-	// emission cap their output batches at it, and a LIMIT stops the scan
-	// at the next batch boundary. 0 (the default) is unbounded: one batch
-	// per worker, the fastest setting measured on the TPC-H suite; 1024 is
-	// a good bounded size when memory or time to the first row matters; 1
-	// moves a row at a time (correct but slow — useful only for testing).
-	// Results are byte-identical at every ⟨BatchSize, Parallelism⟩
-	// combination — batching never changes rows, row order, or encodings;
-	// the float SUM/AVG last-ULP caveat on Parallelism is the only
-	// exception and is independent of BatchSize.
-	BatchSize int
 	// Indexes maintains secondary indexes over the encrypted tables — a
 	// DET hash index (equality, IN, hash-join builds) and an OPE ordered
 	// index (ranges, BETWEEN, prefix ORDER BY) per column carrying those
@@ -268,10 +256,9 @@ type Options struct {
 	// "mem" keeps rows in memory (the original layout); "disk" loads each
 	// encrypted table into an append-only paged segment file under DataDir,
 	// read back through an LRU block cache. Results are byte-identical
-	// across backends at every ⟨Parallelism, BatchSize, deployment⟩
-	// combination; what changes is the charged I/O — a disk-backed scan
-	// charges its real page reads (block-cache misses) instead of the
-	// resident-byte approximation.
+	// across backends at every ⟨Parallelism, deployment⟩ combination; what
+	// changes is the charged I/O — a disk-backed scan charges its real page
+	// reads (block-cache misses) instead of the resident-byte approximation.
 	Backend string
 	// DataDir is where the disk backend places its segment files
 	// (required when Backend is "disk"). They are scratch for one run:
@@ -349,7 +336,6 @@ func Encrypt(db *Database, workload Workload, opts Options) (*System, error) {
 		Prefilter:    true,
 		Indexes:      opts.Indexes,
 		Parallelism:  opts.Parallelism,
-		BatchSize:    opts.BatchSize,
 	})
 	if err != nil {
 		return nil, err
@@ -363,13 +349,6 @@ func Encrypt(db *Database, workload Workload, opts Options) (*System, error) {
 // flight. On a remote System (ConnectRemote) only the client-side knob
 // moves — the remote server's parallelism is fixed by its own flags.
 func (s *System) SetParallelism(p int) { s.dep.SetParallelism(p) }
-
-// SetBatchSize changes the execution batch size on the server, the
-// client's local operators, and the plaintext baseline engine (see
-// Options.BatchSize; 0 = unbounded). It must not be called while
-// queries are in flight. On a remote System only the client-side knob
-// moves — the remote server's batch size is fixed by its own flags.
-func (s *System) SetBatchSize(b int) { s.dep.SetBatchSize(b) }
 
 // SetIndexes toggles secondary-index access paths on the server's engine,
 // the planner's cost model, and the plaintext baseline engine (see

@@ -9,8 +9,8 @@ import (
 // Differential test for the repeated-query fast path: the same
 // parameterized shapes executed over and over with different values —
 // prepared statements and ad-hoc SQL, warm plan cache and cold — must stay
-// byte-identical to the plaintext engine at every ⟨parallelism, batch size⟩
-// combination, in-process (rows handed over) and over the transport (framed
+// byte-identical to the plaintext engine at every parallelism level,
+// in-process (rows handed over) and over the transport (framed
 // stream; warm prepared executions additionally run server-side registered
 // statements by id instead of re-shipping SQL).
 
@@ -94,68 +94,64 @@ func TestDifferentialRepeatedQueries(t *testing.T) {
 	for _, par := range []int{1, 2, 4} {
 		sys.SetParallelism(par)
 		rem.SetParallelism(par)
-		for _, bs := range diffBatchSizes {
-			sys.SetBatchSize(bs)
-			rem.SetBatchSize(bs)
-			for _, d := range []struct {
-				name string
-				s    *System
-			}{{"inproc", sys}, {"wire", rem}} {
-				for si, sh := range shapes {
-					tag := fmt.Sprintf("p=%d bs=%d %s shape=%d", par, bs, d.name, si)
-					stmt, err := d.s.Prepare(sh.sql)
-					if err != nil {
-						t.Fatalf("%s prepare: %v", tag, err)
-					}
-					d.s.ResetPlanCache()
-					var coldRows []string
-					for i := 0; i < reps; i++ {
-						plain, err := sys.QueryPlaintext(sh.adhoc(i))
-						if err != nil {
-							t.Fatalf("%s plaintext i=%d: %v", tag, i, err)
-						}
-						want := canonicalRows(t, plain.Data, sh.ordered)
-
-						prep, err := stmt.Query(sh.params(i))
-						if err != nil {
-							t.Fatalf("%s prepared i=%d: %v", tag, i, err)
-						}
-						got := canonicalRows(t, prep.Data, sh.ordered)
-						if strings.Join(got, "\n") != strings.Join(want, "\n") {
-							t.Fatalf("%s prepared i=%d diverges from plaintext:\n%v\nvs\n%v", tag, i, got, want)
-						}
-						if i == 0 {
-							coldRows = got
-							if prep.PlanCacheHit {
-								t.Errorf("%s: cold execution reported a plan-cache hit", tag)
-							}
-						} else if !prep.PlanCacheHit {
-							t.Errorf("%s i=%d: warm prepared execution missed the plan cache", tag, i)
-						}
-
-						adhoc, err := d.s.Query(sh.adhoc(i))
-						if err != nil {
-							t.Fatalf("%s adhoc i=%d: %v", tag, i, err)
-						}
-						got = canonicalRows(t, adhoc.Data, sh.ordered)
-						if strings.Join(got, "\n") != strings.Join(want, "\n") {
-							t.Fatalf("%s adhoc i=%d diverges from plaintext:\n%v\nvs\n%v", tag, i, got, want)
-						}
-					}
-					// The uncached path must agree with the warm one:
-					// re-run binding 0 cold and compare to the cached
-					// execution's rows.
-					d.s.ResetPlanCache()
-					again, err := stmt.Query(sh.params(0))
-					if err != nil {
-						t.Fatalf("%s cold rerun: %v", tag, err)
-					}
-					got := canonicalRows(t, again.Data, sh.ordered)
-					if strings.Join(got, "\n") != strings.Join(coldRows, "\n") {
-						t.Fatalf("%s: cold rerun diverges from first execution:\n%v\nvs\n%v", tag, got, coldRows)
-					}
-					stmt.Close()
+		for _, d := range []struct {
+			name string
+			s    *System
+		}{{"inproc", sys}, {"wire", rem}} {
+			for si, sh := range shapes {
+				tag := fmt.Sprintf("p=%d %s shape=%d", par, d.name, si)
+				stmt, err := d.s.Prepare(sh.sql)
+				if err != nil {
+					t.Fatalf("%s prepare: %v", tag, err)
 				}
+				d.s.ResetPlanCache()
+				var coldRows []string
+				for i := 0; i < reps; i++ {
+					plain, err := sys.QueryPlaintext(sh.adhoc(i))
+					if err != nil {
+						t.Fatalf("%s plaintext i=%d: %v", tag, i, err)
+					}
+					want := canonicalRows(t, plain.Data, sh.ordered)
+
+					prep, err := stmt.Query(sh.params(i))
+					if err != nil {
+						t.Fatalf("%s prepared i=%d: %v", tag, i, err)
+					}
+					got := canonicalRows(t, prep.Data, sh.ordered)
+					if strings.Join(got, "\n") != strings.Join(want, "\n") {
+						t.Fatalf("%s prepared i=%d diverges from plaintext:\n%v\nvs\n%v", tag, i, got, want)
+					}
+					if i == 0 {
+						coldRows = got
+						if prep.PlanCacheHit {
+							t.Errorf("%s: cold execution reported a plan-cache hit", tag)
+						}
+					} else if !prep.PlanCacheHit {
+						t.Errorf("%s i=%d: warm prepared execution missed the plan cache", tag, i)
+					}
+
+					adhoc, err := d.s.Query(sh.adhoc(i))
+					if err != nil {
+						t.Fatalf("%s adhoc i=%d: %v", tag, i, err)
+					}
+					got = canonicalRows(t, adhoc.Data, sh.ordered)
+					if strings.Join(got, "\n") != strings.Join(want, "\n") {
+						t.Fatalf("%s adhoc i=%d diverges from plaintext:\n%v\nvs\n%v", tag, i, got, want)
+					}
+				}
+				// The uncached path must agree with the warm one:
+				// re-run binding 0 cold and compare to the cached
+				// execution's rows.
+				d.s.ResetPlanCache()
+				again, err := stmt.Query(sh.params(0))
+				if err != nil {
+					t.Fatalf("%s cold rerun: %v", tag, err)
+				}
+				got := canonicalRows(t, again.Data, sh.ordered)
+				if strings.Join(got, "\n") != strings.Join(coldRows, "\n") {
+					t.Fatalf("%s: cold rerun diverges from first execution:\n%v\nvs\n%v", tag, got, coldRows)
+				}
+				stmt.Close()
 			}
 		}
 	}
@@ -216,7 +212,7 @@ func TestRepeatedQueryPlanCacheStats(t *testing.T) {
 // was decrypted, so the client returns the decoded rows without running its
 // engine: the in-process and remote results must match the plaintext
 // engine's rows, and their columns must match each other's and the cold
-// execution's, at every parallelism and batch size.
+// execution's, at every parallelism level.
 func TestDifferentialHotpathShapes(t *testing.T) {
 	db := NewDatabase()
 	db.MustCreateTable("ev", Col("e_id", Int), Col("e_grp", Int), Col("e_val", Int))
@@ -265,44 +261,40 @@ func TestDifferentialHotpathShapes(t *testing.T) {
 	for _, par := range []int{1, 2, 4} {
 		sys.SetParallelism(par)
 		rem.SetParallelism(par)
-		for _, bs := range diffBatchSizes {
-			sys.SetBatchSize(bs)
-			rem.SetBatchSize(bs)
-			for si, sh := range shapes {
-				near, err := sys.Prepare(sh.sql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				far, err := rem.Prepare(sh.sql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < 3; i++ {
-					tag := fmt.Sprintf("p=%d bs=%d shape=%d i=%d", par, bs, si, i)
-					plain, err := sys.QueryPlaintext(literal(sh.sql, sh.params(i)))
-					if err != nil {
-						t.Fatalf("%s plaintext: %v", tag, err)
-					}
-					want := strings.Join(canonicalRows(t, plain.Data, false), "\n")
-					for _, st := range []*Stmt{near, far} {
-						got, err := st.Query(sh.params(i))
-						if err != nil {
-							t.Fatalf("%s: %v", tag, err)
-						}
-						if g := strings.Join(canonicalRows(t, got.Data, false), "\n"); g != want {
-							t.Fatalf("%s remote=%v diverges from plaintext:\n%s\nvs\n%s", tag, st == far, g, want)
-						}
-						if cols[si] == nil {
-							cols[si] = got.Cols
-						}
-						if fmt.Sprint(got.Cols) != fmt.Sprint(cols[si]) || len(got.Cols) != len(plain.Cols) {
-							t.Fatalf("%s remote=%v: columns %v, want %v", tag, st == far, got.Cols, cols[si])
-						}
-					}
-				}
-				near.Close()
-				far.Close()
+		for si, sh := range shapes {
+			near, err := sys.Prepare(sh.sql)
+			if err != nil {
+				t.Fatal(err)
 			}
+			far, err := rem.Prepare(sh.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				tag := fmt.Sprintf("p=%d shape=%d i=%d", par, si, i)
+				plain, err := sys.QueryPlaintext(literal(sh.sql, sh.params(i)))
+				if err != nil {
+					t.Fatalf("%s plaintext: %v", tag, err)
+				}
+				want := strings.Join(canonicalRows(t, plain.Data, false), "\n")
+				for _, st := range []*Stmt{near, far} {
+					got, err := st.Query(sh.params(i))
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					if g := strings.Join(canonicalRows(t, got.Data, false), "\n"); g != want {
+						t.Fatalf("%s remote=%v diverges from plaintext:\n%s\nvs\n%s", tag, st == far, g, want)
+					}
+					if cols[si] == nil {
+						cols[si] = got.Cols
+					}
+					if fmt.Sprint(got.Cols) != fmt.Sprint(cols[si]) || len(got.Cols) != len(plain.Cols) {
+						t.Fatalf("%s remote=%v: columns %v, want %v", tag, st == far, got.Cols, cols[si])
+					}
+				}
+			}
+			near.Close()
+			far.Close()
 		}
 	}
 }
