@@ -61,9 +61,8 @@ type Client struct {
 	Greedy bool
 	// Parallelism is the worker count for the local engines that run the
 	// plan's residual operators over decrypted temp tables, and for the
-	// result decoder (row ranges of a handed-over result, whole batches of
-	// a streamed one); values < 1 mean GOMAXPROCS, 1 forces sequential
-	// execution.
+	// result decoder (row ranges of each batch of 1 024 rows or more);
+	// values < 1 mean GOMAXPROCS, 1 forces sequential execution.
 	Parallelism int
 	// ParseHook, when set, is called once per SQL string the client
 	// actually hands to the parser — parse-cache hits skip it. Tests use it
@@ -426,10 +425,10 @@ func (c *Client) runStep(cp *compiled, plan *planner.Plan, i int, cat *storage.C
 
 // runRemote sends one RemoteSQL to the server and decrypts its output into
 // a temp table, or into res when it is a direct plan's result. The deployment
-// picks the hand-off: a client over an in-process server takes the engine's
-// rows as they are; a client built by NewRemote consumes the framed batch
-// stream, decoding batches while the server is still producing (stream.go).
-// Both run clones of the part's decoder, and both send the same query: the
+// picks the producer: a client over an in-process server takes the engine's
+// rows as one batch; a client built by NewRemote reads the framed batch
+// stream while the server is still producing. One loop decodes either on a
+// clone of the part's decoder (stream.go). Both send the same query: the
 // part's, restricted by its key filter's keys when it has one (keyfilter.go)
 // — with no keys, nothing is sent.
 func (c *Client) runRemote(cp *compiled, part *planner.RemotePart, cat *storage.Catalog, res *Result, ec execCtx) error {
@@ -441,11 +440,7 @@ func (c *Client) runRemote(cp *compiled, part *planner.RemotePart, cat *storage.
 	}
 	var rows [][]value.Value
 	if q != nil {
-		run := c.runRemoteStreamed
-		if c.Srv != nil {
-			run = c.runRemoteInProcess
-		}
-		if rows, err = run(part, q, params, p.dec, res); err != nil {
+		if rows, err = c.fetch(q, params, p.dec, res); err != nil {
 			return fail(err)
 		}
 	}
@@ -465,32 +460,6 @@ func (c *Client) runRemote(cp *compiled, part *planner.RemotePart, cat *storage.
 	res.ClientTime += time.Since(start)
 	cat.Put(tbl)
 	return nil
-}
-
-// runRemoteInProcess executes one RemoteSQL on the in-process server: the
-// whole encrypted result is handed over unframed, then one decode pass runs
-// over it. WireBytes is what the paper's transfer model charges for those
-// rows (value sizes + 4 B/row), not a count of framed bytes.
-func (c *Client) runRemoteInProcess(part *planner.RemotePart, q *ast.Query, params map[string]value.Value, dec *decoder, res *Result) ([][]value.Value, error) {
-	resp, err := c.exec.Execute(q, params)
-	if err != nil {
-		return nil, err
-	}
-	c.charge(res, resp.Result.Stats, resp.WireBytes)
-
-	if len(resp.Result.Cols) != len(part.Outputs) {
-		return nil, fmt.Errorf("server returned %d columns, plan expects %d",
-			len(resp.Result.Cols), len(part.Outputs))
-	}
-
-	start := time.Now()
-	rows, decrypts, err := dec.clone().decode(resp.Result.Rows, c.parallelism())
-	if err != nil {
-		return nil, err
-	}
-	res.Decrypts += decrypts
-	res.ClientTime += time.Since(start)
-	return rows, nil
 }
 
 // remoteSchema builds the temp-table schema for one remote part.

@@ -32,16 +32,20 @@ const parallelDecodeRows = 1024
 type colDecoder struct {
 	out   *planner.Output
 	ciph  enc.Cipher     // OutDecrypt, OutConcatAgg
+	ct    value.Kind     // OutDecrypt, OutConcatAgg: the ciphertext's kind
 	memo  memo           // OutDecrypt, OutConcatAgg
 	group *enc.GroupMeta // OutHomSum: the ciphertext group and the slot in it
 	slot  int
 }
 
 // decoder decodes the batches of one RemotePart. Its ciphers and memos are
-// scratch state: every goroutine decodes on its own clone.
+// scratch state: every execution decodes on its own clone, and a clone keeps
+// one peer per extra worker, so the memos of every worker span all the
+// batches the clone decodes.
 type decoder struct {
-	c    *Client
-	cols []colDecoder
+	c     *Client
+	cols  []colDecoder
+	peers []*decoder // decode's workers 1..n-1, cloned on first use
 }
 
 // newDecoder resolves each output of part once. A HOM output whose ciphertext
@@ -57,7 +61,7 @@ func (c *Client) newDecoder(part *planner.RemotePart) (*decoder, error) {
 		switch o.Mode {
 		case planner.OutPlain:
 		case planner.OutDecrypt, planner.OutConcatAgg:
-			col.ciph = c.Keys.Cipher(o.Item)
+			col.ciph, col.ct = c.Keys.Cipher(o.Item), o.Item.CiphertextKind()
 		case planner.OutHomSum:
 			meta, ok := c.meta[o.HomTable]
 			if !ok {
@@ -77,9 +81,10 @@ func (c *Client) newDecoder(part *planner.RemotePart) (*decoder, error) {
 
 // decode converts one batch of server rows into plaintext rows cut from one
 // arena and reports the decryptions performed, splitting a large batch into
-// one row range per worker. Input row i becomes output row i whichever worker
-// decodes it, so row order does not depend on workers. d must be the calling
-// goroutine's clone.
+// one row range per worker: d decodes the first, its peers the rest. Input
+// row i becomes output row i whichever worker decodes it, so row order does
+// not depend on workers, and the error is the first failing row's, as at one
+// worker. d must be the calling goroutine's clone.
 func (d *decoder) decode(rows [][]value.Value, workers int) ([][]value.Value, int64, error) {
 	w := len(d.cols)
 	arena := make([]value.Value, len(rows)*w)
@@ -91,15 +96,22 @@ func (d *decoder) decode(rows [][]value.Value, workers int) ([][]value.Value, in
 		n, err := d.decodeRange(rows, out)
 		return out, n, err
 	}
+	for len(d.peers) < workers-1 {
+		d.peers = append(d.peers, d.clone())
+	}
 	counts := make([]int64, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
 		lo, hi := len(rows)*k/workers, len(rows)*(k+1)/workers
+		wk := d
+		if k > 0 {
+			wk = d.peers[k-1]
+		}
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			counts[k], errs[k] = d.clone().decodeRange(rows[lo:hi], out[lo:hi])
+			counts[k], errs[k] = wk.decodeRange(rows[lo:hi], out[lo:hi])
 		}(k)
 	}
 	wg.Wait()
@@ -107,11 +119,16 @@ func (d *decoder) decode(rows [][]value.Value, workers int) ([][]value.Value, in
 	for _, c := range counts {
 		n += c
 	}
-	return out, n, errors.Join(errs...)
+	for _, err := range errs {
+		if err != nil {
+			return out, n, err
+		}
+	}
+	return out, n, nil
 }
 
-// clone copies the decoder for another goroutine, with empty memos: each
-// Cipher carries the scratch its rounds run in.
+// clone copies the decoder for another execution or worker, with empty memos
+// and no peers: each Cipher carries the scratch its rounds run in.
 func (d *decoder) clone() *decoder {
 	cols := append([]colDecoder(nil), d.cols...)
 	for i := range cols {
@@ -169,8 +186,9 @@ func (d *decoder) decrypt(col *colDecoder, cv value.Value, n *int64) (value.Valu
 	if cv.IsNull() {
 		return value.NewNull(), nil
 	}
-	// Ciphertexts are integers or bytes; the memo keys on nothing else.
-	if cv.K != value.Int && cv.K != value.Bytes {
+	// A cell of another kind is no ciphertext of this column (an integer
+	// would decrypt as an empty DET string); the memo keys on Int or Bytes.
+	if cv.K != col.ct {
 		return value.Value{}, fmt.Errorf("%w: ciphertext cell of kind %v", ErrMalformedResult, cv.K)
 	}
 	if pv, ok := col.memo.get(cv); ok {

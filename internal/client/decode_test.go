@@ -76,8 +76,8 @@ func eventsFixture(t testing.TB) *fixture {
 // two clients over one server: at every Parallelism, for results below, at
 // and above the inline threshold, with NULLs, DET-string, RND and OPE columns
 // and conditional-sum concats whose elements are NULL, the remote-built
-// client — whose workers decode whole 1 024-row frames, two of them for the
-// widest result — returns the in-process client's rows — same values, same
+// client — which decodes 1 024-row frames, two of them for the widest
+// result — returns the in-process client's rows — same values, same
 // kinds, same order — and both match the plaintext engine.
 func TestWiresDecodeIdentically(t *testing.T) {
 	f := eventsFixture(t)
@@ -294,26 +294,37 @@ func TestDecoderRejectsUnknownHomGroup(t *testing.T) {
 	}
 }
 
-// TestNonCiphertextCell: a cell to decrypt that is neither an integer nor
-// bytes is no ciphertext; it fails with ErrMalformedResult instead of being
-// read as one.
+// TestNonCiphertextCell: a cell to decrypt whose kind is not the column's
+// ciphertext kind — an integer for DET over integers, bytes otherwise — is no
+// ciphertext; it fails with ErrMalformedResult instead of being read as one.
 func TestNonCiphertextCell(t *testing.T) {
 	ks, err := enc.NewKeyStore([]byte("k"), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := enc.ColumnItem("t", "a", enc.DET, value.Int)
-	part := &planner.RemotePart{Name: "r0", Outputs: []planner.Output{
-		{Name: "a", Mode: planner.OutDecrypt, Item: &it, Kind: value.Int},
-	}}
-	c := &Client{Keys: ks}
-	dec, err := c.newDecoder(part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = dec.decode([][]value.Value{{value.NewStr("x")}}, 1)
-	if !errors.Is(err, ErrMalformedResult) || !strings.Contains(err.Error(), "output a") {
-		t.Fatalf("error %v, want ErrMalformedResult naming output a", err)
+	for _, tc := range []struct {
+		scheme enc.Scheme
+		kind   value.Kind
+		cell   value.Value
+	}{
+		{enc.DET, value.Int, value.NewStr("x")},
+		{enc.DET, value.Int, value.NewBytes([]byte{1, 2, 3, 4, 5, 6, 7, 8})},
+		{enc.DET, value.Str, value.NewInt(7)},
+		{enc.OPE, value.Int, value.NewInt(7)},
+		{enc.RND, value.Int, value.NewFloat(1.5)},
+	} {
+		it := enc.ColumnItem("t", "a", tc.scheme, tc.kind)
+		part := &planner.RemotePart{Name: "r0", Outputs: []planner.Output{
+			{Name: "a", Mode: planner.OutDecrypt, Item: &it, Kind: tc.kind},
+		}}
+		dec, err := (&Client{Keys: ks}).newDecoder(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = dec.decode([][]value.Value{{tc.cell}}, 1)
+		if !errors.Is(err, ErrMalformedResult) || !strings.Contains(err.Error(), "output a") {
+			t.Errorf("%v %v column, %v cell: error %v, want ErrMalformedResult naming output a", tc.scheme, tc.kind, tc.cell.K, err)
+		}
 	}
 }
 

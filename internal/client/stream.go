@@ -1,37 +1,33 @@
 package client
 
-// The remote client's result consumption: the client half of the end-to-end
-// pipeline. runRemoteStreamed connects the executor's ExecuteStream to the
-// part's decoder through a pipe carrying the framed batch protocol of
-// internal/wire: the server frames encrypted batches mid-scan, a reader
-// goroutine parses frames as they arrive, and Parallelism workers decode
-// whole batches concurrently, each with its own copy of the decoder the
-// in-process hand-off runs over its whole result; the caller merges their
-// output in batch order — so rows, row order, and encodings are identical to
-// what an in-process client produces.
+// The client's result consumption: one loop decodes every RemoteSQL result.
+// The deployment picks the producer of its encrypted batches. A client over
+// an in-process server takes the rows Execute drains as one batch; a client
+// built by NewRemote reads the framed batches ExecuteStream writes into a
+// pipe (the batch protocol of internal/wire), as the server frames them
+// mid-scan. Either way each batch goes through decoder.decode — split across
+// Parallelism workers once it holds parallelDecodeRows rows — on one clone
+// per execution, so memos span the whole execution and rows, row order,
+// encodings and the first error are the same on both hand-offs.
 //
-// Error/abandon handling is symmetric: a server error poisons the pipe and
-// surfaces at the reader; a client-side decode error closes the pipe,
-// which aborts the server's scan mid-stream. Either way every goroutine is
+// Error/abandon handling: a server error poisons the pipe and surfaces at the
+// next read; a client-side decode or frame error closes the pipe, which
+// aborts the server's scan mid-stream. Either way the producer goroutine is
 // joined before returning.
 //
-// Accounting: the server's engine.Stats arrive with the stream's end, WireBytes
-// counts the framed bytes (header, batch and end frames — more than the
-// in-process hand-off's value sizes + 4 B/row for the same rows), and
-// ClientTime sums the workers' measured decode time (CPU spent, not
-// elapsed: wall-clock overlap with the server's scan is the point of the
-// pipeline). Decrypts may differ from the in-process hand-off — each
-// worker's memos see only its batches — but the decrypted values cannot.
+// Accounting: the server's engine.Stats arrive with the result (in process)
+// or with the stream's end. WireBytes is what the paper's transfer model
+// charges for the handed-over rows (value sizes + 4 B/row) in process, and
+// the framed bytes (header, batch and end frames) remote. ClientTime sums the
+// decode calls' elapsed time.
 
 import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/ast"
-	"repro/internal/planner"
 	"repro/internal/server"
 	"repro/internal/value"
 	"repro/internal/wire"
@@ -45,25 +41,24 @@ func (c *Client) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// streamBatch is one batch on its way through the decode workers: encrypted
-// rows in, plaintext rows (or the error that stopped them) out once done is
-// closed, with the decryptions and time its worker spent.
-type streamBatch struct {
-	rows     [][]value.Value
-	decrypts int64
-	took     time.Duration
-	err      error
-	done     chan struct{}
-}
+// fetch executes one RemoteSQL — the whole query, text and encrypted
+// parameter bindings, goes out on every execution — and decodes its result.
+func (c *Client) fetch(q *ast.Query, params map[string]value.Value, dec *decoder, res *Result) ([][]value.Value, error) {
+	if c.Srv != nil {
+		resp, err := c.exec.Execute(q, params)
+		if err != nil {
+			return nil, err
+		}
+		c.charge(res, resp.Result.Stats, resp.WireBytes)
+		batch := resp.Result.Rows
+		return c.consume(dec, res, len(resp.Result.Cols), func() ([][]value.Value, error) {
+			b := batch
+			batch = nil
+			return b, nil
+		})
+	}
 
-// runRemoteStreamed executes one RemoteSQL on a remote-built client — the
-// whole query, text and encrypted parameter bindings, goes out on every
-// execution — and decodes the framed batches ExecuteStream writes to a pipe.
-func (c *Client) runRemoteStreamed(part *planner.RemotePart, q *ast.Query, params map[string]value.Value, dec *decoder, res *Result) ([][]value.Value, error) {
 	pr, pw := io.Pipe()
-
-	// Producer: the untrusted server frames batches into the pipe as its
-	// scan proceeds.
 	var sstats *server.StreamStats
 	var srvErr error
 	srvDone := make(chan struct{})
@@ -72,101 +67,55 @@ func (c *Client) runRemoteStreamed(part *planner.RemotePart, q *ast.Query, param
 		sstats, srvErr = c.exec.ExecuteStream(q, params, pw)
 		pw.CloseWithError(srvErr) // nil = clean EOF after the end frame
 	}()
-
-	fail := func(err error) error {
-		pr.CloseWithError(err)
-		<-srvDone
-		if srvErr != nil {
-			return srvErr
-		}
-		return err
-	}
-
 	br, err := wire.NewBatchReader(pr)
-	if err != nil {
-		return nil, fail(err)
-	}
-	if len(br.Cols()) != len(part.Outputs) {
-		return nil, fail(fmt.Errorf("stream has %d columns, plan expects %d",
-			len(br.Cols()), len(part.Outputs)))
-	}
-
-	// Decode workers: each decodes whole batches with its own clone of the
-	// part's decoder, whose memos span the batches that worker decodes.
-	workers := c.parallelism()
-	jobs := make(chan *streamBatch, workers)
-	ordered := make(chan *streamBatch, 2*workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			d := dec.clone()
-			for b := range jobs {
-				t0 := time.Now()
-				b.rows, b.decrypts, b.err = d.decode(b.rows, 1)
-				b.took = time.Since(t0)
-				close(b.done)
-			}
-		}()
-	}
-
-	// Reader: pulls frames off the wire in arrival order, queueing each
-	// batch for the merge below as well, so it sees batch order regardless
-	// of which worker finishes first.
-	readErr := make(chan error, 1)
-	go func() {
-		defer close(jobs)
-		defer close(ordered)
-		for {
-			rows, err := br.Next()
-			if err != nil || rows == nil {
-				readErr <- err
-				return
-			}
-			b := &streamBatch{rows: rows, done: make(chan struct{})}
-			ordered <- b
-			jobs <- b
-		}
-	}()
-
-	// Merge: collect decoded batches in batch order. On a decode error,
-	// poison the pipe (aborting the server scan) but keep draining so the
-	// reader and every worker exit before we return.
+	read := err != nil // the error, if any, came off the pipe
 	var rows [][]value.Value
-	var decodeErr error
-	var decodeTime time.Duration
-	var decrypts int64
-	for b := range ordered {
-		<-b.done
-		decodeTime += b.took
-		decrypts += b.decrypts
-		if decodeErr != nil {
-			continue
-		}
-		if b.err != nil {
-			decodeErr = b.err
-			pr.CloseWithError(b.err)
-			continue
-		}
-		rows = append(rows, b.rows...)
+	if err == nil {
+		rows, err = c.consume(dec, res, len(br.Cols()), func() ([][]value.Value, error) {
+			b, err := br.Next()
+			read = err != nil
+			return b, err
+		})
 	}
-	wg.Wait()
-	rerr := <-readErr
+	if err != nil {
+		pr.CloseWithError(err) // aborts a server still writing
+	}
 	<-srvDone
-
-	if decodeErr != nil {
-		return nil, decodeErr
+	if srvErr != nil && (err == nil || read) {
+		return nil, srvErr // the error behind a poisoned pipe
 	}
-	if srvErr != nil {
-		return nil, srvErr
+	if err != nil {
+		return nil, err
 	}
-	if rerr != nil {
-		return nil, rerr
-	}
-
 	c.charge(res, sstats.Stats, sstats.WireBytes)
-	res.ClientTime += decodeTime
-	res.Decrypts += decrypts
 	return rows, nil
+}
+
+// consume decodes every batch next yields, in order, until next returns no
+// rows or an error, on one clone of dec and its peers. cols is the result's
+// width.
+func (c *Client) consume(dec *decoder, res *Result, cols int, next func() ([][]value.Value, error)) ([][]value.Value, error) {
+	if cols != len(dec.cols) {
+		return nil, fmt.Errorf("server returned %d columns, plan expects %d", cols, len(dec.cols))
+	}
+	d, workers := dec.clone(), c.parallelism()
+	var rows [][]value.Value
+	for {
+		batch, err := next()
+		if err != nil || batch == nil {
+			return rows, err
+		}
+		start := time.Now()
+		out, n, err := d.decode(batch, workers)
+		res.ClientTime += time.Since(start)
+		res.Decrypts += n
+		if err != nil {
+			return nil, err
+		}
+		if rows == nil {
+			rows = out
+		} else {
+			rows = append(rows, out...)
+		}
+	}
 }

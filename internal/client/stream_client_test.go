@@ -6,11 +6,12 @@ import (
 
 // End-to-end tests of the remote-built client: the full split-execution path
 // over the framed stream — server framing encrypted batches mid-scan, client
-// decrypting them on concurrent workers — must agree with the plaintext
-// engine on every scheme (DET, OPE, HOM packing, SEARCH, GROUP_CONCAT
-// folds) and plan shape (pushed filters, joins with multiple remote parts,
-// grouped aggregation). Run under -race in CI, this is also the thread
-//-safety proof for the per-worker decoder clones and the shared pack cache.
+// decrypting each as it arrives, a frame's rows split across workers — must
+// agree with the plaintext engine on every scheme (DET, OPE, HOM packing,
+// SEARCH, GROUP_CONCAT folds) and plan shape (pushed filters, joins with
+// multiple remote parts, grouped aggregation). Run under -race in CI, this is
+// also the thread-safety proof for the per-worker decoder clones and the
+// shared pack cache.
 
 // remoteQueries exercises every decode mode the wire can carry.
 var remoteQueries = []string{

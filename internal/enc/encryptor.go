@@ -216,7 +216,7 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 	for i := range rowItems {
 		it := &rowItems[i]
 		typ := storage.TBytes
-		if it.Scheme == DET && (it.PlainKind == value.Int || it.PlainKind == value.Date || it.PlainKind == value.Bool) {
+		if it.CiphertextKind() == value.Int {
 			typ = storage.TInt
 		}
 		schema.Cols = append(schema.Cols, storage.Column{Name: it.ColumnName(), Type: typ})

@@ -80,6 +80,15 @@ func (it *Item) IsPrecomputed() bool {
 	return !isCol
 }
 
+// CiphertextKind is the kind of the item's server-side values: integers for
+// DET over integers, dates and booleans, bytes for every other scheme.
+func (it *Item) CiphertextKind() value.Kind {
+	if it.Scheme == DET && (it.PlainKind == value.Int || it.PlainKind == value.Date || it.PlainKind == value.Bool) {
+		return value.Int
+	}
+	return value.Bytes
+}
+
 // ExprSQL renders the item's value expression canonically.
 func (it *Item) ExprSQL() string { return it.Expr.SQL() }
 

@@ -8,10 +8,10 @@
 //     client-side decryption helpers — never flow into the untrusted
 //     server-side packages (engine, storage, transport, wire, netsim,
 //     server). See trustflow.go.
-//   - wraperr: errors crossing the storage/transport package boundaries
-//     wrap their cause with %w (errors.Is/As must see typed sentinels
-//     like storage.ErrCorruptSegment and transport.RejectError through
-//     every layer). See wraperr.go.
+//   - wraperr: errors crossing the storage/transport/client package
+//     boundaries wrap their cause with %w (errors.Is/As must see typed
+//     sentinels like storage.ErrCorruptSegment and transport.RejectError
+//     through every layer). See wraperr.go.
 //   - atomicstats: engine.Stats / server.StreamStats fields captured by
 //     go-spawned shard workers must be updated atomically — the class of
 //     race PR 5 fixed by hand in the sharded stream producer. See

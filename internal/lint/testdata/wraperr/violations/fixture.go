@@ -1,5 +1,5 @@
-// Package fixture plants error-flattening violations. The test loads it
-// as repro/internal/storage/lintfixture, inside the wraperr scope.
+// Package fixture plants error-flattening violations. The tests load it
+// inside the wraperr scope (storage, client) and outside it (engine).
 package fixture
 
 import (

@@ -8,17 +8,18 @@ import (
 )
 
 // Wraperr enforces the error-wrapping contract of the packages whose
-// errors cross process and layer boundaries: in internal/storage and
-// internal/transport, a fmt.Errorf that includes an underlying error must
-// wrap it with %w, never flatten it with %v/%s. Flattening breaks
-// errors.Is/errors.As on the typed sentinels these layers export —
-// storage.ErrCorruptSegment (every disk-integrity failure) and
-// transport.RejectError (admission control) are matched by the client,
-// the facade (monomi.IsRejected), and the CI robustness suites; a single
-// %v in the chain silently turns those matches into dead code.
+// errors cross process and layer boundaries: in internal/storage,
+// internal/transport and internal/client, a fmt.Errorf that includes an
+// underlying error must wrap it with %w, never flatten it with %v/%s.
+// Flattening breaks errors.Is/errors.As on the typed sentinels these layers
+// export or carry — storage.ErrCorruptSegment (every disk-integrity
+// failure) and transport.RejectError (admission control) reach the facade
+// (monomi.IsRejected) and the CI robustness suites through the client's
+// result consumer, beside its own ErrMalformedResult; a single %v in the
+// chain silently turns those matches into dead code.
 var Wraperr = &Analyzer{
 	Name: "wraperr",
-	Doc:  "errors crossing storage/transport boundaries must be wrapped with %w, not flattened with %v or %s",
+	Doc:  "errors crossing storage/transport/client boundaries must be wrapped with %w, not flattened with %v or %s",
 	Run:  runWraperr,
 }
 
@@ -26,6 +27,7 @@ var Wraperr = &Analyzer{
 var wraperrPackages = []string{
 	"repro/internal/storage",
 	"repro/internal/transport",
+	"repro/internal/client",
 }
 
 func runWraperr(pass *Pass) error {

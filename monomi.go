@@ -69,19 +69,20 @@
 // deployment, not an option:
 //
 //   - In process (the System Encrypt returns): the server's engine hands
-//     its encrypted rows to the client as they are, and one decode pass runs
-//     over them on Parallelism workers. Rows.WireBytes is what the paper's
-//     transfer model charges for those rows — value sizes + 4 B per row.
+//     its encrypted rows to the client as they are, as one batch.
+//     Rows.WireBytes is what the paper's transfer model charges for those
+//     rows — value sizes + 4 B per row.
 //   - Remote (a System from ConnectRemote): the server frames encrypted
 //     batches onto the socket while its scan is still running
-//     (internal/wire's header/batch/end framing) and the client decodes each
-//     arriving batch on a pool of Parallelism workers, merging decrypted
-//     rows in batch order. The first plaintext row exists after one
-//     1 024-row batch and no whole encrypted result is buffered; a query
-//     the client abandons stops the server's scan within a few batches.
+//     (internal/wire's header/batch/end framing) and the client reads them
+//     as they arrive. The first plaintext row exists after one 1 024-row
+//     batch and no whole encrypted result is buffered; a query the client
+//     abandons stops the server's scan within a few batches.
 //     Rows.WireBytes counts the framed bytes.
 //
-// Results — rows, row order, encodings — are identical either way. The two
+// Either way one loop decodes each batch in order, splitting a batch of
+// 1 024 rows or more across Parallelism workers. Results — rows, row
+// order, encodings, the first error — are identical either way. The two
 // WireBytes figures are not the same count: on tpch-scan's twelve queries
 // (seed 1) the in-process model reads 233 KB/query and the framed stream 286.
 //
