@@ -13,6 +13,12 @@ import (
 // duplicates; RND/HOM/SEARCH reveal nothing beyond size/matching). Numbers
 // after a plus sign are encryptions of precomputed expressions, as in the
 // paper.
+//
+// Result transfer adds no row to the census. The server dictionary-codes
+// each column of a result frame (internal/wire), and a frame's dictionary
+// reveals only which of its cells are equal — among ciphertexts the server
+// already holds. A DET or OPE column's repeats are already visible to it,
+// and RND and HOM ciphertexts never repeat, so those columns ship plain.
 
 // Table3Row is one table's census.
 type Table3Row struct {

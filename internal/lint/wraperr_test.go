@@ -8,10 +8,10 @@ import (
 )
 
 // TestWraperrViolations checks that %v/%s flattening of error-typed
-// fmt.Errorf arguments is reported inside the storage and client subtrees,
+// fmt.Errorf arguments is reported inside the storage, client and wire subtrees,
 // while %w, non-error arguments, and positional mixing stay clean.
 func TestWraperrViolations(t *testing.T) {
-	for _, path := range []string{"repro/internal/storage/lintfixture", "repro/internal/client/lintfixture"} {
+	for _, path := range []string{"repro/internal/storage/lintfixture", "repro/internal/client/lintfixture", "repro/internal/wire/lintfixture"} {
 		diags := linttest.Run(t, "testdata/wraperr/violations", path, lint.Wraperr)
 		if len(diags) != 4 {
 			t.Errorf("%s: got %d diagnostics, fixture plants 4", path, len(diags))

@@ -64,7 +64,7 @@ import (
 // Protocol identity.
 const (
 	protoMagic   = "MNM1"
-	protoVersion = 4 // 4: done frame carries engine.Stats (3 had modelled times; 2 had statement frames)
+	protoVersion = 5 // 5: column-major, dictionary-coded batch frames (4 had row-major frames; 3 modelled times; 2 statement frames)
 )
 
 // Frame tags. Disjoint from wire's value tags (0–5) and stream-frame tags

@@ -109,6 +109,19 @@ func TestBadHello(t *testing.T) {
 	}
 	expectClosed(t, c4)
 
+	// And a version-4 peer, whose batch frames were row-major with every
+	// cell framed in full where version 5 dictionary-codes columns.
+	c5 := rawDial(t, s)
+	if err := writeFrame(c5, frameHello, []byte(protoMagic+"\x00\x04")); err != nil {
+		t.Fatal(err)
+	}
+	if tag, payload, err := readFrame(c5); err != nil || tag != frameReject {
+		t.Fatalf("version-4 hello: tag=%#x err=%v", tag, err)
+	} else if re := parseReject(payload); re.Code != CodeProtocol || !strings.Contains(re.Msg, "protocol version 4") {
+		t.Fatalf("version-4 hello reply = %v, want the protocol-version error", re)
+	}
+	expectClosed(t, c5)
+
 	// Wrong first frame entirely.
 	c2 := rawDial(t, s)
 	if err := writeFrame(c2, frameCancel, cancelPayload(1)); err != nil {

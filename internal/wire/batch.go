@@ -4,23 +4,60 @@ package wire
 // number of batch frames, and one end frame:
 //
 //	header: 0xA1 | u32 ncols | ncols × (u32 len | name bytes)
-//	batch:  0xA2 | u32 nrows | u32 payload len | nrows × ncols framed values
+//	batch:  0xA2 | u32 nrows | u32 payload len | ncols × column
 //	end:    0xA3 | u64 total rows
 //
-// Values inside a batch reuse the per-value tags of wire.go (the same
-// encoding GROUP_CONCAT blobs use), so the stream and the blobs inside it
-// speak one value vocabulary. The end frame carries the total row count as
-// an integrity check: a reader that sees end with a mismatched count — or
-// EOF with no end frame — reports a truncated stream instead of returning
-// a silently short result.
+// A batch is column-major. Each column opens with a mode byte and is coded
+// whichever way is strictly smaller:
+//
+//	plain: 0 | nrows framed values
+//	dict:  w | u32 ndict | ndict distinct framed values | nrows × w-byte codes
+//
+// w ∈ {1, 2, 4} is the code width; the dictionary holds the column's
+// distinct values in first-occurrence order and each big-endian code
+// indexes it. DET and OPE ciphertexts repeat, so the low-cardinality columns
+// MONOMI ships for client-side grouping cost a code per row, not a copy.
+// The dictionary reveals only which cells of one frame are equal — what the
+// server already sees of the ciphertexts it holds.
+//
+// Values — plain ones and dictionary entries — reuse the per-value tags of
+// wire.go (the same encoding GROUP_CONCAT blobs use), so the stream and the
+// blobs inside it speak one value vocabulary. The end frame carries the
+// total row count as an integrity check: a reader that sees end with a
+// mismatched count — or EOF with no end frame — reports a truncated stream
+// instead of returning a silently short result.
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/value"
 )
+
+// ErrCorrupt is wrapped by every error a reader returns for bytes that are
+// not a well-formed stream or value frame: truncation, an unknown tag, a
+// bad column mode, an out-of-range dictionary size or code, trailing bytes,
+// or a frame header that cannot describe its payload.
+var ErrCorrupt = errors.New("wire: corrupt frame")
+
+// corruptError is a leaf corruption error: its message is its own, and
+// errors.Is matches it against ErrCorrupt.
+type corruptError struct{ msg string }
+
+func (e *corruptError) Error() string { return e.msg }
+func (e *corruptError) Unwrap() error { return ErrCorrupt }
+
+// corrupt builds a corruptError. It is never inlined, which keeps error
+// formatting out of parseFrame, the per-value loop of every reader.
+//
+//go:noinline
+func corrupt(format string, args ...any) error {
+	return &corruptError{fmt.Sprintf(format, args...)}
+}
 
 // Frame type tags. Distinct from the value tags (0–5) so a reader
 // desynchronized into value territory fails immediately.
@@ -29,6 +66,10 @@ const (
 	frameBatch  byte = 0xA2
 	frameEnd    byte = 0xA3
 )
+
+// modePlain opens a plainly coded column; any other mode byte is a
+// dictionary's code width.
+const modePlain byte = 0
 
 // Sanity bounds: a frame announcing more than these is corrupt, and
 // rejecting it early keeps a fuzzed or truncated stream from driving a
@@ -39,6 +80,15 @@ const (
 	maxBatchPayload = 1 << 30
 	maxNameLen      = 1 << 16
 )
+
+// payloadChunk is how much of a batch payload the reader reads at a time:
+// the payload's buffer grows only as chunks arrive.
+const payloadChunk = 1 << 20
+
+// dictProbeRows is how many rows of a column the writer dictionary-codes
+// unconditionally; past it, a column whose distinct values exceed 3/4 of
+// its rows (keys, RND and HOM ciphertexts) stops hashing and ships plain.
+const dictProbeRows = 64
 
 // ResultHeader describes a streamed result before any rows arrive.
 type ResultHeader struct {
@@ -63,19 +113,30 @@ func AppendHeader(dst []byte, cols []string) ([]byte, error) {
 }
 
 // BatchWriter frames a result stream onto w: the header at construction,
-// one batch frame per WriteBatch, the end frame at Close.
+// one batch frame per WriteBatch, the end frame at Close. Its frame buffer
+// and dictionary state are reused from frame to frame, so a steady stream
+// allocates nothing per cell, and its output is a pure function of the rows.
 type BatchWriter struct {
 	w     io.Writer
 	ncols int
 	buf   []byte
+	dict  dictionary
 	bytes int64
 	rows  int64
+}
+
+// dictionary is the writer's scratch for dictionary-coding one column.
+type dictionary struct {
+	index map[uint64]uint32 // FNV-1a of a framed value → its code
+	vals  []byte            // the distinct framed values, first-occurrence order
+	ends  []uint32          // entry k is vals[ends[k-1]:ends[k]]
+	codes []uint32          // each row's code
 }
 
 // NewBatchWriter writes the header frame for cols and returns a writer for
 // the stream's batches.
 func NewBatchWriter(w io.Writer, cols []string) (*BatchWriter, error) {
-	bw := &BatchWriter{w: w, ncols: len(cols)}
+	bw := &BatchWriter{w: w, ncols: len(cols), dict: dictionary{index: make(map[uint64]uint32)}}
 	b, err := AppendHeader(bw.buf[:0], cols)
 	if err != nil {
 		return nil, err
@@ -92,19 +153,22 @@ func (bw *BatchWriter) WriteBatch(rows [][]value.Value) error {
 	if len(rows) > maxRowsPerBatch {
 		return fmt.Errorf("wire: batch of %d rows exceeds frame limit", len(rows))
 	}
+	if len(rows) > 0 && bw.ncols == 0 {
+		return fmt.Errorf("wire: %d rows of a result without columns", len(rows))
+	}
+	for _, row := range rows {
+		if len(row) != bw.ncols {
+			return fmt.Errorf("wire: row has %d values, header declares %d columns", len(row), bw.ncols)
+		}
+	}
 	b := append(bw.buf[:0], frameBatch)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(rows)))
 	b = binary.BigEndian.AppendUint32(b, 0) // payload length, patched below
 	payloadStart := len(b)
 	var err error
-	for _, row := range rows {
-		if len(row) != bw.ncols {
-			return fmt.Errorf("wire: row has %d values, header declares %d columns", len(row), bw.ncols)
-		}
-		for _, v := range row {
-			if b, err = AppendValue(b, v); err != nil {
-				return err
-			}
+	for j := 0; j < bw.ncols; j++ {
+		if b, err = bw.appendColumn(b, rows, j); err != nil {
+			return err
 		}
 	}
 	payload := len(b) - payloadStart
@@ -114,6 +178,102 @@ func (bw *BatchWriter) WriteBatch(rows [][]value.Value) error {
 	binary.BigEndian.PutUint32(b[payloadStart-4:payloadStart], uint32(payload))
 	bw.rows += int64(len(rows))
 	return bw.flush(b)
+}
+
+// appendColumn appends column j of rows to b. It frames the column plain
+// while building its dictionary alongside, then rewrites the column as
+// dictionary and codes if that is strictly smaller. A hash collision or a
+// column that turns out mostly distinct abandons the dictionary.
+func (bw *BatchWriter) appendColumn(b []byte, rows [][]value.Value, j int) ([]byte, error) {
+	start := len(b)
+	b = append(b, modePlain)
+	d := &bw.dict
+	d.reset()
+	coding := true
+	for i, row := range rows {
+		at := len(b)
+		var err error
+		if b, err = AppendValue(b, row[j]); err != nil {
+			return b, err
+		}
+		if coding {
+			seen := i + 1
+			coding = d.add(b[at:]) && (seen < dictProbeRows || 4*len(d.ends) <= 3*seen)
+		}
+	}
+	if !coding {
+		return b, nil
+	}
+	width := codeWidth(len(d.ends))
+	if 4+len(d.vals)+len(rows)*width >= len(b)-start-1 {
+		return b, nil
+	}
+	b = append(b[:start], byte(width))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(d.ends)))
+	b = append(b, d.vals...)
+	for _, c := range d.codes {
+		switch width {
+		case 1:
+			b = append(b, byte(c))
+		case 2:
+			b = binary.BigEndian.AppendUint16(b, uint16(c))
+		default:
+			b = binary.BigEndian.AppendUint32(b, c)
+		}
+	}
+	return b, nil
+}
+
+// codeWidth is the narrowest code width that indexes ndict entries.
+func codeWidth(ndict int) int {
+	switch {
+	case ndict <= 1<<8:
+		return 1
+	case ndict <= 1<<16:
+		return 2
+	}
+	return 4
+}
+
+func (d *dictionary) reset() {
+	clear(d.index)
+	d.vals, d.ends, d.codes = d.vals[:0], d.ends[:0], d.codes[:0]
+}
+
+// add codes one framed value, reporting false on a hash collision — two
+// different values under one hash — which leaves the column plain.
+func (d *dictionary) add(v []byte) bool {
+	h := fnv1a(v)
+	code, ok := d.index[h]
+	if !ok {
+		code = uint32(len(d.ends))
+		d.index[h] = code
+		d.vals = append(d.vals, v...)
+		d.ends = append(d.ends, uint32(len(d.vals)))
+	} else if !bytes.Equal(d.entry(code), v) {
+		return false
+	}
+	d.codes = append(d.codes, code)
+	return true
+}
+
+func (d *dictionary) entry(code uint32) []byte {
+	lo := uint32(0)
+	if code > 0 {
+		lo = d.ends[code-1]
+	}
+	return d.vals[lo:d.ends[code]]
+}
+
+// fnv1a is the 64-bit FNV-1a hash: unseeded, so a frame's bytes depend on
+// its rows alone.
+func fnv1a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // Close writes the end frame. It does not close the underlying writer.
@@ -139,11 +299,16 @@ func (bw *BatchWriter) BytesWritten() int64 { return bw.bytes }
 func (bw *BatchWriter) RowsWritten() int64 { return bw.rows }
 
 // BatchReader decodes a result stream from r, validating framing as it
-// goes: truncated or corrupt frames return errors, never short results.
+// goes: truncated or corrupt frames return errors wrapping ErrCorrupt,
+// never short results.
+//
+// The cells of a batch alias that batch's payload buffer (see Decoder), and
+// cells coded by one dictionary entry share one Value: consumers must treat
+// every cell as read-only.
 type BatchReader struct {
 	r    io.Reader
 	hdr  ResultHeader
-	buf  []byte
+	buf  []byte // scratch for header and end frames
 	rows int64
 	done bool
 }
@@ -157,14 +322,14 @@ func NewBatchReader(r io.Reader) (*BatchReader, error) {
 		return nil, fmt.Errorf("wire: reading stream header: %w", err)
 	}
 	if tag != frameHeader {
-		return nil, fmt.Errorf("wire: stream starts with tag %#x, want header", tag)
+		return nil, corrupt("wire: stream starts with tag %#x, want header", tag)
 	}
 	ncols, err := br.readUint32()
 	if err != nil {
 		return nil, fmt.Errorf("wire: reading column count: %w", err)
 	}
 	if ncols > maxCols {
-		return nil, fmt.Errorf("wire: header declares %d columns", ncols)
+		return nil, corrupt("wire: header declares %d columns", ncols)
 	}
 	br.hdr.Cols = make([]string, ncols)
 	for i := range br.hdr.Cols {
@@ -173,7 +338,7 @@ func NewBatchReader(r io.Reader) (*BatchReader, error) {
 			return nil, fmt.Errorf("wire: reading column %d name length: %w", i, err)
 		}
 		if n > maxNameLen {
-			return nil, fmt.Errorf("wire: column %d name of %d bytes", i, n)
+			return nil, corrupt("wire: column %d name of %d bytes", i, n)
 		}
 		b, err := br.readN(int(n))
 		if err != nil {
@@ -208,56 +373,127 @@ func (br *BatchReader) Next() ([][]value.Value, error) {
 			return nil, fmt.Errorf("wire: truncated end frame: %w", err)
 		}
 		if total != uint64(br.rows) {
-			return nil, fmt.Errorf("wire: stream delivered %d rows, end frame declares %d", br.rows, total)
+			return nil, corrupt("wire: stream delivered %d rows, end frame declares %d", br.rows, total)
 		}
 		br.done = true
 		return nil, nil
 	case frameBatch:
 		return br.readBatch()
 	}
-	return nil, fmt.Errorf("wire: unknown frame tag %#x", tag)
+	return nil, corrupt("wire: unknown frame tag %#x", tag)
 }
 
 // readBatch decodes one batch frame's rows, checking the payload decodes
-// to exactly nrows × ncols values with no bytes left over.
+// to exactly ncols columns of nrows values with no bytes left over.
 func (br *BatchReader) readBatch() ([][]value.Value, error) {
 	nrows, err := br.readUint32()
 	if err != nil {
 		return nil, fmt.Errorf("wire: truncated batch row count: %w", err)
 	}
-	if nrows > maxRowsPerBatch {
-		return nil, fmt.Errorf("wire: batch declares %d rows", nrows)
-	}
 	payload, err := br.readUint32()
 	if err != nil {
 		return nil, fmt.Errorf("wire: truncated batch payload length: %w", err)
 	}
-	if payload > maxBatchPayload {
-		return nil, fmt.Errorf("wire: batch declares %d payload bytes", payload)
+	// Every column costs a mode byte and every cell at least one byte (a
+	// tag or a code), so a header the payload cannot hold is corrupt before
+	// a byte of it is read.
+	ncols := len(br.hdr.Cols)
+	switch {
+	case nrows > maxRowsPerBatch:
+		return nil, corrupt("wire: batch declares %d rows", nrows)
+	case payload > maxBatchPayload:
+		return nil, corrupt("wire: batch declares %d payload bytes", payload)
+	case nrows > 0 && ncols == 0:
+		return nil, corrupt("wire: batch declares %d rows of no columns", nrows)
+	case (uint64(nrows)+1)*uint64(ncols) > uint64(payload):
+		return nil, corrupt("wire: batch of %d rows × %d columns in %d payload bytes", nrows, ncols, payload)
 	}
-	b, err := br.readN(int(payload))
+	b, err := br.readPayload(int(payload))
 	if err != nil {
 		return nil, fmt.Errorf("wire: truncated batch payload: %w", err)
 	}
-	ncols := len(br.hdr.Cols)
-	rows := make([][]value.Value, nrows)
-	for i := range rows {
-		row := make([]value.Value, ncols)
-		for j := range row {
-			v, n, err := DecodeValue(b)
-			if err != nil {
-				return nil, fmt.Errorf("wire: batch row %d col %d: %w", i, j, err)
-			}
-			row[j] = v
-			b = b[n:]
+	n := int(nrows)
+	cells := make([]value.Value, n*ncols)
+	d := NewDecoder(b)
+	pos := 0
+	for j := 0; j < ncols; j++ {
+		if pos, err = readColumn(&d, pos, cells, j, ncols); err != nil {
+			return nil, fmt.Errorf("wire: batch col %d: %w", j, err)
 		}
-		rows[i] = row
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("wire: batch payload has %d trailing bytes", len(b))
+	if pos != len(b) {
+		return nil, corrupt("wire: batch payload has %d trailing bytes", len(b)-pos)
 	}
-	br.rows += int64(nrows)
+	rows := make([][]value.Value, n)
+	for i := range rows {
+		rows[i] = cells[i*ncols : (i+1)*ncols : (i+1)*ncols]
+	}
+	br.rows += int64(n)
 	return rows, nil
+}
+
+// readColumn decodes column j, which starts at pos in d's buffer, into the
+// row-major cells of an ncols-wide batch and returns the position after it.
+func readColumn(d *Decoder, pos int, cells []value.Value, j, ncols int) (int, error) {
+	buf, nrows := d.buf, len(cells)/ncols
+	if pos >= len(buf) {
+		return pos, corrupt("truncated column mode")
+	}
+	width := int(buf[pos])
+	pos++
+	if width == int(modePlain) {
+		for i := 0; i < nrows; i++ {
+			v, n, err := d.Value(pos, len(buf))
+			if err != nil {
+				return pos, fmt.Errorf("row %d: %w", i, err)
+			}
+			cells[i*ncols+j] = v
+			pos += n
+		}
+		return pos, nil
+	}
+	if width != 1 && width != 2 && width != 4 {
+		return pos, corrupt("column mode %d", width)
+	}
+	if len(buf)-pos < 4 {
+		return pos, corrupt("truncated dictionary size")
+	}
+	ndict := int(binary.BigEndian.Uint32(buf[pos:]))
+	pos += 4
+	// Each entry is at least one byte, and a writer never codes more
+	// distinct values than rows.
+	if ndict > nrows || ndict > len(buf)-pos {
+		return pos, corrupt("dictionary of %d entries for %d rows in %d bytes", ndict, nrows, len(buf)-pos)
+	}
+	dict := make([]value.Value, ndict)
+	for k := range dict {
+		v, n, err := d.Value(pos, len(buf))
+		if err != nil {
+			return pos, fmt.Errorf("dictionary entry %d: %w", k, err)
+		}
+		dict[k] = v
+		pos += n
+	}
+	if (len(buf)-pos)/width < nrows {
+		return pos, corrupt("truncated codes")
+	}
+	for i := 0; i < nrows; i++ {
+		var code int
+		switch width {
+		case 1:
+			code = int(buf[pos])
+		case 2:
+			code = int(binary.BigEndian.Uint16(buf[pos:]))
+		default:
+			code = int(binary.BigEndian.Uint32(buf[pos:]))
+		}
+		if code >= ndict {
+			return pos, corrupt("row %d code %d of a %d-entry dictionary", i, code, ndict)
+		}
+		cells[i*ncols+j] = dict[code]
+		pos += width
+	}
+	return pos, nil
 }
 
 // RowsRead reports the rows decoded so far.
@@ -295,10 +531,33 @@ func (br *BatchReader) readN(n int) ([]byte, error) {
 	}
 	b := br.buf[:n]
 	if _, err := io.ReadFull(br.r, b); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = io.EOF
-		}
-		return nil, err
+		return nil, readErr(err)
 	}
 	return b, nil
+}
+
+// readPayload reads an n-byte batch payload into a buffer of its own — the
+// batch's cells alias it — growing the buffer a bounded chunk at a time as
+// bytes arrive, so what a header declares costs memory only once the
+// stream has actually sent it.
+func (br *BatchReader) readPayload(n int) ([]byte, error) {
+	b := make([]byte, 0, min(n, payloadChunk))
+	for len(b) < n {
+		k := min(n-len(b), payloadChunk)
+		b = slices.Grow(b, k)
+		if _, err := io.ReadFull(br.r, b[len(b):len(b)+k]); err != nil {
+			return nil, readErr(err)
+		}
+		b = b[:len(b)+k]
+	}
+	return b, nil
+}
+
+// readErr classifies a failed read: running out of bytes mid-frame is a
+// truncated, hence corrupt, stream; any other error is the transport's own.
+func readErr(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return corrupt("EOF")
+	}
+	return err
 }

@@ -248,6 +248,17 @@ func FuzzBatchReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{frameHeader, 0, 0, 0, 0, frameEnd, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{frameBatch, 0xff, 0xff})
+	// Dictionary-coded seeds: 1-byte codes beside plain columns, 2-byte
+	// codes, and a minimal hand-built dictionary column.
+	dict, _ := writeStream(f, make([]string, 6), dictRows(80))
+	f.Add(dict)
+	wide := make([][]value.Value, 600)
+	for i := range wide {
+		wide[i] = []value.Value{value.NewInt(int64(i / 2))}
+	}
+	wideBytes, _ := writeStream(f, []string{"k"}, wide)
+	f.Add(wideBytes)
+	f.Add(rawStream(1, rawBatch(2, 1, 0, 0, 0, 1, tagNull, 0, 0), []byte{frameEnd, 0, 0, 0, 0, 0, 0, 0, 2}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br, err := NewBatchReader(bytes.NewReader(data))
 		if err != nil {

@@ -9,7 +9,10 @@
 // protocol: a ResultHeader naming the columns followed by incremental row
 // batches (BatchWriter/BatchReader over io.Writer/io.Reader), so the
 // server can ship encrypted intermediate results mid-scan and the client
-// can begin decrypting before the server's scan finishes.
+// can begin decrypting before the server's scan finishes. A batch is
+// column-major, and each column ships plain or dictionary-coded, whichever
+// is smaller. Every malformed input a reader meets is an error wrapping
+// ErrCorrupt.
 package wire
 
 import (
@@ -67,27 +70,27 @@ func AppendValue(dst []byte, v value.Value) ([]byte, error) {
 // Decoder.Value differ only in how they materialize a payload.
 func parseFrame(b []byte) (tag byte, x uint64, n int, err error) {
 	if len(b) == 0 {
-		return 0, 0, 0, fmt.Errorf("wire: empty input")
+		return 0, 0, 0, corrupt("wire: empty input")
 	}
 	switch tag = b[0]; tag {
 	case tagNull:
 		return tag, 0, 1, nil
 	case tagInt, tagDate, tagFloat:
 		if len(b) < 9 {
-			return 0, 0, 0, fmt.Errorf("wire: truncated integer")
+			return 0, 0, 0, corrupt("wire: truncated integer")
 		}
 		return tag, binary.BigEndian.Uint64(b[1:9]), 9, nil
 	case tagStr, tagBytes:
 		if len(b) < 5 {
-			return 0, 0, 0, fmt.Errorf("wire: truncated length")
+			return 0, 0, 0, corrupt("wire: truncated length")
 		}
 		n := int(binary.BigEndian.Uint32(b[1:5]))
 		if len(b) < 5+n {
-			return 0, 0, 0, fmt.Errorf("wire: truncated payload (need %d bytes)", n)
+			return 0, 0, 0, corrupt("wire: truncated payload (need %d bytes)", n)
 		}
 		return tag, 0, 5 + n, nil
 	}
-	return 0, 0, 0, fmt.Errorf("wire: unknown tag %d", b[0])
+	return 0, 0, 0, corrupt("wire: unknown tag %d", b[0])
 }
 
 // scalar builds the value of a Null, Int, Date or Float frame.
