@@ -1,6 +1,8 @@
 package client
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -199,5 +201,61 @@ func TestMemoSpansBatches(t *testing.T) {
 		if res.Decrypts != 4 {
 			t.Errorf("remote=%v: %d decryptions, want 4", via != f, res.Decrypts)
 		}
+	}
+}
+
+// mangleExec frames the server's result, then hands the client the stream as
+// mangle rewrites it, and returns err with the stream's stats.
+type mangleExec struct {
+	srv    *server.Server
+	mangle func(stream []byte) []byte
+	err    error
+}
+
+func (e *mangleExec) Execute(q *ast.Query, params map[string]value.Value) (*server.Response, error) {
+	return nil, errors.New("mangleExec: streams only")
+}
+
+func (e *mangleExec) ExecuteStream(q *ast.Query, params map[string]value.Value, w io.Writer) (*server.StreamStats, error) {
+	var buf bytes.Buffer
+	st, err := e.srv.ExecuteStream(q, params, &buf)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := w.Write(e.mangle(buf.Bytes())); err != nil {
+		return nil, err
+	}
+	return st, e.err
+}
+
+// TestCorruptStreamIsMalformed: a result stream the frame reader rejects —
+// cut short, or with a column mode no writer emits — fails the query as
+// ErrMalformedResult wrapping wire.ErrCorrupt, while a transport error that
+// cuts the stream comes through as itself.
+func TestCorruptStreamIsMalformed(t *testing.T) {
+	f := consumeFixture(t)
+	// The first batch's first column mode follows the one-column header and
+	// the batch frame's 9-byte head.
+	firstMode := func(b []byte) int { return 5 + 4 + int(binary.BigEndian.Uint32(b[5:9])) + 9 }
+	for name, c := range map[string]struct {
+		mangle func([]byte) []byte
+		err    error
+	}{
+		"truncated": {mangle: func(b []byte) []byte { return b[:len(b)-1] }},
+		"bad mode byte": {mangle: func(b []byte) []byte {
+			b[firstMode(b)] = 3
+			return b
+		}},
+	} {
+		_, err := f.remote(&mangleExec{srv: f.client.Srv, mangle: c.mangle}).client.Query(consumeSQL, nil)
+		if !errors.Is(err, ErrMalformedResult) || !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrMalformedResult wrapping wire.ErrCorrupt", name, err)
+		}
+	}
+	reset := errors.New("connection reset")
+	half := func(b []byte) []byte { return b[:len(b)/2] }
+	_, err := f.remote(&mangleExec{srv: f.client.Srv, mangle: half, err: reset}).client.Query(consumeSQL, nil)
+	if !errors.Is(err, reset) || errors.Is(err, ErrMalformedResult) {
+		t.Errorf("transport error: %v, want the transport's error unclassified", err)
 	}
 }

@@ -19,8 +19,10 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrMalformedResult marks a remote result cell the plan's output mode cannot
-// interpret, such as a GROUP_CONCAT column that is not a decodable blob.
+// ErrMalformedResult marks a remote result the client cannot read: a cell the
+// plan's output mode cannot interpret, such as a GROUP_CONCAT column that is
+// not a decodable blob, or a result stream whose frames are corrupt
+// (wire.ErrCorrupt).
 var ErrMalformedResult = errors.New("malformed remote result")
 
 // parallelDecodeRows is the batch size from which decode splits the rows

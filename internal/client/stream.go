@@ -13,7 +13,8 @@ package client
 // Error/abandon handling: a server error poisons the pipe and surfaces at the
 // next read; a client-side decode or frame error closes the pipe, which
 // aborts the server's scan mid-stream. Either way the producer goroutine is
-// joined before returning.
+// joined before returning. A stream the frame reader finds corrupt fails as
+// ErrMalformedResult, as a cell the plan cannot read does.
 //
 // Accounting: the server's engine.Stats arrive with the result (in process)
 // or with the stream's end. WireBytes is what the paper's transfer model
@@ -22,6 +23,7 @@ package client
 // decode calls' elapsed time.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -82,13 +84,24 @@ func (c *Client) fetch(q *ast.Query, params map[string]value.Value, dec *decoder
 	}
 	<-srvDone
 	if srvErr != nil && (err == nil || read) {
-		return nil, srvErr // the error behind a poisoned pipe
+		err = srvErr // the error behind a poisoned pipe
 	}
 	if err != nil {
-		return nil, err
+		return nil, malformedStream(err)
 	}
 	c.charge(res, sstats.Stats, sstats.WireBytes)
 	return rows, nil
+}
+
+// malformedStream classes a result stream the wire reader rejected as
+// corrupt — truncated, or framed in a way no writer emits — as a malformed
+// remote result, like a cell the plan cannot interpret. Any other error, a
+// transport failure among them, passes through.
+func malformedStream(err error) error {
+	if errors.Is(err, wire.ErrCorrupt) && !errors.Is(err, ErrMalformedResult) {
+		return fmt.Errorf("%w: %w", ErrMalformedResult, err)
+	}
+	return err
 }
 
 // consume decodes every batch next yields, in order, until next returns no

@@ -15,8 +15,11 @@ package wire
 //
 // w ∈ {1, 2, 4} is the code width; the dictionary holds the column's
 // distinct values in first-occurrence order and each big-endian code
-// indexes it. DET and OPE ciphertexts repeat, so the low-cardinality columns
-// MONOMI ships for client-side grouping cost a code per row, not a copy.
+// indexes it. Served frames hold at most 1 024 rows, so they use widths 1
+// and 2; only a direct WriteBatch of more than 65 536 distinct values needs
+// 4-byte codes. DET and OPE ciphertexts repeat, so the low-cardinality
+// columns MONOMI ships for client-side grouping cost a code per row, not a
+// copy.
 // The dictionary reveals only which cells of one frame are equal — what the
 // server already sees of the ciphertexts it holds.
 //
@@ -84,11 +87,6 @@ const (
 // payloadChunk is how much of a batch payload the reader reads at a time:
 // the payload's buffer grows only as chunks arrive.
 const payloadChunk = 1 << 20
-
-// dictProbeRows is how many rows of a column the writer dictionary-codes
-// unconditionally; past it, a column whose distinct values exceed 3/4 of
-// its rows (keys, RND and HOM ciphertexts) stops hashing and ships plain.
-const dictProbeRows = 64
 
 // ResultHeader describes a streamed result before any rows arrive.
 type ResultHeader struct {
@@ -182,24 +180,21 @@ func (bw *BatchWriter) WriteBatch(rows [][]value.Value) error {
 
 // appendColumn appends column j of rows to b. It frames the column plain
 // while building its dictionary alongside, then rewrites the column as
-// dictionary and codes if that is strictly smaller. A hash collision or a
-// column that turns out mostly distinct abandons the dictionary.
+// dictionary and codes if that is strictly smaller. A hash collision
+// abandons the dictionary.
 func (bw *BatchWriter) appendColumn(b []byte, rows [][]value.Value, j int) ([]byte, error) {
 	start := len(b)
 	b = append(b, modePlain)
 	d := &bw.dict
 	d.reset()
 	coding := true
-	for i, row := range rows {
+	for _, row := range rows {
 		at := len(b)
 		var err error
 		if b, err = AppendValue(b, row[j]); err != nil {
 			return b, err
 		}
-		if coding {
-			seen := i + 1
-			coding = d.add(b[at:]) && (seen < dictProbeRows || 4*len(d.ends) <= 3*seen)
-		}
+		coding = coding && d.add(b[at:])
 	}
 	if !coding {
 		return b, nil

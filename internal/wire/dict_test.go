@@ -271,21 +271,6 @@ func TestDictCodingTie(t *testing.T) {
 	}
 }
 
-// TestDictGiveUp: past 64 rows, a column whose distinct values exceed 3/4
-// of its rows stops hashing and ships plain, even where a dictionary over
-// the whole frame would have been smaller; one under the ratio is coded.
-func TestDictGiveUp(t *testing.T) {
-	rows := make([][]value.Value, 1024)
-	for i := range rows {
-		rows[i] = []value.Value{value.NewInt(int64(min(i, 100))), value.NewInt(int64(i / 2))}
-	}
-	wireBytes, starts := writeStream(t, []string{"a", "b"}, rows)
-	if modes := frameModes(t, wireBytes[starts[0]:], 2); !bytes.Equal(modes, []byte{modePlain, 2}) {
-		t.Fatalf("modes = %v, want [0 2]", modes)
-	}
-	checkRoundTrip(t, rows, readStream(t, wireBytes))
-}
-
 // TestDictHashCollision: two different framed values under one hash must
 // not share a code. The collision is forced by planting the second value's
 // hash on the first one's entry.

@@ -86,7 +86,7 @@
 // 1 024 rows or more across Parallelism workers. Results — rows, row
 // order, encodings, the first error — are identical either way. The two
 // WireBytes figures are not the same count: on tpch-scan's twelve queries
-// (seed 1) the in-process model reads 233 KB/query and the framed stream 107.
+// (seed 1) the in-process model reads 233 KB/query and the framed stream 105.
 //
 // # Remote deployment
 //
