@@ -29,7 +29,9 @@ type Backend interface {
 	// physical bytes read. cols names the schema positions to materialize,
 	// ascending: each returned row holds exactly those cells, in that order
 	// (empty: rows of no cells); nil means every column. The returned batch
-	// may alias backend memory and must be treated as read-only.
+	// must be treated as read-only: the in-memory backend hands out its own
+	// rows, and a paged backend's cells share arenas owned by the batch
+	// (never its page buffers, which it reuses).
 	Scan(lo, hi int, cols []int) ([][]value.Value, int64, error)
 	// Fetch returns the rows named by an id list, in list order, projected
 	// onto cols as Scan's are, plus the physical bytes read.
@@ -53,10 +55,18 @@ type Backend interface {
 // rowBatch collects the rows of one Scan or Fetch call. Projected rows are
 // cut from a single arena sized for the call — rows × wanted columns, one
 // allocation — and capped, so appending to a row cannot reach the next.
+// Bytes cells a paged backend reads are copied into bytes, a chunked arena
+// owned by the batch (own), so a held batch keeps alive the bytes it
+// returned and nothing of the pages they came from.
 type rowBatch struct {
 	rows  [][]value.Value
 	arena []value.Value
+	bytes []byte
 }
+
+// bytesChunk is the byte arena's allocation unit: a cell larger than what
+// is left of the current chunk starts a new one of at least this size.
+const bytesChunk = 4096
 
 func newRowBatch(nrows, width int) rowBatch {
 	return rowBatch{rows: make([][]value.Value, 0, nrows), arena: make([]value.Value, 0, nrows*width)}
@@ -65,6 +75,17 @@ func newRowBatch(nrows, width int) rowBatch {
 // cut adds arena[start:], the cells appended since, as the next row.
 func (b *rowBatch) cut(start int) {
 	b.rows = append(b.rows, b.arena[start:len(b.arena):len(b.arena)])
+}
+
+// own copies p into the byte arena and returns the copy, capacity-limited
+// so an append cannot reach the next cell.
+func (b *rowBatch) own(p []byte) []byte {
+	if b.bytes == nil || len(p) > cap(b.bytes)-len(b.bytes) {
+		b.bytes = make([]byte, 0, max(bytesChunk, len(p)))
+	}
+	start := len(b.bytes)
+	b.bytes = append(b.bytes, p...)
+	return b.bytes[start:len(b.bytes):len(b.bytes)]
 }
 
 // add adds a decoded row: itself when cols is nil, else a copy of its cols

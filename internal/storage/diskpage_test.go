@@ -4,8 +4,8 @@ package storage
 // projected row decoder (appendCols) — and of its read-side lock scope:
 // corruption typing at the verifier, projected reads against the projection
 // of all-column reads, concurrent readers against an in-memory twin, the
-// lifetime of batches that alias an evicted page, and the per-page
-// allocation count.
+// lifetime of batches read from frames that are then recycled, the per-page
+// allocation count and bytes, and the bound on the frames the cache keeps.
 
 import (
 	"encoding/binary"
@@ -33,14 +33,14 @@ type rawPage struct {
 // decodeAll verifies a raw page and decodes every cell of every row: the
 // whole read path of one page, all columns.
 func decodeAll(raw []byte, pm pageMeta, ncols int) ([][]value.Value, error) {
-	img, err := verifyPage(raw, "p.seg", pm, ncols)
+	img, err := verifyPage(raw, nil, "p.seg", pm, ncols)
 	if err != nil {
 		return nil, err
 	}
 	b := newRowBatch(len(img.rows), ncols)
 	for r := range img.rows {
 		start := len(b.arena)
-		if b.arena, err = img.appendCols(b.arena, r, nil); err != nil {
+		if err := img.appendCols(&b, r, nil); err != nil {
 			return nil, err
 		}
 		b.cut(start)
@@ -197,7 +197,7 @@ func TestDecodePageCorruptionTable(t *testing.T) {
 		{"trailing payload", pageOf(2, cat(good, good, []byte{0})), 4096, "page has 1 trailing payload bytes"},
 		{"fewer rows than payload", pageOf(2, cat(good, good, good)), 4096, "page has 15 trailing payload bytes"},
 	} {
-		_, err := verifyPage(c.raw, "p.seg", pm, 2)
+		_, err := verifyPage(c.raw, nil, "p.seg", pm, 2)
 		if err == nil {
 			t.Errorf("%s: decoded cleanly", c.name)
 			continue
@@ -211,7 +211,7 @@ func TestDecodePageCorruptionTable(t *testing.T) {
 	// A header that lies about the row count cannot size the allocation: the
 	// payload bounds it.
 	huge := pageMeta{off: 4096, nrows: 1 << 31}
-	if _, err := verifyPage(pageOf(1<<31, cat(good, good)), "p.seg", huge, 2); err == nil {
+	if _, err := verifyPage(pageOf(1<<31, cat(good, good)), nil, "p.seg", huge, 2); err == nil {
 		t.Fatal("2^31-row header over a 30-byte payload verified cleanly")
 	} else {
 		mustCorrupt(t, err, "huge row count")
@@ -362,9 +362,13 @@ func TestDiskStoreProjectedReads(t *testing.T) {
 
 // TestDiskStoreConcurrentReaders: 8 goroutines mix random Scan ranges and
 // Fetch lists, all-column and projected, over a cache far smaller than the
-// table while a writer keeps appending, each result checked against an in-memory twin. Page loads run
-// outside the store's mutex, so this is the test -race has to pass; the
-// counters must still add up exactly.
+// table while a writer keeps appending, each result checked against an
+// in-memory twin when it arrives and again after every reader has joined.
+// Page loads run outside the store's mutex and evicted frames are recycled,
+// so this is the test -race has to pass: a frame reused while a reader still
+// decodes from it, or a returned cell that points into a reused frame, shows
+// as a race or as a held batch that changed. The counters must still add up
+// exactly.
 func TestDiskStoreConcurrentReaders(t *testing.T) {
 	const base, extra, readers, rounds = 3000, 400, 8, 60
 	cat, _ := diskCatalog(t, BackendConfig{PageBytes: 1024, CacheBytes: 16 << 10})
@@ -373,8 +377,10 @@ func TestDiskStoreConcurrentReaders(t *testing.T) {
 	twin := loadFixture(t, NewCatalog(), base+extra).be
 	before := ds.IO()
 
+	type heldBatch struct{ got, want [][]value.Value }
 	var wg sync.WaitGroup
 	physSum := make([]int64, readers)
+	held := make([][]heldBatch, readers)
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -407,6 +413,7 @@ func TestDiskStoreConcurrentReaders(t *testing.T) {
 					t.Errorf("reader %d round %d: %s", g, r, d)
 					return
 				}
+				held[g] = append(held[g], heldBatch{got, want})
 				physSum[g] += phys
 			}
 		}(g)
@@ -423,6 +430,13 @@ func TestDiskStoreConcurrentReaders(t *testing.T) {
 	}()
 	wg.Wait()
 
+	for g := range held {
+		for r, h := range held[g] {
+			if d := diffRows(h.got, h.want); d != "" {
+				t.Fatalf("reader %d round %d: held batch changed after the readers joined: %s", g, r, d)
+			}
+		}
+	}
 	io := ds.IO()
 	var phys int64
 	for _, p := range physSum {
@@ -441,19 +455,50 @@ func TestDiskStoreConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestDiskStoreBatchOutlivesEviction: a batch's Bytes and Str cells alias
-// its pages' images; evicting the pages (and collecting) must not disturb
-// it.
+// frameBuffers returns the first byte of every page frame the cache holds,
+// resident or free: the buffers a miss may read into next.
+func frameBuffers(ds *diskStore) map[*byte]bool {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	out := make(map[*byte]bool)
+	for el := ds.cache.ll.Front(); el != nil; el = el.Next() {
+		out[&el.Value.(*cachedPage).raw[:1][0]] = true
+	}
+	for _, p := range ds.cache.free {
+		out[&p.raw[:1][0]] = true
+	}
+	return out
+}
+
+// TestDiskStoreBatchOutlivesEviction: batches from Scan and Fetch, all
+// columns and projected, stay intact after their pages are evicted and the
+// frames those pages were read into are reused for other pages.
 func TestDiskStoreBatchOutlivesEviction(t *testing.T) {
 	cat, _ := diskCatalog(t, BackendConfig{PageBytes: 512, CacheBytes: 1024})
 	defer cat.Close()
 	dt := loadFixture(t, cat, 300)
 	mt := loadFixture(t, NewCatalog(), 300)
-	held, _, err := dt.ScanRows(0, 12) // more than one page
-	if err != nil {
-		t.Fatal(err)
+	ds := dt.be.(*diskStore)
+
+	ids := []int32{11, 0, 5, 7, 290}
+	reads := func(tb *Table) [][][]value.Value {
+		var out [][][]value.Value
+		for _, cols := range [][]int{nil, {1, 4}, {4}} {
+			scan, _, err := tb.ScanCols(0, 12, cols) // more than one page
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetch, _, err := tb.FetchCols(ids, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, scan, fetch)
+		}
+		return out
 	}
-	reads := dt.IO().PageReads
+	held := reads(dt)
+	heldFrames := frameBuffers(ds)
+	pageReads := dt.IO().PageReads
 	for i := 0; i < 3; i++ {
 		if _, _, err := dt.ScanRows(0, 300); err != nil { // ~40 pages through a 2-page cache
 			t.Fatal(err)
@@ -463,36 +508,57 @@ func TestDiskStoreBatchOutlivesEviction(t *testing.T) {
 	if _, _, err := dt.ScanRows(0, 12); err != nil {
 		t.Fatal(err)
 	}
-	if dt.IO().PageReads-reads < 3*30 {
-		t.Fatalf("only %d page reads: the held pages were never evicted", dt.IO().PageReads-reads)
+	if dt.IO().PageReads-pageReads < 3*30 {
+		t.Fatalf("only %d page reads: the held pages were never evicted", dt.IO().PageReads-pageReads)
 	}
-	want, _, _ := mt.ScanRows(0, 12)
-	if d := diffRows(held, want); d != "" {
-		t.Fatalf("held batch changed after its pages were evicted: %s", d)
+	reused := 0
+	for b := range frameBuffers(ds) {
+		if heldFrames[b] {
+			reused++
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no frame the held batches were read from was reused")
+	}
+	for i, want := range reads(mt) {
+		if d := diffRows(held[i], want); d != "" {
+			t.Fatalf("held batch %d changed after its frames were reused: %s", i, d)
+		}
 	}
 }
 
-// TestDiskStoreColdScanAllocs: a cold single-page Scan allocates a small
-// constant — raw buffer, row offsets, one string, the cache entry and its
-// list element, the result and its arena — whether the page holds 3 rows or
-// 150, all columns or two.
+// coldScan returns a function that scans cols of one of two pages in turn:
+// with a 1-byte cache each page is admitted alone and evicted by the next
+// insert, so every call is a miss, and in steady state it reads into the
+// frame the other page left on the free list. warm rescans the page the
+// last call read, a hit.
+func coldScan(t *testing.T, tb *Table, cols []int) (cold, warm func()) {
+	dir := tb.be.(*diskStore).dir
+	i := 0
+	scan := func(pm pageMeta, phys int64) {
+		if _, got, err := tb.ScanCols(pm.first, pm.first+pm.nrows, cols); err != nil || got != phys {
+			t.Fatalf("scan: phys %d, want %d, err %v", got, phys, err)
+		}
+	}
+	cold = func() { i++; scan(dir[i%2], dir[i%2].physLen) }
+	warm = func() { scan(dir[i%2], 0) }
+	return cold, warm
+}
+
+// TestDiskStoreColdScanAllocs: in steady state a cold single-page Scan
+// allocates a small constant — one string, the list element, the result,
+// its value arena and one byte-arena chunk; the page's buffer and row
+// offsets come from a recycled frame — whether the page holds 3 rows or 150,
+// all columns or two.
 func TestDiskStoreColdScanAllocs(t *testing.T) {
 	coldScanAllocs := func(pageBytes int, cols []int) (allocs float64, rowsPerPage int) {
-		// A 1-byte cache admits each page alone and evicts it on the next
-		// insert, so alternating between two pages keeps every scan cold.
 		cat, _ := diskCatalog(t, BackendConfig{PageBytes: pageBytes, CacheBytes: 1})
 		defer cat.Close()
 		tb := loadFixture(t, cat, 3*pageBytes/40)
-		dir := tb.be.(*diskStore).dir
-		i := 0
-		allocs = testing.AllocsPerRun(50, func() {
-			pm := dir[i%2]
-			i++
-			if _, phys, err := tb.ScanCols(pm.first, pm.first+pm.nrows, cols); err != nil || phys != pm.physLen {
-				t.Fatalf("scan: phys %d, err %v", phys, err)
-			}
-		})
-		return allocs, dir[0].nrows
+		cold, _ := coldScan(t, tb, cols)
+		cold() // the first two misses allocate the two frames
+		cold()
+		return testing.AllocsPerRun(50, cold), tb.be.(*diskStore).dir[0].nrows
 	}
 	for _, cols := range [][]int{nil, {0, 4}} {
 		few, fewRows := coldScanAllocs(256, cols)
@@ -500,10 +566,117 @@ func TestDiskStoreColdScanAllocs(t *testing.T) {
 		if manyRows < 20*fewRows {
 			t.Fatalf("fixture: %d vs %d rows per page", fewRows, manyRows)
 		}
-		if few > 8 || many > few+1 {
-			t.Errorf("cold single-page scan of columns %v: %.0f allocs at %d rows/page, %.0f at %d rows/page; want a constant <= 8",
+		if few > 5 || many > few {
+			t.Errorf("cold single-page scan of columns %v: %.0f allocs at %d rows/page, %.0f at %d rows/page; want a constant <= 5",
 				cols, few, fewRows, many, manyRows)
 		}
+	}
+}
+
+// allocBytesPerRun is the mean number of heap bytes f allocates per call.
+func allocBytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestDiskStoreColdScanBytes: in steady state a miss no longer allocates a
+// page. A cold single-page scan of no column (COUNT(*)'s read) allocates less
+// than one page size in all, and for any projection a cold scan allocates
+// less than one page size more than a warm scan of the same page. The table
+// has the encrypted tables' column kinds, Int and Bytes: a page with Str
+// cells also pays the decoder's one string copy of its payload, which Str
+// cells alias.
+func TestDiskStoreColdScanBytes(t *testing.T) {
+	const pageBytes = 8192
+	cat, _ := diskCatalog(t, BackendConfig{PageBytes: pageBytes, CacheBytes: 1})
+	defer cat.Close()
+	tb, err := cat.Create(Schema{Name: "enc", Cols: []Column{{Name: "id", Type: TInt}, {Name: "a", Type: TBytes}, {Name: "b", Type: TBytes}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		tb.MustInsert([]value.Value{value.NewInt(int64(i)), value.NewBytes(make([]byte, 16+i%8)), value.NewBytes([]byte{byte(i), byte(i >> 8)})})
+	}
+	if err := tb.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if dir := tb.be.(*diskStore).dir; len(dir) < 2 || dir[0].physLen != pageBytes || dir[1].physLen != pageBytes {
+		t.Fatalf("fixture: want two ordinary pages, have %d", len(dir))
+	}
+	for _, cols := range [][]int{{}, {1}, {0, 2}, nil} {
+		cold, warm := coldScan(t, tb, cols)
+		cold()
+		coldBytes := allocBytesPerRun(50, cold)
+		warmBytes := allocBytesPerRun(50, warm)
+		if len(cols) == 0 && cols != nil && coldBytes >= pageBytes {
+			t.Errorf("cold scan of no column allocates %.0f bytes, want < %d", coldBytes, pageBytes)
+		}
+		if coldBytes-warmBytes >= pageBytes {
+			t.Errorf("cold scan of columns %v allocates %.0f bytes, a warm one %.0f: a miss costs a page or more", cols, coldBytes, warmBytes)
+		}
+	}
+}
+
+// TestDiskStoreFrameBound: while readers churn a cache far smaller than the
+// table, the frames it keeps — resident bytes plus the free list — never
+// exceed the capacity plus maxFreeFrames pages; nor when many more pinned
+// pages than that are evicted and then all let go at once.
+func TestDiskStoreFrameBound(t *testing.T) {
+	const pageBytes, cacheBytes = 512, 4 * 512
+	cat, _ := diskCatalog(t, BackendConfig{PageBytes: pageBytes, CacheBytes: cacheBytes})
+	defer cat.Close()
+	ds := loadFixture(t, cat, 600).be.(*diskStore)
+	check := func() {
+		ds.mu.Lock()
+		defer ds.mu.Unlock()
+		kept := ds.cache.used + int64(len(ds.cache.free))*pageBytes
+		if limit := int64(cacheBytes + maxFreeFrames*pageBytes); kept > limit {
+			t.Errorf("cache keeps %d bytes (%d resident, %d free frames), limit %d", kept, ds.cache.used, len(ds.cache.free), limit)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for r := 0; r < 200; r++ {
+				lo := rng.Intn(ds.NumRows())
+				if _, _, err := ds.Scan(lo, min(lo+40, ds.NumRows()), nil); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, err := ds.Fetch([]int32{int32(rng.Intn(ds.NumRows()))}, []int{4}); err != nil {
+					t.Error(err)
+					return
+				}
+				check()
+			}
+		}(g)
+	}
+	wg.Wait()
+	check()
+	if ds.IO().PageReads < 200 {
+		t.Fatalf("only %d page reads: the cache never churned", ds.IO().PageReads)
+	}
+
+	c := newBlockCache(cacheBytes, pageBytes)
+	var pinned []*cachedPage
+	for idx := 0; idx < 3*maxFreeFrames; idx++ {
+		pinned = append(pinned, c.put(idx, c.frame(pageBytes), pageBytes))
+	}
+	for _, p := range pinned {
+		c.release(p)
+	}
+	if kept, limit := c.used+int64(len(c.free))*pageBytes, int64(cacheBytes+maxFreeFrames*pageBytes); kept > limit || len(c.free) == 0 {
+		t.Errorf("after a burst of releases the cache keeps %d bytes (%d free frames), limit %d", kept, len(c.free), limit)
 	}
 }
 
@@ -526,7 +699,7 @@ func TestDiskStoreReadAfterClose(t *testing.T) {
 				return err
 			}
 			stale.Close()
-			_, err = loadPage(stale, f.path, f.dir[0], f.ncols)
+			_, err = loadPage(stale, make([]byte, f.dir[0].physLen), nil, f.path, f.dir[0], f.ncols)
 			return err
 		}(),
 	} {

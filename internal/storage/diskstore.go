@@ -44,7 +44,8 @@ import (
 //
 // The read path is split in two. Loading a page (a miss) reads it, checks
 // its checksum and bounds-checks every row and value frame once
-// (verifyPage); the cache keeps that image, raw bytes and row offsets.
+// (verifyPage) into a page frame the block cache recycles; the cache keeps
+// that image, raw bytes and row offsets.
 // Serving rows from an image — on a hit as on a miss — decodes only what
 // the caller asked for: Scan and Fetch take the schema positions to
 // materialize and cut exactly those cells, stepping over the frames in
@@ -54,17 +55,22 @@ import (
 // as narrow as the query; and a query that reads 4 of 24 columns never
 // builds the other 20.
 //
-// The rows Scan and Fetch return are read-only (Backend.Scan's contract):
-// their Bytes and Str cells point into the page image. They stay valid
-// after the cache evicts the page — images are immutable and nothing is
-// pooled or reused, the garbage collector frees a page's buffer when the
-// last cell pointing into it goes.
+// Page frames are reused: an evicted page's buffer and row offsets go back
+// to the cache's free list once no reader holds the frame, and the next miss
+// reads into them (blockCache). So the rows Scan and Fetch return never
+// point into a frame: their Bytes cells are copied out into a byte arena
+// owned by the call's batch, and their Str cells alias the decoder's string
+// copy of the page, made once per load and never reused. A held result
+// keeps alive the bytes it projected, not the pages they came from. The
+// rows are still read-only (Backend.Scan's contract): the cells of one
+// batch share its arenas.
 //
-// mu guards the page directory, the tail page, the block cache and the
-// counters — not I/O, verification or decoding on the read side. A read
-// snapshots its page's directory entry and probes the cache under mu,
-// reads and verifies the page unlocked (sealed pages are immutable),
-// re-locks to insert and count it, and decodes unlocked again, so
+// mu guards the page directory, the tail page, the block cache and its
+// pins, and the counters — not I/O, verification or decoding on the read
+// side. A read snapshots its page's directory entry and probes the cache
+// under mu, pinning the frame it gets or takes for a miss; it reads and
+// verifies the page unlocked (sealed pages are immutable), re-locks to
+// insert and count it, decodes unlocked again, and re-locks to unpin, so
 // concurrent sessions and shard workers load and decode in parallel.
 // Writes (Append, Flush, Close) hold mu throughout.
 //
@@ -124,7 +130,7 @@ func createDiskStore(cfg BackendConfig, s Schema) (*diskStore, error) {
 	}
 	return &diskStore{
 		path: path, f: f, pageSize: cfg.pageBytes(), ncols: len(s.Cols),
-		cache: newBlockCache(cfg.cacheBytes()),
+		cache: newBlockCache(cfg.cacheBytes(), cfg.pageBytes()),
 	}, nil
 }
 
@@ -270,10 +276,10 @@ func (ds *diskStore) pageAt(id int) int {
 }
 
 // pageImage is a sealed page as the block cache holds it: the payload of the
-// page's raw buffer, verified once at load (verifyPage) and immutable from
-// then on, plus where each row starts. Nothing is decoded ahead of a read:
-// Scan and Fetch cut the cells a query wants out of the image on every
-// call, hit or miss (appendCols).
+// page's raw buffer, verified once at load (verifyPage) and not written again
+// while the frame is resident or pinned, plus where each row starts. Nothing
+// is decoded ahead of a read: Scan and Fetch cut the cells a query wants out
+// of the image on every call, hit or miss (appendCols).
 //
 // dec is shared by every reader of the image. That is safe because
 // verification walked every frame with it: a page with Str cells already
@@ -284,38 +290,49 @@ type pageImage struct {
 	rows    []uint32     // payload offset of each row frame (its length prefix)
 }
 
-// sealedPage returns the verified image of the sealed page holding row id
-// and that page's directory entry, via the block cache; the last result
-// before the error is the physical bytes this call read (the page's size on
-// a miss, 0 on a hit). The load between the two locked sections runs
-// unlocked (see diskStore): two callers that miss on the same page each
+// sealedPage returns the pinned frame holding the verified image of the
+// sealed page that holds row id, and that page's directory entry, via the
+// block cache; the last result before the error is the physical bytes this
+// call read (the page's size on a miss, 0 on a hit). The caller unpins the
+// frame once it has cut its cells. The load between the two locked sections
+// runs unlocked (see diskStore): two callers that miss on the same page each
 // read it — both are real reads and both are counted.
-func (ds *diskStore) sealedPage(id int) (pageImage, pageMeta, int64, error) {
+func (ds *diskStore) sealedPage(id int) (*cachedPage, pageMeta, int64, error) {
 	ds.mu.Lock()
 	pi := ds.pageAt(id)
 	pm := ds.dir[pi]
-	img, ok := ds.cache.get(pi)
+	if p, ok := ds.cache.get(pi); ok {
+		ds.mu.Unlock()
+		return p, pm, 0, nil
+	}
+	fr := ds.cache.frame(pm.physLen)
 	f := ds.f // Close nils the field; the load must not read it unlocked
 	ds.mu.Unlock()
-	if ok {
-		return img, pm, 0, nil
-	}
-	img, err := loadPage(f, ds.path, pm, ds.ncols)
-	if err != nil {
-		return pageImage{}, pm, 0, err
-	}
+	img, err := loadPage(f, fr.raw, fr.img.rows, ds.path, pm, ds.ncols)
+	fr.img = img
 	ds.mu.Lock()
-	ds.cache.put(pi, img, pm.physLen)
+	defer ds.mu.Unlock()
+	if err != nil {
+		ds.cache.release(fr)
+		return nil, pm, 0, err
+	}
+	p := ds.cache.put(pi, fr, pm.physLen)
 	ds.io.PageReads++
 	ds.io.BytesRead += pm.physLen
-	ds.mu.Unlock()
-	return img, pm, pm.physLen, nil
+	return p, pm, pm.physLen, nil
 }
 
-// loadPage reads the page image pm locates and verifies it. It touches no
+// unpin releases a frame sealedPage returned.
+func (ds *diskStore) unpin(p *cachedPage) {
+	ds.mu.Lock()
+	ds.cache.release(p)
+	ds.mu.Unlock()
+}
+
+// loadPage reads the page pm locates into raw (len(raw) == pm.physLen) and
+// verifies it, appending its row offsets to rows[:0]. It touches no
 // diskStore state, so callers run it without ds.mu.
-func loadPage(f *os.File, path string, pm pageMeta, ncols int) (pageImage, error) {
-	raw := make([]byte, pm.physLen)
+func loadPage(f *os.File, raw []byte, rows []uint32, path string, pm pageMeta, ncols int) (pageImage, error) {
 	err := os.ErrClosed // also what ReadAt reports when Close wins the race with it
 	if f != nil {
 		_, err = f.ReadAt(raw, pm.off)
@@ -326,15 +343,17 @@ func loadPage(f *os.File, path string, pm pageMeta, ncols int) (pageImage, error
 	case err != nil:
 		return pageImage{}, corruptf(path, pm.off, "unreadable page: %v", err)
 	}
-	return verifyPage(raw, path, pm, ncols)
+	return verifyPage(raw, rows, path, pm, ncols)
 }
 
 // verifyPage checks a raw page against its directory entry and checksum,
 // then walks every row frame and every value frame in it once: each must
 // lie inside its parent and each row must hold ncols values. What it
 // returns can therefore be cut by position without further checks failing.
-// The image aliases raw, which must never be written again.
-func verifyPage(raw []byte, path string, pm pageMeta, ncols int) (pageImage, error) {
+// The row offsets go into rows[:0] when it has room for them (a recycled
+// frame's slice; nil allocates). The image aliases raw, which must not be
+// written again while the image is in use.
+func verifyPage(raw []byte, rows []uint32, path string, pm pageMeta, ncols int) (pageImage, error) {
 	if len(raw) < pageHeaderLen {
 		return pageImage{}, corruptf(path, pm.off, "truncated page header")
 	}
@@ -350,7 +369,10 @@ func verifyPage(raw []byte, path string, pm pageMeta, ncols int) (pageImage, err
 	}
 	// A row frame is at least its 4-byte length, so the payload size bounds
 	// the allocation whatever the header claims.
-	img := pageImage{payload: payload, dec: wire.NewDecoder(payload), rows: make([]uint32, 0, min(nrows, used/4))}
+	if want := min(nrows, used/4); cap(rows) < want {
+		rows = make([]uint32, 0, want)
+	}
+	img := pageImage{payload: payload, dec: wire.NewDecoder(payload), rows: rows[:0]}
 	pos := 0
 	for r := 0; r < nrows; r++ {
 		end, err := img.verifyRow(pos, ncols)
@@ -405,7 +427,8 @@ func (img *pageImage) skip(pos, end int) (int, error) {
 }
 
 // value decodes the frame skip validated at payload[pos:end). Bytes and Str
-// cells are sub-slices of the image, never copies.
+// cells are sub-slices of the image, never copies; appendCols copies the
+// Bytes ones out.
 func (img *pageImage) value(pos, end int) (value.Value, int, error) {
 	if img.payload[pos] == pageTagBool {
 		return value.NewBool(img.payload[pos+1] != 0), 2, nil
@@ -413,10 +436,11 @@ func (img *pageImage) value(pos, end int) (value.Value, int, error) {
 	return img.dec.Value(pos, end)
 }
 
-// appendCols appends to arena the cells of the image's row r at the
+// appendCols appends to b's arena the cells of the image's row r at the
 // ascending schema positions cols (nil: every cell), stepping over the
-// frames in between and stopping at the last one wanted.
-func (img *pageImage) appendCols(arena []value.Value, r int, cols []int) ([]value.Value, error) {
+// frames in between and stopping at the last one wanted. Bytes cells are
+// copied into b's byte arena, so none of them points into the frame.
+func (img *pageImage) appendCols(b *rowBatch, r int, cols []int) error {
 	pos := int(img.rows[r])
 	end := pos + 4 + int(binary.BigEndian.Uint32(img.payload[pos:pos+4]))
 	pos += 4
@@ -424,32 +448,36 @@ func (img *pageImage) appendCols(arena []value.Value, r int, cols []int) ([]valu
 		if cols != nil && cols[k] != col {
 			used, err := img.skip(pos, end)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			pos += used
 			continue
 		}
 		v, used, err := img.value(pos, end)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		arena = append(arena, v)
+		if v.K == value.Bytes {
+			v.B = b.own(v.B)
+		}
+		b.arena = append(b.arena, v)
 		pos += used
 		k++
 	}
-	return arena, nil
+	return nil
 }
 
 // addSealed appends to b the cols cells of sealed rows [id, end), all on the
 // page holding id, and returns the physical bytes read.
 func (ds *diskStore) addSealed(b *rowBatch, id, end int, cols []int) (int64, error) {
-	img, pm, phys, err := ds.sealedPage(id)
+	p, pm, phys, err := ds.sealedPage(id)
 	if err != nil {
 		return 0, err
 	}
+	defer ds.unpin(p)
 	for ; id < end && id < pm.first+pm.nrows; id++ {
 		start := len(b.arena)
-		if b.arena, err = img.appendCols(b.arena, id-pm.first, cols); err != nil {
+		if err := p.img.appendCols(b, id-pm.first, cols); err != nil {
 			return 0, corruptf(ds.path, pm.off, "row %d: %v", id, err)
 		}
 		b.cut(start)

@@ -229,7 +229,8 @@ func (t *Table) keyVals(row []value.Value) []value.Value {
 
 // ScanRows returns the rows with ids in [lo, hi) in id order, plus the
 // physical bytes the backend read to serve them (0 for in-memory tables).
-// The batch may alias backend memory and must be treated as read-only.
+// The batch must be treated as read-only: an in-memory table's batch is its
+// own rows, a paged table's is copied out of its page buffers.
 func (t *Table) ScanRows(lo, hi int) ([][]value.Value, int64, error) {
 	return t.be.Scan(lo, hi, nil)
 }
