@@ -5,24 +5,26 @@ import "container/list"
 // blockCache is the disk backend's LRU page cache and its pool of page
 // frames. A resident entry is a verified page image keyed by page index,
 // evicted least-recently-used once the resident byte total exceeds the
-// capacity. An entry is the page's raw buffer plus a row offset table
-// (pageImage) — what was read, checksummed and bounds-checked, not what a
-// query will decode from it — so an entry's footprint is its on-disk size,
-// which is also the accounting unit: the capacity bounds what is actually
-// resident and "table larger than the cache" means what it says. A hit
-// saves the read, the checksum and the frame walk; it still pays for
-// cutting the cells the caller wants out of the image, which costs in
-// proportion to the columns asked for, not to the page.
+// capacity. An entry is the page's raw buffer plus its column regions and
+// tagged cell offsets (pageImage) — what was read, checksummed and
+// bounds-checked, not what a query will decode from it — so an entry's
+// footprint is its on-disk size, which is also the accounting unit: the
+// capacity bounds what is actually resident and "table larger than the
+// cache" means what it says. A hit saves the read, the checksum and the
+// region checks; it still pays for cutting the cells the caller wants out
+// of the image, which costs in proportion to the columns asked for, not to
+// the page.
 //
 // Frames are recycled, as a DBMS buffer pool recycles them. A reader pins
 // the frame it decodes from (get, or frame and put for a miss) and unpins
 // it when it has cut its cells (release); an evicted frame goes to the
 // free list only once its last pin goes, so a reader decoding unlocked
 // never sees its buffer rewritten. A miss takes a frame from the free list
-// (or allocates one) and reads into it, reusing the buffer and its row
-// offset slice. No cell a reader returns points into a frame: appendCols
-// copies each Bytes cell out, and Str cells alias the decoder's string
-// copy, which belongs to the image, not the frame.
+// (or allocates one) and reads into it, reusing the buffer and its region
+// and offset slices; a miss whose read fails releases its frame. No cell a
+// reader returns points into a frame: appendCols copies each Bytes cell
+// out, and Str cells alias the decoder's string copy, which belongs to the
+// image, not the frame.
 //
 // The cache is not internally synchronized: diskStore guards every access
 // with its own mutex (shard workers scan concurrently).
@@ -129,12 +131,12 @@ func (c *blockCache) release(p *cachedPage) {
 }
 
 // recycle puts an unpinned, evicted frame on the free list, keeping its
-// buffer and row offset slice. Oversized frames and frames past the bound
-// are dropped.
+// buffer and its region and offset slices. Oversized frames and frames past
+// the bound are dropped.
 func (c *blockCache) recycle(p *cachedPage) {
 	if cap(p.raw) != c.pageSize || len(c.free) >= maxFreeFrames {
 		return
 	}
-	p.img = pageImage{rows: p.img.rows[:0]}
+	p.img = pageImage{cols: p.img.cols[:0], offs: p.img.offs[:0]}
 	c.free = append(c.free, p)
 }

@@ -8,10 +8,12 @@ package storage
 // allocation count and bytes, and the bound on the frames the cache keeps.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -33,12 +35,12 @@ type rawPage struct {
 // decodeAll verifies a raw page and decodes every cell of every row: the
 // whole read path of one page, all columns.
 func decodeAll(raw []byte, pm pageMeta, ncols int) ([][]value.Value, error) {
-	img, err := verifyPage(raw, nil, "p.seg", pm, ncols)
+	img, err := verifyPage(raw, pageImage{}, "p.seg", pm, ncols)
 	if err != nil {
 		return nil, err
 	}
-	b := newRowBatch(len(img.rows), ncols)
-	for r := range img.rows {
+	b := newRowBatch(pm.nrows, ncols)
+	for r := 0; r < pm.nrows; r++ {
 		start := len(b.arena)
 		if err := img.appendCols(&b, r, nil); err != nil {
 			return nil, err
@@ -152,16 +154,17 @@ func pageOf(nrows int, payload []byte) []byte {
 	return append(append(raw, payload...), make([]byte, 8)...) // padding
 }
 
-// TestDecodePageCorruptionTable drives each check behind the checksum with
-// a hand-built payload whose checksum is valid, and the ones in front of it
-// with a damaged header; reasons and offsets are what readPage and then
-// decodePage reported before verification was split from decoding.
+// TestDecodePageCorruptionTable drives each check of the page layout with a
+// hand-built payload whose checksum is valid — the directory, each region
+// mode, the frames of a tagged region — and the ones in front of the
+// checksum with a damaged header, asserting the offset and reason of each.
+// The good page holds two rows of (Int, Bool-or-NULL): column 0 a fixed Int
+// region, column 1 a tagged region, since it has a NULL.
 func TestDecodePageCorruptionTable(t *testing.T) {
-	row := func(frames ...byte) []byte {
-		return append(binary.BigEndian.AppendUint32(nil, uint32(len(frames))), frames...)
+	entry := func(mode value.Kind, width, n int) []byte {
+		e := binary.BigEndian.AppendUint16([]byte{byte(mode)}, uint16(width))
+		return binary.BigEndian.AppendUint32(e, uint32(n))
 	}
-	intv := []byte{1, 0, 0, 0, 0, 0, 0, 0, 7}    // Int 7
-	good := row(append(intv, pageTagBool, 1)...) // 15 bytes
 	cat := func(parts ...[]byte) []byte {
 		var out []byte
 		for _, p := range parts {
@@ -169,9 +172,19 @@ func TestDecodePageCorruptionTable(t *testing.T) {
 		}
 		return out
 	}
+	ints := []byte{0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 8} // 7, 8
+	tagged := []byte{0, pageTagBool, 1}                            // NULL, true
+	// page lays out two columns: a fixed Int region and a tagged one.
+	page := func(intEntry, intRegion, taggedRegion []byte) []byte {
+		return cat(intEntry, entry(value.Null, 0, len(taggedRegion)), intRegion, taggedRegion)
+	}
+	good := page(entry(value.Int, 8, 16), ints, tagged) // directory 14 bytes, regions at 14 and 30
 	pm := pageMeta{off: 4096, first: 100, nrows: 2}
-	const hdr = int64(pageHeaderLen)
-	damaged := func(f func(raw []byte) []byte) []byte { return f(pageOf(2, cat(good, good))) }
+	if _, err := decodeAll(pageOf(2, good), pm, 2); err != nil {
+		t.Fatalf("the good page fails: %v", err)
+	}
+	const hdr = 4096 + int64(pageHeaderLen)
+	damaged := func(f func(raw []byte) []byte) []byte { return f(pageOf(2, good)) }
 
 	for _, c := range []struct {
 		name   string
@@ -179,25 +192,38 @@ func TestDecodePageCorruptionTable(t *testing.T) {
 		off    int64
 		reason string
 	}{
-		{"short header", pageOf(2, cat(good, good))[:pageHeaderLen-1], 4096, "truncated page header"},
-		{"row count differs from directory", pageOf(3, cat(good, good, good)), 4096, "page header changed shape (3 rows"},
+		// The header and checksum.
+		{"short header", pageOf(2, good)[:pageHeaderLen-1], 4096, "truncated page header"},
+		{"row count differs from directory", pageOf(3, good), 4096, "page header changed shape (3 rows"},
 		{"used runs past the image", damaged(func(raw []byte) []byte {
 			binary.BigEndian.PutUint32(raw[4:8], uint32(len(raw)))
 			return raw
 		}), 4096, "page header changed shape"},
 		{"checksum", damaged(func(raw []byte) []byte { raw[8]++; return raw }), 4096, "page checksum mismatch"},
-		{"second row length cut", pageOf(2, cat(good, []byte{0, 0})), 4096 + hdr + 15, "row 101: truncated row length"},
-		{"row frame past the payload", pageOf(2, cat(good, []byte{0, 0, 0, 99, 1})), 4096 + hdr + 15, "row 101: row frame (99 bytes) past end of page"},
-		{"bool cut by the row frame", pageOf(2, cat(row(pageTagBool), good)), 4096 + hdr, "row 100: truncated bool"},
-		{"integer cut by the row frame", pageOf(2, cat(good, row(intv[:5]...))), 4096 + hdr + 15, "row 101: wire: truncated integer"},
-		{"string runs into the next row", pageOf(2, cat(row(3, 0, 0, 0, 9, 'a'), good)), 4096 + hdr, "row 100: wire: truncated payload (need 9 bytes)"},
-		{"unknown tag", pageOf(2, cat(good, row(99))), 4096 + hdr + 15, "row 101: wire: unknown tag 99"},
-		{"row one value short", pageOf(2, cat(good, row(intv...))), 4096 + hdr + 15, "row 101: 1 values, schema has 2 columns"},
-		{"row one value long", pageOf(2, cat(row(append(intv, 0, pageTagBool, 1)...), good)), 4096 + hdr, "row 100: 3 values, schema has 2 columns"},
-		{"trailing payload", pageOf(2, cat(good, good, []byte{0})), 4096, "page has 1 trailing payload bytes"},
-		{"fewer rows than payload", pageOf(2, cat(good, good, good)), 4096, "page has 15 trailing payload bytes"},
+
+		// The directory and the regions it lays out.
+		{"directory past the payload", pageOf(2, good[:13]), 4096, "column directory (14 bytes) past end of page"},
+		{"region past the payload", pageOf(2, cat(entry(value.Int, 8, 16), entry(value.Null, 0, 4), ints, tagged)), hdr + 7, "column 1: region (4 bytes) past end of page"},
+		{"first region past the payload", pageOf(2, page(entry(value.Int, 8, 16), ints[:8], nil)), hdr, "column 0: region (16 bytes) past end of page"},
+		{"trailing payload", pageOf(2, cat(good, []byte{0})), 4096, "page has 1 trailing payload bytes"},
+		{"unknown mode", pageOf(2, page(entry(9, 8, 16), ints, tagged)), hdr, "column 0: unknown mode 9"},
+		{"Str names no fixed mode", pageOf(2, page(entry(value.Str, 8, 16), ints, tagged)), hdr, "column 0: unknown mode 3"},
+		{"Int of width 4", pageOf(2, page(entry(value.Int, 4, 8), ints[:8], tagged)), hdr, "column 0: width 4 for mode int"},
+		{"Bool of width 8", pageOf(2, page(entry(value.Bool, 8, 16), ints, tagged)), hdr, "column 0: width 8 for mode bool"},
+		{"Bytes of width 0", pageOf(2, page(entry(value.Bytes, 0, 0), nil, tagged)), hdr, "column 0: width 0 for mode bytes"},
+		{"tagged with a width", pageOf(2, cat(entry(value.Int, 8, 16), entry(value.Null, 1, 3), ints, tagged)), hdr + 7, "column 1: width 1 for mode null"},
+		{"fixed region one row long", pageOf(2, page(entry(value.Int, 8, 24), cat(ints, ints[:8]), tagged)), hdr + 14, "column 0: fixed region of 24 bytes, want 2 rows × 8"},
+		{"fixed region one byte short", pageOf(2, page(entry(value.Bytes, 3, 5), []byte("abcde"), tagged)), hdr + 14, "column 0: fixed region of 5 bytes, want 2 rows × 3"},
+
+		// The frames of a tagged region.
+		{"tagged region one cell short", pageOf(2, page(entry(value.Int, 8, 16), ints, tagged[:1])), hdr + 30, "column 1: region holds 1 cells, page has 2 rows"},
+		{"tagged region one cell long", pageOf(2, page(entry(value.Int, 8, 16), ints, cat(tagged, []byte{0}))), hdr + 33, "column 1: region holds more than 2 cells"},
+		{"integer cut by the region", pageOf(2, page(entry(value.Int, 8, 16), ints, []byte{0, 1, 0, 0, 0})), hdr + 31, "column 1 row 101: wire: truncated integer"},
+		{"bool cut by the region", pageOf(2, page(entry(value.Int, 8, 16), ints, []byte{0, pageTagBool})), hdr + 31, "column 1 row 101: truncated bool"},
+		{"unknown tag", pageOf(2, page(entry(value.Int, 8, 16), ints, []byte{0, 99})), hdr + 31, "column 1 row 101: wire: unknown tag 99"},
+		{"string runs into the next region", pageOf(2, cat(entry(value.Null, 0, 7), entry(value.Null, 0, 3), []byte{3, 0, 0, 0, 3, 'a', 0}, tagged)), hdr + 14, "column 0 row 100: wire: truncated payload (need 3 bytes)"},
 	} {
-		_, err := verifyPage(c.raw, nil, "p.seg", pm, 2)
+		_, err := verifyPage(c.raw, pageImage{}, "p.seg", pm, 2)
 		if err == nil {
 			t.Errorf("%s: decoded cleanly", c.name)
 			continue
@@ -208,13 +234,24 @@ func TestDecodePageCorruptionTable(t *testing.T) {
 		}
 	}
 
-	// A header that lies about the row count cannot size the allocation: the
-	// payload bounds it.
+	// A header that lies about the row count cannot size the allocation, in
+	// either mode: a fixed region's length must be rows × width, and a tagged
+	// region's frames bound its offsets.
 	huge := pageMeta{off: 4096, nrows: 1 << 31}
-	if _, err := verifyPage(pageOf(1<<31, cat(good, good)), nil, "p.seg", huge, 2); err == nil {
-		t.Fatal("2^31-row header over a 30-byte payload verified cleanly")
-	} else {
-		mustCorrupt(t, err, "huge row count")
+	for mode, payload := range map[string][]byte{
+		"fixed":  good,
+		"tagged": page(entry(value.Null, 0, 18), bytes.Repeat([]byte{0}, 18), tagged),
+	} {
+		verify := func() {
+			if _, err := verifyPage(pageOf(1<<31, payload), pageImage{}, "p.seg", huge, 2); err == nil {
+				t.Fatalf("%s: 2^31-row header over a %d-byte payload verified cleanly", mode, len(payload))
+			} else {
+				mustCorrupt(t, err, "huge row count")
+			}
+		}
+		if n := allocBytesPerRun(10, verify); n > 4096 {
+			t.Errorf("%s: verifying a 2^31-row header allocates %.0f bytes", mode, n)
+		}
 	}
 }
 
@@ -254,6 +291,18 @@ func FuzzDecodePage(f *testing.F) {
 			}
 		}
 	})
+}
+
+// appendRow frames every cell of a row as a tagged page cell: it fails on
+// a kind no page holds.
+func appendRow(dst []byte, row []value.Value) ([]byte, error) {
+	var err error
+	for _, v := range row {
+		if dst, err = appendCell(dst, v); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // projectRows is the reference projection: the cols cells of each row.
@@ -699,12 +748,319 @@ func TestDiskStoreReadAfterClose(t *testing.T) {
 				return err
 			}
 			stale.Close()
-			_, err = loadPage(stale, make([]byte, f.dir[0].physLen), nil, f.path, f.dir[0], f.ncols)
+			_, err = loadPage(stale, make([]byte, f.dir[0].physLen), pageImage{}, f.path, f.dir[0], f.ncols)
 			return err
 		}(),
 	} {
 		if !errors.Is(err, ErrClosed) || errors.Is(err, ErrCorruptSegment) {
 			t.Errorf("%s after Close: %v, want ErrClosed", name, err)
+		}
+	}
+}
+
+// sameCell is storage identity: the same kind and the same bits, so a NaN
+// equals itself and -0.0 differs from 0.0.
+func sameCell(a, b value.Value) bool {
+	switch {
+	case a.K != b.K:
+		return false
+	case a.K == value.Float:
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	case a.K == value.Str:
+		return a.S == b.S
+	case a.K == value.Bytes:
+		return bytes.Equal(a.B, b.B)
+	}
+	return a.I == b.I
+}
+
+// sameCells describes the first cell where two batches differ ("" if none).
+func sameCells(got, want [][]value.Value) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			return fmt.Sprintf("row %d: %d cells, want %d", i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if !sameCell(got[i][j], want[i][j]) {
+				return fmt.Sprintf("row %d cell %d: %#v, want %#v", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+	return ""
+}
+
+// wantMode is the mode a column of these cells must get: their kind when all
+// are non-NULL and of one fixed-width kind and width — 8-byte Int, Date and
+// Float, 1-byte Bool, Bytes of one length from 1 to 65 535 — else tagged.
+func wantMode(cells []value.Value) value.Kind {
+	width := func(v value.Value) int {
+		switch v.K {
+		case value.Int, value.Date, value.Float:
+			return 8
+		case value.Bool:
+			return 1
+		case value.Bytes:
+			if n := len(v.B); n >= 1 && n <= 65535 {
+				return n
+			}
+		}
+		return 0
+	}
+	for _, v := range cells {
+		if width(v) == 0 || v.K != cells[0].K || width(v) != width(cells[0]) {
+			return value.Null
+		}
+	}
+	return cells[0].K
+}
+
+// TestPageColumnModesRoundTrip: over 512-byte pages holding every kind — NULL,
+// Bool, Int, Date, Float (NaN and -0.0 among them), Str, empty Bytes, Bytes
+// of one length and of mixed lengths, columns of mixed kinds, and one Bytes
+// cell over 65 535 bytes alone on an oversized page — each column of each
+// sealed page gets a fixed region exactly when it is NULL-free and of one
+// fixed-width kind and width there, and every projected Scan and Fetch
+// returns bit for bit what the in-memory backend does.
+func TestPageColumnModesRoundTrip(t *testing.T) {
+	schema := Schema{Name: "kinds", Cols: []Column{
+		{Name: "id", Type: TInt}, {Name: "ok", Type: TBool}, {Name: "day", Type: TDate},
+		{Name: "x", Type: TFloat}, {Name: "name", Type: TStr}, {Name: "ct", Type: TBytes},
+		{Name: "empty", Type: TBytes}, {Name: "var", Type: TBytes}, {Name: "either", Type: TInt},
+	}}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		maybeNull := func(v value.Value) value.Value {
+			if rng.Intn(12) == 0 {
+				return value.NewNull()
+			}
+			return v
+		}
+		ct := func(n int) value.Value {
+			b := make([]byte, n)
+			rng.Read(b)
+			return value.NewBytes(b)
+		}
+		row := func(i int) []value.Value {
+			x := value.NewFloat(rng.NormFloat64())
+			switch rng.Intn(8) {
+			case 0:
+				x = value.NewFloat(math.NaN())
+			case 1:
+				x = value.NewFloat(math.Copysign(0, -1))
+			}
+			c := ct(16)
+			if rng.Intn(20) == 0 {
+				c = ct(17) // a page with one of these has mixed lengths
+			}
+			either := value.NewInt(rng.Int63())
+			if rng.Intn(10) == 0 {
+				either = value.NewDate(int64(rng.Intn(20000))) // same width, another kind
+			}
+			return []value.Value{
+				value.NewInt(int64(i)), maybeNull(value.NewBool(rng.Intn(2) == 0)), value.NewDate(int64(rng.Intn(20000))),
+				maybeNull(x), value.NewStr(fmt.Sprint("n", rng.Intn(1000))), c,
+				value.NewBytes([]byte{}), ct(1 + rng.Intn(3)), either,
+			}
+		}
+		cat, _ := diskCatalog(t, BackendConfig{PageBytes: 512, CacheBytes: 2048})
+		dt, err := cat.Create(schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mt := NewTable(schema)
+		for i := 0; i < 300; i++ {
+			r := row(i)
+			if i == 150 {
+				r[5] = ct(70000)
+			}
+			dt.MustInsert(r)
+			mt.MustInsert(append([]value.Value(nil), r...))
+		}
+		all, _, err := mt.ScanRows(0, mt.NumRows())
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// The mode of every column of every sealed page.
+		pages := sealedPages(t, dt)
+		oversized := 0
+		modes := make([]map[value.Kind]bool, len(schema.Cols)) // the modes each column got
+		for _, p := range pages {
+			if p.pm.physLen > 512 {
+				oversized++
+				if p.pm.nrows != 1 || p.pm.first != 150 {
+					t.Fatalf("seed %d: oversized page holds rows [%d,%d)", seed, p.pm.first, p.pm.first+p.pm.nrows)
+				}
+			}
+			for c := 0; c < len(schema.Cols); c++ {
+				cells := make([]value.Value, p.pm.nrows)
+				for r := range cells {
+					cells[r] = all[p.pm.first+r][c]
+				}
+				mode := value.Kind(p.raw[pageHeaderLen+c*colEntryLen])
+				if want := wantMode(cells); mode != want {
+					t.Fatalf("seed %d: page of rows [%d,%d) column %s has mode %v, want %v",
+						seed, p.pm.first, p.pm.first+p.pm.nrows, schema.Cols[c].Name, mode, want)
+				}
+				if modes[c] == nil {
+					modes[c] = make(map[value.Kind]bool)
+				}
+				modes[c][mode] = true
+			}
+		}
+		if oversized != 1 {
+			t.Fatalf("seed %d: %d oversized pages", seed, oversized)
+		}
+		for _, c := range []int{1, 3, 5, 8} { // ok, x, ct, either
+			if len(modes[c]) != 2 {
+				t.Fatalf("seed %d: column %s got only the modes %v", seed, schema.Cols[c].Name, modes[c])
+			}
+		}
+
+		// Every projection, from disk and from memory.
+		n := dt.NumRows()
+		for round := 0; round < 200; round++ {
+			var cols []int // round 0: every column
+			for c := 0; c < len(schema.Cols) && round > 0; c++ {
+				if rng.Intn(2) == 0 {
+					cols = append(cols, c)
+				}
+			}
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo+1)
+			got, _, err := dt.ScanCols(lo, hi, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, _ := mt.ScanCols(lo, hi, cols)
+			if d := sameCells(got, want); d != "" {
+				t.Fatalf("seed %d: scan [%d,%d) of columns %v: %s", seed, lo, hi, cols, d)
+			}
+			ids := []int32{150}
+			for len(ids) < 1+rng.Intn(20) {
+				ids = append(ids, int32(rng.Intn(n)))
+			}
+			got, _, err = dt.FetchCols(ids, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, _ = mt.FetchCols(ids, cols)
+			if d := sameCells(got, want); d != "" {
+				t.Fatalf("seed %d: fetch %v of columns %v: %s", seed, ids, cols, d)
+			}
+		}
+		if err := cat.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// frameSet is every frame the cache keeps, resident or free, with an error
+// for a kept frame that a reader still pins or for more kept bytes than the
+// capacity plus maxFreeFrames pages.
+func frameSet(ds *diskStore) (map[*cachedPage]bool, error) {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	out := make(map[*cachedPage]bool)
+	for el := ds.cache.ll.Front(); el != nil; el = el.Next() {
+		out[el.Value.(*cachedPage)] = true
+	}
+	for _, p := range ds.cache.free {
+		out[p] = true
+	}
+	for p := range out {
+		if p.pins != 0 {
+			return nil, fmt.Errorf("page %d's frame still has %d pins", p.idx, p.pins)
+		}
+	}
+	if kept, limit := ds.cache.used+int64(len(ds.cache.free)*ds.pageSize), ds.cache.cap+int64(maxFreeFrames*ds.pageSize); kept > limit {
+		return nil, fmt.Errorf("cache keeps %d bytes, limit %d", kept, limit)
+	}
+	return out, nil
+}
+
+// TestFailedPageReadUnpins: a page read that fails — a typed corruption
+// error from a byte flipped in the segment file, or ErrClosed — unpins the
+// frame it took and hands it back: afterwards no kept frame has a pin, the
+// failed read lost none of them, and scans that follow keep resident plus
+// free frames within the capacity plus maxFreeFrames pages.
+func TestFailedPageReadUnpins(t *testing.T) {
+	const pageBytes = 512
+	cat, dir := diskCatalog(t, BackendConfig{PageBytes: pageBytes, CacheBytes: 4 * pageBytes})
+	tb := loadFixture(t, cat, 300)
+	if err := tb.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ds := tb.be.(*diskStore)
+	if len(ds.dir) < 12 {
+		t.Fatalf("fixture: %d sealed pages", len(ds.dir))
+	}
+	scan := func(page int) error {
+		pm := ds.dir[page]
+		_, _, err := tb.ScanCols(pm.first, pm.first+pm.nrows, []int{0, 4})
+		return err
+	}
+	// failAndCheck reads page, which must miss and fail as isWant says, and
+	// checks that it handed its frame back.
+	failAndCheck := func(page int, isWant func(error) bool) {
+		t.Helper()
+		before, err := frameSet(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := scan(page); !isWant(err) {
+			t.Fatalf("read of page %d: %v", page, err)
+		}
+		after, err := frameSet(ds)
+		if err != nil {
+			t.Fatalf("after a failed read of page %d: %v", page, err)
+		}
+		if !reflect.DeepEqual(after, before) {
+			t.Fatalf("a failed read of page %d changed the kept frames from %d to %d", page, len(before), len(after))
+		}
+	}
+
+	// Warm the cache so the free list holds a frame, then corrupt page 1.
+	for page := range ds.dir {
+		if err := scan(page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.OpenFile(segPath(dir, "orders"), os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff}, ds.dir[1].off+pageHeaderLen+40); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	corrupt := func(err error) bool {
+		var se *SegmentError
+		return errors.As(err, &se) && errors.Is(err, ErrCorruptSegment)
+	}
+	for round := 0; round < 3*maxFreeFrames; round++ {
+		failAndCheck(1, corrupt)
+		for page := 2; page < len(ds.dir); page += 1 + round%3 { // evict, recycle, reuse
+			if err := scan(page); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := frameSet(ds); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	if err := cat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := func(err error) bool { return errors.Is(err, ErrClosed) }
+	for page, n := 0, 0; n < 4; page++ {
+		if _, resident := ds.cache.pages[page]; !resident {
+			failAndCheck(page, closed)
+			n++
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,21 +22,36 @@ import (
 //
 // Segment layout:
 //
-//	offset 0              ┌──────────────────────────────────────────┐
-//	                      │ page 0: nrows u32 │ used u32 │ crc32 u32 │
-//	                      │   row: len u32 │ value frames …          │
-//	                      │   row: len u32 │ value frames …   … pad  │
-//	offset pageSize       ├──────────────────────────────────────────┤
-//	                      │ page 1: …                                │
-//	                      └──────────────────────────────────────────┘
+//	offset 0              ┌─────────────────────────────────────────────┐
+//	                      │ page 0: nrows u32 │ used u32 │ crc32 u32    │
+//	                      │   column directory, one entry per column:   │
+//	                      │     mode u8 │ width u16 │ region len u32    │
+//	                      │   column 0 region: nrows × width raw bytes  │
+//	                      │   column 1 region: nrows value frames       │
+//	                      │   …  one region per column, schema order    │
+//	                      │                                       … pad │
+//	offset pageSize       ├─────────────────────────────────────────────┤
+//	                      │ page 1: …                                   │
+//	                      └─────────────────────────────────────────────┘
+//
+// A page groups its cells by column (PAX). A column whose cells on the
+// page are all non-NULL and of one fixed-width kind and width — Int, Date
+// and Float 8 bytes, Bool 1, Bytes of one length from 1 to 65 535 — is a
+// fixed region: mode is that value.Kind and the cells are nrows × width
+// untagged bytes. Any other column (NULLs, Str, mixed kinds or lengths) is a
+// tagged region: mode 0 and width 0, and its cells are value frames in the
+// wire encoding (internal/wire) except Bool, which the wire flattens into
+// Int — the page codec adds a local tag so every column kind round-trips.
+// Every cell takes at least one payload byte in either mode. There is one
+// format: segments are scratch, so nothing needs a version.
 //
 // Pages are fixed-size (pageSize); a single row too large for one page
-// gets an oversized page of exactly header+row bytes. Values use the wire
-// encoding (internal/wire) except Bool, which the wire flattens into Int —
-// the page codec adds a local tag so every column kind round-trips. Rows are
-// buffered in an in-memory tail page and written out when the page fills
-// or on Flush (the tail page is rewritten in place until it seals), so an
-// encryption-time bulk load writes each page roughly once.
+// gets an oversized page of exactly header+payload bytes. Rows are buffered
+// in an in-memory tail page, with each column's shape (colShape) kept up to
+// date so the page's encoded size is known on every Append, and written out
+// when the page fills or on Flush (the tail page is rewritten in place
+// until it seals), so an encryption-time bulk load writes each page roughly
+// once.
 //
 // Reads go through an LRU block cache of verified page images with hit/miss
 // counters; a cache miss is exactly one physical page read, and Scan/Fetch
@@ -43,27 +59,28 @@ import (
 // place of the in-memory resident-byte approximation (Paged() == true).
 //
 // The read path is split in two. Loading a page (a miss) reads it, checks
-// its checksum and bounds-checks every row and value frame once
-// (verifyPage) into a page frame the block cache recycles; the cache keeps
-// that image, raw bytes and row offsets.
-// Serving rows from an image — on a hit as on a miss — decodes only what
-// the caller asked for: Scan and Fetch take the schema positions to
-// materialize and cut exactly those cells, stepping over the frames in
-// between, into one value arena per call sized rows × wanted columns
-// (appendCols; nil positions mean every column). Fetch decodes the rows it
-// was asked for, not their pages. So a hit is not free, it costs a decode
-// as narrow as the query; and a query that reads 4 of 24 columns never
-// builds the other 20.
+// its checksum and verifies every region once (verifyPage) into a page
+// frame the block cache recycles: a fixed region by arithmetic (its length
+// is nrows × width and its width is its kind's), a tagged region by walking
+// its frames, recording where each cell starts. The cache keeps that image:
+// raw bytes, column regions and tagged cell offsets. Serving rows from an
+// image — on a hit as on a miss — decodes only what the caller asked for:
+// Scan and Fetch take the schema positions to materialize and read exactly
+// those cells by index, with nothing to step over, into one value arena
+// per call sized rows × wanted columns (appendCols; nil positions mean
+// every column). Fetch decodes the rows it was asked for, not their pages.
+// So a hit is not free, it costs a decode as narrow as the query; and a
+// query that reads 4 of 24 columns never builds the other 20.
 //
-// Page frames are reused: an evicted page's buffer and row offsets go back
-// to the cache's free list once no reader holds the frame, and the next miss
-// reads into them (blockCache). So the rows Scan and Fetch return never
-// point into a frame: their Bytes cells are copied out into a byte arena
-// owned by the call's batch, and their Str cells alias the decoder's string
-// copy of the page, made once per load and never reused. A held result
-// keeps alive the bytes it projected, not the pages they came from. The
-// rows are still read-only (Backend.Scan's contract): the cells of one
-// batch share its arenas.
+// Page frames are reused: an evicted page's buffer, column regions and cell
+// offsets go back to the cache's free list once no reader holds the frame,
+// and the next miss reads into them (blockCache). So the rows Scan and
+// Fetch return never point into a frame: their Bytes cells are copied out
+// into a byte arena owned by the call's batch, and their Str cells alias
+// the decoder's string copy of the page, made once per load and never
+// reused. A held result keeps alive the bytes it projected, not the pages
+// they came from. The rows are still read-only (Backend.Scan's contract):
+// the cells of one batch share its arenas.
 //
 // mu guards the page directory, the tail page, the block cache and its
 // pins, and the counters — not I/O, verification or decoding on the read
@@ -75,7 +92,7 @@ import (
 // Writes (Append, Flush, Close) hold mu throughout.
 //
 // Every integrity failure of a page read — a truncated or checksum-corrupt
-// page, an undecodable row, a row of the wrong arity — returns a
+// page, a malformed directory or region, an undecodable cell — returns a
 // *SegmentError wrapping ErrCorruptSegment; a read that needs the file
 // after Close returns ErrClosed.
 type diskStore struct {
@@ -88,7 +105,10 @@ type diskStore struct {
 	dir      []pageMeta      // sealed pages, in file order
 	nflushed int             // rows held by sealed pages
 	tail     [][]value.Value // rows not yet in a sealed page (decoded)
-	tailBuf  []byte          // their encoded payload
+	shapes   []colShape      // each column's shape over the tail rows
+	next     []colShape      // Append's scratch: shapes with one more row
+	tailLen  int             // payload bytes the tail page encodes to
+	cellBuf  []byte          // Append's scratch: one cell's tagged frame
 	tailOff  int64           // file offset the tail page writes to
 	cache    *blockCache
 	io       IOStats // PageReads, BytesRead; IO() adds the cache's hit/miss
@@ -104,6 +124,7 @@ type pageMeta struct {
 
 const (
 	pageHeaderLen = 4 + 4 + 4 // nrows, used, crc32
+	colEntryLen   = 1 + 2 + 4 // a column directory entry: mode, width, region length
 	// pageTagBool is the page codec's local tag for Bool values: the wire
 	// encoding (reused for every other kind) flattens Bool into Int, which
 	// must not survive a round trip through the row store.
@@ -130,33 +151,117 @@ func createDiskStore(cfg BackendConfig, s Schema) (*diskStore, error) {
 	}
 	return &diskStore{
 		path: path, f: f, pageSize: cfg.pageBytes(), ncols: len(s.Cols),
+		shapes: make([]colShape, len(s.Cols)), next: make([]colShape, len(s.Cols)),
 		cache: newBlockCache(cfg.cacheBytes(), cfg.pageBytes()),
 	}, nil
 }
 
-// --- value codec (wire encoding + a Bool tag) ---
+// --- cell codec ---
 
-// appendRow frames one row: u32 total value-frame length, then each value.
-func appendRow(dst []byte, row []value.Value) ([]byte, error) {
-	lenAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	start := len(dst)
-	var err error
-	for _, v := range row {
-		if v.K == value.Bool {
-			b := byte(0)
-			if v.I != 0 {
-				b = 1
-			}
-			dst = append(dst, pageTagBool, b)
-			continue
+// appendCell appends v's tagged frame: the wire encoding, or the page
+// codec's Bool tag.
+func appendCell(dst []byte, v value.Value) ([]byte, error) {
+	if v.K == value.Bool {
+		return append(dst, pageTagBool, boolByte(v)), nil
+	}
+	return wire.AppendValue(dst, v)
+}
+
+func boolByte(v value.Value) byte {
+	if v.I != 0 {
+		return 1
+	}
+	return 0
+}
+
+// modeWidth is the cell width a column mode implies: 0 for a tagged region
+// (mode value.Null), 8 for Int, Date and Float, 1 for Bool, and -1 — any
+// width from 1 to 65 535 — for Bytes. ok is false for a byte that names no
+// mode.
+func modeWidth(mode value.Kind) (width int, ok bool) {
+	switch mode {
+	case value.Null:
+		return 0, true
+	case value.Int, value.Date, value.Float:
+		return 8, true
+	case value.Bool:
+		return 1, true
+	case value.Bytes:
+		return -1, true
+	}
+	return 0, false
+}
+
+// fixedWidth is v's cell width in a fixed region, or 0 when v cannot sit in
+// one: a NULL, a Str, an empty or over-long Bytes.
+func fixedWidth(v value.Value) int {
+	if v.K == value.Bytes {
+		if len(v.B) > math.MaxUint16 {
+			return 0
 		}
-		if dst, err = wire.AppendValue(dst, v); err != nil {
-			return nil, err
+		return len(v.B)
+	}
+	if w, ok := modeWidth(v.K); ok && w > 0 {
+		return w
+	}
+	return 0
+}
+
+// colShape is what one column of the tail page encodes to so far: a fixed
+// region while every cell is of one fixed-width kind and width, else a
+// tagged one.
+type colShape struct {
+	mode   value.Kind // every cell's kind while fixed; value.Null once tagged
+	width  int        // fixed cell width; 0 once tagged
+	tagged int        // Σ tagged frame bytes of the cells
+}
+
+// with returns the shape after v is added as cell n (counted from 0) of the
+// column; frameLen is v's tagged frame length.
+func (s colShape) with(v value.Value, n, frameLen int) colShape {
+	if n == 0 {
+		s = colShape{mode: v.K, width: fixedWidth(v)}
+	}
+	s.tagged += frameLen
+	if s.width == 0 || v.K != s.mode || fixedWidth(v) != s.width {
+		s.mode, s.width = value.Null, 0
+	}
+	return s
+}
+
+// size is the region length of a column of nrows cells in this shape.
+func (s colShape) size(nrows int) int {
+	if s.mode == value.Null {
+		return s.tagged
+	}
+	return nrows * s.width
+}
+
+// encodePage appends the payload of a page holding rows, whose columns
+// have the given shapes: the column directory, then each column's region.
+func encodePage(dst []byte, rows [][]value.Value, shapes []colShape) []byte {
+	for _, s := range shapes {
+		dst = append(dst, byte(s.mode))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(s.width))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(s.size(len(rows))))
+	}
+	for c, s := range shapes {
+		for _, row := range rows {
+			switch v := row[c]; s.mode {
+			case value.Null:
+				dst, _ = appendCell(dst, v) // Append framed it once already
+			case value.Int, value.Date:
+				dst = binary.BigEndian.AppendUint64(dst, uint64(v.I))
+			case value.Float:
+				dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.F))
+			case value.Bool:
+				dst = append(dst, boolByte(v))
+			case value.Bytes:
+				dst = append(dst, v.B...)
+			}
 		}
 	}
-	binary.BigEndian.PutUint32(dst[lenAt:], uint32(len(dst)-start))
-	return dst, nil
+	return dst
 }
 
 // --- writes ---
@@ -164,43 +269,55 @@ func appendRow(dst []byte, row []value.Value) ([]byte, error) {
 func (ds *diskStore) Append(row []value.Value) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	before := len(ds.tailBuf)
-	buf, err := appendRow(ds.tailBuf, row)
+	size, err := ds.grow(row)
 	if err != nil {
 		return err
 	}
-	frame := len(buf) - before
 	// A full tail page seals before this row starts a fresh one; a row that
 	// alone overflows a page seals immediately as an oversized page.
-	if before > 0 && len(buf)+pageHeaderLen > ds.pageSize {
-		ds.tailBuf = buf[:before]
+	if len(ds.tail) > 0 && pageHeaderLen+size > ds.pageSize {
 		if err := ds.sealTail(); err != nil {
 			return err
 		}
-		buf = append(ds.tailBuf, buf[before:before+frame]...)
+		size, _ = ds.grow(row)
 	}
-	ds.tailBuf = buf
+	ds.shapes, ds.next = ds.next, ds.shapes
 	ds.tail = append(ds.tail, row)
-	if len(ds.tailBuf)+pageHeaderLen >= ds.pageSize {
+	ds.tailLen = size
+	if pageHeaderLen+size >= ds.pageSize {
 		return ds.sealTail()
 	}
 	return nil
 }
 
+// grow sets ds.next to the column shapes of the tail page with row added
+// and returns that page's payload size.
+func (ds *diskStore) grow(row []value.Value) (int, error) {
+	size := ds.ncols * colEntryLen
+	for c, v := range row {
+		var err error
+		if ds.cellBuf, err = appendCell(ds.cellBuf[:0], v); err != nil {
+			return 0, err
+		}
+		ds.next[c] = ds.shapes[c].with(v, len(ds.tail), len(ds.cellBuf))
+		size += ds.next[c].size(len(ds.tail) + 1)
+	}
+	return size, nil
+}
+
 // writeTailPage writes the current tail rows as a page at tailOff and
 // returns its physical length. Padding zero-fills to the page size.
 func (ds *diskStore) writeTailPage() (int64, error) {
-	used := len(ds.tailBuf)
-	physLen := ds.pageSize
-	if pageHeaderLen+used > physLen {
-		physLen = pageHeaderLen + used
+	physLen := max(ds.pageSize, pageHeaderLen+ds.tailLen)
+	page := encodePage(make([]byte, pageHeaderLen, physLen), ds.tail, ds.shapes)
+	payload := page[pageHeaderLen:]
+	if len(payload) != ds.tailLen {
+		return 0, fmt.Errorf("storage: page encodes to %d bytes, sized at %d", len(payload), ds.tailLen)
 	}
-	page := make([]byte, physLen)
 	binary.BigEndian.PutUint32(page[0:4], uint32(len(ds.tail)))
-	binary.BigEndian.PutUint32(page[4:8], uint32(used))
-	binary.BigEndian.PutUint32(page[8:12], crc32.ChecksumIEEE(ds.tailBuf))
-	copy(page[pageHeaderLen:], ds.tailBuf)
-	if _, err := ds.f.WriteAt(page, ds.tailOff); err != nil {
+	binary.BigEndian.PutUint32(page[4:8], uint32(len(payload)))
+	binary.BigEndian.PutUint32(page[8:12], crc32.ChecksumIEEE(payload))
+	if _, err := ds.f.WriteAt(page[:physLen], ds.tailOff); err != nil {
 		return 0, err
 	}
 	return int64(physLen), nil
@@ -219,7 +336,7 @@ func (ds *diskStore) sealTail() error {
 	ds.nflushed += len(ds.tail)
 	ds.tailOff += physLen
 	ds.tail = nil
-	ds.tailBuf = nil
+	ds.tailLen = 0
 	return nil
 }
 
@@ -277,17 +394,28 @@ func (ds *diskStore) pageAt(id int) int {
 
 // pageImage is a sealed page as the block cache holds it: the payload of the
 // page's raw buffer, verified once at load (verifyPage) and not written again
-// while the frame is resident or pinned, plus where each row starts. Nothing
-// is decoded ahead of a read: Scan and Fetch cut the cells a query wants out
-// of the image on every call, hit or miss (appendCols).
+// while the frame is resident or pinned, plus where each column's region and
+// each tagged cell start. Nothing is decoded ahead of a read: Scan and Fetch
+// cut the cells a query wants out of the image on every call, hit or miss
+// (appendCols).
 //
 // dec is shared by every reader of the image. That is safe because
-// verification walked every frame with it: a page with Str cells already
-// has its string copy, and the decoder writes nothing further.
+// verification walked every tagged frame with it: a page with Str cells
+// already has its string copy, and the decoder writes nothing further.
 type pageImage struct {
-	payload []byte       // the checksummed row frames
+	payload []byte       // the checksummed directory and regions
 	dec     wire.Decoder // over payload
-	rows    []uint32     // payload offset of each row frame (its length prefix)
+	cols    []colRegion  // per schema column
+	offs    []uint32     // payload offset of each tagged cell, column by column
+}
+
+// colRegion locates one column's cells in a page payload.
+type colRegion struct {
+	mode     value.Kind // every cell's kind in a fixed region; value.Null: tagged
+	width    int        // fixed cell width
+	start    int        // the region is payload[start:end]
+	end      int
+	firstOff int // tagged: index in pageImage.offs of row 0's cell
 }
 
 // sealedPage returns the pinned frame holding the verified image of the
@@ -296,7 +424,8 @@ type pageImage struct {
 // call read (the page's size on a miss, 0 on a hit). The caller unpins the
 // frame once it has cut its cells. The load between the two locked sections
 // runs unlocked (see diskStore): two callers that miss on the same page each
-// read it — both are real reads and both are counted.
+// read it — both are real reads and both are counted. A failed load
+// releases the frame it took.
 func (ds *diskStore) sealedPage(id int) (*cachedPage, pageMeta, int64, error) {
 	ds.mu.Lock()
 	pi := ds.pageAt(id)
@@ -308,7 +437,7 @@ func (ds *diskStore) sealedPage(id int) (*cachedPage, pageMeta, int64, error) {
 	fr := ds.cache.frame(pm.physLen)
 	f := ds.f // Close nils the field; the load must not read it unlocked
 	ds.mu.Unlock()
-	img, err := loadPage(f, fr.raw, fr.img.rows, ds.path, pm, ds.ncols)
+	img, err := loadPage(f, fr.raw, fr.img, ds.path, pm, ds.ncols)
 	fr.img = img
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -330,9 +459,9 @@ func (ds *diskStore) unpin(p *cachedPage) {
 }
 
 // loadPage reads the page pm locates into raw (len(raw) == pm.physLen) and
-// verifies it, appending its row offsets to rows[:0]. It touches no
+// verifies it, reusing reuse's region and offset slices. It touches no
 // diskStore state, so callers run it without ds.mu.
-func loadPage(f *os.File, raw []byte, rows []uint32, path string, pm pageMeta, ncols int) (pageImage, error) {
+func loadPage(f *os.File, raw []byte, reuse pageImage, path string, pm pageMeta, ncols int) (pageImage, error) {
 	err := os.ErrClosed // also what ReadAt reports when Close wins the race with it
 	if f != nil {
 		_, err = f.ReadAt(raw, pm.off)
@@ -343,17 +472,19 @@ func loadPage(f *os.File, raw []byte, rows []uint32, path string, pm pageMeta, n
 	case err != nil:
 		return pageImage{}, corruptf(path, pm.off, "unreadable page: %v", err)
 	}
-	return verifyPage(raw, rows, path, pm, ncols)
+	return verifyPage(raw, reuse, path, pm, ncols)
 }
 
 // verifyPage checks a raw page against its directory entry and checksum,
-// then walks every row frame and every value frame in it once: each must
-// lie inside its parent and each row must hold ncols values. What it
-// returns can therefore be cut by position without further checks failing.
-// The row offsets go into rows[:0] when it has room for them (a recycled
-// frame's slice; nil allocates). The image aliases raw, which must not be
-// written again while the image is in use.
-func verifyPage(raw []byte, rows []uint32, path string, pm pageMeta, ncols int) (pageImage, error) {
+// then checks its column directory and every region once: each region lies
+// inside the payload and together they fill it; a fixed region is nrows
+// cells of its kind's width; a tagged region is exactly nrows frames, each
+// inside the region. What it returns can therefore be cut by position
+// without further checks failing. The column regions and cell offsets go
+// into reuse's slices when they have room (a recycled frame's; the zero
+// pageImage allocates). The image aliases raw, which must not be written
+// again while the image is in use.
+func verifyPage(raw []byte, reuse pageImage, path string, pm pageMeta, ncols int) (pageImage, error) {
 	if len(raw) < pageHeaderLen {
 		return pageImage{}, corruptf(path, pm.off, "truncated page header")
 	}
@@ -367,55 +498,75 @@ func verifyPage(raw []byte, rows []uint32, path string, pm pageMeta, ncols int) 
 	if crc32.ChecksumIEEE(payload) != sum {
 		return pageImage{}, corruptf(path, pm.off, "page checksum mismatch")
 	}
-	// A row frame is at least its 4-byte length, so the payload size bounds
-	// the allocation whatever the header claims.
-	if want := min(nrows, used/4); cap(rows) < want {
-		rows = make([]uint32, 0, want)
+	at := func(pos int) int64 { return pm.off + int64(pageHeaderLen+pos) }
+	pos := ncols * colEntryLen
+	if pos > used {
+		return pageImage{}, corruptf(path, pm.off, "column directory (%d bytes) past end of page", pos)
 	}
-	img := pageImage{payload: payload, dec: wire.NewDecoder(payload), rows: rows[:0]}
-	pos := 0
-	for r := 0; r < nrows; r++ {
-		end, err := img.verifyRow(pos, ncols)
-		if err != nil {
-			return pageImage{}, corruptf(path, pm.off+int64(pageHeaderLen+pos), "row %d: %v", pm.first+r, err)
+
+	// The directory, by arithmetic. A tagged frame is at least one byte, so
+	// the region lengths bound the offset slice whatever the header claims.
+	img := pageImage{payload: payload, dec: wire.NewDecoder(payload), cols: reuse.cols[:0], offs: reuse.offs[:0]}
+	if cap(img.cols) < ncols {
+		img.cols = make([]colRegion, 0, ncols)
+	}
+	ntagged := 0
+	for c := 0; c < ncols; c++ {
+		e := payload[c*colEntryLen : (c+1)*colEntryLen]
+		col := colRegion{mode: value.Kind(e[0]), width: int(binary.BigEndian.Uint16(e[1:3])), start: pos}
+		n := int(binary.BigEndian.Uint32(e[3:7]))
+		want, ok := modeWidth(col.mode)
+		switch {
+		case !ok:
+			return pageImage{}, corruptf(path, at(c*colEntryLen), "column %d: unknown mode %d", c, e[0])
+		case want >= 0 && col.width != want || want < 0 && col.width == 0:
+			return pageImage{}, corruptf(path, at(c*colEntryLen), "column %d: width %d for mode %v", c, col.width, col.mode)
+		case n > used-pos:
+			return pageImage{}, corruptf(path, at(c*colEntryLen), "column %d: region (%d bytes) past end of page", c, n)
+		case col.mode != value.Null && n != nrows*col.width:
+			return pageImage{}, corruptf(path, at(pos), "column %d: fixed region of %d bytes, want %d rows × %d", c, n, nrows, col.width)
+		case col.mode == value.Null:
+			ntagged += min(nrows, n)
 		}
-		img.rows = append(img.rows, uint32(pos))
-		pos = end
+		col.end = pos + n
+		pos = col.end
+		img.cols = append(img.cols, col)
 	}
 	if pos != used {
 		return pageImage{}, corruptf(path, pm.off, "page has %d trailing payload bytes", used-pos)
 	}
+
+	// The tagged regions, one walk each.
+	if cap(img.offs) < ntagged {
+		img.offs = make([]uint32, 0, ntagged)
+	}
+	for c := range img.cols {
+		col := &img.cols[c]
+		if col.mode != value.Null {
+			continue
+		}
+		col.firstOff = len(img.offs)
+		k := 0
+		for pos := col.start; pos < col.end; k++ {
+			if k == nrows {
+				return pageImage{}, corruptf(path, at(pos), "column %d: region holds more than %d cells", c, nrows)
+			}
+			n, err := img.skip(pos, col.end)
+			if err != nil {
+				return pageImage{}, corruptf(path, at(pos), "column %d row %d: %v", c, pm.first+k, err)
+			}
+			img.offs = append(img.offs, uint32(pos))
+			pos += n
+		}
+		if k != nrows {
+			return pageImage{}, corruptf(path, at(col.start), "column %d: region holds %d cells, page has %d rows", c, k, nrows)
+		}
+	}
 	return img, nil
 }
 
-// verifyRow bounds-checks the row frame at payload[pos:] and every value
-// frame in it, and returns the position after the row.
-func (img *pageImage) verifyRow(pos, ncols int) (int, error) {
-	if pos+4 > len(img.payload) {
-		return 0, fmt.Errorf("truncated row length")
-	}
-	n := int(binary.BigEndian.Uint32(img.payload[pos : pos+4]))
-	pos += 4
-	if pos+n > len(img.payload) {
-		return 0, fmt.Errorf("row frame (%d bytes) past end of page", n)
-	}
-	end := pos + n
-	nvals := 0
-	for ; pos < end; nvals++ {
-		used, err := img.skip(pos, end)
-		if err != nil {
-			return 0, err
-		}
-		pos += used
-	}
-	if nvals != ncols {
-		return 0, fmt.Errorf("%d values, schema has %d columns", nvals, ncols)
-	}
-	return end, nil
-}
-
-// skip validates the frame at payload[pos:end) — the page codec's Bool tag
-// or a wire frame — and returns its length.
+// skip validates the tagged frame at payload[pos:end) — the page codec's
+// Bool tag or a wire frame — and returns its length.
 func (img *pageImage) skip(pos, end int) (int, error) {
 	if img.payload[pos] == pageTagBool {
 		if pos+2 > end {
@@ -426,43 +577,52 @@ func (img *pageImage) skip(pos, end int) (int, error) {
 	return img.dec.Skip(pos, end)
 }
 
-// value decodes the frame skip validated at payload[pos:end). Bytes and Str
-// cells are sub-slices of the image, never copies; appendCols copies the
-// Bytes ones out.
-func (img *pageImage) value(pos, end int) (value.Value, int, error) {
-	if img.payload[pos] == pageTagBool {
-		return value.NewBool(img.payload[pos+1] != 0), 2, nil
+// cell decodes column c of row r: a fixed cell by arithmetic, a tagged one
+// from the offset verification recorded. A Bytes cell is copied into b's
+// byte arena, so none points into the frame.
+func (img *pageImage) cell(b *rowBatch, c, r int) (value.Value, error) {
+	col := &img.cols[c]
+	at := col.start + r*col.width
+	switch col.mode {
+	case value.Int:
+		return value.NewInt(int64(binary.BigEndian.Uint64(img.payload[at:]))), nil
+	case value.Date:
+		return value.NewDate(int64(binary.BigEndian.Uint64(img.payload[at:]))), nil
+	case value.Float:
+		return value.NewFloat(math.Float64frombits(binary.BigEndian.Uint64(img.payload[at:]))), nil
+	case value.Bool:
+		return value.NewBool(img.payload[at] != 0), nil
+	case value.Bytes:
+		return value.NewBytes(b.own(img.payload[at : at+col.width])), nil
 	}
-	return img.dec.Value(pos, end)
+	pos := int(img.offs[col.firstOff+r])
+	if img.payload[pos] == pageTagBool {
+		return value.NewBool(img.payload[pos+1] != 0), nil
+	}
+	v, _, err := img.dec.Value(pos, col.end)
+	if v.K == value.Bytes {
+		v.B = b.own(v.B)
+	}
+	return v, err
 }
 
 // appendCols appends to b's arena the cells of the image's row r at the
-// ascending schema positions cols (nil: every cell), stepping over the
-// frames in between and stopping at the last one wanted. Bytes cells are
-// copied into b's byte arena, so none of them points into the frame.
+// ascending schema positions cols (nil: every cell), each read by index.
 func (img *pageImage) appendCols(b *rowBatch, r int, cols []int) error {
-	pos := int(img.rows[r])
-	end := pos + 4 + int(binary.BigEndian.Uint32(img.payload[pos:pos+4]))
-	pos += 4
-	for col, k := 0, 0; pos < end && (cols == nil || k < len(cols)); col++ {
-		if cols != nil && cols[k] != col {
-			used, err := img.skip(pos, end)
-			if err != nil {
-				return err
-			}
-			pos += used
-			continue
+	n := len(cols)
+	if cols == nil {
+		n = len(img.cols)
+	}
+	for k := 0; k < n; k++ {
+		c := k
+		if cols != nil {
+			c = cols[k]
 		}
-		v, used, err := img.value(pos, end)
+		v, err := img.cell(b, c, r)
 		if err != nil {
 			return err
 		}
-		if v.K == value.Bytes {
-			v.B = b.own(v.B)
-		}
 		b.arena = append(b.arena, v)
-		pos += used
-		k++
 	}
 	return nil
 }

@@ -331,8 +331,8 @@ func TestParseBackendKind(t *testing.T) {
 	}
 }
 
-// benchDiskTable loads 20 000 fixture rows (164 8 KiB pages, 1.3 MB) behind
-// a 128 KiB block cache: the table is 10× the cache, so sequential scans
+// benchDiskTable loads 20 000 fixture rows (133 8 KiB pages, 1.1 MB) behind
+// a 128 KiB block cache: the table is 8× the cache, so sequential scans
 // and scattered fetches miss on nearly every page.
 func benchDiskTable(b *testing.B) *Table {
 	b.Helper()
@@ -350,7 +350,7 @@ func benchDiskTable(b *testing.B) *Table {
 }
 
 // BenchmarkDiskScanThrash: whole-table scans through a thrashing cache —
-// per-op cost is 164 page reads, checksums and frame walks, plus decoding
+// per-op cost is 133 page reads, checksums and region checks, plus decoding
 // every column (all) or two of the fixture's seven (projected: id, blob).
 func BenchmarkDiskScanThrash(b *testing.B) {
 	tb := benchDiskTable(b)

@@ -74,6 +74,7 @@ type ordEntry struct {
 type Index struct {
 	Col  string
 	Kind IndexKind
+	pos  int // Col's schema position, resolved once when the index is built
 
 	class kindClass
 
@@ -87,8 +88,8 @@ type Index struct {
 	nulls  []int32    // rows with NULL key, ascending
 }
 
-func newIndex(col string, kind IndexKind) *Index {
-	ix := &Index{Col: col, Kind: kind, class: classNone}
+func newIndex(col string, pos int, kind IndexKind) *Index {
+	ix := &Index{Col: col, Kind: kind, pos: pos, class: classNone}
 	if kind == HashIndex {
 		ix.post = make(map[string][]int32)
 	}

@@ -212,8 +212,8 @@ func (t *Table) Insert(row []value.Value) error {
 	if t.key != nil && key != "" {
 		t.key.seen[key] = id
 	}
-	for tag, ix := range t.indexes {
-		ix.add(row[t.Schema.ColIndex(tag.col)], id)
+	for _, ix := range t.indexes {
+		ix.add(row[ix.pos], id)
 	}
 	return t.be.Append(row)
 }
@@ -329,7 +329,7 @@ func (t *Table) EnsureIndex(col string, kind IndexKind) (*Index, error) {
 	if ix, ok := t.indexes[tag]; ok {
 		return ix, nil
 	}
-	ix := newIndex(col, kind)
+	ix := newIndex(col, ci, kind)
 	for lo := 0; lo < t.nrows; lo += backfillChunk {
 		hi := lo + backfillChunk
 		if hi > t.nrows {
