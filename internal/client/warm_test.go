@@ -440,7 +440,7 @@ func TestTemplateReuseConcurrent(t *testing.T) {
 // warmFixture's client (rebind, index probe, one-row decode, the result). A
 // per-execution decoder build, RemoteSQL clone, plan render, literal hoist or
 // local engine run coming back raises it.
-const warmPointAllocs = 41
+const warmPointAllocs = 36
 
 // TestWarmPointAllocs is BenchmarkWarmStmt/point's allocs/op as a test.
 func TestWarmPointAllocs(t *testing.T) {

@@ -6,7 +6,7 @@
 // A query block runs exactly one way. open (this file) turns it into a
 // tree of pull-based batch iterators (stream.go),
 //
-//	source → filter → probe… → residual → project | group → sort → distinct → limit
+//	source+filter → probe… → residual → project | group → sort → distinct → limit
 //
 // and every consumer is a drain of such a tree: Execute collects it into a
 // Result, ExecuteStream (stream_api.go) hands it out batch by batch,
@@ -23,6 +23,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -293,22 +294,26 @@ func (e *Engine) newCtx(q *ast.Query, params map[string]value.Value, batch int) 
 type stmtCols struct {
 	root  *ast.Query
 	once  sync.Once
-	all   bool // some clause names `*`
+	all   bool // some clause names `*`, other than an EXISTS projection
 	names map[string]bool
 }
 
 // positions returns the ascending schema positions of t's columns that the
-// statement references: nil when it names `*` (every column), and an
-// empty, non-nil list when it names none of t's (COUNT(*) needs no cell).
+// statement references: nil when it names `*` outside an EXISTS projection
+// (every column), and an empty list when it names none of t's (COUNT(*)).
 func (s *stmtCols) positions(t *storage.Table) []int {
 	s.once.Do(func() {
 		s.names = make(map[string]bool)
+		unread := make(map[ast.Expr]bool) // EXISTS projections, seen before their block
 		ast.WalkStatement(s.root, func(e ast.Expr) {
-			if cr, ok := e.(*ast.ColumnRef); ok {
-				if cr.Column == "*" {
-					s.all = true
+			switch x := e.(type) {
+			case *ast.ExistsExpr:
+				for _, p := range x.Sub.Projections {
+					unread[p.Expr] = true
 				}
-				s.names[cr.Column] = true
+			case *ast.ColumnRef:
+				s.all = s.all || x.Column == "*" && !unread[x]
+				s.names[x.Column] = true
 			}
 		})
 	})
@@ -493,14 +498,15 @@ func (c *execCtx) open(q *ast.Query, outer *env) (batchIterator, error) {
 // workers can assemble independent chains over disjoint ranges of the
 // source.
 type pipeline struct {
-	src      *rowSource
-	layout   *relation // src's columns
-	filter   ast.Expr  // predicates on src alone
-	steps    []joinStep
-	residual ast.Expr  // post-join predicates
-	joined   *relation // columns after the last step
-	outer    *env
-	batch    int // rows a chain's scan reads and its probes emit per pull
+	src        *rowSource
+	layout     *relation // src's columns
+	filter     ast.Expr  // predicates on src alone (setFilter)
+	filterCols []int     // the layout positions filter reads, on a paged table
+	steps      []joinStep
+	residual   ast.Expr  // post-join predicates
+	joined     *relation // columns after the last step
+	outer      *env
+	batch      int // rows a chain's scan reads and its probes emit per pull
 	// ordered: src already emits in the block's ORDER BY order.
 	ordered bool
 }
@@ -524,7 +530,7 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 	p := &pipeline{src: src, layout: layout, joined: layout, outer: outer, batch: c.batch}
 	if len(q.From) == 1 {
 		// Nothing to classify: the whole WHERE filters the one table.
-		p.filter = q.Where
+		p.setFilter(q.Where)
 		if access && c.useIdx && outer == nil && src.t != nil {
 			c.accessPath(q, p)
 		}
@@ -543,16 +549,15 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 	if err != nil {
 		return nil, err
 	}
-	p.filter, p.residual = ast.AndAll(plan.perTable[0]), ast.AndAll(plan.residual)
+	p.setFilter(ast.AndAll(plan.perTable[0]))
+	p.residual = ast.AndAll(plan.residual)
 	p.steps = plan.steps
 	cols := layout.cols
 	for i := range p.steps {
 		st := &p.steps[i]
 		// The build side is its own scan → filter chain, drained.
-		bp := &pipeline{
-			src: srcs[st.next], layout: rels[st.next], joined: rels[st.next],
-			filter: ast.AndAll(plan.perTable[st.next]), outer: outer, batch: c.batch,
-		}
+		bp := &pipeline{src: srcs[st.next], layout: rels[st.next], joined: rels[st.next], outer: outer, batch: c.batch}
+		bp.setFilter(ast.AndAll(plan.perTable[st.next]))
 		right, err := c.drainSource(bp)
 		if err != nil {
 			return nil, err
@@ -597,17 +602,34 @@ func (c *execCtx) fromSource(f *ast.TableRef, outer *env) (*rowSource, *relation
 	return &rowSource{rows: sub.rows}, &relation{cols: sub.cols}, nil
 }
 
+// setFilter makes f the filter on p's source, and finds once the cells a paged
+// scan decodes for it: the layout columns whose names f mentions, or all of
+// them when f holds a subquery, whose correlated names f does not show.
+func (p *pipeline) setFilter(f ast.Expr) {
+	p.filter = f
+	if f == nil || p.src.t == nil || !p.src.t.Paged() {
+		return
+	}
+	sub, refs := ast.HasSubquery(f), ast.Columns(f)
+	for i, col := range p.layout.cols {
+		if sub || slices.ContainsFunc(refs, func(r *ast.ColumnRef) bool { return r.Column == col.name }) {
+			p.filterCols = append(p.filterCols, i)
+		}
+	}
+}
+
 // chain assembles the front of the tree over source positions [lo,hi),
 // evaluating on sc (so a shard context accumulates its own stats):
 //
-//	scan ─batch─▶ filter ─▶ probe₁ ─▶ … ─▶ probeₙ ─▶ residual
+//	scan+filter ─batch─▶ probe₁ ─▶ … ─▶ probeₙ ─▶ residual
 //
 // The join output — often the largest intermediate of a query — never
 // exists as a whole, and the first joined batch is available after one
 // probe batch instead of after the full probe scan.
 func (p *pipeline) chain(sc *execCtx, lo, hi int) batchIterator {
-	var it batchIterator = &scanIterator{st: sc.stats, src: p.src, pos: lo, hi: hi, size: p.batch}
-	if p.filter != nil {
+	var it batchIterator = &scanIterator{st: sc.stats, p: p, pos: lo, hi: hi, size: p.batch,
+		en: env{rel: p.layout, outer: p.outer, ctx: sc}}
+	if p.filter != nil && p.src.t == nil {
 		it = &filterIterator{in: it, rel: p.layout, pred: p.filter, outer: p.outer, c: sc}
 	}
 	for i := range p.steps {

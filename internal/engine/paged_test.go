@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -221,7 +222,9 @@ func TestPagedLayoutIsPruned(t *testing.T) {
 		{`SELECT a.e_id FROM ev a, ev b WHERE a.e_id = b.e_opt`, []int{1, 4}},
 		{`SELECT e_id FROM ev, (SELECT e_ok AS k FROM ev) x WHERE k`, []int{1, 5}},
 		{`SELECT * FROM ev`, nil},
-		{`SELECT e_id FROM ev WHERE EXISTS (SELECT * FROM dim)`, nil},
+		{`SELECT e_id FROM ev WHERE EXISTS (SELECT * FROM dim)`, []int{1}},
+		{`SELECT e_id FROM ev WHERE NOT EXISTS (SELECT * FROM dim WHERE d_w = e_opt)`, []int{1, 4}},
+		{`SELECT e_id FROM ev WHERE EXISTS (SELECT * FROM (SELECT * FROM dim) x)`, nil},
 	} {
 		q, err := sqlparser.Parse(c.sql)
 		if err != nil {
@@ -282,5 +285,99 @@ func TestPagedIndexedBuild(t *testing.T) {
 	}
 	if len(got.Rows) == 0 || renderAccess(got) != renderAccess(want) {
 		t.Fatalf("index-served join over a pruned layout: %d rows, want the %d the map-built join returns", len(got.Rows), len(want.Rows))
+	}
+}
+
+// TestPagedFilteredScanEdges: the filter a paged scan applies as it reads
+// agrees with memory at Parallelism 1 and 2 (pagedAgree) when the first
+// ranges keep no row — a scan must move on to the next range rather than end
+// its shard — and when the filter is a constant or reads no column of the
+// table. A filter that fails returns its own error, not a
+// *storage.SegmentError.
+func TestPagedFilteredScanEdges(t *testing.T) {
+	mem, disk := pagedEngines(t)
+	for _, sql := range []string{
+		`SELECT e_id, e_cat FROM ev WHERE e_id >= 590`,
+		`SELECT e_id FROM ev WHERE e_id > 580 AND e_ok`,
+		`SELECT COUNT(*) FROM ev WHERE e_id >= 599`,
+		`SELECT e_id FROM ev WHERE 1 = 1`,
+		`SELECT e_id FROM ev WHERE 1 = 0`,
+		`SELECT COUNT(*) FROM ev WHERE 2 > 1`,
+		`SELECT COUNT(*), MAX(e_id) FROM ev WHERE 1 = 1`,
+	} {
+		pagedAgree(t, mem, disk, sql)
+	}
+
+	q := sqlparser.MustParse(`SELECT e_id FROM ev WHERE substring(e_cat, 1, e_opt - 3) = 'a'`)
+	for _, par := range []int{1, 2} {
+		for _, e := range []*Engine{mem, disk} {
+			e.Parallelism, e.batchSize = par, 0
+			_, err := e.Execute(q, nil)
+			if !errors.Is(err, ErrNegativeSubstringLength) || errors.As(err, new(*storage.SegmentError)) {
+				t.Errorf("par %d: a failing filter returned %v, want ErrNegativeSubstringLength", par, err)
+			}
+		}
+	}
+}
+
+// TestPagedFilterCorrelatedSameTable: a filter holding a correlated
+// subquery that is re-opened per row over the same paged table, on the
+// 2-page cache, agrees with memory. The inner scans read and evict pages
+// while the outer scan holds its page pinned inside Keep; a storage lock
+// held across Keep would deadlock here.
+func TestPagedFilterCorrelatedSameTable(t *testing.T) {
+	mem, disk := pagedEngines(t)
+	pagedAgree(t, mem, disk, `SELECT a.e_id FROM ev a WHERE a.e_id < 120 AND a.e_val > `+
+		`(SELECT AVG(b.e_val) FROM ev b WHERE b.e_cat = a.e_cat AND b.e_id < a.e_id)`)
+}
+
+// pagedAgree runs sql on both catalogs at Parallelism 1 and 2 and batch
+// sizes 0 and 7, drained and streamed, and requires the same rows and rows
+// scanned, and no empty streamed batch.
+func pagedAgree(t *testing.T, mem, disk *Engine, sql string) {
+	t.Helper()
+	q, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatalf("parse %q: %v", sql, err)
+	}
+	for _, par := range []int{1, 2} {
+		for _, batch := range []int{0, 7} {
+			for _, e := range []*Engine{mem, disk} {
+				e.Parallelism, e.batchSize, e.UseIndexes = par, batch, false
+			}
+			want, err := mem.Execute(q, nil)
+			if err != nil {
+				t.Fatalf("%q in memory: %v", sql, err)
+			}
+			got, err := disk.Execute(q, nil)
+			if err != nil {
+				t.Fatalf("%q on disk (par %d batch %d): %v", sql, par, batch, err)
+			}
+			if renderAccess(got) != renderAccess(want) || got.Stats.RowsScanned != want.Stats.RowsScanned {
+				t.Fatalf("%q (par %d batch %d): disk returned %.300s after %d rows scanned, memory %.300s after %d",
+					sql, par, batch, renderAccess(got), got.Stats.RowsScanned, renderAccess(want), want.Stats.RowsScanned)
+			}
+			rs, err := disk.ExecuteStream(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed := &Result{Cols: rs.Cols()}
+			for {
+				b, err := rs.Next()
+				if err != nil {
+					t.Fatalf("%q streamed from disk: %v", sql, err)
+				}
+				if b == nil {
+					break
+				}
+				if len(b) == 0 {
+					t.Fatalf("%q streamed an empty batch", sql)
+				}
+				streamed.Rows = append(streamed.Rows, b...)
+			}
+			if renderAccess(streamed) != renderAccess(want) {
+				t.Fatalf("%q (par %d batch %d): streamed disk result differs from memory", sql, par, batch)
+			}
+		}
 	}
 }

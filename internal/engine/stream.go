@@ -12,8 +12,8 @@ import (
 // (Volcano-style, vectorized) batch iterators that open (engine.go)
 // assembles:
 //
-//	scan ─▶ filter ─▶ probe… ─▶ residual ─▶ project ─▶ sort ─▶ distinct ─▶ limit
-//	                                      └▶ group ───┘
+//	scan+filter ─▶ probe… ─▶ residual ─▶ project ─▶ sort ─▶ distinct ─▶ limit
+//	                                   └▶ group ───┘
 //
 // The front of the tree — scan through residual, the "chain" — is built per
 // worker over a contiguous range of the source (pipeline.chain), so a large
@@ -120,47 +120,65 @@ func (s *rowSource) n() int {
 // shard count (t.Bytes for a full scan), while an early-exited scan charges
 // only what it read. A derived table's rows were charged by the child tree
 // that produced them.
+//
+// A base-table scan is the storage.Filter its backend applies (one env, reused
+// row to row); a range that keeps no row is charged, not emitted.
 type scanIterator struct {
 	st      *Stats
-	src     *rowSource
+	p       *pipeline // the source, and the filter on it
 	pos, hi int
 	size    int
 	closed  bool
+	en      env // the filter's environment; en.row is the row under test
 }
 
 func (it *scanIterator) next() ([][]value.Value, error) {
-	if it.closed || it.pos >= it.hi {
-		return nil, nil
+	for !it.closed && it.pos < it.hi {
+		lo, end := it.pos, batchEnd(it.pos, it.hi, it.size)
+		it.pos = end
+		src := it.p.src
+		if src.t == nil {
+			return src.rows[lo:end:end], nil
+		}
+		t, f := src.t, storage.Filter(nil)
+		if it.p.filter != nil {
+			f = it
+		}
+		var b [][]value.Value
+		var phys int64
+		var err error
+		if src.ids != nil {
+			b, phys, err = t.FetchCols(src.ids[lo:end], src.cols, f)
+		} else {
+			b, phys, err = t.ScanCols(lo, end, src.cols, f)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if t.Paged() {
+			it.st.BytesScanned += phys
+		} else {
+			n := int64(t.NumRows())
+			it.st.BytesScanned += t.Bytes*int64(end)/n - t.Bytes*int64(lo)/n
+		}
+		it.st.RowsScanned += int64(end - lo)
+		it.st.BatchesStreamed++
+		if len(b) > 0 {
+			return b, nil
+		}
 	}
-	lo, end := it.pos, batchEnd(it.pos, it.hi, it.size)
-	it.pos = end
-	t := it.src.t
-	if t == nil {
-		return it.src.rows[lo:end:end], nil
-	}
-	var b [][]value.Value
-	var phys int64
-	var err error
-	if it.src.ids != nil {
-		b, phys, err = t.FetchCols(it.src.ids[lo:end], it.src.cols)
-	} else {
-		b, phys, err = t.ScanCols(lo, end, it.src.cols)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if t.Paged() {
-		it.st.BytesScanned += phys
-	} else {
-		n := int64(t.NumRows())
-		it.st.BytesScanned += t.Bytes*int64(end)/n - t.Bytes*int64(lo)/n
-	}
-	it.st.RowsScanned += int64(end - lo)
-	it.st.BatchesStreamed++
-	return b, nil
+	return nil, nil
 }
 
 func (it *scanIterator) close() { it.closed = true }
+
+// Cols and Keep make the iterator its scan's storage.Filter.
+func (it *scanIterator) Cols() []int { return it.p.filterCols }
+
+func (it *scanIterator) Keep(row []value.Value) (bool, error) {
+	it.en.row = row
+	return evalBool(&it.en, it.p.filter)
+}
 
 // filterIterator applies a predicate row-at-a-time within each batch,
 // emitting the surviving subset (input row order preserved). Batches the

@@ -21,6 +21,12 @@ import (
 // times the page size, while the in-memory backend reports 0 and leaves
 // the engine's resident-byte approximation in charge (Table.Paged picks
 // the charging rule).
+//
+// Scan and Fetch apply a Filter as they read, calling Keep on the calling
+// goroutine with no backend lock held (the predicate's subqueries may scan
+// the same table). The in-memory backend passes its own rows; a paged one a
+// scratch row holding only the cells Cols names, whose Bytes alias a pinned
+// page frame and are valid only during the call.
 type Backend interface {
 	// Append stores one row at the next row id. Values are already
 	// canonicalized (interning) and validated by the Table.
@@ -28,14 +34,15 @@ type Backend interface {
 	// Scan returns the rows with ids in [lo, hi) in id order, plus the
 	// physical bytes read. cols names the schema positions to materialize,
 	// ascending: each returned row holds exactly those cells, in that order
-	// (empty: rows of no cells); nil means every column. The returned batch
+	// (empty: rows of no cells); nil means every column. Only the rows f
+	// keeps are returned; a nil f keeps every row. The returned batch
 	// must be treated as read-only: the in-memory backend hands out its own
 	// rows, and a paged backend's cells share arenas owned by the batch
 	// (never its page buffers, which it reuses).
-	Scan(lo, hi int, cols []int) ([][]value.Value, int64, error)
-	// Fetch returns the rows named by an id list, in list order, projected
-	// onto cols as Scan's are, plus the physical bytes read.
-	Fetch(ids []int32, cols []int) ([][]value.Value, int64, error)
+	Scan(lo, hi int, cols []int, f Filter) ([][]value.Value, int64, error)
+	// Fetch returns the rows named by an id list that f keeps, in list
+	// order, projected onto cols as Scan's are, plus the physical bytes read.
+	Fetch(ids []int32, cols []int, f Filter) ([][]value.Value, int64, error)
 	// NumRows is the stored row count.
 	NumRows() int
 	// Paged reports whether Scan/Fetch byte counts are real medium reads
@@ -52,23 +59,37 @@ type Backend interface {
 	IO() IOStats
 }
 
+// Filter is a row predicate a scan applies as it reads (Backend): Keep
+// reports whether the scan returns a row, and reads only its cells at the
+// positions Cols lists (a paged backend leaves the others zero).
+type Filter interface {
+	Cols() []int
+	Keep(row []value.Value) (bool, error)
+}
+
 // rowBatch collects the rows of one Scan or Fetch call. Projected rows are
-// cut from a single arena sized for the call — rows × wanted columns, one
-// allocation — and capped, so appending to a row cannot reach the next.
-// Bytes cells a paged backend reads are copied into bytes, a chunked arena
-// owned by the batch (own), so a held batch keeps alive the bytes it
-// returned and nothing of the pages they came from.
+// cut from an arena — sized rows × wanted columns up front, or per page for
+// that page's survivors when filtered — and capped, so appending to a row
+// cannot reach the next. Bytes cells a paged backend reads are copied into
+// bytes, a chunked arena owned by the batch (own), so a held batch keeps
+// alive the bytes it returned and nothing of the pages they came from.
 type rowBatch struct {
 	rows  [][]value.Value
 	arena []value.Value
 	bytes []byte
+	probe []value.Value // a filtered paged call's scratch row for Keep
+	kept  []int         // a filtered paged call's survivors on one page
 }
 
 // bytesChunk is the byte arena's allocation unit: a cell larger than what
 // is left of the current chunk starts a new one of at least this size.
 const bytesChunk = 4096
 
-func newRowBatch(nrows, width int) rowBatch {
+// newRowBatch sizes a batch for nrows rows of width cells unless f may drop them.
+func newRowBatch(nrows, width int, f Filter) rowBatch {
+	if f != nil {
+		return rowBatch{}
+	}
 	return rowBatch{rows: make([][]value.Value, 0, nrows), arena: make([]value.Value, 0, nrows*width)}
 }
 
@@ -88,18 +109,26 @@ func (b *rowBatch) own(p []byte) []byte {
 	return b.bytes[start:len(b.bytes):len(b.bytes)]
 }
 
-// add adds a decoded row: itself when cols is nil, else a copy of its cols
-// cells.
-func (b *rowBatch) add(row []value.Value, cols []int) {
+// add adds a decoded row — itself when cols is nil, else a copy of its cols
+// cells — and takes it back out unless f (nil: every row) keeps it as added.
+func (b *rowBatch) add(row []value.Value, cols []int, f Filter) error {
+	start := len(b.arena)
 	if cols == nil {
 		b.rows = append(b.rows, row)
-		return
+	} else {
+		for _, c := range cols {
+			b.arena = append(b.arena, row[c])
+		}
+		b.cut(start)
 	}
-	start := len(b.arena)
-	for _, c := range cols {
-		b.arena = append(b.arena, row[c])
+	if f == nil {
+		return nil
 	}
-	b.cut(start)
+	ok, err := f.Keep(b.rows[len(b.rows)-1])
+	if !ok {
+		b.rows, b.arena = b.rows[:len(b.rows)-1], b.arena[:start]
+	}
+	return err
 }
 
 // BackendKind selects a Table's physical row store.

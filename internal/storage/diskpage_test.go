@@ -39,7 +39,7 @@ func decodeAll(raw []byte, pm pageMeta, ncols int) ([][]value.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := newRowBatch(pm.nrows, ncols)
+	b := newRowBatch(pm.nrows, ncols, nil)
 	for r := 0; r < pm.nrows; r++ {
 		start := len(b.arena)
 		if err := img.appendCols(&b, r, nil); err != nil {
@@ -370,7 +370,7 @@ func TestDiskStoreProjectedReads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := tb.ScanCols(lo, hi, cols)
+			got, _, err := tb.ScanCols(lo, hi, cols, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,7 +389,7 @@ func TestDiskStoreProjectedReads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err = tb.FetchCols(ids, cols)
+			got, _, err = tb.FetchCols(ids, cols, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -399,10 +399,10 @@ func TestDiskStoreProjectedReads(t *testing.T) {
 		}
 		// Not a projection: out of order, repeated, past the schema.
 		for _, cols := range [][]int{{1, 0}, {2, 2}, {ncols}, {-1}} {
-			if _, _, err := tb.ScanCols(0, 1, cols); err == nil {
+			if _, _, err := tb.ScanCols(0, 1, cols, nil); err == nil {
 				t.Errorf("%s: ScanCols accepted columns %v", tb.Schema.Name, cols)
 			}
-			if _, _, err := tb.FetchCols([]int32{0}, cols); err == nil {
+			if _, _, err := tb.FetchCols([]int32{0}, cols, nil); err == nil {
 				t.Errorf("%s: FetchCols accepted columns %v", tb.Schema.Name, cols)
 			}
 		}
@@ -444,15 +444,15 @@ func TestDiskStoreConcurrentReaders(t *testing.T) {
 				if r%2 == 0 {
 					lo := rng.Intn(n)
 					hi := lo + rng.Intn(min(n-lo, 200)+1)
-					got, phys, err = ds.Scan(lo, hi, cols)
-					want, _, _ = twin.Scan(lo, hi, cols)
+					got, phys, err = ds.Scan(lo, hi, cols, nil)
+					want, _, _ = twin.Scan(lo, hi, cols, nil)
 				} else {
 					ids := make([]int32, 0, 40)
 					for id := rng.Intn(100); id < n && len(ids) < cap(ids); id += 1 + rng.Intn(150) {
 						ids = append(ids, int32(id))
 					}
-					got, phys, err = ds.Fetch(ids, cols)
-					want, _, _ = twin.Fetch(ids, cols)
+					got, phys, err = ds.Fetch(ids, cols, nil)
+					want, _, _ = twin.Fetch(ids, cols, nil)
 				}
 				if err != nil {
 					t.Errorf("reader %d round %d: %v", g, r, err)
@@ -533,11 +533,11 @@ func TestDiskStoreBatchOutlivesEviction(t *testing.T) {
 	reads := func(tb *Table) [][][]value.Value {
 		var out [][][]value.Value
 		for _, cols := range [][]int{nil, {1, 4}, {4}} {
-			scan, _, err := tb.ScanCols(0, 12, cols) // more than one page
+			scan, _, err := tb.ScanCols(0, 12, cols, nil) // more than one page
 			if err != nil {
 				t.Fatal(err)
 			}
-			fetch, _, err := tb.FetchCols(ids, cols)
+			fetch, _, err := tb.FetchCols(ids, cols, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -585,7 +585,7 @@ func coldScan(t *testing.T, tb *Table, cols []int) (cold, warm func()) {
 	dir := tb.be.(*diskStore).dir
 	i := 0
 	scan := func(pm pageMeta, phys int64) {
-		if _, got, err := tb.ScanCols(pm.first, pm.first+pm.nrows, cols); err != nil || got != phys {
+		if _, got, err := tb.ScanCols(pm.first, pm.first+pm.nrows, cols, nil); err != nil || got != phys {
 			t.Fatalf("scan: phys %d, want %d, err %v", got, phys, err)
 		}
 	}
@@ -698,11 +698,11 @@ func TestDiskStoreFrameBound(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for r := 0; r < 200; r++ {
 				lo := rng.Intn(ds.NumRows())
-				if _, _, err := ds.Scan(lo, min(lo+40, ds.NumRows()), nil); err != nil {
+				if _, _, err := ds.Scan(lo, min(lo+40, ds.NumRows()), nil, nil); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, _, err := ds.Fetch([]int32{int32(rng.Intn(ds.NumRows()))}, []int{4}); err != nil {
+				if _, _, err := ds.Fetch([]int32{int32(rng.Intn(ds.NumRows()))}, []int{4}, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -817,6 +817,58 @@ func wantMode(cells []value.Value) value.Kind {
 	return cells[0].K
 }
 
+// kindsSchema is a table of every kind a page column holds (kindsRows).
+var kindsSchema = Schema{Name: "kinds", Cols: []Column{
+	{Name: "id", Type: TInt}, {Name: "ok", Type: TBool}, {Name: "day", Type: TDate},
+	{Name: "x", Type: TFloat}, {Name: "name", Type: TStr}, {Name: "ct", Type: TBytes},
+	{Name: "empty", Type: TBytes}, {Name: "var", Type: TBytes}, {Name: "either", Type: TInt},
+}}
+
+// kindsRows are 300 seeded kindsSchema rows: NULL, Bool, Int, Date, Float
+// (NaN and -0.0 among them), Str, empty Bytes, Bytes of one length and of
+// mixed lengths, a column of mixed kinds, and row 150's one Bytes cell over
+// 65 535 bytes.
+func kindsRows(rng *rand.Rand) [][]value.Value {
+	maybeNull := func(v value.Value) value.Value {
+		if rng.Intn(12) == 0 {
+			return value.NewNull()
+		}
+		return v
+	}
+	ct := func(n int) value.Value {
+		b := make([]byte, n)
+		rng.Read(b)
+		return value.NewBytes(b)
+	}
+	rows := make([][]value.Value, 300)
+	for i := range rows {
+		x := value.NewFloat(rng.NormFloat64())
+		switch rng.Intn(8) {
+		case 0:
+			x = value.NewFloat(math.NaN())
+		case 1:
+			x = value.NewFloat(math.Copysign(0, -1))
+		}
+		c := ct(16)
+		if rng.Intn(20) == 0 {
+			c = ct(17) // a page with one of these has mixed lengths
+		}
+		either := value.NewInt(rng.Int63())
+		if rng.Intn(10) == 0 {
+			either = value.NewDate(int64(rng.Intn(20000))) // same width, another kind
+		}
+		rows[i] = []value.Value{
+			value.NewInt(int64(i)), maybeNull(value.NewBool(rng.Intn(2) == 0)), value.NewDate(int64(rng.Intn(20000))),
+			maybeNull(x), value.NewStr(fmt.Sprint("n", rng.Intn(1000))), c,
+			value.NewBytes([]byte{}), ct(1 + rng.Intn(3)), either,
+		}
+		if i == 150 {
+			rows[i][5] = ct(70000)
+		}
+	}
+	return rows
+}
+
 // TestPageColumnModesRoundTrip: over 512-byte pages holding every kind — NULL,
 // Bool, Int, Date, Float (NaN and -0.0 among them), Str, empty Bytes, Bytes
 // of one length and of mixed lengths, columns of mixed kinds, and one Bytes
@@ -825,57 +877,16 @@ func wantMode(cells []value.Value) value.Kind {
 // fixed-width kind and width there, and every projected Scan and Fetch
 // returns bit for bit what the in-memory backend does.
 func TestPageColumnModesRoundTrip(t *testing.T) {
-	schema := Schema{Name: "kinds", Cols: []Column{
-		{Name: "id", Type: TInt}, {Name: "ok", Type: TBool}, {Name: "day", Type: TDate},
-		{Name: "x", Type: TFloat}, {Name: "name", Type: TStr}, {Name: "ct", Type: TBytes},
-		{Name: "empty", Type: TBytes}, {Name: "var", Type: TBytes}, {Name: "either", Type: TInt},
-	}}
+	schema := kindsSchema
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		maybeNull := func(v value.Value) value.Value {
-			if rng.Intn(12) == 0 {
-				return value.NewNull()
-			}
-			return v
-		}
-		ct := func(n int) value.Value {
-			b := make([]byte, n)
-			rng.Read(b)
-			return value.NewBytes(b)
-		}
-		row := func(i int) []value.Value {
-			x := value.NewFloat(rng.NormFloat64())
-			switch rng.Intn(8) {
-			case 0:
-				x = value.NewFloat(math.NaN())
-			case 1:
-				x = value.NewFloat(math.Copysign(0, -1))
-			}
-			c := ct(16)
-			if rng.Intn(20) == 0 {
-				c = ct(17) // a page with one of these has mixed lengths
-			}
-			either := value.NewInt(rng.Int63())
-			if rng.Intn(10) == 0 {
-				either = value.NewDate(int64(rng.Intn(20000))) // same width, another kind
-			}
-			return []value.Value{
-				value.NewInt(int64(i)), maybeNull(value.NewBool(rng.Intn(2) == 0)), value.NewDate(int64(rng.Intn(20000))),
-				maybeNull(x), value.NewStr(fmt.Sprint("n", rng.Intn(1000))), c,
-				value.NewBytes([]byte{}), ct(1 + rng.Intn(3)), either,
-			}
-		}
 		cat, _ := diskCatalog(t, BackendConfig{PageBytes: 512, CacheBytes: 2048})
 		dt, err := cat.Create(schema)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mt := NewTable(schema)
-		for i := 0; i < 300; i++ {
-			r := row(i)
-			if i == 150 {
-				r[5] = ct(70000)
-			}
+		for _, r := range kindsRows(rng) {
 			dt.MustInsert(r)
 			mt.MustInsert(append([]value.Value(nil), r...))
 		}
@@ -931,11 +942,11 @@ func TestPageColumnModesRoundTrip(t *testing.T) {
 			}
 			lo := rng.Intn(n)
 			hi := lo + rng.Intn(n-lo+1)
-			got, _, err := dt.ScanCols(lo, hi, cols)
+			got, _, err := dt.ScanCols(lo, hi, cols, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, _ := mt.ScanCols(lo, hi, cols)
+			want, _, _ := mt.ScanCols(lo, hi, cols, nil)
 			if d := sameCells(got, want); d != "" {
 				t.Fatalf("seed %d: scan [%d,%d) of columns %v: %s", seed, lo, hi, cols, d)
 			}
@@ -943,11 +954,11 @@ func TestPageColumnModesRoundTrip(t *testing.T) {
 			for len(ids) < 1+rng.Intn(20) {
 				ids = append(ids, int32(rng.Intn(n)))
 			}
-			got, _, err = dt.FetchCols(ids, cols)
+			got, _, err = dt.FetchCols(ids, cols, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, _ = mt.FetchCols(ids, cols)
+			want, _, _ = mt.FetchCols(ids, cols, nil)
 			if d := sameCells(got, want); d != "" {
 				t.Fatalf("seed %d: fetch %v of columns %v: %s", seed, ids, cols, d)
 			}
@@ -984,9 +995,11 @@ func frameSet(ds *diskStore) (map[*cachedPage]bool, error) {
 
 // TestFailedPageReadUnpins: a page read that fails — a typed corruption
 // error from a byte flipped in the segment file, or ErrClosed — unpins the
-// frame it took and hands it back: afterwards no kept frame has a pin, the
-// failed read lost none of them, and scans that follow keep resident plus
-// free frames within the capacity plus maxFreeFrames pages.
+// frame it took and hands it back, filtered or not: afterwards no kept frame
+// has a pin, the failed read lost none of them, and scans that follow keep
+// resident plus free frames within the capacity plus maxFreeFrames pages. A
+// filtered read whose predicate fails leaves no pin either, on a miss or a
+// hit.
 func TestFailedPageReadUnpins(t *testing.T) {
 	const pageBytes = 512
 	cat, dir := diskCatalog(t, BackendConfig{PageBytes: pageBytes, CacheBytes: 4 * pageBytes})
@@ -998,20 +1011,22 @@ func TestFailedPageReadUnpins(t *testing.T) {
 	if len(ds.dir) < 12 {
 		t.Fatalf("fixture: %d sealed pages", len(ds.dir))
 	}
-	scan := func(page int) error {
+	scanIf := func(page int, f Filter) error {
 		pm := ds.dir[page]
-		_, _, err := tb.ScanCols(pm.first, pm.first+pm.nrows, []int{0, 4})
+		_, _, err := tb.ScanCols(pm.first, pm.first+pm.nrows, []int{0, 4}, f)
 		return err
 	}
+	scan := func(page int) error { return scanIf(page, nil) }
+	odd := &funcFilter{cols: []int{0}, keep: func(row []value.Value) (bool, error) { return row[0].I%2 == 1, nil }}
 	// failAndCheck reads page, which must miss and fail as isWant says, and
 	// checks that it handed its frame back.
-	failAndCheck := func(page int, isWant func(error) bool) {
+	failAndCheck := func(page int, f Filter, isWant func(error) bool) {
 		t.Helper()
 		before, err := frameSet(ds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := scan(page); !isWant(err) {
+		if err := scanIf(page, f); !isWant(err) {
 			t.Fatalf("read of page %d: %v", page, err)
 		}
 		after, err := frameSet(ds)
@@ -1042,7 +1057,8 @@ func TestFailedPageReadUnpins(t *testing.T) {
 		return errors.As(err, &se) && errors.Is(err, ErrCorruptSegment)
 	}
 	for round := 0; round < 3*maxFreeFrames; round++ {
-		failAndCheck(1, corrupt)
+		failAndCheck(1, nil, corrupt)
+		failAndCheck(1, odd, corrupt)
 		for page := 2; page < len(ds.dir); page += 1 + round%3 { // evict, recycle, reuse
 			if err := scan(page); err != nil {
 				t.Fatal(err)
@@ -1053,13 +1069,23 @@ func TestFailedPageReadUnpins(t *testing.T) {
 		}
 	}
 
+	failing := &funcFilter{cols: []int{0}, keep: func(row []value.Value) (bool, error) { return false, errKeep }}
+	for _, page := range []int{2, 2, 5} { // the second read of page 2 is a hit
+		if err := scanIf(page, failing); !errors.Is(err, errKeep) || corrupt(err) {
+			t.Fatalf("filtered read of page %d: %v, want the predicate's error", page, err)
+		}
+		if _, err := frameSet(ds); err != nil {
+			t.Fatalf("after a predicate error on page %d: %v", page, err)
+		}
+	}
+
 	if err := cat.Close(); err != nil {
 		t.Fatal(err)
 	}
 	closed := func(err error) bool { return errors.Is(err, ErrClosed) }
 	for page, n := 0, 0; n < 4; page++ {
 		if _, resident := ds.cache.pages[page]; !resident {
-			failAndCheck(page, closed)
+			failAndCheck(page, []Filter{nil, odd}[n%2], closed)
 			n++
 		}
 	}

@@ -66,11 +66,15 @@ import (
 // raw bytes, column regions and tagged cell offsets. Serving rows from an
 // image — on a hit as on a miss — decodes only what the caller asked for:
 // Scan and Fetch take the schema positions to materialize and read exactly
-// those cells by index, with nothing to step over, into one value arena
-// per call sized rows × wanted columns (appendCols; nil positions mean
-// every column). Fetch decodes the rows it was asked for, not their pages.
-// So a hit is not free, it costs a decode as narrow as the query; and a
-// query that reads 4 of 24 columns never builds the other 20.
+// those cells by index, with nothing to step over (appendCols; nil
+// positions mean every column). Fetch decodes the rows it was asked for,
+// not their pages. So a hit is not free, it costs a decode as narrow as the
+// query; and a query that reads 4 of 24 columns never builds the other 20.
+//
+// A filtered read materializes late (addSealed): per pinned page it decodes
+// only the cells the filter reads into one scratch row, runs Keep row by row,
+// then cuts the survivors' wanted cells into an arena piece sized for them.
+// So rows a query's WHERE drops are never built.
 //
 // Page frames are reused: an evicted page's buffer, column regions and cell
 // offsets go back to the cache's free list once no reader holds the frame,
@@ -87,8 +91,9 @@ import (
 // side. A read snapshots its page's directory entry and probes the cache
 // under mu, pinning the frame it gets or takes for a miss; it reads and
 // verifies the page unlocked (sealed pages are immutable), re-locks to
-// insert and count it, decodes unlocked again, and re-locks to unpin, so
-// concurrent sessions and shard workers load and decode in parallel.
+// insert and count it, decodes and filters unlocked again, and re-locks to
+// unpin, so concurrent sessions and shard workers load and decode in
+// parallel.
 // Writes (Append, Flush, Close) hold mu throughout.
 //
 // Every integrity failure of a page read — a truncated or checksum-corrupt
@@ -578,9 +583,9 @@ func (img *pageImage) skip(pos, end int) (int, error) {
 }
 
 // cell decodes column c of row r: a fixed cell by arithmetic, a tagged one
-// from the offset verification recorded. A Bytes cell is copied into b's
-// byte arena, so none points into the frame.
-func (img *pageImage) cell(b *rowBatch, c, r int) (value.Value, error) {
+// from the offset verification recorded. A Bytes cell aliases the frame,
+// capacity-capped; callers that keep it copy it out.
+func (img *pageImage) cell(c, r int) (value.Value, error) {
 	col := &img.cols[c]
 	at := col.start + r*col.width
 	switch col.mode {
@@ -593,56 +598,94 @@ func (img *pageImage) cell(b *rowBatch, c, r int) (value.Value, error) {
 	case value.Bool:
 		return value.NewBool(img.payload[at] != 0), nil
 	case value.Bytes:
-		return value.NewBytes(b.own(img.payload[at : at+col.width])), nil
+		return value.NewBytes(img.payload[at : at+col.width : at+col.width]), nil
 	}
 	pos := int(img.offs[col.firstOff+r])
 	if img.payload[pos] == pageTagBool {
 		return value.NewBool(img.payload[pos+1] != 0), nil
 	}
 	v, _, err := img.dec.Value(pos, col.end)
-	if v.K == value.Bytes {
-		v.B = b.own(v.B)
-	}
 	return v, err
 }
 
 // appendCols appends to b's arena the cells of the image's row r at the
-// ascending schema positions cols (nil: every cell), each read by index.
+// ascending schema positions cols (nil: every cell), each read by index and
+// each Bytes cell copied into b's byte arena, so none points into the frame.
 func (img *pageImage) appendCols(b *rowBatch, r int, cols []int) error {
 	n := len(cols)
 	if cols == nil {
 		n = len(img.cols)
 	}
 	for k := 0; k < n; k++ {
-		c := k
-		if cols != nil {
-			c = cols[k]
-		}
-		v, err := img.cell(b, c, r)
+		v, err := img.cell(at(cols, k), r)
 		if err != nil {
 			return err
+		}
+		if v.K == value.Bytes {
+			v.B = b.own(v.B)
 		}
 		b.arena = append(b.arena, v)
 	}
 	return nil
 }
 
-// addSealed appends to b the cols cells of sealed rows [id, end), all on the
-// page holding id, and returns the physical bytes read.
-func (ds *diskStore) addSealed(b *rowBatch, id, end int, cols []int) (int64, error) {
+// addSealed appends to b the cols cells of the sealed rows [id, end) on the
+// page holding id that f keeps (nil: all), and returns the row id after the
+// last one it covered and the physical bytes read. The probe f sees aliases
+// the frame, so it is cleared before the unpin.
+func (ds *diskStore) addSealed(b *rowBatch, id, end int, cols []int, f Filter) (int, int64, error) {
 	p, pm, phys, err := ds.sealedPage(id)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer ds.unpin(p)
-	for ; id < end && id < pm.first+pm.nrows; id++ {
+	end = min(end, pm.first+pm.nrows)
+	k, stop := id-pm.first, end-pm.first
+	if f != nil {
+		if b.probe == nil {
+			b.probe = make([]value.Value, ds.width(cols))
+		}
+		defer clear(b.probe)
+		b.kept = b.kept[:0]
+		for r := k; r < stop; r++ {
+			for _, c := range f.Cols() {
+				if b.probe[c], err = p.img.cell(at(cols, c), r); err != nil {
+					return 0, 0, corruptf(ds.path, pm.off, "row %d: %v", pm.first+r, err)
+				}
+			}
+			ok, err := f.Keep(b.probe)
+			if err != nil {
+				return 0, 0, err
+			}
+			if ok {
+				b.kept = append(b.kept, r)
+			}
+		}
+		if n := len(b.kept) * ds.width(cols); cap(b.arena)-len(b.arena) < n {
+			b.arena = make([]value.Value, 0, n)
+		}
+		k, stop = 0, len(b.kept)
+	}
+	for ; k < stop; k++ {
+		r := k
+		if f != nil {
+			r = b.kept[k]
+		}
 		start := len(b.arena)
-		if err := p.img.appendCols(b, id-pm.first, cols); err != nil {
-			return 0, corruptf(ds.path, pm.off, "row %d: %v", id, err)
+		if err := p.img.appendCols(b, r, cols); err != nil {
+			return 0, 0, corruptf(ds.path, pm.off, "row %d: %v", pm.first+r, err)
 		}
 		b.cut(start)
 	}
-	return phys, nil
+	return end, phys, nil
+}
+
+// at is the schema position of cell k of a row projected onto cols.
+func at(cols []int, k int) int {
+	if cols == nil {
+		return k
+	}
+	return cols[k]
 }
 
 // width is the number of cells a row projected onto cols has.
@@ -653,7 +696,7 @@ func (ds *diskStore) width(cols []int) int {
 	return len(cols)
 }
 
-func (ds *diskStore) Scan(lo, hi int, cols []int) ([][]value.Value, int64, error) {
+func (ds *diskStore) Scan(lo, hi int, cols []int, f Filter) ([][]value.Value, int64, error) {
 	// One snapshot of the sealed/tail boundary and of the tail rows: pages
 	// sealed while the loop below runs unlocked only move rows this call
 	// already holds.
@@ -670,28 +713,30 @@ func (ds *diskStore) Scan(lo, hi int, cols []int) ([][]value.Value, int64, error
 	}
 	ds.mu.Unlock()
 
-	b := newRowBatch(hi-lo, ds.width(cols))
+	b := newRowBatch(hi-lo, ds.width(cols), f)
 	var phys int64
-	for id, end := lo, min(hi, nflushed); id < end; id = lo + len(b.rows) { // a page per turn
-		p, err := ds.addSealed(&b, id, end, cols)
+	for id, end := lo, min(hi, nflushed); id < end; { // a page per turn
+		next, p, err := ds.addSealed(&b, id, end, cols, f)
 		if err != nil {
 			return nil, 0, err
 		}
-		phys += p
+		id, phys = next, phys+p
 	}
 	for _, row := range tail {
-		b.add(row, cols)
+		if err := b.add(row, cols, f); err != nil {
+			return nil, 0, err
+		}
 	}
 	return b.rows, phys, nil
 }
 
-func (ds *diskStore) Fetch(ids []int32, cols []int) ([][]value.Value, int64, error) {
+func (ds *diskStore) Fetch(ids []int32, cols []int, f Filter) ([][]value.Value, int64, error) {
 	ds.mu.Lock()
 	nflushed := ds.nflushed
 	tail := ds.tail
 	ds.mu.Unlock()
 	n := nflushed + len(tail)
-	b := newRowBatch(len(ids), ds.width(cols))
+	b := newRowBatch(len(ids), ds.width(cols), nil) // index-picked ids: mostly survivors
 	var phys int64
 	for _, id32 := range ids {
 		id := int(id32)
@@ -699,10 +744,12 @@ func (ds *diskStore) Fetch(ids []int32, cols []int) ([][]value.Value, int64, err
 			return nil, 0, fmt.Errorf("storage: fetch id %d out of range (%d rows)", id, n)
 		}
 		if id >= nflushed {
-			b.add(tail[id-nflushed], cols)
+			if err := b.add(tail[id-nflushed], cols, f); err != nil {
+				return nil, 0, err
+			}
 			continue
 		}
-		p, err := ds.addSealed(&b, id, id+1, cols)
+		_, p, err := ds.addSealed(&b, id, id+1, cols, f)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -362,7 +362,7 @@ func BenchmarkDiskScanThrash(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rows, phys, err := tb.ScanCols(0, tb.NumRows(), cols)
+				rows, phys, err := tb.ScanCols(0, tb.NumRows(), cols, nil)
 				if err != nil || len(rows) != tb.NumRows() || phys == 0 {
 					b.Fatalf("%d rows, %d bytes, err %v", len(rows), phys, err)
 				}

@@ -22,27 +22,31 @@ func (m *memStore) Append(row []value.Value) error {
 	return nil
 }
 
-func (m *memStore) Scan(lo, hi int, cols []int) ([][]value.Value, int64, error) {
+func (m *memStore) Scan(lo, hi int, cols []int, f Filter) ([][]value.Value, int64, error) {
 	if lo < 0 || hi > len(m.rows) || lo > hi {
 		return nil, 0, fmt.Errorf("storage: scan [%d,%d) out of range (%d rows)", lo, hi, len(m.rows))
 	}
-	if cols == nil {
+	if cols == nil && f == nil {
 		return m.rows[lo:hi], 0, nil
 	}
-	b := newRowBatch(hi-lo, len(cols))
+	b := newRowBatch(hi-lo, len(cols), f)
 	for _, row := range m.rows[lo:hi] {
-		b.add(row, cols)
+		if err := b.add(row, cols, f); err != nil {
+			return nil, 0, err
+		}
 	}
 	return b.rows, 0, nil
 }
 
-func (m *memStore) Fetch(ids []int32, cols []int) ([][]value.Value, int64, error) {
-	b := newRowBatch(len(ids), len(cols))
+func (m *memStore) Fetch(ids []int32, cols []int, f Filter) ([][]value.Value, int64, error) {
+	b := newRowBatch(len(ids), len(cols), nil)
 	for _, id := range ids {
 		if int(id) < 0 || int(id) >= len(m.rows) {
 			return nil, 0, fmt.Errorf("storage: fetch id %d out of range (%d rows)", id, len(m.rows))
 		}
-		b.add(m.rows[id], cols)
+		if err := b.add(m.rows[id], cols, f); err != nil {
+			return nil, 0, err
+		}
 	}
 	return b.rows, 0, nil
 }

@@ -232,32 +232,32 @@ func (t *Table) keyVals(row []value.Value) []value.Value {
 // The batch must be treated as read-only: an in-memory table's batch is its
 // own rows, a paged table's is copied out of its page buffers.
 func (t *Table) ScanRows(lo, hi int) ([][]value.Value, int64, error) {
-	return t.be.Scan(lo, hi, nil)
+	return t.be.Scan(lo, hi, nil, nil)
 }
 
 // FetchRows returns the rows named by an id list, in list order, plus the
 // physical bytes read (the access path's row-source shape).
 func (t *Table) FetchRows(ids []int32) ([][]value.Value, int64, error) {
-	return t.be.Fetch(ids, nil)
+	return t.be.Fetch(ids, nil, nil)
 }
 
-// ScanCols is ScanRows projected: every returned row holds the cells at the
-// schema positions cols, which must ascend (nil: every column, ScanRows). A
-// paged backend decodes only those cells; an in-memory one copies them, so
-// callers that want whole rows of an in-memory table pass nil.
-func (t *Table) ScanCols(lo, hi int, cols []int) ([][]value.Value, int64, error) {
+// ScanCols is ScanRows projected and filtered (Backend.Scan): every returned
+// row holds the cells at the schema positions cols, which must ascend (nil:
+// every column). A paged backend decodes only those cells; an in-memory one
+// copies them, so callers that want whole rows of an in-memory table pass nil.
+func (t *Table) ScanCols(lo, hi int, cols []int, f Filter) ([][]value.Value, int64, error) {
 	if err := t.checkCols(cols); err != nil {
 		return nil, 0, err
 	}
-	return t.be.Scan(lo, hi, cols)
+	return t.be.Scan(lo, hi, cols, f)
 }
 
-// FetchCols is FetchRows projected as ScanCols is.
-func (t *Table) FetchCols(ids []int32, cols []int) ([][]value.Value, int64, error) {
+// FetchCols is FetchRows projected and filtered as ScanCols is.
+func (t *Table) FetchCols(ids []int32, cols []int, f Filter) ([][]value.Value, int64, error) {
 	if err := t.checkCols(cols); err != nil {
 		return nil, 0, err
 	}
-	return t.be.Fetch(ids, cols)
+	return t.be.Fetch(ids, cols, f)
 }
 
 // checkCols rejects a projection that is not a strictly ascending list of
@@ -277,7 +277,7 @@ func (t *Table) checkCols(cols []int) error {
 // Row returns one row by id, panicking on out-of-range ids; for tests and
 // fixtures (queries go through ScanRows/FetchRows and get byte accounting).
 func (t *Table) Row(id int) []value.Value {
-	rows, _, err := t.be.Fetch([]int32{int32(id)}, nil)
+	rows, _, err := t.be.Fetch([]int32{int32(id)}, nil, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -335,7 +335,7 @@ func (t *Table) EnsureIndex(col string, kind IndexKind) (*Index, error) {
 		if hi > t.nrows {
 			hi = t.nrows
 		}
-		rows, _, err := t.be.Scan(lo, hi, []int{ci})
+		rows, _, err := t.be.Scan(lo, hi, []int{ci}, nil)
 		if err != nil {
 			return nil, err
 		}
