@@ -19,7 +19,6 @@ import (
 	"repro/internal/packing"
 	"repro/internal/planner"
 	"repro/internal/server"
-	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -64,17 +63,11 @@ type Client struct {
 	// result decoder (row ranges of each batch of 1 024 rows or more);
 	// values < 1 mean GOMAXPROCS, 1 forces sequential execution.
 	Parallelism int
-	// ParseHook, when set, is called once per SQL string the client
-	// actually hands to the parser — parse-cache hits skip it. Tests use it
-	// to assert repeated queries parse once. It runs with the parse cache
-	// locked, so it must not call back into the Client.
-	ParseHook func(sql string)
 
 	exec      Executor
 	meta      map[string]*enc.TableMeta
 	packCache *packing.PlainCache
 	plans     *planCache
-	parsed    *parseCache
 }
 
 // New creates a client over an in-process server. ctx must be built over
@@ -88,7 +81,6 @@ func New(keys *enc.KeyStore, srv *server.Server, ctx *planner.Context, cfg netsi
 		meta:      srv.DB.Meta,
 		packCache: packing.NewPlainCache(),
 		plans:     newPlanCache(defaultPlanCacheCap),
-		parsed:    newParseCache(defaultParseCacheCap),
 	}
 	return c
 }
@@ -109,7 +101,6 @@ func NewRemote(keys *enc.KeyStore, exec Executor, meta map[string]*enc.TableMeta
 		meta:      meta,
 		packCache: packing.NewPlainCache(),
 		plans:     newPlanCache(defaultPlanCacheCap),
-		parsed:    newParseCache(defaultParseCacheCap),
 	}
 	return c
 }
@@ -160,52 +151,39 @@ func (c *Client) charge(r *Result, st engine.Stats, wireBytes int64) {
 	r.WireBytes += wireBytes
 }
 
-// Query parses, plans, and executes a SQL query with parameters. The parse
-// cache keeps each SQL string's read-only AST and plan-cache shape, so a
-// repeated string reaches the parser and the literal hoist once.
+// Query plans and executes a SQL query with parameters through the plan
+// cache (fastpath.go): a repeated text with parameters of the same kinds
+// runs its cached template, parsing nothing.
 func (c *Client) Query(sql string, params map[string]value.Value) (*Result, error) {
-	s, err := c.parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return c.execute(s, params)
+	return c.execute(sql, nil, params)
 }
 
-// parse resolves SQL through the parse cache.
-func (c *Client) parse(sql string) (*shape, error) {
-	return c.parsed.getOrParse(sql, func() (*ast.Query, error) {
-		if c.ParseHook != nil {
-			c.ParseHook(sql)
-		}
-		return sqlparser.Parse(sql)
-	})
-}
-
-// Execute plans and runs a query AST through the plan cache (fastpath.go):
-// its shape's cached template executes by re-encrypting the parameters alone.
-func (c *Client) Execute(q *ast.Query, params map[string]value.Value) (*Result, error) {
-	return c.execute(newShape(q), params)
-}
-
-// executeCold plans and runs a query from scratch, bypassing the plan cache.
-func (c *Client) executeCold(q *ast.Query, params map[string]value.Value) (*Result, error) {
-	prepared, _, err := c.Ctx.Prepare(q, params)
-	if err != nil {
-		return nil, err
-	}
+// runUncached plans and runs a query from scratch, bypassing the plan cache.
+func (c *Client) runUncached(q *ast.Query, params map[string]value.Value) (*Result, error) {
 	res := &Result{}
-	// Multi-round execution: compute uncorrelated scalar subqueries first
-	// and substitute their values, so comparisons against them can use
-	// encrypted server-side filters (§8.2: plans may ship intermediate
-	// results between client and server several times).
-	if _, err := c.preExecuteScalarSubqueries(prepared, res); err != nil {
-		return nil, err
-	}
-	plan, err := c.makePlan(prepared)
+	plan, _, _, err := c.plan(q, params, res)
 	if err != nil {
 		return nil, err
 	}
 	return c.runPlanned(plan, res)
+}
+
+// plan prepares q with params bound, returning the bound slots, and plans
+// it. Multi-round execution first computes its uncorrelated scalar
+// subqueries into res and substitutes their values, so comparisons against
+// them can use encrypted server-side filters (§8.2: plans may ship
+// intermediate results between client and server several times); subbed
+// reports a substitution.
+func (c *Client) plan(q *ast.Query, params map[string]value.Value, res *Result) (plan *planner.Plan, slots []planner.BoundSlot, subbed bool, err error) {
+	prepared, slots, err := c.Ctx.Prepare(q, params)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if subbed, err = c.preExecuteScalarSubqueries(prepared, res); err != nil {
+		return nil, nil, false, err
+	}
+	plan, err = c.makePlan(prepared)
+	return plan, slots, subbed, err
 }
 
 // makePlan generates the plan for a prepared query under the client's
@@ -318,13 +296,10 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// ResetPlanCache drops every cached plan and the parse cache, forcing
-// subsequent executions down the cold path. Benchmarks use it to measure
-// cold planning cost; counters are not reset.
-func (c *Client) ResetPlanCache() {
-	c.plans.purge()
-	c.parsed.clear()
-}
+// ResetPlanCache drops every cached plan, so the next execution of each
+// statement parses and plans again. Benchmarks use it to measure cold
+// planning cost; counters are not reset.
+func (c *Client) ResetPlanCache() { c.plans.purge() }
 
 // finishPlan executes the plan's final local query with the execution's
 // local parameter bindings.
@@ -506,9 +481,10 @@ func (c *Client) resolveHomGroups(q *ast.Query) *ast.Query {
 
 // preExecuteScalarSubqueries finds comparisons against uncorrelated scalar
 // subqueries in WHERE/HAVING and replaces each subquery with its computed
-// value (executed through the full split machinery). It reports whether it
-// substituted anything — a substituted value is data-dependent, so the
-// resulting plan must not be cached for the query's shape.
+// value (executed through the full split machinery, outside the plan
+// cache). It reports whether it substituted anything — a substituted value
+// is data-dependent, so the resulting plan must not be cached for the
+// statement.
 func (c *Client) preExecuteScalarSubqueries(q *ast.Query, res *Result) (bool, error) {
 	changed := false
 	replace := func(e ast.Expr) (ast.Expr, error) {
@@ -526,7 +502,7 @@ func (c *Client) preExecuteScalarSubqueries(q *ast.Query, res *Result) (bool, er
 				if !ok || !planner.IsUncorrelated(c.Ctx, sq.Sub) {
 					return side
 				}
-				sub, err := c.Execute(sq.Sub, nil)
+				sub, err := c.runUncached(sq.Sub, nil)
 				if err != nil {
 					firstErr = err
 					return side

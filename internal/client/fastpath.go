@@ -1,112 +1,88 @@
 package client
 
-// The repeated-query fast path. A query's cache key is its *shape*: the
-// SQL rendering with every literal hoisted into a parameter slot, plus the
-// kind of every parameter value (an int-vs-string parameter changes which
-// encrypted rewrites are legal, so kinds are part of the key), plus the
-// planner mode. The first execution of a shape plans normally, then
-// parameterizes the plan into a template (planner.Parameterize) and caches
-// it; subsequent executions rebind — re-encrypt the parameter values under
-// the sites' key items — and run, skipping parse, prepare, rewrite, and
-// costing. Both the cold (filling) and warm executions of a cacheable
-// shape run through the same template path, so the bytes a repeated query
-// produces never depend on whether its plan was cached.
+// The repeated-query fast path. A statement's cache key is its SQL text,
+// length-prefixed, plus the planner mode and the name and kind of every
+// caller parameter (an int-vs-string parameter changes which encrypted
+// rewrites are legal, so kinds are part of the key). Literals stay inline:
+// the planner absorbs constants by design (§5.1 precomputation matches
+// expressions over them, constant folding merges them), so only caller
+// parameters become template sites. A text with other literals is another
+// entry; constants that vary go through Prepare's parameters.
+//
+// The first execution of a key parses the text (unless the caller holds its
+// AST), plans, parameterizes the plan into a template (planner.Parameterize)
+// and caches it; later executions rebind — re-encrypt the parameter values
+// under the sites' key items — and run, skipping parse, prepare, rewrite and
+// costing. Both the filling and the warm executions of a cacheable statement
+// run through the same template path, so the bytes a repeated query produces
+// never depend on whether its plan was cached.
 
 import (
-	"maps"
+	"encoding/binary"
 	"slices"
 	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/planner"
+	"repro/internal/sqlparser"
 	"repro/internal/value"
 )
 
-// shapeParamPrefix names the parameter slots literal hoisting creates for
-// the cache key (":$qpN"). The SQL lexer cannot produce a `$` in a parameter
-// name, so a statement's own parameter never collides with a slot (an
-// unbound one stays an error instead of taking a literal's value); caller
-// parameter maps may not use the prefix — such queries bypass the cache.
-const shapeParamPrefix = "$qp"
-
-const (
-	defaultPlanCacheCap  = 256
-	defaultParseCacheCap = 256
-)
+const defaultPlanCacheCap = 256
 
 // execCtx carries one execution's parameter bindings through the plan
-// runner. The zero value is the cold path's: plan queries carry inline
+// runner. The zero value is an uncached plan's: its queries carry inline
 // literals.
 type execCtx struct {
 	encp   map[string]value.Value // remote-side (":cpN") encrypted bindings
 	localp map[string]value.Value // local-engine (":lpN") plaintext bindings
 }
 
-// shape is a statement's hoisted form, its hoisted values and the key prefix
-// they make, built once per parse-cache entry and per Stmt: an execution
-// appends only the planner mode and its parameters' kinds.
-type shape struct {
-	q       *ast.Query // the statement as parsed
-	hoisted *ast.Query
-	vals    map[string]value.Value
-	key     string
-}
-
-func newShape(q *ast.Query) *shape {
-	hoisted, vals, order := planner.HoistLiterals(q, shapeParamPrefix)
-	var b strings.Builder
-	b.WriteString(hoisted.SQL())
-	for _, name := range order {
-		b.WriteByte(0)
-		b.WriteByte(byte(vals[name].K))
-	}
-	return &shape{q: q, hoisted: hoisted, vals: vals, key: b.String()}
-}
-
-// execute runs s through the plan cache, unless a caller parameter's name
-// collides with the hoist prefix.
-func (c *Client) execute(s *shape, params map[string]value.Value) (*Result, error) {
+// planKey frames sql, the planner mode and the caller parameters' names and
+// kinds into one cache key. The text and every name are length-prefixed, so
+// no two (statement, parameter set) pairs share a key.
+func planKey(sql string, greedy bool, params map[string]value.Value) string {
 	var buf [8]string
 	names := buf[:0]
 	for name := range params {
-		if strings.HasPrefix(name, shapeParamPrefix) {
-			return c.executeCold(s.q, params)
-		}
 		names = append(names, name)
 	}
 	slices.Sort(names)
 	var b strings.Builder
-	b.Grow(len(s.key) + 7 + 16*len(params))
-	b.WriteString(s.key)
-	if c.Greedy {
-		b.WriteString("\x00greedy")
+	b.Grow(len(sql) + 4 + 16*len(names))
+	writeFramed(&b, sql)
+	if greedy {
+		b.WriteByte('g')
+	} else {
+		b.WriteByte('c')
 	}
 	for _, name := range names {
-		b.WriteByte(0)
-		b.WriteString(name)
-		b.WriteByte('=')
+		writeFramed(&b, name)
 		b.WriteByte(byte(params[name].K))
 	}
-	vals := params
-	if len(s.vals) > 0 {
-		vals = make(map[string]value.Value, len(s.vals)+len(params))
-		maps.Copy(vals, s.vals)
-		maps.Copy(vals, params)
-	}
-	return c.executeKeyed(b.String(), s.hoisted, vals)
+	return b.String()
 }
 
-// executeKeyed runs one execution through the plan cache.
-func (c *Client) executeKeyed(key string, shape *ast.Query, vals map[string]value.Value) (*Result, error) {
-	e, leader := c.plans.acquire(key)
+// writeFramed writes s's length as a uvarint, then s.
+func writeFramed(b *strings.Builder, s string) {
+	var n [binary.MaxVarintLen64]byte
+	b.Write(binary.AppendUvarint(n[:0], uint64(len(s))))
+	b.WriteString(s)
+}
+
+// execute runs one execution of sql through the plan cache. q is sql parsed
+// when the caller holds it (a Stmt), or nil: a miss then parses sql, once,
+// as the entry's leader, and a hit needs no AST at all.
+func (c *Client) execute(sql string, q *ast.Query, params map[string]value.Value) (*Result, error) {
+	e, leader := c.plans.acquire(planKey(sql, c.Greedy, params))
 	if leader {
 		c.plans.misses.Add(1)
-		return c.fillAndRun(e, shape, vals)
+		return c.fillAndRun(e, sql, q, params)
 	}
 	<-e.done
 	if e.plan != nil {
 		c.plans.hits.Add(1)
-		res, ok, err := c.executeTemplate(e.plan, vals)
+		res, ok, err := c.executeTemplate(e.plan, params)
 		if ok {
 			return res, err
 		}
@@ -115,26 +91,34 @@ func (c *Client) executeKeyed(key string, shape *ast.Query, vals map[string]valu
 	} else {
 		c.plans.misses.Add(1)
 	}
-	return c.executeCold(shape, vals)
+	q, err := parsed(sql, q)
+	if err != nil {
+		return nil, err
+	}
+	return c.runUncached(q, params)
 }
 
-// fillAndRun is the cache-miss leader: plan the shape, parameterize into a
-// template if sound, compile it, publish the entry, and execute. Cacheable
-// shapes execute through the template (identical code path to a warm hit);
-// uncacheable ones run their concrete plan and leave a negative entry.
-func (c *Client) fillAndRun(e *planEntry, shape *ast.Query, vals map[string]value.Value) (*Result, error) {
-	prepared, slots, err := c.Ctx.Prepare(shape, vals)
-	if err != nil {
-		c.plans.abandon(e)
-		return nil, err
+// parsed returns q, or sql parsed when q is nil.
+func parsed(sql string, q *ast.Query) (*ast.Query, error) {
+	if q != nil {
+		return q, nil
 	}
+	return sqlparser.Parse(sql)
+}
+
+// fillAndRun is the cache-miss leader: plan the statement, parameterize
+// into a template if sound, compile it, publish the entry, and execute.
+// Cacheable statements execute through the template (identical code path to
+// a warm hit); uncacheable ones run their concrete plan and leave a
+// negative entry.
+func (c *Client) fillAndRun(e *planEntry, sql string, q *ast.Query, vals map[string]value.Value) (*Result, error) {
 	res := &Result{}
-	subbed, err := c.preExecuteScalarSubqueries(prepared, res)
+	q, err := parsed(sql, q)
 	if err != nil {
 		c.plans.abandon(e)
 		return nil, err
 	}
-	plan, err := c.makePlan(prepared)
+	plan, slots, subbed, err := c.plan(q, vals, res)
 	if err != nil {
 		c.plans.abandon(e)
 		return nil, err
@@ -151,7 +135,7 @@ func (c *Client) fillAndRun(e *planEntry, shape *ast.Query, vals map[string]valu
 		}
 		cp.tmpl = tmpl
 	}
-	c.plans.fill(e, cp) // nil: negative, shape known uncacheable
+	c.plans.fill(e, cp) // nil: negative, statement known uncacheable
 	if cp != nil {
 		if tres, ok, err := c.executeTemplate(cp, vals); ok {
 			if tres != nil {

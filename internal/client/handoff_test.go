@@ -2,7 +2,6 @@ package client
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -82,13 +81,14 @@ func (e *recStmtExec) CloseStmt(uint64) error {
 }
 
 // handoffWorkload drives the three ways a RemoteSQL gets issued: an
-// uncacheable shape (planned cold every time), a cacheable shape twice
-// (fill, then a template hit), and a prepared statement.
+// uncacheable statement (planned cold every time), a cacheable statement
+// twice with different parameters (fill, then a template hit), and a
+// prepared statement.
 func handoffWorkload(t *testing.T, f *fixture) {
 	t.Helper()
 	f.checkQuery(t, `SELECT o_id FROM orders WHERE o_total > (SELECT SUM(o_total) / 10 FROM orders) ORDER BY o_id`, nil)
-	for i, lo := range []int{50, 100} {
-		res := f.checkQuery(t, fmt.Sprintf(`SELECT o_id, o_total FROM orders WHERE o_total >= %d ORDER BY o_id`, lo), nil)
+	for i, lo := range []int64{50, 100} {
+		res := f.checkQuery(t, `SELECT o_id, o_total FROM orders WHERE o_total >= :lo ORDER BY o_id`, map[string]value.Value{"lo": value.NewInt(lo)})
 		if res.PlanCacheHit != (i > 0) {
 			t.Errorf("lo=%d: PlanCacheHit = %v", lo, res.PlanCacheHit)
 		}

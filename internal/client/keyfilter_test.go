@@ -108,7 +108,7 @@ const (
 			SELECT l_ord FROM line GROUP BY l_ord HAVING SUM(l_qty * l_price) > %d)
 		GROUP BY c_name, o_id ORDER BY o_id`
 	// Q17: a correlated scalar subquery's fetch restricted by the outer keys.
-	kfQ17 = `SELECT SUM(l_price) FROM line, ord WHERE o_id = l_ord AND o_total > %d
+	kfQ17 = `SELECT SUM(l_price) FROM line, ord WHERE o_id = l_ord AND o_total > %v
 		AND l_qty * 3 < (SELECT SUM(l2.l_qty) FROM line l2 WHERE l2.l_ord = o_id)`
 	// An IN-subquery whose keys hold NULLs and duplicates: the fetch of the
 	// lines with l_qty > 5 names 4 of the 12 orders.
@@ -340,8 +340,8 @@ func TestKeyFilterHandoffsAgree(t *testing.T) {
 func TestKeyFilterTemplateTwoKeySets(t *testing.T) {
 	f := newKeyFilterFixture(t)
 	var sizes []int64
-	for i, lo := range []int{300, 100} {
-		res := f.checkQuery(t, fmt.Sprintf(kfQ17, lo), nil)
+	for i, lo := range []int64{300, 100} {
+		res := f.checkQuery(t, fmt.Sprintf(kfQ17, ":lo"), map[string]value.Value{"lo": value.NewInt(lo)})
 		if res.PlanCacheHit != (i > 0) {
 			t.Errorf("lo=%d: PlanCacheHit = %v", lo, res.PlanCacheHit)
 		}

@@ -1,33 +1,33 @@
 package client
 
-// The plan cache backs the repeated-query fast path: compiled templates are
-// cached per query shape (fastpath.go), so the second execution of a shape
+// The plan cache is the client's one statement cache and backs the
+// repeated-query fast path: compiled templates are cached per SQL text and
+// parameter kinds (fastpath.go), so the second execution of a statement
 // skips parse/prepare/rewrite/costing and only re-encrypts parameters.
 // Entries fill under a single-flight protocol — when N goroutines miss the
-// same key simultaneously, one plans and the rest wait for its template — and
-// evict LRU under capacity pressure. A shape that planning proves
-// untemplatable (see planner.Parameterize) is cached negatively.
+// same key simultaneously, one parses and plans and the rest wait for its
+// template — and evict LRU under capacity pressure. A statement that
+// planning proves untemplatable (see planner.Parameterize) is cached
+// negatively.
 
 import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/ast"
 )
 
 // PlanCacheStats is a point-in-time snapshot of the plan cache's counters.
 type PlanCacheStats struct {
 	Hits      int64 // executions served from a cached template
-	Misses    int64 // executions that had to plan (incl. uncacheable shapes)
+	Misses    int64 // executions that had to plan (incl. uncacheable statements)
 	Evictions int64 // entries dropped under capacity pressure
 	Size      int   // entries currently cached (incl. negative entries)
 }
 
 // planEntry is a cache slot. done closes when the filling goroutine
-// finishes planning; waiters block on it and then read plan, the shape's
-// compiled template (nil after done means the fill failed, or the shape is
-// uncacheable — a negative entry).
+// finishes planning; waiters block on it and then read plan, the statement's
+// compiled template (nil after done means the fill failed, or the statement
+// is uncacheable — a negative entry).
 type planEntry struct {
 	key  string
 	elem *list.Element
@@ -86,13 +86,13 @@ func (pc *planCache) evictLocked() {
 }
 
 // fill publishes the leader's planning outcome (plan == nil for an
-// uncacheable shape) and wakes waiters.
+// uncacheable statement) and wakes waiters.
 func (pc *planCache) fill(e *planEntry, plan *compiled) {
 	e.plan = plan
 	close(e.done)
 }
 
-// abandon removes a failed entry so the next execution of the shape retries
+// abandon removes a failed entry so the next execution of the key retries
 // planning, then wakes waiters (who will see a nil plan and plan solo).
 func (pc *planCache) abandon(e *planEntry) {
 	pc.mu.Lock()
@@ -122,50 +122,5 @@ func (pc *planCache) purge() {
 	pc.mu.Lock()
 	pc.entries = make(map[string]*planEntry)
 	pc.lru.Init()
-	pc.mu.Unlock()
-}
-
-// parseCache is a bounded SQL-string → parsed-shape cache. Cached ASTs are
-// shared and treated as read-only: every consumer (hoisting, preparation)
-// clones before mutating.
-type parseCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*shape
-}
-
-func newParseCache(capacity int) *parseCache {
-	return &parseCache{cap: capacity, m: make(map[string]*shape)}
-}
-
-// getOrParse returns sql's cached shape, parsing and normalizing it on a
-// miss. The lock is held across the parse (~15 µs), so concurrent callers on
-// one cold string share a single parse instead of each running their own.
-func (pc *parseCache) getOrParse(sql string, parse func() (*ast.Query, error)) (*shape, error) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if s, ok := pc.m[sql]; ok {
-		return s, nil
-	}
-	q, err := parse()
-	if err != nil {
-		return nil, err
-	}
-	if len(pc.m) >= pc.cap {
-		// Arbitrary-member eviction: Go map iteration order serves as the
-		// random draw.
-		for k := range pc.m {
-			delete(pc.m, k)
-			break
-		}
-	}
-	s := newShape(q)
-	pc.m[sql] = s
-	return s, nil
-}
-
-func (pc *parseCache) clear() {
-	pc.mu.Lock()
-	pc.m = make(map[string]*shape)
 	pc.mu.Unlock()
 }

@@ -2,11 +2,12 @@ package client
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
+	"repro/internal/sqlparser"
 	"repro/internal/value"
 )
 
@@ -54,53 +55,44 @@ func TestPlanCacheAbandonRetries(t *testing.T) {
 
 // --- client-level fast path ---
 
-// TestClientPlanCacheHitMiss runs one shape with varying literals: the
-// first execution misses and fills; later ones hit and must return the
-// same rows the cold path did.
+// TestClientPlanCacheHitMiss runs one prepared statement with varying
+// parameters: the first execution misses and fills; later ones hit and
+// must return the rows an uncached plan of the same values returns.
 func TestClientPlanCacheHitMiss(t *testing.T) {
 	f := newFixture(t)
-	shape := "SELECT o_id, o_total FROM orders WHERE o_total >= %d ORDER BY o_id"
-	cold := make(map[int][]string)
-	for _, lo := range []int{50, 100, 300} {
-		res, err := f.client.Query(fmt.Sprintf(shape, lo), nil)
+	stmt, err := f.client.Prepare("SELECT o_id, o_total FROM orders WHERE o_total >= :lo ORDER BY o_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lo := range []int64{50, 100, 300, 50} {
+		res, err := stmt.Execute(map[string]value.Value{"lo": value.NewInt(lo)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.PlanCacheHit && lo == 50 {
-			t.Error("first execution cannot hit the plan cache")
+		if res.PlanCacheHit != (i > 0) {
+			t.Errorf("execution %d (lo=%d): PlanCacheHit = %v", i, lo, res.PlanCacheHit)
 		}
-		cold[lo] = canonicalRows(res.Rows, true)
-	}
-	st := f.client.PlanCacheStats()
-	if st.Misses < 1 {
-		t.Fatalf("expected a miss: %+v", st)
-	}
-	if st.Hits < 2 {
-		t.Fatalf("varying literals of one shape should hit after the fill: %+v", st)
-	}
-	for _, lo := range []int{50, 100, 300} {
-		res, err := f.client.Query(fmt.Sprintf(shape, lo), nil)
+		q := sqlparser.MustParse(fmt.Sprintf("SELECT o_id, o_total FROM orders WHERE o_total >= %d ORDER BY o_id", lo))
+		cold, err := f.client.runUncached(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.PlanCacheHit {
-			t.Errorf("lo=%d: warm execution missed", lo)
+		got, want := canonicalRows(res.Rows, true), canonicalRows(cold.Rows, true)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("lo=%d: cached rows diverge from an uncached plan:\n%v\nvs\n%v", lo, got, want)
 		}
-		got := canonicalRows(res.Rows, true)
-		if strings.Join(got, "\n") != strings.Join(cold[lo], "\n") {
-			t.Errorf("lo=%d: warm rows diverge from cold:\n%v\nvs\n%v", lo, got, cold[lo])
-		}
+	}
+	if st := f.client.PlanCacheStats(); st.Misses != 1 || st.Hits != 3 || st.Size != 1 {
+		t.Fatalf("one statement, four executions: %+v, want 1 miss, 3 hits, 1 entry", st)
 	}
 }
 
-// TestClientPlanCacheStampede fires N goroutines at one cold shape
-// concurrently: the singleflight fill must plan once-ish (leader plans,
-// waiters reuse), every goroutine must get correct rows, and the run must
-// be race-free under -race.
+// TestClientPlanCacheStampede fires N goroutines at one cold statement
+// concurrently: the single-flight fill must parse and plan once (the
+// leader's miss) while the waiters reuse its template, every goroutine must
+// get correct rows, and the run must be race-free under -race.
 func TestClientPlanCacheStampede(t *testing.T) {
 	f := newFixture(t)
-	var parses atomic.Int32
-	f.client.ParseHook = func(string) { parses.Add(1) }
 	const n = 16
 	sql := "SELECT o_cust, SUM(o_total) FROM orders WHERE o_total > 40 GROUP BY o_cust ORDER BY o_cust"
 	want, err := f.client.Query(sql, nil)
@@ -109,6 +101,7 @@ func TestClientPlanCacheStampede(t *testing.T) {
 	}
 	wantRows := canonicalRows(want.Rows, true)
 	f.client.ResetPlanCache()
+	before := f.client.PlanCacheStats()
 
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -135,37 +128,88 @@ func TestClientPlanCacheStampede(t *testing.T) {
 		}
 	}
 	st := f.client.PlanCacheStats()
-	if st.Hits+st.Misses < n {
-		t.Errorf("every execution must be counted: %+v", st)
-	}
-	// The same SQL string parses at most twice across the whole test (once
-	// before the reset, once after): the stampede itself shares one parse.
-	if got := parses.Load(); got > 2 {
-		t.Errorf("stampede parsed %d times; the parse cache should bound it at 2", got)
+	if misses, hits := st.Misses-before.Misses, st.Hits-before.Hits; misses != 1 || hits != n-1 {
+		t.Errorf("stampede of %d: %d misses, %d hits; want 1 miss (the only parse) and %d hits", n, misses, hits, n-1)
 	}
 }
 
 // TestClientParseCache is the regression test for Query re-parsing SQL on
-// every call: repeated Query with the same text must parse once.
+// every call: repeated Query with the same text must miss once — the only
+// parse — and hit after.
 func TestClientParseCache(t *testing.T) {
 	f := newFixture(t)
-	var parses atomic.Int32
-	f.client.ParseHook = func(string) { parses.Add(1) }
 	sql := "SELECT o_id FROM orders WHERE o_cust = 'alice' ORDER BY o_id"
 	for i := 0; i < 5; i++ {
 		if _, err := f.client.Query(sql, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := parses.Load(); got != 1 {
-		t.Errorf("5 executions parsed %d times, want 1", got)
+	if st := f.client.PlanCacheStats(); st.Misses != 1 || st.Hits != 4 {
+		t.Errorf("5 executions: %+v, want 1 miss and 4 hits", st)
 	}
-	// A different text is a different parse.
-	if _, err := f.client.Query("SELECT o_id FROM orders", nil); err != nil {
+	// A different text is a different entry, and another parse.
+	if _, err := f.client.Query("SELECT o_id FROM orders WHERE o_cust = 'bob' ORDER BY o_id", nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := parses.Load(); got != 2 {
-		t.Errorf("parse count after second shape = %d, want 2", got)
+	if st := f.client.PlanCacheStats(); st.Misses != 2 || st.Size != 2 {
+		t.Errorf("after a second text: %+v, want 2 misses and 2 entries", st)
+	}
+}
+
+// TestPlanKeyFraming: the cache key frames the SQL text and each parameter
+// name by length. Under a naive join, sql + "\x00" + name + "=" + kind per
+// parameter, the two pairs below share a key: the second text ends in a
+// comment holding the first pair's NUL, '=' and kind bytes, and the first
+// pair's extra parameter name holds the rest. Each pair must get its own
+// entry and its own rows.
+func TestPlanKeyFraming(t *testing.T) {
+	f := newFixture(t)
+	base := "SELECT o_id FROM orders WHERE o_total >= :c ORDER BY o_id --"
+	naive := func(sql string, params map[string]value.Value) string {
+		names := make([]string, 0, len(params))
+		for name := range params {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			sql += "\x00" + name + "=" + string(rune(params[name].K))
+		}
+		return sql
+	}
+	pairs := []struct {
+		sql    string
+		params map[string]value.Value
+		lo     string
+	}{
+		{base, map[string]value.Value{"c": value.NewInt(100), "d\x00c": value.NewNull()}, "100"},
+		{base + "\x00c=" + string(rune(value.Int)) + "\x00d", map[string]value.Value{"c": value.NewNull()}, "NULL"},
+	}
+	if a, b := naive(pairs[0].sql, pairs[0].params), naive(pairs[1].sql, pairs[1].params); a != b {
+		t.Fatalf("the pairs do not collide under the naive join:\n%q\n%q", a, b)
+	}
+	if planKey(pairs[0].sql, false, pairs[0].params) == planKey(pairs[1].sql, false, pairs[1].params) {
+		t.Fatal("two statements share a plan-cache key")
+	}
+	for round := 0; round < 2; round++ {
+		for i, p := range pairs {
+			res, err := f.client.Query(p.sql, p.params)
+			if err != nil {
+				t.Fatalf("pair %d: %v", i, err)
+			}
+			if res.PlanCacheHit != (round > 0) {
+				t.Errorf("round %d pair %d: PlanCacheHit = %v", round, i, res.PlanCacheHit)
+			}
+			want, err := f.plain.Execute(sqlparser.MustParse("SELECT o_id FROM orders WHERE o_total >= "+p.lo+" ORDER BY o_id"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := canonicalRows(res.Rows, true), canonicalRows(want.Rows, true); strings.Join(g, ";") != strings.Join(w, ";") {
+				t.Errorf("round %d pair %d: rows %v, want %v", round, i, g, w)
+			}
+		}
+	}
+	if st := f.client.PlanCacheStats(); st.Size != 2 || st.Misses != 2 || st.Hits != 2 {
+		t.Errorf("%+v, want 2 entries, 2 misses, 2 hits", st)
 	}
 }
 
@@ -195,9 +239,9 @@ func TestClientPreparedParams(t *testing.T) {
 	}
 }
 
-// TestUnboundParamNotTakenFromSlot: a statement's own parameter is never
-// bound from a hoisted literal's slot, whatever it is named — left unbound,
-// it fails the query on the cold and the cached path alike.
+// TestUnboundParamNotTakenFromSlot: a statement's own parameter left
+// unbound fails the query, whatever it is named, on its first execution and
+// its repeats alike: a failed plan caches nothing.
 func TestUnboundParamNotTakenFromSlot(t *testing.T) {
 	f := newFixture(t)
 	for _, name := range []string{"qp0", "qp1", "lo"} {
@@ -212,7 +256,7 @@ func TestUnboundParamNotTakenFromSlot(t *testing.T) {
 
 // TestUncacheableShapeNegativeEntry: a scalar-subquery query substitutes a
 // computed constant into the outer plan, which rebinding cannot reproduce —
-// the shape must be cached negatively (every execution a miss) and stay
+// the statement must be cached negatively (every execution a miss) and stay
 // correct.
 func TestUncacheableShapeNegativeEntry(t *testing.T) {
 	f := newFixture(t)
@@ -233,11 +277,9 @@ func TestUncacheableShapeNegativeEntry(t *testing.T) {
 			t.Errorf("execution %d diverges from the first", i)
 		}
 	}
-	// The outer shape misses every time (checked per-execution above via
-	// PlanCacheHit); the pre-executed scalar subquery is its own cacheable
-	// shape and may hit from the second execution on.
-	st := f.client.PlanCacheStats()
-	if st.Misses < 3 {
-		t.Errorf("expected >=3 misses: %+v", st)
+	// The statement misses every time; the pre-executed scalar subquery
+	// runs outside the cache.
+	if st := f.client.PlanCacheStats(); st.Misses != 3 || st.Hits != 0 {
+		t.Errorf("%+v, want 3 misses and no hit", st)
 	}
 }

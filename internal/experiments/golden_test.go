@@ -21,6 +21,9 @@ import (
 // MONOMI RemoteSQL): the pass that attaches them runs after the plan is
 // chosen and alters nothing else, so every other line — the greedy
 // configurations' sections and every "used" section — must still match.
+// The plan printed is the one the first execution ran: a cacheable
+// statement's template, whose literals stay inline, so its RemoteSQL and
+// local queries show constants, never :cpN/:lpN slots.
 
 func sortedItemKeys(items []enc.Item) string {
 	keys := make([]string, len(items))

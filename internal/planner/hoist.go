@@ -2,16 +2,13 @@ package planner
 
 // Literal hoisting: rewrite every literal constant in a query — at any
 // depth, including subqueries — into a named parameter reference, returning
-// the values separately. Two layers depend on it:
-//
-//   - the client's plan cache normalizes a query to its *shape* this way
-//     (SELECT ... WHERE p > 100 and ... WHERE p > 250 share one plan), and
-//   - the transport renders RemoteSQL for the wire this way (ciphertext
-//     byte-string literals have no re-parsable SQL spelling).
+// the values separately. The transport renders RemoteSQL for the wire this
+// way: ciphertext byte-string literals have no re-parsable SQL spelling.
+// (The client's plan cache keys a statement by its SQL text and keeps its
+// literals inline; it hoists nothing.)
 //
 // Each literal occurrence gets its own slot, so a slot name identifies one
-// syntactic site exactly — the property the plan template's coverage check
-// relies on (template.go).
+// syntactic site exactly.
 
 import (
 	"strconv"

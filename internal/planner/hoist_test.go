@@ -29,10 +29,9 @@ var hoistSeeds = []string{
 	"SELECT d.s_id FROM (SELECT s_id, s_qty AS s_price, s_price AS s_qty FROM sales) d WHERE d.s_id < 50 AND EXISTS (SELECT 1 FROM cats WHERE c_tier = d.s_qty) ORDER BY d.s_id",
 }
 
-// BenchmarkHoistLiterals times the per-execution hoist (the client's shape
-// key and the transport's RemoteSQL rendering both run it): the hotpath
-// workload's three prepared shapes, and TPC-H Q20, whose literals sit in a
-// subquery two blocks down.
+// BenchmarkHoistLiterals times the per-execution hoist (the transport's
+// RemoteSQL rendering runs it): the hotpath workload's three prepared
+// shapes, and TPC-H Q20, whose literals sit in a subquery two blocks down.
 func BenchmarkHoistLiterals(b *testing.B) {
 	for _, c := range []struct{ name, sql string }{
 		{"point", `SELECT e_id, e_val FROM ev WHERE e_id = :id`},
@@ -74,13 +73,13 @@ func hoistContext(tb testing.TB) *Context {
 }
 
 // FuzzHoistBind: for any statement the parser accepts, hoisting its literals
-// and binding them back (what a plan-cache miss does) prepares to the same
-// SQL as preparing the statement itself, or both fail; neither panics. Both
-// go through Context.Prepare, so names are resolved and derived tables
-// flattened with the literals hoisted. The hoisted shape holds no literal,
-// one slot per occurrence, and hoisting is deterministic. The prefix is one
-// the lexer cannot produce, so a statement's own parameters never collide
-// with a slot.
+// and binding them back (the transport's round trip of a RemoteSQL) prepares
+// to the same SQL as preparing the statement itself, or both fail; neither
+// panics. Both go through Context.Prepare, so names are resolved and derived
+// tables flattened with the literals hoisted. The hoisted shape holds no
+// literal, one slot per occurrence, and hoisting is deterministic. The
+// prefix is one the lexer cannot produce, so a statement's own parameters
+// never collide with a slot.
 func FuzzHoistBind(f *testing.F) {
 	for _, n := range tpch.SupportedQueries() {
 		f.Add(tpch.Queries[n])

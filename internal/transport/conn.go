@@ -318,8 +318,7 @@ func decodeQID(p []byte) uint64 {
 
 // buildQueryPayload renders q for the wire: every literal, at any depth,
 // hoisted to a :tpN parameter (ciphertext byte strings have no SQL
-// spelling), merged with the caller's own parameters. The client's plan
-// cache normalizes query shapes with the same planner.HoistLiterals.
+// spelling), merged with the caller's own parameters.
 func buildQueryPayload(qid uint64, q *ast.Query, params map[string]value.Value) ([]byte, error) {
 	hq, hoisted, order := planner.HoistLiterals(q, "tp")
 	for name := range params {

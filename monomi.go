@@ -494,7 +494,9 @@ func rowsData(rows [][]value.Value) [][]any {
 // Stmt is a prepared statement bound to a System: parse once, execute many
 // times with different parameter values. Repeated executions of the same
 // parameter-kind combination reuse a cached plan template (only the
-// parameters are re-encrypted). Preparation is client-side only: on a
+// parameters are re-encrypted). Constants that vary belong in parameters:
+// the plan cache keys by SQL text, so each literal variant of a text is
+// its own entry. Preparation is client-side only: on a
 // remote System every execution ships its RemoteSQL as one query frame.
 type Stmt struct {
 	st     *client.Stmt
@@ -541,8 +543,8 @@ func (st *Stmt) Query(params map[string]any) (*Rows, error) {
 func (st *Stmt) SQL() string { return st.st.SQL() }
 
 // Close ends the statement's life: later Query calls return ErrStmtClosed.
-// Cached plans belong to the System's plan cache (shared across statements
-// of one shape); System.Close drops those.
+// Cached plans belong to the System's plan cache (shared by every statement
+// and Query call of one SQL text); System.Close drops those.
 func (st *Stmt) Close() error {
 	st.closed.Store(true)
 	return nil
@@ -587,8 +589,8 @@ type PlanCacheStats = client.PlanCacheStats
 // PlanCacheStats returns the trusted client's plan-cache counters.
 func (s *System) PlanCacheStats() PlanCacheStats { return s.dep.Client.PlanCacheStats() }
 
-// ResetPlanCache drops every cached plan and parsed query, forcing
-// subsequent executions to plan from scratch (counters are kept).
+// ResetPlanCache drops every cached plan, so the next execution of each
+// statement parses and plans from scratch (counters are kept).
 // Benchmarks use it to compare cold planning against the warm fast path.
 func (s *System) ResetPlanCache() { s.dep.Client.ResetPlanCache() }
 

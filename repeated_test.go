@@ -298,3 +298,50 @@ func TestDifferentialHotpathShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestTPCHSecondPassHitsPlanCache runs the supported TPC-H queries twice on
+// one System. The plan cache keys a statement by its text, literals inline,
+// so on the second pass every query reuses its template — except Q11 and
+// Q22, whose scalar subqueries the client pre-executes and substitutes, a
+// data-dependent constant no template can rebind — and returns the first
+// pass's rows.
+func TestTPCHSecondPassHitsPlanCache(t *testing.T) {
+	db, err := TPCH(0.0005, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload := Workload{}
+	for _, qn := range TPCHQueries() {
+		workload[fmt.Sprintf("Q%02d", qn)] = mustTPCH(qn)
+	}
+	opts := DefaultOptions()
+	opts.PaillierBits = 256
+	sys, err := Encrypt(db, workload, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	first := map[int]string{}
+	for pass := 0; pass < 2; pass++ {
+		for _, qn := range TPCHQueries() {
+			rows, err := sys.Query(mustTPCH(qn))
+			if err != nil {
+				t.Fatalf("pass %d Q%d: %v", pass, qn, err)
+			}
+			got := strings.Join(canonicalRows(t, rows.Data, true), "\n")
+			if pass == 0 {
+				if rows.PlanCacheHit {
+					t.Errorf("Q%d: the first execution reported a plan-cache hit", qn)
+				}
+				first[qn] = got
+				continue
+			}
+			if want := qn != 11 && qn != 22; rows.PlanCacheHit != want {
+				t.Errorf("Q%d second pass: PlanCacheHit = %v, want %v", qn, rows.PlanCacheHit, want)
+			}
+			if got != first[qn] {
+				t.Errorf("Q%d second pass diverges from the first:\n%s\nvs\n%s", qn, got, first[qn])
+			}
+		}
+	}
+}
