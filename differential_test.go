@@ -474,10 +474,9 @@ func TestDifferentialShardedStream(t *testing.T) {
 
 // TestDifferentialIndexInvariance is the access-path dimension of the grid:
 // the same queries with secondary indexes off (every scan reads the whole
-// table) and on (DET hash probes, OPE range probes, ordered emission,
-// index-served join builds — whenever the cost rule picks them) must be
-// byte-identical, across parallelism. The index-off sequential run is the
-// baseline.
+// table) and on (DET hash probes, OPE range probes, index-served join
+// builds — whenever the cost rule picks them) must be byte-identical,
+// across parallelism. The index-off sequential run is the baseline.
 func TestDifferentialIndexInvariance(t *testing.T) {
 	sys := diffSystem(t)
 	queries := genQueries(rand.New(rand.NewSource(diffSeed+4)), 12)

@@ -231,7 +231,7 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 	// maintains them incrementally): DET equality preserves plaintext
 	// equality, so a hash index answers `=`/`IN` probes and hash-join
 	// builds; OPE preserves plaintext order, so an ordered index answers
-	// range predicates and prefix ORDER BY.
+	// range predicates.
 	for i := range rowItems {
 		it := &rowItems[i]
 		switch it.Scheme {

@@ -12,15 +12,14 @@ import (
 // Access-path selection. When Engine.UseIndexes is on, a single-table scan
 // may be served by a secondary index instead of reading every row: a DET
 // hash index answers `=` and `IN` conjuncts, an OPE ordered index answers
-// `<`/`<=`/`>`/`>=`/`BETWEEN` and single-key prefix ORDER BY. The index
+// `<`/`<=`/`>`/`>=`/`BETWEEN`, each written `col op const`. The index
 // yields an ascending row-id list that is always a SUPERSET of the rows the
 // chosen conjunct matches (NULL keys are never indexed and every sargable
 // predicate is non-true on NULL), and the full WHERE clause is re-applied
 // as a residual filter over the fetched rows — so rows, row order, and
 // therefore the final result are byte-identical to the full-scan path at
-// every parallelism level, batch size, and wire mode. What changes is the
-// charged I/O: an index scan pays bytes in proportion to the rows it
-// actually fetches.
+// every parallelism level and batch size. What changes is the charged I/O:
+// an index scan pays bytes in proportion to the rows it actually fetches.
 //
 // Selection is cost-based with exact cardinalities: the index knows the
 // true posting/range size k before any row is read, and the scan reads n
@@ -33,64 +32,34 @@ import (
 const indexRowCost = 4
 
 // accessPath chooses the access path of a single-table block's scan and
-// installs it on p. Every index-answerable WHERE conjunct contributes its
-// ascending id list, and the lists are intersected (each is a superset of
-// its conjunct's matches, so the intersection is a superset of the rows
-// where the whole AND can hold) before the residual filter; the
-// intersection replaces the full scan when it beats the cost rule. A block
-// left on the full table may instead scan in an ordered index's emission
-// order and drop its sort (orderedEmission). Index stats are charged here,
-// once, on the resolving context — resolution happens before any sharding.
+// installs it on p. Every index-answerable WHERE conjunct is probed and the
+// shortest id list is kept — the exact form of the most selective conjunct
+// planner.bestIndexConjunct estimates — while the residual filter applies
+// the rest; it replaces the full scan when it beats the cost rule. Index
+// stats are charged here, once, on the resolving context — resolution
+// happens before any sharding.
 func (c *execCtx) accessPath(q *ast.Query, p *pipeline) {
 	t := p.src.t
 	n := t.NumRows()
-	var ids []int32
+	var ids []int32 // nil until a conjunct is probed
 	var lookups int64
-	found := false
 	for _, e := range ast.Conjuncts(q.Where) {
 		cids, clk, ok := c.sargIDs(t, e)
 		if !ok {
 			continue
 		}
 		lookups += clk
-		if !found {
-			ids, found = cids, true
-		} else {
-			ids = intersectIDs(ids, cids)
+		if ids == nil || len(cids) < len(ids) {
+			ids = cids
 		}
 		if len(ids) == 0 {
 			break // the AND can match nothing; later conjuncts can't grow it
 		}
 	}
-	if found && len(ids)*indexRowCost < n {
+	if ids != nil && len(ids)*indexRowCost < n {
 		c.chargeIndex(lookups, int64(n-len(ids)))
 		p.src.ids = ids
-		return
 	}
-	if ids, ok := c.orderedEmission(q, t); ok {
-		p.src.ids, p.ordered = ids, true
-	}
-}
-
-// intersectIDs merges two ascending id lists into their intersection
-// (two-pointer; never aliases either input, which may be live posting
-// lists).
-func intersectIDs(a, b []int32) []int32 {
-	out := make([]int32, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 // chargeIndex records index usage on the per-query stats and the engine's
@@ -267,64 +236,21 @@ func (c *execCtx) constVal(e ast.Expr) (value.Value, bool) {
 	return value.Value{}, false
 }
 
-// colOpConst decomposes a comparison into (indexable column, constant,
-// operator), flipping `const op col` into the mirrored `col op' const`.
+// colOpConst decomposes a `col op const` comparison into (indexable
+// column, constant, operator).
 func colOpConst(c *execCtx, x *ast.BinaryExpr) (string, value.Value, ast.BinOp, bool) {
 	if !x.Op.IsComparison() || x.Op == ast.OpNe {
 		return "", value.Value{}, 0, false
 	}
-	if col, ok := bareCol(x.Left); ok {
-		if lit, ok := c.constVal(x.Right); ok {
-			return col, lit, x.Op, true
-		}
-		return "", value.Value{}, 0, false
-	}
-	col, ok := bareCol(x.Right)
+	col, ok := bareCol(x.Left)
 	if !ok {
 		return "", value.Value{}, 0, false
 	}
-	lit, ok := c.constVal(x.Left)
+	lit, ok := c.constVal(x.Right)
 	if !ok {
 		return "", value.Value{}, 0, false
 	}
-	op := x.Op
-	switch x.Op {
-	case ast.OpLt:
-		op = ast.OpGt
-	case ast.OpLe:
-		op = ast.OpGe
-	case ast.OpGt:
-		op = ast.OpLt
-	case ast.OpGe:
-		op = ast.OpLe
-	}
-	return col, lit, op, true
-}
-
-// orderedEmission serves a single-key ORDER BY on a bare indexed column
-// from the ordered index: rows emit in exactly the stable-sort order
-// (NULLS first ascending, last descending, row id breaking ties), so the
-// sort breaker disappears. Grouped and DISTINCT queries order their
-// own outputs and are excluded; multi-key ORDER BY cannot use a one-column
-// run (a later key reorders within equal-prefix groups).
-func (c *execCtx) orderedEmission(q *ast.Query, t *storage.Table) ([]int32, bool) {
-	if len(q.OrderBy) != 1 || q.Distinct || c.isGrouped(q) {
-		return nil, false
-	}
-	col, ok := bareCol(q.OrderBy[0].Expr)
-	if !ok {
-		return nil, false
-	}
-	ix := t.Index(col, storage.OrderedIndex)
-	if ix == nil {
-		return nil, false
-	}
-	ids := ix.EmitOrdered(q.OrderBy[0].Desc)
-	if ids == nil {
-		return nil, false // mixed-class run: no total order
-	}
-	c.chargeIndex(1, 0)
-	return ids, true
+	return col, lit, x.Op, true
 }
 
 // indexedBuild serves a hash-join build side straight from the base table's

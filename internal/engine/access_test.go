@@ -13,8 +13,8 @@ import (
 // accessFixture builds ev(e_id, e_cat, e_val, e_opt) with seeded random
 // rows — including NULLs in the indexed columns — plus a dimension table
 // dim(d_cat, d_w) for join-build coverage, and indexes: a hash index on
-// e_cat and d_cat (equality/IN/join), an ordered index on e_val (ranges,
-// ORDER BY). 600 rows is enough for sharding and multi-batch streaming.
+// e_cat and d_cat (equality/IN/join), an ordered index on e_val (ranges).
+// 600 rows is enough for sharding and multi-batch streaming.
 func accessFixture(t *testing.T) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -96,11 +96,12 @@ var accessShapes = []string{
 	`SELECT e_id, e_val FROM ev WHERE e_cat = 'ale'`,
 	`SELECT COUNT(*) FROM ev WHERE e_cat = 'bock' AND e_val > 500`,
 	`SELECT e_id FROM ev WHERE e_cat IN ('ale', 'cider') AND e_opt < 3`,
-	`SELECT e_id FROM ev WHERE 'dubbel' = e_cat`,
 	// OPE range probes
 	`SELECT e_id FROM ev WHERE e_val < 40`,
 	`SELECT e_id, e_cat FROM ev WHERE e_val BETWEEN 100 AND 160`,
 	`SELECT COUNT(*), SUM(e_val) FROM ev WHERE e_val >= 960`,
+	// `const op col`: no probe, the scan serves it
+	`SELECT e_id FROM ev WHERE 'dubbel' = e_cat`,
 	`SELECT e_id FROM ev WHERE 120 >= e_val AND e_opt = 2`,
 	// NULL-bound predicates match nothing, with or without indexes
 	`SELECT e_id FROM ev WHERE e_cat = NULL`,
@@ -111,14 +112,14 @@ var accessShapes = []string{
 	// grouped and DISTINCT over an index-restricted source
 	`SELECT e_cat, COUNT(*), SUM(e_val) FROM ev WHERE e_val < 300 GROUP BY e_cat ORDER BY e_cat`,
 	`SELECT DISTINCT e_opt FROM ev WHERE e_cat = 'ale'`,
-	// ordered emission and top-N
+	// ORDER BY over NULL and duplicate keys, and top-N
 	`SELECT e_id, e_val FROM ev ORDER BY e_val`,
 	`SELECT e_id, e_val FROM ev ORDER BY e_val DESC`,
 	`SELECT e_id, e_val FROM ev WHERE e_cat = 'cider' ORDER BY e_val, e_id LIMIT 9`,
 	// join: build side served from dim's hash index
 	`SELECT e_id, d_w FROM ev, dim WHERE e_cat = d_cat AND e_val < 150`,
 	`SELECT d_cat, COUNT(*) FROM ev, dim WHERE e_cat = d_cat GROUP BY d_cat ORDER BY d_cat`,
-	// multi-conjunct intersection: several sargable conjuncts restrict one scan
+	// several sargable conjuncts: the shortest id list restricts the scan
 	`SELECT e_id, e_val FROM ev WHERE e_cat = 'ale' AND e_val < 200`,
 	`SELECT COUNT(*), SUM(e_val) FROM ev WHERE e_cat = 'cider' AND e_val BETWEEN 100 AND 300 AND e_val <= 220`,
 	`SELECT e_id FROM ev WHERE e_cat = 'ale' AND e_cat = 'bock'`,
@@ -286,88 +287,61 @@ func fmtNaN() float64 {
 	return f / f * 0 // NaN via 0/0; avoids importing math just for this
 }
 
-// TestOrderedEmissionStability pins ordered emission against the sort:
-// ascending (NULLs first) and descending (NULLs last) with duplicate keys,
-// where row id must break ties exactly like the stable sort.
-func TestOrderedEmissionStability(t *testing.T) {
+// TestAccessMultiConjunctShortest pins the multi-conjunct index path:
+// every sargable conjunct is probed, the shortest id list restricts the
+// scan, the residual filter applies the rest, and the charged stats count
+// every probe plus the rows the kept list avoided fetching.
+func TestAccessMultiConjunctShortest(t *testing.T) {
 	e := accessFixture(t)
-	e.UseIndexes = false
-	wantAsc := renderAccess(run(t, e, `SELECT e_id, e_val FROM ev ORDER BY e_val`, nil))
-	wantDesc := renderAccess(run(t, e, `SELECT e_id, e_val FROM ev ORDER BY e_val DESC`, nil))
-	e.UseIndexes = true
-	asc := run(t, e, `SELECT e_id, e_val FROM ev ORDER BY e_val`, nil)
-	if got := renderAccess(asc); got != wantAsc {
-		t.Errorf("ordered emission asc diverges")
-	}
-	if asc.Stats.IndexLookups != 1 {
-		t.Errorf("asc emission did not use the ordered index: %+v", asc.Stats)
-	}
-	if got := renderAccess(run(t, e, `SELECT e_id, e_val FROM ev ORDER BY e_val DESC`, nil)); got != wantDesc {
-		t.Errorf("ordered emission desc diverges")
-	}
-}
-
-// TestAccessMultiConjunctIntersection pins the multi-conjunct index path:
-// every sargable conjunct contributes its ascending id list, the lists are
-// intersected before the residual filter, and the charged stats reflect one
-// probe per conjunct plus the rows the intersection avoided fetching.
-func TestAccessMultiConjunctIntersection(t *testing.T) {
-	e := accessFixture(t)
-	sql := `SELECT e_id, e_val FROM ev WHERE e_cat = 'ale' AND e_val < 200`
-	e.UseIndexes = false
-	want := renderAccess(run(t, e, sql, nil))
-	e.UseIndexes = true
-	res := run(t, e, sql, nil)
-	if got := renderAccess(res); got != want {
-		t.Errorf("intersection path diverges:\n%s\nvs\n%s", got, want)
-	}
-	if res.Stats.IndexLookups != 2 {
-		t.Errorf("IndexLookups = %d, want 2 (one per sargable conjunct)", res.Stats.IndexLookups)
-	}
-	// The intersection fetches strictly fewer rows than either conjunct's
-	// list alone (124 'ale' postings, 116 in the range, 26 in both).
-	eq := run(t, e, `SELECT e_id FROM ev WHERE e_cat = 'ale'`, nil).Stats.RowsScanned
-	rng := run(t, e, `SELECT e_id FROM ev WHERE e_val < 200`, nil).Stats.RowsScanned
-	if res.Stats.RowsScanned == 0 || res.Stats.RowsScanned >= eq || res.Stats.RowsScanned >= rng {
-		t.Errorf("intersection scanned %d rows; single conjuncts scanned %d and %d", res.Stats.RowsScanned, eq, rng)
-	}
-	if res.Stats.RowsSkippedByIndex != 600-res.Stats.RowsScanned {
-		t.Errorf("RowsSkippedByIndex = %d with %d rows scanned", res.Stats.RowsSkippedByIndex, res.Stats.RowsScanned)
+	check := func(sql string) *Result {
+		t.Helper()
+		e.UseIndexes = false
+		want := renderAccess(run(t, e, sql, nil))
+		e.UseIndexes = true
+		res := run(t, e, sql, nil)
+		if got := renderAccess(res); got != want {
+			t.Errorf("%s diverges with indexes on:\n%s\nvs\n%s", sql, got, want)
+		}
+		if res.Stats.RowsSkippedByIndex != 600-res.Stats.RowsScanned {
+			t.Errorf("%s: RowsSkippedByIndex = %d with %d rows scanned", sql, res.Stats.RowsSkippedByIndex, res.Stats.RowsScanned)
+		}
+		return res
 	}
 
-	// A conjunct too unselective to win the cost rule ALONE ('cider' has
-	// 159 postings, 159*4 >= 600) still participates: the rule judges the
-	// final intersection, not each list.
-	sql3 := `SELECT e_id FROM ev WHERE e_cat = 'cider' AND e_val BETWEEN 100 AND 300 AND e_val <= 220`
-	e.UseIndexes = false
-	want3 := renderAccess(run(t, e, sql3, nil))
-	e.UseIndexes = true
-	r3 := run(t, e, sql3, nil)
-	if got := renderAccess(r3); got != want3 {
-		t.Errorf("three-conjunct intersection diverges:\n%s\nvs\n%s", got, want3)
-	}
-	if r3.Stats.IndexLookups != 3 {
-		t.Errorf("IndexLookups = %d, want 3", r3.Stats.IndexLookups)
-	}
-	if r3.Stats.RowsScanned >= 159 {
-		t.Errorf("three-conjunct intersection scanned %d rows, want fewer than the 'cider' postings", r3.Stats.RowsScanned)
+	// 124 'ale' postings against 116 rows in the range: the range's list
+	// is the one scanned.
+	res := check(`SELECT e_id, e_val FROM ev WHERE e_cat = 'ale' AND e_val < 200`)
+	if res.Stats.RowsScanned != 116 || res.Stats.IndexLookups != 2 {
+		t.Errorf("scanned %d rows with %d lookups, want the 116-row range list and 2 lookups", res.Stats.RowsScanned, res.Stats.IndexLookups)
 	}
 
-	// Contradictory equalities intersect to the empty list: the index path
-	// answers without fetching a single row.
-	rc := run(t, e, `SELECT e_id FROM ev WHERE e_cat = 'ale' AND e_cat = 'bock'`, nil)
-	if len(rc.Rows) != 0 || rc.Stats.RowsScanned != 0 {
-		t.Errorf("contradiction fetched rows: %+v", rc.Stats)
+	// A conjunct too unselective to win the cost rule alone ('cider' has
+	// 159 postings, 159*4 >= 600) is still probed, and a shorter range
+	// list serves the block.
+	r3 := check(`SELECT e_id FROM ev WHERE e_cat = 'cider' AND e_val BETWEEN 100 AND 300 AND e_val <= 220`)
+	if r3.Stats.IndexLookups != 3 || r3.Stats.RowsScanned >= 159 {
+		t.Errorf("three conjuncts: %d lookups, %d rows scanned; want 3 and fewer than the 'cider' postings", r3.Stats.IndexLookups, r3.Stats.RowsScanned)
 	}
-	if rc.Stats.IndexLookups != 2 || rc.Stats.RowsSkippedByIndex != 600 {
-		t.Errorf("contradiction stats = %+v, want 2 lookups and 600 skipped", rc.Stats)
+
+	// Contradictory equalities still return no rows.
+	if rc := check(`SELECT e_id FROM ev WHERE e_cat = 'ale' AND e_cat = 'bock'`); len(rc.Rows) != 0 {
+		t.Errorf("contradiction returned %d rows", len(rc.Rows))
+	}
+
+	// Only `col op const` probes: the mirrored forms are served by the scan.
+	for _, sql := range []string{
+		`SELECT e_id FROM ev WHERE 'dubbel' = e_cat`,
+		`SELECT e_id FROM ev WHERE 120 >= e_val`,
+	} {
+		if r := check(sql); r.Stats.IndexLookups != 0 || r.Stats.RowsScanned != 600 {
+			t.Errorf("%s probed an index: %+v", sql, r.Stats)
+		}
 	}
 }
 
 // TestAccessIndexedINParams pins index-served IN over bound parameters —
-// the shape the plan cache produces when it hoists repeated literal IN
-// lists into :cpN params — one hash probe per non-NULL element, results
-// identical to the index-off scan.
+// the shape a prepared statement with parameter IN elements produces — one
+// hash probe per non-NULL element, results identical to the index-off scan.
 func TestAccessIndexedINParams(t *testing.T) {
 	e := accessFixture(t)
 	sql := `SELECT e_id, e_opt FROM ev WHERE e_cat IN (:a, :b)`
@@ -387,7 +361,7 @@ func TestAccessIndexedINParams(t *testing.T) {
 	}
 
 	// Mixed literal and parameter elements probe the same way, and a second
-	// sargable conjunct intersects on top of the IN union.
+	// sargable conjunct is probed beside the IN union.
 	mixed := `SELECT e_id FROM ev WHERE e_cat IN ('ale', :b) AND e_val < 200`
 	e.UseIndexes = false
 	wantMixed := renderAccess(run(t, e, mixed, params))

@@ -416,7 +416,6 @@ type groupEmitter struct {
 	q      *ast.Query
 	p      *pipeline
 	shards int
-	order  []ast.OrderItem
 	specs  []aggSpec
 	groups *groupSet // nil until accumulated
 	pos    int
@@ -490,7 +489,7 @@ func (g *groupEmitter) next() ([][]value.Value, error) {
 					continue
 				}
 			}
-			vals, err := projectRow(en, g.q, g.order)
+			vals, err := projectRow(en, g.q)
 			if err != nil {
 				return nil, err
 			}

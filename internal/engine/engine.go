@@ -417,14 +417,15 @@ func (c *execCtx) execQuery(q *ast.Query, outer *env) (*relation, error) {
 //     finished groups (groupEmitter), otherwise each chain ends in a
 //     projection;
 //   - ORDER BY adds the sort breaker (bounded to the LIMIT when nothing
-//     dedups after it), unless an ordered index already emits in that order;
-//   - DISTINCT adds the seen-set, LIMIT the countdown.
+//     dedups after it);
+//   - DISTINCT adds the seen-set over the merged stream, LIMIT the
+//     countdown.
 //
-// A block that may shard runs one chain per worker, with a per-shard
-// DISTINCT or bounded-sort pre-pass so only candidates cross the merger. A
-// LIMIT that can stop the scan early (no sort, no grouping in front of it)
-// keeps the block on one chain that reads at most DefaultBatchSize rows per
-// pull: only the global row prefix matters, so one early-exiting chain is
+// A block that may shard runs one chain per worker; under ORDER BY … LIMIT
+// each chain ends in a bounded-sort pre-pass so only candidates cross the
+// merger. A LIMIT that can stop the scan early (no sort, no grouping in
+// front of it) keeps the block on one chain that reads at most
+// DefaultBatchSize rows per pull: only the global row prefix matters, so one early-exiting chain is
 // the least work, and the charged scan is independent of the Parallelism
 // knob and of whether the result is drained or streamed.
 //
@@ -445,11 +446,7 @@ func (c *execCtx) open(q *ast.Query, outer *env) (batchIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	var order []ast.OrderItem
-	if !p.ordered {
-		order = q.OrderBy
-	}
-	sorts, grouped := len(order) > 0, c.isGrouped(q)
+	sorts, grouped := len(q.OrderBy) > 0, c.isGrouped(q)
 	keep := -1 // rows the sort must keep; DISTINCT dedups after it, so no bound
 	if !q.Distinct {
 		keep = q.Limit
@@ -461,25 +458,21 @@ func (c *execCtx) open(q *ast.Query, outer *env) (batchIterator, error) {
 
 	var it batchIterator
 	if grouped {
-		it = &groupEmitter{c: c, q: q, p: p, shards: shards, order: order}
+		it = &groupEmitter{c: c, q: q, p: p, shards: shards}
 	} else {
 		it = c.stream(p, shards, func(sc *execCtx, lo, hi int) batchIterator {
 			var it batchIterator = &projectIterator{
-				in: p.chain(sc, lo, hi), q: q, order: order,
-				rel: p.joined, outer: outer, c: sc,
+				in: p.chain(sc, lo, hi), q: q, rel: p.joined, outer: outer, c: sc,
 			}
 			// A shard's pre-pass: only candidates cross the merger.
-			switch {
-			case shards > 1 && sorts && keep >= 0:
-				it = &sortIterator{in: it, order: order, k: keep, size: math.MaxInt}
-			case shards > 1 && !sorts && q.Distinct:
-				it = &distinctIterator{in: it}
+			if shards > 1 && sorts && keep >= 0 {
+				it = &sortIterator{in: it, order: q.OrderBy, k: keep, size: math.MaxInt}
 			}
 			return it
 		})
 	}
 	if sorts {
-		it = &sortIterator{in: it, order: order, k: keep, final: true, size: c.batch}
+		it = &sortIterator{in: it, order: q.OrderBy, k: keep, final: true, size: c.batch}
 	}
 	if q.Distinct {
 		it = &distinctIterator{in: it}
@@ -507,8 +500,6 @@ type pipeline struct {
 	joined     *relation // columns after the last step
 	outer      *env
 	batch      int // rows a chain's scan reads and its probes emit per pull
-	// ordered: src already emits in the block's ORDER BY order.
-	ordered bool
 }
 
 // prepare resolves q's FROM entries and classifies its WHERE (planJoin)
@@ -517,8 +508,8 @@ type pipeline struct {
 // names a subquery lands. Derived tables and join build sides are drained
 // here — their scan charges precede the first batch, exactly as a hash join
 // cannot probe before its builds finish.
-// access allows a single-table block to restrict or order its scan through
-// an index.
+// access allows a single-table block to restrict its scan through an
+// index.
 func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, error) {
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("engine: query with empty FROM")
@@ -729,12 +720,12 @@ func projectionCols(q *ast.Query) []colInfo {
 // projectRow evaluates the SELECT list for one input row or group,
 // followed — for a block that sorts — by its ORDER BY key values in the
 // same slice, where the sort breaker finds and finally strips them.
-func projectRow(en *env, q *ast.Query, order []ast.OrderItem) ([]value.Value, error) {
-	vals := make([]value.Value, len(q.Projections), len(q.Projections)+len(order))
+func projectRow(en *env, q *ast.Query) ([]value.Value, error) {
+	vals := make([]value.Value, len(q.Projections), len(q.Projections)+len(q.OrderBy))
 	for i, p := range q.Projections {
 		// SELECT * expands all input columns; only valid un-aggregated.
 		if cr, ok := p.Expr.(*ast.ColumnRef); ok && cr.Column == "*" {
-			vals = append(make([]value.Value, 0, len(en.row)+len(order)), en.row...)
+			vals = append(make([]value.Value, 0, len(en.row)+len(q.OrderBy)), en.row...)
 			break
 		}
 		v, err := eval(en, p.Expr)
@@ -743,7 +734,7 @@ func projectRow(en *env, q *ast.Query, order []ast.OrderItem) ([]value.Value, er
 		}
 		vals[i] = v
 	}
-	for _, o := range order {
+	for _, o := range q.OrderBy {
 		v, err := eval(en, o.Expr)
 		if err != nil {
 			return nil, err

@@ -121,7 +121,8 @@ var pagedQueries = []string{
 	// One table under two aliases: both scans carry both aliases' columns.
 	`SELECT a.e_id, b.e_val FROM ev a, ev b WHERE a.e_id = b.e_opt AND a.e_val < 50`,
 	`SELECT a.e_id FROM ev a WHERE a.e_val > (SELECT AVG(b.e_val) FROM ev b WHERE b.e_cat = a.e_cat) AND a.e_id < 100`,
-	// Index-served shapes: restricted scan, ordered emission, indexed build.
+	// Index-served shapes: restricted scan, top-N over an indexed column,
+	// indexed build.
 	`SELECT e_id, e_pad FROM ev WHERE e_cat = 'bock' AND e_val BETWEEN 100 AND 400`,
 	`SELECT e_id, e_ok FROM ev ORDER BY e_val DESC LIMIT 25`,
 	`SELECT e_id, d_w FROM ev, dim WHERE e_cat = d_cat`,

@@ -88,11 +88,10 @@ func drain(it batchIterator) ([][]value.Value, error) {
 }
 
 // rowSource is the row supply of one FROM entry: a base table — all of it
-// or, when ids is non-nil, exactly the listed rows in list order (an
-// index-restricted ascending id list, or an ordered index's emission
-// order) — or a derived table's drained child tree. A base table's rows
-// carry the cells at schema positions cols, in that order; nil means whole
-// rows.
+// or, when ids is non-nil, exactly the rows of an index-restricted
+// ascending id list — or a derived table's drained child tree. A base
+// table's rows carry the cells at schema positions cols, in that order; nil
+// means whole rows.
 type rowSource struct {
 	t    *storage.Table // nil for a derived table
 	ids  []int32
@@ -296,7 +295,6 @@ func (it *probeIterator) close() { it.in.close() }
 type projectIterator struct {
 	in    batchIterator
 	q     *ast.Query
-	order []ast.OrderItem
 	rel   *relation
 	outer *env
 	c     *execCtx
@@ -310,7 +308,7 @@ func (it *projectIterator) next() ([][]value.Value, error) {
 	out := make([][]value.Value, len(b))
 	for i, row := range b {
 		en := &env{rel: it.rel, row: row, outer: it.outer, ctx: it.c}
-		if out[i], err = projectRow(en, it.q, it.order); err != nil {
+		if out[i], err = projectRow(en, it.q); err != nil {
 			return nil, err
 		}
 	}
@@ -321,11 +319,9 @@ func (it *projectIterator) close() { it.in.close() }
 
 // distinctIterator is DISTINCT: a seen-set over the rows emits only each
 // row's first occurrence, batch-at-a-time. Batches the dedup empties
-// entirely are skipped, like filterIterator's. A sharded block runs it
-// twice — once at the end of every worker's chain (within one shard only a
-// key's first occurrence can be globally first, so the rest never cross the
-// merger) and once over the merged stream, where shard order makes the
-// survivors exactly the sequential scan's first occurrences.
+// entirely are skipped, like filterIterator's. It runs over the merged
+// stream, where shard order makes the survivors exactly the sequential
+// scan's first occurrences.
 type distinctIterator struct {
 	in   batchIterator
 	seen map[string]bool

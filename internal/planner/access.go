@@ -11,8 +11,9 @@ import (
 // maintains a DET hash index and an OPE ordered index over every encrypted
 // column that carries those schemes, so a RemoteSQL part's scan cost is no
 // longer fixed at "read the whole table": a sargable conjunct — `=`/`IN`
-// on a `_det` column, `<`/`<=`/`>`/`>=`/`BETWEEN` on an `_ope` column —
-// can restrict the scan to an estimated sel*rows row fetch.
+// on a `_det` column, `<`/`<=`/`>`/`>=`/`BETWEEN` on an `_ope` column,
+// each written `col op const` — can restrict the scan to an estimated
+// sel*rows row fetch.
 //
 // The crossover uses the same random-access penalty as the engine
 // (engine.indexRowCost): an index row fetch costs IndexRowCost sequential
@@ -57,7 +58,8 @@ func (e *estimator) bestIndexConjunct(s *scope, conjuncts []ast.Expr) (string, f
 }
 
 // sargableCol reports the indexed column a conjunct can probe: `=`/`IN`
-// need a DET hash index, ranges an OPE ordered index.
+// need a DET hash index, ranges an OPE ordered index. A comparison must
+// name the column on its left, as the engine's probe requires.
 func (e *estimator) sargableCol(s *scope, c ast.Expr) (string, bool) {
 	if singleEntry(s, c) == nil {
 		return "", false
@@ -73,10 +75,10 @@ func (e *estimator) sargableCol(s *scope, c ast.Expr) (string, bool) {
 		default:
 			return "", false
 		}
-		if col, ok := encColConst(x.Left, x.Right, suffix); ok {
-			return col, true
+		if !isConst(x.Right) {
+			return "", false
 		}
-		return encColConst(x.Right, x.Left, suffix)
+		return encCol(x.Left, suffix)
 	case *ast.BetweenExpr:
 		if x.Not || !isConst(x.Lo) || !isConst(x.Hi) {
 			return "", false
@@ -104,15 +106,6 @@ func encCol(e ast.Expr, suffix string) (string, bool) {
 		return "", false
 	}
 	return cr.Column, true
-}
-
-// encColConst matches (column with suffix, constant) operand pair.
-func encColConst(colSide, constSide ast.Expr, suffix string) (string, bool) {
-	col, ok := encCol(colSide, suffix)
-	if !ok || !isConst(constSide) {
-		return "", false
-	}
-	return col, true
 }
 
 // isConst reports a literal or parameter operand — the forms the engine's

@@ -19,7 +19,7 @@ const (
 	// hold it. Serves `=` and `IN` predicates and hash-join builds.
 	HashIndex IndexKind = iota
 	// OrderedIndex keeps a lazily-sorted run of (key, row id) entries.
-	// Serves range predicates and ordered emission for prefix ORDER BY.
+	// Serves range predicates.
 	OrderedIndex
 )
 
@@ -68,9 +68,7 @@ type ordEntry struct {
 
 // Index is a secondary index over one column of a Table, maintained
 // incrementally by Insert. NULL keys are never indexed: every sargable
-// predicate evaluates to non-true on NULL, and ordered emission tracks
-// NULL rows separately so a full ordered walk can still reproduce the
-// engine's NULLS-FIRST stable sort.
+// predicate evaluates to non-true on NULL.
 type Index struct {
 	Col  string
 	Kind IndexKind
@@ -85,7 +83,6 @@ type Index struct {
 	run    []ordEntry
 	dirty  bool       // run has unsorted suffix
 	sortMu sync.Mutex // serializes the lazy sort: the first lookups may come from several sessions at once
-	nulls  []int32    // rows with NULL key, ascending
 }
 
 func newIndex(col string, pos int, kind IndexKind) *Index {
@@ -100,9 +97,6 @@ func newIndex(col string, pos int, kind IndexKind) *Index {
 // order (Insert appends), which keeps posting lists sorted for free.
 func (ix *Index) add(v value.Value, row int32) {
 	if v.IsNull() {
-		if ix.Kind == OrderedIndex {
-			ix.nulls = append(ix.nulls, row)
-		}
 		return
 	}
 	if v.K == value.Float && math.IsNaN(v.F) {
@@ -244,40 +238,6 @@ func (ix *Index) Range(lo, hi *value.Value, loIncl, hiIncl bool) []int32 {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// EmitOrdered returns every row id (including NULL-key rows) in the order
-// a stable sort on the indexed column would produce: ascending keys with
-// NULLs first, row id breaking ties — exactly the engine's ORDER BY. For
-// desc, equal-key groups reverse as blocks but rows within a group keep
-// ascending row order (stable sort on a descending comparator), and NULLs
-// move last.
-func (ix *Index) EmitOrdered(desc bool) []int32 {
-	if ix.Kind != OrderedIndex || ix.class == classMixed {
-		return nil
-	}
-	ix.ensureSorted()
-	ids := make([]int32, 0, len(ix.run)+len(ix.nulls))
-	if !desc {
-		ids = append(ids, ix.nulls...)
-		for _, e := range ix.run {
-			ids = append(ids, e.row)
-		}
-		return ids
-	}
-	// Walk equal-key groups from the high end; rows inside a group stay
-	// ascending.
-	for end := len(ix.run); end > 0; {
-		start := end - 1
-		for start > 0 && value.Compare(ix.run[start-1].v, ix.run[end-1].v) == 0 {
-			start--
-		}
-		for i := start; i < end; i++ {
-			ids = append(ids, ix.run[i].row)
-		}
-		end = start
-	}
-	return append(ids, ix.nulls...)
 }
 
 // indexTag names one (column, kind) index slot of a table.

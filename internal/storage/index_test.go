@@ -77,8 +77,7 @@ func TestOrderedIndexInterleavedInserts(t *testing.T) {
 }
 
 // TestIndexNullKeys: NULLs are invisible to point and range lookups in both
-// index kinds, but ordered emission still accounts for them (NULLS FIRST
-// ascending, last descending).
+// index kinds.
 func TestIndexNullKeys(t *testing.T) {
 	tb := NewTable(Schema{Name: "t", Cols: []Column{{Name: "v", Type: TInt}}})
 	h, _ := tb.EnsureIndex("v", HashIndex)
@@ -98,12 +97,6 @@ func TestIndexNullKeys(t *testing.T) {
 	}
 	if got := o.Range(nil, nil, true, true); fmt.Sprint(got) != "[0 2 4]" {
 		t.Fatalf("open range = %v, want non-NULL rows [0 2 4]", got)
-	}
-	if got := o.EmitOrdered(false); fmt.Sprint(got) != "[1 3 0 2 4]" {
-		t.Fatalf("asc emission = %v, want NULLs first [1 3 0 2 4]", got)
-	}
-	if got := o.EmitOrdered(true); fmt.Sprint(got) != "[4 0 2 1 3]" {
-		t.Fatalf("desc emission = %v, want NULLs last [4 0 2 1 3]", got)
 	}
 }
 

@@ -88,11 +88,6 @@ const (
 // the payload's buffer grows only as chunks arrive.
 const payloadChunk = 1 << 20
 
-// ResultHeader describes a streamed result before any rows arrive.
-type ResultHeader struct {
-	Cols []string
-}
-
 // AppendHeader appends the header frame for cols to dst.
 func AppendHeader(dst []byte, cols []string) ([]byte, error) {
 	if len(cols) > maxCols {
@@ -290,9 +285,6 @@ func (bw *BatchWriter) flush(b []byte) error {
 // streamed result's size on the wire.
 func (bw *BatchWriter) BytesWritten() int64 { return bw.bytes }
 
-// RowsWritten reports the rows framed so far.
-func (bw *BatchWriter) RowsWritten() int64 { return bw.rows }
-
 // BatchReader decodes a result stream from r, validating framing as it
 // goes: truncated or corrupt frames return errors wrapping ErrCorrupt,
 // never short results.
@@ -302,7 +294,7 @@ func (bw *BatchWriter) RowsWritten() int64 { return bw.rows }
 // every cell as read-only.
 type BatchReader struct {
 	r    io.Reader
-	hdr  ResultHeader
+	cols []string
 	buf  []byte // scratch for header and end frames
 	rows int64
 	done bool
@@ -326,8 +318,8 @@ func NewBatchReader(r io.Reader) (*BatchReader, error) {
 	if ncols > maxCols {
 		return nil, corrupt("wire: header declares %d columns", ncols)
 	}
-	br.hdr.Cols = make([]string, ncols)
-	for i := range br.hdr.Cols {
+	br.cols = make([]string, ncols)
+	for i := range br.cols {
 		n, err := br.readUint32()
 		if err != nil {
 			return nil, fmt.Errorf("wire: reading column %d name length: %w", i, err)
@@ -339,16 +331,13 @@ func NewBatchReader(r io.Reader) (*BatchReader, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wire: reading column %d name: %w", i, err)
 		}
-		br.hdr.Cols[i] = string(b)
+		br.cols[i] = string(b)
 	}
 	return br, nil
 }
 
-// Header returns the stream's result header.
-func (br *BatchReader) Header() ResultHeader { return br.hdr }
-
 // Cols returns the streamed result's column names.
-func (br *BatchReader) Cols() []string { return br.hdr.Cols }
+func (br *BatchReader) Cols() []string { return br.cols }
 
 // Next returns the next batch of rows, or nil after the end frame has been
 // consumed and validated. An EOF before the end frame is a truncated
@@ -392,7 +381,7 @@ func (br *BatchReader) readBatch() ([][]value.Value, error) {
 	// Every column costs a mode byte and every cell at least one byte (a
 	// tag or a code), so a header the payload cannot hold is corrupt before
 	// a byte of it is read.
-	ncols := len(br.hdr.Cols)
+	ncols := len(br.cols)
 	switch {
 	case nrows > maxRowsPerBatch:
 		return nil, corrupt("wire: batch declares %d rows", nrows)

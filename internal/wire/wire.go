@@ -6,7 +6,7 @@
 // locally.
 //
 // On top of the per-value frames, batch.go defines the streamed result
-// protocol: a ResultHeader naming the columns followed by incremental row
+// protocol: a header frame naming the columns followed by incremental row
 // batches (BatchWriter/BatchReader over io.Writer/io.Reader), so the
 // server can ship encrypted intermediate results mid-scan and the client
 // can begin decrypting before the server's scan finishes. A batch is

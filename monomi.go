@@ -247,8 +247,7 @@ type Options struct {
 	Parallelism int
 	// Indexes maintains secondary indexes over the encrypted tables — a
 	// DET hash index (equality, IN, hash-join builds) and an OPE ordered
-	// index (ranges, BETWEEN, prefix ORDER BY) per column carrying those
-	// schemes — and lets both the engine and the cost-based planner choose
+	// index (ranges, BETWEEN) per column carrying those schemes — and lets both the engine and the cost-based planner choose
 	// an index probe over a full scan when the predicate is selective
 	// enough. The plaintext baseline engine gets mirror indexes on the
 	// same columns so comparisons stay fair. Results are byte-identical
@@ -598,8 +597,8 @@ func (s *System) ResetPlanCache() { s.dep.Client.ResetPlanCache() }
 // counters.
 type Stats struct {
 	// IndexLookups counts secondary-index probes over the System's
-	// lifetime: point lookups, range scans, IN elements, ordered
-	// emissions, and hash-join builds served from an index.
+	// lifetime: point lookups, range scans, IN elements, and hash-join
+	// builds served from an index.
 	IndexLookups int64
 	// RowsSkippedByIndex counts rows those probes avoided reading
 	// compared to full scans of the same tables.
