@@ -253,32 +253,32 @@ func colOpConst(c *execCtx, x *ast.BinaryExpr) (string, value.Value, ast.BinOp, 
 	return col, lit, x.Op, true
 }
 
-// indexedBuild serves a hash-join build side straight from the base table's
-// hash index instead of materializing a partitioned map: posting lists are
-// ascending row ids — exactly build-side row order — so probe output is
-// byte-identical to the map-based build. Only an unfiltered single-key
-// base-table scan qualifies; a filtered build side is a fresh relation with
-// no base, which disables this path automatically.
-func (c *execCtx) indexedBuild(right *relation, rightKeys []ast.Expr) *joinBuild {
-	if !c.useIdx || right.base == nil || len(rightKeys) != 1 {
+// probedBuild serves a hash-join build side from the base table's hash index
+// on its join key, when the side is one unfiltered base-table scan joined on
+// a single column that has one: nothing is drained, and each probe batch
+// fetches just the rows its keys' postings name (tableProbe). A filtered
+// side, a join or a derived table drains instead, as does every side when
+// indexes are off. The one index lookup is charged here, where the build is
+// chosen.
+func (c *execCtx) probedBuild(p *pipeline, keys []ast.Expr) *joinBuild {
+	t := p.src.t
+	if !c.useIdx || t == nil || p.filter != nil || len(p.steps) > 0 || len(keys) != 1 {
 		return nil
 	}
-	cr, ok := rightKeys[0].(*ast.ColumnRef)
+	cr, ok := keys[0].(*ast.ColumnRef)
 	if !ok {
 		return nil
 	}
 	// The layout names the key column; its position there is not its schema
 	// position once the scan is pruned to the statement's columns.
-	ci, err := right.indexOf(cr.Table, cr.Column)
+	ci, err := p.layout.indexOf(cr.Table, cr.Column)
 	if err != nil || ci < 0 {
 		return nil
 	}
-	ix := right.base.Index(right.cols[ci].name, storage.HashIndex)
+	ix := t.Index(p.layout.cols[ci].name, storage.HashIndex)
 	if ix == nil {
 		return nil
 	}
-	// The build side was already scan-charged when it was drained; the
-	// saving here is the skipped map construction, recorded as one lookup.
 	c.chargeIndex(1, 0)
-	return &joinBuild{layout: &relation{cols: right.cols}, rows: right.rows, ix: ix}
+	return &joinBuild{layout: p.layout, ix: &tableProbe{t: t, cols: p.src.cols, ix: ix}}
 }

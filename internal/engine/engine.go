@@ -12,7 +12,8 @@
 // Result, ExecuteStream (stream_api.go) hands it out batch by batch,
 // subqueries (subquery.go: planned when their block opens, an uncorrelated
 // or equality-correlated EXISTS/IN/scalar one drained once and probed like a
-// join), derived tables and hash-join build sides drain a child tree. Large
+// join), derived tables and hashed join build sides drain a child tree (an
+// index-probed build side fetches only the rows its probes reach). Large
 // sources shard: Engine.Parallelism workers each run their own chain over a
 // contiguous row range and the outputs recombine in shard order (parallel.go,
 // stream_shard.go), so rows are byte-identical at every parallelism level
@@ -37,14 +38,25 @@ import (
 // by batch as they are pulled, so an early-exited query charges only what
 // it read and a row is RowsScanned exactly once.
 type Stats struct {
-	BytesScanned       int64 // heap-table bytes read by sequential scans
-	ExtraBytes         int64 // bytes read outside tables (Paillier pack files)
-	RowsScanned        int64 // rows produced by scans
-	RowsOut            int64 // rows in the final result
-	UDFNanos           int64 // wall time spent inside crypto UDFs
-	SubqueryRuns       int64 // number of subquery executions (incl. decorrelated)
-	BatchesStreamed    int64 // batches pulled from table scans
-	IndexLookups       int64 // secondary-index probes (point, range, IN element, build)
+	// BytesScanned is the table bytes scans read: the physical page bytes a
+	// paged backend read, or the rows' proportional share of Table.Bytes in
+	// memory. An index-probed join build (tableProbe) charges the same way
+	// for the rows it fetched, plus its one drain's page bytes on disk.
+	BytesScanned int64
+	ExtraBytes   int64 // bytes read outside tables (Paillier pack files)
+	// RowsScanned is the rows scans produced. An index-probed join build
+	// charges each build row once, the first time a probe reaches it,
+	// whether fetched or read from its drained copy, so the count does not
+	// depend on the backend or on when the build drained.
+	RowsScanned     int64
+	RowsOut         int64 // rows in the final result
+	UDFNanos        int64 // wall time spent inside crypto UDFs
+	SubqueryRuns    int64 // number of subquery executions (incl. decorrelated)
+	BatchesStreamed int64 // batches pulled from table scans
+	// IndexLookups is the secondary-index probes made: one per point or
+	// range conjunct, one per IN element, and one per index-probed join
+	// build, however many probe batches it serves.
+	IndexLookups       int64
 	RowsSkippedByIndex int64 // rows an index scan avoided reading vs the full scan
 }
 
@@ -119,7 +131,7 @@ type Engine struct {
 	Parallelism int
 	// UseIndexes enables cost-based access-path selection (see access.go):
 	// single-table scans may restrict through a secondary index and join
-	// builds may serve probes from a hash index. Off by default — results
+	// builds may fetch their rows through a hash index. Off by default — results
 	// are byte-identical either way, but scan statistics (and therefore
 	// simulated I/O time) shrink when an index path is taken. Like the
 	// other knobs, it must not change while queries are in flight.
@@ -346,14 +358,11 @@ func colNames(cols []colInfo) []string {
 
 // relation is a set of rows with named columns. Most relations are
 // layout-only (rows nil): they name the columns of rows that stream through
-// the tree in batches. Drained ones — a subquery's result, a join build
-// side — carry their rows.
+// the tree in batches. Drained ones — a subquery's result, a drained join
+// build side — carry their rows.
 type relation struct {
 	cols []colInfo
 	rows [][]value.Value
-	// base is non-nil only for an unfiltered base-table build side (rows
-	// are the table's rows 1:1); the join may then use the table's indexes.
-	base *storage.Table
 }
 
 // indexOf finds a (possibly qualified) column in the layout: the per-row
@@ -505,9 +514,11 @@ type pipeline struct {
 // prepare resolves q's FROM entries and classifies its WHERE (planJoin)
 // into the pipeline open builds chains from: predicates on the source
 // alone, join steps, and the residual — where every conjunct of a join that
-// names a subquery lands. Derived tables and join build sides are drained
-// here — their scan charges precede the first batch, exactly as a hash join
-// cannot probe before its builds finish.
+// names a subquery lands. Derived tables are drained here, and so is every
+// join build side that buildSide cannot serve through an index — their scan
+// charges precede the first batch, exactly as a hash join cannot probe
+// before its builds finish. An index-probed build side reads nothing here:
+// its probes fetch the rows they need as they run.
 // access allows a single-table block to restrict its scan through an
 // index.
 func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, error) {
@@ -546,20 +557,20 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 	cols := layout.cols
 	for i := range p.steps {
 		st := &p.steps[i]
-		// The build side is its own scan → filter chain, drained.
+		// The build side is its own scan → filter chain.
 		bp := &pipeline{src: srcs[st.next], layout: rels[st.next], joined: rels[st.next], outer: outer, batch: c.batch}
 		bp.setFilter(ast.AndAll(plan.perTable[st.next]))
-		right, err := c.drainSource(bp)
-		if err != nil {
-			return nil, err
-		}
 		st.probe = &relation{cols: cols}
 		if len(st.leftKeys) == 0 {
+			right, err := c.drainSource(bp)
+			if err != nil {
+				return nil, err
+			}
 			st.right = right.rows
-		} else if st.build, err = c.buildJoinMap(right, st.rightKeys, outer); err != nil {
+		} else if st.build, err = c.buildSide(bp, st.rightKeys, outer); err != nil {
 			return nil, err
 		}
-		cols = append(cols[:len(cols):len(cols)], right.cols...)
+		cols = append(cols[:len(cols):len(cols)], bp.joined.cols...)
 	}
 	p.joined = &relation{cols: cols}
 	return p, nil
@@ -653,19 +664,29 @@ func (c *execCtx) stream(p *pipeline, shards int, mk func(sc *execCtx, lo, hi in
 	return newShardedStream(c, mk, shardStreamBounds(n, shards, c.batch))
 }
 
-// drainSource materializes p's FROM/WHERE rows, unprojected — what a join
-// build side or a decorrelated EXISTS hashes. An unfiltered base table
-// drains to its own rows 1:1, which lets the build use the table's indexes.
+// drainSource materializes p's FROM/WHERE rows, unprojected — what a cross
+// join's right side, or a build side buildSide cannot serve through an
+// index, holds.
 func (c *execCtx) drainSource(p *pipeline) (*relation, error) {
 	rows, err := drain(c.stream(p, c.shards(p), p.chain))
 	if err != nil {
 		return nil, err
 	}
-	rel := &relation{cols: p.joined.cols, rows: rows}
-	if p.filter == nil && len(p.steps) == 0 {
-		rel.base = p.src.t
+	return &relation{cols: p.joined.cols, rows: rows}, nil
+}
+
+// buildSide prepares the build of a hash step, or of a decorrelated EXISTS,
+// over p's FROM/WHERE rows keyed by keys: index-probed when probedBuild
+// allows it, otherwise drained and hashed.
+func (c *execCtx) buildSide(p *pipeline, keys []ast.Expr, outer *env) (*joinBuild, error) {
+	if b := c.probedBuild(p, keys); b != nil {
+		return b, nil
 	}
-	return rel, nil
+	right, err := c.drainSource(p)
+	if err != nil {
+		return nil, err
+	}
+	return c.buildJoinMap(right, keys, outer)
 }
 
 // isGrouped reports whether the query needs the aggregation path.

@@ -3,6 +3,7 @@ package engine
 import (
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/storage"
@@ -12,13 +13,16 @@ import (
 // Join planning and the hash-join build. planJoin classifies the WHERE
 // conjuncts of a comma-join FROM into per-table filters, hash-join edges,
 // and residual predicates, then fixes the greedy join order; prepare
-// (engine.go) drains each step's build side and the probe side streams
-// through probeIterators (stream.go).
+// (engine.go) builds each step's build side (buildSide) and the probe side
+// streams through probeIterators (stream.go).
 //
-// The hash-join build side is partitioned by key hash across workers into
-// per-partition maps — no global lock, and a key's row list is always in
-// build-side row order regardless of worker count — while the probe side
-// shards by contiguous row ranges like every other chain (parallel.go).
+// A build side that is an unfiltered base table with a hash index on its one
+// join key is never drained: each probe batch fetches the rows its keys point
+// to (tableProbe). Any other build side is drained and partitioned by key
+// hash across workers into per-partition maps — no global lock, and a key's
+// row list is always in build-side row order regardless of worker count —
+// while the probe side shards by contiguous row ranges like every other
+// chain (parallel.go).
 
 // joinStep is one step of the greedy join order: attach FROM index next to
 // the accumulated relation. Empty key lists mean a cross join; otherwise
@@ -29,10 +33,10 @@ type joinStep struct {
 	leftKeys  []ast.Expr
 	rightKeys []ast.Expr
 
-	// Filled in by prepare once the build side has been drained.
+	// Filled in by prepare.
 	probe *relation       // columns of the incoming (probe-side) rows
-	build *joinBuild      // hash step: the partitioned build side
-	right [][]value.Value // cross step: the whole right side
+	build *joinBuild      // hash step: the build side
+	right [][]value.Value // cross step: the whole right side, drained
 }
 
 // joinPlan is the classified FROM/WHERE of one query block.
@@ -191,36 +195,158 @@ func entries(s *ast.Scope, e ast.Expr) ([]int, error) {
 	return out, nil
 }
 
-// joinBuild is a hash-join build side: either a materialized map
-// partitioned by key hash, or (ix != nil) the base table's hash index
-// serving lookups directly, with no map ever built. Each partition map is
-// owned (built and read) without locks; a key's rows live entirely in one
-// partition, appended in build-side row order, so probe output is
-// independent of the partition count — and a posting list is ascending row
-// ids, which is the same order.
+// joinBuild is a hash-join build side, in one of two forms. A hashed build
+// drains its side and partitions the rows into maps by key hash; each
+// partition map is owned (built and read) without locks, and a key's rows
+// live entirely in one partition, appended in build-side row order, so probe
+// output is independent of the partition count. An index-probed build
+// (ix != nil, chosen by probedBuild) drains nothing: it fetches the rows a
+// probe's keys point to through the base table's hash index, and a posting
+// list is ascending row ids — the same order.
 type joinBuild struct {
 	layout *relation // columns of the build rows
 	parts  []map[string][][]value.Value
-	rows   [][]value.Value // index-backed build: the base relation's rows
-	ix     *storage.Index  // non-nil = lookups resolve through the index
+	ix     *tableProbe // non-nil: rows are fetched through the index
 }
 
-// lookup returns the build rows matching one (non-NULL) probe key.
-func (b *joinBuild) lookup(key string) [][]value.Value {
+// lookup returns the build rows matching one (non-NULL) probe key, in
+// build-side row order; an index-probed build fetches them for c.
+func (b *joinBuild) lookup(c *execCtx, key string) ([][]value.Value, error) {
 	if b.ix != nil {
-		// Single-key exprKey renders HashKey + one separator byte; the
-		// index posts under the bare HashKey.
-		ids := b.ix.PostingsKey(key[:len(key)-1])
-		if len(ids) == 0 {
-			return nil
-		}
-		out := make([][]value.Value, len(ids))
-		for i, id := range ids {
-			out[i] = b.rows[id]
-		}
-		return out
+		return b.ix.fetch(c.stats, b.ix.postings(key), nil)
 	}
-	return b.parts[joinPartition(key, len(b.parts))][key]
+	return b.parts[joinPartition(key, len(b.parts))][key], nil
+}
+
+// tableProbe is the index-probed build over an unfiltered base table: the
+// table, the schema positions its rows carry (rowSource.cols) and the hash
+// index on the join key. Nothing is read up front. A probe batch looks up
+// its keys' postings and fetches the rows no earlier batch fetched with one
+// FetchCols call, in ascending row-id order, and gets its rows back in
+// posting order. Fetches are random reads, so a fill that would take the
+// bytes they read — priced at the bytes per row fetches have read so far —
+// to the table's physical size (Table.ScanBytes) drains the table once
+// instead, and later probes read that copy. In memory the price of a row is
+// its share of Table.Bytes, so only a fill that needs every remaining row
+// drains.
+//
+// The chains of a sharded block, and the rows that evaluate a subquery,
+// share one build: fills serialize on mu, so every row is fetched once and
+// charged once, whichever chain reached it first. RowsScanned counts each
+// build row the first time a probe reaches it, fetched or read from the
+// drained copy — the same count on every backend. BytesScanned is the
+// physical bytes the fetches and the drain read on a paged table, and the
+// row-proportional bytes of the rows reached in memory, as scanIterator
+// charges a scan.
+type tableProbe struct {
+	t    *storage.Table
+	cols []int
+	ix   *storage.Index
+
+	mu      sync.Mutex
+	slot    []int32         // by row id: 1 + position in rows; -1 once reached after the drain; 0 before
+	rows    [][]value.Value // the fetched rows
+	all     [][]value.Value // the drained table, by row id; nil before the switch
+	reached int             // rows charged so far
+	read    int64           // bytes the fetches have read
+	need    []int32         // fetch's scratch: the ids not reached yet
+}
+
+// postings returns the ascending row ids that match one probe key: a
+// single-key exprKey renders HashKey plus one separator byte, and the index
+// posts under the bare HashKey.
+func (p *tableProbe) postings(key string) []int32 {
+	return p.ix.PostingsKey(key[:len(key)-1])
+}
+
+// fetch appends to dst the rows ids names, in order, after reaching the ones
+// no earlier probe reached, charged to st.
+func (p *tableProbe) fetch(st *Stats, ids []int32, dst [][]value.Value) ([][]value.Value, error) {
+	if len(ids) == 0 {
+		return dst, nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.slot == nil {
+		p.slot = make([]int32, p.t.NumRows())
+	}
+	need := p.need[:0]
+	for _, id := range ids {
+		if p.slot[id] == 0 {
+			p.slot[id] = -1 // queued: a repeated id is needed once
+			need = append(need, id)
+		}
+	}
+	p.need = need
+	if len(need) > 0 {
+		if err := p.reach(st, need); err != nil {
+			for _, id := range need {
+				p.slot[id] = 0
+			}
+			return nil, err
+		}
+	}
+	dst = slices.Grow(dst, len(ids))
+	for _, id := range ids {
+		if s := p.slot[id]; s > 0 {
+			dst = append(dst, p.rows[s-1])
+		} else {
+			dst = append(dst, p.all[id])
+		}
+	}
+	return dst, nil
+}
+
+// reach makes the rows need names readable — fetched, or in the drained
+// copy — and charges them to st.
+func (p *tableProbe) reach(st *Stats, need []int32) error {
+	var phys int64
+	if p.all == nil {
+		slices.Sort(need)
+		var price float64 // what this fill would read, at the fetches' bytes per row
+		if len(p.rows) > 0 {
+			price = float64(p.read) * float64(len(need)) / float64(len(p.rows))
+		}
+		var err error
+		if float64(p.read)+price >= float64(p.t.ScanBytes()) {
+			p.all, phys, err = p.t.ScanCols(0, p.t.NumRows(), p.cols, nil)
+		} else {
+			phys, err = p.fetchRows(need)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	n, before := int64(p.t.NumRows()), int64(p.reached)
+	p.reached += len(need)
+	if !p.t.Paged() {
+		phys = p.t.Bytes*int64(p.reached)/n - p.t.Bytes*before/n
+	}
+	st.RowsScanned += int64(len(need))
+	st.BytesScanned += phys
+	if p.all == nil {
+		p.read += phys
+	}
+	return nil
+}
+
+// fetchRows fetches the ascending ids need and files each row under its id,
+// returning the physical bytes read.
+func (p *tableProbe) fetchRows(need []int32) (int64, error) {
+	rows, phys, err := p.t.FetchCols(need, p.cols, nil)
+	if err != nil {
+		return 0, err
+	}
+	base := len(p.rows)
+	if base == 0 {
+		p.rows = rows // the batch is this call's own
+	} else {
+		p.rows = append(p.rows, rows...)
+	}
+	for i, id := range need {
+		p.slot[id] = int32(base + i + 1)
+	}
+	return phys, nil
 }
 
 // joinPartition assigns a key to one of n partitions (FNV-1a).
@@ -244,9 +370,6 @@ func joinPartition(key string, n int) int {
 // skipped), then one worker per partition collects the rows it owns,
 // scanning in row order.
 func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env) (*joinBuild, error) {
-	if b := c.indexedBuild(right, rightKeys); b != nil {
-		return b, nil
-	}
 	n := len(right.rows)
 	shards := c.shardCount(n)
 	if shards <= 1 || outer != nil {

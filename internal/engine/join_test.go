@@ -377,7 +377,10 @@ func TestJoinBuildPartitioned(t *testing.T) {
 			if joinPartition(k, len(par.parts)) != p {
 				t.Fatalf("key %q landed in partition %d, owns %d", k, p, joinPartition(k, len(par.parts)))
 			}
-			want := seq.lookup(k)
+			want, err := seq.lookup(seqCtx, k)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(rows) != len(want) {
 				t.Fatalf("key %q: %d rows, sequential build has %d", k, len(rows), len(want))
 			}

@@ -21,6 +21,7 @@ import (
 // pagedFixture loads one seeded data set into cat:
 //
 //	ev(e_pad, e_id, e_cat, e_val, e_opt, e_ok)   600 rows, NULLs in e_cat/e_val
+//	                                             hash indexes on e_id and e_cat
 //	dim(d_pad, d_w, d_cat)                       hash indexes on d_w AND d_cat
 //
 // Both tables lead with a column no query names, so a pruned layout's
@@ -58,8 +59,10 @@ func pagedFixture(t *testing.T, cat *storage.Catalog) *Engine {
 			value.NewInt(rng.Int63n(7)), value.NewBool(i%3 == 0),
 		})
 	}
-	if _, err := ev.EnsureIndex("e_cat", storage.HashIndex); err != nil {
-		t.Fatal(err)
+	for _, col := range []string{"e_id", "e_cat"} {
+		if _, err := ev.EnsureIndex(col, storage.HashIndex); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := ev.EnsureIndex("e_val", storage.OrderedIndex); err != nil {
 		t.Fatal(err)
@@ -128,10 +131,26 @@ var pagedQueries = []string{
 	`SELECT e_id, d_w FROM ev, dim WHERE e_cat = d_cat`,
 	`SELECT d_cat, SUM(e_val), COUNT(*) FROM ev, dim WHERE e_cat = d_cat GROUP BY d_cat ORDER BY d_cat`,
 	`SELECT DISTINCT e_cat, e_ok FROM ev LIMIT 5`,
+	// Index-probed builds. Fan-out from duplicate keys (~150 ev rows per
+	// e_cat), a NULL probe key and one with no postings (dim's NULL and
+	// 'stray' rows):
+	`SELECT d_w, e_id, e_val FROM dim, ev WHERE d_cat = e_cat`,
+	// NULL probe keys (e_val), keys with no postings (e_val >= 600), and 600
+	// probes spread over the whole of b, which on disk at batch 7 read the
+	// table's size in fetches and switch to one drain partway through:
+	`SELECT a.e_id, b.e_cat, b.e_ok FROM ev a, ev b WHERE a.e_val = b.e_id`,
+	`SELECT b.e_cat, COUNT(*), MAX(a.e_id) FROM ev a, ev b WHERE a.e_val = b.e_id GROUP BY b.e_cat ORDER BY b.e_cat`,
+	// A decorrelated EXISTS over one unfiltered indexed table, answered from
+	// the postings with no correlated residual, and with one probed per
+	// outer row:
+	`SELECT d_w FROM dim WHERE EXISTS (SELECT * FROM ev WHERE e_cat = d_cat)`,
+	`SELECT a.e_id FROM ev a WHERE EXISTS (SELECT * FROM ev b WHERE b.e_id = a.e_val AND b.e_opt <> a.e_opt)`,
 }
 
 // TestPagedMatchesMem runs every shape on both catalogs across the
-// ⟨Parallelism, batchSize, UseIndexes⟩ grid, materialized and streamed.
+// ⟨Parallelism, batchSize, UseIndexes⟩ grid, materialized and streamed: the
+// same rows, rows scanned and index lookups on both backends, and with
+// indexes on the same rows in the same order as with them off.
 func TestPagedMatchesMem(t *testing.T) {
 	mem, disk := pagedEngines(t)
 	for _, sql := range pagedQueries {
@@ -141,6 +160,7 @@ func TestPagedMatchesMem(t *testing.T) {
 		}
 		for _, par := range []int{1, 4} {
 			for _, batch := range []int{0, 7} {
+				var noIdx string // the idx=false memory result
 				for _, idx := range []bool{false, true} {
 					for _, e := range []*Engine{mem, disk} {
 						e.Parallelism, e.batchSize, e.UseIndexes = par, batch, idx
@@ -148,6 +168,11 @@ func TestPagedMatchesMem(t *testing.T) {
 					want, err := mem.Execute(q, nil)
 					if err != nil {
 						t.Fatalf("%q in memory: %v", sql, err)
+					}
+					if !idx {
+						noIdx = renderAccess(want)
+					} else if renderAccess(want) != noIdx {
+						t.Fatalf("%q (par %d batch %d): memory result with indexes differs from the one without", sql, par, batch)
 					}
 					got, err := disk.Execute(q, nil)
 					if err != nil {
@@ -286,6 +311,74 @@ func TestPagedIndexedBuild(t *testing.T) {
 	}
 	if len(got.Rows) == 0 || renderAccess(got) != renderAccess(want) {
 		t.Fatalf("index-served join over a pruned layout: %d rows, want the %d the map-built join returns", len(got.Rows), len(want.Rows))
+	}
+}
+
+// TestPagedProbedBuildSwitch: an index-probed build of ev probed at batch 7
+// by 600 keys spread over the table fetches on both backends until, on disk,
+// its random fetches have read the table's size; the rest of the probe
+// stream then reads one drain. In memory a row costs its share of the
+// table's bytes, so the build never drains before every row is needed.
+// Rows scanned count the build rows reached either way, and agree.
+func TestPagedProbedBuildSwitch(t *testing.T) {
+	mem, disk := pagedEngines(t)
+	q := sqlparser.MustParse(`SELECT a.e_id, b.e_cat FROM ev a, ev b WHERE a.e_val = b.e_id`)
+	var scanned []int64
+	for _, e := range []*Engine{mem, disk} {
+		e.Parallelism, e.UseIndexes = 1, true
+		c := e.newCtx(q, nil, 7)
+		if err := c.resolve(q); err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.prepare(q, nil, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := p.steps[0].build.ix
+		if ix == nil {
+			t.Fatal("the build of b is not index-probed")
+		}
+		if c.stats.RowsScanned != 0 {
+			t.Fatalf("preparing the probed build scanned %d rows", c.stats.RowsScanned)
+		}
+		if _, err := drain(c.stream(p, 1, p.chain)); err != nil {
+			t.Fatal(err)
+		}
+		drained := ix.all != nil
+		if want := e == disk; drained != want || len(ix.rows) == 0 {
+			t.Errorf("disk %v: drained %v after fetching %d rows, want drained %v after some fetches", e == disk, drained, len(ix.rows), want)
+		}
+		scanned = append(scanned, c.stats.RowsScanned-600) // minus the probe side's scan
+	}
+	if scanned[0] != scanned[1] || scanned[0] <= 0 || scanned[0] >= 600 {
+		t.Errorf("build rows scanned: memory %d, disk %d; want equal, and fewer than the table", scanned[0], scanned[1])
+	}
+}
+
+// TestPagedBareExistsReadsNoRow: a decorrelated EXISTS with no residual over
+// an index-probed build is answered from the postings alone, on both
+// backends: the statement scans dim and reads no row of ev.
+func TestPagedBareExistsReadsNoRow(t *testing.T) {
+	mem, disk := pagedEngines(t)
+	q := sqlparser.MustParse(`SELECT d_w FROM dim WHERE NOT EXISTS (SELECT * FROM ev WHERE e_cat = d_cat)`)
+	want, err := mem.Execute(q, nil) // indexes off: ev drained and hashed
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Engine{mem, disk} {
+		e.UseIndexes = true
+		res, err := e.Execute(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dim, _ := e.Cat.Table("dim")
+		if res.Stats.RowsScanned != int64(dim.NumRows()) || res.Stats.IndexLookups != 1 {
+			t.Errorf("disk %v: %d rows scanned with %d index lookups; want dim's %d rows and 1 lookup",
+				e == disk, res.Stats.RowsScanned, res.Stats.IndexLookups, dim.NumRows())
+		}
+		if len(res.Rows) != 3 || renderAccess(res) != renderAccess(want) { // both 'stray' rows and the NULL one
+			t.Errorf("disk %v: %s, want the 3 rows without indexes: %s", e == disk, renderAccess(res), renderAccess(want))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/ast"
@@ -20,9 +21,10 @@ import (
 // source runs as Parallelism independent chains whose outputs recombine in
 // shard order: row batches through the shard-order merger
 // (stream_shard.go), group states through AggState.Merge (agg.go). Sort,
-// grouped accumulation, DISTINCT and the hash-join builds are the pipeline
+// grouped accumulation, DISTINCT and the hashed join builds are the pipeline
 // breakers; they do their blocking work on the first pull, so a stream that
-// is closed — or LIMIT-0'd — before anyone reads it does nothing.
+// is closed — or LIMIT-0'd — before anyone reads it does nothing. An
+// index-probed build is no breaker: it fetches per probe batch.
 //
 // A batch holds at most the execution's batch size in rows (scans read that
 // many, probes and group emission cap their output at it); batches shrink
@@ -223,7 +225,9 @@ func (it *filterIterator) close() { it.in.close() }
 // side) is emitted across as many batches as it takes, with the expansion
 // position carried between next calls. The cap is what keeps a join's wire
 // frames and the consumer's working set batch-sized even when the join
-// output is far larger than its input.
+// output is far larger than its input. Against an index-probed build, each
+// input batch's keys are looked up together when it arrives (resolve), so
+// the batch costs one fetch of the build rows it reaches.
 type probeIterator struct {
 	in    batchIterator
 	step  *joinStep
@@ -237,6 +241,13 @@ type probeIterator struct {
 	lrow    []value.Value   // probe row whose matches are mid-emission
 	matches [][]value.Value // its remaining build rows start at mi
 	mi      int
+
+	// Against an index-probed build, the input batch's postings in row order
+	// (ids) and their rows (found): row i's matches are
+	// found[ends[i]:ends[i+1]].
+	ids   []int32
+	ends  []int
+	found [][]value.Value
 }
 
 func (it *probeIterator) next() ([][]value.Value, error) {
@@ -267,12 +278,21 @@ func (it *probeIterator) next() ([][]value.Value, error) {
 				return out, nil // nil when nothing is pending
 			}
 			it.batch, it.bi = b, 0
+			if build := it.step.build; build != nil && build.ix != nil {
+				if err := it.resolve(build.ix); err != nil {
+					return nil, err
+				}
+			}
 			continue
 		}
 		lrow := it.batch[it.bi]
 		it.bi++
 		if it.step.build == nil {
 			it.lrow, it.matches, it.mi = lrow, it.step.right, 0
+			continue
+		}
+		if it.step.build.ix != nil {
+			it.lrow, it.matches, it.mi = lrow, it.found[it.ends[it.bi-1]:it.ends[it.bi]], 0
 			continue
 		}
 		en := &env{rel: it.step.probe, row: lrow, outer: it.outer, ctx: it.c}
@@ -283,8 +303,35 @@ func (it *probeIterator) next() ([][]value.Value, error) {
 		if null {
 			continue
 		}
-		it.lrow, it.matches, it.mi = lrow, it.step.build.lookup(key), 0
+		matches, err := it.step.build.lookup(it.c, key)
+		if err != nil {
+			return nil, err
+		}
+		it.lrow, it.matches, it.mi = lrow, matches, 0
 	}
+}
+
+// resolve looks up the keys of the new input batch in an index-probed build
+// and fetches their rows with one call. The previous batch's matches were
+// all emitted, so its buffers are reused.
+func (it *probeIterator) resolve(ix *tableProbe) error {
+	it.ids = slices.Grow(it.ids[:0], len(it.batch))
+	it.ends = append(slices.Grow(it.ends[:0], len(it.batch)+1), 0)
+	en := env{rel: it.step.probe, outer: it.outer, ctx: it.c}
+	for _, row := range it.batch {
+		en.row = row
+		key, null, err := exprKey(&en, it.step.leftKeys)
+		if err != nil {
+			return err
+		}
+		if !null {
+			it.ids = append(it.ids, ix.postings(key)...)
+		}
+		it.ends = append(it.ends, len(it.ids))
+	}
+	var err error
+	it.found, err = ix.fetch(it.c.stats, it.ids, it.found[:0])
+	return err
 }
 
 func (it *probeIterator) close() { it.in.close() }

@@ -24,10 +24,14 @@ import (
 // key into the structure hash joins use (joinBuild): evaluating it is a
 // join probe, key → lookup → first row (scalar) / non-empty (IN, whose
 // membership column is one more key) / any row passing the residual
-// (EXISTS). Anything else is naive: re-opened for every outer row that asks,
-// on that row's context and goroutine (which is what makes the paper's Q21
-// the slow case at scale) — and because those re-opens plan nothing,
-// planning a naive subquery plans every block beneath it too (planBeneath).
+// (EXISTS). An EXISTS over one unfiltered indexed base table is not drained
+// at all: its build is index-probed (buildSide), and each lookup fetches the
+// rows its key points to — or, with no residual, reads none, since any
+// posting answers it. Anything else is naive: re-opened for every outer
+// row that asks, on that row's context and goroutine (which is what makes
+// the paper's Q21 the slow case at scale) — and because those re-opens plan
+// nothing, planning a naive subquery plans every block beneath it too
+// (planBeneath).
 
 type subqMode int
 
@@ -66,7 +70,7 @@ func (p *subqPlan) probe(en *env) ([][]value.Value, error) {
 	if err != nil || null {
 		return nil, err
 	}
-	return p.build.lookup(key), nil
+	return p.build.lookup(en.ctx, key)
 }
 
 // planned returns the plan the opening of sub's block stored.
@@ -145,8 +149,9 @@ func (c *execCtx) inMember(en *env, x *ast.InExpr, lhs value.Value) (member, unk
 	if lhs.IsNull() {
 		return false, set.any, nil
 	}
-	if len(p.build.lookup(key+lhs.HashKey()+"\x00")) > 0 {
-		return true, false, nil
+	rows, err := p.build.lookup(c, key+lhs.HashKey()+"\x00")
+	if err != nil || len(rows) > 0 {
+		return len(rows) > 0, false, err
 	}
 	return false, set.null, nil
 }
@@ -175,6 +180,15 @@ func (c *execCtx) evalExists(en *env, x *ast.ExistsExpr) (bool, error) {
 	p, err := c.planned(x.Sub)
 	if err != nil {
 		return false, err
+	}
+	if !p.naive && p.residual == nil && p.build.ix != nil {
+		// Every posting is a row: an index-probed build answers a bare
+		// EXISTS without reading one.
+		key, null, err := exprKey(en, p.outerKeys)
+		if err != nil {
+			return false, err
+		}
+		return (!null && len(p.build.ix.postings(key)) > 0) != x.Not, nil
 	}
 	var rows [][]value.Value
 	if p.naive {
@@ -281,7 +295,9 @@ func (c *execCtx) planSubquery(sub *ast.Query, mode subqMode) error {
 		if mode == subqIn {
 			p.sets = inSets(inner, len(keys)-1)
 		}
-		p.build, err = c.buildJoinMap(inner, keys, nil)
+		if p.build == nil { // a decorrelated EXISTS built its own
+			p.build, err = c.buildJoinMap(inner, keys, nil)
+		}
 	}
 	if err != nil {
 		return err
@@ -332,8 +348,9 @@ func resultKeys(rel *relation, nk int, member bool) []ast.Expr {
 
 // decorrelate drains the inner side of an equality-correlated subquery with
 // its correlation removed and returns it with the keys to hash it on; the
-// outer half of the correlation goes on p. A column is free when it binds
-// outside sub (ast.Scope with no parent).
+// outer half of the correlation goes on p. An EXISTS instead puts the build
+// of its unprojected inner side on p (buildSide) and returns no relation. A
+// column is free when it binds outside sub (ast.Scope with no parent).
 func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, mode subqMode) (*relation, []ast.Expr, error) {
 	s := &ast.Scope{Block: sub, Cat: c.names()}
 	// only reports whether e names no subquery and only free columns (at
@@ -393,7 +410,7 @@ func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, mode subqMode) (*rela
 	inq := *blk
 	inq.Where = ast.AndAll(innerPreds)
 	if mode == subqExists {
-		// The unprojected FROM/WHERE front, hashed on the inner half of the
+		// The unprojected FROM/WHERE front, keyed on the inner half of the
 		// correlation. It does not pass through open, so what its WHERE —
 		// inner predicates and residual — names is planned here.
 		if err := c.planExpr(sub.Where); err != nil {
@@ -403,8 +420,8 @@ func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, mode subqMode) (*rela
 		if err != nil {
 			return nil, nil, err
 		}
-		rel, err := c.drainSource(src)
-		return rel, innerKeys, err
+		p.build, err = c.buildSide(src, innerKeys, nil)
+		return nil, nil, err
 	}
 	// Scalar and IN run the block with the correlation keys appended to its
 	// SELECT list; the scalar also regroups by them — one aggregate row per

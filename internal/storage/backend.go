@@ -45,6 +45,9 @@ type Backend interface {
 	Fetch(ids []int32, cols []int, f Filter) ([][]value.Value, int64, error)
 	// NumRows is the stored row count.
 	NumRows() int
+	// Size is the physical bytes a cold full Scan reads: 0 for in-memory
+	// backends.
+	Size() int64
 	// Paged reports whether Scan/Fetch byte counts are real medium reads
 	// (true: the engine charges them; false: the engine charges the
 	// resident-byte approximation).

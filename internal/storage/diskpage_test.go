@@ -999,7 +999,8 @@ func frameSet(ds *diskStore) (map[*cachedPage]bool, error) {
 // has a pin, the failed read lost none of them, and scans that follow keep
 // resident plus free frames within the capacity plus maxFreeFrames pages. A
 // filtered read whose predicate fails leaves no pin either, on a miss or a
-// hit.
+// hit. A fetch whose ids run into the corrupt page partway fails the same
+// way and leaves every frame unpinned.
 func TestFailedPageReadUnpins(t *testing.T) {
 	const pageBytes = 512
 	cat, dir := diskCatalog(t, BackendConfig{PageBytes: pageBytes, CacheBytes: 4 * pageBytes})
@@ -1066,6 +1067,19 @@ func TestFailedPageReadUnpins(t *testing.T) {
 			if _, err := frameSet(ds); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+
+	// A fetch whose ids run from page 0 through the corrupt page 1 into page
+	// 2 fails on page 1 and leaves no frame pinned, filtered or not.
+	p0, p1, p2 := ds.dir[0], ds.dir[1], ds.dir[2]
+	ids := []int32{int32(p0.first + p0.nrows - 1), int32(p1.first), int32(p1.first + 1), int32(p2.first)}
+	for _, f := range []Filter{nil, odd} {
+		if _, _, err := tb.FetchCols(ids, []int{0, 4}, f); !corrupt(err) {
+			t.Fatalf("fetch across the corrupt page: %v", err)
+		}
+		if _, err := frameSet(ds); err != nil {
+			t.Fatalf("after a fetch across the corrupt page: %v", err)
 		}
 	}
 

@@ -68,8 +68,10 @@ import (
 // Scan and Fetch take the schema positions to materialize and read exactly
 // those cells by index, with nothing to step over (appendCols; nil
 // positions mean every column). Fetch decodes the rows it was asked for,
-// not their pages. So a hit is not free, it costs a decode as narrow as the
-// query; and a query that reads 4 of 24 columns never builds the other 20.
+// not their pages, and pins a page once per run of ascending ids that fall
+// on it, so its hits and misses count pages as a scan's do. So a hit is not
+// free, it costs a decode as narrow as the query; and a query that reads 4
+// of 24 columns never builds the other 20.
 //
 // A filtered read materializes late (addSealed): per pinned page it decodes
 // only the cells the filter reads into one scratch row, runs Keep row by row,
@@ -380,6 +382,13 @@ func (ds *diskStore) NumRows() int {
 	return ds.nflushed + len(ds.tail)
 }
 
+// Size is the sealed pages' bytes; the tail page is served from memory.
+func (ds *diskStore) Size() int64 {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	return ds.tailOff
+}
+
 func (ds *diskStore) Paged() bool { return true }
 
 func (ds *diskStore) IO() IOStats {
@@ -629,33 +638,46 @@ func (img *pageImage) appendCols(b *rowBatch, r int, cols []int) error {
 	return nil
 }
 
-// addSealed appends to b the cols cells of the sealed rows [id, end) on the
-// page holding id that f keeps (nil: all), and returns the row id after the
-// last one it covered and the physical bytes read. The probe f sees aliases
-// the frame, so it is cleared before the unpin.
-func (ds *diskStore) addSealed(b *rowBatch, id, end int, cols []int, f Filter) (int, int64, error) {
+// addSealed pins the sealed page holding row id and appends to b the cols
+// cells of the rows pick selects on it that f keeps (nil: all), returning
+// the physical bytes read. pick gets the pinned page's directory entry and
+// returns either a page-relative range [lo, hi) — a Scan's — or, when run is
+// non-nil, a run of ascending row ids on the page, repeats included — a
+// Fetch's. So a page is pinned, and counted as a hit or a miss, once per
+// run. The probe f sees aliases the frame, so it is cleared before the
+// unpin.
+func (ds *diskStore) addSealed(b *rowBatch, id int, cols []int, f Filter, pick func(pm pageMeta) (lo, hi int, run []int32)) (int64, error) {
 	p, pm, phys, err := ds.sealedPage(id)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer ds.unpin(p)
-	end = min(end, pm.first+pm.nrows)
-	k, stop := id-pm.first, end-pm.first
+	k, stop, run := pick(pm)
+	if run != nil {
+		k, stop = 0, len(run)
+	}
+	row := func(k int) int { // the page-relative row of selection k
+		if run != nil {
+			return int(run[k]) - pm.first
+		}
+		return k
+	}
 	if f != nil {
 		if b.probe == nil {
 			b.probe = make([]value.Value, ds.width(cols))
 		}
 		defer clear(b.probe)
 		b.kept = b.kept[:0]
-		for r := k; r < stop; r++ {
+		for ; k < stop; k++ {
+			r := row(k)
 			for _, c := range f.Cols() {
 				if b.probe[c], err = p.img.cell(at(cols, c), r); err != nil {
-					return 0, 0, corruptf(ds.path, pm.off, "row %d: %v", pm.first+r, err)
+					return 0, corruptf(ds.path, pm.off, "row %d: %v", pm.first+r, err)
 				}
 			}
 			ok, err := f.Keep(b.probe)
 			if err != nil {
-				return 0, 0, err
+				return 0, err
 			}
 			if ok {
 				b.kept = append(b.kept, r)
@@ -664,20 +686,20 @@ func (ds *diskStore) addSealed(b *rowBatch, id, end int, cols []int, f Filter) (
 		if n := len(b.kept) * ds.width(cols); cap(b.arena)-len(b.arena) < n {
 			b.arena = make([]value.Value, 0, n)
 		}
-		k, stop = 0, len(b.kept)
+		k, stop, run = 0, len(b.kept), nil
 	}
 	for ; k < stop; k++ {
-		r := k
+		r := row(k)
 		if f != nil {
 			r = b.kept[k]
 		}
 		start := len(b.arena)
 		if err := p.img.appendCols(b, r, cols); err != nil {
-			return 0, 0, corruptf(ds.path, pm.off, "row %d: %v", pm.first+r, err)
+			return 0, corruptf(ds.path, pm.off, "row %d: %v", pm.first+r, err)
 		}
 		b.cut(start)
 	}
-	return end, phys, nil
+	return phys, nil
 }
 
 // at is the schema position of cell k of a row projected onto cols.
@@ -716,11 +738,15 @@ func (ds *diskStore) Scan(lo, hi int, cols []int, f Filter) ([][]value.Value, in
 	b := newRowBatch(hi-lo, ds.width(cols), f)
 	var phys int64
 	for id, end := lo, min(hi, nflushed); id < end; { // a page per turn
-		next, p, err := ds.addSealed(&b, id, end, cols, f)
+		p, err := ds.addSealed(&b, id, cols, f, func(pm pageMeta) (int, int, []int32) {
+			lo := id - pm.first
+			id = min(end, pm.first+pm.nrows)
+			return lo, id - pm.first, nil
+		})
 		if err != nil {
 			return nil, 0, err
 		}
-		id, phys = next, phys+p
+		phys += p
 	}
 	for _, row := range tail {
 		if err := b.add(row, cols, f); err != nil {
@@ -738,8 +764,8 @@ func (ds *diskStore) Fetch(ids []int32, cols []int, f Filter) ([][]value.Value, 
 	n := nflushed + len(tail)
 	b := newRowBatch(len(ids), ds.width(cols), nil) // index-picked ids: mostly survivors
 	var phys int64
-	for _, id32 := range ids {
-		id := int(id32)
+	for i := 0; i < len(ids); { // a tail row or a page's run of ids per turn
+		id := int(ids[i])
 		if id < 0 || id >= n {
 			return nil, 0, fmt.Errorf("storage: fetch id %d out of range (%d rows)", id, n)
 		}
@@ -747,9 +773,16 @@ func (ds *diskStore) Fetch(ids []int32, cols []int, f Filter) ([][]value.Value, 
 			if err := b.add(tail[id-nflushed], cols, f); err != nil {
 				return nil, 0, err
 			}
+			i++
 			continue
 		}
-		_, p, err := ds.addSealed(&b, id, id+1, cols, f)
+		p, err := ds.addSealed(&b, id, cols, f, func(pm pageMeta) (int, int, []int32) {
+			start := i
+			for end := pm.first + pm.nrows; i < len(ids) && int(ids[i]) >= id && int(ids[i]) < end; i++ {
+				id = int(ids[i])
+			}
+			return 0, 0, ids[start:i]
+		})
 		if err != nil {
 			return nil, 0, err
 		}

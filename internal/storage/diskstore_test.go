@@ -389,3 +389,64 @@ func BenchmarkDiskFetchCold(b *testing.B) {
 		}
 	}
 }
+
+// TestDiskStoreFetchRuns: Fetch returns, in list order, exactly the rows the
+// in-memory backend returns for id lists that cross page boundaries, mix
+// sealed ids with unflushed tail ids, repeat ids and go backwards; it pins
+// each page once per run of ascending ids on it, so its cache lookups (hits
+// plus misses) count runs, not rows; and an out-of-range id is an error.
+func TestDiskStoreFetchRuns(t *testing.T) {
+	cat, _ := diskCatalog(t, BackendConfig{PageBytes: 512, CacheBytes: 1024})
+	defer cat.Close()
+	tb := loadFixture(t, cat, 203)
+	mt := loadFixture(t, NewCatalog(), 203)
+	ds := tb.be.(*diskStore)
+	if len(ds.tail) == 0 || len(ds.dir) < 4 {
+		t.Fatalf("fixture lost its shape: %d sealed pages, %d tail rows", len(ds.dir), len(ds.tail))
+	}
+	n := int32(tb.NumRows())
+	p1, p2 := ds.dir[1], ds.dir[2]
+	edge := int32(p2.first) // first row of page 2
+	for _, ids := range [][]int32{
+		{edge - 2, edge - 1, edge, edge + 1},                     // across a page boundary
+		{int32(p1.first), edge - 1, edge - 1, edge, edge, edge},  // repeats inside and across runs
+		{0, n - 1, 1, n - 2, 2},                                  // sealed and tail ids interleaved
+		{edge + 1, edge, edge - 1, int32(p1.first)},              // descending: one run per id
+		{int32(ds.nflushed), n - 1, int32(ds.nflushed), edge, 0}, // tail first
+		{},
+	} {
+		for _, cols := range [][]int{nil, {0, 2, 4}} {
+			before := tb.IO()
+			got, _, err := tb.FetchCols(ids, cols, nil)
+			if err != nil {
+				t.Fatalf("fetch %v: %v", ids, err)
+			}
+			want, _, _ := mt.FetchCols(ids, cols, nil)
+			if d := sameCells(got, want); d != "" {
+				t.Fatalf("fetch %v of columns %v: %s", ids, cols, d)
+			}
+			runs := 0
+			for i, id := range ids {
+				if int(id) >= ds.nflushed {
+					continue
+				}
+				prev := -1
+				if i > 0 {
+					prev = int(ids[i-1])
+				}
+				if prev < 0 || int(id) < prev || prev >= ds.nflushed || ds.pageAt(int(id)) != ds.pageAt(prev) {
+					runs++
+				}
+			}
+			after := tb.IO()
+			if lookups := after.CacheHits + after.CacheMisses - before.CacheHits - before.CacheMisses; lookups != int64(runs) {
+				t.Errorf("fetch %v: %d cache lookups, want one per run (%d)", ids, lookups, runs)
+			}
+		}
+	}
+	for _, ids := range [][]int32{{0, n}, {-1}, {edge, edge + 1, n + 7}} {
+		if _, _, err := tb.FetchCols(ids, nil, nil); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("fetch %v: %v, want an out-of-range error", ids, err)
+		}
+	}
+}

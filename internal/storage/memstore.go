@@ -53,6 +53,8 @@ func (m *memStore) Fetch(ids []int32, cols []int, f Filter) ([][]value.Value, in
 
 func (m *memStore) NumRows() int { return len(m.rows) }
 
+func (m *memStore) Size() int64 { return 0 }
+
 func (m *memStore) Paged() bool { return false }
 
 func (m *memStore) Flush() error { return nil }

@@ -289,6 +289,15 @@ func (t *Table) Row(id int) []value.Value {
 // approximation.
 func (t *Table) Paged() bool { return t.be.Paged() }
 
+// ScanBytes is what a full scan of the table charges: the sealed pages'
+// physical bytes on a paged backend, Bytes on the in-memory one.
+func (t *Table) ScanBytes() int64 {
+	if t.Paged() {
+		return t.be.Size()
+	}
+	return t.Bytes
+}
+
 // IO returns the backend's cumulative physical-read counters.
 func (t *Table) IO() IOStats { return t.be.IO() }
 
