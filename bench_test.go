@@ -13,6 +13,7 @@ package monomi
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -106,14 +107,16 @@ func BenchmarkFigure4_CryptDBClient(b *testing.B) {
 // BenchmarkParallelism_TPCHGroupedAgg runs TPC-H Q1 (the grouped-
 // aggregation workhorse: full lineitem scan, four groups, eight
 // aggregates) through MONOMI's encrypted split execution at increasing
-// sharded-execution worker counts. On a multi-core host the p>1 variants
-// demonstrate the multi-core speedup of the sharded server engine and
-// batched Paillier aggregation; on a single core they bound the overhead.
+// GOMAXPROCS, the engine's worker count. On a multi-core host the p>1
+// variants show the multi-core speedup of the morsel-driven server engine
+// and batched Paillier aggregation; on a single core they bound the
+// overhead.
 func BenchmarkParallelism_TPCHGroupedAgg(b *testing.B) {
 	s := suite(b)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			s.Monomi.SetParallelism(p)
+			runtime.GOMAXPROCS(p)
 			// Run once untimed so the first level measured does not pay
 			// the cold parse, plan and template fill alone (decryption
 			// memos live for one decode, so there is nothing else to warm).
@@ -128,16 +131,16 @@ func BenchmarkParallelism_TPCHGroupedAgg(b *testing.B) {
 			}
 		})
 	}
-	s.Monomi.SetParallelism(0)
 }
 
 // BenchmarkParallelism_TPCHGroupedAggPlain is the plaintext counterpart,
-// isolating the engine's sharded scan/aggregate loops from the crypto.
+// isolating the engine's morsel scan/aggregate loops from the crypto.
 func BenchmarkParallelism_TPCHGroupedAggPlain(b *testing.B) {
 	s := suite(b)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			s.Monomi.SetParallelism(p)
+			runtime.GOMAXPROCS(p)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Monomi.RunPlain(1); err != nil {
@@ -146,7 +149,6 @@ func BenchmarkParallelism_TPCHGroupedAggPlain(b *testing.B) {
 			}
 		})
 	}
-	s.Monomi.SetParallelism(0)
 }
 
 // BenchmarkFigure5_CumulativeTechniques measures the full §8.3 sweep: six

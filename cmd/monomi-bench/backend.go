@@ -33,7 +33,7 @@ type backendMeasure struct {
 // backendScenario builds bk(b_id, b_grp, b_val, b_pad) with per-row-unique
 // padding (so interning cannot shrink the table under the cache budget) and
 // sweeps the same grouped aggregate over both backends.
-func backendScenario(rows, iters, par, pageBytes int, cacheBytes int64, sink *jsonSink) error {
+func backendScenario(rows, iters, pageBytes int, cacheBytes int64, sink *jsonSink) error {
 	if rows < 1000 {
 		rows = 1000
 	}
@@ -61,7 +61,6 @@ func backendScenario(rows, iters, par, pageBytes int, cacheBytes int64, sink *js
 		opts := monomi.DefaultOptions()
 		opts.PaillierBits = 256
 		opts.SpaceBudget = 0
-		opts.Parallelism = par
 		cleanup := func() {}
 		if backend == "disk" {
 			dir, err := os.MkdirTemp("", "monomi-bench-backend-")

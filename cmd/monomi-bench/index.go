@@ -31,14 +31,14 @@ type indexPoint struct {
 
 // indexScenario builds ix(x_id, x_sel, x_val) with planted x_sel
 // frequencies and sweeps scan-vs-index across selectivities.
-func indexScenario(rows, iters, par int, sink *jsonSink) error {
+func indexScenario(rows, iters int, sink *jsonSink) error {
 	if rows < 1000 {
 		rows = 1000
 	}
 	if iters <= 0 {
 		iters = 7
 	}
-	fmt.Fprintf(os.Stderr, "index scenario: encrypting %d rows (parallelism %d)...\n", rows, par)
+	fmt.Fprintf(os.Stderr, "index scenario: encrypting %d rows...\n", rows)
 
 	// Planted frequencies: value j+1 occurs counts[j] times (one point per
 	// selectivity decade), value 0 fills the remainder.
@@ -89,7 +89,6 @@ func indexScenario(rows, iters, par int, sink *jsonSink) error {
 	opts := monomi.DefaultOptions()
 	opts.PaillierBits = 256
 	opts.SpaceBudget = 0
-	opts.Parallelism = par
 	sys, err := monomi.Encrypt(db, monomi.Workload{
 		"eq":    `SELECT COUNT(*) FROM ix WHERE x_sel = 3`,
 		"range": `SELECT COUNT(*) FROM ix WHERE x_sel >= 0`,

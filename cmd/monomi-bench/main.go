@@ -35,7 +35,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "data generator seed")
 	bits := flag.Int("paillier", 512, "Paillier modulus bits (paper: 1024)")
 	maxK := flag.Int("maxk", 4, "maximum designer subset size for fig8")
-	par := flag.Int("parallelism", 0, "sharded-execution workers (0 = GOMAXPROCS, 1 = sequential)")
 	indexRows := flag.Int("indexrows", 200000, "table rows for the index selectivity sweep (-exp index)")
 	indexIters := flag.Int("indexiters", 7, "timed executions per sweep point (-exp index)")
 	backendRows := flag.Int("backendrows", 20000, "table rows for the storage-backend scenario (-exp backend)")
@@ -49,7 +48,6 @@ func main() {
 
 	base := experiments.Config{
 		SF: tpch.ScaleFactor(*sf), Seed: *seed, PaillierBits: *bits,
-		Parallelism: *par,
 	}
 	needSuite := map[string]bool{"fig4": true, "fig7": true, "table2": true, "table3": true, "stats": true, "all": true}
 
@@ -106,11 +104,11 @@ func main() {
 		case "stats":
 			fmt.Println(suite.Stats().String())
 		case "index":
-			if err := indexScenario(*indexRows, *indexIters, *par, sink); err != nil {
+			if err := indexScenario(*indexRows, *indexIters, sink); err != nil {
 				log.Fatal(err)
 			}
 		case "backend":
-			if err := backendScenario(*backendRows, *backendIters, *par, *pageBytes, *cacheBytes, sink); err != nil {
+			if err := backendScenario(*backendRows, *backendIters, *pageBytes, *cacheBytes, sink); err != nil {
 				log.Fatal(err)
 			}
 		default:

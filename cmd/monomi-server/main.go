@@ -11,7 +11,7 @@
 // -querywait; on shutdown the server-wide session and query totals are
 // logged.
 //
-//	monomi-server -addr :7077 -sf 0.002 -parallelism 4
+//	monomi-server -addr :7077 -sf 0.002
 package main
 
 import (
@@ -33,7 +33,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "data generator seed")
 	masterKey := flag.String("masterkey", "monomi-default-master-key", "master key (clients must use the same)")
 	bits := flag.Int("paillier", 512, "Paillier modulus bits (paper: 1024)")
-	par := flag.Int("parallelism", 0, "sharded-execution workers (0 = GOMAXPROCS)")
 	maxConns := flag.Int("maxconns", 64, "concurrent session cap (0 = unlimited)")
 	maxInFlight := flag.Int("maxinflight", 16, "concurrent query cap (0 = unlimited)")
 	queryWait := flag.Duration("querywait", 0, "how long a query may wait for an in-flight slot (0 = fail fast)")
@@ -43,7 +42,7 @@ func main() {
 	dataDir := flag.String("data", "", "segment-file directory for -backend disk (rewritten at every start)")
 	flag.Parse()
 
-	sys, err := buildSystem(*sf, *seed, *masterKey, *bits, *par, *backend, *dataDir)
+	sys, err := buildSystem(*sf, *seed, *masterKey, *bits, *backend, *dataDir)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,7 +87,7 @@ func main() {
 // buildSystem stands up the encrypted deployment the server hosts. The
 // workload is every supported TPC-H query, so the design covers whatever
 // the remote trusted side plans.
-func buildSystem(sf float64, seed int64, masterKey string, bits, par int, backend, dataDir string) (*monomi.System, error) {
+func buildSystem(sf float64, seed int64, masterKey string, bits int, backend, dataDir string) (*monomi.System, error) {
 	log.Printf("generating TPC-H at SF %g (seed %d) and encrypting (paillier %d bits)...", sf, seed, bits)
 	db, err := monomi.TPCH(sf, seed)
 	if err != nil {
@@ -102,7 +101,6 @@ func buildSystem(sf float64, seed int64, masterKey string, bits, par int, backen
 	opts := monomi.DefaultOptions()
 	opts.MasterKey = []byte(masterKey)
 	opts.PaillierBits = bits
-	opts.Parallelism = par
 	opts.Backend = backend
 	opts.DataDir = dataDir
 	sys, err := monomi.Encrypt(db, workload, opts)

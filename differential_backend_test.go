@@ -9,11 +9,11 @@ import (
 // Backend dimension of the differential grid: the same encrypted system
 // built on the in-memory backend and on the disk backend (paged segment
 // files behind a block cache far smaller than the tables) must produce
-// byte-identical results to each other and to plaintext, across
-// parallelism × deployment. The backends share row-id
-// assignment and feed the same sharded producer, so nothing above the
-// storage seam may observe which one holds the rows — only the charged I/O
-// (real page reads vs the resident-byte approximation) differs.
+// byte-identical results to each other and to plaintext, in process and
+// served. The backends share row-id assignment and feed the same morsel
+// producers, so nothing above the storage seam may observe which one holds
+// the rows — only the charged I/O (real page reads vs the resident-byte
+// approximation) differs.
 
 // TestDifferentialBackendInvariance runs the in-process grid over both
 // backends.
@@ -25,31 +25,27 @@ func TestDifferentialBackendInvariance(t *testing.T) {
 	queries := genQueries(rand.New(rand.NewSource(diffSeed+6)), 12)
 	queries = append(queries, genJoinQueries(rand.New(rand.NewSource(diffSeed+7)), 6)...)
 
-	for _, par := range []int{1, 4} {
-		mem.SetParallelism(par)
-		disk.SetParallelism(par)
-		for _, q := range queries {
-			plain, err := mem.QueryPlaintext(q.sql)
-			if err != nil {
-				t.Fatalf("p=%d plaintext %s: %v", par, q.sql, err)
-			}
-			m, err := mem.Query(q.sql)
-			if err != nil {
-				t.Fatalf("p=%d mem %s: %v", par, q.sql, err)
-			}
-			d, err := disk.Query(q.sql)
-			if err != nil {
-				t.Fatalf("p=%d disk %s: %v", par, q.sql, err)
-			}
-			want := canonicalRows(t, plain.Data, q.ordered)
-			gm := canonicalRows(t, m.Data, q.ordered)
-			gd := canonicalRows(t, d.Data, q.ordered)
-			if strings.Join(gd, "\n") != strings.Join(gm, "\n") {
-				t.Errorf("p=%d %s: disk diverges from mem:\n%v\nvs\n%v", par, q.sql, gd, gm)
-			}
-			if strings.Join(gd, "\n") != strings.Join(want, "\n") {
-				t.Errorf("p=%d %s: disk diverges from plaintext:\n%v\nvs\n%v", par, q.sql, gd, want)
-			}
+	for _, q := range queries {
+		plain, err := mem.QueryPlaintext(q.sql)
+		if err != nil {
+			t.Fatalf("plaintext %s: %v", q.sql, err)
+		}
+		m, err := mem.Query(q.sql)
+		if err != nil {
+			t.Fatalf("mem %s: %v", q.sql, err)
+		}
+		d, err := disk.Query(q.sql)
+		if err != nil {
+			t.Fatalf("disk %s: %v", q.sql, err)
+		}
+		want := canonicalRows(t, plain.Data, q.ordered)
+		gm := canonicalRows(t, m.Data, q.ordered)
+		gd := canonicalRows(t, d.Data, q.ordered)
+		if strings.Join(gd, "\n") != strings.Join(gm, "\n") {
+			t.Errorf("%s: disk diverges from mem:\n%v\nvs\n%v", q.sql, gd, gm)
+		}
+		if strings.Join(gd, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: disk diverges from plaintext:\n%v\nvs\n%v", q.sql, gd, want)
 		}
 	}
 
@@ -71,8 +67,8 @@ func TestDifferentialBackendInvariance(t *testing.T) {
 // TestDifferentialBackendServed is the deployment axis: the disk-backed
 // system served over real TCP (transport sessions, wire codec, admission
 // control), its client consuming the framed stream, must match the
-// mem-backed system's in-process results at every parallelism level —
-// single-table, subquery and join shapes alike.
+// mem-backed system's in-process results — single-table, subquery and join
+// shapes alike.
 func TestDifferentialBackendServed(t *testing.T) {
 	mem := diffSystemBackend(t, "mem")
 	disk := diffSystemBackend(t, "disk")
@@ -99,18 +95,14 @@ func TestDifferentialBackendServed(t *testing.T) {
 		}
 		want[i] = canonicalRows(t, m.Data, q.ordered)
 	}
-	for _, par := range []int{1, 2, 4} {
-		disk.SetParallelism(par) // the served engine
-		remote.SetParallelism(par)
-		for i, q := range queries {
-			r, err := remote.Query(q.sql)
-			if err != nil {
-				t.Fatalf("p=%d served disk %s: %v", par, q.sql, err)
-			}
-			gr := canonicalRows(t, r.Data, q.ordered)
-			if strings.Join(gr, "\n") != strings.Join(want[i], "\n") {
-				t.Errorf("p=%d %s: served disk diverges from in-process mem:\n%v\nvs\n%v", par, q.sql, gr, want[i])
-			}
+	for i, q := range queries {
+		r, err := remote.Query(q.sql)
+		if err != nil {
+			t.Fatalf("served disk %s: %v", q.sql, err)
+		}
+		gr := canonicalRows(t, r.Data, q.ordered)
+		if strings.Join(gr, "\n") != strings.Join(want[i], "\n") {
+			t.Errorf("%s: served disk diverges from in-process mem:\n%v\nvs\n%v", q.sql, gr, want[i])
 		}
 	}
 	if st := disk.Stats(); st.PageReads == 0 {

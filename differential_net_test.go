@@ -3,8 +3,7 @@ package monomi
 // Network differential: the same plaintext-vs-encrypted grid as
 // differential_test.go, but with the encrypted path executing its
 // RemoteSQL over real loopback TCP (System.Serve + System.ConnectRemote),
-// where the client consumes the framed stream. Two properties are pinned at
-// every parallelism level:
+// where the client consumes the framed stream. Two properties are pinned:
 //
 //   - rows: the remote encrypted result equals the plaintext engine's
 //     result and, order verbatim, the in-process System's result — the two
@@ -86,55 +85,51 @@ func TestNetworkDifferential(t *testing.T) {
 	rec := &recordingExec{inner: remote.dep.Client.Executor()}
 	remote.dep.Client.SetExecutor(rec)
 
-	for _, par := range []int{1, 2, 4} {
-		sys.SetParallelism(par) // server + in-process client
-		remote.SetParallelism(par)
-		for _, sql := range shardedStreamShapes {
-			plain, err := sys.QueryPlaintext(sql)
-			if err != nil {
-				t.Fatalf("p=%d plaintext %s: %v", par, sql, err)
-			}
-			local, err := sys.Query(sql)
-			if err != nil {
-				t.Fatalf("p=%d in-process %s: %v", par, sql, err)
-			}
-			rec.streams = nil
-			res, err := remote.Query(sql)
-			if err != nil {
-				t.Fatalf("p=%d remote %s: %v", par, sql, err)
-			}
+	for _, sql := range shardedStreamShapes {
+		plain, err := sys.QueryPlaintext(sql)
+		if err != nil {
+			t.Fatalf("plaintext %s: %v", sql, err)
+		}
+		local, err := sys.Query(sql)
+		if err != nil {
+			t.Fatalf("in-process %s: %v", sql, err)
+		}
+		rec.streams = nil
+		res, err := remote.Query(sql)
+		if err != nil {
+			t.Fatalf("remote %s: %v", sql, err)
+		}
 
-			// Rows: remote == plaintext (order asserted only where the
-			// query imposes one; the in-process comparison below pins
-			// order anyway).
-			ordered := strings.Contains(sql, "ORDER BY")
-			want := canonicalRows(t, plain.Data, ordered)
-			got := canonicalRows(t, res.Data, ordered)
-			if strings.Join(got, "\n") != strings.Join(want, "\n") {
-				t.Errorf("p=%d %s: remote result diverges from plaintext\n%v\nvs\n%v",
-					par, sql, got, want)
-			}
-			// Rows: remote == in-process encrypted, order verbatim.
-			inproc := canonicalRows(t, local.Data, true)
-			verbatim := canonicalRows(t, res.Data, true)
-			if strings.Join(verbatim, "\n") != strings.Join(inproc, "\n") {
-				t.Errorf("p=%d %s: remote result diverges from in-process", par, sql)
-			}
+		// Rows: remote == plaintext (order asserted only where the
+		// query imposes one; the in-process comparison below pins
+		// order anyway).
+		ordered := strings.Contains(sql, "ORDER BY")
+		want := canonicalRows(t, plain.Data, ordered)
+		got := canonicalRows(t, res.Data, ordered)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: remote result diverges from plaintext\n%v\nvs\n%v",
+				sql, got, want)
+		}
+		// Rows: remote == in-process encrypted, order verbatim.
+		inproc := canonicalRows(t, local.Data, true)
+		verbatim := canonicalRows(t, res.Data, true)
+		if strings.Join(verbatim, "\n") != strings.Join(inproc, "\n") {
+			t.Errorf("%s: remote result diverges from in-process", sql)
+		}
 
-			// Frames: what crossed the socket == what the server's
-			// ExecuteStream writes for the same RemoteSQL.
-			if len(rec.streams) == 0 {
-				t.Errorf("p=%d %s: remote client streamed nothing", par, sql)
+		// Frames: what crossed the socket == what the server's
+		// ExecuteStream writes for the same RemoteSQL.
+		if len(rec.streams) == 0 {
+			t.Errorf("%s: remote client streamed nothing", sql)
+		}
+		for i, rs := range rec.streams {
+			var ref bytes.Buffer
+			if _, err := sys.dep.Client.Srv.ExecuteStream(rs.q, rs.params, &ref); err != nil {
+				t.Fatalf("%s: reference stream %d: %v", sql, i, err)
 			}
-			for i, rs := range rec.streams {
-				var ref bytes.Buffer
-				if _, err := sys.dep.Client.Srv.ExecuteStream(rs.q, rs.params, &ref); err != nil {
-					t.Fatalf("p=%d %s: reference stream %d: %v", par, sql, i, err)
-				}
-				if !bytes.Equal(rs.frames, ref.Bytes()) {
-					t.Errorf("p=%d %s: stream %d differs over the wire (%d vs %d bytes)",
-						par, sql, i, len(rs.frames), ref.Len())
-				}
+			if !bytes.Equal(rs.frames, ref.Bytes()) {
+				t.Errorf("%s: stream %d differs over the wire (%d vs %d bytes)",
+					sql, i, len(rs.frames), ref.Len())
 			}
 		}
 	}
@@ -147,7 +142,6 @@ func TestNetworkDifferential(t *testing.T) {
 // to the nanosecond, and each is netsim's ServerTime of those counts.
 func TestNetworkServerTimeFromCounts(t *testing.T) {
 	sys := diffSystem(t)
-	sys.SetParallelism(1)
 	srv, err := sys.Serve("127.0.0.1:0", ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +152,6 @@ func TestNetworkServerTimeFromCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
-	remote.SetParallelism(1)
 
 	local := &recordingExec{inner: sys.dep.Client.Executor()}
 	sys.dep.Client.SetExecutor(local)
@@ -246,7 +239,6 @@ func TestNotOverNullConnective(t *testing.T) {
 // for every client, and the server must account one session per client.
 func TestNetworkConcurrentClients(t *testing.T) {
 	sys := diffSystem(t)
-	sys.SetParallelism(2)
 	srv, err := sys.Serve("127.0.0.1:0", ServeConfig{MaxInFlight: 8})
 	if err != nil {
 		t.Fatal(err)

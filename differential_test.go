@@ -11,18 +11,17 @@ import (
 
 // Differential property test: a seeded random query generator runs the same
 // queries through the plaintext engine and the encrypted split-execution
-// path and requires identical results — across parallelism levels, so the
-// sharded engine, the AggState merge path and the batched Paillier
-// aggregation are all exercised against the sequential baseline. The
-// Systems here are in process, so results are handed over as rows; the
-// framed stream a remote client consumes is crossed with the same axes in
-// differential_net_test.go and differential_backend_test.go. Small batches
-// at batch boundaries are the engine's own sweep (internal/engine
-// tree_test.go).
+// path and requires identical results. The Systems here are in process, so
+// results are handed over as rows; the framed stream a remote client
+// consumes is crossed with the same queries in differential_net_test.go and
+// differential_backend_test.go. Results do not depend on the worker count
+// (differential_procs_test.go runs every statement at GOMAXPROCS 1, 2 and
+// 4); morsel seams, small batches and batch boundaries are the engine's own
+// sweep (internal/engine tree_test.go, stream_morsel_test.go).
 
 const (
-	diffRows    = 260 // enough rows that sharding kicks in (minShardRows*2 per shard)
-	diffQueries = 24  // random queries per template set
+	diffRows    = 260
+	diffQueries = 24 // random queries per template set
 	diffSeed    = 20130826
 )
 
@@ -164,6 +163,15 @@ func TestDifferentialKeyFilterShapes(t *testing.T) {
 	}
 }
 
+// derivedScopeQueries are TestDerivedTableScope's statements.
+var derivedScopeQueries = []string{
+	"SELECT d.s_id, c_tier FROM (SELECT s_id, s_cat FROM sales) d, (SELECT c_name AS s_cat, c_tier FROM cats) e WHERE d.s_cat = e.s_cat ORDER BY d.s_id, c_tier",
+	"SELECT d.s_id FROM (SELECT s_id, s_qty AS q FROM sales) d WHERE EXISTS (SELECT 1 FROM sales s2 WHERE s2.s_id = d.s_id + 1 AND s2.s_price < d.q * 20) ORDER BY d.s_id",
+	"SELECT d.s_id FROM (SELECT s_id, s_price AS c_tier FROM sales) d WHERE EXISTS (SELECT 1 FROM cats d WHERE d.c_tier = 3) ORDER BY d.s_id",
+	"SELECT d.s_id FROM (SELECT s_id, s_qty AS q FROM sales) d WHERE EXISTS (SELECT 1 FROM sales WHERE sales.s_id = d.s_id + 1 AND s_price < d.q * 20) ORDER BY d.s_id",
+	"SELECT d.s_id FROM (SELECT s_id, c_tier AS t FROM sales, cats WHERE s_cat = c_name) d WHERE EXISTS (SELECT 1 FROM cats c2 WHERE c2.c_tier = d.t + 1) ORDER BY d.s_id, d.t",
+}
+
 // TestDerivedTableScope: derived tables referenced from nested blocks in the
 // ways flattening must prove safe or leave to a subplan — a qualified
 // reference substituted under another binding of the base table, a nested
@@ -172,13 +180,7 @@ func TestDifferentialKeyFilterShapes(t *testing.T) {
 // name match the plaintext engine.
 func TestDerivedTableScope(t *testing.T) {
 	sys := diffSystem(t)
-	for _, sql := range []string{
-		"SELECT d.s_id, c_tier FROM (SELECT s_id, s_cat FROM sales) d, (SELECT c_name AS s_cat, c_tier FROM cats) e WHERE d.s_cat = e.s_cat ORDER BY d.s_id, c_tier",
-		"SELECT d.s_id FROM (SELECT s_id, s_qty AS q FROM sales) d WHERE EXISTS (SELECT 1 FROM sales s2 WHERE s2.s_id = d.s_id + 1 AND s2.s_price < d.q * 20) ORDER BY d.s_id",
-		"SELECT d.s_id FROM (SELECT s_id, s_price AS c_tier FROM sales) d WHERE EXISTS (SELECT 1 FROM cats d WHERE d.c_tier = 3) ORDER BY d.s_id",
-		"SELECT d.s_id FROM (SELECT s_id, s_qty AS q FROM sales) d WHERE EXISTS (SELECT 1 FROM sales WHERE sales.s_id = d.s_id + 1 AND s_price < d.q * 20) ORDER BY d.s_id",
-		"SELECT d.s_id FROM (SELECT s_id, c_tier AS t FROM sales, cats WHERE s_cat = c_name) d WHERE EXISTS (SELECT 1 FROM cats c2 WHERE c2.c_tier = d.t + 1) ORDER BY d.s_id, d.t",
-	} {
+	for _, sql := range derivedScopeQueries {
 		plain, err := sys.QueryPlaintext(sql)
 		if err != nil {
 			t.Fatalf("plaintext %s: %v", sql, err)
@@ -246,8 +248,9 @@ func genQueries(rng *rand.Rand, n int) []diffQuery {
 }
 
 // canonicalRows renders result rows for comparison: floats rounded so the
-// encrypted path's different evaluation order (SUM/COUNT split, shard
-// merges) cannot flip a last-ulp bit, unordered results sorted.
+// encrypted path's different evaluation order (a SUM/COUNT split, the
+// client summing what the server grouped) cannot flip a last-ulp bit
+// against the plaintext twin, unordered results sorted.
 func canonicalRows(t *testing.T, data [][]any, ordered bool) []string {
 	t.Helper()
 	out := make([]string, len(data))
@@ -274,26 +277,23 @@ func canonicalRows(t *testing.T, data [][]any, ordered bool) []string {
 func TestDifferentialRandomQueries(t *testing.T) {
 	sys := diffSystem(t)
 	queries := genQueries(rand.New(rand.NewSource(diffSeed+1)), diffQueries)
-	for _, par := range []int{1, 2, 4} {
-		sys.SetParallelism(par)
-		for _, q := range queries {
-			plain, err := sys.QueryPlaintext(q.sql)
-			if err != nil {
-				t.Fatalf("p=%d plaintext %s: %v", par, q.sql, err)
-			}
-			enc, err := sys.Query(q.sql)
-			if err != nil {
-				t.Fatalf("p=%d encrypted %s: %v", par, q.sql, err)
-			}
-			want := canonicalRows(t, plain.Data, q.ordered)
-			got := canonicalRows(t, enc.Data, q.ordered)
-			if len(got) != len(want) {
-				t.Fatalf("p=%d %s: %d rows, plaintext %d", par, q.sql, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("p=%d %s\nrow %d: encrypted %q, plaintext %q", par, q.sql, i, got[i], want[i])
-				}
+	for _, q := range queries {
+		plain, err := sys.QueryPlaintext(q.sql)
+		if err != nil {
+			t.Fatalf("plaintext %s: %v", q.sql, err)
+		}
+		enc, err := sys.Query(q.sql)
+		if err != nil {
+			t.Fatalf("encrypted %s: %v", q.sql, err)
+		}
+		want := canonicalRows(t, plain.Data, q.ordered)
+		got := canonicalRows(t, enc.Data, q.ordered)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, plaintext %d", q.sql, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s\nrow %d: encrypted %q, plaintext %q", q.sql, i, got[i], want[i])
 			}
 		}
 	}
@@ -349,75 +349,39 @@ func genJoinQueries(rng *rand.Rand, n int) []diffQuery {
 }
 
 // TestDifferentialJoinQueries runs the multi-table grid: every generated
-// join query through the plaintext engine and the encrypted split path,
-// across Parallelism — exercising the sharded partitioned hash-join build,
-// the sharded probe and cross join, and the streamed-probe pipeline.
+// join query through the plaintext engine and the encrypted split path —
+// the partitioned hash-join build, the probe and cross join, and the
+// streamed-probe pipeline.
 func TestDifferentialJoinQueries(t *testing.T) {
 	sys := diffSystem(t)
 	queries := genJoinQueries(rand.New(rand.NewSource(diffSeed+3)), 15)
-	for _, par := range []int{1, 2, 4} {
-		sys.SetParallelism(par)
-		for _, q := range queries {
-			plain, err := sys.QueryPlaintext(q.sql)
-			if err != nil {
-				t.Fatalf("p=%d plaintext %s: %v", par, q.sql, err)
-			}
-			enc, err := sys.Query(q.sql)
-			if err != nil {
-				t.Fatalf("p=%d encrypted %s: %v", par, q.sql, err)
-			}
-			want := canonicalRows(t, plain.Data, q.ordered)
-			got := canonicalRows(t, enc.Data, q.ordered)
-			if len(got) != len(want) {
-				t.Fatalf("p=%d %s: %d rows, plaintext %d", par, q.sql, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("p=%d %s\nrow %d: encrypted %q, plaintext %q", par, q.sql, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestDifferentialParallelismInvariance pins the encrypted results
-// themselves across execution modes: integer aggregates must be
-// byte-identical whether computed sequentially or sharded — every
-// parallelism level against the sequential baseline.
-func TestDifferentialParallelismInvariance(t *testing.T) {
-	sys := diffSystem(t)
-	queries := genQueries(rand.New(rand.NewSource(diffSeed+2)), 12)
-	base := make([][]string, len(queries))
-	sys.SetParallelism(1)
-	for i, q := range queries {
-		res, err := sys.Query(q.sql)
+	for _, q := range queries {
+		plain, err := sys.QueryPlaintext(q.sql)
 		if err != nil {
-			t.Fatalf("%s: %v", q.sql, err)
+			t.Fatalf("plaintext %s: %v", q.sql, err)
 		}
-		base[i] = canonicalRows(t, res.Data, true)
-	}
-	for _, par := range []int{1, 2, 4} {
-		sys.SetParallelism(par)
-		if par == 1 {
-			continue // the baseline itself
+		enc, err := sys.Query(q.sql)
+		if err != nil {
+			t.Fatalf("encrypted %s: %v", q.sql, err)
 		}
-		for i, q := range queries {
-			res, err := sys.Query(q.sql)
-			if err != nil {
-				t.Fatalf("p=%d %s: %v", par, q.sql, err)
-			}
-			got := canonicalRows(t, res.Data, true)
-			if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
-				t.Errorf("p=%d %s diverges from sequential:\n%v\nvs\n%v", par, q.sql, got, base[i])
+		want := canonicalRows(t, plain.Data, q.ordered)
+		got := canonicalRows(t, enc.Data, q.ordered)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, plaintext %d", q.sql, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s\nrow %d: encrypted %q, plaintext %q", q.sql, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// shardedStreamShapes covers every shape the server's sharded producer can
+// shardedStreamShapes covers every shape the server's streamed producer can
 // take: plain scan, DISTINCT, GROUP BY (incl. Paillier aggregation), join
-// probe, ORDER BY … LIMIT, and LIMIT across shards. The network
-// differential runs the same list over the framed stream.
+// probe, ORDER BY … LIMIT, and LIMIT. The network differential runs the
+// list over the framed stream, the GOMAXPROCS differential at every worker
+// count.
 var shardedStreamShapes = []string{
 	// plain scan → filter → project (the sharded merger's home shape)
 	"SELECT s_id, s_price FROM sales WHERE s_price >= 300",
@@ -438,59 +402,27 @@ var shardedStreamShapes = []string{
 	"SELECT s_id FROM sales LIMIT 0",
 }
 
-// TestDifferentialShardedStream is the sharded-producer dimension of the
-// grid: the server's engine runs per-worker row ranges feeding a shard-order
-// merger, and streams DISTINCT and grouped emission — so every shape in
-// shardedStreamShapes must be byte-identical to the sequential one-puller
-// baseline at p 2 and 4. Row order is asserted verbatim
-// (ordered=true for every shape): the stream contract pins order even where
-// SQL would not.
-func TestDifferentialShardedStream(t *testing.T) {
-	sys := diffSystem(t)
-	base := make([][]string, len(shardedStreamShapes))
-	sys.SetParallelism(1) // the sequential one-puller baseline
-	for i, sql := range shardedStreamShapes {
-		res, err := sys.Query(sql)
-		if err != nil {
-			t.Fatalf("baseline %s: %v", sql, err)
-		}
-		base[i] = canonicalRows(t, res.Data, true)
-	}
-	for _, par := range []int{2, 4} {
-		sys.SetParallelism(par)
-		for i, sql := range shardedStreamShapes {
-			res, err := sys.Query(sql)
-			if err != nil {
-				t.Fatalf("p=%d %s: %v", par, sql, err)
-			}
-			got := canonicalRows(t, res.Data, true)
-			if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
-				t.Errorf("p=%d %s diverges from sequential puller:\n%v\nvs\n%v",
-					par, sql, got, base[i])
-			}
-		}
-	}
+// indexSubqueryShapes are single-table blocks whose WHERE holds a sargable
+// conjunct and a subquery: planned at open like any block, so they reach
+// the index access paths (hash probe, ordered range) they used to be kept
+// from.
+var indexSubqueryShapes = []diffQuery{
+	{"SELECT s_id, s_price FROM sales WHERE s_cat = 'bock' AND s_qty = (SELECT MAX(s_qty) FROM sales) ORDER BY s_id", true},
+	{"SELECT s_id, s_qty FROM sales WHERE s_price BETWEEN 100 AND 180 AND s_cat IN (SELECT c_name FROM cats WHERE c_tier < 3) ORDER BY s_id", true},
+	{"SELECT s_id FROM sales WHERE s_cat = 'ale' AND s_qty < 5 AND EXISTS (SELECT 1 FROM cats WHERE c_name = s_cat AND c_tier < s_qty) ORDER BY s_id", true},
 }
 
 // TestDifferentialIndexInvariance is the access-path dimension of the grid:
 // the same queries with secondary indexes off (every scan reads the whole
 // table) and on (DET hash probes, OPE range probes, index-served join
-// builds — whenever the cost rule picks them) must be byte-identical,
-// across parallelism. The index-off sequential run is the baseline.
+// builds — whenever the cost rule picks them) must be byte-identical. The
+// index-off run is the baseline.
 func TestDifferentialIndexInvariance(t *testing.T) {
 	sys := diffSystem(t)
 	queries := genQueries(rand.New(rand.NewSource(diffSeed+4)), 12)
 	queries = append(queries, genJoinQueries(rand.New(rand.NewSource(diffSeed+5)), 5)...)
-	// Single-table blocks whose WHERE holds a sargable conjunct and a
-	// subquery: planned at open like any block, so they reach the index
-	// access paths (hash probe, ordered range) they used to be kept from.
-	queries = append(queries,
-		diffQuery{"SELECT s_id, s_price FROM sales WHERE s_cat = 'bock' AND s_qty = (SELECT MAX(s_qty) FROM sales) ORDER BY s_id", true},
-		diffQuery{"SELECT s_id, s_qty FROM sales WHERE s_price BETWEEN 100 AND 180 AND s_cat IN (SELECT c_name FROM cats WHERE c_tier < 3) ORDER BY s_id", true},
-		diffQuery{"SELECT s_id FROM sales WHERE s_cat = 'ale' AND s_qty < 5 AND EXISTS (SELECT 1 FROM cats WHERE c_name = s_cat AND c_tier < s_qty) ORDER BY s_id", true},
-	)
+	queries = append(queries, indexSubqueryShapes...)
 	sys.SetIndexes(false)
-	sys.SetParallelism(1)
 	base := make([][]string, len(queries))
 	plainBase := make([][]string, len(queries))
 	for i, q := range queries {
@@ -505,33 +437,23 @@ func TestDifferentialIndexInvariance(t *testing.T) {
 		}
 		plainBase[i] = canonicalRows(t, p.Data, true)
 	}
-	for _, idx := range []bool{false, true} {
-		sys.SetIndexes(idx)
-		for _, par := range []int{1, 4} {
-			sys.SetParallelism(par)
-			if !idx && par == 1 {
-				continue // the baseline itself
-			}
-			for i, q := range queries {
-				res, err := sys.Query(q.sql)
-				if err != nil {
-					t.Fatalf("idx=%v p=%d %s: %v", idx, par, q.sql, err)
-				}
-				got := canonicalRows(t, res.Data, true)
-				if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
-					t.Errorf("idx=%v p=%d %s diverges from index-off baseline:\n%v\nvs\n%v",
-						idx, par, q.sql, got, base[i])
-				}
-				p, err := sys.QueryPlaintext(q.sql)
-				if err != nil {
-					t.Fatalf("idx=%v plaintext %s: %v", idx, q.sql, err)
-				}
-				pg := canonicalRows(t, p.Data, true)
-				if strings.Join(pg, "\n") != strings.Join(plainBase[i], "\n") {
-					t.Errorf("idx=%v p=%d plaintext %s diverges:\n%v\nvs\n%v",
-						idx, par, q.sql, pg, plainBase[i])
-				}
-			}
+	sys.SetIndexes(true)
+	for i, q := range queries {
+		res, err := sys.Query(q.sql)
+		if err != nil {
+			t.Fatalf("indexed %s: %v", q.sql, err)
+		}
+		got := canonicalRows(t, res.Data, true)
+		if strings.Join(got, "\n") != strings.Join(base[i], "\n") {
+			t.Errorf("indexed %s diverges from index-off baseline:\n%v\nvs\n%v", q.sql, got, base[i])
+		}
+		p, err := sys.QueryPlaintext(q.sql)
+		if err != nil {
+			t.Fatalf("indexed plaintext %s: %v", q.sql, err)
+		}
+		pg := canonicalRows(t, p.Data, true)
+		if strings.Join(pg, "\n") != strings.Join(plainBase[i], "\n") {
+			t.Errorf("indexed plaintext %s diverges:\n%v\nvs\n%v", q.sql, pg, plainBase[i])
 		}
 	}
 	if lookups, _ := func() (int64, int64) { s := sys.Stats(); return s.IndexLookups, s.RowsSkippedByIndex }(); lookups == 0 {

@@ -338,6 +338,7 @@ func TestNegativeSubstringSurvivesClientStack(t *testing.T) {
 // range or batch — and leave no goroutine of the streamed pipeline or the
 // decode fan-out behind.
 func TestMalformedConcatSurvivesClientStack(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // four decode workers
 	db := NewDatabase()
 	db.MustCreateTable("orders", Col("o_id", Int), Col("o_total", Int))
 	for i := 0; i < 2500; i++ { // 2 500 groups: past the parallel-decode threshold
@@ -345,7 +346,6 @@ func TestMalformedConcatSurvivesClientStack(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.PaillierBits = 256
-	opts.Parallelism = 4
 	const sql = "SELECT o_id, SUM(o_total) FROM orders GROUP BY o_id"
 	sys, err := Encrypt(db, Workload{"totals": sql}, opts)
 	if err != nil {
@@ -369,7 +369,7 @@ func TestMalformedConcatSurvivesClientStack(t *testing.T) {
 		corrupt := &corruptingExecutor{inner: sys.dep.Client.Srv, bad: bad}
 		sys.dep.Client.SetExecutor(corrupt) // in process: Execute's rows
 		remote := client.NewRemote(sys.dep.Keys, corrupt, sys.dep.DB.Meta, sys.dep.Client.Ctx, sys.dep.Net)
-		remote.Greedy, remote.Parallelism = true, opts.Parallelism // remote-built: ExecuteStream's frames
+		remote.Greedy = true // remote-built: ExecuteStream's frames
 		for dep, cl := range map[string]*client.Client{"in-process": sys.dep.Client, "remote": remote} {
 			_, err := cl.Query(sql, nil)
 			if !errors.Is(err, client.ErrMalformedResult) {
@@ -400,7 +400,6 @@ func TestConcurrentQ1OneClient(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.PaillierBits = 256
-	opts.Parallelism = 2
 	sys, err := Encrypt(db, Workload{"q1": mustTPCH(1)}, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,6 @@ func main() {
 	// Paillier), so it materializes exactly those encrypted columns.
 	opts := monomi.DefaultOptions()
 	opts.PaillierBits = 512 // quick demo; the paper uses 1024
-	opts.Parallelism = 0    // sharded execution across all cores (1 = sequential)
 	sys, err := monomi.Encrypt(db, monomi.Workload{
 		"customer-totals": "SELECT o_cust, SUM(o_total) FROM orders GROUP BY o_cust",
 		"big-orders":      "SELECT o_id FROM orders WHERE o_total > 100",

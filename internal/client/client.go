@@ -58,11 +58,6 @@ type Client struct {
 	// plan that pushes all available computation to the server (the
 	// Execution-Greedy configuration of §8.3).
 	Greedy bool
-	// Parallelism is the worker count for the local engines that run the
-	// plan's residual operators over decrypted temp tables, and for the
-	// result decoder (row ranges of each batch of 1 024 rows or more);
-	// values < 1 mean GOMAXPROCS, 1 forces sequential execution.
-	Parallelism int
 
 	exec      Executor
 	meta      map[string]*enc.TableMeta
@@ -305,9 +300,7 @@ func (c *Client) ResetPlanCache() { c.plans.purge() }
 // local parameter bindings.
 func (c *Client) finishPlan(plan *planner.Plan, cat *storage.Catalog, res *Result, ec execCtx) (*Result, error) {
 	start := time.Now()
-	eng := engine.New(cat)
-	eng.Parallelism = c.Parallelism
-	out, err := eng.Execute(plan.Local, ec.localp)
+	out, err := engine.New(cat).Execute(plan.Local, ec.localp)
 	if err != nil {
 		return nil, fmt.Errorf("client: local query: %w", err)
 	}

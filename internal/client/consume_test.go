@@ -106,9 +106,10 @@ func TestMalformedFirstErrorEveryHandoff(t *testing.T) {
 	f.client.SetExecutor(bad)
 	r := f.remote(bad)
 	var first string
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, via := range []*fixture{f, r} {
 		for _, p := range []int{1, 4} {
-			via.client.Parallelism = p
+			runtime.GOMAXPROCS(p)
 			_, err := via.client.Query(consumeSQL, nil)
 			if !errors.Is(err, ErrMalformedResult) {
 				t.Fatalf("remote=%v p=%d: %v, want ErrMalformedResult", via == r, p, err)
@@ -168,10 +169,11 @@ func (e *floodExec) ExecuteStream(q *ast.Query, params map[string]value.Value, w
 // decode error after joining the producer, and no goroutine outlives it.
 func TestRemoteDecodeErrorStopsProducer(t *testing.T) {
 	f := consumeFixture(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, p := range []int{1, 4} {
+		runtime.GOMAXPROCS(p)
 		flood := &floodExec{srv: f.client.Srv}
 		r := f.remote(flood)
-		r.client.Parallelism = p
 		base := runtime.NumGoroutine()
 		_, err := r.client.Query(consumeSQL, nil)
 		if !errors.Is(err, ErrMalformedResult) {
@@ -191,12 +193,12 @@ func TestRemoteDecodeErrorStopsProducer(t *testing.T) {
 }
 
 // TestMemoSpansBatches: an execution decodes all its batches on one decoder
-// clone, so a DET column of 4 distinct ciphertexts costs 4 decryptions at p=1
-// whether it arrives as one drained batch or as four frames.
+// clone, so a DET column of 4 distinct ciphertexts costs 4 decryptions on one
+// worker whether it arrives as one drained batch or as four frames.
 func TestMemoSpansBatches(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f := consumeFixture(t)
 	for _, via := range []*fixture{f, f.remote(nil)} {
-		via.client.Parallelism = 1
 		res := via.checkQuery(t, consumeSQL, nil)
 		if res.Decrypts != 4 {
 			t.Errorf("remote=%v: %d decryptions, want 4", via != f, res.Decrypts)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -73,7 +74,7 @@ func eventsFixture(t testing.TB) *fixture {
 }
 
 // TestWiresDecodeIdentically pins the one decoder behind both hand-offs, as
-// two clients over one server: at every Parallelism, for results below, at
+// two clients over one server: at every GOMAXPROCS, for results below, at
 // and above the inline threshold, with NULLs, DET-string, RND and OPE columns
 // and conditional-sum concats whose elements are NULL, the remote-built
 // client — which decodes 1 024-row frames, two of them for the widest
@@ -90,10 +91,11 @@ func TestWiresDecodeIdentically(t *testing.T) {
 		`SELECT e_grp, SUM(CASE WHEN e_name = 'name-3' THEN e_amt ELSE 0 END), SUM(e_amt), COUNT(*) FROM events GROUP BY e_grp`,
 		`SELECT e_id, SUM(CASE WHEN e_name = 'name-3' THEN e_amt ELSE 0 END) FROM events GROUP BY e_id`,
 		`SELECT SUM(e_amt) FROM events WHERE e_id < 0`)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, sql := range queries {
 		var want [][]value.Value
 		for _, p := range []int{1, 2, 4} {
-			f.client.Parallelism, r.client.Parallelism = p, p
+			runtime.GOMAXPROCS(p)
 			for _, via := range []*fixture{f, r} {
 				got := via.checkQuery(t, sql, nil).Rows
 				if want == nil {
@@ -174,7 +176,7 @@ func TestDecodeUnit(t *testing.T) {
 	}
 	for _, n := range decodeRowCounts {
 		for _, p := range []int{1, 2, 4} {
-			c := &Client{Keys: ks, Parallelism: p}
+			c := &Client{Keys: ks}
 			dec, err := c.newDecoder(part)
 			if err != nil {
 				t.Fatal(err)
@@ -220,7 +222,7 @@ func TestDecryptCacheKeyedByPlainKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &Client{Keys: ks, Parallelism: 1}
+	c := &Client{Keys: ks}
 	dec, err := c.newDecoder(part)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +260,7 @@ func TestMalformedConcatCell(t *testing.T) {
 				rows[i] = []value.Value{value.NewNull()}
 			}
 			rows[len(rows)-1] = []value.Value{bad} // the last worker's range
-			c := &Client{Keys: ks, Parallelism: p}
+			c := &Client{Keys: ks}
 			dec, err := c.newDecoder(part)
 			if err != nil {
 				t.Fatal(err)
@@ -369,7 +371,7 @@ func TestNonOPECiphertextCell(t *testing.T) {
 					rows[i] = cell(good)
 				}
 				rows[len(rows)-1] = cell(bad) // the last worker's range
-				c := &Client{Keys: ks, Parallelism: p}
+				c := &Client{Keys: ks}
 				dec, err := c.newDecoder(part)
 				if err != nil {
 					t.Fatal(err)
@@ -445,7 +447,7 @@ func BenchmarkDecodeRemote(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := dec.clone().decode(rows, c.parallelism()); err != nil {
+				if _, _, err := dec.clone().decode(rows, runtime.GOMAXPROCS(0)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -454,7 +456,7 @@ func BenchmarkDecodeRemote(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/cells, "ns/cell")
 			b.ReportMetric(float64(testing.AllocsPerRun(1, func() {
 				dec, _ := c.newDecoder(part)
-				dec.clone().decode(rows, c.parallelism()) //nolint:errcheck
+				dec.clone().decode(rows, runtime.GOMAXPROCS(0)) //nolint:errcheck
 			}))/float64(tc.rows*len(part.Outputs)), "allocs/cell")
 		})
 	}

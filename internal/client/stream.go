@@ -6,7 +6,7 @@ package client
 // built by NewRemote reads the framed batches ExecuteStream writes into a
 // pipe (the batch protocol of internal/wire), as the server frames them
 // mid-scan. Either way each batch goes through decoder.decode — split across
-// Parallelism workers once it holds parallelDecodeRows rows — on one clone
+// GOMAXPROCS workers once it holds parallelDecodeRows rows — on one clone
 // per execution, so memos span the whole execution and rows, row order,
 // encodings and the first error are the same on both hand-offs.
 //
@@ -34,14 +34,6 @@ import (
 	"repro/internal/value"
 	"repro/internal/wire"
 )
-
-// parallelism resolves the client-side worker knob (< 1 = GOMAXPROCS).
-func (c *Client) parallelism() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // fetch executes one RemoteSQL — the whole query, text and encrypted
 // parameter bindings, goes out on every execution — and decodes its result.
@@ -111,7 +103,7 @@ func (c *Client) consume(dec *decoder, res *Result, cols int, next func() ([][]v
 	if cols != len(dec.cols) {
 		return nil, fmt.Errorf("server returned %d columns, plan expects %d", cols, len(dec.cols))
 	}
-	d, workers := dec.clone(), c.parallelism()
+	d, workers := dec.clone(), runtime.GOMAXPROCS(0)
 	var rows [][]value.Value
 	for {
 		batch, err := next()

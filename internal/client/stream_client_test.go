@@ -1,6 +1,7 @@
 package client
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -31,8 +32,9 @@ var remoteQueries = []string{
 func TestRemoteClientMatchesPlaintext(t *testing.T) {
 	f := newFixture(t)
 	r := f.remote(nil)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, p := range []int{1, 4} {
-		r.client.Parallelism = p
+		runtime.GOMAXPROCS(p)
 		for _, sql := range remoteQueries {
 			res := r.checkQuery(t, sql, nil)
 			if res.WireBytes <= 0 {
@@ -48,7 +50,7 @@ func TestRemoteClientMatchesPlaintext(t *testing.T) {
 func TestRemoteResultsIdenticalToInProcess(t *testing.T) {
 	f := newFixture(t)
 	r := f.remote(nil)
-	f.client.Parallelism, r.client.Parallelism = 2, 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, sql := range remoteQueries {
 		want, err := f.client.Query(sql, nil)
 		if err != nil {

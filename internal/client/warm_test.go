@@ -76,7 +76,6 @@ func warmFixture(t testing.TB) *fixture {
 	ctx := planner.NewContext(cat, d, ks, planner.DefaultCostModel(cfg))
 	ctx.Indexes = true
 	c := New(ks, srv, ctx, cfg)
-	c.Parallelism = 1
 	return &fixture{cat: cat, client: c, plain: engine.New(cat)}
 }
 

@@ -35,9 +35,6 @@ type Spec struct {
 	// Indexes builds secondary indexes over the encrypted tables, mirrors
 	// them onto the plaintext baseline and lets the planner cost them.
 	Indexes bool
-	// Parallelism (0 = GOMAXPROCS; also drives the bulk load) is the
-	// worker count SetParallelism applies.
-	Parallelism int
 }
 
 // Design is the set-up phase up to the physical design: derive the keys,
@@ -88,7 +85,7 @@ func Build(cat *storage.Catalog, workload map[string]string, spec Spec) (*Deploy
 		return nil, err
 	}
 	ks, net := dres.Context.Keys, dres.Context.Cost.Cfg
-	db, err := enc.EncryptDatabaseOn(cat, dres.Design, ks, spec.Parallelism, spec.Backend)
+	db, err := enc.EncryptDatabaseOn(cat, dres.Design, ks, 0, spec.Backend)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +100,6 @@ func Build(cat *storage.Catalog, workload map[string]string, spec Spec) (*Deploy
 		Plain: cat, Engine: engine.New(cat), Keys: ks, Design: dres,
 		DB: db, Client: cl, Net: net,
 	}
-	d.SetParallelism(spec.Parallelism)
 	d.SetIndexes(spec.Indexes)
 	return d, nil
 }
@@ -143,21 +139,9 @@ func buildPlainIndexes(cat *storage.Catalog, design *enc.Design) error {
 func (d *Deployment) Remote(conn *transport.Conn) *Deployment {
 	cl := client.NewRemote(d.Keys, conn, d.DB.Meta, d.Client.Ctx, d.Net)
 	cl.Greedy = d.Client.Greedy
-	cl.Parallelism = d.Client.Parallelism
 	r := *d
 	r.Client = cl
 	return &r
-}
-
-// SetParallelism sets the sharded-execution worker count on the server, the
-// client's local operators and the plaintext baseline engine. Like
-// SetIndexes it is not safe while queries are in flight.
-func (d *Deployment) SetParallelism(p int) {
-	if d.Client.Srv != nil {
-		d.Client.Srv.SetParallelism(p)
-	}
-	d.Client.Parallelism = p
-	d.Engine.Parallelism = p
 }
 
 // SetIndexes toggles secondary-index access paths on the server's engine,

@@ -36,7 +36,7 @@ func TestDesignMatchesBuild(t *testing.T) {
 	opts.SpaceBudget = 2
 	spec := Spec{
 		MasterKey: []byte("deploy-test"), PaillierBits: 512,
-		Designer: opts, Prefilter: true, Indexes: true, Parallelism: 1,
+		Designer: opts, Prefilter: true, Indexes: true,
 	}
 	cat, err := tpch.Generate(0.0005, 3)
 	if err != nil {

@@ -37,7 +37,7 @@ const indexRowCost = 4
 // planner.bestIndexConjunct estimates — while the residual filter applies
 // the rest; it replaces the full scan when it beats the cost rule. Index
 // stats are charged here, once, on the resolving context — resolution
-// happens before any sharding.
+// happens before any morsel runs.
 func (c *execCtx) accessPath(q *ast.Query, p *pipeline) {
 	t := p.src.t
 	n := t.NumRows()

@@ -14,7 +14,7 @@ import (
 // rows — including NULLs in the indexed columns — plus a dimension table
 // dim(d_cat, d_w) for join-build coverage, and indexes: a hash index on
 // e_cat and d_cat (equality/IN/join), an ordered index on e_val (ranges).
-// 600 rows is enough for sharding and multi-batch streaming.
+// 600 rows are several morsels at a small batch, and several stream batches.
 func accessFixture(t *testing.T) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -126,13 +126,13 @@ var accessShapes = []string{
 }
 
 // TestAccessPathEquivalence pins every shape's result across UseIndexes ×
-// Parallelism × batchSize against the index-off sequential materialized
+// GOMAXPROCS × batchSize against the index-off sequential materialized
 // baseline — the engine-level version of the byte-identity contract.
 func TestAccessPathEquivalence(t *testing.T) {
 	e := accessFixture(t)
 	base := make(map[string]string)
 	e.UseIndexes = false
-	e.Parallelism = 1
+	procs(t, 1)
 	e.batchSize = 0
 	for _, sql := range accessShapes {
 		base[sql] = renderAccess(run(t, e, sql, nil))
@@ -140,7 +140,7 @@ func TestAccessPathEquivalence(t *testing.T) {
 	for _, idx := range []bool{false, true} {
 		e.UseIndexes = idx
 		for _, par := range []int{1, 4} {
-			e.Parallelism = par
+			procs(t, par)
 			for _, bs := range []int{0, 32} {
 				e.batchSize = bs
 				for _, sql := range accessShapes {
@@ -159,11 +159,11 @@ func TestAccessPathEquivalence(t *testing.T) {
 
 // TestAccessPathStreaming pins the streaming API the same way: every shape
 // consumed through ExecuteStream with indexes on must equal the
-// materialized index-off result, across parallelism and batch size.
+// materialized index-off result, across GOMAXPROCS and batch size.
 func TestAccessPathStreaming(t *testing.T) {
 	e := accessFixture(t)
 	e.UseIndexes = false
-	e.Parallelism = 1
+	procs(t, 1)
 	e.batchSize = 0
 	base := make(map[string]string)
 	for _, sql := range accessShapes {
@@ -171,7 +171,7 @@ func TestAccessPathStreaming(t *testing.T) {
 	}
 	e.UseIndexes = true
 	for _, par := range []int{1, 4} {
-		e.Parallelism = par
+		procs(t, par)
 		for _, bs := range []int{16, 128} {
 			e.batchSize = bs
 			for _, sql := range accessShapes {

@@ -46,9 +46,9 @@ func (c *execCtx) collectAggSpecs(q *ast.Query) []aggSpec {
 }
 
 // builtinAggState accumulates one builtin aggregate. DISTINCT states keep
-// the deduplicated values in first-occurrence row order so shard partials
-// can replay unseen values during merge deterministically: shard partials
-// merge in shard order, so the replay order equals the first-occurrence
+// the deduplicated values in first-occurrence row order so morsel partials
+// can replay unseen values during merge deterministically: morsel partials
+// merge in morsel order, so the replay order equals the first-occurrence
 // order of a sequential scan.
 type builtinAggState struct {
 	fn           ast.AggFunc
@@ -103,7 +103,7 @@ func (s *builtinAggState) accumulate(v value.Value) {
 	s.hasVal = true
 }
 
-// merge folds a shard partial (same aggregate over a disjoint, later row
+// merge folds a morsel partial (same aggregate over a disjoint, later row
 // range) into s. DISTINCT partials replay only values s has not seen, in
 // the partial's first-occurrence order.
 func (s *builtinAggState) merge(o *builtinAggState) {
@@ -198,7 +198,7 @@ func (c *execCtx) newAggGroup(specs []aggSpec, row []value.Value) (*aggGroup, er
 }
 
 // merge folds another group's partial states (same specs, disjoint rows,
-// later shard) into g.
+// later morsel) into g.
 func (g *aggGroup) merge(o *aggGroup) error {
 	for i := range g.builtins {
 		if g.builtins[i] != nil {
@@ -278,7 +278,7 @@ func (c *execCtx) accumulateRows(q *ast.Query, specs []aggSpec, gs *groupSet, re
 	return nil
 }
 
-// mergeGroupParts folds per-shard groupSets — in shard order, so group
+// mergeGroupParts folds per-morsel groupSets — in morsel order, so group
 // first-appearance order and order-sensitive aggregate states match a
 // sequential scan — into fresh states created on c (whose stats the UDF
 // states must capture for Result).
@@ -318,8 +318,8 @@ func specsHaveUDF(specs []aggSpec) bool {
 
 // resolveAggResults finalizes the aggregates of groups [lo,hi) in
 // first-appearance order — one AggState.Result per (group, spec) —
-// fanning contiguous group sub-ranges across the context's workers when
-// UDF aggregates are present. The AggState contract requires Result to
+// fanning the groups, each resolved on its own, across GOMAXPROCS workers
+// when UDF aggregates are present. The AggState contract requires Result to
 // tolerate concurrent invocation across distinct states (the server's
 // Paillier UDF accumulates its stats atomically for exactly this). Errors
 // surface in group order, matching the sequential loop. Grouped emission
@@ -346,11 +346,7 @@ func (c *execCtx) resolveAggResults(specs []aggSpec, groups *groupSet, lo, hi in
 		out[gi] = vals
 		return nil
 	}
-	workers := c.par
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || !specsHaveUDF(specs) {
+	if !specsHaveUDF(specs) {
 		for gi := 0; gi < n; gi++ {
 			if err := resolve(gi); err != nil {
 				return nil, err
@@ -358,15 +354,7 @@ func (c *execCtx) resolveAggResults(specs []aggSpec, groups *groupSet, lo, hi in
 		}
 		return out, nil
 	}
-	bounds := shardBounds(n, workers)
-	if err := parallelDo(workers, func(s int) error {
-		for gi := bounds[s][0]; gi < bounds[s][1]; gi++ {
-			if err := resolve(gi); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	if err := parallelFor(n, resolve); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -400,8 +388,8 @@ func groupEnv(c *execCtx, in *relation, grp *aggGroup, aggVals map[string]value.
 }
 
 // groupEmitter is the grouped breaker. Its first pull accumulates: every
-// chain of the block folds its batches into a groupSet (one per shard,
-// merged in shard order through AggState.Merge, so group first-appearance
+// chain of the block folds its batches into a groupSet (one per morsel,
+// merged in morsel order through AggState.Merge, so group first-appearance
 // order and order-sensitive aggregate states match a sequential scan).
 // From then on the finished groups finalize and emit in output batches —
 // each next() resolves one batch worth of groups (resolveAggResults fans
@@ -412,14 +400,14 @@ func groupEnv(c *execCtx, in *relation, grp *aggGroup, aggVals map[string]value.
 // a LIMIT that stops pulling leaves the remaining groups' (expensive,
 // crypto-heavy) finalization unperformed.
 type groupEmitter struct {
-	c      *execCtx
-	q      *ast.Query
-	p      *pipeline
-	shards int
-	specs  []aggSpec
-	groups *groupSet // nil until accumulated
-	pos    int
-	closed bool
+	c       *execCtx
+	q       *ast.Query
+	p       *pipeline
+	morsels int
+	specs   []aggSpec
+	groups  *groupSet // nil until accumulated
+	pos     int
+	closed  bool
 }
 
 // accumulate runs the block's chains to exhaustion into g.groups.
@@ -445,9 +433,9 @@ func (g *groupEmitter) accumulate() error {
 	}
 	var err error
 	n := p.src.n()
-	if g.shards > 1 {
+	if g.morsels > 1 {
 		var parts []*groupSet
-		if parts, err = shardedCollectBounds(c, shardStreamBounds(n, g.shards, c.batch), fold); err == nil {
+		if parts, err = morselCollect(c, n, fold); err == nil {
 			g.groups, err = c.mergeGroupParts(g.specs, parts)
 		}
 	} else {

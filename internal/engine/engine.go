@@ -14,10 +14,11 @@
 // or equality-correlated EXISTS/IN/scalar one drained once and probed like a
 // join), derived tables and hashed join build sides drain a child tree (an
 // index-probed build side fetches only the rows its probes reach). Large
-// sources shard: Engine.Parallelism workers each run their own chain over a
-// contiguous row range and the outputs recombine in shard order (parallel.go,
-// stream_shard.go), so rows are byte-identical at every parallelism level
-// and batch size. The engine reports byte-accurate scan statistics that the
+// sources cut into morsels: GOMAXPROCS workers each run their own
+// chain over the next morsel and the outputs recombine in morsel order
+// (parallel.go, stream_morsel.go), so rows, Float sums and Stats depend on
+// the data alone, and rows are byte-identical at every batch size. The
+// engine reports byte-accurate scan statistics that the
 // MONOMI cost model converts to simulated I/O time.
 package engine
 
@@ -110,15 +111,13 @@ func (r *Result) Bytes() int64 {
 
 // Engine executes queries against a catalog.
 //
-// Parallelism sets the worker count for sharded execution: a large source
-// is split into contiguous row ranges, each worker runs its own scan →
-// filter → probe → project (or grouped-accumulation) chain over one range,
-// and per-shard rows or aggregation states (AggState.Merge) recombine in
-// shard order. Values < 1 mean GOMAXPROCS; 1 runs everything on the
-// calling goroutine.
+// A source larger than one morsel runs as one scan → filter → probe →
+// project (or grouped-accumulation) chain per morsel on GOMAXPROCS workers,
+// and per-morsel rows or aggregation states (AggState.Merge) recombine in
+// morsel order (parallel.go).
 //
 // The rows one pull moves through the tree follow from how the result is
-// consumed, not from a knob: Execute drains one unbounded batch per shard,
+// consumed, not from a knob: Execute drains one unbounded batch per morsel,
 // an ExecuteStream execution moves DefaultBatchSize rows per pull, and a
 // block whose LIMIT can stop its scan reads at most DefaultBatchSize rows
 // per pull on either path. Rows are byte-identical at every batch size;
@@ -127,19 +126,19 @@ func (r *Result) Bytes() int64 {
 // Execute calls on one engine are otherwise safe (execution state is
 // per-call, and catalogs are read-only during execution).
 type Engine struct {
-	Cat         *storage.Catalog
-	Parallelism int
+	Cat *storage.Catalog
 	// UseIndexes enables cost-based access-path selection (see access.go):
 	// single-table scans may restrict through a secondary index and join
 	// builds may fetch their rows through a hash index. Off by default — results
 	// are byte-identical either way, but scan statistics (and therefore
-	// simulated I/O time) shrink when an index path is taken. Like the
-	// other knobs, it must not change while queries are in flight.
+	// simulated I/O time) shrink when an index path is taken. It must not
+	// change while queries are in flight.
 	UseIndexes bool
 	scalars    map[string]ScalarUDF
 	aggs       map[string]AggUDFFactory
 	// batchSize, when positive, replaces the batch rule above on every
-	// path; tests set it to sweep small batches over small fixtures.
+	// path, and the morsel with it (morselRows); tests set it to sweep
+	// small batches and morsels over small fixtures.
 	batchSize int
 
 	// Cumulative index counters across every query this engine executed.
@@ -170,15 +169,15 @@ type ScalarUDF func(st *Stats, args []value.Value) (value.Value, error)
 // AggState accumulates one group's values for an aggregate UDF.
 //
 // Merge folds a partial state — produced by the same factory over a
-// disjoint, earlier-or-later row shard of the same group — into the
-// receiver. Sharded grouped aggregation accumulates one state per
-// (shard, group) and merges them in shard order, so an implementation that
+// disjoint, earlier-or-later morsel of the same group — into the
+// receiver. Grouped aggregation over several morsels accumulates one state
+// per (morsel, group) and merges them in morsel order, so an implementation that
 // is order-sensitive (e.g. concatenation) sees its inputs in the original
 // row order. After a state has been merged from, it is discarded; Merge
 // may therefore steal its buffers.
 //
-// Result finalizes the group. When UDF aggregates are present and the
-// engine runs parallel, finalization fans groups across workers, so Result
+// Result finalizes the group. When UDF aggregates are present,
+// finalization fans groups across GOMAXPROCS workers, so Result
 // may be invoked concurrently with other states' Result calls (never
 // concurrently on one state). An implementation that writes to shared
 // state — typically the *Stats sink its factory captured — must make those
@@ -225,14 +224,13 @@ type execCtx struct {
 	eng    *Engine
 	params map[string]value.Value
 	stats  *Stats
-	subq   map[*ast.Query]*subqPlan // written only from open (planSubquery); shards read it
-	par    int                      // worker count for sharded chains (1 = sequential)
+	subq   map[*ast.Query]*subqPlan // written only from open (planSubquery); morsels read it
 	batch  int                      // rows per batch; math.MaxInt when draining
 	useIdx bool                     // cost-based index access paths enabled (access.go)
-	stmt   *stmtCols                // the statement's column set, shared with shard contexts
+	stmt   *stmtCols                // the statement's column set, shared with morsel contexts
 	// aliased maps each block whose HAVING or ORDER BY names a SELECT-list
 	// alias to its copy with the aliased expressions substituted
-	// (ast.WithAliases); nil when no block does. Shard contexts share it
+	// (ast.WithAliases); nil when no block does. Morsel contexts share it
 	// read-only.
 	aliased map[*ast.Query]*ast.Query
 }
@@ -290,7 +288,7 @@ func (e *Engine) newCtx(q *ast.Query, params map[string]value.Value, batch int) 
 	}
 	return &execCtx{
 		eng: e, params: params, stats: &Stats{},
-		par: e.effectiveParallelism(), batch: batch, useIdx: e.UseIndexes,
+		batch: batch, useIdx: e.UseIndexes,
 		stmt: &stmtCols{root: q},
 	}
 }
@@ -430,20 +428,20 @@ func (c *execCtx) execQuery(q *ast.Query, outer *env) (*relation, error) {
 //   - DISTINCT adds the seen-set over the merged stream, LIMIT the
 //     countdown.
 //
-// A block that may shard runs one chain per worker; under ORDER BY … LIMIT
-// each chain ends in a bounded-sort pre-pass so only candidates cross the
-// merger. A LIMIT that can stop the scan early (no sort, no grouping in
+// A block of several morsels runs one chain per morsel; under ORDER BY …
+// LIMIT each chain ends in a bounded-sort pre-pass so only candidates cross
+// the merger. A LIMIT that can stop the scan early (no sort, no grouping in
 // front of it) keeps the block on one chain that reads at most
-// DefaultBatchSize rows per pull: only the global row prefix matters, so one early-exiting chain is
-// the least work, and the charged scan is independent of the Parallelism
-// knob and of whether the result is drained or streamed.
+// DefaultBatchSize rows per pull: only the global row prefix matters, so
+// one early-exiting chain is the least work, and the charged scan does not
+// depend on whether the result is drained or streamed.
 //
 // The subqueries the block's clauses name are planned here, before anything
 // else (planBlock): their plans are complete and immutable by the time the
-// first chain exists, so a block with subqueries shards like any other. A
+// first chain exists, so a block with subqueries cuts into morsels like any other. A
 // block opened under an outer row is being re-opened beneath a naive
 // subquery, whose planning already covered it (planBeneath) — it may be
-// running on a shard worker and writes no plan.
+// running on a morsel worker and writes no plan.
 func (c *execCtx) open(q *ast.Query, outer *env) (batchIterator, error) {
 	q = c.block(q)
 	if outer == nil {
@@ -460,21 +458,21 @@ func (c *execCtx) open(q *ast.Query, outer *env) (batchIterator, error) {
 	if !q.Distinct {
 		keep = q.Limit
 	}
-	shards := c.shards(p)
+	morsels := c.morsels(p)
 	if q.Limit >= 0 && !sorts && !grouped {
-		shards, p.batch = 1, min(p.batch, DefaultBatchSize)
+		morsels, p.batch = 1, min(p.batch, DefaultBatchSize)
 	}
 
 	var it batchIterator
 	if grouped {
-		it = &groupEmitter{c: c, q: q, p: p, shards: shards}
+		it = &groupEmitter{c: c, q: q, p: p, morsels: morsels}
 	} else {
-		it = c.stream(p, shards, func(sc *execCtx, lo, hi int) batchIterator {
+		it = c.stream(p, morsels, func(sc *execCtx, lo, hi int) batchIterator {
 			var it batchIterator = &projectIterator{
 				in: p.chain(sc, lo, hi), q: q, rel: p.joined, outer: outer, c: sc,
 			}
-			// A shard's pre-pass: only candidates cross the merger.
-			if shards > 1 && sorts && keep >= 0 {
+			// A morsel's pre-pass: only candidates cross the merger.
+			if morsels > 1 && sorts && keep >= 0 {
 				it = &sortIterator{in: it, order: q.OrderBy, k: keep, size: math.MaxInt}
 			}
 			return it
@@ -621,7 +619,7 @@ func (p *pipeline) setFilter(f ast.Expr) {
 }
 
 // chain assembles the front of the tree over source positions [lo,hi),
-// evaluating on sc (so a shard context accumulates its own stats):
+// evaluating on sc (so a morsel context accumulates its own stats):
 //
 //	scan+filter ─batch─▶ probe₁ ─▶ … ─▶ probeₙ ─▶ residual
 //
@@ -643,32 +641,32 @@ func (p *pipeline) chain(sc *execCtx, lo, hi int) batchIterator {
 	return it
 }
 
-// shards decides how many chains p's source splits into. A correlated
-// block stays on one chain: it re-opens per outer row, where sharding would
+// morsels decides how many chains p's source cuts into. A correlated
+// block stays on one chain: it re-opens per outer row, where morsels would
 // multiply goroutines, and its evaluation reaches into the enclosing row's
 // environment, whose context belongs to the worker evaluating that row.
-func (c *execCtx) shards(p *pipeline) int {
+func (c *execCtx) morsels(p *pipeline) int {
 	if p.outer != nil {
 		return 1
 	}
-	return c.shardCount(p.src.n())
+	return c.morselCount(p.src.n())
 }
 
 // stream runs mk over the whole of p's source: as one chain on c, or as
-// one chain per shard behind the shard-order merger.
-func (c *execCtx) stream(p *pipeline, shards int, mk func(sc *execCtx, lo, hi int) batchIterator) batchIterator {
+// one chain per morsel behind the morsel-order merger.
+func (c *execCtx) stream(p *pipeline, morsels int, mk func(sc *execCtx, lo, hi int) batchIterator) batchIterator {
 	n := p.src.n()
-	if shards <= 1 {
+	if morsels <= 1 {
 		return mk(c, 0, n)
 	}
-	return newShardedStream(c, mk, shardStreamBounds(n, shards, c.batch))
+	return newMorselStream(c, mk, n)
 }
 
 // drainSource materializes p's FROM/WHERE rows, unprojected — what a cross
 // join's right side, or a build side buildSide cannot serve through an
 // index, holds.
 func (c *execCtx) drainSource(p *pipeline) (*relation, error) {
-	rows, err := drain(c.stream(p, c.shards(p), p.chain))
+	rows, err := drain(c.stream(p, c.morsels(p), p.chain))
 	if err != nil {
 		return nil, err
 	}

@@ -75,11 +75,11 @@ func BenchmarkDecorrelatedExists10k(b *testing.B) {
 		SELECT 1 FROM facts WHERE f_dim = d_id AND f_val > 900)`, 10000)
 }
 
-// Sharded-execution benchmarks: the same queries at parallelism 1 (the
-// sequential path) and at increasing worker counts. On a multi-core host
-// the p>1 variants show the multi-core speedup of the sharded scan,
-// filter, probe, and grouped-aggregation loops; on a single core they
-// bound the sharding overhead.
+// Morsel-execution benchmarks: the same queries at GOMAXPROCS 1 (one
+// worker) and at increasing worker counts. On a multi-core host the p>1
+// variants show the multi-core speedup of the morsel scan, filter, probe,
+// and grouped-aggregation loops; on a single core they bound the worker
+// overhead.
 
 func benchParallelLevels(b *testing.B, sql string, rows int) {
 	b.Helper()
@@ -87,7 +87,7 @@ func benchParallelLevels(b *testing.B, sql string, rows int) {
 	q := sqlparser.MustParse(sql)
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			e.Parallelism = p
+			procs(b, p)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.Execute(q, nil); err != nil {
@@ -100,7 +100,7 @@ func benchParallelLevels(b *testing.B, sql string, rows int) {
 
 // BenchmarkGroupedAggregate200k is TPC-H-Q1-shaped grouped aggregation
 // (few groups, several aggregates per row) over 200k rows — the paper's
-// server-side hot path and the headline case for sharded execution.
+// server-side hot path and the headline case for morsel execution.
 func BenchmarkGroupedAggregate200k(b *testing.B) {
 	benchParallelLevels(b,
 		`SELECT f_dim, SUM(f_val), COUNT(*), AVG(f_val), MIN(f_val), MAX(f_val)
@@ -117,7 +117,7 @@ func BenchmarkHashJoinProbe200k(b *testing.B) {
 
 // Streamed-vs-materialized benchmarks: the same scan-shaped queries with
 // the batch-at-a-time pipeline off (materialized intermediates) and on
-// (batchSize = DefaultBatchSize), at sequential and sharded parallelism.
+// (batchSize = DefaultBatchSize), at one and several workers.
 // Streaming wins by skipping the materialized filter output and, for
 // LIMIT, by stopping the scan early; results are byte-identical either
 // way (see stream_test.go).
@@ -132,7 +132,8 @@ func benchStreamLevels(b *testing.B, sql string, rows int) {
 	}{{"materialized", 0}, {"streamed", DefaultBatchSize}} {
 		for _, p := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/p=%d", mode.name, p), func(b *testing.B) {
-				e.Parallelism, e.batchSize = p, mode.batch
+				procs(b, p)
+				e.batchSize = mode.batch
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := e.Execute(q, nil); err != nil {
@@ -167,7 +168,7 @@ func BenchmarkStreamLimit200k(b *testing.B) {
 	benchStreamLevels(b, `SELECT f_id, f_val FROM facts WHERE f_val > 500 LIMIT 100`, 200000)
 }
 
-// Join-layer benchmarks: the sharded partitioned hash-join build (200k-row
+// Join-layer benchmarks: the partitioned hash-join build (200k-row
 // build side) and the streamed probe (200k-row probe side) against their
 // sequential / materialized baselines.
 
@@ -216,7 +217,7 @@ func BenchmarkJoinBuild200k(b *testing.B) {
 	q := sqlparser.MustParse(`SELECT COUNT(*) FROM probe, build WHERE p_key = b_key`)
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			e.Parallelism = p
+			procs(b, p)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.Execute(q, nil); err != nil {
@@ -247,7 +248,8 @@ func BenchmarkStreamJoinProbe200k(b *testing.B) {
 			batch int
 		}{{"materialized", 0}, {"streamed", DefaultBatchSize}} {
 			b.Run(fmt.Sprintf("%s/%s", sh.name, mode.name), func(b *testing.B) {
-				e.Parallelism, e.batchSize = 1, mode.batch
+				procs(b, 1)
+				e.batchSize = mode.batch
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := e.Execute(q, nil); err != nil {

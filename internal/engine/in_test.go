@@ -83,7 +83,7 @@ func TestInThreeValued(t *testing.T) {
 	} {
 		for _, par := range []int{1, 4} {
 			e := inFixture(t)
-			e.Parallelism = par
+			procs(t, par)
 			if got := rowsOf(run(t, e, tc.sql, nil)); got != tc.want {
 				t.Errorf("p=%d %s\n got  [%s]\n want [%s]", par, tc.sql, got, tc.want)
 			}

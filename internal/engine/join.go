@@ -21,8 +21,8 @@ import (
 // to (tableProbe). Any other build side is drained and partitioned by key
 // hash across workers into per-partition maps — no global lock, and a key's
 // row list is always in build-side row order regardless of worker count —
-// while the probe side shards by contiguous row ranges like every other
-// chain (parallel.go).
+// while the probe side cuts into morsels like every other chain
+// (parallel.go).
 
 // joinStep is one step of the greedy join order: attach FROM index next to
 // the accumulated relation. Empty key lists mean a cross join; otherwise
@@ -230,7 +230,7 @@ func (b *joinBuild) lookup(c *execCtx, key string) ([][]value.Value, error) {
 // its share of Table.Bytes, so only a fill that needs every remaining row
 // drains.
 //
-// The chains of a sharded block, and the rows that evaluate a subquery,
+// The chains of a block's morsels, and the rows that evaluate a subquery,
 // share one build: fills serialize on mu, so every row is fetched once and
 // charged once, whichever chain reached it first. RowsScanned counts each
 // build row the first time a probe reaches it, fetched or read from the
@@ -364,15 +364,15 @@ func joinPartition(key string, n int) int {
 
 // buildJoinMap hashes the build side of one join. When the block is
 // uncorrelated (join keys never contain subqueries: planJoin leaves those
-// conjuncts residual) and the relation is large enough, construction is sharded
-// in two lock-free phases: contiguous row-range workers evaluate every
-// row's key and its partition id (NULL keys get partition -1 and are
-// skipped), then one worker per partition collects the rows it owns,
-// scanning in row order.
+// conjuncts residual) and the relation is more than one morsel,
+// construction runs in two lock-free phases with one partition per morsel:
+// each morsel evaluates its rows' keys and partition ids (NULL keys get
+// partition -1 and are skipped), then each partition collects the rows it
+// owns, scanning in row order.
 func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env) (*joinBuild, error) {
 	n := len(right.rows)
-	shards := c.shardCount(n)
-	if shards <= 1 || outer != nil {
+	parts := c.morselCount(n)
+	if parts <= 1 || outer != nil {
 		m := make(map[string][][]value.Value, n)
 		for _, row := range right.rows {
 			en := &env{rel: right, row: row, outer: outer, ctx: c}
@@ -390,7 +390,7 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 
 	keys := make([]string, n)
 	partIDs := make([]int32, n) // -1 = NULL key; hashed once, in phase 1
-	if _, err := shardedCollect(c, shards, n, func(sc *execCtx, lo, hi int) (struct{}, error) {
+	if _, err := morselCollect(c, n, func(sc *execCtx, lo, hi int) (struct{}, error) {
 		for i := lo; i < hi; i++ {
 			en := &env{rel: right, row: right.rows[i], outer: outer, ctx: sc}
 			key, null, err := exprKey(en, rightKeys)
@@ -402,27 +402,27 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 				continue
 			}
 			keys[i] = key
-			partIDs[i] = int32(joinPartition(key, shards))
+			partIDs[i] = int32(joinPartition(key, parts))
 		}
 		return struct{}{}, nil
 	}); err != nil {
 		return nil, err
 	}
 
-	parts := make([]map[string][][]value.Value, shards)
-	if err := parallelDo(shards, func(p int) error {
-		m := make(map[string][][]value.Value, n/shards+1)
+	maps := make([]map[string][][]value.Value, parts)
+	if err := parallelFor(parts, func(p int) error {
+		m := make(map[string][][]value.Value, n/parts+1)
 		for i, id := range partIDs {
 			if id == int32(p) {
 				m[keys[i]] = append(m[keys[i]], right.rows[i])
 			}
 		}
-		parts[p] = m
+		maps[p] = m
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return &joinBuild{layout: &relation{cols: right.cols}, parts: parts}, nil
+	return &joinBuild{layout: &relation{cols: right.cols}, parts: maps}, nil
 }
 
 // exprKey evaluates key expressions into a composite equality key: each

@@ -13,12 +13,12 @@ import (
 
 // Join-layer tests: classification regressions (mixed-side equalities,
 // ambiguous unqualified columns), the cross-join preallocation cap, and
-// byte-identity of the sharded build / partitioned dedup / streamed-probe
+// byte-identity of the partitioned build / partitioned dedup / streamed-probe
 // paths against the sequential materialized baseline.
 
 // joinFixture builds facts(f_id, f_dim, f_val) × dims(d_id, d_name) with
 // duplicate build-side keys (two dim rows per id) and NULL join keys on
-// both sides, sized so sharding and batching both engage.
+// both sides, sized so morsels and batching both engage.
 func joinFixture(t testing.TB, facts, dimIDs int) *Engine {
 	t.Helper()
 	cat := storage.NewCatalog()
@@ -73,7 +73,7 @@ func renderJoinRows(res *Result) []string {
 	return out
 }
 
-// joinModeQueries are the shapes the ⟨Parallelism, batchSize⟩ grid pins:
+// joinModeQueries are the shapes the ⟨GOMAXPROCS, batchSize⟩ grid pins:
 // equi-join, residual-filtered join, grouped join, cross join (grouped and
 // projected), LIMIT early exit, and a three-table chain via a derived
 // self-reference of dims.
@@ -91,15 +91,16 @@ var joinModeQueries = []string{
 }
 
 // TestJoinModesByteIdentical pins every join query's rows across the
-// ⟨Parallelism, batchSize⟩ grid against the sequential materialized
-// baseline: the sharded partitioned build, the sharded probe, the sharded
+// ⟨GOMAXPROCS, batchSize⟩ grid against the sequential materialized
+// baseline: the partitioned build, the multi-morsel probe, the multi-morsel
 // cross join, the partitioned DISTINCT dedup, and the streamed-probe
 // pipeline must all emit byte-identical rows in identical order.
 func TestJoinModesByteIdentical(t *testing.T) {
 	e := joinFixture(t, 500, 40)
 	for qi, sql := range joinModeQueries {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.batchSize = 1, 0
+		procs(t, 1)
+		e.batchSize = 0
 		base, err := e.Execute(q, nil)
 		if err != nil {
 			t.Fatalf("q%d baseline: %v", qi, err)
@@ -110,7 +111,8 @@ func TestJoinModesByteIdentical(t *testing.T) {
 				if par == 1 && bs == 0 {
 					continue
 				}
-				e.Parallelism, e.batchSize = par, bs
+				procs(t, par)
+				e.batchSize = bs
 				res, err := e.Execute(q, nil)
 				if err != nil {
 					t.Fatalf("q%d p=%d bs=%d: %v", qi, par, bs, err)
@@ -189,9 +191,9 @@ func TestAmbiguousColumnReference(t *testing.T) {
 }
 
 // TestCrossJoinNestedLoopOrder: a large cross product must produce every
-// row in nested-loop order at every shard count and batch size — the probe
-// carries a row's expansion across batches and shard outputs recombine in
-// shard order.
+// row in nested-loop order at every worker count and batch size — the probe
+// carries a row's expansion across batches and morsel outputs recombine in
+// morsel order.
 func TestCrossJoinNestedLoopOrder(t *testing.T) {
 	cat := storage.NewCatalog()
 	const nl, nr = 300, 300
@@ -210,12 +212,13 @@ func TestCrossJoinNestedLoopOrder(t *testing.T) {
 	e := New(cat)
 	for _, par := range []int{1, 4} {
 		for _, bs := range []int{0, 1000} {
-			e.Parallelism, e.batchSize = par, bs
+			procs(t, par)
+			e.batchSize = bs
 			out := run(t, e, `SELECT lv, rv FROM l, r`, nil)
 			if len(out.Rows) != nl*nr {
 				t.Fatalf("p=%d bs=%d: rows = %d, want %d", par, bs, len(out.Rows), nl*nr)
 			}
-			// Spot-check nested-loop order at the shard seams.
+			// Spot-check nested-loop order at the morsel seams.
 			for _, i := range []int{0, 1, nr - 1, nr, nl*nr/2 + 17, nl*nr - 1} {
 				wantL, wantR := int64(i/nr), int64(i%nr)
 				if out.Rows[i][0].I != wantL || out.Rows[i][1].I != wantR {
@@ -234,14 +237,16 @@ func TestJoinExecuteStreamMatchesExecute(t *testing.T) {
 	e := joinFixture(t, 500, 40)
 	for qi, sql := range joinModeQueries {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.batchSize = 1, 0
+		procs(t, 1)
+		e.batchSize = 0
 		want, err := e.Execute(q, nil)
 		if err != nil {
 			t.Fatalf("q%d: %v", qi, err)
 		}
 		for _, bs := range []int{0, 7, 64} {
 			for _, p := range []int{1, 4} {
-				e.Parallelism, e.batchSize = p, bs
+				procs(t, p)
+				e.batchSize = bs
 				s, err := e.ExecuteStream(q, nil)
 				if err != nil {
 					t.Fatalf("q%d bs=%d p=%d: %v", qi, bs, p, err)
@@ -262,7 +267,8 @@ func TestJoinExecuteStreamMatchesExecute(t *testing.T) {
 func TestJoinStreamIncremental(t *testing.T) {
 	const facts = 5000
 	e := joinFixture(t, facts, 40)
-	e.Parallelism, e.batchSize = 1, 64
+	procs(t, 1)
+	e.batchSize = 64
 	q := sqlparser.MustParse(`SELECT f_id, d_name FROM facts, dims WHERE f_dim = d_id`)
 	s, err := e.ExecuteStream(q, nil)
 	if err != nil {
@@ -315,7 +321,8 @@ func TestJoinStreamIncremental(t *testing.T) {
 func TestJoinStreamBatchCap(t *testing.T) {
 	const bs = 32
 	e := joinFixture(t, 200, 40) // dims: 81 rows ≫ bs, so one probe row overflows a batch
-	e.Parallelism, e.batchSize = 1, bs
+	procs(t, 1)
+	e.batchSize = bs
 	s, err := e.ExecuteStream(sqlparser.MustParse(`SELECT f_id, d_name FROM facts, dims`), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -339,11 +346,11 @@ func TestJoinStreamBatchCap(t *testing.T) {
 	}
 }
 
-// TestJoinBuildPartitioned: the sharded build must place every non-NULL
-// key in exactly one partition, with its row list in build-side row order,
-// and agree with the sequential single-partition build.
+// TestJoinBuildPartitioned: a build of several morsels, one partition per
+// morsel, must place every non-NULL key in exactly one partition, with its
+// row list in build-side row order, and agree with the one-morsel build.
 func TestJoinBuildPartitioned(t *testing.T) {
-	e := joinFixture(t, 64, 50) // 101 dim rows: above the sharding floor
+	e := joinFixture(t, 64, 50) // 101 dim rows: four 32-row morsels at batch 4
 	tbl, err := e.Cat.Table("dims")
 	if err != nil {
 		t.Fatal(err)
@@ -358,12 +365,13 @@ func TestJoinBuildPartitioned(t *testing.T) {
 	}
 	keys := []ast.Expr{&ast.ColumnRef{Column: "d_id"}}
 
-	seqCtx := &execCtx{eng: e, stats: &Stats{}, par: 1}
+	seqCtx := &execCtx{eng: e, stats: &Stats{}}
 	seq, err := seqCtx.buildJoinMap(rel, keys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parCtx := &execCtx{eng: e, stats: &Stats{}, par: 4}
+	e.batchSize = 4
+	parCtx := &execCtx{eng: e, stats: &Stats{}}
 	par, err := parCtx.buildJoinMap(rel, keys, nil)
 	if err != nil {
 		t.Fatal(err)

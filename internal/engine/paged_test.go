@@ -148,7 +148,7 @@ var pagedQueries = []string{
 }
 
 // TestPagedMatchesMem runs every shape on both catalogs across the
-// ⟨Parallelism, batchSize, UseIndexes⟩ grid, materialized and streamed: the
+// ⟨GOMAXPROCS, batchSize, UseIndexes⟩ grid, materialized and streamed: the
 // same rows, rows scanned and index lookups on both backends, and with
 // indexes on the same rows in the same order as with them off.
 func TestPagedMatchesMem(t *testing.T) {
@@ -163,7 +163,8 @@ func TestPagedMatchesMem(t *testing.T) {
 				var noIdx string // the idx=false memory result
 				for _, idx := range []bool{false, true} {
 					for _, e := range []*Engine{mem, disk} {
-						e.Parallelism, e.batchSize, e.UseIndexes = par, batch, idx
+						procs(t, par)
+						e.batchSize, e.UseIndexes = batch, idx
 					}
 					want, err := mem.Execute(q, nil)
 					if err != nil {
@@ -325,7 +326,8 @@ func TestPagedProbedBuildSwitch(t *testing.T) {
 	q := sqlparser.MustParse(`SELECT a.e_id, b.e_cat FROM ev a, ev b WHERE a.e_val = b.e_id`)
 	var scanned []int64
 	for _, e := range []*Engine{mem, disk} {
-		e.Parallelism, e.UseIndexes = 1, true
+		procs(t, 1)
+		e.UseIndexes = true
 		c := e.newCtx(q, nil, 7)
 		if err := c.resolve(q); err != nil {
 			t.Fatal(err)
@@ -383,9 +385,9 @@ func TestPagedBareExistsReadsNoRow(t *testing.T) {
 }
 
 // TestPagedFilteredScanEdges: the filter a paged scan applies as it reads
-// agrees with memory at Parallelism 1 and 2 (pagedAgree) when the first
+// agrees with memory at GOMAXPROCS 1 and 2 (pagedAgree) when the first
 // ranges keep no row — a scan must move on to the next range rather than end
-// its shard — and when the filter is a constant or reads no column of the
+// its morsel — and when the filter is a constant or reads no column of the
 // table. A filter that fails returns its own error, not a
 // *storage.SegmentError.
 func TestPagedFilteredScanEdges(t *testing.T) {
@@ -405,7 +407,8 @@ func TestPagedFilteredScanEdges(t *testing.T) {
 	q := sqlparser.MustParse(`SELECT e_id FROM ev WHERE substring(e_cat, 1, e_opt - 3) = 'a'`)
 	for _, par := range []int{1, 2} {
 		for _, e := range []*Engine{mem, disk} {
-			e.Parallelism, e.batchSize = par, 0
+			procs(t, par)
+			e.batchSize = 7
 			_, err := e.Execute(q, nil)
 			if !errors.Is(err, ErrNegativeSubstringLength) || errors.As(err, new(*storage.SegmentError)) {
 				t.Errorf("par %d: a failing filter returned %v, want ErrNegativeSubstringLength", par, err)
@@ -425,7 +428,7 @@ func TestPagedFilterCorrelatedSameTable(t *testing.T) {
 		`(SELECT AVG(b.e_val) FROM ev b WHERE b.e_cat = a.e_cat AND b.e_id < a.e_id)`)
 }
 
-// pagedAgree runs sql on both catalogs at Parallelism 1 and 2 and batch
+// pagedAgree runs sql on both catalogs at GOMAXPROCS 1 and 2 and batch
 // sizes 0 and 7, drained and streamed, and requires the same rows and rows
 // scanned, and no empty streamed batch.
 func pagedAgree(t *testing.T, mem, disk *Engine, sql string) {
@@ -437,7 +440,8 @@ func pagedAgree(t *testing.T, mem, disk *Engine, sql string) {
 	for _, par := range []int{1, 2} {
 		for _, batch := range []int{0, 7} {
 			for _, e := range []*Engine{mem, disk} {
-				e.Parallelism, e.batchSize, e.UseIndexes = par, batch, false
+				procs(t, par)
+				e.batchSize, e.UseIndexes = batch, false
 			}
 			want, err := mem.Execute(q, nil)
 			if err != nil {

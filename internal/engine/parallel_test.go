@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,9 +14,10 @@ import (
 	"repro/internal/value"
 )
 
-// Sharded-execution equivalence: every query shape must produce results
-// byte-identical to the sequential path at every parallelism level, and
-// concurrent use of one engine must be race-free (run with -race).
+// Morsel-execution equivalence: every query shape must produce results and
+// Stats byte-identical to one worker's at every GOMAXPROCS, and concurrent
+// use of one engine must be race-free (run with -race). The fixtures are
+// small, so the tests shrink the batch, and with it the morsel.
 
 // parallelFixture builds facts(f_id, f_dim, f_val, f_tag) with rows rows
 // and dims(d_id, d_name) with 100 rows, seeded pseudo-random.
@@ -60,7 +62,7 @@ func parallelFixture(t testing.TB, rows int) *Engine {
 	return New(cat)
 }
 
-// equivalenceQueries covers each sharded loop: filter, hash-join probe,
+// equivalenceQueries covers each morsel loop: filter, hash-join probe,
 // projection with ORDER BY, grouped aggregation (builtin, DISTINCT, UDF,
 // star, empty input), HAVING, and the subquery fallback path.
 var equivalenceQueries = []string{
@@ -105,13 +107,14 @@ func renderResult(t *testing.T, r *Result) string {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	e := parallelFixture(t, 2000)
+	e.batchSize = 16 // 16 morsels of 128 rows
 	registerMySum(e)
 	for _, sql := range equivalenceQueries {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism = 1
+		procs(t, 1)
 		seqRes, seqErr := e.Execute(q, nil)
 		for _, p := range []int{2, 3, 8, 64} {
-			e.Parallelism = p
+			procs(t, p)
 			res, err := e.Execute(q, nil)
 			if (err == nil) != (seqErr == nil) {
 				t.Fatalf("p=%d err=%v, sequential err=%v\n%s", p, err, seqErr, sql)
@@ -122,10 +125,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if got, want := renderResult(t, res), renderResult(t, seqRes); got != want {
 				t.Errorf("p=%d diverges on %s\ngot:\n%s\nwant:\n%s", p, sql, got, want)
 			}
-			// Stats that drive the cost model must not depend on sharding.
-			if res.Stats.BytesScanned != seqRes.Stats.BytesScanned ||
-				res.Stats.RowsScanned != seqRes.Stats.RowsScanned ||
-				res.Stats.RowsOut != seqRes.Stats.RowsOut {
+			// Stats must not depend on the worker count.
+			if res.Stats != seqRes.Stats {
 				t.Errorf("p=%d stats diverge on %s: %+v vs %+v", p, sql, res.Stats, seqRes.Stats)
 			}
 		}
@@ -133,19 +134,20 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelErrorMatchesSequential checks that an evaluation error deep in
-// a later shard surfaces identically to the sequential scan.
+// a later morsel surfaces identically to the one-worker scan.
 func TestParallelErrorMatchesSequential(t *testing.T) {
 	e := parallelFixture(t, 500)
+	e.batchSize = 8 // 8 morsels of 64 rows
 	// The failing aggregate only sees rows past the filter, which all land
-	// in late shards; the error must still surface exactly once.
+	// in late morsels; the error must still surface exactly once.
 	q := sqlparser.MustParse(`SELECT f_dim, my_bad(f_val) FROM facts WHERE f_id >= 400 GROUP BY f_dim`)
 	e.RegisterAgg("my_bad", func(st *Stats) AggState { return &badUDF{} })
-	e.Parallelism = 1
+	procs(t, 1)
 	_, seqErr := e.Execute(q, nil)
 	if seqErr == nil {
 		t.Fatal("expected sequential error")
 	}
-	e.Parallelism = 4
+	procs(t, 4)
 	_, parErr := e.Execute(q, nil)
 	if parErr == nil || parErr.Error() != seqErr.Error() {
 		t.Fatalf("parallel err %v, sequential err %v", parErr, seqErr)
@@ -158,7 +160,7 @@ func (b *badUDF) Add(args []value.Value) error { return fmt.Errorf("engine: my_b
 func (b *badUDF) Merge(other AggState) error   { return nil }
 func (b *badUDF) Result() (value.Value, error) { return value.NewNull(), nil }
 
-// TestBuiltinAggMerge exercises shard-partial merging directly, including
+// TestBuiltinAggMerge exercises morsel-partial merging directly, including
 // DISTINCT replay and empty partials.
 func TestBuiltinAggMerge(t *testing.T) {
 	mk := func(fn ast.AggFunc, distinct bool, vals ...int64) *builtinAggState {
@@ -194,15 +196,16 @@ func TestBuiltinAggMerge(t *testing.T) {
 }
 
 // TestConcurrentExecutes runs many goroutines against one engine, each
-// executing sharded queries, and checks every result against the expected
-// sequential output. Run with -race to surface data races in the sharded
+// executing queries of several morsels, and checks every result against the
+// one-worker output. Run with -race to surface data races in the morsel
 // paths.
 func TestConcurrentExecutes(t *testing.T) {
 	e := parallelFixture(t, 1200)
+	e.batchSize = 16
 	registerMySum(e)
 	queries := make([]*ast.Query, len(equivalenceQueries))
 	want := make([]string, len(equivalenceQueries))
-	e.Parallelism = 1
+	procs(t, 1)
 	for i, sql := range equivalenceQueries {
 		queries[i] = sqlparser.MustParse(sql)
 		res, err := e.Execute(queries[i], nil)
@@ -211,7 +214,7 @@ func TestConcurrentExecutes(t *testing.T) {
 		}
 		want[i] = renderResult(t, res)
 	}
-	e.Parallelism = 4
+	procs(t, 4)
 
 	const workers = 8
 	const iters = 3
@@ -243,21 +246,39 @@ func TestConcurrentExecutes(t *testing.T) {
 	}
 }
 
-func TestShardBounds(t *testing.T) {
-	for _, tc := range []struct{ n, shards int }{{10, 3}, {100, 7}, {64, 2}, {5, 5}, {0, 1}} {
-		b := shardBounds(tc.n, tc.shards)
-		if len(b) != tc.shards {
-			t.Fatalf("shardBounds(%d,%d) has %d shards", tc.n, tc.shards, len(b))
+// TestMorselBounds: morsels are morselBatches batches of the engine's grid,
+// a source of fewer than two such morsels splits in halves unless it is
+// under 2·minMorselRows, and the morsels are contiguous and cover the
+// source exactly; an empty source is one empty morsel.
+func TestMorselBounds(t *testing.T) {
+	e := New(storage.NewCatalog())
+	for _, tc := range []struct{ batch, n, want int }{
+		{0, 0, 1}, {0, 63, 1}, {0, 64, 2}, {0, 1500, 2}, {0, 16383, 2}, {0, 16384, 2},
+		{0, 16385, 3}, {0, 60175, 8}, {4, 101, 4}, {1, 8, 1}, {1, 100, 13},
+	} {
+		e.batchSize = tc.batch
+		c := &execCtx{eng: e}
+		k := c.morselCount(tc.n)
+		if k != tc.want {
+			t.Fatalf("batch %d: %d rows cut into %d morsels, want %d", tc.batch, tc.n, k, tc.want)
 		}
 		prev := 0
-		for _, r := range b {
-			if r[0] != prev || r[1] < r[0] {
-				t.Fatalf("shardBounds(%d,%d) = %v not contiguous", tc.n, tc.shards, b)
+		for i := 0; i < k; i++ {
+			lo, hi := c.morsel(i, tc.n)
+			if lo != prev || hi < lo || hi-lo > e.morselRows() {
+				t.Fatalf("batch %d n %d: morsel %d is [%d,%d) after %d", tc.batch, tc.n, i, lo, hi, prev)
 			}
-			prev = r[1]
+			prev = hi
 		}
 		if prev != tc.n {
-			t.Fatalf("shardBounds(%d,%d) = %v does not cover n", tc.n, tc.shards, b)
+			t.Fatalf("batch %d: morsels of %d rows end at %d", tc.batch, tc.n, prev)
 		}
 	}
+}
+
+// procs sets GOMAXPROCS to n until the test ends. A test that calls it must
+// not run in parallel with others.
+func procs(tb testing.TB, n int) {
+	old := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }

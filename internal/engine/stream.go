@@ -17,10 +17,10 @@ import (
 //	                                   └▶ group ───┘
 //
 // The front of the tree — scan through residual, the "chain" — is built per
-// worker over a contiguous range of the source (pipeline.chain), so a large
-// source runs as Parallelism independent chains whose outputs recombine in
-// shard order: row batches through the shard-order merger
-// (stream_shard.go), group states through AggState.Merge (agg.go). Sort,
+// morsel, a contiguous range of the source (pipeline.chain), so a
+// large source runs as independent chains whose outputs recombine in morsel
+// order: row batches through the morsel-order merger (stream_morsel.go),
+// group states through AggState.Merge (agg.go). Sort,
 // grouped accumulation, DISTINCT and the hashed join builds are the pipeline
 // breakers; they do their blocking work on the first pull, so a stream that
 // is closed — or LIMIT-0'd — before anyone reads it does nothing. An
@@ -29,15 +29,11 @@ import (
 // A batch holds at most the execution's batch size in rows (scans read that
 // many, probes and group emission cap their output at it); batches shrink
 // through filters and are never re-compacted, so a batch is only guaranteed
-// non-empty. A drain's bound is infinite — one batch per shard; a stream's,
-// and an early-exiting LIMIT's, is DefaultBatchSize (Engine).
-// Sharded loops pin their shard bounds to the sequential scan's batch grid
-// (shardStreamBounds) whenever the grid has a cell per worker, so per-batch
-// statistics — not just rows — are then identical at every parallelism
-// level. Rows are byte-identical at every batch size and parallelism level,
-// with the single carve-out documented in parallel.go: SUM/AVG over Float
-// columns may differ in the last ULP when sharded, because per-shard
-// partial sums regroup the float additions.
+// non-empty. A drain's bound is infinite — one batch per morsel; a
+// stream's, and an early-exiting LIMIT's, is DefaultBatchSize (Engine).
+// Rows are byte-identical at every batch size; rows, scan batches, Float
+// sums and statistics are identical at every GOMAXPROCS, because morsel
+// boundaries depend on the source's row count alone.
 
 // DefaultBatchSize is the bound of every bounded batch — a stream's pulls
 // and frames, an early-exiting LIMIT's scan: large enough to amortize
@@ -66,7 +62,7 @@ func batchEnd(pos, hi, size int) int {
 	return hi
 }
 
-// drain pulls a stream to exhaustion and closes it, which joins any shard
+// drain pulls a stream to exhaustion and closes it, which joins any morsel
 // workers behind it: nothing a drained tree started outlives the drain.
 func drain(it batchIterator) ([][]value.Value, error) {
 	defer it.close()
@@ -118,7 +114,7 @@ func (s *rowSource) n() int {
 // reads (paged backends) or as the difference of the table's
 // row-proportional byte prefix over positions — so the charges telescope to
 // exactly t.Bytes·k/n for k of the table's n rows at any batch size and
-// shard count (t.Bytes for a full scan), while an early-exited scan charges
+// morsel (t.Bytes for a full scan), while an early-exited scan charges
 // only what it read. A derived table's rows were charged by the child tree
 // that produced them.
 //
@@ -367,7 +363,7 @@ func (it *projectIterator) close() { it.in.close() }
 // distinctIterator is DISTINCT: a seen-set over the rows emits only each
 // row's first occurrence, batch-at-a-time. Batches the dedup empties
 // entirely are skipped, like filterIterator's. It runs over the merged
-// stream, where shard order makes the survivors exactly the sequential
+// stream, where morsel order makes the survivors exactly the sequential
 // scan's first occurrences.
 type distinctIterator struct {
 	in   batchIterator
@@ -399,7 +395,7 @@ func (it *distinctIterator) next() ([][]value.Value, error) {
 func (it *distinctIterator) close() { it.in.close() }
 
 // limitIterator is the LIMIT countdown: it stops pulling — and closes its
-// input, cancelling any shard workers and cutting the scan and its charged
+// input, cancelling any morsel workers and cutting the scan and its charged
 // I/O short — the moment enough rows have been emitted.
 type limitIterator struct {
 	in        batchIterator
@@ -482,10 +478,10 @@ func (it *frameIterator) close() {
 // their last len(order) cells; it ranks them by those keys with arrival
 // order as the final tiebreaker — a stable sort — and, when only the first
 // k rows can ever be emitted (ORDER BY … LIMIT k), keeps just the k best in
-// a bounded heap instead of the whole input. A sharded block runs the
-// bounded form twice: each worker's chain ends in a pre-pass that forwards
-// its shard's k best, still keyed and in rank order, and the final pass
-// over the merged stream — where shard order is arrival order — keeps the
+// a bounded heap instead of the whole input. A block of several morsels
+// runs the bounded form twice: each morsel's chain ends in a pre-pass that
+// forwards its k best, still keyed and in rank order, and the final pass
+// over the merged stream — where morsel order is arrival order — keeps the
 // global k. The final pass strips the key cells and emits in batches.
 
 // seqRow is one sort candidate: a keyed row and its arrival sequence.

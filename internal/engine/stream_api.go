@@ -37,7 +37,7 @@ type ResultStream struct {
 // column names are available immediately; batches arrive via Next. The
 // whole execution — subqueries, derived tables and join builds included —
 // moves DefaultBatchSize rows per pull, so a block without a breaker ships
-// its first batch after one scan batch per shard and an abandoned stream
+// its first batch after one scan batch per morsel worker and an abandoned stream
 // stops its scan within a few batches; the stream re-cuts its output into
 // exactly DefaultBatchSize-row frames (the last may be short), the frames a
 // server ships.

@@ -37,11 +37,13 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 	registerMySum(e)
 	for _, sql := range streamQueries {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.batchSize = 1, 0
+		procs(t, 1)
+		e.batchSize = 0
 		want, seqErr := e.Execute(q, nil)
 		for _, bs := range []int{0, 7, 64} {
 			for _, p := range []int{1, 4} {
-				e.Parallelism, e.batchSize = p, bs
+				procs(t, p)
+				e.batchSize = bs
 				s, err := e.ExecuteStream(q, nil)
 				if err != nil {
 					if seqErr == nil {
@@ -71,7 +73,8 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 // engine-side half of time-to-first-batch < time-to-last-batch.
 func TestExecuteStreamIncremental(t *testing.T) {
 	e := parallelFixture(t, 5000)
-	e.Parallelism, e.batchSize = 1, 64
+	procs(t, 1)
+	e.batchSize = 64
 	s, err := e.ExecuteStream(sqlparser.MustParse(`SELECT f_id, f_val FROM facts`), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +106,8 @@ func TestExecuteStreamIncremental(t *testing.T) {
 // no goroutines, nothing can leak.
 func TestExecuteStreamEarlyClose(t *testing.T) {
 	e := parallelFixture(t, 10000)
-	e.Parallelism, e.batchSize = 4, 32
+	procs(t, 4)
+	e.batchSize = 32
 	s, err := e.ExecuteStream(sqlparser.MustParse(`SELECT f_id FROM facts WHERE f_val >= 0`), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +130,8 @@ func TestExecuteStreamEarlyClose(t *testing.T) {
 // delivery, early scan exit, and LIMIT 0.
 func TestExecuteStreamLimit(t *testing.T) {
 	e := parallelFixture(t, 10000)
-	e.Parallelism, e.batchSize = 1, 32
+	procs(t, 1)
+	e.batchSize = 32
 	s, err := e.ExecuteStream(sqlparser.MustParse(`SELECT f_id FROM facts LIMIT 5`), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +153,7 @@ func TestExecuteStreamLimit(t *testing.T) {
 }
 
 // Streamed top-N: ORDER BY ... LIMIT under streaming must agree with the
-// materialized sort at every batch size and shard count — including
+// materialized sort at every batch size and worker count — including
 // heavily tied keys, where the global-position tiebreak must reproduce the
 // stable sort's input order exactly.
 func TestStreamTopNMatchesMaterialized(t *testing.T) {
@@ -165,14 +170,16 @@ func TestStreamTopNMatchesMaterialized(t *testing.T) {
 	}
 	for _, sql := range queries {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.batchSize = 1, 0
+		procs(t, 1)
+		e.batchSize = 0
 		want, err := e.Execute(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, bs := range []int{1, 16, 256} {
 			for _, p := range []int{1, 2, 4} {
-				e.Parallelism, e.batchSize = p, bs
+				procs(t, p)
+				e.batchSize = bs
 				got, err := e.Execute(q, nil)
 				if err != nil {
 					t.Fatalf("bs=%d p=%d %s: %v", bs, p, sql, err)
@@ -186,7 +193,7 @@ func TestStreamTopNMatchesMaterialized(t *testing.T) {
 }
 
 // TestStreamTopNStats: the bounded heap must still charge a full scan
-// (sorting needs every row), identically at every batch size and shard
+// (sorting needs every row), identically at every batch size and worker
 // count.
 func TestStreamTopNStats(t *testing.T) {
 	const rows = 2000
@@ -195,7 +202,8 @@ func TestStreamTopNStats(t *testing.T) {
 	q := sqlparser.MustParse(`SELECT f_id FROM facts ORDER BY f_val LIMIT 7`)
 	for _, bs := range []int{8, 512} {
 		for _, p := range []int{1, 4} {
-			e.Parallelism, e.batchSize = p, bs
+			procs(t, p)
+			e.batchSize = bs
 			res, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -219,14 +227,16 @@ func TestParallelGroupFinalization(t *testing.T) {
 	// ~100 distinct f_dim groups: enough for every worker to own a range.
 	q := sqlparser.MustParse(
 		`SELECT f_dim, my_sum(f_val), COUNT(*) FROM facts GROUP BY f_dim ORDER BY f_dim`)
-	e.Parallelism, e.batchSize = 1, 0
+	procs(t, 1)
+	e.batchSize = 0
 	want, err := e.Execute(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 4, 16} {
 		for _, bs := range []int{0, 64} {
-			e.Parallelism, e.batchSize = p, bs
+			procs(t, p)
+			e.batchSize = bs
 			got, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -244,12 +254,12 @@ func TestParallelGroupFinalizationError(t *testing.T) {
 	e := parallelFixture(t, 1000)
 	e.RegisterAgg("bad_result", func(st *Stats) AggState { return &badResultUDF{} })
 	q := sqlparser.MustParse(`SELECT f_dim, bad_result(f_val) FROM facts GROUP BY f_dim`)
-	e.Parallelism = 1
+	procs(t, 1)
 	_, seqErr := e.Execute(q, nil)
 	if seqErr == nil {
 		t.Fatal("expected sequential error")
 	}
-	e.Parallelism = 8
+	procs(t, 8)
 	_, parErr := e.Execute(q, nil)
 	if parErr == nil || parErr.Error() != seqErr.Error() {
 		t.Fatalf("parallel err %v, sequential err %v", parErr, seqErr)

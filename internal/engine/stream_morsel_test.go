@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -12,12 +11,12 @@ import (
 	"repro/internal/value"
 )
 
-// Sharded single-stream production: ExecuteStream's batches may be
-// produced by Parallelism workers feeding the shard-order merger, but the
-// stream a consumer sees must be indistinguishable from the sequential
-// puller — same rows, same order, and for single-table pipelines the same
-// batch frames. Close must cancel and join every producer; Stats must be
-// shard-merged exactly once; LIMIT must bound worker readahead.
+// Morsel-driven single-stream production: ExecuteStream's batches may be
+// produced by GOMAXPROCS workers feeding the morsel-order merger, but the
+// stream a consumer sees must be indistinguishable from one worker's — same
+// rows, same order, same batch frames, same Stats. Close must cancel and
+// join every producer; Stats must be morsel-merged exactly once; LIMIT must
+// bound worker readahead; no more than GOMAXPROCS producers run.
 
 // shardStreamQueries covers every pipelined producer shape: plain and
 // filtered scans, expression projection, streaming DISTINCT (with and
@@ -78,18 +77,18 @@ func renderFrames(frames [][][]value.Value, withBounds bool) string {
 	return string(b)
 }
 
-// TestShardedStreamMatchesSequentialPuller is the tentpole identity test:
-// across every producer shape, the stream at p>1 must emit exactly the
-// rows (and, for single-table pipelines, exactly the batch frames — shard
-// bounds are batch-aligned) that the sequential one-puller stream emits.
+// TestShardedStreamMatchesSequentialPuller is the identity test: across
+// every producer shape, the stream at GOMAXPROCS > 1 must emit exactly the
+// rows, batch frames and drained Stats of the one-worker stream — morsel
+// boundaries do not depend on the worker count, so neither do the chains.
 func TestShardedStreamMatchesSequentialPuller(t *testing.T) {
 	e := parallelFixture(t, 2000)
 	registerMySum(e)
 	for _, sql := range shardStreamQueries {
 		q := sqlparser.MustParse(sql)
-		multiTable := len(q.From) > 1
 		for _, bs := range []int{7, 64} {
-			e.Parallelism, e.batchSize = 1, bs
+			procs(t, 1)
+			e.batchSize = bs
 			s, err := e.ExecuteStream(q, nil)
 			if err != nil {
 				t.Fatalf("bs=%d p=1 %s: %v", bs, sql, err)
@@ -97,30 +96,19 @@ func TestShardedStreamMatchesSequentialPuller(t *testing.T) {
 			seq := drainFrames(t, s)
 			seqStats := s.Stats()
 			for _, p := range []int{2, 4, 8} {
-				e.Parallelism = p
+				procs(t, p)
 				s, err := e.ExecuteStream(q, nil)
 				if err != nil {
 					t.Fatalf("bs=%d p=%d %s: %v", bs, p, sql, err)
 				}
 				got := drainFrames(t, s)
-				// Join probes may split an expansion at a shard seam, so
-				// only rows are pinned there; single-table pipelines must
-				// reproduce the frame boundaries too.
-				if g, w := renderFrames(got, !multiTable), renderFrames(seq, !multiTable); g != w {
+				if g, w := renderFrames(got, true), renderFrames(seq, true); g != w {
 					t.Errorf("bs=%d p=%d %s diverges from sequential puller\ngot:\n%s\nwant:\n%s", bs, p, sql, g, w)
 				}
 				if q.Limit < 0 {
-					// Drained without a limit, the shard-merged charges must
-					// telescope to exactly the sequential stream's.
-					st, want := s.Stats(), seqStats
-					if multiTable {
-						// The 100-row dims build side is a scan too, and at
-						// bs=64 its batch grid has two cells: more workers
-						// than cells split it evenly, so its batch count
-						// (alone) follows the shard count.
-						st.BatchesStreamed, want.BatchesStreamed = 0, 0
-					}
-					if st != want {
+					// Drained without a limit, the morsel-merged charges
+					// must telescope to exactly the one-worker stream's.
+					if st, want := s.Stats(), seqStats; st != want {
 						t.Errorf("bs=%d p=%d %s: drained stats %+v != sequential %+v", bs, p, sql, st, want)
 					}
 				}
@@ -130,10 +118,9 @@ func TestShardedStreamMatchesSequentialPuller(t *testing.T) {
 }
 
 // TestShardedStreamStatsNoDoubleCount extends the PR 2 no-double-count
-// regression to the multi-producer stream: a drained sharded stream must
+// regression to the multi-producer stream: a drained multi-morsel stream must
 // charge each row and byte exactly once — identical totals at every
-// parallelism level, including the batch count (shard bounds sit on the
-// sequential batch grid).
+// GOMAXPROCS, including the batch count (morsels are whole batches).
 func TestShardedStreamStatsNoDoubleCount(t *testing.T) {
 	const rows = 2000
 	e := parallelFixture(t, rows)
@@ -149,7 +136,8 @@ func TestShardedStreamStatsNoDoubleCount(t *testing.T) {
 	} {
 		q := sqlparser.MustParse(sql)
 		for _, p := range []int{1, 4} {
-			e.Parallelism, e.batchSize = p, 64
+			procs(t, p)
+			e.batchSize = 64
 			s, err := e.ExecuteStream(q, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -174,7 +162,7 @@ func TestShardedStreamStatsNoDoubleCount(t *testing.T) {
 	}
 }
 
-// TestShardedStreamCloseNoLeak abandons sharded streams mid-flight at p=4
+// TestShardedStreamCloseNoLeak abandons multi-morsel streams mid-flight at GOMAXPROCS 4
 // (the regression the merger's cancellation path must survive): Close must
 // cancel the in-flight producers, join them, and fold the stats of the
 // work they actually performed — repeatedly, without growing the
@@ -182,7 +170,8 @@ func TestShardedStreamStatsNoDoubleCount(t *testing.T) {
 func TestShardedStreamCloseNoLeak(t *testing.T) {
 	const rows = 8000
 	e := parallelFixture(t, rows)
-	e.Parallelism, e.batchSize = 4, 32
+	procs(t, 4)
+	e.batchSize = 32
 	queries := []string{
 		`SELECT f_id FROM facts WHERE f_val >= 0`,
 		`SELECT DISTINCT f_tag, f_dim FROM facts`,
@@ -222,11 +211,11 @@ func TestShardedStreamCloseNoLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if after > before+2 {
-		t.Fatalf("goroutines grew from %d to %d: sharded streams leak producers", before, after)
+		t.Fatalf("goroutines grew from %d to %d: morsel streams leak producers", before, after)
 	}
 }
 
-// TestShardedStreamLimit pins the LIMIT contract across sharded producers:
+// TestShardedStreamLimit pins the LIMIT contract across morsel producers:
 // exact rows (limit mid-batch, limit on a batch boundary, limit past the
 // result, LIMIT 0), and bounded readahead — no worker may scan past the
 // batches needed for its own `limit` output rows.
@@ -244,7 +233,8 @@ func TestShardedStreamLimit(t *testing.T) {
 	} {
 		sql := fmt.Sprintf(`SELECT f_id FROM facts LIMIT %d`, tc.limit)
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.batchSize = 4, 64
+		procs(t, 4)
+		e.batchSize = 64
 		s, err := e.ExecuteStream(q, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -305,7 +295,8 @@ func TestGroupedStreamLazyFinalization(t *testing.T) {
 	var results int64
 	e.RegisterAgg("counted_sum", func(st *Stats) AggState { return &countingUDF{results: &results} })
 	q := sqlparser.MustParse(`SELECT f_dim, counted_sum(f_val) FROM facts GROUP BY f_dim`)
-	e.Parallelism, e.batchSize = 4, 8
+	procs(t, 4)
+	e.batchSize = 8
 
 	s, err := e.ExecuteStream(q, nil)
 	if err != nil {
@@ -354,7 +345,7 @@ func TestShardedStreamError(t *testing.T) {
 	})
 	q := sqlparser.MustParse(`SELECT explode(f_id) FROM facts`)
 	e.batchSize = 16
-	e.Parallelism = 1
+	procs(t, 1)
 	s, err := e.ExecuteStream(q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +364,7 @@ func TestShardedStreamError(t *testing.T) {
 	if seqErr == nil {
 		t.Fatal("sequential stream did not error")
 	}
-	e.Parallelism = 4
+	procs(t, 4)
 	s, err = e.ExecuteStream(q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -382,77 +373,71 @@ func TestShardedStreamError(t *testing.T) {
 		b, err := s.Next()
 		if err != nil {
 			if err.Error() != seqErr.Error() {
-				t.Fatalf("sharded error %q, sequential %q", err, seqErr)
+				t.Fatalf("multi-worker error %q, one-worker %q", err, seqErr)
 			}
 			return
 		}
 		if b == nil {
-			t.Fatal("sharded stream swallowed the error")
+			t.Fatal("multi-worker stream swallowed the error")
 		}
 	}
 }
 
-// TestShardStreamBoundsCoarseGrid is the regression for the collapsed
-// grid: a batch size ≥ rows÷shards used to leave fewer batch cells than
-// workers and clip the shard count to them — down to one shard, i.e. a
-// silently sequential run, for a batch ≥ the table (and for batchSize 0).
-// A coarse grid must split evenly instead; a fine one stays batch-aligned.
-func TestShardStreamBoundsCoarseGrid(t *testing.T) {
-	for _, tc := range []struct{ n, shards, size int }{
-		{60000, 4, 100000}, {60000, 2, 60000}, {2000, 4, 1024}, {2000, 4, math.MaxInt}, {2000, 4, 64},
-	} {
-		b := shardStreamBounds(tc.n, tc.shards, tc.size)
-		if len(b) != tc.shards {
-			t.Fatalf("shardStreamBounds(%d,%d,%d) = %d shards", tc.n, tc.shards, tc.size, len(b))
-		}
-		prev := 0
-		for _, r := range b {
-			if r[0] != prev || r[1] <= r[0] {
-				t.Fatalf("shardStreamBounds(%d,%d,%d) = %v: not contiguous non-empty ranges", tc.n, tc.shards, tc.size, b)
-			}
-			if tc.size == 64 && r[0]%64 != 0 {
-				t.Fatalf("shardStreamBounds(%d,%d,64) = %v: fine grid not batch-aligned", tc.n, tc.shards, b)
-			}
-			prev = r[1]
-		}
-		if prev != tc.n {
-			t.Fatalf("shardStreamBounds(%d,%d,%d) = %v does not cover n", tc.n, tc.shards, tc.size, b)
-		}
-	}
-
-	const rows = 2000
+// TestMorselGoroutineBound: a block of 50+ morsels, drained by Execute
+// (rows and groups) and streamed then abandoned after its first batch, runs
+// on at most GOMAXPROCS producer goroutines — not one per morsel — and after
+// the drain or Close no goroutine it started is left.
+func TestMorselGoroutineBound(t *testing.T) {
+	const rows = 4000 // 63 morsels of 64 rows at batch 8
 	e := parallelFixture(t, rows)
-	for _, sql := range []string{
-		`SELECT f_id, f_val FROM facts WHERE f_val > 500`,
-		`SELECT f_dim, SUM(f_val), COUNT(*) FROM facts GROUP BY f_dim`,
-		`SELECT DISTINCT f_tag, f_dim FROM facts`,
-		`SELECT f_id FROM facts ORDER BY f_val DESC, f_id LIMIT 9`,
-	} {
-		q := sqlparser.MustParse(sql)
-		for _, bs := range []int{rows, 100000, 0} {
-			e.batchSize, e.Parallelism = bs, 1
-			want, err := e.Execute(q, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range []int{2, 4} {
-				e.Parallelism = p
-				got, err := e.Execute(q, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if g, w := renderResult(t, got), renderResult(t, want); g != w {
-					t.Errorf("bs=%d p=%d %s diverges from the sequential run", bs, p, sql)
-				}
-				if got.Stats.BatchesStreamed != int64(p) {
-					t.Errorf("bs=%d p=%d %s: %d scan batches, want one per worker", bs, p, sql, got.Stats.BatchesStreamed)
-				}
-				gs, ws := got.Stats, want.Stats
-				gs.BatchesStreamed, ws.BatchesStreamed = 0, 0
-				if gs != ws {
-					t.Errorf("bs=%d p=%d %s: stats %+v != sequential %+v", bs, p, sql, gs, ws)
-				}
+	e.batchSize = 8
+	procs(t, 4)
+	base := runtime.NumGoroutine()
+	var peak atomic.Int64
+	e.RegisterScalar("peak", func(st *Stats, args []value.Value) (value.Value, error) {
+		for n := int64(runtime.NumGoroutine()); ; {
+			old := peak.Load()
+			if n <= old || peak.CompareAndSwap(old, n) {
+				break
 			}
 		}
+		return args[0], nil
+	})
+	if k := (&execCtx{eng: e}).morselCount(rows); k < 50 {
+		t.Fatalf("%d rows cut into %d morsels, want 50+", rows, k)
 	}
+	check := func(what string) {
+		t.Helper()
+		if got := peak.Load() - int64(base); got > 4 {
+			t.Errorf("%s: %d goroutines beyond the %d before it, GOMAXPROCS is 4", what, got, base)
+		}
+		var after int
+		for i := 0; i < 20; i++ {
+			if after = runtime.NumGoroutine(); after <= base {
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		t.Errorf("%s: goroutines grew from %d to %d", what, base, after)
+	}
+	for _, sql := range []string{
+		`SELECT f_id FROM facts WHERE peak(f_id) >= 0`,
+		`SELECT f_dim, SUM(f_val) FROM facts WHERE peak(f_id) >= 0 GROUP BY f_dim`,
+	} {
+		peak.Store(0)
+		if _, err := e.Execute(sqlparser.MustParse(sql), nil); err != nil {
+			t.Fatal(err)
+		}
+		check("drained " + sql)
+	}
+	peak.Store(0)
+	s, err := e.ExecuteStream(sqlparser.MustParse(`SELECT f_id FROM facts WHERE peak(f_id) >= 0`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := s.Next(); err != nil || len(b) == 0 {
+		t.Fatalf("first batch: %d rows, %v", len(b), err)
+	}
+	s.Close()
+	check("abandoned stream")
 }

@@ -13,7 +13,7 @@ import (
 
 // Streaming-execution equivalence and edge cases: every streamable query
 // shape must produce results byte-identical to the materialized path at
-// every batch size and parallelism level; LIMIT early exit must cut the
+// every batch size and worker count; LIMIT early exit must cut the
 // scan short without leaking worker goroutines; and a streamed pipeline
 // that falls back to a materialized operator mid-query must charge the
 // scan exactly once.
@@ -51,11 +51,13 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 	registerMySum(e)
 	for _, sql := range streamQueries {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.batchSize = 1, 0
+		procs(t, 1)
+		e.batchSize = 0
 		want, seqErr := e.Execute(q, nil)
 		for _, bs := range []int{1, 7, 64, DefaultBatchSize} {
 			for _, p := range []int{1, 2, 4} {
-				e.Parallelism, e.batchSize = p, bs
+				procs(t, p)
+				e.batchSize = bs
 				res, err := e.Execute(q, nil)
 				if (err == nil) != (seqErr == nil) {
 					t.Fatalf("bs=%d p=%d err=%v, materialized err=%v\n%s", bs, p, err, seqErr, sql)
@@ -73,19 +75,21 @@ func TestStreamedMatchesMaterialized(t *testing.T) {
 
 // TestStreamedFullScanStats pins the cost-model inputs: a streamed full
 // scan must charge exactly the same bytes and rows as the materialized
-// scan, at every batch size and shard count (the per-batch byte charges
+// scan, at every batch size and worker count (the per-batch byte charges
 // telescope to the table total).
 func TestStreamedFullScanStats(t *testing.T) {
 	e := parallelFixture(t, 2000)
 	q := sqlparser.MustParse(`SELECT f_dim, SUM(f_val) FROM facts WHERE f_val > 250 GROUP BY f_dim`)
-	e.Parallelism, e.batchSize = 1, 0
+	procs(t, 1)
+	e.batchSize = 0
 	want, err := e.Execute(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, bs := range []int{1, 3, 64, 1024, 5000} {
 		for _, p := range []int{1, 2, 4} {
-			e.Parallelism, e.batchSize = p, bs
+			procs(t, p)
+			e.batchSize = bs
 			res, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -121,7 +125,8 @@ func TestStreamFallbackNoDoubleCount(t *testing.T) {
 	} {
 		q := sqlparser.MustParse(sql)
 		for _, p := range []int{1, 4} {
-			e.Parallelism, e.batchSize = p, 64
+			procs(t, p)
+			e.batchSize = 64
 			res, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
@@ -169,7 +174,8 @@ func TestStreamEmptyTable(t *testing.T) {
 		q := sqlparser.MustParse(tc.sql)
 		for _, bs := range []int{0, 1, 8} {
 			for _, p := range []int{1, 4} {
-				e.Parallelism, e.batchSize = p, bs
+				procs(t, p)
+				e.batchSize = bs
 				res, err := e.Execute(q, nil)
 				if err != nil {
 					t.Fatalf("bs=%d p=%d %s: %v", bs, p, tc.sql, err)
@@ -198,13 +204,15 @@ func TestStreamBatchBoundaryFilters(t *testing.T) {
 		`SELECT SUM(f_val) FROM facts WHERE f_id BETWEEN 47 AND 48`,
 	} {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.batchSize = 1, 0
+		procs(t, 1)
+		e.batchSize = 0
 		want, err := e.Execute(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range []int{1, 4} {
-			e.Parallelism, e.batchSize = p, bs
+			procs(t, p)
+			e.batchSize = bs
 			res, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatalf("p=%d %s: %v", p, sql, err)
@@ -233,7 +241,8 @@ func TestStreamLimitEarlyExit(t *testing.T) {
 			want = DefaultBatchSize
 		}
 		for _, p := range []int{1, 4} {
-			e.batchSize, e.Parallelism = bs, p
+			e.batchSize = bs
+			procs(t, p)
 			res, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -265,12 +274,12 @@ func TestStreamLimitEarlyExit(t *testing.T) {
 
 // TestStreamFirstBatchDefault pins the batch rule for a stream at default
 // settings: a filtered 100 000-row scan at p=2 ships its first batch after
-// one scan batch per worker, not after a whole shard, and closing the
+// one scan batch per worker, not after a whole morsel, and closing the
 // stream then stops the scan within the workers' readahead.
 func TestStreamFirstBatchDefault(t *testing.T) {
 	const rows = 100000
 	e := parallelFixture(t, rows)
-	e.Parallelism = 2
+	procs(t, 2)
 	s, err := e.ExecuteStream(sqlparser.MustParse(`SELECT f_id FROM facts WHERE f_val >= 0`), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -290,18 +299,19 @@ func TestStreamFirstBatchDefault(t *testing.T) {
 
 // TestStreamLimitNoGoroutineLeak asserts streamed pipelines join all
 // their workers before Execute returns: repeated early-exiting LIMIT
-// queries interleaved with sharded streamed scans must not grow the
+// queries interleaved with multi-morsel streamed scans must not grow the
 // process's goroutine count (run with -race to also catch unsynchronized
 // stragglers).
 func TestStreamLimitNoGoroutineLeak(t *testing.T) {
 	e := parallelFixture(t, 5000)
-	e.Parallelism, e.batchSize = 4, 8
+	procs(t, 4)
+	e.batchSize = 8
 	queries := []string{
 		`SELECT f_id FROM facts LIMIT 3`,
 		`SELECT f_id FROM facts WHERE f_val > 500 LIMIT 9`,
 		`SELECT f_id FROM facts LIMIT 0`,
-		`SELECT f_dim, SUM(f_val) FROM facts GROUP BY f_dim`, // sharded workers
-		`SELECT f_id FROM facts WHERE f_val > 900`,           // sharded workers
+		`SELECT f_dim, SUM(f_val) FROM facts GROUP BY f_dim`, // morsel workers
+		`SELECT f_id FROM facts WHERE f_val > 900`,           // morsel workers
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
@@ -335,12 +345,14 @@ func TestStreamParamsAndScalarUDF(t *testing.T) {
 	})
 	q := sqlparser.MustParse(`SELECT f_id, twice(f_val) FROM facts WHERE f_val > :cut`)
 	params := map[string]value.Value{"cut": value.NewInt(800)}
-	e.Parallelism, e.batchSize = 1, 0
+	procs(t, 1)
+	e.batchSize = 0
 	want, err := e.Execute(q, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Parallelism, e.batchSize = 4, 32
+	procs(t, 4)
+	e.batchSize = 32
 	got, err := e.Execute(q, params)
 	if err != nil {
 		t.Fatal(err)

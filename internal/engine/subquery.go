@@ -13,8 +13,8 @@ import (
 // names it: open plans every subquery of its block (planBlock) once, on the
 // opening context, before the block's first chain exists, and the plan never
 // changes afterwards — so the block's chains evaluate IN, EXISTS and scalar
-// subqueries on any shard worker with no synchronization. The plan memo
-// (execCtx.subq) is written only from open and what open calls; shard
+// subqueries on any morsel worker with no synchronization. The plan memo
+// (execCtx.subq) is written only from open and what open calls; morsel
 // contexts share it read-only.
 //
 // There are two strategies. A subquery that is uncorrelated, or whose

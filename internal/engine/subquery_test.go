@@ -14,9 +14,9 @@ import (
 
 // Subquery planning tests. open plans a block's subqueries before the
 // block's first chain exists and nothing writes the plan memo afterwards, so
-// a block with subqueries shards like any other. The shapes below put every
+// a block with subqueries cuts into morsels like any other. The shapes below put every
 // kind of plan — run once, decorrelated, naive, and what lies beneath a
-// naive one — where shard workers evaluate it; run with -race, a plan
+// naive one — where morsel workers evaluate it; run with -race, a plan
 // written (or first built) from a worker is a reported race.
 
 // subqueryShapes run over parallelFixture: facts(f_id, f_dim, f_val, f_tag),
@@ -62,14 +62,15 @@ var subqueryShapes = []string{
 	  ORDER BY (SELECT d_name FROM dims WHERE d_id = f_dim) DESC, f_id LIMIT 20`,
 }
 
-// TestSubqueryBlocksShard: at p = 4 × batch size 0/64 every shape returns
+// TestSubqueryBlocksShard: at GOMAXPROCS 4 × batch size 0/64 every shape returns
 // exactly the rows — and charges exactly the scans and subquery runs — of
 // the sequential unbounded run.
 func TestSubqueryBlocksShard(t *testing.T) {
 	e := parallelFixture(t, 600)
 	for _, sql := range subqueryShapes {
 		q := sqlparser.MustParse(sql)
-		e.Parallelism, e.batchSize = 1, 0
+		procs(t, 1)
+		e.batchSize = 0
 		want, err := e.Execute(q, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
@@ -78,7 +79,8 @@ func TestSubqueryBlocksShard(t *testing.T) {
 			t.Errorf("%s: no subquery run counted", sql)
 		}
 		for _, bs := range []int{0, 64} {
-			e.Parallelism, e.batchSize = 4, bs
+			procs(t, 4)
+			e.batchSize = bs
 			got, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatalf("p=4 bs=%d %s: %v", bs, sql, err)
@@ -100,6 +102,7 @@ func TestSubqueryBlocksShard(t *testing.T) {
 // evaluating outer row for a naive one — wherever the rows are evaluated.
 func TestSubqueryRunsCounter(t *testing.T) {
 	e := parallelFixture(t, 600)
+	e.batchSize = 8 // facts is 10 morsels
 	for _, tc := range []struct {
 		sql  string
 		runs int64
@@ -118,7 +121,7 @@ func TestSubqueryRunsCounter(t *testing.T) {
 	} {
 		q := sqlparser.MustParse(tc.sql)
 		for _, par := range []int{1, 4} {
-			e.Parallelism = par
+			procs(t, par)
 			res, err := e.Execute(q, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.sql, err)
@@ -169,7 +172,7 @@ func TestSubqueryPlannedAtOpen(t *testing.T) {
 // every outer row (which only the analysis, errNoDecorrelate, may choose).
 func TestSubqueryDecorrelateErrorIsTheStatements(t *testing.T) {
 	e := parallelFixture(t, 600)
-	e.Parallelism = 1 // one chain: the drain stops at the failing row
+	procs(t, 1) // one worker: the drain stops at the failing row
 	var calls atomic.Int64
 	e.RegisterScalar("boom", func(st *Stats, args []value.Value) (value.Value, error) {
 		if calls.Add(1) == 10 {

@@ -10,16 +10,16 @@ import (
 )
 
 // One tree: Execute drains what ExecuteStream returns. For every query in
-// the package's test tables, at every ⟨batchSize, Parallelism⟩, the two
+// the package's test tables, at every ⟨batchSize, GOMAXPROCS⟩, the two
 // must agree on rows, row order and every statistic, and neither may leave
 // a goroutine behind. Without an override (batchSize 0) the stream moves
-// DefaultBatchSize rows per pull and Execute one batch per shard, so there
+// DefaultBatchSize rows per pull and Execute one batch per morsel, so there
 // BatchesStreamed is the one statistic that may differ.
 
 // breakerQueries are the shapes that run through a child tree or a
 // non-grouping breaker — subqueries of every kind, a derived table, sorts
 // without a LIMIT, post-join sort and DISTINCT — over parallelFixture, so
-// they meet batch boundaries and shard seams.
+// they meet batch boundaries and morsel seams.
 var breakerQueries = []string{
 	`SELECT f_id FROM facts WHERE f_dim IN (SELECT d_id FROM dims WHERE d_id < 7) AND f_val > 900`,
 	`SELECT d_id FROM dims WHERE d_id IN (SELECT f_dim FROM facts WHERE f_val = d_id * 10)`,
@@ -77,7 +77,8 @@ func TestExecuteDrainsExecuteStream(t *testing.T) {
 			var rows string // Execute's rows at the first configuration
 			for _, bs := range []int{0, 1, 7, 1024} {
 				for _, p := range []int{1, 2, 4} {
-					tb.e.batchSize, tb.e.Parallelism = bs, p
+					tb.e.batchSize = bs
+					procs(t, p)
 					at := fmt.Sprintf("%s bs=%d p=%d %s", tb.name, bs, p, sql)
 					base := runtime.NumGoroutine()
 					res, err := tb.e.Execute(q, nil)
@@ -128,7 +129,7 @@ func TestExecuteDrainsExecuteStream(t *testing.T) {
 }
 
 // TestAbandonedStreamLeavesNothing closes a ResultStream after its first
-// batch — over a sharded scan, a sharded join, a sharded front feeding a
+// batch — over a multi-morsel scan, a multi-morsel join, a multi-morsel front feeding a
 // correlated EXISTS on the consumer, and a sort — and requires every
 // producer to be gone when Close returns.
 func TestAbandonedStreamLeavesNothing(t *testing.T) {
@@ -142,7 +143,8 @@ func TestAbandonedStreamLeavesNothing(t *testing.T) {
 	} {
 		q := sqlparser.MustParse(sql)
 		for _, bs := range []int{0, 32} {
-			e.batchSize, e.Parallelism = bs, 4
+			e.batchSize = bs
+			procs(t, 4)
 			base := runtime.NumGoroutine()
 			for i := 0; i < 10; i++ {
 				s, err := e.ExecuteStream(q, nil)

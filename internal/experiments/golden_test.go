@@ -39,7 +39,6 @@ func renderGolden(t *testing.T) string {
 	for _, cfg := range []Config{MonomiConfig(testSF), ExecutionGreedyConfig(testSF), CryptDBClientConfig(testSF)} {
 		cfg.Seed = testSeed
 		cfg.PaillierBits = 256
-		cfg.Parallelism = 1
 		bench, err := Setup(cfg)
 		if err != nil {
 			t.Fatalf("setup %s: %v", cfg.Name, err)

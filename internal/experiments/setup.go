@@ -39,10 +39,6 @@ type Config struct {
 	// Queries restricts the designer's input workload (Figure 8); nil
 	// means all supported queries.
 	Queries []int
-	// Parallelism is the sharded-execution worker count for the server,
-	// the client's local operators, and the plaintext baseline; 0 means
-	// GOMAXPROCS, 1 forces sequential execution.
-	Parallelism int
 }
 
 // MonomiConfig is the full system at the given scale.
@@ -82,11 +78,9 @@ func CryptDBClientConfig(sf tpch.ScaleFactor) Config {
 }
 
 // under returns system configuration c with base's run-wide values (scale,
-// seed, key width, parallelism), so they reach every system an
-// experiment builds.
+// seed, key width), so they reach every system an experiment builds.
 func (base Config) under(c Config) Config {
 	c.SF, c.Seed, c.PaillierBits = base.SF, base.Seed, base.PaillierBits
-	c.Parallelism = base.Parallelism
 	return c
 }
 
@@ -100,7 +94,6 @@ func (cfg Config) spec() deploy.Spec {
 		Designer:        cfg.Designer,
 		GreedyExecution: cfg.GreedyExecution,
 		Prefilter:       !cfg.DisablePrefilter,
-		Parallelism:     cfg.Parallelism,
 	}
 }
 

@@ -3,7 +3,6 @@ package planner
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/ast"
 	"repro/internal/enc"
@@ -105,11 +104,6 @@ type Plan struct {
 
 // EstTotal is the plan's total estimated time.
 func (p *Plan) EstTotal() float64 { return p.EstServer + p.EstTransfer + p.EstClient }
-
-// EstCost returns the total cost as a duration.
-func (p *Plan) EstCost() time.Duration {
-	return time.Duration(p.EstTotal() * float64(time.Second))
-}
 
 // Subplan is a named child plan whose result becomes a temp table.
 type Subplan struct {

@@ -31,17 +31,17 @@ import (
 )
 
 // packingHomSum batches a group's Paillier ciphertext multiplications,
-// sharding the modular products across the server's workers. The grouped
+// splitting the modular products across GOMAXPROCS workers. The grouped
 // finalization loop may run several groups' Result calls concurrently
 // (engine fan-out), so the per-group worker budget divides by the number
-// of in-flight sums — total concurrency stays ~Parallelism instead of
-// oversubscribing to Parallelism² goroutines of bignum arithmetic. The
-// sum's wire encoding is worker-count-independent, so this never affects
-// results.
+// of in-flight sums — total concurrency stays ~GOMAXPROCS instead of
+// oversubscribing to GOMAXPROCS² goroutines of bignum arithmetic. A
+// Paillier product does not depend on the worker count, so this never
+// affects results.
 func (s *Server) packingHomSum(store *packing.Store, rowIDs []int) (*packing.SumResult, error) {
 	inflight := atomic.AddInt64(&s.homInFlight, 1)
 	defer atomic.AddInt64(&s.homInFlight, -1)
-	p := s.parallelism() / int(inflight)
+	p := runtime.GOMAXPROCS(0) / int(inflight)
 	if p < 1 {
 		p = 1
 	}
@@ -49,14 +49,9 @@ func (s *Server) packingHomSum(store *packing.Store, rowIDs []int) (*packing.Sum
 }
 
 // Server hosts one encrypted database.
-//
-// Parallelism is the worker count for sharded query execution and batched
-// Paillier multiplication; values < 1 mean GOMAXPROCS, 1 forces sequential
-// execution. Set it via SetParallelism so the embedded engine stays in sync.
 type Server struct {
-	DB          *enc.DB
-	Engine      *engine.Engine
-	Parallelism int
+	DB     *enc.DB
+	Engine *engine.Engine
 
 	// homInFlight counts concurrently running grouped homomorphic sums
 	// (see packingHomSum).
@@ -77,24 +72,10 @@ func New(db *enc.DB, cfg netsim.Config) *Server {
 	return s
 }
 
-// SetParallelism sets the worker count for the server and its engine.
-func (s *Server) SetParallelism(p int) {
-	s.Parallelism = p
-	s.Engine.Parallelism = p
-}
-
 // SetIndexes turns the engine's secondary-index access paths on or off.
 // Results are byte-identical either way; only scan cost changes.
 func (s *Server) SetIndexes(on bool) {
 	s.Engine.UseIndexes = on
-}
-
-// parallelism resolves the knob (values < 1 mean GOMAXPROCS).
-func (s *Server) parallelism() int {
-	if s.Parallelism > 0 {
-		return s.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Response carries an executed RemoteSQL result; Result.Stats counts the

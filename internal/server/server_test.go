@@ -1,6 +1,7 @@
 package server
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -202,8 +203,10 @@ func TestAggStateMerge(t *testing.T) {
 }
 
 // TestServerParallelMatchesSequential runs the UDAF queries at several
-// parallelism levels and requires identical wire results.
+// GOMAXPROCS values — group finalization and each Paillier product split
+// across that many workers — and requires identical wire results.
 func TestServerParallelMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	srv, _ := fixture(t)
 	group := srv.DB.Meta["t"].Groups[0]
 	queries := []string{
@@ -212,13 +215,13 @@ func TestServerParallelMatchesSequential(t *testing.T) {
 	}
 	for _, sql := range queries {
 		q := sqlparser.MustParse(sql)
-		srv.SetParallelism(1)
+		runtime.GOMAXPROCS(1)
 		want, err := srv.Execute(q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range []int{2, 8} {
-			srv.SetParallelism(p)
+			runtime.GOMAXPROCS(p)
 			got, err := srv.Execute(q, nil)
 			if err != nil {
 				t.Fatalf("p=%d: %v", p, err)

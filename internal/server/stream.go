@@ -7,7 +7,7 @@ package server
 // the producer half of the paper's split execution turned into a pipeline
 // (Figure 1's "send encrypted intermediate results to the client" without
 // the wait). The stream the server pulls may itself be produced by
-// Parallelism workers behind the engine's shard-order merger; nothing here
+// GOMAXPROCS workers behind the engine's morsel-order merger; nothing here
 // changes, because the engine folds each worker's counters into the
 // stream's statistics only as their batches are emitted — the Stats
 // snapshot taken after a batch is framed remains single-writer and counts
@@ -17,7 +17,7 @@ package server
 // must scan everything first, finalizes and ships its groups a batch at a
 // time. A drained stream's Stats equal the materialized Execute's on every
 // counter but BatchesStreamed: the stream pulls 1 024-row batches, Execute
-// one batch per shard.
+// one batch per morsel.
 
 import (
 	"context"

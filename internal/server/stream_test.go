@@ -291,7 +291,7 @@ func TestJoinTimeToFirstBatchBeatsServerTime(t *testing.T) {
 func TestExecuteStreamAbandoned(t *testing.T) {
 	const rows = 50000
 	srv := bigFixture(t, rows, 97)
-	srv.SetParallelism(4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	q := sqlparser.MustParse(`SELECT a_det FROM big`)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
@@ -345,13 +345,13 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // TestAbandonedStreamStats: a stream the server stops early — its writer
 // fails, or its context is cancelled, after the first batch — must still
-// report all the work its shard workers did, readahead whose batches never
+// report all the work its morsel workers did, readahead whose batches never
 // shipped included. A counting filter sees each scanned row exactly once,
 // so RowsScanned must equal its count.
 func TestAbandonedStreamStats(t *testing.T) {
 	const rows = 50000
 	srv := bigFixture(t, rows, 97)
-	srv.SetParallelism(4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	var evaluated atomic.Int64
 	srv.Engine.RegisterScalar("counted", func(*engine.Stats, []value.Value) (value.Value, error) {
 		evaluated.Add(1)
@@ -503,12 +503,12 @@ func TestGroupedTimeToFirstBatchBeatsServerTime(t *testing.T) {
 // first occurrences as the scan discovers them (seen-set, not a
 // materialized keep-bitmap), so the first encrypted batch of distinct
 // rows is ready after a batch-proportional share of the scan — at
-// parallelism 4, where the sharded producer feeds the merger, with drained
+// GOMAXPROCS 4, where the morsel producers feed the merger, with drained
 // counters equal to the materialized execution's.
 func TestDistinctTimeToFirstBatchBeatsServerTime(t *testing.T) {
 	const rows, distinct = 16000, 4000
 	srv := bigFixture(t, rows, distinct)
-	srv.SetParallelism(4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	q := sqlparser.MustParse(`SELECT DISTINCT b_det FROM big`)
 	var buf bytes.Buffer
 	st, err := srv.ExecuteStream(q, nil, &buf)
@@ -543,12 +543,14 @@ func TestDistinctTimeToFirstBatchBeatsServerTime(t *testing.T) {
 }
 
 // TestShardedWireStreamMatchesSequential pins the wire-level contract of
-// the sharded producer: the framed byte stream at parallelism 4 must be
-// identical — byte for byte — to the sequential puller's, across plain,
-// filtered, DISTINCT, and grouped shapes (shard bounds sit on the batch
-// grid, so even frame boundaries coincide).
+// the morsel producers: over a table of three morsels, the framed byte
+// stream and its counters at GOMAXPROCS 2 and 4 must be identical — byte
+// for byte — to one worker's, across plain, filtered, DISTINCT, and grouped
+// shapes (morsels sit on the batch grid, so even frame boundaries
+// coincide).
 func TestShardedWireStreamMatchesSequential(t *testing.T) {
-	const rows = 4000
+	const rows = 20000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	srv := bigFixture(t, rows, 97)
 	for _, sql := range []string{
 		`SELECT a_det, b_det FROM big`,
@@ -557,14 +559,14 @@ func TestShardedWireStreamMatchesSequential(t *testing.T) {
 		`SELECT b_det, COUNT(*) FROM big GROUP BY b_det`,
 	} {
 		q := sqlparser.MustParse(sql)
-		srv.SetParallelism(1)
+		runtime.GOMAXPROCS(1)
 		var seq bytes.Buffer
 		seqSt, err := srv.ExecuteStream(q, nil, &seq)
 		if err != nil {
 			t.Fatalf("p=1 %s: %v", sql, err)
 		}
 		for _, p := range []int{2, 4} {
-			srv.SetParallelism(p)
+			runtime.GOMAXPROCS(p)
 			var got bytes.Buffer
 			st, err := srv.ExecuteStream(q, nil, &got)
 			if err != nil {
@@ -574,12 +576,10 @@ func TestShardedWireStreamMatchesSequential(t *testing.T) {
 				t.Errorf("p=%d %s: wire stream differs from sequential puller (%d vs %d bytes)",
 					p, sql, got.Len(), seq.Len())
 			}
-			if st.Stats.BytesScanned != seqSt.Stats.BytesScanned || st.Stats.RowsScanned != seqSt.Stats.RowsScanned ||
-				st.Batches != seqSt.Batches {
+			if st.Stats != seqSt.Stats || st.Batches != seqSt.Batches {
 				t.Errorf("p=%d %s: stream stats (%+v, %d batches) != sequential (%+v, %d)",
 					p, sql, st.Stats, st.Batches, seqSt.Stats, seqSt.Batches)
 			}
 		}
 	}
-	srv.SetParallelism(0)
 }

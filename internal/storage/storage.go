@@ -364,21 +364,6 @@ func (t *Table) Index(col string, kind IndexKind) *Index {
 	return t.indexes[indexTag{col: col, kind: kind}]
 }
 
-// Indexes returns every secondary index of the table.
-func (t *Table) Indexes() []*Index {
-	out := make([]*Index, 0, len(t.indexes))
-	for _, ix := range t.indexes {
-		out = append(out, ix)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Col != out[j].Col {
-			return out[i].Col < out[j].Col
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
-}
-
 // HasKey reports whether the table enforces a unique Schema.Key.
 func (t *Table) HasKey() bool { return t.key != nil }
 

@@ -57,9 +57,7 @@ func testBackend(tb testing.TB, rows int) *server.Server {
 			value.NewStr(fmt.Sprintf("row-%d", i%13)),
 		})
 	}
-	srv := server.New(&enc.DB{Cat: cat}, netsim.Default())
-	srv.SetParallelism(2)
-	return srv
+	return server.New(&enc.DB{Cat: cat}, netsim.Default())
 }
 
 // startServer listens on an ephemeral loopback port.

@@ -28,20 +28,19 @@
 //	}, monomi.DefaultOptions())
 //	rows, err := sys.Query("SELECT o_cust, SUM(o_total) t FROM orders GROUP BY o_cust ORDER BY t DESC")
 //
-// # Parallel sharded execution
+// # Morsel-driven parallel execution
 //
 // Both sides of the split execute in parallel: scans, filters, hash-join
-// probes, projection, and grouped aggregation are partitioned into
-// contiguous row-range shards run by a worker pool, and the server batches
-// each shard's Paillier ciphertext multiplications into modular products.
-// Per-shard aggregation states recombine through a partial-state Merge
-// (engine.AggState.Merge): shards merge in row order, so results — group
-// order, row order, ciphertext concatenations, even the wire encoding of
-// homomorphic sums — are identical to sequential execution, except that
-// SUM/AVG over Float columns may differ from the sequential fold in the
-// last ULP (per-shard partial sums regroup the float additions). The
-// worker count is Options.Parallelism (default GOMAXPROCS; 1 forces the
-// sequential path) and can be changed later with System.SetParallelism.
+// probes, projection, and grouped aggregation cut a large source into
+// fixed-size row-range morsels that GOMAXPROCS workers take one at a time,
+// and the server splits each group's Paillier ciphertext multiplications
+// into modular products across workers. Per-morsel aggregation states
+// recombine through a partial-state Merge (engine.AggState.Merge) in
+// morsel order. Morsel boundaries depend on the data alone, so results —
+// group order, row order, ciphertext concatenations, the wire encoding of
+// homomorphic sums, SUM/AVG over Float columns to the last bit — and the
+// engine's counters are the same on every host and at every GOMAXPROCS.
+// There is no worker-count option.
 //
 // # Batch-at-a-time execution
 //
@@ -58,7 +57,7 @@
 // How many rows one pull moves follows from how the result is consumed,
 // not from an option: a result drained whole (the in-process hand-off, the
 // local residuals, subqueries, derived tables, join builds) moves one batch
-// per worker; a served stream moves 1 024 rows per pull; and a LIMIT that
+// per morsel; a served stream moves 1 024 rows per pull; and a LIMIT that
 // can stop its scan (no sort or grouping before it) reads 1 024 rows per
 // pull on either path. Batching never changes rows, row order or
 // encodings.
@@ -83,7 +82,7 @@
 //     Rows.WireBytes counts the framed bytes.
 //
 // Either way one loop decodes each batch in order, splitting a batch of
-// 1 024 rows or more across Parallelism workers. Results — rows, row
+// 1 024 rows or more across GOMAXPROCS workers. Results — rows, row
 // order, encodings, the first error — are identical either way. The two
 // WireBytes figures are not the same count: on tpch-scan's twelve queries
 // (seed 1) the in-process model reads 233 KB/query and the framed stream 105.
@@ -234,16 +233,13 @@ type Options struct {
 	SpaceBudget float64
 	// SpaceGreedy uses the §8.6 heuristic instead of the ILP.
 	SpaceGreedy bool
-	// Parallelism is the worker count for sharded query execution on both
-	// sides of the split: the untrusted server partitions its scans,
-	// filters, joins, and grouped aggregation into contiguous row-range
-	// shards (per-shard aggregation states recombine with AggState.Merge,
-	// and each shard batches its Paillier ciphertext multiplications), and
-	// the trusted client runs its residual local operators the same way.
-	// 0 (the default) uses GOMAXPROCS; 1 forces fully sequential
-	// execution. Results are identical at every level, except SUM/AVG
-	// over Float columns, which may differ in the last ULP (see the
-	// package doc).
+	// Parallelism is ignored: both sides of the split cut large sources
+	// into fixed-size morsels run on GOMAXPROCS workers (see the package
+	// doc).
+	//
+	// Deprecated: nothing reads it. It stays only because the benchmark's
+	// layer harness (bench/layers.go), whose files are frozen, passes it
+	// on; ROADMAP item 1(b) deletes it.
 	Parallelism int
 	// Indexes maintains secondary indexes over the encrypted tables — a
 	// DET hash index (equality, IN, hash-join builds) and an OPE ordered
@@ -258,9 +254,9 @@ type Options struct {
 	// "mem" keeps rows in memory (the original layout); "disk" loads each
 	// encrypted table into an append-only paged segment file under DataDir,
 	// read back through an LRU block cache. Results are byte-identical
-	// across backends at every ⟨Parallelism, deployment⟩ combination; what
-	// changes is the charged I/O — a disk-backed scan charges its real page
-	// reads (block-cache misses) instead of the resident-byte approximation.
+	// across backends and deployments; what changes is the charged I/O — a
+	// disk-backed scan charges its real page reads (block-cache misses)
+	// instead of the resident-byte approximation.
 	Backend string
 	// DataDir is where the disk backend places its segment files
 	// (required when Backend is "disk"). They are scratch for one run:
@@ -337,20 +333,12 @@ func Encrypt(db *Database, workload Workload, opts Options) (*System, error) {
 		Backend:      becfg,
 		Prefilter:    true,
 		Indexes:      opts.Indexes,
-		Parallelism:  opts.Parallelism,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &System{dep: dep}, nil
 }
-
-// SetParallelism changes the worker count for sharded execution on the
-// server, the client's local operators, and the plaintext baseline engine
-// (see Options.Parallelism). It must not be called while queries are in
-// flight. On a remote System (ConnectRemote) only the client-side knob
-// moves — the remote server's parallelism is fixed by its own flags.
-func (s *System) SetParallelism(p int) { s.dep.SetParallelism(p) }
 
 // SetIndexes toggles secondary-index access paths on the server's engine,
 // the planner's cost model, and the plaintext baseline engine (see

@@ -9,8 +9,8 @@ import (
 // Differential test for the repeated-query fast path: the same
 // parameterized shapes executed over and over with different values —
 // prepared statements and ad-hoc SQL, warm plan cache and cold — must stay
-// byte-identical to the plaintext engine at every parallelism level,
-// in-process (rows handed over) and over the transport (framed
+// byte-identical to the plaintext engine, in-process (rows handed over) and
+// over the transport (framed
 // stream; warm prepared executions additionally run server-side registered
 // statements by id instead of re-shipping SQL).
 
@@ -91,68 +91,64 @@ func TestDifferentialRepeatedQueries(t *testing.T) {
 
 	shapes := repShapes(t)
 	const reps = 3
-	for _, par := range []int{1, 2, 4} {
-		sys.SetParallelism(par)
-		rem.SetParallelism(par)
-		for _, d := range []struct {
-			name string
-			s    *System
-		}{{"inproc", sys}, {"wire", rem}} {
-			for si, sh := range shapes {
-				tag := fmt.Sprintf("p=%d %s shape=%d", par, d.name, si)
-				stmt, err := d.s.Prepare(sh.sql)
-				if err != nil {
-					t.Fatalf("%s prepare: %v", tag, err)
-				}
-				d.s.ResetPlanCache()
-				var coldRows []string
-				for i := 0; i < reps; i++ {
-					plain, err := sys.QueryPlaintext(sh.adhoc(i))
-					if err != nil {
-						t.Fatalf("%s plaintext i=%d: %v", tag, i, err)
-					}
-					want := canonicalRows(t, plain.Data, sh.ordered)
-
-					prep, err := stmt.Query(sh.params(i))
-					if err != nil {
-						t.Fatalf("%s prepared i=%d: %v", tag, i, err)
-					}
-					got := canonicalRows(t, prep.Data, sh.ordered)
-					if strings.Join(got, "\n") != strings.Join(want, "\n") {
-						t.Fatalf("%s prepared i=%d diverges from plaintext:\n%v\nvs\n%v", tag, i, got, want)
-					}
-					if i == 0 {
-						coldRows = got
-						if prep.PlanCacheHit {
-							t.Errorf("%s: cold execution reported a plan-cache hit", tag)
-						}
-					} else if !prep.PlanCacheHit {
-						t.Errorf("%s i=%d: warm prepared execution missed the plan cache", tag, i)
-					}
-
-					adhoc, err := d.s.Query(sh.adhoc(i))
-					if err != nil {
-						t.Fatalf("%s adhoc i=%d: %v", tag, i, err)
-					}
-					got = canonicalRows(t, adhoc.Data, sh.ordered)
-					if strings.Join(got, "\n") != strings.Join(want, "\n") {
-						t.Fatalf("%s adhoc i=%d diverges from plaintext:\n%v\nvs\n%v", tag, i, got, want)
-					}
-				}
-				// The uncached path must agree with the warm one:
-				// re-run binding 0 cold and compare to the cached
-				// execution's rows.
-				d.s.ResetPlanCache()
-				again, err := stmt.Query(sh.params(0))
-				if err != nil {
-					t.Fatalf("%s cold rerun: %v", tag, err)
-				}
-				got := canonicalRows(t, again.Data, sh.ordered)
-				if strings.Join(got, "\n") != strings.Join(coldRows, "\n") {
-					t.Fatalf("%s: cold rerun diverges from first execution:\n%v\nvs\n%v", tag, got, coldRows)
-				}
-				stmt.Close()
+	for _, d := range []struct {
+		name string
+		s    *System
+	}{{"inproc", sys}, {"wire", rem}} {
+		for si, sh := range shapes {
+			tag := fmt.Sprintf("%s shape=%d", d.name, si)
+			stmt, err := d.s.Prepare(sh.sql)
+			if err != nil {
+				t.Fatalf("%s prepare: %v", tag, err)
 			}
+			d.s.ResetPlanCache()
+			var coldRows []string
+			for i := 0; i < reps; i++ {
+				plain, err := sys.QueryPlaintext(sh.adhoc(i))
+				if err != nil {
+					t.Fatalf("%s plaintext i=%d: %v", tag, i, err)
+				}
+				want := canonicalRows(t, plain.Data, sh.ordered)
+
+				prep, err := stmt.Query(sh.params(i))
+				if err != nil {
+					t.Fatalf("%s prepared i=%d: %v", tag, i, err)
+				}
+				got := canonicalRows(t, prep.Data, sh.ordered)
+				if strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Fatalf("%s prepared i=%d diverges from plaintext:\n%v\nvs\n%v", tag, i, got, want)
+				}
+				if i == 0 {
+					coldRows = got
+					if prep.PlanCacheHit {
+						t.Errorf("%s: cold execution reported a plan-cache hit", tag)
+					}
+				} else if !prep.PlanCacheHit {
+					t.Errorf("%s i=%d: warm prepared execution missed the plan cache", tag, i)
+				}
+
+				adhoc, err := d.s.Query(sh.adhoc(i))
+				if err != nil {
+					t.Fatalf("%s adhoc i=%d: %v", tag, i, err)
+				}
+				got = canonicalRows(t, adhoc.Data, sh.ordered)
+				if strings.Join(got, "\n") != strings.Join(want, "\n") {
+					t.Fatalf("%s adhoc i=%d diverges from plaintext:\n%v\nvs\n%v", tag, i, got, want)
+				}
+			}
+			// The uncached path must agree with the warm one:
+			// re-run binding 0 cold and compare to the cached
+			// execution's rows.
+			d.s.ResetPlanCache()
+			again, err := stmt.Query(sh.params(0))
+			if err != nil {
+				t.Fatalf("%s cold rerun: %v", tag, err)
+			}
+			got := canonicalRows(t, again.Data, sh.ordered)
+			if strings.Join(got, "\n") != strings.Join(coldRows, "\n") {
+				t.Fatalf("%s: cold rerun diverges from first execution:\n%v\nvs\n%v", tag, got, coldRows)
+			}
+			stmt.Close()
 		}
 	}
 }
@@ -206,14 +202,31 @@ func TestRepeatedQueryPlanCacheStats(t *testing.T) {
 	}
 }
 
-// TestDifferentialHotpathShapes runs the hotpath benchmark's three prepared
-// statements — a DET point lookup, an OPE range and a grouped sum folded on
-// the client — over the repeated grid. Their residuals only re-select what
-// was decrypted, so the client returns the decoded rows without running its
-// engine: the in-process and remote results must match the plaintext
-// engine's rows, and their columns must match each other's and the cold
-// execution's, at every parallelism level.
-func TestDifferentialHotpathShapes(t *testing.T) {
+// hotpathShapes are the hotpath benchmark's three prepared statements and
+// their i-th parameter bindings.
+var hotpathShapes = []struct {
+	sql    string
+	params func(i int) map[string]any
+}{
+	{"SELECT e_id, e_val FROM ev WHERE e_id = :id", func(i int) map[string]any { return map[string]any{"id": 37 * i} }},
+	{"SELECT e_id, e_val FROM ev WHERE e_val BETWEEN :lo AND :hi", func(i int) map[string]any {
+		return map[string]any{"lo": 90 * i, "hi": 90*i + 19}
+	}},
+	{"SELECT SUM(e_val), COUNT(*) FROM ev WHERE e_grp = :g", func(i int) map[string]any { return map[string]any{"g": 7 * i} }},
+}
+
+// literalSQL is sql with its parameters written inline.
+func literalSQL(sql string, params map[string]any) string {
+	for name, v := range params {
+		sql = strings.ReplaceAll(sql, ":"+name, fmt.Sprint(v))
+	}
+	return sql
+}
+
+// hotpathSystem encrypts ev(e_id, e_grp, e_val), 3 000 rows, under the
+// hotpath shapes as its workload.
+func hotpathSystem(t *testing.T) *System {
+	t.Helper()
 	db := NewDatabase()
 	db.MustCreateTable("ev", Col("e_id", Int), Col("e_grp", Int), Col("e_val", Int))
 	for i := 0; i < 3000; i++ {
@@ -221,30 +234,26 @@ func TestDifferentialHotpathShapes(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.PaillierBits = 256
-	shapes := []struct {
-		sql    string
-		params func(i int) map[string]any
-	}{
-		{"SELECT e_id, e_val FROM ev WHERE e_id = :id", func(i int) map[string]any { return map[string]any{"id": 37 * i} }},
-		{"SELECT e_id, e_val FROM ev WHERE e_val BETWEEN :lo AND :hi", func(i int) map[string]any {
-			return map[string]any{"lo": 90 * i, "hi": 90*i + 19}
-		}},
-		{"SELECT SUM(e_val), COUNT(*) FROM ev WHERE e_grp = :g", func(i int) map[string]any { return map[string]any{"g": 7 * i} }},
-	}
-	literal := func(sql string, params map[string]any) string {
-		for name, v := range params {
-			sql = strings.ReplaceAll(sql, ":"+name, fmt.Sprint(v))
-		}
-		return sql
-	}
 	workload := Workload{}
-	for i, sh := range shapes {
-		workload[fmt.Sprint("q", i)] = literal(sh.sql, sh.params(1))
+	for i, sh := range hotpathShapes {
+		workload[fmt.Sprint("q", i)] = literalSQL(sh.sql, sh.params(1))
 	}
 	sys, err := Encrypt(db, workload, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sys
+}
+
+// TestDifferentialHotpathShapes runs the hotpath benchmark's three prepared
+// statements — a DET point lookup, an OPE range and a grouped sum folded on
+// the client — over the repeated grid. Their residuals only re-select what
+// was decrypted, so the client returns the decoded rows without running its
+// engine: the in-process and remote results must match the plaintext
+// engine's rows, and their columns must match each other's and the cold
+// execution's.
+func TestDifferentialHotpathShapes(t *testing.T) {
+	sys, shapes, literal := hotpathSystem(t), hotpathShapes, literalSQL
 	defer sys.Close()
 	srv, err := sys.Serve("127.0.0.1:0", ServeConfig{})
 	if err != nil {
@@ -258,44 +267,40 @@ func TestDifferentialHotpathShapes(t *testing.T) {
 	defer rem.Close()
 
 	cols := make([][]string, len(shapes)) // the first execution's, per shape
-	for _, par := range []int{1, 2, 4} {
-		sys.SetParallelism(par)
-		rem.SetParallelism(par)
-		for si, sh := range shapes {
-			near, err := sys.Prepare(sh.sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			far, err := rem.Prepare(sh.sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 3; i++ {
-				tag := fmt.Sprintf("p=%d shape=%d i=%d", par, si, i)
-				plain, err := sys.QueryPlaintext(literal(sh.sql, sh.params(i)))
-				if err != nil {
-					t.Fatalf("%s plaintext: %v", tag, err)
-				}
-				want := strings.Join(canonicalRows(t, plain.Data, false), "\n")
-				for _, st := range []*Stmt{near, far} {
-					got, err := st.Query(sh.params(i))
-					if err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-					if g := strings.Join(canonicalRows(t, got.Data, false), "\n"); g != want {
-						t.Fatalf("%s remote=%v diverges from plaintext:\n%s\nvs\n%s", tag, st == far, g, want)
-					}
-					if cols[si] == nil {
-						cols[si] = got.Cols
-					}
-					if fmt.Sprint(got.Cols) != fmt.Sprint(cols[si]) || len(got.Cols) != len(plain.Cols) {
-						t.Fatalf("%s remote=%v: columns %v, want %v", tag, st == far, got.Cols, cols[si])
-					}
-				}
-			}
-			near.Close()
-			far.Close()
+	for si, sh := range shapes {
+		near, err := sys.Prepare(sh.sql)
+		if err != nil {
+			t.Fatal(err)
 		}
+		far, err := rem.Prepare(sh.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			tag := fmt.Sprintf("shape=%d i=%d", si, i)
+			plain, err := sys.QueryPlaintext(literal(sh.sql, sh.params(i)))
+			if err != nil {
+				t.Fatalf("%s plaintext: %v", tag, err)
+			}
+			want := strings.Join(canonicalRows(t, plain.Data, false), "\n")
+			for _, st := range []*Stmt{near, far} {
+				got, err := st.Query(sh.params(i))
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if g := strings.Join(canonicalRows(t, got.Data, false), "\n"); g != want {
+					t.Fatalf("%s remote=%v diverges from plaintext:\n%s\nvs\n%s", tag, st == far, g, want)
+				}
+				if cols[si] == nil {
+					cols[si] = got.Cols
+				}
+				if fmt.Sprint(got.Cols) != fmt.Sprint(cols[si]) || len(got.Cols) != len(plain.Cols) {
+					t.Fatalf("%s remote=%v: columns %v, want %v", tag, st == far, got.Cols, cols[si])
+				}
+			}
+		}
+		near.Close()
+		far.Close()
 	}
 }
 
