@@ -10,13 +10,11 @@
 //	monomi-bench -exp fig9            # Figure 9: space budgets
 //	monomi-bench -exp table2          # Table 2: server space
 //	monomi-bench -exp table3          # Table 3: security census
-//	monomi-bench -exp index           # secondary-index selectivity sweep vs full scans
-//	monomi-bench -exp backend         # mem vs disk storage backend, cold vs warm block cache
 //	monomi-bench -exp all
 //
-// -json <file> additionally writes the index/backend scenario results as a
-// machine-readable JSON array. The end-to-end workloads (scans, subqueries,
-// the served deployment, the prepared hot path) live in `go run ./bench`.
+// The experiments measure the paper's full-scan system. The end-to-end
+// workloads (scans, subqueries, the served disk-backed deployment, the
+// prepared hot path over index probes) live in `go run ./bench`.
 package main
 
 import (
@@ -30,21 +28,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig4|fig5|fig7|fig8|fig9|table2|table3|stats|index|backend|all")
+	exp := flag.String("exp", "all", "experiment: fig4|fig5|fig7|fig8|fig9|table2|table3|stats|all")
 	sf := flag.Float64("sf", 0.002, "TPC-H scale factor")
 	seed := flag.Int64("seed", 1, "data generator seed")
 	bits := flag.Int("paillier", 512, "Paillier modulus bits (paper: 1024)")
 	maxK := flag.Int("maxk", 4, "maximum designer subset size for fig8")
-	indexRows := flag.Int("indexrows", 200000, "table rows for the index selectivity sweep (-exp index)")
-	indexIters := flag.Int("indexiters", 7, "timed executions per sweep point (-exp index)")
-	backendRows := flag.Int("backendrows", 20000, "table rows for the storage-backend scenario (-exp backend)")
-	backendIters := flag.Int("backenditers", 6, "timed executions per backend (-exp backend)")
-	pageBytes := flag.Int("pagebytes", 4096, "disk-backend page size in bytes (-exp backend)")
-	cacheBytes := flag.Int64("cachebytes", 128<<10, "disk-backend block-cache budget in bytes (-exp backend)")
-	jsonPath := flag.String("json", "", "write index/backend results to this file as JSON")
 	flag.Parse()
-
-	sink := newJSONSink(*jsonPath)
 
 	base := experiments.Config{
 		SF: tpch.ScaleFactor(*sf), Seed: *seed, PaillierBits: *bits,
@@ -103,14 +92,6 @@ func main() {
 			fmt.Println(summary)
 		case "stats":
 			fmt.Println(suite.Stats().String())
-		case "index":
-			if err := indexScenario(*indexRows, *indexIters, sink); err != nil {
-				log.Fatal(err)
-			}
-		case "backend":
-			if err := backendScenario(*backendRows, *backendIters, *pageBytes, *cacheBytes, sink); err != nil {
-				log.Fatal(err)
-			}
 		default:
 			log.Fatalf("unknown experiment %q", name)
 		}
@@ -123,8 +104,5 @@ func main() {
 		}
 	} else {
 		run(*exp)
-	}
-	if err := sink.flush(); err != nil {
-		log.Fatal(err)
 	}
 }

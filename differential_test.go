@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/deploy"
 )
 
 // Differential property test: a seeded random query generator runs the same
@@ -42,6 +44,42 @@ func diffSystem(t testing.TB) *System {
 // with real page churn, not an all-resident cache.
 func diffSystemBackend(t testing.TB, backend string) *System {
 	t.Helper()
+	opts := diffOptions()
+	if backend != "" {
+		opts.Backend = backend
+		opts.DataDir = t.TempDir()
+		opts.pageBytes = 1024
+		opts.BlockCacheBytes = 16 << 10
+	}
+	sys, err := Encrypt(diffDatabase(), diffWorkload, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// diffOptions are the grid's encryption options: fast keys, no space budget.
+func diffOptions() Options {
+	opts := DefaultOptions()
+	opts.PaillierBits = 256 // fast tests
+	opts.SpaceBudget = 0    // unconstrained: materialize what the workload wants
+	return opts
+}
+
+// diffWorkload is broad enough that the designer materializes DET, OPE and
+// HOM columns and a shared-key DET join group for the join columns.
+var diffWorkload = Workload{
+	"sum_by_cat": "SELECT s_cat, SUM(s_price), SUM(s_qty), COUNT(*) FROM sales GROUP BY s_cat",
+	"filter_ope": "SELECT s_id, s_price FROM sales WHERE s_qty < 10 AND s_price > 500",
+	"date_range": "SELECT SUM(s_price) FROM sales WHERE s_date < date '1997-01-01'",
+	"cat_eq":     "SELECT COUNT(*) FROM sales WHERE s_cat = 'ale'",
+	"minmax":     "SELECT s_cat, MIN(s_price), MAX(s_price), AVG(s_qty) FROM sales GROUP BY s_cat",
+	"join_cat":   "SELECT s_id, c_region, c_tier FROM sales, cats WHERE s_cat = c_name AND c_tier < 4",
+}
+
+// diffDatabase builds the grid's seeded plaintext tables; every call
+// returns the same rows.
+func diffDatabase() *Database {
 	rng := rand.New(rand.NewSource(diffSeed))
 	db := NewDatabase()
 	db.MustCreateTable("sales",
@@ -68,27 +106,7 @@ func diffSystemBackend(t testing.TB, backend string) *System {
 	// NULL join keys must match nothing.
 	db.MustInsert("cats", nil, "nowhere", tier)
 	db.MustInsert("cats", nil, "nowhere", tier+1)
-	opts := DefaultOptions()
-	opts.PaillierBits = 256 // fast tests
-	opts.SpaceBudget = 0    // unconstrained: materialize what the workload wants
-	if backend != "" {
-		opts.Backend = backend
-		opts.DataDir = t.TempDir()
-		opts.PageBytes = 1024
-		opts.BlockCacheBytes = 16 << 10
-	}
-	sys, err := Encrypt(db, Workload{
-		"sum_by_cat": "SELECT s_cat, SUM(s_price), SUM(s_qty), COUNT(*) FROM sales GROUP BY s_cat",
-		"filter_ope": "SELECT s_id, s_price FROM sales WHERE s_qty < 10 AND s_price > 500",
-		"date_range": "SELECT SUM(s_price) FROM sales WHERE s_date < date '1997-01-01'",
-		"cat_eq":     "SELECT COUNT(*) FROM sales WHERE s_cat = 'ale'",
-		"minmax":     "SELECT s_cat, MIN(s_price), MAX(s_price), AVG(s_qty) FROM sales GROUP BY s_cat",
-		"join_cat":   "SELECT s_id, c_region, c_tier FROM sales, cats WHERE s_cat = c_name AND c_tier < 4",
-	}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
+	return db
 }
 
 // diffQuery is one generated query plus whether its ORDER BY imposes a
@@ -413,31 +431,45 @@ var indexSubqueryShapes = []diffQuery{
 }
 
 // TestDifferentialIndexInvariance is the access-path dimension of the grid:
-// the same queries with secondary indexes off (every scan reads the whole
-// table) and on (DET hash probes, OPE range probes, index-served join
-// builds — whenever the cost rule picks them) must be byte-identical. The
-// index-off run is the baseline.
+// the same queries over the same data on a deployment built without
+// secondary indexes (every scan reads the whole table, as in the §8
+// experiments) and on Encrypt's indexed one (DET hash probes, OPE range
+// probes, index-served join builds — whenever the cost rule picks them)
+// must be byte-identical, encrypted and plaintext alike. The index-free
+// deployment is the baseline.
 func TestDifferentialIndexInvariance(t *testing.T) {
 	sys := diffSystem(t)
+	spec, err := diffOptions().spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Indexes = false
+	dep, err := deploy.Build(diffDatabase().cat, diffWorkload, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := &System{dep: dep}
+	defer scan.Close()
 	queries := genQueries(rand.New(rand.NewSource(diffSeed+4)), 12)
 	queries = append(queries, genJoinQueries(rand.New(rand.NewSource(diffSeed+5)), 5)...)
 	queries = append(queries, indexSubqueryShapes...)
-	sys.SetIndexes(false)
 	base := make([][]string, len(queries))
 	plainBase := make([][]string, len(queries))
 	for i, q := range queries {
-		res, err := sys.Query(q.sql)
+		res, err := scan.Query(q.sql)
 		if err != nil {
 			t.Fatalf("%s: %v", q.sql, err)
 		}
 		base[i] = canonicalRows(t, res.Data, true)
-		p, err := sys.QueryPlaintext(q.sql)
+		p, err := scan.QueryPlaintext(q.sql)
 		if err != nil {
 			t.Fatalf("plaintext %s: %v", q.sql, err)
 		}
 		plainBase[i] = canonicalRows(t, p.Data, true)
 	}
-	sys.SetIndexes(true)
+	if st := scan.Stats(); st.IndexLookups != 0 {
+		t.Fatalf("index-free deployment charged %d index lookups", st.IndexLookups)
+	}
 	for i, q := range queries {
 		res, err := sys.Query(q.sql)
 		if err != nil {
@@ -456,7 +488,7 @@ func TestDifferentialIndexInvariance(t *testing.T) {
 			t.Errorf("indexed plaintext %s diverges:\n%v\nvs\n%v", q.sql, pg, plainBase[i])
 		}
 	}
-	if lookups, _ := func() (int64, int64) { s := sys.Stats(); return s.IndexLookups, s.RowsSkippedByIndex }(); lookups == 0 {
+	if sys.Stats().IndexLookups == 0 {
 		t.Fatalf("grid never exercised an index probe (IndexLookups = 0)")
 	}
 }

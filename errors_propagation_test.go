@@ -49,7 +49,7 @@ func diskOrdersSystem(t *testing.T) (*System, Options) {
 	opts.PaillierBits = 256
 	opts.Backend = "disk"
 	opts.DataDir = t.TempDir()
-	opts.PageBytes = 512
+	opts.pageBytes = 512
 	opts.BlockCacheBytes = 1024
 	sys, err := Encrypt(db, Workload{
 		"totals": "SELECT o_cust, SUM(o_total) FROM orders GROUP BY o_cust",
@@ -130,7 +130,7 @@ func TestCorruptSegmentUnderSubquerySurvivesClientStack(t *testing.T) {
 	opts.PaillierBits = 256
 	opts.Backend = "disk"
 	opts.DataDir = t.TempDir()
-	opts.PageBytes = 512
+	opts.pageBytes = 512
 	opts.BlockCacheBytes = 1024
 	const sql = "SELECT c_name FROM cust WHERE EXISTS (SELECT 1 FROM orders WHERE o_cust = c_name AND o_total > 95) ORDER BY c_name"
 	sys, err := Encrypt(db, Workload{"exists": sql}, opts)
@@ -169,7 +169,7 @@ func TestCorruptSegmentUnderSubquerySurvivesClientStack(t *testing.T) {
 	if !errors.As(err, &se) || filepath.Base(se.Path) != "orders.seg" {
 		t.Fatalf("error does not name the inner table's segment: %v", err)
 	}
-	if reads, pass := sys.Stats().PageReads-before, fi.Size()/int64(opts.PageBytes); reads > pass {
+	if reads, pass := sys.Stats().PageReads-before, fi.Size()/int64(opts.pageBytes); reads > pass {
 		t.Errorf("failed statement read %d pages; one pass over orders.seg is %d", reads, pass)
 	}
 }

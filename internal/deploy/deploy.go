@@ -32,8 +32,9 @@ type Spec struct {
 	Backend         storage.BackendConfig // encrypted row store (zero = in memory)
 	GreedyExecution bool                  // no runtime planner (§8.3 Execution-Greedy)
 	Prefilter       bool                  // §5.4 conservative pre-filtering
-	// Indexes builds secondary indexes over the encrypted tables, mirrors
-	// them onto the plaintext baseline and lets the planner cost them.
+	// Indexes lets the server's engine and the planner use the encrypted
+	// tables' secondary indexes, and mirrors them onto the plaintext
+	// baseline. It is fixed for the deployment's lifetime.
 	Indexes bool
 }
 
@@ -94,39 +95,35 @@ func Build(cat *storage.Catalog, workload map[string]string, spec Spec) (*Deploy
 			return nil, err
 		}
 	}
-	cl := client.New(ks, server.New(db, net), dres.Context, net)
+	srv := server.New(db, net)
+	srv.Engine.UseIndexes = spec.Indexes
+	cl := client.New(ks, srv, dres.Context, net)
 	cl.Greedy = spec.GreedyExecution
-	d := &Deployment{
-		Plain: cat, Engine: engine.New(cat), Keys: ks, Design: dres,
+	plain := engine.New(cat)
+	plain.UseIndexes = spec.Indexes
+	return &Deployment{
+		Plain: cat, Engine: plain, Keys: ks, Design: dres,
 		DB: db, Client: cl, Net: net,
-	}
-	d.SetIndexes(spec.Indexes)
-	return d, nil
+	}, nil
 }
 
 // buildPlainIndexes mirrors the encrypted tables' secondary indexes onto
-// the plaintext baseline: every base column the design encrypts with DET
-// gets a hash index, every OPE column an ordered index — so plaintext-vs-
-// encrypted comparisons measure encryption overhead, not index presence.
+// the plaintext baseline — the same kind on every base column the design
+// indexes (enc.IndexKindOf) — so plaintext-vs-encrypted comparisons
+// measure encryption overhead, not index presence.
 func buildPlainIndexes(cat *storage.Catalog, design *enc.Design) error {
-	for _, it := range design.Items {
-		cr, ok := it.Expr.(*ast.ColumnRef)
-		if !ok {
+	for i := range design.Items {
+		it := &design.Items[i]
+		cr, isCol := it.Expr.(*ast.ColumnRef)
+		kind, indexed := enc.IndexKindOf(it)
+		if !isCol || !indexed {
 			continue // precomputed expressions have no plaintext column
 		}
 		t, err := cat.Table(it.Table)
 		if err != nil {
 			continue
 		}
-		switch it.Scheme {
-		case enc.DET:
-			_, err = t.EnsureIndex(cr.Column, storage.HashIndex)
-		case enc.OPE:
-			_, err = t.EnsureIndex(cr.Column, storage.OrderedIndex)
-		default:
-			continue
-		}
-		if err != nil {
+		if _, err := t.EnsureIndex(cr.Column, kind); err != nil {
 			return err
 		}
 	}
@@ -134,26 +131,15 @@ func buildPlainIndexes(cat *storage.Catalog, design *enc.Design) error {
 }
 
 // Remote returns a view of d whose client executes its RemoteSQL over conn;
-// the rest is shared and the execution knobs carry over. The setters below
-// move only the client side of such a view: the remote server's are its own.
+// the rest is shared, and the client plans as d's does (Greedy and the
+// planner context carry over). The remote server's engine settings are its
+// own.
 func (d *Deployment) Remote(conn *transport.Conn) *Deployment {
 	cl := client.NewRemote(d.Keys, conn, d.DB.Meta, d.Client.Ctx, d.Net)
 	cl.Greedy = d.Client.Greedy
 	r := *d
 	r.Client = cl
 	return &r
-}
-
-// SetIndexes toggles secondary-index access paths on the server's engine,
-// the planner's cost model and the plaintext baseline engine, and drops
-// cached plans so later executions are costed under the new setting.
-func (d *Deployment) SetIndexes(on bool) {
-	if d.Client.Srv != nil {
-		d.Client.Srv.SetIndexes(on)
-	}
-	d.Client.Ctx.Indexes = on
-	d.Client.ResetPlanCache()
-	d.Engine.UseIndexes = on
 }
 
 // PlainResult is a plaintext execution charged the same modelled disk and link.

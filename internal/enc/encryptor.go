@@ -229,20 +229,12 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 	}
 
 	// Secondary indexes on the encrypted columns (built empty here; Insert
-	// maintains them incrementally): DET equality preserves plaintext
-	// equality, so a hash index answers `=`/`IN` probes and hash-join
-	// builds; OPE preserves plaintext order, so an ordered index answers
-	// range predicates.
+	// maintains them incrementally).
 	for i := range rowItems {
-		it := &rowItems[i]
-		switch it.Scheme {
-		case DET:
-			_, err = encTable.EnsureIndex(it.ColumnName(), storage.HashIndex)
-		case OPE:
-			_, err = encTable.EnsureIndex(it.ColumnName(), storage.OrderedIndex)
-		}
-		if err != nil {
-			return err
+		if kind, ok := IndexKindOf(&rowItems[i]); ok {
+			if _, err := encTable.EnsureIndex(rowItems[i].ColumnName(), kind); err != nil {
+				return err
+			}
 		}
 	}
 

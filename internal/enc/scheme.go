@@ -10,6 +10,7 @@ import (
 	"hash/fnv"
 
 	"repro/internal/ast"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -78,6 +79,21 @@ type Item struct {
 func (it *Item) IsPrecomputed() bool {
 	_, isCol := it.Expr.(*ast.ColumnRef)
 	return !isCol
+}
+
+// IndexKindOf is the secondary index the item's column carries, if any:
+// DET preserves plaintext equality, so a hash index answers `=`/`IN` probes
+// and hash-join builds; OPE preserves plaintext order, so an ordered index
+// answers range predicates. The encrypted catalog and the plaintext
+// baseline's mirror indexes both follow it.
+func IndexKindOf(it *Item) (storage.IndexKind, bool) {
+	switch it.Scheme {
+	case DET:
+		return storage.HashIndex, true
+	case OPE:
+		return storage.OrderedIndex, true
+	}
+	return 0, false
 }
 
 // CiphertextKind is the kind of the item's server-side values: integers for

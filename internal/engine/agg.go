@@ -278,12 +278,19 @@ func (c *execCtx) accumulateRows(q *ast.Query, specs []aggSpec, gs *groupSet, re
 	return nil
 }
 
-// mergeGroupParts folds per-morsel groupSets — in morsel order, so group
+// mergeGroupParts folds per-morsel groupSets in morsel order, so group
 // first-appearance order and order-sensitive aggregate states match a
-// sequential scan — into fresh states created on c (whose stats the UDF
-// states must capture for Result).
+// sequential scan. UDF states merge into fresh states created on c, whose
+// stats they must capture for Result. Builtin states capture nothing, so
+// the first morsel's set is the base and only the later ones merge into
+// it, which builds and merges none of its groups again. That is exact: a
+// fresh state merged with a partial equals the partial, since a Float sum
+// starts at +0.0 and so never holds -0.0.
 func (c *execCtx) mergeGroupParts(specs []aggSpec, parts []*groupSet) (*groupSet, error) {
 	merged := newGroupSet()
+	if !specsHaveUDF(specs) {
+		merged, parts = parts[0], parts[1:]
+	}
 	for _, part := range parts {
 		for _, key := range part.order {
 			grp, ok := merged.m[key]

@@ -19,8 +19,10 @@ import (
 // use of one engine must be race-free (run with -race). The fixtures are
 // small, so the tests shrink the batch, and with it the morsel.
 
-// parallelFixture builds facts(f_id, f_dim, f_val, f_tag) with rows rows
-// and dims(d_id, d_name) with 100 rows, seeded pseudo-random.
+// parallelFixture builds facts(f_id, f_dim, f_val, f_tag, f_grp) with rows
+// rows and dims(d_id, d_name) with 100 rows, seeded pseudo-random. f_grp is
+// f_id mod 24: more groups than TestParallelMatchesSequential's 16
+// morsels, each in all of them.
 func parallelFixture(t testing.TB, rows int) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -32,6 +34,7 @@ func parallelFixture(t testing.TB, rows int) *Engine {
 			{Name: "f_dim", Type: storage.TInt},
 			{Name: "f_val", Type: storage.TInt},
 			{Name: "f_tag", Type: storage.TStr},
+			{Name: "f_grp", Type: storage.TInt},
 		},
 	})
 	if err != nil {
@@ -54,6 +57,7 @@ func parallelFixture(t testing.TB, rows int) *Engine {
 			value.NewInt(rng.Int63n(100)),
 			value.NewInt(rng.Int63n(1000)),
 			value.NewStr(tags[rng.Intn(len(tags))]),
+			value.NewInt(int64(i % 24)),
 		})
 	}
 	for i := 0; i < 100; i++ {
@@ -73,6 +77,10 @@ var equivalenceQueries = []string{
 	   FROM facts GROUP BY f_dim ORDER BY f_dim`,
 	`SELECT COUNT(DISTINCT f_val), SUM(DISTINCT f_val) FROM facts`,
 	`SELECT f_tag, COUNT(DISTINCT f_dim) FROM facts GROUP BY f_tag ORDER BY f_tag`,
+	// Every group in every morsel; dyadic scalings keep the Float sums
+	// exact, so the rows agree across batch sizes too.
+	`SELECT f_grp, SUM(f_val * 0.25), AVG(f_val / 8.0), COUNT(DISTINCT f_dim), MIN(f_tag), MAX(f_val * 0.5)
+	   FROM facts GROUP BY f_grp ORDER BY f_grp`,
 	`SELECT SUM(f_val), COUNT(*) FROM facts WHERE f_id < 700`,
 	`SELECT SUM(f_val) FROM facts WHERE f_val > 100000`,
 	`SELECT f_dim, SUM(f_val) s FROM facts GROUP BY f_dim HAVING s > 3000 ORDER BY s DESC, f_dim`,

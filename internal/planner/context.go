@@ -64,8 +64,8 @@ type Context struct {
 	// secondary indexes over DET/OPE columns: costPart then compares an
 	// index probe against the full scan and annotates the chosen access
 	// path (see access.go). Default false so designer and experiment cost
-	// figures are unchanged unless the execution layer actually has the
-	// indexes (monomi.Options.Indexes wires it up).
+	// figures are unchanged unless the execution layer actually uses the
+	// indexes (deploy.Design sets it from deploy.Spec.Indexes).
 	Indexes bool
 }
 

@@ -241,14 +241,13 @@ type Options struct {
 	// layer harness (bench/layers.go), whose files are frozen, passes it
 	// on; ROADMAP item 1(b) deletes it.
 	Parallelism int
-	// Indexes maintains secondary indexes over the encrypted tables — a
-	// DET hash index (equality, IN, hash-join builds) and an OPE ordered
-	// index (ranges, BETWEEN) per column carrying those schemes — and lets both the engine and the cost-based planner choose
-	// an index probe over a full scan when the predicate is selective
-	// enough. The plaintext baseline engine gets mirror indexes on the
-	// same columns so comparisons stay fair. Results are byte-identical
-	// with indexes on or off; only scan cost changes. DefaultOptions
-	// enables it; toggle later with System.SetIndexes.
+	// Indexes is ignored: Encrypt always maintains secondary indexes and
+	// lets the engine and the planner use them (see Encrypt).
+	//
+	// Deprecated: nothing in this package reads it. DefaultOptions still
+	// sets it only because the benchmark's layer harness (bench/layers.go),
+	// whose files are frozen, branches on it to mirror Encrypt in its
+	// traced stack; ROADMAP item 1(b) deletes it.
 	Indexes bool
 	// Backend selects the encrypted catalog's physical row store: "" or
 	// "mem" keeps rows in memory (the original layout); "disk" loads each
@@ -262,9 +261,10 @@ type Options struct {
 	// (required when Backend is "disk"). They are scratch for one run:
 	// Encrypt truncates any left there under the same table names.
 	DataDir string
-	// PageBytes is the disk backend's segment page size
-	// (0 = storage.DefaultPageBytes).
-	PageBytes int
+	// pageBytes is the disk backend's segment page size
+	// (0 = storage.DefaultPageBytes); only this package's tests shrink it,
+	// to put page seams inside small tables.
+	pageBytes int
 	// BlockCacheBytes is the disk backend's block-cache capacity, per table
 	// (0 = storage.DefaultCacheBytes). The cache holds verified page images
 	// — raw bytes, not decoded rows — so this is the bytes it keeps
@@ -273,20 +273,33 @@ type Options struct {
 	BlockCacheBytes int64
 }
 
-// backendConfig resolves the Options backend fields into a storage config.
-func (o Options) backendConfig() (storage.BackendConfig, error) {
+// spec resolves o into the deploy.Spec Encrypt builds under: MONOMI's
+// designer options, o's storage backend, §5.4 pre-filtering and indexes on.
+func (o Options) spec() (deploy.Spec, error) {
+	if len(o.MasterKey) == 0 {
+		return deploy.Spec{}, fmt.Errorf("monomi: MasterKey must be set")
+	}
 	kind, err := storage.ParseBackendKind(o.Backend)
 	if err != nil {
-		return storage.BackendConfig{}, err
+		return deploy.Spec{}, err
 	}
-	cfg := storage.BackendConfig{
-		Kind: kind, Dir: o.DataDir,
-		PageBytes: o.PageBytes, CacheBytes: o.BlockCacheBytes,
+	if kind == storage.BackendDisk && o.DataDir == "" {
+		return deploy.Spec{}, fmt.Errorf("monomi: Backend \"disk\" requires DataDir")
 	}
-	if kind == storage.BackendDisk && cfg.Dir == "" {
-		return storage.BackendConfig{}, fmt.Errorf("monomi: Backend \"disk\" requires DataDir")
-	}
-	return cfg, nil
+	dopts := designer.MonomiOptions()
+	dopts.SpaceBudget = o.SpaceBudget
+	dopts.SpaceGreedy = o.SpaceGreedy
+	return deploy.Spec{
+		MasterKey:    o.MasterKey,
+		PaillierBits: o.PaillierBits,
+		Designer:     dopts,
+		Backend: storage.BackendConfig{
+			Kind: kind, Dir: o.DataDir,
+			PageBytes: o.pageBytes, CacheBytes: o.BlockCacheBytes,
+		},
+		Prefilter: true,
+		Indexes:   true,
+	}, nil
 }
 
 // DefaultOptions returns the paper's configuration: 1,024-bit Paillier,
@@ -297,7 +310,9 @@ func DefaultOptions() Options {
 		MasterKey:    []byte("monomi-default-master-key"),
 		PaillierBits: 1024,
 		SpaceBudget:  2.0,
-		Indexes:      true,
+		// Encrypt ignores Indexes; bench/layers.go branches on it to
+		// mirror Encrypt's indexed deployment in its traced stack.
+		Indexes: true,
 	}
 }
 
@@ -314,40 +329,25 @@ type System struct {
 
 // Encrypt runs the designer over the workload, encrypts the database, and
 // returns a ready System: internal/deploy's Build under MONOMI's designer
-// options, indexes per Options.Indexes, §5.4 pre-filtering on.
+// options, §5.4 pre-filtering on, and secondary indexes — a DET hash index
+// (equality, IN, hash-join builds) and an OPE ordered index (ranges,
+// BETWEEN) on every column carrying those schemes. The engine and the
+// cost-based planner choose an index probe over a full scan when the
+// predicate is selective enough, and the plaintext baseline gets mirror
+// indexes on the same columns so comparisons stay fair. Like the rest of
+// the physical design, index use is fixed here, at set-up; results are
+// the same as a full scan's, only scan cost changes.
 func Encrypt(db *Database, workload Workload, opts Options) (*System, error) {
-	if len(opts.MasterKey) == 0 {
-		return nil, fmt.Errorf("monomi: MasterKey must be set")
-	}
-	becfg, err := opts.backendConfig()
+	spec, err := opts.spec()
 	if err != nil {
 		return nil, err
 	}
-	dopts := designer.MonomiOptions()
-	dopts.SpaceBudget = opts.SpaceBudget
-	dopts.SpaceGreedy = opts.SpaceGreedy
-	dep, err := deploy.Build(db.cat, workload, deploy.Spec{
-		MasterKey:    opts.MasterKey,
-		PaillierBits: opts.PaillierBits,
-		Designer:     dopts,
-		Backend:      becfg,
-		Prefilter:    true,
-		Indexes:      opts.Indexes,
-	})
+	dep, err := deploy.Build(db.cat, workload, spec)
 	if err != nil {
 		return nil, err
 	}
 	return &System{dep: dep}, nil
 }
-
-// SetIndexes toggles secondary-index access paths on the server's engine,
-// the planner's cost model, and the plaintext baseline engine (see
-// Options.Indexes). Results are byte-identical either way. Cached plans
-// are dropped so subsequent executions are costed under the new setting.
-// It must not be called while queries are in flight. On a remote System
-// only the client-side planner moves — the remote server's engine setting
-// is fixed by its own flags.
-func (s *System) SetIndexes(on bool) { s.dep.SetIndexes(on) }
 
 // ServeConfig tunes a network deployment of the untrusted server: MaxConns
 // caps concurrent sessions (the C+1th connection is rejected with a typed

@@ -235,7 +235,8 @@ func TestFacadeMatchesExperimentHarness(t *testing.T) {
 	if got, want := keys(sys.dep.Design.Design.Items), keys(bench.Design.Design.Items); got != want {
 		t.Fatalf("Encrypt and experiments.Setup chose different designs:\n%s\nvs\n%s", got, want)
 	}
-	sys.SetIndexes(false) // the harness measures the paper's full-scan system
+	// The harness measures the paper's full-scan system: plan index-free.
+	sys.dep.Client.Ctx.Indexes = false
 	for _, qn := range []int{1, 6, 18} {
 		rows, err := sys.Query(mustTPCH(qn))
 		if err != nil {
@@ -259,11 +260,10 @@ func mustTPCH(n int) string {
 	return q
 }
 
-// TestFacadeStats checks the observability surface: a selective query over
-// an indexed system charges IndexLookups and RowsSkippedByIndex, interning
-// never inflates storage (ratio >= 1), and SetIndexes(false) stops the
-// charging without changing results.
-func TestFacadeStats(t *testing.T) {
+// rareEventSystem encrypts ev(e_id, e_cat): 200 rows, one of them 'rare',
+// under a workload whose equality probe the DET hash index serves.
+func rareEventSystem(t *testing.T, opts Options) *System {
+	t.Helper()
 	db := NewDatabase()
 	db.MustCreateTable("ev", Col("e_id", Int), Col("e_cat", String))
 	for i := 0; i < 200; i++ {
@@ -273,7 +273,6 @@ func TestFacadeStats(t *testing.T) {
 		}
 		db.MustInsert("ev", i, cat)
 	}
-	opts := DefaultOptions()
 	opts.PaillierBits = 256
 	sys, err := Encrypt(db, Workload{
 		"probe": `SELECT COUNT(*) FROM ev WHERE e_cat = 'rare'`,
@@ -281,7 +280,15 @@ func TestFacadeStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
+	t.Cleanup(func() { sys.Close() })
+	return sys
+}
+
+// TestFacadeStats checks the observability surface: a selective query over
+// an indexed system charges IndexLookups and RowsSkippedByIndex, and
+// interning never inflates storage (ratio >= 1).
+func TestFacadeStats(t *testing.T) {
+	sys := rareEventSystem(t, DefaultOptions())
 
 	if st := sys.Stats(); st.IndexLookups != 0 {
 		t.Errorf("fresh system already charged %d lookups", st.IndexLookups)
@@ -306,13 +313,30 @@ func TestFacadeStats(t *testing.T) {
 	if st.InternRatio() < 1 {
 		t.Errorf("InternRatio = %g, want >= 1", st.InternRatio())
 	}
+}
 
-	sys.SetIndexes(false)
-	if _, err := sys.Query(`SELECT COUNT(*) FROM ev WHERE e_cat = 'rare'`); err != nil {
+// TestEncryptIgnoresIndexesOption pins index use as a property of every
+// deployment Encrypt builds: the deprecated Options.Indexes set false still
+// yields a System whose selective query probes the index and returns the
+// plaintext rows.
+func TestEncryptIgnoresIndexesOption(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Indexes = false
+	sys := rareEventSystem(t, opts)
+	const sql = `SELECT e_id FROM ev WHERE e_cat = 'rare'`
+	r, err := sys.Query(sql)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if again := sys.Stats(); again.IndexLookups != st.IndexLookups {
-		t.Errorf("lookups moved with indexes off: %d -> %d", st.IndexLookups, again.IndexLookups)
+	p, err := sys.QueryPlaintext(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(r.Data), fmt.Sprint(p.Data); got != want || got != "[[77]]" {
+		t.Errorf("rows = %s, plaintext %s, want [[77]]", got, want)
+	}
+	if st := sys.Stats(); st.IndexLookups == 0 {
+		t.Error("Options.Indexes = false turned index probes off")
 	}
 }
 

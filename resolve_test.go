@@ -45,7 +45,7 @@ func nameSystem(t *testing.T, backend string) *System {
 	if backend == "disk" {
 		opts.Backend = backend
 		opts.DataDir = t.TempDir()
-		opts.PageBytes = 1024
+		opts.pageBytes = 1024
 		opts.BlockCacheBytes = 16 << 10
 	}
 	sys, err := Encrypt(db, Workload{
