@@ -211,7 +211,7 @@ func (c *Client) runPlanned(plan *planner.Plan, res *Result) (*Result, error) {
 
 // compiled is a plan made ready to run. A cached template's is built once,
 // when its plan-cache entry fills, and shared by every execution: each
-// decodes on clones of the decoders and reads the rest.
+// decodes on clones taken from the decoders' pools and reads the rest.
 type compiled struct {
 	plan   *planner.Plan
 	tmpl   *planner.Template // nil for a plan run once
@@ -221,7 +221,7 @@ type compiled struct {
 }
 
 type compiledPart struct {
-	dec *decoder   // executions decode on clones
+	dec *decoder   // executions decode on its pooled clones
 	q   *ast.Query // the part's query, HOM groups resolved
 }
 

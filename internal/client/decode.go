@@ -43,11 +43,15 @@ type colDecoder struct {
 // decoder decodes the batches of one RemotePart. Its ciphers and memos are
 // scratch state: every execution decodes on its own clone, and a clone keeps
 // one peer per extra worker, so the memos of every worker span all the
-// batches the clone decodes.
+// batches the clone decodes. A compiled part's decoder pools its idle clones
+// (acquire, release): a warm execution reuses one, peers and memo storage
+// included, instead of building it, and a GC drops the clones no execution
+// took back.
 type decoder struct {
 	c     *Client
 	cols  []colDecoder
 	peers []*decoder // decode's workers 1..n-1, cloned on first use
+	pool  sync.Pool  // idle clones of this decoder, memos empty
 }
 
 // newDecoder resolves each output of part once. A HOM output whose ciphertext
@@ -139,6 +143,33 @@ func (d *decoder) clone() *decoder {
 	return &decoder{c: d.c, cols: cols}
 }
 
+// acquire returns a clone of d for one execution: an idle one from d's pool,
+// or a new one. Its memos are empty, as a new clone's are.
+func (d *decoder) acquire() *decoder {
+	if x, ok := d.pool.Get().(*decoder); ok {
+		return x
+	}
+	return d.clone()
+}
+
+// release empties the memos of x, a clone acquire returned, and of its
+// peers, and pools it for the next execution. Nothing of the execution x
+// decoded, a failed one included, survives into the next.
+func (d *decoder) release(x *decoder) {
+	x.reset()
+	d.pool.Put(x)
+}
+
+// reset empties the memos of d and its peers, keeping their storage.
+func (d *decoder) reset() {
+	for i := range d.cols {
+		d.cols[i].memo.reset(memoOff(d.cols[i].out))
+	}
+	for _, p := range d.peers {
+		p.reset()
+	}
+}
+
 // decodeRange decodes rows into out on the calling goroutine. It walks row by
 // row: a cell is a cache line, so a column-wise walk would pull the whole
 // batch through the CPU cache once per column.
@@ -172,11 +203,7 @@ func (d *decoder) decodeCell(col *colDecoder, v value.Value, n *int64) (value.Va
 		if v.K != value.Bytes {
 			return value.Value{}, fmt.Errorf("%w: group_concat cell of kind %v", ErrMalformedResult, v.K)
 		}
-		vals, err := wire.DecodeAll(v.B)
-		if err != nil {
-			return value.Value{}, fmt.Errorf("%w: group_concat blob: %w", ErrMalformedResult, err)
-		}
-		return d.foldConcat(col, vals, n)
+		return d.foldConcat(col, v.B, n)
 	case planner.OutHomSum:
 		return d.decodeHomSum(col, v, n)
 	}
@@ -205,13 +232,20 @@ func (d *decoder) decrypt(col *colDecoder, cv value.Value, n *int64) (value.Valu
 	return pv, nil
 }
 
-// foldConcat decrypts each GROUP_CONCAT element and folds with the output's
-// aggregate.
-func (d *decoder) foldConcat(col *colDecoder, vals []value.Value, n *int64) (value.Value, error) {
+// foldConcat decrypts each element of a GROUP_CONCAT blob and folds with the
+// output's aggregate, reading the blob frame by frame: no element outlives
+// its fold step.
+func (d *decoder) foldConcat(col *colDecoder, blob []byte, n *int64) (value.Value, error) {
 	agg := col.out.Agg
 	var acc value.Value
 	count := 0
-	for _, cv := range vals {
+	wd := wire.NewDecoder(blob)
+	for pos := 0; pos < len(blob); {
+		cv, k, err := wd.Value(pos, len(blob))
+		if err != nil {
+			return value.Value{}, fmt.Errorf("%w: group_concat blob: %w", ErrMalformedResult, err)
+		}
+		pos += k
 		if cv.IsNull() {
 			continue
 		}
@@ -245,7 +279,7 @@ func (d *decoder) foldConcat(col *colDecoder, vals []value.Value, n *int64) (val
 	if count == 0 {
 		// Conditional sums concat NULL for non-matching rows; if any rows
 		// arrived at all, SUM(CASE ... ELSE 0) is 0, not NULL.
-		if agg == ast.AggSum && len(vals) > 0 {
+		if agg == ast.AggSum && len(blob) > 0 {
 			return value.NewInt(0), nil
 		}
 		return value.NewNull(), nil

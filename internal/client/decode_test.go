@@ -240,7 +240,8 @@ func TestDecryptCacheKeyedByPlainKind(t *testing.T) {
 
 // TestMalformedConcatCell: a GROUP_CONCAT cell that is not a decodable blob
 // fails the decode with ErrMalformedResult naming the output, whichever
-// worker meets it.
+// worker meets it — a blob whose second frame is truncated too, though the
+// fold has decrypted its first element by then.
 func TestMalformedConcatCell(t *testing.T) {
 	ks, err := enc.NewKeyStore([]byte("k"), 256)
 	if err != nil {
@@ -250,9 +251,20 @@ func TestMalformedConcatCell(t *testing.T) {
 	part := &planner.RemotePart{Name: "r0", Outputs: []planner.Output{
 		{Name: "total", Mode: planner.OutConcatAgg, Item: &it, Agg: ast.AggSum, Kind: value.Int},
 	}}
+	var blob []byte
+	for _, x := range []int64{3, 4} {
+		cv, err := ks.EncryptValue(&it, value.NewInt(x))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob, err = wire.AppendValue(blob, cv); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for name, bad := range map[string]value.Value{
-		"int cell":     value.NewInt(7),
-		"garbage blob": value.NewBytes([]byte{0xff, 0xff, 0xff}),
+		"int cell":        value.NewInt(7),
+		"garbage blob":    value.NewBytes([]byte{0xff, 0xff, 0xff}),
+		"truncated frame": value.NewBytes(blob[:len(blob)-1]),
 	} {
 		for _, p := range []int{1, 4} {
 			rows := make([][]value.Value, 2*parallelDecodeRows)

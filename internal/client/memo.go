@@ -2,7 +2,10 @@ package client
 
 // The decryption memo. Where §8.1's client keeps one 512-entry cache, each DET
 // or OPE column of each decoder clone here has its own: no lock, no eviction,
-// no key but the ciphertext, no hit of another column's plaintext kind.
+// no key but the ciphertext, no hit of another column's plaintext kind. A
+// clone goes back to its template's pool after an execution; reset empties
+// its memos but keeps their maps' storage, so a warm execution starts with
+// empty memos that grow without allocating.
 
 import (
 	"bytes"
@@ -34,7 +37,20 @@ type memo struct {
 
 // newMemo returns an empty memo, off unless o's scheme is deterministic.
 func newMemo(o *planner.Output) memo {
-	return memo{off: o.Item == nil || (o.Item.Scheme != enc.DET && o.Item.Scheme != enc.OPE)}
+	return memo{off: memoOff(o)}
+}
+
+// memoOff reports whether o's column is never memoised: its ciphertexts do
+// not repeat with its plaintexts.
+func memoOff(o *planner.Output) bool {
+	return o.Item == nil || (o.Item.Scheme != enc.DET && o.Item.Scheme != enc.OPE)
+}
+
+// reset empties m and sets off, keeping the maps' storage.
+func (m *memo) reset(off bool) {
+	clear(m.ints)
+	clear(m.bytes)
+	*m = memo{ints: m.ints, bytes: m.bytes, off: off}
 }
 
 // get returns the plaintext of ciphertext cv (an Int or Bytes) if held. A
@@ -58,8 +74,11 @@ func (m *memo) get(cv value.Value) (pv value.Value, ok bool) {
 
 // put records a miss: cv decrypted to pv.
 func (m *memo) put(cv, pv value.Value) {
-	if m.misses++; m.off || m.hits == 0 && m.misses > memoProbe {
-		*m = memo{off: true}
+	if m.off {
+		return
+	}
+	if m.misses++; m.hits == 0 && m.misses > memoProbe {
+		m.reset(true)
 		return
 	}
 	if prev := m.last[0]; prev.K == value.Int && len(m.ints) < memoCap {

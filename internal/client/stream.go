@@ -7,7 +7,8 @@ package client
 // pipe (the batch protocol of internal/wire), as the server frames them
 // mid-scan. Either way each batch goes through decoder.decode — split across
 // GOMAXPROCS workers once it holds parallelDecodeRows rows — on one clone
-// per execution, so memos span the whole execution and rows, row order,
+// per execution, taken from the part's pool of idle clones with its memos
+// empty, so memos span the whole execution and rows, row order,
 // encodings and the first error are the same on both hand-offs.
 //
 // Error/abandon handling: a server error poisons the pipe and surfaces at the
@@ -97,18 +98,23 @@ func malformedStream(err error) error {
 }
 
 // consume decodes every batch next yields, in order, until next returns no
-// rows or an error, on one clone of dec and its peers. cols is the result's
-// width.
+// rows or an error, on a clone of dec (and its peers) taken from dec's pool
+// and returned to it. cols is the result's width. A result of several batches
+// is joined into one slice of its final length.
 func (c *Client) consume(dec *decoder, res *Result, cols int, next func() ([][]value.Value, error)) ([][]value.Value, error) {
 	if cols != len(dec.cols) {
 		return nil, fmt.Errorf("server returned %d columns, plan expects %d", cols, len(dec.cols))
 	}
-	d, workers := dec.clone(), runtime.GOMAXPROCS(0)
-	var rows [][]value.Value
+	d, workers := dec.acquire(), runtime.GOMAXPROCS(0)
+	defer dec.release(d)
+	batches, total := make([][][]value.Value, 0, 4), 0
 	for {
 		batch, err := next()
-		if err != nil || batch == nil {
-			return rows, err
+		if err != nil {
+			return nil, err
+		}
+		if batch == nil {
+			break
 		}
 		start := time.Now()
 		out, n, err := d.decode(batch, workers)
@@ -117,10 +123,18 @@ func (c *Client) consume(dec *decoder, res *Result, cols int, next func() ([][]v
 		if err != nil {
 			return nil, err
 		}
-		if rows == nil {
-			rows = out
-		} else {
-			rows = append(rows, out...)
-		}
+		batches = append(batches, out)
+		total += len(out)
 	}
+	switch len(batches) {
+	case 0:
+		return nil, nil
+	case 1:
+		return batches[0], nil
+	}
+	rows := make([][]value.Value, 0, total)
+	for _, b := range batches {
+		rows = append(rows, b...)
+	}
+	return rows, nil
 }

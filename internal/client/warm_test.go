@@ -41,6 +41,13 @@ var warmShapes = []struct {
 	}},
 }
 
+// wideShape returns ~2 500 rows of warmFixture's table: one batch past
+// parallelDecodeRows, so a clone decodes it with its peers.
+var wideShape = struct {
+	sql    string
+	params map[string]value.Value
+}{`SELECT e_id, e_val FROM ev WHERE e_val < :hi`, map[string]value.Value{"hi": value.NewInt(500)}}
+
 const warmRows = 5000
 
 // warmFixture is an in-process client over ev(e_id, e_grp = i % 50, e_val =
@@ -176,8 +183,11 @@ func TestMemoSkipsNullAndRND(t *testing.T) {
 	if m := d.cols[0].memo; m.misses != 0 || m.last[0].K != value.Null {
 		t.Errorf("NULL cells reached the memo: %+v", m)
 	}
-	if m := d.cols[1].memo; !m.off || m.misses != 0 || m.ints != nil || m.bytes != nil {
+	if m := d.cols[1].memo; !m.off || m.misses != 0 || len(m.ints) != 0 || len(m.bytes) != 0 {
 		t.Errorf("RND column memoised: %+v", m)
+	}
+	if _, ok := d.cols[1].memo.get(rct); ok {
+		t.Error("an RND column's memo answered")
 	}
 }
 
@@ -215,7 +225,7 @@ func TestMemoStopsInserting(t *testing.T) {
 	for i := 0; i <= memoProbe; i++ {
 		b.put(value.NewBytes([]byte{byte(i), byte(i >> 8)}), value.NewInt(int64(i)))
 	}
-	if !b.off || b.bytes != nil {
+	if !b.off || len(b.bytes) != 0 {
 		t.Fatalf("a hit-less column kept its memo: off=%v, %d entries", b.off, len(b.bytes))
 	}
 	b.put(value.NewBytes([]byte{1, 0}), value.NewInt(1))
@@ -225,7 +235,7 @@ func TestMemoStopsInserting(t *testing.T) {
 }
 
 // TestOneRowDecodeAllocs: a one-row decode allocates its arena and row slice
-// and nothing else — its memo builds no map.
+// and nothing else — its memo puts nothing in a map.
 func TestOneRowDecodeAllocs(t *testing.T) {
 	ks, err := enc.NewKeyStore([]byte("k"), 256)
 	if err != nil {
@@ -250,8 +260,8 @@ func TestOneRowDecodeAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Errorf("one-row decode: %.1f allocs, want 2 (arena and rows)", allocs)
 	}
-	if clones[0].cols[0].memo.ints != nil {
-		t.Error("a one-row decode built a memo map")
+	if m := &clones[0].cols[0].memo; len(m.ints) != 0 {
+		t.Error("a one-row decode put its ciphertext in a memo map")
 	}
 }
 
@@ -347,10 +357,12 @@ func TestDirectResultMatchesEngine(t *testing.T) {
 }
 
 // TestTemplateReuseConcurrent: 8 goroutines execute one cached template —
-// each warm shape, and a key-filtered one — at once. Every execution sends
-// the RemoteSQL and parameters the cold fill sent and returns its rows,
-// columns and plan text; the template's queries are left as they were. Run
-// under -race, a decoder, memo or query shared between executions shows.
+// each warm shape, one wide enough to decode with peers, and a key-filtered
+// one — at once. Every execution sends the RemoteSQL and parameters the cold
+// fill sent and returns its rows, columns, plan text and decrypt count; the
+// template's queries are left as they were. Run under -race, a decoder, memo
+// or query shared between executions shows, and a pooled clone that kept
+// memo entries decrypts less.
 func TestTemplateReuseConcurrent(t *testing.T) {
 	type tc struct {
 		f      *fixture
@@ -362,7 +374,7 @@ func TestTemplateReuseConcurrent(t *testing.T) {
 	for _, s := range warmShapes {
 		cases = append(cases, tc{wf, s.sql, s.params(5)})
 	}
-	cases = append(cases, tc{kf, fmt.Sprintf(kfQ17, 300), nil})
+	cases = append(cases, tc{wf, wideShape.sql, wideShape.params}, tc{kf, fmt.Sprintf(kfQ17, 300), nil})
 	for _, c := range cases {
 		fill, warm := &kfExec{srv: c.f.client.Srv}, &kfExec{srv: c.f.client.Srv}
 		c.f.client.SetExecutor(fill)
@@ -398,9 +410,10 @@ func TestTemplateReuseConcurrent(t *testing.T) {
 			}
 		}
 		for _, res := range results {
-			if !res.PlanCacheHit || res.Plan != cold.Plan || res.PlanText != cold.PlanText ||
+			if !res.PlanCacheHit || res.Plan != cold.Plan || res.PlanText != cold.PlanText || res.Decrypts != cold.Decrypts ||
 				!reflect.DeepEqual(res.Cols, cold.Cols) || !reflect.DeepEqual(res.Rows, cold.Rows) {
-				t.Fatalf("%s: a warm execution differs from the fill:\n%v %v\nvs\n%v %v", c.sql, res.Cols, res.Rows, cold.Cols, cold.Rows)
+				t.Fatalf("%s: a warm execution differs from the fill (%d decrypts, the fill %d):\n%v %v\nvs\n%v %v",
+					c.sql, res.Decrypts, cold.Decrypts, res.Cols, res.Rows, cold.Cols, cold.Rows)
 			}
 		}
 		want := map[string]int{}
@@ -435,20 +448,33 @@ func TestTemplateReuseConcurrent(t *testing.T) {
 	}
 }
 
-// warmPointAllocs pins the allocations of one warm point execution on
-// warmFixture's client (rebind, index probe, one-row decode, the result). A
-// per-execution decoder build, RemoteSQL clone, plan render, literal hoist or
-// local engine run coming back raises it.
-const warmPointAllocs = 36
+// Warm allocation pins: the allocations of one warm execution of each warm
+// shape on warmFixture's client (rebind, index probe, decode, the result). A
+// per-execution decoder clone or memo map, RemoteSQL clone, plan render,
+// literal hoist or local engine run coming back raises them.
+const (
+	warmPointAllocs = 34
+	warmRangeAllocs = 257
+	warmSum1Allocs  = 311
+)
 
-// TestWarmPointAllocs is BenchmarkWarmStmt/point's allocs/op as a test.
-func TestWarmPointAllocs(t *testing.T) {
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
+// warmAllocs is the average allocation count of a warm execution of
+// warmShapes[i], its parameters fixed. Under -race it skips: sync.Pool then
+// drops a random quarter of what it is given, so a count would measure the
+// detector, not the decode path.
+func warmAllocs(t *testing.T, i int) float64 {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
 	f := warmFixture(t)
-	stmt, err := f.client.Prepare(warmShapes[0].sql)
+	stmt, err := f.client.Prepare(warmShapes[i].sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := warmShapes[0].params(1)
+	params := warmShapes[i].params(1)
 	if _, err := stmt.Execute(params); err != nil { // fills the plan cache
 		t.Fatal(err)
 	}
@@ -457,9 +483,31 @@ func TestWarmPointAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("warm point execution: %.1f allocs", allocs)
-	if allocs > warmPointAllocs {
+	t.Logf("warm %s execution: %.1f allocs", warmShapes[i].name, allocs)
+	return allocs
+}
+
+// TestWarmPointAllocs is BenchmarkWarmStmt/point's allocs/op as a test.
+func TestWarmPointAllocs(t *testing.T) {
+	if allocs := warmAllocs(t, 0); allocs > warmPointAllocs {
 		t.Errorf("warm point execution: %.1f allocs, pinned at %d", allocs, warmPointAllocs)
+	}
+}
+
+// TestWarmRangeAllocs is BenchmarkWarmStmt/range's allocs/op as a test: its
+// ~100 distinct e_id ciphertexts fill a memo map, which must be the pooled
+// clone's.
+func TestWarmRangeAllocs(t *testing.T) {
+	if allocs := warmAllocs(t, 1); allocs > warmRangeAllocs {
+		t.Errorf("warm range execution: %.1f allocs, pinned at %d", allocs, warmRangeAllocs)
+	}
+}
+
+// TestWarmSum1Allocs is BenchmarkWarmStmt/sum1's allocs/op as a test: its
+// GROUP_CONCAT blob folds frame by frame.
+func TestWarmSum1Allocs(t *testing.T) {
+	if allocs := warmAllocs(t, 2); allocs > warmSum1Allocs {
+		t.Errorf("warm sum1 execution: %.1f allocs, pinned at %d", allocs, warmSum1Allocs)
 	}
 }
 

@@ -32,9 +32,10 @@ type Spec struct {
 	Backend         storage.BackendConfig // encrypted row store (zero = in memory)
 	GreedyExecution bool                  // no runtime planner (§8.3 Execution-Greedy)
 	Prefilter       bool                  // §5.4 conservative pre-filtering
-	// Indexes lets the server's engine and the planner use the encrypted
-	// tables' secondary indexes, and mirrors them onto the plaintext
-	// baseline. It is fixed for the deployment's lifetime.
+	// Indexes builds the encrypted tables' secondary indexes, lets the
+	// server's engine and the planner use them, and mirrors them onto the
+	// plaintext baseline; without it neither side builds any. It is fixed
+	// for the deployment's lifetime.
 	Indexes bool
 }
 
@@ -86,7 +87,7 @@ func Build(cat *storage.Catalog, workload map[string]string, spec Spec) (*Deploy
 		return nil, err
 	}
 	ks, net := dres.Context.Keys, dres.Context.Cost.Cfg
-	db, err := enc.EncryptDatabaseOn(cat, dres.Design, ks, 0, spec.Backend)
+	db, err := enc.EncryptDatabaseWith(cat, dres.Design, ks, spec.Backend, spec.Indexes)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/designer"
 	"repro/internal/enc"
+	"repro/internal/storage"
 	"repro/internal/tpch"
 )
 
@@ -68,6 +69,64 @@ func TestDesignMatchesBuild(t *testing.T) {
 		}
 		if got, want := itemKeys(built.Design.Design), itemKeys(designed.Design); got != want {
 			t.Errorf("build %d chose a different design:\n%s\nvs\n%s", run, got, want)
+		}
+	}
+}
+
+// indexCount counts the secondary indexes on cat's tables: one per column
+// and kind that carries one.
+func indexCount(t *testing.T, cat *storage.Catalog) int {
+	t.Helper()
+	n := 0
+	for _, name := range cat.Names() {
+		tbl, err := cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, col := range tbl.Schema.Cols {
+			for _, kind := range []storage.IndexKind{storage.HashIndex, storage.OrderedIndex} {
+				if tbl.Index(col.Name, kind) != nil {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestBuildIndexesOnlyWhenSpecified: a deployment built with Spec.Indexes
+// false builds no secondary index on either catalog — no engine of it reads
+// one — and one built with it true indexes every DET and OPE column of the
+// encrypted catalog and mirrors them onto the plaintext one.
+func TestBuildIndexesOnlyWhenSpecified(t *testing.T) {
+	workload := map[string]string{"Q06": tpch.Queries[6], "Q12": tpch.Queries[12]}
+	for _, indexes := range []bool{false, true} {
+		cat, err := tpch.Generate(0.0005, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep, err := Build(cat, workload, Spec{
+			MasterKey: []byte("deploy-test"), PaillierBits: 256,
+			Designer: designer.MonomiOptions(), Indexes: indexes,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for i := range dep.Design.Design.Items {
+			if _, ok := enc.IndexKindOf(&dep.Design.Design.Items[i]); ok {
+				want++
+			}
+		}
+		if want == 0 {
+			t.Fatal("the design has no DET or OPE item to index")
+		}
+		encIdx, plainIdx := indexCount(t, dep.DB.Cat), indexCount(t, dep.Plain)
+		if !indexes && (encIdx != 0 || plainIdx != 0) {
+			t.Errorf("Indexes false: %d encrypted and %d plaintext indexes built, want none", encIdx, plainIdx)
+		}
+		if indexes && (encIdx != want || plainIdx == 0) {
+			t.Errorf("Indexes true: %d encrypted indexes for %d DET/OPE items, %d plaintext", encIdx, want, plainIdx)
 		}
 	}
 }

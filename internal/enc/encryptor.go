@@ -96,6 +96,13 @@ func EncryptDatabase(plain *storage.Catalog, design *Design, ks *KeyStore) (*DB,
 // It stays only because the benchmark's layer harness (bench/layers.go),
 // whose files are frozen, passes one; ROADMAP item 1(b) deletes it.
 func EncryptDatabaseOn(plain *storage.Catalog, design *Design, ks *KeyStore, _ int, cfg storage.BackendConfig) (*DB, error) {
+	return EncryptDatabaseWith(plain, design, ks, cfg, true)
+}
+
+// EncryptDatabaseWith is EncryptDatabaseOn, building the encrypted columns'
+// secondary indexes (IndexKindOf) only when indexes is set: a deployment
+// whose engine never reads an index builds none.
+func EncryptDatabaseWith(plain *storage.Catalog, design *Design, ks *KeyStore, cfg storage.BackendConfig, indexes bool) (*DB, error) {
 	eng := engine.New(plain)
 	db := &DB{
 		Cat:    storage.NewCatalogWith(cfg),
@@ -112,14 +119,14 @@ func EncryptDatabaseOn(plain *storage.Catalog, design *Design, ks *KeyStore, _ i
 		}
 	}
 	for _, tbl := range tables {
-		if err := encryptTable(db, eng, plain, design, ks, tbl); err != nil {
+		if err := encryptTable(db, eng, plain, design, ks, tbl, indexes); err != nil {
 			return nil, fmt.Errorf("enc: table %s: %w", tbl, err)
 		}
 	}
 	return db, nil
 }
 
-func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *Design, ks *KeyStore, tbl string) error {
+func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *Design, ks *KeyStore, tbl string, indexes bool) error {
 	items := design.TableItems(tbl)
 	var rowItems []Item // non-HOM, stored in the row
 	var homItems []Item
@@ -231,7 +238,7 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 	// Secondary indexes on the encrypted columns (built empty here; Insert
 	// maintains them incrementally).
 	for i := range rowItems {
-		if kind, ok := IndexKindOf(&rowItems[i]); ok {
+		if kind, ok := IndexKindOf(&rowItems[i]); ok && indexes {
 			if _, err := encTable.EnsureIndex(rowItems[i].ColumnName(), kind); err != nil {
 				return err
 			}

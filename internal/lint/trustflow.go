@@ -15,7 +15,8 @@ import (
 //     crypto/rnd, crypto/prf) — holding a scheme object means holding a
 //     derived key;
 //  2. reference a trusted-only symbol (enc.KeyStore, enc.Cipher, enc.NewKeyStore,
-//     enc.EncryptDatabase and EncryptDatabaseOn — the only two loaders —
+//     enc.EncryptDatabase, EncryptDatabaseOn and EncryptDatabaseWith — the
+//     only three loaders —
 //     paillier.Key, paillier.GenerateKey,
 //     packing.ClientSums/BuildStore/PlainCache,
 //     search's keyed Scheme — search.Match on public trapdoors is fine);
@@ -61,11 +62,12 @@ var bannedImports = []string{
 // transitively contains them (rule 3 above).
 var trustedOnly = map[string]map[string]bool{
 	"repro/internal/enc": {
-		"KeyStore":          true,
-		"Cipher":            true,
-		"NewKeyStore":       true,
-		"EncryptDatabase":   true,
-		"EncryptDatabaseOn": true,
+		"KeyStore":            true,
+		"Cipher":              true,
+		"NewKeyStore":         true,
+		"EncryptDatabase":     true,
+		"EncryptDatabaseOn":   true,
+		"EncryptDatabaseWith": true,
 	},
 	"repro/internal/crypto/paillier": {
 		"Key":         true,

@@ -169,7 +169,8 @@ func (d *Decoder) Skip(pos, end int) (int, error) {
 }
 
 // DecodeAll decodes a concatenation of framed values. The values alias b
-// (see Decoder): the one caller folds a GROUP_CONCAT blob and drops them.
+// (see Decoder). The client folds a GROUP_CONCAT blob through a Decoder
+// frame by frame instead; tests read whole blobs with this.
 func DecodeAll(b []byte) ([]value.Value, error) {
 	count := 0
 	for pos := 0; pos < len(b); count++ {

@@ -465,15 +465,19 @@ func rowsFromResult(res *client.Result, start time.Time) *Rows {
 	return r
 }
 
-// rowsData converts engine rows into the facade's Go values.
+// rowsData converts engine rows into the facade's Go values, allocating the
+// row slice at its final length.
 func rowsData(rows [][]value.Value) [][]any {
-	var data [][]any
-	for _, row := range rows {
+	if len(rows) == 0 {
+		return nil
+	}
+	data := make([][]any, len(rows))
+	for r, row := range rows {
 		vals := make([]any, len(row))
 		for i, v := range row {
 			vals[i] = fromValue(v)
 		}
-		data = append(data, vals)
+		data[r] = vals
 	}
 	return data
 }
