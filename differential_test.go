@@ -359,11 +359,27 @@ func genJoinQueries(rng *rand.Rand, n int) []diffQuery {
 		}
 	}
 	// Post-join DISTINCT: behind a sort, and in first-occurrence order.
-	return append(out,
+	out = append(out,
 		diffQuery{fmt.Sprintf(
 			"SELECT DISTINCT c_region, s_cat FROM sales, cats WHERE s_cat = c_name AND %s ORDER BY c_region, s_cat", pred()), true},
 		diffQuery{fmt.Sprintf(
 			"SELECT DISTINCT c_tier, s_qty FROM sales, cats WHERE s_cat = c_name AND %s", pred()), false})
+	return append(out, joinOrderShapes...)
+}
+
+// joinOrderShapes are the joins the engine reorders or narrows: ORs across
+// sales and cats whose single-table parts filter each table before the join
+// (among them cats' NULL c_name rows, and a NOT the engine must leave
+// alone), and joins whose cheapest start is cats, FROM entry 1 — a filtered
+// cats probing the unfiltered sales.
+var joinOrderShapes = []diffQuery{
+	{"SELECT s_id, c_tier FROM sales, cats WHERE s_cat = c_name AND ((c_region = 'south' AND s_qty < 20) OR (c_tier > 3 AND s_price > 500)) ORDER BY s_id, c_tier", true},
+	{"SELECT s_id, c_tier FROM sales, cats WHERE s_qty < c_tier * 5 AND ((c_name = 'ale' AND s_price > 800) OR (c_name IS NULL AND s_qty < 3)) ORDER BY s_id, c_tier", true},
+	{"SELECT c_region, COUNT(*), SUM(s_qty) FROM sales, cats WHERE s_cat = c_name AND NOT ((c_tier < 3 AND s_qty < 10) OR (c_tier >= 3 AND s_price < 100)) GROUP BY c_region ORDER BY c_region", true},
+	{"SELECT COUNT(*), SUM(s_price) FROM sales, cats WHERE (c_name IS NULL AND s_qty > 45) OR (c_name <> 'bock' AND s_cat = c_name AND s_qty < 2)", false},
+	{"SELECT s_id, s_price, c_region FROM sales, cats WHERE s_cat = c_name AND c_tier = 2 ORDER BY s_id", true},
+	{"SELECT s_id, c_tier FROM sales, cats WHERE s_cat = c_name AND c_tier < 3", false},
+	{"SELECT DISTINCT s_cat, c_region FROM sales, cats WHERE s_cat = c_name AND c_region = 'south'", false},
 }
 
 // TestDifferentialJoinQueries runs the multi-table grid: every generated

@@ -254,31 +254,60 @@ func colOpConst(c *execCtx, x *ast.BinaryExpr) (string, value.Value, ast.BinOp, 
 }
 
 // probedBuild serves a hash-join build side from the base table's hash index
-// on its join key, when the side is one unfiltered base-table scan joined on
-// a single column that has one: nothing is drained, and each probe batch
-// fetches just the rows its keys' postings name (tableProbe). A filtered
-// side, a join or a derived table drains instead, as does every side when
-// indexes are off. The one index lookup is charged here, where the build is
-// chosen.
-func (c *execCtx) probedBuild(p *pipeline, keys []ast.Expr) *joinBuild {
+// on a join key, when the side is one unfiltered base-table scan and the key
+// probeKey picks has one: nothing is drained, and each probe batch fetches
+// just the rows its keys' postings name (tableProbe). On a join step (step)
+// the key may be one of several, and the probe checks the others on the rows
+// it fetched (probeIterator.recheck). A build read by whole-key lookup
+// (joinBuild.lookup, a subquery's) must have a single key. A filtered side, a
+// join or a derived table drains instead, as does every side when indexes
+// are off. The one index lookup is charged here, where the build is chosen.
+func (c *execCtx) probedBuild(p *pipeline, keys []ast.Expr, step bool) *joinBuild {
 	t := p.src.t
-	if !c.useIdx || t == nil || p.filter != nil || len(p.steps) > 0 || len(keys) != 1 {
+	if !c.useIdx || (!step && len(keys) != 1) {
 		return nil
 	}
-	cr, ok := keys[0].(*ast.ColumnRef)
-	if !ok {
-		return nil
-	}
-	// The layout names the key column; its position there is not its schema
+	// The layout names a key column; its position there is not its schema
 	// position once the scan is pruned to the statement's columns.
-	ci, err := p.layout.indexOf(cr.Table, cr.Column)
-	if err != nil || ci < 0 {
+	col := func(cr *ast.ColumnRef) int {
+		ci, err := p.layout.indexOf(cr.Table, cr.Column)
+		if err != nil || ci < 0 {
+			return -1
+		}
+		return t.Schema.ColIndex(p.layout.cols[ci].name)
+	}
+	at := probeKey(t, p.filter != nil || len(p.steps) > 0, keys, col)
+	if at < 0 {
 		return nil
 	}
-	ix := t.Index(p.layout.cols[ci].name, storage.HashIndex)
+	ix := t.Index(t.Schema.Cols[col(keys[at].(*ast.ColumnRef))].Name, storage.HashIndex)
 	if ix == nil {
 		return nil
 	}
 	c.chargeIndex(1, 0)
-	return &joinBuild{layout: p.layout, ix: &tableProbe{t: t, cols: p.src.cols, ix: ix}}
+	return &joinBuild{layout: p.layout, at: at, ix: &tableProbe{t: t, cols: p.src.cols, ix: ix}}
+}
+
+// probeKey is the one rule for which build sides an index can serve, read by
+// execution (probedBuild) and by the join order's estimates (joinEst): the
+// side must be an unfiltered base table t, and it probes by its key column
+// with the most distinct values, whose postings are shortest. col gives a
+// key column's position in t's schema, or -1. probeKey returns that key's
+// position among keys, or -1 when the side is not of that shape; it does not
+// ask whether t has the index.
+func probeKey(t *storage.Table, filtered bool, keys []ast.Expr, col func(*ast.ColumnRef) int) int {
+	if t == nil || filtered {
+		return -1
+	}
+	at, best := -1, int64(-1)
+	for i, k := range keys {
+		cr, ok := k.(*ast.ColumnRef)
+		if !ok {
+			continue
+		}
+		if ci := col(cr); ci >= 0 && t.ColMeta(ci).NDV > best {
+			at, best = i, t.ColMeta(ci).NDV
+		}
+	}
+	return at
 }

@@ -361,6 +361,10 @@ func colNames(cols []colInfo) []string {
 type relation struct {
 	cols []colInfo
 	rows [][]value.Value
+	// star lists the positions of cols in FROM order when a join put them
+	// in another (fromOrder): SELECT * emits the FROM order. nil: cols is
+	// in FROM order.
+	star []int
 }
 
 // indexOf finds a (possibly qualified) column in the layout: the per-row
@@ -491,12 +495,11 @@ func (c *execCtx) open(q *ast.Query, outer *env) (batchIterator, error) {
 }
 
 // pipeline is the prepared FROM/WHERE of one query block: the probe-side
-// row source (FROM entry 0 — the greedy join order always grows from it),
-// its own filter, the join steps with their build sides drained and
-// hashed, and the post-join predicates. It is read-only once prepared — as
-// are the plans of the subqueries its predicates name — so any number of
-// workers can assemble independent chains over disjoint ranges of the
-// source.
+// row source (the FROM entry the join order starts from, planJoin), its own
+// filter, the join steps with their build sides drained and hashed, and the
+// post-join predicates. It is read-only once prepared — as are the plans of
+// the subqueries its predicates name — so any number of workers can assemble
+// independent chains over disjoint ranges of the source.
 type pipeline struct {
 	src        *rowSource
 	layout     *relation // src's columns
@@ -523,13 +526,13 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 	if len(q.From) == 0 {
 		return nil, fmt.Errorf("engine: query with empty FROM")
 	}
-	src, layout, err := c.fromSource(&q.From[0], outer)
-	if err != nil {
-		return nil, err
-	}
-	p := &pipeline{src: src, layout: layout, joined: layout, outer: outer, batch: c.batch}
 	if len(q.From) == 1 {
 		// Nothing to classify: the whole WHERE filters the one table.
+		src, layout, err := c.fromSource(&q.From[0], outer)
+		if err != nil {
+			return nil, err
+		}
+		p := &pipeline{src: src, layout: layout, joined: layout, outer: outer, batch: c.batch}
 		p.setFilter(q.Where)
 		if access && c.useIdx && outer == nil && src.t != nil {
 			c.accessPath(q, p)
@@ -539,20 +542,21 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 
 	srcs := make([]*rowSource, len(q.From))
 	rels := make([]*relation, len(q.From))
-	srcs[0], rels[0] = src, layout
-	for i := 1; i < len(q.From); i++ {
+	for i := range q.From {
+		var err error
 		if srcs[i], rels[i], err = c.fromSource(&q.From[i], outer); err != nil {
 			return nil, err
 		}
 	}
-	plan, err := planJoin(q, c.names())
+	plan, err := planJoin(q, c.names(), srcs)
 	if err != nil {
 		return nil, err
 	}
-	p.setFilter(ast.AndAll(plan.perTable[0]))
+	p := &pipeline{src: srcs[plan.start], layout: rels[plan.start], outer: outer, batch: c.batch}
+	p.setFilter(ast.AndAll(plan.perTable[plan.start]))
 	p.residual = ast.AndAll(plan.residual)
 	p.steps = plan.steps
-	cols := layout.cols
+	cols := p.layout.cols
 	for i := range p.steps {
 		st := &p.steps[i]
 		// The build side is its own scan → filter chain.
@@ -565,13 +569,38 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 				return nil, err
 			}
 			st.right = right.rows
-		} else if st.build, err = c.buildSide(bp, st.rightKeys, outer); err != nil {
+		} else if st.build, err = c.buildSide(bp, st.rightKeys, outer, true); err != nil {
 			return nil, err
 		}
 		cols = append(cols[:len(cols):len(cols)], bp.joined.cols...)
 	}
-	p.joined = &relation{cols: cols}
+	p.joined = &relation{cols: cols, star: fromOrder(plan, rels)}
 	return p, nil
+}
+
+// fromOrder lists the positions of a joined row's cells in FROM order —
+// what SELECT * emits — or nil when the join order is the FROM order.
+func fromOrder(plan *joinPlan, rels []*relation) []int {
+	order := []int{plan.start}
+	for _, st := range plan.steps {
+		order = append(order, st.next)
+	}
+	if slices.IsSorted(order) {
+		return nil
+	}
+	at := make([]int, len(rels)) // each entry's first position in the joined row
+	pos := 0
+	for _, i := range order {
+		at[i] = pos
+		pos += len(rels[i].cols)
+	}
+	star := make([]int, 0, pos)
+	for i, r := range rels {
+		for k := range r.cols {
+			star = append(star, at[i]+k)
+		}
+	}
+	return star
 }
 
 // fromSource resolves one FROM entry to its row source and column layout:
@@ -673,11 +702,11 @@ func (c *execCtx) drainSource(p *pipeline) (*relation, error) {
 	return &relation{cols: p.joined.cols, rows: rows}, nil
 }
 
-// buildSide prepares the build of a hash step, or of a decorrelated EXISTS,
-// over p's FROM/WHERE rows keyed by keys: index-probed when probedBuild
-// allows it, otherwise drained and hashed.
-func (c *execCtx) buildSide(p *pipeline, keys []ast.Expr, outer *env) (*joinBuild, error) {
-	if b := c.probedBuild(p, keys); b != nil {
+// buildSide prepares the build of a hash step (step), or of a decorrelated
+// EXISTS, over p's FROM/WHERE rows keyed by keys: index-probed when
+// probedBuild allows it, otherwise drained and hashed.
+func (c *execCtx) buildSide(p *pipeline, keys []ast.Expr, outer *env, step bool) (*joinBuild, error) {
+	if b := c.probedBuild(p, keys, step); b != nil {
 		return b, nil
 	}
 	right, err := c.drainSource(p)
@@ -745,6 +774,11 @@ func projectRow(en *env, q *ast.Query) ([]value.Value, error) {
 		// SELECT * expands all input columns; only valid un-aggregated.
 		if cr, ok := p.Expr.(*ast.ColumnRef); ok && cr.Column == "*" {
 			vals = append(make([]value.Value, 0, len(en.row)+len(q.OrderBy)), en.row...)
+			if en.rel != nil {
+				for i, k := range en.rel.star {
+					vals[i] = en.row[k]
+				}
+			}
 			break
 		}
 		v, err := eval(en, p.Expr)

@@ -12,20 +12,35 @@ import (
 
 // Join planning and the hash-join build. planJoin classifies the WHERE
 // conjuncts of a comma-join FROM into per-table filters, hash-join edges,
-// and residual predicates, then fixes the greedy join order; prepare
-// (engine.go) builds each step's build side (buildSide) and the probe side
-// streams through probeIterators (stream.go).
+// and residual predicates, adds the single-table filters that ORs spanning
+// tables imply (implyFilters), and chooses the join order from estimates
+// (joinEst); prepare (engine.go) builds each step's build side (buildSide)
+// and the probe side streams through probeIterators (stream.go).
 //
-// A build side that is an unfiltered base table with a hash index on its one
-// join key is never drained: each probe batch fetches the rows its keys point
-// to (tableProbe). Any other build side is drained and partitioned by key
-// hash across workers into per-partition maps — no global lock, and a key's
-// row list is always in build-side row order regardless of worker count —
-// while the probe side cuts into morsels like every other chain
+// The order. Every FROM entry is tried as the start — the probe side, whose
+// rows stream — and grown greedily: each step attaches the connected entry
+// whose step costs least, and cross joins the lowest unjoined entry only
+// when none is connected. An order costs the start's estimated rows plus,
+// per step, the rows its build side reads — all of them hashed, or, where
+// the build can be index-probed, only the rows its probes fetch — and its
+// estimated rows out (joinEst); the cheapest order wins. Ties go to the
+// lower start and, within a start, to the entry the first connecting edge
+// names, so equal estimates give the FROM order, and the order depends on
+// the data and the statement alone — not on the worker count, and not on
+// whether the deployment built indexes.
+//
+// A build side that is an unfiltered base table with a hash index on a join
+// key column is never drained: each probe batch fetches the rows its keys
+// point to (tableProbe). On a composite key the probe goes through the key
+// column with the most distinct values (probeKey) and rechecks the other
+// keys on the fetched rows. Any other build side is drained and partitioned
+// by key hash across workers into per-partition maps — no global lock, and a
+// key's row list is always in build-side row order regardless of worker
+// count — while the probe side cuts into morsels like every other chain
 // (parallel.go).
 
-// joinStep is one step of the greedy join order: attach FROM index next to
-// the accumulated relation. Empty key lists mean a cross join; otherwise
+// joinStep is one step of the join order: attach FROM index next to the
+// accumulated relation. Empty key lists mean a cross join; otherwise
 // leftKeys evaluate against the accumulated (probe) side and rightKeys
 // against rels[next] (the build side).
 type joinStep struct {
@@ -41,8 +56,9 @@ type joinStep struct {
 
 // joinPlan is the classified FROM/WHERE of one query block.
 type joinPlan struct {
-	perTable [][]ast.Expr // single-table filters, by FROM index
-	steps    []joinStep   // greedy join order starting from FROM index 0
+	start    int          // FROM index of the probe side
+	perTable [][]ast.Expr // single-table filters by FROM index, implied ones included
+	steps    []joinStep   // the join order, growing from start
 	residual []ast.Expr   // predicates to apply after the join
 }
 
@@ -53,10 +69,11 @@ type joinEdge struct {
 	lt, rt int // FROM index of each side
 }
 
-// planJoin classifies q's WHERE conjuncts and derives the join order. A
-// column binds to one of q's FROM entries or, correlated, to none of them
-// (ast.Scope with no parent).
-func planJoin(q *ast.Query, cat ast.Catalog) (*joinPlan, error) {
+// planJoin classifies q's WHERE conjuncts and chooses the join order from
+// the statistics of q's sources (srcs, by FROM index). A column binds to one
+// of q's FROM entries or, correlated, to none of them (ast.Scope with no
+// parent).
+func planJoin(q *ast.Query, cat ast.Catalog, srcs []*rowSource) (*joinPlan, error) {
 	s := &ast.Scope{Block: q, Cat: cat}
 	n := len(q.From)
 	plan := &joinPlan{perTable: make([][]ast.Expr, n)}
@@ -85,66 +102,24 @@ func planJoin(q *ast.Query, cat ast.Catalog) (*joinPlan, error) {
 			// Multi-table inequality, three-or-more-table predicate, or an
 			// equality with a mixed-side operand (e.g. a.x = a.y + b.z):
 			// neither side can be evaluated against a single relation, so
-			// the predicate filters the joined rows instead.
+			// the predicate filters the joined rows instead — after
+			// lending each table what it implies on its own.
+			if err := implyFilters(s, e, plan.perTable); err != nil {
+				return nil, err
+			}
 			plan.residual = append(plan.residual, e)
 		}
 	}
 
-	// Greedy join order: start from table 0, repeatedly attach a table
-	// connected by at least one usable edge; cross join as a last resort.
-	joinedSet := map[int]bool{0: true}
-	used := make([]bool, len(edges))
-	for len(joinedSet) < n {
-		next := -1
-		for i, e := range edges {
-			if used[i] {
-				continue
-			}
-			if joinedSet[e.lt] != joinedSet[e.rt] {
-				if joinedSet[e.lt] {
-					next = e.rt
-				} else {
-					next = e.lt
-				}
-				break
-			}
+	est := newJoinEst(s, srcs, plan.perTable)
+	best := 0.0
+	var used []bool
+	for start := 0; start < n; start++ {
+		steps, u, cost := est.grow(start, edges)
+		if start == 0 || cost < best*(1-costTie) {
+			best, plan.start, plan.steps, used = cost, start, steps, u
 		}
-		if next < 0 {
-			// No connecting edge: cross join the lowest unjoined table.
-			for i := 0; i < n; i++ {
-				if !joinedSet[i] {
-					next = i
-					break
-				}
-			}
-			plan.steps = append(plan.steps, joinStep{next: next})
-			joinedSet[next] = true
-			continue
-		}
-		// Gather every edge connecting joinedSet to `next`, oriented so the
-		// left side references the joined set and the right side `next`.
-		step := joinStep{next: next}
-		for i, e := range edges {
-			if used[i] {
-				continue
-			}
-			l, r := e.expr.Left, e.expr.Right
-			switch {
-			case e.rt == next && joinedSet[e.lt]:
-				// already oriented
-			case e.lt == next && joinedSet[e.rt]:
-				l, r = r, l
-			default:
-				continue
-			}
-			step.leftKeys = append(step.leftKeys, l)
-			step.rightKeys = append(step.rightKeys, r)
-			used[i] = true
-		}
-		plan.steps = append(plan.steps, step)
-		joinedSet[next] = true
 	}
-
 	// Any edges never used (e.g. both sides joined via other paths) become
 	// residual filters.
 	for i, e := range edges {
@@ -153,6 +128,220 @@ func planJoin(q *ast.Query, cat ast.Catalog) (*joinPlan, error) {
 		}
 	}
 	return plan, nil
+}
+
+// implyFilters lends the FROM entries the single-table predicates a
+// multi-table conjunct e implies. When e is an OR of conjunctions and every
+// disjunct constrains entry t on its own, the OR of those parts — each the
+// AND of a disjunct's conjuncts that name t alone — is appended to
+// perTable[t]. Wherever e is TRUE some disjunct is, and so is its part, so
+// the added filter drops only rows e would drop, under three-valued logic
+// too; e itself stays residual. Anything else — NOT (… OR …) included —
+// implies nothing. The parts are e's own subtrees, so DET and OPE
+// ciphertext constants match as they do in e.
+func implyFilters(s *ast.Scope, e ast.Expr, perTable [][]ast.Expr) error {
+	ds := disjuncts(e)
+	if len(ds) < 2 {
+		return nil
+	}
+	parts := make([][]ast.Expr, len(perTable)) // by entry: one part per disjunct so far
+	for i, d := range ds {
+		own := make([][]ast.Expr, len(perTable))
+		for _, c := range ast.Conjuncts(d) {
+			tables, err := entries(s, c)
+			if err != nil {
+				return err
+			}
+			if len(tables) == 1 {
+				own[tables[0]] = append(own[tables[0]], c)
+			}
+		}
+		for t := range parts {
+			if len(parts[t]) == i && len(own[t]) > 0 {
+				parts[t] = append(parts[t], ast.AndAll(own[t]))
+			}
+		}
+	}
+	for t, ps := range parts {
+		if len(ps) == len(ds) {
+			perTable[t] = append(perTable[t], orAll(ps))
+		}
+	}
+	return nil
+}
+
+// disjuncts splits a predicate into its top-level OR terms.
+func disjuncts(e ast.Expr) []ast.Expr {
+	if b, ok := e.(*ast.BinaryExpr); ok && b.Op == ast.OpOr {
+		return append(disjuncts(b.Left), disjuncts(b.Right)...)
+	}
+	return []ast.Expr{e}
+}
+
+// orAll combines two or more predicates into a disjunction.
+func orAll(es []ast.Expr) ast.Expr {
+	out := es[0]
+	for _, e := range es[1:] {
+		out = &ast.BinaryExpr{Op: ast.OpOr, Left: out, Right: e}
+	}
+	return out
+}
+
+// costTie is the relative margin within which two order costs tie: the
+// sums of one set of estimates in another order may differ in their last
+// bits, and that must not decide an order.
+const costTie = 1e-9
+
+// joinEst estimates a block's FROM entries and joins. An entry's rows are
+// its row count times the selectivity of its filters by ast.Selectivity,
+// the rules the planner's cost model uses too, with one difference: where a
+// column's NDV is missing — a derived or temp table's, say — an equality or
+// IN element keeps every row (the planner assumes 0.05), so a block with no
+// statistics ties and keeps the FROM order. The filters never name a
+// subquery (planJoin leaves those residual), so the subquery rules do not
+// arise. A join emits |R|·|S| divided, per key pair, by the larger NDV of
+// its two columns.
+type joinEst struct {
+	s        *ast.Scope
+	srcs     []*rowSource
+	perTable [][]ast.Expr
+	rows     []float64          // each entry's estimated rows after its own filters
+	ndvs     map[ast.Expr]int64 // ndv's answers, by column reference
+}
+
+func newJoinEst(s *ast.Scope, srcs []*rowSource, perTable [][]ast.Expr) *joinEst {
+	j := &joinEst{s: s, srcs: srcs, perTable: perTable, rows: make([]float64, len(srcs)), ndvs: map[ast.Expr]int64{}}
+	for i, src := range srcs {
+		j.rows[i] = float64(src.n())
+		for _, f := range perTable[i] {
+			j.rows[i] *= ast.Selectivity(f, j.ndv, 1)
+		}
+	}
+	return j
+}
+
+// grow builds the greedy order from start and returns its steps, the edges
+// they use (by index) and its cost.
+func (j *joinEst) grow(start int, edges []joinEdge) ([]joinStep, []bool, float64) {
+	n := len(j.rows)
+	joined := make([]bool, n)
+	joined[start] = true
+	used := make([]bool, len(edges))
+	acc := j.rows[start]
+	cost := acc
+	steps := make([]joinStep, 0, n-1)
+	for len(steps) < n-1 {
+		var step joinStep
+		best, out := -1.0, 0.0
+		tried := make([]bool, n)
+		for i, e := range edges {
+			if used[i] || joined[e.lt] == joined[e.rt] {
+				continue
+			}
+			next := e.rt
+			if joined[next] {
+				next = e.lt
+			}
+			if tried[next] {
+				continue
+			}
+			tried[next] = true
+			cand := connect(edges, used, joined, next)
+			c, o := j.stepCost(acc, cand)
+			if best < 0 || c < best*(1-costTie) {
+				step, best, out = cand, c, o
+			}
+		}
+		if best < 0 {
+			// No connecting edge: cross join the lowest unjoined table.
+			step.next = slices.Index(joined, false)
+			out = acc * j.rows[step.next]
+			best = j.rows[step.next] + out
+		}
+		for i, e := range edges {
+			if !used[i] && (e.lt == step.next && joined[e.rt] || e.rt == step.next && joined[e.lt]) {
+				used[i] = true
+			}
+		}
+		joined[step.next] = true
+		steps = append(steps, step)
+		acc, cost = out, cost+best
+	}
+	return steps, used, cost
+}
+
+// connect gathers every unused edge between the joined set and next into
+// one step, oriented so the left keys reference the joined set and the
+// right keys next.
+func connect(edges []joinEdge, used, joined []bool, next int) joinStep {
+	step := joinStep{next: next}
+	for i, e := range edges {
+		if used[i] {
+			continue
+		}
+		l, r := e.expr.Left, e.expr.Right
+		switch {
+		case e.rt == next && joined[e.lt]:
+			// already oriented
+		case e.lt == next && joined[e.rt]:
+			l, r = r, l
+		default:
+			continue
+		}
+		step.leftKeys = append(step.leftKeys, l)
+		step.rightKeys = append(step.rightKeys, r)
+	}
+	return step
+}
+
+// stepCost estimates one hash step over acc incoming rows: its cost — the
+// rows its build side reads plus its rows out — and its rows out. A hashed
+// build reads its whole side; one of the shape an index serves (probeKey)
+// hashes nothing and reads the rows its probes fetch through the key's
+// postings, at most its table, which tableProbe drains past that. The shape
+// is the statement's, not whether this deployment built the index, so an
+// indexed deployment and an index-free one choose the same order: index use
+// changes what a build reads, never the rows or their order. An index-free
+// deployment therefore hashes such a build in full, where the estimate
+// counted its fetches.
+func (j *joinEst) stepCost(acc float64, st joinStep) (cost, out float64) {
+	div := 1.0
+	for i := range st.leftKeys {
+		div *= float64(max(1, j.ndv(st.leftKeys[i]), j.ndv(st.rightKeys[i])))
+	}
+	build := j.rows[st.next]
+	out = acc * build / div
+	t := j.srcs[st.next].t
+	if at := probeKey(t, len(j.perTable[st.next]) > 0, st.rightKeys, func(cr *ast.ColumnRef) int {
+		if b, err := j.s.Resolve(cr); err == nil && b.Block != nil && b.Entry == st.next {
+			return t.Schema.ColIndex(cr.Column)
+		}
+		return -1
+	}); at >= 0 {
+		build = min(build, acc*build/float64(max(1, j.ndv(st.rightKeys[at]))))
+	}
+	return build + out, out
+}
+
+// ndv is the distinct-value count of a column of one of the block's base
+// tables, or 0 when e is no such column or the table keeps no statistics.
+func (j *joinEst) ndv(e ast.Expr) int64 {
+	cr, ok := e.(*ast.ColumnRef)
+	if !ok {
+		return 0
+	}
+	if d, ok := j.ndvs[cr]; ok {
+		return d
+	}
+	var d int64
+	if b, err := j.s.Resolve(cr); err == nil && b.Block != nil && j.srcs[b.Entry].t != nil {
+		t := j.srcs[b.Entry].t
+		if ci := t.Schema.ColIndex(cr.Column); ci >= 0 {
+			d = t.ColMeta(ci).NDV
+		}
+	}
+	j.ndvs[cr] = d
+	return d
 }
 
 // asJoinEdge reports whether e is a hash-joinable equality: each side must
@@ -207,6 +396,7 @@ type joinBuild struct {
 	layout *relation // columns of the build rows
 	parts  []map[string][][]value.Value
 	ix     *tableProbe // non-nil: rows are fetched through the index
+	at     int         // the key ix indexes, by position among the build's keys
 }
 
 // lookup returns the build rows matching one (non-NULL) probe key, in

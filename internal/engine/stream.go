@@ -240,10 +240,12 @@ type probeIterator struct {
 
 	// Against an index-probed build, the input batch's postings in row order
 	// (ids) and their rows (found): row i's matches are
-	// found[ends[i]:ends[i+1]].
+	// found[ends[i]:ends[i+1]]. On a composite key, keys holds each row's
+	// whole key.
 	ids   []int32
 	ends  []int
 	found [][]value.Value
+	keys  []string
 }
 
 func (it *probeIterator) next() ([][]value.Value, error) {
@@ -275,7 +277,7 @@ func (it *probeIterator) next() ([][]value.Value, error) {
 			}
 			it.batch, it.bi = b, 0
 			if build := it.step.build; build != nil && build.ix != nil {
-				if err := it.resolve(build.ix); err != nil {
+				if err := it.resolve(build); err != nil {
 					return nil, err
 				}
 			}
@@ -308,26 +310,67 @@ func (it *probeIterator) next() ([][]value.Value, error) {
 }
 
 // resolve looks up the keys of the new input batch in an index-probed build
-// and fetches their rows with one call. The previous batch's matches were
-// all emitted, so its buffers are reused.
-func (it *probeIterator) resolve(ix *tableProbe) error {
+// and fetches their rows with one call. The postings are the build's indexed
+// key's; on a composite key, recheck then drops the fetched rows whose other
+// keys differ. The previous batch's matches were all emitted, so its buffers
+// are reused.
+func (it *probeIterator) resolve(b *joinBuild) error {
+	keys := it.step.leftKeys
 	it.ids = slices.Grow(it.ids[:0], len(it.batch))
 	it.ends = append(slices.Grow(it.ends[:0], len(it.batch)+1), 0)
+	it.keys = it.keys[:0]
 	en := env{rel: it.step.probe, outer: it.outer, ctx: it.c}
 	for _, row := range it.batch {
 		en.row = row
-		key, null, err := exprKey(&en, it.step.leftKeys)
+		key, null, err := exprKey(&en, keys)
 		if err != nil {
 			return err
 		}
+		if len(keys) > 1 {
+			it.keys = append(it.keys, key)
+			if !null {
+				v, err := eval(&en, keys[b.at])
+				if err != nil {
+					return err
+				}
+				key = v.HashKey() + "\x00"
+			}
+		}
 		if !null {
-			it.ids = append(it.ids, ix.postings(key)...)
+			it.ids = append(it.ids, b.ix.postings(key)...)
 		}
 		it.ends = append(it.ends, len(it.ids))
 	}
 	var err error
-	it.found, err = ix.fetch(it.c.stats, it.ids, it.found[:0])
-	return err
+	if it.found, err = b.ix.fetch(it.c.stats, it.ids, it.found[:0]); err != nil || len(keys) == 1 {
+		return err
+	}
+	return it.recheck(b)
+}
+
+// recheck keeps, of each probe row's fetched rows, those whose whole key is
+// the probe row's — exactly the rows a hashed build files under that key, in
+// the same order — compacting found and ends in place.
+func (it *probeIterator) recheck(b *joinBuild) error {
+	en := env{rel: b.layout, outer: it.outer, ctx: it.c}
+	n, lo := 0, 0
+	for i, want := range it.keys {
+		hi := it.ends[i+1]
+		for _, row := range it.found[lo:hi] {
+			en.row = row
+			key, null, err := exprKey(&en, it.step.rightKeys)
+			if err != nil {
+				return err
+			}
+			if !null && key == want {
+				it.found[n] = row
+				n++
+			}
+		}
+		lo, it.ends[i+1] = hi, n
+	}
+	it.found = it.found[:n]
+	return nil
 }
 
 func (it *probeIterator) close() { it.in.close() }

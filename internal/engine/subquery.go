@@ -420,7 +420,7 @@ func (c *execCtx) decorrelate(p *subqPlan, sub *ast.Query, mode subqMode) (*rela
 		if err != nil {
 			return nil, nil, err
 		}
-		p.build, err = c.buildSide(src, innerKeys, nil)
+		p.build, err = c.buildSide(src, innerKeys, nil, false)
 		return nil, nil, err
 	}
 	// Scalar and IN run the block with the correlation keys appended to its

@@ -116,64 +116,11 @@ func maxInt(a, b int) int {
 // estimator produces cardinality and size estimates from plaintext stats.
 type estimator struct{ ctx *Context }
 
-// selectivity estimates the fraction of rows a plaintext predicate keeps.
+// selectivity estimates the fraction of rows a plaintext predicate keeps by
+// ast.Selectivity's rules; an equality on a column with no statistics keeps
+// 0.05.
 func (e *estimator) selectivity(s *scope, pred ast.Expr) float64 {
-	switch x := pred.(type) {
-	case *ast.BinaryExpr:
-		switch x.Op {
-		case ast.OpAnd:
-			return e.selectivity(s, x.Left) * e.selectivity(s, x.Right)
-		case ast.OpOr:
-			a, b := e.selectivity(s, x.Left), e.selectivity(s, x.Right)
-			return a + b - a*b
-		case ast.OpEq:
-			if ndv := e.sideNDV(s, x.Left, x.Right); ndv > 0 {
-				return 1 / float64(ndv)
-			}
-			return 0.05
-		case ast.OpNe:
-			return 0.9
-		default:
-			return 0.33
-		}
-	case *ast.BetweenExpr:
-		return 0.15
-	case *ast.InExpr:
-		if x.Sub != nil {
-			return 0.3
-		}
-		sel := 0.0
-		for range x.List {
-			if ndv := e.exprNDV(s, x.E); ndv > 0 {
-				sel += 1 / float64(ndv)
-			} else {
-				sel += 0.05
-			}
-		}
-		return math.Min(sel, 1)
-	case *ast.LikeExpr:
-		return 0.05
-	case *ast.IsNullExpr:
-		return 0.05
-	case *ast.ExistsExpr:
-		if x.Not {
-			return 0.25
-		}
-		return 0.75
-	case *ast.UnaryExpr:
-		if !x.Neg {
-			return 1 - e.selectivity(s, x.E)
-		}
-	}
-	return 0.33
-}
-
-// sideNDV finds the NDV of the column side of a comparison.
-func (e *estimator) sideNDV(s *scope, l, r ast.Expr) int64 {
-	if n := e.exprNDV(s, l); n > 0 {
-		return n
-	}
-	return e.exprNDV(s, r)
+	return ast.Selectivity(pred, func(x ast.Expr) int64 { return e.exprNDV(s, x) }, 0.05)
 }
 
 // exprNDV estimates an expression's distinct-value count.
