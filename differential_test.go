@@ -106,6 +106,9 @@ func diffDatabase() *Database {
 	// NULL join keys must match nothing.
 	db.MustInsert("cats", nil, "nowhere", tier)
 	db.MustInsert("cats", nil, "nowhere", tier+1)
+	// An all-NULL group: the void region's one row has neither a name nor
+	// a tier (nullAggShapes).
+	db.MustInsert("cats", nil, "void", nil)
 	return db
 }
 
@@ -150,6 +153,18 @@ var breakerShapes = []diffQuery{
 	// keyFilterShapes, whose subqueries the client evaluates over key-filtered
 	// fetches; cats' NULL names are NULL keys.
 	keyFilterShapes[0], keyFilterShapes[1], keyFilterShapes[2], keyFilterShapes[3],
+}
+
+// nullAggShapes aggregate cats by region, the void region's group holding
+// only NULLs, beside groups with values. The server ships c_tier's and
+// c_name's ciphertexts per group through GROUP() and the client finishes the
+// aggregate: over the all-NULL group SUM, MIN and MAX must be NULL and COUNT
+// 0, as in plaintext. The conditional SUM's condition rejects some rows of
+// every group, so it is 0 where no row matches.
+var nullAggShapes = []diffQuery{
+	{"SELECT c_region, SUM(c_tier) FROM cats GROUP BY c_region ORDER BY c_region", true},
+	{"SELECT c_region, MIN(c_tier), MAX(c_tier), MIN(c_name), MAX(c_name), COUNT(c_tier), COUNT(c_name) FROM cats GROUP BY c_region ORDER BY c_region", true},
+	{"SELECT c_region, SUM(CASE WHEN c_name = 'bock' THEN c_tier ELSE 0 END) FROM cats GROUP BY c_region ORDER BY c_region", true},
 }
 
 // keyFilterShapes restrict a fetched part by another temp table's keys: an
@@ -262,7 +277,8 @@ func genQueries(rng *rand.Rand, n int) []diffQuery {
 				"SELECT s_cat, MIN(s_price), MAX(s_price) FROM sales WHERE %s GROUP BY s_cat ORDER BY s_cat", p), true})
 		}
 	}
-	return append(out, breakerShapes...)
+	out = append(out, breakerShapes...)
+	return append(out, nullAggShapes...)
 }
 
 // canonicalRows renders result rows for comparison: floats rounded so the

@@ -434,7 +434,7 @@ func (c *Client) runRemote(cp *compiled, part *planner.RemotePart, cat *storage.
 func remoteSchema(part *planner.RemotePart) storage.Schema {
 	schema := storage.Schema{Name: part.Name}
 	for _, o := range part.Outputs {
-		schema.Cols = append(schema.Cols, storage.Column{Name: o.Name, Type: kindToColType(o.Kind)})
+		schema.Cols = append(schema.Cols, storage.Column{Name: o.Name, Type: storage.ColTypeOf(o.Kind)})
 	}
 	return schema
 }
@@ -534,30 +534,14 @@ func (c *Client) preExecuteScalarSubqueries(q *ast.Query, res *Result) (bool, er
 func resultSchema(name string, cols []string, rows [][]value.Value) storage.Schema {
 	s := storage.Schema{Name: name}
 	for i, cname := range cols {
-		t := storage.TInt
+		k := value.Null
 		for _, row := range rows {
 			if !row[i].IsNull() {
-				t = kindToColType(row[i].K)
+				k = row[i].K
 				break
 			}
 		}
-		s.Cols = append(s.Cols, storage.Column{Name: cname, Type: t})
+		s.Cols = append(s.Cols, storage.Column{Name: cname, Type: storage.ColTypeOf(k)})
 	}
 	return s
-}
-
-func kindToColType(k value.Kind) storage.ColType {
-	switch k {
-	case value.Int, value.Bool:
-		return storage.TInt
-	case value.Float:
-		return storage.TFloat
-	case value.Str:
-		return storage.TStr
-	case value.Date:
-		return storage.TDate
-	case value.Bytes:
-		return storage.TBytes
-	}
-	return storage.TInt
 }

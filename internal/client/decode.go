@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/ast"
 	"repro/internal/enc"
+	"repro/internal/engine"
 	"repro/internal/packing"
 	"repro/internal/planner"
 	"repro/internal/value"
@@ -33,10 +33,11 @@ const parallelDecodeRows = 1024
 // colDecoder is one planner.Output resolved for decoding.
 type colDecoder struct {
 	out   *planner.Output
-	ciph  enc.Cipher     // OutDecrypt, OutConcatAgg
-	ct    value.Kind     // OutDecrypt, OutConcatAgg: the ciphertext's kind
-	memo  memo           // OutDecrypt, OutConcatAgg
-	group *enc.GroupMeta // OutHomSum: the ciphertext group and the slot in it
+	ciph  enc.Cipher         // OutDecrypt, OutConcatAgg
+	ct    value.Kind         // OutDecrypt, OutConcatAgg: the ciphertext's kind
+	memo  memo               // OutDecrypt, OutConcatAgg
+	agg   *engine.BuiltinAgg // OutConcatAgg: the fold, reset per cell
+	group *enc.GroupMeta     // OutHomSum: the ciphertext group and the slot in it
 	slot  int
 }
 
@@ -66,8 +67,10 @@ func (c *Client) newDecoder(part *planner.RemotePart) (*decoder, error) {
 		var err error
 		switch o.Mode {
 		case planner.OutPlain:
-		case planner.OutDecrypt, planner.OutConcatAgg:
+		case planner.OutDecrypt:
 			col.ciph, col.ct = c.Keys.Cipher(o.Item), o.Item.CiphertextKind()
+		case planner.OutConcatAgg:
+			col.ciph, col.ct, col.agg = c.Keys.Cipher(o.Item), o.Item.CiphertextKind(), engine.NewBuiltinAgg(o.Agg, false)
 		case planner.OutHomSum:
 			meta, ok := c.meta[o.HomTable]
 			if !ok {
@@ -133,12 +136,16 @@ func (d *decoder) decode(rows [][]value.Value, workers int) ([][]value.Value, in
 	return out, n, nil
 }
 
-// clone copies the decoder for another execution or worker, with empty memos
-// and no peers: each Cipher carries the scratch its rounds run in.
+// clone copies the decoder for another execution or worker, with empty memos,
+// fold states of its own and no peers: each Cipher carries the scratch its
+// rounds run in.
 func (d *decoder) clone() *decoder {
 	cols := append([]colDecoder(nil), d.cols...)
 	for i := range cols {
 		cols[i].memo = newMemo(cols[i].out)
+		if cols[i].agg != nil {
+			cols[i].agg = engine.NewBuiltinAgg(cols[i].out.Agg, false)
+		}
 	}
 	return &decoder{c: d.c, cols: cols}
 }
@@ -232,13 +239,14 @@ func (d *decoder) decrypt(col *colDecoder, cv value.Value, n *int64) (value.Valu
 	return pv, nil
 }
 
-// foldConcat decrypts each element of a GROUP_CONCAT blob and folds with the
-// output's aggregate, reading the blob frame by frame: no element outlives
-// its fold step.
+// foldConcat decrypts each element of a GROUP_CONCAT blob and folds it into
+// col's aggregate state — the engine's builtin, so a group's aggregate is
+// the one the plaintext twin computes — reading the blob frame by frame: no
+// element outlives its fold step. A conditional SUM's NULL element is a row
+// its condition rejected, worth 0.
 func (d *decoder) foldConcat(col *colDecoder, blob []byte, n *int64) (value.Value, error) {
-	agg := col.out.Agg
-	var acc value.Value
-	count := 0
+	col.agg.Reset()
+	var arg [1]value.Value
 	wd := wire.NewDecoder(blob)
 	for pos := 0; pos < len(blob); {
 		cv, k, err := wd.Value(pos, len(blob))
@@ -246,45 +254,19 @@ func (d *decoder) foldConcat(col *colDecoder, blob []byte, n *int64) (value.Valu
 			return value.Value{}, fmt.Errorf("%w: group_concat blob: %w", ErrMalformedResult, err)
 		}
 		pos += k
-		if cv.IsNull() {
-			continue
-		}
 		pv, err := d.decrypt(col, cv, n)
 		if err != nil {
 			return value.Value{}, err
 		}
-		if count == 0 {
-			acc = pv
-		} else {
-			switch agg {
-			case ast.AggSum:
-				acc = value.Add(acc, pv)
-			case ast.AggMin:
-				if value.Compare(pv, acc) < 0 {
-					acc = pv
-				}
-			case ast.AggMax:
-				if value.Compare(pv, acc) > 0 {
-					acc = pv
-				}
-			case ast.AggCount:
-				// handled by count below
-			}
+		if pv.IsNull() && col.out.NullAsZero {
+			pv = value.NewInt(0)
 		}
-		count++
-	}
-	if agg == ast.AggCount {
-		return value.NewInt(int64(count)), nil
-	}
-	if count == 0 {
-		// Conditional sums concat NULL for non-matching rows; if any rows
-		// arrived at all, SUM(CASE ... ELSE 0) is 0, not NULL.
-		if agg == ast.AggSum && len(blob) > 0 {
-			return value.NewInt(0), nil
+		arg[0] = pv
+		if err := col.agg.Add(arg[:]); err != nil {
+			return value.Value{}, err
 		}
-		return value.NewNull(), nil
 	}
-	return acc, nil
+	return col.agg.Result()
 }
 
 // decodeHomSum finishes grouped homomorphic addition for one group.

@@ -126,6 +126,10 @@ func TestDecodeUnit(t *testing.T) {
 		{Name: "d", Mode: planner.OutDecrypt, Item: &ope, Kind: value.Date},
 		{Name: "r", Mode: planner.OutDecrypt, Item: &rnd, Kind: value.Str},
 		{Name: "sum", Mode: planner.OutConcatAgg, Item: &detInt, Agg: ast.AggSum, Kind: value.Int},
+		{Name: "csum", Mode: planner.OutConcatAgg, Item: &detInt, Agg: ast.AggSum, NullAsZero: true, Kind: value.Int},
+		{Name: "min", Mode: planner.OutConcatAgg, Item: &detInt, Agg: ast.AggMin, Kind: value.Int},
+		{Name: "max", Mode: planner.OutConcatAgg, Item: &detInt, Agg: ast.AggMax, Kind: value.Int},
+		{Name: "cnt", Mode: planner.OutConcatAgg, Item: &detInt, Agg: ast.AggCount, Kind: value.Int},
 	}}
 	mustEnc := func(it *enc.Item, v value.Value) value.Value {
 		cv, err := ks.EncryptValue(it, v)
@@ -135,17 +139,27 @@ func TestDecodeUnit(t *testing.T) {
 		return cv
 	}
 	plainRow := func(i int) []value.Value {
+		// The GROUP() columns fold one blob: sum, conditional sum, min, max
+		// and count.
+		x := int64(i % 4)
 		row := []value.Value{
 			value.NewInt(int64(i)), value.NewInt(int64(i % 17)), value.NewStr(fmt.Sprintf("s%d", i%5)),
-			value.NewDate(int64(8000 + i%300)), value.NewStr(fmt.Sprintf("r%d", i)), value.NewInt(int64(3 * (i % 4))),
+			value.NewDate(int64(8000 + i%300)), value.NewStr(fmt.Sprintf("r%d", i)),
+			value.NewInt(3 * x), value.NewInt(3 * x), value.NewInt(x), value.NewInt(2 * x), value.NewInt(2),
 		}
 		switch i % 9 {
 		case 1:
 			row[1], row[2] = value.NewNull(), value.NewNull()
 		case 2:
-			row[5] = value.NewNull() // NULL blob: no rows reached the group
+			// NULL blob: no rows reached the group.
+			for j := 5; j < len(row); j++ {
+				row[j] = value.NewNull()
+			}
 		case 3:
-			row[5] = value.NewInt(0) // every element NULL: conditional sum of 0
+			// Every element NULL: SUM, MIN and MAX are NULL, as over an
+			// all-NULL group in plaintext; a conditional SUM is 0, its NULLs
+			// being rejected rows; COUNT is 0.
+			row[5], row[6], row[7], row[8], row[9] = value.NewNull(), value.NewInt(0), value.NewNull(), value.NewNull(), value.NewInt(0)
 		}
 		return row
 	}
@@ -167,7 +181,7 @@ func TestDecodeUnit(t *testing.T) {
 		if blob != nil {
 			concat = value.NewBytes(blob)
 		}
-		return []value.Value{p[0], mustEnc(&detInt, p[1]), mustEnc(&detStr, p[2]), mustEnc(&ope, p[3]), mustEnc(&rnd, p[4]), concat}
+		return []value.Value{p[0], mustEnc(&detInt, p[1]), mustEnc(&detStr, p[2]), mustEnc(&ope, p[3]), mustEnc(&rnd, p[4]), concat, concat, concat, concat, concat}
 	}
 	most := decodeRowCounts[len(decodeRowCounts)-1]
 	encRows, plainRows := make([][]value.Value, most), make([][]value.Value, most)

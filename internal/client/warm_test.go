@@ -455,7 +455,7 @@ func TestTemplateReuseConcurrent(t *testing.T) {
 const (
 	warmPointAllocs = 34
 	warmRangeAllocs = 257
-	warmSum1Allocs  = 311
+	warmSum1Allocs  = 189
 )
 
 // raceEnabled is set under -race (race_test.go).

@@ -429,7 +429,7 @@ func BaselineDesign(cat *storage.Catalog, joinGroups map[string]string, onion bo
 			continue
 		}
 		for _, col := range t.Schema.Cols {
-			kind := colKind(col.Type)
+			kind := col.Type.Kind()
 			det := enc.ColumnItem(name, col.Name, enc.DET, kind)
 			if g, ok := joinGroups[name+"."+col.Name]; ok {
 				det.JoinGroup = g
@@ -445,24 +445,6 @@ func BaselineDesign(cat *storage.Catalog, joinGroups map[string]string, onion bo
 		}
 	}
 	return d
-}
-
-func colKind(t storage.ColType) value.Kind {
-	switch t {
-	case storage.TInt:
-		return value.Int
-	case storage.TFloat:
-		return value.Float
-	case storage.TStr:
-		return value.Str
-	case storage.TDate:
-		return value.Date
-	case storage.TBytes:
-		return value.Bytes
-	case storage.TBool:
-		return value.Bool
-	}
-	return value.Int
 }
 
 // itemBytes estimates one item's server footprint.

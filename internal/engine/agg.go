@@ -8,12 +8,14 @@ import (
 	"repro/internal/value"
 )
 
-// aggSpec is one distinct aggregate to compute per group: either a builtin
-// AggExpr or an aggregate-UDF FuncCall. Keyed by rendered SQL.
+// aggSpec is one distinct aggregate a grouped block computes per group — a
+// builtin AggExpr or an aggregate-UDF call alike: the argument expressions
+// each input row evaluates, and the factory of a group's AggState. Keyed by
+// rendered SQL, as eval looks the finalized value up (aggValue).
 type aggSpec struct {
-	key string
-	agg *ast.AggExpr  // builtin; nil for UDFs
-	udf *ast.FuncCall // aggregate UDF call; nil for builtins
+	key  string
+	args []ast.Expr
+	new  AggUDFFactory
 }
 
 // collectAggSpecs finds every distinct aggregate the clauses of a grouped
@@ -22,22 +24,24 @@ type aggSpec struct {
 func (c *execCtx) collectAggSpecs(q *ast.Query) []aggSpec {
 	seen := make(map[string]bool)
 	var specs []aggSpec
+	add := func(x ast.Expr, args []ast.Expr, f AggUDFFactory) {
+		if k := x.SQL(); !seen[k] {
+			seen[k] = true
+			specs = append(specs, aggSpec{key: k, args: args, new: f})
+		}
+	}
 	q.EachExpr(func(e ast.Expr) {
 		ast.Walk(e, func(x ast.Expr) {
 			switch n := x.(type) {
 			case *ast.AggExpr:
-				k := n.SQL()
-				if !seen[k] {
-					seen[k] = true
-					specs = append(specs, aggSpec{key: k, agg: n})
+				var args []ast.Expr
+				if !n.Star {
+					args = []ast.Expr{n.Arg}
 				}
+				add(n, args, func(*Stats) AggState { return NewBuiltinAgg(n.Func, n.Distinct) })
 			case *ast.FuncCall:
-				if c.eng.IsAggUDF(n.Name) {
-					k := n.SQL()
-					if !seen[k] {
-						seen[k] = true
-						specs = append(specs, aggSpec{key: k, udf: n})
-					}
+				if f, ok := c.eng.aggs[strings.ToLower(n.Name)]; ok {
+					add(n, n.Args, f)
 				}
 			}
 		})
@@ -45,12 +49,16 @@ func (c *execCtx) collectAggSpecs(q *ast.Query) []aggSpec {
 	return specs
 }
 
-// builtinAggState accumulates one builtin aggregate. DISTINCT states keep
-// the deduplicated values in first-occurrence row order so morsel partials
-// can replay unseen values during merge deterministically: morsel partials
+// BuiltinAgg is a builtin aggregate — COUNT, SUM, AVG, MIN or MAX, DISTINCT
+// or not — as an AggState: Add takes the argument's value, or no value for
+// COUNT(*), and NULLs count for nothing. DISTINCT states keep the
+// deduplicated values in first-occurrence row order so morsel partials can
+// replay unseen values during merge deterministically: morsel partials
 // merge in morsel order, so the replay order equals the first-occurrence
-// order of a sequential scan.
-type builtinAggState struct {
+// order of a sequential scan. The client finishes a GROUP() column with the
+// same state (NewBuiltinAgg, Reset), so an aggregate means one thing on
+// every side of the split.
+type BuiltinAgg struct {
 	fn           ast.AggFunc
 	distinct     bool
 	seen         map[string]bool
@@ -63,7 +71,32 @@ type builtinAggState struct {
 	minMax       value.Value
 }
 
-func (s *builtinAggState) add(v value.Value) {
+// NewBuiltinAgg returns an empty state of the builtin aggregate fn.
+func NewBuiltinAgg(fn ast.AggFunc, distinct bool) *BuiltinAgg {
+	return &BuiltinAgg{fn: fn, distinct: distinct}
+}
+
+// Reset empties s for another group, keeping its DISTINCT storage.
+func (s *BuiltinAgg) Reset() {
+	clear(s.seen)
+	*s = BuiltinAgg{fn: s.fn, distinct: s.distinct, seen: s.seen, distinctVals: s.distinctVals[:0]}
+}
+
+// Add folds one row: args holds the aggregate's argument, or nothing for
+// COUNT(*).
+func (s *BuiltinAgg) Add(args []value.Value) error {
+	if len(args) == 0 {
+		s.count++
+		s.hasVal = true
+		return nil
+	}
+	s.add(args[0])
+	return nil
+}
+
+// add folds one argument value: a NULL counts for nothing, and a DISTINCT
+// state takes a value once.
+func (s *BuiltinAgg) add(v value.Value) {
 	if v.IsNull() {
 		return
 	}
@@ -82,7 +115,7 @@ func (s *builtinAggState) add(v value.Value) {
 }
 
 // accumulate folds one (already dedup'd) value into the running state.
-func (s *builtinAggState) accumulate(v value.Value) {
+func (s *BuiltinAgg) accumulate(v value.Value) {
 	s.count++
 	switch s.fn {
 	case ast.AggSum, ast.AggAvg:
@@ -103,24 +136,19 @@ func (s *builtinAggState) accumulate(v value.Value) {
 	s.hasVal = true
 }
 
-// merge folds a morsel partial (same aggregate over a disjoint, later row
+// Merge folds a morsel partial (same aggregate over a disjoint, later row
 // range) into s. DISTINCT partials replay only values s has not seen, in
 // the partial's first-occurrence order.
-func (s *builtinAggState) merge(o *builtinAggState) {
+func (s *BuiltinAgg) Merge(other AggState) error {
+	o, ok := other.(*BuiltinAgg)
+	if !ok {
+		return fmt.Errorf("engine: merge of %T into a builtin aggregate", other)
+	}
 	if s.distinct {
-		if s.seen == nil {
-			s.seen = make(map[string]bool)
-		}
 		for _, v := range o.distinctVals {
-			k := v.HashKey()
-			if s.seen[k] {
-				continue
-			}
-			s.seen[k] = true
-			s.distinctVals = append(s.distinctVals, v)
-			s.accumulate(v)
+			s.add(v)
 		}
-		return
+		return nil
 	}
 	s.count += o.count
 	s.sumI += o.sumI
@@ -141,89 +169,85 @@ func (s *builtinAggState) merge(o *builtinAggState) {
 		}
 		s.hasVal = true
 	}
+	return nil
 }
 
-func (s *builtinAggState) result() value.Value {
+// Result is the group's aggregate: SUM, AVG, MIN and MAX over no non-NULL
+// value are NULL, COUNT is 0.
+func (s *BuiltinAgg) Result() (value.Value, error) {
 	switch s.fn {
 	case ast.AggCount:
-		return value.NewInt(s.count)
+		return value.NewInt(s.count), nil
 	case ast.AggSum:
 		if !s.hasVal {
-			return value.NewNull()
+			return value.NewNull(), nil
 		}
 		if s.isFloat {
-			return value.NewFloat(s.sumF)
+			return value.NewFloat(s.sumF), nil
 		}
-		return value.NewInt(s.sumI)
+		return value.NewInt(s.sumI), nil
 	case ast.AggAvg:
 		if s.count == 0 {
-			return value.NewNull()
+			return value.NewNull(), nil
 		}
-		return value.NewFloat(s.sumF / float64(s.count))
+		return value.NewFloat(s.sumF / float64(s.count)), nil
 	case ast.AggMin, ast.AggMax:
 		if !s.hasVal {
-			return value.NewNull()
+			return value.NewNull(), nil
 		}
-		return s.minMax
+		return s.minMax, nil
 	}
-	return value.NewNull()
+	return value.NewNull(), nil
 }
 
-// aggGroup holds one group's accumulation state: one slot per aggSpec,
-// exactly one of builtins[i]/udfs[i] non-nil.
+// aggGroup holds one group's accumulation state: one AggState per aggSpec.
 type aggGroup struct {
 	firstRow []value.Value
-	builtins []*builtinAggState
-	udfs     []AggState
-}
-
-// newAggGroup creates fresh states for one group. UDF states capture c's
-// stats, so they must be created on the context that will call Result.
-func (c *execCtx) newAggGroup(specs []aggSpec, row []value.Value) (*aggGroup, error) {
-	g := &aggGroup{firstRow: row}
-	for _, sp := range specs {
-		if sp.agg != nil {
-			g.builtins = append(g.builtins, &builtinAggState{fn: sp.agg.Func, distinct: sp.agg.Distinct})
-			g.udfs = append(g.udfs, nil)
-			continue
-		}
-		f, ok := c.eng.aggs[strings.ToLower(sp.udf.Name)]
-		if !ok {
-			return nil, fmt.Errorf("engine: unregistered aggregate UDF %s", sp.udf.Name)
-		}
-		g.builtins = append(g.builtins, nil)
-		g.udfs = append(g.udfs, f(c.stats))
-	}
-	return g, nil
+	states   []AggState
 }
 
 // merge folds another group's partial states (same specs, disjoint rows,
 // later morsel) into g.
 func (g *aggGroup) merge(o *aggGroup) error {
-	for i := range g.builtins {
-		if g.builtins[i] != nil {
-			g.builtins[i].merge(o.builtins[i])
-			continue
-		}
-		if err := g.udfs[i].Merge(o.udfs[i]); err != nil {
+	for i, st := range g.states {
+		if err := st.Merge(o.states[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// groupSet is an insertion-ordered collection of groups.
+// groupSet is an insertion-ordered collection of groups. Every morsel of a
+// block folds into its own set, but all of them create their states with
+// the block's Stats sink, so a state is finalized (and charges its work)
+// wherever its group ends up after the merge.
 type groupSet struct {
 	m     map[string]*aggGroup
-	order []string // group keys in order of first appearance
+	order []string      // group keys in order of first appearance
+	sink  *Stats        // the Stats every state's factory captures
+	args  []value.Value // one aggregate's arguments for one row, reused
 }
 
-// newGroupSet creates an empty groupSet.
-func newGroupSet() *groupSet { return &groupSet{m: make(map[string]*aggGroup)} }
+// newGroupSet creates an empty groupSet whose states charge sink.
+func newGroupSet(sink *Stats) *groupSet {
+	return &groupSet{m: make(map[string]*aggGroup), sink: sink}
+}
+
+// add creates the group key with fresh states, row its first row.
+func (gs *groupSet) add(specs []aggSpec, key string, row []value.Value) *aggGroup {
+	g := &aggGroup{firstRow: row, states: make([]AggState, len(specs))}
+	for i, sp := range specs {
+		g.states[i] = sp.new(gs.sink)
+	}
+	gs.m[key] = g
+	gs.order = append(gs.order, key)
+	return g
+}
 
 // accumulateRows folds one batch of rows into gs, evaluating GROUP BY keys
 // and aggregate arguments on c. rel supplies the column layout for name
-// resolution.
+// resolution. A row's arguments are evaluated into one buffer reused for
+// every aggregate and row, which AggState.Add must not retain.
 func (c *execCtx) accumulateRows(q *ast.Query, specs []aggSpec, gs *groupSet, rel *relation, rows [][]value.Value, outer *env) error {
 	for _, row := range rows {
 		en := &env{rel: rel, row: row, outer: outer, ctx: c}
@@ -239,71 +263,41 @@ func (c *execCtx) accumulateRows(q *ast.Query, specs []aggSpec, gs *groupSet, re
 		key := kb.String()
 		grp, ok := gs.m[key]
 		if !ok {
-			var err error
-			grp, err = c.newAggGroup(specs, row)
-			if err != nil {
-				return err
-			}
-			gs.m[key] = grp
-			gs.order = append(gs.order, key)
+			grp = gs.add(specs, key, row)
 		}
 		for i, sp := range specs {
-			switch {
-			case sp.agg != nil:
-				if sp.agg.Star {
-					grp.builtins[i].count++
-					grp.builtins[i].hasVal = true
-					continue
-				}
-				v, err := eval(en, sp.agg.Arg)
+			gs.args = gs.args[:0]
+			for _, a := range sp.args {
+				v, err := eval(en, a)
 				if err != nil {
 					return err
 				}
-				grp.builtins[i].add(v)
-			default:
-				args := make([]value.Value, len(sp.udf.Args))
-				for j, a := range sp.udf.Args {
-					v, err := eval(en, a)
-					if err != nil {
-						return err
-					}
-					args[j] = v
-				}
-				if err := grp.udfs[i].Add(args); err != nil {
-					return err
-				}
+				gs.args = append(gs.args, v)
+			}
+			if err := grp.states[i].Add(gs.args); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// mergeGroupParts folds per-morsel groupSets in morsel order, so group
-// first-appearance order and order-sensitive aggregate states match a
-// sequential scan. UDF states merge into fresh states created on c, whose
-// stats they must capture for Result. Builtin states capture nothing, so
-// the first morsel's set is the base and only the later ones merge into
-// it, which builds and merges none of its groups again. That is exact: a
-// fresh state merged with a partial equals the partial, since a Float sum
-// starts at +0.0 and so never holds -0.0.
-func (c *execCtx) mergeGroupParts(specs []aggSpec, parts []*groupSet) (*groupSet, error) {
-	merged := newGroupSet()
-	if !specsHaveUDF(specs) {
-		merged, parts = parts[0], parts[1:]
-	}
-	for _, part := range parts {
+// mergeGroupParts folds per-morsel groupSets in morsel order into the
+// first, so group first-appearance order and order-sensitive aggregate
+// states match a sequential scan. A group a later morsel meets first joins
+// as it is: its states are that group's partial from its first row on.
+func mergeGroupParts(parts []*groupSet) (*groupSet, error) {
+	merged := parts[0]
+	for _, part := range parts[1:] {
 		for _, key := range part.order {
+			o := part.m[key]
 			grp, ok := merged.m[key]
 			if !ok {
-				var err error
-				grp, err = c.newAggGroup(specs, part.m[key].firstRow)
-				if err != nil {
-					return nil, err
-				}
-				merged.m[key] = grp
+				merged.m[key] = o
 				merged.order = append(merged.order, key)
+				continue
 			}
-			if err := grp.merge(part.m[key]); err != nil {
+			if err := grp.merge(o); err != nil {
 				return nil, err
 			}
 		}
@@ -311,40 +305,25 @@ func (c *execCtx) mergeGroupParts(specs []aggSpec, parts []*groupSet) (*groupSet
 	return merged, nil
 }
 
-// specsHaveUDF reports whether any aggregate is a UDF — the only states
-// whose Result can be expensive enough (Paillier products and modular
-// exponentiations on the server) to be worth fanning across workers.
-func specsHaveUDF(specs []aggSpec) bool {
-	for _, sp := range specs {
-		if sp.udf != nil {
-			return true
-		}
-	}
-	return false
-}
-
 // resolveAggResults finalizes the aggregates of groups [lo,hi) in
-// first-appearance order — one AggState.Result per (group, spec) —
-// fanning the groups, each resolved on its own, across GOMAXPROCS workers
-// when UDF aggregates are present. The AggState contract requires Result to
-// tolerate concurrent invocation across distinct states (the server's
-// Paillier UDF accumulates its stats atomically for exactly this). Errors
-// surface in group order, matching the sequential loop. Grouped emission
-// calls this one output batch of groups at a time, so the Paillier work
-// both fans across workers and is never performed for groups a LIMIT cuts
-// off.
-func (c *execCtx) resolveAggResults(specs []aggSpec, groups *groupSet, lo, hi int) ([]map[string]value.Value, error) {
+// first-appearance order — one AggState.Result per (group, spec). A block
+// that may start workers (one not under an outer row, which may already run
+// on one) fans the groups, each resolved on its own, across GOMAXPROCS
+// workers: the server's Paillier Results are modular products worth it.
+// The AggState contract requires Result to tolerate concurrent invocation
+// across distinct states (the server's Paillier UDF accumulates its stats
+// atomically for exactly this). Errors surface in group order, matching
+// the sequential loop. Grouped emission calls this one output batch of
+// groups at a time, so the Paillier work both fans across workers and is
+// never performed for groups a LIMIT cuts off.
+func resolveAggResults(specs []aggSpec, groups *groupSet, lo, hi int, fan bool) ([]map[string]value.Value, error) {
 	n := hi - lo
 	out := make([]map[string]value.Value, n)
 	resolve := func(gi int) error {
 		grp := groups.m[groups.order[lo+gi]]
 		vals := make(map[string]value.Value, len(specs))
 		for i, sp := range specs {
-			if sp.agg != nil {
-				vals[sp.key] = grp.builtins[i].result()
-				continue
-			}
-			v, err := grp.udfs[i].Result()
+			v, err := grp.states[i].Result()
 			if err != nil {
 				return err
 			}
@@ -353,7 +332,7 @@ func (c *execCtx) resolveAggResults(specs []aggSpec, groups *groupSet, lo, hi in
 		out[gi] = vals
 		return nil
 	}
-	if !specsHaveUDF(specs) {
+	if !fan {
 		for gi := 0; gi < n; gi++ {
 			if err := resolve(gi); err != nil {
 				return nil, err
@@ -370,17 +349,10 @@ func (c *execCtx) resolveAggResults(specs []aggSpec, groups *groupSet, lo, hi in
 // ensureGroup guarantees the single implicit group of an aggregate query
 // without GROUP BY: even over zero input rows it produces exactly one row
 // (COUNT(*) = 0, SUM = NULL).
-func (c *execCtx) ensureGroup(q *ast.Query, specs []aggSpec, groups *groupSet) error {
-	if len(q.GroupBy) > 0 || len(groups.order) > 0 {
-		return nil
+func ensureGroup(q *ast.Query, specs []aggSpec, groups *groupSet) {
+	if len(q.GroupBy) == 0 && len(groups.order) == 0 {
+		groups.add(specs, "", nil)
 	}
-	grp, err := c.newAggGroup(specs, nil)
-	if err != nil {
-		return err
-	}
-	groups.m[""] = grp
-	groups.order = append(groups.order, "")
-	return nil
 }
 
 // groupEnv builds the evaluation environment for one finalized group:
@@ -422,7 +394,7 @@ func (g *groupEmitter) accumulate() error {
 	c, p := g.c, g.p
 	g.specs = c.collectAggSpecs(g.q)
 	fold := func(sc *execCtx, lo, hi int) (*groupSet, error) {
-		gs := newGroupSet()
+		gs := newGroupSet(c.stats)
 		it := p.chain(sc, lo, hi)
 		defer it.close()
 		for {
@@ -443,7 +415,7 @@ func (g *groupEmitter) accumulate() error {
 	if g.morsels > 1 {
 		var parts []*groupSet
 		if parts, err = morselCollect(c, n, fold); err == nil {
-			g.groups, err = c.mergeGroupParts(g.specs, parts)
+			g.groups, err = mergeGroupParts(parts)
 		}
 	} else {
 		g.groups, err = fold(c, 0, n)
@@ -451,7 +423,8 @@ func (g *groupEmitter) accumulate() error {
 	if err != nil {
 		return err
 	}
-	return c.ensureGroup(g.q, g.specs, g.groups)
+	ensureGroup(g.q, g.specs, g.groups)
+	return nil
 }
 
 func (g *groupEmitter) next() ([][]value.Value, error) {
@@ -467,7 +440,7 @@ func (g *groupEmitter) next() ([][]value.Value, error) {
 	for g.pos < len(g.groups.order) {
 		lo, hi := g.pos, batchEnd(g.pos, len(g.groups.order), g.c.batch)
 		g.pos = hi
-		resolved, err := g.c.resolveAggResults(g.specs, g.groups, lo, hi)
+		resolved, err := resolveAggResults(g.specs, g.groups, lo, hi, g.p.outer == nil)
 		if err != nil {
 			return nil, err
 		}

@@ -166,7 +166,13 @@ func New(cat *storage.Catalog) *Engine {
 // ScalarUDF is a custom scalar function callable from SQL.
 type ScalarUDF func(st *Stats, args []value.Value) (value.Value, error)
 
-// AggState accumulates one group's values for an aggregate UDF.
+// AggState accumulates one group's values for an aggregate: an aggregate
+// UDF's state, or a builtin's (BuiltinAgg) — grouping runs both through
+// this one interface.
+//
+// Add folds one input row's argument values. The engine evaluates them into
+// one buffer it reuses for the next row, so Add must not retain args (a
+// value copied out of it may be kept).
 //
 // Merge folds a partial state — produced by the same factory over a
 // disjoint, earlier-or-later morsel of the same group — into the
@@ -176,19 +182,20 @@ type ScalarUDF func(st *Stats, args []value.Value) (value.Value, error)
 // row order. After a state has been merged from, it is discarded; Merge
 // may therefore steal its buffers.
 //
-// Result finalizes the group. When UDF aggregates are present,
-// finalization fans groups across GOMAXPROCS workers, so Result
-// may be invoked concurrently with other states' Result calls (never
-// concurrently on one state). An implementation that writes to shared
-// state — typically the *Stats sink its factory captured — must make those
-// writes atomic.
+// Result finalizes the group. An uncorrelated block fans its groups'
+// finalization across GOMAXPROCS workers, so Result may be invoked
+// concurrently with other states' Result calls (never concurrently on one
+// state). Every state of a block, whichever morsel created it, is given
+// the block's one *Stats sink, so the morsels' Adds and the Results share
+// it: an implementation that writes to it must make those writes atomic.
 type AggState interface {
 	Add(args []value.Value) error
 	Merge(other AggState) error
 	Result() (value.Value, error)
 }
 
-// AggUDFFactory creates a fresh per-group state for an aggregate UDF.
+// AggUDFFactory creates a fresh per-group state for an aggregate UDF,
+// charging its work to st.
 type AggUDFFactory func(st *Stats) AggState
 
 // RegisterScalar installs a scalar UDF under the given (lowercase) name.

@@ -66,12 +66,7 @@ func eval(en *env, e ast.Expr) (value.Value, error) {
 		return value.Value{}, fmt.Errorf("engine: %w %s", ast.ErrUnknownColumn, x.SQL())
 
 	case *ast.AggExpr:
-		if en.aggs != nil {
-			if v, ok := en.aggs[x.SQL()]; ok {
-				return v, nil
-			}
-		}
-		return value.Value{}, fmt.Errorf("engine: aggregate %s outside grouping context", x.SQL())
+		return aggValue(en, x)
 
 	case *ast.BinaryExpr:
 		return evalBinary(en, x)
@@ -257,6 +252,16 @@ func evalConnective(en *env, x *ast.BinaryExpr) (value.Value, error) {
 	return value.NewBool(!dominant), nil
 }
 
+// aggValue is the finalized value of aggregate e — a builtin AggExpr or an
+// aggregate-UDF call — in a group's environment, where the grouping path
+// stashed it under e's SQL (aggSpec.key).
+func aggValue(en *env, e ast.Expr) (value.Value, error) {
+	if v, ok := en.aggs[e.SQL()]; ok {
+		return v, nil
+	}
+	return value.Value{}, fmt.Errorf("engine: aggregate %s outside grouping context", e.SQL())
+}
+
 // evalBool evaluates a predicate; NULL counts as false.
 func evalBool(en *env, e ast.Expr) (bool, error) {
 	v, err := eval(en, e)
@@ -269,14 +274,8 @@ func evalBool(en *env, e ast.Expr) (bool, error) {
 // evalFunc dispatches builtin scalar functions and scalar UDFs.
 func evalFunc(en *env, x *ast.FuncCall) (value.Value, error) {
 	name := strings.ToLower(x.Name)
-	// Aggregate UDFs are computed by the grouping path and stashed in aggs.
 	if en.ctx.eng.IsAggUDF(name) {
-		if en.aggs != nil {
-			if v, ok := en.aggs[x.SQL()]; ok {
-				return v, nil
-			}
-		}
-		return value.Value{}, fmt.Errorf("engine: aggregate UDF %s outside grouping context", x.Name)
+		return aggValue(en, x)
 	}
 
 	args := make([]value.Value, len(x.Args))

@@ -82,46 +82,52 @@ func (c *execCtx) morsel(i, n int) (lo, hi int) {
 	return lo, batchEnd(lo, n, size)
 }
 
-// parallelFor runs fn(0..n-1) on min(GOMAXPROCS, n) workers — one runs on
-// the calling goroutine — each taking the next index from a shared counter,
-// and returns the error of the lowest index that failed. Indexes are
-// claimed in ascending order and no worker claims one after a failure, so
-// every index below a failed one has run: the error returned does not
-// depend on the worker count.
+// parallelFor runs fn(0..n-1) on min(GOMAXPROCS, n) workers, each taking
+// the next index from a shared counter, or in turn on the calling goroutine
+// when that is one worker, and returns the error of the lowest index that
+// failed. Indexes are claimed in ascending order and no worker claims one
+// after a failure, so every index below a failed one has run: the error
+// returned does not depend on the worker count.
 func parallelFor(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	work := func() {
-		for !failed.Load() {
-			i := int(next.Add(1) - 1)
-			if i >= n {
-				return
-			}
-			if errs[i] = fn(i); errs[i] != nil {
-				failed.Store(true)
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
 			}
 		}
+		return nil
 	}
-	if workers := min(runtime.GOMAXPROCS(0), n); workers <= 1 {
-		work()
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		wg.Wait()
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		mu       sync.Mutex
+		firstIdx = n
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if err := fn(i); err != nil {
+					mu.Lock()
+					if i < firstIdx {
+						firstIdx, firstErr = i, err
+					}
+					mu.Unlock()
+					failed.Store(true)
+				}
+			}
+		}()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	wg.Wait()
+	return firstErr
 }
 
 // morselCtx creates the child context of one morsel: it shares the engine,

@@ -171,16 +171,18 @@ func (b *badUDF) Result() (value.Value, error) { return value.NewNull(), nil }
 // TestBuiltinAggMerge exercises morsel-partial merging directly, including
 // DISTINCT replay and empty partials.
 func TestBuiltinAggMerge(t *testing.T) {
-	mk := func(fn ast.AggFunc, distinct bool, vals ...int64) *builtinAggState {
-		s := &builtinAggState{fn: fn, distinct: distinct}
+	mk := func(fn ast.AggFunc, distinct bool, vals ...int64) *BuiltinAgg {
+		s := NewBuiltinAgg(fn, distinct)
 		for _, v := range vals {
-			s.add(value.NewInt(v))
+			if err := s.Add([]value.Value{value.NewInt(v)}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return s
 	}
 	cases := []struct {
 		name string
-		a, b *builtinAggState
+		a, b *BuiltinAgg
 		want string
 	}{
 		{"sum", mk(ast.AggSum, false, 1, 2), mk(ast.AggSum, false, 3), "6"},
@@ -196,8 +198,10 @@ func TestBuiltinAggMerge(t *testing.T) {
 		{"count-distinct", mk(ast.AggCount, true, 1, 2), mk(ast.AggCount, true, 2, 3, 3), "3"},
 	}
 	for _, tc := range cases {
-		tc.a.merge(tc.b)
-		if got := tc.a.result().String(); got != tc.want {
+		if err := tc.a.Merge(tc.b); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := tc.a.Result(); got.String() != tc.want {
 			t.Errorf("%s: merged result = %s, want %s", tc.name, got, tc.want)
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // holds to function end), a call to a Paillier crypto entry point —
 // paillier Encrypt/Decrypt/ProductCipher/AddCipher/MulConst and friends,
 // enc.KeyStore.EncryptValue/DecryptValue/Cipher, enc.Cipher.Encrypt/Decrypt, packing
-// HomSum/HomSumParallel/BuildStore/ClientSums — is reported. The walk is
+// HomSum/BuildStore/ClientSums — is reported. The walk is
 // lexical (statements in source order, branch bodies included), which
 // matches the Lock/defer-Unlock discipline this codebase uses throughout.
 var Lockcrypt = &Analyzer{
@@ -55,8 +55,7 @@ var cryptoMethods = map[string]map[string]map[string]bool{
 // big-int crypto.
 var cryptoFuncs = map[string]map[string]bool{
 	"repro/internal/packing": {
-		"HomSum": true, "HomSumParallel": true,
-		"BuildStore": true, "ClientSums": true,
+		"HomSum": true, "BuildStore": true, "ClientSums": true,
 	},
 }
 

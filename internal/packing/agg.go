@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -47,24 +48,20 @@ type Partial struct {
 	Cipher *big.Int
 }
 
-// HomSum aggregates the given row IDs on the server sequentially. rowIDs
-// need not be sorted; duplicates are rejected.
-func HomSum(s *Store, rowIDs []int) (*SumResult, error) {
-	return HomSumParallel(s, rowIDs, 1)
-}
-
 // minPacksPerShard is the smallest ciphertext batch worth a goroutine: a
 // modular multiplication of 2,048-bit ciphertexts is expensive, but not so
 // expensive that two of them justify a spawn.
 const minPacksPerShard = 16
 
-// HomSumParallel is HomSum with the modular multiplications of
-// fully-matched packs batched into per-shard ciphertext products computed
-// by parallelism workers, whose partial products then combine. The result
-// is identical to the sequential fold (ciphertext multiplication mod N² is
-// commutative and associative); MulOps counts every multiplication
-// performed, which the sharding does not change.
-func HomSumParallel(s *Store, rowIDs []int, parallelism int) (*SumResult, error) {
+// HomSum aggregates the given row IDs on the server. rowIDs need not be
+// sorted; duplicates are rejected. The modular multiplications of
+// fully-matched packs are batched into per-shard ciphertext products on
+// min(GOMAXPROCS, full packs / minPacksPerShard) goroutines, whose partial
+// products then combine. The result is identical at every shard count
+// (ciphertext multiplication mod N² is commutative and associative), and
+// MulOps counts every multiplication performed, which the sharding does
+// not change.
+func HomSum(s *Store, rowIDs []int) (*SumResult, error) {
 	type packAcc struct {
 		mask  uint64
 		count int
@@ -113,10 +110,7 @@ func HomSumParallel(s *Store, rowIDs []int, parallelism int) (*SumResult, error)
 	}
 	res.MulOps = len(full) - 1
 
-	shards := parallelism
-	if max := len(full) / minPacksPerShard; shards > max {
-		shards = max
-	}
+	shards := min(runtime.GOMAXPROCS(0), len(full)/minPacksPerShard)
 	if shards <= 1 {
 		res.Product = s.Key.ProductCipher(full)
 		return res, nil

@@ -24,7 +24,7 @@ func (ti *TableInfo) Kind(col string) value.Kind {
 	for _, name := range [2]string{col, base} {
 		for _, c := range ti.Cols {
 			if c.Name == name {
-				return colKind(c.Type)
+				return c.Type.Kind()
 			}
 		}
 	}

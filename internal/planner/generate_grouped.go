@@ -87,7 +87,7 @@ func (g *genState) genServerGrouped(plan *Plan, s *scope, q *ast.Query, remoteFr
 			}
 			call := &ast.FuncCall{Name: "group_concat", Args: []ast.Expr{arg}}
 			addOut(a.SQL(), call, Output{
-				Mode: OutConcatAgg, Item: rep.item, Agg: ast.AggSum, Kind: rep.item.PlainKind,
+				Mode: OutConcatAgg, Item: rep.item, Agg: ast.AggSum, NullAsZero: rep.cond != nil, Kind: rep.item.PlainKind,
 			})
 		}
 	}

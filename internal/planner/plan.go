@@ -48,6 +48,10 @@ type Output struct {
 	Mode OutputMode
 	Item *enc.Item   // OutDecrypt / OutConcatAgg: decryption key item
 	Agg  ast.AggFunc // OutConcatAgg: client-side fold
+	// NullAsZero marks an OutConcatAgg conditional SUM: the server
+	// concatenates NULL for a row its condition rejects, which the fold
+	// counts as that row's 0.
+	NullAsZero bool
 	// OutHomSum: which packed expression to extract.
 	HomTable string
 	HomExpr  string

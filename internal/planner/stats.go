@@ -57,7 +57,7 @@ func CollectStats(cat *storage.Catalog) *Stats {
 		}
 		for ci, col := range t.Schema.Cols {
 			cm := t.ColMeta(ci)
-			cs := &ColStats{Kind: colKind(col.Type), NDV: cm.NDV}
+			cs := &ColStats{Kind: col.Type.Kind(), NDV: cm.NDV}
 			if cs.NDV == 0 {
 				cs.NDV = 1
 			}
@@ -72,25 +72,6 @@ func CollectStats(cat *storage.Catalog) *Stats {
 		s.Tables[name] = ts
 	}
 	return s
-}
-
-// colKind maps a storage column type to a value kind.
-func colKind(t storage.ColType) value.Kind {
-	switch t {
-	case storage.TInt:
-		return value.Int
-	case storage.TFloat:
-		return value.Float
-	case storage.TStr:
-		return value.Str
-	case storage.TDate:
-		return value.Date
-	case storage.TBytes:
-		return value.Bytes
-	case storage.TBool:
-		return value.Bool
-	}
-	return value.Null
 }
 
 // Table returns the stats for a table, or an empty default.

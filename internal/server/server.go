@@ -16,7 +16,6 @@ package server
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -30,32 +29,10 @@ import (
 	"repro/internal/wire"
 )
 
-// packingHomSum batches a group's Paillier ciphertext multiplications,
-// splitting the modular products across GOMAXPROCS workers. The grouped
-// finalization loop may run several groups' Result calls concurrently
-// (engine fan-out), so the per-group worker budget divides by the number
-// of in-flight sums — total concurrency stays ~GOMAXPROCS instead of
-// oversubscribing to GOMAXPROCS² goroutines of bignum arithmetic. A
-// Paillier product does not depend on the worker count, so this never
-// affects results.
-func (s *Server) packingHomSum(store *packing.Store, rowIDs []int) (*packing.SumResult, error) {
-	inflight := atomic.AddInt64(&s.homInFlight, 1)
-	defer atomic.AddInt64(&s.homInFlight, -1)
-	p := runtime.GOMAXPROCS(0) / int(inflight)
-	if p < 1 {
-		p = 1
-	}
-	return packing.HomSumParallel(store, rowIDs, p)
-}
-
 // Server hosts one encrypted database.
 type Server struct {
 	DB     *enc.DB
 	Engine *engine.Engine
-
-	// homInFlight counts concurrently running grouped homomorphic sums
-	// (see packingHomSum).
-	homInFlight int64
 }
 
 // New creates a server over an encrypted database. The server prices
@@ -162,7 +139,7 @@ func (p *paillierSumState) Result() (value.Value, error) {
 		return value.Value{}, fmt.Errorf("server: no ciphertext group %q", p.group)
 	}
 	start := time.Now()
-	res, err := p.srv.packingHomSum(store, p.rowIDs)
+	res, err := packing.HomSum(store, p.rowIDs)
 	if err != nil {
 		return value.Value{}, err
 	}

@@ -58,6 +58,45 @@ func (t ColType) String() string {
 	return "?"
 }
 
+// Kind is the value kind a column of type t holds. Every ColType in use is
+// one of the constants above (schemas are built from them, never decoded),
+// so the Null returned for any other is unreached.
+func (t ColType) Kind() value.Kind {
+	switch t {
+	case TInt:
+		return value.Int
+	case TFloat:
+		return value.Float
+	case TStr:
+		return value.Str
+	case TDate:
+		return value.Date
+	case TBytes:
+		return value.Bytes
+	case TBool:
+		return value.Bool
+	}
+	return value.Null
+}
+
+// ColTypeOf is the column type that holds values of kind k, Kind's inverse;
+// a column of only NULLs is TInt.
+func ColTypeOf(k value.Kind) ColType {
+	switch k {
+	case value.Float:
+		return TFloat
+	case value.Str:
+		return TStr
+	case value.Date:
+		return TDate
+	case value.Bytes:
+		return TBytes
+	case value.Bool:
+		return TBool
+	}
+	return TInt
+}
+
 // Column describes one table column.
 type Column struct {
 	Name string

@@ -92,3 +92,16 @@ func TestEmptyTableAvg(t *testing.T) {
 		t.Error("empty table avg should be 0")
 	}
 }
+
+// TestColTypeKind: every column type's kind maps back to the type, and a
+// kind no column holds on its own (NULL) maps to TInt.
+func TestColTypeKind(t *testing.T) {
+	for _, ct := range []ColType{TInt, TFloat, TStr, TDate, TBytes, TBool} {
+		if got := ColTypeOf(ct.Kind()); got != ct {
+			t.Errorf("%v: kind %v maps back to %v", ct, ct.Kind(), got)
+		}
+	}
+	if got := ColTypeOf(value.Null); got != TInt {
+		t.Errorf("NULL maps to %v, want int", got)
+	}
+}
