@@ -160,11 +160,14 @@ var breakerShapes = []diffQuery{
 // c_name's ciphertexts per group through GROUP() and the client finishes the
 // aggregate: over the all-NULL group SUM, MIN and MAX must be NULL and COUNT
 // 0, as in plaintext. The conditional SUM's condition rejects some rows of
-// every group, so it is 0 where no row matches.
+// every group, so it is 0 where no row matches; written without ELSE, it is
+// NULL there instead.
 var nullAggShapes = []diffQuery{
 	{"SELECT c_region, SUM(c_tier) FROM cats GROUP BY c_region ORDER BY c_region", true},
 	{"SELECT c_region, MIN(c_tier), MAX(c_tier), MIN(c_name), MAX(c_name), COUNT(c_tier), COUNT(c_name) FROM cats GROUP BY c_region ORDER BY c_region", true},
 	{"SELECT c_region, SUM(CASE WHEN c_name = 'bock' THEN c_tier ELSE 0 END) FROM cats GROUP BY c_region ORDER BY c_region", true},
+	{"SELECT c_region, SUM(CASE WHEN c_name = 'bock' THEN c_tier END) FROM cats GROUP BY c_region ORDER BY c_region", true},
+	{"SELECT c_region, SUM(CASE WHEN c_name = 'bock' THEN 1 END) FROM cats GROUP BY c_region ORDER BY c_region", true},
 }
 
 // keyFilterShapes restrict a fetched part by another temp table's keys: an

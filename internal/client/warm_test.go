@@ -453,9 +453,9 @@ func TestTemplateReuseConcurrent(t *testing.T) {
 // per-execution decoder clone or memo map, RemoteSQL clone, plan render,
 // literal hoist or local engine run coming back raises them.
 const (
-	warmPointAllocs = 34
+	warmPointAllocs = 32
 	warmRangeAllocs = 257
-	warmSum1Allocs  = 189
+	warmSum1Allocs  = 187
 )
 
 // raceEnabled is set under -race (race_test.go).

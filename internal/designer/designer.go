@@ -419,8 +419,9 @@ func filterPrecomputed(units []planner.Unit) []planner.Unit {
 
 // BaselineDesign returns the always-present encryptions: DET for every
 // column (the paper's S=1 anchor — length-preserving, so the baseline
-// costs roughly the plaintext size). With onion=true it adds RND wrappers
-// for every column and OPE for ordered types (CryptDB's onion layout).
+// costs roughly the plaintext size), RND for a Float column, which DET
+// cannot encrypt. With onion=true it adds RND wrappers for every column
+// and OPE for ordered types (CryptDB's onion layout).
 func BaselineDesign(cat *storage.Catalog, joinGroups map[string]string, onion bool) *enc.Design {
 	d := &enc.Design{}
 	for _, name := range cat.Names() {
@@ -430,6 +431,10 @@ func BaselineDesign(cat *storage.Catalog, joinGroups map[string]string, onion bo
 		}
 		for _, col := range t.Schema.Cols {
 			kind := col.Type.Kind()
+			if kind == value.Float { // DET encrypts no float: RND alone stores it
+				d.Add(enc.ColumnItem(name, col.Name, enc.RND, kind))
+				continue
+			}
 			det := enc.ColumnItem(name, col.Name, enc.DET, kind)
 			if g, ok := joinGroups[name+"."+col.Name]; ok {
 				det.JoinGroup = g

@@ -96,6 +96,8 @@ func TestEncryptDecryptValueAllSchemes(t *testing.T) {
 		{ColumnItem("t", "e", OPE, value.Date), value.NewDate(9131)},
 		{ColumnItem("t", "f", RND, value.Int), value.NewInt(7)},
 		{ColumnItem("t", "g", RND, value.Str), value.NewStr("hello world")},
+		{ColumnItem("t", "h", RND, value.Float), value.NewFloat(-2.75)},
+		{ColumnItem("t", "i", RND, value.Float), value.NewFloat(1e20)},
 	}
 	for _, c := range cases {
 		cv, err := ks.EncryptValue(&c.item, c.v)
@@ -129,6 +131,11 @@ func TestEncryptDecryptValueAllSchemes(t *testing.T) {
 	opeIt := ColumnItem("t", "d", OPE, value.Int)
 	if _, err := ks.EncryptValue(&opeIt, value.NewStr("no")); err == nil {
 		t.Error("OPE over strings should fail")
+	}
+	// A kind RND cannot encode is an error, not an empty plaintext.
+	rndIt := ColumnItem("t", "f", RND, value.Int)
+	if _, err := ks.EncryptValue(&rndIt, value.Value{K: value.Kind(99)}); err == nil {
+		t.Error("RND over an unknown kind should fail")
 	}
 	// Sixteen bytes that are no OPE ciphertext are a typed error, not a value.
 	cv, err = ks.EncryptValue(&opeIt, value.NewInt(123456))

@@ -1,7 +1,9 @@
 package enc
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/crypto/det"
@@ -143,7 +145,11 @@ func (c *Cipher) Encrypt(v value.Value) (value.Value, error) {
 		}
 		return value.NewBytes(ct[:]), nil
 	case RND:
-		ct, err := c.rnd.Encrypt(encodePlain(v))
+		pt, err := encodePlain(v)
+		if err != nil {
+			return value.Value{}, err
+		}
+		ct, err := c.rnd.Encrypt(pt)
 		if err != nil {
 			return value.Value{}, err
 		}
@@ -196,36 +202,38 @@ func (c *Cipher) Decrypt(cv value.Value) (value.Value, error) {
 	return value.Value{}, fmt.Errorf("enc: cannot decrypt %v", c.scheme)
 }
 
-// encodePlain serializes a plaintext value for RND encryption.
-func encodePlain(v value.Value) []byte {
+// encodePlain serializes a plaintext value for RND encryption: an integer
+// kind as 8 big-endian bytes, a Float as its 8 big-endian IEEE-754 bytes, a
+// string or byte string as its bytes.
+func encodePlain(v value.Value) ([]byte, error) {
 	switch v.K {
 	case value.Int, value.Date, value.Bool:
-		x := uint64(v.AsInt())
-		return []byte{
-			byte(x >> 56), byte(x >> 48), byte(x >> 40), byte(x >> 32),
-			byte(x >> 24), byte(x >> 16), byte(x >> 8), byte(x),
-		}
+		return binary.BigEndian.AppendUint64(nil, uint64(v.I)), nil
+	case value.Float:
+		return binary.BigEndian.AppendUint64(nil, math.Float64bits(v.F)), nil
 	case value.Str:
-		return []byte(v.S)
+		return []byte(v.S), nil
 	case value.Bytes:
-		return v.B
+		return v.B, nil
 	}
-	return nil
+	return nil, fmt.Errorf("enc: RND cannot encrypt %v", v.K)
 }
 
 // decodePlain inverts encodePlain.
 func decodePlain(kind value.Kind, pt []byte) (value.Value, error) {
 	switch kind {
-	case value.Int, value.Date, value.Bool:
+	case value.Int, value.Date, value.Bool, value.Float:
 		if len(pt) != 8 {
-			return value.Value{}, fmt.Errorf("enc: bad integer plaintext length %d", len(pt))
+			return value.Value{}, fmt.Errorf("enc: bad %v plaintext length %d", kind, len(pt))
 		}
-		x := int64(uint64(pt[0])<<56 | uint64(pt[1])<<48 | uint64(pt[2])<<40 | uint64(pt[3])<<32 |
-			uint64(pt[4])<<24 | uint64(pt[5])<<16 | uint64(pt[6])<<8 | uint64(pt[7]))
-		if kind == value.Date {
-			return value.NewDate(x), nil
+		x := binary.BigEndian.Uint64(pt)
+		switch kind {
+		case value.Date:
+			return value.NewDate(int64(x)), nil
+		case value.Float:
+			return value.NewFloat(math.Float64frombits(x)), nil
 		}
-		return value.NewInt(x), nil
+		return value.NewInt(int64(x)), nil
 	case value.Str:
 		return value.NewStr(string(pt)), nil
 	case value.Bytes:

@@ -104,11 +104,12 @@ func (s *BuiltinAgg) add(v value.Value) {
 		if s.seen == nil {
 			s.seen = make(map[string]bool)
 		}
-		k := v.HashKey()
-		if s.seen[k] {
+		var kb [64]byte
+		k := value.AppendKey(kb[:0], v)
+		if s.seen[string(k)] {
 			return
 		}
-		s.seen[k] = true
+		s.seen[string(k)] = true
 		s.distinctVals = append(s.distinctVals, v)
 	}
 	s.accumulate(v)
@@ -226,6 +227,7 @@ type groupSet struct {
 	order []string      // group keys in order of first appearance
 	sink  *Stats        // the Stats every state's factory captures
 	args  []value.Value // one aggregate's arguments for one row, reused
+	key   []byte        // one row's group key, reused
 }
 
 // newGroupSet creates an empty groupSet whose states charge sink.
@@ -251,19 +253,17 @@ func (gs *groupSet) add(specs []aggSpec, key string, row []value.Value) *aggGrou
 func (c *execCtx) accumulateRows(q *ast.Query, specs []aggSpec, gs *groupSet, rel *relation, rows [][]value.Value, outer *env) error {
 	for _, row := range rows {
 		en := &env{rel: rel, row: row, outer: outer, ctx: c}
-		var kb strings.Builder
+		gs.key = gs.key[:0]
 		for _, g := range q.GroupBy {
 			v, err := eval(en, g)
 			if err != nil {
 				return err
 			}
-			kb.WriteString(v.HashKey())
-			kb.WriteByte(0)
+			gs.key = value.AppendKey(gs.key, v)
 		}
-		key := kb.String()
-		grp, ok := gs.m[key]
+		grp, ok := gs.m[string(gs.key)]
 		if !ok {
-			grp = gs.add(specs, key, row)
+			grp = gs.add(specs, string(gs.key), row)
 		}
 		for i, sp := range specs {
 			gs.args = gs.args[:0]

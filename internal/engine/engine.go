@@ -753,16 +753,6 @@ func (c *execCtx) hasAggLike(e ast.Expr) bool {
 	return found
 }
 
-// distinctKey renders one row's dedup key.
-func distinctKey(row []value.Value) string {
-	var b strings.Builder
-	for _, v := range row {
-		b.WriteString(v.HashKey())
-		b.WriteByte(0)
-	}
-	return b.String()
-}
-
 // projectionCols names a block's output columns (ast.OutputName).
 func projectionCols(q *ast.Query) []colInfo {
 	cols := make([]colInfo, len(q.Projections))

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"slices"
-	"strings"
 	"sync"
 
 	"repro/internal/ast"
@@ -401,11 +400,11 @@ type joinBuild struct {
 
 // lookup returns the build rows matching one (non-NULL) probe key, in
 // build-side row order; an index-probed build fetches them for c.
-func (b *joinBuild) lookup(c *execCtx, key string) ([][]value.Value, error) {
+func (b *joinBuild) lookup(c *execCtx, key []byte) ([][]value.Value, error) {
 	if b.ix != nil {
-		return b.ix.fetch(c.stats, b.ix.postings(key), nil)
+		return b.ix.fetch(c.stats, b.ix.ix.PostingsKey(key), nil)
 	}
-	return b.parts[joinPartition(key, len(b.parts))][key], nil
+	return b.parts[joinPartition(key, len(b.parts))][string(key)], nil
 }
 
 // tableProbe is the index-probed build over an unfiltered base table: the
@@ -440,13 +439,6 @@ type tableProbe struct {
 	reached int             // rows charged so far
 	read    int64           // bytes the fetches have read
 	need    []int32         // fetch's scratch: the ids not reached yet
-}
-
-// postings returns the ascending row ids that match one probe key: a
-// single-key exprKey renders HashKey plus one separator byte, and the index
-// posts under the bare HashKey.
-func (p *tableProbe) postings(key string) []int32 {
-	return p.ix.PostingsKey(key[:len(key)-1])
 }
 
 // fetch appends to dst the rows ids names, in order, after reaching the ones
@@ -540,7 +532,7 @@ func (p *tableProbe) fetchRows(need []int32) (int64, error) {
 }
 
 // joinPartition assigns a key to one of n partitions (FNV-1a).
-func joinPartition(key string, n int) int {
+func joinPartition[K string | []byte](key K, n int) int {
 	if n <= 1 {
 		return 0
 	}
@@ -564,16 +556,17 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 	parts := c.morselCount(n)
 	if parts <= 1 || outer != nil {
 		m := make(map[string][][]value.Value, n)
+		var key []byte
 		for _, row := range right.rows {
 			en := &env{rel: right, row: row, outer: outer, ctx: c}
-			key, null, err := exprKey(en, rightKeys)
-			if err != nil {
+			var null bool
+			var err error
+			if key, null, err = exprKey(key[:0], en, rightKeys); err != nil {
 				return nil, err
 			}
-			if null {
-				continue
+			if !null {
+				m[string(key)] = append(m[string(key)], row)
 			}
-			m[key] = append(m[key], row)
 		}
 		return &joinBuild{layout: &relation{cols: right.cols}, parts: []map[string][][]value.Value{m}}, nil
 	}
@@ -581,17 +574,19 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 	keys := make([]string, n)
 	partIDs := make([]int32, n) // -1 = NULL key; hashed once, in phase 1
 	if _, err := morselCollect(c, n, func(sc *execCtx, lo, hi int) (struct{}, error) {
+		var key []byte
 		for i := lo; i < hi; i++ {
 			en := &env{rel: right, row: right.rows[i], outer: outer, ctx: sc}
-			key, null, err := exprKey(en, rightKeys)
-			if err != nil {
+			var null bool
+			var err error
+			if key, null, err = exprKey(key[:0], en, rightKeys); err != nil {
 				return struct{}{}, err
 			}
 			if null {
 				partIDs[i] = -1
 				continue
 			}
-			keys[i] = key
+			keys[i] = string(key)
 			partIDs[i] = int32(joinPartition(key, parts))
 		}
 		return struct{}{}, nil
@@ -615,34 +610,19 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 	return &joinBuild{layout: &relation{cols: right.cols}, parts: maps}, nil
 }
 
-// exprKey evaluates key expressions into a composite equality key: each
-// value's HashKey followed by a separator byte. null reports a NULL
+// exprKey appends to dst the composite equality key of keys evaluated in en:
+// the concatenation of their value.AppendKey keys. null reports a NULL
 // component — SQL equality never matches it, so callers skip the row.
-func exprKey(en *env, keys []ast.Expr) (key string, null bool, err error) {
-	var b strings.Builder
+func exprKey(dst []byte, en *env, keys []ast.Expr) (key []byte, null bool, err error) {
 	for _, k := range keys {
 		v, err := eval(en, k)
 		if err != nil {
-			return "", false, err
+			return dst, false, err
 		}
 		if v.IsNull() {
-			return "", true, nil
+			return dst, true, nil
 		}
-		b.WriteString(v.HashKey())
-		b.WriteByte(0)
+		dst = value.AppendKey(dst, v)
 	}
-	return b.String(), false, nil
-}
-
-// rowKey is exprKey over values already computed: the same key bytes.
-func rowKey(vals []value.Value) (key string, null bool) {
-	var b strings.Builder
-	for _, v := range vals {
-		if v.IsNull() {
-			return "", true
-		}
-		b.WriteString(v.HashKey())
-		b.WriteByte(0)
-	}
-	return b.String(), false
+	return dst, false, nil
 }

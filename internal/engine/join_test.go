@@ -385,7 +385,7 @@ func TestJoinBuildPartitioned(t *testing.T) {
 			if joinPartition(k, len(par.parts)) != p {
 				t.Fatalf("key %q landed in partition %d, owns %d", k, p, joinPartition(k, len(par.parts)))
 			}
-			want, err := seq.lookup(seqCtx, k)
+			want, err := seq.lookup(seqCtx, []byte(k))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -246,6 +246,7 @@ type probeIterator struct {
 	ends  []int
 	found [][]value.Value
 	keys  []string
+	key   []byte // one key, reused
 }
 
 func (it *probeIterator) next() ([][]value.Value, error) {
@@ -294,14 +295,15 @@ func (it *probeIterator) next() ([][]value.Value, error) {
 			continue
 		}
 		en := &env{rel: it.step.probe, row: lrow, outer: it.outer, ctx: it.c}
-		key, null, err := exprKey(en, it.step.leftKeys)
-		if err != nil {
+		var null bool
+		var err error
+		if it.key, null, err = exprKey(it.key[:0], en, it.step.leftKeys); err != nil {
 			return nil, err
 		}
 		if null {
 			continue
 		}
-		matches, err := it.step.build.lookup(it.c, key)
+		matches, err := it.step.build.lookup(it.c, it.key)
 		if err != nil {
 			return nil, err
 		}
@@ -322,22 +324,23 @@ func (it *probeIterator) resolve(b *joinBuild) error {
 	en := env{rel: it.step.probe, outer: it.outer, ctx: it.c}
 	for _, row := range it.batch {
 		en.row = row
-		key, null, err := exprKey(&en, keys)
-		if err != nil {
+		var null bool
+		var err error
+		if it.key, null, err = exprKey(it.key[:0], &en, keys); err != nil {
 			return err
 		}
 		if len(keys) > 1 {
-			it.keys = append(it.keys, key)
+			it.keys = append(it.keys, string(it.key))
 			if !null {
 				v, err := eval(&en, keys[b.at])
 				if err != nil {
 					return err
 				}
-				key = v.HashKey() + "\x00"
+				it.key = value.AppendKey(it.key[:0], v)
 			}
 		}
 		if !null {
-			it.ids = append(it.ids, b.ix.postings(key)...)
+			it.ids = append(it.ids, b.ix.ix.PostingsKey(it.key)...)
 		}
 		it.ends = append(it.ends, len(it.ids))
 	}
@@ -358,11 +361,12 @@ func (it *probeIterator) recheck(b *joinBuild) error {
 		hi := it.ends[i+1]
 		for _, row := range it.found[lo:hi] {
 			en.row = row
-			key, null, err := exprKey(&en, it.step.rightKeys)
-			if err != nil {
+			var null bool
+			var err error
+			if it.key, null, err = exprKey(it.key[:0], &en, it.step.rightKeys); err != nil {
 				return err
 			}
-			if !null && key == want {
+			if !null && string(it.key) == want {
 				it.found[n] = row
 				n++
 			}
@@ -411,6 +415,7 @@ func (it *projectIterator) close() { it.in.close() }
 type distinctIterator struct {
 	in   batchIterator
 	seen map[string]bool
+	key  []byte // one row's key, reused
 }
 
 func (it *distinctIterator) next() ([][]value.Value, error) {
@@ -424,8 +429,12 @@ func (it *distinctIterator) next() ([][]value.Value, error) {
 		}
 		var out [][]value.Value
 		for _, row := range b {
-			if k := distinctKey(row); !it.seen[k] {
-				it.seen[k] = true
+			it.key = it.key[:0]
+			for _, v := range row {
+				it.key = value.AppendKey(it.key, v)
+			}
+			if !it.seen[string(it.key)] {
+				it.seen[string(it.key)] = true
 				out = append(out, row)
 			}
 		}

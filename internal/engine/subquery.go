@@ -66,7 +66,7 @@ type inSet struct{ any, null bool }
 // probe returns the inner rows filed under the outer row's correlation key;
 // none when a correlation key is NULL.
 func (p *subqPlan) probe(en *env) ([][]value.Value, error) {
-	key, null, err := exprKey(en, p.outerKeys)
+	key, null, err := exprKey(nil, en, p.outerKeys)
 	if err != nil || null {
 		return nil, err
 	}
@@ -141,15 +141,15 @@ func (c *execCtx) inMember(en *env, x *ast.InExpr, lhs value.Value) (member, unk
 		}
 		return inValues(lhs, len(rows), func(i int) (value.Value, error) { return rows[i][0], nil })
 	}
-	key, null, err := exprKey(en, p.outerKeys)
+	key, null, err := exprKey(nil, en, p.outerKeys)
 	if err != nil || null {
 		return false, false, err // a NULL correlation key selects the empty set
 	}
-	set := p.sets[key]
+	set := p.sets[string(key)]
 	if lhs.IsNull() {
 		return false, set.any, nil
 	}
-	rows, err := p.build.lookup(c, key+lhs.HashKey()+"\x00")
+	rows, err := p.build.lookup(c, value.AppendKey(key, lhs))
 	if err != nil || len(rows) > 0 {
 		return len(rows) > 0, false, err
 	}
@@ -184,11 +184,11 @@ func (c *execCtx) evalExists(en *env, x *ast.ExistsExpr) (bool, error) {
 	if !p.naive && p.residual == nil && p.build.ix != nil {
 		// Every posting is a row: an index-probed build answers a bare
 		// EXISTS without reading one.
-		key, null, err := exprKey(en, p.outerKeys)
+		key, null, err := exprKey(nil, en, p.outerKeys)
 		if err != nil {
 			return false, err
 		}
-		return (!null && len(p.build.ix.postings(key)) > 0) != x.Not, nil
+		return (!null && len(p.build.ix.ix.PostingsKey(key)) > 0) != x.Not, nil
 	}
 	var rows [][]value.Value
 	if p.naive {
@@ -316,15 +316,20 @@ var errNoDecorrelate = errors.New("engine: subquery not decorrelatable")
 // the member in cell 0, the nk correlation keys after it.
 func inSets(rel *relation, nk int) map[string]inSet {
 	sets := make(map[string]inSet)
+	var key []byte
+rows:
 	for _, row := range rel.rows {
-		key, null := rowKey(row[1 : nk+1])
-		if null {
-			continue
+		key = key[:0]
+		for _, v := range row[1 : nk+1] {
+			if v.IsNull() {
+				continue rows
+			}
+			key = value.AppendKey(key, v)
 		}
-		s := sets[key]
-		s.any = true
-		s.null = s.null || row[0].IsNull()
-		sets[key] = s
+		s := sets[string(key)]
+		if t := (inSet{any: true, null: s.null || row[0].IsNull()}); t != s {
+			sets[string(key)] = t
+		}
 	}
 	return sets
 }

@@ -211,17 +211,16 @@ func sumArgExpr(a *ast.AggExpr) ast.Expr {
 	return a.Arg
 }
 
-// caseSumShape matches CASE WHEN p THEN e [ELSE 0] END, returning (e, p).
+// caseSumShape matches CASE WHEN p THEN e ELSE 0 END, returning (e, p). The
+// ELSE 0 must be written out: without it a rejected row is NULL, and the SUM
+// of a group where no row matches is NULL, not 0.
 func caseSumShape(arg ast.Expr) (ast.Expr, ast.Expr) {
 	c, ok := arg.(*ast.CaseExpr)
 	if !ok || len(c.Whens) != 1 {
 		return nil, nil
 	}
-	if c.Else != nil {
-		l, ok := c.Else.(*ast.Literal)
-		if !ok || l.Val.AsInt() != 0 {
-			return nil, nil
-		}
+	if l, ok := c.Else.(*ast.Literal); !ok || !l.Val.IsNumeric() || l.Val.AsFloat() != 0 {
+		return nil, nil
 	}
 	return c.Whens[0].Then, c.Whens[0].Cond
 }

@@ -31,7 +31,7 @@ func (k IndexKind) String() string {
 }
 
 // kindClass buckets value kinds into comparison-compatible classes. Within
-// a class, value.Compare is a total order consistent with value.HashKey
+// a class, value.Compare is a total order consistent with value.AppendKey
 // equality; across classes Compare degenerates (e.g. Str vs Int compares
 // the string against ""), so an index only answers predicates whose
 // literal falls in the index's class.
@@ -76,7 +76,7 @@ type Index struct {
 
 	class kindClass
 
-	// HashIndex state: value.HashKey -> ascending row ids.
+	// HashIndex state: value.AppendKey bytes -> ascending row ids.
 	post map[string][]int32
 
 	// OrderedIndex state.
@@ -109,8 +109,9 @@ func (ix *Index) add(v value.Value, row int32) {
 		ix.class = classMixed
 	}
 	if ix.Kind == HashIndex {
-		k := v.HashKey()
-		ix.post[k] = append(ix.post[k], row)
+		var kb [64]byte
+		k := value.AppendKey(kb[:0], v)
+		ix.post[string(k)] = append(ix.post[string(k)], row)
 		return
 	}
 	ix.run = append(ix.run, ordEntry{v: v, row: row})
@@ -147,17 +148,18 @@ func (ix *Index) Postings(v value.Value) []int32 {
 	if v.IsNull() || ix.post == nil {
 		return nil
 	}
-	return ix.post[v.HashKey()]
+	var kb [64]byte
+	return ix.post[string(value.AppendKey(kb[:0], v))]
 }
 
-// PostingsKey returns the posting list for a pre-rendered value.HashKey.
-// Hash-join builds match keys by HashKey equality on both sides, exactly
-// like this map, so no kind-class guard is needed here.
-func (ix *Index) PostingsKey(hashKey string) []int32 {
+// PostingsKey returns the posting list for a key value.AppendKey rendered.
+// Hash-join builds match keys by key equality on both sides, exactly like
+// this map, so no kind-class guard is needed here.
+func (ix *Index) PostingsKey(key []byte) []int32 {
 	if ix.post == nil {
 		return nil
 	}
-	return ix.post[hashKey]
+	return ix.post[string(key)]
 }
 
 // ensureSorted sorts the run by (key, row id). The sort is lazy so bulk
@@ -246,24 +248,25 @@ type indexTag struct {
 	kind IndexKind
 }
 
-// keyIndex enforces Schema.Key uniqueness: the concatenated HashKey of the
-// key columns maps to the owning row. Rows with any NULL key component are
-// exempt (SQL UNIQUE semantics).
+// keyIndex enforces Schema.Key uniqueness: the composite key of the key
+// columns (their value.AppendKey keys, concatenated) maps to the owning row.
+// Rows with any NULL key component are exempt (SQL UNIQUE semantics).
 type keyIndex struct {
 	cols []int // schema positions of the key columns
 	seen map[string]int32
+	key  []byte // the key of the row being inserted
 }
 
-func (k *keyIndex) keyOf(row []value.Value) (string, bool) {
-	s := ""
+// keyOf renders row's key into k.key; false when a key component is NULL.
+func (k *keyIndex) keyOf(row []value.Value) bool {
+	k.key = k.key[:0]
 	for _, ci := range k.cols {
-		v := row[ci]
-		if v.IsNull() {
-			return "", false
+		if row[ci].IsNull() {
+			return false
 		}
-		s += v.HashKey() + "\x00"
+		k.key = value.AppendKey(k.key, row[ci])
 	}
-	return s, true
+	return true
 }
 
 // internRefBytes is the accounted resident size of a dictionary reference:

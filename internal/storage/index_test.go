@@ -235,6 +235,33 @@ func TestUniqueKeyComposite(t *testing.T) {
 	}
 }
 
+// TestUniqueKeyCompositeCollision: a composite key over strings that hold
+// NUL and tag bytes — ("a\x00\x03b", "c") and ("a", "b\x00\x03c") — is two
+// keys, not one, on the in-memory and the disk store alike.
+func TestUniqueKeyCompositeCollision(t *testing.T) {
+	disk, _ := diskCatalog(t, BackendConfig{})
+	defer disk.Close()
+	for name, cat := range map[string]*Catalog{"mem": NewCatalog(), "disk": disk} {
+		tb, err := cat.Create(Schema{
+			Name: "t",
+			Cols: []Column{{Name: "a", Type: TStr}, {Name: "b", Type: TStr}},
+			Key:  []string{"a", "b"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Insert([]value.Value{value.NewStr("a\x00\x03b"), value.NewStr("c")}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := tb.Insert([]value.Value{value.NewStr("a"), value.NewStr("b\x00\x03c")}); err != nil {
+			t.Fatalf("%s: a different key rejected: %v", name, err)
+		}
+		if err := tb.Insert([]value.Value{value.NewStr("a"), value.NewStr("b\x00\x03c")}); err == nil {
+			t.Fatalf("%s: composite duplicate accepted", name)
+		}
+	}
+}
+
 // TestPutDropsDerivedState: replacing a table in the catalog clears the old
 // table's indexes and key so a stale reference cannot serve lookups.
 func TestPutDropsDerivedState(t *testing.T) {

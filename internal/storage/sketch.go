@@ -32,7 +32,8 @@ func (m *colMeta) observe(v value.Value) {
 	if v.IsNull() {
 		return
 	}
-	m.ndv.add(v.HashKey())
+	var kb [64]byte
+	m.ndv.add(string(value.AppendKey(kb[:0], v)))
 	m.totalLen += int64(v.Size())
 	if v.IsNumeric() {
 		x := v.AsInt()

@@ -223,15 +223,11 @@ func (t *Table) Insert(row []value.Value) error {
 		return fmt.Errorf("storage: table %s: row has %d values, schema has %d columns",
 			t.Schema.Name, len(row), len(t.Schema.Cols))
 	}
-	var key string
-	if t.key != nil {
-		k, ok := t.key.keyOf(row)
-		if ok {
-			if prev, dup := t.key.seen[k]; dup {
-				return fmt.Errorf("storage: table %s: duplicate key %v (rows %d and %d)",
-					t.Schema.Name, t.keyVals(row), prev, t.nrows)
-			}
-			key = k
+	keyed := t.key != nil && t.key.keyOf(row)
+	if keyed {
+		if prev, dup := t.key.seen[string(t.key.key)]; dup {
+			return fmt.Errorf("storage: table %s: duplicate key %v (rows %d and %d)",
+				t.Schema.Name, t.keyVals(row), prev, t.nrows)
 		}
 	}
 	id := int32(t.nrows)
@@ -248,8 +244,8 @@ func (t *Table) Insert(row []value.Value) error {
 	t.Bytes += rowOverhead
 	t.RawBytes += rowOverhead
 	t.nrows++
-	if t.key != nil && key != "" {
-		t.key.seen[key] = id
+	if keyed {
+		t.key.seen[string(t.key.key)] = id
 	}
 	for _, ix := range t.indexes {
 		ix.add(row[ix.pos], id)

@@ -10,6 +10,8 @@
 package value
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -202,26 +204,7 @@ func Compare(v, o Value) int {
 	case Bool:
 		return int(v.I - o.I)
 	case Bytes:
-		a, b := v.B, o.B
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		for i := 0; i < n; i++ {
-			if a[i] != b[i] {
-				if a[i] < b[i] {
-					return -1
-				}
-				return 1
-			}
-		}
-		switch {
-		case len(a) < len(b):
-			return -1
-		case len(a) > len(b):
-			return 1
-		}
-		return 0
+		return bytes.Compare(v.B, o.B)
 	}
 	return 0
 }
@@ -231,26 +214,33 @@ func Compare(v, o Value) int {
 // have already been screened).
 func Equal(v, o Value) bool { return v.K != Null && o.K != Null && Compare(v, o) == 0 }
 
-// HashKey returns a string usable as a map key for grouping and hash joins.
-// Numeric values of equal magnitude map to the same key.
-func (v Value) HashKey() string {
+// AppendKey appends v's equality key to dst: the one key encoder, under
+// every grouping, DISTINCT, join, subquery probe, index and NDV sketch. NULL
+// and numeric keys are a tag byte and text holding no tag byte; Str and
+// Bytes keys are a tag, a uvarint length and the data. Every key is thus
+// self-delimiting, so a composite key is the plain concatenation of its
+// components' keys. Int 3 and Float 3.0 share a key.
+func AppendKey(dst []byte, v Value) []byte {
 	switch v.K {
 	case Null:
-		return "\x00N"
+		return append(dst, 0, 'N')
 	case Int, Date, Bool:
-		return "\x01" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(dst, 1), v.I, 10)
 	case Float:
 		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
-			return "\x01" + strconv.FormatInt(int64(v.F), 10)
+			return strconv.AppendInt(append(dst, 1), int64(v.F), 10)
 		}
-		return "\x02" + strconv.FormatFloat(v.F, 'b', -1, 64)
+		return strconv.AppendFloat(append(dst, 2), v.F, 'b', -1, 64)
 	case Str:
-		return "\x03" + v.S
+		return append(binary.AppendUvarint(append(dst, 3), uint64(len(v.S))), v.S...)
 	case Bytes:
-		return "\x04" + string(v.B)
+		return append(binary.AppendUvarint(append(dst, 4), uint64(len(v.B))), v.B...)
 	}
-	return "\x05"
+	return append(dst, 5)
 }
+
+// HashKey returns v's equality key (AppendKey) as a string.
+func (v Value) HashKey() string { return string(AppendKey(nil, v)) }
 
 // Add returns v + o with numeric coercion; NULL if either operand is NULL.
 func Add(v, o Value) Value { return arith(v, o, '+') }
