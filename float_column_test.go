@@ -6,8 +6,9 @@ import (
 )
 
 // TestFloatColumn: a Float column is stored under RND (DET encrypts no
-// float), and a sum, a grouped sum and maximum, and a range filter over it
-// match plaintext in process and over a remote connection.
+// float), and a sum, a grouped sum and maximum, a range filter, an equality
+// filter and a sum of a product over it match plaintext in process and over
+// a remote connection.
 func TestFloatColumn(t *testing.T) {
 	db := NewDatabase()
 	db.MustCreateTable("t", Col("g", Int), Col("f", Float))
@@ -19,6 +20,10 @@ func TestFloatColumn(t *testing.T) {
 		"SELECT SUM(f) FROM t",
 		"SELECT g, SUM(f), MAX(f) FROM t GROUP BY g ORDER BY g",
 		"SELECT g, f FROM t WHERE f > 2 ORDER BY f",
+		// No scheme the designer may offer takes a float for equality or
+		// for a precomputed product: both run on the client.
+		"SELECT g FROM t WHERE f = 2.5",
+		"SELECT SUM(f * 2) FROM t",
 	}
 	w := Workload{}
 	for i, q := range queries {

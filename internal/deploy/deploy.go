@@ -92,7 +92,7 @@ func Build(cat *storage.Catalog, workload map[string]string, spec Spec) (*Deploy
 		return nil, err
 	}
 	if spec.Indexes {
-		if err := buildPlainIndexes(cat, dres.Design); err != nil {
+		if err := declarePlainIndexes(cat, dres.Design); err != nil {
 			return nil, err
 		}
 	}
@@ -108,11 +108,12 @@ func Build(cat *storage.Catalog, workload map[string]string, spec Spec) (*Deploy
 	}, nil
 }
 
-// buildPlainIndexes mirrors the encrypted tables' secondary indexes onto
+// declarePlainIndexes mirrors the encrypted tables' secondary indexes onto
 // the plaintext baseline — the same kind on every base column the design
 // indexes (enc.IndexKindOf) — so plaintext-vs-encrypted comparisons
-// measure encryption overhead, not index presence.
-func buildPlainIndexes(cat *storage.Catalog, design *enc.Design) error {
+// measure encryption overhead, not index presence. Like the encrypted ones
+// they are only declared: a plaintext query's first probe builds one.
+func declarePlainIndexes(cat *storage.Catalog, design *enc.Design) error {
 	for i := range design.Items {
 		it := &design.Items[i]
 		cr, isCol := it.Expr.(*ast.ColumnRef)
@@ -124,7 +125,7 @@ func buildPlainIndexes(cat *storage.Catalog, design *enc.Design) error {
 		if err != nil {
 			continue
 		}
-		if _, err := t.EnsureIndex(cr.Column, kind); err != nil {
+		if err := t.DeclareIndex(cr.Column, kind); err != nil {
 			return err
 		}
 	}

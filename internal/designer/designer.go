@@ -431,7 +431,7 @@ func BaselineDesign(cat *storage.Catalog, joinGroups map[string]string, onion bo
 		}
 		for _, col := range t.Schema.Cols {
 			kind := col.Type.Kind()
-			if kind == value.Float { // DET encrypts no float: RND alone stores it
+			if !enc.DET.Accepts(kind) { // a Float: RND alone stores it
 				d.Add(enc.ColumnItem(name, col.Name, enc.RND, kind))
 				continue
 			}

@@ -269,9 +269,10 @@ func TestHomGroupBinPacking(t *testing.T) {
 
 var _ = ast.NewQuery // keep ast import for expression fixtures
 
-// TestEncryptDatabaseIndexesAndKey checks that encryption builds the
+// TestEncryptDatabaseIndexesAndKey checks that encryption declares the
 // secondary indexes the schemes imply — a hash index per DET column, an
-// ordered index per OPE column — and propagates the plaintext primary key
+// ordered index per OPE column — builds none of them until a read asks for
+// one, and propagates the plaintext primary key
 // onto its DET columns (deterministic encryption preserves equality, so
 // uniqueness carries over and the encrypted table enforces it).
 func TestEncryptDatabaseIndexesAndKey(t *testing.T) {
@@ -304,13 +305,24 @@ func TestEncryptDatabaseIndexesAndKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix := et.Index("k_det", storage.HashIndex); ix == nil || ix.Len() != 20 {
+	if declared, built := et.IndexCounts(); declared != 3 || built != 0 {
+		t.Errorf("after encryption: %d indexes declared, %d built; want 3 declared, none built", declared, built)
+	}
+	index := func(col string, kind storage.IndexKind) *storage.Index {
+		t.Helper()
+		ix, err := et.Index(col, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	if ix := index("k_det", storage.HashIndex); ix == nil || ix.Len() != 20 {
 		t.Errorf("k_det hash index = %v", ix)
 	}
-	if ix := et.Index("v_det", storage.HashIndex); ix == nil {
+	if ix := index("v_det", storage.HashIndex); ix == nil {
 		t.Error("v_det hash index missing")
 	}
-	if ix := et.Index("v_ope", storage.OrderedIndex); ix == nil || ix.Len() != 20 {
+	if ix := index("v_ope", storage.OrderedIndex); ix == nil || ix.Len() != 20 {
 		t.Errorf("v_ope ordered index = %v", ix)
 	}
 	if got := et.Schema.Key; len(got) != 1 || got[0] != "k_det" {

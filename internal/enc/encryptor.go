@@ -99,9 +99,10 @@ func EncryptDatabaseOn(plain *storage.Catalog, design *Design, ks *KeyStore, _ i
 	return EncryptDatabaseWith(plain, design, ks, cfg, true)
 }
 
-// EncryptDatabaseWith is EncryptDatabaseOn, building the encrypted columns'
+// EncryptDatabaseWith is EncryptDatabaseOn, declaring the encrypted columns'
 // secondary indexes (IndexKindOf) only when indexes is set: a deployment
-// whose engine never reads an index builds none.
+// whose engine never reads an index declares none. A declared index is built
+// by the first query that probes it.
 func EncryptDatabaseWith(plain *storage.Catalog, design *Design, ks *KeyStore, cfg storage.BackendConfig, indexes bool) (*DB, error) {
 	eng := engine.New(plain)
 	db := &DB{
@@ -235,11 +236,12 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 		return err
 	}
 
-	// Secondary indexes on the encrypted columns (built empty here; Insert
-	// maintains them incrementally).
+	// Secondary indexes on the encrypted columns, declared only: the first
+	// query that probes one builds it (storage.Table.Index), so an index no
+	// query reads costs nothing.
 	for i := range rowItems {
 		if kind, ok := IndexKindOf(&rowItems[i]); ok && indexes {
-			if _, err := encTable.EnsureIndex(rowItems[i].ColumnName(), kind); err != nil {
+			if err := encTable.DeclareIndex(rowItems[i].ColumnName(), kind); err != nil {
 				return err
 			}
 		}

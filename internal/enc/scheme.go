@@ -43,6 +43,22 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("Scheme(%d)", uint8(s))
 }
 
+// Accepts reports whether the designer may encrypt plaintexts of kind k
+// under the scheme: DET takes every kind but Float, whose cipher has no
+// encoding for it; OPE and HOM take integers and dates; SEARCH takes
+// strings; RND takes every kind.
+func (s Scheme) Accepts(k value.Kind) bool {
+	switch s {
+	case DET:
+		return k != value.Float
+	case OPE, HOM:
+		return k == value.Int || k == value.Date
+	case SEARCH:
+		return k == value.Str
+	}
+	return true
+}
+
 // suffix is the encrypted-column name suffix for the scheme.
 func (s Scheme) suffix() string {
 	switch s {

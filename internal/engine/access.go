@@ -37,14 +37,18 @@ const indexRowCost = 4
 // planner.bestIndexConjunct estimates — while the residual filter applies
 // the rest; it replaces the full scan when it beats the cost rule. Index
 // stats are charged here, once, on the resolving context — resolution
-// happens before any morsel runs.
-func (c *execCtx) accessPath(q *ast.Query, p *pipeline) {
+// happens before any morsel runs. The first probe of an index builds it
+// (storage.Table.Index); a failed build fails the query.
+func (c *execCtx) accessPath(q *ast.Query, p *pipeline) error {
 	t := p.src.t
 	n := t.NumRows()
 	var ids []int32 // nil until a conjunct is probed
 	var lookups int64
 	for _, e := range ast.Conjuncts(q.Where) {
-		cids, clk, ok := c.sargIDs(t, e)
+		cids, clk, ok, err := c.sargIDs(t, e)
+		if err != nil {
+			return err
+		}
 		if !ok {
 			continue
 		}
@@ -60,6 +64,7 @@ func (c *execCtx) accessPath(q *ast.Query, p *pipeline) {
 		c.chargeIndex(lookups, int64(n-len(ids)))
 		p.src.ids = ids
 	}
+	return nil
 }
 
 // chargeIndex records index usage on the per-query stats and the engine's
@@ -74,36 +79,37 @@ func (c *execCtx) chargeIndex(lookups, skipped int64) {
 
 // sargIDs resolves one WHERE conjunct against t's indexes. ok=true means
 // ids (never nil) is an ascending superset of the rows where the conjunct
-// can hold, obtained with the returned number of index probes.
-func (c *execCtx) sargIDs(t *storage.Table, e ast.Expr) ([]int32, int64, bool) {
+// can hold, obtained with the returned number of index probes; err is a
+// failed index build.
+func (c *execCtx) sargIDs(t *storage.Table, e ast.Expr) (ids []int32, lookups int64, ok bool, err error) {
 	switch x := e.(type) {
 	case *ast.BinaryExpr:
 		col, lit, op, ok := colOpConst(c, x)
 		if !ok || isNaN(lit) {
-			return nil, 0, false
+			return nil, 0, false, nil
 		}
 		if op == ast.OpEq {
-			ix := t.Index(col, storage.HashIndex)
+			ix, err := t.Index(col, storage.HashIndex)
 			if ix == nil {
-				return nil, 0, false
+				return nil, 0, false, err
 			}
 			if lit.IsNull() {
-				return []int32{}, 0, true // `= NULL` is never true
+				return []int32{}, 0, true, nil // `= NULL` is never true
 			}
 			if !ix.Usable(lit.K) {
-				return nil, 0, false
+				return nil, 0, false, nil
 			}
-			return notNil(ix.Postings(lit)), 1, true
+			return notNil(ix.Postings(lit)), 1, true, nil
 		}
-		ix := t.Index(col, storage.OrderedIndex)
+		ix, err := t.Index(col, storage.OrderedIndex)
 		if ix == nil {
-			return nil, 0, false
+			return nil, 0, false, err
 		}
 		if lit.IsNull() {
-			return []int32{}, 0, true // comparisons against NULL are never true
+			return []int32{}, 0, true, nil // comparisons against NULL are never true
 		}
 		if !ix.Usable(lit.K) {
-			return nil, 0, false
+			return nil, 0, false, nil
 		}
 		var lo, hi *value.Value
 		var loIncl, hiIncl bool
@@ -117,70 +123,69 @@ func (c *execCtx) sargIDs(t *storage.Table, e ast.Expr) ([]int32, int64, bool) {
 		case ast.OpGe:
 			lo, loIncl = &lit, true
 		default:
-			return nil, 0, false
+			return nil, 0, false, nil
 		}
 		// Count first (two binary searches): an unselective range would fail
 		// the cost rule anyway, so don't pay for materializing its ids.
 		if ix.RangeCount(lo, hi, loIncl, hiIncl)*indexRowCost >= t.NumRows() {
-			return nil, 0, false
+			return nil, 0, false, nil
 		}
-		return notNil(ix.Range(lo, hi, loIncl, hiIncl)), 1, true
+		return notNil(ix.Range(lo, hi, loIncl, hiIncl)), 1, true, nil
 
 	case *ast.BetweenExpr:
 		if x.Not {
-			return nil, 0, false
+			return nil, 0, false, nil
 		}
 		col, ok := bareCol(x.E)
 		if !ok {
-			return nil, 0, false
+			return nil, 0, false, nil
 		}
-		ix := t.Index(col, storage.OrderedIndex)
+		ix, err := t.Index(col, storage.OrderedIndex)
 		if ix == nil {
-			return nil, 0, false
+			return nil, 0, false, err
 		}
 		lo, ok := c.constVal(x.Lo)
 		if !ok || isNaN(lo) {
-			return nil, 0, false
+			return nil, 0, false, nil
 		}
 		hi, ok := c.constVal(x.Hi)
 		if !ok || isNaN(hi) {
-			return nil, 0, false
+			return nil, 0, false, nil
 		}
 		if lo.IsNull() || hi.IsNull() {
-			return []int32{}, 0, true // BETWEEN with a NULL bound is never true
+			return []int32{}, 0, true, nil // BETWEEN with a NULL bound is never true
 		}
 		if !ix.Usable(lo.K) || !ix.Usable(hi.K) {
-			return nil, 0, false
+			return nil, 0, false, nil
 		}
 		if ix.RangeCount(&lo, &hi, true, true)*indexRowCost >= t.NumRows() {
-			return nil, 0, false
+			return nil, 0, false, nil
 		}
-		return notNil(ix.Range(&lo, &hi, true, true)), 1, true
+		return notNil(ix.Range(&lo, &hi, true, true)), 1, true, nil
 
 	case *ast.InExpr:
 		if x.Not || x.Sub != nil {
-			return nil, 0, false
+			return nil, 0, false, nil
 		}
 		col, ok := bareCol(x.E)
 		if !ok {
-			return nil, 0, false
+			return nil, 0, false, nil
 		}
-		ix := t.Index(col, storage.HashIndex)
+		ix, err := t.Index(col, storage.HashIndex)
 		if ix == nil {
-			return nil, 0, false
+			return nil, 0, false, err
 		}
 		var union []int32
-		var lookups int64
 		for _, el := range x.List {
 			v, ok := c.constVal(el)
 			if !ok || isNaN(v) {
-				return nil, 0, false
+				return nil, 0, false, nil
 			}
 			if v.IsNull() {
 				continue // a NULL element matches nothing
 			}
 			if !ix.Usable(v.K) {
-				return nil, 0, false
+				return nil, 0, false, nil
 			}
 			union = append(union, ix.Postings(v)...)
 			lookups++
@@ -194,9 +199,9 @@ func (c *execCtx) sargIDs(t *storage.Table, e ast.Expr) ([]int32, int64, bool) {
 				dst++
 			}
 		}
-		return notNil(union[:dst]), lookups, true
+		return notNil(union[:dst]), lookups, true, nil
 	}
-	return nil, 0, false
+	return nil, 0, false, nil
 }
 
 // notNil normalizes an empty id list: nil means "no index" to rowSource.
@@ -262,10 +267,10 @@ func colOpConst(c *execCtx, x *ast.BinaryExpr) (string, value.Value, ast.BinOp, 
 // (joinBuild.lookup, a subquery's) must have a single key. A filtered side, a
 // join or a derived table drains instead, as does every side when indexes
 // are off. The one index lookup is charged here, where the build is chosen.
-func (c *execCtx) probedBuild(p *pipeline, keys []ast.Expr, step bool) *joinBuild {
+func (c *execCtx) probedBuild(p *pipeline, keys []ast.Expr, step bool) (*joinBuild, error) {
 	t := p.src.t
 	if !c.useIdx || (!step && len(keys) != 1) {
-		return nil
+		return nil, nil
 	}
 	// The layout names a key column; its position there is not its schema
 	// position once the scan is pruned to the statement's columns.
@@ -278,14 +283,14 @@ func (c *execCtx) probedBuild(p *pipeline, keys []ast.Expr, step bool) *joinBuil
 	}
 	at := probeKey(t, p.filter != nil || len(p.steps) > 0, keys, col)
 	if at < 0 {
-		return nil
+		return nil, nil
 	}
-	ix := t.Index(t.Schema.Cols[col(keys[at].(*ast.ColumnRef))].Name, storage.HashIndex)
+	ix, err := t.Index(t.Schema.Cols[col(keys[at].(*ast.ColumnRef))].Name, storage.HashIndex)
 	if ix == nil {
-		return nil
+		return nil, err
 	}
 	c.chargeIndex(1, 0)
-	return &joinBuild{layout: p.layout, at: at, ix: &tableProbe{t: t, cols: p.src.cols, ix: ix}}
+	return &joinBuild{layout: p.layout, at: at, ix: &tableProbe{t: t, cols: p.src.cols, ix: ix}}, nil
 }
 
 // probeKey is the one rule for which build sides an index can serve, read by

@@ -240,6 +240,9 @@ type execCtx struct {
 	// (ast.WithAliases); nil when no block does. Morsel contexts share it
 	// read-only.
 	aliased map[*ast.Query]*ast.Query
+	// keyBuf is the subquery probes' key buffer (outerKey); a context runs
+	// on one goroutine, so its probes share one.
+	keyBuf []byte
 }
 
 // schema is the catalog as the name resolver sees it.
@@ -542,7 +545,9 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 		p := &pipeline{src: src, layout: layout, joined: layout, outer: outer, batch: c.batch}
 		p.setFilter(q.Where)
 		if access && c.useIdx && outer == nil && src.t != nil {
-			c.accessPath(q, p)
+			if err := c.accessPath(q, p); err != nil {
+				return nil, err
+			}
 		}
 		return p, nil
 	}
@@ -713,8 +718,8 @@ func (c *execCtx) drainSource(p *pipeline) (*relation, error) {
 // EXISTS, over p's FROM/WHERE rows keyed by keys: index-probed when
 // probedBuild allows it, otherwise drained and hashed.
 func (c *execCtx) buildSide(p *pipeline, keys []ast.Expr, outer *env, step bool) (*joinBuild, error) {
-	if b := c.probedBuild(p, keys, step); b != nil {
-		return b, nil
+	if b, err := c.probedBuild(p, keys, step); b != nil || err != nil {
+		return b, err
 	}
 	right, err := c.drainSource(p)
 	if err != nil {

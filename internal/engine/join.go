@@ -384,16 +384,16 @@ func entries(s *ast.Scope, e ast.Expr) ([]int, error) {
 }
 
 // joinBuild is a hash-join build side, in one of two forms. A hashed build
-// drains its side and partitions the rows into maps by key hash; each
-// partition map is owned (built and read) without locks, and a key's rows
-// live entirely in one partition, appended in build-side row order, so probe
-// output is independent of the partition count. An index-probed build
+// drains its side and partitions the rows by key hash (joinPart); each
+// partition is owned (built and read) without locks, and a key's rows live
+// entirely in one partition, in build-side row order, so probe output is
+// independent of the partition count. An index-probed build
 // (ix != nil, chosen by probedBuild) drains nothing: it fetches the rows a
 // probe's keys point to through the base table's hash index, and a posting
 // list is ascending row ids — the same order.
 type joinBuild struct {
 	layout *relation // columns of the build rows
-	parts  []map[string][][]value.Value
+	parts  []joinPart
 	ix     *tableProbe // non-nil: rows are fetched through the index
 	at     int         // the key ix indexes, by position among the build's keys
 }
@@ -404,7 +404,54 @@ func (b *joinBuild) lookup(c *execCtx, key []byte) ([][]value.Value, error) {
 	if b.ix != nil {
 		return b.ix.fetch(c.stats, b.ix.ix.PostingsKey(key), nil)
 	}
-	return b.parts[joinPartition(key, len(b.parts))][string(key)], nil
+	p := &b.parts[joinPartition(key, len(b.parts))]
+	if s, ok := p.slot[string(key)]; ok {
+		return p.rows[s], nil
+	}
+	return nil, nil
+}
+
+// joinPart is one partition of a hashed build: slot maps a key to its
+// position in rows, which holds the key's build rows in build-side order.
+type joinPart struct {
+	slot map[string]int32
+	rows [][][]value.Value
+}
+
+// newJoinPart files the build rows of partition p — rows[i] when
+// partIDs[i] == p, under keys[i] — copying each distinct key once and
+// holding every key's rows in windows of one exact-size arena.
+func newJoinPart(rows [][]value.Value, keys [][]byte, partIDs []int32, p int32, hint int) joinPart {
+	jp := joinPart{slot: make(map[string]int32, hint)}
+	var slots, counts []int32 // slots: per owned row; counts: per key
+	for i, id := range partIDs {
+		if id != p {
+			continue
+		}
+		s, ok := jp.slot[string(keys[i])]
+		if !ok {
+			s = int32(len(counts))
+			jp.slot[string(keys[i])] = s
+			counts = append(counts, 0)
+		}
+		counts[s]++
+		slots = append(slots, s)
+	}
+	arena := make([][]value.Value, len(slots))
+	jp.rows = make([][][]value.Value, len(counts))
+	off := 0
+	for s, n := range counts {
+		jp.rows[s] = arena[off : off : off+int(n)]
+		off += int(n)
+	}
+	j := 0
+	for i, id := range partIDs {
+		if id == p {
+			jp.rows[slots[j]] = append(jp.rows[slots[j]], rows[i])
+			j++
+		}
+	}
+	return jp
 }
 
 // tableProbe is the index-probed build over an unfiltered base table: the
@@ -544,70 +591,61 @@ func joinPartition[K string | []byte](key K, n int) int {
 	return int(h % uint32(n))
 }
 
-// buildJoinMap hashes the build side of one join. When the block is
-// uncorrelated (join keys never contain subqueries: planJoin leaves those
-// conjuncts residual) and the relation is more than one morsel,
-// construction runs in two lock-free phases with one partition per morsel:
-// each morsel evaluates its rows' keys and partition ids (NULL keys get
-// partition -1 and are skipped), then each partition collects the rows it
-// owns, scanning in row order.
+// buildJoinMap hashes the build side of one join in two phases. The first
+// evaluates each row's key into an arena, with its partition id (-1 for a
+// NULL key, which SQL equality never matches); the second files each
+// partition's rows (newJoinPart). When the block is uncorrelated (join keys
+// never contain subqueries: planJoin leaves those conjuncts residual) and
+// the relation is more than one morsel, both phases run lock-free with one
+// partition per morsel; otherwise there is one partition, built on c.
 func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env) (*joinBuild, error) {
 	n := len(right.rows)
 	parts := c.morselCount(n)
-	if parts <= 1 || outer != nil {
-		m := make(map[string][][]value.Value, n)
-		var key []byte
-		for _, row := range right.rows {
-			en := &env{rel: right, row: row, outer: outer, ctx: c}
-			var null bool
-			var err error
-			if key, null, err = exprKey(key[:0], en, rightKeys); err != nil {
-				return nil, err
-			}
-			if !null {
-				m[string(key)] = append(m[string(key)], row)
-			}
-		}
-		return &joinBuild{layout: &relation{cols: right.cols}, parts: []map[string][][]value.Value{m}}, nil
+	if outer != nil {
+		parts = 1
 	}
-
-	keys := make([]string, n)
-	partIDs := make([]int32, n) // -1 = NULL key; hashed once, in phase 1
-	if _, err := morselCollect(c, n, func(sc *execCtx, lo, hi int) (struct{}, error) {
-		var key []byte
+	keys := make([][]byte, n) // each a capped window of its morsel's arena
+	partIDs := make([]int32, n)
+	keyRows := func(sc *execCtx, lo, hi int) (struct{}, error) {
+		var arena []byte
+		en := &env{rel: right, outer: outer, ctx: sc}
 		for i := lo; i < hi; i++ {
-			en := &env{rel: right, row: right.rows[i], outer: outer, ctx: sc}
+			en.row = right.rows[i]
+			start := len(arena)
 			var null bool
 			var err error
-			if key, null, err = exprKey(key[:0], en, rightKeys); err != nil {
+			if arena, null, err = exprKey(arena, en, rightKeys); err != nil {
 				return struct{}{}, err
 			}
 			if null {
+				arena = arena[:start]
 				partIDs[i] = -1
 				continue
 			}
-			keys[i] = string(key)
-			partIDs[i] = int32(joinPartition(key, parts))
-		}
-		return struct{}{}, nil
-	}); err != nil {
-		return nil, err
-	}
-
-	maps := make([]map[string][][]value.Value, parts)
-	if err := parallelFor(parts, func(p int) error {
-		m := make(map[string][][]value.Value, n/parts+1)
-		for i, id := range partIDs {
-			if id == int32(p) {
-				m[keys[i]] = append(m[keys[i]], right.rows[i])
+			keys[i] = arena[start:len(arena):len(arena)]
+			if parts > 1 {
+				partIDs[i] = int32(joinPartition(keys[i], parts))
 			}
 		}
-		maps[p] = m
+		return struct{}{}, nil
+	}
+	var err error
+	if parts <= 1 {
+		_, err = keyRows(c, 0, n)
+	} else {
+		_, err = morselCollect(c, n, keyRows)
+	}
+	if err != nil {
+		return nil, err
+	}
+	built := make([]joinPart, parts)
+	if err := parallelFor(parts, func(p int) error {
+		built[p] = newJoinPart(right.rows, keys, partIDs, int32(p), n/parts+1)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return &joinBuild{layout: &relation{cols: right.cols}, parts: maps}, nil
+	return &joinBuild{layout: &relation{cols: right.cols}, parts: built}, nil
 }
 
 // exprKey appends to dst the composite equality key of keys evaluated in en:

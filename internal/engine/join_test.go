@@ -381,7 +381,8 @@ func TestJoinBuildPartitioned(t *testing.T) {
 	}
 	total := 0
 	for p, m := range par.parts {
-		for k, rows := range m {
+		for k, slot := range m.slot {
+			rows := m.rows[slot]
 			if joinPartition(k, len(par.parts)) != p {
 				t.Fatalf("key %q landed in partition %d, owns %d", k, p, joinPartition(k, len(par.parts)))
 			}

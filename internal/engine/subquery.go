@@ -66,12 +66,27 @@ type inSet struct{ any, null bool }
 // probe returns the inner rows filed under the outer row's correlation key;
 // none when a correlation key is NULL.
 func (p *subqPlan) probe(en *env) ([][]value.Value, error) {
-	key, null, err := exprKey(nil, en, p.outerKeys)
+	c := en.ctx
+	key, null, err := c.outerKey(en, p.outerKeys)
+	defer c.putKey(key)
 	if err != nil || null {
 		return nil, err
 	}
-	return p.build.lookup(en.ctx, key)
+	return p.build.lookup(c, key)
 }
+
+// outerKey renders the outer row's correlation key (exprKey) into c's key
+// buffer, which the caller holds until it hands it back with putKey, so a
+// probe allocates no key. A probe nested in the keys' evaluation finds the
+// buffer taken and renders into a fresh one.
+func (c *execCtx) outerKey(en *env, keys []ast.Expr) ([]byte, bool, error) {
+	buf := c.keyBuf
+	c.keyBuf = nil
+	return exprKey(buf[:0], en, keys)
+}
+
+// putKey hands the key buffer outerKey lent back to c.
+func (c *execCtx) putKey(key []byte) { c.keyBuf = key[:0] }
 
 // planned returns the plan the opening of sub's block stored.
 func (c *execCtx) planned(sub *ast.Query) (*subqPlan, error) {
@@ -141,7 +156,8 @@ func (c *execCtx) inMember(en *env, x *ast.InExpr, lhs value.Value) (member, unk
 		}
 		return inValues(lhs, len(rows), func(i int) (value.Value, error) { return rows[i][0], nil })
 	}
-	key, null, err := exprKey(nil, en, p.outerKeys)
+	key, null, err := c.outerKey(en, p.outerKeys)
+	defer func() { c.putKey(key) }()
 	if err != nil || null {
 		return false, false, err // a NULL correlation key selects the empty set
 	}
@@ -149,7 +165,8 @@ func (c *execCtx) inMember(en *env, x *ast.InExpr, lhs value.Value) (member, unk
 	if lhs.IsNull() {
 		return false, set.any, nil
 	}
-	rows, err := p.build.lookup(c, value.AppendKey(key, lhs))
+	key = value.AppendKey(key, lhs)
+	rows, err := p.build.lookup(c, key)
 	if err != nil || len(rows) > 0 {
 		return len(rows) > 0, false, err
 	}
@@ -184,7 +201,8 @@ func (c *execCtx) evalExists(en *env, x *ast.ExistsExpr) (bool, error) {
 	if !p.naive && p.residual == nil && p.build.ix != nil {
 		// Every posting is a row: an index-probed build answers a bare
 		// EXISTS without reading one.
-		key, null, err := exprKey(nil, en, p.outerKeys)
+		key, null, err := c.outerKey(en, p.outerKeys)
+		defer c.putKey(key)
 		if err != nil {
 			return false, err
 		}
@@ -202,8 +220,9 @@ func (c *execCtx) evalExists(en *env, x *ast.ExistsExpr) (bool, error) {
 	found := len(rows) > 0
 	if p.residual != nil {
 		found = false
+		inner := &env{rel: p.build.layout, outer: en, ctx: c}
 		for _, row := range rows {
-			inner := &env{rel: p.build.layout, row: row, outer: en, ctx: c}
+			inner.row = row
 			if found, err = evalBool(inner, p.residual); err != nil || found {
 				break
 			}

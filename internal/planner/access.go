@@ -8,8 +8,9 @@ import (
 )
 
 // Access-path costing. When Context.Indexes is on, the untrusted server
-// maintains a DET hash index and an OPE ordered index over every encrypted
-// column that carries those schemes, so a RemoteSQL part's scan cost is no
+// declares a DET hash index and an OPE ordered index over every encrypted
+// column that carries those schemes, built by the first probe that reads
+// it (storage.Table.Index), so a RemoteSQL part's scan cost is no
 // longer fixed at "read the whole table": a sargable conjunct — `=`/`IN`
 // on a `_det` column, `<`/`<=`/`>`/`>=`/`BETWEEN` on an `_ope` column,
 // each written `col op const` — can restrict the scan to an estimated

@@ -272,29 +272,22 @@ func prefilterTarget(q *ast.Query) (ast.Expr, bool) {
 
 // candidateValue proposes the item that would encrypt a value expression
 // under the given scheme (creating precomputed-expression items for
-// compound single-table expressions).
+// compound single-table expressions), when the scheme accepts the value's
+// kind (enc.Scheme.Accepts): an operation over a value no candidate can
+// encrypt runs on the client.
 func (ctx *Context) candidateValue(s *scope, e ast.Expr, scheme enc.Scheme) (enc.Item, bool) {
 	entry := singleEntry(s, e)
 	if entry == nil {
 		return enc.Item{}, false
 	}
 	kind := ctx.inferKind(s, e)
-	switch scheme {
-	case enc.OPE, enc.HOM:
-		if kind != value.Int && kind != value.Date {
-			return enc.Item{}, false
-		}
-		// Packed Paillier plaintexts hold non-negative integers only;
-		// columns with negative values (c_acctbal) cannot be HOM items.
-		if scheme == enc.HOM {
-			if cr, ok := e.(*ast.ColumnRef); ok {
-				if ctx.Stats.Table(entry.Name).Col(cr.Column).Min < 0 {
-					return enc.Item{}, false
-				}
-			}
-		}
-	case enc.SEARCH:
-		if kind != value.Str {
+	if !scheme.Accepts(kind) {
+		return enc.Item{}, false
+	}
+	// Packed Paillier plaintexts hold non-negative integers only; columns
+	// with negative values (c_acctbal) cannot be HOM items.
+	if cr, ok := e.(*ast.ColumnRef); ok && scheme == enc.HOM {
+		if ctx.Stats.Table(entry.Name).Col(cr.Column).Min < 0 {
 			return enc.Item{}, false
 		}
 	}

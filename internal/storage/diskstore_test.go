@@ -125,7 +125,15 @@ func TestDiskStoreMatchesMem(t *testing.T) {
 		t.Errorf("accounting: disk %d/%d, mem %d/%d", dt.Bytes, dt.RawBytes, mt.Bytes, mt.RawBytes)
 	}
 	probe := value.NewStr("west")
-	if g, w := dt.Index("region", HashIndex).Postings(probe), mt.Index("region", HashIndex).Postings(probe); fmt.Sprint(g) != fmt.Sprint(w) {
+	dix, err := dt.Index("region", HashIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix, err := mt.Index("region", HashIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := dix.Postings(probe), mix.Postings(probe); fmt.Sprint(g) != fmt.Sprint(w) {
 		t.Errorf("postings diverge: %v vs %v", g, w)
 	}
 	// Batch scans hit the block cache; physical reads are real and bounded.

@@ -66,18 +66,23 @@ type ordEntry struct {
 	row int32
 }
 
-// Index is a secondary index over one column of a Table, maintained
-// incrementally by Insert. NULL keys are never indexed: every sargable
-// predicate evaluates to non-true on NULL.
+// Index is a secondary index over one column of a Table. A table declares
+// its indexes at load (Table.DeclareIndex) and builds each one the first
+// time a read asks for it (Table.Index); from then on Insert maintains it.
+// NULL keys are never indexed: every sargable predicate evaluates to
+// non-true on NULL.
 type Index struct {
 	Col  string
 	Kind IndexKind
-	pos  int // Col's schema position, resolved once when the index is built
+	pos  int // Col's schema position, resolved once when the index is declared
 
 	class kindClass
 
-	// HashIndex state: value.AppendKey bytes -> ascending row ids.
-	post map[string][]int32
+	// HashIndex state: value.AppendKey bytes -> the key's slot in lists,
+	// which holds each key's ascending row ids. A key is copied once, when
+	// its slot opens; a row that repeats a key only appends its id.
+	slot  map[string]int32
+	lists [][]int32
 
 	// OrderedIndex state.
 	run    []ordEntry
@@ -88,16 +93,16 @@ type Index struct {
 func newIndex(col string, pos int, kind IndexKind) *Index {
 	ix := &Index{Col: col, Kind: kind, pos: pos, class: classNone}
 	if kind == HashIndex {
-		ix.post = make(map[string][]int32)
+		ix.slot = make(map[string]int32)
 	}
 	return ix
 }
 
-// add indexes one value at the given row id. Row ids arrive in ascending
-// order (Insert appends), which keeps posting lists sorted for free.
-func (ix *Index) add(v value.Value, row int32) {
+// observe folds v's kind class into the index's; false for a NULL, which is
+// never indexed.
+func (ix *Index) observe(v value.Value) bool {
 	if v.IsNull() {
-		return
+		return false
 	}
 	if v.K == value.Float && math.IsNaN(v.F) {
 		// NaN Compare-equals every numeric but hashes uniquely; no index
@@ -108,14 +113,66 @@ func (ix *Index) add(v value.Value, row int32) {
 	} else if ix.class != c {
 		ix.class = classMixed
 	}
+	return true
+}
+
+// add indexes one value at the given row id. Row ids arrive in ascending
+// order (Insert appends), which keeps posting lists sorted for free.
+func (ix *Index) add(v value.Value, row int32) {
 	if ix.Kind == HashIndex {
-		var kb [64]byte
-		k := value.AppendKey(kb[:0], v)
-		ix.post[string(k)] = append(ix.post[string(k)], row)
+		if s := ix.keySlot(v); s >= 0 {
+			ix.lists[s] = append(ix.lists[s], row)
+		}
+		return
+	}
+	if !ix.observe(v) {
 		return
 	}
 	ix.run = append(ix.run, ordEntry{v: v, row: row})
 	ix.dirty = true
+}
+
+// keySlot returns the slot of v's key in a HashIndex, opening one for a new
+// key; -1 for a NULL.
+func (ix *Index) keySlot(v value.Value) int32 {
+	if !ix.observe(v) {
+		return -1
+	}
+	var kb [64]byte
+	k := value.AppendKey(kb[:0], v)
+	s, ok := ix.slot[string(k)]
+	if !ok {
+		s = int32(len(ix.lists))
+		ix.slot[string(k)] = s
+		ix.lists = append(ix.lists, nil)
+	}
+	return s
+}
+
+// fill files a backfill's rows under their key slots — slots[row] is the
+// row's keySlot, -1 for a NULL — in one exact-size arena: each key's list is
+// a capped window of it, so a later Insert's append reallocates only that
+// key's list.
+func (ix *Index) fill(slots []int32) {
+	counts := make([]int32, len(ix.lists))
+	n := 0
+	for _, s := range slots {
+		if s >= 0 {
+			counts[s]++
+			n++
+		}
+	}
+	arena := make([]int32, n)
+	off := 0
+	for s, c := range counts {
+		ix.lists[s] = arena[off : off : off+int(c)]
+		off += int(c)
+	}
+	for row, s := range slots {
+		if s >= 0 {
+			ix.lists[s] = append(ix.lists[s], int32(row))
+		}
+	}
 }
 
 // Usable reports whether the index can answer predicates whose literal has
@@ -134,7 +191,7 @@ func (ix *Index) Usable(lk value.Kind) bool {
 func (ix *Index) Len() int {
 	if ix.Kind == HashIndex {
 		n := 0
-		for _, p := range ix.post {
+		for _, p := range ix.lists {
 			n += len(p)
 		}
 		return n
@@ -145,21 +202,22 @@ func (ix *Index) Len() int {
 // Postings returns the ascending row ids holding exactly v, or nil.
 // Only valid on a HashIndex.
 func (ix *Index) Postings(v value.Value) []int32 {
-	if v.IsNull() || ix.post == nil {
+	if v.IsNull() {
 		return nil
 	}
 	var kb [64]byte
-	return ix.post[string(value.AppendKey(kb[:0], v))]
+	return ix.PostingsKey(value.AppendKey(kb[:0], v))
 }
 
 // PostingsKey returns the posting list for a key value.AppendKey rendered.
 // Hash-join builds match keys by key equality on both sides, exactly like
 // this map, so no kind-class guard is needed here.
 func (ix *Index) PostingsKey(key []byte) []int32 {
-	if ix.post == nil {
+	s, ok := ix.slot[string(key)]
+	if !ok {
 		return nil
 	}
-	return ix.post[string(key)]
+	return ix.lists[s]
 }
 
 // ensureSorted sorts the run by (key, row id). The sort is lazy so bulk

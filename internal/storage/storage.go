@@ -23,6 +23,8 @@ package storage
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/value"
 )
@@ -136,11 +138,11 @@ type Table struct {
 
 	be      Backend
 	nrows   int
-	meta    []colMeta // per-column insert-time statistics
-	indexes map[indexTag]*Index
-	dicts   []*internDict // per column; nil entries for non-internable types
-	key     *keyIndex     // Schema.Key uniqueness, nil if keyless
-	closed  bool          // Close ran: no more writes
+	meta    []colMeta               // per-column insert-time statistics
+	indexes map[indexTag]*indexSlot // declared indexes, each built on first read
+	dicts   []*internDict           // per column; nil entries for non-internable types
+	key     *keyIndex               // Schema.Key uniqueness, nil if keyless
+	closed  bool                    // Close ran: no more writes
 }
 
 // rowOverhead models per-row header cost (Postgres-like tuple header).
@@ -213,8 +215,8 @@ func newTableOn(s Schema, be Backend) *Table {
 // Insert appends a row, validating arity, enforcing the unique key,
 // interning repeated string/bytes values (canonicalizing row values in
 // place), accounting resident and raw size, maintaining column statistics
-// and every secondary index, and storing the row in the backend. After
-// Close it fails with ErrClosed and changes nothing.
+// and every built secondary index, and storing the row in the backend.
+// After Close it fails with ErrClosed and changes nothing.
 func (t *Table) Insert(row []value.Value) error {
 	if t.closed {
 		return fmt.Errorf("storage: table %s: insert: %w", t.Schema.Name, ErrClosed)
@@ -247,8 +249,10 @@ func (t *Table) Insert(row []value.Value) error {
 	if keyed {
 		t.key.seen[string(t.key.key)] = id
 	}
-	for _, ix := range t.indexes {
-		ix.add(row[ix.pos], id)
+	for _, s := range t.indexes {
+		if ix := s.ix.Load(); ix != nil {
+			ix.add(row[ix.pos], id)
+		}
 	}
 	return t.be.Append(row)
 }
@@ -361,49 +365,103 @@ func (t *Table) Close() error {
 	return err
 }
 
-// EnsureIndex builds (or returns) the index of the given kind over the
-// named column, backfilling existing rows with chunked backend scans of
-// that one column. Later Inserts maintain it.
-func (t *Table) EnsureIndex(col string, kind IndexKind) (*Index, error) {
+// indexSlot is one declared index of a table: nothing until the first read
+// that asks for it builds it (Table.Index).
+type indexSlot struct {
+	pos int                   // the column's schema position
+	mu  sync.Mutex            // serializes the build
+	ix  atomic.Pointer[Index] // nil until built; read without mu after
+}
+
+// DeclareIndex records that the named column carries an index of the given
+// kind. Nothing is built: the first Index call for it backfills it, and
+// Insert maintains it from then on. Declaring an index twice is a no-op.
+// Like Insert, it must not run concurrently with reads of the table.
+func (t *Table) DeclareIndex(col string, kind IndexKind) error {
 	ci := t.Schema.ColIndex(col)
 	if ci < 0 {
-		return nil, fmt.Errorf("storage: table %s: no column %s to index", t.Schema.Name, col)
+		return fmt.Errorf("storage: table %s: no column %s to index", t.Schema.Name, col)
 	}
 	tag := indexTag{col: col, kind: kind}
-	if ix, ok := t.indexes[tag]; ok {
-		return ix, nil
-	}
-	ix := newIndex(col, ci, kind)
-	for lo := 0; lo < t.nrows; lo += backfillChunk {
-		hi := lo + backfillChunk
-		if hi > t.nrows {
-			hi = t.nrows
-		}
-		rows, _, err := t.be.Scan(lo, hi, []int{ci}, nil)
-		if err != nil {
-			return nil, err
-		}
-		for k, row := range rows {
-			ix.add(row[0], int32(lo+k))
-		}
+	if _, ok := t.indexes[tag]; ok {
+		return nil
 	}
 	if t.indexes == nil {
-		t.indexes = make(map[indexTag]*Index)
+		t.indexes = make(map[indexTag]*indexSlot)
 	}
-	t.indexes[tag] = ix
+	t.indexes[tag] = &indexSlot{pos: ci}
+	return nil
+}
+
+// EnsureIndex declares the index of the given kind over the named column
+// and builds it now (Index).
+func (t *Table) EnsureIndex(col string, kind IndexKind) (*Index, error) {
+	if err := t.DeclareIndex(col, kind); err != nil {
+		return nil, err
+	}
+	return t.Index(col, kind)
+}
+
+// Index returns the index of the given kind on the named column, building a
+// declared one on its first call; nil when no such index is declared. The
+// build runs once, under the index's own lock, with chunked backend scans of
+// that one column; later calls take no lock. A failed build returns the
+// backend's error and leaves the index unbuilt, so the next call retries.
+func (t *Table) Index(col string, kind IndexKind) (*Index, error) {
+	s := t.indexes[indexTag{col: col, kind: kind}]
+	if s == nil {
+		return nil, nil
+	}
+	if ix := s.ix.Load(); ix != nil {
+		return ix, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ix := s.ix.Load(); ix != nil {
+		return ix, nil
+	}
+	ix := newIndex(col, s.pos, kind)
+	var slots []int32 // a hash index's key slot per row (Index.fill)
+	if kind == HashIndex {
+		slots = make([]int32, 0, t.nrows)
+	}
+	for lo := 0; lo < t.nrows; lo += backfillChunk {
+		hi := min(lo+backfillChunk, t.nrows)
+		rows, _, err := t.be.Scan(lo, hi, []int{s.pos}, nil)
+		if err != nil {
+			return nil, fmt.Errorf("storage: table %s: build %v index on %s: %w", t.Schema.Name, kind, col, err)
+		}
+		for k, row := range rows {
+			if kind == HashIndex {
+				slots = append(slots, ix.keySlot(row[0]))
+			} else {
+				ix.add(row[0], int32(lo+k))
+			}
+		}
+	}
+	if kind == HashIndex {
+		ix.fill(slots)
+	}
+	s.ix.Store(ix)
 	return ix, nil
 }
 
-// Index returns the index of the given kind on the named column, or nil.
-func (t *Table) Index(col string, kind IndexKind) *Index {
-	return t.indexes[indexTag{col: col, kind: kind}]
+// IndexCounts reports how many indexes the table declares and how many of
+// them have been built.
+func (t *Table) IndexCounts() (declared, built int) {
+	for _, s := range t.indexes {
+		if s.ix.Load() != nil {
+			built++
+		}
+	}
+	return len(t.indexes), built
 }
 
 // HasKey reports whether the table enforces a unique Schema.Key.
 func (t *Table) HasKey() bool { return t.key != nil }
 
-// dropDerived discards all derived state — secondary indexes, the unique
-// key index, and interning dictionaries — so nothing stale survives a
+// dropDerived discards all derived state — secondary indexes, declared or
+// built, the unique key index, and interning dictionaries — so nothing stale survives a
 // catalog replacement. Rows and size accounting are untouched.
 func (t *Table) dropDerived() {
 	t.indexes = nil
@@ -531,6 +589,16 @@ func (c *Catalog) IO() IOStats {
 		io.Add(t.IO())
 	}
 	return io
+}
+
+// IndexCounts sums the declared and the built indexes of all tables.
+func (c *Catalog) IndexCounts() (declared, built int) {
+	for _, t := range c.tables {
+		d, b := t.IndexCounts()
+		declared += d
+		built += b
+	}
+	return declared, built
 }
 
 // TotalBytes sums resident (interned) bytes across all tables.

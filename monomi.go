@@ -331,7 +331,8 @@ type System struct {
 // returns a ready System: internal/deploy's Build under MONOMI's designer
 // options, §5.4 pre-filtering on, and secondary indexes — a DET hash index
 // (equality, IN, hash-join builds) and an OPE ordered index (ranges,
-// BETWEEN) on every column carrying those schemes. The engine and the
+// BETWEEN) declared on every column carrying those schemes, each built by
+// the first query that probes it. The engine and the
 // cost-based planner choose an index probe over a full scan when the
 // predicate is selective enough, and the plaintext baseline gets mirror
 // indexes on the same columns so comparisons stay fair. Like the rest of
