@@ -64,3 +64,85 @@ func Selectivity(pred Expr, ndv func(Expr) int64, unknown float64) float64 {
 	}
 	return 0.33
 }
+
+// Sarg is a WHERE conjunct in a shape an index answers (Sargable): an
+// equality or IN list, which a hash index answers key by key, or a range,
+// which an ordered index answers from its bounds.
+type Sarg struct {
+	Col *ColumnRef
+	Eq  Expr   // `col = c`'s constant
+	In  []Expr // `col IN (c, …)`'s constants
+	// Lo and Hi are a range's constant bounds, nil where it is open;
+	// LoIncl and HiIncl say whether each bound is inclusive.
+	Lo, Hi         Expr
+	LoIncl, HiIncl bool
+}
+
+// Range reports whether the conjunct is a range, which needs an ordered
+// index; an equality or IN list needs a hash index.
+func (s *Sarg) Range() bool { return s.Lo != nil || s.Hi != nil }
+
+// Sargable is the one rule for which conjuncts an index can answer: `col op
+// c` with op one of = < <= > >=, `col BETWEEN c AND c` and `col IN (c, …)`,
+// where col is a bare column reference written on the left and each c a
+// literal or a parameter. The planner's access-path costing and the engine's
+// access path both read it; whether col carries the index is theirs to ask.
+func Sargable(e Expr) (Sarg, bool) {
+	var s Sarg
+	var col Expr
+	switch x := e.(type) {
+	case *BinaryExpr:
+		if !isConst(x.Right) {
+			return Sarg{}, false
+		}
+		switch x.Op {
+		case OpEq:
+			s.Eq = x.Right
+		case OpLt:
+			s.Hi = x.Right
+		case OpLe:
+			s.Hi, s.HiIncl = x.Right, true
+		case OpGt:
+			s.Lo = x.Right
+		case OpGe:
+			s.Lo, s.LoIncl = x.Right, true
+		default:
+			return Sarg{}, false
+		}
+		col = x.Left
+	case *BetweenExpr:
+		if x.Not || !isConst(x.Lo) || !isConst(x.Hi) {
+			return Sarg{}, false
+		}
+		s.Lo, s.Hi, s.LoIncl, s.HiIncl = x.Lo, x.Hi, true, true
+		col = x.E
+	case *InExpr:
+		if x.Not || x.Sub != nil {
+			return Sarg{}, false
+		}
+		for _, el := range x.List {
+			if !isConst(el) {
+				return Sarg{}, false
+			}
+		}
+		s.In = x.List
+		col = x.E
+	default:
+		return Sarg{}, false
+	}
+	cr, ok := col.(*ColumnRef)
+	if !ok || cr.Column == "*" {
+		return Sarg{}, false
+	}
+	s.Col = cr
+	return s, true
+}
+
+// isConst reports a literal or a parameter.
+func isConst(e Expr) bool {
+	switch e.(type) {
+	case *Literal, *Param:
+		return true
+	}
+	return false
+}

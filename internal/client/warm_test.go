@@ -51,7 +51,7 @@ var wideShape = struct {
 const warmRows = 5000
 
 // warmFixture is an in-process client over ev(e_id, e_grp = i % 50, e_val =
-// 7919·i % 1000) with DET and OPE items and the server's indexes on.
+// 7919·i % 1000) with DET and OPE items, whose indexes EncryptDatabase declares.
 func warmFixture(t testing.TB) *fixture {
 	t.Helper()
 	cat := storage.NewCatalog()
@@ -79,7 +79,6 @@ func warmFixture(t testing.TB) *fixture {
 	}
 	cfg := netsim.Default()
 	srv := server.New(db, cfg)
-	srv.SetIndexes(true)
 	ctx := planner.NewContext(cat, d, ks, planner.DefaultCostModel(cfg))
 	ctx.Indexes = true
 	c := New(ks, srv, ctx, cfg)

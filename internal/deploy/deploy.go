@@ -9,7 +9,6 @@ package deploy
 import (
 	"time"
 
-	"repro/internal/ast"
 	"repro/internal/client"
 	"repro/internal/designer"
 	"repro/internal/enc"
@@ -32,10 +31,12 @@ type Spec struct {
 	Backend         storage.BackendConfig // encrypted row store (zero = in memory)
 	GreedyExecution bool                  // no runtime planner (§8.3 Execution-Greedy)
 	Prefilter       bool                  // §5.4 conservative pre-filtering
-	// Indexes builds the encrypted tables' secondary indexes, lets the
-	// server's engine and the planner use them, and mirrors them onto the
-	// plaintext baseline; without it neither side builds any. It is fixed
-	// for the deployment's lifetime.
+	// Indexes is the one index switch. With it Build declares the design's
+	// secondary indexes (enc.DeclareIndexes) on the encrypted catalog and
+	// mirrors them onto the plaintext baseline, and Design lets the planner
+	// cost them (planner.Context.Indexes); without it neither side declares
+	// any. Both engines read whatever indexes a table declares, so nothing
+	// else needs setting, and it is fixed for the deployment's lifetime.
 	Indexes bool
 }
 
@@ -87,49 +88,26 @@ func Build(cat *storage.Catalog, workload map[string]string, spec Spec) (*Deploy
 		return nil, err
 	}
 	ks, net := dres.Context.Keys, dres.Context.Cost.Cfg
-	db, err := enc.EncryptDatabaseWith(cat, dres.Design, ks, spec.Backend, spec.Indexes)
+	db, err := enc.EncryptDatabaseWith(cat, dres.Design, ks, spec.Backend)
 	if err != nil {
 		return nil, err
 	}
 	if spec.Indexes {
-		if err := declarePlainIndexes(cat, dres.Design); err != nil {
+		if err := enc.DeclareIndexes(db.Cat, dres.Design, true); err != nil {
+			return nil, err
+		}
+		if err := enc.DeclareIndexes(cat, dres.Design, false); err != nil {
 			return nil, err
 		}
 	}
 	srv := server.New(db, net)
-	srv.Engine.UseIndexes = spec.Indexes
 	cl := client.New(ks, srv, dres.Context, net)
 	cl.Greedy = spec.GreedyExecution
 	plain := engine.New(cat)
-	plain.UseIndexes = spec.Indexes
 	return &Deployment{
 		Plain: cat, Engine: plain, Keys: ks, Design: dres,
 		DB: db, Client: cl, Net: net,
 	}, nil
-}
-
-// declarePlainIndexes mirrors the encrypted tables' secondary indexes onto
-// the plaintext baseline — the same kind on every base column the design
-// indexes (enc.IndexKindOf) — so plaintext-vs-encrypted comparisons
-// measure encryption overhead, not index presence. Like the encrypted ones
-// they are only declared: a plaintext query's first probe builds one.
-func declarePlainIndexes(cat *storage.Catalog, design *enc.Design) error {
-	for i := range design.Items {
-		it := &design.Items[i]
-		cr, isCol := it.Expr.(*ast.ColumnRef)
-		kind, indexed := enc.IndexKindOf(it)
-		if !isCol || !indexed {
-			continue // precomputed expressions have no plaintext column
-		}
-		t, err := cat.Table(it.Table)
-		if err != nil {
-			continue
-		}
-		if err := t.DeclareIndex(cr.Column, kind); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Remote returns a view of d whose client executes its RemoteSQL over conn;

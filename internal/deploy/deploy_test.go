@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -74,13 +75,16 @@ func TestDesignMatchesBuild(t *testing.T) {
 }
 
 // TestBuildIndexesOnlyWhenSpecified: Build declares secondary indexes and
-// builds none. With Spec.Indexes false it declares none on either catalog —
-// no engine of it reads one. With it true it declares one per DET and OPE
-// item on the encrypted catalog, and mirrors them onto the plaintext one;
-// running the workload then builds the ones its queries read, which are
-// some of the declared ones and not all.
+// builds none. With Spec.Indexes false it declares none on either catalog,
+// and running the workload makes no index lookup on the server's engine or
+// the plaintext one: declaring is the only index switch. With it true it
+// declares one per DET and OPE item on the encrypted catalog, and mirrors
+// them onto the plaintext one; running the workload then builds the ones its
+// queries read, which are some of the declared ones and not all. Both
+// settings return the same rows, encrypted and plaintext.
 func TestBuildIndexesOnlyWhenSpecified(t *testing.T) {
 	workload := map[string]string{"Q06": tpch.Queries[6], "Q12": tpch.Queries[12]}
+	rows := map[bool]map[string]string{} // by Spec.Indexes, by query
 	for _, indexes := range []bool{false, true} {
 		cat, err := tpch.Generate(0.0005, 3)
 		if err != nil {
@@ -113,21 +117,35 @@ func TestBuildIndexesOnlyWhenSpecified(t *testing.T) {
 		if indexes && (encDecl != want || plainDecl == 0) {
 			t.Errorf("Indexes true: %d encrypted indexes declared for %d DET/OPE items, %d plaintext", encDecl, want, plainDecl)
 		}
-		if !indexes {
-			continue
-		}
+		rows[indexes] = map[string]string{}
 		for _, label := range []string{"Q06", "Q12"} {
-			if _, err := dep.Client.Query(workload[label], nil); err != nil {
+			res, err := dep.Client.Query(workload[label], nil)
+			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if _, err := dep.ExecutePlain(workload[label]); err != nil {
+			plain, err := dep.ExecutePlain(workload[label])
+			if err != nil {
 				t.Fatalf("%s plaintext: %v", label, err)
 			}
+			rows[indexes][label] = fmt.Sprint(res.Rows, plain.Rows)
+		}
+		srvLookups, _ := dep.Client.Srv.Engine.IndexStats()
+		plainLookups, _ := dep.Engine.IndexStats()
+		if !indexes {
+			if srvLookups != 0 || plainLookups != 0 {
+				t.Errorf("Indexes false: Q6 and Q12 made %d index lookups on the server and %d on the plaintext engine, want none", srvLookups, plainLookups)
+			}
+			continue
 		}
 		for side, cat := range map[string]*storage.Catalog{"encrypted": dep.DB.Cat, "plaintext": dep.Plain} {
 			if declared, built := cat.IndexCounts(); built == 0 || built >= declared {
 				t.Errorf("%s catalog after Q6 and Q12: %d of %d declared indexes built, want some but not all", side, built, declared)
 			}
+		}
+	}
+	for label, want := range rows[true] {
+		if got := rows[false][label]; got != want {
+			t.Errorf("%s: rows without indexes\n%s\ndiffer from those with them\n%s", label, got, want)
 		}
 	}
 }

@@ -60,6 +60,37 @@ func (tm *TableMeta) FindGroupColumn(exprSQL string) (*GroupMeta, int) {
 	return nil, -1
 }
 
+// DeclareIndexes declares the design's secondary indexes (IndexKindOf) on
+// cat. On the encrypted catalog (encrypted set) each DET and OPE item's
+// column gets one; on the plaintext catalog the base column each such item
+// encrypts gets the same kind, so plaintext-vs-encrypted comparisons measure
+// encryption, not index presence. Nothing is built: the first query that
+// probes an index builds it (storage.Table.Index), so an index no query
+// reads costs nothing. The engine reads whatever a table declares, so
+// declaring is what turns index use on.
+func DeclareIndexes(cat *storage.Catalog, design *Design, encrypted bool) error {
+	for i := range design.Items {
+		it := &design.Items[i]
+		kind, indexed := IndexKindOf(it)
+		cr, isCol := it.Expr.(*ast.ColumnRef)
+		if !indexed || (!encrypted && !isCol) {
+			continue // a precomputed expression has no plaintext column
+		}
+		col := it.ColumnName()
+		if !encrypted {
+			col = cr.Column
+		}
+		t, err := cat.Table(it.Table)
+		if err != nil {
+			continue
+		}
+		if err := t.DeclareIndex(col, kind); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // DB is an encrypted database: the server-side catalog of encrypted tables,
 // the Paillier ciphertext files, and the layout metadata shared with the
 // trusted client (the metadata reveals only schema structure, not data).
@@ -87,23 +118,28 @@ func EncryptDatabase(plain *storage.Catalog, design *Design, ks *KeyStore) (*DB,
 	return EncryptDatabaseOn(plain, design, ks, 0, storage.BackendConfig{})
 }
 
-// EncryptDatabaseOn is EncryptDatabase with an explicit storage backend for
-// the encrypted catalog: the zero config keeps the encrypted tables in
-// memory, a disk config loads them straight into paged segment files
-// (flushed table by table, so the load never holds more than the block
-// cache resident). The int argument is ignored: the engine's expression
+// EncryptDatabaseOn is EncryptDatabaseWith, then DeclareIndexes on the
+// encrypted catalog. The int argument is ignored: the engine's expression
 // scans over the plaintext tables cut into morsels on GOMAXPROCS workers.
 // It stays only because the benchmark's layer harness (bench/layers.go),
 // whose files are frozen, passes one; ROADMAP item 1(b) deletes it.
 func EncryptDatabaseOn(plain *storage.Catalog, design *Design, ks *KeyStore, _ int, cfg storage.BackendConfig) (*DB, error) {
-	return EncryptDatabaseWith(plain, design, ks, cfg, true)
+	db, err := EncryptDatabaseWith(plain, design, ks, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := DeclareIndexes(db.Cat, design, true); err != nil {
+		return nil, err
+	}
+	return db, nil
 }
 
-// EncryptDatabaseWith is EncryptDatabaseOn, declaring the encrypted columns'
-// secondary indexes (IndexKindOf) only when indexes is set: a deployment
-// whose engine never reads an index declares none. A declared index is built
-// by the first query that probes it.
-func EncryptDatabaseWith(plain *storage.Catalog, design *Design, ks *KeyStore, cfg storage.BackendConfig, indexes bool) (*DB, error) {
+// EncryptDatabaseWith is EncryptDatabase with an explicit storage backend for
+// the encrypted catalog, declaring no index: the zero config keeps the
+// encrypted tables in memory, a disk config loads them straight into paged
+// segment files (flushed table by table, so the load never holds more than
+// the block cache resident).
+func EncryptDatabaseWith(plain *storage.Catalog, design *Design, ks *KeyStore, cfg storage.BackendConfig) (*DB, error) {
 	eng := engine.New(plain)
 	db := &DB{
 		Cat:    storage.NewCatalogWith(cfg),
@@ -120,14 +156,14 @@ func EncryptDatabaseWith(plain *storage.Catalog, design *Design, ks *KeyStore, c
 		}
 	}
 	for _, tbl := range tables {
-		if err := encryptTable(db, eng, plain, design, ks, tbl, indexes); err != nil {
+		if err := encryptTable(db, eng, plain, design, ks, tbl); err != nil {
 			return nil, fmt.Errorf("enc: table %s: %w", tbl, err)
 		}
 	}
 	return db, nil
 }
 
-func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *Design, ks *KeyStore, tbl string, indexes bool) error {
+func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *Design, ks *KeyStore, tbl string) error {
 	items := design.TableItems(tbl)
 	var rowItems []Item // non-HOM, stored in the row
 	var homItems []Item
@@ -234,17 +270,6 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 	encTable, err := db.Cat.Create(schema)
 	if err != nil {
 		return err
-	}
-
-	// Secondary indexes on the encrypted columns, declared only: the first
-	// query that probes one builds it (storage.Table.Index), so an index no
-	// query reads costs nothing.
-	for i := range rowItems {
-		if kind, ok := IndexKindOf(&rowItems[i]); ok && indexes {
-			if err := encTable.DeclareIndex(rowItems[i].ColumnName(), kind); err != nil {
-				return err
-			}
-		}
 	}
 
 	// Encrypt row items, each resolved to its cipher and source column once.

@@ -2,34 +2,30 @@ package engine
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
 
-// Access-path selection. When Engine.UseIndexes is on, a single-table scan
-// may be served by a secondary index instead of reading every row: a DET
-// hash index answers `=` and `IN` conjuncts, an OPE ordered index answers
-// `<`/`<=`/`>`/`>=`/`BETWEEN`, each written `col op const`. The index
-// yields an ascending row-id list that is always a SUPERSET of the rows the
-// chosen conjunct matches (NULL keys are never indexed and every sargable
-// predicate is non-true on NULL), and the full WHERE clause is re-applied
-// as a residual filter over the fetched rows — so rows, row order, and
-// therefore the final result are byte-identical to the full-scan path at
-// every parallelism level and batch size. What changes is the charged I/O:
-// an index scan pays bytes in proportion to the rows it actually fetches.
+// Access-path selection. A single-table scan over a table that declares
+// secondary indexes may be served by one instead of reading every row: the
+// conjuncts ast.Sargable accepts are probed, a DET hash index answering `=`
+// and `IN`, an OPE ordered index `<`/`<=`/`>`/`>=`/`BETWEEN`. A table that
+// declares none (an index-free deployment, a client temp table) skips all of
+// it. The index yields an ascending row-id list that is always a SUPERSET of
+// the rows the chosen conjunct matches (NULL keys are never indexed and every
+// sargable predicate is non-true on NULL), and the full WHERE clause is
+// re-applied as a residual filter over the fetched rows — so rows, row
+// order, and therefore the final result are byte-identical to the full-scan
+// path at every parallelism level and batch size. What changes is the
+// charged I/O: an index scan pays bytes in proportion to the rows it
+// actually fetches.
 //
 // Selection is cost-based with exact cardinalities: the index knows the
 // true posting/range size k before any row is read, and the scan reads n
-// rows, so the index wins iff k*indexRowCost < n.
-
-// indexRowCost is the charged cost ratio of an index row fetch to a
-// sequential scan row: index access is random, so the crossover sits at
-// 1/indexRowCost selectivity (25%), far above the selectivities where
-// indexes matter and safely below the region where a scan's locality wins.
-const indexRowCost = 4
+// rows, so the index wins iff k*storage.IndexRowCost < n.
 
 // accessPath chooses the access path of a single-table block's scan and
 // installs it on p. Every index-answerable WHERE conjunct is probed and the
@@ -60,7 +56,7 @@ func (c *execCtx) accessPath(q *ast.Query, p *pipeline) error {
 			break // the AND can match nothing; later conjuncts can't grow it
 		}
 	}
-	if ids != nil && len(ids)*indexRowCost < n {
+	if ids != nil && len(ids)*storage.IndexRowCost < n {
 		c.chargeIndex(lookups, int64(n-len(ids)))
 		p.src.ids = ids
 	}
@@ -82,126 +78,86 @@ func (c *execCtx) chargeIndex(lookups, skipped int64) {
 // can hold, obtained with the returned number of index probes; err is a
 // failed index build.
 func (c *execCtx) sargIDs(t *storage.Table, e ast.Expr) (ids []int32, lookups int64, ok bool, err error) {
-	switch x := e.(type) {
-	case *ast.BinaryExpr:
-		col, lit, op, ok := colOpConst(c, x)
-		if !ok || isNaN(lit) {
+	s, ok := ast.Sargable(e)
+	if !ok {
+		return nil, 0, false, nil
+	}
+	if s.Range() {
+		return c.rangeIDs(t, &s)
+	}
+	return c.eqIDs(t, &s)
+}
+
+// eqIDs answers an equality or IN list from its column's hash index: the
+// union of its constants' postings, one probe per non-NULL constant.
+func (c *execCtx) eqIDs(t *storage.Table, s *ast.Sarg) ([]int32, int64, bool, error) {
+	keys := s.In
+	if s.Eq != nil {
+		keys = []ast.Expr{s.Eq}
+	}
+	ix, err := t.Index(s.Col.Column, storage.HashIndex)
+	if ix == nil {
+		return nil, 0, false, err
+	}
+	var union []int32
+	var lookups int64
+	for _, k := range keys {
+		v, ok := c.constVal(k)
+		if !ok || isNaN(v) {
 			return nil, 0, false, nil
 		}
-		if op == ast.OpEq {
-			ix, err := t.Index(col, storage.HashIndex)
-			if ix == nil {
-				return nil, 0, false, err
-			}
-			if lit.IsNull() {
-				return []int32{}, 0, true, nil // `= NULL` is never true
-			}
-			if !ix.Usable(lit.K) {
-				return nil, 0, false, nil
-			}
-			return notNil(ix.Postings(lit)), 1, true, nil
+		if v.IsNull() {
+			continue // `= NULL` is never true
 		}
-		ix, err := t.Index(col, storage.OrderedIndex)
-		if ix == nil {
-			return nil, 0, false, err
+		if !ix.Usable(v.K) {
+			return nil, 0, false, nil
 		}
-		if lit.IsNull() {
+		if len(keys) == 1 {
+			return notNil(ix.Postings(v)), 1, true, nil
+		}
+		union = append(union, ix.Postings(v)...)
+		lookups++
+	}
+	// Two constants can share a posting (e.g. 2 and 2.0).
+	slices.Sort(union)
+	return notNil(slices.Compact(union)), lookups, true, nil
+}
+
+// rangeIDs answers a range from its column's ordered index, when the range
+// is selective enough to pass the cost rule.
+func (c *execCtx) rangeIDs(t *storage.Table, s *ast.Sarg) ([]int32, int64, bool, error) {
+	var v [2]value.Value  // the constant bounds
+	var b [2]*value.Value // lower and upper: &v[i], or nil where open
+	for i, e := range [2]ast.Expr{s.Lo, s.Hi} {
+		if e == nil {
+			continue
+		}
+		var ok bool
+		if v[i], ok = c.constVal(e); !ok || isNaN(v[i]) {
+			return nil, 0, false, nil
+		}
+		b[i] = &v[i]
+	}
+	ix, err := t.Index(s.Col.Column, storage.OrderedIndex)
+	if ix == nil {
+		return nil, 0, false, err
+	}
+	for _, x := range b {
+		if x != nil && x.IsNull() {
 			return []int32{}, 0, true, nil // comparisons against NULL are never true
 		}
-		if !ix.Usable(lit.K) {
-			return nil, 0, false, nil
-		}
-		var lo, hi *value.Value
-		var loIncl, hiIncl bool
-		switch op {
-		case ast.OpLt:
-			hi = &lit
-		case ast.OpLe:
-			hi, hiIncl = &lit, true
-		case ast.OpGt:
-			lo = &lit
-		case ast.OpGe:
-			lo, loIncl = &lit, true
-		default:
-			return nil, 0, false, nil
-		}
-		// Count first (two binary searches): an unselective range would fail
-		// the cost rule anyway, so don't pay for materializing its ids.
-		if ix.RangeCount(lo, hi, loIncl, hiIncl)*indexRowCost >= t.NumRows() {
-			return nil, 0, false, nil
-		}
-		return notNil(ix.Range(lo, hi, loIncl, hiIncl)), 1, true, nil
-
-	case *ast.BetweenExpr:
-		if x.Not {
-			return nil, 0, false, nil
-		}
-		col, ok := bareCol(x.E)
-		if !ok {
-			return nil, 0, false, nil
-		}
-		ix, err := t.Index(col, storage.OrderedIndex)
-		if ix == nil {
-			return nil, 0, false, err
-		}
-		lo, ok := c.constVal(x.Lo)
-		if !ok || isNaN(lo) {
-			return nil, 0, false, nil
-		}
-		hi, ok := c.constVal(x.Hi)
-		if !ok || isNaN(hi) {
-			return nil, 0, false, nil
-		}
-		if lo.IsNull() || hi.IsNull() {
-			return []int32{}, 0, true, nil // BETWEEN with a NULL bound is never true
-		}
-		if !ix.Usable(lo.K) || !ix.Usable(hi.K) {
-			return nil, 0, false, nil
-		}
-		if ix.RangeCount(&lo, &hi, true, true)*indexRowCost >= t.NumRows() {
-			return nil, 0, false, nil
-		}
-		return notNil(ix.Range(&lo, &hi, true, true)), 1, true, nil
-
-	case *ast.InExpr:
-		if x.Not || x.Sub != nil {
-			return nil, 0, false, nil
-		}
-		col, ok := bareCol(x.E)
-		if !ok {
-			return nil, 0, false, nil
-		}
-		ix, err := t.Index(col, storage.HashIndex)
-		if ix == nil {
-			return nil, 0, false, err
-		}
-		var union []int32
-		for _, el := range x.List {
-			v, ok := c.constVal(el)
-			if !ok || isNaN(v) {
-				return nil, 0, false, nil
-			}
-			if v.IsNull() {
-				continue // a NULL element matches nothing
-			}
-			if !ix.Usable(v.K) {
-				return nil, 0, false, nil
-			}
-			union = append(union, ix.Postings(v)...)
-			lookups++
-		}
-		sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
-		// Dedup: two IN elements can share a posting (e.g. 2 and 2.0).
-		dst := 0
-		for i, id := range union {
-			if i == 0 || id != union[dst-1] {
-				union[dst] = id
-				dst++
-			}
-		}
-		return notNil(union[:dst]), lookups, true, nil
 	}
-	return nil, 0, false, nil
+	for _, x := range b {
+		if x != nil && !ix.Usable(x.K) {
+			return nil, 0, false, nil
+		}
+	}
+	// Count first (two binary searches): an unselective range would fail
+	// the cost rule anyway, so don't pay for materializing its ids.
+	if ix.RangeCount(b[0], b[1], s.LoIncl, s.HiIncl)*storage.IndexRowCost >= t.NumRows() {
+		return nil, 0, false, nil
+	}
+	return notNil(ix.Range(b[0], b[1], s.LoIncl, s.HiIncl)), 1, true, nil
 }
 
 // notNil normalizes an empty id list: nil means "no index" to rowSource.
@@ -218,17 +174,6 @@ func isNaN(v value.Value) bool {
 	return v.K == value.Float && math.IsNaN(v.F)
 }
 
-// bareCol returns the column e names when it is a column reference: resolve
-// bound every name of a single-table block opened with no outer row to its
-// one table.
-func bareCol(e ast.Expr) (string, bool) {
-	cr, ok := e.(*ast.ColumnRef)
-	if !ok || cr.Column == "*" {
-		return "", false
-	}
-	return cr.Column, true
-}
-
 // constVal resolves e as a constant: a literal or a bound parameter.
 func (c *execCtx) constVal(e ast.Expr) (value.Value, bool) {
 	switch x := e.(type) {
@@ -241,23 +186,6 @@ func (c *execCtx) constVal(e ast.Expr) (value.Value, bool) {
 	return value.Value{}, false
 }
 
-// colOpConst decomposes a `col op const` comparison into (indexable
-// column, constant, operator).
-func colOpConst(c *execCtx, x *ast.BinaryExpr) (string, value.Value, ast.BinOp, bool) {
-	if !x.Op.IsComparison() || x.Op == ast.OpNe {
-		return "", value.Value{}, 0, false
-	}
-	col, ok := bareCol(x.Left)
-	if !ok {
-		return "", value.Value{}, 0, false
-	}
-	lit, ok := c.constVal(x.Right)
-	if !ok {
-		return "", value.Value{}, 0, false
-	}
-	return col, lit, x.Op, true
-}
-
 // probedBuild serves a hash-join build side from the base table's hash index
 // on a join key, when the side is one unfiltered base-table scan and the key
 // probeKey picks has one: nothing is drained, and each probe batch fetches
@@ -265,11 +193,11 @@ func colOpConst(c *execCtx, x *ast.BinaryExpr) (string, value.Value, ast.BinOp, 
 // the key may be one of several, and the probe checks the others on the rows
 // it fetched (probeIterator.recheck). A build read by whole-key lookup
 // (joinBuild.lookup, a subquery's) must have a single key. A filtered side, a
-// join or a derived table drains instead, as does every side when indexes
-// are off. The one index lookup is charged here, where the build is chosen.
+// join or a derived table drains instead, as does every side of a table
+// that declares no index. The one index lookup is charged here, where the build is chosen.
 func (c *execCtx) probedBuild(p *pipeline, keys []ast.Expr, step bool) (*joinBuild, error) {
 	t := p.src.t
-	if !c.useIdx || (!step && len(keys) != 1) {
+	if t == nil || !t.HasIndexes() || (!step && len(keys) != 1) {
 		return nil, nil
 	}
 	// The layout names a key column; its position there is not its schema

@@ -13,9 +13,11 @@ import (
 // accessFixture builds ev(e_id, e_cat, e_val, e_opt) with seeded random
 // rows — including NULLs in the indexed columns — plus a dimension table
 // dim(d_cat, d_w) for join-build coverage, and indexes: a hash index on
-// e_cat and d_cat (equality/IN/join), an ordered index on e_val (ranges).
-// 600 rows are several morsels at a small batch, and several stream batches.
-func accessFixture(t *testing.T) *Engine {
+// e_cat and d_cat (equality/IN/join), an ordered index on e_val (ranges),
+// when indexes is set. The rows do not depend on indexes, so the two
+// fixtures compare the index paths with the scans. 600 rows are several
+// morsels at a small batch, and several stream batches.
+func accessFixture(t *testing.T, indexes bool) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	cat := storage.NewCatalog()
@@ -43,12 +45,6 @@ func accessFixture(t *testing.T) *Engine {
 		}
 		ev.MustInsert([]value.Value{value.NewInt(int64(i)), c, v, value.NewInt(rng.Int63n(7))})
 	}
-	if _, err := ev.EnsureIndex("e_cat", storage.HashIndex); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev.EnsureIndex("e_val", storage.OrderedIndex); err != nil {
-		t.Fatal(err)
-	}
 	dim, err := cat.Create(storage.Schema{
 		Name: "dim",
 		Cols: []storage.Column{
@@ -66,8 +62,16 @@ func accessFixture(t *testing.T) *Engine {
 		}
 	}
 	dim.MustInsert([]value.Value{{}, value.NewInt(99)}) // NULL build key
-	if _, err := dim.EnsureIndex("d_cat", storage.HashIndex); err != nil {
-		t.Fatal(err)
+	if indexes {
+		for _, ix := range []struct {
+			t    *storage.Table
+			col  string
+			kind storage.IndexKind
+		}{{ev, "e_cat", storage.HashIndex}, {ev, "e_val", storage.OrderedIndex}, {dim, "d_cat", storage.HashIndex}} {
+			if err := ix.t.DeclareIndex(ix.col, ix.kind); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	return New(cat)
 }
@@ -125,20 +129,20 @@ var accessShapes = []string{
 	`SELECT e_id FROM ev WHERE e_cat = 'ale' AND e_cat = 'bock'`,
 }
 
-// TestAccessPathEquivalence pins every shape's result across UseIndexes ×
-// GOMAXPROCS × batchSize against the index-off sequential materialized
-// baseline — the engine-level version of the byte-identity contract.
+// TestAccessPathEquivalence pins every shape's result across declared
+// indexes × GOMAXPROCS × batchSize against the index-free sequential
+// materialized baseline — the engine-level version of the byte-identity
+// contract.
 func TestAccessPathEquivalence(t *testing.T) {
-	e := accessFixture(t)
 	base := make(map[string]string)
-	e.UseIndexes = false
 	procs(t, 1)
-	e.batchSize = 0
+	scan := accessFixture(t, false)
 	for _, sql := range accessShapes {
-		base[sql] = renderAccess(run(t, e, sql, nil))
+		base[sql] = renderAccess(run(t, scan, sql, nil))
 	}
+	var e *Engine
 	for _, idx := range []bool{false, true} {
-		e.UseIndexes = idx
+		e = accessFixture(t, idx)
 		for _, par := range []int{1, 4} {
 			procs(t, par)
 			for _, bs := range []int{0, 32} {
@@ -158,18 +162,15 @@ func TestAccessPathEquivalence(t *testing.T) {
 }
 
 // TestAccessPathStreaming pins the streaming API the same way: every shape
-// consumed through ExecuteStream with indexes on must equal the
-// materialized index-off result, across GOMAXPROCS and batch size.
+// consumed through ExecuteStream with indexes declared must equal the
+// materialized index-free result, across GOMAXPROCS and batch size.
 func TestAccessPathStreaming(t *testing.T) {
-	e := accessFixture(t)
-	e.UseIndexes = false
+	scan, e := accessFixture(t, false), accessFixture(t, true)
 	procs(t, 1)
-	e.batchSize = 0
 	base := make(map[string]string)
 	for _, sql := range accessShapes {
-		base[sql] = renderAccess(run(t, e, sql, nil))
+		base[sql] = renderAccess(run(t, scan, sql, nil))
 	}
-	e.UseIndexes = true
 	for _, par := range []int{1, 4} {
 		procs(t, par)
 		for _, bs := range []int{16, 128} {
@@ -206,8 +207,7 @@ func TestAccessPathStreaming(t *testing.T) {
 // charges index lookups, skips most of the scan, and reads proportionally
 // fewer bytes; an unselective range keeps the full scan and charges nothing.
 func TestIndexCharging(t *testing.T) {
-	e := accessFixture(t)
-	e.UseIndexes = true
+	e := accessFixture(t, true)
 	full := run(t, e, `SELECT COUNT(*) FROM ev WHERE e_val >= 0`, nil)
 	if full.Stats.IndexLookups != 0 || full.Stats.RowsSkippedByIndex != 0 {
 		t.Errorf("unselective range used the index: %+v", full.Stats)
@@ -240,18 +240,16 @@ func TestIndexCharging(t *testing.T) {
 // restricts the scan through its index, the subquery filters what is
 // fetched — and returns what the full scan returns.
 func TestAccessPathBesideSubquery(t *testing.T) {
-	e := accessFixture(t)
+	scan, e := accessFixture(t, false), accessFixture(t, true)
 	for _, sql := range []string{
 		`SELECT e_id FROM ev WHERE e_cat = 'ale' AND e_val > (SELECT AVG(e_val) FROM ev)`,
 		`SELECT e_id FROM ev WHERE e_cat = 'bock' AND EXISTS (SELECT 1 FROM dim WHERE d_cat = e_cat AND d_w < e_opt)`,
 		`SELECT e_id, (SELECT MAX(d_w) FROM dim WHERE d_cat = e_cat) FROM ev WHERE e_val BETWEEN 100 AND 150`,
 	} {
-		e.UseIndexes = false
-		want := run(t, e, sql, nil)
-		e.UseIndexes = true
+		want := run(t, scan, sql, nil)
 		got := run(t, e, sql, nil)
 		if renderAccess(got) != renderAccess(want) {
-			t.Errorf("%s diverges with indexes on:\n%s\nvs\n%s", sql, renderAccess(got), renderAccess(want))
+			t.Errorf("%s diverges with indexes declared:\n%s\nvs\n%s", sql, renderAccess(got), renderAccess(want))
 		}
 		if got.Stats.RowsSkippedByIndex == 0 || got.Stats.RowsScanned >= want.Stats.RowsScanned {
 			t.Errorf("%s did not take the index: %+v", sql, got.Stats)
@@ -263,11 +261,9 @@ func TestAccessPathBesideSubquery(t *testing.T) {
 // value arrives at execution time, and a NaN parameter disables the index
 // without changing results.
 func TestAccessParams(t *testing.T) {
-	e := accessFixture(t)
+	scan, e := accessFixture(t, false), accessFixture(t, true)
 	params := map[string]value.Value{"c": value.NewStr("bock"), "v": value.NewInt(200)}
-	e.UseIndexes = false
-	want := renderAccess(run(t, e, `SELECT e_id FROM ev WHERE e_cat = :c AND e_val < :v`, params))
-	e.UseIndexes = true
+	want := renderAccess(run(t, scan, `SELECT e_id FROM ev WHERE e_cat = :c AND e_val < :v`, params))
 	res := run(t, e, `SELECT e_id FROM ev WHERE e_cat = :c AND e_val < :v`, params)
 	if got := renderAccess(res); got != want {
 		t.Errorf("param probe diverges:\n%s\nvs\n%s", got, want)
@@ -292,15 +288,13 @@ func fmtNaN() float64 {
 // scan, the residual filter applies the rest, and the charged stats count
 // every probe plus the rows the kept list avoided fetching.
 func TestAccessMultiConjunctShortest(t *testing.T) {
-	e := accessFixture(t)
+	scan, e := accessFixture(t, false), accessFixture(t, true)
 	check := func(sql string) *Result {
 		t.Helper()
-		e.UseIndexes = false
-		want := renderAccess(run(t, e, sql, nil))
-		e.UseIndexes = true
+		want := renderAccess(run(t, scan, sql, nil))
 		res := run(t, e, sql, nil)
 		if got := renderAccess(res); got != want {
-			t.Errorf("%s diverges with indexes on:\n%s\nvs\n%s", sql, got, want)
+			t.Errorf("%s diverges with indexes declared:\n%s\nvs\n%s", sql, got, want)
 		}
 		if res.Stats.RowsSkippedByIndex != 600-res.Stats.RowsScanned {
 			t.Errorf("%s: RowsSkippedByIndex = %d with %d rows scanned", sql, res.Stats.RowsSkippedByIndex, res.Stats.RowsScanned)
@@ -343,12 +337,10 @@ func TestAccessMultiConjunctShortest(t *testing.T) {
 // the shape a prepared statement with parameter IN elements produces — one
 // hash probe per non-NULL element, results identical to the index-off scan.
 func TestAccessIndexedINParams(t *testing.T) {
-	e := accessFixture(t)
+	scan, e := accessFixture(t, false), accessFixture(t, true)
 	sql := `SELECT e_id, e_opt FROM ev WHERE e_cat IN (:a, :b)`
 	params := map[string]value.Value{"a": value.NewStr("ale"), "b": value.NewStr("stray")}
-	e.UseIndexes = false
-	want := renderAccess(run(t, e, sql, params))
-	e.UseIndexes = true
+	want := renderAccess(run(t, scan, sql, params))
 	res := run(t, e, sql, params)
 	if got := renderAccess(res); got != want {
 		t.Errorf("IN over params diverges:\n%s\nvs\n%s", got, want)
@@ -363,9 +355,7 @@ func TestAccessIndexedINParams(t *testing.T) {
 	// Mixed literal and parameter elements probe the same way, and a second
 	// sargable conjunct is probed beside the IN union.
 	mixed := `SELECT e_id FROM ev WHERE e_cat IN ('ale', :b) AND e_val < 200`
-	e.UseIndexes = false
-	wantMixed := renderAccess(run(t, e, mixed, params))
-	e.UseIndexes = true
+	wantMixed := renderAccess(run(t, scan, mixed, params))
 	rm := run(t, e, mixed, params)
 	if got := renderAccess(rm); got != wantMixed {
 		t.Errorf("mixed IN diverges:\n%s\nvs\n%s", got, wantMixed)
@@ -377,9 +367,7 @@ func TestAccessIndexedINParams(t *testing.T) {
 	// A NULL-bound element matches nothing and is skipped without a probe;
 	// the remaining element still serves the query.
 	pn := map[string]value.Value{"a": value.NewStr("ale"), "b": value.NewNull()}
-	e.UseIndexes = false
-	wantNull := renderAccess(run(t, e, sql, pn))
-	e.UseIndexes = true
+	wantNull := renderAccess(run(t, scan, sql, pn))
 	rn := run(t, e, sql, pn)
 	if got := renderAccess(rn); got != wantNull {
 		t.Errorf("NULL-element IN diverges:\n%s\nvs\n%s", got, wantNull)

@@ -127,12 +127,11 @@ func (r *Result) Bytes() int64 {
 // per-call, and catalogs are read-only during execution).
 type Engine struct {
 	Cat *storage.Catalog
-	// UseIndexes enables cost-based access-path selection (see access.go):
-	// single-table scans may restrict through a secondary index and join
-	// builds may fetch their rows through a hash index. Off by default — results
-	// are byte-identical either way, but scan statistics (and therefore
-	// simulated I/O time) shrink when an index path is taken. It must not
-	// change while queries are in flight.
+	// Deprecated: UseIndexes is ignored. The engine uses the indexes a table
+	// declares (storage.Table.DeclareIndex), so a deployment decides index
+	// use by declaring them or not (access.go). The field stays only because
+	// the benchmark's layer harness (bench/layers.go), whose files are
+	// frozen, sets it.
 	UseIndexes bool
 	scalars    map[string]ScalarUDF
 	aggs       map[string]AggUDFFactory
@@ -233,16 +232,17 @@ type execCtx struct {
 	stats  *Stats
 	subq   map[*ast.Query]*subqPlan // written only from open (planSubquery); morsels read it
 	batch  int                      // rows per batch; math.MaxInt when draining
-	useIdx bool                     // cost-based index access paths enabled (access.go)
 	stmt   *stmtCols                // the statement's column set, shared with morsel contexts
 	// aliased maps each block whose HAVING or ORDER BY names a SELECT-list
 	// alias to its copy with the aliased expressions substituted
 	// (ast.WithAliases); nil when no block does. Morsel contexts share it
 	// read-only.
 	aliased map[*ast.Query]*ast.Query
-	// keyBuf is the subquery probes' key buffer (outerKey); a context runs
-	// on one goroutine, so its probes share one.
+	// keyBuf is the subquery probes' key buffer (outerKey), and rowBuf the
+	// buffer an index-probed build's lookup returns its rows in; a context
+	// runs on one goroutine, so its probes share them.
 	keyBuf []byte
+	rowBuf [][]value.Value
 }
 
 // schema is the catalog as the name resolver sees it.
@@ -297,8 +297,7 @@ func (e *Engine) newCtx(q *ast.Query, params map[string]value.Value, batch int) 
 		batch = e.batchSize
 	}
 	return &execCtx{
-		eng: e, params: params, stats: &Stats{},
-		batch: batch, useIdx: e.UseIndexes,
+		eng: e, params: params, stats: &Stats{}, batch: batch,
 		stmt: &stmtCols{root: q},
 	}
 }
@@ -544,7 +543,7 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 		}
 		p := &pipeline{src: src, layout: layout, joined: layout, outer: outer, batch: c.batch}
 		p.setFilter(q.Where)
-		if access && c.useIdx && outer == nil && src.t != nil {
+		if access && outer == nil && src.t != nil && src.t.HasIndexes() {
 			if err := c.accessPath(q, p); err != nil {
 				return nil, err
 			}

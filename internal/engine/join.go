@@ -399,16 +399,29 @@ type joinBuild struct {
 }
 
 // lookup returns the build rows matching one (non-NULL) probe key, in
-// build-side row order; an index-probed build fetches them for c.
+// build-side row order. An index-probed build fetches them for c into c's
+// row buffer, which the caller holds until it hands it back with release; a
+// probe nested in the rows' use finds the buffer taken and fetches into a
+// fresh one.
 func (b *joinBuild) lookup(c *execCtx, key []byte) ([][]value.Value, error) {
 	if b.ix != nil {
-		return b.ix.fetch(c.stats, b.ix.ix.PostingsKey(key), nil)
+		buf := c.rowBuf
+		c.rowBuf = nil
+		return b.ix.fetch(c.stats, b.ix.ix.PostingsKey(key), buf[:0])
 	}
 	p := &b.parts[joinPartition(key, len(b.parts))]
 	if s, ok := p.slot[string(key)]; ok {
 		return p.rows[s], nil
 	}
 	return nil, nil
+}
+
+// release hands rows, which lookup returned for c, back to c as its row
+// buffer when they were fetched into it: a hashed build's rows are its own.
+func (b *joinBuild) release(c *execCtx, rows [][]value.Value) {
+	if b.ix != nil && rows != nil {
+		c.rowBuf = rows[:0]
+	}
 }
 
 // joinPart is one partition of a hashed build: slot maps a key to its
@@ -546,15 +559,13 @@ func (p *tableProbe) reach(st *Stats, need []int32) error {
 			return err
 		}
 	}
-	n, before := int64(p.t.NumRows()), int64(p.reached)
+	before := p.reached
 	p.reached += len(need)
-	if !p.t.Paged() {
-		phys = p.t.Bytes*int64(p.reached)/n - p.t.Bytes*before/n
-	}
+	charge := p.t.ReadCost(before, p.reached, phys)
 	st.RowsScanned += int64(len(need))
-	st.BytesScanned += phys
+	st.BytesScanned += charge
 	if p.all == nil {
-		p.read += phys
+		p.read += charge
 	}
 	return nil
 }

@@ -140,8 +140,9 @@ func TestImpliedFiltersThreeValued(t *testing.T) {
 
 // orderFixture builds fact (2 000 rows), mid (200) and dim (20), each keyed
 // by its row number: fact.f_mid → mid, mid.m_dim → dim, and dim.d_name
-// spells the key. The join keys f_mid, m_id and d_id have hash indexes.
-func orderFixture(t testing.TB) *storage.Catalog {
+// spells the key. The join keys f_mid, m_id and d_id have hash indexes
+// when indexes is set.
+func orderFixture(t testing.TB, indexes bool) *storage.Catalog {
 	t.Helper()
 	cat := storage.NewCatalog()
 	mk := func(name string, cols ...string) *storage.Table {
@@ -169,9 +170,11 @@ func orderFixture(t testing.TB) *storage.Catalog {
 	for i := 0; i < 20; i++ {
 		dim.MustInsert([]value.Value{value.NewInt(int64(i)), value.NewStr(fmt.Sprintf("d%02d", i))})
 	}
-	for tbl, col := range map[*storage.Table]string{fact: "f_mid", mid: "m_id", dim: "d_id"} {
-		if _, err := tbl.EnsureIndex(col, storage.HashIndex); err != nil {
-			t.Fatal(err)
+	if indexes {
+		for tbl, col := range map[*storage.Table]string{fact: "f_mid", mid: "m_id", dim: "d_id"} {
+			if err := tbl.DeclareIndex(col, storage.HashIndex); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	return cat
@@ -189,10 +192,11 @@ func joinOrder(q *ast.Query, plan *joinPlan) string {
 // TestJoinOrderFromEstimates pins the order the estimates choose: a selective
 // filter on the small end of a chain starts it, equal estimates keep the FROM
 // order, and a table with no connecting edge is cross joined last. Each
-// statement then runs with indexes off and on: an unfiltered build side on an
-// indexed key is probed (probed), and the rows and their order are the same.
+// statement then runs without indexes and with them declared: the order is
+// the same, an unfiltered build side on an indexed key is probed (probed),
+// and the rows and their order are the same.
 func TestJoinOrderFromEstimates(t *testing.T) {
-	e := New(orderFixture(t))
+	engines := []*Engine{New(orderFixture(t, false)), New(orderFixture(t, true))}
 	for _, c := range []struct {
 		sql, want string
 		probed    bool
@@ -218,13 +222,13 @@ func TestJoinOrderFromEstimates(t *testing.T) {
 		// Cross joins only: the estimates tie, FROM order.
 		{"SELECT COUNT(*) FROM dim, mid", "dim mid", false},
 	} {
-		q, plan := planOf(t, e, c.sql)
-		if got := joinOrder(q, plan); got != c.want {
-			t.Errorf("%s: order %q, want %q", c.sql, got, c.want)
-		}
 		var want []string
-		for _, idx := range []bool{false, true} {
-			e.UseIndexes = idx
+		for i, idx := range []bool{false, true} {
+			e := engines[i]
+			q, plan := planOf(t, e, c.sql)
+			if got := joinOrder(q, plan); got != c.want {
+				t.Errorf("%s (indexes %v): order %q, want %q", c.sql, idx, got, c.want)
+			}
 			res := run(t, e, c.sql, nil)
 			if got := renderJoinRows(res); !idx {
 				want = got
@@ -235,7 +239,6 @@ func TestJoinOrderFromEstimates(t *testing.T) {
 				t.Errorf("%s: index lookups %d, want probed builds %v", c.sql, res.Stats.IndexLookups, c.probed)
 			}
 		}
-		e.UseIndexes = false
 	}
 }
 
@@ -275,7 +278,7 @@ func TestJoinOrderWithoutStatistics(t *testing.T) {
 // emits SELECT *'s cells in FROM order, in both the projected and the
 // streamed result.
 func TestJoinOrderSelectStar(t *testing.T) {
-	e := New(orderFixture(t))
+	e := New(orderFixture(t, false))
 	const sql = "SELECT * FROM fact, mid, dim WHERE f_mid = m_id AND m_dim = d_id AND d_name = 'd07' AND f_val < 30 ORDER BY f_id"
 	if q, plan := planOf(t, e, sql); plan.start != 2 {
 		t.Fatalf("order %q does not start from dim", joinOrder(q, plan))
@@ -318,31 +321,36 @@ func TestJoinOrderSelectStar(t *testing.T) {
 // unfiltered indexed table is index-probed through one key, and keeps the
 // rows — NULL keys and all — and the order of the hashed build.
 func TestJoinOrderCompositeProbe(t *testing.T) {
-	cat := orderFixture(t)
-	pair, err := cat.Create(storage.Schema{Name: "pair", Cols: []storage.Column{
-		{Name: "p_mid", Type: storage.TInt}, {Name: "p_val", Type: storage.TInt}, {Name: "p_tag", Type: storage.TInt},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 600; i++ {
-		val := value.NewInt(int64(i % 97))
-		if i%11 == 4 {
-			val = value.NewNull()
-		}
-		pair.MustInsert([]value.Value{value.NewInt(int64(i % 200)), val, value.NewInt(int64(i))})
-	}
-	for _, col := range []string{"p_mid", "p_val"} {
-		if _, err := pair.EnsureIndex(col, storage.HashIndex); err != nil {
+	fixture := func(indexes bool) *Engine {
+		cat := orderFixture(t, indexes)
+		pair, err := cat.Create(storage.Schema{Name: "pair", Cols: []storage.Column{
+			{Name: "p_mid", Type: storage.TInt}, {Name: "p_val", Type: storage.TInt}, {Name: "p_tag", Type: storage.TInt},
+		}})
+		if err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < 600; i++ {
+			val := value.NewInt(int64(i % 97))
+			if i%11 == 4 {
+				val = value.NewNull()
+			}
+			pair.MustInsert([]value.Value{value.NewInt(int64(i % 200)), val, value.NewInt(int64(i))})
+		}
+		if indexes {
+			for _, col := range []string{"p_mid", "p_val"} {
+				if err := pair.DeclareIndex(col, storage.HashIndex); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return New(cat)
 	}
-	e := New(cat)
 	const sql = "SELECT f_id, p_tag FROM fact, pair WHERE f_mid = p_mid AND f_val = p_val AND f_val IN (1, 2, 3, 4, 5, 6, 7, 8)"
 	var want []string
 	for _, idx := range []bool{false, true} {
+		e := fixture(idx)
 		for _, batch := range []int{0, 7} {
-			e.UseIndexes, e.batchSize = idx, batch
+			e.batchSize = batch
 			res := run(t, e, sql, nil)
 			got := renderJoinRows(res)
 			if want == nil {

@@ -15,8 +15,9 @@ import (
 //
 //	t(id, a, b, n)     (1, "a\x00\x03b", "c", 1), (2, "a", "b\x00\x03c", 1)
 //	u(x, y, m, v)      ("a\x00\x03b", "c", m, 99+m) for m = 1, 2, 3
-//	                   hash index on m, the key with the most distinct values
-func keyCollisionFixture(t *testing.T, cat *storage.Catalog) *Engine {
+//	                   hash index on m, the key with the most distinct
+//	                   values, when indexes is set
+func keyCollisionFixture(t *testing.T, cat *storage.Catalog, indexes bool) *Engine {
 	t.Helper()
 	tt, err := cat.Create(storage.Schema{Name: "t", Cols: []storage.Column{
 		{Name: "id", Type: storage.TInt}, {Name: "a", Type: storage.TStr},
@@ -37,8 +38,10 @@ func keyCollisionFixture(t *testing.T, cat *storage.Catalog) *Engine {
 	for m := int64(1); m <= 3; m++ {
 		u.MustInsert([]value.Value{value.NewStr("a\x00\x03b"), value.NewStr("c"), value.NewInt(m), value.NewInt(99 + m)})
 	}
-	if _, err := u.EnsureIndex("m", storage.HashIndex); err != nil {
-		t.Fatal(err)
+	if indexes {
+		if err := u.DeclareIndex("m", storage.HashIndex); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return New(cat)
 }
@@ -58,16 +61,18 @@ func renderKeyRows(rows [][]value.Value) string {
 // TestKeyCollisionRows: grouping, DISTINCT, a two-key hashed join, a
 // three-key join through the hashed and the index-probed build (probed by m,
 // rechecked on a and b), and decorrelated EXISTS, IN and scalar subqueries
-// keep the two rows of t apart, on the in-memory and the disk store, with
-// indexes off and on.
+// keep the two rows of t apart, on the in-memory and the disk store, without
+// indexes and with them declared.
 func TestKeyCollisionRows(t *testing.T) {
-	cat := storage.NewCatalogWith(storage.BackendConfig{
-		Kind: storage.BackendDisk, Dir: t.TempDir(), PageBytes: 512, CacheBytes: 1024,
-	})
-	t.Cleanup(func() { cat.Close() })
-	engines := map[string]*Engine{
-		"mem":  keyCollisionFixture(t, storage.NewCatalog()),
-		"disk": keyCollisionFixture(t, cat),
+	catalogs := map[string]func() *storage.Catalog{
+		"mem": storage.NewCatalog,
+		"disk": func() *storage.Catalog {
+			cat := storage.NewCatalogWith(storage.BackendConfig{
+				Kind: storage.BackendDisk, Dir: t.TempDir(), PageBytes: 512, CacheBytes: 1024,
+			})
+			t.Cleanup(func() { cat.Close() })
+			return cat
+		},
 	}
 	row := func(cells ...string) string {
 		var b strings.Builder
@@ -97,9 +102,9 @@ func TestKeyCollisionRows(t *testing.T) {
 		{`SELECT id, (SELECT MAX(v) FROM u WHERE x = a AND y = b) FROM t ORDER BY id`,
 			row("1", "102") + row("2", "NULL"), false},
 	}
-	for name, e := range engines {
+	for name, newCat := range catalogs {
 		for _, idx := range []bool{false, true} {
-			e.UseIndexes = idx
+			e := keyCollisionFixture(t, newCat(), idx)
 			for _, c := range cases {
 				res := run(t, e, c.sql, nil)
 				if got := renderKeyRows(res.Rows); got != c.want {

@@ -21,13 +21,15 @@ import (
 // pagedFixture loads one seeded data set into cat:
 //
 //	ev(e_pad, e_id, e_cat, e_val, e_opt, e_ok)   600 rows, NULLs in e_cat/e_val
-//	                                             hash indexes on e_id and e_cat
+//	                                             hash indexes on e_id and e_cat,
+//	                                             an ordered one on e_val
 //	dim(d_pad, d_w, d_cat)                       hash indexes on d_w AND d_cat
 //
-// Both tables lead with a column no query names, so a pruned layout's
-// positions never coincide with schema positions, and dim's two hash
-// indexes make a join build served from the wrong one return wrong rows.
-func pagedFixture(t *testing.T, cat *storage.Catalog) *Engine {
+// declaring the indexes only when indexes is set. Both tables lead with a
+// column no query names, so a pruned layout's positions never coincide with
+// schema positions, and dim's two hash indexes make a join build served from
+// the wrong one return wrong rows.
+func pagedFixture(t *testing.T, cat *storage.Catalog, indexes bool) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	ev, err := cat.Create(storage.Schema{
@@ -59,14 +61,6 @@ func pagedFixture(t *testing.T, cat *storage.Catalog) *Engine {
 			value.NewInt(rng.Int63n(7)), value.NewBool(i%3 == 0),
 		})
 	}
-	for _, col := range []string{"e_id", "e_cat"} {
-		if _, err := ev.EnsureIndex(col, storage.HashIndex); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ev.EnsureIndex("e_val", storage.OrderedIndex); err != nil {
-		t.Fatal(err)
-	}
 	dim, err := cat.Create(storage.Schema{
 		Name: "dim",
 		Cols: []storage.Column{
@@ -85,9 +79,18 @@ func pagedFixture(t *testing.T, cat *storage.Catalog) *Engine {
 		}
 	}
 	dim.MustInsert([]value.Value{value.NewInt(0), value.NewInt(99), {}}) // NULL build key
-	for _, col := range []string{"d_w", "d_cat"} {
-		if _, err := dim.EnsureIndex(col, storage.HashIndex); err != nil {
-			t.Fatal(err)
+	if indexes {
+		for _, ix := range []struct {
+			t    *storage.Table
+			col  string
+			kind storage.IndexKind
+		}{
+			{ev, "e_id", storage.HashIndex}, {ev, "e_cat", storage.HashIndex}, {ev, "e_val", storage.OrderedIndex},
+			{dim, "d_w", storage.HashIndex}, {dim, "d_cat", storage.HashIndex},
+		} {
+			if err := ix.t.DeclareIndex(ix.col, ix.kind); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	return New(cat)
@@ -95,14 +98,14 @@ func pagedFixture(t *testing.T, cat *storage.Catalog) *Engine {
 
 // pagedEngines returns the fixture on the in-memory backend and on disk
 // segments of 512-byte pages behind a 2-page cache (ev spans ~40 pages and
-// keeps an unsealed tail).
-func pagedEngines(t *testing.T) (mem, disk *Engine) {
+// keeps an unsealed tail), with its indexes declared when indexes is set.
+func pagedEngines(t *testing.T, indexes bool) (mem, disk *Engine) {
 	t.Helper()
 	cat := storage.NewCatalogWith(storage.BackendConfig{
 		Kind: storage.BackendDisk, Dir: t.TempDir(), PageBytes: 512, CacheBytes: 1024,
 	})
 	t.Cleanup(func() { cat.Close() })
-	return pagedFixture(t, storage.NewCatalog()), pagedFixture(t, cat)
+	return pagedFixture(t, storage.NewCatalog(), indexes), pagedFixture(t, cat, indexes)
 }
 
 // pagedQueries are the shapes whose column sets are easy to get wrong.
@@ -148,11 +151,14 @@ var pagedQueries = []string{
 }
 
 // TestPagedMatchesMem runs every shape on both catalogs across the
-// ⟨GOMAXPROCS, batchSize, UseIndexes⟩ grid, materialized and streamed: the
-// same rows, rows scanned and index lookups on both backends, and with
-// indexes on the same rows in the same order as with them off.
+// ⟨GOMAXPROCS, batchSize, declared indexes⟩ grid, materialized and streamed:
+// the same rows, rows scanned and index lookups on both backends, and with
+// indexes declared the same rows in the same order as without.
 func TestPagedMatchesMem(t *testing.T) {
-	mem, disk := pagedEngines(t)
+	var engines [2][2]*Engine // by indexes: memory, disk
+	for i, idx := range []bool{false, true} {
+		engines[i][0], engines[i][1] = pagedEngines(t, idx)
+	}
 	for _, sql := range pagedQueries {
 		q, err := sqlparser.Parse(sql)
 		if err != nil {
@@ -161,10 +167,11 @@ func TestPagedMatchesMem(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			for _, batch := range []int{0, 7} {
 				var noIdx string // the idx=false memory result
-				for _, idx := range []bool{false, true} {
+				for i, idx := range []bool{false, true} {
+					mem, disk := engines[i][0], engines[i][1]
 					for _, e := range []*Engine{mem, disk} {
 						procs(t, par)
-						e.batchSize, e.UseIndexes = batch, idx
+						e.batchSize = batch
 					}
 					want, err := mem.Execute(q, nil)
 					if err != nil {
@@ -214,7 +221,7 @@ func TestPagedMatchesMem(t *testing.T) {
 // TestPagedErrorsMatchMem: name resolution fails the same way over pruned
 // layouts as over full ones.
 func TestPagedErrorsMatchMem(t *testing.T) {
-	mem, disk := pagedEngines(t)
+	mem, disk := pagedEngines(t, false)
 	for _, sql := range []string{
 		`SELECT e_id FROM ev a, ev b WHERE a.e_val = b.e_val`, // ambiguous in the SELECT list
 		`SELECT a.e_id FROM ev a, ev b WHERE e_val = 3`,       // ambiguous in WHERE
@@ -238,7 +245,7 @@ func TestPagedErrorsMatchMem(t *testing.T) {
 // subquery-only and other-alias names included — and whole rows under `*`
 // or on the in-memory backend.
 func TestPagedLayoutIsPruned(t *testing.T) {
-	mem, disk := pagedEngines(t)
+	mem, disk := pagedEngines(t, false)
 	for _, c := range []struct {
 		sql  string
 		want []int // of ev, FROM entry 0
@@ -292,7 +299,8 @@ func TestPagedLayoutIsPruned(t *testing.T) {
 // layout position (1) names d_w in the schema, which has a hash index of
 // its own — and the join still matches on d_cat.
 func TestPagedIndexedBuild(t *testing.T) {
-	mem, disk := pagedEngines(t)
+	mem, _ := pagedEngines(t, false)
+	_, disk := pagedEngines(t, true)
 	const sql = `SELECT e_id, d_w FROM ev, dim WHERE e_cat = d_cat`
 	q, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -302,7 +310,6 @@ func TestPagedIndexedBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk.UseIndexes = true
 	got, err := disk.Execute(q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -322,12 +329,11 @@ func TestPagedIndexedBuild(t *testing.T) {
 // table's bytes, so the build never drains before every row is needed.
 // Rows scanned count the build rows reached either way, and agree.
 func TestPagedProbedBuildSwitch(t *testing.T) {
-	mem, disk := pagedEngines(t)
+	mem, disk := pagedEngines(t, true)
 	q := sqlparser.MustParse(`SELECT a.e_id, b.e_cat FROM ev a, ev b WHERE a.e_val = b.e_id`)
 	var scanned []int64
 	for _, e := range []*Engine{mem, disk} {
 		procs(t, 1)
-		e.UseIndexes = true
 		c := e.newCtx(q, nil, 7)
 		if err := c.resolve(q); err != nil {
 			t.Fatal(err)
@@ -361,14 +367,14 @@ func TestPagedProbedBuildSwitch(t *testing.T) {
 // an index-probed build is answered from the postings alone, on both
 // backends: the statement scans dim and reads no row of ev.
 func TestPagedBareExistsReadsNoRow(t *testing.T) {
-	mem, disk := pagedEngines(t)
+	scan, _ := pagedEngines(t, false)
+	mem, disk := pagedEngines(t, true)
 	q := sqlparser.MustParse(`SELECT d_w FROM dim WHERE NOT EXISTS (SELECT * FROM ev WHERE e_cat = d_cat)`)
-	want, err := mem.Execute(q, nil) // indexes off: ev drained and hashed
+	want, err := scan.Execute(q, nil) // no index: ev drained and hashed
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range []*Engine{mem, disk} {
-		e.UseIndexes = true
 		res, err := e.Execute(q, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -391,7 +397,7 @@ func TestPagedBareExistsReadsNoRow(t *testing.T) {
 // table. A filter that fails returns its own error, not a
 // *storage.SegmentError.
 func TestPagedFilteredScanEdges(t *testing.T) {
-	mem, disk := pagedEngines(t)
+	mem, disk := pagedEngines(t, false)
 	for _, sql := range []string{
 		`SELECT e_id, e_cat FROM ev WHERE e_id >= 590`,
 		`SELECT e_id FROM ev WHERE e_id > 580 AND e_ok`,
@@ -423,7 +429,7 @@ func TestPagedFilteredScanEdges(t *testing.T) {
 // while the outer scan holds its page pinned inside Keep; a storage lock
 // held across Keep would deadlock here.
 func TestPagedFilterCorrelatedSameTable(t *testing.T) {
-	mem, disk := pagedEngines(t)
+	mem, disk := pagedEngines(t, false)
 	pagedAgree(t, mem, disk, `SELECT a.e_id FROM ev a WHERE a.e_id < 120 AND a.e_val > `+
 		`(SELECT AVG(b.e_val) FROM ev b WHERE b.e_cat = a.e_cat AND b.e_id < a.e_id)`)
 }
@@ -441,7 +447,7 @@ func pagedAgree(t *testing.T, mem, disk *Engine, sql string) {
 		for _, batch := range []int{0, 7} {
 			for _, e := range []*Engine{mem, disk} {
 				procs(t, par)
-				e.batchSize, e.UseIndexes = batch, false
+				e.batchSize = batch
 			}
 			want, err := mem.Execute(q, nil)
 			if err != nil {

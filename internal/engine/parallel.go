@@ -137,7 +137,7 @@ func parallelFor(n int, fn func(i int) error) error {
 // column set so a block opened on a worker lays its tables out as the
 // opening context does.
 func (c *execCtx) morselCtx() *execCtx {
-	return &execCtx{eng: c.eng, params: c.params, stats: &Stats{}, subq: c.subq, batch: c.batch, useIdx: c.useIdx, stmt: c.stmt, aliased: c.aliased}
+	return &execCtx{eng: c.eng, params: c.params, stats: &Stats{}, subq: c.subq, batch: c.batch, stmt: c.stmt, aliased: c.aliased}
 }
 
 // morselCollect runs fn over every morsel of n input rows, each on its own

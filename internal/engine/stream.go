@@ -152,12 +152,7 @@ func (it *scanIterator) next() ([][]value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		if t.Paged() {
-			it.st.BytesScanned += phys
-		} else {
-			n := int64(t.NumRows())
-			it.st.BytesScanned += t.Bytes*int64(end)/n - t.Bytes*int64(lo)/n
-		}
+		it.st.BytesScanned += t.ReadCost(lo, end, phys)
 		it.st.RowsScanned += int64(end - lo)
 		it.st.BatchesStreamed++
 		if len(b) > 0 {

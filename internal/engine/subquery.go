@@ -64,7 +64,8 @@ type subqPlan struct {
 type inSet struct{ any, null bool }
 
 // probe returns the inner rows filed under the outer row's correlation key;
-// none when a correlation key is NULL.
+// none when a correlation key is NULL. The caller hands them back with
+// p.build.release once done with them.
 func (p *subqPlan) probe(en *env) ([][]value.Value, error) {
 	c := en.ctx
 	key, null, err := c.outerKey(en, p.outerKeys)
@@ -107,6 +108,7 @@ func (c *execCtx) scalarSubquery(en *env, sub *ast.Query) (value.Value, error) {
 		rows, err = c.runNaive(sub, en)
 	} else {
 		rows, err = p.probe(en)
+		defer p.build.release(c, rows)
 	}
 	if err != nil {
 		return value.Value{}, err
@@ -167,6 +169,7 @@ func (c *execCtx) inMember(en *env, x *ast.InExpr, lhs value.Value) (member, unk
 	}
 	key = value.AppendKey(key, lhs)
 	rows, err := p.build.lookup(c, key)
+	p.build.release(c, rows) // only their count is read
 	if err != nil || len(rows) > 0 {
 		return len(rows) > 0, false, err
 	}
@@ -213,6 +216,7 @@ func (c *execCtx) evalExists(en *env, x *ast.ExistsExpr) (bool, error) {
 		rows, err = c.runNaive(x.Sub, en)
 	} else {
 		rows, err = p.probe(en)
+		defer p.build.release(c, rows)
 	}
 	if err != nil {
 		return false, err

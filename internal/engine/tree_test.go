@@ -57,8 +57,7 @@ func settleGoroutines(base int) int {
 func TestExecuteDrainsExecuteStream(t *testing.T) {
 	pf := parallelFixture(t, 2000)
 	registerMySum(pf)
-	af := accessFixture(t)
-	af.UseIndexes = true
+	af := accessFixture(t, true)
 	tables := []struct {
 		name    string
 		e       *Engine

@@ -60,12 +60,13 @@ type Context struct {
 	// of the cumulative techniques Figure 5 ("+Other") measures, so it is
 	// toggleable independently of the design.
 	EnablePrefilter bool
-	// Indexes tells the cost model the untrusted server maintains
-	// secondary indexes over DET/OPE columns: costPart then compares an
-	// index probe against the full scan and annotates the chosen access
-	// path (see access.go). Default false so designer and experiment cost
-	// figures are unchanged unless the execution layer actually uses the
-	// indexes (deploy.Design sets it from deploy.Spec.Indexes).
+	// Indexes tells the cost model the untrusted server's tables declare
+	// secondary indexes over DET/OPE columns (enc.DeclareIndexes), which its
+	// engine then reads: costPart compares an index probe against the full
+	// scan and annotates the chosen access path (see access.go). Default
+	// false so designer and experiment cost figures are unchanged unless
+	// the execution layer actually uses the indexes (deploy.Design sets it
+	// from deploy.Spec.Indexes).
 	Indexes bool
 }
 

@@ -49,11 +49,11 @@ func New(db *enc.DB, cfg netsim.Config) *Server {
 	return s
 }
 
-// SetIndexes turns the engine's secondary-index access paths on or off.
-// Results are byte-identical either way; only scan cost changes.
-func (s *Server) SetIndexes(on bool) {
-	s.Engine.UseIndexes = on
-}
+// Deprecated: SetIndexes does nothing. The engine uses the indexes the
+// encrypted tables declare (enc.DeclareIndexes); the method stays only
+// because the benchmark's layer harness (bench/layers.go), whose files are
+// frozen, calls it.
+func (s *Server) SetIndexes(bool) {}
 
 // Response carries an executed RemoteSQL result; Result.Stats counts the
 // work performed.

@@ -66,6 +66,14 @@ type ordEntry struct {
 	row int32
 }
 
+// IndexRowCost is the charged cost of fetching one row through an index,
+// in sequential scan rows: index access is random, so an index path wins
+// only while it fetches fewer than 1/IndexRowCost of a table's rows (25%),
+// far above the selectivities where indexes matter and safely below the
+// region where a scan's locality wins. The planner's costing and the
+// engine's access path both use it.
+const IndexRowCost = 4
+
 // Index is a secondary index over one column of a Table. A table declares
 // its indexes at load (Table.DeclareIndex) and builds each one the first
 // time a read asks for it (Table.Index); from then on Insert maintains it.

@@ -328,6 +328,19 @@ func (t *Table) Row(id int) []value.Value {
 // approximation.
 func (t *Table) Paged() bool { return t.be.Paged() }
 
+// ReadCost is what a read of the positions [lo,hi) charges, given the
+// physical bytes phys the backend reported for it: phys itself on a paged
+// table, and the rows' resident share of Bytes in memory, whose charges
+// over consecutive ranges add up to Bytes for the whole table. A position
+// is a row id for a scan, or the count of rows reached so far for fetches.
+func (t *Table) ReadCost(lo, hi int, phys int64) int64 {
+	if t.Paged() {
+		return phys
+	}
+	n := int64(t.nrows)
+	return t.Bytes*int64(hi)/n - t.Bytes*int64(lo)/n
+}
+
 // ScanBytes is what a full scan of the table charges: the sealed pages'
 // physical bytes on a paged backend, Bytes on the in-memory one.
 func (t *Table) ScanBytes() int64 {
@@ -456,6 +469,10 @@ func (t *Table) IndexCounts() (declared, built int) {
 	}
 	return len(t.indexes), built
 }
+
+// HasIndexes reports whether the table declares any secondary index; a
+// table that declares none is only ever scanned.
+func (t *Table) HasIndexes() bool { return len(t.indexes) > 0 }
 
 // HasKey reports whether the table enforces a unique Schema.Key.
 func (t *Table) HasKey() bool { return t.key != nil }
