@@ -44,16 +44,11 @@ func exactRows(data [][]any) string {
 }
 
 // renderStats renders the counters an execution's engines reported. UDF
-// wall time is measured, not counted, so it is left out; so is a disk
-// backend's BytesScanned, the physical page reads, which depend on what the
-// block cache and a shared index-probed build already hold.
-func renderStats(stats []engine.Stats, disk bool) string {
+// wall time is measured, not counted, so it is left out.
+func renderStats(stats []engine.Stats) string {
 	var b strings.Builder
 	for _, st := range stats {
 		st.UDFNanos = 0
-		if disk {
-			st.BytesScanned = 0
-		}
 		fmt.Fprintf(&b, "%+v\n", st)
 	}
 	return b.String()
@@ -65,7 +60,6 @@ type procsTarget struct {
 	name  string
 	sys   *System
 	rec   *recordingExec // nil: the plaintext twin of sys
-	disk  bool
 	stmts []string
 }
 
@@ -88,14 +82,14 @@ func (pt *procsTarget) run(t *testing.T, sql string) string {
 		if err != nil {
 			t.Fatalf("%s %s: %v", pt.name, sql, err)
 		}
-		return exactRows(rowsData(res.Rows)) + renderStats([]engine.Stats{res.Stats}, false)
+		return exactRows(rowsData(res.Rows)) + renderStats([]engine.Stats{res.Stats})
 	}
 	pt.rec.stats, pt.rec.streams = nil, nil
 	res, err := pt.sys.Query(sql)
 	if err != nil {
 		t.Fatalf("%s %s: %v", pt.name, sql, err)
 	}
-	return exactRows(res.Data) + renderStats(pt.rec.stats, pt.disk)
+	return exactRows(res.Data) + renderStats(pt.rec.stats)
 }
 
 // uniqueSQL lists the statements of the given query lists once each, in
@@ -167,7 +161,7 @@ func TestDifferentialGOMAXPROCSInvariance(t *testing.T) {
 	targets := []*procsTarget{
 		{name: "plaintext", sys: mem, stmts: differential},
 		{name: "in-process", sys: mem, rec: recorded(mem), stmts: differential},
-		{name: "disk", sys: disk, rec: recorded(disk), disk: true, stmts: backend},
+		{name: "disk", sys: disk, rec: recorded(disk), stmts: backend},
 		{name: "remote", sys: remote, rec: recorded(remote), stmts: served},
 	}
 	prepared := []struct {
@@ -204,7 +198,7 @@ func TestDifferentialGOMAXPROCSInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s %v: %v", d.name, sql, params, err)
 				}
-				got = append(got, exactRows(res.Data)+renderStats(d.rec.stats, false))
+				got = append(got, exactRows(res.Data)+renderStats(d.rec.stats))
 				tags = append(tags, fmt.Sprintf("%s prepared %s %v", d.name, sql, params))
 			}
 			for i := 0; i < 3; i++ {

@@ -242,8 +242,9 @@ func (d *decoder) decrypt(col *colDecoder, cv value.Value, n *int64) (value.Valu
 // foldConcat decrypts each element of a GROUP_CONCAT blob and folds it into
 // col's aggregate state — the engine's builtin, so a group's aggregate is
 // the one the plaintext twin computes — reading the blob frame by frame: no
-// element outlives its fold step. A conditional SUM's NULL element is a row
-// its condition rejected, worth 0.
+// element outlives its fold step. A conditional SUM's planner.RejectedRow
+// element is a row its condition rejected, worth 0; its NULL element is a
+// matched row's NULL summand, which the SUM skips.
 func (d *decoder) foldConcat(col *colDecoder, blob []byte, n *int64) (value.Value, error) {
 	col.agg.Reset()
 	var arg [1]value.Value
@@ -254,12 +255,11 @@ func (d *decoder) foldConcat(col *colDecoder, blob []byte, n *int64) (value.Valu
 			return value.Value{}, fmt.Errorf("%w: group_concat blob: %w", ErrMalformedResult, err)
 		}
 		pos += k
-		pv, err := d.decrypt(col, cv, n)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if pv.IsNull() && col.out.NullAsZero {
-			pv = value.NewInt(0)
+		pv := value.NewInt(0)
+		if !col.out.Conditional || cv.K != planner.RejectedRow.K {
+			if pv, err = d.decrypt(col, cv, n); err != nil {
+				return value.Value{}, err
+			}
 		}
 		arg[0] = pv
 		if err := col.agg.Add(arg[:]); err != nil {

@@ -126,7 +126,7 @@ func TestDecodeUnit(t *testing.T) {
 		{Name: "d", Mode: planner.OutDecrypt, Item: &ope, Kind: value.Date},
 		{Name: "r", Mode: planner.OutDecrypt, Item: &rnd, Kind: value.Str},
 		{Name: "sum", Mode: planner.OutConcatAgg, Item: &detInt, Agg: ast.AggSum, Kind: value.Int},
-		{Name: "csum", Mode: planner.OutConcatAgg, Item: &detInt, Agg: ast.AggSum, NullAsZero: true, Kind: value.Int},
+		{Name: "csum", Mode: planner.OutConcatAgg, Item: &detInt, Agg: ast.AggSum, Conditional: true, Kind: value.Int},
 		{Name: "min", Mode: planner.OutConcatAgg, Item: &detInt, Agg: ast.AggMin, Kind: value.Int},
 		{Name: "max", Mode: planner.OutConcatAgg, Item: &detInt, Agg: ast.AggMax, Kind: value.Int},
 		{Name: "cnt", Mode: planner.OutConcatAgg, Item: &detInt, Agg: ast.AggCount, Kind: value.Int},
@@ -157,31 +157,45 @@ func TestDecodeUnit(t *testing.T) {
 			}
 		case 3:
 			// Every element NULL: SUM, MIN and MAX are NULL, as over an
-			// all-NULL group in plaintext; a conditional SUM is 0, its NULLs
-			// being rejected rows; COUNT is 0.
-			row[5], row[6], row[7], row[8], row[9] = value.NewNull(), value.NewInt(0), value.NewNull(), value.NewNull(), value.NewInt(0)
+			// all-NULL group in plaintext, and so is a conditional SUM, its
+			// NULLs being matched rows' NULL summands; COUNT is 0.
+			row[5], row[6], row[7], row[8], row[9] = value.NewNull(), value.NewNull(), value.NewNull(), value.NewNull(), value.NewInt(0)
+		case 4:
+			// The conditional SUM rejected every row: 0.
+			row[6] = value.NewInt(0)
 		}
 		return row
 	}
 	encRow := func(i int) []value.Value {
 		p := plainRow(i)
-		var blob []byte
+		// The conditional SUM's blob holds a rejected row's marker where the
+		// others hold the encrypted NULL.
+		var blob, cblob []byte
 		switch i % 9 {
 		case 2:
 		case 3:
 			blob, _ = wire.AppendValue(blob, value.NewNull())
 			blob, _ = wire.AppendValue(blob, value.NewNull())
+			cblob = blob
 		default:
 			// Three elements, one NULL, summing to 3·(i%4).
 			for _, x := range []value.Value{value.NewInt(int64(i % 4)), value.NewNull(), value.NewInt(int64(2 * (i % 4)))} {
 				blob, _ = wire.AppendValue(blob, mustEnc(&detInt, x))
+				cx := planner.RejectedRow
+				if !x.IsNull() {
+					cx = mustEnc(&detInt, x)
+				}
+				if i%9 == 4 {
+					cx = planner.RejectedRow
+				}
+				cblob, _ = wire.AppendValue(cblob, cx)
 			}
 		}
-		concat := value.NewNull()
+		concat, cconcat := value.NewNull(), value.NewNull()
 		if blob != nil {
-			concat = value.NewBytes(blob)
+			concat, cconcat = value.NewBytes(blob), value.NewBytes(cblob)
 		}
-		return []value.Value{p[0], mustEnc(&detInt, p[1]), mustEnc(&detStr, p[2]), mustEnc(&ope, p[3]), mustEnc(&rnd, p[4]), concat, concat, concat, concat, concat}
+		return []value.Value{p[0], mustEnc(&detInt, p[1]), mustEnc(&detStr, p[2]), mustEnc(&ope, p[3]), mustEnc(&rnd, p[4]), concat, cconcat, concat, concat, concat}
 	}
 	most := decodeRowCounts[len(decodeRowCounts)-1]
 	encRows, plainRows := make([][]value.Value, most), make([][]value.Value, most)

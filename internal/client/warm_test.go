@@ -453,8 +453,8 @@ func TestTemplateReuseConcurrent(t *testing.T) {
 // literal hoist or local engine run coming back raises them.
 const (
 	warmPointAllocs = 32
-	warmRangeAllocs = 257
-	warmSum1Allocs  = 187
+	warmRangeAllocs = 159
+	warmSum1Allocs  = 89
 )
 
 // raceEnabled is set under -race (race_test.go).

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/ast"
@@ -249,10 +250,12 @@ func (gs *groupSet) add(specs []aggSpec, key string, row []value.Value) *aggGrou
 // accumulateRows folds one batch of rows into gs, evaluating GROUP BY keys
 // and aggregate arguments on c. rel supplies the column layout for name
 // resolution. A row's arguments are evaluated into one buffer reused for
-// every aggregate and row, which AggState.Add must not retain.
-func (c *execCtx) accumulateRows(q *ast.Query, specs []aggSpec, gs *groupSet, rel *relation, rows [][]value.Value, outer *env) error {
+// every aggregate and row, which AggState.Add must not retain. A new
+// group keeps a copy of its first row when the batch is borrowed.
+func (c *execCtx) accumulateRows(q *ast.Query, specs []aggSpec, gs *groupSet, rel *relation, rows [][]value.Value, borrowed bool, outer *env) error {
+	en := &env{rel: rel, outer: outer, ctx: c}
 	for _, row := range rows {
-		en := &env{rel: rel, row: row, outer: outer, ctx: c}
+		en.row = row
 		gs.key = gs.key[:0]
 		for _, g := range q.GroupBy {
 			v, err := eval(en, g)
@@ -263,7 +266,11 @@ func (c *execCtx) accumulateRows(q *ast.Query, specs []aggSpec, gs *groupSet, re
 		}
 		grp, ok := gs.m[string(gs.key)]
 		if !ok {
-			grp = gs.add(specs, string(gs.key), row)
+			first := row
+			if borrowed {
+				first = slices.Clone(row)
+			}
+			grp = gs.add(specs, string(gs.key), first)
 		}
 		for i, sp := range specs {
 			gs.args = gs.args[:0]
@@ -395,7 +402,7 @@ func (g *groupEmitter) accumulate() error {
 	g.specs = c.collectAggSpecs(g.q)
 	fold := func(sc *execCtx, lo, hi int) (*groupSet, error) {
 		gs := newGroupSet(c.stats)
-		it := p.chain(sc, lo, hi)
+		it, borrowed := p.chain(sc, lo, hi, true)
 		defer it.close()
 		for {
 			b, err := it.next()
@@ -405,7 +412,7 @@ func (g *groupEmitter) accumulate() error {
 			if b == nil {
 				return gs, nil
 			}
-			if err := sc.accumulateRows(g.q, g.specs, gs, p.joined, b, p.outer); err != nil {
+			if err := sc.accumulateRows(g.q, g.specs, gs, p.joined, b, borrowed, p.outer); err != nil {
 				return nil, err
 			}
 		}

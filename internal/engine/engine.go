@@ -39,10 +39,11 @@ import (
 // by batch as they are pulled, so an early-exited query charges only what
 // it read and a row is RowsScanned exactly once.
 type Stats struct {
-	// BytesScanned is the table bytes scans read: the physical page bytes a
-	// paged backend read, or the rows' proportional share of Table.Bytes in
-	// memory. An index-probed join build (tableProbe) charges the same way
-	// for the rows it fetched, plus its one drain's page bytes on disk.
+	// BytesScanned is the table bytes scans read: the bytes of every page a
+	// paged backend pinned, cached or not, or the rows' proportional share
+	// of Table.Bytes in memory. An index-probed join build (tableProbe)
+	// charges the same way for the rows it fetched, plus its one drain's
+	// page bytes on disk.
 	BytesScanned int64
 	ExtraBytes   int64 // bytes read outside tables (Paillier pack files)
 	// RowsScanned is the rows scans produced. An index-probed join build
@@ -481,9 +482,8 @@ func (c *execCtx) open(q *ast.Query, outer *env) (batchIterator, error) {
 		it = &groupEmitter{c: c, q: q, p: p, morsels: morsels}
 	} else {
 		it = c.stream(p, morsels, func(sc *execCtx, lo, hi int) batchIterator {
-			var it batchIterator = &projectIterator{
-				in: p.chain(sc, lo, hi), q: q, rel: p.joined, outer: outer, c: sc,
-			}
+			in, _ := p.chain(sc, lo, hi, true)
+			var it batchIterator = &projectIterator{in: in, q: q, rel: p.joined, outer: outer, c: sc}
 			// A morsel's pre-pass: only candidates cross the merger.
 			if morsels > 1 && sorts && keep >= 0 {
 				it = &sortIterator{in: it, order: q.OrderBy, k: keep, size: math.MaxInt}
@@ -666,9 +666,20 @@ func (p *pipeline) setFilter(f ast.Expr) {
 // The join output — often the largest intermediate of a query — never
 // exists as a whole, and the first joined batch is available after one
 // probe batch instead of after the full probe scan.
-func (p *pipeline) chain(sc *execCtx, lo, hi int) batchIterator {
-	var it batchIterator = &scanIterator{st: sc.stats, p: p, pos: lo, hi: hi, size: p.batch,
+//
+// A consumer that finishes each batch before pulling again passes borrow:
+// a scan of a paged table then reads into a scratch from scratchPool,
+// returned when the chain closes, and borrowed reports that the chain's
+// batches are those scratch rows — a probe step copies what it emits, so
+// only a chain without one hands them on. A drain passes false and owns
+// its rows.
+func (p *pipeline) chain(sc *execCtx, lo, hi int, borrow bool) (it batchIterator, borrowed bool) {
+	scan := &scanIterator{st: sc.stats, p: p, pos: lo, hi: hi, size: p.batch,
 		en: env{rel: p.layout, outer: p.outer, ctx: sc}}
+	if borrow && p.src.t != nil && p.src.t.Paged() {
+		scan.scratch = scratchPool.Get().(*storage.Scratch)
+	}
+	it = scan
 	if p.filter != nil && p.src.t == nil {
 		it = &filterIterator{in: it, rel: p.layout, pred: p.filter, outer: p.outer, c: sc}
 	}
@@ -678,6 +689,12 @@ func (p *pipeline) chain(sc *execCtx, lo, hi int) batchIterator {
 	if p.residual != nil {
 		it = &filterIterator{in: it, rel: p.joined, pred: p.residual, outer: p.outer, c: sc}
 	}
+	return it, scan.scratch != nil && len(p.steps) == 0
+}
+
+// ownedChain is chain for a consumer that keeps the rows: a drain.
+func (p *pipeline) ownedChain(sc *execCtx, lo, hi int) batchIterator {
+	it, _ := p.chain(sc, lo, hi, false)
 	return it
 }
 
@@ -706,7 +723,7 @@ func (c *execCtx) stream(p *pipeline, morsels int, mk func(sc *execCtx, lo, hi i
 // join's right side, or a build side buildSide cannot serve through an
 // index, holds.
 func (c *execCtx) drainSource(p *pipeline) (*relation, error) {
-	rows, err := drain(c.stream(p, c.morsels(p), p.chain))
+	rows, err := drain(c.stream(p, c.morsels(p), p.ownedChain))
 	if err != nil {
 		return nil, err
 	}

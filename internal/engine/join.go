@@ -473,20 +473,20 @@ func newJoinPart(rows [][]value.Value, keys [][]byte, partIDs []int32, p int32, 
 // its keys' postings and fetches the rows no earlier batch fetched with one
 // FetchCols call, in ascending row-id order, and gets its rows back in
 // posting order. Fetches are random reads, so a fill that would take the
-// bytes they read — priced at the bytes per row fetches have read so far —
-// to the table's physical size (Table.ScanBytes) drains the table once
-// instead, and later probes read that copy. In memory the price of a row is
-// its share of Table.Bytes, so only a fill that needs every remaining row
-// drains.
+// page bytes they pinned — priced at the bytes per row fetches have pinned
+// so far, cached or not — to the table's physical size (Table.ScanBytes)
+// drains the table once instead, and later probes read that copy. In
+// memory the price of a row is its share of Table.Bytes, so only a fill
+// that needs every remaining row drains.
 //
 // The chains of a block's morsels, and the rows that evaluate a subquery,
 // share one build: fills serialize on mu, so every row is fetched once and
 // charged once, whichever chain reached it first. RowsScanned counts each
 // build row the first time a probe reaches it, fetched or read from the
 // drained copy — the same count on every backend. BytesScanned is the
-// physical bytes the fetches and the drain read on a paged table, and the
-// row-proportional bytes of the rows reached in memory, as scanIterator
-// charges a scan.
+// bytes of the pages the fetches and the drain pinned on a paged table,
+// cached or not, and the row-proportional bytes of the rows reached in
+// memory, as scanIterator charges a scan.
 type tableProbe struct {
 	t    *storage.Table
 	cols []int
@@ -551,7 +551,7 @@ func (p *tableProbe) reach(st *Stats, need []int32) error {
 		}
 		var err error
 		if float64(p.read)+price >= float64(p.t.ScanBytes()) {
-			p.all, phys, err = p.t.ScanCols(0, p.t.NumRows(), p.cols, nil)
+			p.all, phys, err = p.t.ScanCols(0, p.t.NumRows(), p.cols, nil, nil)
 		} else {
 			phys, err = p.fetchRows(need)
 		}
@@ -571,9 +571,9 @@ func (p *tableProbe) reach(st *Stats, need []int32) error {
 }
 
 // fetchRows fetches the ascending ids need and files each row under its id,
-// returning the physical bytes read.
+// returning the page bytes read.
 func (p *tableProbe) fetchRows(need []int32) (int64, error) {
-	rows, phys, err := p.t.FetchCols(need, p.cols, nil)
+	rows, phys, err := p.t.FetchCols(need, p.cols, nil, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -349,7 +349,7 @@ func TestPagedProbedBuildSwitch(t *testing.T) {
 		if c.stats.RowsScanned != 0 {
 			t.Fatalf("preparing the probed build scanned %d rows", c.stats.RowsScanned)
 		}
-		if _, err := drain(c.stream(p, 1, p.chain)); err != nil {
+		if _, err := drain(c.stream(p, 1, p.ownedChain)); err != nil {
 			t.Fatal(err)
 		}
 		drained := ix.all != nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/storage"
@@ -45,8 +46,17 @@ const DefaultBatchSize = 1024
 // batch of rows, or nil when the stream is exhausted. close releases the
 // stream early (LIMIT cut-off, abandoned ResultStream); next after close
 // returns nil. Iterators are single-goroutine: a chain is pulled only by
-// the worker that built it. A returned batch belongs to the caller, but
-// the rows in it may alias table storage and are read-only.
+// the worker that built it. The rows of a batch may alias table storage
+// and are read-only.
+//
+// A batch is borrowed: it is its consumer's until the consumer pulls again
+// (or closes the stream), and a consumer that keeps rows past that keeps a
+// copy. Only a chain whose consumer finishes each batch before pulling
+// again — the projection and the grouped accumulation, with the join
+// probes in front of them — reads a paged table into a reused
+// storage.Scratch (pipeline.chain); every other stream hands out batches
+// nothing writes again, so a drain (drain, drainSource) owns what it
+// collects.
 type batchIterator interface {
 	next() ([][]value.Value, error)
 	close()
@@ -110,24 +120,30 @@ func (s *rowSource) n() int {
 
 // scanIterator streams source positions [pos,hi) in batches, pulled from
 // the storage backend one batch at a time and charged as they are pulled:
-// rows per batch, and bytes either as the backend's real physical page
-// reads (paged backends) or as the difference of the table's
-// row-proportional byte prefix over positions — so the charges telescope to
-// exactly t.Bytes·k/n for k of the table's n rows at any batch size and
-// morsel (t.Bytes for a full scan), while an early-exited scan charges
-// only what it read. A derived table's rows were charged by the child tree
-// that produced them.
+// rows per batch, and bytes either as the bytes of the pages the backend
+// pinned, cached or not (paged backends), or as the difference of the
+// table's row-proportional byte prefix over positions — so the charges
+// telescope to exactly t.Bytes·k/n for k of the table's n rows at any batch
+// size and morsel (t.Bytes for a full scan), while an early-exited scan
+// charges only what it read. A derived table's rows were charged by the
+// child tree that produced them.
 //
 // A base-table scan is the storage.Filter its backend applies (one env, reused
-// row to row); a range that keeps no row is charged, not emitted.
+// row to row); a range that keeps no row is charged, not emitted. A scan of
+// a paged table that borrowed a scratch (pipeline.chain) reads every batch
+// into it, so each batch is valid until the next pull.
 type scanIterator struct {
 	st      *Stats
 	p       *pipeline // the source, and the filter on it
 	pos, hi int
 	size    int
 	closed  bool
-	en      env // the filter's environment; en.row is the row under test
+	en      env              // the filter's environment; en.row is the row under test
+	scratch *storage.Scratch // from scratchPool until close; nil: batches are owned
 }
+
+// scratchPool holds the scratches borrowing chains refill (pipeline.chain).
+var scratchPool = sync.Pool{New: func() any { return new(storage.Scratch) }}
 
 func (it *scanIterator) next() ([][]value.Value, error) {
 	for !it.closed && it.pos < it.hi {
@@ -145,9 +161,9 @@ func (it *scanIterator) next() ([][]value.Value, error) {
 		var phys int64
 		var err error
 		if src.ids != nil {
-			b, phys, err = t.FetchCols(src.ids[lo:end], src.cols, f)
+			b, phys, err = t.FetchCols(src.ids[lo:end], src.cols, f, it.scratch)
 		} else {
-			b, phys, err = t.ScanCols(lo, end, src.cols, f)
+			b, phys, err = t.ScanCols(lo, end, src.cols, f, it.scratch)
 		}
 		if err != nil {
 			return nil, err
@@ -162,7 +178,13 @@ func (it *scanIterator) next() ([][]value.Value, error) {
 	return nil, nil
 }
 
-func (it *scanIterator) close() { it.closed = true }
+func (it *scanIterator) close() {
+	it.closed = true
+	if it.scratch != nil {
+		scratchPool.Put(it.scratch)
+		it.scratch = nil
+	}
+}
 
 // Cols and Keep make the iterator its scan's storage.Filter.
 func (it *scanIterator) Cols() []int { return it.p.filterCols }
@@ -190,8 +212,9 @@ func (it *filterIterator) next() ([][]value.Value, error) {
 			return nil, err
 		}
 		var out [][]value.Value
+		en := &env{rel: it.rel, outer: it.outer, ctx: it.c}
 		for _, row := range b {
-			en := &env{rel: it.rel, row: row, outer: it.outer, ctx: it.c}
+			en.row = row
 			ok, err := evalBool(en, it.pred)
 			if err != nil {
 				return nil, err
@@ -391,8 +414,9 @@ func (it *projectIterator) next() ([][]value.Value, error) {
 		return nil, err
 	}
 	out := make([][]value.Value, len(b))
+	en := &env{rel: it.rel, outer: it.outer, ctx: it.c}
 	for i, row := range b {
-		en := &env{rel: it.rel, row: row, outer: it.outer, ctx: it.c}
+		en.row = row
 		if out[i], err = projectRow(en, it.q); err != nil {
 			return nil, err
 		}

@@ -82,12 +82,12 @@ func (g *genState) genServerGrouped(plan *Plan, s *scope, q *ast.Query, remoteFr
 			if rep.cond != nil {
 				arg = &ast.CaseExpr{
 					Whens: []ast.CaseWhen{{Cond: rep.cond, Then: arg}},
-					Else:  &ast.Literal{Val: value.NewNull()},
+					Else:  &ast.Literal{Val: RejectedRow},
 				}
 			}
 			call := &ast.FuncCall{Name: "group_concat", Args: []ast.Expr{arg}}
 			addOut(a.SQL(), call, Output{
-				Mode: OutConcatAgg, Item: rep.item, Agg: ast.AggSum, NullAsZero: rep.cond != nil, Kind: rep.item.PlainKind,
+				Mode: OutConcatAgg, Item: rep.item, Agg: ast.AggSum, Conditional: rep.cond != nil, Kind: rep.item.PlainKind,
 			})
 		}
 	}

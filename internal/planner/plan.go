@@ -42,16 +42,23 @@ func (m OutputMode) String() string {
 	return "?"
 }
 
+// RejectedRow is the element a conditional SUM's GROUP() ships for a row its
+// condition rejects (Output.Conditional): a Str, which no ciphertext is
+// (enc.Item.CiphertextKind), and not NULL, which a matched row's summand
+// may be.
+var RejectedRow = value.NewStr("")
+
 // Output describes one column of a RemoteSQL result.
 type Output struct {
 	Name string // column name in the client-side temp table
 	Mode OutputMode
 	Item *enc.Item   // OutDecrypt / OutConcatAgg: decryption key item
 	Agg  ast.AggFunc // OutConcatAgg: client-side fold
-	// NullAsZero marks an OutConcatAgg conditional SUM: the server
-	// concatenates NULL for a row its condition rejects, which the fold
-	// counts as that row's 0.
-	NullAsZero bool
+	// Conditional marks an OutConcatAgg conditional SUM: the server
+	// concatenates RejectedRow for a row its condition rejects, which the
+	// fold counts as that row's 0, while a NULL element is a matched row's
+	// NULL summand, which SUM skips.
+	Conditional bool
 	// OutHomSum: which packed expression to extract.
 	HomTable string
 	HomExpr  string

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -69,7 +70,9 @@ func drainWire(t testing.TB, r io.Reader) ([]string, [][]value.Value) {
 		if b == nil {
 			return br.Cols(), rows
 		}
-		rows = append(rows, b...)
+		for _, row := range b { // borrowed until the next Next
+			rows = append(rows, slices.Clone(row))
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/value"
 )
@@ -16,41 +17,49 @@ import (
 // (sharded scans, streamed batches, index posting lists, the differential
 // grid) is byte-identical no matter which backend holds the rows.
 //
-// Scan and Fetch additionally report the physical bytes read from the
-// medium to serve the call: a paged backend counts block-cache misses
-// times the page size, while the in-memory backend reports 0 and leaves
-// the engine's resident-byte approximation in charge (Table.Paged picks
-// the charging rule).
+// Scan and Fetch additionally report the bytes of the pages they read: a
+// paged backend counts every page a call pins, served from the block cache
+// or from the medium, so the count is a function of the call alone, never
+// of what another reader left cached (IO keeps the physical misses). The
+// in-memory backend reports 0 and leaves the engine's resident-byte
+// approximation in charge (Table.Paged picks the charging rule).
 //
 // Scan and Fetch apply a Filter as they read, calling Keep on the calling
 // goroutine with no backend lock held (the predicate's subqueries may scan
 // the same table). The in-memory backend passes its own rows; a paged one a
 // scratch row holding only the cells Cols names, whose Bytes alias a pinned
 // page frame and are valid only during the call.
+//
+// Scan and Fetch fill a batch of their own when s is nil. Given a Scratch, a
+// paged backend refills it instead, and the batch is borrowed: it is valid
+// until the next call on that Scratch, which clears the cells it handed out
+// before reusing them. The in-memory backend ignores s: its rows are
+// resident and its batches are its own rows.
 type Backend interface {
 	// Append stores one row at the next row id. Values are already
 	// canonicalized (interning) and validated by the Table.
 	Append(row []value.Value) error
 	// Scan returns the rows with ids in [lo, hi) in id order, plus the
-	// physical bytes read. cols names the schema positions to materialize,
+	// page bytes read. cols names the schema positions to materialize,
 	// ascending: each returned row holds exactly those cells, in that order
 	// (empty: rows of no cells); nil means every column. Only the rows f
 	// keeps are returned; a nil f keeps every row. The returned batch
 	// must be treated as read-only: the in-memory backend hands out its own
-	// rows, and a paged backend's cells share arenas owned by the batch
-	// (never its page buffers, which it reuses).
-	Scan(lo, hi int, cols []int, f Filter) ([][]value.Value, int64, error)
+	// rows, and a paged backend's cells share arenas owned by the batch or
+	// by s (never its page buffers, which it reuses).
+	Scan(lo, hi int, cols []int, f Filter, s *Scratch) ([][]value.Value, int64, error)
 	// Fetch returns the rows named by an id list that f keeps, in list
-	// order, projected onto cols as Scan's are, plus the physical bytes read.
-	Fetch(ids []int32, cols []int, f Filter) ([][]value.Value, int64, error)
+	// order, projected onto cols and read into s as Scan's are, plus the
+	// page bytes read.
+	Fetch(ids []int32, cols []int, f Filter, s *Scratch) ([][]value.Value, int64, error)
 	// NumRows is the stored row count.
 	NumRows() int
 	// Size is the physical bytes a cold full Scan reads: 0 for in-memory
 	// backends.
 	Size() int64
-	// Paged reports whether Scan/Fetch byte counts are real medium reads
-	// (true: the engine charges them; false: the engine charges the
-	// resident-byte approximation).
+	// Paged reports whether Scan/Fetch byte counts are page bytes (true:
+	// the engine charges them; false: the engine charges the resident-byte
+	// approximation).
 	Paged() bool
 	// Flush writes buffered rows to the medium. A no-op for in-memory
 	// backends.
@@ -74,15 +83,31 @@ type Filter interface {
 // cut from an arena — sized rows × wanted columns up front, or per page for
 // that page's survivors when filtered — and capped, so appending to a row
 // cannot reach the next. Bytes cells a paged backend reads are copied into
-// bytes, a chunked arena owned by the batch (own), so a held batch keeps
-// alive the bytes it returned and nothing of the pages they came from.
+// bytes, a chunked arena (own) that is only ever appended to, so a held
+// cell keeps alive the bytes it returned and nothing of the pages they came
+// from.
 type rowBatch struct {
 	rows  [][]value.Value
 	arena []value.Value
 	bytes []byte
 	probe []value.Value // a filtered paged call's scratch row for Keep
 	kept  []int         // a filtered paged call's survivors on one page
+
+	// A Scratch's batch is refilled call after call: its arena grows
+	// geometrically, and the pieces a call outgrew (spent) are cleared with
+	// the arena by the next call.
+	reused bool
+	spent  [][]value.Value
 }
+
+// Scratch is the reusable memory of a paged backend's Scan and Fetch (see
+// Backend): the batch's row slice, its cell arena and the filter's scratch
+// row, refilled by every call. A call first clears the cells the previous
+// one handed out, so a reader that kept a row past the next call reads
+// NULLs, not another row. Bytes cells still go into byte chunks that are
+// never written again, so a Value copied out of a batch stays valid. The
+// zero Scratch is ready to use; it serves one call at a time.
+type Scratch struct{ b rowBatch }
 
 // bytesChunk is the byte arena's allocation unit: a cell larger than what
 // is left of the current chunk starts a new one of at least this size.
@@ -94,6 +119,47 @@ func newRowBatch(nrows, width int, f Filter) rowBatch {
 		return rowBatch{}
 	}
 	return rowBatch{rows: make([][]value.Value, 0, nrows), arena: make([]value.Value, 0, nrows*width)}
+}
+
+// batch returns the batch a paged call fills: own, as newRowBatch sizes it,
+// when s is nil, else s's, emptied for refilling.
+func (s *Scratch) batch(own *rowBatch, nrows, width int, f Filter) *rowBatch {
+	if s == nil {
+		*own = newRowBatch(nrows, width, f)
+		return own
+	}
+	b := &s.b
+	b.reused = true
+	clear(b.arena)
+	b.arena = b.arena[:0]
+	for _, a := range b.spent {
+		clear(a)
+	}
+	clear(b.spent)
+	b.spent = b.spent[:0]
+	b.rows = slices.Grow(b.rows[:0], nrows)
+	if f == nil {
+		b.room(nrows * width)
+	}
+	return b
+}
+
+// room makes space for n more cells in the arena. A batch of its own takes
+// a new piece of exactly n cells; a Scratch's doubles, keeping the piece it
+// outgrew, which rows cut so far still point into, for the next call to
+// clear.
+func (b *rowBatch) room(n int) {
+	if cap(b.arena)-len(b.arena) >= n {
+		return
+	}
+	if !b.reused {
+		b.arena = make([]value.Value, 0, n)
+		return
+	}
+	if len(b.arena) > 0 {
+		b.spent = append(b.spent, b.arena)
+	}
+	b.arena = make([]value.Value, 0, max(n, 2*cap(b.arena)))
 }
 
 // cut adds arena[start:], the cells appended since, as the next row.
@@ -115,6 +181,9 @@ func (b *rowBatch) own(p []byte) []byte {
 // add adds a decoded row — itself when cols is nil, else a copy of its cols
 // cells — and takes it back out unless f (nil: every row) keeps it as added.
 func (b *rowBatch) add(row []value.Value, cols []int, f Filter) error {
+	if b.reused && cols != nil {
+		b.room(len(cols))
+	}
 	start := len(b.arena)
 	if cols == nil {
 		b.rows = append(b.rows, row)

@@ -54,9 +54,11 @@ import (
 // once.
 //
 // Reads go through an LRU block cache of verified page images with hit/miss
-// counters; a cache miss is exactly one physical page read, and Scan/Fetch
-// report the bytes those misses read — the number the engine charges in
-// place of the in-memory resident-byte approximation (Paged() == true).
+// counters; a cache miss is exactly one physical page read (IO). Scan and
+// Fetch report the bytes of every page they pin, hit or miss — the number
+// the engine charges in place of the in-memory resident-byte approximation
+// (Paged() == true), and one that does not depend on what concurrent readers
+// left in the cache.
 //
 // The read path is split in two. Loading a page (a miss) reads it, checks
 // its checksum and verifies every region once (verifyPage) into a page
@@ -82,11 +84,13 @@ import (
 // offsets go back to the cache's free list once no reader holds the frame,
 // and the next miss reads into them (blockCache). So the rows Scan and
 // Fetch return never point into a frame: their Bytes cells are copied out
-// into a byte arena owned by the call's batch, and their Str cells alias
+// into byte chunks that are never written again, and their Str cells alias
 // the decoder's string copy of the page, made once per load and never
-// reused. A held result keeps alive the bytes it projected, not the pages
+// reused. A held cell keeps alive the bytes it projected, not the pages
 // they came from. The rows are still read-only (Backend.Scan's contract):
-// the cells of one batch share its arenas.
+// the cells of one batch share its arenas, and a call given a Scratch
+// refills the Scratch's row slice and cell arena, so its batch is valid
+// only until the next call on that Scratch.
 //
 // mu guards the page directory, the tail page, the block cache and its
 // pins, and the counters — not I/O, verification or decoding on the read
@@ -434,19 +438,18 @@ type colRegion struct {
 
 // sealedPage returns the pinned frame holding the verified image of the
 // sealed page that holds row id, and that page's directory entry, via the
-// block cache; the last result before the error is the physical bytes this
-// call read (the page's size on a miss, 0 on a hit). The caller unpins the
-// frame once it has cut its cells. The load between the two locked sections
+// block cache, counting a miss as a page read. The caller unpins the frame
+// once it has cut its cells. The load between the two locked sections
 // runs unlocked (see diskStore): two callers that miss on the same page each
 // read it — both are real reads and both are counted. A failed load
 // releases the frame it took.
-func (ds *diskStore) sealedPage(id int) (*cachedPage, pageMeta, int64, error) {
+func (ds *diskStore) sealedPage(id int) (*cachedPage, pageMeta, error) {
 	ds.mu.Lock()
 	pi := ds.pageAt(id)
 	pm := ds.dir[pi]
 	if p, ok := ds.cache.get(pi); ok {
 		ds.mu.Unlock()
-		return p, pm, 0, nil
+		return p, pm, nil
 	}
 	fr := ds.cache.frame(pm.physLen)
 	f := ds.f // Close nils the field; the load must not read it unlocked
@@ -457,12 +460,12 @@ func (ds *diskStore) sealedPage(id int) (*cachedPage, pageMeta, int64, error) {
 	defer ds.mu.Unlock()
 	if err != nil {
 		ds.cache.release(fr)
-		return nil, pm, 0, err
+		return nil, pm, err
 	}
 	p := ds.cache.put(pi, fr, pm.physLen)
 	ds.io.PageReads++
 	ds.io.BytesRead += pm.physLen
-	return p, pm, pm.physLen, nil
+	return p, pm, nil
 }
 
 // unpin releases a frame sealedPage returned.
@@ -640,14 +643,14 @@ func (img *pageImage) appendCols(b *rowBatch, r int, cols []int) error {
 
 // addSealed pins the sealed page holding row id and appends to b the cols
 // cells of the rows pick selects on it that f keeps (nil: all), returning
-// the physical bytes read. pick gets the pinned page's directory entry and
+// the page's bytes, whether the cache held it or not. pick gets the pinned page's directory entry and
 // returns either a page-relative range [lo, hi) — a Scan's — or, when run is
 // non-nil, a run of ascending row ids on the page, repeats included — a
 // Fetch's. So a page is pinned, and counted as a hit or a miss, once per
 // run. The probe f sees aliases the frame, so it is cleared before the
 // unpin.
 func (ds *diskStore) addSealed(b *rowBatch, id int, cols []int, f Filter, pick func(pm pageMeta) (lo, hi int, run []int32)) (int64, error) {
-	p, pm, phys, err := ds.sealedPage(id)
+	p, pm, err := ds.sealedPage(id)
 	if err != nil {
 		return 0, err
 	}
@@ -663,19 +666,21 @@ func (ds *diskStore) addSealed(b *rowBatch, id int, cols []int, f Filter, pick f
 		return k
 	}
 	if f != nil {
-		if b.probe == nil {
-			b.probe = make([]value.Value, ds.width(cols))
+		w := ds.width(cols)
+		if len(b.probe) < w { // a Scratch's may have served a narrower read
+			b.probe = make([]value.Value, w)
 		}
-		defer clear(b.probe)
+		probe := b.probe[:w]
+		defer clear(probe)
 		b.kept = b.kept[:0]
 		for ; k < stop; k++ {
 			r := row(k)
 			for _, c := range f.Cols() {
-				if b.probe[c], err = p.img.cell(at(cols, c), r); err != nil {
+				if probe[c], err = p.img.cell(at(cols, c), r); err != nil {
 					return 0, corruptf(ds.path, pm.off, "row %d: %v", pm.first+r, err)
 				}
 			}
-			ok, err := f.Keep(b.probe)
+			ok, err := f.Keep(probe)
 			if err != nil {
 				return 0, err
 			}
@@ -683,9 +688,7 @@ func (ds *diskStore) addSealed(b *rowBatch, id int, cols []int, f Filter, pick f
 				b.kept = append(b.kept, r)
 			}
 		}
-		if n := len(b.kept) * ds.width(cols); cap(b.arena)-len(b.arena) < n {
-			b.arena = make([]value.Value, 0, n)
-		}
+		b.room(len(b.kept) * ds.width(cols))
 		k, stop, run = 0, len(b.kept), nil
 	}
 	for ; k < stop; k++ {
@@ -699,7 +702,7 @@ func (ds *diskStore) addSealed(b *rowBatch, id int, cols []int, f Filter, pick f
 		}
 		b.cut(start)
 	}
-	return phys, nil
+	return pm.physLen, nil
 }
 
 // at is the schema position of cell k of a row projected onto cols.
@@ -718,7 +721,7 @@ func (ds *diskStore) width(cols []int) int {
 	return len(cols)
 }
 
-func (ds *diskStore) Scan(lo, hi int, cols []int, f Filter) ([][]value.Value, int64, error) {
+func (ds *diskStore) Scan(lo, hi int, cols []int, f Filter, s *Scratch) ([][]value.Value, int64, error) {
 	// One snapshot of the sealed/tail boundary and of the tail rows: pages
 	// sealed while the loop below runs unlocked only move rows this call
 	// already holds.
@@ -735,10 +738,11 @@ func (ds *diskStore) Scan(lo, hi int, cols []int, f Filter) ([][]value.Value, in
 	}
 	ds.mu.Unlock()
 
-	b := newRowBatch(hi-lo, ds.width(cols), f)
+	var own rowBatch
+	b := s.batch(&own, hi-lo, ds.width(cols), f)
 	var phys int64
 	for id, end := lo, min(hi, nflushed); id < end; { // a page per turn
-		p, err := ds.addSealed(&b, id, cols, f, func(pm pageMeta) (int, int, []int32) {
+		p, err := ds.addSealed(b, id, cols, f, func(pm pageMeta) (int, int, []int32) {
 			lo := id - pm.first
 			id = min(end, pm.first+pm.nrows)
 			return lo, id - pm.first, nil
@@ -756,13 +760,14 @@ func (ds *diskStore) Scan(lo, hi int, cols []int, f Filter) ([][]value.Value, in
 	return b.rows, phys, nil
 }
 
-func (ds *diskStore) Fetch(ids []int32, cols []int, f Filter) ([][]value.Value, int64, error) {
+func (ds *diskStore) Fetch(ids []int32, cols []int, f Filter, s *Scratch) ([][]value.Value, int64, error) {
 	ds.mu.Lock()
 	nflushed := ds.nflushed
 	tail := ds.tail
 	ds.mu.Unlock()
 	n := nflushed + len(tail)
-	b := newRowBatch(len(ids), ds.width(cols), nil) // index-picked ids: mostly survivors
+	var own rowBatch
+	b := s.batch(&own, len(ids), ds.width(cols), nil) // index-picked ids: mostly survivors
 	var phys int64
 	for i := 0; i < len(ids); { // a tail row or a page's run of ids per turn
 		id := int(ids[i])
@@ -776,7 +781,7 @@ func (ds *diskStore) Fetch(ids []int32, cols []int, f Filter) ([][]value.Value, 
 			i++
 			continue
 		}
-		p, err := ds.addSealed(&b, id, cols, f, func(pm pageMeta) (int, int, []int32) {
+		p, err := ds.addSealed(b, id, cols, f, func(pm pageMeta) (int, int, []int32) {
 			start := i
 			for end := pm.first + pm.nrows; i < len(ids) && int(ids[i]) >= id && int(ids[i]) < end; i++ {
 				id = int(ids[i])

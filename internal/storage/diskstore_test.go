@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -360,21 +361,38 @@ func benchDiskTable(b *testing.B) *Table {
 // BenchmarkDiskScanThrash: whole-table scans through a thrashing cache —
 // per-op cost is 133 page reads, checksums and region checks, plus decoding
 // every column (all) or two of the fixture's seven (projected: id, blob).
+// scratch is projected refilling one Scratch, warmed by a call before the
+// clock starts: its rows and cell arena are reused, so what it allocates is
+// the blob cells' byte chunks and the page loads.
 func BenchmarkDiskScanThrash(b *testing.B) {
 	tb := benchDiskTable(b)
 	for _, c := range []struct {
-		name string
-		cols []int
-	}{{"all", nil}, {"projected", []int{0, 4}}} {
+		name    string
+		cols    []int
+		scratch bool
+	}{{"all", nil, false}, {"projected", []int{0, 4}, false}, {"scratch", []int{0, 4}, true}} {
 		cols := c.cols
+		var s *Scratch
+		if c.scratch {
+			s = new(Scratch)
+		}
 		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rows, phys, err := tb.ScanCols(0, tb.NumRows(), cols, nil)
+			scan := func() {
+				rows, phys, err := tb.ScanCols(0, tb.NumRows(), cols, nil, s)
 				if err != nil || len(rows) != tb.NumRows() || phys == 0 {
 					b.Fatalf("%d rows, %d bytes, err %v", len(rows), phys, err)
 				}
 			}
+			if s != nil {
+				scan()
+			}
+			b.ReportAllocs()
+			reads := tb.IO().PageReads
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scan()
+			}
+			b.ReportMetric(float64(tb.IO().PageReads-reads)/float64(b.N), "pages/op")
 		})
 	}
 }
@@ -425,11 +443,11 @@ func TestDiskStoreFetchRuns(t *testing.T) {
 	} {
 		for _, cols := range [][]int{nil, {0, 2, 4}} {
 			before := tb.IO()
-			got, _, err := tb.FetchCols(ids, cols, nil)
+			got, _, err := tb.FetchCols(ids, cols, nil, nil)
 			if err != nil {
 				t.Fatalf("fetch %v: %v", ids, err)
 			}
-			want, _, _ := mt.FetchCols(ids, cols, nil)
+			want, _, _ := mt.FetchCols(ids, cols, nil, nil)
 			if d := sameCells(got, want); d != "" {
 				t.Fatalf("fetch %v of columns %v: %s", ids, cols, d)
 			}
@@ -453,8 +471,97 @@ func TestDiskStoreFetchRuns(t *testing.T) {
 		}
 	}
 	for _, ids := range [][]int32{{0, n}, {-1}, {edge, edge + 1, n + 7}} {
-		if _, _, err := tb.FetchCols(ids, nil, nil); err == nil || !strings.Contains(err.Error(), "out of range") {
+		if _, _, err := tb.FetchCols(ids, nil, nil, nil); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("fetch %v: %v, want an out-of-range error", ids, err)
 		}
+	}
+}
+
+// TestDiskStoreScratchReuse: Scan and Fetch refill one Scratch call after
+// call (Backend). Each call returns the rows an owned call returns; the
+// previous call's cells it did not refill read as NULL, so a reader that
+// kept a borrowed row past the next call finds no stale row there; and a
+// Bytes value copied out of an earlier batch is intact, its byte chunk
+// never written again. Refilled from a warm cache, a scan allocates no row
+// slice or arena.
+func TestDiskStoreScratchReuse(t *testing.T) {
+	cat, _ := diskCatalog(t, BackendConfig{PageBytes: 512, CacheBytes: 1 << 20})
+	defer cat.Close()
+	tb := loadFixture(t, cat, 300)
+	mt := loadFixture(t, NewCatalog(), 300)
+	cols := []int{0, 4, 6} // id, blob (Bytes), note (Str or NULL)
+	odd := &funcFilter{cols: []int{0}, keep: func(row []value.Value) (bool, error) { return row[0].I%2 == 1, nil }}
+	reads := []struct {
+		name string
+		read func(tb *Table, s *Scratch) ([][]value.Value, int64, error)
+	}{
+		// Narrow, then wide: the filtered read outgrows the fetch's arena
+		// piece by piece, and the narrower reads after it leave most of the
+		// wider ones' cells, in every piece, to the clearing.
+		{"fetch", func(tb *Table, s *Scratch) ([][]value.Value, int64, error) {
+			return tb.FetchCols([]int32{7, 8, 9, 250, 251, 299}, cols, nil, s)
+		}},
+		{"filtered", func(tb *Table, s *Scratch) ([][]value.Value, int64, error) { return tb.ScanCols(0, 300, cols, odd, s) }},
+		{"filtered narrow", func(tb *Table, s *Scratch) ([][]value.Value, int64, error) {
+			return tb.ScanCols(100, 120, cols, odd, s)
+		}},
+		{"scan", func(tb *Table, s *Scratch) ([][]value.Value, int64, error) { return tb.ScanCols(0, 280, cols, nil, s) }},
+		{"scan tail", func(tb *Table, s *Scratch) ([][]value.Value, int64, error) {
+			return tb.ScanCols(290, 300, cols, nil, s)
+		}},
+	}
+	s := new(Scratch)
+	var held [][]value.Value // the previous call's batch, kept past the next call
+	var blob value.Value     // a Bytes cell copied out of the first batch
+	cleared := 0             // cells of a previous batch the next one did not refill
+	for i, r := range reads {
+		got, phys, err := r.read(tb, s)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		want, wantPhys, _ := r.read(tb, nil)
+		if d := diffRows(got, want); d != "" || phys != wantPhys {
+			t.Fatalf("%s into a scratch: %s, %d page bytes, want %d", r.name, d, phys, wantPhys)
+		}
+		mem, _, _ := r.read(mt, nil)
+		if d := diffRows(got, mem); d != "" {
+			t.Fatalf("%s: %s", r.name, d)
+		}
+		refilled := map[*value.Value]bool{}
+		for _, row := range got {
+			for j := range row {
+				refilled[&row[j]] = true
+			}
+		}
+		for k, row := range held {
+			for j := range row {
+				if refilled[&row[j]] {
+					continue
+				}
+				if cleared++; !row[j].IsNull() {
+					t.Fatalf("%s: the previous batch's row %d cell %d reads %v after the refill, want NULL", r.name, k, j, row[j])
+				}
+			}
+		}
+		if i == 0 {
+			blob = got[1][1] // row 8's
+		}
+		if want := fixtureRow(8)[4].B; !bytes.Equal(blob.B, want) {
+			t.Fatalf("after %s: a Bytes value copied out of the first batch reads %x, want %x", r.name, blob.B, want)
+		}
+		held = got
+	}
+	if cleared == 0 {
+		t.Fatal("no refill left a previous batch's cell to clear")
+	}
+	warm := func() {
+		if _, _, err := tb.ScanCols(0, 280, cols, nil, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm()
+	// 280 blob cells of 3 bytes: a 4 KiB byte chunk every fourth call.
+	if allocs := testing.AllocsPerRun(20, warm); allocs > 0.5 {
+		t.Errorf("a warm scan into a scratch: %.2f allocations, want only byte chunks", allocs)
 	}
 }

@@ -211,8 +211,8 @@ func TestFilteredReadsMatchReadThenFilter(t *testing.T) {
 					t.Fatalf("%s: memory %s of columns %v: %s", name, what, cols, d)
 				}
 			}
-			scan := func(tb *Table, f Filter) ([][]value.Value, int64, error) { return tb.ScanCols(lo, hi, cols, f) }
-			fetch := func(tb *Table, f Filter) ([][]value.Value, int64, error) { return tb.FetchCols(ids, cols, f) }
+			scan := func(tb *Table, f Filter) ([][]value.Value, int64, error) { return tb.ScanCols(lo, hi, cols, f, nil) }
+			fetch := func(tb *Table, f Filter) ([][]value.Value, int64, error) { return tb.FetchCols(ids, cols, f, nil) }
 			check("scan", scan)
 			check("fetch", fetch)
 		}
@@ -249,10 +249,10 @@ func TestFilteredReadErrors(t *testing.T) {
 	cols := []int{0, 6} // id, note (a tagged Str column with NULLs)
 	pm := ds.dir[2]
 	for i := 0; i < 3; i++ { // a miss, then hits
-		if _, _, err := tb.ScanCols(pm.first, pm.first+pm.nrows, cols, failing); !errors.Is(err, errKeep) || errors.As(err, new(*SegmentError)) {
+		if _, _, err := tb.ScanCols(pm.first, pm.first+pm.nrows, cols, failing, nil); !errors.Is(err, errKeep) || errors.As(err, new(*SegmentError)) {
 			t.Fatalf("scan: %v, want the predicate's own error", err)
 		}
-		if _, _, err := tb.FetchCols([]int32{int32(pm.first + 3), int32(pm.first + 1)}, cols, failing); !errors.Is(err, errKeep) || errors.As(err, new(*SegmentError)) {
+		if _, _, err := tb.FetchCols([]int32{int32(pm.first + 3), int32(pm.first + 1)}, cols, failing, nil); !errors.Is(err, errKeep) || errors.As(err, new(*SegmentError)) {
 			t.Fatalf("fetch: %v, want the predicate's own error", err)
 		}
 		if _, err := frameSet(ds); err != nil {
@@ -287,14 +287,14 @@ func TestFilteredReadErrors(t *testing.T) {
 	}
 	f.Close()
 	for _, pg := range []int{len(ds.dir) - 1, len(ds.dir) - 2, len(ds.dir) - 3, len(ds.dir) - 4} {
-		if _, _, err := tb.ScanCols(ds.dir[pg].first, ds.dir[pg].first+1, nil, nil); err != nil {
+		if _, _, err := tb.ScanCols(ds.dir[pg].first, ds.dir[pg].first+1, nil, nil, nil); err != nil {
 			t.Fatal(err) // evicts page 1
 		}
 	}
 	hasNote := &funcFilter{cols: []int{0}, keep: func(row []value.Value) (bool, error) { return row[0].K != value.Null, nil }}
 	reads := []func() error{
-		func() error { _, _, err := tb.ScanCols(0, pm.first+pm.nrows, []int{6}, hasNote); return err },
-		func() error { _, _, err := tb.FetchCols([]int32{int32(pm.first)}, []int{6}, hasNote); return err },
+		func() error { _, _, err := tb.ScanCols(0, pm.first+pm.nrows, []int{6}, hasNote, nil); return err },
+		func() error { _, _, err := tb.FetchCols([]int32{int32(pm.first)}, []int{6}, hasNote, nil); return err },
 	}
 	for _, read := range reads {
 		err := read()
@@ -342,7 +342,7 @@ func TestFilteredColdScanBytes(t *testing.T) {
 			return func() {
 				i++
 				pm := dir[i%2]
-				if _, _, err := tb.ScanCols(pm.first, pm.first+pm.nrows, cols, f); err != nil {
+				if _, _, err := tb.ScanCols(pm.first, pm.first+pm.nrows, cols, f, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -158,11 +158,11 @@ type scanCounter struct {
 	scans int
 }
 
-func (s *scanCounter) Scan(lo, hi int, cols []int, f Filter) ([][]value.Value, int64, error) {
+func (s *scanCounter) Scan(lo, hi int, cols []int, f Filter, sc *Scratch) ([][]value.Value, int64, error) {
 	s.mu.Lock()
 	s.scans++
 	s.mu.Unlock()
-	return s.Backend.Scan(lo, hi, cols, f)
+	return s.Backend.Scan(lo, hi, cols, f, sc)
 }
 
 // TestLazyIndexConcurrentFirstTouch: eight goroutines that first-touch one
@@ -228,7 +228,7 @@ func TestLazyIndexFailedBuildRetries(t *testing.T) {
 	}
 	// Read every page so page 1 is evicted from the 4-page cache.
 	for _, pm := range ds.dir {
-		if _, _, err := tb.ScanCols(pm.first, pm.first+pm.nrows, []int{0}, nil); err != nil {
+		if _, _, err := tb.ScanCols(pm.first, pm.first+pm.nrows, []int{0}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -22,7 +22,7 @@ func (m *memStore) Append(row []value.Value) error {
 	return nil
 }
 
-func (m *memStore) Scan(lo, hi int, cols []int, f Filter) ([][]value.Value, int64, error) {
+func (m *memStore) Scan(lo, hi int, cols []int, f Filter, _ *Scratch) ([][]value.Value, int64, error) {
 	if lo < 0 || hi > len(m.rows) || lo > hi {
 		return nil, 0, fmt.Errorf("storage: scan [%d,%d) out of range (%d rows)", lo, hi, len(m.rows))
 	}
@@ -38,7 +38,7 @@ func (m *memStore) Scan(lo, hi int, cols []int, f Filter) ([][]value.Value, int6
 	return b.rows, 0, nil
 }
 
-func (m *memStore) Fetch(ids []int32, cols []int, f Filter) ([][]value.Value, int64, error) {
+func (m *memStore) Fetch(ids []int32, cols []int, f Filter, _ *Scratch) ([][]value.Value, int64, error) {
 	b := newRowBatch(len(ids), len(cols), nil)
 	for _, id := range ids {
 		if int(id) < 0 || int(id) >= len(m.rows) {

@@ -16,8 +16,9 @@
 // simulated disk time — this is what makes ciphertext expansion slow
 // queries down the same way it does on the paper's disk-bound testbed
 // (§8.1, which flushes caches and caps RAM to keep scans I/O-bound). A
-// paged backend replaces that resident-byte approximation with its real
-// physical page reads.
+// paged backend replaces that resident-byte approximation with the bytes
+// of the pages each read pins: what a cold read would fetch, whatever the
+// block cache holds at the time.
 package storage
 
 import (
@@ -267,36 +268,37 @@ func (t *Table) keyVals(row []value.Value) []value.Value {
 }
 
 // ScanRows returns the rows with ids in [lo, hi) in id order, plus the
-// physical bytes the backend read to serve them (0 for in-memory tables).
+// page bytes the backend read to serve them (0 for in-memory tables).
 // The batch must be treated as read-only: an in-memory table's batch is its
 // own rows, a paged table's is copied out of its page buffers.
 func (t *Table) ScanRows(lo, hi int) ([][]value.Value, int64, error) {
-	return t.be.Scan(lo, hi, nil, nil)
+	return t.be.Scan(lo, hi, nil, nil, nil)
 }
 
 // FetchRows returns the rows named by an id list, in list order, plus the
-// physical bytes read (the access path's row-source shape).
+// page bytes read (the access path's row-source shape).
 func (t *Table) FetchRows(ids []int32) ([][]value.Value, int64, error) {
-	return t.be.Fetch(ids, nil, nil)
+	return t.be.Fetch(ids, nil, nil, nil)
 }
 
-// ScanCols is ScanRows projected and filtered (Backend.Scan): every returned
-// row holds the cells at the schema positions cols, which must ascend (nil:
-// every column). A paged backend decodes only those cells; an in-memory one
-// copies them, so callers that want whole rows of an in-memory table pass nil.
-func (t *Table) ScanCols(lo, hi int, cols []int, f Filter) ([][]value.Value, int64, error) {
+// ScanCols is ScanRows projected, filtered and, given a Scratch, borrowed
+// (Backend.Scan): every returned row holds the cells at the schema
+// positions cols, which must ascend (nil: every column). A paged backend
+// decodes only those cells; an in-memory one copies them, so callers that
+// want whole rows of an in-memory table pass nil.
+func (t *Table) ScanCols(lo, hi int, cols []int, f Filter, s *Scratch) ([][]value.Value, int64, error) {
 	if err := t.checkCols(cols); err != nil {
 		return nil, 0, err
 	}
-	return t.be.Scan(lo, hi, cols, f)
+	return t.be.Scan(lo, hi, cols, f, s)
 }
 
-// FetchCols is FetchRows projected and filtered as ScanCols is.
-func (t *Table) FetchCols(ids []int32, cols []int, f Filter) ([][]value.Value, int64, error) {
+// FetchCols is FetchRows projected, filtered and borrowed as ScanCols is.
+func (t *Table) FetchCols(ids []int32, cols []int, f Filter, s *Scratch) ([][]value.Value, int64, error) {
 	if err := t.checkCols(cols); err != nil {
 		return nil, 0, err
 	}
-	return t.be.Fetch(ids, cols, f)
+	return t.be.Fetch(ids, cols, f, s)
 }
 
 // checkCols rejects a projection that is not a strictly ascending list of
@@ -316,21 +318,21 @@ func (t *Table) checkCols(cols []int) error {
 // Row returns one row by id, panicking on out-of-range ids; for tests and
 // fixtures (queries go through ScanRows/FetchRows and get byte accounting).
 func (t *Table) Row(id int) []value.Value {
-	rows, _, err := t.be.Fetch([]int32{int32(id)}, nil, nil)
+	rows, _, err := t.be.Fetch([]int32{int32(id)}, nil, nil, nil)
 	if err != nil {
 		panic(err)
 	}
 	return rows[0]
 }
 
-// Paged reports whether the backend's Scan/Fetch byte counts are real
-// medium reads the engine should charge instead of the resident-byte
+// Paged reports whether the backend's Scan/Fetch byte counts are page
+// bytes the engine should charge instead of the resident-byte
 // approximation.
 func (t *Table) Paged() bool { return t.be.Paged() }
 
 // ReadCost is what a read of the positions [lo,hi) charges, given the
-// physical bytes phys the backend reported for it: phys itself on a paged
-// table, and the rows' resident share of Bytes in memory, whose charges
+// page bytes phys the backend reported for it: phys itself on a paged
+// table (every page the read pinned, cached or not), and the rows' resident share of Bytes in memory, whose charges
 // over consecutive ranges add up to Bytes for the whole table. A position
 // is a row id for a scan, or the count of rows reached so far for fetches.
 func (t *Table) ReadCost(lo, hi int, phys int64) int64 {
@@ -438,9 +440,10 @@ func (t *Table) Index(col string, kind IndexKind) (*Index, error) {
 	if kind == HashIndex {
 		slots = make([]int32, 0, t.nrows)
 	}
+	var scratch Scratch // each chunk is filed before the next is read
 	for lo := 0; lo < t.nrows; lo += backfillChunk {
 		hi := min(lo+backfillChunk, t.nrows)
-		rows, _, err := t.be.Scan(lo, hi, []int{s.pos}, nil)
+		rows, _, err := t.be.Scan(lo, hi, []int{s.pos}, nil, &scratch)
 		if err != nil {
 			return nil, fmt.Errorf("storage: table %s: build %v index on %s: %w", t.Schema.Name, kind, col, err)
 		}

@@ -181,7 +181,13 @@ func materialize(buf *bytes.Buffer, st *server.StreamStats) (*server.Response, e
 		if rows == nil {
 			break
 		}
-		res.Rows = append(res.Rows, rows...)
+		// The reader refills its batch on the next call: keep a copy, one
+		// arena per batch.
+		cells := make([]value.Value, 0, len(rows)*len(res.Cols))
+		for _, row := range rows {
+			cells = append(cells, row...)
+			res.Rows = append(res.Rows, cells[len(cells)-len(row):len(cells):len(cells)])
+		}
 	}
 	return &server.Response{Result: res, WireBytes: st.WireBytes}, nil
 }

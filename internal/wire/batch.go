@@ -289,15 +289,22 @@ func (bw *BatchWriter) BytesWritten() int64 { return bw.bytes }
 // goes: truncated or corrupt frames return errors wrapping ErrCorrupt,
 // never short results.
 //
-// The cells of a batch alias that batch's payload buffer (see Decoder), and
-// cells coded by one dictionary entry share one Value: consumers must treat
-// every cell as read-only.
+// A batch is borrowed: Next refills one cell slice and one row slice per
+// reader, so the rows it returns are valid until the next call, and a
+// consumer that keeps rows past it copies them. The bytes a cell holds are
+// not reused: Str and Bytes cells alias their frame's own payload buffer
+// (see Decoder), so a Value copied out of a batch stays valid. Cells coded
+// by one dictionary entry share one Value: consumers must treat every cell
+// as read-only.
 type BatchReader struct {
-	r    io.Reader
-	cols []string
-	buf  []byte // scratch for header and end frames
-	rows int64
-	done bool
+	r     io.Reader
+	cols  []string
+	buf   []byte          // scratch for header and end frames
+	cells []value.Value   // the last batch's cells, row-major
+	batch [][]value.Value // the last batch's rows, windows of cells
+	dict  []value.Value   // one dictionary-coded column's entries
+	rows  int64
+	done  bool
 }
 
 // NewBatchReader reads the header frame (blocking until the producer has
@@ -396,29 +403,37 @@ func (br *BatchReader) readBatch() ([][]value.Value, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: truncated batch payload: %w", err)
 	}
+	// Every cell is written below; clearing the last batch's first lets a
+	// shorter batch drop the payloads its cells pointed into.
 	n := int(nrows)
-	cells := make([]value.Value, n*ncols)
+	clear(br.cells)
+	br.cells = slices.Grow(br.cells[:0], n*ncols)[:n*ncols]
+	cells := br.cells
 	d := NewDecoder(b)
 	pos := 0
 	for j := 0; j < ncols; j++ {
-		if pos, err = readColumn(&d, pos, cells, j, ncols); err != nil {
+		if pos, err = br.readColumn(&d, pos, cells, j, ncols); err != nil {
 			return nil, fmt.Errorf("wire: batch col %d: %w", j, err)
 		}
 	}
 	if pos != len(b) {
 		return nil, corrupt("wire: batch payload has %d trailing bytes", len(b)-pos)
 	}
-	rows := make([][]value.Value, n)
+	rows := slices.Grow(br.batch[:0], n)[:n]
+	if rows == nil {
+		rows = [][]value.Value{} // an empty batch is not the end of the stream
+	}
 	for i := range rows {
 		rows[i] = cells[i*ncols : (i+1)*ncols : (i+1)*ncols]
 	}
+	br.batch = rows
 	br.rows += int64(n)
 	return rows, nil
 }
 
 // readColumn decodes column j, which starts at pos in d's buffer, into the
 // row-major cells of an ncols-wide batch and returns the position after it.
-func readColumn(d *Decoder, pos int, cells []value.Value, j, ncols int) (int, error) {
+func (br *BatchReader) readColumn(d *Decoder, pos int, cells []value.Value, j, ncols int) (int, error) {
 	buf, nrows := d.buf, len(cells)/ncols
 	if pos >= len(buf) {
 		return pos, corrupt("truncated column mode")
@@ -449,7 +464,8 @@ func readColumn(d *Decoder, pos int, cells []value.Value, j, ncols int) (int, er
 	if ndict > nrows || ndict > len(buf)-pos {
 		return pos, corrupt("dictionary of %d entries for %d rows in %d bytes", ndict, nrows, len(buf)-pos)
 	}
-	dict := make([]value.Value, ndict)
+	dict := slices.Grow(br.dict[:0], ndict)[:ndict]
+	br.dict = dict
 	for k := range dict {
 		v, n, err := d.Value(pos, len(buf))
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/value"
@@ -45,6 +46,15 @@ func streamFixture(t testing.TB) ([]byte, []string, [][][]value.Value) {
 	return buf.Bytes(), cols, batches
 }
 
+// keepRows appends copies of a batch's rows to dst: a BatchReader's batch is
+// borrowed until its next Next.
+func keepRows(dst, b [][]value.Value) [][]value.Value {
+	for _, row := range b {
+		dst = append(dst, slices.Clone(row))
+	}
+	return dst
+}
+
 func TestBatchRoundTrip(t *testing.T) {
 	wireBytes, cols, batches := streamFixture(t)
 	br, err := NewBatchReader(bytes.NewReader(wireBytes))
@@ -66,7 +76,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		if b == nil {
 			break
 		}
-		gotRows = append(gotRows, b...)
+		gotRows = keepRows(gotRows, b)
 	}
 	if len(gotRows) != len(wantRows) {
 		t.Fatalf("decoded %d rows, want %d", len(gotRows), len(wantRows))

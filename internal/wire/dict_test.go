@@ -152,7 +152,7 @@ func readStream(t testing.TB, wireBytes []byte) [][]value.Value {
 		if b == nil {
 			return rows
 		}
-		rows = append(rows, b...)
+		rows = keepRows(rows, b)
 	}
 }
 
@@ -556,5 +556,60 @@ func BenchmarkReadBatch(b *testing.B) {
 		if _, err := br.Next(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestBatchReaderReusesScratch: Next refills one cell slice and one row
+// slice per reader across frames of dictionary-coded and plain columns. Each
+// batch decodes right; a later, shorter batch reuses the first one's cells
+// and leaves the rest of them NULL, not another row's; and a Bytes value
+// copied out of the first batch still reads its bytes after the stream
+// ends, its frame's payload never being reused.
+func TestBatchReaderReusesScratch(t *testing.T) {
+	rows := dictRows(40)
+	batches := [][][]value.Value{rows[:24], rows[24:30], rows[30:]}
+	cols := make([]string, len(rows[0]))
+	wireBytes, starts := writeStream(t, cols, batches...)
+	modes := map[bool]bool{} // by dictionary-coded
+	for _, s := range starts {
+		for _, m := range frameModes(t, wireBytes[s:], len(cols)) {
+			modes[m != modePlain] = true
+		}
+	}
+	if !modes[true] || !modes[false] {
+		t.Fatalf("frames use dictionary-coded %v and plain %v columns, want both", modes[true], modes[false])
+	}
+	br, err := NewBatchReader(bytes.NewReader(wireBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first [][]value.Value
+	var kept value.Value
+	for i, want := range batches {
+		got, err := br.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRoundTrip(t, want, got)
+		if i == 0 {
+			first, kept = got, got[5][4]
+			continue
+		}
+		if &got[0][0] != &first[0][0] {
+			t.Errorf("batch %d: cells not refilled in place", i)
+		}
+		for k := len(got); k < len(first); k++ {
+			for j, v := range first[k] {
+				if !v.IsNull() {
+					t.Fatalf("batch %d: the first batch's row %d cell %d reads %v, want NULL", i, k, j, v)
+				}
+			}
+		}
+	}
+	if b, err := br.Next(); b != nil || err != nil {
+		t.Fatalf("after the last batch: %d rows, %v", len(b), err)
+	}
+	if !sameCell(kept, rows[5][4]) {
+		t.Fatalf("a Bytes value copied out of the first batch reads %v, want %v", kept, rows[5][4])
 	}
 }
