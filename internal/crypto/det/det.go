@@ -109,75 +109,87 @@ func (s *Scheme) DecryptInt64(c uint64) int64 { return int64(s.DecryptUint64(c))
 // EncryptBytes applies the length-preserving wide-block cipher to a byte
 // string. The result has exactly len(pt) bytes.
 func (s *Scheme) EncryptBytes(pt []byte) []byte {
-	n := len(pt)
-	out := make([]byte, n)
+	var sc prf.Scratch
+	return s.EncryptBytesIn(&sc, pt)
+}
+
+// EncryptBytesIn is EncryptBytes with the rounds' keystreams generated in
+// the caller's scratch block: it allocates only the ciphertext.
+func (s *Scheme) EncryptBytesIn(sc *prf.Scratch, pt []byte) []byte {
+	out := make([]byte, len(pt))
 	copy(out, pt)
-	switch {
-	case n == 0:
-		return out
-	case n == 1:
-		perm, _ := s.bytePerm()
-		out[0] = perm[out[0]]
-		return out
-	}
-	half := n / 2
-	l, r := out[:half], out[half:]
-	tmp := make([]byte, n)
-	for i := 0; i < wideRounds; i++ {
-		// l ^= F_i(r); swap
-		ks := tmp[:len(l)]
-		s.f.Stream(uint32(i), r, ks)
-		for j := range l {
-			l[j] ^= ks[j]
-		}
-		if i < wideRounds-1 {
-			l, r = r, l
-		}
-	}
+	s.wide(sc, out, false)
 	return out
 }
 
 // DecryptBytes inverts EncryptBytes.
 func (s *Scheme) DecryptBytes(ct []byte) []byte {
-	n := len(ct)
-	out := make([]byte, n)
+	var sc prf.Scratch
+	return s.DecryptBytesIn(&sc, ct)
+}
+
+// DecryptBytesIn inverts EncryptBytesIn: it allocates only the plaintext.
+func (s *Scheme) DecryptBytesIn(sc *prf.Scratch, ct []byte) []byte {
+	out := make([]byte, len(ct))
 	copy(out, ct)
-	switch {
-	case n == 0:
-		return out
-	case n == 1:
-		_, inv := s.bytePerm()
-		out[0] = inv[out[0]]
-		return out
-	}
-	half := n / 2
-	l, r := out[:half], out[half:]
-	// Recreate the final (l, r) views after the forward swaps.
-	views := make([][2][]byte, wideRounds)
-	cl, cr := l, r
-	for i := 0; i < wideRounds; i++ {
-		views[i] = [2][]byte{cl, cr}
-		if i < wideRounds-1 {
-			cl, cr = cr, cl
-		}
-	}
-	tmp := make([]byte, n)
-	for i := wideRounds - 1; i >= 0; i-- {
-		vl, vr := views[i][0], views[i][1]
-		ks := tmp[:len(vl)]
-		s.f.Stream(uint32(i), vr, ks)
-		for j := range vl {
-			vl[j] ^= ks[j]
-		}
-	}
+	s.wide(sc, out, true)
 	return out
+}
+
+// wide runs the wide-block cipher over b in place, forward or inverted. A
+// round XORs the keystream of one half into the other and the halves swap
+// between rounds, so round i's target is the left half when i is even and
+// the right half when i is odd; the inverse runs the rounds backwards.
+func (s *Scheme) wide(sc *prf.Scratch, b []byte, inverse bool) {
+	switch n := len(b); {
+	case n == 0:
+		return
+	case n == 1:
+		perm, inv := s.bytePerm()
+		if inverse {
+			perm = inv
+		}
+		b[0] = perm[b[0]]
+		return
+	}
+	l, r := b[:len(b)/2], b[len(b)/2:]
+	for k := 0; k < wideRounds; k++ {
+		i := k
+		if inverse {
+			i = wideRounds - 1 - k
+		}
+		dst, seed := l, r
+		if i%2 == 1 {
+			dst, seed = r, l
+		}
+		// dst ^= F_i(seed): the halves have one length but for one byte, and
+		// the keystream runs over the target's length.
+		s.f.XORStreamIn(sc, uint32(i), seed, dst)
+	}
 }
 
 // EncryptString is EncryptBytes over a string's bytes.
 func (s *Scheme) EncryptString(v string) []byte { return s.EncryptBytes([]byte(v)) }
 
 // DecryptString inverts EncryptString.
-func (s *Scheme) DecryptString(ct []byte) string { return string(s.DecryptBytes(ct)) }
+func (s *Scheme) DecryptString(ct []byte) string {
+	var sc prf.Scratch
+	return s.DecryptStringIn(&sc, ct)
+}
+
+// DecryptStringIn is DecryptString with DecryptBytesIn's scratch block. A
+// plaintext of up to 64 bytes is decrypted on the stack, so the string is
+// its one allocation.
+func (s *Scheme) DecryptStringIn(sc *prf.Scratch, ct []byte) string {
+	var buf [64]byte
+	if len(ct) > len(buf) {
+		return string(s.DecryptBytesIn(sc, ct))
+	}
+	b := buf[:len(ct)]
+	copy(b, ct)
+	s.wide(sc, b, true)
+	return string(b)
+}
 
 // CiphertextSize returns the DET ciphertext size for a plaintext length:
 // length-preserving, the point of §5.2.

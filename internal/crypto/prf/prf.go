@@ -13,6 +13,7 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 )
@@ -74,34 +75,53 @@ func (p *PRF) Eval64In(s *Scratch, tweak uint32, x uint64) uint64 {
 // a 16-byte output. Inputs of different lengths never collide because the
 // length is folded into the first block.
 func (p *PRF) EvalBytes(tweak uint32, data []byte) [16]byte {
-	var acc [16]byte
-	binary.BigEndian.PutUint32(acc[0:], tweak)
-	binary.BigEndian.PutUint64(acc[8:], uint64(len(data)))
-	p.block.Encrypt(acc[:], acc[:])
-	var blk [16]byte
+	var s Scratch
+	p.EvalBytesIn(&s, tweak, data)
+	return s
+}
+
+// EvalBytesIn is EvalBytes computed in, and left in, the caller's scratch
+// block: each data block, zero-padded, is XORed into the running MAC.
+func (p *PRF) EvalBytesIn(s *Scratch, tweak uint32, data []byte) {
+	*s = Scratch{}
+	binary.BigEndian.PutUint32(s[0:], tweak)
+	binary.BigEndian.PutUint64(s[8:], uint64(len(data)))
+	p.block.Encrypt(s[:], s[:])
 	for len(data) > 0 {
-		n := copy(blk[:], data)
-		for i := n; i < 16; i++ {
-			blk[i] = 0
-		}
-		for i := 0; i < 16; i++ {
-			acc[i] ^= blk[i]
-		}
-		p.block.Encrypt(acc[:], acc[:])
+		n := min(len(data), len(s))
+		subtle.XORBytes(s[:n], s[:n], data[:n])
+		p.block.Encrypt(s[:], s[:])
 		data = data[n:]
 	}
-	return acc
 }
 
 // Stream fills dst with a deterministic keystream derived from (tweak, seed).
 // Used for Feistel round functions over long byte strings.
 func (p *PRF) Stream(tweak uint32, seed []byte, dst []byte) {
-	iv := p.EvalBytes(tweak, seed)
-	ctr := cipher.NewCTR(p.block, iv[:])
-	for i := range dst {
-		dst[i] = 0
+	var s Scratch
+	clear(dst)
+	p.XORStreamIn(&s, tweak, seed, dst)
+}
+
+// XORStreamIn XORs Stream's keystream of (tweak, seed) into dst, working in
+// the caller's scratch block, so it allocates nothing: AES in counter mode
+// from the IV EvalBytes(tweak, seed), the blocks E(iv), E(iv+1), … with a
+// 128-bit big-endian counter, which is cipher.NewCTR's keystream. seed is
+// read before dst is written, but must not overlap it.
+func (p *PRF) XORStreamIn(s *Scratch, tweak uint32, seed, dst []byte) {
+	p.EvalBytesIn(s, tweak, seed)
+	ctr := *s
+	for len(dst) > 0 {
+		*s = ctr
+		p.block.Encrypt(s[:], s[:])
+		n := subtle.XORBytes(dst, dst, s[:])
+		dst = dst[n:]
+		for i := len(ctr) - 1; i >= 0; i-- {
+			if ctr[i]++; ctr[i] != 0 {
+				break
+			}
+		}
 	}
-	ctr.XORKeyStream(dst, dst)
 }
 
 // Perm256 builds a keyed permutation of the byte domain [0,256), used for

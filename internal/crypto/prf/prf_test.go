@@ -2,6 +2,8 @@ package prf
 
 import (
 	"bytes"
+	"crypto/cipher"
+	"encoding/binary"
 	"testing"
 )
 
@@ -91,5 +93,62 @@ func TestPerm256IsPermutation(t *testing.T) {
 		if !s {
 			t.Fatalf("value %d missing from permutation", i)
 		}
+	}
+}
+
+// ctrReference is the keystream as it was first built: a CBC-MAC IV over
+// a zero-padded copy of each block, then crypto/cipher's CTR mode.
+func ctrReference(p *PRF, tweak uint32, seed []byte, n int) []byte {
+	var acc, blk [16]byte
+	binary.BigEndian.PutUint32(acc[0:], tweak)
+	binary.BigEndian.PutUint64(acc[8:], uint64(len(seed)))
+	p.block.Encrypt(acc[:], acc[:])
+	for data := seed; len(data) > 0; {
+		k := copy(blk[:], data)
+		clear(blk[k:])
+		for i := range acc {
+			acc[i] ^= blk[i]
+		}
+		p.block.Encrypt(acc[:], acc[:])
+		data = data[k:]
+	}
+	out := make([]byte, n)
+	cipher.NewCTR(p.block, acc[:]).XORKeyStream(out, out)
+	return out
+}
+
+// TestStreamKnownAnswer: Stream and XORStreamIn produce cipher.NewCTR's
+// keystream from the CBC-MAC IV, byte for byte, for every length from 0 to
+// 100 and seeds across the block boundaries, and XORStreamIn XORs it in.
+func TestStreamKnownAnswer(t *testing.T) {
+	p := MustNew(key())
+	var s Scratch
+	for n := 0; n <= 100; n++ {
+		seed := bytes.Repeat([]byte{byte(n)}, n%37)
+		want := ctrReference(p, uint32(n), seed, n)
+		got := make([]byte, n)
+		p.Stream(uint32(n), seed, got)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("length %d: Stream %x, want %x", n, got, want)
+		}
+		x := bytes.Repeat([]byte{0x5a}, n)
+		p.XORStreamIn(&s, uint32(n), seed, x)
+		for i := range x {
+			x[i] ^= 0x5a
+		}
+		if !bytes.Equal(x, want) {
+			t.Fatalf("length %d: XORStreamIn %x, want %x", n, x, want)
+		}
+	}
+}
+
+// TestXORStreamAllocs: a keystream in the caller's scratch allocates
+// nothing.
+func TestXORStreamAllocs(t *testing.T) {
+	p := MustNew(key())
+	var s Scratch
+	seed, dst := make([]byte, 40), make([]byte, 41)
+	if a := testing.AllocsPerRun(100, func() { p.XORStreamIn(&s, 1, seed, dst) }); a != 0 {
+		t.Errorf("XORStreamIn allocates %.1f times, want 0", a)
 	}
 }

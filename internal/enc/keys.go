@@ -80,7 +80,7 @@ func (ks *KeyStore) Search(it *Item) *search.Scheme { return ks.derive(it).srch 
 // Cipher is an item resolved against the key store once — scheme instance
 // derived, plaintext kind and key label looked up — so a loop over a column
 // of values pays none of that per value. A Cipher carries the scratch block
-// its DET integer rounds and OPE walks run in: each goroutine works on its
+// its DET rounds and OPE walks run in: each goroutine works on its
 // own copy.
 type Cipher struct {
 	// Label is the dense id of the item's key label within this KeyStore:
@@ -130,9 +130,9 @@ func (c *Cipher) Encrypt(v value.Value) (value.Value, error) {
 		case value.Int, value.Date, value.Bool:
 			return value.NewInt(int64(c.det.EncryptUint64In(&c.sc, uint64(v.AsInt())))), nil
 		case value.Str:
-			return value.NewBytes(c.det.EncryptString(v.S)), nil
+			return value.NewBytes(c.det.EncryptBytesIn(&c.sc, []byte(v.S))), nil
 		case value.Bytes:
-			return value.NewBytes(c.det.EncryptBytes(v.B)), nil
+			return value.NewBytes(c.det.EncryptBytesIn(&c.sc, v.B)), nil
 		}
 		return value.Value{}, fmt.Errorf("enc: DET cannot encrypt %v", v.K)
 	case OPE:
@@ -176,9 +176,9 @@ func (c *Cipher) Decrypt(cv value.Value) (value.Value, error) {
 		case value.Date:
 			return value.NewDate(int64(c.det.DecryptUint64In(&c.sc, uint64(cv.AsInt())))), nil
 		case value.Str:
-			return value.NewStr(c.det.DecryptString(cv.B)), nil
+			return value.NewStr(c.det.DecryptStringIn(&c.sc, cv.B)), nil
 		case value.Bytes:
-			return value.NewBytes(c.det.DecryptBytes(cv.B)), nil
+			return value.NewBytes(c.det.DecryptBytesIn(&c.sc, cv.B)), nil
 		}
 		return value.Value{}, fmt.Errorf("enc: DET cannot decrypt to %v", c.Kind)
 	case OPE:

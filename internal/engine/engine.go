@@ -514,11 +514,17 @@ type pipeline struct {
 	layout     *relation // src's columns
 	filter     ast.Expr  // predicates on src alone (setFilter)
 	filterCols []int     // the layout positions filter reads, on a paged table
-	steps      []joinStep
-	residual   ast.Expr  // post-join predicates
-	joined     *relation // columns after the last step
-	outer      *env
-	batch      int // rows a chain's scan reads and its probes emit per pull
+	// On a paged table, the part of filter sealed pages evaluate in place
+	// (pagePred), and the residual Keep evaluates on its survivors, reading
+	// the layout positions restCols.
+	pred     *storage.Pred
+	rest     ast.Expr
+	restCols []int
+	steps    []joinStep
+	residual ast.Expr  // post-join predicates
+	joined   *relation // columns after the last step
+	outer    *env
+	batch    int // rows a chain's scan reads and its probes emit per pull
 }
 
 // prepare resolves q's FROM entries and classifies its WHERE (planJoin)
@@ -542,7 +548,7 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 			return nil, err
 		}
 		p := &pipeline{src: src, layout: layout, joined: layout, outer: outer, batch: c.batch}
-		p.setFilter(q.Where)
+		p.setFilter(q.Where, c.params)
 		if access && outer == nil && src.t != nil && src.t.HasIndexes() {
 			if err := c.accessPath(q, p); err != nil {
 				return nil, err
@@ -564,7 +570,7 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 		return nil, err
 	}
 	p := &pipeline{src: srcs[plan.start], layout: rels[plan.start], outer: outer, batch: c.batch}
-	p.setFilter(ast.AndAll(plan.perTable[plan.start]))
+	p.setFilter(ast.AndAll(plan.perTable[plan.start]), c.params)
 	p.residual = ast.AndAll(plan.residual)
 	p.steps = plan.steps
 	cols := p.layout.cols
@@ -572,7 +578,7 @@ func (c *execCtx) prepare(q *ast.Query, outer *env, access bool) (*pipeline, err
 		st := &p.steps[i]
 		// The build side is its own scan → filter chain.
 		bp := &pipeline{src: srcs[st.next], layout: rels[st.next], joined: rels[st.next], outer: outer, batch: c.batch}
-		bp.setFilter(ast.AndAll(plan.perTable[st.next]))
+		bp.setFilter(ast.AndAll(plan.perTable[st.next]), c.params)
 		st.probe = &relation{cols: cols}
 		if len(st.leftKeys) == 0 {
 			right, err := c.drainSource(bp)
@@ -642,20 +648,33 @@ func (c *execCtx) fromSource(f *ast.TableRef, outer *env) (*rowSource, *relation
 	return &rowSource{rows: sub.rows}, &relation{cols: sub.cols}, nil
 }
 
-// setFilter makes f the filter on p's source, and finds once the cells a paged
-// scan decodes for it: the layout columns whose names f mentions, or all of
-// them when f holds a subquery, whose correlated names f does not show.
-func (p *pipeline) setFilter(f ast.Expr) {
+// setFilter makes f the filter on p's source. On a paged table it also
+// splits off the page predicate (pagePred), with params bound, and finds
+// once the cells a scan decodes for the whole filter and for the residual:
+// the layout columns whose names each mentions, or all of them when it
+// holds a subquery, whose correlated names it does not show.
+func (p *pipeline) setFilter(f ast.Expr, params map[string]value.Value) {
 	p.filter = f
 	if f == nil || p.src.t == nil || !p.src.t.Paged() {
 		return
 	}
+	p.filterCols = p.layout.reads(f)
+	if p.pred, p.rest = pagePred(f, p.layout, params); p.pred != nil && p.rest != nil {
+		p.restCols = p.layout.reads(p.rest)
+	}
+}
+
+// reads lists the positions of r's columns that f names, or all of them
+// when f holds a subquery.
+func (r *relation) reads(f ast.Expr) []int {
+	var cols []int
 	sub, refs := ast.HasSubquery(f), ast.Columns(f)
-	for i, col := range p.layout.cols {
+	for i, col := range r.cols {
 		if sub || slices.ContainsFunc(refs, func(r *ast.ColumnRef) bool { return r.Column == col.name }) {
-			p.filterCols = append(p.filterCols, i)
+			cols = append(cols, i)
 		}
 	}
+	return cols
 }
 
 // chain assembles the front of the tree over source positions [lo,hi),

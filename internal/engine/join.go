@@ -436,7 +436,14 @@ type joinPart struct {
 // holding every key's rows in windows of one exact-size arena.
 func newJoinPart(rows [][]value.Value, keys [][]byte, partIDs []int32, p int32, hint int) joinPart {
 	jp := joinPart{slot: make(map[string]int32, hint)}
-	var slots, counts []int32 // slots: per owned row; counts: per key
+	owned := 0
+	for _, id := range partIDs {
+		if id == p {
+			owned++
+		}
+	}
+	slots := make([]int32, 0, owned) // per owned row
+	var counts []int32               // per key
 	for i, id := range partIDs {
 		if id != p {
 			continue
@@ -618,10 +625,17 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 	keys := make([][]byte, n) // each a capped window of its morsel's arena
 	partIDs := make([]int32, n)
 	keyRows := func(sc *execCtx, lo, hi int) (struct{}, error) {
+		// The arena is sized once for the rows left, at the widest key so far
+		// (an Int key's width, at first): a key that outgrows it starts a
+		// new chunk, and the windows cut so far keep the old one.
 		var arena []byte
+		widest := 8
 		en := &env{rel: right, outer: outer, ctx: sc}
 		for i := lo; i < hi; i++ {
 			en.row = right.rows[i]
+			if cap(arena)-len(arena) < widest {
+				arena = make([]byte, 0, widest*(hi-i))
+			}
 			start := len(arena)
 			var null bool
 			var err error
@@ -634,6 +648,7 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 				continue
 			}
 			keys[i] = arena[start:len(arena):len(arena)]
+			widest = max(widest, len(keys[i]))
 			if parts > 1 {
 				partIDs[i] = int32(joinPartition(keys[i], parts))
 			}

@@ -126,3 +126,40 @@ func TestSubqueryProbeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinBuildKeyArenaSizedOnce: each morsel of a hashed join build sizes
+// its key arena for its rows up front — once more when a key outgrows the
+// first guess — instead of growing it by appends, and each partition sizes
+// its row list once. A build of 60 k distinct ~20-byte composite keys then
+// allocates its key strings and map, and a few more objects per morsel; an
+// append-grown arena and row list took some 30 more per morsel (measured:
+// 426 and 790 beyond the keys at two and eight morsels, against 328 and 481).
+func TestJoinBuildKeyArenaSizedOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts: the race detector changes what escapes")
+	}
+	const rows = 60000
+	rel := &relation{cols: []colInfo{{table: "b", name: "k"}, {table: "b", name: "pad"}}}
+	pad := value.NewBytes([]byte("sixteen-byte-pad"))
+	for i := 0; i < rows; i++ {
+		rel.rows = append(rel.rows, []value.Value{value.NewInt(int64(i)), pad})
+	}
+	on := []ast.Expr{&ast.ColumnRef{Table: "b", Column: "k"}, &ast.ColumnRef{Table: "b", Column: "pad"}}
+	e := New(storage.NewCatalog())
+	for _, batch := range []int{rows, 1024} { // two morsels, or eight
+		e.batchSize = batch
+		c := &execCtx{eng: e, stats: &Stats{}}
+		var b *joinBuild
+		allocs := testing.AllocsPerRun(3, func() {
+			var err error
+			if b, err = c.buildJoinMap(rel, on, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		parts := float64(len(b.parts))
+		if extra, bound := allocs-rows, 300+35*parts; extra > bound {
+			t.Errorf("batch %d, %.0f morsels: %.0f allocations beyond one per key, want at most %.0f", batch, parts, extra, bound)
+		}
+		t.Logf("batch %d, %.0f morsels: %.0f allocations beyond one per key", batch, parts, allocs-rows)
+	}
+}

@@ -485,3 +485,35 @@ func pagedAgree(t *testing.T, mem, disk *Engine, sql string) {
 		}
 	}
 }
+
+// TestPagedFullScanChargesSegment: a full scan of a paged table charges
+// exactly Table.ScanBytes, at every batch size and morsel count — a page
+// that a batch or morsel boundary cuts is charged once, to the read holding
+// its first row — filtered or not.
+func TestPagedFullScanChargesSegment(t *testing.T) {
+	_, disk := pagedEngines(t, false)
+	ev, err := disk.Cat.Table("ev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		`SELECT COUNT(*) FROM ev`,
+		`SELECT e_id, e_cat FROM ev WHERE e_val < 500`,
+		`SELECT COUNT(*) FROM ev WHERE e_val < 500 AND e_cat IS NOT NULL`,
+	} {
+		q := sqlparser.MustParse(sql)
+		for _, par := range []int{1, 2} {
+			for _, batch := range []int{0, 7, 50} {
+				procs(t, par)
+				disk.batchSize = batch
+				res, err := disk.Execute(q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Stats.BytesScanned; got != ev.ScanBytes() {
+					t.Errorf("%s (par %d, batch %d): charged %d bytes, the segment is %d", sql, par, batch, got, ev.ScanBytes())
+				}
+			}
+		}
+	}
+}

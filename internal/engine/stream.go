@@ -194,6 +194,26 @@ func (it *scanIterator) Keep(row []value.Value) (bool, error) {
 	return evalBool(&it.en, it.p.filter)
 }
 
+// Page makes the iterator a storage.PageFilter: the page predicate
+// setFilter split off, and the residual's Filter (nil when none is left).
+func (it *scanIterator) Page() (*storage.Pred, storage.Filter) {
+	if it.p.rest == nil {
+		return it.p.pred, nil
+	}
+	return it.p.pred, (*residualFilter)(it)
+}
+
+// residualFilter is a scan's Filter over the residual of its page
+// predicate, on the same environment as the whole filter's.
+type residualFilter scanIterator
+
+func (r *residualFilter) Cols() []int { return r.p.restCols }
+
+func (r *residualFilter) Keep(row []value.Value) (bool, error) {
+	r.en.row = row
+	return evalBool(&r.en, r.p.rest)
+}
+
 // filterIterator applies a predicate row-at-a-time within each batch,
 // emitting the surviving subset (input row order preserved). Batches the
 // predicate empties entirely are skipped, not emitted.

@@ -18,9 +18,11 @@ import (
 // grid) is byte-identical no matter which backend holds the rows.
 //
 // Scan and Fetch additionally report the bytes of the pages they read: a
-// paged backend counts every page a call pins, served from the block cache
-// or from the medium, so the count is a function of the call alone, never
-// of what another reader left cached (IO keeps the physical misses). The
+// paged backend counts the pages a call pins, served from the block cache
+// or from the medium — a Scan a page only when the call holds its first
+// row, so a page that two calls share is counted once, and a Fetch every
+// page it pins — so the count is a function of the call alone, never of
+// what another reader left cached (IO keeps the physical misses). The
 // in-memory backend reports 0 and leaves the engine's resident-byte
 // approximation in charge (Table.Paged picks the charging rule).
 //
@@ -79,6 +81,18 @@ type Filter interface {
 	Keep(row []value.Value) (bool, error)
 }
 
+// PageFilter is a Filter a paged backend may split on a sealed page: Page
+// returns a page predicate, evaluated on the page's cells in place (Pred),
+// and the rest of the filter, which the backend applies — reading only the
+// cells its Cols lists — to the rows the predicate is TRUE on; a nil rest
+// keeps them all. A nil predicate leaves the whole Filter to Keep. Keep
+// stays the whole filter: the in-memory backend and a paged backend's
+// unsealed tail rows call it as before.
+type PageFilter interface {
+	Filter
+	Page() (*Pred, Filter)
+}
+
 // rowBatch collects the rows of one Scan or Fetch call. Projected rows are
 // cut from an arena — sized rows × wanted columns up front, or per page for
 // that page's survivors when filtered — and capped, so appending to a row
@@ -92,6 +106,7 @@ type rowBatch struct {
 	bytes []byte
 	probe []value.Value // a filtered paged call's scratch row for Keep
 	kept  []int         // a filtered paged call's survivors on one page
+	masks [][]bool      // a page predicate's working masks (pageEval)
 
 	// A Scratch's batch is refilled call after call: its arena grows
 	// geometrically, and the pieces a call outgrew (spent) are cleared with

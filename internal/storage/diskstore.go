@@ -55,10 +55,12 @@ import (
 //
 // Reads go through an LRU block cache of verified page images with hit/miss
 // counters; a cache miss is exactly one physical page read (IO). Scan and
-// Fetch report the bytes of every page they pin, hit or miss — the number
-// the engine charges in place of the in-memory resident-byte approximation
-// (Paged() == true), and one that does not depend on what concurrent readers
-// left in the cache.
+// Fetch report the bytes of the pages they pin, hit or miss — a Scan charges
+// a page to the read that holds its first row, so consecutive scans of a
+// table charge its segment exactly once, and a Fetch every page it pins.
+// That is the number the engine charges in place of the in-memory
+// resident-byte approximation (Paged() == true), and one that does not
+// depend on what concurrent readers left in the cache.
 //
 // The read path is split in two. Loading a page (a miss) reads it, checks
 // its checksum and verifies every region once (verifyPage) into a page
@@ -75,10 +77,12 @@ import (
 // free, it costs a decode as narrow as the query; and a query that reads 4
 // of 24 columns never builds the other 20.
 //
-// A filtered read materializes late (addSealed): per pinned page it decodes
-// only the cells the filter reads into one scratch row, runs Keep row by row,
-// then cuts the survivors' wanted cells into an arena piece sized for them.
-// So rows a query's WHERE drops are never built.
+// A filtered read materializes late (addSealed): per pinned page it first
+// evaluates the filter's page predicate, if it brings one (PageFilter,
+// Pred), on the page's cells in place; then it decodes only the cells the
+// rest of the filter reads into one scratch row and runs Keep row by row on
+// the rows still standing; then it cuts the survivors' wanted cells into an
+// arena piece sized for them. So rows a query's WHERE drops are never built.
 //
 // Page frames are reused: an evicted page's buffer, column regions and cell
 // offsets go back to the cache's free list once no reader holds the frame,
@@ -642,67 +646,124 @@ func (img *pageImage) appendCols(b *rowBatch, r int, cols []int) error {
 }
 
 // addSealed pins the sealed page holding row id and appends to b the cols
-// cells of the rows pick selects on it that f keeps (nil: all), returning
-// the page's bytes, whether the cache held it or not. pick gets the pinned page's directory entry and
-// returns either a page-relative range [lo, hi) — a Scan's — or, when run is
-// non-nil, a run of ascending row ids on the page, repeats included — a
-// Fetch's. So a page is pinned, and counted as a hit or a miss, once per
-// run. The probe f sees aliases the frame, so it is cleared before the
+// cells of the rows pick selects on it that f keeps (nil: all), returning the
+// page's directory entry. pick gets that entry and returns either a
+// page-relative range [lo, hi) — a Scan's — or, when run is non-nil, a run
+// of ascending row ids on the page, repeats included — a Fetch's. So a page
+// is pinned, and counted as a hit or a miss, once per run.
+//
+// A filter that brings a page predicate (PageFilter) has it evaluated on
+// the page's cells in place first (pageEval); only the rows it is TRUE on
+// have their residual cells decoded, into one scratch row, for the rest of
+// the filter. That probe aliases the frame, so it is cleared before the
 // unpin.
-func (ds *diskStore) addSealed(b *rowBatch, id int, cols []int, f Filter, pick func(pm pageMeta) (lo, hi int, run []int32)) (int64, error) {
+func (ds *diskStore) addSealed(b *rowBatch, id int, cols []int, f Filter, pick func(pm pageMeta) (lo, hi int, run []int32)) (pageMeta, error) {
 	p, pm, err := ds.sealedPage(id)
 	if err != nil {
-		return 0, err
+		return pm, err
 	}
 	defer ds.unpin(p)
-	k, stop, run := pick(pm)
+	lo, hi, run := pick(pm)
+	sel := pageSel{lo: lo, n: hi - lo, run: run, first: pm.first}
 	if run != nil {
-		k, stop = 0, len(run)
-	}
-	row := func(k int) int { // the page-relative row of selection k
-		if run != nil {
-			return int(run[k]) - pm.first
-		}
-		return k
+		sel.n = len(run)
 	}
 	if f != nil {
-		w := ds.width(cols)
-		if len(b.probe) < w { // a Scratch's may have served a narrower read
-			b.probe = make([]value.Value, w)
-		}
-		probe := b.probe[:w]
-		defer clear(probe)
-		b.kept = b.kept[:0]
-		for ; k < stop; k++ {
-			r := row(k)
-			for _, c := range f.Cols() {
-				if probe[c], err = p.img.cell(at(cols, c), r); err != nil {
-					return 0, corruptf(ds.path, pm.off, "row %d: %v", pm.first+r, err)
-				}
-			}
-			ok, err := f.Keep(probe)
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				b.kept = append(b.kept, r)
-			}
+		if err := ds.filterPage(b, &p.img, pm, cols, f, sel); err != nil {
+			return pm, err
 		}
 		b.room(len(b.kept) * ds.width(cols))
-		k, stop, run = 0, len(b.kept), nil
+		sel = pageSel{n: len(b.kept), kept: b.kept}
 	}
-	for ; k < stop; k++ {
-		r := row(k)
-		if f != nil {
-			r = b.kept[k]
-		}
+	for k := 0; k < sel.n; k++ {
+		r := sel.row(k)
 		start := len(b.arena)
 		if err := p.img.appendCols(b, r, cols); err != nil {
-			return 0, corruptf(ds.path, pm.off, "row %d: %v", pm.first+r, err)
+			return pm, corruptf(ds.path, pm.off, "row %d: %v", pm.first+r, err)
 		}
 		b.cut(start)
 	}
-	return pm.physLen, nil
+	return pm, nil
+}
+
+// pageSel is the rows a read selects on one page: n of them, page-relative,
+// the k-th being kept[k] when kept is set, else a run's run[k] less the
+// page's first row id when run is set, else lo+k.
+type pageSel struct {
+	lo, n int
+	run   []int32
+	first int
+	kept  []int
+}
+
+func (s *pageSel) row(k int) int {
+	switch {
+	case s.kept != nil:
+		return s.kept[k]
+	case s.run != nil:
+		return int(s.run[k]) - s.first
+	}
+	return s.lo + k
+}
+
+// filterPage sets b.kept to the rows of sel on the pinned image img of page
+// pm that f keeps.
+func (ds *diskStore) filterPage(b *rowBatch, img *pageImage, pm pageMeta, cols []int, f Filter, sel pageSel) error {
+	b.kept = b.kept[:0]
+	if pf, ok := f.(PageFilter); ok {
+		if pred, rest := pf.Page(); pred != nil {
+			e := pageEval{img: img, cols: cols, sel: &sel, masks: &b.masks}
+			mask := e.mask(sel.n)
+			for k := range mask {
+				mask[k] = true
+			}
+			if err := e.match(pred, mask); err != nil {
+				return corruptf(ds.path, pm.off, "%v", err)
+			}
+			for k, ok := range mask {
+				if ok {
+					b.kept = append(b.kept, sel.row(k))
+				}
+			}
+			if f = rest; f == nil {
+				return nil
+			}
+			sel = pageSel{n: len(b.kept), kept: b.kept}
+		}
+	}
+	w := ds.width(cols)
+	if len(b.probe) < w { // a Scratch's may have served a narrower read
+		b.probe = make([]value.Value, w)
+	}
+	probe := b.probe[:w]
+	defer clear(probe)
+	n := 0
+	for k := 0; k < sel.n; k++ {
+		r := sel.row(k)
+		for _, c := range f.Cols() {
+			var err error
+			if probe[c], err = img.cell(at(cols, c), r); err != nil {
+				return corruptf(ds.path, pm.off, "row %d: %v", pm.first+r, err)
+			}
+		}
+		ok, err := f.Keep(probe)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		if sel.kept != nil { // narrowing the predicate's survivors in place
+			b.kept[n] = r
+			n++
+		} else {
+			b.kept = append(b.kept, r)
+		}
+	}
+	if sel.kept != nil {
+		b.kept = b.kept[:n]
+	}
+	return nil
 }
 
 // at is the schema position of cell k of a row projected onto cols.
@@ -742,15 +803,17 @@ func (ds *diskStore) Scan(lo, hi int, cols []int, f Filter, s *Scratch) ([][]val
 	b := s.batch(&own, hi-lo, ds.width(cols), f)
 	var phys int64
 	for id, end := lo, min(hi, nflushed); id < end; { // a page per turn
-		p, err := ds.addSealed(b, id, cols, f, func(pm pageMeta) (int, int, []int32) {
-			lo := id - pm.first
+		from := id
+		pm, err := ds.addSealed(b, id, cols, f, func(pm pageMeta) (int, int, []int32) {
 			id = min(end, pm.first+pm.nrows)
-			return lo, id - pm.first, nil
+			return from - pm.first, id - pm.first, nil
 		})
 		if err != nil {
 			return nil, 0, err
 		}
-		phys += p
+		if from == pm.first { // a page is charged to the read holding its first row
+			phys += pm.physLen
+		}
 	}
 	for _, row := range tail {
 		if err := b.add(row, cols, f); err != nil {
@@ -781,7 +844,7 @@ func (ds *diskStore) Fetch(ids []int32, cols []int, f Filter, s *Scratch) ([][]v
 			i++
 			continue
 		}
-		p, err := ds.addSealed(b, id, cols, f, func(pm pageMeta) (int, int, []int32) {
+		pm, err := ds.addSealed(b, id, cols, f, func(pm pageMeta) (int, int, []int32) {
 			start := i
 			for end := pm.first + pm.nrows; i < len(ids) && int(ids[i]) >= id && int(ids[i]) < end; i++ {
 				id = int(ids[i])
@@ -791,7 +854,7 @@ func (ds *diskStore) Fetch(ids []int32, cols []int, f Filter, s *Scratch) ([][]v
 		if err != nil {
 			return nil, 0, err
 		}
-		phys += p
+		phys += pm.physLen // a fetch is charged every page it pins
 	}
 	return b.rows, phys, nil
 }

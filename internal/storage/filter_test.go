@@ -360,3 +360,58 @@ func TestFilteredColdScanBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestScanChargesEachPageOnce: a scan charges a sealed page to the read
+// that holds its first row, so consecutive reads covering the table charge
+// exactly Table.ScanBytes whatever the batch size, filtered or not, plain
+// or through a page predicate, and a read starting mid-page does not charge
+// that page again. A fetch charges every page it pins.
+func TestScanChargesEachPageOnce(t *testing.T) {
+	cat, _ := diskCatalog(t, BackendConfig{PageBytes: 1024, CacheBytes: 2048})
+	defer cat.Close()
+	tb := loadFixture(t, cat, 500)
+	ds := tb.be.(*diskStore)
+	if len(ds.dir) < 20 || len(ds.tail) == 0 {
+		t.Fatalf("fixture: %d pages, %d tail rows", len(ds.dir), len(ds.tail))
+	}
+	n := tb.NumRows()
+	pred := PredRange(0, &value.Value{K: value.Int, I: 100}, nil, true, false)
+	filters := []Filter{nil,
+		&funcFilter{cols: []int{0}, keep: func(row []value.Value) (bool, error) { return row[0].I%3 == 0, nil }},
+		&predFilter{pred: &pred},
+	}
+	for _, f := range filters {
+		for _, batch := range []int{1, 7, 64, 333, n} {
+			var s Scratch
+			var phys int64
+			for lo := 0; lo < n; lo += batch {
+				_, p, err := tb.ScanCols(lo, min(lo+batch, n), []int{0, 4}, f, &s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				phys += p
+			}
+			if phys != tb.ScanBytes() {
+				t.Errorf("filter %T, batch %d: consecutive scans charged %d bytes, the segment is %d", f, batch, phys, tb.ScanBytes())
+			}
+		}
+	}
+	pm := ds.dir[3]
+	if _, p, _ := tb.ScanCols(pm.first+1, pm.first+pm.nrows+1, nil, nil, nil); p != ds.dir[4].physLen {
+		t.Errorf("a scan from mid-page 3 into page 4 charged %d bytes, want page 4's %d", p, ds.dir[4].physLen)
+	}
+	ids := []int32{int32(pm.first), int32(pm.first + 1), int32(ds.dir[5].first)}
+	if _, p, _ := tb.FetchCols(ids, nil, nil, nil); p != pm.physLen+ds.dir[5].physLen {
+		t.Errorf("a fetch from pages 3 and 5 charged %d bytes, want %d", p, pm.physLen+ds.dir[5].physLen)
+	}
+}
+
+// predFilter is a PageFilter that is all page predicate; Keep applies it
+// row by row (tail rows, the in-memory backend).
+type predFilter struct{ pred *Pred }
+
+func (f *predFilter) Cols() []int { return []int{f.pred.col} }
+
+func (f *predFilter) Keep(row []value.Value) (bool, error) { return f.pred.holds(row[f.pred.col]), nil }
+
+func (f *predFilter) Page() (*Pred, Filter) { return f.pred, nil }

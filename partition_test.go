@@ -80,19 +80,20 @@ func partitionable(sql string) bool {
 	return true
 }
 
-// checkPartitions runs Q and its three partitions by p on sys and on the
-// twin and reports any union that differs from the twin's rows of Q.
-func checkPartitions(t *testing.T, sys *System, sql, p string) {
+// checkPartitions runs Q's three partitions by p on sys and on plain's
+// plaintext twin, and Q on the twin, and reports any union that differs
+// from the twin's rows of Q.
+func checkPartitions(t *testing.T, sys, plain *System, sql, p string) {
 	t.Helper()
 	head, cond, tail, ok := splitWhere(sql)
 	if !ok {
 		t.Fatalf("no WHERE in %s", sql)
 	}
-	plain, err := sys.QueryPlaintext(sql)
+	twinQ, err := plain.QueryPlaintext(sql)
 	if err != nil {
 		t.Fatalf("plaintext %s: %v", sql, err)
 	}
-	want := canonicalRows(t, plain.Data, false)
+	want := canonicalRows(t, twinQ.Data, false)
 	var enc, twin [][]any
 	for _, part := range []string{"(%s)", "NOT (%s)", "(%s) IS NULL"} {
 		psql := fmt.Sprintf("%s(%s) AND %s%s", head, cond, fmt.Sprintf(part, p), tail)
@@ -100,7 +101,7 @@ func checkPartitions(t *testing.T, sys *System, sql, p string) {
 		if err != nil {
 			t.Fatalf("encrypted %s: %v", psql, err)
 		}
-		pl, err := sys.QueryPlaintext(psql)
+		pl, err := plain.QueryPlaintext(psql)
 		if err != nil {
 			t.Fatalf("plaintext %s: %v", psql, err)
 		}
@@ -114,11 +115,56 @@ func checkPartitions(t *testing.T, sys *System, sql, p string) {
 	}
 }
 
+// servedPartitions returns a System connected over loopback TCP to sys,
+// which must be disk-backed with a block cache of cache bytes per table
+// smaller than its largest encrypted table, so a partition's scans churn
+// the cache and its sargable filters run on sealed pages in place (the
+// kernel/residual split: p joins the page predicate, NOT (p) and
+// (p) IS NULL stay residual).
+func servedPartitions(t *testing.T, sys *System, cache int64) *System {
+	t.Helper()
+	var largest int64
+	for _, name := range sys.dep.DB.Cat.Names() {
+		tb, err := sys.dep.DB.Cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tb.Paged() {
+			t.Fatalf("table %s is not paged", name)
+		}
+		largest = max(largest, tb.ScanBytes())
+	}
+	if largest <= cache {
+		t.Fatalf("the largest table has %d bytes, the block cache %d", largest, cache)
+	}
+	srv, err := sys.Serve("127.0.0.1:0", ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := sys.ConnectRemote(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { remote.Close(); srv.Close(); sys.Close() })
+	return remote
+}
+
 // TestPartitionDifferential partitions every differential statement whose
 // rows are a union — the generated filters and joins, the breaker and
-// join-order shapes — by three seeded predicates over its tables.
+// join-order shapes — by three seeded predicates over its tables, in
+// process and on the disk-backed deployment served over TCP.
 func TestPartitionDifferential(t *testing.T) {
-	sys := diffSystem(t)
+	t.Run("in process", func(t *testing.T) {
+		sys := diffSystem(t)
+		partitionDifferential(t, sys, sys)
+	})
+	t.Run("served disk", func(t *testing.T) {
+		disk := diffSystemBackend(t, "disk")
+		partitionDifferential(t, servedPartitions(t, disk, 16<<10), disk)
+	})
+}
+
+func partitionDifferential(t *testing.T, sys, plain *System) {
 	rng := rand.New(rand.NewSource(partitionSeed))
 	queries := genQueries(rand.New(rand.NewSource(diffSeed+1)), diffQueries)
 	queries = append(queries, genJoinQueries(rand.New(rand.NewSource(diffSeed+3)), 15)...)
@@ -140,7 +186,7 @@ func TestPartitionDifferential(t *testing.T) {
 			}
 		}
 		for k := 0; k < 3; k++ {
-			checkPartitions(t, sys, q.sql, preds[rng.Intn(len(preds))])
+			checkPartitions(t, sys, plain, q.sql, preds[rng.Intn(len(preds))])
 		}
 		checked++
 	}
@@ -201,7 +247,8 @@ var tpchJoinCores = []struct {
 
 // TestPartitionTPCHJoins partitions the join blocks of TPC-H Q7, Q19 and Q21
 // at smoke scale, where implied filters and the estimated join order do
-// their work.
+// their work: in process, and on disk segments of 4 KiB pages behind a
+// 32 KiB block cache served over TCP.
 func TestPartitionTPCHJoins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("encrypts TPC-H")
@@ -214,15 +261,33 @@ func TestPartitionTPCHJoins(t *testing.T) {
 	for _, n := range TPCHQueries() {
 		wl[fmt.Sprintf("Q%02d", n)] = mustTPCH(n)
 	}
-	opts := DefaultOptions()
-	opts.PaillierBits = 256
-	sys, err := Encrypt(db, wl, opts)
-	if err != nil {
-		t.Fatal(err)
+	encrypt := func(backend string) *System {
+		opts := DefaultOptions()
+		opts.PaillierBits = 256
+		if backend == "disk" {
+			opts.Backend, opts.DataDir = backend, t.TempDir()
+			opts.pageBytes, opts.BlockCacheBytes = 4096, 32<<10
+		}
+		sys, err := Encrypt(db, wl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
 	}
-	defer sys.Close()
+	t.Run("in process", func(t *testing.T) {
+		sys := encrypt("")
+		defer sys.Close()
+		partitionTPCHJoins(t, sys, sys)
+	})
+	t.Run("served disk", func(t *testing.T) {
+		disk := encrypt("disk")
+		partitionTPCHJoins(t, servedPartitions(t, disk, 32<<10), disk)
+	})
+}
+
+func partitionTPCHJoins(t *testing.T, sys, plain *System) {
 	for _, c := range tpchJoinCores {
-		probe, err := sys.QueryPlaintext(c.probe)
+		probe, err := plain.QueryPlaintext(c.probe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,11 +295,11 @@ func TestPartitionTPCHJoins(t *testing.T) {
 			t.Fatalf("no rows at smoke scale: %s", c.probe)
 		}
 		sql := fmt.Sprintf(c.sql, probe.Data[0]...)
-		if plain, err := sys.QueryPlaintext(sql); err != nil || len(plain.Data) == 0 {
+		if q, err := plain.QueryPlaintext(sql); err != nil || len(q.Data) == 0 {
 			t.Fatalf("%s: %v, or no rows", sql, err)
 		}
 		for _, p := range c.preds {
-			checkPartitions(t, sys, sql, p)
+			checkPartitions(t, sys, plain, sql, p)
 		}
 	}
 }
