@@ -8,16 +8,16 @@ import "math"
 // column side, an IN list one 1/NDV per element, <> keeps 0.9, other
 // comparisons 0.33, BETWEEN 0.15, LIKE and IS NULL 0.05, IN (subquery) 0.3,
 // EXISTS 0.75 and NOT EXISTS 0.25. ndv gives an expression's distinct-value
-// count, 0 where it is unknown; unknown is what an equality, or an IN
-// element, keeps then.
-func Selectivity(pred Expr, ndv func(Expr) int64, unknown float64) float64 {
+// count, 0 where it is unknown: an equality, or an IN element, with no NDV
+// on either side keeps every row.
+func Selectivity(pred Expr, ndv func(Expr) int64) float64 {
 	switch x := pred.(type) {
 	case *BinaryExpr:
 		switch x.Op {
 		case OpAnd:
-			return Selectivity(x.Left, ndv, unknown) * Selectivity(x.Right, ndv, unknown)
+			return Selectivity(x.Left, ndv) * Selectivity(x.Right, ndv)
 		case OpOr:
-			a, b := Selectivity(x.Left, ndv, unknown), Selectivity(x.Right, ndv, unknown)
+			a, b := Selectivity(x.Left, ndv), Selectivity(x.Right, ndv)
 			return a + b - a*b
 		case OpEq:
 			d := ndv(x.Left)
@@ -27,7 +27,7 @@ func Selectivity(pred Expr, ndv func(Expr) int64, unknown float64) float64 {
 			if d > 0 {
 				return 1 / float64(d)
 			}
-			return unknown
+			return 1
 		case OpNe:
 			return 0.9
 		default:
@@ -44,7 +44,7 @@ func Selectivity(pred Expr, ndv func(Expr) int64, unknown float64) float64 {
 			if d := ndv(x.E); d > 0 {
 				sel += 1 / float64(d)
 			} else {
-				sel += unknown
+				sel++
 			}
 		}
 		return math.Min(sel, 1)
@@ -59,7 +59,7 @@ func Selectivity(pred Expr, ndv func(Expr) int64, unknown float64) float64 {
 		return 0.75
 	case *UnaryExpr:
 		if !x.Neg {
-			return 1 - Selectivity(x.E, ndv, unknown)
+			return 1 - Selectivity(x.E, ndv)
 		}
 	}
 	return 0.33

@@ -308,7 +308,7 @@ func downgradeUnusedDET(d *enc.Design, usedKeys map[string]bool, ctx *planner.Co
 	for i := range d.Items {
 		it := &d.Items[i]
 		if it.Scheme == enc.DET && !it.IsPrecomputed() && !usedKeys[it.Key()] {
-			rows := float64(ctx.Stats.Table(it.Table).Rows)
+			rows := float64(ctx.Rows(it.Table))
 			cands = append(cands, cand{idx: i, cost: rows * 16})
 		}
 	}
@@ -454,11 +454,10 @@ func BaselineDesign(cat *storage.Catalog, joinGroups map[string]string, onion bo
 
 // itemBytes estimates one item's server footprint.
 func itemBytes(ctx *planner.Context, it *enc.Item, opts Options) float64 {
-	ts := ctx.Stats.Table(it.Table)
-	rows := float64(ts.Rows)
+	rows := float64(ctx.Rows(it.Table))
 	width := 8.0
 	if cr, ok := it.Expr.(*ast.ColumnRef); ok {
-		if l := ts.Col(cr.Column).AvgLen; l > 0 {
+		if l := ctx.Col(it.Table, cr.Column).AvgLen; l > 0 {
 			width = float64(l)
 		}
 	}
@@ -496,10 +495,10 @@ func designBytes(ctx *planner.Context, cat *storage.Catalog) float64 {
 				hasHom = true
 			}
 		}
-		ts := ctx.Stats.Table(name)
-		total += float64(ts.Rows) * 24 // row overhead
+		rows := float64(ctx.Rows(name))
+		total += rows * 24 // row overhead
 		if hasHom {
-			total += float64(ts.Rows) * 8 // row_id
+			total += rows * 8 // row_id
 		}
 	}
 	return total

@@ -246,20 +246,8 @@ type execCtx struct {
 	rowBuf [][]value.Value
 }
 
-// schema is the catalog as the name resolver sees it.
-type schema storage.Catalog
-
-// HasColumn reports whether base table table has column col.
-func (s *schema) HasColumn(table, col string) (bool, error) {
-	t, err := (*storage.Catalog)(s).Table(table)
-	if err != nil {
-		return false, err
-	}
-	return t.Schema.ColIndex(col) >= 0, nil
-}
-
 // names is the catalog the statement's names resolve against.
-func (c *execCtx) names() ast.Catalog { return (*schema)(c.eng.Cat) }
+func (c *execCtx) names() ast.Catalog { return c.eng.Cat }
 
 // resolve binds every name of statement q once, before the first row, so a
 // name error never depends on the data (ast.Bind), and records the blocks

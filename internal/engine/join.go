@@ -193,13 +193,12 @@ const costTie = 1e-9
 
 // joinEst estimates a block's FROM entries and joins. An entry's rows are
 // its row count times the selectivity of its filters by ast.Selectivity,
-// the rules the planner's cost model uses too, with one difference: where a
-// column's NDV is missing — a derived or temp table's, say — an equality or
-// IN element keeps every row (the planner assumes 0.05), so a block with no
-// statistics ties and keeps the FROM order. The filters never name a
-// subquery (planJoin leaves those residual), so the subquery rules do not
-// arise. A join emits |R|·|S| divided, per key pair, by the larger NDV of
-// its two columns.
+// the rules the planner's cost model uses too: where a column's NDV is
+// missing — a derived or temp table's, say — an equality or IN element
+// keeps every row, so a block with no statistics ties and keeps the FROM
+// order. The filters never name a subquery (planJoin leaves those
+// residual), so the subquery rules do not arise. A join emits |R|·|S|
+// divided, per key pair, by the larger NDV of its two columns.
 type joinEst struct {
 	s        *ast.Scope
 	srcs     []*rowSource
@@ -213,7 +212,7 @@ func newJoinEst(s *ast.Scope, srcs []*rowSource, perTable [][]ast.Expr) *joinEst
 	for i, src := range srcs {
 		j.rows[i] = float64(src.n())
 		for _, f := range perTable[i] {
-			j.rows[i] *= ast.Selectivity(f, j.ndv, 1)
+			j.rows[i] *= ast.Selectivity(f, j.ndv)
 		}
 	}
 	return j
@@ -334,10 +333,8 @@ func (j *joinEst) ndv(e ast.Expr) int64 {
 	}
 	var d int64
 	if b, err := j.s.Resolve(cr); err == nil && b.Block != nil && j.srcs[b.Entry].t != nil {
-		t := j.srcs[b.Entry].t
-		if ci := t.Schema.ColIndex(cr.Column); ci >= 0 {
-			d = t.ColMeta(ci).NDV
-		}
+		m, _ := j.srcs[b.Entry].t.Meta(cr.Column)
+		d = m.NDV
 	}
 	j.ndvs[cr] = d
 	return d

@@ -48,6 +48,13 @@ func impliedFixture(t testing.TB) *Engine {
 // planOf plans q's one block over e's catalog, as prepare does.
 func planOf(t *testing.T, e *Engine, sql string) (*ast.Query, *joinPlan) {
 	t.Helper()
+	q, plan, _ := estimateOf(t, e, sql)
+	return q, plan
+}
+
+// estimateOf is planOf that also returns the estimates the order came from.
+func estimateOf(t *testing.T, e *Engine, sql string) (*ast.Query, *joinPlan, *joinEst) {
+	t.Helper()
 	q := sqlparser.MustParse(sql)
 	c := e.newCtx(q, nil, math.MaxInt)
 	if err := c.resolve(q); err != nil {
@@ -64,7 +71,7 @@ func planOf(t *testing.T, e *Engine, sql string) (*ast.Query, *joinPlan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return q, plan
+	return q, plan, newJoinEst(&ast.Scope{Block: q, Cat: c.names()}, srcs, plan.perTable)
 }
 
 // TestImpliedFilters pins what each cross-table conjunct lends the FROM
@@ -271,6 +278,22 @@ func TestJoinOrderWithoutStatistics(t *testing.T) {
 		if got := joinOrder(q, plan); got != c.want {
 			t.Errorf("%s: order %q, want %q", c.sql, got, c.want)
 		}
+	}
+}
+
+// TestJoinEstDerivedKeepsEveryRow: a derived table keeps no column
+// statistics, so an equality or IN list on its column keeps every row
+// (ast.Selectivity), as in the planner's cost model; the same filter on a
+// base column keeps 1/NDV.
+func TestJoinEstDerivedKeepsEveryRow(t *testing.T) {
+	e := impliedFixture(t)
+	_, _, est := estimateOf(t, e, "SELECT d.a_id, b_id FROM (SELECT a_id, a_x FROM a) d, b "+
+		"WHERE d.a_id = b_id AND d.a_x = 1 AND d.a_id IN (1, 2) AND b_y = 1")
+	if est.rows[0] != 40 {
+		t.Errorf("derived table: %v rows after its filters, want all 40", est.rows[0])
+	}
+	if est.rows[1] != 10 {
+		t.Errorf("b: %v rows after b_y = 1, want 40/NDV(b_y) = 10", est.rows[1])
 	}
 }
 

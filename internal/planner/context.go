@@ -9,28 +9,6 @@ import (
 	"repro/internal/value"
 )
 
-// TableInfo is the plaintext schema of one table as the planner sees it.
-type TableInfo struct {
-	Name string
-	Cols []storage.Column
-}
-
-// Kind returns a column's plaintext value kind, or Null if absent. A name
-// carrying an encrypted-column suffix (x_det, x_ope, ...) that is no column
-// of its own has its base column's kind, so the cost model can read
-// RemoteSQL against plaintext statistics (encTables).
-func (ti *TableInfo) Kind(col string) value.Kind {
-	base, _ := StripEncSuffix(col)
-	for _, name := range [2]string{col, base} {
-		for _, c := range ti.Cols {
-			if c.Name == name {
-				return c.Type.Kind()
-			}
-		}
-	}
-	return value.Null
-}
-
 // StripEncSuffix removes a trailing encrypted-column suffix, reporting
 // whether one was present.
 func StripEncSuffix(col string) (string, bool) {
@@ -42,13 +20,17 @@ func StripEncSuffix(col string) (string, bool) {
 	return col, false
 }
 
-// Context is everything the planner needs: the plaintext schema, data
-// statistics, the physical design (available encrypted items), and the key
-// store (the planner runs inside the trusted client library and encrypts
-// query constants).
+// Context is everything the planner needs: the plaintext catalog (schema
+// and data statistics), the physical design (available encrypted items), and
+// the key store (the planner runs inside the trusted client library and
+// encrypts query constants).
 type Context struct {
-	Tables map[string]*TableInfo
-	Stats  *Stats
+	// Cat is the plaintext catalog. Names resolve against its schema, and
+	// the cost model and the designer read its live insert-time statistics
+	// (Rows, Col); nothing copies them. It is read-only once Encrypt has
+	// run, as the engine that answers plaintext queries over it already
+	// requires.
+	Cat    *storage.Catalog
 	Design *enc.Design
 	Keys   *enc.KeyStore
 	Cost   *CostModel
@@ -78,71 +60,90 @@ func (ctx *Context) WithDesign(d *enc.Design) *Context {
 	return &c
 }
 
-// NewContext builds a planning context from the plaintext catalog.
+// NewContext builds a planning context over the plaintext catalog.
 func NewContext(cat *storage.Catalog, design *enc.Design, keys *enc.KeyStore, cost *CostModel) *Context {
-	ctx := &Context{
-		Tables:     make(map[string]*TableInfo),
-		Stats:      CollectStats(cat),
-		Design:     design,
-		Keys:       keys,
-		Cost:       cost,
-		JoinGroups: make(map[string]string),
+	return &Context{Cat: cat, Design: design, Keys: keys, Cost: cost, JoinGroups: make(map[string]string)}
+}
+
+// Rows is a plaintext table's row count, 0 for an unknown table.
+func (ctx *Context) Rows(table string) int64 {
+	t, err := ctx.Cat.Table(table)
+	if err != nil {
+		return 0
 	}
-	for _, name := range cat.Names() {
-		t, err := cat.Table(name)
-		if err != nil {
-			continue
-		}
-		ctx.Tables[name] = &TableInfo{Name: name, Cols: t.Schema.Cols}
+	return int64(t.NumRows())
+}
+
+// firstCol names a plaintext table's first column, "" when it has none: the
+// column a fetch reads when it only needs to count rows.
+func (ctx *Context) firstCol(table string) string {
+	if t, err := ctx.Cat.Table(table); err == nil && len(t.Schema.Cols) > 0 {
+		return t.Schema.Cols[0].Name
 	}
-	return ctx
+	return ""
+}
+
+// ColStat is what the cost model reads of one plaintext column's
+// statistics (storage.ColMeta).
+type ColStat struct {
+	NDV      int64 // distinct values: at least 1 for a known column
+	Min, Max int64 // numeric bounds; 0 when the column holds no number
+	AvgLen   int   // encoded bytes per row
+}
+
+// Col returns a plaintext column's statistics, all zero for an unknown table
+// or column: its NDV is then unknown, and an equality on it keeps every row
+// (ast.Selectivity).
+func (ctx *Context) Col(table, col string) ColStat {
+	t, err := ctx.Cat.Table(table)
+	if err != nil {
+		return ColStat{}
+	}
+	m, ok := t.Meta(col)
+	if !ok {
+		return ColStat{}
+	}
+	cs := ColStat{NDV: max(m.NDV, 1)}
+	if m.HasNum {
+		cs.Min, cs.Max = m.Min, m.Max
+	}
+	if n := t.NumRows(); n > 0 {
+		cs.AvgLen = int(m.TotalLen / int64(n))
+	}
+	return cs
 }
 
 // scope is one block's names as the planner sees them: the resolver's
-// (ast.Scope) over the plaintext schema. A name binds to a FROM entry
+// (ast.Scope) over the plaintext catalog. A name binds to a FROM entry
 // (*ast.TableRef, bind); a base table's entry gives its columns their kinds
-// (Context.Tables, kindOf).
+// (kindOf).
 type scope = ast.Scope
 
-// tables is the plaintext schema as the name resolver sees it for a user
-// statement: a name must be a schema column exactly, as in the engine.
-type tables map[string]*TableInfo
-
-// HasColumn reports whether the named table has column col.
-func (t tables) HasColumn(table, col string) (bool, error) {
-	info, ok := t[table]
-	if !ok {
-		return false, fmt.Errorf("planner: unknown table %s", table)
-	}
-	for _, c := range info.Cols {
-		if c.Name == col {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// encTables is tables as the cost model reads RemoteSQL through it: an
-// encrypted column's name also stands for its base column (TableInfo.Kind).
-type encTables map[string]*TableInfo
+// encTables is the plaintext catalog as the cost model reads RemoteSQL
+// through it: an encrypted column's name (x_det, x_ope, ...) that is no
+// column of its own also stands for its base column, so RemoteSQL reads
+// plaintext statistics. A user statement resolves against the catalog
+// itself, where a name must be a schema column exactly, as in the engine.
+type encTables struct{ *storage.Catalog }
 
 // HasColumn reports whether the named table has column col or its base.
 func (t encTables) HasColumn(table, col string) (bool, error) {
-	if _, err := tables(t).HasColumn(table, ""); err != nil {
-		return false, err
+	if has, err := t.Catalog.HasColumn(table, col); has || err != nil {
+		return has, err
 	}
-	return t[table].Kind(col) != value.Null, nil
+	base, _ := StripEncSuffix(col)
+	return t.Catalog.HasColumn(table, base)
 }
 
 // newScope builds the scope of block q, chained to parent (nil for a block
 // that sees no enclosing one).
 func (ctx *Context) newScope(q *ast.Query, parent *scope) (*scope, error) {
 	for _, f := range q.From {
-		if _, ok := ctx.Tables[f.Name]; f.Sub == nil && !ok {
+		if _, err := ctx.Cat.Table(f.Name); f.Sub == nil && err != nil {
 			return nil, fmt.Errorf("planner: unknown table %s", f.Name)
 		}
 	}
-	return &scope{Block: q, Parent: parent, Cat: tables(ctx.Tables)}, nil
+	return &scope{Block: q, Parent: parent, Cat: ctx.Cat}, nil
 }
 
 // bind returns the FROM entry c binds to through s's chain, nil when it
@@ -164,7 +165,9 @@ func entry(b ast.Binding) *ast.TableRef {
 }
 
 // kindOf returns the plaintext kind of a column reference: its base table
-// column's, Int for a derived table's, Null when it does not bind.
+// column's, Int for a derived table's, Null when it does not bind. A name
+// carrying an encrypted-column suffix that is no column of its own has its
+// base column's kind (encTables).
 func (ctx *Context) kindOf(s *scope, c *ast.ColumnRef) value.Kind {
 	switch f := bind(s, c); {
 	case f == nil:
@@ -172,7 +175,17 @@ func (ctx *Context) kindOf(s *scope, c *ast.ColumnRef) value.Kind {
 	case f.Sub != nil:
 		return value.Int
 	default:
-		return ctx.Tables[f.Name].Kind(c.Column)
+		t, err := ctx.Cat.Table(f.Name)
+		if err != nil {
+			return value.Null
+		}
+		base, _ := StripEncSuffix(c.Column)
+		for _, name := range [2]string{c.Column, base} {
+			if ci := t.Schema.ColIndex(name); ci >= 0 {
+				return t.Schema.Cols[ci].Type.Kind()
+			}
+		}
+		return value.Null
 	}
 }
 
@@ -196,5 +209,5 @@ func (ctx *Context) findItem(table string, e ast.Expr, scheme enc.Scheme) (*enc.
 // IsUncorrelated reports whether every column a subquery references
 // resolves within its own FROM tables.
 func IsUncorrelated(ctx *Context, sub *ast.Query) bool {
-	return !ast.Correlated(sub, tables(ctx.Tables))
+	return !ast.Correlated(sub, ctx.Cat)
 }

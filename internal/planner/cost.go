@@ -101,42 +101,28 @@ func (ctx *Context) valueWidth(o *Output) float64 {
 // itemAvgLen estimates an item's plaintext width from column stats.
 func (ctx *Context) itemAvgLen(it *enc.Item) int {
 	if cr, ok := it.Expr.(*ast.ColumnRef); ok {
-		return maxInt(8, ctx.Stats.Table(it.Table).Col(cr.Column).AvgLen)
+		return max(8, ctx.Col(it.Table, cr.Column).AvgLen)
 	}
 	return 8
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // estimator produces cardinality and size estimates from plaintext stats.
 type estimator struct{ ctx *Context }
 
 // selectivity estimates the fraction of rows a plaintext predicate keeps by
-// ast.Selectivity's rules; an equality on a column with no statistics keeps
-// 0.05.
+// ast.Selectivity's rules.
 func (e *estimator) selectivity(s *scope, pred ast.Expr) float64 {
-	return ast.Selectivity(pred, func(x ast.Expr) int64 { return e.exprNDV(s, x) }, 0.05)
+	return ast.Selectivity(pred, func(x ast.Expr) int64 { return e.exprNDV(s, x) })
 }
 
-// exprNDV estimates an expression's distinct-value count.
+// exprNDV is an expression's distinct-value count: a base table column's
+// (or, for an encrypted column's name, its base column's), 0 for anything
+// else, which keeps no statistics.
 func (e *estimator) exprNDV(s *scope, x ast.Expr) int64 {
-	switch n := x.(type) {
-	case *ast.ColumnRef:
+	if n, ok := x.(*ast.ColumnRef); ok {
 		if entry := bind(s, n); entry != nil && entry.Sub == nil {
 			base, _ := StripEncSuffix(n.Column)
-			return e.ctx.Stats.Table(entry.Name).Col(base).NDV
-		}
-	case *ast.FuncCall:
-		if n.Name == "extract_year" {
-			return 7 // TPC-H date range spans 1992-1998
-		}
-		if n.Name == "substring" {
-			return 25
+			return e.ctx.Col(entry.Name, base).NDV
 		}
 	}
 	return 0
@@ -167,7 +153,7 @@ func (e *estimator) joinEstimate(s *scope, from []ast.TableRef, conjuncts []ast.
 	}
 	est := 0.0
 	for _, f := range from {
-		rows := float64(e.ctx.Stats.Table(f.Name).Rows)
+		rows := float64(e.ctx.Rows(f.Name))
 		sel := orDefault(perTable[f.RefName()], 1)
 		if v := rows * sel; v > est {
 			est = v
@@ -186,7 +172,6 @@ func orDefault(v, d float64) float64 {
 // encTableBytes estimates a table's encrypted heap size under the current
 // design (row items only; HOM packs live in the ciphertext files).
 func (e *estimator) encTableBytes(table string) float64 {
-	ts := e.ctx.Stats.Table(table)
 	rowBytes := 24.0 // per-row overhead
 	hasHom := false
 	for _, it := range e.ctx.Design.TableItems(table) {
@@ -206,5 +191,5 @@ func (e *estimator) encTableBytes(table string) float64 {
 	if hasHom {
 		rowBytes += 8 // row_id
 	}
-	return rowBytes * float64(ts.Rows)
+	return rowBytes * float64(e.ctx.Rows(table))
 }

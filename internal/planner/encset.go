@@ -287,7 +287,7 @@ func (ctx *Context) candidateValue(s *scope, e ast.Expr, scheme enc.Scheme) (enc
 	// Packed Paillier plaintexts hold non-negative integers only; columns
 	// with negative values (c_acctbal) cannot be HOM items.
 	if cr, ok := e.(*ast.ColumnRef); ok && scheme == enc.HOM {
-		if ctx.Stats.Table(entry.Name).Col(cr.Column).Min < 0 {
+		if ctx.Col(entry.Name, cr.Column).Min < 0 {
 			return enc.Item{}, false
 		}
 	}

@@ -226,7 +226,7 @@ func (g *genState) prefilterM(s *scope, e ast.Expr) int64 {
 		return 0
 	}
 	if cr, ok := e.(*ast.ColumnRef); ok {
-		return g.ctx.Stats.Table(entry.Name).Col(cr.Column).Max
+		return g.ctx.Col(entry.Name, cr.Column).Max
 	}
 	return 0
 }

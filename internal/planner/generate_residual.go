@@ -60,8 +60,10 @@ func (g *genState) genClientResidual(plan *Plan, s *scope, q *ast.Query,
 			// counted.
 			err := fmt.Errorf("planner: residual plan needs at least one fetched column")
 			for i := 0; i < len(q.From) && err != nil; i++ {
-				if en := &q.From[i]; fetched[en] && len(g.ctx.Tables[en.Name].Cols) > 0 {
-					err = g.fetch(part, s, en.RefName(), g.ctx.Tables[en.Name].Cols[0].Name)
+				if en := &q.From[i]; fetched[en] {
+					if col := g.ctx.firstCol(en.Name); col != "" {
+						err = g.fetch(part, s, en.RefName(), col)
+					}
 				}
 			}
 			if err != nil {
@@ -348,7 +350,7 @@ func (g *genState) localizeSub(plan *Plan, sub *ast.Query, outer *scope, outerFe
 		}
 		if len(remote.Projections) == 0 {
 			// EXISTS(SELECT 1 ...) needs at least one column to count rows.
-			if err := g.fetch(part, inner, grp[0].RefName(), ctx.Tables[grp[0].Name].Cols[0].Name); err != nil {
+			if err := g.fetch(part, inner, grp[0].RefName(), ctx.firstCol(grp[0].Name)); err != nil {
 				return nil, err
 			}
 		}

@@ -40,7 +40,7 @@ func BuildJoinGroups(ctx *Context, queries []*ast.Query) map[string]string {
 	for _, q := range queries {
 		// A name that fails to bind joins nothing.
 		base := make(map[*ast.ColumnRef]string) // column -> its base table
-		_ = ast.Bind(q, nil, tables(ctx.Tables), func(c *ast.ColumnRef, b ast.Binding) error {
+		_ = ast.Bind(q, nil, ctx.Cat, func(c *ast.ColumnRef, b ast.Binding) error {
 			if b.Block != nil && b.Entry >= 0 && b.Block.From[b.Entry].Sub == nil {
 				base[c] = b.Block.From[b.Entry].Name
 			}

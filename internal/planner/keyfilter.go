@@ -172,7 +172,7 @@ func (lv *filterLevel) attach(b *ast.Query, p *ast.ColumnRef, src, srcCol string
 	if e, it := detKeyColumn(part, p.Column); e != nil {
 		kf := &KeyFilter{Column: p.Column, Source: src, SourceColumn: srcCol, Target: e, Item: it}
 		if cr, ok := it.Expr.(*ast.ColumnRef); ok {
-			kf.NDV = float64(lv.ctx.Stats.Table(it.Table).Col(cr.Column).NDV)
+			kf.NDV = float64(lv.ctx.Col(it.Table, cr.Column).NDV)
 		}
 		part.KeyFilter = kf
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/enc"
 	"repro/internal/sqlparser"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -56,7 +57,7 @@ func TestAttachKeyFiltersShapes(t *testing.T) {
 			Remote:   fetchPart("r0", `SELECT t.a_det AS a, t.b_det AS b FROM t`, "a", "b"),
 			Local:    sqlparser.MustParse(tc.local),
 		}
-		(&Context{Stats: &Stats{}}).AttachKeyFilters(plan)
+		(&Context{Cat: storage.NewCatalog()}).AttachKeyFilters(plan)
 		if got := filters(plan); got != tc.want {
 			t.Errorf("%s\n got  %q\n want %q", tc.local, got, tc.want)
 		}
@@ -86,7 +87,7 @@ func TestAttachKeyFiltersTargets(t *testing.T) {
 			Remote:   tc.r0,
 			Local:    sqlparser.MustParse(local),
 		}
-		(&Context{Stats: &Stats{}}).AttachKeyFilters(plan)
+		(&Context{Cat: storage.NewCatalog()}).AttachKeyFilters(plan)
 		if got := filters(plan); got != tc.want {
 			t.Errorf("%s\n got  %q\n want %q", tc.r0.Query.SQL(), got, tc.want)
 		}

@@ -1,3 +1,14 @@
+// Package planner implements MONOMI's core contribution: split
+// client/server execution of analytical queries over encrypted data.
+//
+// GENERATEQUERYPLAN (Algorithm 1 in the paper) partitions a query into a
+// RemoteSQL part that the untrusted server can evaluate over ciphertexts
+// with the available encryption schemes, plus local operators (decrypt,
+// filter, group, sort) on the trusted client. The planner enumerates the
+// power set of the query's encryption units (§6.3 pruning), costs each
+// resulting plan with the §6.4 model (server I/O + network transfer +
+// client decryption), and picks the cheapest — which is also the inner loop
+// of the physical designer (§6.2).
 package planner
 
 import (
@@ -283,7 +294,7 @@ func (e *estimator) costPart(part *RemotePart, prefilter bool) (server, transfer
 	if err != nil {
 		return 0, 0, 0
 	}
-	s.Cat = encTables(ctx.Tables)
+	s.Cat = encTables{ctx.Cat}
 	conjuncts := ast.Conjuncts(q.Where)
 	inputRows := e.joinEstimate(s, q.From, conjuncts)
 	coverage := 1.0

@@ -474,26 +474,65 @@ func TestBuildJoinGroupsUnionFind(t *testing.T) {
 	}
 }
 
+// TestStatsCollection: the cost model reads the catalog's live column
+// statistics through Rows and Col, and a table or column the catalog does
+// not have reads as no statistics at all (0 rows, NDV 0), never a default.
 func TestStatsCollection(t *testing.T) {
 	ctx := testContext(t)
-	ts := ctx.Stats.Table("orders")
-	if ts.Rows != 50 {
-		t.Errorf("rows = %d", ts.Rows)
+	if n := ctx.Rows("orders"); n != 50 {
+		t.Errorf("rows = %d", n)
 	}
-	cs := ts.Col("o_cust")
+	cs := ctx.Col("orders", "o_cust")
 	if cs.NDV != 5 {
 		t.Errorf("ndv(o_cust) = %d", cs.NDV)
 	}
-	tot := ts.Col("o_total")
+	if cs.Min != 0 || cs.Max != 0 {
+		t.Errorf("o_cust holds no number, range = [%d,%d]", cs.Min, cs.Max)
+	}
+	tot := ctx.Col("orders", "o_total")
 	if tot.Min != 10 || tot.Max != 500 {
 		t.Errorf("o_total range = [%d,%d]", tot.Min, tot.Max)
 	}
-	// Defaults for unknown names.
-	if ctx.Stats.Table("nope").Rows == 0 {
-		t.Error("unknown table gets defaults")
+	if tot.AvgLen != 8 {
+		t.Errorf("avglen(o_total) = %d", tot.AvgLen)
 	}
-	if ts.Col("nope").NDV == 0 {
-		t.Error("unknown column gets defaults")
+	// No statistics for unknown names.
+	if n := ctx.Rows("nope"); n != 0 {
+		t.Errorf("unknown table has %d rows, want 0", n)
+	}
+	if c := ctx.Col("orders", "nope"); c != (ColStat{}) {
+		t.Errorf("unknown column has statistics %+v, want none", c)
+	}
+}
+
+// TestEstimatorNoStatisticsKeepsEveryRow: the cost model reads RemoteSQL
+// through encTables, where an encrypted base column stands for its plaintext
+// column but a precomputed column (pc_…_det) has no plaintext statistics. An
+// equality or IN list on it keeps every row, as in the engine's join order
+// (ast.Selectivity); the same equality on o_cust_det keeps 1/NDV(o_cust).
+func TestEstimatorNoStatisticsKeepsEveryRow(t *testing.T) {
+	ctx := testContext(t)
+	e := &estimator{ctx: ctx}
+	for _, c := range []struct {
+		where string
+		sel   float64
+	}{
+		{"orders.pc_1a2b3c4d_det = 7", 1},
+		{"orders.pc_1a2b3c4d_det IN (7, 8)", 1},
+		{"orders.o_cust_det = 7", 0.2},
+	} {
+		q := sqlparser.MustParse("SELECT orders.o_id_det FROM orders WHERE " + c.where)
+		s, err := ctx.newScope(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Cat = encTables{ctx.Cat}
+		if got := e.selectivity(s, q.Where); got != c.sel {
+			t.Errorf("%s keeps %v, want %v", c.where, got, c.sel)
+		}
+		if got, want := e.joinEstimate(s, q.From, ast.Conjuncts(q.Where)), 50*c.sel; got != want {
+			t.Errorf("%s: %v rows, want %v", c.where, got, want)
+		}
 	}
 }
 

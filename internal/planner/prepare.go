@@ -41,10 +41,10 @@ func Prepare(q *ast.Query, params map[string]value.Value) (*ast.Query, error) {
 // before anything is planned or sent — and applies all passes with
 // plan-cache provenance (prepareTagged).
 func (ctx *Context) Prepare(q *ast.Query, params map[string]value.Value) (*ast.Query, []BoundSlot, error) {
-	if err := ast.Resolve(q, tables(ctx.Tables)); err != nil {
+	if err := ast.Resolve(q, ctx.Cat); err != nil {
 		return nil, nil, err
 	}
-	return prepareTagged(q, params, tables(ctx.Tables))
+	return prepareTagged(q, params, ctx.Cat)
 }
 
 // BoundSlot records one parameter occurrence bound by prepareTagged: Tag is

@@ -7,10 +7,12 @@ import (
 	"repro/internal/value"
 )
 
-// ColMeta is a snapshot of one column's insert-time statistics: the numbers
-// the planner's CollectStats used to derive by enumerating Table.Rows, now
-// maintained incrementally so they exist even when the backend cannot (or
-// should not) re-read every row from disk.
+// ColMeta is a snapshot of one column's insert-time statistics, maintained
+// incrementally on every Insert so they exist even when the backend cannot
+// (or should not) re-read every row from disk. The planner's cost model and
+// the designer read them live from the plaintext catalog (planner.Context's
+// Rows and Col), the engine's join order from whatever catalog it runs on;
+// both read through Table.Meta.
 type ColMeta struct {
 	NDV      int64 // estimated distinct non-NULL values (exact below sparseNDVLimit)
 	TotalLen int64 // summed encoded size of non-NULL values

@@ -358,6 +358,17 @@ func (t *Table) IO() IOStats { return t.be.IO() }
 // ColMeta returns the insert-time statistics of column ci.
 func (t *Table) ColMeta(ci int) ColMeta { return t.meta[ci].snapshot() }
 
+// Meta returns the insert-time statistics of the named column, false when
+// the table has no such column. It is the one column-statistics read the
+// planner's cost model and the engine's join order share.
+func (t *Table) Meta(col string) (ColMeta, bool) {
+	ci := t.Schema.ColIndex(col)
+	if ci < 0 {
+		return ColMeta{}, false
+	}
+	return t.ColMeta(ci), true
+}
+
 // Flush writes buffered rows to the backend; a no-op for in-memory
 // tables. After Close it fails with ErrClosed.
 func (t *Table) Flush() error {
@@ -566,6 +577,17 @@ func (c *Catalog) Table(name string) (*Table, error) {
 		return nil, fmt.Errorf("storage: no such table %s", name)
 	}
 	return t, nil
+}
+
+// HasColumn reports whether the named table has column col, and an error
+// when no such table exists: the catalog as the name resolver (ast.Catalog)
+// sees it.
+func (c *Catalog) HasColumn(table, col string) (bool, error) {
+	t, err := c.Table(table)
+	if err != nil {
+		return false, err
+	}
+	return t.Schema.ColIndex(col) >= 0, nil
 }
 
 // Drop removes a table if present.
