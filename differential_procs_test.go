@@ -117,10 +117,14 @@ func asQueries(sqls []string) []diffQuery {
 	return out
 }
 
+// coldProcsStatement reads s_date's RND column, which the differential
+// workload never reads and the disk deployment keeps in sales' cold segment.
+const coldProcsStatement = "SELECT s_id, s_date FROM sales WHERE s_qty < 8 ORDER BY s_id"
+
 // TestDifferentialGOMAXPROCSInvariance runs the differential suite's
 // statements (random, join, index and derived-table shapes) on the
 // plaintext twin and in process, the backend suite's on the disk backend
-// too, the network and served-backend statements over loopback TCP, and the
+// too (with a statement over a cold column, coldProcsStatement), the network and served-backend statements over loopback TCP, and the
 // repeated and hotpath prepared shapes in process and remote — each at
 // GOMAXPROCS 1, 2 and 4, plan caches reset before each level — and requires
 // byte-identical rows, row order, Float bits and engine.Stats.
@@ -161,7 +165,7 @@ func TestDifferentialGOMAXPROCSInvariance(t *testing.T) {
 	targets := []*procsTarget{
 		{name: "plaintext", sys: mem, stmts: differential},
 		{name: "in-process", sys: mem, rec: recorded(mem), stmts: differential},
-		{name: "disk", sys: disk, rec: recorded(disk), stmts: backend},
+		{name: "disk", sys: disk, rec: recorded(disk), stmts: append(backend, coldProcsStatement)},
 		{name: "remote", sys: remote, rec: recorded(remote), stmts: served},
 	}
 	prepared := []struct {
@@ -222,6 +226,9 @@ func TestDifferentialGOMAXPROCSInvariance(t *testing.T) {
 				t.Errorf("GOMAXPROCS=%d %s diverges from GOMAXPROCS=1:\n%s\nvs\n%s", p, tags[i], got[i], base[i])
 			}
 		}
+	}
+	if coldPins(disk) == 0 {
+		t.Errorf("the disk leg pinned no cold page: %s reads no cold column", coldProcsStatement)
 	}
 }
 

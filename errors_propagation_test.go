@@ -428,3 +428,93 @@ func TestConcurrentQ1OneClient(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestDamagedColdSegment: a table split into hot and cold segments fails a
+// statement that reads a damaged cold segment with an error that is
+// errors.Is storage.ErrCorruptSegment and names the cold file in a
+// *storage.SegmentError — in process and served over TCP — while statements
+// that read only hot columns still succeed. After Close, a read of either
+// file fails with storage.ErrClosed, and no goroutine is left behind.
+func TestDamagedColdSegment(t *testing.T) {
+	before := runtime.NumGoroutine()
+	db := NewDatabase()
+	db.MustCreateTable("orders", Col("o_id", Int), Col("o_cust", String), Col("o_total", Int), Col("o_note", String))
+	for i := 0; i < 300; i++ {
+		db.MustInsert("orders", i, fmt.Sprintf("cust-%d", i%7), 10+i%90, fmt.Sprintf("note %d", i))
+	}
+	opts := DefaultOptions()
+	opts.PaillierBits = 256
+	opts.Backend, opts.DataDir = "disk", t.TempDir()
+	opts.pageBytes, opts.BlockCacheBytes = 512, 1024
+	const hot = "SELECT o_cust, SUM(o_total) FROM orders GROUP BY o_cust"
+	const cold = "SELECT o_id, o_note FROM orders WHERE o_total > 20"
+	const coldOnly = "SELECT o_note FROM orders"
+	sys, err := Encrypt(db, Workload{"totals": hot}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := sys.dep.DB.Cat.Table("orders")
+	if err != nil || !strings.Contains(fmt.Sprint(tb.ColdColumns()), "o_note_rnd") {
+		t.Fatalf("o_note is not cold: %v (%v)", tb.ColdColumns(), err)
+	}
+	srv, err := sys.Serve("127.0.0.1:0", ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := sys.ConnectRemote(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sides := map[string]*System{"in process": sys, "remote": remote}
+	for name, s := range sides {
+		if _, err := s.Query(cold); err != nil {
+			t.Fatalf("%s, before the damage: %v", name, err)
+		}
+	}
+
+	seg := filepath.Join(opts.DataDir, "orders.cold.seg")
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(seg, os.O_RDWR, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, 64), fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	for name, s := range sides {
+		_, err := s.Query(cold)
+		if !errors.Is(err, storage.ErrCorruptSegment) {
+			t.Fatalf("%s: %v, want an error wrapping storage.ErrCorruptSegment", name, err)
+		}
+		var se *storage.SegmentError
+		if !errors.As(err, &se) || filepath.Base(se.Path) != "orders.cold.seg" {
+			t.Fatalf("%s: error does not name the cold segment: %v", name, err)
+		}
+		if _, err := s.Query(hot); err != nil {
+			t.Fatalf("%s: a hot statement failed beside the damaged cold segment: %v", name, err)
+		}
+	}
+
+	remote.Close()
+	srv.Close()
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{hot, coldOnly} {
+		if _, err := sys.Query(sql); !errors.Is(err, storage.ErrClosed) {
+			t.Errorf("%s after Close: %v, want an error wrapping storage.ErrClosed", sql, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines before the system, %d after its Close", before, n)
+	}
+}

@@ -177,27 +177,8 @@ func (c *Client) plan(q *ast.Query, params map[string]value.Value, res *Result) 
 	if subbed, err = c.preExecuteScalarSubqueries(prepared, res); err != nil {
 		return nil, nil, false, err
 	}
-	plan, err = c.makePlan(prepared)
+	plan, err = c.Ctx.ClientPlan(prepared, c.Greedy)
 	return plan, slots, subbed, err
-}
-
-// makePlan generates the plan for a prepared query under the client's
-// planner mode.
-func (c *Client) makePlan(prepared *ast.Query) (*planner.Plan, error) {
-	if c.Greedy {
-		plan, err := c.Ctx.Generate(prepared)
-		if err != nil {
-			return nil, err
-		}
-		c.Ctx.CostPlan(plan)
-		return plan, nil
-	}
-	plan, err := c.Ctx.BestPlan(prepared)
-	if err != nil {
-		return nil, err
-	}
-	c.Ctx.AttachKeyFilters(plan)
-	return plan, nil
 }
 
 // runPlanned compiles and runs an uncached plan (literals inline).

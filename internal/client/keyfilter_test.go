@@ -270,7 +270,7 @@ func TestKeyFilterOffOverBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := f.client.makePlan(prepared)
+	plan, err := f.client.Ctx.ClientPlan(prepared, f.client.Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}

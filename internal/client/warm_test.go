@@ -325,7 +325,7 @@ func TestDirectResultMatchesEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := tc.f.client.makePlan(q)
+		plan, err := tc.f.client.Ctx.ClientPlan(q, tc.f.client.Greedy)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}

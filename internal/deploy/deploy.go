@@ -7,8 +7,10 @@
 package deploy
 
 import (
+	"fmt"
 	"time"
 
+	"repro/internal/ast"
 	"repro/internal/client"
 	"repro/internal/designer"
 	"repro/internal/enc"
@@ -69,6 +71,73 @@ func Design(cat *storage.Catalog, workload map[string]string, spec Spec) (*desig
 	return dres, nil
 }
 
+// hotColumns derives the encrypted columns the server reads for workload
+// (enc.Hot), the way the design derives its indexes: from the design alone,
+// here through the workload's plans under it. Each query is prepared and
+// planned as the client plans it (planner.Context.ClientPlan) under ctx —
+// the final design and the deployment's planner settings — and every column
+// name the statement of one of its RemoteSQL parts names, subplans' parts
+// and key-filter targets included, is hot in every base table that statement
+// reads. A part that selects * makes its tables wholly hot. Names are
+// matched, not resolved to their tables, so a name two tables share is hot in
+// both: the set errs only toward the hot segment. The trusted side needs
+// none of it; the server's load does (EncryptDatabaseWith).
+//
+// A statement whose uncorrelated scalar subqueries the client runs first
+// and substitutes (multi-round execution) is planned here as written; a
+// substituted plan that named a column outside the set would read it from
+// the cold segment, correctly and at more cost. On TPC-H the two read the
+// same columns (TestWorkloadReadsNoColdPage pins it).
+func hotColumns(ctx *planner.Context, workload map[string]string, greedy bool) (enc.Hot, error) {
+	w, err := designer.ParseWorkload(workload)
+	if err != nil {
+		return nil, err
+	}
+	hot := enc.Hot{}
+	for i, q := range w.Queries {
+		prepared, _, err := ctx.Prepare(q, nil)
+		if err != nil {
+			return nil, fmt.Errorf("deploy: prepare %s: %w", w.Labels[i], err)
+		}
+		plan, err := ctx.ClientPlan(prepared, greedy)
+		if err != nil {
+			return nil, fmt.Errorf("deploy: plan %s: %w", w.Labels[i], err)
+		}
+		for _, part := range plan.AllParts() {
+			addReads(hot, part)
+		}
+	}
+	return hot, nil
+}
+
+// addReads adds to hot what part's statement reads (hotColumns).
+func addReads(hot enc.Hot, part *planner.RemotePart) {
+	var tables []string
+	ast.EachBlock(part.Query, func(b, _ *ast.Query) {
+		for _, f := range b.From {
+			if f.Sub == nil {
+				tables = append(tables, f.Name)
+			}
+		}
+	})
+	mark := func(x ast.Expr) {
+		c, ok := x.(*ast.ColumnRef)
+		if !ok {
+			return
+		}
+		for _, t := range tables {
+			if hot[t] == nil {
+				hot[t] = map[string]bool{}
+			}
+			hot[t][c.Column] = true
+		}
+	}
+	ast.WalkStatement(part.Query, mark)
+	if kf := part.KeyFilter; kf != nil {
+		ast.Walk(kf.Target, mark)
+	}
+}
+
 // Deployment is an assembled system.
 type Deployment struct {
 	Plain  *storage.Catalog
@@ -88,7 +157,13 @@ func Build(cat *storage.Catalog, workload map[string]string, spec Spec) (*Deploy
 		return nil, err
 	}
 	ks, net := dres.Context.Keys, dres.Context.Cost.Cfg
-	db, err := enc.EncryptDatabaseWith(cat, dres.Design, ks, spec.Backend)
+	var hot enc.Hot // the in-memory backend ignores the split
+	if spec.Backend.Kind == storage.BackendDisk {
+		if hot, err = hotColumns(dres.Context, workload, spec.GreedyExecution); err != nil {
+			return nil, err
+		}
+	}
+	db, err := enc.EncryptDatabaseWith(cat, dres.Design, ks, spec.Backend, hot)
 	if err != nil {
 		return nil, err
 	}

@@ -118,13 +118,14 @@ func EncryptDatabase(plain *storage.Catalog, design *Design, ks *KeyStore) (*DB,
 	return EncryptDatabaseOn(plain, design, ks, 0, storage.BackendConfig{})
 }
 
-// EncryptDatabaseOn is EncryptDatabaseWith, then DeclareIndexes on the
-// encrypted catalog. The int argument is ignored: the engine's expression
-// scans over the plaintext tables cut into morsels on GOMAXPROCS workers.
+// EncryptDatabaseOn is EncryptDatabaseWith with no hot set (every table one
+// segment), then DeclareIndexes on the encrypted catalog. The int argument
+// is ignored: the engine's expression scans over the plaintext tables cut
+// into morsels on GOMAXPROCS workers.
 // It stays only because the benchmark's layer harness (bench/layers.go),
 // whose files are frozen, passes one; ROADMAP item 1(b) deletes it.
 func EncryptDatabaseOn(plain *storage.Catalog, design *Design, ks *KeyStore, _ int, cfg storage.BackendConfig) (*DB, error) {
-	db, err := EncryptDatabaseWith(plain, design, ks, cfg)
+	db, err := EncryptDatabaseWith(plain, design, ks, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -134,12 +135,36 @@ func EncryptDatabaseOn(plain *storage.Catalog, design *Design, ks *KeyStore, _ i
 	return db, nil
 }
 
+// Hot is the encrypted columns, by table and column name, that a
+// workload's plans read on the server (deploy derives it); a table's entry
+// "*" makes every column of it hot. On a paged backend each table's other
+// columns go to a second, cold segment with the same row ids, which only a
+// read that names them touches (storage.Catalog.CreateSplit). A nil Hot keeps
+// every table in one segment.
+type Hot map[string]map[string]bool
+
+// coldColumns lists the columns of schema s that hot leaves cold: none when
+// hot is nil or makes the whole table hot.
+func (hot Hot) coldColumns(s storage.Schema) []string {
+	if hot == nil || hot[s.Name]["*"] {
+		return nil
+	}
+	var cold []string
+	for _, c := range s.Cols {
+		if !hot[s.Name][c.Name] {
+			cold = append(cold, c.Name)
+		}
+	}
+	return cold
+}
+
 // EncryptDatabaseWith is EncryptDatabase with an explicit storage backend for
 // the encrypted catalog, declaring no index: the zero config keeps the
 // encrypted tables in memory, a disk config loads them straight into paged
 // segment files (flushed table by table, so the load never holds more than
-// the block cache resident).
-func EncryptDatabaseWith(plain *storage.Catalog, design *Design, ks *KeyStore, cfg storage.BackendConfig) (*DB, error) {
+// the block cache resident), each table's columns outside hot in a cold
+// segment of its own (Hot).
+func EncryptDatabaseWith(plain *storage.Catalog, design *Design, ks *KeyStore, cfg storage.BackendConfig, hot Hot) (*DB, error) {
 	eng := engine.New(plain)
 	db := &DB{
 		Cat:    storage.NewCatalogWith(cfg),
@@ -156,14 +181,14 @@ func EncryptDatabaseWith(plain *storage.Catalog, design *Design, ks *KeyStore, c
 		}
 	}
 	for _, tbl := range tables {
-		if err := encryptTable(db, eng, plain, design, ks, tbl); err != nil {
+		if err := encryptTable(db, eng, plain, design, ks, tbl, hot); err != nil {
 			return nil, fmt.Errorf("enc: table %s: %w", tbl, err)
 		}
 	}
 	return db, nil
 }
 
-func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *Design, ks *KeyStore, tbl string) error {
+func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *Design, ks *KeyStore, tbl string, hot Hot) error {
 	items := design.TableItems(tbl)
 	var rowItems []Item // non-HOM, stored in the row
 	var homItems []Item
@@ -267,7 +292,7 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 		schema.Cols = append(schema.Cols, storage.Column{Name: it.ColumnName(), Type: typ})
 	}
 	schema.Key = encryptedKey(plain, tbl, rowItems)
-	encTable, err := db.Cat.Create(schema)
+	encTable, err := db.Cat.CreateSplit(schema, hot.coldColumns(schema))
 	if err != nil {
 		return err
 	}

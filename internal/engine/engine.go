@@ -748,7 +748,38 @@ func (c *execCtx) buildSide(p *pipeline, keys []ast.Expr, outer *env, step bool)
 	if err != nil {
 		return nil, err
 	}
-	return c.buildJoinMap(right, keys, outer)
+	return c.buildJoinMap(right, keys, outer, keyNDV(p, keys))
+}
+
+// keyNDV estimates the distinct keys of a build side p keyed by keys: the
+// product of the key columns' NDVs as joinEst reads them (Table.Meta), or 0
+// — unknown — unless p is one base table (filtered or not) and every key a
+// column of it with statistics.
+func keyNDV(p *pipeline, keys []ast.Expr) int64 {
+	t := p.src.t
+	if t == nil || len(p.steps) > 0 {
+		return 0
+	}
+	d := int64(1)
+	for _, k := range keys {
+		cr, ok := k.(*ast.ColumnRef)
+		if !ok {
+			return 0
+		}
+		ci, err := p.layout.indexOf(cr.Table, cr.Column)
+		if err != nil || ci < 0 {
+			return 0
+		}
+		m, _ := t.Meta(p.layout.cols[ci].name)
+		if m.NDV <= 0 {
+			return 0
+		}
+		if d > math.MaxInt64/m.NDV {
+			return math.MaxInt64
+		}
+		d *= m.NDV
+	}
+	return d
 }
 
 // isGrouped reports whether the query needs the aggregation path.

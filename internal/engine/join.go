@@ -430,7 +430,8 @@ type joinPart struct {
 
 // newJoinPart files the build rows of partition p — rows[i] when
 // partIDs[i] == p, under keys[i] — copying each distinct key once and
-// holding every key's rows in windows of one exact-size arena.
+// holding every key's rows in windows of one exact-size arena. hint sizes
+// the slot map: the keys the partition is expected to hold.
 func newJoinPart(rows [][]value.Value, keys [][]byte, partIDs []int32, p int32, hint int) joinPart {
 	jp := joinPart{slot: make(map[string]int32, hint)}
 	owned := 0
@@ -478,8 +479,9 @@ func newJoinPart(rows [][]value.Value, keys [][]byte, partIDs []int32, p int32, 
 // FetchCols call, in ascending row-id order, and gets its rows back in
 // posting order. Fetches are random reads, so a fill that would take the
 // page bytes they pinned — priced at the bytes per row fetches have pinned
-// so far, cached or not — to the table's physical size (Table.ScanBytes)
-// drains the table once instead, and later probes read that copy. In
+// so far, cached or not — to the table's physical size (Table.ScanBytes of
+// its columns: the segments they lie in) drains the table once instead, and
+// later probes read that copy. In
 // memory the price of a row is its share of Table.Bytes, so only a fill
 // that needs every remaining row drains.
 //
@@ -554,7 +556,7 @@ func (p *tableProbe) reach(st *Stats, need []int32) error {
 			price = float64(p.read) * float64(len(need)) / float64(len(p.rows))
 		}
 		var err error
-		if float64(p.read)+price >= float64(p.t.ScanBytes()) {
+		if float64(p.read)+price >= float64(p.t.ScanBytes(p.cols)) {
 			p.all, phys, err = p.t.ScanCols(0, p.t.NumRows(), p.cols, nil, nil)
 		} else {
 			phys, err = p.fetchRows(need)
@@ -612,8 +614,10 @@ func joinPartition[K string | []byte](key K, n int) int {
 // partition's rows (newJoinPart). When the block is uncorrelated (join keys
 // never contain subqueries: planJoin leaves those conjuncts residual) and
 // the relation is more than one morsel, both phases run lock-free with one
-// partition per morsel; otherwise there is one partition, built on c.
-func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env) (*joinBuild, error) {
+// partition per morsel; otherwise there is one partition, built on c. ndv
+// estimates the distinct keys (keyNDV; 0: unknown): each partition's slot
+// map is sized for its share of them, and never for more than its rows.
+func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env, ndv int64) (*joinBuild, error) {
 	n := len(right.rows)
 	parts := c.morselCount(n)
 	if outer != nil {
@@ -661,9 +665,13 @@ func (c *execCtx) buildJoinMap(right *relation, rightKeys []ast.Expr, outer *env
 	if err != nil {
 		return nil, err
 	}
+	hint := n/parts + 1
+	if ndv > 0 {
+		hint = int(min(int64(hint), ndv/int64(parts)+1))
+	}
 	built := make([]joinPart, parts)
 	if err := parallelFor(parts, func(p int) error {
-		built[p] = newJoinPart(right.rows, keys, partIDs, int32(p), n/parts+1)
+		built[p] = newJoinPart(right.rows, keys, partIDs, int32(p), hint)
 		return nil
 	}); err != nil {
 		return nil, err

@@ -366,13 +366,13 @@ func TestJoinBuildPartitioned(t *testing.T) {
 	keys := []ast.Expr{&ast.ColumnRef{Column: "d_id"}}
 
 	seqCtx := &execCtx{eng: e, stats: &Stats{}}
-	seq, err := seqCtx.buildJoinMap(rel, keys, nil)
+	seq, err := seqCtx.buildJoinMap(rel, keys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.batchSize = 4
 	parCtx := &execCtx{eng: e, stats: &Stats{}}
-	par, err := parCtx.buildJoinMap(rel, keys, nil)
+	par, err := parCtx.buildJoinMap(rel, keys, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

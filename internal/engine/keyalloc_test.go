@@ -28,7 +28,7 @@ func TestJoinBuildCopiesKeysOnce(t *testing.T) {
 		var b *joinBuild
 		allocs := testing.AllocsPerRun(3, func() {
 			var err error
-			if b, err = c.buildJoinMap(rel, on, nil); err != nil {
+			if b, err = c.buildJoinMap(rel, on, nil, 0); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -152,7 +152,7 @@ func TestJoinBuildKeyArenaSizedOnce(t *testing.T) {
 		var b *joinBuild
 		allocs := testing.AllocsPerRun(3, func() {
 			var err error
-			if b, err = c.buildJoinMap(rel, on, nil); err != nil {
+			if b, err = c.buildJoinMap(rel, on, nil, 0); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -161,5 +161,68 @@ func TestJoinBuildKeyArenaSizedOnce(t *testing.T) {
 			t.Errorf("batch %d, %.0f morsels: %.0f allocations beyond one per key, want at most %.0f", batch, parts, extra, bound)
 		}
 		t.Logf("batch %d, %.0f morsels: %.0f allocations beyond one per key", batch, parts, allocs-rows)
+	}
+}
+
+// TestJoinBuildSlotMapSizedByKeys: a hashed build over few distinct keys
+// sizes its slot maps for the keys its table's statistics estimate
+// (keyNDV), not for its rows. b holds 60 000 rows over the keys i % 4; a
+// build sized per row would allocate about 3 MB of map for four entries.
+func TestJoinBuildSlotMapSizedByKeys(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bytes: the race detector changes what escapes")
+	}
+	const rows = 60000
+	cat := storage.NewCatalog()
+	b, err := cat.Create(storage.Schema{Name: "b", Cols: []storage.Column{{Name: "k", Type: storage.TInt}, {Name: "pad", Type: storage.TBytes}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := value.NewBytes([]byte("sixteen-byte-pad"))
+	for i := 0; i < rows; i++ {
+		b.MustInsert([]value.Value{value.NewInt(int64(i % 4)), pad})
+	}
+	e := New(cat)
+	on := []ast.Expr{&ast.ColumnRef{Table: "b", Column: "k"}}
+	for _, batch := range []int{rows, 1024} { // two morsels, or eight
+		e.batchSize = batch
+		q := sqlparser.MustParse(`SELECT k, pad FROM b`)
+		c := e.newCtx(q, nil, batch)
+		if err := c.resolve(q); err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.prepare(q, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ndv := keyNDV(p, on)
+		if ndv != 4 {
+			t.Fatalf("batch %d: estimated %d distinct keys, want 4", batch, ndv)
+		}
+		right, err := c.drainSource(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perBuild := func(ndv int64) uint64 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			const runs = 3
+			for r := 0; r < runs; r++ {
+				if _, err := c.buildJoinMap(right, on, nil, ndv); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return (after.TotalAlloc - before.TotalAlloc) / runs
+		}
+		sized, unsized := perBuild(ndv), perBuild(0)
+		// Per row: the key window (24 B), its 8-byte key, the partition id,
+		// the row's slot and its arena entry (24 B) — about 64 B, not counting maps.
+		if bound := uint64(80 * rows); sized > bound {
+			t.Errorf("batch %d: a %d-row build over 4 keys allocated %d B, want at most %d (sized per row: %d B)",
+				batch, rows, sized, bound, unsized)
+		}
+		t.Logf("batch %d: %d B per build sized by keys, %d B sized by rows", batch, sized, unsized)
 	}
 }

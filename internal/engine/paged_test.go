@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -29,10 +30,10 @@ import (
 // column no query names, so a pruned layout's positions never coincide with
 // schema positions, and dim's two hash indexes make a join build served from
 // the wrong one return wrong rows.
-func pagedFixture(t *testing.T, cat *storage.Catalog, indexes bool) *Engine {
+func pagedFixture(t *testing.T, cat *storage.Catalog, indexes bool, cold map[string][]string) *Engine {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
-	ev, err := cat.Create(storage.Schema{
+	ev, err := cat.CreateSplit(storage.Schema{
 		Name: "ev",
 		Cols: []storage.Column{
 			{Name: "e_pad", Type: storage.TBytes},
@@ -42,7 +43,7 @@ func pagedFixture(t *testing.T, cat *storage.Catalog, indexes bool) *Engine {
 			{Name: "e_opt", Type: storage.TInt},
 			{Name: "e_ok", Type: storage.TBool},
 		},
-	})
+	}, cold["ev"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +62,14 @@ func pagedFixture(t *testing.T, cat *storage.Catalog, indexes bool) *Engine {
 			value.NewInt(rng.Int63n(7)), value.NewBool(i%3 == 0),
 		})
 	}
-	dim, err := cat.Create(storage.Schema{
+	dim, err := cat.CreateSplit(storage.Schema{
 		Name: "dim",
 		Cols: []storage.Column{
 			{Name: "d_pad", Type: storage.TInt},
 			{Name: "d_w", Type: storage.TInt},
 			{Name: "d_cat", Type: storage.TStr},
 		},
-	})
+	}, cold["dim"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,23 @@ func pagedFixture(t *testing.T, cat *storage.Catalog, indexes bool) *Engine {
 // keeps an unsealed tail), with its indexes declared when indexes is set.
 func pagedEngines(t *testing.T, indexes bool) (mem, disk *Engine) {
 	t.Helper()
+	return pagedFixture(t, storage.NewCatalog(), indexes, nil), pagedDisk(t, indexes, nil)
+}
+
+// pagedCold splits the fixture's tables into hot and cold segments: ev's
+// cold columns include a join key with a hash index (e_cat), so index
+// builds, index-probed builds and filters read the cold segment by row id.
+var pagedCold = map[string][]string{"ev": {"e_pad", "e_cat", "e_ok"}, "dim": {"d_pad"}}
+
+// pagedDisk is the fixture on disk segments as pagedEngines lays them out,
+// each table's columns cold in a second segment.
+func pagedDisk(t *testing.T, indexes bool, cold map[string][]string) *Engine {
+	t.Helper()
 	cat := storage.NewCatalogWith(storage.BackendConfig{
 		Kind: storage.BackendDisk, Dir: t.TempDir(), PageBytes: 512, CacheBytes: 1024,
 	})
 	t.Cleanup(func() { cat.Close() })
-	return pagedFixture(t, storage.NewCatalog(), indexes), pagedFixture(t, cat, indexes)
+	return pagedFixture(t, cat, indexes, cold)
 }
 
 // pagedQueries are the shapes whose column sets are easy to get wrong.
@@ -150,14 +163,17 @@ var pagedQueries = []string{
 	`SELECT a.e_id FROM ev a WHERE EXISTS (SELECT * FROM ev b WHERE b.e_id = a.e_val AND b.e_opt <> a.e_opt)`,
 }
 
-// TestPagedMatchesMem runs every shape on both catalogs across the
-// ⟨GOMAXPROCS, batchSize, declared indexes⟩ grid, materialized and streamed:
-// the same rows, rows scanned and index lookups on both backends, and with
-// indexes declared the same rows in the same order as without.
+// TestPagedMatchesMem runs every shape on the in-memory catalog, on one disk
+// segment per table and on tables split into hot and cold segments
+// (pagedCold), across the ⟨GOMAXPROCS, batchSize, declared indexes⟩ grid,
+// materialized and streamed: the same rows, rows scanned and index lookups
+// on every backend, and with indexes declared the same rows in the same
+// order as without.
 func TestPagedMatchesMem(t *testing.T) {
-	var engines [2][2]*Engine // by indexes: memory, disk
+	var engines [2][3]*Engine // by indexes: memory, disk, split disk
 	for i, idx := range []bool{false, true} {
 		engines[i][0], engines[i][1] = pagedEngines(t, idx)
+		engines[i][2] = pagedDisk(t, idx, pagedCold)
 	}
 	for _, sql := range pagedQueries {
 		q, err := sqlparser.Parse(sql)
@@ -168,8 +184,8 @@ func TestPagedMatchesMem(t *testing.T) {
 			for _, batch := range []int{0, 7} {
 				var noIdx string // the idx=false memory result
 				for i, idx := range []bool{false, true} {
-					mem, disk := engines[i][0], engines[i][1]
-					for _, e := range []*Engine{mem, disk} {
+					mem := engines[i][0]
+					for _, e := range engines[i] {
 						procs(t, par)
 						e.batchSize = batch
 					}
@@ -182,39 +198,48 @@ func TestPagedMatchesMem(t *testing.T) {
 					} else if renderAccess(want) != noIdx {
 						t.Fatalf("%q (par %d batch %d): memory result with indexes differs from the one without", sql, par, batch)
 					}
-					got, err := disk.Execute(q, nil)
-					if err != nil {
-						t.Fatalf("%q on disk (par %d batch %d idx %v): %v", sql, par, batch, idx, err)
-					}
-					if renderAccess(got) != renderAccess(want) {
-						t.Fatalf("%q (par %d batch %d idx %v): disk result differs from memory\n got: %.300s\nwant: %.300s",
-							sql, par, batch, idx, renderAccess(got), renderAccess(want))
-					}
-					if got.Stats.RowsScanned != want.Stats.RowsScanned || got.Stats.IndexLookups != want.Stats.IndexLookups {
-						t.Errorf("%q (par %d batch %d idx %v): disk scanned %d rows with %d index lookups, memory %d with %d",
-							sql, par, batch, idx, got.Stats.RowsScanned, got.Stats.IndexLookups, want.Stats.RowsScanned, want.Stats.IndexLookups)
-					}
-					rs, err := disk.ExecuteStream(q, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					streamed := &Result{Cols: rs.Cols()}
-					for {
-						b, err := rs.Next()
-						if err != nil {
-							t.Fatalf("%q streamed from disk: %v", sql, err)
-						}
-						if b == nil {
-							break
-						}
-						streamed.Rows = append(streamed.Rows, b...)
-					}
-					if renderAccess(streamed) != renderAccess(want) {
-						t.Fatalf("%q (par %d batch %d idx %v): streamed disk result differs from memory", sql, par, batch, idx)
+					for k, disk := range engines[i][1:] {
+						pagedMatches(t, q, sql, fmt.Sprintf("par %d batch %d idx %v split %v", par, batch, idx, k == 1), disk, want)
 					}
 				}
 			}
 		}
+	}
+}
+
+// pagedMatches runs q on disk, materialized and streamed, and compares it
+// with want, the in-memory result: rows, rows scanned and index lookups.
+func pagedMatches(t *testing.T, q *ast.Query, sql, at string, disk *Engine, want *Result) {
+	t.Helper()
+	got, err := disk.Execute(q, nil)
+	if err != nil {
+		t.Fatalf("%q on disk (%s): %v", sql, at, err)
+	}
+	if renderAccess(got) != renderAccess(want) {
+		t.Fatalf("%q (%s): disk result differs from memory\n got: %.300s\nwant: %.300s",
+			sql, at, renderAccess(got), renderAccess(want))
+	}
+	if got.Stats.RowsScanned != want.Stats.RowsScanned || got.Stats.IndexLookups != want.Stats.IndexLookups {
+		t.Errorf("%q (%s): disk scanned %d rows with %d index lookups, memory %d with %d",
+			sql, at, got.Stats.RowsScanned, got.Stats.IndexLookups, want.Stats.RowsScanned, want.Stats.IndexLookups)
+	}
+	rs, err := disk.ExecuteStream(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := &Result{Cols: rs.Cols()}
+	for {
+		b, err := rs.Next()
+		if err != nil {
+			t.Fatalf("%q streamed from disk (%s): %v", sql, at, err)
+		}
+		if b == nil {
+			break
+		}
+		streamed.Rows = append(streamed.Rows, b...)
+	}
+	if renderAccess(streamed) != renderAccess(want) {
+		t.Fatalf("%q (%s): streamed disk result differs from memory", sql, at)
 	}
 }
 
@@ -510,8 +535,8 @@ func TestPagedFullScanChargesSegment(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := res.Stats.BytesScanned; got != ev.ScanBytes() {
-					t.Errorf("%s (par %d, batch %d): charged %d bytes, the segment is %d", sql, par, batch, got, ev.ScanBytes())
+				if got := res.Stats.BytesScanned; got != ev.ScanBytes(nil) {
+					t.Errorf("%s (par %d, batch %d): charged %d bytes, the segment is %d", sql, par, batch, got, ev.ScanBytes(nil))
 				}
 			}
 		}

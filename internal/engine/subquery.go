@@ -319,7 +319,7 @@ func (c *execCtx) planSubquery(sub *ast.Query, mode subqMode) error {
 			p.sets = inSets(inner, len(keys)-1)
 		}
 		if p.build == nil { // a decorrelated EXISTS built its own
-			p.build, err = c.buildJoinMap(inner, keys, nil)
+			p.build, err = c.buildJoinMap(inner, keys, nil, 0)
 		}
 	}
 	if err != nil {

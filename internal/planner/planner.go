@@ -173,6 +173,27 @@ func (ctx *Context) BestPlan(q *ast.Query) (*Plan, error) {
 	return best, nil
 }
 
+// ClientPlan is the plan the client runs for a prepared statement: under
+// Execution-Greedy (§8.3, greedy) Generate's, costed, else BestPlan's with
+// its key filters attached. The set-up phase plans the workload with it too,
+// to learn which encrypted columns the server will read.
+func (ctx *Context) ClientPlan(prepared *ast.Query, greedy bool) (*Plan, error) {
+	if greedy {
+		plan, err := ctx.Generate(prepared)
+		if err != nil {
+			return nil, err
+		}
+		ctx.CostPlan(plan)
+		return plan, nil
+	}
+	plan, err := ctx.BestPlan(prepared)
+	if err != nil {
+		return nil, err
+	}
+	ctx.AttachKeyFilters(plan)
+	return plan, nil
+}
+
 // planWith generates and costs one plan over the design minus hidden.
 func (ctx *Context) planWith(q *ast.Query, hidden map[string]bool) (*Plan, error) {
 	tctx := ctx.WithDesign(trialDesign(ctx.Design, hidden))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -44,7 +45,40 @@ func (ctx *Context) Prepare(q *ast.Query, params map[string]value.Value) (*ast.Q
 	if err := ast.Resolve(q, ctx.Cat); err != nil {
 		return nil, nil, err
 	}
-	return prepareTagged(q, params, ctx.Cat)
+	out, slots, err := prepareTagged(q, params, ctx.Cat)
+	if err == nil {
+		expandStar(out, ctx.Cat)
+	}
+	return out, slots, err
+}
+
+// expandStar spells out a * in the statement's own SELECT list as the
+// columns it stands for — every base table's of FROM, in FROM and schema
+// order, qualified by the table's FROM name — as the engine's * expands
+// them. The planner splits a statement by the columns it names, and a *
+// names none. A block reading a derived table keeps its *, as do the
+// subqueries (EXISTS (SELECT * …) reads no column).
+func expandStar(q *ast.Query, cat *storage.Catalog) {
+	var items []ast.SelectItem
+	for _, p := range q.Projections {
+		if cr, ok := p.Expr.(*ast.ColumnRef); !ok || cr.Column != "*" {
+			items = append(items, p)
+			continue
+		}
+		for _, f := range q.From {
+			if f.Sub != nil {
+				return
+			}
+			t, err := cat.Table(f.Name)
+			if err != nil {
+				return
+			}
+			for _, c := range t.Schema.Cols {
+				items = append(items, ast.SelectItem{Expr: &ast.ColumnRef{Table: f.RefName(), Column: c.Name}})
+			}
+		}
+	}
+	q.Projections = items
 }
 
 // BoundSlot records one parameter occurrence bound by prepareTagged: Tag is

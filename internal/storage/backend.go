@@ -39,7 +39,8 @@ import (
 // resident and its batches are its own rows.
 type Backend interface {
 	// Append stores one row at the next row id. Values are already
-	// canonicalized (interning) and validated by the Table.
+	// canonicalized (interning) and validated by the Table. The row is the
+	// backend's from then on: it may keep it, and reorder its cells.
 	Append(row []value.Value) error
 	// Scan returns the rows with ids in [lo, hi) in id order, plus the
 	// page bytes read. cols names the schema positions to materialize,
@@ -56,9 +57,9 @@ type Backend interface {
 	Fetch(ids []int32, cols []int, f Filter, s *Scratch) ([][]value.Value, int64, error)
 	// NumRows is the stored row count.
 	NumRows() int
-	// Size is the physical bytes a cold full Scan reads: 0 for in-memory
-	// backends.
-	Size() int64
+	// Size is the physical bytes a full Scan of the columns cols (as Scan
+	// takes them; nil: every column) charges: 0 for in-memory backends.
+	Size(cols []int) int64
 	// Paged reports whether Scan/Fetch byte counts are page bytes (true:
 	// the engine charges them; false: the engine charges the resident-byte
 	// approximation).
@@ -263,12 +264,15 @@ const (
 // The zero value is the in-memory store.
 type BackendConfig struct {
 	Kind BackendKind
-	// Dir is where BackendDisk places its one segment file per table.
+	// Dir is where BackendDisk places its segment files: one per table,
+	// two for a table split by column (Catalog.CreateSplit).
 	Dir string
 	// PageBytes is the segment page size (0 = DefaultPageBytes).
 	PageBytes int
 	// CacheBytes is the block-cache capacity in bytes (0 = DefaultCacheBytes):
-	// the page images one table keeps resident.
+	// the page images one table keeps resident. A split table's second
+	// segment has a cache of its own, of the same capacity, that takes
+	// frames only when that segment is read.
 	CacheBytes int64
 }
 

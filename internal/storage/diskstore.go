@@ -146,27 +146,29 @@ const (
 	pageTagBool = 6
 )
 
-// segPath is the segment file of a table.
+// segPath is the segment file of a table; coldSegPath is the second segment
+// of a table split by column (splitStore).
 func segPath(dir, table string) string { return filepath.Join(dir, table+".seg") }
 
-// createDiskStore starts an empty segment file for a table of schema s. The
-// file is scratch for this run: O_TRUNC discards whatever an earlier run
-// left under the same name, and nothing ever reopens it.
-func createDiskStore(cfg BackendConfig, s Schema) (*diskStore, error) {
+func coldSegPath(dir, table string) string { return filepath.Join(dir, table+".cold.seg") }
+
+// createDiskStore starts an empty segment file at path for rows of ncols
+// cells. The file is scratch for this run: O_TRUNC discards whatever an
+// earlier run left under the same name, and nothing ever reopens it.
+func createDiskStore(cfg BackendConfig, path string, ncols int) (*diskStore, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("storage: disk backend needs BackendConfig.Dir")
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	path := segPath(cfg.Dir, s.Name)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	return &diskStore{
-		path: path, f: f, pageSize: cfg.pageBytes(), ncols: len(s.Cols),
-		shapes: make([]colShape, len(s.Cols)), next: make([]colShape, len(s.Cols)),
+		path: path, f: f, pageSize: cfg.pageBytes(), ncols: ncols,
+		shapes: make([]colShape, ncols), next: make([]colShape, ncols),
 		cache: newBlockCache(cfg.cacheBytes(), cfg.pageBytes()),
 	}, nil
 }
@@ -390,8 +392,9 @@ func (ds *diskStore) NumRows() int {
 	return ds.nflushed + len(ds.tail)
 }
 
-// Size is the sealed pages' bytes; the tail page is served from memory.
-func (ds *diskStore) Size() int64 {
+// Size is the sealed pages' bytes, whatever cols names; the tail page is
+// served from memory.
+func (ds *diskStore) Size([]int) int64 {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	return ds.tailOff

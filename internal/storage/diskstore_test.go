@@ -53,7 +53,19 @@ func fixtureRow(i int) []value.Value {
 
 func loadFixture(t testing.TB, cat *Catalog, n int) *Table {
 	t.Helper()
-	tb, err := cat.Create(fixtureSchema())
+	return loadSplitFixture(t, cat, n, nil)
+}
+
+// fixtureCold is the fixture columns a split table keeps in its cold
+// segment: a tagged Str column, the fixed Bytes column and the NULL-heavy
+// note, so both segments hold fixed and tagged regions.
+var fixtureCold = []string{"region", "blob", "note"}
+
+// loadSplitFixture is loadFixture on a table whose columns cold lie in a
+// second segment (Catalog.CreateSplit; nil: one segment).
+func loadSplitFixture(t testing.TB, cat *Catalog, n int, cold []string) *Table {
+	t.Helper()
+	tb, err := cat.CreateSplit(fixtureSchema(), cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +124,22 @@ func diffRows(got, want [][]value.Value) string {
 
 // TestDiskStoreMatchesMem: the disk backend stores and returns exactly what
 // the in-memory backend does — rows, kinds (Bool included, which the bare
-// wire codec would flatten), accounting, and index behavior.
+// wire codec would flatten), accounting, and index behavior — on one
+// segment and on a table split into hot and cold segments (an index on a
+// cold column is built by reading the cold segment).
 func TestDiskStoreMatchesMem(t *testing.T) {
+	for _, cold := range [][]string{nil, fixtureCold} {
+		t.Run(fmt.Sprintf("cold %v", cold), func(t *testing.T) { diskStoreMatchesMem(t, cold) })
+	}
+}
+
+func diskStoreMatchesMem(t *testing.T, cold []string) {
 	cat, _ := diskCatalog(t, BackendConfig{PageBytes: 512, CacheBytes: 4096})
-	dt := loadFixture(t, cat, 300)
+	dt := loadSplitFixture(t, cat, 300, cold)
 	mt := loadFixture(t, NewCatalog(), 300)
+	if got := dt.ColdColumns(); fmt.Sprint(got) != fmt.Sprint(cold) {
+		t.Fatalf("cold columns %v, want %v", got, cold)
+	}
 
 	if !dt.Paged() || mt.Paged() {
 		t.Fatal("Paged() backwards")

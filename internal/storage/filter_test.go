@@ -391,8 +391,8 @@ func TestScanChargesEachPageOnce(t *testing.T) {
 				}
 				phys += p
 			}
-			if phys != tb.ScanBytes() {
-				t.Errorf("filter %T, batch %d: consecutive scans charged %d bytes, the segment is %d", f, batch, phys, tb.ScanBytes())
+			if phys != tb.ScanBytes(nil) {
+				t.Errorf("filter %T, batch %d: consecutive scans charged %d bytes, the segment is %d", f, batch, phys, tb.ScanBytes(nil))
 			}
 		}
 	}

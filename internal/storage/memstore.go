@@ -53,7 +53,7 @@ func (m *memStore) Fetch(ids []int32, cols []int, f Filter, _ *Scratch) ([][]val
 
 func (m *memStore) NumRows() int { return len(m.rows) }
 
-func (m *memStore) Size() int64 { return 0 }
+func (m *memStore) Size([]int) int64 { return 0 }
 
 func (m *memStore) Paged() bool { return false }
 

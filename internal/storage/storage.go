@@ -343,17 +343,47 @@ func (t *Table) ReadCost(lo, hi int, phys int64) int64 {
 	return t.Bytes*int64(hi)/n - t.Bytes*int64(lo)/n
 }
 
-// ScanBytes is what a full scan of the table charges: the sealed pages'
-// physical bytes on a paged backend, Bytes on the in-memory one.
-func (t *Table) ScanBytes() int64 {
+// ScanBytes is what a full scan of the table's columns cols (ascending
+// schema positions; nil: every column) charges: on a paged backend the
+// sealed pages' physical bytes of the segments such a scan reads — a split
+// table's hot segment alone when every column is hot — and Bytes on the
+// in-memory one.
+func (t *Table) ScanBytes(cols []int) int64 {
 	if t.Paged() {
-		return t.be.Size()
+		return t.be.Size(cols)
 	}
 	return t.Bytes
 }
 
-// IO returns the backend's cumulative physical-read counters.
+// IO returns the backend's cumulative physical-read counters, over both
+// segments of a split table.
 func (t *Table) IO() IOStats { return t.be.IO() }
+
+// ColdColumns names the columns a split table keeps in its cold segment, in
+// schema order; nil when the table is one segment (CreateSplit).
+func (t *Table) ColdColumns() []string {
+	ss, ok := t.be.(*splitStore)
+	if !ok {
+		return nil
+	}
+	var names []string
+	for ci, c := range t.Schema.Cols {
+		if ss.isCold[ci] {
+			names = append(names, c.Name)
+		}
+	}
+	return names
+}
+
+// ColdIO returns the physical-read counters of a split table's cold segment
+// alone: every page a read pinned there is a hit or a miss. It is zero for a
+// table of one segment.
+func (t *Table) ColdIO() IOStats {
+	if ss, ok := t.be.(*splitStore); ok {
+		return ss.cold.IO()
+	}
+	return IOStats{}
+}
 
 // ColMeta returns the insert-time statistics of column ci.
 func (t *Table) ColMeta(ci int) ColMeta { return t.meta[ci].snapshot() }
@@ -541,19 +571,45 @@ func NewCatalogWith(cfg BackendConfig) *Catalog {
 
 // Create adds a new empty table on the catalog's backend; it fails if the
 // name exists.
-func (c *Catalog) Create(s Schema) (*Table, error) {
+func (c *Catalog) Create(s Schema) (*Table, error) { return c.CreateSplit(s, nil) }
+
+// CreateSplit is Create for a table whose columns named in cold a paged
+// backend stores in a second segment with the same row ids, read only by
+// the reads that name them (splitStore). The in-memory backend ignores the
+// split, and so does the disk backend when cold names no column or every
+// column: the table is then one segment. A name that is no column fails.
+func (c *Catalog) CreateSplit(s Schema, cold []string) (*Table, error) {
 	if _, ok := c.tables[s.Name]; ok {
 		return nil, fmt.Errorf("storage: table %s already exists", s.Name)
 	}
+	isCold := make([]bool, len(s.Cols))
+	ncold := 0
+	for _, name := range cold {
+		ci := s.ColIndex(name)
+		if ci < 0 {
+			return nil, fmt.Errorf("storage: table %s: no column %s to store apart", s.Name, name)
+		}
+		if !isCold[ci] {
+			isCold[ci] = true
+			ncold++
+		}
+	}
 	var t *Table
-	if c.cfg.Kind == BackendDisk {
-		ds, err := createDiskStore(c.cfg, s)
+	switch {
+	case c.cfg.Kind != BackendDisk:
+		t = NewTable(s)
+	case ncold == 0 || ncold == len(s.Cols):
+		ds, err := createDiskStore(c.cfg, segPath(c.cfg.Dir, s.Name), len(s.Cols))
 		if err != nil {
 			return nil, err
 		}
 		t = newTableOn(s, ds)
-	} else {
-		t = NewTable(s)
+	default:
+		ss, err := createSplitStore(c.cfg, s.Name, isCold)
+		if err != nil {
+			return nil, err
+		}
+		t = newTableOn(s, ss)
 	}
 	c.tables[s.Name] = t
 	return t, nil

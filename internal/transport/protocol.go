@@ -57,6 +57,7 @@ import (
 	"io"
 
 	"repro/internal/server"
+	"repro/internal/storage"
 	"repro/internal/value"
 	"repro/internal/wire"
 )
@@ -64,7 +65,7 @@ import (
 // Protocol identity.
 const (
 	protoMagic   = "MNM1"
-	protoVersion = 5 // 5: column-major, dictionary-coded batch frames (4 had row-major frames; 3 modelled times; 2 statement frames)
+	protoVersion = 6 // 6: segment-error frames (CodeCorruptSegment); 5 column-major, dictionary-coded batch frames (4 had row-major frames; 3 modelled times; 2 statement frames)
 )
 
 // Frame tags. Disjoint from wire's value tags (0–5) and stream-frame tags
@@ -107,6 +108,10 @@ const (
 	CodeProtocol Code = 5
 	// CodeShutdown: the server is shutting down.
 	CodeShutdown Code = 6
+	// CodeCorruptSegment: the query failed on a damaged segment file
+	// (storage.ErrCorruptSegment). The frame carries the
+	// *storage.SegmentError's fields, so the client's error matches it too.
+	CodeCorruptSegment Code = 7
 )
 
 func (c Code) String() string {
@@ -123,6 +128,8 @@ func (c Code) String() string {
 		return "protocol error"
 	case CodeShutdown:
 		return "server shutting down"
+	case CodeCorruptSegment:
+		return "corrupt segment"
 	}
 	return fmt.Sprintf("code %d", uint16(c))
 }
@@ -133,6 +140,9 @@ func (c Code) String() string {
 type RejectError struct {
 	Code Code
 	Msg  string
+	// Err is the typed cause a CodeCorruptSegment frame carries (a
+	// *storage.SegmentError); nil for every other code.
+	Err error
 }
 
 func (e *RejectError) Error() string {
@@ -141,6 +151,10 @@ func (e *RejectError) Error() string {
 	}
 	return "transport: " + e.Code.String() + ": " + e.Msg
 }
+
+// Unwrap makes errors.Is(err, storage.ErrCorruptSegment) and errors.As to a
+// *storage.SegmentError hold across the wire.
+func (e *RejectError) Unwrap() error { return e.Err }
 
 // IsRejected reports whether err is or wraps an admission-control
 // rejection (connection or in-flight query cap).
@@ -235,12 +249,48 @@ func errorPayload(qid uint64, code Code, msg string) []byte {
 	return append(b, msg...)
 }
 
+// queryErrorPayload frames a failed query's err under code: a
+// CodeQueryError that is a damaged segment goes out as CodeCorruptSegment,
+// the segment error's offset, path and reason (each string u32-length
+// prefixed) ahead of the message.
+func queryErrorPayload(qid uint64, code Code, err error) []byte {
+	var se *storage.SegmentError
+	if code != CodeQueryError || !errors.As(err, &se) {
+		return errorPayload(qid, code, err.Error())
+	}
+	b := binary.BigEndian.AppendUint64(nil, qid)
+	b = binary.BigEndian.AppendUint16(b, uint16(CodeCorruptSegment))
+	b = binary.BigEndian.AppendUint64(b, uint64(se.Offset))
+	for _, s := range []string{se.Path, se.Reason} {
+		b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+		b = append(b, s...)
+	}
+	return append(b, err.Error()...)
+}
+
 func parseError(p []byte) (qid uint64, e *RejectError, err error) {
 	if len(p) < 10 {
 		return 0, nil, fmt.Errorf("transport: malformed error frame")
 	}
-	return binary.BigEndian.Uint64(p),
-		&RejectError{Code: Code(binary.BigEndian.Uint16(p[8:])), Msg: string(p[10:])}, nil
+	qid, e = binary.BigEndian.Uint64(p), &RejectError{Code: Code(binary.BigEndian.Uint16(p[8:]))}
+	p = p[10:]
+	if e.Code == CodeCorruptSegment {
+		if len(p) < 8 {
+			return 0, nil, fmt.Errorf("transport: malformed segment error frame")
+		}
+		se := &storage.SegmentError{Offset: int64(binary.BigEndian.Uint64(p))}
+		p = p[8:]
+		for _, dst := range []*string{&se.Path, &se.Reason} {
+			if len(p) < 4 || uint64(len(p)-4) < uint64(binary.BigEndian.Uint32(p)) {
+				return 0, nil, fmt.Errorf("transport: malformed segment error frame")
+			}
+			n := binary.BigEndian.Uint32(p)
+			*dst, p = string(p[4:4+n]), p[4+n:]
+		}
+		e.Err = se
+	}
+	e.Msg = string(p)
+	return qid, e, nil
 }
 
 // queryPayload frames one query: id, parameterized SQL text, and the

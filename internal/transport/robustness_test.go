@@ -7,6 +7,8 @@ package transport
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/sqlparser"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -121,6 +124,19 @@ func TestBadHello(t *testing.T) {
 		t.Fatalf("version-4 hello reply = %v, want the protocol-version error", re)
 	}
 	expectClosed(t, c5)
+
+	// And a version-5 peer, which would read a segment error's fields as
+	// its message.
+	c6 := rawDial(t, s)
+	if err := writeFrame(c6, frameHello, []byte(protoMagic+"\x00\x05")); err != nil {
+		t.Fatal(err)
+	}
+	if tag, payload, err := readFrame(c6); err != nil || tag != frameReject {
+		t.Fatalf("version-5 hello: tag=%#x err=%v", tag, err)
+	} else if re := parseReject(payload); re.Code != CodeProtocol || !strings.Contains(re.Msg, "protocol version 5") {
+		t.Fatalf("version-5 hello reply = %v, want the protocol-version error", re)
+	}
+	expectClosed(t, c6)
 
 	// Wrong first frame entirely.
 	c2 := rawDial(t, s)
@@ -487,6 +503,39 @@ func TestDoneRoundTrip(t *testing.T) {
 		gotQID, got, err := parseDone(donePayload(qid, &want))
 		if err != nil || gotQID != qid || !reflect.DeepEqual(*got, want) {
 			t.Fatalf("done frame round trip: qid %d -> %d, %+v -> %+v (err %v)", qid, gotQID, want, got, err)
+		}
+	}
+}
+
+// TestSegmentErrorFrameRoundTrip: a query that failed on a damaged segment
+// reaches the client as a CodeCorruptSegment error that still matches
+// storage.ErrCorruptSegment and carries the *storage.SegmentError's fields;
+// any other failure keeps its code and only its message; and a truncated
+// segment error frame is a protocol error, not a panic.
+func TestSegmentErrorFrameRoundTrip(t *testing.T) {
+	se := &storage.SegmentError{Path: "/data/t.cold.seg", Offset: 7680, Reason: "page checksum mismatch"}
+	cause := fmt.Errorf("engine: scan t: %w", se)
+	p := queryErrorPayload(42, CodeQueryError, cause)
+	qid, re, err := parseError(p)
+	if err != nil || qid != 42 || re.Code != CodeCorruptSegment || re.Msg != cause.Error() {
+		t.Fatalf("parsed %d %+v %v", qid, re, err)
+	}
+	var got *storage.SegmentError
+	if !errors.Is(re, storage.ErrCorruptSegment) || !errors.As(re, &got) || *got != *se {
+		t.Fatalf("decoded error %v does not match the segment error %+v", re, se)
+	}
+	for _, c := range []struct {
+		code Code
+		err  error
+	}{{CodeQueryError, errors.New("no such table")}, {CodeCancelled, cause}} {
+		_, re, err := parseError(queryErrorPayload(1, c.code, c.err))
+		if err != nil || re.Code != c.code || re.Err != nil || re.Msg != c.err.Error() {
+			t.Errorf("%v %v: parsed %+v %v", c.code, c.err, re, err)
+		}
+	}
+	for n := 10; n < len(p)-len(cause.Error()); n++ {
+		if _, _, err := parseError(p[:n]); err == nil {
+			t.Errorf("a segment error frame cut to %d bytes parsed", n)
 		}
 	}
 }

@@ -436,7 +436,7 @@ func (s *session) runQuery(job *queryJob) {
 		} else {
 			s.countError()
 		}
-		s.writeFrame(frameError, errorPayload(job.qid, code, err.Error()))
+		s.writeFrame(frameError, queryErrorPayload(job.qid, code, err))
 		return
 	}
 	s.smu.Lock()

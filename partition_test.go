@@ -132,7 +132,7 @@ func servedPartitions(t *testing.T, sys *System, cache int64) *System {
 		if !tb.Paged() {
 			t.Fatalf("table %s is not paged", name)
 		}
-		largest = max(largest, tb.ScanBytes())
+		largest = max(largest, tb.ScanBytes(nil))
 	}
 	if largest <= cache {
 		t.Fatalf("the largest table has %d bytes, the block cache %d", largest, cache)
