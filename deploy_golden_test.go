@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/deploy"
 )
 
 // The deployment golden: what the benchmark's workloads deploy and plan,
@@ -108,7 +110,40 @@ func renderDeployGolden(t *testing.T) string {
 		}
 		renderRows(&b, "hotpath "+s.name, r)
 	}
+	b.WriteString("==== layout\n")
+	renderLayout(t, &b, sys, wl)
+	renderLayout(t, &b, hot, hwl)
 	return b.String()
+}
+
+// renderLayout writes the layout the disk backend would give sys's
+// encrypted tables under workload (deploy.Layout): per table, its cluster
+// column or load order, its zoned columns and its hot and cold column
+// counts.
+func renderLayout(t *testing.T, b *strings.Builder, sys *System, workload Workload) {
+	layout, err := deploy.Layout(sys.dep.Design.Context, workload, sys.dep.Client.Greedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := sys.dep.DB.Cat
+	names := cat.Names()
+	sort.Strings(names)
+	for _, name := range names {
+		tb, err := cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl := layout[name]
+		cluster, zoned := "load order", "-"
+		if tl.Cluster != "" {
+			cluster = "cluster " + tl.Cluster
+		}
+		if len(tl.Zoned) > 0 {
+			zoned = strings.Join(tl.Zoned, " ")
+		}
+		cold := len(layout.Cold(tb.Schema))
+		fmt.Fprintf(b, "%s|%s|zoned %s|hot %d cold %d\n", name, cluster, zoned, len(tb.Schema.Cols)-cold, cold)
+	}
 }
 
 func TestDeployGolden(t *testing.T) {

@@ -116,6 +116,13 @@ func TestCorruptSegmentSurvivesClientStack(t *testing.T) {
 // so SubqueryRuns ≤ 1 is pinned where it can be read (internal/engine,
 // TestSubqueryDecorrelateErrorIsTheStatements); here the bound is physical:
 // one failed statement reads at most one pass over the corrupted segment.
+//
+// The disk load seals orders in o_total order (o_total's OPE column is the
+// workload's one range, so it clusters) and the drain skips the pages whose
+// zone rules out `o_total > 95`. So the page smashed is one the drain must
+// read: the one holding row 288, the first of the twelve rows with o_total
+// 96 to 99. Pages of 256 bytes hold fewer than twelve rows, so the unsealed
+// tail, served from memory, cannot hold all twelve.
 func TestCorruptSegmentUnderSubquerySurvivesClientStack(t *testing.T) {
 	db := NewDatabase()
 	db.MustCreateTable("orders", Col("o_id", Int), Col("o_cust", String), Col("o_total", Int))
@@ -130,7 +137,7 @@ func TestCorruptSegmentUnderSubquerySurvivesClientStack(t *testing.T) {
 	opts.PaillierBits = 256
 	opts.Backend = "disk"
 	opts.DataDir = t.TempDir()
-	opts.pageBytes = 512
+	opts.pageBytes = 256
 	opts.BlockCacheBytes = 1024
 	const sql = "SELECT c_name FROM cust WHERE EXISTS (SELECT 1 FROM orders WHERE o_cust = c_name AND o_total > 95) ORDER BY c_name"
 	sys, err := Encrypt(db, Workload{"exists": sql}, opts)
@@ -146,6 +153,21 @@ func TestCorruptSegmentUnderSubquerySurvivesClientStack(t *testing.T) {
 		t.Fatalf("fixture drifted: %d rows, plan:\n%s", len(res.Data), res.PlanText)
 	}
 
+	// A scan charges a sealed page to the read holding its first row, so the
+	// pages a scan of rows [0, 289) charges end where row 288's page ends.
+	// Reading only o_total_ope keeps the count to orders.seg, which holds it.
+	tb, err := sys.dep.DB.Cat.Table("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := []int{tb.Schema.ColIndex("o_total_ope")}
+	if _, p, err := tb.FetchCols([]int32{288}, total, nil, nil); err != nil || p == 0 {
+		t.Fatalf("fixture drifted: row 288 is not on a sealed page (charged %d, %v)", p, err) // a fetch charges the pages it pins
+	}
+	_, end, err := tb.ScanCols(0, 289, total, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seg := filepath.Join(opts.DataDir, "orders.seg")
 	fi, err := os.Stat(seg)
 	if err != nil {
@@ -155,10 +177,16 @@ func TestCorruptSegmentUnderSubquerySurvivesClientStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, 64), fi.Size()/2); err != nil {
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0xff}, 64), end-int64(opts.pageBytes)/2); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
+	// The drain's few pages fit the 4-page block cache, where the first query
+	// left them. The same drain over the low totals evicts them; the zones
+	// keep it off the smashed page.
+	if _, err := sys.Query(strings.Replace(sql, "o_total > 95", "o_total < 30", 1)); err != nil {
+		t.Fatalf("query whose zones skip the corrupted page: %v", err)
+	}
 
 	before := sys.Stats().PageReads
 	_, err = sys.Query(sql)

@@ -71,29 +71,49 @@ func Design(cat *storage.Catalog, workload map[string]string, spec Spec) (*desig
 	return dres, nil
 }
 
-// hotColumns derives the encrypted columns the server reads for workload
-// (enc.Hot), the way the design derives its indexes: from the design alone,
-// here through the workload's plans under it. Each query is prepared and
-// planned as the client plans it (planner.Context.ClientPlan) under ctx —
-// the final design and the deployment's planner settings — and every column
-// name the statement of one of its RemoteSQL parts names, subplans' parts
-// and key-filter targets included, is hot in every base table that statement
-// reads. A part that selects * makes its tables wholly hot. Names are
-// matched, not resolved to their tables, so a name two tables share is hot in
-// both: the set errs only toward the hot segment. The trusted side needs
-// none of it; the server's load does (EncryptDatabaseWith).
+// Layout derives how the disk backend stores each encrypted table
+// (enc.Layout) from the workload's plans, the way the design derives its
+// indexes: from the design alone. Each query is prepared and planned as the
+// client plans it (planner.Context.ClientPlan) under ctx — the final design
+// and the deployment's planner settings — and the RemoteSQL statements of
+// its parts, subplans' parts and key-filter targets included, give each
+// table:
 //
-// A statement whose uncorrelated scalar subqueries the client runs first
-// and substitutes (multi-round execution) is planned here as written; a
-// substituted plan that named a column outside the set would read it from
-// the cold segment, correctly and at more cost. On TPC-H the two read the
-// same columns (TestWorkloadReadsNoColdPage pins it).
-func hotColumns(ctx *planner.Context, workload map[string]string, greedy bool) (enc.Hot, error) {
+//   - its hot columns: every column name a statement names is hot in every
+//     base table that statement reads, and a part that selects * makes its
+//     tables wholly hot. Names are matched, not resolved to their tables, so
+//     a name two tables share is hot in both: the set errs only toward the
+//     hot segment;
+//   - its zoned columns: every OPE column a WHERE range conjunct
+//     (ast.Sargable) of a block reading the table ranges over;
+//   - its cluster column: the zoned column the most scans of the table range
+//     over, each scan — a base-table entry of a block's FROM — weighted by
+//     1 − ast.Selectivity of its range conjuncts on the column, so a narrow
+//     range counts more than a wide one. A tie goes to the lower schema
+//     position; a table no scan ranges over keeps load order.
+//
+// The trusted side needs none of it; the server's load does
+// (EncryptDatabaseWith). A statement whose uncorrelated scalar subqueries
+// the client runs first and substitutes (multi-round execution) is planned
+// here as written; a substituted plan that named a column outside the hot
+// set would read it from the cold segment, correctly and at more cost. On
+// TPC-H the two read the same columns (TestWorkloadReadsNoColdPage pins it).
+func Layout(ctx *planner.Context, workload map[string]string, greedy bool) (enc.Layout, error) {
 	w, err := designer.ParseWorkload(workload)
 	if err != nil {
 		return nil, err
 	}
-	hot := enc.Hot{}
+	ope := map[string]map[string]bool{} // table → its OPE columns
+	for _, it := range ctx.Design.Items {
+		if it.Scheme == enc.OPE {
+			if ope[it.Table] == nil {
+				ope[it.Table] = map[string]bool{}
+			}
+			ope[it.Table][it.ColumnName()] = true
+		}
+	}
+	hot := map[string]map[string]bool{}
+	ranges := map[string]map[string]float64{} // table → zoned column → Σ scan weights
 	for i, q := range w.Queries {
 		prepared, _, err := ctx.Prepare(q, nil)
 		if err != nil {
@@ -105,13 +125,29 @@ func hotColumns(ctx *planner.Context, workload map[string]string, greedy bool) (
 		}
 		for _, part := range plan.AllParts() {
 			addReads(hot, part)
+			addRanges(ranges, ope, part)
 		}
 	}
-	return hot, nil
+	l := enc.Layout{}
+	for t, cols := range hot {
+		tl := enc.TableLayout{Hot: cols}
+		weight := ranges[t]
+		for _, it := range ctx.Design.TableItems(t) { // encrypted schema order
+			col := it.ColumnName()
+			if wt, ok := weight[col]; ok {
+				tl.Zoned = append(tl.Zoned, col)
+				if tl.Cluster == "" || wt > weight[tl.Cluster] {
+					tl.Cluster = col
+				}
+			}
+		}
+		l[t] = tl
+	}
+	return l, nil
 }
 
-// addReads adds to hot what part's statement reads (hotColumns).
-func addReads(hot enc.Hot, part *planner.RemotePart) {
+// addReads adds to hot what part's statement reads (Layout).
+func addReads(hot map[string]map[string]bool, part *planner.RemotePart) {
 	var tables []string
 	ast.EachBlock(part.Query, func(b, _ *ast.Query) {
 		for _, f := range b.From {
@@ -138,6 +174,34 @@ func addReads(hot enc.Hot, part *planner.RemotePart) {
 	}
 }
 
+// addRanges adds to ranges, by table and OPE column (ope), the weight of each
+// scan of part's statement that ranges over the column (Layout): a range
+// conjunct's column names a scan's table when it is one of the table's OPE
+// columns and its qualifier, if any, is the scan's name.
+func addRanges(ranges map[string]map[string]float64, ope map[string]map[string]bool, part *planner.RemotePart) {
+	noNDV := func(ast.Expr) int64 { return 0 } // a range's selectivity reads none
+	ast.EachBlock(part.Query, func(b, _ *ast.Query) {
+		for _, f := range b.From {
+			if f.Sub != nil {
+				continue
+			}
+			atoms := map[string][]ast.Expr{}
+			for _, c := range ast.Conjuncts(b.Where) {
+				s, ok := ast.Sargable(c)
+				if ok && s.Range() && ope[f.Name][s.Col.Column] && (s.Col.Table == "" || s.Col.Table == f.RefName()) {
+					atoms[s.Col.Column] = append(atoms[s.Col.Column], c)
+				}
+			}
+			for col, a := range atoms {
+				if ranges[f.Name] == nil {
+					ranges[f.Name] = map[string]float64{}
+				}
+				ranges[f.Name][col] += 1 - ast.Selectivity(ast.AndAll(a), noNDV)
+			}
+		}
+	})
+}
+
 // Deployment is an assembled system.
 type Deployment struct {
 	Plain  *storage.Catalog
@@ -157,13 +221,13 @@ func Build(cat *storage.Catalog, workload map[string]string, spec Spec) (*Deploy
 		return nil, err
 	}
 	ks, net := dres.Context.Keys, dres.Context.Cost.Cfg
-	var hot enc.Hot // the in-memory backend ignores the split
+	var layout enc.Layout // the in-memory backend ignores the layout
 	if spec.Backend.Kind == storage.BackendDisk {
-		if hot, err = hotColumns(dres.Context, workload, spec.GreedyExecution); err != nil {
+		if layout, err = Layout(dres.Context, workload, spec.GreedyExecution); err != nil {
 			return nil, err
 		}
 	}
-	db, err := enc.EncryptDatabaseWith(cat, dres.Design, ks, spec.Backend, hot)
+	db, err := enc.EncryptDatabaseWith(cat, dres.Design, ks, spec.Backend, layout)
 	if err != nil {
 		return nil, err
 	}

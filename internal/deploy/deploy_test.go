@@ -149,3 +149,57 @@ func TestBuildIndexesOnlyWhenSpecified(t *testing.T) {
 		}
 	}
 }
+
+// TestClusteredHomSums: on disk, Build seals lineitem in its cluster
+// column's order before it packs the HOM groups, so the row_id column, both
+// segments and the packs share row ids. Under Execution-Greedy options the
+// workload's SUMs are paillier_sum over those row ids, and they must equal
+// the plaintext twin's, which stays in load order.
+func TestClusteredHomSums(t *testing.T) {
+	workload := map[string]string{
+		"Q01": tpch.Queries[1],
+		"Q06": tpch.Queries[6],
+		"Q14": tpch.Queries[14],
+	}
+	cat, err := tpch.Generate(0.0005, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{
+		MasterKey: []byte("deploy-test"), PaillierBits: 512,
+		Designer:        designer.Options{AllItems: true, GroupedAddition: true, MultiRowPacking: true},
+		GreedyExecution: true,
+		Backend:         storage.BackendConfig{Kind: storage.BackendDisk, Dir: t.TempDir(), PageBytes: 1024, CacheBytes: 4096},
+	}
+	dep, err := Build(cat, workload, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.DB.Cat.Close()
+	layout, err := Layout(dep.Design.Context, workload, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := layout["lineitem"].Cluster; got != "l_shipdate_ope" {
+		t.Fatalf("lineitem clusters on %q, want l_shipdate_ope", got)
+	}
+	if len(dep.DB.Meta["lineitem"].Groups) == 0 {
+		t.Fatal("the design packs no HOM group on lineitem")
+	}
+	for _, label := range []string{"Q01", "Q06", "Q14"} {
+		res, err := dep.Client.Query(workload[label], nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !strings.Contains(res.Plan.Describe(), "paillier_sum") {
+			t.Fatalf("%s: plan sums no HOM group:\n%s", label, res.Plan.Describe())
+		}
+		plain, err := dep.ExecutePlain(workload[label])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(res.Rows), fmt.Sprint(plain.Rows); got != want {
+			t.Errorf("%s: encrypted rows\n%s\ndiffer from plaintext\n%s", label, got, want)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package enc
 import (
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"repro/internal/ast"
 	"repro/internal/engine"
@@ -118,10 +119,10 @@ func EncryptDatabase(plain *storage.Catalog, design *Design, ks *KeyStore) (*DB,
 	return EncryptDatabaseOn(plain, design, ks, 0, storage.BackendConfig{})
 }
 
-// EncryptDatabaseOn is EncryptDatabaseWith with no hot set (every table one
-// segment), then DeclareIndexes on the encrypted catalog. The int argument
-// is ignored: the engine's expression scans over the plaintext tables cut
-// into morsels on GOMAXPROCS workers.
+// EncryptDatabaseOn is EncryptDatabaseWith with no layout (every table one
+// segment, in load order), then DeclareIndexes on the encrypted catalog.
+// The int argument is ignored: the engine's expression scans over the
+// plaintext tables cut into morsels on GOMAXPROCS workers.
 // It stays only because the benchmark's layer harness (bench/layers.go),
 // whose files are frozen, passes one; ROADMAP item 1(b) deletes it.
 func EncryptDatabaseOn(plain *storage.Catalog, design *Design, ks *KeyStore, _ int, cfg storage.BackendConfig) (*DB, error) {
@@ -135,23 +136,39 @@ func EncryptDatabaseOn(plain *storage.Catalog, design *Design, ks *KeyStore, _ i
 	return db, nil
 }
 
-// Hot is the encrypted columns, by table and column name, that a
-// workload's plans read on the server (deploy derives it); a table's entry
-// "*" makes every column of it hot. On a paged backend each table's other
-// columns go to a second, cold segment with the same row ids, which only a
-// read that names them touches (storage.Catalog.CreateSplit). A nil Hot keeps
-// every table in one segment.
-type Hot map[string]map[string]bool
+// Layout is how the disk backend stores each encrypted table, by table name
+// (deploy derives it from the workload's plans). A table with no entry is
+// wholly hot, unzoned and in load order; a nil Layout leaves every table so.
+type Layout map[string]TableLayout
 
-// coldColumns lists the columns of schema s that hot leaves cold: none when
-// hot is nil or makes the whole table hot.
-func (hot Hot) coldColumns(s storage.Schema) []string {
-	if hot == nil || hot[s.Name]["*"] {
+// TableLayout is the physical design of one encrypted table's segments:
+//
+//   - Hot: the columns the workload's plans read on the server; the entry
+//     "*" makes every column hot. The other columns go to a second, cold
+//     segment with the same row ids, which only a read that names them
+//     touches (storage.Catalog.CreateSplit).
+//   - Zoned: the OPE columns a workload statement ranges over. Each sealed
+//     page records their least and greatest ciphertext, and a scan skips
+//     the pages its range cannot match.
+//   - Cluster: the zoned column the rows are sealed in order of (stable,
+//     NULLs first), so a range over it reads a run of pages; "" keeps load
+//     order.
+type TableLayout struct {
+	Hot     map[string]bool
+	Zoned   []string
+	Cluster string
+}
+
+// Cold lists the columns of schema s the layout leaves cold: none when it
+// has no entry for the table or makes the whole table hot.
+func (l Layout) Cold(s storage.Schema) []string {
+	tl, ok := l[s.Name]
+	if !ok || tl.Hot["*"] {
 		return nil
 	}
 	var cold []string
 	for _, c := range s.Cols {
-		if !hot[s.Name][c.Name] {
+		if !tl.Hot[c.Name] {
 			cold = append(cold, c.Name)
 		}
 	}
@@ -162,9 +179,12 @@ func (hot Hot) coldColumns(s storage.Schema) []string {
 // the encrypted catalog, declaring no index: the zero config keeps the
 // encrypted tables in memory, a disk config loads them straight into paged
 // segment files (flushed table by table, so the load never holds more than
-// the block cache resident), each table's columns outside hot in a cold
-// segment of its own (Hot).
-func EncryptDatabaseWith(plain *storage.Catalog, design *Design, ks *KeyStore, cfg storage.BackendConfig, hot Hot) (*DB, error) {
+// the block cache resident), each laid out as layout says (Layout). The
+// in-memory backend ignores the layout: its tables are in load order.
+func EncryptDatabaseWith(plain *storage.Catalog, design *Design, ks *KeyStore, cfg storage.BackendConfig, layout Layout) (*DB, error) {
+	if cfg.Kind != storage.BackendDisk {
+		layout = nil
+	}
 	eng := engine.New(plain)
 	db := &DB{
 		Cat:    storage.NewCatalogWith(cfg),
@@ -181,14 +201,14 @@ func EncryptDatabaseWith(plain *storage.Catalog, design *Design, ks *KeyStore, c
 		}
 	}
 	for _, tbl := range tables {
-		if err := encryptTable(db, eng, plain, design, ks, tbl, hot); err != nil {
+		if err := encryptTable(db, eng, plain, design, ks, tbl, layout); err != nil {
 			return nil, fmt.Errorf("enc: table %s: %w", tbl, err)
 		}
 	}
 	return db, nil
 }
 
-func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *Design, ks *KeyStore, tbl string, hot Hot) error {
+func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *Design, ks *KeyStore, tbl string, layout Layout) error {
 	items := design.TableItems(tbl)
 	var rowItems []Item // non-HOM, stored in the row
 	var homItems []Item
@@ -292,7 +312,7 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 		schema.Cols = append(schema.Cols, storage.Column{Name: it.ColumnName(), Type: typ})
 	}
 	schema.Key = encryptedKey(plain, tbl, rowItems)
-	encTable, err := db.Cat.CreateSplit(schema, hot.coldColumns(schema))
+	encTable, err := db.Cat.CreateSplit(schema, layout.Cold(schema), layout[tbl].Zoned)
 	if err != nil {
 		return err
 	}
@@ -306,6 +326,14 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 		ciphers[i] = ks.Cipher(&rowItems[i])
 		srcCol[i] = colOf[rowItems[i].Key()]
 		memos[i] = newLoadMemo(rowItems[i].Scheme)
+		if rowItems[i].ColumnName() == layout[tbl].Cluster {
+			// Row ids are load positions: ordering the evaluated rows here
+			// gives the row_id column, both segments and the HOM packs
+			// below the same order.
+			if err := clusterRows(res.Rows, &ciphers[i], memos[i], srcCol[i]); err != nil {
+				return fmt.Errorf("cluster on %s: %w", layout[tbl].Cluster, err)
+			}
+		}
 	}
 	for rowID, row := range res.Rows {
 		out := make([]value.Value, 0, len(schema.Cols))
@@ -360,6 +388,33 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 		db.Stores[gname] = store
 		meta.Groups = append(meta.Groups, &GroupMeta{Name: gname, Items: gItems, Layout: layout})
 	}
+	return nil
+}
+
+// clusterRows orders rows by the ciphertext c gives their cell src, the
+// cluster column's, stably and NULLs first. It encrypts through the load's
+// memo, so the load's own pass over the column finds the ciphertexts there
+// (up to the memo's cap).
+func clusterRows(rows [][]value.Value, c *Cipher, memo *loadMemo, src int) error {
+	keys := make([]value.Value, len(rows))
+	for r, row := range rows {
+		var err error
+		if keys[r], err = memo.encrypt(c, row[src]); err != nil {
+			return err
+		}
+	}
+	order := make([]int, len(rows))
+	for r := range order {
+		order[r] = r
+	}
+	sort.SliceStable(order, func(i, j int) bool { // value.Compare puts NULL first
+		return value.Compare(keys[order[i]], keys[order[j]]) < 0
+	})
+	sorted := make([][]value.Value, len(rows))
+	for r, from := range order {
+		sorted[r] = rows[from]
+	}
+	copy(rows, sorted)
 	return nil
 }
 

@@ -26,7 +26,8 @@ import (
 //	                                             an ordered one on e_val
 //	dim(d_pad, d_w, d_cat)                       hash indexes on d_w AND d_cat
 //
-// declaring the indexes only when indexes is set. Both tables lead with a
+// declaring the indexes only when indexes is set. A disk catalog zones
+// e_pad, e_id, e_val and d_w (pagedZoned), so filtered scans skip pages. Both tables lead with a
 // column no query names, so a pruned layout's positions never coincide with
 // schema positions, and dim's two hash indexes make a join build served from
 // the wrong one return wrong rows.
@@ -43,7 +44,7 @@ func pagedFixture(t *testing.T, cat *storage.Catalog, indexes bool, cold map[str
 			{Name: "e_opt", Type: storage.TInt},
 			{Name: "e_ok", Type: storage.TBool},
 		},
-	}, cold["ev"])
+	}, cold["ev"], pagedZoned["ev"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func pagedFixture(t *testing.T, cat *storage.Catalog, indexes bool, cold map[str
 			{Name: "d_w", Type: storage.TInt},
 			{Name: "d_cat", Type: storage.TStr},
 		},
-	}, cold["dim"])
+	}, cold["dim"], pagedZoned["dim"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,6 +97,11 @@ func pagedFixture(t *testing.T, cat *storage.Catalog, indexes bool, cold map[str
 	}
 	return New(cat)
 }
+
+// pagedZoned is the fixture's zoned columns: a fixed Bytes one, the
+// ascending id, e_val (whose NULLs leave some pages tagged, with no zone)
+// and a dimension key.
+var pagedZoned = map[string][]string{"ev": {"e_pad", "e_id", "e_val"}, "dim": {"d_w"}}
 
 // pagedEngines returns the fixture on the in-memory backend and on disk
 // segments of 512-byte pages behind a 2-page cache (ev spans ~40 pages and

@@ -53,6 +53,18 @@ import (
 // until it seals), so an encryption-time bulk load writes each page roughly
 // once.
 //
+// Rows are sealed in the order they are appended: load order, or — for a
+// table the deployment clusters — its cluster column's OPE order (enc sorts
+// before it appends). A store created with zoned columns records in each
+// sealed page's in-memory directory entry (pageMeta.zones) the least and
+// greatest cell of every zoned column whose region on the page is fixed and
+// Int, Date or Bytes; a tagged region gets no zone. A filtered Scan asks the
+// filter's page predicate of a page's zones before it pins the page
+// (Pred.rulesOut), and a page they rule out is skipped: not pinned, not a
+// cache hit or miss, not charged. On a clustered table a range over the
+// cluster column reads a run of pages. Fetch and the unsealed tail never
+// skip.
+//
 // Reads go through an LRU block cache of verified page images with hit/miss
 // counters; a cache miss is exactly one physical page read (IO). Scan and
 // Fetch report the bytes of the pages they pin, hit or miss — a Scan charges
@@ -113,7 +125,9 @@ import (
 type diskStore struct {
 	path     string
 	pageSize int
-	ncols    int // Schema.Cols: every stored row's arity
+	ncols    int   // Schema.Cols: every stored row's arity
+	zoneAt   []int // per column: its entry in a page's zones, -1 when unzoned
+	nzones   int
 
 	mu       sync.Mutex
 	f        *os.File        // nil once closed
@@ -129,12 +143,13 @@ type diskStore struct {
 	io       IOStats // PageReads, BytesRead; IO() adds the cache's hit/miss
 }
 
-// pageMeta locates one sealed page.
+// pageMeta locates one sealed page and holds its zone map.
 type pageMeta struct {
 	off     int64
 	physLen int64
 	first   int // row id of the page's first row
 	nrows   int
+	zones   []zone // one per zoned column (diskStore.zoneAt); nil when none is
 }
 
 const (
@@ -153,9 +168,10 @@ func segPath(dir, table string) string { return filepath.Join(dir, table+".seg")
 func coldSegPath(dir, table string) string { return filepath.Join(dir, table+".cold.seg") }
 
 // createDiskStore starts an empty segment file at path for rows of ncols
-// cells. The file is scratch for this run: O_TRUNC discards whatever an
-// earlier run left under the same name, and nothing ever reopens it.
-func createDiskStore(cfg BackendConfig, path string, ncols int) (*diskStore, error) {
+// cells, recording a zone for each column zoned marks (nil: none). The file
+// is scratch for this run: O_TRUNC discards whatever an earlier run left
+// under the same name, and nothing ever reopens it.
+func createDiskStore(cfg BackendConfig, path string, ncols int, zoned []bool) (*diskStore, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("storage: disk backend needs BackendConfig.Dir")
 	}
@@ -166,11 +182,19 @@ func createDiskStore(cfg BackendConfig, path string, ncols int) (*diskStore, err
 	if err != nil {
 		return nil, err
 	}
-	return &diskStore{
-		path: path, f: f, pageSize: cfg.pageBytes(), ncols: ncols,
+	ds := &diskStore{
+		path: path, f: f, pageSize: cfg.pageBytes(), ncols: ncols, zoneAt: make([]int, ncols),
 		shapes: make([]colShape, ncols), next: make([]colShape, ncols),
 		cache: newBlockCache(cfg.cacheBytes(), cfg.pageBytes()),
-	}, nil
+	}
+	for c := range ds.zoneAt {
+		ds.zoneAt[c] = -1
+		if c < len(zoned) && zoned[c] {
+			ds.zoneAt[c] = ds.nzones
+			ds.nzones++
+		}
+	}
+	return ds, nil
 }
 
 // --- cell codec ---
@@ -349,12 +373,44 @@ func (ds *diskStore) sealTail() error {
 	if err != nil {
 		return err
 	}
-	ds.dir = append(ds.dir, pageMeta{off: ds.tailOff, physLen: physLen, first: ds.nflushed, nrows: len(ds.tail)})
+	ds.dir = append(ds.dir, pageMeta{off: ds.tailOff, physLen: physLen, first: ds.nflushed, nrows: len(ds.tail), zones: ds.tailZones()})
 	ds.nflushed += len(ds.tail)
 	ds.tailOff += physLen
 	ds.tail = nil
 	ds.tailLen = 0
 	return nil
+}
+
+// tailZones returns the zone map of the tail page as it seals: the least and
+// greatest cell of each zoned column whose region is fixed and of a family a
+// page predicate compares in place (zone). Another region — a tagged one,
+// which may hold NULLs — gets none. A Bytes bound aliases its row's cell,
+// which the store holds read-only like every appended cell.
+func (ds *diskStore) tailZones() []zone {
+	if ds.nzones == 0 {
+		return nil
+	}
+	zones := make([]zone, ds.nzones)
+	for c, zi := range ds.zoneAt {
+		if zi < 0 {
+			continue
+		}
+		switch ds.shapes[c].mode {
+		case value.Int, value.Date, value.Bytes:
+		default:
+			continue
+		}
+		z := zone{lo: ds.tail[0][c], hi: ds.tail[0][c]}
+		for _, row := range ds.tail[1:] {
+			if v := row[c]; value.Compare(v, z.lo) < 0 {
+				z.lo = v
+			} else if value.Compare(v, z.hi) > 0 {
+				z.hi = v
+			}
+		}
+		zones[zi] = z
+	}
+	return zones
 }
 
 func (ds *diskStore) Flush() error {
@@ -410,10 +466,10 @@ func (ds *diskStore) IO() IOStats {
 	return io
 }
 
-// pageAt returns the directory position of the sealed page holding row id.
-func (ds *diskStore) pageAt(id int) int {
-	return sort.Search(len(ds.dir), func(i int) bool {
-		return ds.dir[i].first+ds.dir[i].nrows > id
+// pageAt returns the position in dir of the sealed page holding row id.
+func pageAt(dir []pageMeta, id int) int {
+	return sort.Search(len(dir), func(i int) bool {
+		return dir[i].first+dir[i].nrows > id
 	})
 }
 
@@ -452,7 +508,7 @@ type colRegion struct {
 // releases the frame it took.
 func (ds *diskStore) sealedPage(id int) (*cachedPage, pageMeta, error) {
 	ds.mu.Lock()
-	pi := ds.pageAt(id)
+	pi := pageAt(ds.dir, id)
 	pm := ds.dir[pi]
 	if p, ok := ds.cache.get(pi); ok {
 		ds.mu.Unlock()
@@ -800,12 +856,23 @@ func (ds *diskStore) Scan(lo, hi int, cols []int, f Filter, s *Scratch) ([][]val
 	if hi > nflushed {
 		tail = ds.tail[max(lo, nflushed)-nflushed : hi-nflushed]
 	}
+	dir := ds.dir // sealed entries never change; a seal appends past len(dir)
 	ds.mu.Unlock()
 
+	var pred *Pred // the page predicate a page's zones may rule out
+	if pf, ok := f.(PageFilter); ok && ds.nzones > 0 {
+		pred, _ = pf.Page()
+	}
 	var own rowBatch
 	b := s.batch(&own, hi-lo, ds.width(cols), f)
 	var phys int64
 	for id, end := lo, min(hi, nflushed); id < end; { // a page per turn
+		if pred != nil {
+			if pm := &dir[pageAt(dir, id)]; pred.rulesOut(pm, ds.zoneAt, cols) {
+				id = min(end, pm.first+pm.nrows) // skipped: not pinned, not charged
+				continue
+			}
+		}
 		from := id
 		pm, err := ds.addSealed(b, id, cols, f, func(pm pageMeta) (int, int, []int32) {
 			id = min(end, pm.first+pm.nrows)

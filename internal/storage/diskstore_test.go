@@ -61,11 +61,16 @@ func loadFixture(t testing.TB, cat *Catalog, n int) *Table {
 // note, so both segments hold fixed and tagged regions.
 var fixtureCold = []string{"region", "blob", "note"}
 
+// fixtureZoned is the fixture columns whose pages record zones: the
+// ascending id, the cycling day and the fixed Bytes blob.
+var fixtureZoned = []string{"id", "day", "blob"}
+
 // loadSplitFixture is loadFixture on a table whose columns cold lie in a
-// second segment (Catalog.CreateSplit; nil: one segment).
+// second segment (Catalog.CreateSplit; nil: one segment), zoning
+// fixtureZoned.
 func loadSplitFixture(t testing.TB, cat *Catalog, n int, cold []string) *Table {
 	t.Helper()
-	tb, err := cat.CreateSplit(fixtureSchema(), cold)
+	tb, err := cat.CreateSplit(fixtureSchema(), cold, fixtureZoned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +488,7 @@ func TestDiskStoreFetchRuns(t *testing.T) {
 				if i > 0 {
 					prev = int(ids[i-1])
 				}
-				if prev < 0 || int(id) < prev || prev >= ds.nflushed || ds.pageAt(int(id)) != ds.pageAt(prev) {
+				if prev < 0 || int(id) < prev || prev >= ds.nflushed || pageAt(ds.dir, int(id)) != pageAt(ds.dir, prev) {
 					runs++
 				}
 			}

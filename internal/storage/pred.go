@@ -281,3 +281,75 @@ func (e *pageEval) atom(p *Pred, mask []bool) error {
 	}
 	return nil
 }
+
+// zone is a sealed page's least and greatest cell of one zoned column, as
+// value.Compare orders them, recorded at seal time (diskStore.tailZones)
+// when the page's region of the column is fixed and of a family pageEval
+// compares in place: Int or Date cells, or Bytes cells of one width. lo.K is
+// value.Null where the page has no zone for the column.
+type zone struct{ lo, hi value.Value }
+
+// rulesOut reports whether p is TRUE on no row of the page whose directory
+// entry is pm, by its zones alone; the rows are projected onto cols, as p's
+// positions count them, and zoneAt maps a schema position to its entry in
+// pm.zones. An AND is ruled out when one child is, an OR when every child is,
+// and an atom when its column has a zone of its constants' family (the one
+// pageEval's fast path compares) that admits none of them. Anything else —
+// no zone, a tagged region, a constant of another family — is not ruled out,
+// so a page it returns true for holds no row the page predicate keeps.
+func (p *Pred) rulesOut(pm *pageMeta, zoneAt, cols []int) bool {
+	switch p.op {
+	case predAnd:
+		for i := range p.kids {
+			if p.kids[i].rulesOut(pm, zoneAt, cols) {
+				return true
+			}
+		}
+		return false
+	case predOr:
+		for i := range p.kids {
+			if !p.kids[i].rulesOut(pm, zoneAt, cols) {
+				return false
+			}
+		}
+		return true
+	}
+	zi := zoneAt[at(cols, p.col)]
+	if zi < 0 {
+		return false
+	}
+	z := &pm.zones[zi]
+	switch z.lo.K {
+	case value.Int, value.Date:
+		if !p.ints {
+			return false
+		}
+	case value.Bytes:
+		if !p.raw {
+			return false
+		}
+	default:
+		return false
+	}
+	if p.op == predIn {
+		for _, c := range p.in {
+			if value.Compare(c, z.lo) >= 0 && value.Compare(c, z.hi) <= 0 {
+				return false
+			}
+		}
+		return true
+	}
+	// Every cell is at most hi and at least lo: the range admits none when
+	// hi is below its lower bound or lo above its upper one.
+	if p.lo != nil {
+		if c := value.Compare(z.hi, *p.lo); c < 0 || c == 0 && !p.loIncl {
+			return true
+		}
+	}
+	if p.hi != nil {
+		if c := value.Compare(z.lo, *p.hi); c > 0 || c == 0 && !p.hiIncl {
+			return true
+		}
+	}
+	return false
+}

@@ -42,25 +42,26 @@ type splitStore struct {
 }
 
 // createSplitStore creates the two segments of table name, whose columns
-// isCold marks (some but not all of them).
-func createSplitStore(cfg BackendConfig, name string, isCold []bool) (*splitStore, error) {
+// isCold marks (some but not all of them); each segment zones its share of
+// the columns isZoned marks.
+func createSplitStore(cfg BackendConfig, name string, isCold, isZoned []bool) (*splitStore, error) {
 	ss := &splitStore{isCold: isCold, at: make([]int, len(isCold)), all: make([]int, len(isCold))}
-	nhot, ncold := 0, 0
+	var hotZoned, coldZoned []bool
 	for ci, cold := range isCold {
 		ss.all[ci] = ci
 		if cold {
-			ss.at[ci] = ncold
-			ncold++
+			ss.at[ci] = len(coldZoned)
+			coldZoned = append(coldZoned, isZoned[ci])
 		} else {
-			ss.at[ci] = nhot
-			nhot++
+			ss.at[ci] = len(hotZoned)
+			hotZoned = append(hotZoned, isZoned[ci])
 		}
 	}
 	var err error
-	if ss.hot, err = createDiskStore(cfg, segPath(cfg.Dir, name), nhot); err != nil {
+	if ss.hot, err = createDiskStore(cfg, segPath(cfg.Dir, name), len(hotZoned), hotZoned); err != nil {
 		return nil, err
 	}
-	if ss.cold, err = createDiskStore(cfg, coldSegPath(cfg.Dir, name), ncold); err != nil {
+	if ss.cold, err = createDiskStore(cfg, coldSegPath(cfg.Dir, name), len(coldZoned), coldZoned); err != nil {
 		return nil, errors.Join(err, ss.hot.Close())
 	}
 	return ss, nil

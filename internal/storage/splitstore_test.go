@@ -193,7 +193,7 @@ func TestSplitStoreClosed(t *testing.T) {
 			t.Errorf("scan of %v after Close: %v, want ErrClosed", cols, err)
 		}
 	}
-	if _, err := NewCatalogWith(BackendConfig{Kind: BackendDisk, Dir: t.TempDir()}).CreateSplit(fixtureSchema(), []string{"nope"}); err == nil {
+	if _, err := NewCatalogWith(BackendConfig{Kind: BackendDisk, Dir: t.TempDir()}).CreateSplit(fixtureSchema(), []string{"nope"}, nil); err == nil {
 		t.Error("CreateSplit accepted a column the schema does not have")
 	}
 }

@@ -571,26 +571,31 @@ func NewCatalogWith(cfg BackendConfig) *Catalog {
 
 // Create adds a new empty table on the catalog's backend; it fails if the
 // name exists.
-func (c *Catalog) Create(s Schema) (*Table, error) { return c.CreateSplit(s, nil) }
+func (c *Catalog) Create(s Schema) (*Table, error) { return c.CreateSplit(s, nil, nil) }
 
 // CreateSplit is Create for a table whose columns named in cold a paged
 // backend stores in a second segment with the same row ids, read only by
-// the reads that name them (splitStore). The in-memory backend ignores the
-// split, and so does the disk backend when cold names no column or every
-// column: the table is then one segment. A name that is no column fails.
-func (c *Catalog) CreateSplit(s Schema, cold []string) (*Table, error) {
+// the reads that name them (splitStore), and whose columns named in zoned
+// it keeps a zone map of: each sealed page's least and greatest cell of
+// the column, by which a filtered Scan skips the pages its page predicate
+// cannot match (Pred.rulesOut). The in-memory backend ignores both, and the
+// disk backend ignores the split when cold names no column or every column:
+// the table is then one segment. A name that is no column fails.
+func (c *Catalog) CreateSplit(s Schema, cold, zoned []string) (*Table, error) {
 	if _, ok := c.tables[s.Name]; ok {
 		return nil, fmt.Errorf("storage: table %s already exists", s.Name)
 	}
-	isCold := make([]bool, len(s.Cols))
+	isCold, err := s.marks(cold)
+	if err != nil {
+		return nil, err
+	}
+	isZoned, err := s.marks(zoned)
+	if err != nil {
+		return nil, err
+	}
 	ncold := 0
-	for _, name := range cold {
-		ci := s.ColIndex(name)
-		if ci < 0 {
-			return nil, fmt.Errorf("storage: table %s: no column %s to store apart", s.Name, name)
-		}
-		if !isCold[ci] {
-			isCold[ci] = true
+	for _, cold := range isCold {
+		if cold {
 			ncold++
 		}
 	}
@@ -599,13 +604,13 @@ func (c *Catalog) CreateSplit(s Schema, cold []string) (*Table, error) {
 	case c.cfg.Kind != BackendDisk:
 		t = NewTable(s)
 	case ncold == 0 || ncold == len(s.Cols):
-		ds, err := createDiskStore(c.cfg, segPath(c.cfg.Dir, s.Name), len(s.Cols))
+		ds, err := createDiskStore(c.cfg, segPath(c.cfg.Dir, s.Name), len(s.Cols), isZoned)
 		if err != nil {
 			return nil, err
 		}
 		t = newTableOn(s, ds)
 	default:
-		ss, err := createSplitStore(c.cfg, s.Name, isCold)
+		ss, err := createSplitStore(c.cfg, s.Name, isCold, isZoned)
 		if err != nil {
 			return nil, err
 		}
@@ -613,6 +618,20 @@ func (c *Catalog) CreateSplit(s Schema, cold []string) (*Table, error) {
 	}
 	c.tables[s.Name] = t
 	return t, nil
+}
+
+// marks flags, by schema position, the columns names names; a name that is
+// no column fails.
+func (s Schema) marks(names []string) ([]bool, error) {
+	marked := make([]bool, len(s.Cols))
+	for _, name := range names {
+		ci := s.ColIndex(name)
+		if ci < 0 {
+			return nil, fmt.Errorf("storage: table %s: no column %s", s.Name, name)
+		}
+		marked[ci] = true
+	}
+	return marked, nil
 }
 
 // Put installs a table, replacing any existing one with the same name.
