@@ -86,11 +86,9 @@ func Design(cat *storage.Catalog, workload map[string]string, spec Spec) (*desig
 //     hot segment;
 //   - its zoned columns: every OPE column a WHERE range conjunct
 //     (ast.Sargable) of a block reading the table ranges over;
-//   - its cluster column: the zoned column the most scans of the table range
-//     over, each scan — a base-table entry of a block's FROM — weighted by
-//     1 − ast.Selectivity of its range conjuncts on the column, so a narrow
-//     range counts more than a wide one. A tie goes to the lower schema
-//     position; a table no scan ranges over keeps load order.
+//   - its cluster column: the zoned column the most scans of the table — a
+//     base-table entry of a block's FROM — range over. A tie goes to the
+//     lower schema position; a table no scan ranges over keeps load order.
 //
 // The trusted side needs none of it; the server's load does
 // (EncryptDatabaseWith). A statement whose uncorrelated scalar subqueries
@@ -113,7 +111,7 @@ func Layout(ctx *planner.Context, workload map[string]string, greedy bool) (enc.
 		}
 	}
 	hot := map[string]map[string]bool{}
-	ranges := map[string]map[string]float64{} // table → zoned column → Σ scan weights
+	ranges := map[string]map[string]int{} // table → zoned column → scans ranging over it
 	for i, q := range w.Queries {
 		prepared, _, err := ctx.Prepare(q, nil)
 		if err != nil {
@@ -131,12 +129,12 @@ func Layout(ctx *planner.Context, workload map[string]string, greedy bool) (enc.
 	l := enc.Layout{}
 	for t, cols := range hot {
 		tl := enc.TableLayout{Hot: cols}
-		weight := ranges[t]
+		scans := ranges[t]
 		for _, it := range ctx.Design.TableItems(t) { // encrypted schema order
 			col := it.ColumnName()
-			if wt, ok := weight[col]; ok {
+			if n, ok := scans[col]; ok {
 				tl.Zoned = append(tl.Zoned, col)
-				if tl.Cluster == "" || wt > weight[tl.Cluster] {
+				if tl.Cluster == "" || n > scans[tl.Cluster] {
 					tl.Cluster = col
 				}
 			}
@@ -174,29 +172,26 @@ func addReads(hot map[string]map[string]bool, part *planner.RemotePart) {
 	}
 }
 
-// addRanges adds to ranges, by table and OPE column (ope), the weight of each
-// scan of part's statement that ranges over the column (Layout): a range
-// conjunct's column names a scan's table when it is one of the table's OPE
-// columns and its qualifier, if any, is the scan's name.
-func addRanges(ranges map[string]map[string]float64, ope map[string]map[string]bool, part *planner.RemotePart) {
-	noNDV := func(ast.Expr) int64 { return 0 } // a range's selectivity reads none
+// addRanges counts in ranges, by table and OPE column (ope), each scan of
+// part's statement that ranges over the column (Layout): a range conjunct's
+// column names a scan's table when it is one of the table's OPE columns and
+// its qualifier, if any, is the scan's name.
+func addRanges(ranges map[string]map[string]int, ope map[string]map[string]bool, part *planner.RemotePart) {
 	ast.EachBlock(part.Query, func(b, _ *ast.Query) {
 		for _, f := range b.From {
 			if f.Sub != nil {
 				continue
 			}
-			atoms := map[string][]ast.Expr{}
+			seen := map[string]bool{}
 			for _, c := range ast.Conjuncts(b.Where) {
 				s, ok := ast.Sargable(c)
-				if ok && s.Range() && ope[f.Name][s.Col.Column] && (s.Col.Table == "" || s.Col.Table == f.RefName()) {
-					atoms[s.Col.Column] = append(atoms[s.Col.Column], c)
+				if ok && s.Range() && ope[f.Name][s.Col.Column] && (s.Col.Table == "" || s.Col.Table == f.RefName()) && !seen[s.Col.Column] {
+					seen[s.Col.Column] = true
+					if ranges[f.Name] == nil {
+						ranges[f.Name] = map[string]int{}
+					}
+					ranges[f.Name][s.Col.Column]++
 				}
-			}
-			for col, a := range atoms {
-				if ranges[f.Name] == nil {
-					ranges[f.Name] = map[string]float64{}
-				}
-				ranges[f.Name][col] += 1 - ast.Selectivity(ast.AndAll(a), noNDV)
 			}
 		}
 	})

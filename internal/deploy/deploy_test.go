@@ -10,6 +10,7 @@ import (
 	"repro/internal/enc"
 	"repro/internal/storage"
 	"repro/internal/tpch"
+	"repro/internal/value"
 )
 
 func itemKeys(d *enc.Design) string {
@@ -200,6 +201,53 @@ func TestClusteredHomSums(t *testing.T) {
 		}
 		if got, want := fmt.Sprint(res.Rows), fmt.Sprint(plain.Rows); got != want {
 			t.Errorf("%s: encrypted rows\n%s\ndiffer from plaintext\n%s", label, got, want)
+		}
+	}
+}
+
+// TestLayoutClusterChoice: the cluster column is the zoned column the most
+// scans range over — a scan with several range conjuncts on one column
+// counts once — and a tie goes to the lower schema position.
+func TestLayoutClusterChoice(t *testing.T) {
+	cat := storage.NewCatalog()
+	tb, err := cat.Create(storage.Schema{Name: "t", Cols: []storage.Column{
+		{Name: "k", Type: storage.TInt}, {Name: "a", Type: storage.TInt}, {Name: "b", Type: storage.TInt},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		tb.MustInsert([]value.Value{value.NewInt(int64(i)), value.NewInt(int64(i % 17)), value.NewInt(int64(i % 23))})
+	}
+	design := map[string]string{
+		"a": "SELECT k FROM t WHERE a < 5",
+		"b": "SELECT k FROM t WHERE b < 5",
+	}
+	dres, err := Design(cat, design, Spec{MasterKey: []byte("deploy-test"), PaillierBits: 256, Designer: designer.MonomiOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		workload map[string]string
+		want     string
+	}{
+		{design, "a_ope"}, // one scan each: the lower schema position
+		{map[string]string{
+			"b1": "SELECT k FROM t WHERE b < 5",
+			"b2": "SELECT k FROM t WHERE b > 9 AND a < 3",
+		}, "b_ope"},
+		{map[string]string{
+			"b": "SELECT k FROM t WHERE b > 2 AND b < 9",
+			"a": "SELECT k FROM t WHERE a > 4",
+		}, "a_ope"},
+		{map[string]string{"none": "SELECT k FROM t WHERE k = 3"}, ""},
+	} {
+		l, err := Layout(dres.Context, c.workload, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := l["t"].Cluster; got != c.want {
+			t.Errorf("%v: cluster %q (zoned %v), want %q", c.workload, got, l["t"].Zoned, c.want)
 		}
 	}
 }

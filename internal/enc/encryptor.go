@@ -329,10 +329,13 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 		if rowItems[i].ColumnName() == layout[tbl].Cluster {
 			// Row ids are load positions: ordering the evaluated rows here
 			// gives the row_id column, both segments and the HOM packs
-			// below the same order.
-			if err := clusterRows(res.Rows, &ciphers[i], memos[i], srcCol[i]); err != nil {
-				return fmt.Errorf("cluster on %s: %w", layout[tbl].Cluster, err)
-			}
+			// below the same order. OPE preserves the order of the Int and
+			// Date plaintexts it takes, so sorting on the plaintext cell
+			// (value.Compare puts NULL first) seals them in ciphertext order.
+			src := srcCol[i]
+			sort.SliceStable(res.Rows, func(a, b int) bool {
+				return value.Compare(res.Rows[a][src], res.Rows[b][src]) < 0
+			})
 		}
 	}
 	for rowID, row := range res.Rows {
@@ -377,44 +380,17 @@ func encryptTable(db *DB, eng *engine.Engine, plain *storage.Catalog, design *De
 				vals[r][bj] = v.AsInt()
 			}
 		}
-		layout, err := packing.NewLayout(cols, padBits, plainBits, design.MultiRowPacking)
+		packed, err := packing.NewLayout(cols, padBits, plainBits, design.MultiRowPacking)
 		if err != nil {
 			return err
 		}
-		store, err := packing.BuildStore(gname, ks.Paillier(), layout, vals)
+		store, err := packing.BuildStore(gname, ks.Paillier(), packed, vals)
 		if err != nil {
 			return err
 		}
 		db.Stores[gname] = store
-		meta.Groups = append(meta.Groups, &GroupMeta{Name: gname, Items: gItems, Layout: layout})
+		meta.Groups = append(meta.Groups, &GroupMeta{Name: gname, Items: gItems, Layout: packed})
 	}
-	return nil
-}
-
-// clusterRows orders rows by the ciphertext c gives their cell src, the
-// cluster column's, stably and NULLs first. It encrypts through the load's
-// memo, so the load's own pass over the column finds the ciphertexts there
-// (up to the memo's cap).
-func clusterRows(rows [][]value.Value, c *Cipher, memo *loadMemo, src int) error {
-	keys := make([]value.Value, len(rows))
-	for r, row := range rows {
-		var err error
-		if keys[r], err = memo.encrypt(c, row[src]); err != nil {
-			return err
-		}
-	}
-	order := make([]int, len(rows))
-	for r := range order {
-		order[r] = r
-	}
-	sort.SliceStable(order, func(i, j int) bool { // value.Compare puts NULL first
-		return value.Compare(keys[order[i]], keys[order[j]]) < 0
-	})
-	sorted := make([][]value.Value, len(rows))
-	for r, from := range order {
-		sorted[r] = rows[from]
-	}
-	copy(rows, sorted)
 	return nil
 }
 
